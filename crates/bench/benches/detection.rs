@@ -1,5 +1,5 @@
-//! Criterion benches for detection: scaling (E1), tableau size /
-//! merged-tableau ablation (E2), incremental maintenance (E11).
+//! Criterion benches for detection: scaling (E1), tableau size (E2),
+//! incremental maintenance (E11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revival_bench::customer_workload;
@@ -39,9 +39,6 @@ fn detect_tableau(c: &mut Criterion) {
         let job = DetectJob::on_table(&ds.dirty, &suite);
         group.bench_with_input(BenchmarkId::new("per_cfd", k), &k, |b, _| {
             b.iter(|| NativeEngine.run(&job).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("merged", k), &k, |b, _| {
-            b.iter(|| NativeEngine.run(&job.merged(true)).unwrap())
         });
     }
     group.finish();

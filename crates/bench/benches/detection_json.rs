@@ -1,8 +1,7 @@
 //! Emits `BENCH_detection.json` at the workspace root: rows/sec for
 //! the sequential engine vs. the parallel engine at 4 shards on a
 //! 100k-row dirty-customer workload, plus the hospital-workload kernel
-//! ablation (interned vs. cloning group-by, merged vs. per-CFD
-//! tableaux) at jobs=1, plus the columnar block (column scan vs.
+//! ablation (interned vs. cloning group-by) at jobs=1, plus the columnar block (column scan vs.
 //! row-major scan, snapshot open vs. CSV re-ingest). Runs as part of
 //! `cargo bench`
 //! (`cargo bench --bench detection_json` for just this file); set
@@ -34,16 +33,11 @@ fn main() {
     let k = &perf.kernel;
     println!(
         "kernel  @ {} hospital rows, jobs=1: interned {:.1} rows/s vs clone {:.1} rows/s \
-         ({:.2}x); merged({} FDs) {:.1} rows/s vs per-CFD({}) {:.1} rows/s ({:.2}x)",
+         ({:.2}x)",
         k.rows,
         k.interned_rows_per_sec(),
         k.clone_rows_per_sec(),
         k.interned_speedup(),
-        k.merged_cfds,
-        k.merged_rows_per_sec(),
-        k.cfds,
-        k.interned_rows_per_sec(),
-        k.merge_speedup(),
     );
     let c = &perf.columnar;
     println!(

@@ -12,25 +12,19 @@ use crate::{customer_workload, hospital_workload};
 use revival_detect::{DetectJob, Detector, NativeEngine, ParallelEngine};
 use std::time::Instant;
 
-/// The interned-vs-clone and merged-vs-unmerged kernel ablation,
-/// measured on the hospital workload at `jobs = 1` (grouping-dominated:
+/// The interned-vs-clone kernel ablation, measured on the hospital workload at `jobs = 1` (grouping-dominated:
 /// 8-attribute rows, 6 variable CFDs).
 #[derive(Clone, Debug)]
 pub struct KernelAblation {
     pub rows: usize,
     pub cfds: usize,
-    pub merged_cfds: usize,
     /// Full-suite scan with the pre-interning reference kernel
     /// (`HashMap<Vec<Value>, _>`, one key clone + value hash per row
     /// per CFD).
     pub clone_secs: f64,
     /// The same scan through the interned kernel (the shipping
-    /// `NativeEngine` path) — also the unmerged baseline of the merge
-    /// ablation.
+    /// `NativeEngine` path).
     pub interned_secs: f64,
-    /// The interned scan with `DetectJob::merged` (one grouping pass
-    /// per embedded FD).
-    pub merged_secs: f64,
 }
 
 impl KernelAblation {
@@ -42,18 +36,9 @@ impl KernelAblation {
         self.rows as f64 / self.interned_secs
     }
 
-    pub fn merged_rows_per_sec(&self) -> f64 {
-        self.rows as f64 / self.merged_secs
-    }
-
     /// Interned kernel vs. the cloning kernel (same suite, jobs=1).
     pub fn interned_speedup(&self) -> f64 {
         self.clone_secs / self.interned_secs
-    }
-
-    /// Merged tableaux vs. per-CFD passes (both on the interned kernel).
-    pub fn merge_speedup(&self) -> f64 {
-        self.interned_secs / self.merged_secs
     }
 }
 
@@ -215,11 +200,9 @@ impl DetectionPerf {
              \"parallel\": {{ \"jobs\": {}, \"secs\": {:.6}, \"rows_per_sec\": {:.1} }},\n  \
              \"speedup\": {:.3},\n  \
              \"kernel\": {{ \"workload\": \"dirty::hospital\", \"jobs\": 1, \"rows\": {}, \
-             \"cfds\": {}, \"merged_cfds\": {},\n    \
+             \"cfds\": {},\n    \
              \"grouped_clone_rows_per_s\": {:.1}, \"grouped_interned_rows_per_s\": {:.1}, \
-             \"interned_speedup\": {:.3},\n    \
-             \"unmerged_rows_per_s\": {:.1}, \"merged_rows_per_s\": {:.1}, \
-             \"merge_speedup\": {:.3} }},\n  \
+             \"interned_speedup\": {:.3} }},\n  \
              \"columnar\": {{ \"scan_workload\": \"dirty::hospital\", \"scan_rows\": {}, \
              \"ingest_rows\": {},\n    \
              \"row_scan_rows_per_s\": {:.1}, \"scan_rows_per_s\": {:.1}, \
@@ -238,13 +221,9 @@ impl DetectionPerf {
             self.speedup(),
             self.kernel.rows,
             self.kernel.cfds,
-            self.kernel.merged_cfds,
             self.kernel.clone_rows_per_sec(),
             self.kernel.interned_rows_per_sec(),
             self.kernel.interned_speedup(),
-            self.kernel.interned_rows_per_sec(),
-            self.kernel.merged_rows_per_sec(),
-            self.kernel.merge_speedup(),
             self.columnar.scan_rows,
             self.columnar.ingest_rows,
             self.columnar.row_scan_rows_per_s,
@@ -344,9 +323,8 @@ fn detect_all_cloning(
 }
 
 /// The hospital-workload kernel ablation at `jobs = 1`: interned vs.
-/// cloning group-by, and merged vs. per-CFD tableaux. Panics unless all
-/// three paths agree on the violations — the ablation doubles as a
-/// correctness check of both kernels.
+/// cloning group-by. Panics unless both paths agree on the violations —
+/// the ablation doubles as a correctness check of both kernels.
 pub fn measure_kernel_ablation(rows: usize, samples: usize) -> KernelAblation {
     let (_, ds, cfds) = hospital_workload(rows, 0.05, 11);
     let job = DetectJob::on_table(&ds.dirty, &cfds);
@@ -356,20 +334,7 @@ pub fn measure_kernel_ablation(rows: usize, samples: usize) -> KernelAblation {
         clone_report, interned_report,
         "interned kernel must match the cloning kernel byte-for-byte"
     );
-    let (merged_report, merged_secs) =
-        best_of(samples, || NativeEngine.run(&job.merged(true)).unwrap());
-    let (mut m, mut u) = (merged_report, interned_report.clone());
-    m.normalize();
-    u.normalize();
-    assert_eq!(m, u, "merged run must report the unmerged violation set");
-    KernelAblation {
-        rows,
-        cfds: cfds.len(),
-        merged_cfds: revival_constraints::cfd::merge_by_embedded_fd(&cfds).len(),
-        clone_secs,
-        interned_secs,
-        merged_secs,
-    }
+    KernelAblation { rows, cfds: cfds.len(), clone_secs, interned_secs }
 }
 
 /// Time sequential vs. parallel detection on `rows` dirty-customer
@@ -1176,15 +1141,13 @@ mod tests {
         assert!(perf.violations > 0, "5% noise must produce violations");
         assert_eq!(perf.kernel.rows, 1_000);
         assert_eq!(perf.kernel.cfds, 8);
-        assert!(perf.kernel.merged_cfds < perf.kernel.cfds, "HOSP suite must actually merge");
-        assert!(perf.kernel.clone_secs > 0.0 && perf.kernel.merged_secs > 0.0);
+        assert!(perf.kernel.clone_secs > 0.0 && perf.kernel.interned_secs > 0.0);
         let json = perf.to_json();
         assert!(json.contains("\"benchmark\": \"detection\""));
         assert!(json.contains("\"rows\": 2000"));
         assert!(json.contains("\"rows_per_sec\""));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"grouped_interned_rows_per_s\""));
-        assert!(json.contains("\"merged_rows_per_s\""));
         assert!(json.contains("\"columnar\""));
         assert!(json.contains("\"scan_rows_per_s\""));
         assert!(json.contains("\"snapshot_open_ms\""));
@@ -1194,11 +1157,9 @@ mod tests {
 
     #[test]
     fn kernel_ablation_parity_holds() {
-        // The ablation itself asserts clone == interned byte-for-byte
-        // and merged == unmerged after normalisation.
+        // The ablation itself asserts clone == interned byte-for-byte.
         let k = measure_kernel_ablation(800, 1);
         assert_eq!(k.cfds, 8);
         assert!(k.interned_speedup() > 0.0);
-        assert!(k.merge_speedup() > 0.0);
     }
 }

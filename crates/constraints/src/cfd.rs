@@ -192,11 +192,16 @@ impl Cfd {
         true
     }
 
+    /// Do both CFDs condition the same embedded FD `(relation, X → A)`?
+    pub fn same_embedded_fd(&self, other: &Cfd) -> bool {
+        self.relation == other.relation && self.lhs == other.lhs && self.rhs == other.rhs
+    }
+
     /// Merge another CFD's tableau into this one if both share the same
     /// embedded FD. Returns `false` (and leaves `self` unchanged) when
     /// the embedded FDs differ.
     pub fn merge(&mut self, other: &Cfd) -> bool {
-        if self.relation != other.relation || self.lhs != other.lhs || self.rhs != other.rhs {
+        if !self.same_embedded_fd(other) {
             return false;
         }
         for row in &other.tableau {
@@ -254,57 +259,21 @@ impl Cfd {
     }
 }
 
-/// Group a list of normal-form CFDs by embedded FD, merging tableaux.
-/// This is the "merged tableau" preprocessing that makes batch detection
-/// cost independent of how the input suite splits its pattern rows.
+/// Group a list of normal-form CFDs by embedded FD, merging tableaux
+/// (duplicate rows kept once) — one CFD per embedded FD, in first-seen
+/// order. Repair and the static analyses reason per embedded FD over
+/// this form; detection does the same grouping inside its scan.
 pub fn merge_by_embedded_fd(cfds: &[Cfd]) -> Vec<Cfd> {
-    merge_by_embedded_fd_mapped(cfds).cfds
-}
-
-/// A merged suite that remembers where every tableau row came from, so
-/// engine-level merged detection can map violation indices back to the
-/// caller's original suite exactly.
-pub struct MergedSuite {
-    /// One CFD per embedded FD, tableaux unioned (duplicate rows kept
-    /// once, like [`Cfd::merge`]).
-    pub cfds: Vec<Cfd>,
-    /// `provenance[m][j]` lists every `(original_cfd, original_row)`
-    /// that contributed merged CFD `m`'s tableau row `j`. A row shared
-    /// verbatim by several original CFDs (the deduplicated case) carries
-    /// one entry per source; rows of one original CFD keep their
-    /// original relative order within the merged tableau.
-    pub provenance: Vec<Vec<Vec<(usize, usize)>>>,
-}
-
-/// [`merge_by_embedded_fd`] with provenance — the engine layer's merged
-/// detection runs the merged suite, then uses the row map to report
-/// against the original one.
-pub fn merge_by_embedded_fd_mapped(cfds: &[Cfd]) -> MergedSuite {
     let mut out: Vec<Cfd> = Vec::new();
-    let mut provenance: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
-    for (ci, cfd) in cfds.iter().enumerate() {
-        let m = match out
-            .iter()
-            .position(|c| c.relation == cfd.relation && c.lhs == cfd.lhs && c.rhs == cfd.rhs)
-        {
-            Some(m) => m,
-            None => {
-                out.push(Cfd { tableau: Vec::new(), ..cfd.clone() });
-                provenance.push(Vec::new());
-                out.len() - 1
-            }
-        };
-        for (ri, row) in cfd.tableau.iter().enumerate() {
-            match out[m].tableau.iter().position(|r| r == row) {
-                Some(j) => provenance[m][j].push((ci, ri)),
-                None => {
-                    out[m].tableau.push(row.clone());
-                    provenance[m].push(vec![(ci, ri)]);
-                }
-            }
+    for cfd in cfds {
+        if !out.iter_mut().any(|merged| merged.merge(cfd)) {
+            // Through `merge`, so a tableau repeating a row dedups too.
+            let mut first = Cfd { tableau: Vec::new(), ..cfd.clone() };
+            first.merge(cfd);
+            out.push(first);
         }
     }
-    MergedSuite { cfds: out, provenance }
+    out
 }
 
 #[cfg(test)]
@@ -453,27 +422,6 @@ mod tests {
         let merged = merge_by_embedded_fd(&list);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].tableau.len(), 1); // duplicate row deduped
-    }
-
-    #[test]
-    fn mapped_merge_tracks_all_row_sources() {
-        let s = schema();
-        // Two identical CFDs plus a distinct one: the shared row must
-        // remember both sources, so merged detection can report both.
-        let list = vec![uk_cfd(&s), uk_cfd(&s), city_cfd(&s)];
-        let merged = merge_by_embedded_fd_mapped(&list);
-        assert_eq!(merged.cfds.len(), 2);
-        assert_eq!(merged.cfds[0].tableau.len(), 1);
-        assert_eq!(merged.provenance[0][0], vec![(0, 0), (1, 0)]);
-        assert_eq!(merged.provenance[1][0], vec![(2, 0)]);
-        // Distinct rows of one embedded FD keep their original order.
-        let mut a = uk_cfd(&s);
-        let b = Cfd::new(&s, &["cc", "zip"], "street", vec![PatternRow::all_wildcards(2)]).unwrap();
-        let _ = &mut a;
-        let merged = merge_by_embedded_fd_mapped(&[a, b]);
-        assert_eq!(merged.cfds.len(), 1);
-        assert_eq!(merged.cfds[0].tableau.len(), 2);
-        assert_eq!(merged.provenance[0][1], vec![(1, 0)]);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! measured in experiment E7. A SQL formulation is also generated for
 //! parity with the paper's SQL-based techniques (\[4\] §SQL).
 
+use crate::engine::{cind_profile_name, DetectJob};
+use crate::parallel::map_chunks;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cind::Cind;
-use revival_relation::{Catalog, Result, Table};
+use revival_relation::{Catalog, Error, Result, Table, TupleId};
 
 /// Detects CIND violations given the two tables of each CIND.
 pub struct CindDetector;
@@ -17,28 +19,66 @@ pub struct CindDetector;
 impl CindDetector {
     /// Detect violations of one CIND.
     pub fn detect(cind: &Cind, from: &Table, to: &Table, cind_idx: usize) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        let target = cind.build_target_index(to);
-        for (id, row) in from.rows() {
-            // Borrowed probe: no key vector per source tuple.
-            if cind.applies_to(&row) && !target.contains_row(cind, &row) {
-                report.violations.push(Violation::CindMissingWitness { cind: cind_idx, tuple: id });
-            }
-        }
-        report
+        ViolationReport { violations: probe(cind, from, to, cind_idx, 1) }
     }
 
     /// Detect a suite of CINDs, resolving relations from a catalog.
     pub fn detect_all(cinds: &[Cind], catalog: &Catalog) -> Result<ViolationReport> {
         let mut report = ViolationReport::default();
-        for (i, cind) in cinds.iter().enumerate() {
-            let from = catalog.get(&cind.from_relation)?;
-            let to = catalog.get(&cind.to_relation)?;
-            let r = Self::detect(cind, from, to, i);
-            report.violations.extend(r.violations);
-        }
+        let job = DetectJob::on_catalog(catalog, &[]).with_cinds(cinds);
+        detect_cinds(&job, 1, None, &mut report.violations)?;
         Ok(report)
     }
+}
+
+/// The witness probe: the target index builds once, source tuples shard
+/// across `jobs` contiguous chunks (each row materialises only while it
+/// is probed — borrowed probe, no key vector per source tuple), and the
+/// findings concatenate in chunk order, i.e. row order.
+fn probe(cind: &Cind, from: &Table, to: &Table, cind_idx: usize, jobs: usize) -> Vec<Violation> {
+    let target = cind.build_target_index(to);
+    let ids: Vec<TupleId> = from.tuple_ids().collect();
+    let per_chunk = map_chunks(&ids, jobs, |chunk| {
+        let mut found = Vec::new();
+        for &tuple in chunk {
+            let Ok(row) = from.get(tuple) else { continue };
+            if cind.applies_to(&row) && !target.contains_row(cind, &row) {
+                found.push(Violation::CindMissingWitness { cind: cind_idx, tuple });
+            }
+        }
+        found
+    });
+    per_chunk.into_iter().flat_map(|(found, _)| found).collect()
+}
+
+/// Detect the CIND portion of a job over `jobs` shards, appending to
+/// `out` in suite order. With a profile, each CIND's wall time lands on
+/// its row (and a trace span when tracing is on).
+pub(crate) fn detect_cinds(
+    job: &DetectJob<'_>,
+    jobs: usize,
+    mut profile: Option<&mut revival_obs::JobProfile>,
+    out: &mut Vec<Violation>,
+) -> Result<()> {
+    if job.cinds.is_empty() {
+        return Ok(());
+    }
+    let catalog = job
+        .catalog()
+        .ok_or_else(|| Error::Io("CIND detection needs a catalog-backed job".into()))?;
+    for (j, cind) in job.cinds.iter().enumerate() {
+        let from = catalog.get(&cind.from_relation)?;
+        let to = catalog.get(&cind.to_relation)?;
+        let start = std::time::Instant::now();
+        out.extend(probe(cind, from, to, j, jobs));
+        if let Some(p) = profile.as_deref_mut() {
+            let us = start.elapsed().as_micros() as u64;
+            let name = cind_profile_name(job, j);
+            revival_obs::trace::record_at(&name, start, us);
+            p.entry(&name, "cind").wall_us += us;
+        }
+    }
+    Ok(())
 }
 
 /// Generate the SQL query of Bravo et al. that selects source tuples

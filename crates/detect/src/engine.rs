@@ -14,17 +14,17 @@
 //! asserted by tests in this crate and by the workspace-level
 //! `cross_engine_parity` property test. [`NativeEngine`] and
 //! [`crate::parallel::ParallelEngine`] additionally agree on report
-//! *order* byte-for-byte, because both run the same shared kernels in
-//! `native`/`parallel` (sequentially vs. sharded-and-merged).
+//! *order* byte-for-byte: they are the same scan
+//! ([`crate::native`]: one pass per embedded FD, reported per original
+//! CFD) at one shard and at `jobs` shards.
 
-use crate::cind::CindDetector;
+use crate::cind::detect_cinds;
 use crate::incremental::IncrementalDetector;
-use crate::native::NativeDetector;
+use crate::native::scan_suite;
 use crate::report::{Violation, ViolationReport};
 use crate::sqlgen::SqlDetector;
 use revival_constraints::{Cfd, Cind};
 use revival_relation::{Catalog, Error, Result, Table};
-use std::sync::Mutex;
 
 /// The data a detection job runs over: one in-memory table, or a
 /// catalog resolving relation names for multi-relation suites.
@@ -37,43 +37,29 @@ enum DataRef<'a> {
 /// One detection request: data plus the constraint suite.
 ///
 /// Violation indices in the resulting report refer to positions in
-/// `cfds` (for CFD violations) and `cinds` (for CIND violations) — also
-/// under [`DetectJob::merged`], where engines scan the merged suite but
-/// report against the caller's original one.
+/// `cfds` (for CFD violations) and `cinds` (for CIND violations).
 #[derive(Clone, Copy)]
 pub struct DetectJob<'a> {
     data: DataRef<'a>,
     pub cfds: &'a [Cfd],
     pub cinds: &'a [Cind],
-    /// Run the suite merged by embedded FD (one grouping pass per FD
-    /// instead of one per CFD — the TODS 2008 merged-tableau
-    /// optimisation), with violation indices mapped back to `cfds`.
-    pub merge_tableaux: bool,
 }
 
 impl<'a> DetectJob<'a> {
     /// A job over a single table (the common CLI/session case).
     pub fn on_table(table: &'a Table, cfds: &'a [Cfd]) -> Self {
-        DetectJob { data: DataRef::Table(table), cfds, cinds: &[], merge_tableaux: false }
+        DetectJob { data: DataRef::Table(table), cfds, cinds: &[] }
     }
 
     /// A job over a catalog of relations.
     pub fn on_catalog(catalog: &'a Catalog, cfds: &'a [Cfd]) -> Self {
-        DetectJob { data: DataRef::Catalog(catalog), cfds, cinds: &[], merge_tableaux: false }
+        DetectJob { data: DataRef::Catalog(catalog), cfds, cinds: &[] }
     }
 
     /// Attach a CIND suite (requires a catalog-backed job to resolve
     /// the two relations of each CIND, unless the suite is empty).
     pub fn with_cinds(mut self, cinds: &'a [Cind]) -> Self {
         self.cinds = cinds;
-        self
-    }
-
-    /// Toggle merged-tableau execution: every engine scans the suite
-    /// merged by embedded FD and maps violation indices back, so the
-    /// report is interchangeable with the unmerged run's (up to order).
-    pub fn merged(mut self, on: bool) -> Self {
-        self.merge_tableaux = on;
         self
     }
 
@@ -103,8 +89,7 @@ impl<'a> DetectJob<'a> {
     }
 
     /// Live rows across the distinct relations the suite reads — the
-    /// footprint of data a run touches (merged runs scan the same rows
-    /// as unmerged ones).
+    /// footprint of data a run touches.
     pub fn rows_in_scope(&self) -> usize {
         let mut seen: Vec<&str> = Vec::new();
         let mut rows = 0;
@@ -128,11 +113,12 @@ impl<'a> DetectJob<'a> {
         self.table(name).map(|t| t.len() as u64).unwrap_or(0)
     }
 
-    /// The per-constraint rows-scanned sum: every CFD scans its
-    /// relation's live rows once, every CIND scans its source relation
-    /// once. This is what `detect_rows_scanned_total` records and what
-    /// each `--explain` constraint row reports, so per-constraint
-    /// profile totals reconcile with the job-level counter exactly.
+    /// The per-constraint rows-scanned sum: every CFD covers its
+    /// relation's live rows once (however many CFDs share the pass that
+    /// reads them), every CIND its source relation. This is what
+    /// `detect_rows_scanned_total` records and what each `--explain`
+    /// constraint row reports, so per-constraint profile totals
+    /// reconcile with the job-level counter exactly.
     pub fn rows_scanned_sum(&self) -> u64 {
         let cfd_rows: u64 = self.cfds.iter().map(|c| self.relation_rows(&c.relation)).sum();
         let cind_rows: u64 = self.cinds.iter().map(|c| self.relation_rows(&c.from_relation)).sum();
@@ -220,23 +206,18 @@ pub trait Detector {
     }
 
     /// The engine-specific scan. Implementors define this; callers go
-    /// through [`Detector::run`], which layers engine metrics on top.
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport>;
-
-    /// The engine-specific *profiled* scan: the exact same report as
-    /// [`Detector::scan`] (profiling is side-effect-only), with
-    /// per-constraint work attributed into `profile` along the way.
-    /// The default ignores the profile — engines without native
-    /// per-constraint instrumentation (SQL, incremental) get their
-    /// constraint rows filled by [`Detector::run_profiled`]'s
-    /// completeness pass instead, so nothing is silently omitted.
-    fn scan_profiled(
+    /// through [`Detector::run`] / [`Detector::run_profiled`], which
+    /// layer engine metrics on top. Profiling is side-effect-only: the
+    /// report is the same with or without a profile, and an engine
+    /// attributes what it can measure (the native scan: wall time,
+    /// groups and shard times per pass; every engine: wall time per
+    /// CIND) — the rest of each constraint's row is filled from the
+    /// report, so nothing is silently omitted.
+    fn scan(
         &self,
         job: &DetectJob<'_>,
-        _profile: &mut revival_obs::JobProfile,
-    ) -> Result<ViolationReport> {
-        self.scan(job)
-    }
+        profile: Option<&mut revival_obs::JobProfile>,
+    ) -> Result<ViolationReport>;
 
     /// Detect every violation of the job's suite, recording per-engine
     /// run counts and latency plus rows-scanned / violations-emitted
@@ -244,172 +225,63 @@ pub trait Detector {
     /// untouched, so engine parity holds with it on or off) and skipped
     /// entirely when observability is disabled.
     fn run(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
-        if !revival_obs::enabled() {
-            return self.scan(job);
-        }
-        let start = std::time::Instant::now();
-        let result = self.scan(job);
-        let us = start.elapsed().as_micros() as u64;
-        record_run_obs(self.name(), job, &result, start, us);
-        result
+        run_job(self, job, None)
     }
 
     /// [`Detector::run`] with a [`revival_obs::JobProfile`] alongside:
-    /// the same report and the same job-level obs records, plus
-    /// per-constraint attribution. Every constraint in the suite
-    /// appears in the profile — engines that can't attribute wall time
-    /// per constraint still get rows-scanned and violation counts via
-    /// the completeness pass. Reports stay byte-identical to
-    /// [`Detector::run`]'s.
+    /// the same report, byte for byte, and the same job-level obs
+    /// records, plus one `cfd`/`cind` row per suite constraint (rows
+    /// scanned, violations) and one `pass` row per scan the engine
+    /// timed.
     fn run_profiled(
         &self,
         job: &DetectJob<'_>,
     ) -> Result<(ViolationReport, revival_obs::JobProfile)> {
         let mut profile = revival_obs::JobProfile::new("detect", self.name(), self.shards() as u64);
-        let start = std::time::Instant::now();
-        let result = self.scan_profiled(job, &mut profile);
-        let us = start.elapsed().as_micros() as u64;
-        if revival_obs::enabled() {
-            record_run_obs(self.name(), job, &result, start, us);
-        }
-        let report = result?;
-        fill_profile_gaps(job, &report, &mut profile);
-        profile.meta_add("suite_cfds", job.cfds.len() as u64);
-        profile.meta_add("suite_cinds", job.cinds.len() as u64);
-        profile.meta_add("rows_in_scope", job.rows_in_scope() as u64);
-        profile.finish(us);
+        let report = run_job(self, job, Some(&mut profile))?;
         Ok((report, profile))
     }
 }
 
-/// The shared job-level obs flush of [`Detector::run`] and
-/// [`Detector::run_profiled`] (callers check `enabled()`).
-fn record_run_obs(
-    engine: &str,
+/// The one body behind [`Detector::run`] and [`Detector::run_profiled`].
+fn run_job<D: Detector + ?Sized>(
+    engine: &D,
     job: &DetectJob<'_>,
-    result: &Result<ViolationReport>,
-    start: std::time::Instant,
-    us: u64,
-) {
-    let reg = revival_obs::global();
-    reg.histogram(&format!("detect_run_us{{engine=\"{engine}\"}}")).record(us);
-    reg.counter(&format!("detect_runs_total{{engine=\"{engine}\"}}")).inc();
-    if let Ok(report) = result {
-        reg.counter("detect_violations_total").add(report.len() as u64);
-        reg.counter("detect_rows_scanned_total").add(job.rows_scanned_sum());
-    }
-    if revival_obs::trace::active() {
-        revival_obs::trace::record_at(&format!("detect.{engine}"), start, us);
-    }
-}
-
-/// Run a merged-tableau job through `run`: merge the suite by embedded
-/// FD (tracking row provenance), detect on the merged suite, and map
-/// every violation back to the caller's original suite — *exactly*.
-///
-/// Variable violations map 1:1 per provenance entry (a tableau row
-/// shared verbatim by several original CFDs expands to one violation
-/// each — just as the unmerged run reports them). Constant violations
-/// need care: detectors report one violation per `(cfd, tuple)` with the
-/// *first* violating tableau row, so a merged CFD collapses what would
-/// be several per-original-CFD reports into one. The remap re-checks the
-/// reported tuple against the merged tableau and emits the first
-/// violating row *per original CFD* — precisely the unmerged semantics,
-/// asserted by the workspace-level merged-parity property test.
-pub(crate) fn run_merged_job(
-    job: &DetectJob<'_>,
-    run: impl FnOnce(&DetectJob<'_>) -> Result<ViolationReport>,
+    mut profile: Option<&mut revival_obs::JobProfile>,
 ) -> Result<ViolationReport> {
-    job.validate()?;
-    let merged = revival_constraints::cfd::merge_by_embedded_fd_mapped(job.cfds);
-    let mut mjob = *job;
-    mjob.cfds = &merged.cfds;
-    mjob.merge_tableaux = false;
-    let raw = run(&mjob)?;
-    let mut out = ViolationReport::default();
-    for v in raw.violations {
-        match v {
-            Violation::CfdConstant { cfd, tuple, .. } => {
-                let mcfd = &merged.cfds[cfd];
-                let row = job.table(&mcfd.relation)?.get(tuple)?;
-                // First violating row per original CFD, in suite order.
-                let mut firsts: Vec<(usize, usize)> = Vec::new();
-                for (j, tp) in mcfd.tableau.iter().enumerate() {
-                    if !mcfd.violates_constant_row(&row, tp) {
-                        continue;
-                    }
-                    for &(oc, orow) in &merged.provenance[cfd][j] {
-                        match firsts.iter_mut().find(|(c, _)| *c == oc) {
-                            Some((_, r)) => *r = (*r).min(orow),
-                            None => firsts.push((oc, orow)),
-                        }
-                    }
-                }
-                firsts.sort_unstable();
-                for (oc, orow) in firsts {
-                    out.violations.push(Violation::CfdConstant { cfd: oc, row: orow, tuple });
-                }
-            }
-            Violation::CfdVariable { cfd, row, key, tuples } => {
-                for &(oc, orow) in &merged.provenance[cfd][row] {
-                    out.violations.push(Violation::CfdVariable {
-                        cfd: oc,
-                        row: orow,
-                        key: key.clone(),
-                        tuples: tuples.clone(),
-                    });
-                }
-            }
-            cind @ Violation::CindMissingWitness { .. } => out.violations.push(cind),
+    let obs = revival_obs::enabled();
+    if !obs && profile.is_none() {
+        return engine.scan(job, None);
+    }
+    let start = std::time::Instant::now();
+    let result = engine.scan(job, profile.as_deref_mut());
+    let us = start.elapsed().as_micros() as u64;
+    if obs {
+        let name = engine.name();
+        let reg = revival_obs::global();
+        reg.histogram(&format!("detect_run_us{{engine=\"{name}\"}}")).record(us);
+        reg.counter(&format!("detect_runs_total{{engine=\"{name}\"}}")).inc();
+        if let Ok(report) = &result {
+            reg.counter("detect_violations_total").add(report.len() as u64);
+            reg.counter("detect_rows_scanned_total").add(job.rows_scanned_sum());
         }
-    }
-    Ok(out)
-}
-
-/// Detect the CIND portion of a job, appending to `report`.
-fn detect_cinds_into(job: &DetectJob<'_>, report: &mut ViolationReport) -> Result<()> {
-    if job.cinds.is_empty() {
-        return Ok(());
-    }
-    let catalog = job
-        .catalog()
-        .ok_or_else(|| Error::Io("CIND detection needs a catalog-backed job".into()))?;
-    let r = CindDetector::detect_all(job.cinds, catalog)?;
-    report.violations.extend(r.violations);
-    Ok(())
-}
-
-/// [`detect_cinds_into`] with per-CIND wall time attributed into
-/// `profile` (and per-constraint trace spans when tracing is on).
-pub(crate) fn detect_cinds_into_profiled(
-    job: &DetectJob<'_>,
-    report: &mut ViolationReport,
-    profile: &mut revival_obs::JobProfile,
-) -> Result<()> {
-    if job.cinds.is_empty() {
-        return Ok(());
-    }
-    let catalog = job
-        .catalog()
-        .ok_or_else(|| Error::Io("CIND detection needs a catalog-backed job".into()))?;
-    for (j, cind) in job.cinds.iter().enumerate() {
-        let from = catalog.get(&cind.from_relation)?;
-        let to = catalog.get(&cind.to_relation)?;
-        let name = cind_profile_name(job, j);
-        let start = std::time::Instant::now();
-        let r = CindDetector::detect(cind, from, to, j);
-        let us = start.elapsed().as_micros() as u64;
-        report.violations.extend(r.violations);
         if revival_obs::trace::active() {
-            revival_obs::trace::record_at(&name, start, us);
+            revival_obs::trace::record_at(&format!("detect.{name}"), start, us);
         }
-        profile.entry(&name, "cind").wall_us += us;
     }
-    Ok(())
+    let report = result?;
+    if let Some(profile) = profile {
+        fill_profile_gaps(job, &report, profile);
+        profile.meta_add("suite_cfds", job.cfds.len() as u64);
+        profile.meta_add("suite_cinds", job.cinds.len() as u64);
+        profile.meta_add("rows_in_scope", job.rows_in_scope() as u64);
+        profile.finish(us);
+    }
+    Ok(report)
 }
 
-/// The native hash-grouping engine ([`NativeDetector`] per relation,
-/// [`CindDetector`] for CINDs) — the sequential reference.
+/// The native hash-grouping engine ([`crate::native`] for CFDs,
+/// [`crate::cind`] for CINDs) at one shard — the sequential reference.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NativeEngine;
 
@@ -418,53 +290,18 @@ impl Detector for NativeEngine {
         "native"
     }
 
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
-        if job.merge_tableaux {
-            return run_merged_job(job, |j| self.scan(j));
-        }
-        job.validate()?;
-        let mut report = ViolationReport::default();
-        for (i, cfd) in job.cfds.iter().enumerate() {
-            let table = job.table(&cfd.relation)?;
-            NativeDetector::new(table).detect_into(cfd, i, &mut report);
-        }
-        detect_cinds_into(job, &mut report)?;
-        Ok(report)
-    }
-
-    fn scan_profiled(
+    fn scan(
         &self,
         job: &DetectJob<'_>,
-        profile: &mut revival_obs::JobProfile,
+        profile: Option<&mut revival_obs::JobProfile>,
     ) -> Result<ViolationReport> {
-        if job.merge_tableaux {
-            // Merged runs scan the merged suite, so per-original-CFD
-            // wall time is not measurable; the completeness pass still
-            // fills rows and violations per original constraint.
-            return self.scan(job);
-        }
-        job.validate()?;
-        let mut report = ViolationReport::default();
-        for (i, cfd) in job.cfds.iter().enumerate() {
-            let table = job.table(&cfd.relation)?;
-            let name = cfd_profile_name(job, i);
-            let start = std::time::Instant::now();
-            let groups = NativeDetector::new(table).detect_into(cfd, i, &mut report);
-            let us = start.elapsed().as_micros() as u64;
-            if revival_obs::trace::active() {
-                revival_obs::trace::record_at(&name, start, us);
-            }
-            let c = profile.entry(&name, "cfd");
-            c.groups_probed += groups as u64;
-            c.wall_us += us;
-        }
-        detect_cinds_into_profiled(job, &mut report, profile)?;
-        Ok(report)
+        scan_suite(job, 1, profile)
     }
 }
 
 /// The two-query SQL encoding of Fan et al. (TODS 2008), executed on
-/// the bundled SQL engine via [`SqlDetector`]. CINDs fall back to the
+/// the bundled SQL engine via [`SqlDetector`] — one query pair per CFD,
+/// independent of the native scan's grouping. CINDs fall back to the
 /// native witness probe (their `NOT EXISTS` encoding is outside the
 /// SQL subset — see `cind::generate_sql`).
 #[derive(Clone, Copy, Debug, Default)]
@@ -475,10 +312,11 @@ impl Detector for SqlEngine {
         "sql"
     }
 
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
-        if job.merge_tableaux {
-            return run_merged_job(job, |j| self.scan(j));
-        }
+    fn scan(
+        &self,
+        job: &DetectJob<'_>,
+        profile: Option<&mut revival_obs::JobProfile>,
+    ) -> Result<ViolationReport> {
         job.validate()?;
         // The SQL executor resolves relation names against a catalog;
         // single-table jobs get a throwaway one.
@@ -497,150 +335,55 @@ impl Detector for SqlEngine {
             }
         };
         let mut report = SqlDetector::new(catalog).detect_all(job.cfds)?;
-        detect_cinds_into(job, &mut report)?;
+        detect_cinds(job, 1, profile, &mut report.violations)?;
         Ok(report)
     }
 }
 
-/// The detector state [`IncrementalEngine`] keeps warm between runs.
-struct IncCache {
-    /// Fingerprint of the (suite, data) pair the state was built for.
-    key: u64,
-    /// Per relation: job-suite indices of its CFDs + loaded detector.
-    relations: Vec<(Vec<usize>, IncrementalDetector)>,
-}
-
-/// Runs the job through [`IncrementalDetector`]s (one per relation) —
-/// the batch entry point of the engine that otherwise maintains
-/// violations under streaming inserts/deletes.
-///
-/// The engine caches the loaded detectors keyed by a fingerprint of the
-/// whole job — the CFD suite plus every referenced table's name and
-/// row contents. Re-running a matching job materialises the report from
-/// the maintained group state without replaying the tables. **Cache
-/// miss path:** any change to the suite or the data (or the first run)
-/// changes the fingerprint, and the engine falls back to a full replay
-/// — `IncrementalDetector::new` + `load` per relation, `O(n)` — then
-/// stores the freshly loaded detectors for the next run. Only the CFD
-/// state is cached; CINDs are witness-probed per run.
-#[derive(Default)]
-pub struct IncrementalEngine {
-    cache: Mutex<Option<IncCache>>,
-}
-
-impl IncrementalEngine {
-    /// An engine with a cold cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Partition the suite by relation (IncrementalDetector assumes
-    /// one), remembering each CFD's index in the job's suite.
-    fn partition(job: &DetectJob<'_>) -> Vec<(String, Vec<usize>)> {
-        let mut relations: Vec<(String, Vec<usize>)> = Vec::new();
-        for (i, cfd) in job.cfds.iter().enumerate() {
-            match relations.iter_mut().find(|(r, _)| *r == cfd.relation) {
-                Some((_, idxs)) => idxs.push(i),
-                None => relations.push((cfd.relation.clone(), vec![i])),
-            }
-        }
-        relations
-    }
-
-    /// Fingerprint the suite and every table it reads. Hashing rows is
-    /// `O(n)` but allocation-free — far cheaper than rebuilding the
-    /// group maps, which is what a hit skips. A hit trusts the 64-bit
-    /// fingerprint (SipHash with the default key, ~2⁻⁶⁴ accidental
-    /// collision on non-adversarial data); callers that cannot accept
-    /// that use a fresh engine, which always misses.
-    fn fingerprint(job: &DetectJob<'_>, relations: &[(String, Vec<usize>)]) -> Result<u64> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for cfd in job.cfds {
-            format!("{cfd:?}").hash(&mut h);
-        }
-        for (relation, _) in relations {
-            let table = job.table(relation)?;
-            relation.hash(&mut h);
-            table.len().hash(&mut h);
-            for (id, row) in table.rows() {
-                id.hash(&mut h);
-                for v in row {
-                    v.hash(&mut h);
-                }
-            }
-        }
-        Ok(h.finish())
-    }
-
-    /// Materialise the job report from loaded per-relation detectors,
-    /// remapping sub-suite indices back to job-suite positions.
-    fn materialize(relations: &[(Vec<usize>, IncrementalDetector)]) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        for (idxs, detector) in relations {
-            for mut v in detector.report().violations {
-                match &mut v {
-                    Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                        *cfd = idxs[*cfd]
-                    }
-                    Violation::CindMissingWitness { .. } => {}
-                }
-                report.violations.push(v);
-            }
-        }
-        report
-    }
-}
+/// Runs the job through [`IncrementalDetector`]s — the batch entry
+/// point of the engine that otherwise maintains violations under
+/// streaming inserts/deletes, so parity suites can check the maintained
+/// state the `stream` tier depends on. Stateless: every run partitions
+/// the suite by relation (an `IncrementalDetector` assumes one), replays
+/// each table through `IncrementalDetector::new` + `load`, and remaps
+/// the sub-suite indices back to job-suite positions. CINDs are
+/// witness-probed per run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IncrementalEngine;
 
 impl Detector for IncrementalEngine {
     fn name(&self) -> &'static str {
         "incremental"
     }
 
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
-        if job.merge_tableaux {
-            return run_merged_job(job, |j| self.scan(j));
-        }
+    fn scan(
+        &self,
+        job: &DetectJob<'_>,
+        profile: Option<&mut revival_obs::JobProfile>,
+    ) -> Result<ViolationReport> {
         job.validate()?;
-        let relations = Self::partition(job);
-        let key = Self::fingerprint(job, &relations)?;
-        let mut cache = self.cache.lock().expect("incremental cache lock");
-        let mut report = match cache.as_ref() {
-            Some(c) if c.key == key => Self::materialize(&c.relations),
-            _ => {
-                // Cache miss: full replay, then keep the state warm.
-                let mut loaded = Vec::with_capacity(relations.len());
-                for (relation, idxs) in relations {
-                    let table = job.table(&relation)?;
-                    let sub: Vec<Cfd> = idxs.iter().map(|&i| job.cfds[i].clone()).collect();
-                    let mut inc = IncrementalDetector::new(sub);
-                    inc.load(table);
-                    loaded.push((idxs, inc));
-                }
-                let report = Self::materialize(&loaded);
-                *cache = Some(IncCache { key, relations: loaded });
-                report
+        let mut relations: Vec<(&str, Vec<usize>)> = Vec::new();
+        for (i, cfd) in job.cfds.iter().enumerate() {
+            match relations.iter_mut().find(|(r, _)| *r == cfd.relation) {
+                Some((_, idxs)) => idxs.push(i),
+                None => relations.push((&cfd.relation, vec![i])),
             }
-        };
-        drop(cache);
-        detect_cinds_into(job, &mut report)?;
-        Ok(report)
-    }
-}
-
-/// CIND-only detection behind the trait ([`CindDetector`] witness
-/// probes); the engine multi-relation suites compose with.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CindEngine;
-
-impl Detector for CindEngine {
-    fn name(&self) -> &'static str {
-        "cind"
-    }
-
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
+        }
         let mut report = ViolationReport::default();
-        detect_cinds_into(job, &mut report)?;
+        for (relation, idxs) in relations {
+            let sub: Vec<Cfd> = idxs.iter().map(|&i| job.cfds[i].clone()).collect();
+            let mut detector = IncrementalDetector::new(sub);
+            detector.load(job.table(relation)?);
+            for mut v in detector.report().violations {
+                if let Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } =
+                    &mut v
+                {
+                    *cfd = idxs[*cfd];
+                }
+                report.violations.push(v);
+            }
+        }
+        detect_cinds(job, 1, profile, &mut report.violations)?;
         Ok(report)
     }
 }
@@ -651,12 +394,11 @@ pub fn engine_by_name(name: &str, jobs: usize) -> Result<Box<dyn Detector>> {
     match name {
         "native" => Ok(Box::new(NativeEngine)),
         "sql" => Ok(Box::new(SqlEngine)),
-        "incremental" => Ok(Box::new(IncrementalEngine::new())),
-        "cind" => Ok(Box::new(CindEngine)),
+        "incremental" => Ok(Box::new(IncrementalEngine)),
         "parallel" => Ok(Box::new(crate::parallel::ParallelEngine::new(jobs))),
-        other => Err(Error::Io(format!(
-            "unknown engine `{other}` (native|sql|incremental|parallel|cind)"
-        ))),
+        other => {
+            Err(Error::Io(format!("unknown engine `{other}` (native|sql|incremental|parallel)")))
+        }
     }
 }
 
@@ -698,20 +440,55 @@ mod tests {
         .unwrap()
     }
 
+    /// Suites whose CFDs share embedded FDs — scanned in one pass,
+    /// reported apart: a shared FD next to a verbatim duplicate and an
+    /// overlapping plain FD; two variable CFDs plus a constant one; two
+    /// constant CFDs violated by the same tuple.
+    fn shared_fd_suites() -> Vec<Vec<Cfd>> {
+        [
+            "customer([cc='44', zip] -> [street])\n\
+             customer([cc='44', zip] -> [street])\n\
+             customer([cc, zip] -> [street])\n\
+             customer([cc='01', zip='07974'] -> [city='mh'])\n\
+             customer([zip] -> [city])",
+            "customer([cc='44', zip] -> [street])\n\
+             customer([cc='01', zip] -> [street])\n\
+             customer([cc='01', zip='07974'] -> [city='mh'])",
+            "customer([zip='07974'] -> [city='mh'])\n\
+             customer([zip='07974'] -> [city='princeton'])",
+        ]
+        .iter()
+        .map(|text| parse_cfds(text, &customer_schema()).unwrap())
+        .collect()
+    }
+
     #[test]
     fn all_engines_agree_on_table_jobs() {
         let t = customer_table();
-        let cfds = suite();
-        let job = DetectJob::on_table(&t, &cfds);
-        let mut reference = NativeEngine.run(&job).unwrap();
-        reference.normalize();
-        assert!(!reference.is_empty());
-        for name in ["sql", "incremental", "parallel"] {
-            let engine = engine_by_name(name, 2).unwrap();
-            let mut got = engine.run(&job).unwrap();
-            got.normalize();
-            assert_eq!(got, reference, "engine {name} disagrees with native");
+        for cfds in std::iter::once(suite()).chain(shared_fd_suites()) {
+            let job = DetectJob::on_table(&t, &cfds);
+            let mut reference = NativeEngine.run(&job).unwrap();
+            // Every reported index stays within the suite.
+            for v in &reference.violations {
+                if let Violation::CfdConstant { cfd, row, .. }
+                | Violation::CfdVariable { cfd, row, .. } = v
+                {
+                    assert!(*row < cfds[*cfd].tableau.len());
+                }
+            }
+            reference.normalize();
+            assert!(!reference.is_empty());
+            for name in ["sql", "incremental", "parallel"] {
+                let engine = engine_by_name(name, 2).unwrap();
+                let mut got = engine.run(&job).unwrap();
+                got.normalize();
+                assert_eq!(got, reference, "engine {name} disagrees with native");
+            }
         }
+        // Two constant CFDs over one embedded FD, both violated by the
+        // same tuple: one violation per CFD, not one per pass.
+        let twice = &shared_fd_suites()[2];
+        assert_eq!(NativeEngine.run(&DetectJob::on_table(&t, twice)).unwrap().len(), 2);
     }
 
     #[test]
@@ -759,37 +536,9 @@ mod tests {
             got.normalize();
             assert_eq!(got, reference, "engine {name} disagrees on catalog job");
         }
-        // The CIND-only engine sees exactly the CIND portion.
-        let cind_only = CindEngine.run(&job).unwrap();
-        assert_eq!(cind_only.len(), 1);
-    }
-
-    #[test]
-    fn incremental_engine_cache_hits_and_invalidates() {
-        let mut t = customer_table();
-        let cfds = suite();
-        let engine = IncrementalEngine::new();
-        let first = engine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        // Second run hits the cache and reports identically.
-        let second = engine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        assert_eq!(first, second);
-        // Any data change misses the cache — no stale reports.
-        t.push(vec!["44".into(), "EH8".into(), "NewSt".into(), "edi".into()]).unwrap();
-        let third = engine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        assert_ne!(first, third);
-        let mut want = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        let mut got = third;
-        want.normalize();
-        got.normalize();
-        assert_eq!(got, want);
-        // A suite change misses too.
-        let fewer = &cfds[..1];
-        let narrowed = engine.run(&DetectJob::on_table(&t, fewer)).unwrap();
-        let mut want = NativeEngine.run(&DetectJob::on_table(&t, fewer)).unwrap();
-        let mut got = narrowed;
-        want.normalize();
-        got.normalize();
-        assert_eq!(got, want);
+        // A job with an empty CFD suite sees exactly the CIND portion.
+        let cind_only = DetectJob::on_catalog(&catalog, &[]).with_cinds(&cinds);
+        assert_eq!(NativeEngine.run(&cind_only).unwrap().len(), 1);
     }
 
     #[test]
@@ -823,76 +572,11 @@ mod tests {
     }
 
     #[test]
-    fn merged_jobs_report_against_the_original_suite() {
-        let t = customer_table();
-        // A suite with a shared embedded FD, a duplicated CFD, and a
-        // constant CFD whose embedded FD matches another's — the cases
-        // where index remapping must not collapse or misattribute.
-        let cfds = parse_cfds(
-            "customer([cc='44', zip] -> [street])\n\
-             customer([cc='44', zip] -> [street])\n\
-             customer([cc, zip] -> [street])\n\
-             customer([cc='01', zip='07974'] -> [city='mh'])\n\
-             customer([zip] -> [city])",
-            &customer_schema(),
-        )
-        .unwrap();
-        let job = DetectJob::on_table(&t, &cfds);
-        let mut want = NativeEngine.run(&job).unwrap();
-        want.normalize();
-        assert!(!want.is_empty());
-        for name in ["native", "sql", "incremental", "parallel"] {
-            let engine = engine_by_name(name, 2).unwrap();
-            let mut got = engine.run(&job.merged(true)).unwrap();
-            got.normalize();
-            assert_eq!(got, want, "engine {name} merged run must match unmerged native");
-        }
-        // Native and parallel merged runs agree byte-for-byte, like
-        // their unmerged runs.
-        let native = NativeEngine.run(&job.merged(true)).unwrap();
-        let parallel = engine_by_name("parallel", 3).unwrap().run(&job.merged(true)).unwrap();
-        assert_eq!(format!("{native}"), format!("{parallel}"));
-        // Every reported index stays within the original suite.
-        for v in &native.violations {
-            match v {
-                Violation::CfdConstant { cfd, row, .. }
-                | Violation::CfdVariable { cfd, row, .. } => {
-                    assert!(*cfd < cfds.len());
-                    assert!(*row < cfds[*cfd].tableau.len());
-                }
-                Violation::CindMissingWitness { .. } => {}
-            }
-        }
-    }
-
-    #[test]
-    fn merged_constant_collapse_is_undone() {
-        // Two constant CFDs over the same embedded FD, both violated by
-        // the same tuple: the merged scan reports the tuple once, the
-        // remap must restore one violation per original CFD.
-        let s = customer_schema();
-        let cfds = parse_cfds(
-            "customer([zip='07974'] -> [city='mh'])\n\
-             customer([zip='07974'] -> [city='princeton'])",
-            &s,
-        )
-        .unwrap();
-        let mut t = Table::new(s);
-        t.push(vec!["01".into(), "07974".into(), "MtnAve".into(), "nyc".into()]).unwrap();
-        let job = DetectJob::on_table(&t, &cfds);
-        let mut want = NativeEngine.run(&job).unwrap();
-        assert_eq!(want.len(), 2, "unmerged reports one violation per CFD");
-        let mut got = NativeEngine.run(&job.merged(true)).unwrap();
-        want.normalize();
-        got.normalize();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn engine_lookup() {
-        for name in ["native", "sql", "incremental", "parallel", "cind"] {
+        for name in ["native", "sql", "incremental", "parallel"] {
             assert_eq!(engine_by_name(name, 1).unwrap().name(), name);
         }
         assert!(engine_by_name("oracle", 1).is_err());
+        assert!(engine_by_name("cind", 1).is_err());
     }
 }

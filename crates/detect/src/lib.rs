@@ -7,8 +7,10 @@
 //!
 //! Four detectors are provided:
 //!
-//! * [`native::NativeDetector`] — hash-group detection, one pass per
-//!   embedded FD; the fastest path and the reference implementation;
+//! * [`native`] — hash-group detection, one pass per embedded FD
+//!   however the suite splits its pattern rows, reported per original
+//!   CFD; the fastest path and the reference implementation
+//!   ([`native::NativeDetector`] is its single-table facade);
 //! * [`sqlgen`] — the two-query SQL encoding of Fan et al. (TODS 2008):
 //!   a per-tuple query `Q_c` for constant tableau rows and a
 //!   `GROUP BY … HAVING COUNT(DISTINCT …) > 1` query `Q_v` for variable
@@ -23,9 +25,10 @@
 //!
 //! The [`engine`] module unifies them behind one [`engine::Detector`]
 //! trait: callers build a [`engine::DetectJob`] (data + suite) and run
-//! it on any engine — including [`parallel::ParallelEngine`], which
-//! shards the scans across threads and merges per-shard reports
-//! deterministically (byte-identical to the sequential engine).
+//! it on any engine — including [`parallel::ParallelEngine`], the
+//! native scan sharded across threads with per-shard outputs merged
+//! deterministically (byte-identical to [`engine::NativeEngine`], which
+//! is the same scan at one shard).
 
 pub mod cind;
 pub mod engine;
@@ -37,10 +40,10 @@ pub mod sqlgen;
 
 pub use cind::CindDetector;
 pub use engine::{
-    cfd_profile_name, cind_profile_name, engine_by_name, CindEngine, DetectJob, Detector,
-    IncrementalEngine, NativeEngine, SqlEngine,
+    cfd_profile_name, cind_profile_name, engine_by_name, DetectJob, Detector, IncrementalEngine,
+    NativeEngine, SqlEngine,
 };
 pub use incremental::IncrementalDetector;
 pub use native::NativeDetector;
-pub use parallel::{ParallelDetector, ParallelEngine};
+pub use parallel::ParallelEngine;
 pub use report::{Violation, ViolationReport};

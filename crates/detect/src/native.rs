@@ -1,31 +1,43 @@
-//! Native hash-based CFD detection.
+//! Native hash-based CFD detection — the one scan kernel.
 //!
-//! For each CFD the detector makes one scan:
+//! A suite is planned into *scan units*: the CFDs sharing one embedded
+//! FD `(relation, lhs, rhs)`, in first-seen order. Each unit reads its
+//! relation once (`scan_unit`), whatever the number of members:
 //!
-//! * **constant rows** are checked tuple-at-a-time (`O(n · |Tp|)`);
-//! * **variable rows** group tuples by the LHS projection; a group
-//!   violates a row iff the group key matches the row's LHS patterns and
-//!   the group contains ≥ 2 distinct RHS values.
+//! * **constant rows** — a single sweep checks every member's compiled
+//!   constant rows tuple at a time, recording the first violating row
+//!   *per member* (`O(n · Σ|Tp|)`);
+//! * **variable rows** — a single grouping of the tuples by the LHS
+//!   projection, shared by all members; a group violates a member's row
+//!   iff the group key matches the row's LHS patterns and the group
+//!   holds ≥ 2 distinct RHS values.
 //!
-//! The grouping pass runs on the interned kernel
+//! Both run per contiguous chunk of live slots
+//! (`parallel::map_chunks`: inline at one shard, one scoped
+//! thread per chunk otherwise) and merge in chunk order, so the merged
+//! state is what one sequential scan builds at any shard count. Every
+//! member then reports on its own — constants in row order, variables in
+//! key order — and `scan_suite` concatenates the members in suite
+//! order: cost follows the number of embedded FDs, the report does not
+//! depend on how the suite splits its pattern rows.
+//!
+//! The grouping runs on the interned kernel
 //! ([`revival_relation::GroupBy`]): tuples are scanned as symbol rows,
-//! keys hash as `u32` words via [`KeyProj`], and nothing is cloned per
+//! keys hash as `u32` words via [`ColProj`], and nothing is cloned per
 //! probed row — an owned key materialises once per distinct group.
 //! Values reappear only at emission, where group keys map back through
 //! the table's [`revival_relation::ValuePool`] for pattern matching and
 //! reporting.
-//!
-//! Merged-tableau detection (the TODS 2008 optimisation: one grouping
-//! pass per embedded FD regardless of suite shape) lives in the engine
-//! layer now — set [`crate::DetectJob::merged`] and any engine runs the
-//! merged suite with violation indices mapped back to the caller's.
 
+use crate::engine::DetectJob;
+use crate::parallel::map_chunks;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::SymPred;
-use revival_relation::{ColProj, GroupBy, Sym, Table, TupleId, ValuePool};
+use revival_relation::{ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool};
 
-/// Detects CFD violations on an in-memory table.
+/// Detects CFD violations on one in-memory table — the single-table
+/// facade over the scan kernel.
 pub struct NativeDetector<'a> {
     table: &'a Table,
 }
@@ -39,99 +51,183 @@ impl<'a> NativeDetector<'a> {
     /// Detect all violations of one CFD. `cfd_idx` is echoed into the
     /// report so suite-level callers can attribute violations.
     pub fn detect(&self, cfd: &Cfd, cfd_idx: usize) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        self.detect_into(cfd, cfd_idx, &mut report);
-        report
+        debug_assert_eq!(cfd.relation, self.table.schema().name());
+        let slots: Vec<usize> = self.table.live_slots().collect();
+        let scan = scan_unit(self.table, &slots, &[(cfd_idx, cfd)], 1);
+        ViolationReport { violations: scan.found.into_iter().flatten().collect() }
     }
 
-    /// Detect one CFD's violations into `report`, returning the number
-    /// of LHS groups the variable pass probed (0 when the CFD has no
-    /// variable rows) — the per-constraint figure `--explain` reports.
-    pub(crate) fn detect_into(
-        &self,
-        cfd: &Cfd,
-        cfd_idx: usize,
-        report: &mut ViolationReport,
-    ) -> usize {
-        debug_assert_eq!(cfd.relation, self.table.schema().name());
-        let lhs_cols = self.table.proj(&cfd.lhs);
-        let rhs_col = self.table.col(cfd.rhs);
-        // Pass 1: constant rows, tuple at a time — the tableau compiles
-        // to symbol predicates once, then the scan touches only the
-        // CFD's columns (no row is materialised).
-        let const_rows = compile_constant_rows(cfd, self.table.pool());
+    /// Detect violations of a whole suite over this table.
+    ///
+    /// # Panics
+    /// If the suite is malformed or constrains another relation; use
+    /// [`crate::Detector::run`] for the typed error.
+    pub fn detect_all(&self, cfds: &[Cfd]) -> ViolationReport {
+        scan_suite(&DetectJob::on_table(self.table, cfds), 1, None)
+            .expect("well-formed suite over this table")
+    }
+}
+
+/// The kernel's entry point: every CFD and CIND of `job`, one pass per
+/// embedded FD over `jobs` shards, violations reported per original
+/// constraint in suite order (CFDs, then CINDs). With a profile, each
+/// pass's wall time, group count and shard times land on one `pass`
+/// row (and a trace span when tracing is on).
+pub(crate) fn scan_suite(
+    job: &DetectJob<'_>,
+    jobs: usize,
+    mut profile: Option<&mut revival_obs::JobProfile>,
+) -> Result<ViolationReport> {
+    // Malformed patterns must error here, not panic in a worker.
+    job.validate()?;
+    let mut units: Vec<Vec<(usize, &Cfd)>> = Vec::new();
+    for (i, cfd) in job.cfds.iter().enumerate() {
+        match units.iter_mut().find(|unit| unit[0].1.same_embedded_fd(cfd)) {
+            Some(unit) => unit.push((i, cfd)),
+            None => units.push(vec![(i, cfd)]),
+        }
+    }
+    // Each relation's live slots enumerate once for the whole suite.
+    let mut live: Vec<(&str, Vec<usize>)> = Vec::new();
+    let mut found: Vec<Vec<Violation>> = vec![Vec::new(); job.cfds.len()];
+    for (k, unit) in units.iter().enumerate() {
+        let (_, first) = unit[0];
+        let table = job.table(&first.relation)?;
+        // Timed from here: a relation's first pass pays for enumerating it.
+        let start = std::time::Instant::now();
+        let cached = live.iter().position(|(r, _)| *r == first.relation).unwrap_or_else(|| {
+            live.push((&first.relation, table.live_slots().collect()));
+            live.len() - 1
+        });
+        let slots = &live[cached].1;
+        let scan = scan_unit(table, slots, unit, jobs);
+        let us = start.elapsed().as_micros() as u64;
+        if let Some(p) = profile.as_deref_mut() {
+            let members: Vec<String> = unit.iter().map(|(i, _)| i.to_string()).collect();
+            let fd = first.embedded_fd();
+            let name =
+                format!("pass#{k} {} cfds=[{}]", fd.display(table.schema()), members.join(","));
+            revival_obs::trace::record_at(&name, start, us);
+            let row = p.entry(&name, "pass");
+            row.groups_probed += scan.groups as u64;
+            row.wall_us += us;
+            row.shard_us.extend(scan.shard_us);
+        }
+        for (&(i, _), buf) in unit.iter().zip(scan.found) {
+            found[i] = buf;
+        }
+    }
+    let mut report = ViolationReport { violations: found.into_iter().flatten().collect() };
+    crate::cind::detect_cinds(job, jobs, profile, &mut report.violations)?;
+    Ok(report)
+}
+
+/// What one pass over an embedded FD produced.
+pub(crate) struct UnitScan {
+    /// Per-member violations, aligned with the unit's member list.
+    pub found: Vec<Vec<Violation>>,
+    /// LHS groups the variable pass built (0 without variable rows).
+    pub groups: usize,
+    /// Worker wall-µs per chunk, in chunk order.
+    pub shard_us: Vec<u64>,
+}
+
+/// Scan one unit — `members` are `(suite index, CFD)` pairs sharing one
+/// embedded FD over `table` — across `jobs` contiguous chunks of
+/// `slots`. Chunks merge in order: per-member constant findings
+/// concatenate (row order), partial group maps fold associatively.
+pub(crate) fn scan_unit(
+    table: &Table,
+    slots: &[usize],
+    members: &[(usize, &Cfd)],
+    jobs: usize,
+) -> UnitScan {
+    let (_, fd) = members[0];
+    let lhs_cols = table.proj(&fd.lhs);
+    let rhs_col = table.col(fd.rhs);
+    // The tableaux compile to symbol predicates once, shared read-only
+    // across workers; the sweep touches only the unit's columns.
+    // Kept per member position, for the members that have any.
+    let const_rows: Vec<(usize, Vec<ConstRow>)> = members
+        .iter()
+        .enumerate()
+        .map(|(m, (_, cfd))| (m, compile_constant_rows(cfd, table.pool())))
+        .filter(|(_, rows)| !rows.is_empty())
+        .collect();
+    let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
+
+    let mut chunks = map_chunks(slots, jobs, |chunk| {
+        let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
         if !const_rows.is_empty() {
-            for slot in self.table.live_slots() {
-                if let Some(tp_idx) = constant_violation_at(&const_rows, &lhs_cols, rhs_col, slot) {
-                    report.violations.push(Violation::CfdConstant {
-                        cfd: cfd_idx,
-                        row: tp_idx,
-                        tuple: TupleId(slot as u64),
-                    });
+            for &slot in chunk {
+                for (m, rows) in &const_rows {
+                    if let Some(row) = constant_violation_at(rows, &lhs_cols, rhs_col, slot) {
+                        let tuple = TupleId(slot as u64);
+                        found[*m].push(Violation::CfdConstant { cfd: members[*m].0, row, tuple });
+                    }
                 }
             }
-        }
-        // Pass 2: variable rows via interned grouping over the columns.
-        let var_rows = variable_rows_of(cfd);
-        if var_rows.is_empty() {
-            return 0;
         }
         // Group tuples by LHS key symbols; track the distinct RHS
         // symbols and the member ids per group.
         let mut groups: SymGroups = GroupBy::new();
-        for slot in self.table.live_slots() {
-            add_slot_to_group(&mut groups, &lhs_cols, rhs_col, slot);
+        if any_var {
+            for &slot in chunk {
+                add_slot_to_group(&mut groups, &lhs_cols, rhs_col, slot);
+            }
         }
+        (found, groups)
+    })
+    .into_iter();
+
+    // Folding in chunk order keeps each group's member list in global
+    // row order and its distinct-RHS list in first-seen order — the
+    // state a sequential scan builds. One chunk has nothing to fold.
+    let ((mut found, mut groups), us) = chunks.next().expect("map_chunks yields a chunk");
+    let mut shard_us = vec![us];
+    for ((more, partial), us) in chunks {
+        shard_us.push(us);
+        for (buf, vs) in found.iter_mut().zip(more) {
+            buf.extend(vs);
+        }
+        merge_groups(&mut groups, partial);
+    }
+    if any_var {
         if revival_obs::enabled() {
             revival_obs::global().counter("detect_groups_probed_total").add(groups.len() as u64);
         }
-        emit_variable_violations(cfd_idx, &var_rows, &groups, self.table.pool(), report);
-        groups.len()
-    }
-
-    /// Detect violations of a whole suite, one grouping pass per CFD.
-    pub fn detect_all(&self, cfds: &[Cfd]) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        for (i, cfd) in cfds.iter().enumerate() {
-            self.detect_into(cfd, i, &mut report);
+        let violating = violating_groups(&groups, table.pool());
+        for ((idx, cfd), buf) in members.iter().zip(&mut found) {
+            emit_variable_violations(*idx, cfd, &violating, buf);
         }
-        report
     }
+    UnitScan { found, groups: groups.len(), shard_us }
 }
 
 /// One LHS group of the variable-row grouping pass: its live members
 /// (in row order) and the distinct RHS symbols seen (first-seen order).
-/// Shared by the sequential and parallel kernels so both produce
-/// identically-ordered reports.
-pub(crate) struct VarGroup {
-    pub members: Vec<TupleId>,
-    pub rhs_syms: Vec<Sym>,
+struct VarGroup {
+    members: Vec<TupleId>,
+    rhs_syms: Vec<Sym>,
 }
 
 /// The grouping state of one variable-row pass: interned LHS key →
 /// group, in first-seen order.
-pub(crate) type SymGroups = GroupBy<Box<[Sym]>, VarGroup>;
-
-/// The variable tableau rows of `cfd`, with their tableau indices.
-pub(crate) fn variable_rows_of(
-    cfd: &Cfd,
-) -> Vec<(usize, &revival_constraints::pattern::PatternRow)> {
-    cfd.tableau.iter().enumerate().filter(|(_, r)| !r.is_constant_row()).collect()
-}
+type SymGroups = GroupBy<Box<[Sym]>, VarGroup>;
 
 /// One constant tableau row compiled to symbol space (see
 /// [`revival_constraints::PatternValue::resolve`]): LHS predicates
 /// aligned with the CFD's LHS attributes, plus the RHS predicate.
-pub(crate) struct ConstRow {
-    pub tp_idx: usize,
-    pub lhs: Vec<SymPred>,
-    pub rhs: SymPred,
+struct ConstRow {
+    tp_idx: usize,
+    lhs: Vec<SymPred>,
+    rhs: SymPred,
 }
 
 /// Compile a CFD's constant rows against a table's pool. Row order is
 /// tableau order, so first-match indices agree with
 /// [`Cfd::constant_violation`].
-pub(crate) fn compile_constant_rows(cfd: &Cfd, pool: &ValuePool) -> Vec<ConstRow> {
+fn compile_constant_rows(cfd: &Cfd, pool: &ValuePool) -> Vec<ConstRow> {
     cfd.tableau
         .iter()
         .enumerate()
@@ -148,7 +244,7 @@ pub(crate) fn compile_constant_rows(cfd: &Cfd, pool: &ValuePool) -> Vec<ConstRow
 /// RHS pattern fails) — the symbol-space image of
 /// [`Cfd::constant_violation`].
 #[inline]
-pub(crate) fn constant_violation_at(
+fn constant_violation_at(
     const_rows: &[ConstRow],
     lhs_cols: &ColProj<'_>,
     rhs_col: &[Sym],
@@ -167,12 +263,7 @@ pub(crate) fn constant_violation_at(
 /// The probe hashes the column cells in place; a key vector is built
 /// only for a first-seen group.
 #[inline]
-pub(crate) fn add_slot_to_group(
-    groups: &mut SymGroups,
-    lhs_cols: &ColProj<'_>,
-    rhs_col: &[Sym],
-    slot: usize,
-) {
+fn add_slot_to_group(groups: &mut SymGroups, lhs_cols: &ColProj<'_>, rhs_col: &[Sym], slot: usize) {
     let g = groups.entry_mut(
         lhs_cols.hash_at(slot),
         |k| lhs_cols.matches_at(slot, k),
@@ -185,53 +276,70 @@ pub(crate) fn add_slot_to_group(
     }
 }
 
-/// Emit violations for every group matching a variable row with ≥ 2
-/// distinct RHS values, in sorted-key order (deterministic reports).
-/// Keys leave symbol space here: per distinct group — not per tuple —
-/// the key maps back to values for pattern matching and the report.
-pub(crate) fn emit_variable_violations(
-    cfd_idx: usize,
-    var_rows: &[(usize, &revival_constraints::pattern::PatternRow)],
-    groups: &SymGroups,
+/// Fold a later chunk's partial group map into `groups`. The cached
+/// entry hashes are reused, so the fold never re-hashes a key.
+fn merge_groups(groups: &mut SymGroups, partial: SymGroups) {
+    for (hash, key, part) in partial.into_entries() {
+        match groups.probe(hash, |k| *k == key) {
+            None => {
+                groups.insert_unique(hash, key, part);
+            }
+            Some(i) => {
+                let g = groups.value_at_mut(i);
+                g.members.extend(part.members);
+                for rhs in part.rhs_syms {
+                    if !g.rhs_syms.contains(&rhs) {
+                        g.rhs_syms.push(rhs);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The groups with ≥ 2 distinct RHS values, in sorted-key order
+/// (deterministic reports). Keys leave symbol space here: per violating
+/// group — not per tuple, and filtered first so only violating groups
+/// pay the key clone + sort — the key maps back to values for pattern
+/// matching and the report.
+fn violating_groups<'g>(
+    groups: &'g SymGroups,
     pool: &ValuePool,
-    report: &mut ViolationReport,
-) {
-    // Filter before leaving symbol space: only violating groups pay the
-    // key clone + sort (filter-then-sort emits the same sequence as
-    // sort-then-filter over distinct keys).
-    let mut keyed: Vec<(Vec<revival_relation::Value>, &VarGroup)> = groups
+) -> Vec<(Vec<Value>, &'g VarGroup)> {
+    let mut keyed: Vec<(Vec<Value>, &VarGroup)> = groups
         .iter()
         .filter(|(_, g)| g.rhs_syms.len() >= 2)
         .map(|(k, g)| (k.iter().map(|&s| pool.value(s).clone()).collect(), g))
         .collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    for (key, group) in keyed {
-        for (tp_idx, tp) in var_rows {
-            if tp.lhs_matches(&key) {
-                report.violations.push(Violation::CfdVariable {
+    keyed
+}
+
+/// Emit one member's variable violations: every violating group whose
+/// key matches one of its variable rows, in key order.
+fn emit_variable_violations(
+    cfd_idx: usize,
+    cfd: &Cfd,
+    violating: &[(Vec<Value>, &VarGroup)],
+    out: &mut Vec<Violation>,
+) {
+    let var_rows: Vec<_> =
+        cfd.tableau.iter().enumerate().filter(|(_, tp)| !tp.is_constant_row()).collect();
+    if var_rows.is_empty() {
+        return;
+    }
+    for (key, group) in violating {
+        for (row, tp) in &var_rows {
+            if tp.lhs_matches(key) {
+                out.push(Violation::CfdVariable {
                     cfd: cfd_idx,
-                    row: *tp_idx,
+                    row: *row,
                     key: key.clone(),
                     tuples: group.members.clone(),
                 });
             }
         }
     }
-}
-
-/// Detect a suite spanning several relations, resolving each CFD's
-/// table from the catalog. Violation indices refer to positions in
-/// `cfds`; tuple ids are relative to each CFD's own relation.
-pub fn detect_catalog(
-    cfds: &[Cfd],
-    catalog: &revival_relation::Catalog,
-) -> revival_relation::Result<ViolationReport> {
-    let mut report = ViolationReport::default();
-    for (i, cfd) in cfds.iter().enumerate() {
-        let table = catalog.get(&cfd.relation)?;
-        NativeDetector::new(table).detect_into(cfd, i, &mut report);
-    }
-    Ok(report)
 }
 
 /// Count the violating tuples of a suite — the headline number in
@@ -365,37 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_detection_agrees_with_per_cfd() {
-        use crate::engine::{DetectJob, Detector, NativeEngine};
-        let s = schema();
-        let cfds = parse_cfds(
-            "customer([cc='44', zip] -> [street])\n\
-             customer([cc='01', zip] -> [street])\n\
-             customer([cc='01', ac='908'] -> [city='mh'])",
-            &s,
-        )
-        .unwrap();
-        let t = table(&[
-            ["44", "131", "111", "Crichton", "edi", "EH8"],
-            ["44", "131", "222", "Mayfield", "edi", "EH8"],
-            ["01", "908", "333", "MtnAve", "nyc", "07974"],
-            ["01", "908", "444", "Elm", "mh", "07974"],
-            ["01", "908", "555", "Oak", "mh", "07974"],
-        ]);
-        let job = DetectJob::on_table(&t, &cfds);
-        let mut plain = NativeEngine.run(&job).unwrap();
-        let mut merged = NativeEngine.run(&job.merged(true)).unwrap();
-        assert_eq!(
-            plain.violating_tuples(),
-            merged.violating_tuples(),
-            "merged and per-CFD detection must implicate the same tuples"
-        );
-        plain.normalize();
-        merged.normalize();
-        assert_eq!(plain, merged, "merged detection must report the same violations");
-    }
-
-    #[test]
     fn satisfies_oracle() {
         let s = schema();
         let cfds = parse_cfds("customer([cc='44', zip] -> [street])", &s).unwrap();
@@ -434,28 +511,27 @@ mod tests {
     }
 
     #[test]
-    fn detect_catalog_spans_relations() {
+    fn suites_span_catalog_relations() {
         use revival_relation::Catalog;
         let s1 = schema();
         let s2 = Schema::builder("orders").attr("oid", Type::Str).attr("status", Type::Str).build();
-        let mut t1 = table(&[
+        let t1 = table(&[
             ["44", "131", "111", "Crichton", "edi", "EH8"],
             ["44", "131", "222", "Mayfield", "edi", "EH8"],
         ]);
         let mut t2 = Table::new(s2.clone());
         t2.push(vec!["o1".into(), "weird".into()]).unwrap();
-        let _ = &mut t1;
         let mut catalog = Catalog::new();
         catalog.register(t1);
         catalog.register(t2);
         let mut cfds = parse_cfds("customer([cc='44', zip] -> [street])", &s1).unwrap();
         cfds.extend(parse_cfds("orders([oid] -> [status in ('ok','weird')])", &s2).unwrap());
-        let report = detect_catalog(&cfds, &catalog).unwrap();
+        let report = scan_suite(&DetectJob::on_catalog(&catalog, &cfds), 1, None).unwrap();
         assert_eq!(report.len(), 1, "customer violation only; orders row satisfies");
         // Unknown relation errors cleanly.
         let bad = parse_cfds("customer([cc] -> [street])", &s1).unwrap();
         let empty = Catalog::new();
-        assert!(detect_catalog(&bad, &empty).is_err());
+        assert!(scan_suite(&DetectJob::on_catalog(&empty, &bad), 1, None).is_err());
     }
 
     #[test]

@@ -1,248 +1,59 @@
-//! Parallel CFD/CIND detection via sharded scans.
+//! Sharded scans: how the kernels split work across threads.
 //!
-//! The detection hot path is one grouping scan per embedded FD (after
-//! tableau merging). Both of its passes shard cleanly:
-//!
-//! * **constant rows** are per-tuple checks — shard tuples into
-//!   contiguous chunks, one worker per chunk, concatenate the per-chunk
-//!   findings in chunk order;
-//! * **variable rows** group by the LHS projection — each worker builds
-//!   a partial group map over its chunk; the maps merge associatively
-//!   (member lists concatenate in chunk order, distinct-RHS sets union
-//!   in first-seen order).
-//!
-//! Because chunks are contiguous row ranges merged in order, the merged
-//! state is *identical* to what one sequential scan builds, and the
-//! final sorted-by-key emission is the same code
-//! ([`native::emit_variable_violations`]) — so [`ParallelEngine`]
-//! reports are byte-for-byte equal to [`NativeEngine`]'s, at any shard
-//! count. Tests assert this; the CLI exposes the shard count as
-//! `--jobs N`.
+//! Both detection kernels shard the same way (`map_chunks`): the live
+//! tuples split into contiguous chunks, one worker per chunk, and the
+//! per-chunk outputs come back in chunk order. Because chunks are
+//! contiguous row ranges merged in order — constant findings
+//! concatenate, partial group maps fold associatively (see
+//! [`crate::native`]), CIND findings concatenate — the merged state is
+//! *identical* to what one sequential scan builds. One shard runs
+//! inline on the caller's thread, so [`ParallelEngine`] and
+//! [`crate::NativeEngine`] are the same scan at different shard counts
+//! and their reports are byte-for-byte equal at any count. Tests assert
+//! this; the CLI exposes the shard count as `--jobs N`.
 //!
 //! Workers are `std::thread::scope` threads, not a work-stealing pool:
 //! the build environment is offline (no rayon), shards are coarse and
 //! uniform, and scoped threads let workers borrow the table directly.
 
-use crate::engine::{
-    cfd_profile_name, cind_profile_name, run_merged_job, DetectJob, Detector, NativeEngine,
-};
-use crate::native::{
-    add_slot_to_group, compile_constant_rows, constant_violation_at, emit_variable_violations,
-    variable_rows_of, SymGroups,
-};
-use crate::report::{Violation, ViolationReport};
-use revival_constraints::cfd::Cfd;
-use revival_constraints::cind::Cind;
-use revival_relation::{GroupBy, Result, Table, TupleId, Value};
+use crate::engine::{DetectJob, Detector};
+use crate::report::ViolationReport;
+use revival_relation::Result;
 
 /// How many shards to use for `jobs = 0` (auto).
 fn auto_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Parallel hash-grouping detection over one in-memory table — the
-/// sharded counterpart of [`crate::native::NativeDetector`].
-pub struct ParallelDetector<'a> {
-    table: &'a Table,
+/// Run `f` over `items` split into up to `jobs` contiguous chunks,
+/// returning each chunk's output and worker wall-µs in chunk order
+/// (the two clock reads per chunk are noise next to the chunk scans).
+/// A single chunk — one shard, or too few items to split — runs inline:
+/// no thread, and always exactly one output, even for no items.
+pub(crate) fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
     jobs: usize,
-}
-
-impl<'a> ParallelDetector<'a> {
-    /// Create a detector over `table` with `jobs` shards (0 = one per
-    /// available core).
-    pub fn new(table: &'a Table, jobs: usize) -> Self {
-        ParallelDetector { table, jobs: if jobs == 0 { auto_jobs() } else { jobs } }
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<(R, u64)> {
+    let timed = |chunk: &[T]| {
+        let start = std::time::Instant::now();
+        let out = f(chunk);
+        (out, start.elapsed().as_micros() as u64)
+    };
+    let chunk_size = items.len().div_ceil(jobs.max(1)).max(1);
+    if items.len() <= chunk_size {
+        return vec![timed(items)];
     }
-
-    /// The shard count in use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    pub(crate) fn detect_into(&self, cfd: &Cfd, cfd_idx: usize, report: &mut ViolationReport) {
-        let slots: Vec<usize> = self.table.live_slots().collect();
-        self.detect_slots_into(&slots, cfd, cfd_idx, report);
-    }
-
-    /// Kernel over a pre-collected live-slot list, so suite-level
-    /// callers enumerate the bitmap once, not once per CFD. Each worker
-    /// scans its contiguous slot chunk straight off the symbol columns.
-    ///
-    /// Returns the number of LHS groups the variable pass probed and the
-    /// per-shard worker wall-µs (both passes summed per chunk index) so
-    /// `--explain` can show shard balance; the two clock reads per chunk
-    /// are noise next to the chunk scans themselves.
-    fn detect_slots_into(
-        &self,
-        slots: &[usize],
-        cfd: &Cfd,
-        cfd_idx: usize,
-        report: &mut ViolationReport,
-    ) -> (usize, Vec<u64>) {
-        debug_assert_eq!(cfd.relation, self.table.schema().name());
-        let chunk_size = slots.len().div_ceil(self.jobs).max(1);
-        let lhs_cols = self.table.proj(&cfd.lhs);
-        let rhs_col = self.table.col(cfd.rhs);
-        let mut shard_us: Vec<u64> = Vec::new();
-        let absorb_shard = |i: usize, us: u64, shard_us: &mut Vec<u64>| {
-            if shard_us.len() <= i {
-                shard_us.resize(i + 1, 0);
-            }
-            shard_us[i] += us;
-        };
-
-        // Pass 1: constant rows, tuple at a time, sharded. The compiled
-        // predicate table is shared read-only across workers.
-        let const_rows = compile_constant_rows(cfd, self.table.pool());
-        if !const_rows.is_empty() && !slots.is_empty() {
-            let per_chunk: Vec<(Vec<Violation>, u64)> = std::thread::scope(|scope| {
-                let (const_rows, lhs_cols) = (&const_rows, &lhs_cols);
-                let handles: Vec<_> = slots
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let start = std::time::Instant::now();
-                            let found: Vec<Violation> = chunk
-                                .iter()
-                                .filter_map(|&slot| {
-                                    constant_violation_at(const_rows, lhs_cols, rhs_col, slot).map(
-                                        |tp_idx| Violation::CfdConstant {
-                                            cfd: cfd_idx,
-                                            row: tp_idx,
-                                            tuple: TupleId(slot as u64),
-                                        },
-                                    )
-                                })
-                                .collect();
-                            (found, start.elapsed().as_micros() as u64)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("detect worker panicked")).collect()
-            });
-            // Chunks are contiguous slot ranges: concatenating in chunk
-            // order is row order, exactly the sequential scan's output.
-            for (i, (vs, us)) in per_chunk.into_iter().enumerate() {
-                report.violations.extend(vs);
-                absorb_shard(i, us, &mut shard_us);
-            }
-        }
-
-        // Pass 2: variable rows via sharded interned grouping.
-        let var_rows = variable_rows_of(cfd);
-        if var_rows.is_empty() || slots.is_empty() {
-            return (0, shard_us);
-        }
-        let timed_partials: Vec<(SymGroups, u64)> = std::thread::scope(|scope| {
-            let lhs_cols = &lhs_cols;
-            let handles: Vec<_> = slots
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let start = std::time::Instant::now();
-                        let mut groups: SymGroups = GroupBy::new();
-                        for &slot in chunk {
-                            add_slot_to_group(&mut groups, lhs_cols, rhs_col, slot);
-                        }
-                        (groups, start.elapsed().as_micros() as u64)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("detect worker panicked")).collect()
-        });
-        let partials: Vec<SymGroups> = timed_partials
-            .into_iter()
-            .enumerate()
-            .map(|(i, (groups, us))| {
-                absorb_shard(i, us, &mut shard_us);
-                groups
-            })
-            .collect();
-        // Deterministic merge: folding partial maps in chunk order keeps
-        // each group's member list in global row order and its
-        // distinct-RHS list in first-seen order — the same state a
-        // sequential scan builds. The cached entry hashes are reused, so
-        // the fold never re-hashes a key.
-        let mut groups: SymGroups = GroupBy::new();
-        for partial in partials {
-            for (hash, key, part) in partial.into_entries() {
-                match groups.probe(hash, |k| *k == key) {
-                    None => {
-                        groups.insert_unique(hash, key, part);
-                    }
-                    Some(i) => {
-                        let g = groups.value_at_mut(i);
-                        g.members.extend(part.members);
-                        for rhs in part.rhs_syms {
-                            if !g.rhs_syms.contains(&rhs) {
-                                g.rhs_syms.push(rhs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        emit_variable_violations(cfd_idx, &var_rows, &groups, self.table.pool(), report);
-        (groups.len(), shard_us)
-    }
-
-    /// Detect all violations of one CFD.
-    pub fn detect(&self, cfd: &Cfd, cfd_idx: usize) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        self.detect_into(cfd, cfd_idx, &mut report);
-        report
-    }
-
-    /// Detect violations of a whole suite, one sharded pass per CFD
-    /// (the live-slot list materialises once for the whole suite).
-    pub fn detect_all(&self, cfds: &[Cfd]) -> ViolationReport {
-        let slots: Vec<usize> = self.table.live_slots().collect();
-        let mut report = ViolationReport::default();
-        for (i, cfd) in cfds.iter().enumerate() {
-            self.detect_slots_into(&slots, cfd, i, &mut report);
-        }
-        report
-    }
-}
-
-/// Sharded CIND witness probing: the target index builds once, source
-/// tuples shard across workers, findings concatenate in chunk order
-/// (matching [`crate::cind::CindDetector::detect`]'s row-order output).
-fn detect_cind_parallel(
-    cind: &Cind,
-    from: &Table,
-    to: &Table,
-    cind_idx: usize,
-    jobs: usize,
-) -> ViolationReport {
-    let target = cind.build_target_index(to);
-    let rows: Vec<(TupleId, Vec<Value>)> = from.rows().collect();
-    let chunk_size = rows.len().div_ceil(jobs).max(1);
-    let mut report = ViolationReport::default();
-    let per_chunk: Vec<Vec<Violation>> = std::thread::scope(|scope| {
-        let target = &target;
-        let handles: Vec<_> = rows
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .filter(|(_, row)| cind.applies_to(row) && !target.contains_row(cind, row))
-                        .map(|(id, _)| Violation::CindMissingWitness { cind: cind_idx, tuple: *id })
-                        .collect()
-                })
-            })
-            .collect();
+    std::thread::scope(|scope| {
+        let timed = &timed;
+        let handles: Vec<_> =
+            items.chunks(chunk_size).map(|chunk| scope.spawn(move || timed(chunk))).collect();
         handles.into_iter().map(|h| h.join().expect("detect worker panicked")).collect()
-    });
-    for vs in per_chunk {
-        report.violations.extend(vs);
-    }
-    report
+    })
 }
 
-/// The parallel engine: [`NativeEngine`] semantics, sharded across
-/// `jobs` threads. Reports are byte-identical to the native engine's.
+/// The native scan sharded across `jobs` threads. Reports are
+/// byte-identical to [`crate::NativeEngine`]'s.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelEngine {
     jobs: usize,
@@ -275,126 +86,23 @@ impl Detector for ParallelEngine {
         self.jobs
     }
 
-    fn scan(&self, job: &DetectJob<'_>) -> Result<ViolationReport> {
-        // Merged tableaux: run the merged suite through this same
-        // engine, then map indices back (byte-identical to NativeEngine
-        // in merged mode too, since both remaps see identical reports).
-        if job.merge_tableaux {
-            return run_merged_job(job, |j| self.scan(j));
-        }
-        // Malformed patterns must error here, not panic in a worker.
-        job.validate()?;
-        // One shard degenerates to the sequential engine exactly.
-        if self.jobs <= 1 {
-            return NativeEngine.scan(job);
-        }
-        let mut report = ViolationReport::default();
-        // Enumerate each relation's live slots once for the whole suite.
-        type RelationCache<'a> = (&'a str, ParallelDetector<'a>, Vec<usize>);
-        let mut cache: Vec<RelationCache<'_>> = Vec::new();
-        for (i, cfd) in job.cfds.iter().enumerate() {
-            if !cache.iter().any(|(r, ..)| *r == cfd.relation) {
-                let table = job.table(&cfd.relation)?;
-                cache.push((
-                    &cfd.relation,
-                    ParallelDetector::new(table, self.jobs),
-                    table.live_slots().collect(),
-                ));
-            }
-            let (_, detector, slots) =
-                cache.iter().find(|(r, ..)| *r == cfd.relation).expect("just cached");
-            detector.detect_slots_into(slots, cfd, i, &mut report);
-        }
-        if !job.cinds.is_empty() {
-            let catalog = job.catalog().ok_or_else(|| {
-                revival_relation::Error::Io("CIND detection needs a catalog-backed job".into())
-            })?;
-            for (i, cind) in job.cinds.iter().enumerate() {
-                let from = catalog.get(&cind.from_relation)?;
-                let to = catalog.get(&cind.to_relation)?;
-                let r = detect_cind_parallel(cind, from, to, i, self.jobs);
-                report.violations.extend(r.violations);
-            }
-        }
-        Ok(report)
-    }
-
-    fn scan_profiled(
+    fn scan(
         &self,
         job: &DetectJob<'_>,
-        profile: &mut revival_obs::JobProfile,
+        profile: Option<&mut revival_obs::JobProfile>,
     ) -> Result<ViolationReport> {
-        if job.merge_tableaux {
-            // Merged-suite constraints don't map 1:1 to the caller's;
-            // the completeness pass fills per-original-constraint rows.
-            return run_merged_job(job, |j| self.scan(j));
-        }
-        job.validate()?;
-        if self.jobs <= 1 {
-            return NativeEngine.scan_profiled(job, profile);
-        }
-        // Same structure as `scan`, with the kernels' group counts and
-        // per-shard worker times attributed per constraint. Reports are
-        // byte-identical: profiling only reads what the scan computes.
-        let mut report = ViolationReport::default();
-        type RelationCache<'a> = (&'a str, ParallelDetector<'a>, Vec<usize>);
-        let mut cache: Vec<RelationCache<'_>> = Vec::new();
-        for (i, cfd) in job.cfds.iter().enumerate() {
-            if !cache.iter().any(|(r, ..)| *r == cfd.relation) {
-                let table = job.table(&cfd.relation)?;
-                cache.push((
-                    &cfd.relation,
-                    ParallelDetector::new(table, self.jobs),
-                    table.live_slots().collect(),
-                ));
-            }
-            let (_, detector, slots) =
-                cache.iter().find(|(r, ..)| *r == cfd.relation).expect("just cached");
-            let name = cfd_profile_name(job, i);
-            let start = std::time::Instant::now();
-            let (groups, shard_us) = detector.detect_slots_into(slots, cfd, i, &mut report);
-            let us = start.elapsed().as_micros() as u64;
-            if revival_obs::trace::active() {
-                revival_obs::trace::record_at(&name, start, us);
-            }
-            let c = profile.entry(&name, "cfd");
-            c.groups_probed += groups as u64;
-            c.wall_us += us;
-            if c.shard_us.len() < shard_us.len() {
-                c.shard_us.resize(shard_us.len(), 0);
-            }
-            for (acc, us) in c.shard_us.iter_mut().zip(&shard_us) {
-                *acc += us;
-            }
-        }
-        if !job.cinds.is_empty() {
-            let catalog = job.catalog().ok_or_else(|| {
-                revival_relation::Error::Io("CIND detection needs a catalog-backed job".into())
-            })?;
-            for (i, cind) in job.cinds.iter().enumerate() {
-                let from = catalog.get(&cind.from_relation)?;
-                let to = catalog.get(&cind.to_relation)?;
-                let name = cind_profile_name(job, i);
-                let start = std::time::Instant::now();
-                let r = detect_cind_parallel(cind, from, to, i, self.jobs);
-                let us = start.elapsed().as_micros() as u64;
-                report.violations.extend(r.violations);
-                if revival_obs::trace::active() {
-                    revival_obs::trace::record_at(&name, start, us);
-                }
-                profile.entry(&name, "cind").wall_us += us;
-            }
-        }
-        Ok(report)
+        crate::native::scan_suite(job, self.jobs, profile)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::NativeEngine;
     use crate::native::NativeDetector;
     use revival_constraints::parser::parse_cfds;
-    use revival_relation::{Schema, Type};
+    use revival_constraints::Cfd;
+    use revival_relation::{Schema, Table, Type};
 
     fn schema() -> Schema {
         Schema::builder("customer")
@@ -436,6 +144,10 @@ mod tests {
         t
     }
 
+    fn sharded(t: &Table, cfds: &[Cfd], jobs: usize) -> ViolationReport {
+        ParallelEngine::new(jobs).run(&DetectJob::on_table(t, cfds)).unwrap()
+    }
+
     #[test]
     fn byte_identical_to_sequential_at_any_shard_count() {
         let t = big_table(1_000);
@@ -443,7 +155,7 @@ mod tests {
         let sequential = NativeDetector::new(&t).detect_all(&cfds);
         assert!(!sequential.is_empty());
         for jobs in [1, 2, 3, 4, 7, 16] {
-            let parallel = ParallelDetector::new(&t, jobs).detect_all(&cfds);
+            let parallel = sharded(&t, &cfds, jobs);
             assert_eq!(
                 format!("{sequential}"),
                 format!("{parallel}"),
@@ -470,19 +182,16 @@ mod tests {
     fn empty_and_tiny_tables() {
         let t = Table::new(schema());
         let cfds = suite();
-        assert!(ParallelDetector::new(&t, 4).detect_all(&cfds).is_empty());
+        assert!(sharded(&t, &cfds, 4).is_empty());
         let mut one = Table::new(schema());
         one.push(vec!["01".into(), "07974".into(), "Mtn".into(), "nyc".into()]).unwrap();
         // More shards than rows: still one constant violation.
-        let report = ParallelDetector::new(&one, 8).detect_all(&cfds);
+        let report = sharded(&one, &cfds, 8);
         assert_eq!(report.violating_tuples().len(), 1);
     }
 
     #[test]
     fn auto_jobs_resolves() {
-        let t = big_table(10);
-        let d = ParallelDetector::new(&t, 0);
-        assert!(d.jobs() >= 1);
         assert!(ParallelEngine::new(0).jobs() >= 1);
         assert_eq!(ParallelEngine::default().jobs(), ParallelEngine::new(0).jobs());
     }

@@ -43,8 +43,10 @@ fn big_table(rows: usize) -> Table {
 #[test]
 fn profiled_runs_are_byte_identical_and_reconcile_with_counters() {
     let t = big_table(800);
+    // Four CFDs over three embedded FDs: the first two share a pass.
     let cfds = parse_cfds(
         "customer([cc='44', zip] -> [street])\n\
+         customer([cc='01', zip] -> [street])\n\
          customer([cc='01', zip='Z7'] -> [city='C1'])\n\
          customer([zip] -> [city])",
         &schema(),
@@ -54,48 +56,49 @@ fn profiled_runs_are_byte_identical_and_reconcile_with_counters() {
 
     for engine_name in ["native", "sql", "incremental", "parallel"] {
         for jobs in [1usize, 4] {
-            for merged in [false, true] {
-                let job = DetectJob::on_table(&t, &cfds).merged(merged);
-                let engine = engine_by_name(engine_name, jobs).unwrap();
-                let plain = engine.run(&job).unwrap();
-                let before = rows_counter.get();
-                let (profiled, profile) = engine.run_profiled(&job).unwrap();
-                let delta = rows_counter.get() - before;
-                let ctx = format!("engine={engine_name} jobs={jobs} merged={merged}");
+            let job = DetectJob::on_table(&t, &cfds);
+            let engine = engine_by_name(engine_name, jobs).unwrap();
+            let plain = engine.run(&job).unwrap();
+            let before = rows_counter.get();
+            let (profiled, profile) = engine.run_profiled(&job).unwrap();
+            let delta = rows_counter.get() - before;
+            let ctx = format!("engine={engine_name} jobs={jobs}");
 
-                // Byte-identical reports: same violations, same order.
-                assert_eq!(plain, profiled, "{ctx}: profiled report differs");
-                assert_eq!(
-                    format!("{plain}"),
-                    format!("{profiled}"),
-                    "{ctx}: profiled report renders differently"
-                );
+            // Byte-identical reports: same violations, same order.
+            assert_eq!(plain, profiled, "{ctx}: profiled report differs");
+            assert_eq!(
+                format!("{plain}"),
+                format!("{profiled}"),
+                "{ctx}: profiled report renders differently"
+            );
 
-                // No silent omissions: every constraint has a row, each
-                // with the suite's nonzero rows-scanned tally.
-                assert_eq!(
-                    profile.constraints.len(),
-                    cfds.len(),
-                    "{ctx}: profile must list every constraint"
-                );
-                for (i, c) in profile.constraints.iter().enumerate() {
-                    assert!(c.rows_scanned > 0, "{ctx}: constraint {i} has no rows scanned");
-                }
-
-                // Per-constraint totals reconcile with the job-level
-                // counter: both equal the suite's rows-scanned sum.
-                let per_constraint: u64 = profile.constraints.iter().map(|c| c.rows_scanned).sum();
-                assert_eq!(per_constraint, job.rows_scanned_sum(), "{ctx}: profile sum drifted");
-                assert_eq!(delta, job.rows_scanned_sum(), "{ctx}: obs counter drifted");
-
-                // Exact accounting: attributed + overhead == wall.
-                assert_eq!(
-                    profile.attributed_us() + profile.overhead_us(),
-                    profile.wall_us,
-                    "{ctx}: profile totals must sum to the job wall time"
-                );
-                assert_eq!(profile.meta_get("suite_cfds"), Some(cfds.len() as u64), "{ctx}");
+            // No silent omissions: every constraint has a row, each
+            // with the suite's nonzero rows-scanned tally.
+            let of_kind =
+                |kind: &'static str| profile.constraints.iter().filter(move |c| c.kind == kind);
+            assert_eq!(of_kind("cfd").count(), cfds.len(), "{ctx}: must list every constraint");
+            for (i, c) in of_kind("cfd").enumerate() {
+                assert!(c.rows_scanned > 0, "{ctx}: constraint {i} has no rows scanned");
             }
+            // The native scan times one pass per distinct embedded FD;
+            // the other engines have no pass of their own to time.
+            let passes = if matches!(engine_name, "native" | "parallel") { 3 } else { 0 };
+            assert_eq!(of_kind("pass").count(), passes, "{ctx}: one pass row per embedded FD");
+            assert_eq!(profile.constraints.len(), cfds.len() + passes, "{ctx}: stray rows");
+
+            // Per-constraint totals reconcile with the job-level
+            // counter: both equal the suite's rows-scanned sum.
+            let per_constraint: u64 = profile.constraints.iter().map(|c| c.rows_scanned).sum();
+            assert_eq!(per_constraint, job.rows_scanned_sum(), "{ctx}: profile sum drifted");
+            assert_eq!(delta, job.rows_scanned_sum(), "{ctx}: obs counter drifted");
+
+            // Exact accounting: attributed + overhead == wall.
+            assert_eq!(
+                profile.attributed_us() + profile.overhead_us(),
+                profile.wall_us,
+                "{ctx}: profile totals must sum to the job wall time"
+            );
+            assert_eq!(profile.meta_get("suite_cfds"), Some(cfds.len() as u64), "{ctx}");
         }
     }
 }

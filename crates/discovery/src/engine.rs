@@ -230,7 +230,7 @@ pub trait DiscoveryEngine {
 
     /// Mine, vet, and account for the job's suite.
     fn run(&self, job: &DiscoverJob<'_>) -> Result<Discovered> {
-        run_job(job, self.shards(job))
+        run_job(job, self.shards(job), None)
     }
 
     /// [`DiscoveryEngine::run`] with a [`revival_obs::JobProfile`]
@@ -242,7 +242,7 @@ pub trait DiscoveryEngine {
         let jobs = self.shards(job);
         let mut profile = revival_obs::JobProfile::new("discovery", self.name(), jobs as u64);
         let start = std::time::Instant::now();
-        let discovered = run_job_inner(job, jobs, Some(&mut profile))?;
+        let discovered = run_job(job, jobs, Some(&mut profile))?;
         let us = start.elapsed().as_micros() as u64;
         profile.meta_add("rules_mined", discovered.rules.len() as u64);
         profile.meta_add("rules_vetted", discovered.vetted.len() as u64);
@@ -328,11 +328,7 @@ pub(crate) fn sharded_map<T: Sync, R: Send>(
 /// The shared engine body: mine every table's lattice (sharded), add
 /// CFDMiner constant rules, vet per relation, and lift INDs to CINDs on
 /// catalog jobs.
-fn run_job(job: &DiscoverJob<'_>, jobs: usize) -> Result<Discovered> {
-    run_job_inner(job, jobs, None)
-}
-
-fn run_job_inner(
+fn run_job(
     job: &DiscoverJob<'_>,
     jobs: usize,
     mut profile: Option<&mut revival_obs::JobProfile>,
@@ -348,10 +344,8 @@ fn run_job_inner(
     let (mut lattice_us, mut constant_us) = (0u64, 0u64);
     for table in &tables {
         let stage = std::time::Instant::now();
-        let (mut mined, tstats) = match profile.as_deref_mut() {
-            Some(p) => tane::mine_lattice_profiled(table, opts, jobs, p),
-            None => tane::mine_lattice(table, opts, jobs),
-        };
+        let (mut mined, tstats) =
+            tane::mine_lattice_inner(table, opts, jobs, profile.as_deref_mut());
         lattice_us += stage.elapsed().as_micros() as u64;
         stats.absorb(&tstats);
         let stage = std::time::Instant::now();

@@ -175,21 +175,12 @@ pub fn mine_lattice(
     mine_lattice_inner(table, opts, jobs, None)
 }
 
-/// [`mine_lattice`] with per-lattice-level attribution into `profile`:
-/// one constraint row per level (`<relation> lvl<N>`) carrying the
-/// level's wall time, candidates checked/pruned, g3 evaluations (one
-/// per candidate check), and the µs spent building its partitions.
-/// The mined output is byte-identical to the unprofiled walk.
-pub fn mine_lattice_profiled(
-    table: &Table,
-    opts: &DiscoverOptions,
-    jobs: usize,
-    profile: &mut revival_obs::JobProfile,
-) -> (Vec<MinedCfd>, DiscoveryStats) {
-    mine_lattice_inner(table, opts, jobs, Some(profile))
-}
-
-fn mine_lattice_inner(
+/// [`mine_lattice`] with optional per-lattice-level attribution into
+/// `profile`: one constraint row per level (`<relation> lvl<N>`)
+/// carrying the level's wall time, candidates checked/pruned, g3
+/// evaluations (one per candidate check), and the µs spent building its
+/// partitions. The mined output is byte-identical either way.
+pub(crate) fn mine_lattice_inner(
     table: &Table,
     opts: &DiscoverOptions,
     jobs: usize,

@@ -17,8 +17,8 @@
 //! threads, byte-identically to the sequential pass:
 //!
 //! * **detection** dispatches through the shared [`Detector`] engine
-//!   layer — [`NativeEngine`] at one shard, [`ParallelEngine`]
-//!   otherwise, whose merged reports are byte-for-byte equal;
+//!   layer — [`ParallelEngine`], whose reports are byte-for-byte equal
+//!   at any shard count (one shard scans inline);
 //! * **equivalence-class resolution** shards the per-class cost scans
 //!   ([`EquivClasses::resolve_targets`]): classes split into contiguous
 //!   chunks, workers resolve each class independently, and the targets
@@ -33,7 +33,7 @@ use crate::eqclass::{Cell, EquivClasses};
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
-use revival_detect::{DetectJob, Detector, NativeEngine, ParallelEngine, Violation};
+use revival_detect::{DetectJob, Detector, ParallelEngine, Violation};
 use revival_relation::{Result, Sym, Table, Type, Value};
 use std::collections::HashMap;
 
@@ -106,19 +106,6 @@ impl BatchRepair {
         match self.options.jobs {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,
-        }
-    }
-
-    /// Detect violations of the merged suite on `table` through the
-    /// engine layer — [`NativeEngine`] at one shard, [`ParallelEngine`]
-    /// otherwise (their reports are byte-identical, so the pass
-    /// translation below sees the same violations in the same order).
-    fn detect(&self, table: &Table) -> Result<revival_detect::ViolationReport> {
-        let job = DetectJob::on_table(table, &self.cfds);
-        if self.jobs() <= 1 {
-            NativeEngine.run(&job)
-        } else {
-            ParallelEngine::new(self.jobs()).run(&job)
         }
     }
 
@@ -247,24 +234,21 @@ impl BatchRepair {
         Ok((current, stats))
     }
 
-    /// One detection round of a repair: the plain engine path, or the
-    /// profiled one with the detect engines' per-constraint profile
-    /// (wall, groups, rows) merged into the repair profile — meta is
-    /// dropped so per-pass merges don't multiply suite-size counts.
+    /// One detection round of a repair over the merged suite. When
+    /// profiling, the detect engine's per-constraint profile (wall,
+    /// groups, rows) merges into the repair profile — meta is dropped
+    /// so per-pass merges don't multiply suite-size counts.
     fn detect_step(
         &self,
         table: &Table,
         profile: Option<&mut revival_obs::JobProfile>,
     ) -> Result<revival_detect::ViolationReport> {
-        let Some(p) = profile else {
-            return self.detect(table);
-        };
         let job = DetectJob::on_table(table, &self.cfds);
-        let (report, mut dp) = if self.jobs() <= 1 {
-            NativeEngine.run_profiled(&job)?
-        } else {
-            ParallelEngine::new(self.jobs()).run_profiled(&job)?
+        let engine = ParallelEngine::new(self.jobs());
+        let Some(p) = profile else {
+            return engine.run(&job);
         };
+        let (report, mut dp) = engine.run_profiled(&job)?;
         dp.meta.clear();
         p.merge(&dp);
         Ok(report)
@@ -727,7 +711,8 @@ mod tests {
             // of them, under merged-suite names.
             let attributed: u64 = profile.constraints.iter().map(|c| c.cells_changed).sum();
             assert_eq!(attributed, stats.cells_changed as u64, "jobs={jobs}");
-            assert_eq!(profile.constraints.len(), repairer.cfds().len(), "jobs={jobs}");
+            let cfd_rows = profile.constraints.iter().filter(|c| c.kind == "cfd").count();
+            assert_eq!(cfd_rows, repairer.cfds().len(), "jobs={jobs}");
             // The three repair phases are reported and bounded by wall.
             for phase in ["detect", "resolve", "force"] {
                 assert!(

@@ -105,33 +105,18 @@ impl Session {
     /// Detect violations with the chosen engine and shard count
     /// (`jobs` only affects [`Engine::Parallel`]; 0 = auto).
     pub fn detect_jobs(&self, engine: Engine, jobs: usize) -> Result<ViolationReport> {
-        self.detect_opts(engine, jobs, false)
+        engine.detector(jobs).run(&DetectJob::on_table(&self.table, &self.cfds))
     }
 
-    /// Detect with full options: engine, shard count, and merged-tableau
-    /// execution (`merged` makes the engine scan the suite merged by
-    /// embedded FD; violation indices still refer to [`Session::cfds`]).
-    pub fn detect_opts(
-        &self,
-        engine: Engine,
-        jobs: usize,
-        merged: bool,
-    ) -> Result<ViolationReport> {
-        let job = DetectJob::on_table(&self.table, &self.cfds).merged(merged);
-        engine.detector(jobs).run(&job)
-    }
-
-    /// [`Session::detect_opts`] through the profiled path: same report,
+    /// [`Session::detect_jobs`] through the profiled path: same report,
     /// byte for byte, plus the per-constraint [`revival_obs::JobProfile`]
     /// behind `semandaq detect --explain`.
     pub fn detect_explain(
         &self,
         engine: Engine,
         jobs: usize,
-        merged: bool,
     ) -> Result<(ViolationReport, revival_obs::JobProfile)> {
-        let job = DetectJob::on_table(&self.table, &self.cfds).merged(merged);
-        engine.detector(jobs).run_profiled(&job)
+        engine.detector(jobs).run_profiled(&DetectJob::on_table(&self.table, &self.cfds))
     }
 
     /// Human-readable violation listing (capped).
@@ -607,10 +592,11 @@ mod tests {
         assert!(!plain.is_empty(), "noise must dirty the instance");
         // The profiled detect path is byte-identical and covers every
         // constraint of the suite with nonzero rows scanned.
-        let (report, profile) = s.detect_explain(Engine::Native, 0, false).unwrap();
+        let (report, profile) = s.detect_explain(Engine::Native, 0).unwrap();
         assert_eq!(report, plain);
-        assert_eq!(profile.constraints.len(), s.cfds.len());
-        assert!(profile.constraints.iter().all(|c| c.rows_scanned > 0), "{profile:?}");
+        let cfd_rows: Vec<_> = profile.constraints.iter().filter(|c| c.kind == "cfd").collect();
+        assert_eq!(cfd_rows.len(), s.cfds.len());
+        assert!(cfd_rows.iter().all(|c| c.rows_scanned > 0), "{profile:?}");
         assert!(profile.render_json().contains("\"constraints\""));
         // The profiled repair path matches the plain one exactly.
         let (fixed, summary, rprofile) = s.repair_jobs_explain(1).unwrap();

@@ -18,14 +18,13 @@ commands:
   detect   --data FILE --cfds FILE [--table NAME]
            [--data name=path]... [--cinds FILE]
            [--engine native|sql|incremental|parallel] [--jobs N]
-           [--merged] [--explain [text|json]]
+           [--explain [text|json]]
                                  report violations (repeat --data as
                                  name=path for a multi-relation catalog;
-                                 --merged scans the suite merged by
-                                 embedded FD, same report; --explain
-                                 profiles the job per constraint —
-                                 rows scanned, groups probed,
-                                 violations, wall us — hot first;
+                                 --explain profiles the job — per
+                                 constraint: rows scanned, violations;
+                                 per pass (one scan per embedded FD):
+                                 groups probed, wall us — hot first;
                                  `--explain json` prints only the
                                  machine-readable profile)
   repair   --data FILE --cfds FILE [--out FILE] [--engine E] [--jobs N]
@@ -117,14 +116,14 @@ fn main() -> ExitCode {
 }
 
 /// Minimal flag parser: `--key value` pairs; `--set` and `--data` may
-/// repeat; `--merged` is boolean (takes no value).
+/// repeat; `--wal` is boolean (takes no value).
 struct Flags {
     values: HashMap<String, Vec<String>>,
     sets: Vec<String>,
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["merged", "wal"];
+const BOOL_FLAGS: &[&str] = &["wal"];
 
 /// Flags whose value is optional: a following token that is itself a
 /// flag (or the end of the line) leaves the default.
@@ -264,27 +263,25 @@ fn run(args: &[String]) -> Result<(), String> {
                 flags.get_or("engine", default_engine).parse().map_err(|e| format!("{e}"))?;
             let jobs: usize =
                 flags.get_or("jobs", "0").parse().map_err(|_| "--jobs must be an integer")?;
-            let merged = flags.contains("merged");
             let explain = explain_mode(&flags)?;
             let datas = flags.get_all("data");
             // Repeated `--data name=path` flags (or a single one in
             // name=path form) build a multi-relation catalog job;
             // a bare `--data path` keeps the single-table behaviour.
             if datas.len() > 1 || datas.first().is_some_and(|d| d.contains('=')) {
-                return detect_catalog(&flags, engine, jobs, merged, explain);
+                return detect_catalog(&flags, engine, jobs, explain);
             }
             let session = load_session(&flags)?;
             match explain {
                 None => {
-                    let report =
-                        session.detect_opts(engine, jobs, merged).map_err(|e| e.to_string())?;
+                    let report = session.detect_jobs(engine, jobs).map_err(|e| e.to_string())?;
                     print!("{}", session.describe(&report, 25));
                 }
                 Some(mode) => {
                     // One profiled run — byte-identical report, plus the
                     // per-constraint profile (hot first).
                     let (report, profile) =
-                        session.detect_explain(engine, jobs, merged).map_err(|e| e.to_string())?;
+                        session.detect_explain(engine, jobs).map_err(|e| e.to_string())?;
                     if mode == ExplainMode::Json {
                         println!("{}", profile.render_json());
                     } else {
@@ -811,7 +808,6 @@ fn detect_catalog(
     flags: &Flags,
     engine: Engine,
     jobs: usize,
-    merged: bool,
     explain: Option<ExplainMode>,
 ) -> Result<(), String> {
     use revival_detect::DetectJob;
@@ -826,7 +822,7 @@ fn detect_catalog(
         }
         Err(_) => Vec::new(),
     };
-    let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds).merged(merged);
+    let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
     match explain {
         None => {
             let report = engine.detector(jobs).run(&job).map_err(|e| e.to_string())?;

@@ -47,24 +47,6 @@ fn generate_detect_repair_workflow() {
     let first_line = |s: &str| s.lines().next().unwrap_or_default().to_string();
     assert_eq!(first_line(&stdout), first_line(&String::from_utf8_lossy(&out_sql.stdout)));
 
-    // detect --merged agrees with the unmerged run on the headline
-    // count, on every engine.
-    for engine in ["native", "sql", "incremental", "parallel"] {
-        let out_merged = bin()
-            .args(["detect", "--data", dir.join("dirty.csv").to_str().unwrap()])
-            .args(["--table", "customer", "--cfds", dir.join("cfds.txt").to_str().unwrap()])
-            .args(["--engine", engine, "--merged"])
-            .output()
-            .unwrap();
-        assert!(out_merged.status.success(), "{}", String::from_utf8_lossy(&out_merged.stderr));
-        let merged_stdout = String::from_utf8_lossy(&out_merged.stdout).to_string();
-        assert_eq!(
-            stdout.lines().next(),
-            merged_stdout.lines().next(),
-            "--merged changes the violation count on engine {engine}"
-        );
-    }
-
     // detect (parallel engine, 4 shards) is byte-identical to native.
     let out_par = bin()
         .args(["detect", "--data", dir.join("dirty.csv").to_str().unwrap()])

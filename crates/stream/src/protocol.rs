@@ -17,9 +17,8 @@
 //! ```
 //!
 //! `register` accepts an optional `"merged":true`: the suite is merged
-//! by embedded FD before registration (the engine-layer merged-tableau
-//! option), so the session maintains one grouping state per embedded FD
-//! instead of one per CFD. Counts and report indices then refer to the
+//! by embedded FD before registration, so the session maintains one
+//! grouping state per embedded FD instead of one per CFD. Counts and report indices then refer to the
 //! merged suite — the response's `cfds` field tells the client its
 //! size.
 //!

@@ -28,7 +28,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -79,10 +79,10 @@ struct VerbInstruments {
     requests: Arc<revival_obs::Counter>,
     errors: Arc<revival_obs::Counter>,
     latency: Arc<revival_obs::Histogram>,
-    /// Counter value at bind — the registry is process-global and
-    /// cumulative, so per-run tallies (the shutdown summary) subtract
-    /// this baseline.
-    base: u64,
+    /// Requests this server handled — the registry counter is
+    /// process-global and cumulative, so the shutdown summary counts
+    /// per server (other servers in the process bump `requests` too).
+    served: AtomicU64,
 }
 
 /// Instrument handles resolved once at bind time, so the request hot
@@ -93,39 +93,21 @@ struct ServeObs {
     slow_total: Arc<revival_obs::Counter>,
     panics: Arc<revival_obs::Counter>,
     parse_errors: Arc<revival_obs::Counter>,
-    /// Group-commit counters with their values at bind: the registry
-    /// is process-global, so the shutdown summary reports this run's
-    /// deltas, not the process totals.
-    group_commits: Arc<revival_obs::Counter>,
-    group_commits_base: u64,
-    group_records: Arc<revival_obs::Counter>,
-    group_records_base: u64,
     slow_log_us: Option<u64>,
 }
 
 impl ServeObs {
     fn new(slow_log_us: Option<u64>) -> ServeObs {
         let reg = revival_obs::global();
-        let group_commits = reg.counter("wal_group_commits_total");
-        let group_commits_base = group_commits.get();
-        let group_records = reg.counter("wal_appends_total");
-        let group_records_base = group_records.get();
         ServeObs {
-            group_commits,
-            group_commits_base,
-            group_records,
-            group_records_base,
             verbs: VERBS
                 .iter()
-                .map(|v| {
-                    let requests = reg.counter(&format!("serve_requests_total{{verb=\"{v}\"}}"));
-                    VerbInstruments {
-                        verb: v,
-                        base: requests.get(),
-                        requests,
-                        errors: reg.counter(&format!("serve_request_errors_total{{verb=\"{v}\"}}")),
-                        latency: reg.histogram(&format!("serve_request_us{{verb=\"{v}\"}}")),
-                    }
+                .map(|v| VerbInstruments {
+                    verb: v,
+                    requests: reg.counter(&format!("serve_requests_total{{verb=\"{v}\"}}")),
+                    served: AtomicU64::new(0),
+                    errors: reg.counter(&format!("serve_request_errors_total{{verb=\"{v}\"}}")),
+                    latency: reg.histogram(&format!("serve_request_us{{verb=\"{v}\"}}")),
                 })
                 .collect(),
             phases: PHASE_NAMES
@@ -151,6 +133,7 @@ impl ServeObs {
     ) {
         if let Some(vi) = self.verbs.iter().find(|v| v.verb == verb) {
             vi.requests.inc();
+            vi.served.fetch_add(1, Ordering::Relaxed);
             if !ok {
                 vi.errors.inc();
             }
@@ -177,20 +160,12 @@ impl ServeObs {
         }
     }
 
-    /// `(group syncs, records they covered)` since bind.
-    fn group_commit_tallies(&self) -> (u64, u64) {
-        (
-            self.group_commits.get().saturating_sub(self.group_commits_base),
-            self.group_records.get().saturating_sub(self.group_records_base),
-        )
-    }
-
-    /// `(verb, requests)` handled since bind, verbs seen at least once.
+    /// `(verb, requests)` this server handled, verbs seen at least once.
     fn verb_tallies(&self) -> Vec<(&'static str, u64)> {
         self.verbs
             .iter()
             .filter_map(|v| {
-                let n = v.requests.get().saturating_sub(v.base);
+                let n = v.served.load(Ordering::Relaxed);
                 (n > 0).then_some((v.verb, n))
             })
             .collect()
@@ -344,7 +319,7 @@ impl Server {
         }
         let requests_by_verb = shared.obs.verb_tallies();
         let total_requests = requests_by_verb.iter().map(|(_, n)| n).sum();
-        let (wal_group_commits, wal_group_records) = shared.obs.group_commit_tallies();
+        let (wal_group_commits, wal_group_records) = shared.tier.wal_group_tallies();
         Ok(RunSummary {
             saved_relations: saved,
             uptime_secs: shared.start.elapsed().as_secs(),

@@ -566,6 +566,15 @@ impl ShardedSession {
         self.tier.checkpoints_taken.load(Ordering::Relaxed)
     }
 
+    /// `(group syncs, records they covered)` over this tier's WALs —
+    /// feeds the serve shutdown summary. Per tier, not read off the
+    /// process-global registry, so servers sharing a process don't see
+    /// each other's commits.
+    pub fn wal_group_tallies(&self) -> (u64, u64) {
+        let wals = self.tier.shards.iter().filter_map(|s| s.wal.get());
+        wals.fold((0, 0), |(c, r), w| (c + w.group_commits(), r + w.group_records()))
+    }
+
     /// A shard by index (tests and the shutdown path).
     pub fn shard(&self, i: usize) -> &Shard {
         &self.tier.shards[i]
@@ -669,9 +678,8 @@ impl Tier {
                     Err(e) => return Response::err(e),
                 };
                 if *merged {
-                    // Engine-layer merged tableaux at the session
-                    // boundary: one maintained grouping state per
-                    // embedded FD; `cfds` reports the merged size the
+                    // Merged tableaux at the session boundary: one
+                    // maintained grouping state per embedded FD; `cfds` reports the merged size the
                     // counts and report indices refer to.
                     suite = revival_constraints::cfd::merge_by_embedded_fd(&suite);
                 }

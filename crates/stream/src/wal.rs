@@ -250,6 +250,8 @@ struct GroupState {
     syncing: bool,
     /// Group syncs performed since open.
     batches: u64,
+    /// Records those syncs covered.
+    batched: u64,
     /// Records staged since open/truncate (drives auto-checkpoints).
     logged: u64,
     /// A batch write/fsync failed: the log tail is in an unknown state,
@@ -362,6 +364,7 @@ impl GroupWal {
                 Ok(()) => {
                     st.synced = top;
                     st.batches += 1;
+                    st.batched += records;
                     let mut spare = batch;
                     spare.clear();
                     if spare.capacity() > st.spare.capacity() {
@@ -390,10 +393,16 @@ impl GroupWal {
         lock_recovered(&self.state).logged
     }
 
-    /// Group syncs performed since open (tests; the registry carries
-    /// the process-global `wal_group_commits_total`).
+    /// Group syncs performed since open (the registry carries the
+    /// process-global `wal_group_commits_total`).
     pub fn group_commits(&self) -> u64 {
         lock_recovered(&self.state).batches
+    }
+
+    /// Records the group syncs since open covered; over
+    /// [`GroupWal::group_commits`] this is the mean group size.
+    pub fn group_records(&self) -> u64 {
+        lock_recovered(&self.state).batched
     }
 
     /// Checkpoint truncation: wait out any in-flight sync, reset the

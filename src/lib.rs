@@ -65,9 +65,8 @@ pub mod prelude {
     pub use revival_constraints::parser::{parse_cfds, parse_cinds};
     pub use revival_constraints::{Cfd, Cind, Fd, PatternRow, PatternValue};
     pub use revival_detect::{
-        engine_by_name, CindDetector, CindEngine, DetectJob, Detector, IncrementalDetector,
-        IncrementalEngine, NativeDetector, NativeEngine, ParallelDetector, ParallelEngine,
-        SqlEngine, Violation, ViolationReport,
+        engine_by_name, CindDetector, DetectJob, Detector, IncrementalDetector, IncrementalEngine,
+        NativeDetector, NativeEngine, ParallelEngine, SqlEngine, Violation, ViolationReport,
     };
     pub use revival_discovery::{
         DiscoverJob, DiscoverOptions, DiscoveryEngine, ParallelDiscovery, SequentialDiscovery,
