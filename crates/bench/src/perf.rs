@@ -366,23 +366,26 @@ pub fn measure_detection(
     }
 }
 
-/// One sequential-vs-sharded [`BatchRepair`] measurement — the repair
-/// counterpart of [`DetectionPerf`], rendered as `BENCH_repair.json`.
+/// One workload's sequential-vs-sharded [`BatchRepair`] measurement,
+/// with the class-resolution work counts that explain it: customer
+/// classes are small (a few cells over two or three values), hospital
+/// classes are large (hundreds of cells over dozens of values).
 #[derive(Clone, Debug)]
-pub struct RepairPerf {
+pub struct RepairWorkloadPerf {
+    pub workload: &'static str,
     pub rows: usize,
     pub cfds: usize,
     pub violations_before: usize,
     pub cells_changed: usize,
-    pub jobs: usize,
+    /// [`revival_repair::eqclass::ResolveStats`] of the sequential run.
+    pub resolve: revival_repair::eqclass::ResolveStats,
     /// Best-of-N wall time of the sequential repair (`jobs = 1`).
     pub sequential_secs: f64,
     /// Best-of-N wall time of the sharded repair at `jobs` shards.
     pub parallel_secs: f64,
-    pub available_cores: usize,
 }
 
-impl RepairPerf {
+impl RepairWorkloadPerf {
     pub fn sequential_rows_per_sec(&self) -> f64 {
         self.rows as f64 / self.sequential_secs
     }
@@ -395,23 +398,26 @@ impl RepairPerf {
         self.sequential_secs / self.parallel_secs
     }
 
-    /// Render as a self-describing JSON object.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
-            "{{\n  \"benchmark\": \"repair\",\n  \"workload\": \"dirty::customer\",\n  \
-             \"rows\": {},\n  \"cfds\": {},\n  \"violations_before\": {},\n  \
-             \"cells_changed\": {},\n  \"available_cores\": {},\n  \
-             \"sequential\": {{ \"secs\": {:.6}, \"rows_per_sec\": {:.1} }},\n  \
-             \"parallel\": {{ \"jobs\": {}, \"secs\": {:.6}, \"rows_per_sec\": {:.1} }},\n  \
-             \"speedup\": {:.3}\n}}\n",
+            "{{ \"workload\": \"{}\", \"rows\": {}, \"cfds\": {},\n    \
+             \"violations_before\": {}, \"cells_changed\": {},\n    \
+             \"classes\": {}, \"class_cells\": {}, \"distinct_values\": {}, \
+             \"distances_computed\": {},\n    \
+             \"sequential\": {{ \"secs\": {:.6}, \"rows_per_sec\": {:.1} }},\n    \
+             \"parallel\": {{ \"secs\": {:.6}, \"rows_per_sec\": {:.1} }},\n    \
+             \"speedup\": {:.3} }}",
+            self.workload,
             self.rows,
             self.cfds,
             self.violations_before,
             self.cells_changed,
-            self.available_cores,
+            self.resolve.classes,
+            self.resolve.class_cells,
+            self.resolve.distinct_values,
+            self.resolve.distances_computed,
             self.sequential_secs,
             self.sequential_rows_per_sec(),
-            self.jobs,
             self.parallel_secs,
             self.parallel_rows_per_sec(),
             self.speedup(),
@@ -419,35 +425,88 @@ impl RepairPerf {
     }
 }
 
-/// Time sequential vs. sharded [`BatchRepair`] on `rows` dirty-customer
-/// tuples (5% noise, fixed seed). Panics if the sharded repair diverges
-/// from the sequential one — the benchmark doubles as a parity check.
-pub fn measure_repair(rows: usize, jobs: usize, samples: usize) -> RepairPerf {
+/// The repair measurement — `BENCH_repair.json`: rows/sec of the
+/// sequential vs. the sharded [`BatchRepair`] on the dirty customer
+/// and hospital workloads — the repair counterpart of
+/// [`DetectionPerf`].
+#[derive(Clone, Debug)]
+pub struct RepairPerf {
+    pub jobs: usize,
+    pub available_cores: usize,
+    pub customer: RepairWorkloadPerf,
+    pub hospital: RepairWorkloadPerf,
+}
+
+impl RepairPerf {
+    /// Render as a self-describing JSON object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\n  \"benchmark\": \"repair\",\n  \"jobs\": {},\n  \
+             \"available_cores\": {},\n  \
+             \"customer\": {},\n  \"hospital\": {}\n}}\n",
+            self.jobs,
+            self.available_cores,
+            self.customer.to_json(),
+            self.hospital.to_json(),
+        )
+    }
+}
+
+/// Repair one dirty workload sequentially and at `jobs` shards,
+/// asserting the outputs are identical (the benchmark doubles as the
+/// repair parity check).
+fn measure_repair_workload(
+    workload: &'static str,
+    dirty: &revival_relation::Table,
+    cfds: &[revival_constraints::Cfd],
+    jobs: usize,
+    samples: usize,
+) -> RepairWorkloadPerf {
     use revival_repair::{BatchRepair, CostModel};
 
-    let (data, ds, cfds) = customer_workload(rows, 0.05, 11);
-    let job = DetectJob::on_table(&ds.dirty, &cfds);
+    let job = DetectJob::on_table(dirty, cfds);
     let violations_before = NativeEngine.run(&job).unwrap().len();
-    let sequential = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
-    let (seq_out, sequential_secs) = best_of(samples, || sequential.repair(&ds.dirty).unwrap());
-    let sharded =
-        BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity())).with_jobs(jobs.max(2));
-    let (par_out, parallel_secs) = best_of(samples, || sharded.repair(&ds.dirty).unwrap());
+    let cost = || CostModel::uniform(dirty.schema().arity());
+    let sequential = BatchRepair::new(cfds, cost());
+    let (seq_out, sequential_secs) = best_of(samples, || sequential.repair(dirty).unwrap());
+    let sharded = BatchRepair::new(cfds, cost()).with_jobs(jobs);
+    let (par_out, parallel_secs) = best_of(samples, || sharded.repair(dirty).unwrap());
     assert_eq!(seq_out.1, par_out.1, "sharded repair stats must match sequential");
     assert_eq!(
         seq_out.0.diff_cells(&par_out.0),
         0,
         "sharded repair table must match sequential byte-for-byte"
     );
-    RepairPerf {
-        rows,
+    RepairWorkloadPerf {
+        workload,
+        rows: dirty.len(),
         cfds: cfds.len(),
         violations_before,
         cells_changed: seq_out.1.cells_changed,
-        jobs: jobs.max(2),
+        resolve: seq_out.1.resolve,
         sequential_secs,
         parallel_secs,
+    }
+}
+
+/// Time sequential vs. sharded [`BatchRepair`] on dirty customer and
+/// hospital instances (5% noise, fixed seed). Panics if the sharded
+/// repair diverges from the sequential one — the benchmark doubles as
+/// a parity check.
+pub fn measure_repair(
+    customer_rows: usize,
+    hospital_rows: usize,
+    jobs: usize,
+    samples: usize,
+) -> RepairPerf {
+    let jobs = jobs.max(2);
+    let (_, cds, ccfds) = customer_workload(customer_rows, 0.05, 11);
+    let (_, hds, hcfds) = hospital_workload(hospital_rows, 0.05, 11);
+    RepairPerf {
+        jobs,
         available_cores: available_cores(),
+        customer: measure_repair_workload("dirty::customer", &cds.dirty, &ccfds, jobs, samples),
+        hospital: measure_repair_workload("dirty::hospital", &hds.dirty, &hcfds, jobs, samples),
     }
 }
 
@@ -1120,15 +1179,19 @@ mod tests {
 
     #[test]
     fn repair_measurement_runs_and_serialises() {
-        let perf = measure_repair(400, 4, 1);
-        assert_eq!(perf.rows, 400);
+        let perf = measure_repair(400, 600, 4, 1);
         assert_eq!(perf.jobs, 4);
-        assert!(perf.sequential_secs > 0.0 && perf.parallel_secs > 0.0);
-        assert!(perf.violations_before > 0, "5% noise must produce violations");
-        assert!(perf.cells_changed > 0, "repair must edit cells");
+        assert_eq!((perf.customer.rows, perf.hospital.rows), (400, 600));
+        for w in [&perf.customer, &perf.hospital] {
+            assert!(w.sequential_secs > 0.0 && w.parallel_secs > 0.0);
+            assert!(w.violations_before > 0, "5% noise must produce violations");
+            assert!(w.cells_changed > 0, "repair must edit cells");
+            assert!(w.resolve.classes > 0 && w.resolve.class_cells >= w.resolve.classes);
+        }
         let json = perf.to_json();
         assert!(json.contains("\"benchmark\": \"repair\""));
-        assert!(json.contains("\"rows\": 400"));
+        assert!(json.contains("\"workload\": \"dirty::hospital\", \"rows\": 600"));
+        assert!(json.contains("\"distances_computed\""));
         assert!(json.contains("\"speedup\""));
     }
 

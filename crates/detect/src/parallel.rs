@@ -30,7 +30,8 @@ fn auto_jobs() -> usize {
 /// (the two clock reads per chunk are noise next to the chunk scans).
 /// A single chunk — one shard, or too few items to split — runs inline:
 /// no thread, and always exactly one output, even for no items.
-pub(crate) fn map_chunks<T: Sync, R: Send>(
+/// Public because repair shards its class resolution the same way.
+pub fn map_chunks<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
     f: impl Fn(&[T]) -> R + Sync,
@@ -48,7 +49,7 @@ pub(crate) fn map_chunks<T: Sync, R: Send>(
         let timed = &timed;
         let handles: Vec<_> =
             items.chunks(chunk_size).map(|chunk| scope.spawn(move || timed(chunk))).collect();
-        handles.into_iter().map(|h| h.join().expect("detect worker panicked")).collect()
+        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
     })
 }
 

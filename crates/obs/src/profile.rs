@@ -29,7 +29,8 @@ use std::time::Instant;
 pub struct ConstraintProfile {
     /// Stable identity, e.g. `cfd#0 customer([cc, zip] -> [street])`.
     pub name: String,
-    /// `cfd`, `cind`, `level`, … — lets consumers filter by row kind.
+    /// `cfd`, `cind`, `pass`, `resolve`, `level`, … — lets consumers
+    /// filter by row kind.
     pub kind: &'static str,
     /// Live rows the constraint's scan covered (detect).
     pub rows_scanned: u64,
@@ -47,6 +48,14 @@ pub struct ConstraintProfile {
     pub g3_evaluations: u64,
     /// Wall microseconds spent building partitions (discovery).
     pub partition_build_us: u64,
+    /// Equivalence classes resolved for this RHS attribute (repair).
+    pub classes: u64,
+    /// Member cells across those classes (repair).
+    pub class_cells: u64,
+    /// Distinct values across the cost-resolved classes (repair).
+    pub distinct_values: u64,
+    /// Value-distance evaluations those classes took (repair).
+    pub distances_computed: u64,
     /// Total wall microseconds attributed to this row.
     pub wall_us: u64,
     /// Per-shard wall microseconds, in chunk order, when the row's
@@ -65,6 +74,10 @@ impl ConstraintProfile {
         self.candidates_pruned += other.candidates_pruned;
         self.g3_evaluations += other.g3_evaluations;
         self.partition_build_us += other.partition_build_us;
+        self.classes += other.classes;
+        self.class_cells += other.class_cells;
+        self.distinct_values += other.distinct_values;
+        self.distances_computed += other.distances_computed;
         self.wall_us += other.wall_us;
         self.shard_us.extend_from_slice(&other.shard_us);
     }
@@ -222,6 +235,10 @@ impl JobProfile {
                 ("pruned", c.candidates_pruned),
                 ("g3", c.g3_evaluations),
                 ("partition_us", c.partition_build_us),
+                ("classes", c.classes),
+                ("class_cells", c.class_cells),
+                ("distinct", c.distinct_values),
+                ("distances", c.distances_computed),
             ] {
                 if v > 0 {
                     detail.push(format!("{label}={v}"));
@@ -274,7 +291,9 @@ impl JobProfile {
                 "{{\"name\":{},\"kind\":{},\"wall_us\":{},\"rows_scanned\":{},\
                  \"groups_probed\":{},\"violations\":{},\"cells_changed\":{},\
                  \"candidates_checked\":{},\"candidates_pruned\":{},\
-                 \"g3_evaluations\":{},\"partition_build_us\":{},\"shard_us\":[{}]}}",
+                 \"g3_evaluations\":{},\"partition_build_us\":{},\"classes\":{},\
+                 \"class_cells\":{},\"distinct_values\":{},\"distances_computed\":{},\
+                 \"shard_us\":[{}]}}",
                 json_string(&c.name),
                 json_string(c.kind),
                 c.wall_us,
@@ -286,6 +305,10 @@ impl JobProfile {
                 c.candidates_pruned,
                 c.g3_evaluations,
                 c.partition_build_us,
+                c.classes,
+                c.class_cells,
+                c.distinct_values,
+                c.distances_computed,
                 shards.join(","),
             ));
         }
@@ -538,6 +561,8 @@ mod tests {
             "\"rows_scanned\":100",
             "\"groups_probed\":10",
             "\"cells_changed\":0",
+            "\"classes\":0",
+            "\"distances_computed\":0",
             "\"shard_us\":[]",
             "\"phases\":[{\"name\":\"scan\",\"us\":95}]",
         ] {

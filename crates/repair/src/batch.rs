@@ -20,22 +20,24 @@
 //!   layer — [`ParallelEngine`], whose reports are byte-for-byte equal
 //!   at any shard count (one shard scans inline);
 //! * **equivalence-class resolution** shards the per-class cost scans
-//!   ([`EquivClasses::resolve_targets`]): classes split into contiguous
-//!   chunks, workers resolve each class independently, and the targets
-//!   concatenate in chunk order before the (sequential, deterministic)
-//!   apply step.
+//!   ([`EquivClasses::resolve_targets`]), one RHS attribute at a time:
+//!   that attribute's classes split into contiguous chunks, workers
+//!   resolve each class independently over its distinct values, and
+//!   the targets concatenate in chunk order before the (sequential,
+//!   deterministic) apply step.
 //!
 //! So the repaired table and [`RepairStats`] are identical at any shard
 //! count — asserted by `tests/repair_parity.rs`.
 
 use crate::cost::CostModel;
-use crate::eqclass::{Cell, EquivClasses};
+use crate::eqclass::{cell_hash, Cell, EquivClasses, ResolveStats};
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
 use revival_detect::{DetectJob, Detector, ParallelEngine, Violation};
-use revival_relation::{Result, Sym, Table, Type, Value};
-use std::collections::HashMap;
+use revival_relation::{GroupBy, Result, Sym, Table, TupleId, Type, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`BatchRepair`].
 #[derive(Clone, Debug)]
@@ -69,6 +71,56 @@ pub struct RepairStats {
     pub cost: f64,
     /// Violations remaining (0 unless `max_force_rounds` was exhausted).
     pub residual_violations: usize,
+    /// Work the cost-guided passes' class resolution did, all passes.
+    pub resolve: ResolveStats,
+}
+
+/// The table being repaired, with a log of the cells written — the
+/// closing stats walk the log instead of diffing whole tables.
+struct Working {
+    table: Table,
+    /// Every cell a pass wrote, in write order (a cell may repeat).
+    written: Vec<Cell>,
+}
+
+impl Working {
+    /// Overwrite one cell; `false` if the table refused the value.
+    fn set(&mut self, cell: Cell, v: Value) -> bool {
+        let ok = self.table.set_cell(cell.0, cell.1, v).is_ok();
+        if ok {
+            self.written.push(cell);
+        }
+        ok
+    }
+}
+
+/// What one detection report asks a cost-guided pass to do.
+#[derive(Default)]
+struct PassPlan {
+    /// The classes to resolve, per RHS attribute — a class never
+    /// spans two: unions and pins stay within one CFD's RHS column.
+    by_attr: BTreeMap<usize, AttrClasses>,
+    /// LHS cells to overwrite with a fresh value where pins conflict.
+    breaks: Vec<Cell>,
+    /// First constraint (report order) claiming each cell an edit may
+    /// touch — only tracked when profiling.
+    owner: GroupBy<Cell, usize>,
+}
+
+/// One RHS attribute's share of a [`PassPlan`].
+#[derive(Default)]
+struct AttrClasses {
+    /// Cells that must agree, merged; constant rows pin their class.
+    eq: EquivClasses,
+    /// Wall time spent translating this attribute's violations.
+    collect: Duration,
+}
+
+impl PassPlan {
+    /// Record `ci` as `cell`'s owner unless an earlier constraint is.
+    fn claim(&mut self, cell: Cell, ci: usize) {
+        self.owner.entry_mut(cell_hash(cell), |k| *k == cell, || (cell, ci));
+    }
 }
 
 /// Cost-based batch repair over one table.
@@ -121,17 +173,19 @@ impl BatchRepair {
 
     /// [`BatchRepair::repair`] with a [`revival_obs::JobProfile`]
     /// alongside: same repaired table, same stats (profiling is
-    /// side-effect-only), plus detect/resolve/force phase timings and
-    /// per-constraint detect wall + cells-changed attribution. Names
-    /// refer to the *merged* suite the repairer enforces (see
-    /// [`BatchRepair::cfds`]).
+    /// side-effect-only), plus detect/resolve/force phase timings,
+    /// per-constraint detect wall + cells-changed attribution, and one
+    /// `resolve` row per RHS attribute (wall, classes, member cells,
+    /// distinct values, distances computed — summed into the job
+    /// totals of the same names). Constraint names refer to the
+    /// *merged* suite the repairer enforces (see [`BatchRepair::cfds`]).
     pub fn repair_profiled(
         &self,
         table: &Table,
     ) -> Result<(Table, RepairStats, revival_obs::JobProfile)> {
         let detail = if self.jobs() <= 1 { "native" } else { "parallel" };
         let mut profile = revival_obs::JobProfile::new("repair", detail, self.jobs() as u64);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let (fixed, stats) = self.repair_inner(table, Some(&mut profile))?;
         let us = start.elapsed().as_micros() as u64;
         profile.meta_add("passes", stats.passes as u64);
@@ -139,6 +193,10 @@ impl BatchRepair {
         profile.meta_add("forced_resolutions", stats.forced_resolutions as u64);
         profile.meta_add("residual_violations", stats.residual_violations as u64);
         profile.meta_add("merged_cfds", self.cfds.len() as u64);
+        profile.meta_add("classes", stats.resolve.classes);
+        profile.meta_add("class_cells", stats.resolve.class_cells);
+        profile.meta_add("distinct_values", stats.resolve.distinct_values);
+        profile.meta_add("distances_computed", stats.resolve.distances_computed);
         profile.finish(us);
         Ok((fixed, stats, profile))
     }
@@ -148,11 +206,12 @@ impl BatchRepair {
         table: &Table,
         mut profile: Option<&mut revival_obs::JobProfile>,
     ) -> Result<(Table, RepairStats)> {
+        let setup = Instant::now();
         let run_span = revival_obs::Span::traced(
             "repair.run",
             revival_obs::global().histogram("repair_run_us"),
         );
-        let mut current = table.clone();
+        let mut current = Working { table: table.clone(), written: Vec::new() };
         let mut stats = RepairStats::default();
         let mut fresh_counter: u64 = 0;
         // Profile row names (merged-suite order), shared with the detect
@@ -168,20 +227,22 @@ impl BatchRepair {
         // (side-effect-only: the repair itself is byte-identical with
         // instrumentation on or off).
         let (mut detect_us, mut resolve_us, mut force_us) = (0u64, 0u64, 0u64);
+        let setup_us = setup.elapsed().as_micros() as u64;
 
         for _ in 0..self.options.max_passes {
-            let stage = std::time::Instant::now();
-            let report = self.detect_step(&current, profile.as_deref_mut());
+            let stage = Instant::now();
+            let report = self.detect_step(&current.table, profile.as_deref_mut());
             detect_us += stage.elapsed().as_micros() as u64;
             let report = report?;
             if report.is_empty() {
                 break;
             }
             stats.passes += 1;
-            let stage = std::time::Instant::now();
+            let stage = Instant::now();
             let changed = self.resolve_pass(
                 &mut current,
                 &report.violations,
+                &mut stats.resolve,
                 profile.as_deref_mut().map(|p| (p, names.as_slice())),
             );
             resolve_us += stage.elapsed().as_micros() as u64;
@@ -192,14 +253,14 @@ impl BatchRepair {
 
         // Forcing phase: guarantee satisfaction.
         for round in 0..self.options.max_force_rounds {
-            let stage = std::time::Instant::now();
-            let report = self.detect_step(&current, profile.as_deref_mut());
+            let stage = Instant::now();
+            let report = self.detect_step(&current.table, profile.as_deref_mut());
             detect_us += stage.elapsed().as_micros() as u64;
             let report = report?;
             if report.is_empty() {
                 break;
             }
-            let stage = std::time::Instant::now();
+            let stage = Instant::now();
             stats.forced_resolutions += self.force_pass(
                 &mut current,
                 &report.violations,
@@ -210,17 +271,24 @@ impl BatchRepair {
             force_us += stage.elapsed().as_micros() as u64;
         }
 
-        let stage = std::time::Instant::now();
-        let residual = self.detect_step(&current, profile.as_deref_mut());
+        let stage = Instant::now();
+        let residual = self.detect_step(&current.table, profile.as_deref_mut());
         detect_us += stage.elapsed().as_micros() as u64;
         stats.residual_violations = residual?.len();
-        stats.cells_changed = current.diff_cells(table);
-        stats.cost = self.cost.repair_cost(table, &current);
+        // Row-major over the written cells: the order a walk over both
+        // tables would add the costs up in.
+        let score = Instant::now();
+        let Working { table: current, mut written } = current;
+        written.sort_unstable();
+        written.dedup();
+        (stats.cells_changed, stats.cost) = self.cost.repair_cost(table, &current, &written);
+        let score_us = score.elapsed().as_micros() as u64;
         if revival_obs::enabled() {
             let reg = revival_obs::global();
             reg.counter("repair_runs_total").inc();
             reg.counter("repair_cells_changed_total").add(stats.cells_changed as u64);
             reg.counter("repair_forced_total").add(stats.forced_resolutions as u64);
+            reg.counter("repair_distance_evals_total").add(stats.resolve.distances_computed);
             reg.histogram("repair_phase_us{phase=\"detect\"}").record(detect_us);
             reg.histogram("repair_phase_us{phase=\"resolve\"}").record(resolve_us);
             reg.histogram("repair_phase_us{phase=\"force\"}").record(force_us);
@@ -229,6 +297,10 @@ impl BatchRepair {
             p.phase_add("detect", detect_us);
             p.phase_add("resolve", resolve_us);
             p.phase_add("force", force_us);
+            // The two stretches outside the phases, as rows, so the
+            // profile's rows account for the whole run.
+            p.entry("setup (working copy)", "setup").wall_us += setup_us;
+            p.entry("score (cells changed, cost)", "score").wall_us += score_us;
         }
         drop(run_span);
         Ok((current, stats))
@@ -254,37 +326,45 @@ impl BatchRepair {
         Ok(report)
     }
 
-    /// One cost-guided pass. Returns whether any cell changed. With
-    /// `attribution`, each successful cell edit is charged to the first
-    /// constraint (in report order) that claimed the cell — report
+    /// Translate one detection report into equivalence-class merges
+    /// (variable rows), pins (constant rows) and LHS-break requests
+    /// (pin conflicts). With `track_owners`, also the first constraint
+    /// (in report order) claiming each cell an edit may touch — report
     /// order is engine-independent, so the attribution is deterministic.
-    fn resolve_pass(
+    fn collect_classes(
         &self,
-        table: &mut Table,
+        table: &Table,
         violations: &[Violation],
-        mut attribution: Option<(&mut revival_obs::JobProfile, &[String])>,
-    ) -> bool {
-        let mut eq = EquivClasses::new();
-        // `(cell, fresh)` lhs-break requests when pins conflict.
-        let mut breaks: Vec<Cell> = Vec::new();
-        // First constraint (report order) claiming each cell an edit may
-        // touch — only tracked when profiling.
-        let profiling = attribution.is_some();
-        let mut owner: HashMap<Cell, usize> = HashMap::new();
-
+        track_owners: bool,
+    ) -> PassPlan {
+        let mut plan = PassPlan::default();
+        // Violations arrive grouped by constraint, so a lap per change
+        // of RHS attribute times each attribute's share exactly.
+        let mut lap = (Instant::now(), None);
+        let mut switch_to = |plan: &mut PassPlan, next: Option<usize>| {
+            if lap.1 == next {
+                return;
+            }
+            let now = Instant::now();
+            if let (start, Some(attr)) = lap {
+                plan.by_attr.entry(attr).or_default().collect += now - start;
+            }
+            lap = (now, next);
+        };
         for v in violations {
             match v {
                 Violation::CfdConstant { cfd, row, tuple } => {
                     let ci = *cfd;
                     let cfd = &self.cfds[*cfd];
+                    switch_to(&mut plan, Some(cfd.rhs));
                     let tp = &cfd.tableau[*row];
                     // eCFD RHS patterns (≠/∈) have no single forced value;
                     // they resolve in the forcing phase.
                     let PatternValue::Const(c) = &tp.rhs else { continue };
                     let rhs_cell: Cell = (*tuple, cfd.rhs);
-                    let Ok(data) = table.get(*tuple) else { continue };
+                    let Ok(held) = table.value_at(*tuple, cfd.rhs) else { continue };
                     // Cost of fixing the RHS vs. cheapest LHS break.
-                    let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, &data[cfd.rhs], c);
+                    let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, held, c);
                     let lhs_break: Option<(f64, Cell)> = tp
                         .lhs
                         .iter()
@@ -296,20 +376,21 @@ impl BatchRepair {
                             (self.cost.weight(*tuple, a), (*tuple, a))
                         })
                         .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                    if profiling {
-                        owner.entry(rhs_cell).or_insert(ci);
+                    if track_owners {
+                        plan.claim(rhs_cell, ci);
                         if let Some((_, cell)) = lhs_break {
-                            owner.entry(cell).or_insert(ci);
+                            plan.claim(cell, ci);
                         }
                     }
                     match lhs_break {
-                        Some((w, cell)) if w < rhs_cost => breaks.push(cell),
+                        Some((w, cell)) if w < rhs_cost => plan.breaks.push(cell),
                         _ => {
-                            if !eq.pin(rhs_cell, c.clone()) {
+                            let classes = plan.by_attr.entry(cfd.rhs).or_default();
+                            if !classes.eq.pin(rhs_cell, c.clone()) {
                                 // Conflicting constant requirements:
                                 // break the pattern instead.
                                 if let Some((_, cell)) = lhs_break {
-                                    breaks.push(cell);
+                                    plan.breaks.push(cell);
                                 }
                             }
                         }
@@ -318,22 +399,24 @@ impl BatchRepair {
                 Violation::CfdVariable { cfd, tuples, .. } => {
                     let ci = *cfd;
                     let cfd = &self.cfds[*cfd];
+                    switch_to(&mut plan, Some(cfd.rhs));
                     let mut it = tuples.iter();
                     let Some(&first) = it.next() else { continue };
-                    if profiling {
+                    if track_owners {
                         for &t in tuples {
-                            owner.entry((t, cfd.rhs)).or_insert(ci);
+                            plan.claim((t, cfd.rhs), ci);
                             if let Some(&a) = cfd.lhs.first() {
-                                owner.entry((t, a)).or_insert(ci);
+                                plan.claim((t, a), ci);
                             }
                         }
                     }
+                    let classes = plan.by_attr.entry(cfd.rhs).or_default();
                     for &t in it {
-                        if !eq.union((first, cfd.rhs), (t, cfd.rhs)) {
+                        if !classes.eq.union((first, cfd.rhs), (t, cfd.rhs)) {
                             // Pin conflict between classes — break the
                             // group membership of `t` via an LHS cell.
                             if let Some(&a) = cfd.lhs.first() {
-                                breaks.push((t, a));
+                                plan.breaks.push((t, a));
                             }
                         }
                     }
@@ -344,34 +427,70 @@ impl BatchRepair {
                 }
             }
         }
+        switch_to(&mut plan, None);
+        plan
+    }
 
+    /// One cost-guided pass. Returns whether any cell changed. With
+    /// `attribution`, each successful cell edit is charged to the
+    /// constraint owning the cell, and each RHS attribute's share of
+    /// the pass lands on its `resolve` row.
+    fn resolve_pass(
+        &self,
+        work: &mut Working,
+        violations: &[Violation],
+        resolve: &mut ResolveStats,
+        mut attribution: Option<(&mut revival_obs::JobProfile, &[String])>,
+    ) -> bool {
+        let PassPlan { by_attr, breaks, owner } =
+            self.collect_classes(&work.table, violations, attribution.is_some());
         let mut changed = false;
         let charge =
             |cell: Cell, attribution: &mut Option<(&mut revival_obs::JobProfile, &[String])>| {
                 if let Some((profile, names)) = attribution.as_mut() {
-                    if let Some(name) = owner.get(&cell).and_then(|&ci| names.get(ci)) {
+                    let ci = owner.get(cell_hash(cell), |k| *k == cell);
+                    if let Some(name) = ci.and_then(|&ci| names.get(ci)) {
                         profile.entry(name, "cfd").cells_changed += 1;
                     }
                 }
             };
-        // Resolve every class's target value in parallel (read-only over
-        // the table), then apply sequentially in deterministic group
-        // order — identical output at any shard count.
-        let groups = eq.groups();
-        let targets = EquivClasses::resolve_targets(&groups, table, &self.cost, self.jobs());
-        for ((cells, _), target) in groups.into_iter().zip(targets) {
-            for (t, a) in cells {
-                if let Ok(row) = table.get(t) {
-                    if row[a] != target && table.set_cell(t, a, target.clone()).is_ok() {
+        // One RHS attribute at a time: resolve its classes' targets in
+        // parallel (read-only over the table), then apply sequentially
+        // in deterministic group order — identical output at any shard
+        // count.
+        for (attr, AttrClasses { mut eq, collect }) in by_attr {
+            let start = Instant::now();
+            let classes = eq.groups();
+            let resolved =
+                EquivClasses::resolve_targets(&classes, &work.table, &self.cost, self.jobs());
+            resolve.add(&resolved.stats);
+            for ((cells, _), target) in classes.iter().zip(resolved.targets) {
+                // Equal symbols ⇔ equal values; a target the pool has
+                // never seen differs from every member.
+                let target_sym = work.table.pool().lookup(&target);
+                for &(t, a) in cells {
+                    let differs = work.table.sym_at(t, a).is_ok_and(|s| Some(s) != target_sym);
+                    if differs && work.set((t, a), target.clone()) {
                         changed = true;
                         charge((t, a), &mut attribution);
                     }
                 }
             }
+            if let Some((profile, _)) = attribution.as_mut() {
+                let schema = work.table.schema();
+                let name = format!("resolve {}.{}", schema.name(), schema.attr_name(attr));
+                let row = profile.entry(&name, "resolve");
+                row.classes += resolved.stats.classes;
+                row.class_cells += resolved.stats.class_cells;
+                row.distinct_values += resolved.stats.distinct_values;
+                row.distances_computed += resolved.stats.distances_computed;
+                row.wall_us += (collect + start.elapsed()).as_micros() as u64;
+                row.shard_us.extend(resolved.shard_us);
+            }
         }
         for (t, a) in breaks {
-            let fresh = fresh_value(table, t, a);
-            if table.set_cell(t, a, fresh).is_ok() {
+            let fresh = fresh_value(&work.table, t, a);
+            if work.set((t, a), fresh) {
                 changed = true;
                 charge((t, a), &mut attribution);
             }
@@ -384,7 +503,7 @@ impl BatchRepair {
     /// re-trigger constant patterns. Returns edits applied.
     fn force_pass(
         &self,
-        table: &mut Table,
+        work: &mut Working,
         violations: &[Violation],
         round: usize,
         fresh_counter: &mut u64,
@@ -418,11 +537,12 @@ impl BatchRepair {
                             // Prefer a plausible value from the column's
                             // active domain; fresh markers only as a
                             // last resort.
-                            match column_plurality_excluding(table, cfd.rhs, c) {
+                            match column_plurality_excluding(&work.table, cfd.rhs, c) {
                                 Some(v) => Some(v),
                                 None => {
                                     *fresh_counter += 1;
-                                    Some(unique_fresh(table, *tuple, cfd.rhs, *fresh_counter))
+                                    let salt = *fresh_counter;
+                                    Some(unique_fresh(&work.table, *tuple, cfd.rhs, salt))
                                 }
                             }
                         }
@@ -430,7 +550,7 @@ impl BatchRepair {
                     };
                     if round < 2 {
                         if let Some(c) = satisfying {
-                            if table.set_cell(*tuple, cfd.rhs, c).is_ok() {
+                            if work.set((*tuple, cfd.rhs), c) {
                                 edits += 1;
                                 charge(ci, 1, &mut attribution);
                             }
@@ -442,8 +562,8 @@ impl BatchRepair {
                             tp.lhs.iter().zip(&cfd.lhs).find(|(p, _)| !p.is_wildcard())
                         {
                             *fresh_counter += 1;
-                            let fresh = unique_fresh(table, *tuple, a, *fresh_counter);
-                            if table.set_cell(*tuple, a, fresh).is_ok() {
+                            let fresh = unique_fresh(&work.table, *tuple, a, *fresh_counter);
+                            if work.set((*tuple, a), fresh) {
                                 edits += 1;
                                 charge(ci, 1, &mut attribution);
                             }
@@ -456,11 +576,11 @@ impl BatchRepair {
                     // Make the whole group agree on one RHS value: the
                     // plurality value early, a shared fresh value later.
                     let target = if round < 2 {
-                        plurality_rhs(table, tuples, cfd.rhs)
+                        plurality_rhs(&work.table, tuples, cfd.rhs)
                     } else {
                         *fresh_counter += 1;
                         unique_fresh(
-                            table,
+                            &work.table,
                             *tuples.first().expect("non-empty group"),
                             cfd.rhs,
                             *fresh_counter,
@@ -468,13 +588,10 @@ impl BatchRepair {
                     };
                     let mut group_edits = 0u64;
                     for &t in tuples {
-                        if let Ok(row) = table.get(t) {
-                            if row[cfd.rhs] != target
-                                && table.set_cell(t, cfd.rhs, target.clone()).is_ok()
-                            {
-                                edits += 1;
-                                group_edits += 1;
-                            }
+                        let differs = work.table.value_at(t, cfd.rhs).is_ok_and(|v| *v != target);
+                        if differs && work.set((t, cfd.rhs), target.clone()) {
+                            edits += 1;
+                            group_edits += 1;
                         }
                     }
                     charge(ci, group_edits, &mut attribution);
@@ -506,11 +623,11 @@ fn column_plurality_excluding(table: &Table, attr: usize, not: &Value) -> Option
 }
 
 /// The most common RHS value among a group (ties break to the smallest).
-fn plurality_rhs(table: &Table, tuples: &[revival_relation::TupleId], rhs: usize) -> Value {
+fn plurality_rhs(table: &Table, tuples: &[TupleId], rhs: usize) -> Value {
     let mut counts: HashMap<Value, usize> = HashMap::new();
     for &t in tuples {
-        if let Ok(row) = table.get(t) {
-            *counts.entry(row[rhs].clone()).or_insert(0) += 1;
+        if let Ok(v) = table.value_at(t, rhs) {
+            *counts.entry(v.clone()).or_insert(0) += 1;
         }
     }
     let mut entries: Vec<(Value, usize)> = counts.into_iter().collect();
@@ -519,11 +636,11 @@ fn plurality_rhs(table: &Table, tuples: &[revival_relation::TupleId], rhs: usize
 }
 
 /// A fresh value of the cell's type, unlikely to collide.
-fn fresh_value(table: &Table, t: revival_relation::TupleId, a: usize) -> Value {
+fn fresh_value(table: &Table, t: TupleId, a: usize) -> Value {
     unique_fresh(table, t, a, t.0)
 }
 
-fn unique_fresh(table: &Table, t: revival_relation::TupleId, a: usize, salt: u64) -> Value {
+fn unique_fresh(table: &Table, t: TupleId, a: usize, salt: u64) -> Value {
     match table.schema().attribute(a).ty {
         Type::Str => Value::str(format!("__fresh_{}_{}_{salt}", t.0, a)),
         Type::Int => Value::Int(-(1_000_000_007i64 + salt as i64 * 31 + t.0 as i64)),
@@ -726,6 +843,65 @@ mod tests {
     }
 
     #[test]
+    fn profile_gives_each_rhs_attribute_a_resolve_row() {
+        let s = schema();
+        let cfds = parse_cfds(
+            "customer([cc='44', zip] -> [street])\n\
+             customer([cc='01', ac='908'] -> [city='mh'])",
+            &s,
+        )
+        .unwrap();
+        let t = table(&[
+            ["44", "131", "Crichton", "edi", "EH8"],
+            ["44", "131", "Crichton", "edi", "EH8"],
+            ["44", "131", "Mayfield", "edi", "EH8"],
+            ["01", "908", "Mtn", "nyc", "07974"],
+        ]);
+        let repairer = BatchRepair::new(&cfds, CostModel::uniform(5));
+        let evals = revival_obs::global().counter("repair_distance_evals_total");
+        let evals_before = evals.get();
+        let (_, stats, profile) = repairer.repair_profiled(&t).unwrap();
+        // Other tests repair concurrently, so the mirror counter moved
+        // by at least this run's count.
+        assert!(evals.get() > evals_before);
+        let rows: Vec<_> = profile.constraints.iter().filter(|c| c.kind == "resolve").collect();
+        let names: Vec<&str> = rows.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["resolve customer.street", "resolve customer.city"]);
+        // Three street cells over two values: one distance. The city
+        // class is pinned: no values read, no distance.
+        let street = rows[0];
+        assert_eq!(
+            (street.classes, street.class_cells, street.distinct_values, street.distances_computed),
+            (1, 3, 2, 1)
+        );
+        assert_eq!((rows[1].classes, rows[1].class_cells, rows[1].distances_computed), (1, 1, 0));
+        // Rows sum to the job totals, which are the stats'.
+        assert_eq!(stats.resolve.classes, 2);
+        for (key, total, per_row) in [
+            ("classes", stats.resolve.classes, rows.iter().map(|c| c.classes).sum::<u64>()),
+            ("class_cells", stats.resolve.class_cells, rows.iter().map(|c| c.class_cells).sum()),
+            (
+                "distinct_values",
+                stats.resolve.distinct_values,
+                rows.iter().map(|c| c.distinct_values).sum(),
+            ),
+            (
+                "distances_computed",
+                stats.resolve.distances_computed,
+                rows.iter().map(|c| c.distances_computed).sum(),
+            ),
+        ] {
+            assert_eq!(profile.meta_get(key), Some(total), "{key}");
+            assert_eq!(per_row, total, "{key}");
+        }
+        // Set-up and scoring own rows too, and no row overflows the wall.
+        for kind in ["setup", "score"] {
+            assert_eq!(profile.constraints.iter().filter(|c| c.kind == kind).count(), 1, "{kind}");
+        }
+        assert!(profile.attributed_us() <= profile.wall_us);
+    }
+
+    #[test]
     fn malformed_suite_is_a_typed_error_not_a_panic() {
         use revival_constraints::pattern::{PatternRow, PatternValue};
         let s = schema();
@@ -750,6 +926,55 @@ mod tests {
         let (fixed, stats) = repairer.repair(&t).unwrap();
         assert_eq!(stats.cells_changed, 0);
         assert_eq!(stats.cost, 0.0);
+        assert_eq!(stats.resolve, ResolveStats::default());
         assert_eq!(fixed.diff_cells(&t), 0);
+    }
+
+    /// The work-count guard on the large-class workload: driving the
+    /// passes by hand, every class resolved by cost must account for
+    /// exactly c(c−1)/2 distance evaluations (c = its distinct member
+    /// values) — and the public path must report the same counts at
+    /// any shard count.
+    #[test]
+    fn hospital_distances_are_pairs_of_distinct_values() {
+        use revival_dirty::hospital::{attrs as h, generate, standard_cfds, HospitalConfig};
+        use revival_dirty::noise::{inject, NoiseConfig};
+        use std::collections::HashSet;
+
+        let data = generate(&HospitalConfig { rows: 12_000, seed: 11, ..Default::default() });
+        let noise = NoiseConfig::new(0.05, vec![h::STATE, h::MEASURE_NAME, h::HNAME], 11 ^ 0x405b);
+        let dirty = inject(&data.table, &noise).dirty;
+        let cfds = standard_cfds(&data.schema);
+        let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
+
+        let mut work = Working { table: dirty.clone(), written: Vec::new() };
+        let mut by_hand = ResolveStats::default();
+        let mut pairs = 0u64;
+        loop {
+            let report = repairer.detect_step(&work.table, None).unwrap();
+            if report.is_empty() {
+                break;
+            }
+            let plan = repairer.collect_classes(&work.table, &report.violations, false);
+            for (_, AttrClasses { mut eq, .. }) in plan.by_attr {
+                for (cells, pinned) in eq.groups() {
+                    if pinned.is_none() {
+                        let distinct: HashSet<Sym> =
+                            cells.iter().map(|&(t, a)| work.table.sym_at(t, a).unwrap()).collect();
+                        let c = distinct.len() as u64;
+                        pairs += c * (c - 1) / 2;
+                    }
+                }
+            }
+            assert!(repairer.resolve_pass(&mut work, &report.violations, &mut by_hand, None));
+        }
+        assert!(by_hand.classes > 100 && pairs > 1_000, "{by_hand:?}: not the large-class case");
+        assert!(by_hand.class_cells > 10 * by_hand.distinct_values, "{by_hand:?}");
+        assert_eq!(by_hand.distances_computed, pairs);
+        for jobs in [1, 4] {
+            let sharded = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
+            let (_, stats) = sharded.with_jobs(jobs).repair(&dirty).unwrap();
+            assert_eq!(stats.resolve, by_hand, "jobs={jobs}");
+        }
     }
 }

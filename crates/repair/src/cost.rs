@@ -6,26 +6,87 @@
 //! Weights model confidence in the source data — cells known to be
 //! reliable get high weight and are expensive to change, steering the
 //! repair toward editing suspect cells.
+//!
+//! The edit distance is the inner loop of class resolution
+//! ([`crate::eqclass`]), so it is written to do little per call: the
+//! common prefix and suffix are stripped before the DP (dirty values
+//! are mostly one or two typos away from their class's truth, so most
+//! calls shrink to a handful of cells), ASCII strings run over their
+//! bytes with no decoding, and a [`DistanceScratch`] carries the DP
+//! rows from call to call so a class's c(c−1)/2 evaluations allocate
+//! once.
 
 use revival_relation::{Table, TupleId, Value};
 use std::collections::HashMap;
 
-/// Normalised Damerau-Levenshtein distance between two strings
-/// (transpositions count 1), in `[0, 1]`.
-pub fn string_distance(a: &str, b: &str) -> f64 {
-    if a == b {
-        return 0.0;
+/// Reusable buffers for the edit-distance DP: three rows, plus the
+/// decoded characters of non-ASCII operands. Distances do not depend
+/// on what a scratch was used for before.
+#[derive(Default)]
+pub struct DistanceScratch {
+    rows: [Vec<usize>; 3],
+    chars: [Vec<char>; 2],
+}
+
+impl DistanceScratch {
+    /// [`string_distance`], reusing this scratch's buffers.
+    pub fn string_distance(&mut self, a: &str, b: &str) -> f64 {
+        if a == b {
+            return 0.0;
+        }
+        if a.is_ascii() && b.is_ascii() {
+            let edits = osa_distance(a.as_bytes(), b.as_bytes(), &mut self.rows);
+            return edits as f64 / a.len().max(b.len()) as f64;
+        }
+        let [ca, cb] = &mut self.chars;
+        ca.clear();
+        ca.extend(a.chars());
+        cb.clear();
+        cb.extend(b.chars());
+        osa_distance(ca, cb, &mut self.rows) as f64 / ca.len().max(cb.len()) as f64
     }
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+
+    /// [`value_distance`], reusing this scratch's buffers.
+    pub fn value_distance(&mut self, a: &Value, b: &Value) -> f64 {
+        if a == b {
+            return 0.0;
+        }
+        match (a, b) {
+            (Value::Str(x), Value::Str(y)) => self.string_distance(x, y),
+            (Value::Int(_), Value::Int(_))
+            | (Value::Float(_), Value::Float(_))
+            | (Value::Int(_), Value::Float(_))
+            | (Value::Float(_), Value::Int(_)) => {
+                let numeric = "Int and Float read as floats";
+                let (x, y) = (a.as_float().expect(numeric), b.as_float().expect(numeric));
+                let denom = x.abs().max(y.abs()).max(1.0);
+                ((x - y).abs() / denom).min(1.0)
+            }
+            _ => 1.0,
+        }
+    }
+}
+
+/// Damerau-Levenshtein edits between two symbol strings (optimal string
+/// alignment: a transposition of adjacent symbols counts 1). A shared
+/// prefix or suffix never takes part in an optimal alignment's edits,
+/// so the DP runs over the differing middles only.
+fn osa_distance<T: PartialEq>(a: &[T], b: &[T], rows: &mut [Vec<usize>; 3]) -> usize {
+    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[prefix..], &b[prefix..]);
+    let suffix = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
-        return 1.0;
+        return n.max(m);
     }
-    // Damerau-Levenshtein (optimal string alignment variant).
-    let mut prev2: Vec<usize> = vec![0; m + 1];
-    let mut prev: Vec<usize> = (0..=m).collect();
-    let mut cur: Vec<usize> = vec![0; m + 1];
+    let [prev2, prev, cur] = rows;
+    prev2.clear();
+    prev2.resize(m + 1, 0);
+    prev.clear();
+    prev.extend(0..=m);
+    cur.clear();
+    cur.resize(m + 1, 0);
     for i in 1..=n {
         cur[0] = i;
         for j in 1..=m {
@@ -35,29 +96,22 @@ pub fn string_distance(a: &str, b: &str) -> f64 {
                 cur[j] = cur[j].min(prev2[j - 2] + 1);
             }
         }
-        std::mem::swap(&mut prev2, &mut prev);
-        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(prev2, prev);
+        std::mem::swap(prev, cur);
     }
-    prev[m] as f64 / n.max(m) as f64
+    prev[m]
+}
+
+/// Normalised Damerau-Levenshtein distance between two strings
+/// (transpositions count 1), in `[0, 1]`: edits over the longer
+/// string's length in characters.
+pub fn string_distance(a: &str, b: &str) -> f64 {
+    DistanceScratch::default().string_distance(a, b)
 }
 
 /// Normalised distance between two values, in `[0, 1]`.
 pub fn value_distance(a: &Value, b: &Value) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => string_distance(x, y),
-        (Value::Int(_), Value::Int(_))
-        | (Value::Float(_), Value::Float(_))
-        | (Value::Int(_), Value::Float(_))
-        | (Value::Float(_), Value::Int(_)) => {
-            let (x, y) = (a.as_float().unwrap(), b.as_float().unwrap());
-            let denom = x.abs().max(y.abs()).max(1.0);
-            ((x - y).abs() / denom).min(1.0)
-        }
-        _ => 1.0,
-    }
+    DistanceScratch::default().value_distance(a, b)
 }
 
 /// Per-cell weights with a uniform default.
@@ -101,20 +155,29 @@ impl CostModel {
         self.weight(tuple, attr) * value_distance(from, to)
     }
 
-    /// Total weighted cell distance between two tables (the objective
-    /// the repair heuristic minimises).
-    pub fn repair_cost(&self, original: &Table, repaired: &Table) -> f64 {
-        let mut cost = 0.0;
-        for (id, row) in original.rows() {
-            if let Ok(rep) = repaired.get(id) {
-                for (a, (v, w)) in row.iter().zip(&rep).enumerate() {
-                    if v != w {
-                        cost += self.change_cost(id, a, v, w);
-                    }
+    /// Changed-cell count and total weighted cell distance (the
+    /// objective the repair heuristic minimises) between a table and
+    /// its repair, over `cells` — the cells the repair wrote, each
+    /// listed once. Every other cell is equal in both tables and adds
+    /// nothing, so the walk is over the edits, not over both tables.
+    /// Costs add up in the order given.
+    pub fn repair_cost(
+        &self,
+        original: &Table,
+        repaired: &Table,
+        cells: &[(TupleId, usize)],
+    ) -> (usize, f64) {
+        let (mut changed, mut cost) = (0, 0.0);
+        let mut scratch = DistanceScratch::default();
+        for &(id, a) in cells {
+            if let (Ok(v), Ok(w)) = (original.value_at(id, a), repaired.value_at(id, a)) {
+                if v != w {
+                    changed += 1;
+                    cost += self.weight(id, a) * scratch.value_distance(v, w);
                 }
             }
         }
-        cost
+        (changed, cost)
     }
 }
 
@@ -169,7 +232,9 @@ mod tests {
         let mut t2 = t1.clone();
         t2.set_cell(id, 0, "abce".into()).unwrap();
         let m = CostModel::uniform(1);
-        assert!((m.repair_cost(&t1, &t2) - 0.25).abs() < 1e-9);
-        assert_eq!(m.repair_cost(&t1, &t1), 0.0);
+        let (changed, cost) = m.repair_cost(&t1, &t2, &[(id, 0)]);
+        assert_eq!(changed, 1);
+        assert!((cost - 0.25).abs() < 1e-9);
+        assert_eq!(m.repair_cost(&t1, &t1, &[(id, 0)]), (0, 0.0));
     }
 }

@@ -5,10 +5,23 @@
 //! cells into equivalence classes and later assign each class one
 //! *target value* minimising the weighted cost of changing all member
 //! cells — preserving the plurality value in the common case.
+//!
+//! A class resolves over its **distinct values**, not its member
+//! cells. The cost of moving a class of k cells to candidate `x` is
+//! `Σ_cells w·d(v, x)`; cells holding the same value share `d(v, x)`,
+//! so the sum factorises as `Σ_values (Σ w)·d(v, x)` — and the table's
+//! interned columns hand over the distinct values as [`Sym`]s for
+//! free. A class of c distinct values therefore costs c(c−1)/2
+//! distance evaluations however many cells it has (each unordered pair
+//! once, `d(v, v)` never), where a per-cell sum would cost k·c.
+//! [`ResolveStats`] counts that work.
 
-use crate::cost::{value_distance, CostModel};
+use crate::cost::{CostModel, DistanceScratch};
+use revival_detect::parallel::map_chunks;
 use revival_relation::groupby::hash_words;
-use revival_relation::{GroupBy, Table, TupleId, Value};
+use revival_relation::{GroupBy, Sym, Table, TupleId, Value};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// A cell identified by `(tuple, attribute)`.
 pub type Cell = (TupleId, usize);
@@ -17,7 +30,7 @@ pub type Cell = (TupleId, usize);
 /// probe without per-probe allocation, same shape as detection's key
 /// projections.
 #[inline]
-fn cell_hash(c: Cell) -> u64 {
+pub(crate) fn cell_hash(c: Cell) -> u64 {
     hash_words([c.0 .0, c.1 as u64])
 }
 
@@ -133,86 +146,163 @@ impl EquivClasses {
         out
     }
 
-    /// Resolve the target value of a class: the pinned constant if any,
-    /// otherwise the member value minimising total weighted change cost
-    /// (weighted plurality under the distance metric).
-    pub fn resolve_value(
-        cells: &[Cell],
-        pinned: &Option<Value>,
-        table: &Table,
-        cost: &CostModel,
-    ) -> Value {
-        if let Some(v) = pinned {
-            return v.clone();
-        }
-        // Candidates = distinct current values of member cells.
-        let mut candidates: Vec<Value> = Vec::new();
-        let mut current: Vec<(Cell, Value)> = Vec::new();
-        for &c in cells {
-            // Single-cell fetch straight from the column — no row
-            // materialisation per member cell.
-            if let Ok(v) = table.value_at(c.0, c.1) {
-                if !candidates.contains(v) {
-                    candidates.push(v.clone());
-                }
-                current.push((c, v.clone()));
-            }
-        }
-        candidates.sort();
-        let mut best: Option<(f64, Value)> = None;
-        for cand in candidates {
-            let total: f64 = current
-                .iter()
-                .map(|((t, a), v)| cost.weight(*t, *a) * value_distance(v, &cand))
-                .sum();
-            match &best {
-                Some((b, _)) if *b <= total => {}
-                _ => best = Some((total, cand)),
-            }
-        }
-        best.map(|(_, v)| v).unwrap_or(Value::Null)
-    }
-
     /// Resolve the target value of every class in `groups`, sharding the
-    /// per-class cost scans across `jobs` scoped threads.
+    /// classes across `jobs` scoped threads.
     ///
-    /// Each class resolves independently ([`EquivClasses::resolve_value`]
-    /// only reads the table and cost model), so the group list is split
-    /// into contiguous chunks, one worker per chunk, and the per-chunk
-    /// results concatenate in chunk order — the returned vector is
-    /// positionally aligned with `groups` and *identical* to what a
-    /// sequential loop computes, at any shard count. This is the repair
-    /// counterpart of the detection sharding in
-    /// `revival_detect::parallel`.
+    /// Each class resolves independently (a worker only reads the table
+    /// and cost model), so the group list is split into contiguous
+    /// chunks, one worker per chunk, and the per-chunk results
+    /// concatenate in chunk order — the targets are positionally
+    /// aligned with `groups` and *identical* to what a sequential loop
+    /// computes, at any shard count, and so are the work counts. This
+    /// is the repair counterpart of the detection sharding in
+    /// `revival_detect::parallel`, on the same `map_chunks`.
     pub fn resolve_targets(
         groups: &[(Vec<Cell>, Option<Value>)],
         table: &Table,
         cost: &CostModel,
         jobs: usize,
-    ) -> Vec<Value> {
-        let resolve_chunk = |chunk: &[(Vec<Cell>, Option<Value>)]| -> Vec<Value> {
-            chunk
-                .iter()
-                .map(|(cells, pinned)| Self::resolve_value(cells, pinned, table, cost))
-                .collect()
-        };
-        if jobs <= 1 || groups.len() <= 1 {
-            return resolve_chunk(groups);
+    ) -> Resolved {
+        let chunks = map_chunks(groups, jobs, |chunk| {
+            let mut resolver = Resolver::new(table, cost);
+            let targets: Vec<Value> =
+                chunk.iter().map(|(cells, pinned)| resolver.resolve(cells, pinned)).collect();
+            (targets, resolver.stats)
+        });
+        let mut out = Resolved::default();
+        for ((targets, stats), us) in chunks {
+            out.targets.extend(targets);
+            out.stats.add(&stats);
+            out.shard_us.push(us);
         }
-        let chunk_size = groups.len().div_ceil(jobs).max(1);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || resolve_chunk(chunk)))
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("resolve worker panicked")).collect()
-        })
+        out
+    }
+}
+
+/// What [`EquivClasses::resolve_targets`] did for a batch of classes —
+/// the repair twin of detection's rows-scanned / groups-probed counts.
+/// Deterministic: the same classes give the same counts at any `jobs`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ResolveStats {
+    /// Classes resolved, pinned ones included.
+    pub classes: u64,
+    /// Member cells over those classes (Σ k).
+    pub class_cells: u64,
+    /// Distinct member values over the classes resolved by cost (Σ c);
+    /// a pinned class takes its pin without reading its members.
+    pub distinct_values: u64,
+    /// Distance evaluations made: Σ c(c−1)/2 over the same classes.
+    pub distances_computed: u64,
+}
+
+impl ResolveStats {
+    /// Fold another batch's counts in.
+    pub fn add(&mut self, other: &ResolveStats) {
+        self.classes += other.classes;
+        self.class_cells += other.class_cells;
+        self.distinct_values += other.distinct_values;
+        self.distances_computed += other.distances_computed;
+    }
+}
+
+/// [`EquivClasses::resolve_targets`]' output.
+#[derive(Debug, Default)]
+pub struct Resolved {
+    /// One target value per class, aligned with the input groups.
+    pub targets: Vec<Value>,
+    /// The work those classes took.
+    pub stats: ResolveStats,
+    /// Worker wall-µs per chunk, in chunk order.
+    pub shard_us: Vec<u64>,
+}
+
+/// One worker's resolve state: the class histogram and distance
+/// buffers, reused across the classes of its chunk, and its counts.
+struct Resolver<'a> {
+    table: &'a Table,
+    cost: &'a CostModel,
+    /// Position in `hist` of each value seen in the current class.
+    seen: HashMap<Sym, usize>,
+    /// The current class's distinct values with their summed weights.
+    hist: Vec<(Sym, f64)>,
+    /// Total change cost of moving the class to each value of `hist`.
+    totals: Vec<f64>,
+    scratch: DistanceScratch,
+    stats: ResolveStats,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(table: &'a Table, cost: &'a CostModel) -> Self {
+        Resolver {
+            table,
+            cost,
+            seen: HashMap::new(),
+            hist: Vec::new(),
+            totals: Vec::new(),
+            scratch: DistanceScratch::default(),
+            stats: ResolveStats::default(),
+        }
+    }
+
+    /// The target value of one class: the pinned constant if any,
+    /// otherwise the member value minimising total weighted change cost
+    /// (weighted plurality under the distance metric), the smallest
+    /// such value on a tie.
+    ///
+    /// The summation order is part of the definition, since float sums
+    /// do not commute: a value's weight is the sum of its cells'
+    /// weights in cell order, and a candidate's total adds
+    /// `weight · distance` over the other values in `Value` order.
+    fn resolve(&mut self, cells: &[Cell], pinned: &Option<Value>) -> Value {
+        self.stats.classes += 1;
+        self.stats.class_cells += cells.len() as u64;
+        if let Some(v) = pinned {
+            return v.clone();
+        }
+        self.seen.clear();
+        self.hist.clear();
+        for &(t, a) in cells {
+            let Ok(sym) = self.table.sym_at(t, a) else { continue };
+            let w = self.cost.weight(t, a);
+            match self.seen.entry(sym) {
+                Entry::Occupied(at) => self.hist[*at.get()].1 += w,
+                Entry::Vacant(at) => {
+                    at.insert(self.hist.len());
+                    self.hist.push((sym, w));
+                }
+            }
+        }
+        let pool = self.table.pool();
+        self.hist.sort_by(|x, y| pool.value(x.0).cmp(pool.value(y.0)));
+        let c = self.hist.len();
+        self.stats.distinct_values += c as u64;
+        self.totals.clear();
+        self.totals.resize(c, 0.0);
+        for i in 0..c {
+            let (vi, wi) = (pool.value(self.hist[i].0), self.hist[i].1);
+            for j in i + 1..c {
+                let (vj, wj) = (pool.value(self.hist[j].0), self.hist[j].1);
+                let d = self.scratch.value_distance(vi, vj);
+                self.stats.distances_computed += 1;
+                self.totals[i] += wj * d;
+                self.totals[j] += wi * d;
+            }
+        }
+        let mut best: Option<usize> = None;
+        for (i, total) in self.totals.iter().enumerate() {
+            match best {
+                Some(b) if self.totals[b] <= *total => {}
+                _ => best = Some(i),
+            }
+        }
+        best.map_or(Value::Null, |i| pool.value(self.hist[i].0).clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::value_distance;
     use revival_relation::{Schema, Type};
 
     fn cell(t: u64, a: usize) -> Cell {
@@ -257,6 +347,58 @@ mod tests {
         assert!(sizes.contains(&1));
     }
 
+    /// One class through the public entry point.
+    fn resolve_one(
+        cells: &[Cell],
+        pinned: Option<Value>,
+        table: &Table,
+        cost: &CostModel,
+    ) -> (Value, ResolveStats) {
+        let groups = [(cells.to_vec(), pinned)];
+        let mut resolved = EquivClasses::resolve_targets(&groups, table, cost, 1);
+        (resolved.targets.remove(0), resolved.stats)
+    }
+
+    /// The per-cell formulation the histogram resolver replaced, kept
+    /// as its oracle: each candidate (distinct member value, in `Value`
+    /// order) with Σ weight · distance over the member *cells*, in cell
+    /// order — k·c distance calls.
+    fn reference_totals(cells: &[Cell], table: &Table, cost: &CostModel) -> Vec<(Value, f64)> {
+        let mut candidates: Vec<Value> = Vec::new();
+        let mut current: Vec<(Cell, Value)> = Vec::new();
+        for &c in cells {
+            if let Ok(v) = table.value_at(c.0, c.1) {
+                if !candidates.contains(v) {
+                    candidates.push(v.clone());
+                }
+                current.push((c, v.clone()));
+            }
+        }
+        candidates.sort();
+        candidates
+            .into_iter()
+            .map(|cand| {
+                let total: f64 = current
+                    .iter()
+                    .map(|((t, a), v)| cost.weight(*t, *a) * value_distance(v, &cand))
+                    .sum();
+                (cand, total)
+            })
+            .collect()
+    }
+
+    /// The oracle's pick: the first minimum in `Value` order.
+    fn reference_value(totals: &[(Value, f64)]) -> Value {
+        let mut best: Option<&(Value, f64)> = None;
+        for entry in totals {
+            match best {
+                Some(b) if b.1 <= entry.1 => {}
+                _ => best = Some(entry),
+            }
+        }
+        best.map_or(Value::Null, |b| b.0.clone())
+    }
+
     #[test]
     fn resolve_prefers_plurality() {
         let s = Schema::builder("r").attr("a", Type::Str).build();
@@ -266,7 +408,7 @@ mod tests {
         let i2 = t.push(vec!["maim st".into()]).unwrap();
         let cost = CostModel::uniform(1);
         let cells = vec![(i0, 0), (i1, 0), (i2, 0)];
-        let v = EquivClasses::resolve_value(&cells, &None, &t, &cost);
+        let (v, _) = resolve_one(&cells, None, &t, &cost);
         assert_eq!(v, Value::from("main st"));
     }
 
@@ -278,13 +420,110 @@ mod tests {
         let i1 = t.push(vec!["bbb".into()]).unwrap();
         let cells = vec![(i0, 0), (i1, 0)];
         let mut cost = CostModel::uniform(1);
-        // Pin wins outright.
-        let v = EquivClasses::resolve_value(&cells, &Some("ccc".into()), &t, &cost);
+        // An exact tie goes to the smallest value.
+        let (v, _) = resolve_one(&cells, None, &t, &cost);
+        assert_eq!(v, Value::from("aaa"));
+        // Pin wins outright, without a single distance evaluation.
+        let (v, stats) = resolve_one(&cells, Some("ccc".into()), &t, &cost);
         assert_eq!(v, Value::from("ccc"));
+        assert_eq!(
+            stats,
+            ResolveStats { classes: 1, class_cells: 2, distinct_values: 0, distances_computed: 0 }
+        );
         // Heavier cell drags the class to its value.
         cost.set_cell_weight(i1, 0, 10.0);
-        let v = EquivClasses::resolve_value(&cells, &None, &t, &cost);
+        let (v, _) = resolve_one(&cells, None, &t, &cost);
         assert_eq!(v, Value::from("bbb"));
+    }
+
+    /// The work-count guard (repair's `scans_once_per_embedded_fd`): a
+    /// class pays for its distinct values, not its cells.
+    #[test]
+    fn thousand_cells_over_ten_values_take_45_distances() {
+        let s = Schema::builder("r").attr("a", Type::Str).build();
+        let mut t = Table::new(s);
+        let cells: Vec<Cell> = (0..1000)
+            .map(|i| (t.push(vec![Value::str(format!("value {}", i % 10))]).unwrap(), 0))
+            .collect();
+        let (_, stats) = resolve_one(&cells, None, &t, &CostModel::uniform(1));
+        assert_eq!(
+            stats,
+            ResolveStats {
+                classes: 1,
+                class_cells: 1000,
+                distinct_values: 10,
+                distances_computed: 45
+            }
+        );
+    }
+
+    /// Random classes — strings a typo apart, unrelated strings,
+    /// non-ASCII, numbers — under random attribute weights, per-cell
+    /// overrides and pins: the histogram resolver returns the per-cell
+    /// oracle's value, or one the oracle prices within float rounding
+    /// of its minimum (the two sum in different orders).
+    #[test]
+    fn histogram_resolver_matches_per_cell_oracle() {
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let words = [
+            "main street",
+            "maim street",
+            "main stret",
+            "mian street",
+            "oak avenue",
+            "oak avnue",
+            "elm",
+            "",
+            "élan vital",
+            "elan vital",
+            "éaln vital",
+            "zürich",
+            "zurich",
+        ];
+        let weights = [0.1, 0.25, 0.5, 1.0, 1.3, 2.0, 3.7, 5.0];
+        let s = Schema::builder("r").attr("s", Type::Str).attr("n", Type::Int).build();
+        for round in 0..400 {
+            let mut t = Table::new(s.clone());
+            let mut cost = CostModel::uniform(2);
+            cost.set_attr_weight(0, weights[next(weights.len())]);
+            cost.set_attr_weight(1, weights[next(weights.len())]);
+            let attr = next(2);
+            let vocabulary = 1 + next(8);
+            let cells: Vec<Cell> = (0..1 + next(40))
+                .map(|_| {
+                    let pick = next(vocabulary);
+                    let id = t
+                        .push(vec![Value::from(words[pick]), Value::Int(100 + 7 * pick as i64)])
+                        .unwrap();
+                    if next(10) == 0 {
+                        cost.set_cell_weight(id, attr, weights[next(weights.len())]);
+                    }
+                    (id, attr)
+                })
+                .collect();
+            let pinned = (next(10) == 0).then(|| Value::from("pinned"));
+            let totals = reference_totals(&cells, &t, &cost);
+            let want = pinned.clone().unwrap_or_else(|| reference_value(&totals));
+            let (got, stats) = resolve_one(&cells, pinned.clone(), &t, &cost);
+            if got != want {
+                let priced =
+                    |v: &Value| totals.iter().find(|(c, _)| c == v).map(|(_, total)| *total);
+                let (got_total, want_total) = (priced(&got), priced(&want));
+                assert!(
+                    matches!((got_total, want_total), (Some(g), Some(w)) if (g - w).abs() <= 1e-9),
+                    "round {round}: got {got:?} ({got_total:?}), oracle {want:?} ({want_total:?})"
+                );
+            }
+            let c = if pinned.is_some() { 0 } else { totals.len() as u64 };
+            assert_eq!(stats.distinct_values, c, "round {round}");
+            assert_eq!(stats.distances_computed, c * c.saturating_sub(1) / 2, "round {round}");
+        }
     }
 
     #[test]
@@ -307,12 +546,11 @@ mod tests {
         let cost = CostModel::uniform(1);
         let sequential = EquivClasses::resolve_targets(&groups, &t, &cost, 1);
         for jobs in [2, 3, 4, 7, 32] {
-            assert_eq!(
-                EquivClasses::resolve_targets(&groups, &t, &cost, jobs),
-                sequential,
-                "jobs={jobs}"
-            );
+            let sharded = EquivClasses::resolve_targets(&groups, &t, &cost, jobs);
+            assert_eq!(sharded.targets, sequential.targets, "jobs={jobs}");
+            assert_eq!(sharded.stats, sequential.stats, "jobs={jobs}");
         }
-        assert_eq!(sequential[4], Value::from("pinned"));
+        assert_eq!(sequential.targets[4], Value::from("pinned"));
+        assert_eq!(sequential.stats.classes, 20);
     }
 }

@@ -31,8 +31,10 @@ commands:
            [--explain [text|json]]
                                  compute a minimal-cost repair;
                                  --explain adds per-phase timings
-                                 (detect/resolve/force) and cells
-                                 changed per constraint
+                                 (detect/resolve/force), cells changed
+                                 per constraint, and per RHS attribute
+                                 a resolve row: classes, member cells,
+                                 distinct values, distances computed
   discover --data FILE [--table NAME] [--data name=path]...
            [--min-support N] [--min-confidence F] [--max-lhs N]
            [--top-values N] [--budget N] [--jobs N]

@@ -178,3 +178,57 @@ proptest! {
         prop_assert_eq!(t.len(), back.len());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `string_distance` strips common affixes, runs ASCII over bytes
+    /// and reuses its DP rows; a textbook optimal-string-alignment DP
+    /// over the whole strings must agree with it to the last bit — on
+    /// operands sharing a prefix and suffix around two-letter middles
+    /// (so transpositions land on the trim boundary), on empty and
+    /// equal operands, on ASCII and on multibyte text, and whatever an
+    /// earlier call left in the scratch.
+    #[test]
+    fn string_distance_equals_textbook_osa(
+        prefix in "[abé]{0,3}",
+        mid_a in "[ab]{0,5}",
+        mid_b in "[ab]{0,5}",
+        suffix in "[abß]{0,3}",
+        wide_a in "[a-cé日]{0,7}",
+        wide_b in "[a-cé日]{0,7}",
+    ) {
+        use revival::repair::cost::{string_distance, DistanceScratch};
+        fn textbook(a: &str, b: &str) -> f64 {
+            let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            let (n, m) = (a.len(), b.len());
+            if n.max(m) == 0 {
+                return 0.0;
+            }
+            let mut d = vec![vec![0usize; m + 1]; n + 1];
+            for (i, row) in d.iter_mut().enumerate() {
+                row[0] = i;
+            }
+            d[0] = (0..=m).collect();
+            for i in 1..=n {
+                for j in 1..=m {
+                    let sub = usize::from(a[i - 1] != b[j - 1]);
+                    d[i][j] = (d[i - 1][j] + 1).min(d[i][j - 1] + 1).min(d[i - 1][j - 1] + sub);
+                    if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
+                        d[i][j] = d[i][j].min(d[i - 2][j - 2] + 1);
+                    }
+                }
+            }
+            d[n][m] as f64 / n.max(m) as f64
+        }
+        let a = format!("{prefix}{mid_a}{suffix}");
+        let b = format!("{prefix}{mid_b}{suffix}");
+        let mut scratch = DistanceScratch::default();
+        for (x, y) in [(&a, &b), (&wide_a, &wide_b), (&a, &wide_b), (&mid_a, &mid_b), (&a, &a)] {
+            let want = textbook(x, y).to_bits();
+            prop_assert_eq!(string_distance(x, y).to_bits(), want, "{:?} vs {:?}", x, y);
+            prop_assert_eq!(scratch.string_distance(x, y).to_bits(), want, "{:?} vs {:?}", x, y);
+            prop_assert_eq!(scratch.string_distance(y, x).to_bits(), want, "{:?} vs {:?}", y, x);
+        }
+    }
+}
