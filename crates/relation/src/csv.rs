@@ -6,196 +6,294 @@
 //! embedded newlines inside quotes, optional trailing newline. Headers
 //! are required and must match the schema's attribute names when a schema
 //! is provided.
+//!
+//! Every reader sits on one [`Scanner`], which hands out each field as a
+//! `&str` borrowed from the input (copied to a scratch buffer only when
+//! unescaping changes its bytes). The table loaders turn a field into a
+//! typed pool key and intern it straight into the columns, so a cell
+//! allocates only the first time its value is seen. The writer walks the
+//! columns the other way: symbol → pool value → one reused line buffer.
 
 use crate::error::{Error, Result};
+use crate::pool::{Key, Sym};
 use crate::schema::{Attribute, Schema, Type};
 use crate::table::Table;
 use crate::value::Value;
-use std::io::{BufRead, Write};
+use std::collections::HashSet;
+use std::fmt::Write as _;
+use std::io::Write as _;
 
-/// Parse one CSV record from `input` starting at byte `pos`.
-/// Returns the fields and the new position, or `None` at end of input.
-fn parse_record(input: &str, pos: &mut usize, line: &mut usize) -> Result<Option<Vec<String>>> {
-    let bytes = input.as_bytes();
-    if *pos >= bytes.len() {
-        return Ok(None);
+/// One scanned record: where it starts and how many fields it has.
+struct Record {
+    /// 1-based physical line the record starts on — what every
+    /// [`Error::Csv`] about the record reports.
+    line: usize,
+    fields: usize,
+}
+
+/// Record scanner over CSV text.
+struct Scanner<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread field.
+    pos: usize,
+    /// 1-based physical line `pos` is on.
+    line: usize,
+    /// Holds a field whose text is not a contiguous slice of `input`
+    /// (`""` escapes, or text after a closing quote); reused.
+    scratch: String,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(input: &'a str) -> Self {
+        Scanner::at_line(input, 1)
     }
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut i = *pos;
-    loop {
-        if i >= bytes.len() {
-            if in_quotes {
-                return Err(Error::Csv {
-                    line: *line,
-                    message: "unterminated quoted field".into(),
-                });
+
+    /// A scanner whose input starts on physical line `line`.
+    fn at_line(input: &'a str, line: usize) -> Self {
+        Scanner { input, pos: 0, line, scratch: String::new() }
+    }
+
+    /// Scan the next non-blank record, handing each field to
+    /// `visit(position, text)`; `None` at end of input. A record that is
+    /// a single empty field (an empty line, or just `""`) is blank and
+    /// skipped.
+    fn record(&mut self, mut visit: impl FnMut(usize, &str)) -> Result<Option<Record>> {
+        while self.pos < self.input.len() {
+            let line = self.line;
+            let (first, mut more) = self.field(line)?;
+            if first.is_empty() && !more {
+                continue;
             }
-            fields.push(std::mem::take(&mut field));
-            *pos = i;
-            return Ok(Some(fields));
+            visit(0, first);
+            let mut fields = 1;
+            while more {
+                let (field, m) = self.field(line)?;
+                visit(fields, field);
+                fields += 1;
+                more = m;
+            }
+            return Ok(Some(Record { line, fields }));
         }
-        let c = bytes[i];
-        if in_quotes {
-            match c {
-                b'"' => {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                        field.push('"');
+        Ok(None)
+    }
+
+    /// Scan one field: an optional quoted part, then unquoted text up to
+    /// the next `,` (→ `true`: the record continues) or to a line break
+    /// or the end of input (→ `false`). `record_line` labels errors.
+    ///
+    /// Every slice boundary below sits next to an ASCII delimiter or at
+    /// an end of `input`, so it is a `char` boundary.
+    fn field(&mut self, record_line: usize) -> Result<(&str, bool)> {
+        let err = |message: &str| Error::Csv { line: record_line, message: message.into() };
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut i = self.pos;
+        // `Some(text)` once a quoted part has been read, borrowed while
+        // it is a plain slice of the input.
+        let mut quoted = None;
+        if bytes.get(i) == Some(&b'"') {
+            i += 1;
+            self.scratch.clear();
+            let mut from = i;
+            loop {
+                match bytes.get(i) {
+                    None => return Err(err("unterminated quoted field")),
+                    Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
+                        // Keep the first quote of the pair, skip the second.
+                        self.scratch.push_str(&input[from..=i]);
                         i += 2;
-                    } else {
-                        in_quotes = false;
+                        from = i;
+                    }
+                    Some(b'"') => break,
+                    Some(b'\n') => {
+                        self.line += 1;
                         i += 1;
                     }
-                }
-                b'\n' => {
-                    field.push('\n');
-                    *line += 1;
-                    i += 1;
-                }
-                _ => {
-                    // Push the whole UTF-8 char, not just one byte.
-                    let ch_len = utf8_len(c);
-                    field.push_str(&input[i..i + ch_len]);
-                    i += ch_len;
+                    Some(_) => i += 1,
                 }
             }
-        } else {
-            match c {
-                b'"' => {
-                    if !field.is_empty() {
-                        return Err(Error::Csv {
-                            line: *line,
-                            message: "quote inside unquoted field".into(),
-                        });
-                    }
-                    in_quotes = true;
-                    i += 1;
-                }
-                b',' => {
-                    fields.push(std::mem::take(&mut field));
-                    i += 1;
-                }
-                b'\r' => {
-                    if i + 1 < bytes.len() && bytes[i + 1] == b'\n' {
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                    *line += 1;
-                    fields.push(std::mem::take(&mut field));
-                    *pos = i;
-                    return Ok(Some(fields));
-                }
-                b'\n' => {
-                    i += 1;
-                    *line += 1;
-                    fields.push(std::mem::take(&mut field));
-                    *pos = i;
-                    return Ok(Some(fields));
-                }
-                _ => {
-                    let ch_len = utf8_len(c);
-                    field.push_str(&input[i..i + ch_len]);
-                    i += ch_len;
-                }
-            }
+            quoted = Some(&input[from..i]);
+            i += 1;
         }
+        let rest = i;
+        let more = loop {
+            match bytes.get(i) {
+                Some(b',') => break true,
+                None | Some(b'\n' | b'\r') => break false,
+                Some(b'"') => return Err(err("quote inside unquoted field")),
+                Some(_) => i += 1,
+            }
+        };
+        let rest = &input[rest..i];
+        self.pos = match bytes.get(i) {
+            None => i,
+            Some(b'\r') if bytes.get(i + 1) == Some(&b'\n') => i + 2,
+            Some(_) => i + 1,
+        };
+        if !more && i < bytes.len() {
+            self.line += 1;
+        }
+        let field = match quoted {
+            None => rest,
+            Some(tail) if self.scratch.is_empty() && rest.is_empty() => tail,
+            Some(tail) => {
+                self.scratch.push_str(tail);
+                self.scratch.push_str(rest);
+                &self.scratch
+            }
+        };
+        Ok((field, more))
     }
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
-    }
-}
-
-/// Parse a full CSV document into records.
+/// Parse a full CSV document into records (blank records skipped).
 pub fn parse(input: &str) -> Result<Vec<Vec<String>>> {
-    let mut pos = 0;
-    let mut line = 1;
-    let mut out = Vec::new();
-    while let Some(rec) = parse_record(input, &mut pos, &mut line)? {
-        // Skip completely blank records (e.g. trailing newline).
-        if rec.len() == 1 && rec[0].is_empty() {
-            continue;
+    let mut scanner = Scanner::new(input);
+    let mut out: Vec<Vec<String>> = Vec::new();
+    loop {
+        let mut fields = Vec::with_capacity(out.last().map_or(0, Vec::len));
+        if scanner.record(|_, field| fields.push(field.to_string()))?.is_none() {
+            return Ok(out);
         }
-        out.push(rec);
+        out.push(fields);
     }
-    Ok(out)
 }
 
-/// Load a table from CSV text, validating the header against `schema`.
-pub fn read_table(schema: &Schema, input: &str) -> Result<Table> {
-    let records = parse(input)?;
-    let mut it = records.into_iter();
-    let header = it.next().ok_or(Error::Csv { line: 1, message: "missing header".into() })?;
-    let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
-    if header != expected {
-        return Err(Error::Csv {
-            line: 1,
-            message: format!("header {header:?} does not match schema {expected:?}"),
-        });
-    }
-    let mut table = Table::new(schema.clone());
-    for (n, rec) in it.enumerate() {
-        if rec.len() != schema.arity() {
-            return Err(Error::Csv {
-                line: n + 2,
-                message: format!("expected {} fields, got {}", schema.arity(), rec.len()),
-            });
-        }
-        let mut row = Vec::with_capacity(rec.len());
-        for (attr, raw) in schema.attributes().iter().zip(&rec) {
-            let v = attr.ty.parse(raw).map_err(|_| Error::Csv {
-                line: n + 2,
-                message: format!("cannot parse `{raw}` as {} for `{}`", attr.ty, attr.name),
-            })?;
-            row.push(v);
-        }
-        table.push_unchecked(row);
+/// The header record: its line and column names.
+fn read_header(scanner: &mut Scanner<'_>) -> Result<(usize, Vec<String>)> {
+    let mut names = Vec::new();
+    let header = scanner
+        .record(|_, name| names.push(name.to_string()))?
+        .ok_or_else(|| Error::Csv { line: 1, message: "missing header".into() })?;
+    Ok((header.line, names))
+}
+
+/// Time one ingest call into `csv_ingest_us` and count what it loaded.
+fn observed(input: &str, ingest: impl FnOnce() -> Result<Table>) -> Result<Table> {
+    let obs = revival_obs::global();
+    let _span = revival_obs::Span::start(obs.histogram("csv_ingest_us"));
+    let table = ingest()?;
+    if revival_obs::enabled() {
+        obs.counter("csv_ingest_rows_total").add(table.len() as u64);
+        obs.counter("csv_ingest_bytes_total").add(input.len() as u64);
     }
     Ok(table)
 }
 
-/// Load a table from CSV inferring a schema: every column is `Str` unless
-/// all non-empty values parse as Int (then Int) or Float (then Float).
-pub fn read_table_infer(name: &str, input: &str) -> Result<Table> {
-    let records = parse(input)?;
-    let mut it = records.iter();
-    let header = it.next().ok_or(Error::Csv { line: 1, message: "missing header".into() })?;
-    let ncols = header.len();
-    let mut col_ty = vec![Type::Int; ncols];
-    let mut seen_any = vec![false; ncols];
-    for rec in records.iter().skip(1) {
-        for (c, raw) in rec.iter().enumerate().take(ncols) {
-            if raw.is_empty() {
-                continue;
-            }
-            seen_any[c] = true;
-            col_ty[c] = match col_ty[c] {
-                Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
-                Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
-                _ => Type::Str,
-            };
-        }
-    }
-    for (c, seen) in seen_any.iter().enumerate() {
-        if !seen {
-            col_ty[c] = Type::Str;
-        }
-    }
-    let attrs = header.iter().zip(&col_ty).map(|(h, &ty)| Attribute::new(h.clone(), ty)).collect();
-    let schema = Schema::new(name, attrs);
-    read_table(&schema, input)
+/// Load a table from CSV text, validating the header against `schema`.
+pub fn read_table(schema: &Schema, input: &str) -> Result<Table> {
+    observed(input, || load(schema, input, 0))
 }
 
-/// Quote a field if needed.
+/// [`read_table`]'s body; `rows` sizes the columns up front.
+fn load(schema: &Schema, input: &str, rows: usize) -> Result<Table> {
+    let mut scanner = Scanner::new(input);
+    let (line, header) = read_header(&mut scanner)?;
+    let attrs = schema.attributes();
+    if !header.iter().eq(attrs.iter().map(|a| &a.name)) {
+        let expected: Vec<&str> = attrs.iter().map(|a| a.name.as_str()).collect();
+        return Err(Error::Csv {
+            line,
+            message: format!("header {header:?} does not match schema {expected:?}"),
+        });
+    }
+    let mut table = Table::with_capacity(schema.clone(), rows);
+    let mut row: Vec<Sym> = Vec::with_capacity(attrs.len());
+    loop {
+        row.clear();
+        let pool = table.pool_mut();
+        if !typed_record(&mut scanner, attrs, |key| row.push(pool.intern_key(key)))? {
+            return Ok(table);
+        }
+        table.push_syms(&row);
+    }
+}
+
+/// Scan the next record against `attrs`, handing each cell to `cell` as
+/// a typed key; `false` at end of input. A record of the wrong arity is
+/// an error, and so — if the arity is right — is its first cell that
+/// does not parse as its column's type.
+fn typed_record(
+    scanner: &mut Scanner<'_>,
+    attrs: &[Attribute],
+    mut cell: impl FnMut(Key<'_>),
+) -> Result<bool> {
+    let mut bad: Option<(usize, String)> = None;
+    let scanned = scanner.record(|a, raw| {
+        if a < attrs.len() && bad.is_none() {
+            match attrs[a].ty.parse_key(raw) {
+                Some(key) => cell(key),
+                None => bad = Some((a, raw.to_string())),
+            }
+        }
+    })?;
+    let Some(record) = scanned else {
+        return Ok(false);
+    };
+    check_arity(&record, attrs.len())?;
+    match bad {
+        None => Ok(true),
+        Some((a, raw)) => {
+            let Attribute { name, ty, .. } = &attrs[a];
+            Err(Error::Csv {
+                line: record.line,
+                message: format!("cannot parse `{raw}` as {ty} for `{name}`"),
+            })
+        }
+    }
+}
+
+fn check_arity(record: &Record, arity: usize) -> Result<()> {
+    if record.fields == arity {
+        return Ok(());
+    }
+    Err(Error::Csv {
+        line: record.line,
+        message: format!("expected {arity} fields, got {}", record.fields),
+    })
+}
+
+/// Load a table from CSV inferring a schema: every column is `Str` unless
+/// all non-empty values parse as Int (then Int) or Float (then Float).
+/// Two scans over borrowed fields: one to settle the types and count
+/// the rows, one to load.
+pub fn read_table_infer(name: &str, input: &str) -> Result<Table> {
+    observed(input, || {
+        let mut scanner = Scanner::new(input);
+        let (line, header) = read_header(&mut scanner)?;
+        let mut seen = HashSet::with_capacity(header.len());
+        if let Some(twice) = header.iter().find(|column| !seen.insert(column.as_str())) {
+            return Err(Error::Csv { line, message: format!("duplicate column `{twice}`") });
+        }
+        // `None` until the column shows a non-empty value.
+        let mut types: Vec<Option<Type>> = vec![None; header.len()];
+        let mut rows = 0;
+        while let Some(record) = scanner.record(|c, raw| {
+            if let (Some(ty), false) = (types.get_mut(c), raw.is_empty()) {
+                *ty = Some(match ty.unwrap_or(Type::Int) {
+                    Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
+                    Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
+                    _ => Type::Str,
+                });
+            }
+        })? {
+            // Also what bounds `rows` × arity, the columns' capacity, by
+            // the input's length.
+            check_arity(&record, header.len())?;
+            rows += 1;
+        }
+        let attrs = header
+            .into_iter()
+            .zip(types)
+            .map(|(column, ty)| Attribute::new(column, ty.unwrap_or(Type::Str)))
+            .collect();
+        load(&Schema::new(name, attrs), input, rows)
+    })
+}
+
+/// Append `field` to `out`, quoted if it needs it.
 fn write_field(out: &mut String, field: &str) {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
+    if field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
         out.push('"');
         for ch in field.chars() {
             if ch == '"' {
@@ -209,113 +307,92 @@ fn write_field(out: &mut String, field: &str) {
     }
 }
 
+/// Render the table one line at a time (header, then live rows in id
+/// order) into a reused buffer, handing each finished line to `sink`.
+/// Cells are read off the columns and rendered from the pool in place;
+/// no row is materialised.
+fn write_lines(table: &Table, mut sink: impl FnMut(&str) -> Result<()>) -> Result<()> {
+    let attrs = table.schema().attributes();
+    let mut line = String::new();
+    for (a, attr) in attrs.iter().enumerate() {
+        if a > 0 {
+            line.push(',');
+        }
+        write_field(&mut line, &attr.name);
+    }
+    line.push('\n');
+    sink(&line)?;
+    let cols: Vec<&[Sym]> = (0..attrs.len()).map(|a| table.col(a)).collect();
+    for slot in table.live_slots() {
+        line.clear();
+        for (a, col) in cols.iter().enumerate() {
+            if a > 0 {
+                line.push(',');
+            }
+            match table.pool().value(col[slot]) {
+                Value::Null => {}
+                Value::Str(s) => write_field(&mut line, s),
+                // Numbers and booleans never render a character that needs quoting.
+                other => write!(line, "{other}").expect("writing to a String"),
+            }
+        }
+        line.push('\n');
+        sink(&line)?;
+    }
+    Ok(())
+}
+
 /// Serialize a table to CSV text (header + live rows in id order).
 pub fn write_table(table: &Table) -> String {
-    let schema = table.schema();
     let mut out = String::new();
-    for (i, a) in schema.attributes().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_field(&mut out, &a.name);
-    }
-    out.push('\n');
-    for (_, row) in table.rows() {
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_field(&mut out, &v.render());
-        }
-        out.push('\n');
-    }
+    write_lines(table, |line| {
+        out.push_str(line);
+        Ok(())
+    })
+    .expect("appending to a String");
     out
 }
 
-/// Read a table from a file path.
-pub fn read_table_path(schema: &Schema, path: &std::path::Path) -> Result<Table> {
-    let mut text = String::new();
-    let file = std::fs::File::open(path)?;
-    let mut reader = std::io::BufReader::new(file);
-    use std::io::Read;
-    reader.read_to_string(&mut text)?;
-    read_table(schema, &text)
-}
-
-/// Write a table to a file path.
+/// Write a table to a file path, streaming line by line.
 pub fn write_table_path(table: &Table, path: &std::path::Path) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    w.write_all(write_table(table).as_bytes())?;
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write_lines(table, |line| Ok(w.write_all(line.as_bytes())?))?;
     w.flush()?;
     Ok(())
 }
 
-/// Split one CSV line into raw fields (no newline handling). Quoted
-/// lines go through the full record parser; embedded newlines inside
-/// quotes are not supported here.
-fn split_line(line: &str, lineno: usize) -> Result<Vec<String>> {
-    if line.contains('"') {
-        let mut pos = 0;
-        let mut ln = lineno;
-        parse_record(line, &mut pos, &mut ln)?
-            .ok_or(Error::Csv { line: lineno, message: "empty record".into() })
-    } else {
-        Ok(line.split(',').map(str::to_string).collect())
-    }
-}
-
 /// Parse one data line (no header) against `schema` into a typed row —
 /// the unit of work for appended lines of a growing CSV (tail mode and
-/// the serve protocol's `append`). `lineno` is only used in errors.
+/// the serve protocol's `append`). The line is exactly one record:
+/// quoting is honoured, a line break outside quotes is only accepted at
+/// the very end. `lineno` is only used in errors.
 pub fn parse_line(schema: &Schema, line: &str, lineno: usize) -> Result<Vec<Value>> {
-    let fields = split_line(line, lineno)?;
-    if fields.len() != schema.arity() {
-        return Err(Error::Csv {
-            line: lineno,
-            message: format!("expected {} fields, got {}", schema.arity(), fields.len()),
-        });
+    let err = |message: &str| Error::Csv { line: lineno, message: message.into() };
+    let mut scanner = Scanner::at_line(line, lineno);
+    let mut row = Vec::with_capacity(schema.arity());
+    if !typed_record(&mut scanner, schema.attributes(), |key| row.push(key.to_value()))? {
+        return Err(err("empty record"));
     }
-    let mut row = Vec::with_capacity(fields.len());
-    for (attr, raw) in schema.attributes().iter().zip(&fields) {
-        row.push(attr.ty.parse(raw).map_err(|_| Error::Csv {
-            line: lineno,
-            message: format!("bad value `{raw}` for {}", attr.name),
-        })?);
+    if scanner.pos < line.len() {
+        return Err(err("line break outside quotes"));
     }
     Ok(row)
-}
-
-/// Streaming line-oriented load for very large files (schema required).
-pub fn read_table_stream(schema: &Schema, reader: impl BufRead) -> Result<Table> {
-    let mut table = Table::new(schema.clone());
-    let mut first = true;
-    for (n, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        if first {
-            first = false;
-            let fields = split_line(&line, n + 1)?;
-            let expected: Vec<&str> = schema.attributes().iter().map(|a| a.name.as_str()).collect();
-            if fields != expected {
-                return Err(Error::Csv { line: 1, message: "header mismatch".into() });
-            }
-            continue;
-        }
-        table.push_unchecked(parse_line(schema, &line, n + 1)?);
-    }
-    Ok(table)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use rand::prelude::*;
 
     fn schema() -> Schema {
         Schema::builder("r").attr("name", Type::Str).attr("age", Type::Int).build()
+    }
+
+    fn csv_line(r: Result<impl std::fmt::Debug>) -> usize {
+        match r {
+            Err(Error::Csv { line, .. }) => line,
+            other => panic!("expected a csv error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -329,18 +406,51 @@ mod tests {
 
     #[test]
     fn quoting_roundtrip() {
-        let s = schema();
+        let s = Schema::builder("r")
+            .attr("name", Type::Str)
+            .attr("n", Type::Int)
+            .attr("x", Type::Float)
+            .attr("ok", Type::Bool)
+            .build();
+        let names = [
+            "plain",
+            "has,comma",
+            "has\"quote",
+            "\"\"",
+            "has\nnewline",
+            "has\r\nCRLF",
+            "bare\rCR",
+            " padded ",
+            "müller, \"é\"",
+        ];
         let mut t = Table::new(s);
-        t.push(vec!["has,comma".into(), Value::Int(1)]).unwrap();
-        t.push(vec!["has\"quote".into(), Value::Int(2)]).unwrap();
-        t.push(vec!["has\nnewline".into(), Value::Int(3)]).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            let i = i as i64;
+            t.push(vec![
+                (*name).into(),
+                Value::Int(-i),
+                Value::Float(i as f64 / 4.0),
+                (i % 2 == 0).into(),
+            ])
+            .unwrap();
+        }
+        t.push(vec![Value::Null, Value::Null, Value::Float(f64::INFINITY), Value::Null]).unwrap();
+        t.delete(crate::TupleId(0)).unwrap();
         let text = write_table(&t);
-        let t2 = read_table(t.schema(), &text).unwrap();
-        assert_eq!(t2.len(), 3);
-        let rows: Vec<_> = t2.rows().map(|(_, r)| r[0].clone()).collect();
-        assert_eq!(rows[0], Value::from("has,comma"));
-        assert_eq!(rows[1], Value::from("has\"quote"));
-        assert_eq!(rows[2], Value::from("has\nnewline"));
+        assert!(text.starts_with(
+            "name,n,x,ok\n\"has,comma\",-1,0.25,false\n\"has\"\"quote\",-2,0.5,true\n"
+        ));
+        assert!(text.ends_with("\n,,inf,\n"));
+        let back = read_table(t.schema(), &text).unwrap();
+        let rows = |t: &Table| t.rows().map(|(_, r)| r).collect::<Vec<_>>();
+        assert_eq!(rows(&back), rows(&t));
+        assert_eq!(write_table(&back), text);
+        // The streamed file is the same bytes as the string.
+        let path = std::env::temp_dir().join(format!("revival-csv-{}.csv", std::process::id()));
+        write_table_path(&t, &path).unwrap();
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(on_disk, text);
     }
 
     #[test]
@@ -355,22 +465,49 @@ mod tests {
     fn header_mismatch_rejected() {
         let s = schema();
         assert!(read_table(&s, "x,y\na,1\n").is_err());
+        assert!(read_table(&s, "name\na\n").is_err());
+        assert!(read_table(&s, "name,age,more\na,1,2\n").is_err());
+        assert!(read_table(&s, "").is_err());
     }
 
     #[test]
     fn bad_int_rejected() {
         let s = schema();
-        let err = read_table(&s, "name,age\nalice,notanint\n").unwrap_err();
-        match err {
-            Error::Csv { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(csv_line(read_table(&s, "name,age\nalice,notanint\n")), 2);
     }
 
     #[test]
     fn arity_mismatch_rejected() {
         let s = schema();
         assert!(read_table(&s, "name,age\nalice\n").is_err());
+        // Arity is the error even when a cell is bad too.
+        let err = read_table(&s, "name,age\nalice,x,1\n").unwrap_err().to_string();
+        assert!(err.contains("expected 2 fields, got 3"), "{err}");
+    }
+
+    #[test]
+    fn errors_name_the_line_the_record_starts_on() {
+        let s = Schema::builder("r").attr("a", Type::Int).attr("b", Type::Str).build();
+        // A blank line and a quoted newline precede the offending record,
+        // which starts on physical line 6.
+        let short = "a,b\n\n1,x\n2,\"y\nz\"\n3\n";
+        let err = read_table(&s, short).unwrap_err();
+        assert_eq!(err.to_string(), "csv error at line 6: expected 2 fields, got 1");
+        assert_eq!(csv_line(read_table_infer("r", short)), 6);
+        let bad_int = "a,b\n\n1,x\n2,\"y\nz\"\nq,w\n";
+        let err = read_table(&s, bad_int).unwrap_err().to_string();
+        assert_eq!(err, "csv error at line 6: cannot parse `q` as int for `a`");
+        // Scanner errors too: the record with the stray quote starts on line 3.
+        assert_eq!(csv_line(parse("a\r\n\r\"x\ny\",b\"\n")), 3);
+        assert_eq!(csv_line(parse("a\n\n\"x\ny")), 3);
+        assert_eq!(csv_line(read_table(&s, "\n\nb,a\n")), 3);
+    }
+
+    #[test]
+    fn duplicate_header_is_an_error_not_a_panic() {
+        let err = read_table_infer("t", "a,a\n1,2\n").unwrap_err();
+        assert_eq!(err.to_string(), "csv error at line 1: duplicate column `a`");
+        assert_eq!(csv_line(read_table_infer("t", "\nx,,y,\n")), 2);
     }
 
     #[test]
@@ -400,17 +537,11 @@ mod tests {
         let s = schema();
         assert_eq!(parse_line(&s, "alice,30", 5).unwrap(), vec!["alice".into(), Value::Int(30)]);
         assert_eq!(parse_line(&s, "\"a,b\",1", 5).unwrap()[0], Value::from("a,b"));
-        let err = parse_line(&s, "alice,nope", 5).unwrap_err();
-        assert!(err.to_string().contains('5'), "{err}");
-        assert!(parse_line(&s, "alice", 5).is_err());
-    }
-
-    #[test]
-    fn stream_mode() {
-        let s = schema();
-        let data = "name,age\nalice,30\nbob,41\n";
-        let t = read_table_stream(&s, data.as_bytes()).unwrap();
-        assert_eq!(t.len(), 2);
+        assert_eq!(parse_line(&s, "a,1\r\n", 5).unwrap(), parse_line(&s, "a,1", 5).unwrap());
+        assert_eq!(parse_line(&s, "\"a\nb\",1", 5).unwrap()[0], Value::from("a\nb"));
+        for bad in ["alice,nope", "alice", "a,1,2", "", "\"\"", "a,\"1", "a,1\nb,2", "a,1\n\n"] {
+            assert_eq!(csv_line(parse_line(&s, bad, 5)), 5, "{bad:?}");
+        }
     }
 
     #[test]
@@ -424,5 +555,334 @@ mod tests {
         let t = read_table(&s, "name,age\nmüller,30\n").unwrap();
         let (_, row) = t.rows().next().unwrap();
         assert_eq!(row[0], Value::from("müller"));
+    }
+
+    #[test]
+    fn ingest_is_counted() {
+        let rows = revival_obs::global().counter("csv_ingest_rows_total");
+        let bytes = revival_obs::global().counter("csv_ingest_bytes_total");
+        let calls = || revival_obs::global().histogram("csv_ingest_us").snapshot().count;
+        let (r0, b0, c0) = (rows.get(), bytes.get(), calls());
+        let text = "a,b\n1,x\n2,y\n";
+        read_table_infer("t", text).unwrap();
+        // Other tests ingest concurrently, so these are lower bounds.
+        assert!(rows.get() >= r0 + 2);
+        assert!(bytes.get() >= b0 + text.len() as u64);
+        assert!(calls() > c0);
+    }
+
+    // ---- the oracle: the parser this module used before the scanner ----
+
+    /// Parse one CSV record from `input` starting at byte `pos`.
+    /// Returns the fields and the new position, or `None` at end of input.
+    fn parse_record(input: &str, pos: &mut usize, line: &mut usize) -> Result<Option<Vec<String>>> {
+        let bytes = input.as_bytes();
+        if *pos >= bytes.len() {
+            return Ok(None);
+        }
+        let mut fields = Vec::new();
+        let mut field = String::new();
+        let mut in_quotes = false;
+        let mut i = *pos;
+        loop {
+            if i >= bytes.len() {
+                if in_quotes {
+                    return Err(Error::Csv {
+                        line: *line,
+                        message: "unterminated quoted field".into(),
+                    });
+                }
+                fields.push(std::mem::take(&mut field));
+                *pos = i;
+                return Ok(Some(fields));
+            }
+            let c = bytes[i];
+            if in_quotes {
+                match c {
+                    b'"' => {
+                        if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
+                            field.push('"');
+                            i += 2;
+                        } else {
+                            in_quotes = false;
+                            i += 1;
+                        }
+                    }
+                    b'\n' => {
+                        field.push('\n');
+                        *line += 1;
+                        i += 1;
+                    }
+                    _ => {
+                        // Push the whole UTF-8 char, not just one byte.
+                        let ch_len = utf8_len(c);
+                        field.push_str(&input[i..i + ch_len]);
+                        i += ch_len;
+                    }
+                }
+            } else {
+                match c {
+                    b'"' => {
+                        if !field.is_empty() {
+                            return Err(Error::Csv {
+                                line: *line,
+                                message: "quote inside unquoted field".into(),
+                            });
+                        }
+                        in_quotes = true;
+                        i += 1;
+                    }
+                    b',' => {
+                        fields.push(std::mem::take(&mut field));
+                        i += 1;
+                    }
+                    b'\r' => {
+                        if i + 1 < bytes.len() && bytes[i + 1] == b'\n' {
+                            i += 2;
+                        } else {
+                            i += 1;
+                        }
+                        *line += 1;
+                        fields.push(std::mem::take(&mut field));
+                        *pos = i;
+                        return Ok(Some(fields));
+                    }
+                    b'\n' => {
+                        i += 1;
+                        *line += 1;
+                        fields.push(std::mem::take(&mut field));
+                        *pos = i;
+                        return Ok(Some(fields));
+                    }
+                    _ => {
+                        let ch_len = utf8_len(c);
+                        field.push_str(&input[i..i + ch_len]);
+                        i += ch_len;
+                    }
+                }
+            }
+        }
+    }
+
+    fn utf8_len(first_byte: u8) -> usize {
+        match first_byte {
+            b if b < 0x80 => 1,
+            b if b >= 0xF0 => 4,
+            b if b >= 0xE0 => 3,
+            _ => 2,
+        }
+    }
+
+    /// The old `parse`: every record, blank ones dropped.
+    fn oracle_parse(input: &str) -> Result<Vec<Vec<String>>> {
+        let mut pos = 0;
+        let mut line = 1;
+        let mut out = Vec::new();
+        while let Some(rec) = parse_record(input, &mut pos, &mut line)? {
+            if rec.len() == 1 && rec[0].is_empty() {
+                continue;
+            }
+            out.push(rec);
+        }
+        Ok(out)
+    }
+
+    /// The old `read_table_infer`: materialise every record, infer, then
+    /// build a `Value` per cell and `push_unchecked` the rows. (It
+    /// panicked on a duplicate header; that case is an `Err` here.)
+    fn oracle_infer(name: &str, input: &str) -> Result<Table> {
+        let fail = |message: &str| Error::Csv { line: 0, message: message.into() };
+        let records = oracle_parse(input)?;
+        let header = records.first().ok_or(fail("missing header"))?;
+        let ncols = header.len();
+        if (0..ncols).any(|c| header[..c].contains(&header[c])) {
+            return Err(fail("duplicate column"));
+        }
+        let mut col_ty = vec![Type::Int; ncols];
+        let mut seen_any = vec![false; ncols];
+        for rec in records.iter().skip(1) {
+            for (c, raw) in rec.iter().enumerate().take(ncols) {
+                if raw.is_empty() {
+                    continue;
+                }
+                seen_any[c] = true;
+                col_ty[c] = match col_ty[c] {
+                    Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
+                    Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
+                    _ => Type::Str,
+                };
+            }
+        }
+        for (c, seen) in seen_any.iter().enumerate() {
+            if !seen {
+                col_ty[c] = Type::Str;
+            }
+        }
+        let attrs =
+            header.iter().zip(&col_ty).map(|(h, &ty)| Attribute::new(h.clone(), ty)).collect();
+        let mut table = Table::new(Schema::new(name, attrs));
+        for rec in records.iter().skip(1) {
+            if rec.len() != ncols {
+                return Err(fail("arity"));
+            }
+            let row: Result<Vec<Value>> =
+                rec.iter().zip(&col_ty).map(|(raw, ty)| ty.parse(raw)).collect();
+            table.push_unchecked(row?);
+        }
+        Ok(table)
+    }
+
+    /// `parse` and `read_table_infer` must agree with their oracles on
+    /// `doc`: the same records / the same table, or an error from both.
+    fn assert_agrees_with_oracle(doc: &str) {
+        match (parse(doc), oracle_parse(doc)) {
+            (Ok(new), Ok(old)) => assert_eq!(new, old, "records differ on {doc:?}"),
+            (Err(_), Err(_)) => {}
+            (new, old) => panic!("scanner {new:?} but oracle {old:?} on {doc:?}"),
+        }
+        match (read_table_infer("t", doc), oracle_infer("t", doc)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.schema(), old.schema(), "schema differs on {doc:?}");
+                assert_eq!(new.pool().values(), old.pool().values(), "pool differs on {doc:?}");
+                assert_eq!(new.len(), old.len(), "row count differs on {doc:?}");
+                for a in 0..new.schema().arity() {
+                    assert_eq!(new.col(a), old.col(a), "column {a} differs on {doc:?}");
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (new, old) => panic!(
+                "read_table_infer {:?} but oracle {:?} on {doc:?}",
+                new.map(|t| t.len()),
+                old.map(|t| t.len())
+            ),
+        }
+    }
+
+    #[test]
+    fn scanner_matches_oracle_on_the_corner_cases() {
+        for doc in [
+            "",
+            "\n",
+            "\r",
+            "\r\n\r\n",
+            "a",
+            "a,b",
+            "a,b,",
+            "a,b,\n",
+            ",",
+            ",\n,\n",
+            "a,b\n\n\n1,2\n\n",
+            "a,b\r\n1,2\r\n",
+            "a,b\r1,2\r",
+            "a,b\n1,2\r\r\n3,4",
+            "a\n\"\"\n1\n",
+            "a,b\n\"\",\"\"\n",
+            "\"\"\n\"\"\r\n\"\"",
+            "a\n\"ab\"cd\n",
+            "a\n\"ab\"cd\"\n",
+            "a\n\"\"x\n",
+            "a\n\"\"x\"\n",
+            "a\n\"\"\"\"\n",
+            "a\n\"\"\"\n",
+            "a\n\"x\"\"y\"\"\"\n",
+            "a\nx\"y\n",
+            "a\n\"é,\r\n\"\"é\"\"\",1\n",
+            "a,b\n\"1\",\"2.5\"\n\"3\",4\n",
+            "a,a\n1,2\n",
+            "a,b\n1\n",
+            "a,b\n1,2,3\n",
+            "a,b\n1,x\n2.5,\n-,1e3\n",
+            "a\n9223372036854775808\n1\n",
+            "a\nNaN\ninf\n-0\n",
+            "a,b\n01,+1\n1,1\n",
+        ] {
+            assert_agrees_with_oracle(doc);
+        }
+    }
+
+    /// The CSV text of a `revival_dirty` table. The generators link the
+    /// non-test build of this crate, so their `Table` is a foreign type
+    /// in here: cross over cell by cell, as rendered text.
+    macro_rules! csv_text_of {
+        ($table:expr) => {{
+            let foreign = $table;
+            let attrs = foreign.schema().attributes().iter();
+            let schema = Schema::new(
+                "t",
+                attrs.map(|a| Attribute::new(a.name.clone(), Type::Str)).collect(),
+            );
+            let mut table = Table::new(schema);
+            for (_, row) in foreign.rows() {
+                table.push_unchecked(
+                    row.iter().map(|v| Type::Str.parse(&v.render()).unwrap()).collect(),
+                );
+            }
+            write_table(&table)
+        }};
+    }
+
+    #[test]
+    fn scanner_matches_oracle_on_hostile_bytes() {
+        use revival_dirty::{customer, hospital};
+        const ALPHABET: [char; 9] = [',', '"', '\r', '\n', 'é', 'a', '1', '.', '-'];
+        let seeds = [
+            csv_text_of!(
+                customer::generate(&customer::CustomerConfig {
+                    rows: 400,
+                    seed: 14,
+                    ..Default::default()
+                })
+                .table
+            ),
+            csv_text_of!(
+                hospital::generate(&hospital::HospitalConfig {
+                    rows: 400,
+                    seed: 14,
+                    ..Default::default()
+                })
+                .table
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xC5F);
+        for seed in &seeds {
+            assert_agrees_with_oracle(seed);
+            for _ in 0..1_500 {
+                // A window of whole lines, then a few edits on top of each other.
+                let lines: Vec<&str> = seed.split_inclusive('\n').collect();
+                let from = rng.gen_range(1..lines.len() - 8);
+                let take = rng.gen_range(1..8usize);
+                let mut doc: Vec<char> =
+                    lines[0].chars().chain(lines[from..from + take].concat().chars()).collect();
+                for _ in 0..rng.gen_range(1..6usize) {
+                    let at = rng.gen_range(0..=doc.len());
+                    let run = rng.gen_range(1..5usize);
+                    let noise: Vec<char> =
+                        (0..run).map(|_| *ALPHABET.choose(&mut rng).expect("non-empty")).collect();
+                    match rng.gen_range(0..4u32) {
+                        // flip
+                        0 if at < doc.len() => doc[at] = noise[0],
+                        // truncate
+                        1 => doc.truncate(at),
+                        // splice over what was there
+                        2 => {
+                            let end = (at + rng.gen_range(0..4usize)).min(doc.len());
+                            doc.splice(at..end, noise);
+                        }
+                        // splice in
+                        _ => {
+                            doc.splice(at..at, noise);
+                        }
+                    }
+                }
+                assert_agrees_with_oracle(&doc.into_iter().collect::<String>());
+            }
+        }
+        // Pure alphabet soup: every short string's worth of structure.
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0..12usize);
+            let doc: String =
+                (0..len).map(|_| *ALPHABET.choose(&mut rng).expect("non-empty")).collect();
+            assert_agrees_with_oracle(&doc);
+        }
     }
 }

@@ -8,6 +8,7 @@
 //! `revival-constraints`' static analyses.
 
 use crate::error::{Error, Result};
+use crate::pool::Key;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -41,30 +42,28 @@ impl Type {
 
     /// Parse a raw CSV field into this type. Empty string → NULL.
     pub fn parse(&self, raw: &str) -> Result<Value> {
+        self.parse_key(raw).map(Key::to_value).ok_or_else(|| Error::TypeMismatch {
+            attribute: String::new(),
+            expected: self.to_string(),
+            got: raw.into(),
+        })
+    }
+
+    /// [`Type::parse`] without building the value: the field as a
+    /// borrowed pool key, `None` if it does not parse as this type.
+    pub(crate) fn parse_key<'a>(&self, raw: &'a str) -> Option<Key<'a>> {
         if raw.is_empty() {
-            return Ok(Value::Null);
+            return Some(Key::Null);
         }
         match self {
             Type::Bool => match raw {
-                "true" | "TRUE" | "1" | "t" => Ok(Value::Bool(true)),
-                "false" | "FALSE" | "0" | "f" => Ok(Value::Bool(false)),
-                _ => Err(Error::TypeMismatch {
-                    attribute: String::new(),
-                    expected: "bool".into(),
-                    got: raw.into(),
-                }),
+                "true" | "TRUE" | "1" | "t" => Some(Key::Bool(true)),
+                "false" | "FALSE" | "0" | "f" => Some(Key::Bool(false)),
+                _ => None,
             },
-            Type::Int => raw.parse::<i64>().map(Value::Int).map_err(|_| Error::TypeMismatch {
-                attribute: String::new(),
-                expected: "int".into(),
-                got: raw.into(),
-            }),
-            Type::Float => raw.parse::<f64>().map(Value::Float).map_err(|_| Error::TypeMismatch {
-                attribute: String::new(),
-                expected: "float".into(),
-                got: raw.into(),
-            }),
-            Type::Str => Ok(Value::str(raw)),
+            Type::Int => raw.parse().ok().map(Key::Int),
+            Type::Float => raw.parse().ok().map(Key::Float),
+            Type::Str => Some(Key::Str(raw)),
         }
     }
 }

@@ -155,11 +155,33 @@ impl Table {
     /// that cannot guarantee types should use [`Table::push`].
     pub fn push_unchecked(&mut self, row: Vec<Value>) -> TupleId {
         debug_assert_eq!(row.len(), self.schema.arity());
-        let slot = self.slots;
         for (col, v) in self.cols.iter_mut().zip(&row) {
             let sym = self.pool.intern(v);
             col.push(sym);
         }
+        self.mark_pushed()
+    }
+
+    /// Insert a row of symbols already interned through
+    /// [`Table::pool_mut`] — the CSV loader's push, which never builds a
+    /// `Value` per cell. `row.len()` must be the schema's arity.
+    pub(crate) fn push_syms(&mut self, row: &[Sym]) -> TupleId {
+        debug_assert_eq!(row.len(), self.schema.arity());
+        for (col, &sym) in self.cols.iter_mut().zip(row) {
+            col.push(sym);
+        }
+        self.mark_pushed()
+    }
+
+    /// The pool, to intern the cells of a row bound for [`Table::push_syms`].
+    pub(crate) fn pool_mut(&mut self) -> &mut ValuePool {
+        &mut self.pool
+    }
+
+    /// Account for the slot the columns just grew by: live, and the
+    /// newest tuple id.
+    fn mark_pushed(&mut self) -> TupleId {
+        let slot = self.slots;
         if slot >> 6 >= self.live.len() {
             self.live.push(0);
         }

@@ -99,7 +99,7 @@ impl Value {
     }
 
     /// Bit pattern giving floats a total order (IEEE totalOrder trick).
-    fn float_key(f: f64) -> u64 {
+    pub(crate) fn float_key(f: f64) -> u64 {
         let bits = f.to_bits();
         if bits & (1 << 63) != 0 {
             !bits

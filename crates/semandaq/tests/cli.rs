@@ -288,6 +288,26 @@ fn bad_invocations_fail_cleanly() {
 }
 
 #[test]
+fn duplicate_csv_header_is_a_csv_error_not_a_panic() {
+    let dir = tmpdir("dup-header");
+    let data = dir.join("d.csv");
+    let cfds = dir.join("empty.cfds");
+    std::fs::write(&data, "a,a\n1,2\n").unwrap();
+    std::fs::write(&cfds, "").unwrap();
+    let out = bin()
+        .args(["detect", "--data", data.to_str().unwrap(), "--table", "t"])
+        .args(["--cfds", cfds.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("csv error at line 1"), "got: {stderr}");
+    assert!(stderr.contains("duplicate column `a`"), "got: {stderr}");
+    assert!(!stderr.contains("panicked"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn query_command_runs_sql() {
     let dir = tmpdir("query");
     std::fs::write(

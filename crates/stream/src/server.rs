@@ -596,16 +596,19 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(2).unwrap());
 
-        // A duplicate CSV header trips an assertion inside schema
-        // construction — a genuine panic, not a typed error — while the
-        // worker holds the shard's write lock.
+        // Registering the planted table trips an assertion — a genuine
+        // panic, not a typed error — while the worker holds the shard's
+        // write lock.
+        let panics = revival_obs::global().counter("serve_requests_panicked_total");
+        let recoveries = revival_obs::global().counter("lock_poison_recovered_total");
+        let (panics_before, recoveries_before) = (panics.get(), recoveries.get());
         let (mut stream, mut reader) = connect(addr);
         let resp = roundtrip(
             &mut stream,
             &mut reader,
             &Request::Register {
-                table: "dup".into(),
-                csv: "a,a\n1,2\n".into(),
+                table: crate::shard::PANIC_TABLE.into(),
+                csv: "a,b\n1,2\n".into(),
                 cfds: String::new(),
                 merged: false,
             },
@@ -638,6 +641,9 @@ mod tests {
         );
         assert!(resp.is_ok(), "{resp:?}");
         assert_eq!(resp.int("violations"), Some(1));
+        // Both events landed in the registry the `metrics` verb serves.
+        assert!(panics.get() > panics_before);
+        assert!(recoveries.get() > recoveries_before);
 
         let resp = roundtrip(&mut stream2, &mut reader2, &Request::Shutdown);
         assert!(resp.is_ok());

@@ -29,10 +29,9 @@
 //!
 //! Every lock acquisition recovers from poisoning
 //! ([`std::sync::PoisonError::into_inner`]): a panicking request must
-//! not brick the shard for every later connection. Panics in this
-//! stack happen during input validation (e.g. a CSV with a duplicate
-//! header inside `register`), before the session mutates, so the
-//! recovered state is consistent.
+//! not brick the shard for every later connection. Input is validated
+//! (and answers typed errors) before the session mutates, so a panic
+//! that slips through validation leaves the recovered state consistent.
 
 use crate::protocol::{Request, Response};
 use crate::session::{describe_report, DeltaSession};
@@ -669,6 +668,10 @@ impl Tier {
     fn apply(&self, session: &mut DeltaSession, request: &Request) -> Response {
         match request {
             Request::Register { table, csv: csv_text, cfds, merged } => {
+                // No input is known to panic a request, so the panic
+                // containment tests plant one here, under the write lock.
+                #[cfg(test)]
+                assert!(table != PANIC_TABLE, "deliberate panic registering `{table}`");
                 let parsed = match csv::read_table_infer(table, csv_text) {
                     Ok(t) => t,
                     Err(e) => return Response::err(e),
@@ -1023,6 +1026,10 @@ fn discover_response(d: &revival_discovery::Discovered, schema: &Schema) -> Resp
             },
         )
 }
+
+/// Registering this table panics (test builds only).
+#[cfg(test)]
+pub(crate) const PANIC_TABLE: &str = "\u{0}panic";
 
 #[cfg(test)]
 mod tests {

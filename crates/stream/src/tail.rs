@@ -3,11 +3,10 @@
 //! `semandaq watch` polls a file's length and feeds whatever grew to a
 //! [`CsvTail`], which buffers the trailing partial line (writers rarely
 //! append in whole-line units) and parses every completed line against
-//! the schema via [`csv::parse_line`]. Like
-//! [`csv::read_table_stream`], tail mode is line-oriented: quoting is
-//! honoured within a line, but embedded newlines inside quotes are not
-//! supported — a quoted field left open at a chunk boundary stays
-//! buffered until its line completes.
+//! the schema via [`csv::parse_line`]. Tail mode is line-oriented: it
+//! cuts the stream at every `\n` before parsing, so quoting is honoured
+//! within a line but a newline inside quotes is not supported — the
+//! line it cuts short fails as an unterminated quoted field.
 
 use revival_relation::{csv, Result, Schema, Value};
 
