@@ -1,0 +1,735 @@
+//! `experiments <name>|all [--full]` — the claims of the tutorial
+//! (Fan–Geerts–Jia, VLDB'08) and the papers behind it, one function and
+//! one printed table per experiment.
+//!
+//! Every experiment checks its own answer in line (native ≡ SQL, split
+//! ≡ merged, residual = 0, rewrite ⊆ enumerate, incremental ≡ full), so
+//! a run that exits 0 is also a smoke test. The `*_ms` columns are
+//! single-shot wall clock for the shape of a curve only; the numbers
+//! the repo publishes about its own layers come from the `ledger`.
+
+use revival_bench::{customer_workload, full_mode, ms, print_table, repairable_attrs, timed};
+use revival_constraints::{Cfd, PatternRow};
+use revival_detect::{NativeDetector, Violation};
+use revival_dirty::customer::{attrs, generate, scaled_suite, standard_cfds, CustomerConfig};
+use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
+use revival_relation::{Table, TupleId, Value};
+use revival_repair::{BatchRepair, CostModel, RepairStats};
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+const EXPERIMENTS: [(&str, fn()); 12] = [
+    ("detection-scaling", detection_scaling),
+    ("tableau-size", tableau_size),
+    ("cfd-vs-fd", cfd_vs_fd),
+    ("repair-quality", repair_quality),
+    ("repair-scaling", repair_scaling),
+    ("incremental-repair", incremental_repair),
+    ("cind-scaling", cind_scaling),
+    ("matching-quality", matching_quality),
+    ("cqa", cqa),
+    ("incremental-detection", incremental_detection),
+    ("confidence", confidence),
+    ("static-analysis", static_analysis),
+];
+
+/// The experiments `name` selects: one, all twelve, or none.
+fn select(name: &str) -> Vec<fn()> {
+    EXPERIMENTS.iter().filter(|(n, _)| name == "all" || name == *n).map(|(_, run)| *run).collect()
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).filter(|a| a != "--full").collect();
+    let selected = match args.as_slice() {
+        [name] => select(name),
+        _ => Vec::new(),
+    };
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!("usage: experiments <name>|all [--full]\nexperiments: {}", names.join(" "));
+        std::process::exit(2);
+    }
+    for (i, run) in selected.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        run();
+    }
+}
+
+fn f3(x: f64) -> String {
+    format!("{x:.3}")
+}
+
+fn pct(rate: f64) -> String {
+    format!("{:.0}%", rate * 100.0)
+}
+
+/// `num / den`, reading an empty denominator as a perfect score.
+fn ratio(num: usize, den: usize) -> f64 {
+    if den == 0 {
+        1.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// How many times slower `slow` was than `fast`.
+fn times(slow: Duration, fast: Duration) -> f64 {
+    slow.as_secs_f64() / fast.as_secs_f64().max(1e-9)
+}
+
+/// The first `n` rows of `table` as a table of their own, the rest as rows.
+fn split_rows(table: &Table, n: usize) -> (Table, Vec<Vec<Value>>) {
+    let mut head = Table::new(table.schema().clone());
+    let mut tail = Vec::new();
+    for (i, (_, row)) in table.rows().enumerate() {
+        if i < n {
+            head.push_unchecked(row.to_vec());
+        } else {
+            tail.push(row.to_vec());
+        }
+    }
+    (head, tail)
+}
+
+/// `base` with the first `k` rows of `delta` appended.
+fn with_delta(base: &Table, delta: &[Vec<Value>], k: usize) -> Table {
+    let mut combined = base.clone();
+    for row in delta.iter().take(k) {
+        combined.push_unchecked(row.clone());
+    }
+    combined
+}
+
+/// One timed BatchRepair run under `model`.
+fn timed_repair(cfds: &[Cfd], model: CostModel, dirty: &Table) -> (Table, RepairStats, Duration) {
+    let repairer = BatchRepair::new(cfds, model);
+    let ((fixed, stats), t) = timed(|| repairer.repair(dirty).expect("repair"));
+    (fixed, stats, t)
+}
+
+/// E1 — detection time vs. instance size (TODS 2008, detection scaling).
+///
+/// Claim under test (§5): CFD violation detection is efficient and
+/// scales with the data. Series: native hash detector vs. the SQL
+/// two-query encoding on the bundled engine. Expected shape: both
+/// near-linear in n; SQL slower by a constant factor.
+fn detection_scaling() {
+    let sizes: &[usize] = if full_mode() {
+        &[20_000, 40_000, 80_000, 160_000, 320_000]
+    } else {
+        &[5_000, 10_000, 20_000, 40_000]
+    };
+    println!("E1: CFD detection scaling (noise 5%, standard suite)");
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let (_, ds, cfds) = customer_workload(n, 0.05, 1);
+        let (native, native_t) = timed(|| NativeDetector::new(&ds.dirty).detect_all(&cfds));
+        let (sql, sql_t) =
+            timed(|| revival_detect::sqlgen::detect_sql(&ds.dirty, &cfds).expect("sql detect"));
+        assert_eq!(native.violating_tuples(), sql.violating_tuples(), "engines must agree");
+        rows.push(vec![
+            n.to_string(),
+            native.len().to_string(),
+            ms(native_t),
+            ms(sql_t),
+            format!("{:.2}", times(sql_t, native_t)),
+        ]);
+    }
+    print_table(&["tuples", "violations", "native_ms", "sql_ms", "sql/native"], &rows);
+}
+
+/// E2 — detection time vs. pattern-tableau size (TODS 2008).
+///
+/// Pattern tableaux are *data*, not schema: suites grow by adding rows,
+/// and detection cost must follow the embedded FDs and the pattern
+/// rows, not how a suite splits those rows into CFDs. Series: the
+/// `k`-way split suite (one CFD per pattern row) vs. the same suite
+/// pre-merged by embedded FD. Expected: equal — the engine scans once
+/// per embedded FD either way; both grow only with the constant rows
+/// each tuple is checked against, never with the number of scans.
+fn tableau_size() {
+    use revival_detect::{DetectJob, Detector, NativeEngine};
+    let n = if full_mode() { 80_000 } else { 20_000 };
+    println!("E2: detection vs tableau size ({n} tuples, noise 5%)");
+    let data = generate(&CustomerConfig { rows: n, ..Default::default() });
+    let ds = inject(&data.table, &NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY], 2));
+    let mut rows = Vec::new();
+    for k in [1, 2, 4, 8, 16, 32] {
+        let suite = scaled_suite(&data, k);
+        let merged_suite = revival_constraints::cfd::merge_by_embedded_fd(&suite);
+        let (split, split_t) =
+            timed(|| NativeEngine.run(&DetectJob::on_table(&ds.dirty, &suite)).unwrap());
+        let (merged, merged_t) =
+            timed(|| NativeEngine.run(&DetectJob::on_table(&ds.dirty, &merged_suite)).unwrap());
+        assert_eq!(
+            split.violating_tuples(),
+            merged.violating_tuples(),
+            "the split and the pre-merged suite must implicate the same tuples"
+        );
+        rows.push(vec![
+            suite.len().to_string(),
+            merged_suite.len().to_string(),
+            ms(split_t),
+            ms(merged_t),
+        ]);
+    }
+    print_table(&["cfds", "merged_cfds", "split_ms", "merged_ms"], &rows);
+}
+
+/// The traditional counterpart of a CFD suite: same embedded FDs, all
+/// patterns dropped.
+fn fd_counterpart(cfds: &[Cfd]) -> Vec<Cfd> {
+    let mut out: Vec<Cfd> = Vec::new();
+    for cfd in cfds {
+        if !out.iter().any(|c| c.lhs == cfd.lhs && c.rhs == cfd.rhs) {
+            let tableau = vec![PatternRow::all_wildcards(cfd.lhs.len())];
+            out.push(Cfd { tableau, ..cfd.clone() });
+        }
+    }
+    out
+}
+
+/// What one suite's violations say about the planted errors.
+struct Blame {
+    violations: usize,
+    /// Corrupted tuples implicated by some violation.
+    recall: f64,
+    /// Implicated tuples that are actually corrupted.
+    precision: f64,
+    /// The same two over tuples blamed *individually*, by a constant
+    /// row; `None` for a suite with no constant rows.
+    pinpoint: Option<(f64, f64)>,
+}
+
+fn blame(ds: &DirtyDataset, suite: &[Cfd]) -> Blame {
+    let report = NativeDetector::new(&ds.dirty).detect_all(suite);
+    let corrupted: BTreeSet<TupleId> = ds.modified.iter().map(|(t, _)| *t).collect();
+    let implicated = report.violating_tuples();
+    let pinpointed: BTreeSet<TupleId> = report
+        .violations
+        .iter()
+        .filter_map(|v| match v {
+            Violation::CfdConstant { tuple, .. } => Some(*tuple),
+            _ => None,
+        })
+        .collect();
+    let hits = |blamed: &BTreeSet<TupleId>| blamed.intersection(&corrupted).count();
+    let has_const = suite.iter().any(|c| c.constant_rows().next().is_some());
+    let caught = hits(&implicated);
+    Blame {
+        violations: report.len(),
+        recall: ratio(caught, corrupted.len()),
+        precision: ratio(caught, implicated.len()),
+        pinpoint: has_const.then(|| {
+            let right = hits(&pinpointed);
+            (ratio(right, corrupted.len()), ratio(right, pinpointed.len()))
+        }),
+    }
+}
+
+/// E3 — error-catching power: CFD suite vs. its traditional-FD
+/// counterpart.
+///
+/// The tutorial's central §3 claim: *"cfds … are able to capture more
+/// inconsistencies than their traditional fd counterparts"*. Both
+/// suites share the same embedded FDs; the CFD suite adds pattern rows
+/// with constants (here: one `([cc, ac=c] → [city=c'])` row per master
+/// pair). Measured against ground truth:
+///
+/// * **error recall** (`*_recall`) — fraction of corrupted tuples
+///   implicated by some violation. FDs miss errors whose LHS group has
+///   a single member; constant rows catch them tuple-at-a-time.
+/// * **blame precision** (`fd_blame_p` vs `cfd_pin_p`) — fraction of
+///   blamed tuples that are actually corrupted. A variable (FD-style)
+///   violation implicates the *whole* conflicting group; a constant
+///   row pinpoints the culprit (`cfd_pin_r`: the share of corrupted
+///   tuples it pinpoints).
+///
+/// Expected shape: CFD recall ≥ FD recall, and CFD blame precision ≫ FD
+/// blame precision, both gaps persisting across noise rates. With 40
+/// `(cc, ac)` groups of ~500 tuples every group is in violation at any
+/// rate, so `fd_recall` is 1.000 for the wrong reason — the FD suite
+/// blames everyone — and `fd_blame_p` is just the noise rate.
+fn cfd_vs_fd() {
+    let n = if full_mode() { 80_000 } else { 20_000 };
+    println!("E3: error detection — FD counterpart vs CFD suite ({n} tuples, city noise)");
+    let data = generate(&CustomerConfig { rows: n, ..Default::default() });
+    // Full constant coverage of the (cc, ac) → city master map.
+    let cfd_suite = scaled_suite(&data, data.city_of.len());
+    let fd_suite = fd_counterpart(&cfd_suite);
+    let mut rows = Vec::new();
+    for (i, rate) in [0.01, 0.02, 0.05, 0.08, 0.10].into_iter().enumerate() {
+        let ds = inject(&data.table, &NoiseConfig::new(rate, vec![attrs::CITY], 30 + i as u64));
+        let fd = blame(&ds, &fd_suite);
+        let cfd = blame(&ds, &cfd_suite);
+        let (cfd_pin_r, cfd_pin_p) = cfd.pinpoint.expect("the CFD suite has constant rows");
+        assert!(cfd_pin_p >= fd.precision, "a constant row blames no more widely than a group");
+        rows.push(vec![
+            pct(rate),
+            fd.violations.to_string(),
+            f3(fd.recall),
+            fd.pinpoint.map_or("-".into(), |(r, _)| f3(r)),
+            cfd.violations.to_string(),
+            f3(cfd.recall),
+            f3(cfd_pin_r),
+            f3(fd.precision),
+            f3(cfd_pin_p),
+        ]);
+    }
+    let headers = [
+        "noise",
+        "fd_viol",
+        "fd_recall",
+        "fd_pin_r",
+        "cfd_viol",
+        "cfd_recall",
+        "cfd_pin_r",
+        "fd_blame_p",
+        "cfd_pin_p",
+    ];
+    print_table(&headers, &rows);
+}
+
+/// E4 — repair quality vs. noise rate (Cong et al., VLDB 2007).
+///
+/// BatchRepair's output is scored against the clean original:
+/// precision over changed cells, recall over corrupted cells. Expected
+/// shape: both high (> 0.7) at low noise, degrading gracefully as the
+/// noise rate grows (plurality evidence thins out).
+fn repair_quality() {
+    let n = if full_mode() { 20_000 } else { 5_000 };
+    println!("E4: repair precision/recall vs noise ({n} tuples, standard suite)");
+    let mut rows = Vec::new();
+    for rate in [0.01, 0.02, 0.05, 0.08, 0.10] {
+        let (data, ds, cfds) = customer_workload(n, rate, 4);
+        let (fixed, stats, t) =
+            timed_repair(&cfds, CostModel::uniform(data.schema.arity()), &ds.dirty);
+        assert_eq!(stats.residual_violations, 0, "repair must satisfy the suite");
+        let score = ds.score_repair(&fixed, &repairable_attrs());
+        rows.push(vec![
+            pct(rate),
+            ds.error_count().to_string(),
+            stats.cells_changed.to_string(),
+            f3(score.precision),
+            f3(score.recall),
+            f3(score.f1()),
+            ms(t),
+        ]);
+    }
+    print_table(&["noise", "injected", "changed", "precision", "recall", "f1", "time_ms"], &rows);
+}
+
+/// E5 — repair time vs. instance size (Cong et al., VLDB 2007).
+///
+/// Expected shape: polynomial, dominated by repeated detection +
+/// equivalence-class resolution passes; quality stays flat across
+/// sizes (reported alongside for context).
+fn repair_scaling() {
+    let sizes: &[usize] = if full_mode() {
+        &[10_000, 20_000, 40_000, 80_000, 160_000]
+    } else {
+        &[2_500, 5_000, 10_000, 20_000]
+    };
+    println!("E5: repair scaling (noise 5%, standard suite)");
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let (data, ds, cfds) = customer_workload(n, 0.05, 5);
+        let (fixed, stats, t) =
+            timed_repair(&cfds, CostModel::uniform(data.schema.arity()), &ds.dirty);
+        let score = ds.score_repair(&fixed, &repairable_attrs());
+        rows.push(vec![
+            n.to_string(),
+            stats.passes.to_string(),
+            stats.cells_changed.to_string(),
+            f3(score.f1()),
+            ms(t),
+        ]);
+    }
+    print_table(&["tuples", "passes", "changed", "f1", "time_ms"], &rows);
+}
+
+/// E6 — IncRepair vs. BatchRepair as the delta grows (Cong et al. §5).
+///
+/// A clean base receives a dirty delta. IncRepair edits only the delta
+/// (`O(|Δ|)`); BatchRepair re-repairs base+delta from scratch. The
+/// paper's shape: IncRepair wins for small deltas and the advantage
+/// shrinks as `|Δ|/|base|` grows, crossing over around tens of
+/// percent. Not what this tree measures: `speedup` sits at 0.8–1.2×
+/// from the 1 % delta on (README, experiments table).
+fn incremental_repair() {
+    let base_n = if full_mode() { 40_000 } else { 10_000 };
+    let delta_fracs = [0.01, 0.02, 0.04, 0.08, 0.16, 0.32];
+    println!("E6: incremental vs batch repair (base {base_n} clean tuples)");
+    // One generation big enough for base + the largest delta.
+    let max_delta = (base_n as f64 * delta_fracs[delta_fracs.len() - 1]).ceil() as usize;
+    let data = generate(&CustomerConfig { rows: base_n + max_delta, ..Default::default() });
+    let cfds = standard_cfds(&data.schema);
+    let arity = data.schema.arity();
+
+    // The first base_n tuples are the clean base; the rest get noised
+    // (via a throwaway table) and arrive as the delta.
+    let (base, pool) = split_rows(&data.table, base_n);
+    let pool_table = with_delta(&Table::new(data.schema.clone()), &pool, pool.len());
+    let dirty_pool = inject(&pool_table, &NoiseConfig::new(0.10, repairable_attrs(), 6));
+    let dirty_delta: Vec<Vec<Value>> = dirty_pool.dirty.rows().map(|(_, r)| r).collect();
+
+    let mut rows = Vec::new();
+    for frac in delta_fracs {
+        let k = (base_n as f64 * frac).ceil() as usize;
+        let mut inc_table = base.clone();
+        let delta = dirty_delta[..k].to_vec();
+        let (inc_stats, inc_t) = timed(|| {
+            revival_repair::IncRepair::repair_delta(
+                &cfds,
+                &mut inc_table,
+                delta,
+                CostModel::uniform(arity),
+            )
+        });
+        assert!(revival_detect::native::satisfies(&inc_table, &cfds));
+
+        let combined = with_delta(&base, &dirty_delta, k);
+        let (_, batch_stats, batch_t) = timed_repair(&cfds, CostModel::uniform(arity), &combined);
+        assert_eq!(batch_stats.residual_violations, 0);
+
+        rows.push(vec![
+            pct(frac),
+            k.to_string(),
+            inc_stats.cells_changed.to_string(),
+            ms(inc_t),
+            ms(batch_t),
+            format!("{:.1}x", times(batch_t, inc_t)),
+        ]);
+    }
+    print_table(&["delta", "tuples", "inc_edits", "inc_ms", "batch_ms", "speedup"], &rows);
+}
+
+/// E7 — CIND detection scaling (Bravo/Fan/Ma, VLDB 2007).
+///
+/// The paper's book/CD CIND over growing instances. Expected shape:
+/// near-linear in |CD| + |book| (one target-index build + one probe per
+/// applicable source tuple); violations found exactly match the planted
+/// count.
+fn cind_scaling() {
+    use revival_dirty::orders::{generate, standard_cind, OrdersConfig};
+    let sizes: &[usize] = if full_mode() {
+        &[20_000, 40_000, 80_000, 160_000, 320_000]
+    } else {
+        &[5_000, 10_000, 20_000, 40_000]
+    };
+    println!("E7: CIND detection scaling (5% planted violations)");
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let data = generate(&OrdersConfig {
+            cds: n,
+            extra_books: n / 2,
+            violation_rate: 0.05,
+            ..Default::default()
+        });
+        let cind = standard_cind(&data.cd_schema, &data.book_schema);
+        let (report, t) =
+            timed(|| revival_detect::CindDetector::detect(&cind, &data.cd, &data.book, 0));
+        assert_eq!(report.len(), data.planted_violations, "must find exactly the planted set");
+        rows.push(vec![
+            n.to_string(),
+            data.book.len().to_string(),
+            report.len().to_string(),
+            ms(t),
+        ]);
+    }
+    print_table(&["cd_tuples", "book_tuples", "violations", "time_ms"], &rows);
+}
+
+/// E8 — match quality: RCK matcher vs. exact-key baseline (§4 / \[10\]).
+///
+/// Card/billing pairs with representation variations (diminutives,
+/// address abbreviations) and typos. The baseline requires exact
+/// equality on `[fname, lname, addr]`; the RCK matcher uses the keys
+/// derived from the paper's rules. Expected shape: RCK recall ≫
+/// baseline recall at comparable precision, gap widening with the
+/// variation rate.
+fn matching_quality() {
+    use revival_dirty::cardbilling::{attrs, generate, CardBillingConfig};
+    use revival_matching::matcher::{
+        AttributePair, BlockKey, Comparator, MatchQuality, RecordMatcher,
+    };
+    use revival_matching::rules::{paper_rules, Cmp};
+
+    let persons = if full_mode() { 10_000 } else { 2_000 };
+    println!("E8: match quality vs variation rate ({persons} persons, typo 5%)");
+
+    // Derive the RCKs from the paper's rules (not hand-coded!).
+    let y = ["fname", "lname", "addr", "phn", "email"];
+    let rcks = revival_matching::rck::derive_rcks(&y, &y, &paper_rules(), 3);
+    println!("derived {} RCK(s):", rcks.len());
+    for r in &rcks {
+        println!("  {r}");
+    }
+    let baseline_key = revival_matching::RelativeCandidateKey::new(&[
+        ("fname", Cmp::Equal),
+        ("lname", Cmp::Equal),
+        ("addr", Cmp::Equal),
+    ]);
+    let pairs = |name: Comparator, lname: Comparator, addr: Comparator| {
+        vec![
+            AttributePair::new("fname", attrs::CARD_FN, attrs::BILL_FN, name),
+            AttributePair::new("lname", attrs::CARD_LN, attrs::BILL_LN, lname),
+            AttributePair::new("addr", attrs::CARD_ADDR, attrs::BILL_ADDR, addr),
+            AttributePair::new("phn", attrs::CARD_PHN, attrs::BILL_PHN, Comparator::Phone),
+        ]
+    };
+    let mut rck_pairs =
+        pairs(Comparator::PersonName, Comparator::JaroWinkler(0.88), Comparator::Address);
+    rck_pairs.push(AttributePair::new(
+        "email",
+        attrs::CARD_EMAIL,
+        attrs::BILL_EMAIL,
+        Comparator::Exact,
+    ));
+    let blocking = vec![("phn", BlockKey::Digits), ("lname", BlockKey::Soundex)];
+    let rck_matcher = RecordMatcher::new(rck_pairs, rcks, blocking.clone());
+    let baseline = RecordMatcher::new(
+        pairs(Comparator::Exact, Comparator::Exact, Comparator::Exact),
+        vec![baseline_key],
+        blocking,
+    );
+
+    let mut rows = Vec::new();
+    for rate in [0.1, 0.2, 0.3, 0.4, 0.5] {
+        let data = generate(&CardBillingConfig {
+            persons,
+            variation_rate: rate,
+            typo_rate: 0.05,
+            seed: 8,
+            ..Default::default()
+        });
+        let score = |m: &RecordMatcher| {
+            MatchQuality::score(&m.run(&data.card, &data.billing), &data.true_pairs)
+        };
+        let (base_q, rck_q) = (score(&baseline), score(&rck_matcher));
+        rows.push(vec![
+            pct(rate),
+            f3(base_q.precision),
+            f3(base_q.recall),
+            f3(base_q.f1()),
+            f3(rck_q.precision),
+            f3(rck_q.recall),
+            f3(rck_q.f1()),
+        ]);
+    }
+    print_table(&["variation", "base_p", "base_r", "base_f1", "rck_p", "rck_r", "rck_f1"], &rows);
+}
+
+/// E10 — consistent query answering: rewriting vs. repair enumeration.
+///
+/// Certain answers to a selection-projection query over a dirty
+/// instance. The first-order rewriting never materialises repairs;
+/// enumeration is exponential in the conflict count and hits its
+/// 20 000-repair cap quickly. Conflicts only grow with n, so once a
+/// size caps, larger sizes print `cap` without enumerating. The
+/// rewriting is meant to stay flat-ish in n (one scan + conflict-
+/// neighbour checks); here it does not — `rewrite_ms` grows ~100× over
+/// 8× the rows (README, experiments table).
+fn cqa() {
+    use revival_cqa::{certain_answers_enumerate, certain_answers_rewrite, SpQuery};
+    use revival_relation::Expr;
+    let sizes: &[usize] =
+        if full_mode() { &[2_000, 4_000, 8_000, 16_000] } else { &[500, 1_000, 2_000, 4_000] };
+    let noise = 0.01;
+    println!("E10: CQA — certain answers for pi_zip sigma_(cc='44') (noise {noise})");
+    let query = SpQuery::new(Expr::col(attrs::CC).eq(Expr::lit("44")), vec![attrs::ZIP]);
+    let cap = 20_000;
+    let mut capped = false;
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let (_, ds, cfds) = customer_workload(n, noise, 10);
+        let (rewritten, rw_t) = timed(|| certain_answers_rewrite(&ds.dirty, &cfds, &query));
+        let (enum_answers, enum_cell) = if capped {
+            ("cap".into(), "-".into())
+        } else {
+            match timed(|| certain_answers_enumerate(&ds.dirty, &cfds, &query, cap)) {
+                (Some(answers), t) => {
+                    // The rewriting is sound always; check agreement
+                    // when the oracle is available.
+                    assert!(
+                        rewritten.is_subset(&answers),
+                        "rewriting must under-approximate certain answers"
+                    );
+                    (answers.len().to_string(), ms(t))
+                }
+                (None, t) => {
+                    capped = true;
+                    ("cap".into(), format!(">{}", ms(t)))
+                }
+            }
+        };
+        rows.push(vec![
+            n.to_string(),
+            rewritten.len().to_string(),
+            ms(rw_t),
+            enum_answers,
+            enum_cell,
+        ]);
+    }
+    print_table(&["tuples", "rewrite_answers", "rewrite_ms", "enum_answers", "enum_ms"], &rows);
+}
+
+/// E11 — incremental vs. full re-detection as a delta streams in.
+///
+/// The incremental detector maintains per-CFD group state and costs
+/// `O(|Δ|)` per batch; full detection re-scans everything. Expected
+/// shape: incremental linear in the delta and far cheaper until the
+/// delta approaches the base size.
+fn incremental_detection() {
+    let base_n = if full_mode() { 80_000 } else { 20_000 };
+    let delta_fracs = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16];
+    println!("E11: incremental vs full detection (base {base_n} tuples, noise 5%)");
+    let max_delta = (base_n as f64 * delta_fracs[delta_fracs.len() - 1]).ceil() as usize;
+    let data = generate(&CustomerConfig { rows: base_n + max_delta, ..Default::default() });
+    let cfds = standard_cfds(&data.schema);
+    let noisy = inject(&data.table, &NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY], 11));
+    let (base, delta_rows) = split_rows(&noisy.dirty, base_n);
+
+    let mut rows = Vec::new();
+    for frac in delta_fracs {
+        let k = (base_n as f64 * frac).ceil() as usize;
+        // Load the base once (not timed — amortised state), then time
+        // the delta stream.
+        let mut inc = revival_detect::IncrementalDetector::new(cfds.clone());
+        inc.load(&base);
+        let ((), inc_t) = timed(|| {
+            for (i, row) in delta_rows.iter().take(k).enumerate() {
+                inc.insert(TupleId((base_n + i) as u64), row);
+            }
+        });
+        let inc_count = inc.violation_count();
+
+        let combined = with_delta(&base, &delta_rows, k);
+        let (full_report, full_t) = timed(|| NativeDetector::new(&combined).detect_all(&cfds));
+        assert_eq!(inc_count, full_report.len(), "state must agree with full scan");
+
+        rows.push(vec![
+            format!("{:.1}%", frac * 100.0),
+            k.to_string(),
+            inc_count.to_string(),
+            ms(inc_t),
+            ms(full_t),
+            format!("{:.1}x", times(full_t, inc_t)),
+        ]);
+    }
+    print_table(&["delta", "tuples", "violations", "inc_ms", "full_ms", "speedup"], &rows);
+}
+
+/// E13 — ablation: uniform cost weights vs. detection-derived
+/// confidence weights (the "placed automatically" weights of Cong et
+/// al.'s cost model).
+///
+/// Expected shape: confidence weights match or beat uniform weights on
+/// precision/recall across noise rates (they encode the plurality
+/// heuristic into the objective), at negligible extra cost (one
+/// detection pass).
+fn confidence() {
+    use revival_repair::{suspicion_weights, ConfidenceOptions};
+    let n = if full_mode() { 20_000 } else { 5_000 };
+    println!("E13: repair quality — uniform vs confidence weights ({n} tuples)");
+    let mut rows = Vec::new();
+    for rate in [0.02, 0.05, 0.10] {
+        let (data, ds, cfds) = customer_workload(n, rate, 14);
+        let (fix_u, _, t_u) =
+            timed_repair(&cfds, CostModel::uniform(data.schema.arity()), &ds.dirty);
+        let score_u = ds.score_repair(&fix_u, &repairable_attrs());
+
+        // The weights' detection pass is part of what they cost.
+        let ((fix_w, stats_w), t_w) = timed(|| {
+            let weights = suspicion_weights(&ds.dirty, &cfds, ConfidenceOptions::default());
+            BatchRepair::new(&cfds, weights).repair(&ds.dirty).expect("repair")
+        });
+        assert_eq!(stats_w.residual_violations, 0);
+        let score_w = ds.score_repair(&fix_w, &repairable_attrs());
+
+        rows.push(vec![pct(rate), f3(score_u.f1()), ms(t_u), f3(score_w.f1()), ms(t_w)]);
+    }
+    print_table(&["noise", "uniform_f1", "uniform_ms", "conf_f1", "conf_ms"], &rows);
+}
+
+/// T1 — static analyses of CFD suites (TODS 2008 tables).
+///
+/// Over generated suites of growing size: satisfiability time, with
+/// and without finite-domain attributes (the NP-hardness lever);
+/// implication time (chase over the bounded witness space); and
+/// minimal-cover shrinkage on suites with planted redundancy.
+fn static_analysis() {
+    use revival_constraints::analysis::{implies, is_satisfiable, minimal_cover, Outcome};
+    use revival_constraints::parser::parse_cfds;
+    use revival_relation::{Schema, Type};
+
+    let finite = || (0..4).map(|i| i.to_string().into()).collect();
+    let s_inf = Schema::builder("r")
+        .attr("a", Type::Str)
+        .attr("b", Type::Str)
+        .attr("c", Type::Str)
+        .attr("d", Type::Str)
+        .build();
+    let s_fin = Schema::builder("r")
+        .attr_in("a", Type::Str, finite())
+        .attr_in("b", Type::Str, finite())
+        .attr("c", Type::Str)
+        .attr("d", Type::Str)
+        .build();
+    let sizes: &[usize] = if full_mode() { &[10, 25, 50, 100, 200] } else { &[5, 10, 20, 40] };
+    let budget = 4_000_000;
+    println!("T1: static analyses of generated CFD suites");
+    let mut rows = Vec::new();
+    for &n in sizes {
+        // A satisfiable suite: `n` guarded constant rules, pairwise
+        // consistent, plus every third a redundant conditional variant
+        // of the global rule (implied by it).
+        let mut text = String::from("r([b] -> [c])\n");
+        for i in 0..n {
+            text.push_str(&format!("r([a='{i}'] -> [c='v{i}'])\n"));
+            if i % 3 == 0 {
+                text.push_str(&format!("r([a='{i}', b] -> [c])\n"));
+            }
+        }
+        let suite_inf = parse_cfds(&text, &s_inf).unwrap();
+        let suite_fin = parse_cfds(&text, &s_fin).unwrap();
+
+        let (sat_inf, t_inf) = timed(|| is_satisfiable(&s_inf, &suite_inf, budget));
+        let (sat_fin, t_fin) = timed(|| is_satisfiable(&s_fin, &suite_fin, budget));
+        assert_eq!(sat_inf, Outcome::Yes);
+
+        // Implication: is the guarded variant of the global rule implied?
+        let phi = parse_cfds("r([a='0', b] -> [c])", &s_inf).unwrap();
+        let (imp, t_imp) = timed(|| implies(&s_inf, &suite_inf, &phi[0], budget));
+        assert_eq!(imp, Outcome::Yes);
+
+        let ((_, cover), t_cover) = timed(|| minimal_cover(&s_inf, &suite_inf, budget));
+
+        rows.push(vec![
+            suite_inf.len().to_string(),
+            ms(t_inf),
+            format!("{:?}({})", sat_fin, ms(t_fin)),
+            ms(t_imp),
+            format!("{}->{}", cover.rows_in, cover.rows_out),
+            ms(t_cover),
+        ]);
+    }
+    let headers = ["cfds", "sat_inf_ms", "sat_finite", "implication_ms", "cover_rows", "cover_ms"];
+    print_table(&headers, &rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_select_one_all_or_nothing() {
+        assert_eq!(select("all").len(), EXPERIMENTS.len());
+        for (name, _) in EXPERIMENTS {
+            assert_eq!(select(name).len(), 1, "{name}");
+        }
+        assert!(select("nope").is_empty() && select("").is_empty());
+    }
+}

@@ -1,17 +1,17 @@
-//! Shared harness utilities for the experiment binaries (`exp1`–`exp13`,
-//! `t1`) and the Criterion benches.
+//! Shared harness utilities for the `experiments` bin: the dirty
+//! workload generators, `timed` and `print_table`.
 //!
-//! Each binary reproduces one figure/table from the papers behind the
-//! tutorial (see DESIGN.md §3 for the index and EXPERIMENTS.md for
-//! recorded paper-vs-measured shapes). Binaries accept `--full` to run
-//! the paper-scale sweep; the default sizes finish in seconds.
+//! Each `experiments` subcommand reproduces one figure/table from the
+//! papers behind the tutorial; README's experiments table is the index
+//! and records where the measured shape differs from the paper's.
+//! `--full` runs the paper-scale sweep; the default sizes finish in
+//! seconds. Timings of the system's own layers are the `ledger`'s job
+//! (`src/bin/ledger`, `BENCHMARK.json`), not this crate's.
 
 use revival_constraints::Cfd;
 use revival_dirty::customer::{attrs, generate, standard_cfds, CustomerConfig, CustomerData};
 use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
 use std::time::{Duration, Instant};
-
-pub mod perf;
 
 /// Run `f`, returning its result and wall time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -64,10 +64,7 @@ pub fn customer_workload(
     seed: u64,
 ) -> (CustomerData, DirtyDataset, Vec<Cfd>) {
     let data = generate(&CustomerConfig { rows, seed, ..Default::default() });
-    let ds = inject(
-        &data.table,
-        &NoiseConfig::new(noise, vec![attrs::STREET, attrs::CITY, attrs::ZIP], seed ^ 0xd1f7),
-    );
+    let ds = inject(&data.table, &NoiseConfig::new(noise, repairable_attrs(), seed ^ 0xd1f7));
     let cfds = standard_cfds(&data.schema);
     (data, ds, cfds)
 }
@@ -75,26 +72,6 @@ pub fn customer_workload(
 /// The attributes noise targets (and repair edits touch).
 pub fn repairable_attrs() -> Vec<usize> {
     vec![attrs::STREET, attrs::CITY, attrs::ZIP]
-}
-
-/// Standard dirty-hospital workload (the HOSP scenario): clean
-/// generation + noise over the attributes the published suites
-/// constrain, plus the standard 8-CFD normal-form suite. The kernel
-/// ablations in [`perf`] run here — wider rows and a larger suite than
-/// the customer workload, so grouping dominates the scan.
-pub fn hospital_workload(
-    rows: usize,
-    noise: f64,
-    seed: u64,
-) -> (revival_dirty::hospital::HospitalData, DirtyDataset, Vec<Cfd>) {
-    use revival_dirty::hospital::{attrs as h, generate, standard_cfds, HospitalConfig};
-    let data = generate(&HospitalConfig { rows, seed, ..Default::default() });
-    let ds = inject(
-        &data.table,
-        &NoiseConfig::new(noise, vec![h::STATE, h::MEASURE_NAME, h::HNAME], seed ^ 0x405b),
-    );
-    let cfds = standard_cfds(&data.schema);
-    (data, ds, cfds)
 }
 
 #[cfg(test)]
@@ -119,13 +96,5 @@ mod tests {
     #[test]
     fn ms_formats() {
         assert_eq!(ms(Duration::from_millis(1500)), "1500.00");
-    }
-
-    #[test]
-    fn hospital_workload_shapes() {
-        let (data, ds, cfds) = hospital_workload(300, 0.05, 1);
-        assert_eq!(data.table.len(), 300);
-        assert!(ds.error_count() > 0);
-        assert_eq!(cfds.len(), 8, "normal-form HOSP suite");
     }
 }

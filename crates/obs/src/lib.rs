@@ -39,7 +39,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub use profile::{
     ConstraintProfile, JobProfile, ProfileRing, RegistrySnapshot, RequestProfile, SnapshotRing,
 };
-pub use registry::{json_string, Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKETS};
+pub use registry::{
+    json_string, write_json_string, Counter, Gauge, Histogram, HistogramSnapshot, Registry, BUCKETS,
+};
 pub use span::{phase_add, phases_reset, phases_take, time_phase, Span};
 
 static GLOBAL: Registry = Registry::new();

@@ -9,6 +9,7 @@
 //! the name at the first `{` so `name_count{labels}`-style lines stay valid.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -427,9 +428,11 @@ fn split_labels(name: &str) -> (&str, &str) {
     }
 }
 
-/// Minimal JSON string encoder (the workspace has no serde).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as a JSON string literal (the workspace has no
+/// serde). The one escaper outside the ledger: the registry, profile
+/// and trace writers and `stream::protocol` all encode through it.
+#[inline]
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -438,11 +441,19 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// [`write_json_string`] into a fresh `String`.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_string(&mut out, s);
     out
 }
 

@@ -1,12 +1,14 @@
-//! Work-count guard for CSV ingest: heap allocations, not milliseconds.
+//! Work-count guard for CSV ingest and snapshot open: heap allocations,
+//! not milliseconds.
 //!
 //! Ingest scans borrowed fields and interns them straight into the
-//! columns, so what it allocates is a function of the *distinct* values
+//! columns, and a snapshot open reads the pool and the symbol columns
+//! back, so what either allocates is a function of the *distinct* values
 //! and the column count — never of the cell count. A counting global
 //! allocator pins that, machine-independently. (One `#[test]` only: the
 //! counter is process-wide, and the harness runs tests on threads.)
 
-use revival_relation::{csv, Schema, Type, Value};
+use revival_relation::{csv, Schema, Table, Type, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -72,6 +74,19 @@ fn ingest_allocates_per_distinct_value_not_per_cell() {
     assert!(distinct <= 1_000, "{distinct} distinct values");
     // The parent commit's loader made > 400 000 here (three per cell).
     assert!(allocations < 5_000, "{allocations} allocations for {distinct} distinct values");
+
+    // Opening the `.sdq` of the same table stays under the same bound:
+    // the pool's values and one vector per column, nothing per cell —
+    // which is why a snapshot opens faster than its CSV re-ingests.
+    let path =
+        std::env::temp_dir().join(format!("revival_ingest_allocs_{}.sdq", std::process::id()));
+    table.save_snapshot(&path).expect("snapshot saves");
+    let (opened, allocations) = counting(|| Table::open_snapshot(&path));
+    let opened = opened.expect("snapshot opens");
+    std::fs::remove_file(&path).expect("snapshot file removed");
+    assert_eq!((opened.len(), opened.pool().len()), (ROWS, distinct));
+    assert_eq!(opened.diff_cells(&table), 0);
+    assert!(allocations < 5_000, "{allocations} allocations to open {distinct} distinct values");
 
     // One appended line: the row vector and one `Arc<str>` per string
     // cell — nothing for the scan itself.

@@ -28,6 +28,7 @@
 //! vetted suite as the table's constraints — the profiling loop of the
 //! paper (discover → vet → detect) without leaving the session.
 
+use revival_obs::write_json_string;
 use std::fmt::Write as _;
 
 /// A flat JSON scalar.
@@ -50,24 +51,6 @@ impl JsonValue {
             JsonValue::Str(s) => write_json_string(out, s),
         }
     }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse one flat JSON object (`{"k": scalar, ...}`).

@@ -286,3 +286,48 @@ proptest! {
         }
     }
 }
+
+/// Group commit engages through the tier, not only inside `GroupWal`:
+/// four writers on one table must share syncs. `mutate` stages under
+/// the shard write lock and commits after dropping it; if the commit
+/// ever moves back under the lock, no second writer can stage while a
+/// leader gathers, every sync covers one record, and this fails — which
+/// the WAL's own unit test cannot see. Counted on the tier's tallies,
+/// not the process-global `wal_fsync_us` that parallel tests share.
+#[test]
+fn concurrent_appends_share_syncs_through_the_tier() {
+    let dir = std::env::temp_dir().join(format!("revival_wal_tier_group_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ServeOptions {
+        jobs: 1,
+        wal: true,
+        state: Some(dir.clone()),
+        wal_group_max_wait_us: 20_000,
+        ..ServeOptions::default()
+    };
+    let (tier, _) = ShardedSession::open(&opts).unwrap();
+    let resp = tier.handle(&Request::Register {
+        table: "hot".into(),
+        csv: SEED_CSV.into(),
+        cfds: suite_for("hot"),
+        merged: false,
+    });
+    assert!(resp.is_ok(), "register hot: {resp:?}");
+    std::thread::scope(|scope| {
+        for c in 0..4 {
+            let tier = &tier;
+            scope.spawn(move || {
+                for i in 0..16 {
+                    let row = format!("c{c}i{i},EH8,Crichton,edi");
+                    let resp = tier.handle(&Request::Append { table: "hot".into(), row });
+                    assert!(resp.is_ok(), "append not acked: {resp:?}");
+                }
+            });
+        }
+    });
+    let (syncs, records) = tier.wal_group_tallies();
+    assert_eq!(records, 1 + 4 * 16, "the register and every append were logged");
+    assert!(syncs < records, "grouping must engage: {syncs} syncs for {records} records");
+    drop(tier);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
