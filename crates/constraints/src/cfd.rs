@@ -25,7 +25,7 @@
 use crate::fd::Fd;
 use crate::pattern::{PatternRow, PatternValue};
 use revival_relation::{AttrId, Error, Result, Schema, Table, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A normal-form CFD: `(relation: lhs → rhs, tableau)`.
@@ -212,20 +212,31 @@ impl Cfd {
         true
     }
 
-    /// Drop tableau rows subsumed by other rows in the same CFD.
+    /// Drop tableau rows subsumed by other rows in the same CFD (of
+    /// mutually subsuming rows the first stays). A row is compared only
+    /// with the rows that *can* subsume it — those sharing its LHS and
+    /// those with a non-`Const` LHS pattern, since an all-`Const` LHS
+    /// subsumes only an identical LHS — so a mined tableau of distinct
+    /// constant rows prunes in linear time.
     pub fn prune_subsumed_rows(&mut self) {
         let rows = std::mem::take(&mut self.tableau);
-        let mut kept: Vec<PatternRow> = Vec::with_capacity(rows.len());
+        let mut same_lhs: HashMap<&[PatternValue], Vec<usize>> = HashMap::new();
+        let mut general: Vec<usize> = Vec::new();
         for (i, r) in rows.iter().enumerate() {
-            let subsumed = rows
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && other.subsumes(r) && !(r.subsumes(other) && j > i));
-            if !subsumed {
-                kept.push(r.clone());
+            same_lhs.entry(&r.lhs).or_default().push(i);
+            if r.lhs.iter().any(|p| p.as_const().is_none()) {
+                general.push(i);
             }
         }
-        self.tableau = kept;
+        let subsumed: Vec<bool> = (rows.iter().enumerate())
+            .map(|(i, r)| {
+                same_lhs[r.lhs.as_slice()].iter().chain(&general).any(|&j| {
+                    let other = &rows[j];
+                    j != i && other.subsumes(r) && !(r.subsumes(other) && j > i)
+                })
+            })
+            .collect();
+        self.tableau = rows.into_iter().zip(subsumed).filter(|(_, s)| !s).map(|(r, _)| r).collect();
     }
 
     /// Human-readable form using a schema for names — rendered in the
@@ -262,15 +273,23 @@ impl Cfd {
 /// Group a list of normal-form CFDs by embedded FD, merging tableaux
 /// (duplicate rows kept once) — one CFD per embedded FD, in first-seen
 /// order. Repair and the static analyses reason per embedded FD over
-/// this form; detection does the same grouping inside its scan.
-pub fn merge_by_embedded_fd(cfds: &[Cfd]) -> Vec<Cfd> {
+/// this form; detection does the same grouping inside its scan. Groups
+/// and their rows are found by hash, so the merge is linear in rows.
+pub fn merge_by_embedded_fd<'a>(cfds: impl IntoIterator<Item = &'a Cfd>) -> Vec<Cfd> {
     let mut out: Vec<Cfd> = Vec::new();
+    // Embedded FD → its CFD in `out` and the rows that tableau holds.
+    type Group<'a> = (usize, HashSet<&'a PatternRow>);
+    let mut groups: HashMap<(&str, &[AttrId], AttrId), Group<'a>> = HashMap::new();
     for cfd in cfds {
-        if !out.iter_mut().any(|merged| merged.merge(cfd)) {
-            // Through `merge`, so a tableau repeating a row dedups too.
-            let mut first = Cfd { tableau: Vec::new(), ..cfd.clone() };
-            first.merge(cfd);
-            out.push(first);
+        let (at, seen) = groups.entry((&cfd.relation, &cfd.lhs, cfd.rhs)).or_insert_with(|| {
+            let (relation, lhs) = (cfd.relation.clone(), cfd.lhs.clone());
+            out.push(Cfd { relation, lhs, rhs: cfd.rhs, tableau: Vec::new() });
+            (out.len() - 1, HashSet::new())
+        });
+        for row in &cfd.tableau {
+            if seen.insert(row) {
+                out[*at].tableau.push(row.clone());
+            }
         }
     }
     out
@@ -280,6 +299,7 @@ pub fn merge_by_embedded_fd(cfds: &[Cfd]) -> Vec<Cfd> {
 mod tests {
     use super::*;
     use crate::pattern::PatternValue;
+    use proptest::prelude::*;
     use revival_relation::Type;
 
     fn schema() -> Schema {
@@ -416,6 +436,19 @@ mod tests {
     }
 
     #[test]
+    fn prune_drops_the_variable_twin_of_a_constant_row() {
+        // Same all-`Const` LHS, so only the same-LHS bucket can see it:
+        // the constant-RHS row is stronger and subsumes its `_` twin.
+        let s = schema();
+        let lhs = || vec![PatternValue::constant("01"), PatternValue::constant("07974")];
+        let mut cfd = city_cfd(&s);
+        cfd.tableau.insert(0, PatternRow::new(lhs(), PatternValue::Wildcard));
+        cfd.tableau.push(PatternRow::new(lhs(), PatternValue::constant("mh")));
+        cfd.prune_subsumed_rows();
+        assert_eq!(cfd.tableau, city_cfd(&s).tableau, "twin and duplicate both go");
+    }
+
+    #[test]
     fn merge_by_embedded_fd_groups() {
         let s = schema();
         let list = vec![uk_cfd(&s), uk_cfd(&s), city_cfd(&s)];
@@ -485,5 +518,111 @@ mod tests {
         let t = Table::new(s.clone());
         assert!(uk_cfd(&s).satisfied_by(&t));
         assert!(city_cfd(&s).satisfied_by(&t));
+    }
+    /// `prune_subsumed_rows` as it stood before the buckets: every row
+    /// against every other. Kept verbatim as the oracle.
+    fn prune_subsumed_rows_all_pairs(cfd: &mut Cfd) {
+        let rows = std::mem::take(&mut cfd.tableau);
+        let mut kept: Vec<PatternRow> = Vec::with_capacity(rows.len());
+        for (i, r) in rows.iter().enumerate() {
+            let subsumed = rows
+                .iter()
+                .enumerate()
+                .any(|(j, other)| j != i && other.subsumes(r) && !(r.subsumes(other) && j > i));
+            if !subsumed {
+                kept.push(r.clone());
+            }
+        }
+        cfd.tableau = kept;
+    }
+
+    /// `merge_by_embedded_fd` as it stood before the hashes: a linear
+    /// `any` over the merged list, a linear `contains` per row (inside
+    /// [`Cfd::merge`]). Kept verbatim as the oracle.
+    fn merge_by_embedded_fd_linear(cfds: &[Cfd]) -> Vec<Cfd> {
+        let mut out: Vec<Cfd> = Vec::new();
+        for cfd in cfds {
+            if !out.iter_mut().any(|merged| merged.merge(cfd)) {
+                // Through `merge`, so a tableau repeating a row dedups too.
+                let mut first = Cfd { tableau: Vec::new(), ..cfd.clone() };
+                first.merge(cfd);
+                out.push(first);
+            }
+        }
+        out
+    }
+
+    /// LHS patterns over a three-value domain: constants weigh most (an
+    /// all-`Const` LHS is the mined shape), and `OneOf` comes in both
+    /// orders, so unequal rows can subsume each other.
+    fn lhs_pattern(code: u8) -> PatternValue {
+        let v = |s: &str| Value::from(s);
+        match code {
+            0 | 1 => PatternValue::Wildcard,
+            2..=6 => PatternValue::constant(["a", "b", "c"][code as usize % 3]),
+            7 | 8 => PatternValue::NotConst(v(["a", "b"][code as usize % 2])),
+            9 => PatternValue::OneOf(vec![v("a"), v("b")]),
+            10 => PatternValue::OneOf(vec![v("b"), v("a")]),
+            _ => PatternValue::OneOf(vec![v("a"), v("b"), v("c")]),
+        }
+    }
+
+    /// RHS patterns: `_` and constants on the same LHS give the
+    /// variable + constant twins the same-LHS bucket exists for.
+    fn rhs_pattern(code: u8) -> PatternValue {
+        let v = |s: &str| Value::from(s);
+        match code {
+            0..=2 => PatternValue::Wildcard,
+            3 | 4 => PatternValue::constant(["x", "y"][code as usize % 2]),
+            5 => PatternValue::NotConst(v("x")),
+            6 => PatternValue::OneOf(vec![v("x"), v("y")]),
+            _ => PatternValue::OneOf(vec![v("y"), v("x")]),
+        }
+    }
+
+    fn pattern_row(arity: usize, (a, b, c, rhs): (u8, u8, u8, u8)) -> PatternRow {
+        let lhs = [a, b, c][..arity].iter().map(|&code| lhs_pattern(code)).collect();
+        PatternRow::new(lhs, rhs_pattern(rhs))
+    }
+
+    fn row_codes() -> impl Strategy<Value = (u8, u8, u8, u8)> {
+        (0u8..12, 0u8..12, 0u8..12, 0u8..8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn bucketed_prune_agrees_with_all_pairs(
+            arity in 1usize..=3,
+            codes in prop::collection::vec(row_codes(), 0..=24),
+        ) {
+            let tableau: Vec<PatternRow> = codes.iter().map(|&c| pattern_row(arity, c)).collect();
+            let mut got =
+                Cfd { relation: "r".into(), lhs: (0..arity).collect(), rhs: 3, tableau };
+            let mut want = got.clone();
+            got.prune_subsumed_rows();
+            prune_subsumed_rows_all_pairs(&mut want);
+            prop_assert_eq!(got.tableau, want.tableau);
+        }
+
+        #[test]
+        fn hashed_merge_agrees_with_linear(
+            suite in prop::collection::vec(
+                (0u8..6, prop::collection::vec(row_codes(), 0..=4)),
+                0..=12,
+            ),
+        ) {
+            let cfds: Vec<Cfd> = suite
+                .iter()
+                .map(|(fd, codes)| Cfd {
+                    relation: if *fd < 3 { "r" } else { "s" }.into(),
+                    lhs: [vec![0, 1], vec![1, 0], vec![0, 1]][*fd as usize % 3].clone(),
+                    rhs: [2, 2, 3][*fd as usize % 3],
+                    tableau: codes.iter().map(|&c| pattern_row(2, c)).collect(),
+                })
+                .collect();
+            prop_assert_eq!(merge_by_embedded_fd(&cfds), merge_by_embedded_fd_linear(&cfds));
+        }
     }
 }

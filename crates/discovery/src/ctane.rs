@@ -6,8 +6,8 @@
 //! candidate embedded FD that fails the (confidence) check on the whole
 //! table, single-constant patterns over the most frequent values are
 //! probed on the matching sub-instance. This module owns the probe
-//! kernel ([`pattern_support_error`], one interned grouping pass per
-//! pattern — no `Vec<Value>` keys) and the classical surface
+//! kernel ([`pattern_error`], one interned grouping pass over the
+//! condition item's row list — no `Vec<Value>` keys) and the classical surface
 //! [`discover_cfds`], which now also returns [`DiscoveryStats`] so the
 //! search bounds (`max_lhs`, `top_values`) are reported, never applied
 //! silently.
@@ -39,30 +39,20 @@ impl Default for CtaneOptions {
     }
 }
 
-/// Support and `g3`-style error of the embedded FD `lhs → rhs`
-/// restricted to rows whose `cond_attr` carries `value` — one grouping
-/// pass on the interned kernel. The error is the minimum number of
-/// matching tuples to remove so the conditional FD holds exactly;
-/// confidence is `1 − err/support`.
-pub(crate) fn pattern_support_error(
-    table: &Table,
-    lhs: &[usize],
-    rhs: usize,
-    cond_attr: usize,
-    value: Sym,
-) -> (usize, usize) {
+/// `g3`-style error of the embedded FD `lhs → rhs` restricted to
+/// `rows` — the live slots of the item the pattern conditions on, from
+/// the table's [`crate::items::ItemIndex`], so the probe groups the
+/// pattern's own support instead of filtering the table for it. The
+/// error is the minimum number of those tuples to remove so the
+/// conditional FD holds exactly; confidence is `1 − err/rows.len()`.
+pub(crate) fn pattern_error(table: &Table, lhs: &[usize], rhs: usize, rows: &[u32]) -> usize {
     // Per LHS-projection group: the distinct RHS symbols seen with
     // their multiplicities (few per group, so a Vec beats a map).
     let mut groups: GroupBy<Box<[Sym]>, Vec<(Sym, usize)>> = GroupBy::new();
-    let mut support = 0usize;
     let proj = table.proj(lhs);
-    let cond_col = table.col(cond_attr);
     let rhs_col = table.col(rhs);
-    for slot in table.live_slots() {
-        if cond_col[slot] != value {
-            continue;
-        }
-        support += 1;
+    for &slot in rows {
+        let slot = slot as usize;
         let counts = groups.entry_mut(
             proj.hash_at(slot),
             |k| proj.matches_at(slot, k),
@@ -80,7 +70,7 @@ pub(crate) fn pattern_support_error(
         let keep = counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
         err += total - keep;
     }
-    (support, err)
+    err
 }
 
 /// Discover variable CFDs per the options, with the search accounting.
@@ -201,14 +191,37 @@ mod tests {
     #[test]
     fn pattern_probe_matches_oracle() {
         let t = table();
-        let cc44 = t.pool().lookup(&"44".into()).unwrap();
+        let index = crate::items::ItemIndex::build(&t);
+        let rows_of = |value: &str| {
+            let sym = t.pool().lookup(&value.into()).unwrap();
+            index.rows(index.items_of(0).find(|&id| index.item(id).1 == sym).unwrap())
+        };
         // [cc='44'] restricted zip → street: 5 matching rows, exact.
-        let (support, err) = pattern_support_error(&t, &[0, 1], 2, 0, cc44);
-        assert_eq!((support, err), (5, 0));
-        let cc01 = t.pool().lookup(&"01".into()).unwrap();
+        assert_eq!(rows_of("44").len(), 5);
+        assert_eq!(pattern_error(&t, &[0, 1], 2, rows_of("44")), 0);
         // cc='01': EH8 splits {Other1, Other2} (1 removal) and 10001
         // splits {5th, 6th×2} (1 removal).
-        let (support, err) = pattern_support_error(&t, &[0, 1], 2, 0, cc01);
-        assert_eq!((support, err), (5, 2));
+        assert_eq!(rows_of("01").len(), 5);
+        assert_eq!(pattern_error(&t, &[0, 1], 2, rows_of("01")), 2);
+    }
+    #[test]
+    fn probes_touch_exactly_the_supports_they_group() {
+        // With `top_values` covering every value and `min_support` 1,
+        // the probes of one failing candidate `X → A` group, per
+        // attribute of `X`, each value's rows once: |X| · n rows, where
+        // a table scan per probe would read |X| · distinct · n.
+        let t = table();
+        let run = |max_lhs| {
+            let opts = CtaneOptions { max_lhs, max_constants: 1, min_support: 1, top_values: 8 };
+            let (cfds, stats) = discover_cfds(&t, &opts);
+            let plain = cfds.iter().filter(|c| c.is_plain_fd()).count();
+            (stats.candidates_checked - plain, stats.support_rows_touched)
+        };
+        let (failing_1, touched_1) = run(1);
+        assert!(failing_1 > 0);
+        assert_eq!(touched_1, failing_1 * t.len());
+        let (failing_2, touched_2) = run(2);
+        assert!(failing_2 > failing_1, "level 2 must probe too");
+        assert_eq!(touched_2, touched_1 + (failing_2 - failing_1) * 2 * t.len());
     }
 }

@@ -17,18 +17,25 @@
 //! across `std::thread::scope` workers and merges chunk outputs in
 //! candidate order, so its rule lists are **byte-identical** to
 //! [`SequentialDiscovery`]'s at any `jobs` — the same determinism
-//! contract the detection and repair engines keep. All partition and
-//! grouping work runs on the interned `GroupBy`/`Sym` kernel from
+//! contract the detection and repair engines keep. `jobs` shards the
+//! lattice only: a job builds one item index per table
+//! (`(attribute, Sym)` → row list) and every support count reads it —
+//! the constant miner buckets parents' row lists, the conditional probe
+//! groups its item's rows — which leaves the constant miner nothing
+//! worth sharding, so it runs on the caller. All partition and grouping
+//! work runs on the interned `GroupBy`/`Sym` kernel from
 //! `revival-relation`; no `Vec<Value>` key is built anywhere in the
 //! lattice.
 
 use crate::cfdminer::{self, MinerOptions};
 use crate::ind_disc::{discover_unary_inds, lift_to_cinds, IndOptions};
+use crate::items::ItemIndex;
 use crate::tane;
 use revival_constraints::analysis::{self, CoverReport, Outcome};
 use revival_constraints::{Cfd, Cind};
 use revival_relation::{Catalog, Error, Result, Sym, Table};
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// Options for a discovery run.
 #[derive(Clone, Debug)]
@@ -68,8 +75,8 @@ pub struct DiscoverOptions {
     /// the cut is reported via
     /// [`DiscoveryStats::cover_implication_skipped`], never silent.
     pub full_cover_limit: usize,
-    /// Shard count for [`ParallelDiscovery`] (0 = one per available
-    /// core); [`SequentialDiscovery`] ignores it.
+    /// Shard count for [`ParallelDiscovery`]'s lattice walk (0 = one
+    /// per available core); [`SequentialDiscovery`] ignores it.
     pub jobs: usize,
 }
 
@@ -178,6 +185,10 @@ pub struct DiscoveryStats {
     /// cheap cover (merge + subsumption) and skipped the quadratic
     /// implied-row drop for it.
     pub cover_implication_skipped: bool,
+    /// Rows read to count the support of an itemset (CFDMiner) or of a
+    /// conditional pattern (the lattice's probe) — Σ parent supports,
+    /// not candidates × table rows; identical at any `jobs`.
+    pub support_rows_touched: usize,
 }
 
 impl DiscoveryStats {
@@ -189,6 +200,7 @@ impl DiscoveryStats {
         self.levels = self.levels.max(other.levels);
         self.constants_subsumed += other.constants_subsumed;
         self.cover_implication_skipped |= other.cover_implication_skipped;
+        self.support_rows_touched += other.support_rows_touched;
     }
 }
 
@@ -235,13 +247,17 @@ pub trait DiscoveryEngine {
 
     /// [`DiscoveryEngine::run`] with a [`revival_obs::JobProfile`]
     /// alongside: identical output (profiling is side-effect-only),
-    /// plus per-lattice-level attribution (candidates checked/pruned,
-    /// g3 evaluations, partition-build µs, wall per level per relation)
-    /// and lattice/constant-rules/vetting/cind-mining phase timings.
+    /// plus one row per lattice level (`level`: candidates
+    /// checked/pruned, g3 evaluations, probe rows, partition-build µs),
+    /// per constant-mining level (`itemsets`: candidates checked/pruned,
+    /// support rows touched), per relation for the constant rule list
+    /// (`rules`: order, materialise, convert) and for vetting
+    /// (`vetting`: tableau rows in), and lattice / constant-rules /
+    /// vetting (merge, cover, satisfiability) / cind-mining phases.
     fn run_profiled(&self, job: &DiscoverJob<'_>) -> Result<(Discovered, revival_obs::JobProfile)> {
         let jobs = self.shards(job);
         let mut profile = revival_obs::JobProfile::new("discovery", self.name(), jobs as u64);
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let discovered = run_job(job, jobs, Some(&mut profile))?;
         let us = start.elapsed().as_micros() as u64;
         profile.meta_add("rules_mined", discovered.rules.len() as u64);
@@ -249,6 +265,7 @@ pub trait DiscoveryEngine {
         profile.meta_add("candidates_checked", discovered.stats.candidates_checked as u64);
         profile.meta_add("candidates_pruned", discovered.stats.candidates_pruned as u64);
         profile.meta_add("levels", discovered.stats.levels as u64);
+        profile.meta_add("support_rows_touched", discovered.stats.support_rows_touched as u64);
         profile.finish(us);
         Ok((discovered, profile))
     }
@@ -272,7 +289,8 @@ impl DiscoveryEngine for SequentialDiscovery {
 /// The sharded engine: each lattice level's candidate checks (and the
 /// next level's partition builds) run on `options.jobs` scoped threads;
 /// chunk outputs merge in candidate order, so the mined rule list is
-/// byte-identical to [`SequentialDiscovery`]'s at any shard count.
+/// byte-identical to [`SequentialDiscovery`]'s at any shard count. The
+/// constant miner and vetting run on the caller either way.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelDiscovery;
 
@@ -325,9 +343,9 @@ pub(crate) fn sharded_map<T: Sync, R: Send>(
     })
 }
 
-/// The shared engine body: mine every table's lattice (sharded), add
-/// CFDMiner constant rules, vet per relation, and lift INDs to CINDs on
-/// catalog jobs.
+/// The shared engine body: index every table's items, mine its lattice
+/// (sharded), add CFDMiner constant rules, vet per relation, and lift
+/// INDs to CINDs on catalog jobs.
 fn run_job(
     job: &DiscoverJob<'_>,
     jobs: usize,
@@ -343,13 +361,26 @@ fn run_job(
     let mut stats = DiscoveryStats::default();
     let (mut lattice_us, mut constant_us) = (0u64, 0u64);
     for table in &tables {
-        let stage = std::time::Instant::now();
+        let stage = Instant::now();
+        // One item index per table: the lattice's conditional probe and
+        // the constant miner both count support over its row lists.
+        let index = ItemIndex::build(table);
+        let index_us = stage.elapsed().as_micros() as u64;
         let (mut mined, tstats) =
-            tane::mine_lattice_inner(table, opts, jobs, profile.as_deref_mut());
+            tane::mine_lattice_inner(&index, opts, jobs, profile.as_deref_mut());
         lattice_us += stage.elapsed().as_micros() as u64;
         stats.absorb(&tstats);
-        let stage = std::time::Instant::now();
+        let stage = Instant::now();
         if opts.constant_rules {
+            // Row-list support counting leaves nothing worth sharding:
+            // the constant miner runs on the caller at any `jobs`.
+            let (constants, cstats) = cfdminer::mine_indexed(
+                &index,
+                &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },
+                profile.as_deref_mut(),
+            );
+            stats.absorb(&cstats);
+            let convert_start = Instant::now();
             // Exact mined FDs over the same embedded dependency already
             // constrain the constant rule's tuples; keeping both only
             // bloats the suite. The drop is counted, not silent.
@@ -358,12 +389,6 @@ fn run_job(
                 .filter(|m| m.confidence == 1.0 && m.cfd.is_plain_fd())
                 .map(|m| (m.cfd.lhs.clone(), m.cfd.rhs))
                 .collect();
-            let (constants, cstats) = cfdminer::mine_constant_cfds_sharded(
-                table,
-                &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },
-                jobs,
-            );
-            stats.absorb(&cstats);
             for rule in constants {
                 let lhs: Vec<usize> = rule.lhs.iter().map(|(a, _)| *a).collect();
                 if exact.contains(&(lhs, rule.rhs.0)) {
@@ -376,6 +401,12 @@ fn run_job(
                     confidence: 1.0,
                 });
             }
+            if let Some(p) = profile.as_deref_mut() {
+                // Level 1's supports *are* the index.
+                p.entry(&cfdminer::level_row(table, 1), "itemsets").wall_us += index_us;
+                p.entry(&cfdminer::rules_row(table), "rules").wall_us +=
+                    convert_start.elapsed().as_micros() as u64;
+            }
         }
         constant_us += stage.elapsed().as_micros() as u64;
         rules.extend(mined);
@@ -384,27 +415,31 @@ fn run_job(
     // Vet per relation: minimal cover + satisfiability. Budget
     // exhaustion keeps rows conservatively (the cover stays equivalent)
     // and reports ResourceLimit rather than a wrong answer.
-    let vet_start = std::time::Instant::now();
+    let vet_start = Instant::now();
     let mut vetted: Vec<Cfd> = Vec::new();
     let mut cover = CoverReport::default();
     let mut satisfiable = Outcome::Yes;
+    let (mut merge_us, mut cover_us, mut satisfiable_us) = (0u64, 0u64, 0u64);
     for table in &tables {
+        let relation_start = Instant::now();
         let name = table.schema().name();
-        let relation: Vec<Cfd> =
-            rules.iter().filter(|m| m.cfd.relation == name).map(|m| m.cfd.clone()).collect();
-        if relation.is_empty() {
-            continue;
-        }
         // The full minimal cover runs an NP-hard implication check per
         // tableau row, quadratically — fine for the handfuls of rules a
         // vetted workload keeps, hopeless for a raw mine of hundreds.
         // Past the limit, vet with the cheap cover (merge by embedded
         // FD + subsumption pruning, the same first phase minimal_cover
-        // runs) and say so in the stats.
-        let merged = revival_constraints::cfd::merge_by_embedded_fd(&relation);
+        // runs — re-merging a merged suite is the identity) and say so
+        // in the stats.
+        let merged = revival_constraints::cfd::merge_by_embedded_fd(
+            rules.iter().map(|m| &m.cfd).filter(|cfd| cfd.relation == name),
+        );
+        if merged.is_empty() {
+            continue;
+        }
+        let merged_at = relation_start.elapsed().as_micros() as u64;
         let rows_in: usize = merged.iter().map(|c| c.tableau.len()).sum();
         let (cov, rep) = if rows_in <= opts.full_cover_limit {
-            analysis::minimal_cover(table.schema(), &relation, opts.vet_budget)
+            analysis::minimal_cover(table.schema(), &merged, opts.vet_budget)
         } else {
             stats.cover_implication_skipped = true;
             let mut cheap = merged;
@@ -417,6 +452,7 @@ fn run_job(
             rep.rows_out = cheap.iter().map(|c| c.tableau.len()).sum();
             (cheap, rep)
         };
+        let covered_at = relation_start.elapsed().as_micros() as u64;
         match analysis::is_satisfiable(table.schema(), &cov, opts.vet_budget) {
             Outcome::Yes => {}
             Outcome::No => satisfiable = Outcome::No,
@@ -431,11 +467,20 @@ fn run_job(
         cover.implied_dropped += rep.implied_dropped;
         cover.subsumed_dropped += rep.subsumed_dropped;
         vetted.extend(cov);
+        let wall_us = relation_start.elapsed().as_micros() as u64;
+        merge_us += merged_at;
+        cover_us += covered_at - merged_at;
+        satisfiable_us += wall_us - covered_at;
+        if let Some(p) = profile.as_deref_mut() {
+            let row = p.entry(&format!("{name} vetting"), "vetting");
+            row.rows_scanned += rep.rows_in as u64;
+            row.wall_us += wall_us;
+        }
     }
 
     let vetting_us = vet_start.elapsed().as_micros() as u64;
 
-    let cind_start = std::time::Instant::now();
+    let cind_start = Instant::now();
     let cinds = match job.catalog() {
         Some(catalog) => mine_cinds(catalog, opts)?,
         None => Vec::new(),
@@ -444,6 +489,9 @@ fn run_job(
         p.phase_add("lattice", lattice_us);
         p.phase_add("constant_rules", constant_us);
         p.phase_add("vetting", vetting_us);
+        p.phase_add("vet_merge", merge_us);
+        p.phase_add("vet_cover", cover_us);
+        p.phase_add("vet_satisfiable", satisfiable_us);
         p.phase_add("cind_mining", cind_start.elapsed().as_micros() as u64);
     }
     if revival_obs::enabled() {
@@ -454,6 +502,7 @@ fn run_job(
         reg.counter("discovery_candidates_checked_total").add(stats.candidates_checked as u64);
         reg.counter("discovery_candidates_pruned_total").add(stats.candidates_pruned as u64);
         reg.counter("discovery_levels_total").add(stats.levels as u64);
+        reg.counter("discovery_support_rows_touched_total").add(stats.support_rows_touched as u64);
     }
     drop(run_span);
     Ok(Discovered { rules, vetted, satisfiable, cover, cinds, stats })
@@ -567,7 +616,8 @@ mod tests {
             let plain = engine.run(&job).unwrap();
             let (profiled, profile) = engine.run_profiled(&job).unwrap();
             let name = engine.name();
-            assert_eq!(plain.rules.len(), profiled.rules.len(), "{name}");
+            assert_eq!(format!("{:?}", plain.rules), format!("{:?}", profiled.rules), "{name}");
+            assert_eq!(format!("{:?}", plain.vetted), format!("{:?}", profiled.vetted), "{name}");
             assert_eq!(plain.stats, profiled.stats, "{name}: profiling changed the walk");
             // One row per walked lattice level, each with its
             // candidates; the job totals also count the constant-rule
@@ -580,7 +630,37 @@ mod tests {
             assert!(checked <= plain.stats.candidates_checked as u64, "{name}");
             let pruned: u64 = levels.iter().map(|c| c.candidates_pruned).sum();
             assert!(pruned <= plain.stats.candidates_pruned as u64, "{name}");
-            for phase in ["lattice", "constant_rules", "vetting", "cind_mining"] {
+            // The constant miner's levels are lit too: with them every
+            // checked candidate and every support row read has a row
+            // (only the top-value cut is pruned outside any level).
+            let kind = |k: &'static str| profile.constraints.iter().filter(move |c| c.kind == k);
+            let names: Vec<&str> = kind("itemsets").map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["customer itemsets k=1", "customer itemsets k=2"], "{name}");
+            let mined: u64 = kind("itemsets").map(|c| c.candidates_checked).sum();
+            assert_eq!(checked + mined, plain.stats.candidates_checked as u64, "{name}");
+            let dropped: u64 = kind("itemsets").map(|c| c.candidates_pruned).sum();
+            assert!(pruned + dropped <= plain.stats.candidates_pruned as u64, "{name}");
+            let read: u64 = kind("level").chain(kind("itemsets")).map(|c| c.rows_scanned).sum();
+            assert_eq!(read, plain.stats.support_rows_touched as u64, "{name}");
+            // One row per relation for the rule list and for vetting.
+            let [rules] = kind("rules").collect::<Vec<_>>()[..] else {
+                panic!("{name}: one `rules` row expected: {profile:?}");
+            };
+            assert_eq!(rules.name, "customer constant rules");
+            let [vetting] = kind("vetting").collect::<Vec<_>>()[..] else {
+                panic!("{name}: one `vetting` row expected: {profile:?}");
+            };
+            assert_eq!(vetting.rows_scanned, plain.cover.rows_in as u64, "{name}");
+            assert_eq!(profile.attributed_us() + profile.overhead_us(), profile.wall_us);
+            for phase in [
+                "lattice",
+                "constant_rules",
+                "vetting",
+                "vet_merge",
+                "vet_cover",
+                "vet_satisfiable",
+                "cind_mining",
+            ] {
                 assert!(
                     profile.phases.iter().any(|(p, _)| *p == phase),
                     "{name}: missing phase {phase}"

@@ -18,11 +18,17 @@
 //! [`engine::Discovered`] suite — mined rules with per-rule
 //! support/confidence, the vetted minimal cover
 //! (`constraints::analysis`), CIND candidates on catalog jobs, and
-//! [`engine::DiscoveryStats`] reporting every search bound. The
-//! parallel engine shards each lattice level's candidate checks across
+//! [`engine::DiscoveryStats`] reporting every search bound and the rows
+//! support counting read. A job builds one *item index* per table —
+//! for every `(attribute, Sym)` the ascending live rows carrying it —
+//! and support is only ever counted over those row lists: a child
+//! itemset's rows are its parent's, bucketed on one more column; a
+//! conditional pattern's rows are its item's. The parallel engine
+//! shards each lattice level's candidate checks across
 //! `std::thread::scope` workers with a deterministic candidate-order
 //! merge, so its output is byte-identical to the sequential engine's at
-//! any `jobs` count. Confidence (`1 − g3/support`, the
+//! any `jobs` count; the constant miner, down to Σ parent supports per
+//! level, runs on the caller. Confidence (`1 − g3/support`, the
 //! stripped-partition error of [`partition::Partition::g3_error`])
 //! makes discovery usable on *dirty* data: `min_confidence < 1.0`
 //! recovers the planted dependencies noise has chipped.
@@ -33,7 +39,8 @@
 //!   error measure, the engine room of TANE;
 //! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`])
 //!   and the classical exact-FD surface ([`tane::discover_fds`]);
-//! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner);
+//! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner)
+//!   over row lists;
 //! * [`ctane`] — the conditional-pattern probe and the bounded-CTANE
 //!   surface ([`ctane::discover_cfds`]);
 //! * [`ind_disc`] — unary IND discovery across relations and lifting of
@@ -47,6 +54,7 @@ pub mod cfdminer;
 pub mod ctane;
 pub mod engine;
 pub mod ind_disc;
+mod items;
 pub mod partition;
 pub mod tane;
 

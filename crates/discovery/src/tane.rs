@@ -10,8 +10,9 @@
 //!   recovers dependencies from *dirty* data, not just clean samples;
 //! * **conditional rules** — when the plain FD misses the confidence
 //!   bar, single-constant patterns over the most frequent values are
-//!   probed (CTANE's pattern search, `ctane::pattern_support_error`),
-//!   yielding CFDs like `([cc='44', zip] → [street])`.
+//!   probed (CTANE's pattern search, `ctane::pattern_error`, over the
+//!   item's row list from the table's [`ItemIndex`]), yielding CFDs
+//!   like `([cc='44', zip] → [street])`.
 //!
 //! Candidate checks at each level are independent, so the engine layer
 //! shards them across scoped threads ([`crate::engine::sharded_map`])
@@ -23,10 +24,11 @@
 //! only.
 
 use crate::engine::{sharded_map, DiscoverOptions, DiscoveryStats, MinedCfd};
+use crate::items::{ItemId, ItemIndex};
 use crate::partition::Partition;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cfd, Fd};
-use revival_relation::{Sym, Table};
+use revival_relation::Table;
 use std::collections::HashMap;
 
 /// Options for [`discover_fds`].
@@ -75,6 +77,8 @@ struct CandidateOutcome {
     /// next-level build reuses it instead of refining again — the
     /// partition cache the pre-engine sequential code kept.
     refined: Option<Partition>,
+    /// Rows the conditional probes grouped: the sum of their supports.
+    support_rows_touched: usize,
 }
 
 /// Check one candidate `X → A`: plain (possibly approximate) FD first,
@@ -83,16 +87,17 @@ struct CandidateOutcome {
 /// level (false on the last level, where it would only burn memory).
 #[allow(clippy::too_many_arguments)]
 fn check_candidate(
-    table: &Table,
+    index: &ItemIndex<'_>,
     opts: &DiscoverOptions,
     relation: &str,
     x: &[usize],
     px: &Partition,
     singles: &[Partition],
-    top: &[Vec<Sym>],
+    top: &[Vec<ItemId>],
     rhs: usize,
     keep_refined: bool,
 ) -> CandidateOutcome {
+    let table = index.table();
     let n = table.len();
     let pxa = px.refine(&singles[rhs]);
     let g3 = px.g3_error(&pxa);
@@ -109,20 +114,28 @@ fn check_candidate(
             rules: vec![MinedCfd { cfd, support: n, confidence }],
             prune: true,
             refined,
+            support_rows_touched: 0,
         };
     }
     let mut rules = Vec::new();
+    let mut support_rows_touched = 0;
     if opts.max_constants > 0 {
         for (pos, &attr) in x.iter().enumerate() {
-            for &vsym in &top[attr] {
-                let (support, err) = crate::ctane::pattern_support_error(table, x, rhs, attr, vsym);
+            for &item in &top[attr] {
+                // The item's row list is the pattern's support: known
+                // before a row is read, and all the probe then reads.
+                let rows = index.rows(item);
+                let support = rows.len();
                 if support < opts.min_support.max(1) {
                     continue;
                 }
+                support_rows_touched += support;
+                let err = crate::ctane::pattern_error(table, x, rhs, rows);
                 let confidence = 1.0 - err as f64 / support as f64;
                 if err == 0 || confidence >= opts.min_confidence {
                     let mut lhs_pats = vec![PatternValue::Wildcard; x.len()];
-                    lhs_pats[pos] = PatternValue::Const(table.pool().value(vsym).clone());
+                    let value = table.pool().value(index.item(item).1);
+                    lhs_pats[pos] = PatternValue::Const(value.clone());
                     let cfd = Cfd {
                         relation: relation.to_string(),
                         lhs: x.to_vec(),
@@ -134,7 +147,7 @@ fn check_candidate(
             }
         }
     }
-    CandidateOutcome { rules, prune: false, refined }
+    CandidateOutcome { rules, prune: false, refined, support_rows_touched }
 }
 
 /// Is some emitted LHS for `rhs` a subset of `x`? (Minimality pruning.)
@@ -142,23 +155,26 @@ fn pruned(minimal: &HashMap<usize, Vec<Vec<usize>>>, x: &[usize], rhs: usize) ->
     minimal.get(&rhs).is_some_and(|ls| ls.iter().any(|l| l.iter().all(|b| x.contains(b))))
 }
 
-/// The most frequent constants of one attribute (ties broken by value),
-/// capped at `k`; the values the cap drops are counted, not silently
-/// forgotten.
-fn top_value_syms(table: &Table, attr: usize, k: usize, stats: &mut DiscoveryStats) -> Vec<Sym> {
-    let col = table.col(attr);
-    let mut counts: HashMap<Sym, usize> = HashMap::new();
-    for slot in table.live_slots() {
-        *counts.entry(col[slot]).or_insert(0) += 1;
+/// The most frequent items of one attribute (ties broken by value),
+/// capped at `k` — frequencies are the index's row-list lengths; the
+/// values the cap drops are counted, not silently forgotten.
+fn top_items(
+    index: &ItemIndex<'_>,
+    attr: usize,
+    k: usize,
+    stats: &mut DiscoveryStats,
+) -> Vec<ItemId> {
+    let pool = index.table().pool();
+    let value = |id: ItemId| pool.value(index.item(id).1);
+    let mut items: Vec<ItemId> = index.items_of(attr).collect();
+    items.sort_by(|&a, &b| {
+        index.rows(b).len().cmp(&index.rows(a).len()).then_with(|| value(a).cmp(value(b)))
+    });
+    if items.len() > k {
+        stats.candidates_pruned += items.len() - k;
+        items.truncate(k);
     }
-    let pool = table.pool();
-    let mut entries: Vec<(Sym, usize)> = counts.into_iter().collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| pool.value(a.0).cmp(pool.value(b.0))));
-    if entries.len() > k {
-        stats.candidates_pruned += entries.len() - k;
-        entries.truncate(k);
-    }
-    entries.into_iter().map(|(s, _)| s).collect()
+    items
 }
 
 /// The level-wise miner behind every discovery engine: walk LHS sets of
@@ -172,20 +188,23 @@ pub fn mine_lattice(
     opts: &DiscoverOptions,
     jobs: usize,
 ) -> (Vec<MinedCfd>, DiscoveryStats) {
-    mine_lattice_inner(table, opts, jobs, None)
+    mine_lattice_inner(&ItemIndex::build(table), opts, jobs, None)
 }
 
-/// [`mine_lattice`] with optional per-lattice-level attribution into
-/// `profile`: one constraint row per level (`<relation> lvl<N>`)
-/// carrying the level's wall time, candidates checked/pruned, g3
-/// evaluations (one per candidate check), and the µs spent building its
+/// [`mine_lattice`] over an index the caller already built (the
+/// constant miner reads the same one), with optional per-lattice-level
+/// attribution into `profile`: one constraint row per level
+/// (`<relation> lvl<N>`) carrying the level's wall time, candidates
+/// checked/pruned, g3 evaluations (one per candidate check), the rows
+/// its conditional probes grouped, and the µs spent building its
 /// partitions. The mined output is byte-identical either way.
 pub(crate) fn mine_lattice_inner(
-    table: &Table,
+    index: &ItemIndex<'_>,
     opts: &DiscoverOptions,
     jobs: usize,
     mut profile: Option<&mut revival_obs::JobProfile>,
 ) -> (Vec<MinedCfd>, DiscoveryStats) {
+    let table = index.table();
     let arity = table.schema().arity();
     let relation = table.schema().name().to_string();
     let mut stats = DiscoveryStats::default();
@@ -198,16 +217,19 @@ pub(crate) fn mine_lattice_inner(
     let attrs: Vec<usize> = (0..arity).collect();
     let singles_start = std::time::Instant::now();
     let singles: Vec<Partition> = sharded_map(&attrs, jobs, |&a| Partition::build(table, &[a]));
-    if let Some(p) = profile.as_deref_mut() {
-        // The single-attribute partitions seed level 1.
-        p.entry(&level_name(1), "level").partition_build_us +=
-            singles_start.elapsed().as_micros() as u64;
-    }
-    let top: Vec<Vec<Sym>> = if opts.max_constants > 0 && opts.top_values > 0 {
-        (0..arity).map(|a| top_value_syms(table, a, opts.top_values, &mut stats)).collect()
+    let singles_us = singles_start.elapsed().as_micros() as u64;
+    let top: Vec<Vec<ItemId>> = if opts.max_constants > 0 && opts.top_values > 0 {
+        (0..arity).map(|a| top_items(index, a, opts.top_values, &mut stats)).collect()
     } else {
         vec![Vec::new(); arity]
     };
+    if let Some(p) = profile.as_deref_mut() {
+        // The single-attribute partitions and the condition values seed
+        // level 1.
+        let c = p.entry(&level_name(1), "level");
+        c.partition_build_us += singles_us;
+        c.wall_us += singles_start.elapsed().as_micros() as u64;
+    }
 
     // Emitted minimal LHSs per RHS attribute (minimality pruning).
     let mut minimal: HashMap<usize, Vec<Vec<usize>>> = HashMap::new();
@@ -221,6 +243,7 @@ pub(crate) fn mine_lattice_inner(
         stats.levels = size;
         let level_start = std::time::Instant::now();
         let pruned_before = stats.candidates_pruned;
+        let touched_before = stats.support_rows_touched;
         // Candidates surviving minimality pruning, in (set, rhs) order.
         let mut candidates: Vec<(usize, usize)> = Vec::new();
         for (i, (x, _)) in level.iter().enumerate() {
@@ -239,7 +262,7 @@ pub(crate) fn mine_lattice_inner(
         let keep_refined = size < opts.max_lhs;
         let outcomes: Vec<CandidateOutcome> = sharded_map(&candidates, jobs, |&(i, a)| {
             let (x, px) = &level[i];
-            check_candidate(table, opts, &relation, x, px, &singles, &top, a, keep_refined)
+            check_candidate(index, opts, &relation, x, px, &singles, &top, a, keep_refined)
         });
         // Partitions the checks already refined, keyed by prefix-form
         // set `x ++ [a]` — the next-level build takes them instead of
@@ -247,6 +270,7 @@ pub(crate) fn mine_lattice_inner(
         let mut computed: HashMap<Vec<usize>, Partition> = HashMap::new();
         for (&(i, a), outcome) in candidates.iter().zip(outcomes) {
             rules.extend(outcome.rules);
+            stats.support_rows_touched += outcome.support_rows_touched;
             if outcome.prune {
                 minimal.entry(a).or_default().push(level[i].0.clone());
             }
@@ -279,6 +303,7 @@ pub(crate) fn mine_lattice_inner(
                 let c = p.entry(&level_name(size), "level");
                 c.candidates_checked += candidates.len() as u64;
                 c.candidates_pruned += (stats.candidates_pruned - pruned_before) as u64;
+                c.rows_scanned += (stats.support_rows_touched - touched_before) as u64;
                 c.g3_evaluations += candidates.len() as u64;
                 c.wall_us += level_start.elapsed().as_micros() as u64;
             }
@@ -318,6 +343,7 @@ pub(crate) fn mine_lattice_inner(
             let c = p.entry(&level_name(size), "level");
             c.candidates_checked += candidates.len() as u64;
             c.candidates_pruned += (stats.candidates_pruned - pruned_before) as u64;
+            c.rows_scanned += (stats.support_rows_touched - touched_before) as u64;
             c.g3_evaluations += candidates.len() as u64;
             c.wall_us += level_start.elapsed().as_micros() as u64;
         }

@@ -275,11 +275,13 @@ pub fn discovered_cind_text(
 
 /// Human-readable summary of a discovery run: headline counts, the
 /// search accounting (every cap the miners applied), satisfiability of
-/// the vetted suite, the vetted rules (up to `max` constraint lines —
-/// `--emit` writes them all), and — below 1.0 confidence — the
-/// approximate rules with their evidence.
+/// the vetted suite, the vetted rules (up to `max` constraint lines of
+/// `suite`, the [`discovered_cfd_text`] rendering — `--emit` writes
+/// them all, so the caller renders once and shares it), and — below 1.0
+/// confidence — the approximate rules with their evidence.
 pub fn describe_discovered(
     d: &revival_discovery::Discovered,
+    suite: &str,
     schemas: &[revival_relation::Schema],
     max: usize,
 ) -> Result<String> {
@@ -315,7 +317,6 @@ pub fn describe_discovered(
             Outcome::ResourceLimit => "unknown (budget exhausted)",
         }
     ));
-    let suite = discovered_cfd_text(d, schemas)?;
     let total = suite.lines().count();
     for line in suite.lines().take(max) {
         out.push_str("  ");
@@ -665,7 +666,7 @@ mod tests {
             Session { table: s.table.clone(), cfds: parse_cfds(&text, s.table.schema()).unwrap() };
         assert!(!clean.cfds.is_empty());
         assert!(clean.detect(Engine::Native).unwrap().is_empty());
-        let descr = describe_discovered(&d, &schemas, 40).unwrap();
+        let descr = describe_discovered(&d, &text, &schemas, 40).unwrap();
         assert!(descr.contains("rule(s) mined"), "got: {descr}");
         assert!(descr.contains("satisfiable: yes"), "got: {descr}");
     }

@@ -566,7 +566,9 @@ fn discover(flags: &Flags) -> Result<(), String> {
         min_confidence: flags
             .get_or("min-confidence", "1.0")
             .parse()
-            .map_err(|_| "--min-confidence must be a float")?,
+            .ok()
+            .filter(|c: &f64| *c > 0.0 && *c <= 1.0)
+            .ok_or("--min-confidence must be a number in (0, 1]")?,
         max_lhs: flags
             .get_or("max-lhs", "2")
             .parse()
@@ -614,17 +616,24 @@ fn discover(flags: &Flags) -> Result<(), String> {
             (d, Some(p))
         }
     };
+    // The vetted suite is rendered once: the summary lists its head and
+    // `--emit` writes all of it.
+    let emit = flags.get("emit").ok();
+    let suite = match (json_only, emit) {
+        (true, None) => String::new(),
+        _ => semandaq::discovered_cfd_text(&d, &schemas).map_err(|e| e.to_string())?,
+    };
     if json_only {
         println!("{}", profile.as_ref().expect("json mode implies a profile").render_json());
     } else {
-        print!("{}", semandaq::describe_discovered(&d, &schemas, 40).map_err(|e| e.to_string())?);
+        let summary = semandaq::describe_discovered(&d, &suite, &schemas, 40);
+        print!("{}", summary.map_err(|e| e.to_string())?);
         if let Some(p) = &profile {
             print!("{}", p.render_text());
         }
     }
-    if let Ok(out) = flags.get("emit") {
-        let text = semandaq::discovered_cfd_text(&d, &schemas).map_err(|e| e.to_string())?;
-        std::fs::write(out, text).map_err(|e| e.to_string())?;
+    if let Some(out) = emit {
+        std::fs::write(out, suite).map_err(|e| e.to_string())?;
         // Stderr when `--explain json`, so stdout stays pure JSON.
         if json_only {
             eprintln!("wrote {out}");

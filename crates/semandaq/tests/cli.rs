@@ -288,6 +288,22 @@ fn bad_invocations_fail_cleanly() {
 }
 
 #[test]
+fn discover_rejects_a_meaningless_min_confidence() {
+    // The flag is checked before any data is read: a threshold outside
+    // (0, 1] (or not a number) is a one-line flag error, not a mine.
+    for bad in ["nan", "0", "-1", "1.5", "often"] {
+        let out = bin()
+            .args(["discover", "--data", "/nonexistent.csv", "--min-confidence", bad])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--min-confidence {bad} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--min-confidence must be a number in (0, 1]"), "got: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "got: {stderr}");
+    }
+}
+
+#[test]
 fn duplicate_csv_header_is_a_csv_error_not_a_panic() {
     let dir = tmpdir("dup-header");
     let data = dir.join("d.csv");

@@ -134,3 +134,89 @@ fn display_parse_roundtrip_holds_for_every_mined_rule() {
         }
     }
 }
+
+/// FNV-1a 64 — enough to pin a long rendering without committing it.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn mined_output_is_pinned_to_the_recorded_golden() {
+    // `(len, FNV-1a 64)` of the mined rule list and of the rendered
+    // vetted suite, plus the search accounting, recorded from the tree
+    // *before* discovery moved to row lists (PR 18) — an optimisation
+    // of the miners must reproduce them to the byte at any `jobs`.
+    use revival::constraints::parser::cfd_to_text;
+    type Pin = (usize, u64);
+    // (candidates_checked, candidates_pruned, lattice_truncated, levels,
+    //  constants_subsumed, cover_implication_skipped)
+    type Stats = (usize, usize, bool, usize, usize, bool);
+    let cases: [(&str, Table, f64, usize, Pin, Pin, Stats); 5] = [
+        (
+            "hospital400@0.9",
+            dirty_hospital(400, 0.03),
+            0.9,
+            2,
+            (392_989, 0xd9d1_b21d_1003_0109),
+            (153_868, 0xd079_96b0_f80e_dafd),
+            (19_236, 18_433, true, 2, 272, true),
+        ),
+        (
+            "hospital400@1.0",
+            dirty_hospital(400, 0.03),
+            1.0,
+            2,
+            (522_860, 0xe2c2_41cb_7c19_5452),
+            (191_887, 0x0f9e_5131_3459_7f62),
+            (19_295, 18_410, true, 2, 272, true),
+        ),
+        (
+            "customer250@0.9",
+            customer(250),
+            0.9,
+            2,
+            (38_357, 0xa1a3_89b5_364a_cbbc),
+            (8_795, 0xbc04_a4ac_5dd4_f5b5),
+            (4_893, 5_592, true, 2, 89, true),
+        ),
+        (
+            "customer250@1.0",
+            customer(250),
+            1.0,
+            2,
+            (82_709, 0xbda2_978e_1ed2_e9ac),
+            (19_742, 0x03e0_fb82_e277_9546),
+            (4_893, 5_592, true, 2, 89, true),
+        ),
+        (
+            "hospital300@0.9/lhs3",
+            dirty_hospital(300, 0.03),
+            0.9,
+            3,
+            (221_051, 0xbb57_99cd_e485_bf05),
+            (84_314, 0x63b7_f4e4_6680_f910),
+            (51_483, 49_985, true, 3, 212, true),
+        ),
+    ];
+    for (name, table, min_confidence, max_lhs, rules_pin, vetted_pin, stats_pin) in cases {
+        for jobs in [1, 4] {
+            let opts =
+                DiscoverOptions { min_confidence, max_lhs, jobs, ..DiscoverOptions::default() };
+            let d = ParallelDiscovery.run(&DiscoverJob::on_table(&table, opts)).unwrap();
+            let rules = format!("{:?}", d.rules);
+            let vetted: String = d.vetted.iter().map(|c| cfd_to_text(c, table.schema())).collect();
+            let s = &d.stats;
+            let stats = (
+                s.candidates_checked,
+                s.candidates_pruned,
+                s.lattice_truncated,
+                s.levels,
+                s.constants_subsumed,
+                s.cover_implication_skipped,
+            );
+            assert_eq!((rules.len(), fnv1a(&rules)), rules_pin, "{name} jobs={jobs}: rules");
+            assert_eq!((vetted.len(), fnv1a(&vetted)), vetted_pin, "{name} jobs={jobs}: vetted");
+            assert_eq!(stats, stats_pin, "{name} jobs={jobs}: stats");
+        }
+    }
+}
