@@ -4,9 +4,21 @@
 //! FD `(relation, lhs, rhs)`, in first-seen order. Each unit reads its
 //! relation once (`scan_unit`), whatever the number of members:
 //!
-//! * **constant rows** — a single sweep checks every member's compiled
-//!   constant rows tuple at a time, recording the first violating row
-//!   *per member* (`O(n · Σ|Tp|)`);
+//! * **constant rows** — a hash join of the tuples against the tableau,
+//!   as the paper detects (its SQL encoding stores the tableau as a
+//!   relation and joins the data to it on the LHS, so cost follows the
+//!   data). The members' constant rows compile once per unit into a
+//!   `ConstIndex`: one bucket per *wildcard mask* (the LHS positions
+//!   holding a constant), keyed by the constants at those positions. A
+//!   tuple hashes its cells at each mask's positions in place
+//!   ([`ColProj::hash_at`], no key is built), probes, and tests the RHS
+//!   predicate of the rows under its key only — `O(n · #masks)` probes
+//!   where a sweep compares `O(n · Σ|Tp|)` rows. Rows with an eCFD LHS
+//!   pattern (`≠ c`, `∈ {…}`) name no single key and stay on a short
+//!   residual list swept per tuple; rows naming a constant the table
+//!   never interned match no tuple and are dropped when compiling. The
+//!   lowest violated tableau index *per member* is kept, which is the
+//!   first violating row in tableau order — what a sweep reports;
 //! * **variable rows** — a single grouping of the tuples by the LHS
 //!   projection, shared by all members; a group violates a member's row
 //!   iff the group key matches the row's LHS patterns and the group
@@ -34,7 +46,9 @@ use crate::parallel::map_chunks;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::SymPred;
-use revival_relation::{ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool};
+use revival_relation::groupby::hash_syms;
+use revival_relation::{AttrId, ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool};
+use std::collections::HashMap;
 
 /// Detects CFD violations on one in-memory table — the single-table
 /// facade over the scan kernel.
@@ -78,14 +92,23 @@ pub(crate) fn scan_suite(
     jobs: usize,
     mut profile: Option<&mut revival_obs::JobProfile>,
 ) -> Result<ViolationReport> {
+    let plan_start = std::time::Instant::now();
     // Malformed patterns must error here, not panic in a worker.
     job.validate()?;
+    // Units in first-seen order (pass numbering and the report depend
+    // on it), each found by hashing its embedded FD.
     let mut units: Vec<Vec<(usize, &Cfd)>> = Vec::new();
+    let mut unit_of: HashMap<(&str, &[AttrId], AttrId), usize> = HashMap::new();
     for (i, cfd) in job.cfds.iter().enumerate() {
-        match units.iter_mut().find(|unit| unit[0].1.same_embedded_fd(cfd)) {
-            Some(unit) => unit.push((i, cfd)),
-            None => units.push(vec![(i, cfd)]),
-        }
+        let at = *unit_of.entry((&cfd.relation, &cfd.lhs, cfd.rhs)).or_insert_with(|| {
+            units.push(Vec::new());
+            units.len() - 1
+        });
+        units[at].push((i, cfd));
+    }
+    if let Some(p) = profile.as_deref_mut() {
+        p.entry("plan (validate, group by embedded FD)", "plan").wall_us +=
+            plan_start.elapsed().as_micros() as u64;
     }
     // Each relation's live slots enumerate once for the whole suite.
     let mut live: Vec<(&str, Vec<usize>)> = Vec::new();
@@ -93,7 +116,9 @@ pub(crate) fn scan_suite(
     for (k, unit) in units.iter().enumerate() {
         let (_, first) = unit[0];
         let table = job.table(&first.relation)?;
-        // Timed from here: a relation's first pass pays for enumerating it.
+        // Timed from here to the end of the body: a relation's first
+        // pass pays for enumerating it, every pass for handing its
+        // findings over and (profiled) for naming its own row.
         let start = std::time::Instant::now();
         let cached = live.iter().position(|(r, _)| *r == first.relation).unwrap_or_else(|| {
             live.push((&first.relation, table.live_slots().collect()));
@@ -101,25 +126,40 @@ pub(crate) fn scan_suite(
         });
         let slots = &live[cached].1;
         let scan = scan_unit(table, slots, unit, jobs);
-        let us = start.elapsed().as_micros() as u64;
-        if let Some(p) = profile.as_deref_mut() {
-            let members: Vec<String> = unit.iter().map(|(i, _)| i.to_string()).collect();
-            let fd = first.embedded_fd();
-            let name =
-                format!("pass#{k} {} cfds=[{}]", fd.display(table.schema()), members.join(","));
-            revival_obs::trace::record_at(&name, start, us);
-            let row = p.entry(&name, "pass");
-            row.groups_probed += scan.groups as u64;
-            row.wall_us += us;
-            row.shard_us.extend(scan.shard_us);
-        }
         for (&(i, _), buf) in unit.iter().zip(scan.found) {
             found[i] = buf;
+        }
+        if let Some(p) = profile.as_deref_mut() {
+            let fd = first.embedded_fd();
+            let members: Vec<usize> = unit.iter().map(|(i, _)| *i).collect();
+            let members = index_runs(&members);
+            let name = format!("pass#{k} {} cfds=[{members}]", fd.display(table.schema()));
+            p.meta_add("pattern_rows_checked", scan.pattern_rows_checked);
+            let row = p.entry(&name, "pass");
+            row.groups_probed += scan.groups as u64;
+            row.shard_us.extend(scan.shard_us);
+            let us = start.elapsed().as_micros() as u64;
+            row.wall_us += us;
+            revival_obs::trace::record_at(&name, start, us);
         }
     }
     let mut report = ViolationReport { violations: found.into_iter().flatten().collect() };
     crate::cind::detect_cinds(job, jobs, profile, &mut report.violations)?;
     Ok(report)
+}
+
+/// Suite indices as a pass name lists them: runs of three or more
+/// consecutive indices fold to `a-b`, shorter ones stay spelled out —
+/// a mined suite puts hundreds of consecutive CFDs in one pass.
+fn index_runs(ids: &[usize]) -> String {
+    let parts: Vec<String> = ids
+        .chunk_by(|a, b| *b == a + 1)
+        .flat_map(|run| match run {
+            [a, _, .., b] => vec![format!("{a}-{b}")],
+            _ => run.iter().map(usize::to_string).collect(),
+        })
+        .collect();
+    parts.join(",")
 }
 
 /// What one pass over an embedded FD produced.
@@ -128,6 +168,10 @@ pub(crate) struct UnitScan {
     pub found: Vec<Vec<Violation>>,
     /// LHS groups the variable pass built (0 without variable rows).
     pub groups: usize,
+    /// Work the constant join did: bucket probes + RHS predicates
+    /// evaluated + residual rows tested, over all chunks — a count of
+    /// the tuples and the index only, so identical at any `jobs`.
+    pub pattern_rows_checked: u64,
     /// Worker wall-µs per chunk, in chunk order.
     pub shard_us: Vec<u64>,
 }
@@ -145,26 +189,25 @@ pub(crate) fn scan_unit(
     let (_, fd) = members[0];
     let lhs_cols = table.proj(&fd.lhs);
     let rhs_col = table.col(fd.rhs);
-    // The tableaux compile to symbol predicates once, shared read-only
-    // across workers; the sweep touches only the unit's columns.
-    // Kept per member position, for the members that have any.
-    let const_rows: Vec<(usize, Vec<ConstRow>)> = members
-        .iter()
-        .enumerate()
-        .map(|(m, (_, cfd))| (m, compile_constant_rows(cfd, table.pool())))
-        .filter(|(_, rows)| !rows.is_empty())
-        .collect();
+    // The constant rows compile to one join index per unit, shared
+    // read-only across workers; the probe touches only the unit's columns.
+    let index = ConstIndex::compile(members, table);
     let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
 
     let mut chunks = map_chunks(slots, jobs, |chunk| {
         let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
-        if !const_rows.is_empty() {
+        let mut checked = 0u64;
+        if !(index.buckets.is_empty() && index.residual.is_empty()) {
+            // Per tuple: the lowest violated tableau row of each member
+            // (`NONE` = none yet) and the members that have one.
+            let mut first = vec![NONE; members.len()];
+            let mut touched: Vec<usize> = Vec::new();
             for &slot in chunk {
-                for (m, rows) in &const_rows {
-                    if let Some(row) = constant_violation_at(rows, &lhs_cols, rhs_col, slot) {
-                        let tuple = TupleId(slot as u64);
-                        found[*m].push(Violation::CfdConstant { cfd: members[*m].0, row, tuple });
-                    }
+                checked += index.probe(&lhs_cols, rhs_col, slot, &mut first, &mut touched);
+                while let Some(m) = touched.pop() {
+                    let (cfd, row, tuple) = (members[m].0, first[m], TupleId(slot as u64));
+                    found[m].push(Violation::CfdConstant { cfd, row, tuple });
+                    first[m] = NONE;
                 }
             }
         }
@@ -176,32 +219,38 @@ pub(crate) fn scan_unit(
                 add_slot_to_group(&mut groups, &lhs_cols, rhs_col, slot);
             }
         }
-        (found, groups)
+        (found, groups, checked)
     })
     .into_iter();
 
     // Folding in chunk order keeps each group's member list in global
     // row order and its distinct-RHS list in first-seen order — the
     // state a sequential scan builds. One chunk has nothing to fold.
-    let ((mut found, mut groups), us) = chunks.next().expect("map_chunks yields a chunk");
+    let ((mut found, mut groups, mut pattern_rows_checked), us) =
+        chunks.next().expect("map_chunks yields a chunk");
     let mut shard_us = vec![us];
-    for ((more, partial), us) in chunks {
+    for ((more, partial, checked), us) in chunks {
         shard_us.push(us);
+        pattern_rows_checked += checked;
         for (buf, vs) in found.iter_mut().zip(more) {
             buf.extend(vs);
         }
         merge_groups(&mut groups, partial);
     }
-    if any_var {
-        if revival_obs::enabled() {
-            revival_obs::global().counter("detect_groups_probed_total").add(groups.len() as u64);
+    if revival_obs::enabled() {
+        let reg = revival_obs::global();
+        reg.counter("detect_pattern_rows_checked_total").add(pattern_rows_checked);
+        if any_var {
+            reg.counter("detect_groups_probed_total").add(groups.len() as u64);
         }
+    }
+    if any_var {
         let violating = violating_groups(&groups, table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
             emit_variable_violations(*idx, cfd, &violating, buf);
         }
     }
-    UnitScan { found, groups: groups.len(), shard_us }
+    UnitScan { found, groups: groups.len(), pattern_rows_checked, shard_us }
 }
 
 /// One LHS group of the variable-row grouping pass: its live members
@@ -215,48 +264,118 @@ struct VarGroup {
 /// group, in first-seen order.
 type SymGroups = GroupBy<Box<[Sym]>, VarGroup>;
 
-/// One constant tableau row compiled to symbol space (see
-/// [`revival_constraints::PatternValue::resolve`]): LHS predicates
-/// aligned with the CFD's LHS attributes, plus the RHS predicate.
-struct ConstRow {
+/// "No violated row yet" in the per-tuple scratch of [`ConstIndex::probe`].
+const NONE: usize = usize::MAX;
+
+/// One constant tableau row as the join finds it: whose row it is and
+/// the RHS predicate a tuple matching its LHS must pass (see
+/// [`revival_constraints::PatternValue::resolve`]).
+struct Hit {
+    member: usize,
     tp_idx: usize,
-    lhs: Vec<SymPred>,
     rhs: SymPred,
 }
 
-/// Compile a CFD's constant rows against a table's pool. Row order is
-/// tableau order, so first-match indices agree with
-/// [`Cfd::constant_violation`].
-fn compile_constant_rows(cfd: &Cfd, pool: &ValuePool) -> Vec<ConstRow> {
-    cfd.tableau
-        .iter()
-        .enumerate()
-        .filter(|(_, tp)| tp.is_constant_row())
-        .map(|(i, tp)| ConstRow {
-            tp_idx: i,
-            lhs: tp.lhs.iter().map(|p| p.resolve(pool)).collect(),
-            rhs: tp.rhs.resolve(pool),
-        })
-        .collect()
+/// The constant rows sharing one wildcard mask.
+struct MaskBucket<'a> {
+    /// The LHS positions holding a constant; none for the all-`_`
+    /// mask, whose one key is empty.
+    mask: Vec<usize>,
+    /// The table's columns at those positions: a tuple's key, hashed
+    /// and compared in place.
+    cols: ColProj<'a>,
+    /// Per distinct key of constants, the rows carrying it.
+    rows: GroupBy<Box<[Sym]>, Vec<Hit>>,
 }
 
-/// First compiled constant row a slot violates (LHS patterns all match,
-/// RHS pattern fails) — the symbol-space image of
-/// [`Cfd::constant_violation`].
-#[inline]
-fn constant_violation_at(
-    const_rows: &[ConstRow],
-    lhs_cols: &ColProj<'_>,
-    rhs_col: &[Sym],
-    slot: usize,
-) -> Option<usize> {
-    const_rows
-        .iter()
-        .find(|cr| {
-            cr.lhs.iter().enumerate().all(|(i, p)| p.matches(lhs_cols.sym_at(i, slot)))
-                && !cr.rhs.matches(rhs_col[slot])
-        })
-        .map(|cr| cr.tp_idx)
+/// The build side of a unit's constant join: every member's constant
+/// rows, compiled against the table's pool.
+#[derive(Default)]
+struct ConstIndex<'a> {
+    buckets: Vec<MaskBucket<'a>>,
+    /// Rows with an eCFD LHS predicate (`Ne`, `In`), which no single
+    /// key stands for: their compiled LHS, tested per tuple.
+    residual: Vec<(Vec<SymPred>, Hit)>,
+}
+
+impl<'a> ConstIndex<'a> {
+    fn compile(members: &[(usize, &Cfd)], table: &'a Table) -> ConstIndex<'a> {
+        let pool = table.pool();
+        let mut index = ConstIndex::default();
+        for (member, (_, cfd)) in members.iter().enumerate() {
+            for (tp_idx, tp) in
+                cfd.tableau.iter().enumerate().filter(|(_, tp)| tp.is_constant_row())
+            {
+                let lhs: Vec<SymPred> = tp.lhs.iter().map(|p| p.resolve(pool)).collect();
+                // A constant the pool never interned matches no tuple.
+                if lhs.contains(&SymPred::Never) {
+                    continue;
+                }
+                let hit = Hit { member, tp_idx, rhs: tp.rhs.resolve(pool) };
+                let mask: Vec<usize> = (0..lhs.len()).filter(|&i| !lhs[i].is_always()).collect();
+                let key: Box<[Sym]> = lhs
+                    .iter()
+                    .filter_map(|p| if let SymPred::Eq(s) = p { Some(*s) } else { None })
+                    .collect();
+                if key.len() < mask.len() {
+                    index.residual.push((lhs, hit));
+                    continue;
+                }
+                let at = index.buckets.iter().position(|b| b.mask == mask).unwrap_or_else(|| {
+                    let cols = ColProj::new(mask.iter().map(|&i| table.col(cfd.lhs[i])).collect());
+                    index.buckets.push(MaskBucket { mask, cols, rows: GroupBy::new() });
+                    index.buckets.len() - 1
+                });
+                let rows = &mut index.buckets[at].rows;
+                let hash = hash_syms(key.iter().copied());
+                let entry = rows
+                    .probe(hash, |k| *k == key)
+                    .unwrap_or_else(|| rows.insert_unique(hash, key, Vec::new()));
+                rows.value_at_mut(entry).push(hit);
+            }
+        }
+        index
+    }
+
+    /// Join the tuple at `slot` against the index: every row it
+    /// violates (LHS matches, its RHS cell fails the row's RHS
+    /// predicate) lowers `first[member]` to its tableau index, and a
+    /// member's first violation enters it in `touched` — so `first`
+    /// ends at each member's first violating row in tableau order, the
+    /// symbol-space image of [`Cfd::constant_violation`]. Returns the
+    /// pattern rows checked: one per bucket probed, per RHS predicate
+    /// evaluated under a found key, and per residual row tested.
+    #[inline]
+    fn probe(
+        &self,
+        lhs_cols: &ColProj<'_>,
+        rhs_col: &[Sym],
+        slot: usize,
+        first: &mut [usize],
+        touched: &mut Vec<usize>,
+    ) -> u64 {
+        let mut violated = |hit: &Hit| {
+            if !hit.rhs.matches(rhs_col[slot]) {
+                if first[hit.member] == NONE {
+                    touched.push(hit.member);
+                }
+                first[hit.member] = first[hit.member].min(hit.tp_idx);
+            }
+        };
+        let mut checked = (self.buckets.len() + self.residual.len()) as u64;
+        for MaskBucket { cols, rows, .. } in &self.buckets {
+            if let Some(hits) = rows.get(cols.hash_at(slot), |k| cols.matches_at(slot, k)) {
+                checked += hits.len() as u64;
+                hits.iter().for_each(&mut violated);
+            }
+        }
+        for (lhs, hit) in &self.residual {
+            if lhs.iter().enumerate().all(|(i, p)| p.matches(lhs_cols.sym_at(i, slot))) {
+                violated(hit);
+            }
+        }
+        checked
+    }
 }
 
 /// Fold one slot into the group map keyed by its LHS column projection.
@@ -532,6 +651,18 @@ mod tests {
         let bad = parse_cfds("customer([cc] -> [street])", &s1).unwrap();
         let empty = Catalog::new();
         assert!(scan_suite(&DetectJob::on_catalog(&empty, &bad), 1, None).is_err());
+    }
+
+    #[test]
+    fn pass_names_fold_runs_of_three_or_more() {
+        assert_eq!(index_runs(&[]), "");
+        assert_eq!(index_runs(&[0]), "0");
+        assert_eq!(index_runs(&[6, 7]), "6,7");
+        assert_eq!(index_runs(&[2, 3, 4]), "2-4");
+        assert_eq!(index_runs(&[0, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15]), "0,2,3,5-8,10,11,13-15");
+        assert_eq!(index_runs(&(826..=1267).collect::<Vec<_>>()), "826-1267");
+        // Planned order is suite order, but nothing here assumes it.
+        assert_eq!(index_runs(&[3, 2, 1, 5, 6, 7]), "3,2,1,5-7");
     }
 
     #[test]

@@ -80,11 +80,13 @@ fn profiled_runs_are_byte_identical_and_reconcile_with_counters() {
             for (i, c) in of_kind("cfd").enumerate() {
                 assert!(c.rows_scanned > 0, "{ctx}: constraint {i} has no rows scanned");
             }
-            // The native scan times one pass per distinct embedded FD;
-            // the other engines have no pass of their own to time.
-            let passes = if matches!(engine_name, "native" | "parallel") { 3 } else { 0 };
+            // The native scan times its planning and one pass per
+            // distinct embedded FD; the other engines have neither.
+            let (plans, passes) =
+                if matches!(engine_name, "native" | "parallel") { (1, 3) } else { (0, 0) };
+            assert_eq!(of_kind("plan").count(), plans, "{ctx}: one plan row per native scan");
             assert_eq!(of_kind("pass").count(), passes, "{ctx}: one pass row per embedded FD");
-            assert_eq!(profile.constraints.len(), cfds.len() + passes, "{ctx}: stray rows");
+            assert_eq!(profile.constraints.len(), cfds.len() + plans + passes, "{ctx}: stray rows");
 
             // Per-constraint totals reconcile with the job-level
             // counter: both equal the suite's rows-scanned sum.

@@ -18,7 +18,7 @@
 //! tier's per-request ring behind the `profile` verb.
 
 use crate::registry::{json_string, HistogramSnapshot, Registry};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -103,8 +103,13 @@ pub struct JobProfile {
     /// lattice/constants/vetting/cinds) in insertion order.
     pub phases: Vec<(&'static str, u64)>,
     /// Per-constraint rows in first-touch order (renderers sort
-    /// hot-first; merges preserve this order deterministically).
+    /// hot-first; merges preserve this order deterministically). Rows
+    /// are added through [`JobProfile::entry`] and [`JobProfile::merge`]
+    /// only, which keep the name index in step.
     pub constraints: Vec<ConstraintProfile>,
+    /// Row name → position in `constraints`, so a suite of tens of
+    /// thousands of constraints profiles in linear time.
+    index: HashMap<String, usize>,
 }
 
 impl JobProfile {
@@ -114,20 +119,27 @@ impl JobProfile {
 
     /// The row for `name`, created on first touch (kind set then).
     pub fn entry(&mut self, name: &str, kind: &'static str) -> &mut ConstraintProfile {
-        if let Some(i) = self.constraints.iter().position(|c| c.name == name) {
-            return &mut self.constraints[i];
-        }
-        self.constraints.push(ConstraintProfile {
-            name: name.to_string(),
-            kind,
-            ..ConstraintProfile::default()
-        });
-        self.constraints.last_mut().expect("just pushed")
+        let at = match self.index.get(name) {
+            Some(&at) => at,
+            None => self.push_row(ConstraintProfile {
+                name: name.to_string(),
+                kind,
+                ..ConstraintProfile::default()
+            }),
+        };
+        &mut self.constraints[at]
+    }
+
+    /// Append a row whose name is new; returns its position.
+    fn push_row(&mut self, row: ConstraintProfile) -> usize {
+        self.index.insert(row.name.clone(), self.constraints.len());
+        self.constraints.push(row);
+        self.constraints.len() - 1
     }
 
     /// Whether a row named `name` already exists.
     pub fn has(&self, name: &str) -> bool {
-        self.constraints.iter().any(|c| c.name == name)
+        self.index.contains_key(name)
     }
 
     /// Record a job-level fact (summed if the key repeats).
@@ -157,9 +169,11 @@ impl JobProfile {
     /// deterministic inputs — the shard-merge primitive.
     pub fn merge(&mut self, other: &JobProfile) {
         for c in &other.constraints {
-            match self.constraints.iter_mut().find(|mine| mine.name == c.name) {
-                Some(mine) => mine.add(c),
-                None => self.constraints.push(c.clone()),
+            match self.index.get(&c.name) {
+                Some(&at) => self.constraints[at].add(c),
+                None => {
+                    self.push_row(c.clone());
+                }
             }
         }
         for (k, v) in &other.meta {
@@ -569,6 +583,34 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.find("cfd#1").unwrap() < json.find("cfd#0").unwrap());
+    }
+
+    #[test]
+    fn entries_are_found_by_name_and_keep_insertion_order() {
+        let mut p = JobProfile::new("detect", "native", 1);
+        p.entry("cfd#0", "cfd").wall_us = 7;
+        p.entry("pass#0", "pass");
+        // A second touch returns the first row, whatever kind it names.
+        assert_eq!(p.entry("cfd#0", "pass").wall_us, 7);
+        assert_eq!(p.entry("cfd#0", "pass").kind, "cfd");
+        assert_eq!(p.constraints.len(), 2);
+        assert!(p.has("pass#0") && !p.has("pass#1"));
+        // A mined suite's worth of rows: every name is found again (a
+        // linear lookup makes this loop quadratic) and order holds.
+        let mut big = JobProfile::new("detect", "native", 1);
+        for i in 0..50_000u64 {
+            big.entry(&format!("cfd#{i}"), "cfd").violations = i;
+        }
+        for i in (0..50_000u64).rev() {
+            assert_eq!(big.entry(&format!("cfd#{i}"), "cfd").violations, i);
+        }
+        assert_eq!(big.constraints.len(), 50_000);
+        assert!(big.constraints.iter().enumerate().all(|(i, c)| c.name == format!("cfd#{i}")));
+        // Merging finds rows through the same index.
+        let mut twice = big.clone();
+        twice.merge(&big);
+        assert_eq!(twice.constraints.len(), 50_000);
+        assert_eq!(twice.constraints[3].violations, 6);
     }
 
     #[test]
