@@ -59,7 +59,7 @@ impl Cfd {
 
     /// Check the tableau shape: every row's LHS arity must equal the
     /// CFD's LHS arity, and every `∈ {…}` disjunction must be
-    /// non-empty. Detection engines and [`revival_repair`]'s passes run
+    /// non-empty. Detection engines and `revival_repair`'s passes run
     /// this up front so a malformed pattern (e.g. a hand-built CFD that
     /// bypassed [`Cfd::new`]) yields [`Error::MalformedPattern`] instead
     /// of aborting a sharded scan mid-flight.

@@ -35,6 +35,8 @@
 //! assert_eq!(cfds.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cfd;
 pub mod cind;

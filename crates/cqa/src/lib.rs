@@ -23,6 +23,8 @@
 //!   (tightest `[lo, hi]` over all repairs), exact for
 //!   group-decomposable conflicts.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod certain;
 pub mod conflict;

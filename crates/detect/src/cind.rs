@@ -8,10 +8,9 @@
 //! parity with the paper's SQL-based techniques (\[4\] §SQL).
 
 use crate::engine::{cind_profile_name, DetectJob};
-use crate::parallel::map_chunks;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cind::Cind;
-use revival_relation::{Catalog, Error, Result, Table, TupleId};
+use revival_relation::{map_chunks, Catalog, Error, Result, Table, TupleId};
 
 /// Detects CIND violations given the two tables of each CIND.
 pub struct CindDetector;

@@ -195,14 +195,6 @@ impl IncrementalDetector {
         self.states.iter().map(|s| s.const_violations.len() + s.violating_row_pairs).sum()
     }
 
-    /// Live violation count per CFD, positionally aligned with the
-    /// suite handed to [`IncrementalDetector::new`] — the per-CFD
-    /// counters a streaming session reports without materialising a
-    /// report. O(#CFDs), like [`IncrementalDetector::violation_count`].
-    pub fn per_cfd_counts(&self) -> Vec<usize> {
-        self.states.iter().map(|s| s.const_violations.len() + s.violating_row_pairs).collect()
-    }
-
     /// Materialise a full report from the maintained state.
     pub fn report(&self) -> ViolationReport {
         let mut report = ViolationReport::default();
@@ -338,20 +330,6 @@ mod tests {
         full.normalize();
         assert_eq!(inc, full);
         assert_eq!(d.violation_count(), full.len());
-    }
-
-    #[test]
-    fn per_cfd_counts_align_with_suite() {
-        let s = schema();
-        let mut d = IncrementalDetector::new(suite(&s));
-        // One constant violation of cfd#1, no variable violations.
-        d.insert(TupleId(0), &["01".into(), "07974".into(), "Mtn".into(), Value::from("nyc")]);
-        assert_eq!(d.per_cfd_counts(), vec![0, 1]);
-        // A conflicting cc=44 group adds one violation of cfd#0.
-        d.insert(TupleId(1), &["44".into(), "EH8".into(), "A".into(), Value::from("edi")]);
-        d.insert(TupleId(2), &["44".into(), "EH8".into(), "B".into(), Value::from("edi")]);
-        assert_eq!(d.per_cfd_counts(), vec![1, 1]);
-        assert_eq!(d.per_cfd_counts().iter().sum::<usize>(), d.violation_count());
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! deterministically (byte-identical to [`engine::NativeEngine`], which
 //! is the same scan at one shard).
 
+#![forbid(unsafe_code)]
+
 pub mod cind;
 pub mod engine;
 pub mod incremental;

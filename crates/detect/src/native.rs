@@ -25,7 +25,7 @@
 //!   holds ≥ 2 distinct RHS values.
 //!
 //! Both run per contiguous chunk of live slots
-//! (`parallel::map_chunks`: inline at one shard, one scoped
+//! (`revival_relation::map_chunks`: inline at one shard, one scoped
 //! thread per chunk otherwise) and merge in chunk order, so the merged
 //! state is what one sequential scan builds at any shard count. Every
 //! member then reports on its own — constants in row order, variables in
@@ -42,12 +42,13 @@
 //! reporting.
 
 use crate::engine::DetectJob;
-use crate::parallel::map_chunks;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::SymPred;
 use revival_relation::groupby::hash_syms;
-use revival_relation::{AttrId, ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool};
+use revival_relation::{
+    map_chunks, AttrId, ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
+};
 use std::collections::HashMap;
 
 /// Detects CFD violations on one in-memory table — the single-table

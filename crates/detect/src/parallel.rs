@@ -1,8 +1,9 @@
 //! Sharded scans: how the kernels split work across threads.
 //!
-//! Both detection kernels shard the same way (`map_chunks`): the live
-//! tuples split into contiguous chunks, one worker per chunk, and the
-//! per-chunk outputs come back in chunk order. Because chunks are
+//! Both detection kernels shard the same way
+//! ([`revival_relation::map_chunks`]): the live tuples split into
+//! contiguous chunks, one worker per chunk, and the per-chunk outputs
+//! come back in chunk order. Because chunks are
 //! contiguous row ranges merged in order — constant findings
 //! concatenate, partial group maps fold associatively (see
 //! [`crate::native`]), CIND findings concatenate — the merged state is
@@ -11,47 +12,10 @@
 //! [`crate::NativeEngine`] are the same scan at different shard counts
 //! and their reports are byte-for-byte equal at any count. Tests assert
 //! this; the CLI exposes the shard count as `--jobs N`.
-//!
-//! Workers are `std::thread::scope` threads, not a work-stealing pool:
-//! the build environment is offline (no rayon), shards are coarse and
-//! uniform, and scoped threads let workers borrow the table directly.
 
 use crate::engine::{DetectJob, Detector};
 use crate::report::ViolationReport;
-use revival_relation::Result;
-
-/// How many shards to use for `jobs = 0` (auto).
-fn auto_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Run `f` over `items` split into up to `jobs` contiguous chunks,
-/// returning each chunk's output and worker wall-µs in chunk order
-/// (the two clock reads per chunk are noise next to the chunk scans).
-/// A single chunk — one shard, or too few items to split — runs inline:
-/// no thread, and always exactly one output, even for no items.
-/// Public because repair shards its class resolution the same way.
-pub fn map_chunks<T: Sync, R: Send>(
-    items: &[T],
-    jobs: usize,
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<(R, u64)> {
-    let timed = |chunk: &[T]| {
-        let start = std::time::Instant::now();
-        let out = f(chunk);
-        (out, start.elapsed().as_micros() as u64)
-    };
-    let chunk_size = items.len().div_ceil(jobs.max(1)).max(1);
-    if items.len() <= chunk_size {
-        return vec![timed(items)];
-    }
-    std::thread::scope(|scope| {
-        let timed = &timed;
-        let handles: Vec<_> =
-            items.chunks(chunk_size).map(|chunk| scope.spawn(move || timed(chunk))).collect();
-        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-    })
-}
+use revival_relation::{resolve_jobs, Result};
 
 /// The native scan sharded across `jobs` threads. Reports are
 /// byte-identical to [`crate::NativeEngine`]'s.
@@ -63,7 +27,7 @@ pub struct ParallelEngine {
 impl ParallelEngine {
     /// `jobs = 0` means one shard per available core.
     pub fn new(jobs: usize) -> Self {
-        ParallelEngine { jobs: if jobs == 0 { auto_jobs() } else { jobs } }
+        ParallelEngine { jobs: resolve_jobs(jobs) }
     }
 
     /// The shard count in use.
@@ -192,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_jobs_resolves() {
+    fn zero_jobs_resolves_to_available_cores() {
         assert!(ParallelEngine::new(0).jobs() >= 1);
         assert_eq!(ParallelEngine::default().jobs(), ParallelEngine::new(0).jobs());
     }

@@ -22,6 +22,8 @@
 //! (HOSP-style CFDs, the literature's second benchmark), [`orders`]
 //! (book/CD CINDs), [`cardbilling`] (record matching with RCKs).
 
+#![forbid(unsafe_code)]
+
 pub mod cardbilling;
 pub mod customer;
 pub mod hospital;

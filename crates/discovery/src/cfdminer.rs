@@ -329,7 +329,8 @@ mod tests {
     /// miner must agree with, rule for rule and stat for stat.
     mod oracle {
         use super::super::{ConstantRule, MinerOptions};
-        use crate::engine::{sharded_map, DiscoveryStats};
+        use crate::engine::DiscoveryStats;
+        use crate::tane::map_items;
         use revival_relation::{Sym, Table};
         use std::collections::HashMap;
 
@@ -440,7 +441,7 @@ mod tests {
                 // independent — shard them; everything downstream reads the
                 // in-order results, so the rule list stays byte-identical.
                 let supports: Vec<Vec<usize>> =
-                    sharded_map(&level, jobs, |itemset| support_rows(&view, itemset));
+                    map_items(&level, jobs, |itemset| support_rows(&view, itemset));
                 let mut next: Vec<Vec<SymItem>> = Vec::new();
                 for (itemset, supp) in level.iter().zip(&supports) {
                     stats.candidates_checked += 1;

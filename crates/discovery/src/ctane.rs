@@ -21,21 +21,17 @@ use revival_relation::{GroupBy, Sym, Table};
 pub struct CtaneOptions {
     /// Maximum LHS size.
     pub max_lhs: usize,
-    /// Maximum number of constant positions in a pattern row (`0`
-    /// disables conditional rules; currently at most one constant per
-    /// row is probed).
-    pub max_constants: usize,
     /// Minimum matching tuples for a pattern row.
     pub min_support: usize,
     /// Per attribute, only the `top_values` most frequent constants are
     /// tried (bounds the pattern lattice; the cut is reported in the
-    /// returned stats).
+    /// returned stats). `0` disables conditional rules.
     pub top_values: usize,
 }
 
 impl Default for CtaneOptions {
     fn default() -> Self {
-        CtaneOptions { max_lhs: 2, max_constants: 1, min_support: 5, top_values: 8 }
+        CtaneOptions { max_lhs: 2, min_support: 5, top_values: 8 }
     }
 }
 
@@ -81,7 +77,6 @@ pub fn discover_cfds(table: &Table, options: &CtaneOptions) -> (Vec<Cfd>, Discov
         min_support: options.min_support,
         min_confidence: 1.0,
         max_lhs: options.max_lhs,
-        max_constants: options.max_constants,
         top_values: options.top_values,
         ..DiscoverOptions::default()
     };
@@ -124,7 +119,7 @@ mod tests {
     #[test]
     fn finds_conditional_but_not_global_fd() {
         let t = table();
-        let opts = CtaneOptions { max_lhs: 2, max_constants: 1, min_support: 3, top_values: 4 };
+        let opts = CtaneOptions { max_lhs: 2, min_support: 3, top_values: 4 };
         let (cfds, _) = discover_cfds(&t, &opts);
         // ([cc='44', zip] → street) should be found…
         let zip = 1usize;
@@ -180,7 +175,7 @@ mod tests {
     fn caps_are_reported_not_silent() {
         let t = table();
         // top_values=1 drops condition values on every probed attribute.
-        let opts = CtaneOptions { max_lhs: 1, max_constants: 1, min_support: 3, top_values: 1 };
+        let opts = CtaneOptions { max_lhs: 1, min_support: 3, top_values: 1 };
         let (_, stats) = discover_cfds(&t, &opts);
         assert!(stats.candidates_pruned > 0, "{stats:?}");
         assert!(stats.lattice_truncated, "max_lhs=1 over arity 3 cuts the lattice: {stats:?}");
@@ -212,7 +207,7 @@ mod tests {
         // a table scan per probe would read |X| · distinct · n.
         let t = table();
         let run = |max_lhs| {
-            let opts = CtaneOptions { max_lhs, max_constants: 1, min_support: 1, top_values: 8 };
+            let opts = CtaneOptions { max_lhs, min_support: 1, top_values: 8 };
             let (cfds, stats) = discover_cfds(&t, &opts);
             let plain = cfds.iter().filter(|c| c.is_plain_fd()).count();
             (stats.candidates_checked - plain, stats.support_rows_touched)

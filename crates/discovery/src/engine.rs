@@ -14,8 +14,9 @@
 //! truncating silently.
 //!
 //! [`ParallelDiscovery`] shards each lattice level's candidate checks
-//! across `std::thread::scope` workers and merges chunk outputs in
-//! candidate order, so its rule lists are **byte-identical** to
+//! across scoped workers ([`revival_relation::map_chunks`], the helper
+//! detect and repair shard with) and merges chunk outputs in candidate
+//! order, so its rule lists are **byte-identical** to
 //! [`SequentialDiscovery`]'s at any `jobs` — the same determinism
 //! contract the detection and repair engines keep. `jobs` shards the
 //! lattice only: a job builds one item index per table
@@ -51,15 +52,11 @@ pub struct DiscoverOptions {
     /// Maximum LHS size explored in the lattice (and maximum constant
     /// itemset size for CFDMiner).
     pub max_lhs: usize,
-    /// Constants per conditional pattern row: `0` disables conditional
-    /// probing; any positive value currently probes single-constant
-    /// patterns (a documented bound, reported via
-    /// [`DiscoveryStats::lattice_truncated`] only when the lattice
-    /// itself is cut short).
-    pub max_constants: usize,
     /// Per attribute, only the `top_values` most frequent constants are
-    /// probed as conditions; values dropped by this cap are counted in
-    /// [`DiscoveryStats::candidates_pruned`].
+    /// probed as conditions (single-constant patterns); values dropped
+    /// by this cap are counted in
+    /// [`DiscoveryStats::candidates_pruned`]. `0` disables conditional
+    /// probing.
     pub top_values: usize,
     /// Also mine constant CFDs via CFDMiner (free-itemset closures).
     pub constant_rules: bool,
@@ -86,7 +83,6 @@ impl Default for DiscoverOptions {
             min_support: 3,
             min_confidence: 1.0,
             max_lhs: 2,
-            max_constants: 1,
             top_values: 8,
             constant_rules: true,
             vet_budget: 50_000,
@@ -300,10 +296,7 @@ impl DiscoveryEngine for ParallelDiscovery {
     }
 
     fn shards(&self, job: &DiscoverJob<'_>) -> usize {
-        match job.options.jobs {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
+        revival_relation::resolve_jobs(job.options.jobs)
     }
 }
 
@@ -316,31 +309,6 @@ pub fn discovery_by_name(name: &str) -> Result<Box<dyn DiscoveryEngine>> {
             Err(Error::Io(format!("unknown discovery engine `{other}` (sequential|parallel)")))
         }
     }
-}
-
-/// Map `f` over `items` on up to `jobs` scoped workers, preserving item
-/// order in the output — the deterministic-merge primitive every
-/// sharded discovery pass uses. `jobs <= 1` degenerates to a plain
-/// sequential map, so the parallel engine at one shard *is* the
-/// sequential engine.
-pub(crate) fn sharded_map<T: Sync, R: Send>(
-    items: &[T],
-    jobs: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let jobs = jobs.max(1);
-    if jobs == 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(jobs).max(1);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("discovery worker panicked")).collect()
-    })
 }
 
 /// The shared engine body: index every table's items, mine its lattice

@@ -50,6 +50,8 @@
 //! Everything runs on the interned `GroupBy`/`Sym` kernel from
 //! `revival-relation` — no `Vec<Value>` keys anywhere in the lattice.
 
+#![forbid(unsafe_code)]
+
 pub mod cfdminer;
 pub mod ctane;
 pub mod engine;

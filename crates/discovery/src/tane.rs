@@ -15,7 +15,7 @@
 //!   like `([cc='44', zip] → [street])`.
 //!
 //! Candidate checks at each level are independent, so the engine layer
-//! shards them across scoped threads ([`crate::engine::sharded_map`])
+//! shards them across scoped threads ([`revival_relation::map_chunks`])
 //! and merges in candidate order — byte-identical output at any shard
 //! count. Partitions group on the interned `Sym` kernel; no
 //! `Vec<Value>` keys exist anywhere in the lattice.
@@ -23,12 +23,12 @@
 //! [`discover_fds`] keeps the classical surface: exact, minimal FDs
 //! only.
 
-use crate::engine::{sharded_map, DiscoverOptions, DiscoveryStats, MinedCfd};
+use crate::engine::{DiscoverOptions, DiscoveryStats, MinedCfd};
 use crate::items::{ItemId, ItemIndex};
 use crate::partition::Partition;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cfd, Fd};
-use revival_relation::Table;
+use revival_relation::{map_chunks, Table};
 use std::collections::HashMap;
 
 /// Options for [`discover_fds`].
@@ -52,7 +52,6 @@ pub fn discover_fds(table: &Table, options: &TaneOptions) -> Vec<Fd> {
         min_support: 0,
         min_confidence: 1.0,
         max_lhs: options.max_lhs,
-        max_constants: 0,
         top_values: 0,
         ..DiscoverOptions::default()
     };
@@ -62,6 +61,18 @@ pub fn discover_fds(table: &Table, options: &TaneOptions) -> Vec<Fd> {
         .filter(|m| m.cfd.is_plain_fd())
         .map(|m| Fd::from_ids(m.cfd.relation, m.cfd.lhs, vec![m.cfd.rhs]))
         .collect()
+}
+
+/// `f` over every item on up to `jobs` scoped workers, outputs in item
+/// order: [`map_chunks`], flattened in chunk order. One chunk runs inline,
+/// so the parallel engine at one shard *is* the sequential engine.
+pub(crate) fn map_items<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let chunks = map_chunks(items, jobs, |chunk| chunk.iter().map(&f).collect::<Vec<R>>());
+    chunks.into_iter().flat_map(|(out, _)| out).collect()
 }
 
 /// One candidate's verdict, produced by an independent (shardable)
@@ -119,31 +130,30 @@ fn check_candidate(
     }
     let mut rules = Vec::new();
     let mut support_rows_touched = 0;
-    if opts.max_constants > 0 {
-        for (pos, &attr) in x.iter().enumerate() {
-            for &item in &top[attr] {
-                // The item's row list is the pattern's support: known
-                // before a row is read, and all the probe then reads.
-                let rows = index.rows(item);
-                let support = rows.len();
-                if support < opts.min_support.max(1) {
-                    continue;
-                }
-                support_rows_touched += support;
-                let err = crate::ctane::pattern_error(table, x, rhs, rows);
-                let confidence = 1.0 - err as f64 / support as f64;
-                if err == 0 || confidence >= opts.min_confidence {
-                    let mut lhs_pats = vec![PatternValue::Wildcard; x.len()];
-                    let value = table.pool().value(index.item(item).1);
-                    lhs_pats[pos] = PatternValue::Const(value.clone());
-                    let cfd = Cfd {
-                        relation: relation.to_string(),
-                        lhs: x.to_vec(),
-                        rhs,
-                        tableau: vec![PatternRow::new(lhs_pats, PatternValue::Wildcard)],
-                    };
-                    rules.push(MinedCfd { cfd, support, confidence });
-                }
+    // `top` is empty for every attribute when `top_values` is 0.
+    for (pos, &attr) in x.iter().enumerate() {
+        for &item in &top[attr] {
+            // The item's row list is the pattern's support: known
+            // before a row is read, and all the probe then reads.
+            let rows = index.rows(item);
+            let support = rows.len();
+            if support < opts.min_support.max(1) {
+                continue;
+            }
+            support_rows_touched += support;
+            let err = crate::ctane::pattern_error(table, x, rhs, rows);
+            let confidence = 1.0 - err as f64 / support as f64;
+            if err == 0 || confidence >= opts.min_confidence {
+                let mut lhs_pats = vec![PatternValue::Wildcard; x.len()];
+                let value = table.pool().value(index.item(item).1);
+                lhs_pats[pos] = PatternValue::Const(value.clone());
+                let cfd = Cfd {
+                    relation: relation.to_string(),
+                    lhs: x.to_vec(),
+                    rhs,
+                    tableau: vec![PatternRow::new(lhs_pats, PatternValue::Wildcard)],
+                };
+                rules.push(MinedCfd { cfd, support, confidence });
             }
         }
     }
@@ -216,9 +226,9 @@ pub(crate) fn mine_lattice_inner(
 
     let attrs: Vec<usize> = (0..arity).collect();
     let singles_start = std::time::Instant::now();
-    let singles: Vec<Partition> = sharded_map(&attrs, jobs, |&a| Partition::build(table, &[a]));
+    let singles: Vec<Partition> = map_items(&attrs, jobs, |&a| Partition::build(table, &[a]));
     let singles_us = singles_start.elapsed().as_micros() as u64;
-    let top: Vec<Vec<ItemId>> = if opts.max_constants > 0 && opts.top_values > 0 {
+    let top: Vec<Vec<ItemId>> = if opts.top_values > 0 {
         (0..arity).map(|a| top_items(index, a, opts.top_values, &mut stats)).collect()
     } else {
         vec![Vec::new(); arity]
@@ -260,7 +270,7 @@ pub(crate) fn mine_lattice_inner(
         }
         stats.candidates_checked += candidates.len();
         let keep_refined = size < opts.max_lhs;
-        let outcomes: Vec<CandidateOutcome> = sharded_map(&candidates, jobs, |&(i, a)| {
+        let outcomes: Vec<CandidateOutcome> = map_items(&candidates, jobs, |&(i, a)| {
             let (x, px) = &level[i];
             check_candidate(index, opts, &relation, x, px, &singles, &top, a, keep_refined)
         });
@@ -321,7 +331,7 @@ pub(crate) fn mine_lattice_inner(
             next_sets.iter().map(|xa| computed.remove(xa)).collect();
         let missing: Vec<usize> =
             (0..next_sets.len()).filter(|&i| prefetched[i].is_none()).collect();
-        let filled: Vec<Partition> = sharded_map(&missing, jobs, |&i| {
+        let filled: Vec<Partition> = map_items(&missing, jobs, |&i| {
             let xa = &next_sets[i];
             let last = *xa.last().expect("next-level sets are non-empty");
             match parent.get(&xa[..xa.len() - 1]) {
@@ -443,7 +453,7 @@ mod tests {
         let opts = DiscoverOptions {
             min_support: 0,
             max_lhs: 1,
-            max_constants: 0,
+            top_values: 0,
             ..DiscoverOptions::default()
         };
         let (_, stats) = mine_lattice(&t, &opts, 1);
@@ -453,7 +463,7 @@ mod tests {
         let opts = DiscoverOptions {
             min_support: 0,
             max_lhs: 4,
-            max_constants: 0,
+            top_values: 0,
             ..DiscoverOptions::default()
         };
         let (_, stats) = mine_lattice(&t, &opts, 1);
@@ -480,14 +490,14 @@ mod tests {
             let c = if i == 7 { "noise".to_string() } else { format!("v{}", i % 3) };
             t.push(vec![b.into(), c.into()]).unwrap();
         }
-        let strict = DiscoverOptions { max_constants: 0, ..DiscoverOptions::default() };
+        let strict = DiscoverOptions { top_values: 0, ..DiscoverOptions::default() };
         let (exact, _) = mine_lattice(&t, &strict, 1);
         assert!(
             !exact.iter().any(|m| m.cfd.lhs == vec![0] && m.cfd.rhs == 1),
             "b → c does not hold exactly"
         );
         let loose =
-            DiscoverOptions { min_confidence: 0.9, max_constants: 0, ..DiscoverOptions::default() };
+            DiscoverOptions { min_confidence: 0.9, top_values: 0, ..DiscoverOptions::default() };
         let (approx, _) = mine_lattice(&t, &loose, 1);
         let rule = approx
             .iter()

@@ -24,6 +24,8 @@
 //! deduction), [`rck`] (RCK type + derivation), [`matcher`] (blocking
 //! matcher + quality scoring).
 
+#![forbid(unsafe_code)]
+
 pub mod matcher;
 pub mod rck;
 pub mod rules;

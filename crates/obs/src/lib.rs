@@ -29,6 +29,8 @@
 //! local tallies only when enabled, so parity-critical code paths stay
 //! byte-identical either way.
 
+#![forbid(unsafe_code)]
+
 mod profile;
 mod registry;
 mod span;

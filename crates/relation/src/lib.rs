@@ -14,14 +14,16 @@
 //! * an in-memory, **columnar** [`Table`] — dense per-attribute [`Sym`]
 //!   columns over an interning [`ValuePool`], stable tuple identities,
 //!   a tombstone bitmap, and secondary hash [`Index`]es;
-//! * an on-disk snapshot format (module [`snapshot`], `.sdq` files)
-//!   with memory-mapped opens;
+//! * an on-disk snapshot format (module [`snapshot`], `.sdq` files):
+//!   one read and one decode pass to open;
 //! * CSV reading/writing (module [`csv`]);
 //! * scalar [`expr::Expr`]essions with an evaluator;
 //! * a SQL subset (module [`sql`]) — lexer, parser, logical planner and
 //!   executor — rich enough to run the detection queries that the CFD
 //!   paper generates (`SELECT … FROM … WHERE … GROUP BY … HAVING …`,
-//!   inner joins, `COUNT(DISTINCT …)`).
+//!   inner joins, `COUNT(DISTINCT …)`);
+//! * the scoped-thread sharding primitive (module [`parallel`]) that
+//!   detect, repair and discovery split their scans with.
 //!
 //! ## Quick tour
 //!
@@ -39,12 +41,15 @@
 //! assert_eq!(t.rows().next().unwrap().1[2], Value::from("Crichton St"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod csv;
 pub mod durable;
 pub mod error;
 pub mod expr;
 pub mod groupby;
 pub mod index;
+pub mod parallel;
 pub mod pool;
 pub mod schema;
 pub mod snapshot;
@@ -56,6 +61,7 @@ pub use error::{Error, Result};
 pub use expr::Expr;
 pub use groupby::{ColProj, GroupBy, KeyProj};
 pub use index::Index;
+pub use parallel::{map_chunks, resolve_jobs};
 pub use pool::{Sym, ValuePool};
 pub use schema::{AttrId, Attribute, Catalog, Schema, SchemaBuilder, Type};
 pub use table::{Table, TupleId};

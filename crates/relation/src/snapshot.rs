@@ -23,11 +23,9 @@
 //! empty. Slot structure round-trips exactly: tuple ids, tombstones and
 //! iteration order are identical after `save ∘ open`.
 //!
-//! [`Table::open_snapshot`] memory-maps the file on Linux (a raw
-//! `mmap` syscall — no libc in this workspace) and decodes straight out
-//! of the mapping; elsewhere, or if the map fails, it falls back to one
-//! buffered read. Corrupt or truncated input returns
-//! [`Error::Snapshot`] with the failing byte offset — never a panic.
+//! [`Table::open_snapshot`] is one read of the file and one decode
+//! pass over it. Corrupt or truncated input returns [`Error::Snapshot`]
+//! with the failing byte offset — never a panic.
 
 use crate::error::{Error, Result};
 use crate::pool::{Sym, ValuePool};
@@ -254,19 +252,10 @@ impl Table {
         out
     }
 
-    /// Open a `.sdq` snapshot. Memory-maps the file where the platform
-    /// allows, otherwise falls back to a single buffered read; either
-    /// way the payload is decoded in one pass. Malformed input returns
-    /// [`Error::Snapshot`] with the failing byte offset.
+    /// Open a `.sdq` snapshot: one read, one decode pass. Malformed
+    /// input returns [`Error::Snapshot`] with the failing byte offset.
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Table> {
         let path = path.as_ref();
-        let file =
-            std::fs::File::open(path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
-        let len = file.metadata().map_err(Error::from)?.len() as usize;
-        if let Some(mapped) = mmap::map(&file, len) {
-            return Table::decode_snapshot(&mapped);
-        }
-        drop(file);
         let bytes =
             std::fs::read(path).map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
         Table::decode_snapshot(&bytes)
@@ -294,8 +283,16 @@ impl Table {
         let name = c.str()?.to_string();
         let arity = c.count(3, "attribute")?;
         let mut attrs = Vec::with_capacity(arity);
+        let mut seen = std::collections::HashSet::with_capacity(arity);
         for _ in 0..arity {
-            let attr_name = c.str()?.to_string();
+            let offset = 16 + c.pos;
+            let attr_name = c.str()?;
+            // `Schema::new` asserts on duplicates; a file must not reach it.
+            if !seen.insert(attr_name) {
+                let message = format!("duplicate attribute `{attr_name}`");
+                return Err(Error::Snapshot { offset, message });
+            }
+            let attr_name = attr_name.to_string();
             let ty = c.ty()?;
             let attr = match c.u8()? {
                 0 => Attribute::new(attr_name, ty),
@@ -380,113 +377,6 @@ impl Table {
         }
         Ok(Table::from_parts(schema, cols, live, slots, pool))
     }
-}
-
-/// Raw-syscall `mmap` for snapshot opens. The workspace vendors no
-/// `libc`, so the Linux map goes straight to the kernel; any failure —
-/// wrong platform, empty file, kernel refusal — reports `None` and the
-/// caller falls back to a buffered read.
-mod mmap {
-    use std::fs::File;
-    use std::ops::Deref;
-
-    pub struct Mapped {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    impl Deref for Mapped {
-        type Target = [u8];
-        fn deref(&self) -> &[u8] {
-            // Safety: `ptr` is a live PROT_READ mapping of `len` bytes,
-            // unmapped only in Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapped {
-        fn drop(&mut self) {
-            unsafe { munmap(self.ptr, self.len) };
-        }
-    }
-
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    pub fn map(file: &File, len: usize) -> Option<Mapped> {
-        use std::os::unix::io::AsRawFd;
-        if len == 0 {
-            return None;
-        }
-        const PROT_READ: usize = 1;
-        const MAP_PRIVATE: usize = 2;
-        let fd = file.as_raw_fd();
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 9isize => ret, // SYS_mmap
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ,
-                in("r10") MAP_PRIVATE,
-                in("r8") fd as isize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-        #[cfg(target_arch = "aarch64")]
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                in("x8") 222usize, // SYS_mmap
-                inlateout("x0") 0usize => ret,
-                in("x1") len,
-                in("x2") PROT_READ,
-                in("x3") MAP_PRIVATE,
-                in("x4") fd as isize,
-                in("x5") 0usize,
-                options(nostack)
-            );
-        }
-        // Errors come back as small negative values in the pointer.
-        if ret < 0 {
-            return None;
-        }
-        Some(Mapped { ptr: ret as *const u8, len })
-    }
-
-    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    pub fn map(_file: &File, _len: usize) -> Option<Mapped> {
-        None
-    }
-
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    unsafe fn munmap(ptr: *const u8, len: usize) {
-        let _ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 11isize => _ret, // SYS_munmap
-            in("rdi") ptr,
-            in("rsi") len,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        #[cfg(target_arch = "aarch64")]
-        std::arch::asm!(
-            "svc 0",
-            in("x8") 215usize, // SYS_munmap
-            inlateout("x0") ptr => _ret,
-            in("x1") len,
-            options(nostack)
-        );
-    }
-
-    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    unsafe fn munmap(_ptr: *const u8, _len: usize) {}
 }
 
 #[cfg(test)]

@@ -155,10 +155,7 @@ impl BatchRepair {
 
     /// The resolved shard count (`jobs = 0` → available cores).
     fn jobs(&self) -> usize {
-        match self.options.jobs {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
+        revival_relation::resolve_jobs(self.options.jobs)
     }
 
     /// Repair `table`, returning the repaired copy and statistics.

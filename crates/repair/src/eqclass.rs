@@ -17,9 +17,8 @@
 //! [`ResolveStats`] counts that work.
 
 use crate::cost::{CostModel, DistanceScratch};
-use revival_detect::parallel::map_chunks;
 use revival_relation::groupby::hash_words;
-use revival_relation::{GroupBy, Sym, Table, TupleId, Value};
+use revival_relation::{map_chunks, GroupBy, Sym, Table, TupleId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -156,7 +155,8 @@ impl EquivClasses {
     /// aligned with `groups` and *identical* to what a sequential loop
     /// computes, at any shard count, and so are the work counts. This
     /// is the repair counterpart of the detection sharding in
-    /// `revival_detect::parallel`, on the same `map_chunks`.
+    /// `revival_detect::parallel`, on the same
+    /// [`revival_relation::map_chunks`].
     pub fn resolve_targets(
         groups: &[(Vec<Cell>, Option<Value>)],
         table: &Table,

@@ -9,12 +9,11 @@
 //! [`crate::BatchRepair`] over base+delta — the crossover measured in
 //! experiment E6.
 
-use crate::batch::{BatchRepair, RepairOptions};
 use crate::cost::CostModel;
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
-use revival_relation::{Result, Table, TupleId, Value};
+use revival_relation::{Table, TupleId, Value};
 use std::collections::HashMap;
 
 /// Statistics from an incremental repair.
@@ -155,50 +154,6 @@ impl IncRepair {
             base.push_unchecked(row);
         }
         stats
-    }
-
-    /// Repair a delta, falling back to [`BatchRepair`] when the delta is
-    /// at least as large as the base — the E6 crossover, where indexing
-    /// the base per-delta-tuple stops paying for itself. The fallback
-    /// runs a whole-table pass over base ∪ delta with `options`
-    /// (inheriting its shard count), so a large delta gets the sharded
-    /// repair engine instead of the tuple-at-a-time path.
-    ///
-    /// Unlike the pure incremental path, the batch fallback may also
-    /// edit *base* cells (the base loses its authoritative status once
-    /// the delta outweighs it); its edits are reported in the same
-    /// [`IncStats`] shape.
-    pub fn repair_delta_auto(
-        cfds: &[Cfd],
-        base: &mut Table,
-        delta: Vec<Vec<Value>>,
-        cost: CostModel,
-        options: &RepairOptions,
-    ) -> Result<IncStats> {
-        // Reject malformed suites on *both* paths — the incremental path
-        // has no detection step to catch them, and a bad tableau row
-        // would otherwise zip-truncate and match too broadly.
-        cfds.iter().try_for_each(Cfd::validate)?;
-        if delta.len() < base.len().max(1) {
-            return Ok(Self::repair_delta(cfds, base, delta, cost));
-        }
-        // Batch fallback on a scratch copy: `base` is only replaced once
-        // the repair has succeeded, so an error leaves it untouched.
-        let mut combined = base.clone();
-        for row in delta {
-            combined.push_unchecked(row);
-        }
-        let repairer = BatchRepair::new(cfds, cost).with_options(options.clone());
-        let (fixed, batch) = repairer.repair(&combined)?;
-        let mut stats =
-            IncStats { tuples_edited: 0, cells_changed: batch.cells_changed, cost: batch.cost };
-        for (id, row) in combined.rows() {
-            if fixed.get(id).is_ok_and(|rep| rep != row) {
-                stats.tuples_edited += 1;
-            }
-        }
-        *base = fixed;
-        Ok(stats)
     }
 }
 
@@ -350,83 +305,6 @@ mod tests {
         let stats = IncRepair::repair_delta(&cfds, &mut table, delta, CostModel::uniform(5));
         assert_eq!(stats.cells_changed, 0);
         assert_eq!(stats.cost, 0.0);
-    }
-
-    #[test]
-    fn auto_delegates_to_batch_when_delta_dominates() {
-        let s = schema();
-        let cfds = suite(&s);
-        // Tiny base, large conflicting delta → batch fallback.
-        let mut table = base();
-        let delta: Vec<Vec<Value>> = (0..4)
-            .map(|i| {
-                vec![
-                    Value::from("44"),
-                    Value::from("131"),
-                    Value::str(format!("Street{i}")), // all conflict on zip G9
-                    Value::from("edi"),
-                    Value::from("G9"),
-                ]
-            })
-            .collect();
-        let opts = RepairOptions { jobs: 2, ..Default::default() };
-        let stats =
-            IncRepair::repair_delta_auto(&cfds, &mut table, delta, CostModel::uniform(5), &opts)
-                .unwrap();
-        assert!(satisfies(&table, &cfds));
-        assert_eq!(table.len(), 6);
-        assert!(stats.tuples_edited >= 3, "conflicting group must be coerced: {stats:?}");
-        // Small delta stays on the incremental path (base untouched).
-        let mut table2 = base();
-        let small = vec![vec![
-            Value::from("44"),
-            Value::from("131"),
-            Value::from("Mayfield"),
-            Value::from("edi"),
-            Value::from("EH8"),
-        ]];
-        let st =
-            IncRepair::repair_delta_auto(&cfds, &mut table2, small, CostModel::uniform(5), &opts)
-                .unwrap();
-        assert!(satisfies(&table2, &cfds));
-        assert_eq!(st.tuples_edited, 1);
-        assert_eq!(table2.rows().last().unwrap().1[2], Value::from("Crichton"));
-    }
-
-    #[test]
-    fn auto_rejects_malformed_suites_and_leaves_base_intact() {
-        use revival_constraints::pattern::{PatternRow, PatternValue};
-        let s = schema();
-        let mut cfds = suite(&s);
-        cfds[0].tableau.push(PatternRow::new(vec![PatternValue::Wildcard], PatternValue::Wildcard));
-        let opts = RepairOptions::default();
-        let dirty_row = vec![
-            Value::from("44"),
-            Value::from("131"),
-            Value::from("Mayfield"),
-            Value::from("edi"),
-            Value::from("EH8"),
-        ];
-        // Both the small-delta (incremental) and large-delta (batch
-        // fallback) paths return the typed error without touching base.
-        for delta_size in [1usize, 5] {
-            let mut table = base();
-            let before = table.clone();
-            let delta = vec![dirty_row.clone(); delta_size];
-            let got = IncRepair::repair_delta_auto(
-                &cfds,
-                &mut table,
-                delta,
-                CostModel::uniform(5),
-                &opts,
-            );
-            assert!(
-                matches!(got, Err(revival_relation::Error::MalformedPattern { .. })),
-                "delta_size={delta_size}: {got:?}"
-            );
-            assert_eq!(table.len(), before.len(), "base grew on error (delta_size={delta_size})");
-            assert_eq!(table.diff_cells(&before), 0);
-        }
     }
 
     #[test]

@@ -21,11 +21,9 @@
 //!    plausible small fixes are preferred.
 //!
 //! [`BatchRepair`] repairs a whole table; [`IncRepair`] repairs only a
-//! delta against an already-clean base (experiment E6), delegating to
-//! the batch engine when the delta outweighs the base
-//! ([`IncRepair::repair_delta_auto`]). Both guarantee the output
-//! satisfies the suite (they fall back to pattern-breaking fresh values
-//! if cost-guided resolution stalls; see
+//! delta against an already-clean base (experiment E6). Both guarantee
+//! the output satisfies the suite (they fall back to pattern-breaking
+//! fresh values if cost-guided resolution stalls; see
 //! [`batch::RepairStats::forced_resolutions`]).
 //!
 //! Repair passes shard across threads ([`batch::RepairOptions::jobs`]):
@@ -37,6 +35,8 @@
 //! (`tests/repair_parity.rs`).
 //!
 //! [`Detector`]: revival_detect::Detector
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod confidence;

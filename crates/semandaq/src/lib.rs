@@ -6,6 +6,8 @@
 //!
 //! The CLI surface lives in `main.rs`; everything testable is here.
 
+#![forbid(unsafe_code)]
+
 use revival_constraints::analysis::{self, Outcome};
 use revival_constraints::parser::parse_cfds;
 use revival_constraints::Cfd;
@@ -216,8 +218,8 @@ impl Session {
 }
 
 /// Load a table from a data file, dispatching on the extension: `.sdq`
-/// opens a columnar snapshot (memory-mapped where the platform allows;
-/// the snapshot's embedded relation name wins over `name`), anything
+/// opens a columnar snapshot (the snapshot's embedded relation name
+/// wins over `name`), anything
 /// else parses as CSV with the schema inferred and the relation named
 /// `name`. Every `--data` flag of the CLI accepts both formats through
 /// this helper.

@@ -2,6 +2,8 @@
 //!
 //! Run `semandaq --help` for the command summary ([`USAGE`]).
 
+#![forbid(unsafe_code)]
+
 use semandaq::{generate_customer_scenario, Engine, Session};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -27,7 +29,7 @@ commands:
                                  groups probed, wall us — hot first;
                                  `--explain json` prints only the
                                  machine-readable profile)
-  repair   --data FILE --cfds FILE [--out FILE] [--engine E] [--jobs N]
+  repair   --data FILE --cfds FILE [--out FILE] [--jobs N]
            [--explain [text|json]]
                                  compute a minimal-cost repair;
                                  --explain adds per-phase timings
@@ -95,13 +97,12 @@ commands:
                                  of the serve tier's last N requests
                                  (newest first)
   watch    FILE --cfds FILE [--table NAME] [--poll-ms N]
-           [--idle-exit N] [--jobs N]
+           [--idle-exit N]
                                  tail a growing CSV, reporting only the
                                  delta (no base rescans)
   snapshot save --data FILE --out FILE.sdq [--table NAME]
   snapshot load --data FILE.sdq
                                  write/open the columnar `.sdq` format
-                                 (memory-mapped on open where possible)
 
 Every --data flag accepts a `.sdq` snapshot wherever it accepts CSV.
 `semandaq <command>` with missing flags explains what it needs.";
@@ -298,12 +299,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let session = load_session(&flags)?;
             // `--jobs N` shards both detection and equivalence-class
             // resolution (0 = one shard per core); the repaired table is
-            // byte-identical at any shard count. `--engine` picks the
-            // detection engine for the before-repair report and, like
-            // `detect`, defaults to parallel when `--jobs` is given.
-            let default_engine = if flags.contains("jobs") { "parallel" } else { "native" };
-            let engine: Engine =
-                flags.get_or("engine", default_engine).parse().map_err(|e| format!("{e}"))?;
+            // byte-identical at any shard count. Like `detect`, the
+            // before-repair count runs on the parallel engine when
+            // `--jobs` is given.
+            let engine = if flags.contains("jobs") { Engine::Parallel } else { Engine::Native };
             let jobs: usize =
                 flags.get_or("jobs", "1").parse().map_err(|_| "--jobs must be an integer")?;
             let explain = explain_mode(&flags)?;
@@ -536,11 +535,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 .get_or("idle-exit", "0")
                 .parse()
                 .map_err(|_| "--idle-exit must be an integer")?;
-            let jobs: usize =
-                flags.get_or("jobs", "0").parse().map_err(|_| "--jobs must be an integer")?;
             let cfd_text =
                 std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
-            watch(&path, &table, &cfd_text, poll_ms, idle_exit, jobs)
+            watch(&path, &table, &cfd_text, poll_ms, idle_exit)
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
@@ -859,15 +856,13 @@ fn detect_catalog(
 /// Tail a growing CSV: load the base once, then feed only appended
 /// bytes through a [`revival_stream::CsvTail`] into a
 /// [`revival_stream::DeltaSession`] — each appended row costs `O(|Σ|)`,
-/// never a base rescan (the exit summary prints the session's rescan
-/// counter as proof).
+/// never a base rescan.
 fn watch(
     path: &str,
     table_name: &str,
     cfd_text: &str,
     poll_ms: u64,
     idle_exit: usize,
-    jobs: usize,
 ) -> Result<(), String> {
     use revival_stream::{CsvTail, DeltaSession};
     use std::io::{Read, Seek, SeekFrom};
@@ -887,7 +882,7 @@ fn watch(
         revival_constraints::parser::parse_cfds(cfd_text, &schema).map_err(|e| e.to_string())?;
     let base_rows = table.len();
     let base_lines = base_text[..complete].lines().count();
-    let mut session = DeltaSession::new(jobs);
+    let mut session = DeltaSession::new(1);
     session.register(table, cfds).map_err(|e| e.to_string())?;
     let mut count = session.violation_count().map_err(|e| e.to_string())?;
     println!("watching {path}: {base_rows} row(s), {count} violation(s)");
@@ -959,7 +954,6 @@ fn watch(
         use std::io::Write;
         std::io::stdout().flush().ok();
     }
-    let stats = session.stats();
-    println!("watch: {appended} appended row(s) in {batches} batch(es); rescans={}", stats.rescans);
+    println!("watch: {appended} appended row(s) in {batches} batch(es)");
     Ok(())
 }

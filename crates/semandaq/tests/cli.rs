@@ -86,7 +86,10 @@ fn generate_detect_repair_workflow() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("residual=0"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("residual=0"));
+    // The before-repair count names the engine `--jobs` implies.
+    assert!(stdout.contains("[native engine]"), "{stdout}");
 
     // repair with 4 shards writes a byte-identical file.
     let fixed4 = dir.join("fixed4.csv");
@@ -97,6 +100,7 @@ fn generate_detect_repair_workflow() {
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("[parallel engine]"));
     assert_eq!(std::fs::read(&fixed).unwrap(), std::fs::read(&fixed4).unwrap());
 
     // detect on the repaired file → zero violations.

@@ -13,9 +13,7 @@
 //!
 //! * [`session::DeltaSession`] — registers tables + CFD/CIND suites,
 //!   applies insert/delete/update deltas at `O(|Δ|)`, keeps live
-//!   violation counters, falls back to one sharded
-//!   [`revival_detect::ParallelEngine`] rescan when a batch outweighs
-//!   the base, and triggers incremental repair on demand;
+//!   violation counters, and triggers incremental repair on demand;
 //! * [`protocol`] — the line-delimited JSON wire format of
 //!   `semandaq serve` (self-contained JSON subset; the workspace is
 //!   offline and carries no serde);
@@ -33,6 +31,8 @@
 //! * [`tail::CsvTail`] — turns appended chunks of a growing CSV file
 //!   into parsed rows for `semandaq watch`.
 
+#![forbid(unsafe_code)]
+
 pub mod protocol;
 pub mod server;
 pub mod session;
@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use protocol::{Request, Response};
 pub use server::{RunSummary, Server};
-pub use session::{ApplyPath, DeltaOp, DeltaSession, SessionStats};
+pub use session::DeltaSession;
 pub use shard::{Replica, RestoreSummary, ServeOptions, Shard, ShardRing, ShardedSession};
 pub use tail::CsvTail;
 pub use wal::{GroupWal, Wal, WalReplay};

@@ -230,15 +230,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind to `addr` (e.g. `127.0.0.1:0` for an ephemeral port) with a
-    /// fresh single-shard session and no persistence; `jobs` shards the
-    /// session's burst rescans.
-    pub fn bind(addr: &str, jobs: usize) -> std::io::Result<Server> {
-        Self::bind_opts(addr, &ServeOptions { jobs, ..ServeOptions::default() }).map(|(s, _)| s)
-    }
-
-    /// Bind with the full serve configuration — shards, WAL,
-    /// checkpoint cadence, state directory. Restores and replays per
+    /// Bind to `addr` (e.g. `127.0.0.1:0` for an ephemeral port) with
+    /// the full serve configuration — shards, WAL, checkpoint cadence,
+    /// state directory. Restores and replays per
     /// [`ShardedSession::open`]; the returned [`RestoreSummary`] says
     /// what came back from disk.
     pub fn bind_opts(addr: &str, opts: &ServeOptions) -> std::io::Result<(Server, RestoreSummary)> {
@@ -492,6 +486,13 @@ fn dispatch(request: &Request, shared: &Shared) -> (Response, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Server {
+        /// A fresh single-shard session, no persistence.
+        fn bind(addr: &str, jobs: usize) -> std::io::Result<Server> {
+            Self::bind_opts(addr, &ServeOptions { jobs, ..ServeOptions::default() }).map(|(s, _)| s)
+        }
+    }
 
     fn roundtrip(
         stream: &mut TcpStream,

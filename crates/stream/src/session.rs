@@ -8,62 +8,16 @@
 //! expected cost per operation — the E11 trade-off of the TODS paper,
 //! kept warm instead of re-derived per request.
 //!
-//! Two regimes, mirroring [`IncRepair::repair_delta_auto`]:
-//!
-//! * **trickle** — each delta flows through the per-relation
-//!   [`IncrementalDetector`]s; violation counts stay exact without
-//!   touching the base;
-//! * **burst** — when one [`DeltaSession::apply`] batch has at least as
-//!   many operations as there are live tuples, per-tuple maintenance
-//!   stops paying for itself and the session instead applies the batch
-//!   raw and re-derives the report with the sharded
-//!   [`ParallelEngine`]. The incremental detectors are rebuilt lazily
-//!   on the next trickle operation, so a long burst phase never pays
-//!   for state it does not read.
+//! The maintained detectors are the only way the session knows its
+//! violations: every delta updates them in place and every read sums or
+//! lists what they hold, so neither rescans the base.
 
 use revival_constraints::{Cfd, Cind};
 use revival_detect::native::describe_violation;
-use revival_detect::{
-    CindDetector, DetectJob, Detector, IncrementalDetector, ParallelEngine, Violation,
-    ViolationReport,
-};
+use revival_detect::{CindDetector, IncrementalDetector, Violation, ViolationReport};
 use revival_relation::{Catalog, Error, Result, Schema, Table, TupleId, Value};
 use revival_repair::{BatchRepair, CostModel, IncRepair, IncStats};
 use std::collections::HashMap;
-
-/// One streaming edit against a registered relation.
-#[derive(Clone, Debug)]
-pub enum DeltaOp {
-    /// Append a row (arity/types validated against the schema).
-    Insert { relation: String, row: Vec<Value> },
-    /// Delete a live tuple.
-    Delete { relation: String, tuple: TupleId },
-    /// Overwrite one cell of a live tuple.
-    Update { relation: String, tuple: TupleId, attr: usize, value: Value },
-}
-
-/// Which path a [`DeltaSession::apply`] batch took.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ApplyPath {
-    /// Per-operation incremental maintenance (`O(|Δ|)`).
-    Incremental,
-    /// Raw application plus one sharded rescan (`O(n)` once).
-    Rescan,
-}
-
-/// Counters proving which regime the session ran in — `semandaq watch`
-/// prints them so "no base rescans" is observable, not asserted.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SessionStats {
-    /// Delta operations accepted.
-    pub ops: usize,
-    /// Operations that went through incremental maintenance.
-    pub incremental_ops: usize,
-    /// Full sharded rescans (burst fallbacks + lazy rebuilds).
-    pub rescans: usize,
-    /// On-demand repair passes.
-    pub repairs: usize,
-}
 
 /// Per-relation incremental state: the detector over the relation's
 /// sub-suite, plus each sub-suite position's index in the session's
@@ -74,15 +28,6 @@ struct RelationState {
     idxs: Vec<usize>,
 }
 
-/// How the session currently knows its violations.
-enum LiveState {
-    /// The per-relation detectors are loaded and exact.
-    Maintained,
-    /// A burst rescan produced this report; detectors are stale and
-    /// rebuilt lazily on the next trickle operation.
-    Scanned(ViolationReport),
-}
-
 /// A long-running data-quality session over a catalog of relations.
 pub struct DeltaSession {
     catalog: Catalog,
@@ -90,16 +35,15 @@ pub struct DeltaSession {
     cinds: Vec<Cind>,
     jobs: usize,
     relations: Vec<RelationState>,
-    live: LiveState,
     /// Tuples appended since registration (or since the last repair),
     /// per relation — the delta that [`DeltaSession::repair`] fixes.
     pending: HashMap<String, Vec<TupleId>>,
-    stats: SessionStats,
 }
 
 impl DeltaSession {
-    /// Empty session; `jobs` shards burst rescans and on-demand batch
-    /// repairs (0 = one shard per available core, 1 = sequential).
+    /// Empty session; `jobs` shards the batch side of
+    /// [`DeltaSession::repair`] (0 = one shard per available core,
+    /// 1 = sequential).
     pub fn new(jobs: usize) -> Self {
         DeltaSession {
             catalog: Catalog::new(),
@@ -107,9 +51,7 @@ impl DeltaSession {
             cinds: Vec::new(),
             jobs,
             relations: Vec::new(),
-            live: LiveState::Maintained,
             pending: HashMap::new(),
-            stats: SessionStats::default(),
         }
     }
 
@@ -129,7 +71,6 @@ impl DeltaSession {
                 )));
             }
         }
-        self.ensure_maintained();
         // Drop any previous registration of this relation.
         self.cfds.retain(|c| c.relation != name);
         self.cinds.retain(|c| c.from_relation != name && c.to_relation != name);
@@ -168,7 +109,6 @@ impl DeltaSession {
                 )));
             }
         }
-        self.ensure_maintained();
         let ri = self.relation_state(relation)?;
         self.cfds.retain(|c| c.relation != relation);
         self.cfds.extend(cfds);
@@ -189,9 +129,6 @@ impl DeltaSession {
             self.catalog.get(&cind.from_relation)?;
             self.catalog.get(&cind.to_relation)?;
         }
-        // A cached burst report predates the new CINDs — drop it so the
-        // next read probes them.
-        self.ensure_maintained();
         self.cinds.extend(cinds);
         Ok(())
     }
@@ -229,13 +166,9 @@ impl DeltaSession {
         &self.cinds
     }
 
-    /// Regime counters.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// The session's shard count (what burst rescans and on-demand
-    /// repairs run with; 0 = one shard per available core).
+    /// The session's shard count (what the batch side of
+    /// [`DeltaSession::repair`] and the serve tier's `discover` verb run
+    /// with; 0 = one shard per available core).
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -243,24 +176,6 @@ impl DeltaSession {
     /// Total live tuples across all registered relations.
     pub fn live_rows(&self) -> usize {
         self.relations.iter().filter_map(|r| self.catalog.get(&r.name).ok()).map(Table::len).sum()
-    }
-
-    /// Rebuild the incremental detectors from the current tables — the
-    /// lazy exit from the burst regime. Counted as a rescan: it is one
-    /// `O(n)` pass per relation.
-    fn ensure_maintained(&mut self) {
-        if matches!(self.live, LiveState::Maintained) {
-            return;
-        }
-        for rel in &mut self.relations {
-            let sub: Vec<Cfd> = rel.idxs.iter().map(|&i| self.cfds[i].clone()).collect();
-            rel.detector = IncrementalDetector::new(sub);
-            if let Ok(table) = self.catalog.get(&rel.name) {
-                rel.detector.load(table);
-            }
-        }
-        self.live = LiveState::Maintained;
-        self.stats.rescans += 1;
     }
 
     fn relation_state(&mut self, name: &str) -> Result<usize> {
@@ -272,28 +187,22 @@ impl DeltaSession {
 
     /// Append a row, maintaining violation state incrementally.
     pub fn insert(&mut self, relation: &str, row: Vec<Value>) -> Result<TupleId> {
-        self.ensure_maintained();
         let ri = self.relation_state(relation)?;
         let id = self.catalog.get_mut(relation)?.push(row)?;
         let row = self.catalog.get(relation)?.get(id)?;
         self.relations[ri].detector.insert(id, &row);
         self.pending.entry(relation.to_string()).or_default().push(id);
-        self.stats.ops += 1;
-        self.stats.incremental_ops += 1;
         Ok(id)
     }
 
     /// Delete a live tuple, returning its former row.
     pub fn delete(&mut self, relation: &str, tuple: TupleId) -> Result<Vec<Value>> {
-        self.ensure_maintained();
         let ri = self.relation_state(relation)?;
         let row = self.catalog.get_mut(relation)?.delete(tuple)?;
         self.relations[ri].detector.delete(tuple, &row);
         if let Some(p) = self.pending.get_mut(relation) {
             p.retain(|&t| t != tuple);
         }
-        self.stats.ops += 1;
-        self.stats.incremental_ops += 1;
         Ok(row)
     }
 
@@ -305,127 +214,19 @@ impl DeltaSession {
         attr: usize,
         value: Value,
     ) -> Result<()> {
-        self.ensure_maintained();
         let ri = self.relation_state(relation)?;
         let old = self.catalog.get(relation)?.get(tuple)?;
         self.catalog.get_mut(relation)?.set_cell(tuple, attr, value)?;
         let new = self.catalog.get(relation)?.get(tuple)?;
         self.relations[ri].detector.update(tuple, &old, &new);
-        self.stats.ops += 1;
-        self.stats.incremental_ops += 1;
         Ok(())
     }
 
-    /// Apply a batch of deltas, choosing the regime automatically: a
-    /// batch smaller than the live base flows through the incremental
-    /// detectors; a batch that outweighs the base is applied raw and
-    /// followed by one sharded [`ParallelEngine`] rescan (mirroring
-    /// [`IncRepair::repair_delta_auto`]'s crossover).
-    pub fn apply(&mut self, ops: Vec<DeltaOp>) -> Result<ApplyPath> {
-        if ops.len() < self.live_rows().max(1) {
-            for op in ops {
-                match op {
-                    DeltaOp::Insert { relation, row } => {
-                        self.insert(&relation, row)?;
-                    }
-                    DeltaOp::Delete { relation, tuple } => {
-                        self.delete(&relation, tuple)?;
-                    }
-                    DeltaOp::Update { relation, tuple, attr, value } => {
-                        self.update(&relation, tuple, attr, value)?;
-                    }
-                }
-            }
-            return Ok(ApplyPath::Incremental);
-        }
-        // Burst: raw application (bypassing the detectors), then one
-        // sharded rescan. The rescan runs even when an op fails
-        // part-way — earlier ops already mutated the tables, so the
-        // session must resynchronise before surfacing the error.
-        let mut first_err = None;
-        for op in &ops {
-            let applied = match op {
-                DeltaOp::Insert { relation, row } => {
-                    self.catalog.get_mut(relation).and_then(|t| t.push(row.clone())).map(|id| {
-                        self.pending.entry(relation.clone()).or_default().push(id);
-                    })
-                }
-                DeltaOp::Delete { relation, tuple } => {
-                    self.catalog.get_mut(relation).and_then(|t| t.delete(*tuple)).map(|_| {
-                        if let Some(p) = self.pending.get_mut(relation) {
-                            p.retain(|t| t != tuple);
-                        }
-                    })
-                }
-                DeltaOp::Update { relation, tuple, attr, value } => self
-                    .catalog
-                    .get_mut(relation)
-                    .and_then(|t| t.set_cell(*tuple, *attr, value.clone())),
-            };
-            match applied {
-                Ok(()) => self.stats.ops += 1,
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let report = ParallelEngine::new(self.jobs)
-            .run(&DetectJob::on_catalog(&self.catalog, &self.cfds).with_cinds(&self.cinds))?;
-        self.live = LiveState::Scanned(report);
-        self.stats.rescans += 1;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(ApplyPath::Rescan),
-        }
-    }
-
-    /// Current number of violations. In the trickle regime this is
-    /// `O(#CFDs)` from the maintained counters (plus one witness-probe
-    /// pass when CINDs are attached); after a burst it reads the cached
-    /// scan.
+    /// Current number of violations: `O(#CFDs)` from the maintained
+    /// counters, plus one witness-probe pass when CINDs are attached.
     pub fn violation_count(&self) -> Result<usize> {
-        match &self.live {
-            LiveState::Scanned(report) => Ok(report.len()),
-            LiveState::Maintained => {
-                let cfd: usize = self.relations.iter().map(|r| r.detector.violation_count()).sum();
-                Ok(cfd + self.cind_violations()?.len())
-            }
-        }
-    }
-
-    /// Live violation count per constraint: positions `0..cfds.len()`
-    /// index the CFD suite, the remainder the CIND suite.
-    pub fn constraint_counts(&self) -> Result<Vec<usize>> {
-        let mut counts = vec![0usize; self.cfds.len() + self.cinds.len()];
-        match &self.live {
-            LiveState::Scanned(report) => {
-                for v in &report.violations {
-                    match v {
-                        Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                            counts[*cfd] += 1
-                        }
-                        Violation::CindMissingWitness { cind, .. } => {
-                            counts[self.cfds.len() + *cind] += 1
-                        }
-                    }
-                }
-            }
-            LiveState::Maintained => {
-                for rel in &self.relations {
-                    let rel_counts = rel.detector.per_cfd_counts();
-                    for (sub, &global) in rel.idxs.iter().enumerate() {
-                        counts[global] = rel_counts[sub];
-                    }
-                }
-                for v in self.cind_violations()? {
-                    if let Violation::CindMissingWitness { cind, .. } = v {
-                        counts[self.cfds.len() + cind] += 1;
-                    }
-                }
-            }
-        }
-        Ok(counts)
+        let cfd: usize = self.relations.iter().map(|r| r.detector.violation_count()).sum();
+        Ok(cfd + self.cind_violations()?.len())
     }
 
     fn cind_violations(&self) -> Result<Vec<Violation>> {
@@ -438,24 +239,20 @@ impl DeltaSession {
     /// Materialise the full live report. Violation indices refer to
     /// [`DeltaSession::cfds`] / [`DeltaSession::cinds`].
     pub fn report(&self) -> Result<ViolationReport> {
-        match &self.live {
-            LiveState::Scanned(report) => Ok(report.clone()),
-            LiveState::Maintained => {
-                let mut report = ViolationReport::default();
-                for rel in &self.relations {
-                    for mut v in rel.detector.report().violations {
-                        match &mut v {
-                            Violation::CfdConstant { cfd, .. }
-                            | Violation::CfdVariable { cfd, .. } => *cfd = rel.idxs[*cfd],
-                            Violation::CindMissingWitness { .. } => {}
-                        }
-                        report.violations.push(v);
+        let mut report = ViolationReport::default();
+        for rel in &self.relations {
+            for mut v in rel.detector.report().violations {
+                match &mut v {
+                    Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
+                        *cfd = rel.idxs[*cfd]
                     }
+                    Violation::CindMissingWitness { .. } => {}
                 }
-                report.violations.extend(self.cind_violations()?);
-                Ok(report)
+                report.violations.push(v);
             }
         }
+        report.violations.extend(self.cind_violations()?);
+        Ok(report)
     }
 
     /// Human-readable listing of a report from this session (capped).
@@ -470,19 +267,17 @@ impl DeltaSession {
     /// incremental [`IncRepair`] path treats the non-pending rows as the
     /// authoritative base and edits only pending cells, keeping tuple
     /// ids stable and feeding every edit back through the incremental
-    /// detector. When the pending delta outweighs the base (the same
-    /// crossover as [`DeltaSession::apply`]), the whole relation goes
-    /// through one sharded [`BatchRepair`] pass instead — which may also
-    /// edit base cells — and the detector reloads.
+    /// detector. When the pending delta is at least as large as the base,
+    /// the whole relation goes through one sharded [`BatchRepair`] pass
+    /// instead — which may also edit base cells — and the detector
+    /// reloads.
     pub fn repair(&mut self, relation: &str) -> Result<IncStats> {
-        self.ensure_maintained();
         let ri = self.relation_state(relation)?;
         let mut pending = self.pending.remove(relation).unwrap_or_default();
         {
             let table = self.catalog.get(relation)?;
             pending.retain(|&t| table.contains(t));
         }
-        self.stats.repairs += 1;
         let arity = self.catalog.get(relation)?.schema().arity();
         let sub: Vec<Cfd> = self.relations[ri].idxs.iter().map(|&i| self.cfds[i].clone()).collect();
         let mut stats = IncStats::default();
@@ -528,7 +323,6 @@ impl DeltaSession {
             let mut det = IncrementalDetector::new(sub);
             det.load(table);
             self.relations[ri].detector = det;
-            self.stats.rescans += 1;
         }
         Ok(stats)
     }
@@ -539,8 +333,8 @@ impl DeltaSession {
     /// append-only pool growth their incremental detectors accumulated),
     /// a sibling `<relation>.cfds` suite file, and `cinds.txt` when
     /// CINDs are attached. Returns the number of relations written.
-    /// Regime counters and the pending-repair baseline are ephemeral
-    /// and not persisted.
+    /// The pending-repair baseline is ephemeral and not persisted;
+    /// [`crate::ShardedSession::open`] is what reads the directory back.
     ///
     /// Every file goes down durably (write-to-temp + fsync + rename +
     /// parent-dir fsync via [`revival_relation::durable`]), and stale
@@ -597,43 +391,6 @@ impl DeltaSession {
         durable::sync_dir(dir)?;
         Ok(names.len())
     }
-
-    /// Rebuild a session from a [`DeltaSession::save_state`] directory:
-    /// every `<relation>.sdq` is opened (memory-mapped where the
-    /// platform allows), its `<relation>.cfds` suite re-parsed against
-    /// the snapshot's schema, and the pair re-registered — which reloads
-    /// each incremental detector from the compacted table, so the
-    /// restored detectors start with dense pools regardless of how much
-    /// churn the saved session had seen. Tuple ids survive (snapshots
-    /// keep tombstoned slots), so clients may keep using ids they
-    /// learned before the restart.
-    pub fn restore_state(dir: &std::path::Path, jobs: usize) -> Result<DeltaSession> {
-        use revival_constraints::parser::{parse_cfds, parse_cinds};
-        let mut session = DeltaSession::new(jobs);
-        let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "sdq"))
-            .collect();
-        paths.sort();
-        let mut schemas = Vec::new();
-        for path in &paths {
-            let table = Table::open_snapshot(path)?;
-            let suite_path = path.with_extension("cfds");
-            let cfds = match std::fs::read_to_string(&suite_path) {
-                Ok(text) => parse_cfds(&text, table.schema())?,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => return Err(e.into()),
-            };
-            schemas.push(table.schema().clone());
-            session.register(table, cfds)?;
-        }
-        match std::fs::read_to_string(dir.join("cinds.txt")) {
-            Ok(text) => session.add_cinds(parse_cinds(&text, &schemas)?)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        Ok(session)
-    }
 }
 
 /// Human-readable listing of a violation report against a CFD/CIND
@@ -683,7 +440,6 @@ pub fn describe_report<'a>(
 mod tests {
     use super::*;
     use revival_constraints::parser::{parse_cfds, parse_cinds};
-    use revival_detect::NativeEngine;
     use revival_relation::{Schema, Type};
 
     fn schema() -> Schema {
@@ -748,11 +504,8 @@ mod tests {
         assert_eq!(sess.violation_count().unwrap(), 0);
         let id = sess.insert("customer", row(["44", "EH8", "Mayfield", "edi"])).unwrap();
         assert_eq!(sess.violation_count().unwrap(), 1);
-        assert_eq!(sess.constraint_counts().unwrap(), vec![1, 0]);
         sess.delete("customer", id).unwrap();
         assert_eq!(sess.violation_count().unwrap(), 0);
-        assert_eq!(sess.stats().rescans, 0);
-        assert_eq!(sess.stats().incremental_ops, 2);
     }
 
     #[test]
@@ -770,114 +523,6 @@ mod tests {
         assert_eq!(sess.violation_count().unwrap(), 1);
         sess.update("customer", TupleId(1), 2, "Crichton".into()).unwrap();
         assert_eq!(sess.violation_count().unwrap(), 0);
-    }
-
-    #[test]
-    fn burst_batches_fall_back_to_sharded_rescan() {
-        let s = schema();
-        let mut sess = DeltaSession::new(2);
-        sess.register(table(&[["44", "EH8", "Crichton", "edi"]]), suite(&s)).unwrap();
-        let ops: Vec<DeltaOp> = (0..5)
-            .map(|i| DeltaOp::Insert {
-                relation: "customer".into(),
-                row: row(["44", "EH8", if i % 2 == 0 { "A" } else { "B" }, "edi"]),
-            })
-            .collect();
-        let path = sess.apply(ops).unwrap();
-        assert_eq!(path, ApplyPath::Rescan);
-        assert_eq!(sess.stats().rescans, 1);
-        assert_eq!(sess.violation_count().unwrap(), 1);
-        // The next trickle op rebuilds the detectors (one more rescan)
-        // and stays exact.
-        sess.insert("customer", row(["01", "07974", "Mtn", "nyc"])).unwrap();
-        assert_eq!(sess.stats().rescans, 2);
-        assert_eq!(sess.violation_count().unwrap(), 2);
-        // Parity with a batch engine on the final table.
-        let t = sess.table("customer").unwrap();
-        let job = DetectJob::on_table(t, sess.cfds());
-        let mut want = NativeEngine.run(&job).unwrap();
-        let mut got = sess.report().unwrap();
-        want.normalize();
-        got.normalize();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn failing_burst_op_still_resynchronises() {
-        let s = schema();
-        let mut sess = DeltaSession::new(1);
-        sess.register(table(&[["44", "EH8", "Crichton", "edi"]]), suite(&s)).unwrap();
-        // Burst batch: a valid violating insert followed by a bad op.
-        let ops = vec![
-            DeltaOp::Insert {
-                relation: "customer".into(),
-                row: row(["44", "EH8", "Mayfield", "edi"]),
-            },
-            DeltaOp::Delete { relation: "customer".into(), tuple: TupleId(999) },
-        ];
-        assert!(sess.apply(ops).is_err());
-        // The insert landed before the failure; the session must still
-        // see its violation (not a stale pre-batch state).
-        assert_eq!(sess.violation_count().unwrap(), 1);
-        let t = sess.table("customer").unwrap();
-        assert_eq!(t.len(), 2);
-        let mut got = sess.report().unwrap();
-        let mut want = NativeEngine.run(&DetectJob::on_table(t, sess.cfds())).unwrap();
-        got.normalize();
-        want.normalize();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn cinds_added_after_burst_are_visible_immediately() {
-        let cd_s = Schema::builder("cd").attr("album", Type::Str).attr("genre", Type::Str).build();
-        let book_s = Schema::builder("book").attr("title", Type::Str).build();
-        let mut cd = Table::new(cd_s.clone());
-        cd.push(vec!["Dune".into(), "a-book".into()]).unwrap();
-        let mut sess = DeltaSession::new(1);
-        sess.register(cd, Vec::new()).unwrap();
-        sess.register(Table::new(book_s.clone()), Vec::new()).unwrap();
-        // Burst → cached scan (no CINDs yet, so it is empty).
-        let path = sess
-            .apply(vec![
-                DeltaOp::Insert {
-                    relation: "cd".into(),
-                    row: vec!["Foundation".into(), "a-book".into()],
-                },
-                DeltaOp::Insert { relation: "cd".into(), row: vec!["Hype".into(), "pop".into()] },
-            ])
-            .unwrap();
-        assert_eq!(path, ApplyPath::Rescan);
-        assert_eq!(sess.violation_count().unwrap(), 0);
-        let cinds =
-            parse_cinds("cd(album; genre='a-book') <= book(title)", &[cd_s, book_s]).unwrap();
-        sess.add_cinds(cinds).unwrap();
-        // Both a-book cds lack witnesses — visible without any further op.
-        assert_eq!(sess.violation_count().unwrap(), 2);
-    }
-
-    #[test]
-    fn small_batches_stay_incremental() {
-        let s = schema();
-        let mut sess = DeltaSession::new(1);
-        sess.register(
-            table(&[
-                ["44", "EH8", "Crichton", "edi"],
-                ["44", "G1", "High", "gla"],
-                ["01", "10001", "5th", "nyc"],
-            ]),
-            suite(&s),
-        )
-        .unwrap();
-        let path = sess
-            .apply(vec![DeltaOp::Insert {
-                relation: "customer".into(),
-                row: row(["44", "EH8", "Mayfield", "edi"]),
-            }])
-            .unwrap();
-        assert_eq!(path, ApplyPath::Incremental);
-        assert_eq!(sess.stats().rescans, 0);
-        assert_eq!(sess.violation_count().unwrap(), 1);
     }
 
     #[test]
@@ -908,7 +553,6 @@ mod tests {
         assert_eq!(sess.violation_count().unwrap(), 0);
         sess.insert("cd", vec!["Foundation".into(), Value::Int(15), "a-book".into()]).unwrap();
         assert_eq!(sess.violation_count().unwrap(), 1);
-        assert_eq!(sess.constraint_counts().unwrap(), vec![1]);
         let text = sess.describe(&sess.report().unwrap(), 10);
         assert!(text.contains("no witness in book"), "got: {text}");
     }
@@ -1009,51 +653,62 @@ mod tests {
         assert_eq!(sess.cfds().len(), 2);
     }
 
+    /// What `save_state` writes is read back by the one restorer
+    /// production runs: checkpoint through the tier, reopen the directory.
     #[test]
     fn save_restore_round_trips_tables_suites_and_cinds() {
-        let s = schema();
-        let mut sess = DeltaSession::new(2);
-        sess.register(
-            table(&[["44", "EH8", "Crichton", "edi"], ["44", "EH8", "Mayfield", "edi"]]),
-            suite(&s),
-        )
-        .unwrap();
-        let order_s =
-            Schema::builder("orders").attr("cust_cc", Type::Str).attr("item", Type::Str).build();
-        let mut orders = Table::new(order_s.clone());
-        orders.push(row2(["44", "tea"])).unwrap();
-        let gone = orders.push(row2(["99", "gin"])).unwrap();
-        orders.delete(gone).unwrap();
-        sess.register(orders, Vec::new()).unwrap();
-        sess.add_cinds(parse_cinds("orders(cust_cc) <= customer(cc)", &[order_s, s]).unwrap())
-            .unwrap();
-        // One violating append so pending churn exists at save time.
-        sess.insert("orders", row2(["07", "rum"])).unwrap();
-        let want_violations = sess.violation_count().unwrap();
-        assert_eq!(want_violations, 2, "variable CFD + missing CIND witness");
-
+        use crate::{Request, ServeOptions, ShardedSession};
         let dir = std::env::temp_dir().join(format!("revival_state_{}", std::process::id()));
-        let saved = sess.save_state(&dir).unwrap();
-        assert_eq!(saved, 2);
-        let mut back = DeltaSession::restore_state(&dir, 2).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ServeOptions { state: Some(dir.clone()), ..Default::default() };
+        let image = |tier: &ShardedSession| {
+            let sess = tier.shard(0).session().read().unwrap();
+            let rows = |name: &str| sess.table(name).unwrap().rows().collect::<Vec<_>>();
+            (rows("customer"), rows("orders"), sess.cfds().to_vec(), sess.cinds().to_vec())
+        };
+        let count = |tier: &ShardedSession| {
+            tier.handle(&Request::Count { replica: false }).int("violations")
+        };
+
+        let want = {
+            let (tier, _) = ShardedSession::open(&opts).unwrap();
+            for (table, csv, cfds) in [
+                (
+                    "customer",
+                    "cc,zip,street\n44,EH8,Crichton\n44,EH8,Mayfield\n",
+                    "customer([cc='44', zip] -> [street])",
+                ),
+                ("orders", "cust_cc,item\n44,tea\n99,gin\n7,rum\n", ""),
+            ] {
+                let resp = tier.handle(&Request::Register {
+                    table: table.into(),
+                    csv: csv.into(),
+                    cfds: cfds.into(),
+                    merged: false,
+                });
+                assert!(resp.is_ok(), "{resp:?}");
+            }
+            let resp =
+                tier.handle(&Request::Cinds { text: "orders(cust_cc) <= customer(cc)".into() });
+            assert!(resp.is_ok(), "{resp:?}");
+            // Tombstone t1 (99 had no witness either; 7 still lacks one).
+            let resp = tier.handle(&Request::Delete { table: "orders".into(), tuple: 1 });
+            assert!(resp.is_ok(), "{resp:?}");
+            assert_eq!(count(&tier), Some(2), "variable CFD + missing CIND witness");
+            assert_eq!(tier.checkpoint().unwrap(), 2);
+            image(&tier)
+        };
+
+        let (tier, summary) = ShardedSession::open(&opts).unwrap();
+        assert_eq!((summary.relations, summary.dropped_cinds), (2, 0), "{summary:?}");
+        assert_eq!(image(&tier), want, "tables (ids, tombstones), suite and CIND must survive");
+        assert_eq!(want.1.iter().map(|(id, _)| id.0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(count(&tier), Some(2));
+        // The restored tier is live: the tombstoned slot is not reused,
+        // and a witness-less append adds a CIND violation.
+        let resp = tier.handle(&Request::Append { table: "orders".into(), row: "8,ale".into() });
+        assert_eq!((resp.int("tuple"), resp.int("violations")), (Some(3), Some(3)), "{resp:?}");
+        drop(tier);
         std::fs::remove_dir_all(&dir).unwrap();
-
-        assert_eq!(back.cfds().len(), sess.cfds().len());
-        assert_eq!(back.cinds().len(), 1);
-        assert_eq!(back.violation_count().unwrap(), want_violations);
-        for name in ["customer", "orders"] {
-            let orig: Vec<_> = sess.table(name).unwrap().rows().collect();
-            let rest: Vec<_> = back.table(name).unwrap().rows().collect();
-            assert_eq!(rest, orig, "{name} must survive the round trip");
-        }
-        // The restored session is live: appends and repair still work.
-        back.insert("customer", row(["01", "07974", "Niddry", "edi"])).unwrap();
-        assert_eq!(back.violation_count().unwrap(), want_violations + 1);
-        let stats = back.repair("customer").unwrap();
-        assert!(stats.tuples_edited > 0, "{stats:?}");
-    }
-
-    fn row2(r: [&str; 2]) -> Vec<Value> {
-        r.iter().map(|s| Value::from(*s)).collect()
     }
 }

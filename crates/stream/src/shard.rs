@@ -294,7 +294,8 @@ impl Shard {
 /// flags.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Worker shards for each session's burst rescans (`--jobs`).
+    /// Worker shards for each session's batch-repair fallback and the
+    /// `discover` verb (`--jobs`).
     pub jobs: usize,
     /// Session shard count (`--shards`); clamped to at least 1.
     pub shards: usize,

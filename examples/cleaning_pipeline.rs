@@ -32,10 +32,8 @@ fn main() {
     for (_, row) in data.table.rows().take(800) {
         sample.push_unchecked(row.to_vec());
     }
-    let (discovered, mining_stats) = discover_cfds(
-        &sample,
-        &CtaneOptions { max_lhs: 2, max_constants: 1, min_support: 20, top_values: 2 },
-    );
+    let (discovered, mining_stats) =
+        discover_cfds(&sample, &CtaneOptions { max_lhs: 2, min_support: 20, top_values: 2 });
     println!(
         "discovered {} candidate CFDs from the clean sample ({} candidates checked)",
         discovered.len(),

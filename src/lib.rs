@@ -49,6 +49,8 @@
 //! assert!(revival::detect::native::satisfies(&fixed, &cfds));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use revival_constraints as constraints;
 pub use revival_cqa as cqa;
 pub use revival_detect as detect;
@@ -73,5 +75,5 @@ pub mod prelude {
     };
     pub use revival_relation::{Catalog, Expr, Schema, Table, TupleId, Type, Value};
     pub use revival_repair::{BatchRepair, CostModel, IncRepair};
-    pub use revival_stream::{DeltaOp, DeltaSession};
+    pub use revival_stream::DeltaSession;
 }

@@ -1,14 +1,13 @@
 //! Stream/batch parity: a [`DeltaSession`] driven through a random
-//! interleaving of inserts, deletes, updates and burst batches must end
-//! with exactly the violations every batch engine reports on the final
-//! table — at 1 and 4 shards (the shard count steers the session's
-//! burst-rescan fallback). Reports are compared after normalisation
-//! (the canonical order shared by all engines).
+//! interleaving of inserts, deletes, updates and deltas that outweigh
+//! the base must end with exactly the violations every batch engine
+//! reports on the final table — at jobs 1 and 4. Reports are compared
+//! after normalisation (the canonical order shared by all engines).
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use revival::detect::{engine_by_name, DetectJob};
-use revival::stream::{ApplyPath, DeltaOp, DeltaSession};
+use revival::stream::DeltaSession;
 use revival_relation::{Schema, Table, TupleId, Type, Value};
 
 const CCS: [&str; 2] = ["44", "01"];
@@ -68,25 +67,17 @@ proptest! {
                 .tuple_ids()
                 .collect();
 
-            let mut saw_rescan = false;
             for _ in 0..nops {
                 match rng.gen_range(0..100) {
-                    // Burst batch: enough inserts to outweigh the base,
-                    // forcing the sharded-rescan fallback. Each burst
-                    // doubles the table, so only small tables burst —
+                    // The delta outweighs the base: at least as many
+                    // inserts as there are live rows. Each such run
+                    // doubles the table, so only small tables get one —
                     // otherwise the case grows exponentially.
                     0..=7 if live.len() < 120 => {
                         let k = live.len().max(1) + rng.gen_range(0..3usize);
-                        let ops: Vec<DeltaOp> = (0..k)
-                            .map(|_| DeltaOp::Insert {
-                                relation: "customer".into(),
-                                row: random_row(&mut rng),
-                            })
-                            .collect();
-                        let path = session.apply(ops).unwrap();
-                        prop_assert_eq!(path, ApplyPath::Rescan);
-                        saw_rescan = true;
-                        live = session.table("customer").unwrap().tuple_ids().collect();
+                        for _ in 0..k {
+                            live.push(session.insert("customer", random_row(&mut rng)).unwrap());
+                        }
                     }
                     8..=55 => {
                         let id = session
@@ -113,7 +104,6 @@ proptest! {
                     _ => {}
                 }
             }
-            let _ = saw_rescan; // not every small case bursts; fine.
 
             let mut streamed = session.report().unwrap();
             streamed.normalize();
