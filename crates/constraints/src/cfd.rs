@@ -240,16 +240,18 @@ impl Cfd {
     }
 
     /// Human-readable form using a schema for names — rendered in the
-    /// *surface syntax* (one line per tableau row), so the output
-    /// re-parses through [`crate::parser::parse_cfds`] to an equivalent
-    /// CFD (rows of a multi-row tableau re-merge by embedded FD). This
-    /// is load-bearing for `semandaq discover --emit`: a mined suite is
-    /// emitted via this rendering and read back by `detect --cfds`.
+    /// *surface syntax* ([`crate::parser::write_cfd`] without the final
+    /// newline: one line for a single-row CFD, a block — the head once,
+    /// one line per tableau row — for any other), so the output
+    /// re-parses through [`crate::parser::parse_cfds`] to exactly this
+    /// CFD. This is load-bearing for `semandaq discover --emit`: a mined
+    /// suite is emitted via this rendering and read back by `detect
+    /// --cfds`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         struct D<'a>(&'a Cfd, &'a Schema);
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}", crate::parser::cfd_to_text(self.0, self.1).trim_end())
+                f.write_str(crate::parser::cfd_to_text(self.0, self.1).trim_end())
             }
         }
         D(self, schema)
@@ -479,16 +481,15 @@ mod tests {
         // display ∘ parse = id — single-row case parses back exactly.
         let back = crate::parser::parse_cfds(&text, &s).unwrap();
         assert_eq!(back, vec![uk_cfd(&s)]);
-        // A multi-row tableau renders one line per row; parsing yields
-        // one CFD per line which re-merge to the original.
+        // A multi-row tableau renders as a block — the head once, one
+        // line per row — and parses back to the one CFD it was.
         let mut multi = uk_cfd(&s);
         assert!(multi.merge(
             &Cfd::new(&s, &["cc", "zip"], "street", vec![PatternRow::all_wildcards(2)]).unwrap()
         ));
         let text = multi.display(&s).to_string();
-        assert_eq!(text.lines().count(), 2);
-        let merged = merge_by_embedded_fd(&crate::parser::parse_cfds(&text, &s).unwrap());
-        assert_eq!(merged, vec![multi]);
+        assert_eq!(text, "customer([cc, zip] -> [street]) {\n  '44', _ || _\n  _, _ || _\n}");
+        assert_eq!(crate::parser::parse_cfds(&text, &s).unwrap(), vec![multi]);
     }
 
     #[test]

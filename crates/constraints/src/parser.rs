@@ -1,19 +1,54 @@
 //! Textual constraint syntax — the notation the paper itself uses.
 //!
-//! One constraint per line, `#` starts a comment. Two forms:
+//! `#` outside quotes starts a comment and blank lines are skipped. A
+//! constant is written `'c'` with an embedded quote doubled
+//! (`'o''brien'`) and ends on the line it starts on; the quotes are
+//! optional where the text cannot be taken for syntax. Every constant
+//! is parsed according to its attribute's declared
+//! [`revival_relation::Type`].
 //!
-//! **CFDs** (§3, first example of the paper):
+//! **CFDs, line form** (§3, first example of the paper) — one line, one
+//! tableau row:
 //!
 //! ```text
 //! customer([cc='44', zip] -> [street])
 //! customer([cc='01', ac='908', phn] -> [street, city='mh', zip])
 //! ```
 //!
-//! A plain attribute on the LHS is a wildcard pattern; `attr='c'` is a
-//! constant pattern. Each RHS attribute yields one normal-form [`Cfd`]
-//! (so the second line above produces three CFDs). Constants are parsed
-//! according to the attribute's declared [`revival_relation::Type`]
-//! (quotes optional for non-string types).
+//! A plain attribute is a wildcard pattern, `attr='c'` a constant,
+//! `attr!='c'` and `attr in ('a', 'b')` the eCFD forms. Each RHS
+//! attribute yields one normal-form single-row [`Cfd`] (so the second
+//! line above produces three CFDs).
+//!
+//! **CFDs, block form** — the pattern tableau as the paper prints it, a
+//! relation under its embedded FD: the head once with plain attributes
+//! and one RHS attribute, then one tableau row per line, LHS cells and
+//! the RHS cell separated by `||`:
+//!
+//! ```text
+//! customer([cc, zip] -> [street]) {
+//!   '44', _ || _
+//!   '31', in ('1011', '1012') || !='unknown'
+//! }
+//! ```
+//!
+//! A block parses to **one** [`Cfd`] holding its rows in file order,
+//! nothing merged or deduplicated. Comments and blank lines may sit
+//! between rows; `{` ends the head's line and `}` stands alone.
+//!
+//! ```text
+//! suite := (line | block)*
+//! line  := rel "(" "[" item ("," item)* "]" "->" "[" item ("," item)* "]" ")"
+//! item  := attr | attr "=" const | attr "!=" const | attr " in " list
+//! block := rel "(" "[" attr ("," attr)* "]" "->" "[" attr "]" ")" "{" NL (row NL)* "}"
+//! row   := cell ("," cell)* "||" cell
+//! cell  := "_" | const | "!=" const | "in" list
+//! list  := "(" const ("," const)* ")"
+//! ```
+//!
+//! [`write_cfd`] renders a single-row CFD in the line form and any other
+//! in the block form, so `parse_cfds(suite_to_text(suite)) == suite`
+//! exactly.
 //!
 //! **CINDs** (§3, second example):
 //!
@@ -23,49 +58,127 @@
 //!
 //! Attributes before `;` are the correspondence lists (positionally
 //! paired); `attr='c'` items after `;` are pattern conditions.
+//!
+//! Both parsers run on one scanner (`items`, `split_unquoted`,
+//! `unquote`) that hands out borrowed pieces of the line: nothing is
+//! allocated per item, and a block's attribute names are resolved once,
+//! at its head.
 
 use crate::cfd::Cfd;
-use crate::cind::Cind;
+use crate::cind::{Cind, PatternCond};
 use crate::pattern::{PatternRow, PatternValue};
-use revival_relation::{Error, Result, Schema, Value};
+use revival_relation::{AttrId, Error, Result, Schema, Value};
+use std::borrow::Cow;
+use std::fmt;
 
 /// Parse a suite of CFDs over one schema.
 pub fn parse_cfds(text: &str, schema: &Schema) -> Result<Vec<Cfd>> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+    parse_suite(text, |rel| {
+        if rel == schema.name() {
+            return Ok(schema);
         }
-        out.extend(parse_cfd_line(line, schema).map_err(|e| annotate(e, lineno + 1))?);
-    }
-    Ok(out)
+        let name = schema.name();
+        Err(perr(format!("constraint relation `{rel}` does not match schema `{name}`")))
+    })
+}
+
+/// Parse a CFD suite that may span several relations: each line or
+/// block resolves against the schema its `relation(...)` prefix names.
+pub fn parse_cfds_multi(text: &str, schemas: &[Schema]) -> Result<Vec<Cfd>> {
+    parse_suite(text, |rel| find_schema(schemas, rel))
 }
 
 /// Parse a suite of CINDs over a set of schemas (resolved by name).
 pub fn parse_cinds(text: &str, schemas: &[Schema]) -> Result<Vec<Cind>> {
     let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+    for (at, raw) in text.lines().enumerate() {
+        let line = content(raw).map_err(|e| annotate(e, at + 1))?;
+        if !line.is_empty() {
+            out.push(parse_cind_line(line, schemas).map_err(|e| annotate(e, at + 1))?);
         }
-        out.push(parse_cind_line(line, schemas).map_err(|e| annotate(e, lineno + 1))?);
     }
     Ok(out)
 }
 
-fn strip_comment(line: &str) -> &str {
+fn find_schema<'s>(schemas: &'s [Schema], name: &str) -> Result<&'s Schema> {
+    schemas
+        .iter()
+        .find(|s| s.name() == name)
+        .ok_or_else(|| Error::UnknownRelation(name.to_string()))
+}
+
+/// A block whose `}` has not been read yet.
+struct Block<'s> {
+    /// The CFD the rows go to.
+    cfd: Cfd,
+    schema: &'s Schema,
+    /// Line of the head, for the errors that point back at it.
+    opened: usize,
+}
+
+fn parse_suite<'s>(text: &str, schema_of: impl Fn(&str) -> Result<&'s Schema>) -> Result<Vec<Cfd>> {
+    let mut out = Vec::new();
+    let mut block: Option<Block<'s>> = None;
+    for (at, raw) in text.lines().enumerate() {
+        content(raw)
+            .and_then(|line| parse_suite_line(line, at + 1, &mut block, &mut out, &schema_of))
+            .map_err(|e| annotate(e, at + 1))?;
+    }
+    match block {
+        Some(open) => Err(annotate(perr("block is never closed (missing `}`)"), open.opened)),
+        None => Ok(out),
+    }
+}
+
+fn parse_suite_line<'s>(
+    line: &str,
+    lineno: usize,
+    block: &mut Option<Block<'s>>,
+    out: &mut Vec<Cfd>,
+    schema_of: &impl Fn(&str) -> Result<&'s Schema>,
+) -> Result<()> {
+    if line.is_empty() {
+        return Ok(());
+    }
+    if let Some(open) = block {
+        if line == "}" {
+            out.extend(block.take().map(|b| b.cfd));
+        } else if line.ends_with('{') {
+            return Err(perr(format!(
+                "nested `{{`: the block opened at line {} is still open",
+                open.opened
+            )));
+        } else {
+            let row = parse_row(line, &open.cfd.lhs, open.cfd.rhs, open.schema)?;
+            open.cfd.tableau.push(row);
+        }
+    } else if line == "}" {
+        return Err(perr("`}` without an open block"));
+    } else if let Some(head) = line.strip_suffix('{') {
+        *block = Some(parse_block_head(head.trim_end(), lineno, schema_of)?);
+    } else {
+        parse_cfd_line(line, out, schema_of)?;
+    }
+    Ok(())
+}
+
+/// A line without its comment and surrounding blanks. A quote still open
+/// at the end of the line is an error here, for every form: no constant
+/// spans lines.
+fn content(line: &str) -> Result<&str> {
     // `#` outside quotes starts a comment.
     let mut in_quote = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\'' => in_quote = !in_quote,
-            '#' if !in_quote => return &line[..i],
-            _ => {}
+    let comment = line.bytes().position(|b| {
+        in_quote ^= b == b'\'';
+        b == b'#' && !in_quote
+    });
+    match comment {
+        Some(at) => Ok(line[..at].trim()),
+        None if in_quote => {
+            Err(perr("unterminated quote: a constant ends on the line it starts on"))
         }
+        None => Ok(line.trim()),
     }
-    line
 }
 
 fn annotate(e: Error, line: usize) -> Error {
@@ -81,210 +194,186 @@ fn perr(msg: impl Into<String>) -> Error {
     Error::SqlParse { position: 0, message: msg.into() }
 }
 
-/// The pattern part of one bracket-list item.
-enum ItemPattern {
-    /// Plain attribute → wildcard.
+/// The pattern part of a line-form item or a block cell, borrowing the
+/// line: constants stay raw (quotes and all) until [`Pat::typed`].
+enum Pat<'a> {
+    /// Plain attribute, or the cell `_` → wildcard.
     Wild,
-    /// `attr='c'`.
-    Eq(String),
-    /// `attr!='c'` (eCFD disequality).
-    Ne(String),
-    /// `attr in ('a','b')` (eCFD disjunction).
-    In(Vec<String>),
+    /// `attr='c'`, or the cell `'c'`.
+    Eq(&'a str),
+    /// `attr!='c'`, or the cell `!='c'` (eCFD disequality).
+    Ne(&'a str),
+    /// `attr in ('a','b')`, or the cell `in ('a','b')` (eCFD
+    /// disjunction): the non-empty text between the parentheses.
+    In(&'a str),
 }
 
-/// An item in a CFD bracket list: attribute name + pattern.
-struct Item {
-    attr: String,
-    pattern: ItemPattern,
+/// An item of a bracket list: attribute name + pattern.
+struct Item<'a> {
+    attr: &'a str,
+    pattern: Pat<'a>,
 }
 
-/// Split `a, b='x', c` respecting quotes. Separator is configurable so
-/// the same splitter serves CFD lists and CIND `;`-sections.
-fn split_items(s: &str, sep: char) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_quote = false;
-    let mut depth = 0usize;
-    for c in s.chars() {
-        match c {
-            '\'' => {
-                in_quote = !in_quote;
-                cur.push(c);
-            }
-            '(' if !in_quote => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' if !in_quote => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            c if c == sep && !in_quote && depth == 0 => {
-                parts.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() || !parts.is_empty() {
-        parts.push(cur.trim().to_string());
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
-}
-
-fn unquote(val: &str) -> String {
-    let val = val.trim();
-    match val.strip_prefix('\'').and_then(|v| v.strip_suffix('\'')) {
-        // Inside a quoted constant a doubled quote is the escape for a
-        // literal quote — the form [`quote_const`] renders, so mined
-        // constants containing `'` survive a display → parse round trip.
-        Some(inner) => inner.replace("''", "'"),
-        None => val.to_string(),
-    }
-}
-
-/// Render a constant in surface syntax: quoted, with embedded quotes
-/// doubled (the escape [`unquote`] undoes). The quote-tracking helpers
-/// in this module all treat `''` as leave-and-re-enter, which never
-/// exposes a separator, so escaped constants split correctly too.
-fn quote_const(v: &Value) -> String {
-    format!("'{}'", v.render().replace('\'', "''"))
-}
-
-fn check_attr_name(attr: &str) -> Result<String> {
-    if attr.is_empty() || !attr.chars().all(|c| c.is_alphanumeric() || c == '_' || c == '#') {
-        return Err(perr(format!("bad attribute `{attr}`")));
-    }
-    Ok(attr.to_string())
-}
-
-fn parse_item(s: &str) -> Result<Item> {
-    // eCFD disequality: attr != 'c' (check before `=`).
-    if let Some((attr, val)) = split_once_unquoted(s, '!') {
-        let val = val
-            .trim_start()
-            .strip_prefix('=')
-            .ok_or_else(|| perr(format!("expected `!=` in `{s}`")))?;
-        return Ok(Item {
-            attr: check_attr_name(attr.trim())?,
-            pattern: ItemPattern::Ne(unquote(val)),
-        });
-    }
-    if let Some((attr, val)) = split_once_unquoted(s, '=') {
-        return Ok(Item {
-            attr: check_attr_name(attr.trim())?,
-            pattern: ItemPattern::Eq(unquote(val)),
-        });
-    }
-    // eCFD disjunction: attr in ('a','b').
-    let lower = s.to_ascii_lowercase();
-    if let Some(pos) = lower.find(" in ") {
-        let attr = s[..pos].trim();
-        let list = s[pos + 4..].trim();
-        let inner = list
-            .strip_prefix('(')
-            .and_then(|x| x.strip_suffix(')'))
-            .ok_or_else(|| perr(format!("expected `in (...)` in `{s}`")))?;
-        let values: Vec<String> = split_items(inner, ',').iter().map(|v| unquote(v)).collect();
-        if values.is_empty() {
-            return Err(perr(format!("empty `in (...)` list in `{s}`")));
-        }
-        return Ok(Item { attr: check_attr_name(attr)?, pattern: ItemPattern::In(values) });
-    }
-    Ok(Item { attr: check_attr_name(s.trim())?, pattern: ItemPattern::Wild })
-}
-
-fn split_once_unquoted(s: &str, sep: char) -> Option<(&str, &str)> {
-    let mut in_quote = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '\'' => in_quote = !in_quote,
-            c if c == sep && !in_quote => return Some((&s[..i], &s[i + c.len_utf8()..])),
-            _ => {}
+/// Split at the first `sep` outside quotes. `sep` is ASCII, so both
+/// halves fall on character boundaries.
+fn split_unquoted<'a>(s: &'a str, sep: &str) -> Option<(&'a str, &'a str)> {
+    let (first, mut in_quote) = (sep.as_bytes()[0], false);
+    for (i, b) in s.bytes().enumerate() {
+        if b == b'\'' {
+            in_quote = !in_quote;
+        } else if b == first && !in_quote && s[i..].starts_with(sep) {
+            return Some((&s[..i], &s[i + sep.len()..]));
         }
     }
     None
 }
 
-/// Parse the constant of an item according to the attribute type.
-fn parse_const(schema: &Schema, attr: &str, raw: &str) -> Result<Value> {
-    let id = schema.attr_id(attr)?;
-    schema.attribute(id).ty.parse(raw).map_err(|_| {
-        perr(format!("constant `{raw}` does not parse as {} for `{attr}`", schema.attribute(id).ty))
+/// The non-empty trimmed pieces of `a, b='x', c`: `s` cut at every
+/// `sep` that sits outside quotes and outside parentheses. One splitter
+/// serves CFD lists, block rows, `in (...)` lists and CIND `;`-sections.
+/// A doubled quote reads as leave-and-re-enter, which never exposes a
+/// separator, so escaped constants split correctly too.
+fn items(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || loop {
+        let s = rest?;
+        let (mut in_quote, mut depth) = (false, 0usize);
+        let cut = s.bytes().position(|b| {
+            match b {
+                b'\'' => in_quote = !in_quote,
+                b'(' if !in_quote => depth += 1,
+                b')' if !in_quote => depth = depth.saturating_sub(1),
+                b if b == sep && !in_quote && depth == 0 => return true,
+                _ => {}
+            }
+            false
+        });
+        let piece = cut.map_or(s, |i| &s[..i]).trim();
+        rest = cut.map(|i| &s[i + 1..]);
+        if !piece.is_empty() {
+            return Some(piece);
+        }
     })
 }
 
-/// Parse one CFD surface line into normal-form CFDs.
-pub fn parse_cfd_line(line: &str, schema: &Schema) -> Result<Vec<Cfd>> {
-    // relname([lhs] -> [rhs])
-    let (rel, rest) =
-        line.split_once('(').ok_or_else(|| perr("expected `relation([...] -> [...])`"))?;
-    let rel = rel.trim();
-    if rel != schema.name() {
-        return Err(perr(format!(
-            "constraint relation `{rel}` does not match schema `{}`",
-            schema.name()
-        )));
+/// A constant without its quotes; `''` is un-escaped only when present
+/// (the escape [`push_const`] renders, so mined constants containing
+/// `'` survive a display → parse round trip).
+fn unquote(val: &str) -> Cow<'_, str> {
+    let val = val.trim();
+    match val.strip_prefix('\'').and_then(|v| v.strip_suffix('\'')) {
+        Some(inner) if inner.contains('\'') => Cow::Owned(inner.replace("''", "'")),
+        Some(inner) => Cow::Borrowed(inner),
+        None => Cow::Borrowed(val),
     }
-    let rest = rest.trim_end().strip_suffix(')').ok_or_else(|| perr("missing closing `)`"))?;
-    let (lhs_part, rhs_part) = split_arrow(rest)?;
-    let lhs_items: Vec<Item> = split_items(extract_brackets(lhs_part)?, ',')
-        .iter()
-        .map(|s| parse_item(s))
-        .collect::<Result<_>>()?;
-    let rhs_items: Vec<Item> = split_items(extract_brackets(rhs_part)?, ',')
-        .iter()
-        .map(|s| parse_item(s))
-        .collect::<Result<_>>()?;
-    if lhs_items.is_empty() {
-        return Err(perr("empty LHS"));
-    }
-    if rhs_items.is_empty() {
-        return Err(perr("empty RHS"));
-    }
+}
 
-    let to_pattern = |item: &Item| -> Result<PatternValue> {
-        Ok(match &item.pattern {
-            ItemPattern::Wild => PatternValue::Wildcard,
-            ItemPattern::Eq(raw) => PatternValue::Const(parse_const(schema, &item.attr, raw)?),
-            ItemPattern::Ne(raw) => PatternValue::NotConst(parse_const(schema, &item.attr, raw)?),
-            ItemPattern::In(raws) => PatternValue::one_of(
-                raws.iter()
-                    .map(|raw| parse_const(schema, &item.attr, raw))
+/// Parse a raw constant according to the attribute's type.
+fn parse_const(schema: &Schema, attr: AttrId, raw: &str) -> Result<Value> {
+    let (raw, attr) = (unquote(raw), schema.attribute(attr));
+    let (ty, name) = (attr.ty, &attr.name);
+    ty.parse(&raw)
+        .map_err(|_| perr(format!("constant `{raw}` does not parse as {ty} for `{name}`")))
+}
+
+impl Pat<'_> {
+    /// The pattern over `attr`'s type.
+    fn typed(&self, schema: &Schema, attr: AttrId) -> Result<PatternValue> {
+        Ok(match self {
+            Pat::Wild => PatternValue::Wildcard,
+            Pat::Eq(raw) => PatternValue::Const(parse_const(schema, attr, raw)?),
+            Pat::Ne(raw) => PatternValue::NotConst(parse_const(schema, attr, raw)?),
+            Pat::In(list) => PatternValue::one_of(
+                items(list, b',')
+                    .map(|raw| parse_const(schema, attr, raw))
                     .collect::<Result<Vec<_>>>()?,
             ),
         })
-    };
-    let mut lhs_names = Vec::new();
-    let mut lhs_patterns = Vec::new();
-    for item in &lhs_items {
-        lhs_names.push(item.attr.as_str());
-        lhs_patterns.push(to_pattern(item)?);
     }
-
-    let mut cfds = Vec::with_capacity(rhs_items.len());
-    for item in &rhs_items {
-        let row = PatternRow::new(lhs_patterns.clone(), to_pattern(item)?);
-        cfds.push(Cfd::new(schema, &lhs_names, &item.attr, vec![row])?);
-    }
-    Ok(cfds)
 }
 
-fn split_arrow(s: &str) -> Result<(&str, &str)> {
-    let mut in_quote = false;
-    let bytes = s.as_bytes();
-    for i in 0..bytes.len().saturating_sub(1) {
-        match bytes[i] {
-            b'\'' => in_quote = !in_quote,
-            b'-' if !in_quote && bytes[i + 1] == b'>' => {
-                return Ok((&s[..i], &s[i + 2..]));
-            }
-            _ => {}
-        }
+fn check_attr_name(attr: &str) -> Result<&str> {
+    if attr.is_empty() || !attr.chars().all(|c| c.is_alphanumeric() || c == '_' || c == '#') {
+        return Err(perr(format!("bad attribute `{attr}`")));
     }
-    Err(perr("expected `->`"))
+    Ok(attr)
+}
+
+/// The inside of `('a', 'b')`; `whole` is the item, for the messages.
+fn in_list<'a>(list: &'a str, whole: &str) -> Result<&'a str> {
+    let inner = list
+        .trim()
+        .strip_prefix('(')
+        .and_then(|x| x.strip_suffix(')'))
+        .ok_or_else(|| perr(format!("expected `in (...)` in `{whole}`")))?;
+    if items(inner, b',').next().is_none() {
+        return Err(perr(format!("empty `in (...)` list in `{whole}`")));
+    }
+    Ok(inner)
+}
+
+/// One line-form item: `attr`, `attr='c'`, `attr!='c'`, `attr in (..)`.
+fn parse_item(s: &str) -> Result<Item<'_>> {
+    // eCFD disequality: attr != 'c' (check before `=`).
+    let (attr, pattern) = if let Some((attr, val)) = split_unquoted(s, "!") {
+        let val = val
+            .trim_start()
+            .strip_prefix('=')
+            .ok_or_else(|| perr(format!("expected `!=` in `{s}`")))?;
+        (attr, Pat::Ne(val))
+    } else if let Some((attr, val)) = split_unquoted(s, "=") {
+        (attr, Pat::Eq(val))
+    } else if let Some(at) = s.as_bytes().windows(4).position(|w| w.eq_ignore_ascii_case(b" in ")) {
+        (&s[..at], Pat::In(in_list(&s[at + 4..], s)?))
+    } else {
+        (s, Pat::Wild)
+    };
+    Ok(Item { attr: check_attr_name(attr.trim())?, pattern })
+}
+
+/// One block-row cell: `_`, `'c'`, `!='c'`, `in (..)`.
+fn parse_cell(s: &str) -> Result<Pat<'_>> {
+    if s == "_" {
+        return Ok(Pat::Wild);
+    }
+    if let Some(val) = s.strip_prefix("!=") {
+        return Ok(Pat::Ne(val));
+    }
+    let list = s.get(..2).filter(|kw| kw.eq_ignore_ascii_case("in")).map(|_| s[2..].trim_start());
+    match list {
+        Some(list) if list.starts_with('(') => Ok(Pat::In(in_list(list, s)?)),
+        _ => Ok(Pat::Eq(s)),
+    }
+}
+
+/// `rel([lhs items] -> [rhs items])`, the shape a line-form CFD and a
+/// block head share, against the schema `rel` names.
+struct Head<'a, 's> {
+    schema: &'s Schema,
+    lhs: Vec<Item<'a>>,
+    rhs: Vec<Item<'a>>,
+}
+
+fn parse_head<'a, 's>(
+    line: &'a str,
+    schema_of: &impl Fn(&str) -> Result<&'s Schema>,
+) -> Result<Head<'a, 's>> {
+    let (rel, rest) =
+        line.split_once('(').ok_or_else(|| perr("expected `relation([...] -> [...])`"))?;
+    let schema = schema_of(rel.trim())?;
+    let rest = rest.trim_end().strip_suffix(')').ok_or_else(|| perr("missing closing `)`"))?;
+    let (lhs_part, rhs_part) = split_unquoted(rest, "->").ok_or_else(|| perr("expected `->`"))?;
+    let list = |part: &'a str| -> Result<Vec<Item<'a>>> {
+        items(extract_brackets(part)?, b',').map(parse_item).collect()
+    };
+    let (lhs, rhs) = (list(lhs_part)?, list(rhs_part)?);
+    if lhs.is_empty() {
+        return Err(perr("empty LHS"));
+    }
+    if rhs.is_empty() {
+        return Err(perr("empty RHS"));
+    }
+    Ok(Head { schema, lhs, rhs })
 }
 
 fn extract_brackets(s: &str) -> Result<&str> {
@@ -294,21 +383,82 @@ fn extract_brackets(s: &str) -> Result<&str> {
         .ok_or_else(|| perr(format!("expected `[...]`, got `{s}`")))
 }
 
+/// One line-form CFD into normal-form CFDs, one per RHS attribute.
+fn parse_cfd_line<'s>(
+    line: &str,
+    out: &mut Vec<Cfd>,
+    schema_of: &impl Fn(&str) -> Result<&'s Schema>,
+) -> Result<()> {
+    let Head { schema, lhs: lhs_items, rhs: rhs_items } = parse_head(line, schema_of)?;
+    let mut lhs = Vec::with_capacity(lhs_items.len());
+    let mut lhs_patterns = Vec::with_capacity(lhs_items.len());
+    for item in &lhs_items {
+        let attr = schema.attr_id(item.attr)?;
+        lhs.push(attr);
+        lhs_patterns.push(item.pattern.typed(schema, attr)?);
+    }
+    for item in &rhs_items {
+        let rhs = schema.attr_id(item.attr)?;
+        let row = PatternRow::new(lhs_patterns.clone(), item.pattern.typed(schema, rhs)?);
+        let (relation, lhs) = (schema.name().to_string(), lhs.clone());
+        out.push(Cfd { relation, lhs, rhs, tableau: vec![row] });
+    }
+    Ok(())
+}
+
+/// A block's first line without its `{`: plain attributes, one RHS.
+fn parse_block_head<'s>(
+    head: &str,
+    opened: usize,
+    schema_of: &impl Fn(&str) -> Result<&'s Schema>,
+) -> Result<Block<'s>> {
+    let Head { schema, lhs, rhs } = parse_head(head, schema_of)?;
+    let plain = |item: &Item<'_>| match item.pattern {
+        Pat::Wild => schema.attr_id(item.attr),
+        _ => Err(perr(format!(
+            "block head attribute `{}` carries a pattern: patterns go in the rows",
+            item.attr
+        ))),
+    };
+    let [rhs] = rhs.as_slice() else {
+        return Err(perr(format!("a block head has one RHS attribute, found {}", rhs.len())));
+    };
+    let (lhs, rhs) = (lhs.iter().map(plain).collect::<Result<_>>()?, plain(rhs)?);
+    let cfd = Cfd { relation: schema.name().to_string(), lhs, rhs, tableau: Vec::new() };
+    Ok(Block { cfd, schema, opened })
+}
+
+/// One block row, `cell, cell || cell`, against the head's attributes.
+fn parse_row(line: &str, lhs: &[AttrId], rhs: AttrId, schema: &Schema) -> Result<PatternRow> {
+    let (left, right) =
+        split_unquoted(line, "||").ok_or_else(|| perr("expected `lhs cells || rhs cell`"))?;
+    let mut patterns = Vec::with_capacity(lhs.len());
+    let mut cells = items(left, b',');
+    for (&attr, cell) in lhs.iter().zip(cells.by_ref()) {
+        patterns.push(parse_cell(cell)?.typed(schema, attr)?);
+    }
+    let cells = patterns.len() + cells.count();
+    if cells != lhs.len() {
+        return Err(perr(format!(
+            "row has {cells} LHS cell(s) but the head has {} attribute(s)",
+            lhs.len()
+        )));
+    }
+    let mut right = items(right, b',');
+    let (Some(rhs_cell), None) = (right.next(), right.next()) else {
+        return Err(perr("expected one RHS cell after `||`"));
+    };
+    Ok(PatternRow::new(patterns, parse_cell(rhs_cell)?.typed(schema, rhs)?))
+}
+
 /// Parse one CIND line.
-pub fn parse_cind_line(line: &str, schemas: &[Schema]) -> Result<Cind> {
-    let (from_part, to_part) = split_once_unquoted(line, '<')
-        .and_then(|(a, b)| b.strip_prefix('=').map(|b| (a, b)))
+fn parse_cind_line(line: &str, schemas: &[Schema]) -> Result<Cind> {
+    let (from_part, to_part) = split_unquoted(line, "<=")
         .ok_or_else(|| perr("expected `<=` between source and target"))?;
     let (from_rel, from_attrs, from_conds) = parse_cind_side(from_part)?;
     let (to_rel, to_attrs, to_conds) = parse_cind_side(to_part)?;
-    let find = |name: &str| {
-        schemas
-            .iter()
-            .find(|s| s.name() == name)
-            .ok_or_else(|| Error::UnknownRelation(name.to_string()))
-    };
-    let from_schema = find(&from_rel)?;
-    let to_schema = find(&to_rel)?;
+    let from_schema = find_schema(schemas, from_rel)?;
+    let to_schema = find_schema(schemas, to_rel)?;
     if from_attrs.len() != to_attrs.len() {
         return Err(perr(format!(
             "correspondence lists have different lengths ({} vs {})",
@@ -316,115 +466,191 @@ pub fn parse_cind_line(line: &str, schemas: &[Schema]) -> Result<Cind> {
             to_attrs.len()
         )));
     }
-    let conds = |schema: &Schema, items: &[Item]| -> Result<Vec<(String, Value)>> {
+    fn conds<'a>(schema: &Schema, items: &[Item<'a>]) -> Result<Vec<(&'a str, Value)>> {
         items
             .iter()
-            .map(|i| match &i.pattern {
-                ItemPattern::Eq(raw) => Ok((i.attr.clone(), parse_const(schema, &i.attr, raw)?)),
+            .map(|i| match i.pattern {
+                Pat::Eq(raw) => Ok((i.attr, parse_const(schema, schema.attr_id(i.attr)?, raw)?)),
                 _ => Err(perr(format!("pattern condition `{}` needs `=value`", i.attr))),
             })
             .collect()
-    };
-    let fc = conds(from_schema, &from_conds)?;
-    let tc = conds(to_schema, &to_conds)?;
-    Cind::new(
-        from_schema,
-        &from_attrs.iter().map(String::as_str).collect::<Vec<_>>(),
-        &fc.iter().map(|(n, v)| (n.as_str(), v.clone())).collect::<Vec<_>>(),
-        to_schema,
-        &to_attrs.iter().map(String::as_str).collect::<Vec<_>>(),
-        &tc.iter().map(|(n, v)| (n.as_str(), v.clone())).collect::<Vec<_>>(),
-    )
+    }
+    let (fc, tc) = (conds(from_schema, &from_conds)?, conds(to_schema, &to_conds)?);
+    Cind::new(from_schema, &from_attrs, &fc, to_schema, &to_attrs, &tc)
 }
 
 /// Parse `rel(attr, attr; cond='v', cond='v')`.
-fn parse_cind_side(s: &str) -> Result<(String, Vec<String>, Vec<Item>)> {
-    let s = s.trim();
-    let (rel, rest) = s.split_once('(').ok_or_else(|| perr("expected `relation(...)`"))?;
+fn parse_cind_side(s: &str) -> Result<(&str, Vec<&str>, Vec<Item<'_>>)> {
+    let (rel, rest) = s.trim().split_once('(').ok_or_else(|| perr("expected `relation(...)`"))?;
     let inner = rest.trim_end().strip_suffix(')').ok_or_else(|| perr("missing closing `)`"))?;
-    let sections = split_items(inner, ';');
-    if sections.is_empty() || sections.len() > 2 {
+    let mut sections = items(inner, b';');
+    let (Some(attrs), conds, None) = (sections.next(), sections.next(), sections.next()) else {
         return Err(perr("expected `attrs[; conds]`"));
-    }
-    let attrs: Vec<String> = split_items(&sections[0], ',')
-        .iter()
-        .map(|s| {
-            parse_item(s).map(|i| {
-                if matches!(i.pattern, ItemPattern::Wild) {
-                    Ok(i.attr)
-                } else {
-                    Err(perr(format!("correspondence attr `{}` cannot carry `=`", i.attr)))
-                }
-            })
-        })
-        .collect::<Result<Result<_>>>()??;
-    let conds = if sections.len() == 2 {
-        split_items(&sections[1], ',').iter().map(|s| parse_item(s)).collect::<Result<Vec<_>>>()?
-    } else {
-        Vec::new()
     };
-    Ok((rel.trim().to_string(), attrs, conds))
+    let attrs = items(attrs, b',')
+        .map(|s| match parse_item(s)? {
+            Item { attr, pattern: Pat::Wild } => Ok(attr),
+            Item { attr, .. } => {
+                Err(perr(format!("correspondence attr `{attr}` cannot carry `=`")))
+            }
+        })
+        .collect::<Result<_>>()?;
+    let conds = items(conds.unwrap_or(""), b',').map(parse_item).collect::<Result<_>>()?;
+    Ok((rel.trim(), attrs, conds))
 }
 
-/// Serialize a normal-form CFD back into surface syntax (one line per
-/// tableau row). Constants are quoted with embedded quotes doubled, so
-/// the output re-parses through [`parse_cfds`] to an equivalent CFD —
-/// [`Cfd::display`] renders through this function, and `semandaq
-/// discover --emit` relies on the round trip.
-pub fn cfd_to_text(cfd: &Cfd, schema: &Schema) -> String {
-    let mut out = String::new();
-    for row in 0..cfd.tableau.len() {
-        out.push_str(&cfd_row_to_text(cfd, schema, row));
+/// A constant in surface syntax: quoted, with embedded quotes doubled
+/// (the escape [`unquote`] undoes).
+fn push_const(out: &mut String, v: &Value) {
+    use fmt::Write;
+    out.push('\'');
+    match v {
+        Value::Null => {}
+        Value::Str(s) => {
+            let mut parts = s.split('\'');
+            out.push_str(parts.next().unwrap_or_default());
+            for part in parts {
+                out.push_str("''");
+                out.push_str(part);
+            }
+        }
+        // Numbers and booleans: no quote to escape, nothing to allocate.
+        other => write!(out, "{other}").expect("writing to a String cannot fail"),
+    }
+    out.push('\'');
+}
+
+/// A pattern over `attr` as a line-form item, or — with `attr` empty —
+/// as a block cell.
+fn push_pattern(out: &mut String, attr: &str, p: &PatternValue) {
+    out.push_str(attr);
+    match p {
+        PatternValue::Wildcard if attr.is_empty() => out.push('_'),
+        PatternValue::Wildcard => {}
+        PatternValue::Const(c) => {
+            if !attr.is_empty() {
+                out.push('=');
+            }
+            push_const(out, c);
+        }
+        PatternValue::NotConst(c) => {
+            out.push_str("!=");
+            push_const(out, c);
+        }
+        PatternValue::OneOf(cs) => {
+            out.push_str(if attr.is_empty() { "in (" } else { " in (" });
+            for (i, c) in cs.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                push_const(out, c);
+            }
+            out.push(')');
+        }
+    }
+}
+
+/// `relation([a, b] -> [`: a CFD up to its RHS, each LHS attribute
+/// written by `item(out, position, name)`.
+fn push_lhs(out: &mut String, cfd: &Cfd, schema: &Schema, item: impl Fn(&mut String, usize, &str)) {
+    out.push_str(&cfd.relation);
+    out.push_str("([");
+    for (i, &a) in cfd.lhs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, i, schema.attr_name(a));
+    }
+    out.push_str("] -> [");
+}
+
+/// Append one tableau row of a CFD as a line-form constraint (no
+/// trailing newline).
+fn push_cfd_row(out: &mut String, cfd: &Cfd, schema: &Schema, row: &PatternRow) {
+    push_lhs(out, cfd, schema, |out, i, name| push_pattern(out, name, &row.lhs[i]));
+    push_pattern(out, schema.attr_name(cfd.rhs), &row.rhs);
+    out.push_str("])");
+}
+
+/// Append a normal-form CFD to `out` in surface syntax, newline
+/// terminated: a single-row CFD as one line, any other as a block (the
+/// head once, one line per tableau row). Constants are quoted with
+/// embedded quotes doubled, so the output re-parses through
+/// [`parse_cfds`] to exactly `cfd` — [`Cfd::display`], `semandaq
+/// discover --emit` and the serve tier's checkpoints all render here,
+/// and appending a whole suite to one buffer allocates only as the
+/// buffer grows.
+pub fn write_cfd(out: &mut String, cfd: &Cfd, schema: &Schema) {
+    if let [row] = cfd.tableau.as_slice() {
+        push_cfd_row(out, cfd, schema, row);
+        out.push('\n');
+        return;
+    }
+    push_lhs(out, cfd, schema, |out, _, name| out.push_str(name));
+    out.push_str(schema.attr_name(cfd.rhs));
+    out.push_str("]) {\n");
+    for row in &cfd.tableau {
+        out.push_str("  ");
+        for (i, p) in row.lhs.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_pattern(out, "", p);
+        }
+        out.push_str(" || ");
+        push_pattern(out, "", &row.rhs);
         out.push('\n');
     }
+    out.push_str("}\n");
+}
+
+/// [`write_cfd`] into a fresh string.
+pub fn cfd_to_text(cfd: &Cfd, schema: &Schema) -> String {
+    suite_to_text([cfd], schema)
+}
+
+/// A suite over one schema, [`write_cfd`] by [`write_cfd`] in one
+/// buffer — the text [`parse_cfds`] reads back to exactly `cfds`.
+pub fn suite_to_text<'a>(cfds: impl IntoIterator<Item = &'a Cfd>, schema: &Schema) -> String {
+    let mut out = String::new();
+    cfds.into_iter().for_each(|cfd| write_cfd(&mut out, cfd, schema));
     out
 }
 
-/// One tableau row of a CFD as a single surface-syntax constraint line
-/// (no trailing newline) — what diagnostics embed when they point at a
-/// specific violated row of a multi-row (merged) tableau.
+/// One tableau row of a CFD as a single line-form constraint (no
+/// trailing newline) — what diagnostics embed when they point at a
+/// specific violated row of a multi-row tableau.
 pub fn cfd_row_to_text(cfd: &Cfd, schema: &Schema, row: usize) -> String {
-    let row = &cfd.tableau[row];
-    let render = |a: usize, p: &PatternValue| match p {
-        PatternValue::Wildcard => schema.attr_name(a).to_string(),
-        PatternValue::Const(c) => format!("{}={}", schema.attr_name(a), quote_const(c)),
-        PatternValue::NotConst(c) => format!("{}!={}", schema.attr_name(a), quote_const(c)),
-        PatternValue::OneOf(cs) => format!(
-            "{} in ({})",
-            schema.attr_name(a),
-            cs.iter().map(quote_const).collect::<Vec<_>>().join(", ")
-        ),
-    };
-    let mut lhs = Vec::new();
-    for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
-        lhs.push(render(a, p));
-    }
-    format!("{}([{}] -> [{}])", cfd.relation, lhs.join(", "), render(cfd.rhs, &row.rhs))
+    let mut out = String::new();
+    push_cfd_row(&mut out, cfd, schema, &cfd.tableau[row]);
+    out
 }
 
 /// Serialize a CIND back into the surface syntax [`parse_cinds`]
 /// accepts — how `semandaq discover` emits mined inclusion
 /// dependencies.
 pub fn cind_to_text(cind: &Cind, from: &Schema, to: &Schema) -> String {
-    let side = |schema: &Schema,
-                attrs: &[revival_relation::AttrId],
-                conds: &[crate::cind::PatternCond]| {
-        let names: Vec<&str> = attrs.iter().map(|&a| schema.attr_name(a)).collect();
-        if conds.is_empty() {
-            format!("{}({})", schema.name(), names.join(", "))
-        } else {
-            let cs: Vec<String> = conds
-                .iter()
-                .map(|c| format!("{}={}", schema.attr_name(c.attr), quote_const(&c.value)))
-                .collect();
-            format!("{}({}; {})", schema.name(), names.join(", "), cs.join(", "))
+    fn side(out: &mut String, schema: &Schema, attrs: &[AttrId], conds: &[PatternCond]) {
+        out.push_str(schema.name());
+        out.push('(');
+        for (i, &a) in attrs.iter().enumerate() {
+            out.push_str(if i > 0 { ", " } else { "" });
+            out.push_str(schema.attr_name(a));
         }
-    };
-    format!(
-        "{} <= {}\n",
-        side(from, &cind.from_attrs, &cind.from_conds),
-        side(to, &cind.to_attrs, &cind.to_conds)
-    )
+        for (i, c) in conds.iter().enumerate() {
+            out.push_str(if i > 0 { ", " } else { "; " });
+            out.push_str(schema.attr_name(c.attr));
+            out.push('=');
+            push_const(out, &c.value);
+        }
+        out.push(')');
+    }
+    let mut out = String::new();
+    side(&mut out, from, &cind.from_attrs, &cind.from_conds);
+    out.push_str(" <= ");
+    side(&mut out, to, &cind.to_attrs, &cind.to_conds);
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -498,13 +724,76 @@ mod tests {
 
     #[test]
     fn errors() {
+        // The line form's messages, as they stood before the block form.
         let s = customer();
-        assert!(parse_cfds("customer([cc] [street])", &s).is_err()); // no arrow
-        assert!(parse_cfds("wrong([cc] -> [street])", &s).is_err()); // wrong relation
-        assert!(parse_cfds("customer([nope] -> [street])", &s).is_err()); // unknown attr
-        assert!(parse_cfds("customer([] -> [street])", &s).is_err()); // empty lhs
-        assert!(parse_cfds("customer([cc] -> [])", &s).is_err()); // empty rhs
-        assert!(parse_cfds("customer[cc] -> [street]", &s).is_err()); // missing parens
+        let message = |text: &str| parse_cfds(text, &s).unwrap_err().to_string();
+        let at = |what: &str| format!("sql parse error at byte 1: line 1: {what}");
+        assert_eq!(message("customer([cc] [street])"), at("expected `->`"));
+        assert_eq!(
+            message("wrong([cc] -> [street])"),
+            at("constraint relation `wrong` does not match schema `customer`")
+        );
+        assert_eq!(
+            message("customer([nope] -> [street])"),
+            "unknown attribute `nope` in relation `customer`"
+        );
+        assert_eq!(message("customer([] -> [street])"), at("empty LHS"));
+        assert_eq!(message("customer([cc] -> [])"), at("empty RHS"));
+        assert_eq!(message("customer[cc] -> [street]"), at("expected `relation([...] -> [...])`"));
+    }
+
+    #[test]
+    fn block_is_one_cfd_with_its_rows_in_file_order() {
+        let s = customer();
+        let text = "customer([cc, zip] -> [street]) { # the head, once\n\
+                    \x20 '44', _ || _\n\
+                    \n\
+                    \x20 # duplicates and subsumed rows stay, in order\n\
+                    \x20 '44', _ || _\n\
+                    \x20 _, IN ('a', 'b') || != 'x'\n\
+                    }\n\
+                    customer([age] -> [city]) {\n  30 || 'edi'\n}\n\
+                    customer([cc] -> [zip])\n\
+                    customer([cc] -> [zip]) {\n}\n";
+        let cfds = parse_cfds(text, &s).unwrap();
+        assert_eq!(cfds.len(), 4, "one CFD per block, one per line");
+        let uk = PatternRow::new(
+            vec![PatternValue::constant("44"), PatternValue::Wildcard],
+            PatternValue::Wildcard,
+        );
+        let ecfd = PatternRow::new(
+            vec![PatternValue::Wildcard, PatternValue::one_of(vec!["b".into(), "a".into()])],
+            PatternValue::NotConst("x".into()),
+        );
+        assert_eq!(cfds[0].tableau, vec![uk.clone(), uk, ecfd]);
+        assert_eq!((cfds[0].lhs.as_slice(), cfds[0].rhs), (&[0, 5][..], 3));
+        // Cells are typed by the head's attributes, quotes optional.
+        assert_eq!(cfds[1].tableau[0].lhs[0], PatternValue::Const(Value::Int(30)));
+        assert_eq!(cfds[2].tableau.len(), 1);
+        assert!(cfds[3].tableau.is_empty(), "an empty block is an empty tableau");
+        // The renderer picks the form by row count, so the text round
+        // trips CFD for CFD.
+        assert_eq!(parse_cfds(&suite_to_text(&cfds, &s), &s).unwrap(), cfds);
+        assert_eq!(
+            cfd_to_text(&cfds[0], &s),
+            "customer([cc, zip] -> [street]) {\n  '44', _ || _\n  '44', _ || _\n  \
+             _, in ('a', 'b') || !='x'\n}\n"
+        );
+        assert_eq!(
+            cfd_row_to_text(&cfds[0], &s, 2),
+            "customer([cc, zip in ('a', 'b')] -> [street!='x'])"
+        );
+    }
+
+    #[test]
+    fn blocks_span_relations_in_a_multi_schema_suite() {
+        let (s, other) = (customer(), Schema::builder("o").attr("k", Type::Str).build());
+        let text = "o([k] -> [k]) {\n  'a' || _\n  'b' || _\n}\ncustomer([cc] -> [zip])\n";
+        let cfds = parse_cfds_multi(text, &[s, other]).unwrap();
+        assert_eq!(cfds.iter().map(|c| c.relation.as_str()).collect::<Vec<_>>(), ["o", "customer"]);
+        assert_eq!(cfds[0].tableau.len(), 2);
+        let unknown = parse_cfds_multi("nope([k] -> [k]) {\n}\n", &[customer()]);
+        assert_eq!(unknown, Err(Error::UnknownRelation("nope".into())));
     }
 
     #[test]

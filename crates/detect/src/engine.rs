@@ -128,16 +128,18 @@ impl<'a> DetectJob<'a> {
 
 /// The profile row name of CFD `i` in `job`'s suite: a stable `cfd#i`
 /// prefix (unique even when the suite repeats a constraint) plus the
-/// surface syntax flattened to one line. Public so repair profiles name
-/// constraints identically to detect profiles.
+/// constraint — a single-row CFD in its one-line surface syntax, any
+/// other as its head and row count, so the name does not grow with the
+/// tableau. Public so repair profiles name constraints identically to
+/// detect profiles.
 pub fn cfd_profile_name(job: &DetectJob<'_>, i: usize) -> String {
     let cfd = &job.cfds[i];
-    match job.table(&cfd.relation) {
-        Ok(t) => {
-            let text = cfd.display(t.schema()).to_string();
-            format!("cfd#{i} {}", text.lines().collect::<Vec<_>>().join("; "))
+    match (job.table(&cfd.relation), cfd.tableau.len()) {
+        (Ok(t), 1) => format!("cfd#{i} {}", cfd.display(t.schema())),
+        (Ok(t), rows) => {
+            format!("cfd#{i} {} {{{rows} rows}}", cfd.embedded_fd().display(t.schema()))
         }
-        Err(_) => format!("cfd#{i} {}(?)", cfd.relation),
+        (Err(_), _) => format!("cfd#{i} {}(?)", cfd.relation),
     }
 }
 
@@ -438,6 +440,24 @@ mod tests {
             &customer_schema(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn profile_names_do_not_grow_with_the_tableau() {
+        let t = customer_table();
+        let mut cfds = suite();
+        // A mined block: one head, thousands of constant rows.
+        let mut block = String::from("customer([cc, zip] -> [street]) {\n");
+        (0..2_527).for_each(|i| block.push_str(&format!("  '44', 'EH{i}' || 'street {i}'\n")));
+        cfds.extend(
+            parse_cfds(&(block + "}\ncustomer([zip] -> [city]) {\n}\n"), t.schema()).unwrap(),
+        );
+        let job = DetectJob::on_table(&t, &cfds);
+        // Single-row names are the constraint's own line, as ever.
+        assert_eq!(cfd_profile_name(&job, 0), "cfd#0 customer([cc='44', zip] -> [street])");
+        assert_eq!(cfd_profile_name(&job, 3), "cfd#3 customer([cc, zip] -> [street]) {2527 rows}");
+        assert_eq!(cfd_profile_name(&job, 4), "cfd#4 customer([zip] -> [city]) {0 rows}");
+        assert!(cfd_profile_name(&job, 3).len() <= 200);
     }
 
     /// Suites whose CFDs share embedded FDs — scanned in one pass,

@@ -207,8 +207,8 @@ impl Session {
             report.rows_in, report.rows_out, report.implied_dropped, report.subsumed_dropped
         ));
         for cfd in &cover {
-            // Multi-row (merged) CFDs display one constraint line per
-            // tableau row; keep every line indented.
+            // A multi-row (merged) CFD displays as a block, one line per
+            // tableau row under its head; keep every line indented.
             for line in cfd.display(schema).to_string().lines() {
                 out.push_str(&format!("  {line}\n"));
             }
@@ -233,21 +233,22 @@ pub fn load_table(name: &str, path: &str) -> Result<Table> {
 }
 
 /// Render the vetted suite of a discovery run in `parse_cfds`-compatible
-/// syntax, one constraint line per tableau row — exactly what `semandaq
-/// discover --emit FILE` writes and `semandaq detect --cfds FILE` reads
-/// back. Relations resolve against `schemas` by name.
+/// syntax — a single-row CFD as one constraint line, a multi-row one as
+/// a block (the head once, one line per tableau row) — exactly what
+/// `semandaq discover --emit FILE` writes and `semandaq detect --cfds
+/// FILE` reads back, to the same CFDs in the same order. Relations
+/// resolve against `schemas` by name.
 pub fn discovered_cfd_text(
     d: &revival_discovery::Discovered,
     schemas: &[revival_relation::Schema],
 ) -> Result<String> {
-    use revival_constraints::parser::cfd_to_text;
     let mut out = String::new();
     for cfd in &d.vetted {
         let schema = schemas
             .iter()
             .find(|s| s.name() == cfd.relation)
             .ok_or_else(|| Error::UnknownRelation(cfd.relation.clone()))?;
-        out.push_str(&cfd_to_text(cfd, schema));
+        revival_constraints::parser::write_cfd(&mut out, cfd, schema);
     }
     Ok(out)
 }
@@ -361,28 +362,6 @@ pub fn describe_discovered(
     Ok(out)
 }
 
-/// Parse a CFD suite whose lines may span several relations, resolving
-/// each line against the schema named by its `relation(...)` prefix —
-/// the multi-relation counterpart of [`parse_cfds`], which binds a
-/// whole text to one schema.
-pub fn parse_cfds_multi(text: &str, schemas: &[revival_relation::Schema]) -> Result<Vec<Cfd>> {
-    use revival_constraints::parser::parse_cfd_line;
-    let mut cfds = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let relation = line.split('(').next().unwrap_or_default().trim();
-        let schema = schemas
-            .iter()
-            .find(|s| s.name() == relation)
-            .ok_or_else(|| Error::UnknownRelation(relation.into()))?;
-        cfds.extend(parse_cfd_line(line, schema)?);
-    }
-    Ok(cfds)
-}
-
 /// Human-readable listing for a catalog job's report: CFD violations
 /// are described against their own relation's schema, CIND violations
 /// against the two relations of the CIND.
@@ -488,8 +467,7 @@ pub fn generate_customer_scenario(rows: usize, noise: f64, seed: u64) -> (String
         &NoiseConfig::new(noise, vec![attrs::STREET, attrs::CITY, attrs::ZIP], seed ^ 0x5eed),
     );
     let cfds = standard_cfds(&data.schema);
-    let cfd_text: String =
-        cfds.iter().map(|c| revival_constraints::parser::cfd_to_text(c, &data.schema)).collect();
+    let cfd_text = revival_constraints::parser::suite_to_text(&cfds, &data.schema);
     (csv::write_table(&ds.clean), csv::write_table(&ds.dirty), cfd_text)
 }
 
@@ -512,8 +490,7 @@ pub fn generate_hospital_scenario(rows: usize, noise: f64, seed: u64) -> (String
         ),
     );
     let cfds = standard_cfds(&data.schema);
-    let cfd_text: String =
-        cfds.iter().map(|c| revival_constraints::parser::cfd_to_text(c, &data.schema)).collect();
+    let cfd_text = revival_constraints::parser::suite_to_text(&cfds, &data.schema);
     (csv::write_table(&ds.clean), csv::write_table(&ds.dirty), cfd_text)
 }
 
@@ -613,6 +590,7 @@ mod tests {
 
     #[test]
     fn multi_relation_suite_parses_and_describes() {
+        use revival_constraints::parser::parse_cfds_multi;
         use revival_relation::{Catalog, Schema, Type};
         let cd_s = Schema::builder("cd")
             .attr("album", Type::Str)

@@ -822,7 +822,8 @@ fn detect_catalog(
     let (catalog, schemas) = load_catalog(flags.get_all("data"))?;
     let cfd_path = flags.get("cfds")?;
     let cfd_text = std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
-    let cfds = semandaq::parse_cfds_multi(&cfd_text, &schemas).map_err(|e| e.to_string())?;
+    let cfds = revival_constraints::parser::parse_cfds_multi(&cfd_text, &schemas)
+        .map_err(|e| e.to_string())?;
     let cinds = match flags.get("cinds") {
         Ok(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;

@@ -342,7 +342,7 @@ impl DeltaSession {
     /// holds are removed — otherwise a restore after a rename or a
     /// shard-layout change would resurrect them.
     pub fn save_state(&self, dir: &std::path::Path) -> Result<usize> {
-        use revival_constraints::parser::{cfd_to_text, cind_to_text};
+        use revival_constraints::parser::{cind_to_text, suite_to_text};
         use revival_relation::durable;
         std::fs::create_dir_all(dir)?;
         let mut names: Vec<&str> = self.relations.iter().map(|r| r.name.as_str()).collect();
@@ -350,12 +350,8 @@ impl DeltaSession {
         for name in &names {
             let table = self.catalog.get(name)?;
             table.save_snapshot(dir.join(format!("{name}.sdq")))?;
-            let suite: String = self
-                .cfds
-                .iter()
-                .filter(|c| c.relation == *name)
-                .map(|c| cfd_to_text(c, table.schema()))
-                .collect();
+            let own = self.cfds.iter().filter(|c| c.relation == *name);
+            let suite = suite_to_text(own, table.schema());
             durable::write_atomic(&dir.join(format!("{name}.cfds")), suite.as_bytes())?;
         }
         // Anything snapshot-shaped that no current relation owns is a

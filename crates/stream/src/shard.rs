@@ -1009,12 +1009,10 @@ fn mine(request: &Request, snapshot: &Table, jobs: usize) -> Result<revival_disc
 }
 
 fn discover_response(d: &revival_discovery::Discovered, schema: &Schema) -> Response {
-    let text: String =
-        d.vetted.iter().map(|c| revival_constraints::parser::cfd_to_text(c, schema)).collect();
     Response::ok()
         .with_int("rules", d.rules.len() as i64)
         .with_int("vetted", d.vetted.len() as i64)
-        .with_str("text", text)
+        .with_str("text", revival_constraints::parser::suite_to_text(&d.vetted, schema))
         .with_int("levels", d.stats.levels as i64)
         .with_int("candidates_pruned", d.stats.candidates_pruned as i64)
         .with_int("lattice_truncated", i64::from(d.stats.lattice_truncated))

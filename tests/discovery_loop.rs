@@ -3,11 +3,11 @@
 //! discovered suite is violation-free on all four detect engines; on
 //! seeded-noise data approximate discovery (`min_confidence < 1`)
 //! recovers the planted dependencies; parallel discovery is
-//! byte-identical to sequential; and `display ∘ parse = id` holds for
-//! every mined rule (the emit → detect round trip's foundation).
+//! byte-identical to sequential; and `parse ∘ display = id` holds for
+//! every mined rule and vetted CFD (the emit → detect round trip's
+//! foundation).
 
-use revival::constraints::cfd::merge_by_embedded_fd;
-use revival::constraints::parser::parse_cfds;
+use revival::constraints::parser::{parse_cfds, suite_to_text};
 use revival::detect::{engine_by_name, DetectJob};
 use revival::discovery::{
     DiscoverJob, DiscoverOptions, DiscoveryEngine, ParallelDiscovery, SequentialDiscovery,
@@ -111,27 +111,39 @@ fn parallel_discovery_is_byte_identical_to_sequential() {
 
 #[test]
 fn display_parse_roundtrip_holds_for_every_mined_rule() {
-    // Property: display ∘ parse = id over mined suites — single-row
-    // mined rules parse back exactly; multi-row vetted CFDs re-merge to
-    // themselves. This is what `semandaq discover --emit` leans on.
+    // Property: parse ∘ display = id over mined suites, exactly — a
+    // single-row mined rule is one line, a multi-row vetted CFD one
+    // block, and each parses back to itself with its rows in order.
+    // This is what `semandaq discover --emit` leans on.
     for table in [hospital(300), dirty_hospital(300, 0.03), customer(250)] {
         let opts = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };
         let d = SequentialDiscovery.run(&DiscoverJob::on_table(&table, opts)).unwrap();
         let schema = table.schema();
-        for m in &d.rules {
-            let text = m.cfd.display(schema).to_string();
+        for cfd in d.rules.iter().map(|m| &m.cfd).chain(&d.vetted) {
+            let text = cfd.display(schema).to_string();
             let back =
                 parse_cfds(&text, schema).unwrap_or_else(|e| panic!("`{text}` must re-parse: {e}"));
-            assert_eq!(back, vec![m.cfd.clone()], "mined rule round trip: {text}");
+            assert_eq!(back, vec![cfd.clone()], "round trip: {text}");
         }
-        for cfd in &d.vetted {
-            let text = cfd.display(schema).to_string();
-            let merged = merge_by_embedded_fd(
-                &parse_cfds(&text, schema)
-                    .unwrap_or_else(|e| panic!("`{text}` must re-parse: {e}")),
-            );
-            assert_eq!(merged, vec![cfd.clone()], "vetted rule round trip: {text}");
-        }
+    }
+}
+
+#[test]
+fn detect_over_the_emitted_suite_equals_detect_over_the_vetted_one() {
+    // The `--emit` file is the vetted suite: detection over its text
+    // reports what detection over `Discovered::vetted` in memory does —
+    // same violations, same CFD and row indices — at any `jobs`.
+    let dirty = dirty_hospital(400, 0.03);
+    let opts = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };
+    let d = SequentialDiscovery.run(&DiscoverJob::on_table(&dirty, opts)).unwrap();
+    assert!(d.vetted.iter().any(|c| c.tableau.len() > 1), "the suite must hold blocks");
+    let emitted = parse_cfds(&suite_to_text(&d.vetted, dirty.schema()), dirty.schema()).unwrap();
+    for jobs in [1, 4] {
+        let engine = engine_by_name("parallel", jobs).unwrap();
+        let from_file = engine.run(&DetectJob::on_table(&dirty, &emitted)).unwrap();
+        let in_memory = engine.run(&DetectJob::on_table(&dirty, &d.vetted)).unwrap();
+        assert!(!in_memory.is_empty(), "dirty data must violate its approximate suite");
+        assert_eq!(from_file, in_memory, "jobs={jobs}");
     }
 }
 
@@ -143,10 +155,15 @@ fn fnv1a(text: &str) -> u64 {
 #[test]
 fn mined_output_is_pinned_to_the_recorded_golden() {
     // `(len, FNV-1a 64)` of the mined rule list and of the rendered
-    // vetted suite, plus the search accounting, recorded from the tree
-    // *before* discovery moved to row lists (PR 18) — an optimisation
-    // of the miners must reproduce them to the byte at any `jobs`.
-    use revival::constraints::parser::cfd_to_text;
+    // vetted suite, plus the search accounting. The rule list and the
+    // accounting were recorded from the tree *before* discovery moved
+    // to row lists (PR 18) — an optimisation of the miners must
+    // reproduce them to the byte at any `jobs`. The vetted text was
+    // re-recorded when multi-row CFDs began rendering as blocks (PR 21,
+    // same `d.vetted`, which the exact re-parse below ties it to); its
+    // line-form pins were, in case order, (153 868, 0xd07996b0f80edafd),
+    // (191 887, 0x0f9e513134597f62), (8 795, 0xbc04a4ac5dd4f5b5),
+    // (19 742, 0x03e0fb82e2779546), (84 314, 0x63b7f4e46680f910).
     type Pin = (usize, u64);
     // (candidates_checked, candidates_pruned, lattice_truncated, levels,
     //  constants_subsumed, cover_implication_skipped)
@@ -158,7 +175,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             0.9,
             2,
             (392_989, 0xd9d1_b21d_1003_0109),
-            (153_868, 0xd079_96b0_f80e_dafd),
+            (93_010, 0xa64d_07ad_b5e5_fb5b),
             (19_236, 18_433, true, 2, 272, true),
         ),
         (
@@ -167,7 +184,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             1.0,
             2,
             (522_860, 0xe2c2_41cb_7c19_5452),
-            (191_887, 0x0f9e_5131_3459_7f62),
+            (111_536, 0xc351_dadc_9a43_06b0),
             (19_295, 18_410, true, 2, 272, true),
         ),
         (
@@ -176,7 +193,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             0.9,
             2,
             (38_357, 0xa1a3_89b5_364a_cbbc),
-            (8_795, 0xbc04_a4ac_5dd4_f5b5),
+            (5_752, 0x8905_4232_c87d_fb58),
             (4_893, 5_592, true, 2, 89, true),
         ),
         (
@@ -185,7 +202,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             1.0,
             2,
             (82_709, 0xbda2_978e_1ed2_e9ac),
-            (19_742, 0x03e0_fb82_e277_9546),
+            (11_586, 0x0fb8_14c2_d1ba_71b4),
             (4_893, 5_592, true, 2, 89, true),
         ),
         (
@@ -194,7 +211,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             0.9,
             3,
             (221_051, 0xbb57_99cd_e485_bf05),
-            (84_314, 0x63b7_f4e4_6680_f910),
+            (52_716, 0xbd0f_d6b4_dbc9_e41c),
             (51_483, 49_985, true, 3, 212, true),
         ),
     ];
@@ -204,7 +221,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
                 DiscoverOptions { min_confidence, max_lhs, jobs, ..DiscoverOptions::default() };
             let d = ParallelDiscovery.run(&DiscoverJob::on_table(&table, opts)).unwrap();
             let rules = format!("{:?}", d.rules);
-            let vetted: String = d.vetted.iter().map(|c| cfd_to_text(c, table.schema())).collect();
+            let vetted = suite_to_text(&d.vetted, table.schema());
             let s = &d.stats;
             let stats = (
                 s.candidates_checked,
@@ -217,6 +234,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
             assert_eq!((rules.len(), fnv1a(&rules)), rules_pin, "{name} jobs={jobs}: rules");
             assert_eq!((vetted.len(), fnv1a(&vetted)), vetted_pin, "{name} jobs={jobs}: vetted");
             assert_eq!(stats, stats_pin, "{name} jobs={jobs}: stats");
+            assert_eq!(parse_cfds(&vetted, table.schema()).unwrap(), d.vetted, "{name}: re-parse");
         }
     }
 }

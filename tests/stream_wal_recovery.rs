@@ -331,3 +331,91 @@ fn concurrent_appends_share_syncs_through_the_tier() {
     drop(tier);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A mined suite means the same thing live, on disk and after a
+/// restart: `discover {"register":true}` installs multi-row CFDs, the
+/// checkpoint writes each as a block, and reopening — snapshot, then
+/// the WAL tail past it — restores the same CFD list (not one CFD per
+/// tableau row), so counts, `cfd_idx` and the report are byte-identical.
+/// A `.cfds` file an older build wrote one line per row still opens to
+/// what it always did: one CFD per line.
+#[test]
+fn a_mined_suite_survives_checkpoint_and_replay_unchanged() {
+    use revival::dirty::hospital::{attrs, generate, HospitalConfig};
+    use revival::dirty::noise::{inject, NoiseConfig};
+    let data = generate(&HospitalConfig { rows: 300, ..Default::default() });
+    let noise = NoiseConfig::new(0.03, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 7);
+    let dirty = inject(&data.table, &noise).dirty;
+
+    let dir = std::env::temp_dir().join(format!("revival_wal_mined_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts =
+        ServeOptions { jobs: 1, wal: true, state: Some(dir.clone()), ..ServeOptions::default() };
+    let (tier, _) = ShardedSession::open(&opts).unwrap();
+    let register = Request::Register {
+        table: "hospital".into(),
+        csv: csv::write_table(&dirty),
+        cfds: String::new(),
+        merged: false,
+    };
+    assert!(tier.handle(&register).is_ok());
+    let mined = tier.handle(&Request::Discover {
+        table: "hospital".into(),
+        min_support: 2,
+        max_lhs: 2,
+        confidence_pct: 90,
+        register: true,
+    });
+    assert!(mined.is_ok(), "{mined:?}");
+    assert!(tier.handle(&Request::Checkpoint).is_ok());
+    // Past the checkpoint: the first row again, then its state knocked
+    // off what the mined rules say it is.
+    let Request::Register { csv: text, .. } = &register else { unreachable!() };
+    let row = text.lines().nth(1).unwrap().to_string();
+    let appended = tier.handle(&Request::Append { table: "hospital".into(), row });
+    let update = Request::Update {
+        table: "hospital".into(),
+        tuple: appended.int("tuple").unwrap() as u64,
+        attr: "state".into(),
+        value: "zz".into(),
+    };
+    assert!(tier.handle(&update).is_ok());
+
+    let state_of = |tier: &ShardedSession| {
+        let cfds = tier.shard(tier.route("hospital")).session().read().unwrap().cfds().to_vec();
+        let report = tier.handle(&Request::Report { max: 10_000, replica: false });
+        (cfds, report.int("violations"), report.str("text").unwrap().to_string())
+    };
+    let live = state_of(&tier);
+    // The tier's own schema: inferred from the CSV it registered.
+    let schema =
+        (tier.shard(0).session().read().unwrap()).table("hospital").unwrap().schema().clone();
+    let rows: usize = live.0.iter().map(|c| c.tableau.len()).sum();
+    assert_eq!(mined.int("vetted"), Some(live.0.len() as i64));
+    assert!(live.0.len() * 10 < rows, "{} CFDs over {rows} rows: blocks expected", live.0.len());
+    assert!(live.1 > Some(0));
+    drop(tier); // no shutdown: the crash
+
+    let (tier, summary) = ShardedSession::open(&opts).unwrap();
+    assert_eq!((summary.relations, summary.replayed, summary.replay_errors), (1, 2, 0));
+    assert_eq!(state_of(&tier), live, "restored suite and report must equal the live ones");
+    drop(tier);
+
+    // The same state directory with its suite in the line form.
+    let path = dir.join("shard-0").join("hospital.cfds");
+    assert_eq!(parse_cfds(&std::fs::read_to_string(&path).unwrap(), &schema), Ok(live.0.clone()));
+    let flat: Vec<_> = (live.0.iter())
+        .flat_map(|c| {
+            c.tableau
+                .iter()
+                .map(|r| revival::constraints::Cfd { tableau: vec![r.clone()], ..c.clone() })
+        })
+        .collect();
+    let lines: String = flat.iter().map(|c| format!("{}\n", c.display(&schema))).collect();
+    assert_eq!(lines.lines().count(), rows);
+    std::fs::write(&path, lines).unwrap();
+    let (tier, _) = ShardedSession::open(&opts).unwrap();
+    assert_eq!(state_of(&tier).0, flat);
+    drop(tier);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
