@@ -11,6 +11,19 @@
 //! [`RepairStats::forced_resolutions`] — they trade accuracy for
 //! consistency exactly like the "null-marker" fallback of Cong et al.
 //!
+//! ## How often the table is scanned
+//!
+//! A detection runs only if a cell was written since the last one. The
+//! report that ends the cost-guided loop — empty, or one a pass could
+//! write nothing for — is the forcing phase's first report, and the
+//! last report seen is the residual: a repair of k passes scans k + 1
+//! times (once, plus once per pass or forcing round that wrote), not
+//! once per loop head. The k + 1st is the fixpoint check and stays a
+//! scan of the whole table: that a pass fixed what it meant to fix and
+//! surfaced nothing new is established by looking, never inferred from
+//! the cells it wrote. The caller's own certification of the output is
+//! independent of all this — it shares no state with the repair.
+//!
 //! ## Sharding
 //!
 //! Both hot halves of a pass shard across [`RepairOptions::jobs`]
@@ -29,12 +42,13 @@
 //! So the repaired table and [`RepairStats`] are identical at any shard
 //! count — asserted by `tests/repair_parity.rs`.
 
-use crate::cost::CostModel;
-use crate::eqclass::{cell_hash, Cell, EquivClasses, ResolveStats};
+use crate::cost::{CostModel, DistanceScratch};
+use crate::eqclass::{Cell, EquivClasses, ResolveStats};
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
-use revival_detect::{DetectJob, Detector, ParallelEngine, Violation};
+use revival_detect::{DetectJob, Detector, ParallelEngine, Violation, ViolationReport};
+use revival_relation::groupby::hash_words;
 use revival_relation::{GroupBy, Result, Sym, Table, TupleId, Type, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -81,6 +95,8 @@ struct Working {
     table: Table,
     /// Every cell a pass wrote, in write order (a cell may repeat).
     written: Vec<Cell>,
+    /// The run's distance buffers, for pricing constant violations.
+    scratch: DistanceScratch,
 }
 
 impl Working {
@@ -92,6 +108,13 @@ impl Working {
         }
         ok
     }
+}
+
+/// The detections one repair ran.
+#[derive(Default)]
+struct Scans {
+    count: u64,
+    wall_us: u64,
 }
 
 /// What one detection report asks a cost-guided pass to do.
@@ -114,6 +137,12 @@ struct AttrClasses {
     eq: EquivClasses,
     /// Wall time spent translating this attribute's violations.
     collect: Duration,
+}
+
+/// The kernel's word hash over a cell's two coordinates.
+#[inline]
+fn cell_hash(c: Cell) -> u64 {
+    hash_words([c.0 .0, c.1 as u64])
 }
 
 impl PassPlan {
@@ -208,7 +237,8 @@ impl BatchRepair {
             "repair.run",
             revival_obs::global().histogram("repair_run_us"),
         );
-        let mut current = Working { table: table.clone(), written: Vec::new() };
+        let mut current =
+            Working { table: table.clone(), written: Vec::new(), scratch: Default::default() };
         let mut stats = RepairStats::default();
         let mut fresh_counter: u64 = 0;
         // Profile row names (merged-suite order), shared with the detect
@@ -223,14 +253,16 @@ impl BatchRepair {
         // Wall time per stage, flushed to the registry once at the end
         // (side-effect-only: the repair itself is byte-identical with
         // instrumentation on or off).
-        let (mut detect_us, mut resolve_us, mut force_us) = (0u64, 0u64, 0u64);
+        let (mut resolve_us, mut force_us) = (0u64, 0u64);
+        let mut scans = Scans::default();
+        // The working table's violations, `None` once a cell is written
+        // after the detection that found them.
+        let mut known: Option<ViolationReport> = None;
         let setup_us = setup.elapsed().as_micros() as u64;
 
         for _ in 0..self.options.max_passes {
-            let stage = Instant::now();
-            let report = self.detect_step(&current.table, profile.as_deref_mut());
-            detect_us += stage.elapsed().as_micros() as u64;
-            let report = report?;
+            let report =
+                self.report_of(&current.table, &mut known, &mut scans, profile.as_deref_mut())?;
             if report.is_empty() {
                 break;
             }
@@ -246,19 +278,19 @@ impl BatchRepair {
             if !changed {
                 break; // cost-guided resolution stalled → force below
             }
+            known = None;
         }
 
-        // Forcing phase: guarantee satisfaction.
+        // Forcing phase: guarantee satisfaction. It starts from the
+        // report that ended the loop above — empty, or the stalled one.
         for round in 0..self.options.max_force_rounds {
-            let stage = Instant::now();
-            let report = self.detect_step(&current.table, profile.as_deref_mut());
-            detect_us += stage.elapsed().as_micros() as u64;
-            let report = report?;
+            let report =
+                self.report_of(&current.table, &mut known, &mut scans, profile.as_deref_mut())?;
             if report.is_empty() {
                 break;
             }
             let stage = Instant::now();
-            stats.forced_resolutions += self.force_pass(
+            let edits = self.force_pass(
                 &mut current,
                 &report.violations,
                 round,
@@ -266,16 +298,18 @@ impl BatchRepair {
                 profile.as_deref_mut().map(|p| (p, names.as_slice())),
             );
             force_us += stage.elapsed().as_micros() as u64;
+            stats.forced_resolutions += edits;
+            if edits > 0 {
+                known = None;
+            }
         }
 
-        let stage = Instant::now();
-        let residual = self.detect_step(&current.table, profile.as_deref_mut());
-        detect_us += stage.elapsed().as_micros() as u64;
-        stats.residual_violations = residual?.len();
+        stats.residual_violations =
+            self.report_of(&current.table, &mut known, &mut scans, profile.as_deref_mut())?.len();
         // Row-major over the written cells: the order a walk over both
         // tables would add the costs up in.
         let score = Instant::now();
-        let Working { table: current, mut written } = current;
+        let Working { table: current, mut written, .. } = current;
         written.sort_unstable();
         written.dedup();
         (stats.cells_changed, stats.cost) = self.cost.repair_cost(table, &current, &written);
@@ -286,12 +320,13 @@ impl BatchRepair {
             reg.counter("repair_cells_changed_total").add(stats.cells_changed as u64);
             reg.counter("repair_forced_total").add(stats.forced_resolutions as u64);
             reg.counter("repair_distance_evals_total").add(stats.resolve.distances_computed);
-            reg.histogram("repair_phase_us{phase=\"detect\"}").record(detect_us);
+            reg.histogram("repair_phase_us{phase=\"detect\"}").record(scans.wall_us);
             reg.histogram("repair_phase_us{phase=\"resolve\"}").record(resolve_us);
             reg.histogram("repair_phase_us{phase=\"force\"}").record(force_us);
         }
         if let Some(p) = profile {
-            p.phase_add("detect", detect_us);
+            p.meta_add("detect_scans", scans.count);
+            p.phase_add("detect", scans.wall_us);
             p.phase_add("resolve", resolve_us);
             p.phase_add("force", force_us);
             // The two stretches outside the phases, as rows, so the
@@ -303,6 +338,26 @@ impl BatchRepair {
         Ok((current, stats))
     }
 
+    /// The violations of `table` as it stands: `known`, if a detection
+    /// has run since the last write (whoever writes clears it), a full
+    /// detection otherwise — no scan repeats on an unchanged table.
+    fn report_of<'r>(
+        &self,
+        table: &Table,
+        known: &'r mut Option<ViolationReport>,
+        scans: &mut Scans,
+        profile: Option<&mut revival_obs::JobProfile>,
+    ) -> Result<&'r ViolationReport> {
+        if known.is_none() {
+            let stage = Instant::now();
+            let report = self.detect_step(table, profile);
+            scans.wall_us += stage.elapsed().as_micros() as u64;
+            scans.count += 1;
+            *known = Some(report?);
+        }
+        Ok(known.as_ref().expect("a report was just stored"))
+    }
+
     /// One detection round of a repair over the merged suite. When
     /// profiling, the detect engine's per-constraint profile (wall,
     /// groups, rows) merges into the repair profile — meta is dropped
@@ -311,7 +366,7 @@ impl BatchRepair {
         &self,
         table: &Table,
         profile: Option<&mut revival_obs::JobProfile>,
-    ) -> Result<revival_detect::ViolationReport> {
+    ) -> Result<ViolationReport> {
         let job = DetectJob::on_table(table, &self.cfds);
         let engine = ParallelEngine::new(self.jobs());
         let Some(p) = profile else {
@@ -331,6 +386,7 @@ impl BatchRepair {
     fn collect_classes(
         &self,
         table: &Table,
+        scratch: &mut DistanceScratch,
         violations: &[Violation],
         track_owners: bool,
     ) -> PassPlan {
@@ -361,7 +417,7 @@ impl BatchRepair {
                     let rhs_cell: Cell = (*tuple, cfd.rhs);
                     let Ok(held) = table.value_at(*tuple, cfd.rhs) else { continue };
                     // Cost of fixing the RHS vs. cheapest LHS break.
-                    let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, held, c);
+                    let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, held, c, scratch);
                     let lhs_break: Option<(f64, Cell)> = tp
                         .lhs
                         .iter()
@@ -407,16 +463,19 @@ impl BatchRepair {
                             }
                         }
                     }
-                    let classes = plan.by_attr.entry(cfd.rhs).or_default();
-                    for &t in it {
-                        if !classes.eq.union((first, cfd.rhs), (t, cfd.rhs)) {
+                    let PassPlan { by_attr, breaks, .. } = &mut plan;
+                    let members = it.map(|&t| (t, cfd.rhs));
+                    by_attr.entry(cfd.rhs).or_default().eq.union_all(
+                        (first, cfd.rhs),
+                        members,
+                        |(t, _)| {
                             // Pin conflict between classes — break the
                             // group membership of `t` via an LHS cell.
                             if let Some(&a) = cfd.lhs.first() {
-                                plan.breaks.push((t, a));
+                                breaks.push((t, a));
                             }
-                        }
-                    }
+                        },
+                    );
                 }
                 Violation::CindMissingWitness { .. } => {
                     // CIND repair (tuple insertion on the target side) is
@@ -440,7 +499,7 @@ impl BatchRepair {
         mut attribution: Option<(&mut revival_obs::JobProfile, &[String])>,
     ) -> bool {
         let PassPlan { by_attr, breaks, owner } =
-            self.collect_classes(&work.table, violations, attribution.is_some());
+            self.collect_classes(&work.table, &mut work.scratch, violations, attribution.is_some());
         let mut changed = false;
         let charge =
             |cell: Cell, attribution: &mut Option<(&mut revival_obs::JobProfile, &[String])>| {
@@ -944,7 +1003,8 @@ mod tests {
         let cfds = standard_cfds(&data.schema);
         let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
 
-        let mut work = Working { table: dirty.clone(), written: Vec::new() };
+        let mut work =
+            Working { table: dirty.clone(), written: Vec::new(), scratch: Default::default() };
         let mut by_hand = ResolveStats::default();
         let mut pairs = 0u64;
         loop {
@@ -952,7 +1012,8 @@ mod tests {
             if report.is_empty() {
                 break;
             }
-            let plan = repairer.collect_classes(&work.table, &report.violations, false);
+            let plan =
+                repairer.collect_classes(&work.table, &mut work.scratch, &report.violations, false);
             for (_, AttrClasses { mut eq, .. }) in plan.by_attr {
                 for (cells, pinned) in eq.groups() {
                     if pinned.is_none() {
@@ -968,6 +1029,12 @@ mod tests {
         assert!(by_hand.classes > 100 && pairs > 1_000, "{by_hand:?}: not the large-class case");
         assert!(by_hand.class_cells > 10 * by_hand.distinct_values, "{by_hand:?}");
         assert_eq!(by_hand.distances_computed, pairs);
+        // Pinned on the kernel the bit-vector one replaced: what a
+        // distance is counted as has not moved.
+        assert_eq!(
+            (by_hand.distances_computed, by_hand.class_cells, by_hand.distinct_values),
+            (10_177, 35_655, 1_561)
+        );
         for jobs in [1, 4] {
             let sharded = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
             let (_, stats) = sharded.with_jobs(jobs).repair(&dirty).unwrap();

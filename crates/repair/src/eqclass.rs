@@ -17,31 +17,23 @@
 //! [`ResolveStats`] counts that work.
 
 use crate::cost::{CostModel, DistanceScratch};
-use revival_relation::groupby::hash_words;
-use revival_relation::{map_chunks, GroupBy, Sym, Table, TupleId, Value};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use revival_relation::{map_chunks, Sym, Table, TupleId, Value};
 
 /// A cell identified by `(tuple, attribute)`.
 pub type Cell = (TupleId, usize);
 
-/// The kernel's word hash over a cell's two coordinates — cell slots
-/// probe without per-probe allocation, same shape as detection's key
-/// projections.
-#[inline]
-pub(crate) fn cell_hash(c: Cell) -> u64 {
-    hash_words([c.0 .0, c.1 as u64])
-}
-
-#[inline]
-fn root_hash(r: usize) -> u64 {
-    hash_words([r as u64])
-}
-
 /// Union-find over cells with path compression and union by size.
+///
+/// A tuple id *is* a slot index and an attribute a column position, so
+/// a cell finds its node by `[attribute][slot]` in a dense index — no
+/// hashing, four bytes per slot up to the highest one seen, and only
+/// for the attributes some cell named.
 #[derive(Default)]
 pub struct EquivClasses {
-    ids: GroupBy<Cell, usize>,
+    /// Per attribute, per slot: the cell's node + 1, or 0 while unseen.
+    index: Vec<Vec<u32>>,
+    /// Each node's cell, in first-seen order.
+    cells: Vec<Cell>,
     parent: Vec<usize>,
     size: Vec<usize>,
     /// A class may be pinned to a constant (by a constant-CFD
@@ -56,16 +48,22 @@ impl EquivClasses {
     }
 
     fn intern(&mut self, c: Cell) -> usize {
-        let h = cell_hash(c);
-        if let Some(&i) = self.ids.get(h, |k| *k == c) {
-            return i;
+        let (slot, attr) = (c.0 .0 as usize, c.1);
+        if self.index.len() <= attr {
+            self.index.resize_with(attr + 1, Vec::new);
         }
-        let i = self.parent.len();
-        self.ids.insert_unique(h, c, i);
-        self.parent.push(i);
-        self.size.push(1);
-        self.pinned.push(None);
-        i
+        let column = &mut self.index[attr];
+        if column.len() <= slot {
+            column.resize(slot + 1, 0);
+        }
+        if column[slot] == 0 {
+            self.cells.push(c);
+            column[slot] = u32::try_from(self.cells.len()).expect("under 2^32 cells in classes");
+            self.parent.push(self.cells.len() - 1);
+            self.size.push(1);
+            self.pinned.push(None);
+        }
+        column[slot] as usize - 1
     }
 
     fn find(&mut self, mut i: usize) -> usize {
@@ -76,17 +74,14 @@ impl EquivClasses {
         i
     }
 
-    /// Merge the classes of two cells. Returns `false` if both classes
-    /// were pinned to *different* constants (a genuine conflict the
-    /// caller must resolve another way).
-    pub fn union(&mut self, a: Cell, b: Cell) -> bool {
-        let (ia, ib) = (self.intern(a), self.intern(b));
-        let (ra, rb) = (self.find(ia), self.find(ib));
+    /// Merge two classes given by their roots: the merged class's root,
+    /// or `None` if they are pinned to different constants.
+    fn link(&mut self, ra: usize, rb: usize) -> Option<usize> {
         if ra == rb {
-            return true;
+            return Some(ra);
         }
         match (&self.pinned[ra], &self.pinned[rb]) {
-            (Some(x), Some(y)) if x != y => return false,
+            (Some(x), Some(y)) if x != y => return None,
             _ => {}
         }
         let (big, small) = if self.size[ra] >= self.size[rb] { (ra, rb) } else { (rb, ra) };
@@ -95,7 +90,38 @@ impl EquivClasses {
         if self.pinned[big].is_none() {
             self.pinned[big] = self.pinned[small].take();
         }
-        true
+        Some(big)
+    }
+
+    /// Merge the classes of two cells. Returns `false` if both classes
+    /// were pinned to *different* constants (a genuine conflict the
+    /// caller must resolve another way).
+    pub fn union(&mut self, a: Cell, b: Cell) -> bool {
+        let (ia, ib) = (self.intern(a), self.intern(b));
+        let (ra, rb) = (self.find(ia), self.find(ib));
+        self.link(ra, rb).is_some()
+    }
+
+    /// [`EquivClasses::union`] of `first` with each cell of `rest` in
+    /// turn — one violation group — following `first`'s root through
+    /// the merges instead of finding it again per member. `conflict`
+    /// gets each cell a union refused.
+    pub fn union_all(
+        &mut self,
+        first: Cell,
+        rest: impl IntoIterator<Item = Cell>,
+        mut conflict: impl FnMut(Cell),
+    ) {
+        let first = self.intern(first);
+        let mut root = self.find(first);
+        for c in rest {
+            let i = self.intern(c);
+            let r = self.find(i);
+            match self.link(root, r) {
+                Some(merged) => root = merged,
+                None => conflict(c),
+            }
+        }
     }
 
     /// Pin a cell's class to a constant. Returns `false` on conflict
@@ -125,22 +151,24 @@ impl EquivClasses {
         self.find(ia) == self.find(ib)
     }
 
-    /// Group all interned cells by class root.
+    /// Group all interned cells by class root: each class's cells
+    /// sorted, the classes sorted — an order independent of the order
+    /// the cells arrived in.
     pub fn groups(&mut self) -> Vec<(Vec<Cell>, Option<Value>)> {
-        let cells: Vec<(Cell, usize)> = self.ids.iter().map(|(c, &i)| (*c, i)).collect();
-        let mut by_root: GroupBy<usize, Vec<Cell>> = GroupBy::new();
-        for (c, i) in cells {
+        const UNSEEN: usize = usize::MAX;
+        let mut group_of_root = vec![UNSEEN; self.cells.len()];
+        let mut out: Vec<(Vec<Cell>, Option<Value>)> = Vec::new();
+        for i in 0..self.cells.len() {
             let r = self.find(i);
-            let h = root_hash(r);
-            by_root.entry_mut(h, |k| *k == r, || (r, Vec::new())).push(c);
+            if group_of_root[r] == UNSEEN {
+                group_of_root[r] = out.len();
+                out.push((Vec::new(), self.pinned[r].clone()));
+            }
+            out[group_of_root[r]].0.push(self.cells[i]);
         }
-        let mut out: Vec<(Vec<Cell>, Option<Value>)> = by_root
-            .into_entries()
-            .map(|(_, r, mut cells)| {
-                cells.sort();
-                (cells, self.pinned[r].clone())
-            })
-            .collect();
+        for (cells, _) in &mut out {
+            cells.sort_unstable();
+        }
         out.sort();
         out
     }
@@ -221,8 +249,11 @@ pub struct Resolved {
 struct Resolver<'a> {
     table: &'a Table,
     cost: &'a CostModel,
-    /// Position in `hist` of each value seen in the current class.
-    seen: HashMap<Sym, usize>,
+    /// Per symbol of the table's pool: the class that last saw it (its
+    /// 1-based number in this worker's run) and its position in `hist`
+    /// then — a stale stamp is an unseen symbol, so nothing is cleared
+    /// between classes.
+    seen: Vec<(u64, usize)>,
     /// The current class's distinct values with their summed weights.
     hist: Vec<(Sym, f64)>,
     /// Total change cost of moving the class to each value of `hist`.
@@ -236,7 +267,7 @@ impl<'a> Resolver<'a> {
         Resolver {
             table,
             cost,
-            seen: HashMap::new(),
+            seen: vec![(0, 0); table.pool().len()],
             hist: Vec::new(),
             totals: Vec::new(),
             scratch: DistanceScratch::default(),
@@ -259,17 +290,17 @@ impl<'a> Resolver<'a> {
         if let Some(v) = pinned {
             return v.clone();
         }
-        self.seen.clear();
+        let class = self.stats.classes;
         self.hist.clear();
         for &(t, a) in cells {
             let Ok(sym) = self.table.sym_at(t, a) else { continue };
             let w = self.cost.weight(t, a);
-            match self.seen.entry(sym) {
-                Entry::Occupied(at) => self.hist[*at.get()].1 += w,
-                Entry::Vacant(at) => {
-                    at.insert(self.hist.len());
-                    self.hist.push((sym, w));
-                }
+            let seen = &mut self.seen[sym.index()];
+            if seen.0 == class {
+                self.hist[seen.1].1 += w;
+            } else {
+                *seen = (class, self.hist.len());
+                self.hist.push((sym, w));
             }
         }
         let pool = self.table.pool();
@@ -552,5 +583,146 @@ mod tests {
         }
         assert_eq!(sequential.targets[4], Value::from("pinned"));
         assert_eq!(sequential.stats.classes, 20);
+    }
+
+    #[test]
+    fn two_attributes_share_one_structure() {
+        let mut eq = EquivClasses::new();
+        // The same slots under two attributes are different cells.
+        eq.union(cell(0, 2), cell(1, 2));
+        eq.union(cell(1, 5), cell(2, 5));
+        assert!(eq.same(cell(0, 2), cell(1, 2)));
+        assert!(eq.same(cell(1, 5), cell(2, 5)));
+        assert!(!eq.same(cell(1, 2), cell(1, 5)));
+        assert!(!eq.same(cell(0, 2), cell(2, 2)));
+        assert!(eq.pin(cell(2, 5), "x".into()));
+        assert_eq!(eq.pinned_value(cell(1, 5)), Some("x".into()));
+        assert_eq!(eq.pinned_value(cell(1, 2)), None);
+        assert_eq!(
+            eq.groups(),
+            [
+                (vec![cell(0, 2), cell(1, 2)], None),
+                (vec![cell(1, 5), cell(2, 5)], Some("x".into())),
+                (vec![cell(2, 2)], None),
+            ]
+        );
+    }
+
+    /// Tuple ids far apart: the index grows to the highest slot seen,
+    /// for the one attribute used, and to nothing for the others.
+    #[test]
+    fn index_grows_to_the_highest_slot_of_the_attributes_used() {
+        let mut eq = EquivClasses::new();
+        assert!(eq.union(cell(1_000_000, 3), cell(0, 3)));
+        assert!(eq.union(cell(0, 3), cell(500_000, 3)));
+        assert!(eq.same(cell(500_000, 3), cell(1_000_000, 3)));
+        assert!(!eq.same(cell(999_999, 3), cell(1_000_000, 3)));
+        let lens: Vec<usize> = eq.index.iter().map(Vec::len).collect();
+        assert_eq!(lens, [0, 0, 0, 1_000_001]);
+        assert_eq!(eq.cells.len(), 4, "a node per cell named, not per slot");
+        let groups = eq.groups();
+        assert_eq!(groups[0].0, [cell(0, 3), cell(500_000, 3), cell(1_000_000, 3)]);
+        assert_eq!(groups[1].0, [cell(999_999, 3)]);
+    }
+
+    #[test]
+    fn pins_and_unions_commute() {
+        let chain = [(0, 1), (1, 2), (3, 4), (2, 3), (7, 8)];
+        let mut pin_first = EquivClasses::new();
+        assert!(pin_first.pin(cell(4, 0), "p".into()));
+        assert!(pin_first.pin(cell(8, 0), "q".into()));
+        let mut union_first = EquivClasses::new();
+        for (a, b) in chain {
+            assert!(pin_first.union(cell(a, 0), cell(b, 0)));
+            assert!(union_first.union(cell(b, 0), cell(a, 0)));
+        }
+        assert!(union_first.pin(cell(0, 0), "p".into()));
+        assert!(union_first.pin(cell(7, 0), "q".into()));
+        let groups = pin_first.groups();
+        assert_eq!(groups, union_first.groups());
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].1, Some("p".into()));
+        // Either way the two classes now refuse each other.
+        assert!(!pin_first.union(cell(0, 0), cell(8, 0)));
+        assert!(!union_first.union(cell(0, 0), cell(8, 0)));
+    }
+
+    /// `union_all` is `union(first, c)` per member: same classes, and
+    /// `conflict` sees exactly the members `union` would have refused.
+    #[test]
+    fn union_all_is_a_union_per_member() {
+        let build = || {
+            let mut eq = EquivClasses::new();
+            eq.union(cell(5, 0), cell(6, 0));
+            assert!(eq.pin(cell(6, 0), "x".into()));
+            assert!(eq.pin(cell(3, 0), "y".into()));
+            assert!(eq.pin(cell(9, 0), "x".into()));
+            eq
+        };
+        let members = [1, 5, 3, 2, 9, 1];
+        let mut one_by_one = build();
+        let refused: Vec<Cell> = members
+            .iter()
+            .map(|&t| cell(t, 0))
+            .filter(|&c| !one_by_one.union(cell(0, 0), c))
+            .collect();
+        let mut at_once = build();
+        let mut conflicts = Vec::new();
+        at_once.union_all(cell(0, 0), members.iter().map(|&t| cell(t, 0)), |c| conflicts.push(c));
+        assert_eq!(conflicts, refused);
+        assert_eq!(conflicts, [cell(3, 0)]);
+        assert_eq!(at_once.groups(), one_by_one.groups());
+    }
+
+    /// The hospital report's classes — unions and pins over three RHS
+    /// attributes in one structure — group exactly as they did under the
+    /// hashed cell index this structure had before the slot index: the
+    /// count, the member cells and the FNV-1a of the `Debug` text were
+    /// recorded on that parent.
+    #[test]
+    fn hospital_groups_are_what_the_hashed_index_gave() {
+        use revival_constraints::cfd::merge_by_embedded_fd;
+        use revival_constraints::pattern::PatternValue;
+        use revival_detect::{DetectJob, Detector, NativeEngine, Violation};
+        use revival_dirty::hospital::{attrs as h, generate, standard_cfds, HospitalConfig};
+        use revival_dirty::noise::{inject, NoiseConfig};
+
+        let data = generate(&HospitalConfig { rows: 12_000, seed: 11, ..Default::default() });
+        let noise = NoiseConfig::new(0.05, vec![h::STATE, h::MEASURE_NAME, h::HNAME], 11 ^ 0x405b);
+        let dirty = inject(&data.table, &noise).dirty;
+        let cfds = merge_by_embedded_fd(&standard_cfds(&data.schema));
+        let report = NativeEngine.run(&DetectJob::on_table(&dirty, &cfds)).unwrap();
+        let mut eq = EquivClasses::new();
+        let (mut unions, mut pins) = (0, 0);
+        for v in &report.violations {
+            match v {
+                Violation::CfdVariable { cfd, tuples, .. } => {
+                    let rhs = cfds[*cfd].rhs;
+                    for &t in &tuples[1..] {
+                        assert!(eq.union((tuples[0], rhs), (t, rhs)));
+                        unions += 1;
+                    }
+                }
+                Violation::CfdConstant { cfd, row, tuple } => {
+                    let cfd = &cfds[*cfd];
+                    if let PatternValue::Const(c) = &cfd.tableau[*row].rhs {
+                        eq.pin((*tuple, cfd.rhs), c.clone());
+                        pins += 1;
+                    }
+                }
+                Violation::CindMissingWitness { .. } => {}
+            }
+        }
+        let groups = eq.groups();
+        let cells: usize = groups.iter().map(|(cells, _)| cells.len()).sum();
+        let attrs: std::collections::BTreeSet<usize> =
+            groups.iter().flat_map(|(cells, _)| cells.iter().map(|c| c.1)).collect();
+        let text = format!("{groups:?}");
+        let fnv = text
+            .bytes()
+            .fold(0xcbf29ce484222325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3));
+        assert_eq!((unions, pins, groups.len(), cells), (47_123, 155, 222, 35_655));
+        assert_eq!(attrs.into_iter().collect::<Vec<_>>(), [h::HNAME, h::STATE, h::MEASURE_NAME]);
+        assert_eq!(fnv, 0xee03_fd25_4ec3_848b, "groups() moved");
     }
 }

@@ -9,7 +9,7 @@
 //! [`crate::BatchRepair`] over base+delta — the crossover measured in
 //! experiment E6.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, DistanceScratch};
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
@@ -34,6 +34,8 @@ pub struct IncRepair {
     /// Per CFD: LHS key → canonical RHS value (from base, extended by
     /// accepted delta tuples).
     groups: Vec<HashMap<Vec<Value>, Value>>,
+    /// Distance buffers shared by every edit this repairer prices.
+    scratch: DistanceScratch,
 }
 
 impl IncRepair {
@@ -72,7 +74,7 @@ impl IncRepair {
             }
             groups.push(map);
         }
-        IncRepair { cfds, cost, groups }
+        IncRepair { cfds, cost, groups, scratch: DistanceScratch::default() }
     }
 
     /// The merged suite.
@@ -95,7 +97,8 @@ impl IncRepair {
                     let tp = &cfd.tableau[tp_idx];
                     if let PatternValue::Const(c) = &tp.rhs {
                         let old = row[cfd.rhs].clone();
-                        stats.cost += self.cost.change_cost(id, cfd.rhs, &old, c);
+                        stats.cost +=
+                            self.cost.change_cost(id, cfd.rhs, &old, c, &mut self.scratch);
                         row[cfd.rhs] = c.clone();
                         stats.cells_changed += 1;
                         changed = true;
@@ -114,7 +117,8 @@ impl IncRepair {
                 if let Some(canon) = groups.get(&key) {
                     if row[cfd.rhs] != *canon {
                         let old = row[cfd.rhs].clone();
-                        stats.cost += self.cost.change_cost(id, cfd.rhs, &old, canon);
+                        stats.cost +=
+                            self.cost.change_cost(id, cfd.rhs, &old, canon, &mut self.scratch);
                         row[cfd.rhs] = canon.clone();
                         stats.cells_changed += 1;
                         changed = true;

@@ -31,12 +31,17 @@ commands:
                                  machine-readable profile)
   repair   --data FILE --cfds FILE [--out FILE] [--jobs N]
            [--explain [text|json]]
-                                 compute a minimal-cost repair;
+                                 compute a minimal-cost repair; a
+                                 repair of k passes scans the table
+                                 k + 1 times — a detection runs only
+                                 after a pass wrote, and the last one
+                                 (the fixpoint check) is a full scan;
                                  --explain adds per-phase timings
-                                 (detect/resolve/force), cells changed
-                                 per constraint, and per RHS attribute
-                                 a resolve row: classes, member cells,
-                                 distinct values, distances computed
+                                 (detect/resolve/force), detect_scans,
+                                 cells changed per constraint, and per
+                                 RHS attribute a resolve row: classes,
+                                 member cells, distinct values,
+                                 distances computed
   discover --data FILE [--table NAME] [--data name=path]...
            [--min-support N] [--min-confidence F] [--max-lhs N]
            [--top-values N] [--budget N] [--jobs N]

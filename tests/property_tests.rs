@@ -182,13 +182,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// `string_distance` strips common affixes, runs ASCII over bytes
-    /// and reuses its DP rows; a textbook optimal-string-alignment DP
-    /// over the whole strings must agree with it to the last bit — on
-    /// operands sharing a prefix and suffix around two-letter middles
-    /// (so transpositions land on the trim boundary), on empty and
-    /// equal operands, on ASCII and on multibyte text, and whatever an
-    /// earlier call left in the scratch.
+    /// `string_distance` strips common affixes and aligns the middles
+    /// with a bit-vector kernel, 64 pattern symbols to a word, ASCII
+    /// over bytes and anything else over `char`s; a textbook
+    /// optimal-string-alignment DP over the whole strings must agree
+    /// with it to the last bit — on operands sharing a prefix and suffix
+    /// around two-letter middles (so transpositions land on the trim
+    /// boundary), on empty and equal operands, on ASCII and on multibyte
+    /// text, on middles of 63 / 64 / 65 and 127 / 128 / 129 symbols (one
+    /// word full, one symbol into the next), with a transposition at
+    /// every offset across a word boundary and right behind a trimmed
+    /// prefix, on multibyte text longer than a word, and whatever an
+    /// earlier call left in the scratch (a long pattern before a short
+    /// one, bytes before `char`s and back).
     #[test]
     fn string_distance_equals_textbook_osa(
         prefix in "[abé]{0,3}",
@@ -197,6 +203,14 @@ proptest! {
         suffix in "[abß]{0,3}",
         wide_a in "[a-cé日]{0,7}",
         wide_b in "[a-cé日]{0,7}",
+        long_a in "[abc]{127}",
+        long_b in "[abc]{127}",
+        long_wide in "[a-cé日]{66,130}",
+        cut_a in 0usize..3,
+        cut_b in 0usize..3,
+        word in 1usize..3,
+        swap_at in 0usize..6,
+        edits in prop::collection::vec((0usize..4, 0usize..130, "[a-cé]"), 0..4),
     ) {
         use revival::repair::cost::{string_distance, DistanceScratch};
         fn textbook(a: &str, b: &str) -> f64 {
@@ -223,8 +237,58 @@ proptest! {
         }
         let a = format!("{prefix}{mid_a}{suffix}");
         let b = format!("{prefix}{mid_b}{suffix}");
+        // Middles of exactly 64·word − 1 + cut symbols: the end symbols
+        // differ, so nothing trims.
+        let boundary = |body: &str, cut: usize, ends: [char; 2]| {
+            let body: String = body.chars().take(64 * word - 3 + cut).collect();
+            format!("{}{body}{}", ends[0], ends[1])
+        };
+        let (edge_a, edge_b) =
+            (boundary(&long_a, cut_a, ['x', 'p']), boundary(&long_b, cut_b, ['y', 'q']));
+        // One word (or two) and a symbol, with a transposition at offsets
+        // 64·word − 6 + swap_at and the next — across the word boundary
+        // at swap_at = 5 — and one right behind the prefix the operands
+        // share, the rest of the text between it and a differing end.
+        let full = boundary(&long_a, 2, ['x', 'p']);
+        let swapped = |at: usize, ends: [char; 2]| {
+            let mut chars: Vec<char> = full.chars().collect();
+            chars.swap(at, at + 1);
+            (chars[0], chars[64 * word]) = (ends[0], ends[1]);
+            chars.into_iter().collect::<String>()
+        };
+        let across = swapped(64 * word - 6 + swap_at, ['y', 'q']);
+        let behind_prefix = swapped(3 + swap_at, ['x', 'q']);
+        // A few edits of the long multibyte text, so the alignment is
+        // neither trivial nor all substitutions.
+        let mut edited: Vec<char> = long_wide.chars().collect();
+        for (kind, at, with) in &edits {
+            let (at, with) = (at % edited.len(), with.chars().next().unwrap());
+            let next = (at + 1) % edited.len();
+            match kind {
+                0 => edited.insert(at, with),
+                1 => drop(edited.remove(at)),
+                2 => edited[at] = with,
+                _ => edited.swap(at, next),
+            }
+        }
+        let edited: String = edited.into_iter().collect();
+        let empty = String::new();
         let mut scratch = DistanceScratch::default();
-        for (x, y) in [(&a, &b), (&wide_a, &wide_b), (&a, &wide_b), (&mid_a, &mid_b), (&a, &a)] {
+        for (x, y) in [
+            (&a, &b),
+            (&wide_a, &wide_b),
+            (&edge_a, &edge_b),
+            (&a, &wide_b),
+            (&long_wide, &edited),
+            (&mid_a, &mid_b),
+            (&full, &across),
+            (&long_wide, &edge_b),
+            (&full, &behind_prefix),
+            (&a, &a),
+            (&edge_b, &empty),
+            (&long_wide, &long_wide),
+            (&empty, &empty),
+        ] {
             let want = textbook(x, y).to_bits();
             prop_assert_eq!(string_distance(x, y).to_bits(), want, "{:?} vs {:?}", x, y);
             prop_assert_eq!(scratch.string_distance(x, y).to_bits(), want, "{:?} vs {:?}", x, y);
