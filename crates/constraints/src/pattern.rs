@@ -105,6 +105,18 @@ impl PatternValue {
         }
     }
 
+    /// Has `pool` interned every constant this pattern names? Then
+    /// [`PatternValue::resolve`] against it stays right however the
+    /// (append-only) pool grows; until then a later value may be one of
+    /// the constants and the compiled predicate is due a recompile.
+    pub fn resolves_in(&self, pool: &ValuePool) -> bool {
+        match self {
+            PatternValue::Wildcard => true,
+            PatternValue::Const(c) | PatternValue::NotConst(c) => pool.lookup(c).is_some(),
+            PatternValue::OneOf(cs) => cs.iter().all(|c| pool.lookup(c).is_some()),
+        }
+    }
+
     /// Are the two patterns compatible, i.e. is there a value matching
     /// both? Conservative (`true` when unsure).
     pub fn compatible(&self, other: &PatternValue) -> bool {

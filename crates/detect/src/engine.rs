@@ -346,10 +346,10 @@ impl Detector for SqlEngine {
 /// point of the engine that otherwise maintains violations under
 /// streaming inserts/deletes, so parity suites can check the maintained
 /// state the `stream` tier depends on. Stateless: every run partitions
-/// the suite by relation (an `IncrementalDetector` assumes one), replays
-/// each table through `IncrementalDetector::new` + `load`, and remaps
-/// the sub-suite indices back to job-suite positions. CINDs are
-/// witness-probed per run.
+/// the suite by relation (an `IncrementalDetector` watches one table),
+/// adds each table's tuples through `IncrementalDetector::new` + `load`,
+/// and remaps the sub-suite indices back to job-suite positions. CINDs
+/// are witness-probed per run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrementalEngine;
 
@@ -374,9 +374,10 @@ impl Detector for IncrementalEngine {
         let mut report = ViolationReport::default();
         for (relation, idxs) in relations {
             let sub: Vec<Cfd> = idxs.iter().map(|&i| job.cfds[i].clone()).collect();
+            let table = job.table(relation)?;
             let mut detector = IncrementalDetector::new(sub);
-            detector.load(job.table(relation)?);
-            for mut v in detector.report().violations {
+            detector.load(table);
+            for mut v in detector.report(table).violations {
                 if let Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } =
                     &mut v
                 {

@@ -1,235 +1,260 @@
-//! Incremental CFD violation detection.
+//! Incremental CFD violation detection: the batch kernel kept warm.
 //!
 //! The tutorial lists *"incremental repairing methods"* among the open
 //! problems (§6d); for detection the TODS paper already gives the
-//! technique reproduced here: keep, per CFD, a hash of LHS groups with
-//! their RHS multiset, and update it per inserted/deleted tuple. Each
-//! delta tuple costs `O(|Tp|)` expected time, versus a full `O(n)`
-//! re-detection — the trade-off measured in experiment E11.
+//! technique reproduced here: keep, per embedded FD, a hash of LHS
+//! groups with their RHS multiset, and update it per inserted/deleted
+//! tuple. Each delta tuple costs `O(#masks)` probes per unit, versus a
+//! full `O(n)` re-detection — the trade-off measured in experiment E11.
+//!
+//! The state is [`crate::native`]'s scan state, maintained instead of
+//! rebuilt: the same units (`plan_units`, one per embedded FD), the same
+//! `ConstIndex` per unit, and LHS groups keyed by the **table's own
+//! symbols**, hashed and compared in place off `table.col(a)[slot]` — no
+//! second pool, no `Value` per event. Events are `(table, tuple id)`:
+//! [`IncrementalDetector::add`] after a push or a cell write,
+//! [`IncrementalDetector::remove`] before a cell write or after a delete.
+//!
+//! **Invariant:** a detector reads the pool of the table it was loaded
+//! from. Whatever *replaces* that table (a re-registration, a batch
+//! repair's output) rebuilds the detector.
+//!
+//! **Recompile rule:** a compiled constant row names pool symbols, and a
+//! constant the pool has not met compiles to "matches nothing". The pool
+//! is append-only, so an index whose constants all resolved is valid for
+//! the table's life and never compiled again (a mined suite, whose
+//! constants come from the table, compiles exactly once). One with
+//! unresolved constants is recompiled at the next event after the pool
+//! grew — `O(tableau rows of the unit)`, what a sweep of the tableau
+//! paid on *every* event. Tuples already added need no second look:
+//! their cells predate the new symbols, so every row answers for them
+//! as it did.
 
+use crate::native::{hash_at, in_key_order, matches_at, plan_units, ConstIndex, NONE};
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
-use revival_relation::groupby::hash_syms;
-use revival_relation::{GroupBy, Sym, Table, TupleId, Value, ValuePool};
-use std::collections::HashMap;
+use revival_relation::{AttrId, GroupBy, Sym, Table, TupleId, Value};
+use std::collections::BTreeMap;
 
-/// Per-LHS-group state for one CFD.
+/// One LHS group of a unit.
 struct GroupState {
-    /// Live members and their RHS symbols.
-    members: Vec<(TupleId, Sym)>,
-    /// Distinct RHS symbol → live count.
-    rhs_counts: HashMap<Sym, usize>,
-    /// Tableau-row indices of variable rows whose LHS pattern this
-    /// group's key matches (computed once per group).
-    matched_var_rows: Vec<usize>,
+    /// Live members.
+    members: Vec<TupleId>,
+    /// Distinct RHS symbol → live count, first-seen order.
+    rhs_counts: Vec<(Sym, usize)>,
+    /// The `(member, tableau row)` pairs of the variable rows whose LHS
+    /// pattern this group's key matches, in member then tableau order
+    /// (computed once per group).
+    matched: Vec<(usize, usize)>,
 }
 
 impl GroupState {
-    fn distinct_rhs(&self) -> usize {
-        self.rhs_counts.len()
-    }
-
     fn is_violating(&self) -> bool {
-        !self.matched_var_rows.is_empty() && self.distinct_rhs() >= 2
+        !self.matched.is_empty() && self.rhs_counts.len() >= 2
     }
 }
 
-/// State for one CFD. Group slots live in the append-only interned
-/// kernel: a group whose members all left stays allocated but empty
-/// (`distinct_rhs() == 0`) and is skipped on every read — state is
-/// `O(distinct keys ever seen)` rather than `O(live keys)`, the price
+/// State for one unit: the CFDs sharing one embedded FD. Group slots
+/// live in the append-only interned kernel: a group whose members all
+/// left stays allocated but empty and is skipped on every read — state
+/// is `O(distinct keys ever seen)` rather than `O(live keys)`, the price
 /// of probing without cloning a key per delta.
-struct CfdState {
+struct UnitState {
+    /// Suite indices of the members, first-seen order.
+    members: Vec<usize>,
+    lhs: Vec<AttrId>,
+    rhs: AttrId,
+    index: ConstIndex,
+    /// The pool size `index` was compiled against while some constant
+    /// it names was still absent; `None` once every constant resolved.
+    unresolved_at: Option<usize>,
+    /// Per member: tuple → tableau-row index of its constant violation.
+    consts: Vec<BTreeMap<TupleId, usize>>,
+    any_var: bool,
     groups: GroupBy<Box<[Sym]>, GroupState>,
-    /// Tuple → tableau-row index of its constant violation.
-    const_violations: HashMap<TupleId, usize>,
     /// Count of (group, matched variable row) pairs currently violating.
-    violating_row_pairs: usize,
+    violating_pairs: usize,
 }
 
-/// Maintains CFD violations under tuple insertions and deletions.
-///
-/// The detector owns no table — callers stream `(TupleId, row)` events
-/// at it (typically mirroring edits applied to a [`Table`]). It interns
-/// the projected cells of every event into its own [`ValuePool`], so
-/// group probes hash words, not strings, and deletions resolve foreign
-/// rows by pool lookup (a value never inserted cannot key a group).
+impl UnitState {
+    /// Does this unit read `attr` (every unit reads "any attribute")?
+    fn reads(&self, attr: Option<AttrId>) -> bool {
+        attr.is_none_or(|a| self.rhs == a || self.lhs.contains(&a))
+    }
+
+    /// Apply the recompile rule (module doc) against `table`'s pool.
+    fn refresh(&mut self, cfds: &[Cfd], table: &Table) {
+        let pool = table.pool();
+        if self.unresolved_at.is_some_and(|len| pool.len() > len) {
+            let rows = || self.members.iter().map(|&i| &cfds[i]);
+            self.index = ConstIndex::compile(rows(), pool);
+            let resolved = rows()
+                .flat_map(Cfd::constant_rows)
+                .all(|tp| tp.lhs.iter().chain([&tp.rhs]).all(|p| p.resolves_in(pool)));
+            self.unresolved_at = (!resolved).then_some(pool.len());
+        }
+    }
+}
+
+/// Maintains CFD violations under tuple insertions, deletions and cell
+/// writes on one [`Table`] (see the module doc for the invariant).
 pub struct IncrementalDetector {
     cfds: Vec<Cfd>,
-    states: Vec<CfdState>,
-    pool: ValuePool,
+    units: Vec<UnitState>,
+    /// Scratch of the constant probe, reused across events: the lowest
+    /// violated tableau row per member, and the members that have one.
+    first: Vec<usize>,
+    touched: Vec<usize>,
 }
 
 impl IncrementalDetector {
-    /// Empty detector for a suite.
+    /// Empty detector for a suite over one relation.
     pub fn new(cfds: Vec<Cfd>) -> Self {
-        let states = cfds
-            .iter()
-            .map(|_| CfdState {
-                groups: GroupBy::new(),
-                const_violations: HashMap::new(),
-                violating_row_pairs: 0,
+        let units: Vec<UnitState> = plan_units(&cfds)
+            .into_iter()
+            .map(|members| {
+                let fd = &cfds[members[0]];
+                UnitState {
+                    lhs: fd.lhs.clone(),
+                    rhs: fd.rhs,
+                    index: ConstIndex::default(),
+                    // Compiled at the first event, against that table's pool.
+                    unresolved_at: Some(0),
+                    consts: vec![BTreeMap::new(); members.len()],
+                    any_var: members.iter().any(|&i| cfds[i].variable_rows().next().is_some()),
+                    groups: GroupBy::new(),
+                    violating_pairs: 0,
+                    members,
+                }
             })
             .collect();
-        IncrementalDetector { cfds, states, pool: ValuePool::new() }
+        let widest = units.iter().map(|u| u.members.len()).max().unwrap_or(0);
+        IncrementalDetector { cfds, units, first: vec![NONE; widest], touched: Vec::new() }
     }
 
-    /// Bulk-load an existing table (equivalent to inserting every row).
+    /// Bulk-load an existing table (equivalent to adding every live row).
     pub fn load(&mut self, table: &Table) {
-        for (id, row) in table.rows() {
-            self.insert(id, &row);
+        for id in table.tuple_ids() {
+            self.add(table, id, None);
         }
     }
 
-    /// The suite being watched.
-    pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
-    }
-
-    /// Register an inserted tuple.
-    pub fn insert(&mut self, id: TupleId, row: &[Value]) {
-        let IncrementalDetector { cfds, states, pool } = self;
-        let mut key: Vec<Sym> = Vec::new();
-        for (cfd, state) in cfds.iter().zip(states.iter_mut()) {
-            // Constant rows.
-            if let Some(tp) = cfd.constant_violation(row) {
-                state.const_violations.insert(id, tp);
+    /// Account for tuple `id` of `table`: after a push, or after a write
+    /// to its cell `written` — then only the units reading that
+    /// attribute, which [`IncrementalDetector::remove`] took it out of.
+    pub fn add(&mut self, table: &Table, id: TupleId, written: Option<AttrId>) {
+        let IncrementalDetector { cfds, units, first, touched } = self;
+        let slot = id.0 as usize;
+        for unit in units.iter_mut().filter(|u| u.reads(written)) {
+            unit.refresh(cfds, table);
+            if !unit.index.is_empty() {
+                unit.index.probe(table, (&unit.lhs, unit.rhs), slot, first, touched);
+                while let Some(m) = touched.pop() {
+                    unit.consts[m].insert(id, std::mem::replace(&mut first[m], NONE));
+                }
             }
-            // Variable rows.
-            if cfd.variable_rows().next().is_none() {
+            if !unit.any_var {
                 continue;
             }
-            key.clear();
-            key.extend(cfd.lhs.iter().map(|&a| pool.intern(&row[a])));
-            let rhs = pool.intern(&row[cfd.rhs]);
-            let hash = hash_syms(key.iter().copied());
-            let group = state.groups.entry_mut(
-                hash,
-                |k| k.as_ref() == key,
+            let UnitState { members, lhs, rhs, groups, violating_pairs, .. } = unit;
+            let group = groups.entry_mut(
+                hash_at(table, lhs, slot),
+                |k| matches_at(table, lhs, slot, k),
                 || {
-                    // New group: match its key against the variable rows'
-                    // LHS patterns once (pattern matching needs values, so
-                    // this is the one spot the projection materialises).
-                    let key_vals: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
-                    let matched_var_rows = cfd
-                        .tableau
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| !r.is_constant_row() && r.lhs_matches(&key_vals))
-                        .map(|(i, _)| i)
+                    // New group: match its key against the members'
+                    // variable rows once (patterns match values, so this
+                    // is the one spot the projection materialises).
+                    let key: Box<[Sym]> = lhs.iter().map(|&a| table.col(a)[slot]).collect();
+                    let values: Vec<Value> =
+                        key.iter().map(|&s| table.pool().value(s).clone()).collect();
+                    let matched = (members.iter().enumerate())
+                        .flat_map(|(m, &i)| {
+                            let rows = cfds[i].tableau.iter().enumerate();
+                            rows.filter(|(_, tp)| !tp.is_constant_row() && tp.lhs_matches(&values))
+                                .map(move |(row, _)| (m, row))
+                        })
                         .collect();
-                    (
-                        key.clone().into_boxed_slice(),
-                        GroupState {
-                            members: Vec::new(),
-                            rhs_counts: HashMap::new(),
-                            matched_var_rows,
-                        },
-                    )
+                    (key, GroupState { members: Vec::new(), rhs_counts: Vec::new(), matched })
                 },
             );
             let was = group.is_violating();
-            group.members.push((id, rhs));
-            *group.rhs_counts.entry(rhs).or_insert(0) += 1;
-            let now = group.is_violating();
-            if !was && now {
-                state.violating_row_pairs += group.matched_var_rows.len();
+            group.members.push(id);
+            let rhs = table.col(*rhs)[slot];
+            match group.rhs_counts.iter_mut().find(|(s, _)| *s == rhs) {
+                Some((_, n)) => *n += 1,
+                None => group.rhs_counts.push((rhs, 1)),
+            }
+            if !was && group.is_violating() {
+                *violating_pairs += group.matched.len();
             }
         }
     }
 
-    /// Register a deleted tuple (caller supplies its former row).
-    pub fn delete(&mut self, id: TupleId, row: &[Value]) {
-        let IncrementalDetector { cfds, states, pool } = self;
-        let mut key: Vec<Sym> = Vec::new();
-        for (cfd, state) in cfds.iter().zip(states.iter_mut()) {
-            state.const_violations.remove(&id);
-            if cfd.variable_rows().next().is_none() {
-                continue;
+    /// Forget tuple `id` of `table`, read off its slot as it stands:
+    /// *before* a write to its cell `written` (then only the units
+    /// reading that attribute), or after a delete — a tombstoned slot
+    /// keeps its symbols.
+    pub fn remove(&mut self, table: &Table, id: TupleId, written: Option<AttrId>) {
+        let slot = id.0 as usize;
+        for unit in self.units.iter_mut().filter(|u| u.reads(written)) {
+            for consts in &mut unit.consts {
+                consts.remove(&id);
             }
-            // Resolve the key without interning: a projection value the
-            // pool never saw cannot key a live group.
-            key.clear();
-            let resolved = cfd.lhs.iter().all(|&a| match pool.lookup(&row[a]) {
-                Some(s) => {
-                    key.push(s);
-                    true
+            let found = unit
+                .groups
+                .probe(hash_at(table, &unit.lhs, slot), |k| matches_at(table, &unit.lhs, slot, k));
+            let Some(at) = found else { continue };
+            let group = unit.groups.value_at_mut(at);
+            let Some(pos) = group.members.iter().position(|t| *t == id) else { continue };
+            let was = group.is_violating();
+            group.members.swap_remove(pos);
+            let rhs = table.col(unit.rhs)[slot];
+            if let Some(c) = group.rhs_counts.iter().position(|(s, _)| *s == rhs) {
+                group.rhs_counts[c].1 -= 1;
+                if group.rhs_counts[c].1 == 0 {
+                    group.rhs_counts.swap_remove(c);
                 }
-                None => false,
-            });
-            if !resolved {
-                continue;
             }
-            let hash = hash_syms(key.iter().copied());
-            if let Some(i) = state.groups.probe(hash, |k| k.as_ref() == key) {
-                let group = state.groups.value_at_mut(i);
-                let was = group.is_violating();
-                if let Some(pos) = group.members.iter().position(|(t, _)| *t == id) {
-                    let (_, rhs) = group.members.swap_remove(pos);
-                    if let Some(c) = group.rhs_counts.get_mut(&rhs) {
-                        *c -= 1;
-                        if *c == 0 {
-                            group.rhs_counts.remove(&rhs);
-                        }
-                    }
-                }
-                let now = group.is_violating();
-                if was && !now {
-                    state.violating_row_pairs -= group.matched_var_rows.len();
-                }
-                // The emptied group keeps its slot (append-only kernel);
-                // reads skip it via `distinct_rhs() < 2`.
+            // The emptied group keeps its slot (append-only kernel).
+            if was && !group.is_violating() {
+                unit.violating_pairs -= group.matched.len();
             }
         }
-    }
-
-    /// Register an in-place cell update.
-    pub fn update(&mut self, id: TupleId, old_row: &[Value], new_row: &[Value]) {
-        self.delete(id, old_row);
-        self.insert(id, new_row);
     }
 
     /// Total number of violations (constant tuple violations plus
     /// violating (group, variable-row) pairs) — O(#CFDs).
     pub fn violation_count(&self) -> usize {
-        self.states.iter().map(|s| s.const_violations.len() + s.violating_row_pairs).sum()
+        let consts = |u: &UnitState| u.consts.iter().map(BTreeMap::len).sum::<usize>();
+        self.units.iter().map(|u| consts(u) + u.violating_pairs).sum()
     }
 
-    /// Materialise a full report from the maintained state.
-    pub fn report(&self) -> ViolationReport {
-        let mut report = ViolationReport::default();
-        for (idx, state) in self.states.iter().enumerate() {
-            let mut const_vs: Vec<(&TupleId, &usize)> = state.const_violations.iter().collect();
-            const_vs.sort();
-            for (tuple, row) in const_vs {
-                report.violations.push(Violation::CfdConstant {
-                    cfd: idx,
-                    row: *row,
-                    tuple: *tuple,
-                });
+    /// Materialise a full report from the maintained state, per original
+    /// CFD in suite order: its constant violations in tuple order, then
+    /// its variable ones in key order. `table` is the table the events
+    /// came from — keys re-enter value space through its pool, per
+    /// *violating* group only.
+    pub fn report(&self, table: &Table) -> ViolationReport {
+        let mut found: Vec<Vec<Violation>> = vec![Vec::new(); self.cfds.len()];
+        for unit in &self.units {
+            for (&cfd, consts) in unit.members.iter().zip(&unit.consts) {
+                found[cfd].extend(consts.iter().map(|(&tuple, &row)| Violation::CfdConstant {
+                    cfd,
+                    row,
+                    tuple,
+                }));
             }
-            // Keys re-enter value space per *violating* group only.
-            let mut keyed: Vec<(Vec<Value>, &GroupState)> = state
-                .groups
-                .iter()
-                .filter(|(_, g)| g.distinct_rhs() >= 2)
-                .map(|(k, g)| (k.iter().map(|&s| self.pool.value(s).clone()).collect(), g))
-                .collect();
-            keyed.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, group) in keyed {
-                for &row in &group.matched_var_rows {
-                    let mut tuples: Vec<TupleId> = group.members.iter().map(|(t, _)| *t).collect();
-                    tuples.sort();
-                    report.violations.push(Violation::CfdVariable {
-                        cfd: idx,
-                        row,
-                        key: key.clone(),
-                        tuples,
-                    });
+            let violating = unit.groups.iter().filter(|(_, g)| g.is_violating());
+            for (key, group) in in_key_order(violating, table.pool()) {
+                let mut tuples = group.members.clone();
+                tuples.sort();
+                for &(m, row) in &group.matched {
+                    let (cfd, key, tuples) = (unit.members[m], key.clone(), tuples.clone());
+                    found[cfd].push(Violation::CfdVariable { cfd, row, key, tuples });
                 }
             }
         }
-        report
+        ViolationReport { violations: found.into_iter().flatten().collect() }
     }
 }
 
@@ -258,38 +283,44 @@ mod tests {
         .unwrap()
     }
 
+    fn row(r: [&str; 4]) -> Vec<Value> {
+        r.iter().map(|s| Value::from(*s)).collect()
+    }
+
+    /// Push a row and tell the detector.
+    fn push(t: &mut Table, d: &mut IncrementalDetector, r: [&str; 4]) -> TupleId {
+        let id = t.push(row(r)).unwrap();
+        d.add(t, id, None);
+        id
+    }
+
     #[test]
     fn insert_creates_and_delete_removes_violation() {
         let s = schema();
         let mut t = Table::new(s.clone());
         let mut d = IncrementalDetector::new(suite(&s));
-        let a = t.push(vec!["44".into(), "EH8".into(), "Crichton".into(), "edi".into()]).unwrap();
-        d.insert(a, &t.get(a).unwrap());
+        push(&mut t, &mut d, ["44", "EH8", "Crichton", "edi"]);
         assert_eq!(d.violation_count(), 0);
-        let b = t.push(vec!["44".into(), "EH8".into(), "Mayfield".into(), "edi".into()]).unwrap();
-        d.insert(b, &t.get(b).unwrap());
+        let b = push(&mut t, &mut d, ["44", "EH8", "Mayfield", "edi"]);
         assert_eq!(d.violation_count(), 1);
-        let row = t.delete(b).unwrap();
-        d.delete(b, &row);
+        t.delete(b).unwrap();
+        d.remove(&t, b, None);
         assert_eq!(d.violation_count(), 0);
     }
 
     #[test]
     fn constant_violations_tracked() {
         let s = schema();
+        let mut t = Table::new(s.clone());
         let mut d = IncrementalDetector::new(suite(&s));
-        let row = vec![
-            Value::from("01"),
-            Value::from("07974"),
-            Value::from("MtnAve"),
-            Value::from("nyc"),
-        ];
-        d.insert(TupleId(0), &row);
+        let id = push(&mut t, &mut d, ["01", "07974", "MtnAve", "nyc"]);
         assert_eq!(d.violation_count(), 1);
-        // Fixing the city via update removes the violation.
-        let mut fixed = row.clone();
-        fixed[3] = "mh".into();
-        d.update(TupleId(0), &row, &fixed);
+        // Fixing the city — a value the pool had not met when the index
+        // was first compiled — removes the violation; only the unit
+        // reading `city` is re-entered.
+        d.remove(&t, id, Some(3));
+        t.set_cell(id, 3, "mh".into()).unwrap();
+        d.add(&t, id, Some(3));
         assert_eq!(d.violation_count(), 0);
     }
 
@@ -308,23 +339,21 @@ mod tests {
         let mut live: Vec<TupleId> = Vec::new();
         for _ in 0..300 {
             if live.is_empty() || rng.gen_bool(0.7) {
-                let row = vec![
-                    Value::from(*ccs.choose(&mut rng).unwrap()),
-                    Value::from(*zips.choose(&mut rng).unwrap()),
-                    Value::from(*streets.choose(&mut rng).unwrap()),
-                    Value::from(*cities.choose(&mut rng).unwrap()),
+                let r = [
+                    *ccs.choose(&mut rng).unwrap(),
+                    *zips.choose(&mut rng).unwrap(),
+                    *streets.choose(&mut rng).unwrap(),
+                    *cities.choose(&mut rng).unwrap(),
                 ];
-                let id = t.push(row.clone()).unwrap();
-                d.insert(id, &row);
-                live.push(id);
+                live.push(push(&mut t, &mut d, r));
             } else {
                 let i = rng.gen_range(0..live.len());
                 let id = live.swap_remove(i);
-                let row = t.delete(id).unwrap();
-                d.delete(id, &row);
+                t.delete(id).unwrap();
+                d.remove(&t, id, None);
             }
         }
-        let mut inc = d.report();
+        let mut inc = d.report(&t);
         let mut full = NativeDetector::new(&t).detect_all(&cfds);
         inc.normalize();
         full.normalize();
@@ -336,10 +365,54 @@ mod tests {
     fn load_equivalent_to_inserts() {
         let s = schema();
         let mut t = Table::new(s.clone());
-        t.push(vec!["44".into(), "EH8".into(), "A".into(), "edi".into()]).unwrap();
-        t.push(vec!["44".into(), "EH8".into(), "B".into(), "edi".into()]).unwrap();
+        t.push(row(["44", "EH8", "A", "edi"])).unwrap();
+        t.push(row(["44", "EH8", "B", "edi"])).unwrap();
         let mut d = IncrementalDetector::new(suite(&s));
         d.load(&t);
         assert_eq!(d.violation_count(), 1);
+    }
+
+    /// A multi-row block and a single-row CFD over one embedded FD share
+    /// a unit, yet each reports as a detector of its own would.
+    #[test]
+    fn members_of_one_unit_report_as_detectors_of_their_own() {
+        let s = schema();
+        let cfds = parse_cfds(
+            "customer([cc, zip] -> [street]) {\n  '44', _ || _\n  '01', '07974' || 'MtnAve'\n}\n\
+             customer([cc='01', zip] -> [street])",
+            &s,
+        )
+        .unwrap();
+        let mut t = Table::new(s.clone());
+        for r in [
+            ["44", "EH8", "Crichton", "edi"],
+            ["44", "EH8", "Mayfield", "edi"],
+            ["01", "07974", "5th", "mh"],
+            ["01", "07974", "MtnAve", "mh"],
+            ["01", "10001", "5th", "nyc"],
+        ] {
+            t.push(row(r)).unwrap();
+        }
+        let mut both = IncrementalDetector::new(cfds.clone());
+        both.load(&t);
+        assert_eq!(both.units.len(), 1, "one embedded FD, one state");
+        let mut apart = ViolationReport::default();
+        let mut count = 0;
+        for (i, cfd) in cfds.iter().enumerate() {
+            let mut alone = IncrementalDetector::new(vec![cfd.clone()]);
+            alone.load(&t);
+            count += alone.violation_count();
+            apart.violations.extend(alone.report(&t).violations.into_iter().map(|mut v| {
+                if let Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } =
+                    &mut v
+                {
+                    *cfd = i;
+                }
+                v
+            }));
+        }
+        assert_eq!(both.report(&t), apart);
+        assert_eq!((both.violation_count(), count), (3, 3), "{apart:?}");
+        assert_eq!(both.report(&t), NativeDetector::new(&t).detect_all(&cfds));
     }
 }

@@ -15,8 +15,9 @@
 //!   a per-tuple query `Q_c` for constant tableau rows and a
 //!   `GROUP BY … HAVING COUNT(DISTINCT …) > 1` query `Q_v` for variable
 //!   rows, executed on `revival-relation`'s SQL engine;
-//! * [`incremental::IncrementalDetector`] — maintains violations under
-//!   tuple insertions and deletions in time proportional to the delta;
+//! * [`incremental::IncrementalDetector`] — the native scan's state
+//!   kept warm: maintains violations under tuple insertions, deletions
+//!   and cell writes on one table in time proportional to the delta;
 //! * [`cind::CindDetector`] — detection for conditional inclusion
 //!   dependencies across two relations.
 //!

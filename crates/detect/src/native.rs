@@ -10,10 +10,14 @@
 //!   data). The members' constant rows compile once per unit into a
 //!   `ConstIndex`: one bucket per *wildcard mask* (the LHS positions
 //!   holding a constant), keyed by the constants at those positions. A
-//!   tuple hashes its cells at each mask's positions in place
-//!   ([`ColProj::hash_at`], no key is built), probes, and tests the RHS
-//!   predicate of the rows under its key only — `O(n · #masks)` probes
-//!   where a sweep compares `O(n · Σ|Tp|)` rows. Rows with an eCFD LHS
+//!   tuple hashes its cells at each mask's attributes in place (no key
+//!   is built), probes, and tests the RHS predicate of the rows under
+//!   its key only — `O(n · #masks)` probes where a sweep compares
+//!   `O(n · Σ|Tp|)` rows. The index owns no borrow: a bucket keeps the
+//!   attribute ids of its mask and reads the table's columns at probe
+//!   time, so the same compile-and-probe serves one pass here and the
+//!   life of a table in [`crate::incremental`], which keeps this
+//!   scan's state warm. Rows with an eCFD LHS
 //!   pattern (`≠ c`, `∈ {…}`) name no single key and stay on a short
 //!   residual list swept per tuple; rows naming a constant the table
 //!   never interned match no tuple and are dropped when compiling. The
@@ -96,17 +100,7 @@ pub(crate) fn scan_suite(
     let plan_start = std::time::Instant::now();
     // Malformed patterns must error here, not panic in a worker.
     job.validate()?;
-    // Units in first-seen order (pass numbering and the report depend
-    // on it), each found by hashing its embedded FD.
-    let mut units: Vec<Vec<(usize, &Cfd)>> = Vec::new();
-    let mut unit_of: HashMap<(&str, &[AttrId], AttrId), usize> = HashMap::new();
-    for (i, cfd) in job.cfds.iter().enumerate() {
-        let at = *unit_of.entry((&cfd.relation, &cfd.lhs, cfd.rhs)).or_insert_with(|| {
-            units.push(Vec::new());
-            units.len() - 1
-        });
-        units[at].push((i, cfd));
-    }
+    let units = plan_units(job.cfds);
     if let Some(p) = profile.as_deref_mut() {
         p.entry("plan (validate, group by embedded FD)", "plan").wall_us +=
             plan_start.elapsed().as_micros() as u64;
@@ -114,7 +108,8 @@ pub(crate) fn scan_suite(
     // Each relation's live slots enumerate once for the whole suite.
     let mut live: Vec<(&str, Vec<usize>)> = Vec::new();
     let mut found: Vec<Vec<Violation>> = vec![Vec::new(); job.cfds.len()];
-    for (k, unit) in units.iter().enumerate() {
+    for (k, ids) in units.iter().enumerate() {
+        let unit: Vec<(usize, &Cfd)> = ids.iter().map(|&i| (i, &job.cfds[i])).collect();
         let (_, first) = unit[0];
         let table = job.table(&first.relation)?;
         // Timed from here to the end of the body: a relation's first
@@ -126,14 +121,13 @@ pub(crate) fn scan_suite(
             live.len() - 1
         });
         let slots = &live[cached].1;
-        let scan = scan_unit(table, slots, unit, jobs);
+        let scan = scan_unit(table, slots, &unit, jobs);
         for (&(i, _), buf) in unit.iter().zip(scan.found) {
             found[i] = buf;
         }
         if let Some(p) = profile.as_deref_mut() {
             let fd = first.embedded_fd();
-            let members: Vec<usize> = unit.iter().map(|(i, _)| *i).collect();
-            let members = index_runs(&members);
+            let members = index_runs(ids);
             let name = format!("pass#{k} {} cfds=[{members}]", fd.display(table.schema()));
             p.meta_add("pattern_rows_checked", scan.pattern_rows_checked);
             let row = p.entry(&name, "pass");
@@ -147,6 +141,23 @@ pub(crate) fn scan_suite(
     let mut report = ViolationReport { violations: found.into_iter().flatten().collect() };
     crate::cind::detect_cinds(job, jobs, profile, &mut report.violations)?;
     Ok(report)
+}
+
+/// Plan a suite into units: the suite indices of the CFDs sharing one
+/// embedded FD `(relation, lhs, rhs)`, units and members in first-seen
+/// order (pass numbering and the report depend on it), each unit found
+/// by hashing its embedded FD.
+pub(crate) fn plan_units(cfds: &[Cfd]) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut unit_of: HashMap<(&str, &[AttrId], AttrId), usize> = HashMap::new();
+    for (i, cfd) in cfds.iter().enumerate() {
+        let at = *unit_of.entry((&cfd.relation, &cfd.lhs, cfd.rhs)).or_insert_with(|| {
+            units.push(Vec::new());
+            units.len() - 1
+        });
+        units[at].push(i);
+    }
+    units
 }
 
 /// Suite indices as a pass name lists them: runs of three or more
@@ -192,19 +203,20 @@ pub(crate) fn scan_unit(
     let rhs_col = table.col(fd.rhs);
     // The constant rows compile to one join index per unit, shared
     // read-only across workers; the probe touches only the unit's columns.
-    let index = ConstIndex::compile(members, table);
+    let index = ConstIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
+    let fd_attrs = (fd.lhs.as_slice(), fd.rhs);
     let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
 
     let mut chunks = map_chunks(slots, jobs, |chunk| {
         let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
         let mut checked = 0u64;
-        if !(index.buckets.is_empty() && index.residual.is_empty()) {
+        if !index.is_empty() {
             // Per tuple: the lowest violated tableau row of each member
             // (`NONE` = none yet) and the members that have one.
             let mut first = vec![NONE; members.len()];
             let mut touched: Vec<usize> = Vec::new();
             for &slot in chunk {
-                checked += index.probe(&lhs_cols, rhs_col, slot, &mut first, &mut touched);
+                checked += index.probe(table, fd_attrs, slot, &mut first, &mut touched);
                 while let Some(m) = touched.pop() {
                     let (cfd, row, tuple) = (members[m].0, first[m], TupleId(slot as u64));
                     found[m].push(Violation::CfdConstant { cfd, row, tuple });
@@ -246,7 +258,9 @@ pub(crate) fn scan_unit(
         }
     }
     if any_var {
-        let violating = violating_groups(&groups, table.pool());
+        // A group violates with ≥ 2 distinct RHS values.
+        let violating =
+            in_key_order(groups.iter().filter(|(_, g)| g.rhs_syms.len() >= 2), table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
             emit_variable_violations(*idx, cfd, &violating, buf);
         }
@@ -266,7 +280,7 @@ struct VarGroup {
 type SymGroups = GroupBy<Box<[Sym]>, VarGroup>;
 
 /// "No violated row yet" in the per-tuple scratch of [`ConstIndex::probe`].
-const NONE: usize = usize::MAX;
+pub(crate) const NONE: usize = usize::MAX;
 
 /// One constant tableau row as the join finds it: whose row it is and
 /// the RHS predicate a tuple matching its LHS must pass (see
@@ -278,32 +292,35 @@ struct Hit {
 }
 
 /// The constant rows sharing one wildcard mask.
-struct MaskBucket<'a> {
-    /// The LHS positions holding a constant; none for the all-`_`
-    /// mask, whose one key is empty.
-    mask: Vec<usize>,
-    /// The table's columns at those positions: a tuple's key, hashed
-    /// and compared in place.
-    cols: ColProj<'a>,
+struct MaskBucket {
+    /// The attributes at the LHS positions holding a constant — a
+    /// tuple's key, hashed and compared in place off the table's
+    /// columns at probe time; none for the all-`_` mask, whose one key
+    /// is empty.
+    attrs: Vec<AttrId>,
     /// Per distinct key of constants, the rows carrying it.
     rows: GroupBy<Box<[Sym]>, Vec<Hit>>,
 }
 
 /// The build side of a unit's constant join: every member's constant
-/// rows, compiled against the table's pool.
+/// rows, compiled against one table's pool (columns are read at probe
+/// time, so it borrows nothing).
 #[derive(Default)]
-struct ConstIndex<'a> {
-    buckets: Vec<MaskBucket<'a>>,
+pub(crate) struct ConstIndex {
+    buckets: Vec<MaskBucket>,
     /// Rows with an eCFD LHS predicate (`Ne`, `In`), which no single
     /// key stands for: their compiled LHS, tested per tuple.
     residual: Vec<(Vec<SymPred>, Hit)>,
 }
 
-impl<'a> ConstIndex<'a> {
-    fn compile(members: &[(usize, &Cfd)], table: &'a Table) -> ConstIndex<'a> {
-        let pool = table.pool();
+impl ConstIndex {
+    /// Compile the constant rows of one unit's `members` against `pool`.
+    pub(crate) fn compile<'c>(
+        members: impl IntoIterator<Item = &'c Cfd>,
+        pool: &ValuePool,
+    ) -> ConstIndex {
         let mut index = ConstIndex::default();
-        for (member, (_, cfd)) in members.iter().enumerate() {
+        for (member, cfd) in members.into_iter().enumerate() {
             for (tp_idx, tp) in
                 cfd.tableau.iter().enumerate().filter(|(_, tp)| tp.is_constant_row())
             {
@@ -313,18 +330,18 @@ impl<'a> ConstIndex<'a> {
                     continue;
                 }
                 let hit = Hit { member, tp_idx, rhs: tp.rhs.resolve(pool) };
-                let mask: Vec<usize> = (0..lhs.len()).filter(|&i| !lhs[i].is_always()).collect();
+                let attrs: Vec<AttrId> =
+                    (0..lhs.len()).filter(|&i| !lhs[i].is_always()).map(|i| cfd.lhs[i]).collect();
                 let key: Box<[Sym]> = lhs
                     .iter()
                     .filter_map(|p| if let SymPred::Eq(s) = p { Some(*s) } else { None })
                     .collect();
-                if key.len() < mask.len() {
+                if key.len() < attrs.len() {
                     index.residual.push((lhs, hit));
                     continue;
                 }
-                let at = index.buckets.iter().position(|b| b.mask == mask).unwrap_or_else(|| {
-                    let cols = ColProj::new(mask.iter().map(|&i| table.col(cfd.lhs[i])).collect());
-                    index.buckets.push(MaskBucket { mask, cols, rows: GroupBy::new() });
+                let at = index.buckets.iter().position(|b| b.attrs == attrs).unwrap_or_else(|| {
+                    index.buckets.push(MaskBucket { attrs, rows: GroupBy::new() });
                     index.buckets.len() - 1
                 });
                 let rows = &mut index.buckets[at].rows;
@@ -338,25 +355,31 @@ impl<'a> ConstIndex<'a> {
         index
     }
 
-    /// Join the tuple at `slot` against the index: every row it
-    /// violates (LHS matches, its RHS cell fails the row's RHS
-    /// predicate) lowers `first[member]` to its tableau index, and a
-    /// member's first violation enters it in `touched` — so `first`
-    /// ends at each member's first violating row in tableau order, the
-    /// symbol-space image of [`Cfd::constant_violation`]. Returns the
-    /// pattern rows checked: one per bucket probed, per RHS predicate
-    /// evaluated under a found key, and per residual row tested.
+    /// No constant row survived compilation: nothing to probe.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buckets.is_empty() && self.residual.is_empty()
+    }
+
+    /// Join the tuple at `slot` of `table` against the index (`lhs` and
+    /// `rhs` are the unit's embedded FD): every row it violates (LHS
+    /// matches, its RHS cell fails the row's RHS predicate) lowers
+    /// `first[member]` to its tableau index, and a member's first
+    /// violation enters it in `touched` — so `first` ends at each
+    /// member's first violating row in tableau order, what a sweep of
+    /// the tableau reports. Returns the pattern rows checked: one per
+    /// bucket probed, per RHS predicate evaluated under a found key, and
+    /// per residual row tested.
     #[inline]
-    fn probe(
+    pub(crate) fn probe(
         &self,
-        lhs_cols: &ColProj<'_>,
-        rhs_col: &[Sym],
+        table: &Table,
+        (lhs, rhs): (&[AttrId], AttrId),
         slot: usize,
         first: &mut [usize],
         touched: &mut Vec<usize>,
     ) -> u64 {
         let mut violated = |hit: &Hit| {
-            if !hit.rhs.matches(rhs_col[slot]) {
+            if !hit.rhs.matches(table.col(rhs)[slot]) {
                 if first[hit.member] == NONE {
                     touched.push(hit.member);
                 }
@@ -364,19 +387,34 @@ impl<'a> ConstIndex<'a> {
             }
         };
         let mut checked = (self.buckets.len() + self.residual.len()) as u64;
-        for MaskBucket { cols, rows, .. } in &self.buckets {
-            if let Some(hits) = rows.get(cols.hash_at(slot), |k| cols.matches_at(slot, k)) {
+        for MaskBucket { attrs, rows } in &self.buckets {
+            let found =
+                rows.get(hash_at(table, attrs, slot), |k| matches_at(table, attrs, slot, k));
+            if let Some(hits) = found {
                 checked += hits.len() as u64;
                 hits.iter().for_each(&mut violated);
             }
         }
-        for (lhs, hit) in &self.residual {
-            if lhs.iter().enumerate().all(|(i, p)| p.matches(lhs_cols.sym_at(i, slot))) {
+        for (preds, hit) in &self.residual {
+            if preds.iter().zip(lhs).all(|(p, &a)| p.matches(table.col(a)[slot])) {
                 violated(hit);
             }
         }
         checked
     }
+}
+
+/// The hash of the tuple at `slot` projected onto `attrs`, read off the
+/// table's columns in place — [`ColProj::hash_at`] without the borrow.
+#[inline]
+pub(crate) fn hash_at(table: &Table, attrs: &[AttrId], slot: usize) -> u64 {
+    hash_syms(attrs.iter().map(|&a| table.col(a)[slot]))
+}
+
+/// Does a stored key equal the tuple at `slot` projected onto `attrs`?
+#[inline]
+pub(crate) fn matches_at(table: &Table, attrs: &[AttrId], slot: usize, key: &[Sym]) -> bool {
+    key.len() == attrs.len() && attrs.iter().zip(key).all(|(&a, k)| table.col(a)[slot] == *k)
 }
 
 /// Fold one slot into the group map keyed by its LHS column projection.
@@ -417,20 +455,17 @@ fn merge_groups(groups: &mut SymGroups, partial: SymGroups) {
     }
 }
 
-/// The groups with ≥ 2 distinct RHS values, in sorted-key order
+/// `groups` (the violating ones of a unit) in sorted-key order
 /// (deterministic reports). Keys leave symbol space here: per violating
 /// group — not per tuple, and filtered first so only violating groups
 /// pay the key clone + sort — the key maps back to values for pattern
 /// matching and the report.
-fn violating_groups<'g>(
-    groups: &'g SymGroups,
+pub(crate) fn in_key_order<'g, G>(
+    groups: impl Iterator<Item = (&'g Box<[Sym]>, &'g G)>,
     pool: &ValuePool,
-) -> Vec<(Vec<Value>, &'g VarGroup)> {
-    let mut keyed: Vec<(Vec<Value>, &VarGroup)> = groups
-        .iter()
-        .filter(|(_, g)| g.rhs_syms.len() >= 2)
-        .map(|(k, g)| (k.iter().map(|&s| pool.value(s).clone()).collect(), g))
-        .collect();
+) -> Vec<(Vec<Value>, &'g G)> {
+    let mut keyed: Vec<(Vec<Value>, &G)> =
+        groups.map(|(k, g)| (k.iter().map(|&s| pool.value(s).clone()).collect(), g)).collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     keyed
 }

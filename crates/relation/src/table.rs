@@ -193,7 +193,9 @@ impl Table {
 
     /// Delete a tuple, returning its former row. Idempotent errors:
     /// deleting twice fails. The slot's symbols stay in the columns
-    /// (stale, bitmap-masked); only the live bit clears.
+    /// (stale, bitmap-masked, still readable through [`Table::col`] —
+    /// the maintained detector finds a deleted tuple's groups by them);
+    /// only the live bit clears.
     pub fn delete(&mut self, id: TupleId) -> Result<Vec<Value>> {
         let slot = id.0 as usize;
         if !self.is_live(slot) {
@@ -382,6 +384,20 @@ mod tests {
         assert_eq!(t.get(b).unwrap()[0], Value::Int(2));
         assert!(t.get(a).is_err());
         assert!(t.delete(a).is_err());
+    }
+
+    #[test]
+    fn delete_keeps_the_slots_symbols_readable() {
+        let mut t = tbl();
+        let a = t.push(vec![Value::Int(1), "x".into()]).unwrap();
+        t.push(vec![Value::Int(2), "y".into()]).unwrap();
+        let syms = t.sym_row(a).unwrap();
+        t.delete(a).unwrap();
+        // Later pushes and writes go elsewhere: the slot is never reused.
+        let c = t.push(vec![Value::Int(3), "z".into()]).unwrap();
+        t.set_cell(c, 1, "w".into()).unwrap();
+        assert_eq!(vec![t.col(0)[a.0 as usize], t.col(1)[a.0 as usize]], syms);
+        assert_eq!(t.pool().value(syms[1]), &Value::from("x"));
     }
 
     #[test]

@@ -39,12 +39,10 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod confidence;
 pub mod cost;
 pub mod eqclass;
 pub mod incremental;
 
 pub use batch::{BatchRepair, RepairOptions, RepairStats};
-pub use confidence::{suspicion_weights, ConfidenceOptions};
 pub use cost::CostModel;
 pub use incremental::{IncRepair, IncStats};

@@ -99,7 +99,6 @@ fn serve_round_trip_and_clean_shutdown() {
         table: "customer".into(),
         csv: "cc,zip,street\n44,EH8,Crichton\n01,07974,Mtn\n".into(),
         cfds: "customer([cc='44', zip] -> [street])".into(),
-        merged: false,
     });
     assert!(resp.is_ok(), "{resp:?}");
     assert_eq!(resp.int("rows"), Some(2));
@@ -184,7 +183,6 @@ fn kill_nine_loses_nothing_acked() {
         table: "customer".into(),
         csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
         cfds: "customer([cc, zip] -> [street])".into(),
-        merged: false,
     });
     assert!(resp.is_ok(), "{resp:?}");
     // Three acked appends (two of them violating), never checkpointed.
@@ -241,7 +239,6 @@ fn duplicate_header_register_answers_a_csv_error() {
         table: "dup".into(),
         csv: "a,a\n1,2\n".into(),
         cfds: String::new(),
-        merged: false,
     });
     assert!(!resp.is_ok(), "{resp:?}");
     let error = resp.str("error").unwrap();
@@ -252,7 +249,6 @@ fn duplicate_header_register_answers_a_csv_error() {
         table: "customer".into(),
         csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
         cfds: "customer([cc, zip] -> [street])".into(),
-        merged: false,
     });
     assert!(resp.is_ok(), "healthy op after the bad one: {resp:?}");
     let resp =
@@ -287,7 +283,6 @@ fn metrics_verb_surfaces_the_full_registry() {
         table: "customer".into(),
         csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
         cfds: "customer([cc, zip] -> [street])".into(),
-        merged: false,
     });
     assert!(resp.is_ok(), "{resp:?}");
     let resp =
@@ -389,7 +384,6 @@ fn slow_log_triggers_at_threshold() {
         table: "customer".into(),
         csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
         cfds: "customer([cc, zip] -> [street])".into(),
-        merged: false,
     });
     assert!(resp.is_ok(), "{resp:?}");
 

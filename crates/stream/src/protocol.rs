@@ -16,11 +16,11 @@
 //! ← {"ok":true,"violations":1,"text":"1 violation(s); ..."}
 //! ```
 //!
-//! `register` accepts an optional `"merged":true`: the suite is merged
-//! by embedded FD before registration, so the session maintains one
-//! grouping state per embedded FD instead of one per CFD. Counts and report indices then refer to the
-//! merged suite — the response's `cfds` field tells the client its
-//! size.
+//! The session keeps one grouping state per embedded FD however the
+//! suite spells it, and counts and reports per CFD as written; a client
+//! that wants one CFD per embedded FD writes one block. (`register`
+//! still accepts a boolean `"merged"` from older clients and WAL
+//! records, and ignores it.)
 //!
 //! `discover` mines a CFD suite from a registered table's *current*
 //! state through the parallel discovery engine and answers it in
@@ -233,10 +233,8 @@ impl Parser<'_> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Register (or replace) a table from CSV text plus the CFD suite
-    /// constraining it. With `merged`, the suite is merged by embedded
-    /// FD first (fewer grouping states; counts refer to the merged
-    /// suite).
-    Register { table: String, csv: String, cfds: String, merged: bool },
+    /// constraining it.
+    Register { table: String, csv: String, cfds: String },
     /// Attach CINDs over already-registered relations.
     Cinds { text: String },
     /// Append one CSV-encoded row to a relation.
@@ -324,17 +322,22 @@ impl Request {
         let fields = parse_object(line.trim_end())?;
         let cmd = get_str(&fields, "cmd")?;
         match cmd.as_str() {
-            "register" => Ok(Request::Register {
-                table: get_str(&fields, "table")?,
-                csv: get_str(&fields, "csv")?,
-                // Only a *missing* suite defaults to empty; a wrong-typed
-                // one must error, not silently register unconstrained.
-                cfds: match get(&fields, "cfds") {
-                    None => String::new(),
-                    Some(_) => get_str(&fields, "cfds")?,
-                },
-                merged: get_bool(&fields, "merged")?,
-            }),
+            "register" => {
+                // Wire and WAL compatibility, one release: a boolean
+                // `merged` is accepted and dropped — the record registers
+                // the suite it spells.
+                get_bool(&fields, "merged")?;
+                Ok(Request::Register {
+                    table: get_str(&fields, "table")?,
+                    csv: get_str(&fields, "csv")?,
+                    // Only a *missing* suite defaults to empty; a wrong-typed
+                    // one must error, not silently register unconstrained.
+                    cfds: match get(&fields, "cfds") {
+                        None => String::new(),
+                        Some(_) => get_str(&fields, "cfds")?,
+                    },
+                })
+            }
             "cinds" => Ok(Request::Cinds { text: get_str(&fields, "text")? }),
             "append" => Ok(Request::Append {
                 table: get_str(&fields, "table")?,
@@ -401,13 +404,10 @@ impl Request {
     pub fn to_line(&self) -> String {
         let mut fields: Vec<(&str, JsonValue)> = Vec::new();
         let cmd = match self {
-            Request::Register { table, csv, cfds, merged } => {
+            Request::Register { table, csv, cfds } => {
                 fields.push(("table", JsonValue::Str(table.clone())));
                 fields.push(("csv", JsonValue::Str(csv.clone())));
                 fields.push(("cfds", JsonValue::Str(cfds.clone())));
-                if *merged {
-                    fields.push(("merged", JsonValue::Bool(true)));
-                }
                 "register"
             }
             Request::Cinds { text } => {
@@ -593,13 +593,6 @@ mod tests {
                 table: "customer".into(),
                 csv: "cc,zip\n44,\"EH8, 9AB\"\n".into(),
                 cfds: "customer([zip] -> [cc])".into(),
-                merged: false,
-            },
-            Request::Register {
-                table: "customer".into(),
-                csv: "cc,zip\n44,EH8\n".into(),
-                cfds: "customer([zip] -> [cc])".into(),
-                merged: true,
             },
             Request::Cinds { text: "a(x;) <= b(y;)".into() },
             Request::Append { table: "customer".into(), row: "44,G1".into() },
@@ -674,17 +667,14 @@ mod tests {
         let ok = Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n1\n"}"#).unwrap();
         assert_eq!(
             ok,
-            Request::Register {
-                table: "t".into(),
-                csv: "a\n1\n".into(),
-                cfds: String::new(),
-                merged: false,
-            }
+            Request::Register { table: "t".into(), csv: "a\n1\n".into(), cfds: String::new() }
         );
         assert!(Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","cfds":123}"#).is_err());
-        // `merged` defaults false, accepts booleans, rejects others.
-        let m = Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","merged":true}"#);
-        assert!(matches!(m, Ok(Request::Register { merged: true, .. })), "{m:?}");
+        // `merged` (compat): a boolean parses to the request without
+        // it, anything else is still a typed error.
+        let m = Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n1\n","merged":true}"#);
+        assert_eq!(m.as_ref(), Ok(&ok));
+        assert!(!ok.to_line().contains("merged"));
         assert!(
             Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","merged":"yes"}"#).is_err()
         );

@@ -541,7 +541,6 @@ mod tests {
                 table: "customer".into(),
                 csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
                 cfds: "customer([cc='44', zip] -> [street])".into(),
-                merged: false,
             },
         );
         assert!(resp.is_ok(), "{resp:?}");
@@ -611,7 +610,6 @@ mod tests {
                 table: crate::shard::PANIC_TABLE.into(),
                 csv: "a,b\n1,2\n".into(),
                 cfds: String::new(),
-                merged: false,
             },
         );
         assert!(!resp.is_ok(), "panicking request must answer an error: {resp:?}");
@@ -631,7 +629,6 @@ mod tests {
                 table: "customer".into(),
                 csv: "cc,zip,street\n44,EH8,Crichton\n".into(),
                 cfds: "customer([cc, zip] -> [street])".into(),
-                merged: false,
             },
         );
         assert!(resp.is_ok(), "healthy op after panic: {resp:?}");
@@ -670,7 +667,6 @@ mod tests {
                     table: format!("t{i}"),
                     csv: "a,b\n1,x\n1,y\n".into(),
                     cfds: format!("t{i}([a] -> [b])"),
-                    merged: false,
                 },
             );
             assert!(resp.is_ok(), "{resp:?}");
@@ -708,7 +704,6 @@ mod tests {
                       44,G1,High\n44,G1,High\n44,G1,High\n"
                     .into(),
                 cfds: String::new(),
-                merged: false,
             },
         );
         assert!(resp.is_ok(), "{resp:?}");
@@ -768,23 +763,23 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());
         let (mut stream, mut reader) = connect(addr);
-        // Two CFDs over the same embedded FD merge into one grouping
-        // state; the response's `cfds` reports the merged size.
-        let resp = roundtrip(
-            &mut stream,
-            &mut reader,
-            &Request::Register {
-                table: "customer".into(),
-                csv: "cc,zip,street\n44,EH8,Crichton\n44,EH8,Mayfield\n".into(),
-                cfds: "customer([cc='44', zip] -> [street])\n\
-                       customer([cc, zip] -> [street])"
-                    .into(),
-                merged: true,
-            },
-        );
+        // What an older client sent to fold two CFDs over one embedded
+        // FD into one. The flag is accepted and ignored: the session
+        // keeps one grouping state per embedded FD anyway, and `cfds`
+        // and the count are per CFD as written.
+        let line = Request::Register {
+            table: "customer".into(),
+            csv: "cc,zip,street\n44,EH8,Crichton\n44,EH8,Mayfield\n".into(),
+            cfds: "customer([cc='44', zip] -> [street])\n\
+                   customer([cc, zip] -> [street])"
+                .into(),
+        }
+        .to_line()
+        .replacen('}', r#","merged":true}"#, 1);
+        let resp = send_raw(&mut stream, &mut reader, &line);
         assert!(resp.is_ok(), "{resp:?}");
-        assert_eq!(resp.int("cfds"), Some(1), "merged registration folds the suite");
-        assert_eq!(resp.int("violations"), Some(2), "one per merged tableau row");
+        assert_eq!(resp.int("cfds"), Some(2), "the suite as spelled, not folded");
+        assert_eq!(resp.int("violations"), Some(2), "one per CFD");
         let resp = roundtrip(&mut stream, &mut reader, &Request::Shutdown);
         assert!(resp.is_ok());
         handle.join().unwrap();
@@ -803,7 +798,6 @@ mod tests {
                 table: "m".into(),
                 csv: "a,b\n1,x\n".into(),
                 cfds: "m([a] -> [b])".into(),
-                merged: false,
             },
         );
         assert!(resp.is_ok(), "{resp:?}");
@@ -868,7 +862,6 @@ mod tests {
                 table: "p".into(),
                 csv: "a,b\n1,x\n1,y\n".into(),
                 cfds: "p([a] -> [b])".into(),
-                merged: false,
             },
             Request::Append { table: "p".into(), row: "1,z".into() },
             Request::Count { replica: false },
@@ -930,7 +923,6 @@ mod tests {
                 table: "w".into(),
                 csv: "a,b\n1,x\n".into(),
                 cfds: "w([a] -> [b])".into(),
-                merged: false,
             },
         );
         assert!(resp.is_ok(), "{resp:?}");

@@ -10,7 +10,12 @@
 //!
 //! The maintained detectors are the only way the session knows its
 //! violations: every delta updates them in place and every read sums or
-//! lists what they hold, so neither rescans the base.
+//! lists what they hold, so neither rescans the base. A detector is told
+//! *which tuple of its table* changed — after a push, around a cell
+//! write, after a delete — and reads the table's own symbols; no row is
+//! materialised on the way. It is bound to the table it was loaded from:
+//! whatever replaces a table ([`DeltaSession::register`], the batch side
+//! of [`DeltaSession::repair`]) builds a new detector over it.
 
 use revival_constraints::{Cfd, Cind};
 use revival_detect::native::describe_violation;
@@ -188,25 +193,32 @@ impl DeltaSession {
     /// Append a row, maintaining violation state incrementally.
     pub fn insert(&mut self, relation: &str, row: Vec<Value>) -> Result<TupleId> {
         let ri = self.relation_state(relation)?;
-        let id = self.catalog.get_mut(relation)?.push(row)?;
-        let row = self.catalog.get(relation)?.get(id)?;
-        self.relations[ri].detector.insert(id, &row);
-        self.pending.entry(relation.to_string()).or_default().push(id);
+        let table = self.catalog.get_mut(relation)?;
+        let id = table.push(row)?;
+        self.relations[ri].detector.add(table, id, None);
+        // Looked up by `&str` first: only a relation's first pending
+        // tuple allocates its name.
+        if let Some(p) = self.pending.get_mut(relation) {
+            p.push(id);
+        } else {
+            self.pending.insert(relation.to_string(), vec![id]);
+        }
         Ok(id)
     }
 
     /// Delete a live tuple, returning its former row.
     pub fn delete(&mut self, relation: &str, tuple: TupleId) -> Result<Vec<Value>> {
         let ri = self.relation_state(relation)?;
-        let row = self.catalog.get_mut(relation)?.delete(tuple)?;
-        self.relations[ri].detector.delete(tuple, &row);
-        if let Some(p) = self.pending.get_mut(relation) {
-            p.retain(|&t| t != tuple);
-        }
+        let table = self.catalog.get_mut(relation)?;
+        let row = table.delete(tuple)?;
+        // The tombstoned slot still holds the symbols the detector reads.
+        self.relations[ri].detector.remove(table, tuple, None);
         Ok(row)
     }
 
-    /// Overwrite one cell of a live tuple.
+    /// Overwrite one cell of a live tuple. Only the embedded FDs reading
+    /// `attr` are re-entered; a refused write (dead tuple, unknown
+    /// attribute, type mismatch) leaves table and detector as they were.
     pub fn update(
         &mut self,
         relation: &str,
@@ -215,11 +227,15 @@ impl DeltaSession {
         value: Value,
     ) -> Result<()> {
         let ri = self.relation_state(relation)?;
-        let old = self.catalog.get(relation)?.get(tuple)?;
-        self.catalog.get_mut(relation)?.set_cell(tuple, attr, value)?;
-        let new = self.catalog.get(relation)?.get(tuple)?;
-        self.relations[ri].detector.update(tuple, &old, &new);
-        Ok(())
+        let table = self.catalog.get_mut(relation)?;
+        if !table.contains(tuple) {
+            return Err(Error::NoSuchTuple(tuple.0));
+        }
+        let detector = &mut self.relations[ri].detector;
+        detector.remove(table, tuple, Some(attr));
+        let written = table.set_cell(tuple, attr, value);
+        detector.add(table, tuple, Some(attr));
+        written
     }
 
     /// Current number of violations: `O(#CFDs)` from the maintained
@@ -241,7 +257,7 @@ impl DeltaSession {
     pub fn report(&self) -> Result<ViolationReport> {
         let mut report = ViolationReport::default();
         for rel in &self.relations {
-            for mut v in rel.detector.report().violations {
+            for mut v in rel.detector.report(self.catalog.get(&rel.name)?).violations {
                 match &mut v {
                     Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
                         *cfd = rel.idxs[*cfd]
@@ -295,14 +311,8 @@ impl DeltaSession {
                 let old = self.catalog.get(relation)?.get(id)?;
                 let mut row = old.clone();
                 inc.repair_tuple(id, &mut row, &mut stats);
-                if row != old {
-                    let table = self.catalog.get_mut(relation)?;
-                    for (attr, v) in row.iter().enumerate() {
-                        if *v != old[attr] {
-                            table.set_cell(id, attr, v.clone())?;
-                        }
-                    }
-                    self.relations[ri].detector.update(id, &old, &row);
+                for (attr, v) in row.into_iter().enumerate().filter(|(a, v)| *v != old[*a]) {
+                    self.update(relation, id, attr, v)?;
                 }
             }
         } else {
@@ -330,7 +340,7 @@ impl DeltaSession {
     /// Persist the session's registered state into `dir`: one `.sdq`
     /// snapshot per relation (columns + tombstones + a value pool
     /// *compacted* on the way out, so long-lived sessions shed the
-    /// append-only pool growth their incremental detectors accumulated),
+    /// values only overwritten or deleted cells held),
     /// a sibling `<relation>.cfds` suite file, and `cinds.txt` when
     /// CINDs are attached. Returns the number of relations written.
     /// The pending-repair baseline is ephemeral and not persisted;
@@ -680,7 +690,6 @@ mod tests {
                     table: table.into(),
                     csv: csv.into(),
                     cfds: cfds.into(),
-                    merged: false,
                 });
                 assert!(resp.is_ok(), "{resp:?}");
             }

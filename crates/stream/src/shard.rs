@@ -668,7 +668,7 @@ impl Tier {
     /// verb-by-verb from the PR 6 single-session server.
     fn apply(&self, session: &mut DeltaSession, request: &Request) -> Response {
         match request {
-            Request::Register { table, csv: csv_text, cfds, merged } => {
+            Request::Register { table, csv: csv_text, cfds } => {
                 // No input is known to panic a request, so the panic
                 // containment tests plant one here, under the write lock.
                 #[cfg(test)]
@@ -677,16 +677,10 @@ impl Tier {
                     Ok(t) => t,
                     Err(e) => return Response::err(e),
                 };
-                let mut suite = match parse_cfds(cfds, parsed.schema()) {
+                let suite = match parse_cfds(cfds, parsed.schema()) {
                     Ok(s) => s,
                     Err(e) => return Response::err(e),
                 };
-                if *merged {
-                    // Merged tableaux at the session boundary: one
-                    // maintained grouping state per embedded FD; `cfds` reports the merged size the
-                    // counts and report indices refer to.
-                    suite = revival_constraints::cfd::merge_by_embedded_fd(&suite);
-                }
                 let rows = parsed.len();
                 let n_cfds = suite.len();
                 match session.register(parsed, suite) {
@@ -1041,7 +1035,7 @@ mod tests {
     }
 
     fn register(table: &str, csv: &str, cfds: &str) -> Request {
-        Request::Register { table: table.into(), csv: csv.into(), cfds: cfds.into(), merged: false }
+        Request::Register { table: table.into(), csv: csv.into(), cfds: cfds.into() }
     }
 
     fn append(table: &str, row: &str) -> Request {

@@ -15,7 +15,6 @@
 
 use revival::constraints::analysis::{is_satisfiable, Outcome, DEFAULT_BUDGET};
 use revival::prelude::*;
-use revival::repair::suspicion_weights;
 
 fn main() {
     let schema = Schema::builder("orders")
@@ -55,9 +54,8 @@ fn main() {
     println!("\n{report}");
     assert_eq!(report.violating_tuples().len(), 4);
 
-    // Repair with detection-derived confidence weights.
-    let weights = suspicion_weights(&orders, &cfds, Default::default());
-    let (fixed, stats) = BatchRepair::new(&cfds, weights).repair(&orders).expect("repair");
+    let model = CostModel::uniform(schema.arity());
+    let (fixed, stats) = BatchRepair::new(&cfds, model).repair(&orders).expect("repair");
     println!(
         "repair: {} cells changed, residual {}",
         stats.cells_changed, stats.residual_violations

@@ -33,7 +33,7 @@ fn three_detectors_agree_on_generated_workload() {
     let mut inc = {
         let mut d = IncrementalDetector::new(cfds.clone());
         d.load(&ds.dirty);
-        d.report()
+        d.report(&ds.dirty)
     };
     native.normalize();
     sql.normalize();
@@ -82,21 +82,26 @@ fn incremental_repair_matches_oracle_consistency() {
 
 #[test]
 fn incremental_detector_tracks_repair_edits() {
-    // Stream the repair's edits through the incremental detector: the
-    // violation count must drop to zero.
+    // Stream the repair's edits, cell by cell, through a table and the
+    // incremental detector watching it: the violation count must drop to
+    // zero.
     let (data, ds, cfds) = workload(600, 0.05, 26);
+    let mut live = ds.dirty.clone();
     let mut inc = IncrementalDetector::new(cfds.clone());
-    inc.load(&ds.dirty);
+    inc.load(&live);
     assert!(inc.violation_count() > 0);
     let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
     let (fixed, _) = repairer.repair(&ds.dirty).unwrap();
     for (id, new_row) in fixed.rows() {
         let old_row = ds.dirty.get(id).unwrap();
-        if old_row != new_row {
-            inc.update(id, &old_row, &new_row);
+        for (attr, v) in new_row.into_iter().enumerate().filter(|(a, v)| *v != old_row[*a]) {
+            inc.remove(&live, id, Some(attr));
+            live.set_cell(id, attr, v).unwrap();
+            inc.add(&live, id, Some(attr));
         }
     }
     assert_eq!(inc.violation_count(), 0);
+    assert_eq!(live.diff_cells(&fixed), 0);
 }
 
 #[test]

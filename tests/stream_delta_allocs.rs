@@ -1,0 +1,96 @@
+//! Work-count guard for the maintained detector: heap allocations, not
+//! milliseconds.
+//!
+//! The session's violation state is keyed by the table's own symbols and
+//! probed in place, so a steady-state append — values and LHS groups the
+//! session has seen — allocates nothing of its own (what is left is the
+//! amortised growth of the columns and member lists it lands in), and
+//! registering a table allocates per distinct LHS group, never per row.
+//! A counting global allocator pins both, machine-independently. (One
+//! `#[test]` only: the counter is process-wide, and the harness runs
+//! tests on threads.)
+
+use revival::dirty::customer::{generate, scaled_suite, CustomerConfig};
+use revival::stream::DeltaSession;
+use revival_relation::{Table, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is a relaxed counter bump, which neither allocates nor
+// touches the memory being handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocations (and reallocations) it performed.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn appends_allocate_nothing_per_row_and_register_per_group() {
+    const ROWS: usize = 20_000;
+    let data = generate(&CustomerConfig { rows: ROWS, ..Default::default() });
+    // 43 CFDs over 2 embedded FDs, 40 of them constant rows.
+    let cfds = scaled_suite(&data, 40);
+    assert_eq!(cfds.len(), 43);
+    let mut base = Table::with_capacity(data.schema.clone(), ROWS);
+    let rows: Vec<Vec<Value>> = data.table.rows().map(|(_, row)| row).collect();
+    for row in &rows {
+        base.push_unchecked(row.clone());
+    }
+    // The LHS groups of the two embedded FDs: (cc, zip) and (cc, ac).
+    let distinct = |attrs: [usize; 2]| {
+        let keys: std::collections::HashSet<_> =
+            rows.iter().map(|r| (r[attrs[0]].clone(), r[attrs[1]].clone())).collect();
+        keys.len()
+    };
+    let (lhs0, lhs1) = (&cfds[0].lhs, &cfds[2].lhs);
+    let groups = distinct([lhs0[0], lhs0[1]]) + distinct([lhs1[0], lhs1[1]]);
+    assert!(groups * 4 < ROWS, "{groups} groups: the bound below must be far from one per row");
+
+    let mut session = DeltaSession::new(1);
+    let ((), registering) = counting(|| session.register(base, cfds).unwrap());
+    // Per group: its boxed key, its member list as it grows, its RHS
+    // counts and matched rows — 2 595 here for 240 groups. The parent
+    // commit's per-CFD, value-keyed state made 44 389 (two per row).
+    assert!(
+        registering < 8 * groups + 2_000,
+        "{registering} allocations registering {ROWS} rows in {groups} groups"
+    );
+
+    // Rows the session has seen: every value interned, every group there.
+    let again: Vec<Vec<Value>> = rows[..1_000].to_vec();
+    let ((), appending) = counting(|| {
+        for row in again {
+            session.insert("customer", row).unwrap();
+        }
+    });
+    // 47 here: columns, member lists and the pending list doubling. The
+    // parent commit paid a `Vec<Value>`, a key vector and a `String`
+    // per append: 3 059.
+    assert!(appending < 300, "{appending} allocations for 1 000 steady-state appends");
+    assert_eq!(session.table("customer").unwrap().len(), ROWS + 1_000);
+}

@@ -86,7 +86,6 @@ proptest! {
                     table: table.into(),
                     csv: SEED_CSV.into(),
                     cfds: suite_for(table),
-                    merged: false,
                 });
                 prop_assert!(resp.is_ok(), "register {}: {:?}", table, resp);
                 let parsed = csv::read_table_infer(table, SEED_CSV).unwrap();
@@ -204,7 +203,6 @@ proptest! {
                 table: "hot".into(),
                 csv: SEED_CSV.into(),
                 cfds: suite_for("hot"),
-                merged: false,
             });
             prop_assert!(resp.is_ok(), "register hot: {:?}", resp);
 
@@ -310,7 +308,6 @@ fn concurrent_appends_share_syncs_through_the_tier() {
         table: "hot".into(),
         csv: SEED_CSV.into(),
         cfds: suite_for("hot"),
-        merged: false,
     });
     assert!(resp.is_ok(), "register hot: {resp:?}");
     std::thread::scope(|scope| {
@@ -356,7 +353,6 @@ fn a_mined_suite_survives_checkpoint_and_replay_unchanged() {
         table: "hospital".into(),
         csv: csv::write_table(&dirty),
         cfds: String::new(),
-        merged: false,
     };
     assert!(tier.handle(&register).is_ok());
     let mined = tier.handle(&Request::Discover {
@@ -416,6 +412,45 @@ fn a_mined_suite_survives_checkpoint_and_replay_unchanged() {
     std::fs::write(&path, lines).unwrap();
     let (tier, _) = ShardedSession::open(&opts).unwrap();
     assert_eq!(state_of(&tier).0, flat);
+    drop(tier);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A state directory written before `merged` left the protocol: its WAL
+/// holds a `register` line carrying `"merged":true`. It opens, replays
+/// the suite that line spells — two CFDs, not the one they used to fold
+/// into — and counts per original CFD, as a fresh scan does.
+#[test]
+fn a_wal_record_carrying_merged_replays_as_the_suite_it_spells() {
+    let dir = std::env::temp_dir().join(format!("revival_wal_merged_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfds = "customer([cc='uk', zip] -> [street])\ncustomer([cc, zip] -> [street])";
+    let register = Request::Register {
+        table: "customer".into(),
+        csv: format!("{SEED_CSV}uk,EH8,Mayfield,edi\n"),
+        cfds: cfds.into(),
+    };
+    let old_line = register.to_line().trim_end().replacen('}', r#","merged":true}"#, 1);
+    assert_eq!(Request::parse(&old_line), Ok(register));
+    let append = Request::Append { table: "customer".into(), row: "us,EH8,MtnAve,edi".into() };
+    {
+        let mut wal = revival::stream::Wal::open(&dir.join("wal-0.log")).unwrap();
+        wal.append(&old_line).unwrap();
+        wal.append(append.to_line().trim_end()).unwrap();
+    }
+    let opts =
+        ServeOptions { jobs: 1, wal: true, state: Some(dir.clone()), ..ServeOptions::default() };
+    let (tier, summary) = ShardedSession::open(&opts).unwrap();
+    assert_eq!((summary.replayed, summary.replay_errors), (2, 0), "{summary:?}");
+    let count = tier.handle(&Request::Count { replica: false }).int("violations");
+    let session = tier.shard(0).session().read().unwrap();
+    let table = session.table("customer").unwrap();
+    let suite = parse_cfds(cfds, table.schema()).unwrap();
+    assert_eq!(session.cfds(), suite, "the flag folded nothing");
+    let fresh = NativeEngine.run(&DetectJob::on_table(table, &suite)).unwrap();
+    assert_eq!((count, fresh.len()), (Some(2), 2), "one violating group, once per CFD");
+    drop(session);
     drop(tier);
     std::fs::remove_dir_all(&dir).unwrap();
 }
