@@ -12,8 +12,11 @@
 //! `ConstIndex` per unit, and LHS groups keyed by the **table's own
 //! symbols**, hashed and compared in place off `table.col(a)[slot]` — no
 //! second pool, no `Value` per event. Events are `(table, tuple id)`:
-//! [`IncrementalDetector::add`] after a push or a cell write,
-//! [`IncrementalDetector::remove`] before a cell write or after a delete.
+//! [`IncrementalDetector::add`] after a push, `remove` after a delete,
+//! [`IncrementalDetector::write`] for a cell write (the one place the
+//! `remove` → `Table::set_cell` → `add` sequence is spelled). Incremental
+//! repair reads this state instead of grouping the relation again:
+//! [`IncrementalDetector::constant_demand`], `group_demand`.
 //!
 //! **Invariant:** a detector reads the pool of the table it was loaded
 //! from. Whatever *replaces* that table (a re-registration, a batch
@@ -33,7 +36,8 @@
 use crate::native::{hash_at, in_key_order, matches_at, plan_units, ConstIndex, NONE};
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
-use revival_relation::{AttrId, GroupBy, Sym, Table, TupleId, Value};
+use revival_constraints::pattern::PatternValue;
+use revival_relation::{AttrId, Error, GroupBy, Result, Sym, Table, TupleId, Value};
 use std::collections::BTreeMap;
 
 /// One LHS group of a unit.
@@ -139,9 +143,10 @@ impl IncrementalDetector {
         }
     }
 
-    /// Account for tuple `id` of `table`: after a push, or after a write
-    /// to its cell `written` — then only the units reading that
-    /// attribute, which [`IncrementalDetector::remove`] took it out of.
+    /// Account for tuple `id` of `table`: after a push, or (inside
+    /// [`IncrementalDetector::write`]) after a write to its cell
+    /// `written` — then only the units reading that attribute, which
+    /// [`IncrementalDetector::remove`] took it out of.
     pub fn add(&mut self, table: &Table, id: TupleId, written: Option<AttrId>) {
         let IncrementalDetector { cfds, units, first, touched } = self;
         let slot = id.0 as usize;
@@ -191,9 +196,9 @@ impl IncrementalDetector {
     }
 
     /// Forget tuple `id` of `table`, read off its slot as it stands:
-    /// *before* a write to its cell `written` (then only the units
-    /// reading that attribute), or after a delete — a tombstoned slot
-    /// keeps its symbols.
+    /// after a delete — a tombstoned slot keeps its symbols — or (inside
+    /// [`IncrementalDetector::write`]) *before* a write to its cell
+    /// `written`, then only the units reading that attribute.
     pub fn remove(&mut self, table: &Table, id: TupleId, written: Option<AttrId>) {
         let slot = id.0 as usize;
         for unit in self.units.iter_mut().filter(|u| u.reads(written)) {
@@ -220,6 +225,67 @@ impl IncrementalDetector {
                 unit.violating_pairs -= group.matched.len();
             }
         }
+    }
+
+    /// Overwrite cell `attr` of live tuple `id`, re-entering only the
+    /// units that read `attr`. A refused write (dead tuple, unknown
+    /// attribute, type mismatch) leaves table and state as they were.
+    pub fn write(
+        &mut self,
+        table: &mut Table,
+        id: TupleId,
+        attr: AttrId,
+        value: Value,
+    ) -> Result<()> {
+        if !table.contains(id) {
+            return Err(Error::NoSuchTuple(id.0));
+        }
+        self.remove(table, id, Some(attr));
+        let written = table.set_cell(id, attr, value);
+        self.add(table, id, Some(attr));
+        written
+    }
+
+    /// Number of units (embedded FDs) — what the demand reads index by.
+    pub fn units(&self) -> usize {
+        self.units.len()
+    }
+
+    /// The RHS attribute of `unit` and the constant its first constant
+    /// row that tuple `id` violates (member, then tableau order) wants
+    /// there. Only `= c` is a demand: `≠ c` and `∈ {…}` name no value.
+    pub fn constant_demand(&self, unit: usize, id: TupleId) -> Option<(AttrId, &Value)> {
+        let unit = &self.units[unit];
+        let (m, &row) = unit.consts.iter().enumerate().find_map(|(m, c)| Some((m, c.get(&id)?)))?;
+        match &self.cfds[unit.members[m]].tableau[row].rhs {
+            PatternValue::Const(c) => Some((unit.rhs, c)),
+            _ => None,
+        }
+    }
+
+    /// The RHS attribute of `unit` and the value the **eldest** member
+    /// (lowest id) of live tuple `id`'s group holds there, when the
+    /// group's key matches a variable row and the tuple disagrees with
+    /// it. Ids are append-only slots, so against a trusted base the
+    /// eldest is a base tuple if the group has one, else the first
+    /// arrival. `O(group)` when the group holds two RHS values, else O(1).
+    pub fn group_demand<'t>(
+        &self,
+        table: &'t Table,
+        unit: usize,
+        id: TupleId,
+    ) -> Option<(AttrId, &'t Value)> {
+        let unit = &self.units[unit];
+        let slot = id.0 as usize;
+        let group = unit
+            .groups
+            .get(hash_at(table, &unit.lhs, slot), |k| matches_at(table, &unit.lhs, slot, k))?;
+        if group.matched.is_empty() || group.rhs_counts.len() < 2 {
+            return None;
+        }
+        let rhs = table.col(unit.rhs);
+        let eldest = rhs[group.members.iter().min()?.0 as usize];
+        (eldest != rhs[slot]).then(|| (unit.rhs, table.pool().value(eldest)))
     }
 
     /// Total number of violations (constant tuple violations plus
@@ -370,6 +436,36 @@ mod tests {
         let mut d = IncrementalDetector::new(suite(&s));
         d.load(&t);
         assert_eq!(d.violation_count(), 1);
+    }
+
+    /// The two reads repair stands on, and the write that keeps them true.
+    #[test]
+    fn demands_name_the_eldest_member_and_the_first_constant_row() {
+        let s = schema();
+        let mut t = Table::new(s.clone());
+        let mut d = IncrementalDetector::new(suite(&s));
+        assert_eq!(d.units(), 2);
+        let a = push(&mut t, &mut d, ["44", "EH8", "Crichton", "edi"]);
+        let b = push(&mut t, &mut d, ["44", "EH8", "Mayfield", "edi"]);
+        let c = push(&mut t, &mut d, ["01", "07974", "MtnAve", "nyc"]);
+        // The eldest member anchors its group; the younger one conforms.
+        assert_eq!(d.group_demand(&t, 0, a), None);
+        assert_eq!(d.group_demand(&t, 0, b), Some((2, &Value::from("Crichton"))));
+        // `cc='01'` matches no variable row: no group demand, one constant.
+        assert_eq!(d.group_demand(&t, 0, c), None);
+        assert_eq!(d.constant_demand(1, c), Some((3, &Value::from("mh"))));
+        assert_eq!(d.constant_demand(1, a), None);
+        // With the eldest gone the next in line anchors.
+        t.delete(a).unwrap();
+        d.remove(&t, a, None);
+        assert_eq!(d.group_demand(&t, 0, b), None);
+        // A write is the demand met — and a refused one changes nothing.
+        d.write(&mut t, c, 3, "mh".into()).unwrap();
+        assert_eq!((d.constant_demand(1, c), d.violation_count()), (None, 0));
+        assert!(d.write(&mut t, c, 9, "x".into()).is_err(), "unknown attribute");
+        assert!(d.write(&mut t, a, 3, "x".into()).is_err(), "dead tuple");
+        assert_eq!(d.violation_count(), 0);
+        assert_eq!(d.report(&t), NativeDetector::new(&t).detect_all(&suite(&s)));
     }
 
     /// A multi-row block and a single-row CFD over one embedded FD share

@@ -313,11 +313,6 @@ impl Table {
         t
     }
 
-    /// Total number of cells in live tuples.
-    pub fn cell_count(&self) -> usize {
-        self.live_count * self.schema.arity()
-    }
-
     /// Count of cells that differ between `self` and `other`, matched by
     /// tuple id. Tuples present in one but not the other count all their
     /// cells as differing. This is the "repair distance" of Cong et al.

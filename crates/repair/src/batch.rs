@@ -26,7 +26,7 @@
 //!
 //! ## Sharding
 //!
-//! Both hot halves of a pass shard across [`RepairOptions::jobs`]
+//! Both hot halves of a pass shard across [`BatchRepair::with_jobs`]
 //! threads, byte-identically to the sequential pass:
 //!
 //! * **detection** dispatches through the shared [`Detector`] engine
@@ -53,24 +53,10 @@ use revival_relation::{GroupBy, Result, Sym, Table, TupleId, Type, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`BatchRepair`].
-#[derive(Clone, Debug)]
-pub struct RepairOptions {
-    /// Maximum detect→resolve→apply passes before forcing.
-    pub max_passes: usize,
-    /// Maximum forcing rounds (each introduces fresh values).
-    pub max_force_rounds: usize,
-    /// Shards for detection and equivalence-class resolution: 1 =
-    /// sequential, 0 = one shard per available core. Output is
-    /// byte-identical at any value.
-    pub jobs: usize,
-}
-
-impl Default for RepairOptions {
-    fn default() -> Self {
-        RepairOptions { max_passes: 12, max_force_rounds: 24, jobs: 1 }
-    }
-}
+/// Maximum detect→resolve→apply passes before forcing.
+const MAX_PASSES: usize = 12;
+/// Maximum forcing rounds (each introduces fresh values).
+const MAX_FORCE_ROUNDS: usize = 24;
 
 /// What a repair did.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -83,7 +69,7 @@ pub struct RepairStats {
     pub forced_resolutions: usize,
     /// Total weighted repair cost (vs. the input table).
     pub cost: f64,
-    /// Violations remaining (0 unless `max_force_rounds` was exhausted).
+    /// Violations remaining (0 unless the forcing rounds were exhausted).
     pub residual_violations: usize,
     /// Work the cost-guided passes' class resolution did, all passes.
     pub resolve: ResolveStats,
@@ -156,24 +142,20 @@ impl PassPlan {
 pub struct BatchRepair {
     cfds: Vec<Cfd>,
     cost: CostModel,
-    options: RepairOptions,
+    jobs: usize,
 }
 
 impl BatchRepair {
     /// Build a repairer for a suite (merged by embedded FD internally).
     pub fn new(cfds: &[Cfd], cost: CostModel) -> Self {
-        BatchRepair { cfds: merge_by_embedded_fd(cfds), cost, options: RepairOptions::default() }
+        BatchRepair { cfds: merge_by_embedded_fd(cfds), cost, jobs: 1 }
     }
 
-    /// Override the default options.
-    pub fn with_options(mut self, options: RepairOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Override just the shard count (0 = one per available core).
+    /// Shards for detection and equivalence-class resolution: 1 =
+    /// sequential (the default), 0 = one shard per available core.
+    /// Output is byte-identical at any value.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.options.jobs = jobs;
+        self.jobs = jobs;
         self
     }
 
@@ -184,7 +166,7 @@ impl BatchRepair {
 
     /// The resolved shard count (`jobs = 0` → available cores).
     fn jobs(&self) -> usize {
-        revival_relation::resolve_jobs(self.options.jobs)
+        revival_relation::resolve_jobs(self.jobs)
     }
 
     /// Repair `table`, returning the repaired copy and statistics.
@@ -260,7 +242,7 @@ impl BatchRepair {
         let mut known: Option<ViolationReport> = None;
         let setup_us = setup.elapsed().as_micros() as u64;
 
-        for _ in 0..self.options.max_passes {
+        for _ in 0..MAX_PASSES {
             let report =
                 self.report_of(&current.table, &mut known, &mut scans, profile.as_deref_mut())?;
             if report.is_empty() {
@@ -283,7 +265,7 @@ impl BatchRepair {
 
         // Forcing phase: guarantee satisfaction. It starts from the
         // report that ended the loop above — empty, or the stalled one.
-        for round in 0..self.options.max_force_rounds {
+        for round in 0..MAX_FORCE_ROUNDS {
             let report =
                 self.report_of(&current.table, &mut known, &mut scans, profile.as_deref_mut())?;
             if report.is_empty() {

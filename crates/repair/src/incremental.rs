@@ -1,20 +1,38 @@
-//! `IncRepair` — repairing a delta against a clean, trusted base.
+//! `IncRepair` — repairing a delta against a trusted base.
 //!
 //! The setting of Cong et al. §5 (and the tutorial's open problem §6d):
-//! the base instance already satisfies the suite; a batch of new tuples
-//! arrives; repair *only the new tuples* so the combined instance is
-//! consistent. The base is authoritative — conflicts between a delta
-//! tuple and a base group resolve toward the base value. Cost is
-//! `O(|Δ|)` expected (hash probes per delta tuple), versus re-running
-//! [`crate::BatchRepair`] over base+delta — the crossover measured in
-//! experiment E6.
+//! a base instance is trusted; a batch of new tuples arrives; repair
+//! *only the new tuples* so that each agrees with the base and with the
+//! arrivals before it — versus re-running [`crate::BatchRepair`] over
+//! base + delta, the trade-off measured in experiment E6.
+//!
+//! **`O(|Δ|)`.** The repair owns no index: LHS groups and constant
+//! violations are already maintained by the [`IncrementalDetector`] over
+//! the table, so a pending tuple costs two reads of that state per
+//! embedded FD and pass and one [`IncrementalDetector::write`] per edit.
+//!
+//! **The eldest-member rule.** Ids are append-only slots; the pending
+//! tuples are the live slots from one baseline slot up, visited eldest
+//! first. A group's canonical RHS value is its eldest member's: a base
+//! tuple if the group has one, else the first arrival, repaired by then
+//! and never edited again. So a pending tuple conforms to its elders,
+//! and one with no elder anchors its group as it stands.
+//!
+//! **The fixpoint order.** Per tuple, passes over the units in suite
+//! order until one changes nothing (`units + 2` at most); per unit the
+//! constant demand, then the group demand, each met by one priced write
+//! every later read sees — a constant fix that moves the tuple into
+//! another group (`[..] -> [city='mh']`, then `[city] -> [street]`) is
+//! followed there in the same visit.
+//!
+//! **A dirty base** stays as it is: only slots from the baseline up are
+//! written, conflicts among base tuples are left standing, and a pending
+//! tuple conforms to the eldest of a conflicting group.
 
 use crate::cost::{CostModel, DistanceScratch};
-use revival_constraints::cfd::merge_by_embedded_fd;
-use revival_constraints::pattern::PatternValue;
 use revival_constraints::Cfd;
+use revival_detect::IncrementalDetector;
 use revival_relation::{Table, TupleId, Value};
-use std::collections::HashMap;
 
 /// Statistics from an incremental repair.
 #[derive(Clone, Debug, Default)]
@@ -27,120 +45,59 @@ pub struct IncStats {
     pub cost: f64,
 }
 
-/// Incremental repairer holding per-CFD group state of the base.
-pub struct IncRepair {
-    cfds: Vec<Cfd>,
-    cost: CostModel,
-    /// Per CFD: LHS key → canonical RHS value (from base, extended by
-    /// accepted delta tuples).
-    groups: Vec<HashMap<Vec<Value>, Value>>,
-    /// Distance buffers shared by every edit this repairer prices.
-    scratch: DistanceScratch,
-}
+/// Incremental repair over a detector's state (see the module doc).
+pub struct IncRepair;
 
 impl IncRepair {
-    /// Build from a suite and the clean base table.
-    ///
-    /// The constructor indexes the base once (`O(|base| · |Σ|)`); each
-    /// subsequent [`IncRepair::repair_tuple`] is `O(|Σ|)` expected.
-    pub fn new(cfds: &[Cfd], base: &Table, cost: CostModel) -> Self {
-        Self::new_excluding(cfds, base, cost, &std::collections::HashSet::new())
-    }
-
-    /// Like [`IncRepair::new`], but skip `exclude` tuples when indexing
-    /// the base. A streaming session repairs its pending delta *in
-    /// place* inside the same table the base lives in — excluding the
-    /// pending ids keeps the base authoritative (a dirty pending tuple
-    /// never becomes its group's canonical value) without cloning the
-    /// table.
-    pub fn new_excluding(
-        cfds: &[Cfd],
-        base: &Table,
-        cost: CostModel,
-        exclude: &std::collections::HashSet<TupleId>,
-    ) -> Self {
-        let cfds = merge_by_embedded_fd(cfds);
-        let mut groups: Vec<HashMap<Vec<Value>, Value>> = Vec::with_capacity(cfds.len());
-        for cfd in &cfds {
-            let mut map = HashMap::new();
-            if cfd.variable_rows().next().is_some() {
-                for (id, row) in base.rows() {
-                    if exclude.contains(&id) {
-                        continue;
-                    }
-                    let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
-                    map.entry(key).or_insert_with(|| row[cfd.rhs].clone());
-                }
-            }
-            groups.push(map);
-        }
-        IncRepair { cfds, cost, groups, scratch: DistanceScratch::default() }
-    }
-
-    /// The merged suite.
-    pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
-    }
-
-    /// Repair one incoming tuple in place so that base ∪ accepted ∪
-    /// {tuple} stays consistent, then absorb it into the group state.
-    ///
-    /// Returns the number of cells edited.
-    pub fn repair_tuple(&mut self, id: TupleId, row: &mut [Value], stats: &mut IncStats) {
-        let mut edited = false;
-        // Iterate to a local fixpoint: fixing one CFD can affect another.
-        for _ in 0..self.cfds.len() + 2 {
-            let mut changed = false;
-            for (cfd, groups) in self.cfds.iter().zip(&self.groups) {
-                // Constant rows first.
-                if let Some(tp_idx) = cfd.constant_violation(row) {
-                    let tp = &cfd.tableau[tp_idx];
-                    if let PatternValue::Const(c) = &tp.rhs {
-                        let old = row[cfd.rhs].clone();
-                        stats.cost +=
-                            self.cost.change_cost(id, cfd.rhs, &old, c, &mut self.scratch);
-                        row[cfd.rhs] = c.clone();
-                        stats.cells_changed += 1;
-                        changed = true;
-                        edited = true;
-                    }
-                }
-                // Variable rows: conform to the group's canonical value.
-                if cfd.variable_rows().next().is_none() {
-                    continue;
-                }
-                let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
-                let applies = cfd.variable_rows().any(|tp| tp.lhs_matches(&key));
-                if !applies {
-                    continue;
-                }
-                if let Some(canon) = groups.get(&key) {
-                    if row[cfd.rhs] != *canon {
-                        let old = row[cfd.rhs].clone();
-                        stats.cost +=
-                            self.cost.change_cost(id, cfd.rhs, &old, canon, &mut self.scratch);
-                        row[cfd.rhs] = canon.clone();
-                        stats.cells_changed += 1;
-                        changed = true;
-                        edited = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // Absorb into group state so later deltas see this tuple.
-        for (cfd, groups) in self.cfds.iter().zip(&mut self.groups) {
-            if cfd.variable_rows().next().is_none() {
+    /// Repair, in place, the live tuples of `table` at slot
+    /// `first_pending` and above against everything below it, eldest
+    /// first. `detector` must be the maintained state of `table`; every
+    /// edit goes through [`IncrementalDetector::write`], so it still is
+    /// on return.
+    pub fn repair_pending(
+        table: &mut Table,
+        detector: &mut IncrementalDetector,
+        first_pending: usize,
+        cost: &CostModel,
+    ) -> IncStats {
+        let mut stats = IncStats::default();
+        let mut scratch = DistanceScratch::default();
+        for slot in first_pending..table.slots() {
+            if !table.is_live(slot) {
                 continue;
             }
-            let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
-            groups.entry(key).or_insert_with(|| row[cfd.rhs].clone());
+            let id = TupleId(slot as u64);
+            let before = stats.cells_changed;
+            // Iterate to a local fixpoint: fixing one CFD can affect another.
+            for _ in 0..detector.units() + 2 {
+                let pass = stats.cells_changed;
+                for unit in 0..detector.units() {
+                    for of_group in [false, true] {
+                        let demand = if of_group {
+                            detector.group_demand(table, unit, id)
+                        } else {
+                            detector.constant_demand(unit, id)
+                        };
+                        let Some((attr, to)) = demand.map(|(a, v)| (a, v.clone())) else {
+                            continue;
+                        };
+                        let from = table.pool().value(table.col(attr)[slot]);
+                        let price = cost.change_cost(id, attr, from, &to, &mut scratch);
+                        // A constant the attribute's type refuses is not
+                        // written: the tuple keeps that violation, counted.
+                        if detector.write(table, id, attr, to).is_ok() {
+                            stats.cost += price;
+                            stats.cells_changed += 1;
+                        }
+                    }
+                }
+                if stats.cells_changed == pass {
+                    break;
+                }
+            }
+            stats.tuples_edited += usize::from(stats.cells_changed > before);
         }
-        if edited {
-            stats.tuples_edited += 1;
-        }
+        stats
     }
 
     /// Repair a whole delta batch against the base, appending the
@@ -151,13 +108,140 @@ impl IncRepair {
         delta: Vec<Vec<Value>>,
         cost: CostModel,
     ) -> IncStats {
-        let mut inc = IncRepair::new(cfds, base, cost);
-        let mut stats = IncStats::default();
-        for (i, mut row) in delta.into_iter().enumerate() {
-            inc.repair_tuple(TupleId(base.len() as u64 + i as u64), &mut row, &mut stats);
-            base.push_unchecked(row);
+        let mut detector = IncrementalDetector::new(cfds.to_vec());
+        detector.load(base);
+        let first_pending = base.slots();
+        for row in delta {
+            let id = base.push_unchecked(row);
+            detector.add(base, id, None);
         }
-        stats
+        Self::repair_pending(base, &mut detector, first_pending, &cost)
+    }
+}
+
+/// The value-keyed repairer this module replaced, kept as the oracle
+/// the maintained-state form is property-tested against: it indexes the
+/// whole base into one `HashMap<Vec<Value>, Value>` per merged CFD
+/// (skipping `exclude`, the pending ids) and repairs a materialised row.
+#[cfg(test)]
+mod oracle {
+    use super::IncStats;
+    use crate::cost::{CostModel, DistanceScratch};
+    use revival_constraints::cfd::merge_by_embedded_fd;
+    use revival_constraints::pattern::PatternValue;
+    use revival_constraints::Cfd;
+    use revival_relation::{Table, TupleId, Value};
+    use std::collections::{HashMap, HashSet};
+
+    pub struct IncRepair {
+        cfds: Vec<Cfd>,
+        cost: CostModel,
+        groups: Vec<HashMap<Vec<Value>, Value>>,
+        scratch: DistanceScratch,
+    }
+
+    impl IncRepair {
+        pub fn new_excluding(
+            cfds: &[Cfd],
+            base: &Table,
+            cost: CostModel,
+            exclude: &HashSet<TupleId>,
+        ) -> Self {
+            let cfds = merge_by_embedded_fd(cfds);
+            let mut groups: Vec<HashMap<Vec<Value>, Value>> = Vec::with_capacity(cfds.len());
+            for cfd in &cfds {
+                let mut map = HashMap::new();
+                if cfd.variable_rows().next().is_some() {
+                    for (id, row) in base.rows() {
+                        if exclude.contains(&id) {
+                            continue;
+                        }
+                        let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
+                        map.entry(key).or_insert_with(|| row[cfd.rhs].clone());
+                    }
+                }
+                groups.push(map);
+            }
+            IncRepair { cfds, cost, groups, scratch: DistanceScratch::default() }
+        }
+
+        pub fn repair_tuple(&mut self, id: TupleId, row: &mut [Value], stats: &mut IncStats) {
+            let mut edited = false;
+            for _ in 0..self.cfds.len() + 2 {
+                let mut changed = false;
+                for (cfd, groups) in self.cfds.iter().zip(&self.groups) {
+                    if let Some(tp_idx) = cfd.constant_violation(row) {
+                        let tp = &cfd.tableau[tp_idx];
+                        if let PatternValue::Const(c) = &tp.rhs {
+                            let old = row[cfd.rhs].clone();
+                            stats.cost +=
+                                self.cost.change_cost(id, cfd.rhs, &old, c, &mut self.scratch);
+                            row[cfd.rhs] = c.clone();
+                            stats.cells_changed += 1;
+                            changed = true;
+                            edited = true;
+                        }
+                    }
+                    if cfd.variable_rows().next().is_none() {
+                        continue;
+                    }
+                    let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
+                    let applies = cfd.variable_rows().any(|tp| tp.lhs_matches(&key));
+                    if !applies {
+                        continue;
+                    }
+                    if let Some(canon) = groups.get(&key) {
+                        if row[cfd.rhs] != *canon {
+                            let old = row[cfd.rhs].clone();
+                            stats.cost +=
+                                self.cost.change_cost(id, cfd.rhs, &old, canon, &mut self.scratch);
+                            row[cfd.rhs] = canon.clone();
+                            stats.cells_changed += 1;
+                            changed = true;
+                            edited = true;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for (cfd, groups) in self.cfds.iter().zip(&mut self.groups) {
+                if cfd.variable_rows().next().is_none() {
+                    continue;
+                }
+                let key: Vec<Value> = cfd.lhs.iter().map(|&a| row[a].clone()).collect();
+                groups.entry(key).or_insert_with(|| row[cfd.rhs].clone());
+            }
+            if edited {
+                stats.tuples_edited += 1;
+            }
+        }
+
+        /// What the session's `repair` did with it: exclude the live
+        /// slots from `first_pending` up, repair each on a copy of its
+        /// row, write back the cells that came out different.
+        pub fn repair_pending(
+            cfds: &[Cfd],
+            table: &mut Table,
+            first_pending: usize,
+            cost: &CostModel,
+        ) -> IncStats {
+            let pending: Vec<TupleId> =
+                table.tuple_ids().filter(|id| id.0 as usize >= first_pending).collect();
+            let exclude = pending.iter().copied().collect();
+            let mut inc = Self::new_excluding(cfds, table, cost.clone(), &exclude);
+            let mut stats = IncStats::default();
+            for id in pending {
+                let old = table.get(id).unwrap();
+                let mut row = old.clone();
+                inc.repair_tuple(id, &mut row, &mut stats);
+                for (attr, v) in row.into_iter().enumerate().filter(|(a, v)| *v != old[*a]) {
+                    table.set_cell(id, attr, v).unwrap();
+                }
+            }
+            stats
+        }
     }
 }
 
@@ -165,7 +249,7 @@ impl IncRepair {
 mod tests {
     use super::*;
     use revival_constraints::parser::parse_cfds;
-    use revival_detect::native::satisfies;
+    use revival_detect::native::{satisfies, NativeDetector};
     use revival_relation::{Schema, Type};
 
     fn schema() -> Schema {
@@ -263,35 +347,43 @@ mod tests {
         assert_eq!(rows[2][2], Value::from("High St"));
     }
 
+    /// A dirty tuple already sits *inside* the table (the streaming
+    /// pending-delta case): at or above the baseline slot, it conforms to
+    /// its elders rather than anchoring its group — and one with no elder
+    /// anchors its group as it stands.
     #[test]
-    fn excluded_tuples_never_become_canonical() {
+    fn pending_tuples_conform_to_their_elders_or_anchor_their_group() {
         let s = schema();
         let cfds = suite(&s);
         let mut table = base();
-        // A dirty tuple already sits *inside* the table (the streaming
-        // pending-delta case): excluded from indexing, it must conform
-        // to the base's street rather than anchor its own.
+        let first_pending = table.slots();
         let dirty = table
             .push(vec!["44".into(), "131".into(), "Mayfield".into(), "edi".into(), "EH8".into()])
             .unwrap();
-        let exclude = std::collections::HashSet::from([dirty]);
-        let mut inc = IncRepair::new_excluding(&cfds, &table, CostModel::uniform(5), &exclude);
-        let mut row = table.get(dirty).unwrap();
-        let mut stats = IncStats::default();
-        inc.repair_tuple(dirty, &mut row, &mut stats);
-        assert_eq!(row[2], Value::from("Crichton"));
-        assert_eq!(stats.cells_changed, 1);
-        // An excluded tuple in a group no base row covers anchors the
-        // group itself and stays unchanged.
-        let mut t2 = base();
-        let d2 = t2
+        let lone = table
             .push(vec!["44".into(), "131".into(), "Dirty".into(), "edi".into(), "G77".into()])
             .unwrap();
-        let exclude = std::collections::HashSet::from([d2]);
-        let mut inc = IncRepair::new_excluding(&cfds, &t2, CostModel::uniform(5), &exclude);
-        let mut row = t2.get(d2).unwrap();
-        inc.repair_tuple(d2, &mut row, &mut IncStats::default());
-        assert_eq!(row[2], Value::from("Dirty"));
+        let mut detector = IncrementalDetector::new(cfds.clone());
+        detector.load(&table);
+        let cost = CostModel::uniform(5);
+        let stats = IncRepair::repair_pending(&mut table, &mut detector, first_pending, &cost);
+        assert_eq!(table.get(dirty).unwrap()[2], Value::from("Crichton"));
+        assert_eq!(table.get(lone).unwrap()[2], Value::from("Dirty"));
+        assert_eq!((stats.tuples_edited, stats.cells_changed), (1, 1));
+        // The state the edits went through is still the table's.
+        assert_eq!(detector.violation_count(), 0);
+        assert_eq!(detector.report(&table), NativeDetector::new(&table).detect_all(&cfds));
+        // Had the baseline sat above it, the dirty tuple would have been
+        // base: nothing pending, nothing written, the conflict left.
+        let mut table = base();
+        table
+            .push(vec!["44".into(), "131".into(), "Mayfield".into(), "edi".into(), "EH8".into()])
+            .unwrap();
+        let mut detector = IncrementalDetector::new(cfds);
+        detector.load(&table);
+        let first_pending = table.slots();
+        let stats = IncRepair::repair_pending(&mut table, &mut detector, first_pending, &cost);
+        assert_eq!((stats.cells_changed, detector.violation_count()), (0, 1));
     }
 
     #[test]
@@ -338,5 +430,117 @@ mod tests {
         let last = table.rows().last().unwrap().1;
         assert_eq!(last[3], Value::from("mh"));
         assert_eq!(last[2], Value::from("CanonSt"));
+    }
+
+    /// The maintained-state repair against the value-keyed one it
+    /// replaced, from printed seeds: identical tables and statistics
+    /// (cost to the last bit) over clean, dirty and empty bases, appends,
+    /// updates and deletes of base and pending tuples, and several rounds.
+    #[test]
+    fn maintained_state_repair_equals_the_value_keyed_oracle() {
+        let s = schema();
+        // Two members over ([cc, zip] -> [street]), one a block whose
+        // constant row wants a street no tuple holds; a block over
+        // ([cc, ac] -> [city]) with a set-valued RHS ahead of its
+        // constants, a conflicting pair of constant rows, and a row a
+        // single-row member repeats; and the cascade: `city` is the RHS
+        // up there and the LHS of ([city] -> [street]).
+        let cfds = parse_cfds(
+            "customer([cc='44', zip] -> [street])\n\
+             customer([cc, zip] -> [street]) {\n  '01', _ || _\n  '01', 'Z9' || 'Never St'\n}\n\
+             customer([cc, ac] -> [city]) {\n  '44', _ || in ('edi', 'gla')\n  \
+             '01', '908' || 'mh'\n  '86', '10' || 'bj'\n  '86', '10' || 'sh'\n}\n\
+             customer([cc='01', ac='908'] -> [city='mh'])\n\
+             customer([city] -> [street])",
+            &s,
+        )
+        .unwrap();
+        assert_eq!(IncrementalDetector::new(cfds.clone()).units(), 3);
+        let domains: [&[&str]; 5] = [
+            &["44", "01", "86"],
+            &["131", "908", "10"],
+            &["Crichton", "Mayfield", "High St", "Low St"],
+            &["edi", "mh", "nyc", "bj", "gla"],
+            &["EH8", "G1", "Z9", "07974"],
+        ];
+        let random_row = |next: &mut dyn FnMut(usize) -> usize| -> Vec<Value> {
+            domains.iter().map(|d| Value::from(d[next(d.len())])).collect()
+        };
+        let mut cost = CostModel::uniform(5);
+        cost.set_attr_weight(2, 0.5);
+        cost.set_cell_weight(TupleId(7), 3, 2.0);
+        let mut edits = 0;
+        for seed in 0..1_200u64 {
+            // xorshift64, as `cost`'s kernel test draws its pairs.
+            let mut x = 0x9e3779b97f4a7c15u64 ^ (seed + 1).wrapping_mul(0xff51afd7ed558ccd);
+            let mut next = move |m: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % m as u64) as usize
+            };
+            // `ours` is written through its detector, `theirs` directly.
+            let mut ours = Table::new(s.clone());
+            let mut detector = IncrementalDetector::new(cfds.clone());
+            let base_kind = seed % 3; // empty, dirty, clean
+            for _ in 0..[0, 1, 1][base_kind as usize] * (1 + next(39)) {
+                let id = ours.push(random_row(&mut next)).unwrap();
+                detector.add(&ours, id, None);
+                if base_kind == 2 && detector.violation_count() > 0 {
+                    ours.delete(id).unwrap();
+                    detector.remove(&ours, id, None);
+                }
+            }
+            let mut theirs = ours.clone();
+            let mut first_pending = ours.slots();
+            for round in 0..2 + next(2) {
+                for _ in 0..next(25) {
+                    let live: Vec<TupleId> = ours.tuple_ids().collect();
+                    match next(10) {
+                        0 if !live.is_empty() => {
+                            let id = live[next(live.len())];
+                            ours.delete(id).unwrap();
+                            detector.remove(&ours, id, None);
+                            theirs.delete(id).unwrap();
+                        }
+                        1 | 2 if !live.is_empty() => {
+                            let id = live[next(live.len())];
+                            let attr = next(5);
+                            let v = Value::from(domains[attr][next(domains[attr].len())]);
+                            detector.write(&mut ours, id, attr, v.clone()).unwrap();
+                            theirs.set_cell(id, attr, v).unwrap();
+                        }
+                        _ => {
+                            let row = random_row(&mut next);
+                            let id = ours.push(row.clone()).unwrap();
+                            detector.add(&ours, id, None);
+                            theirs.push(row).unwrap();
+                        }
+                    }
+                }
+                let got = IncRepair::repair_pending(&mut ours, &mut detector, first_pending, &cost);
+                let want =
+                    oracle::IncRepair::repair_pending(&cfds, &mut theirs, first_pending, &cost);
+                let at = format!("seed {seed}, round {round}");
+                assert_eq!(
+                    ours.rows().collect::<Vec<_>>(),
+                    theirs.rows().collect::<Vec<_>>(),
+                    "{at}"
+                );
+                assert_eq!(
+                    (got.tuples_edited, got.cells_changed, got.cost.to_bits()),
+                    (want.tuples_edited, want.cells_changed, want.cost.to_bits()),
+                    "{at}: {got:?} vs {want:?}"
+                );
+                assert_eq!(
+                    detector.report(&ours),
+                    NativeDetector::new(&ours).detect_all(&cfds),
+                    "{at}: the state the edits went through is the table's"
+                );
+                edits += got.cells_changed;
+                first_pending = ours.slots();
+            }
+        }
+        assert!(edits > 10_000, "{edits} edits: the suite must bite");
     }
 }

@@ -20,13 +20,15 @@
 //!    `weight(cell) · dist(v, w)` with a normalised edit distance, so
 //!    plausible small fixes are preferred.
 //!
-//! [`BatchRepair`] repairs a whole table; [`IncRepair`] repairs only a
-//! delta against an already-clean base (experiment E6). Both guarantee
-//! the output satisfies the suite (they fall back to pattern-breaking
-//! fresh values if cost-guided resolution stalls; see
-//! [`batch::RepairStats::forced_resolutions`]).
+//! [`BatchRepair`] repairs a whole table and guarantees the output
+//! satisfies the suite (it falls back to pattern-breaking fresh values if
+//! cost-guided resolution stalls; see
+//! [`batch::RepairStats::forced_resolutions`]). [`IncRepair`] repairs
+//! only a delta against a trusted base, reading the groups a maintained
+//! detector already holds — `O(|Δ|)`, the base left as it is
+//! (experiment E6).
 //!
-//! Repair passes shard across threads ([`batch::RepairOptions::jobs`]):
+//! Repair passes shard across threads ([`BatchRepair::with_jobs`]):
 //! detection dispatches through `revival_detect`'s parallel [`Detector`]
 //! engine and equivalence-class resolution splits its per-class cost
 //! scans across `std::thread::scope` workers, with a deterministic
@@ -43,6 +45,6 @@ pub mod cost;
 pub mod eqclass;
 pub mod incremental;
 
-pub use batch::{BatchRepair, RepairOptions, RepairStats};
+pub use batch::{BatchRepair, RepairStats};
 pub use cost::CostModel;
 pub use incremental::{IncRepair, IncStats};

@@ -251,8 +251,13 @@ pub enum Request {
     /// Full report, described (capped at `max` lines). `replica` as
     /// on [`Request::Count`].
     Report { max: usize, replica: bool },
-    /// Incrementally repair the tuples appended to `table` since
-    /// registration or the last repair.
+    /// Repair the tuples appended to `table` since registration or the
+    /// last repair — the live ids from the relation's checkpointed
+    /// baseline up — and move the baseline past them: in place against
+    /// the base when there is more base than delta, else the whole
+    /// relation through one batch repair
+    /// ([`crate::DeltaSession::repair`]). Replies `tuples_edited`,
+    /// `cells_changed` and the live `violations`.
     Repair { table: String },
     /// Mine a CFD suite from the session's current state of `table`
     /// (the discovery engine layer): level-wise FDs and conditional

@@ -294,8 +294,9 @@ impl Shard {
 /// flags.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Worker shards for each session's batch-repair fallback and the
-    /// `discover` verb (`--jobs`).
+    /// Worker shards for the `discover` verb and for the batch side of
+    /// each session's `repair` — the side a relation with no trusted
+    /// base needs ([`DeltaSession::repair`]) (`--jobs`).
     pub jobs: usize,
     /// Session shard count (`--shards`); clamped to at least 1.
     pub shards: usize,
@@ -445,6 +446,12 @@ impl ShardedSession {
         let legacy = shard_dirs.is_empty();
         let sources = if legacy { vec![dir.clone()] } else { shard_dirs };
 
+        // A checkpoint file a relation (or an older build) may lack.
+        let optional = |path: PathBuf| match std::fs::read_to_string(path) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(Error::from(e)),
+        };
         let mut schemas: Vec<Schema> = Vec::new();
         let mut cind_texts: Vec<String> = Vec::new();
         for source in &sources {
@@ -455,21 +462,19 @@ impl ShardedSession {
             paths.sort();
             for path in &paths {
                 let table = Table::open_snapshot(path)?;
-                let cfds = match std::fs::read_to_string(path.with_extension("cfds")) {
-                    Ok(text) => parse_cfds(&text, table.schema())?,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                    Err(e) => return Err(e.into()),
-                };
+                let suite = optional(path.with_extension("cfds"))?.unwrap_or_default();
+                let cfds = parse_cfds(&suite, table.schema())?;
                 schemas.push(table.schema().clone());
-                let si = this.ring.route(table.schema().name());
-                write_recovered(&this.shards[si].session).register(table, cfds)?;
+                let name = table.schema().name().to_string();
+                let mut session = write_recovered(&this.shards[this.ring.route(&name)].session);
+                session.register(table, cfds)?;
+                // No `.base` (an older build's directory): every row is base.
+                if let Some(text) = optional(path.with_extension("base"))? {
+                    session.restore_baseline(&name, &text)?;
+                }
                 summary.relations += 1;
             }
-            match std::fs::read_to_string(source.join("cinds.txt")) {
-                Ok(text) => cind_texts.push(text),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
+            cind_texts.extend(optional(source.join("cinds.txt"))?);
         }
         for text in &cind_texts {
             for cind in parse_cinds(text, &schemas)? {
@@ -534,7 +539,7 @@ impl ShardedSession {
                 let path = entry?.path();
                 let ext = path.extension().and_then(|x| x.to_str());
                 let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-                if matches!(ext, Some("sdq") | Some("cfds")) || name == "cinds.txt" {
+                if matches!(ext, Some("sdq") | Some("cfds") | Some("base")) || name == "cinds.txt" {
                     std::fs::remove_file(&path)?;
                 }
             }
@@ -778,7 +783,7 @@ impl Tier {
                 // Hold the write lock across the mine so the vetted
                 // suite installs against exactly the state it profiled;
                 // `set_cfds` swaps only the constraints — the table,
-                // tuple ids, pending-repair baseline, and CINDs stay.
+                // tuple ids, repair baseline, and CINDs stay.
                 let snapshot = match session.table(table) {
                     Ok(t) => t.clone(),
                     Err(e) => return Response::err(e),

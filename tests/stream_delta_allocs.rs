@@ -4,13 +4,17 @@
 //! The session's violation state is keyed by the table's own symbols and
 //! probed in place, so a steady-state append — values and LHS groups the
 //! session has seen — allocates nothing of its own (what is left is the
-//! amortised growth of the columns and member lists it lands in), and
-//! registering a table allocates per distinct LHS group, never per row.
-//! A counting global allocator pins both, machine-independently. (One
+//! amortised growth of the columns and member lists it lands in),
+//! registering a table allocates per distinct LHS group, never per row,
+//! and the `repair` verb — which reads the same groups instead of
+//! indexing the base again — allocates the same handful whatever the
+//! base holds.
+//! A counting global allocator pins all three, machine-independently. (One
 //! `#[test]` only: the counter is process-wide, and the harness runs
 //! tests on threads.)
 
-use revival::dirty::customer::{generate, scaled_suite, CustomerConfig};
+use revival::dirty::customer::{attrs, generate, scaled_suite, CustomerConfig};
+use revival::dirty::noise::{inject, NoiseConfig};
 use revival::stream::DeltaSession;
 use revival_relation::{Table, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,6 +56,7 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn appends_allocate_nothing_per_row_and_register_per_group() {
     const ROWS: usize = 20_000;
+    const PENDING: usize = 200;
     let data = generate(&CustomerConfig { rows: ROWS, ..Default::default() });
     // 43 CFDs over 2 embedded FDs, 40 of them constant rows.
     let cfds = scaled_suite(&data, 40);
@@ -72,7 +77,7 @@ fn appends_allocate_nothing_per_row_and_register_per_group() {
     assert!(groups * 4 < ROWS, "{groups} groups: the bound below must be far from one per row");
 
     let mut session = DeltaSession::new(1);
-    let ((), registering) = counting(|| session.register(base, cfds).unwrap());
+    let ((), registering) = counting(|| session.register(base, cfds.clone()).unwrap());
     // Per group: its boxed key, its member list as it grows, its RHS
     // counts and matched rows — 2 595 here for 240 groups. The parent
     // commit's per-CFD, value-keyed state made 44 389 (two per row).
@@ -88,9 +93,38 @@ fn appends_allocate_nothing_per_row_and_register_per_group() {
             session.insert("customer", row).unwrap();
         }
     });
-    // 47 here: columns, member lists and the pending list doubling. The
-    // parent commit paid a `Vec<Value>`, a key vector and a `String`
-    // per append: 3 059.
-    assert!(appending < 300, "{appending} allocations for 1 000 steady-state appends");
+    // 35 here: columns and member lists doubling (47 while a pending-id
+    // list doubled beside them; 3 059 when every append paid a
+    // `Vec<Value>`, a key vector and a `String`).
+    assert!(appending < 288, "{appending} allocations for 1 000 steady-state appends");
     assert_eq!(session.table("customer").unwrap().len(), ROWS + 1_000);
+
+    // `repair` over 200 noisy pending tuples (base rows again, 10 % of
+    // their cells off): the verb reads the groups the session keeps, so
+    // what it allocates — the distance kernel's buffers, 3 here — does
+    // not depend on the base. (Indexing the base by value made 21 921
+    // allocations at 5 000 rows and 81 921 at 20 000.)
+    let mut delta = Table::new(data.schema.clone());
+    for row in &rows[..PENDING] {
+        delta.push_unchecked(row.clone());
+    }
+    let noise = NoiseConfig::new(0.10, vec![attrs::STREET, attrs::CITY, attrs::ZIP], 6);
+    let noisy: Vec<Vec<Value>> = inject(&delta, &noise).dirty.rows().map(|(_, r)| r).collect();
+    let repairing = [5_000, ROWS].map(|base_rows| {
+        let mut base = Table::with_capacity(data.schema.clone(), base_rows + PENDING);
+        for row in &rows[..base_rows] {
+            base.push_unchecked(row.clone());
+        }
+        let mut session = DeltaSession::new(1);
+        session.register(base, cfds.clone()).unwrap();
+        for row in &noisy {
+            session.insert("customer", row.clone()).unwrap();
+        }
+        assert!(session.violation_count().unwrap() > 0);
+        let (stats, allocations) = counting(|| session.repair("customer").unwrap());
+        assert!(stats.cells_changed > 20, "{stats:?}: the noise must bite");
+        allocations
+    });
+    assert_eq!(repairing[0], repairing[1], "allocations at a 5 000- and a 20 000-row base");
+    assert!(repairing[1] < 64, "{repairing:?} allocations repairing {PENDING} pending tuples");
 }

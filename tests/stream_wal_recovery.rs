@@ -1,6 +1,6 @@
 //! Crash-recovery parity: a WAL-backed [`ShardedSession`] driven
-//! through a random interleaving of register/append/delete/update,
-//! then dropped *without* shutdown or checkpoint (the in-process
+//! through a random interleaving of register/append/delete/update/
+//! repair/checkpoint, then dropped *without* shutdown or checkpoint (the in-process
 //! `kill -9`), must reopen from `--state DIR` into exactly the state a
 //! mirror [`DeltaSession`] reached by applying the same ops — same
 //! tables cell-for-cell, same violation count, and the count must
@@ -53,9 +53,9 @@ fn value_for(attr: usize, rng: &mut StdRng) -> &'static str {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Dropping the tier mid-stream loses nothing acked: the WAL alone
-    /// (the boot checkpoint predates every op) rebuilds the exact
-    /// pre-crash state.
+    /// Dropping the tier mid-stream loses nothing acked: the last
+    /// checkpoint (the boot one, unless the op mix took another) plus the
+    /// WAL past it rebuild the exact pre-crash state.
     fn random_interleavings_survive_crash_and_replay(
         nops in 1usize..80,
         seed in 0u64..1_000,
@@ -94,10 +94,11 @@ proptest! {
                 live.extend(mirror.table(table).unwrap().tuple_ids().map(|id| (table.to_string(), id.0)));
             }
 
+            let mut checkpointed = false;
             for i in 0..nops {
                 let table = TABLES.choose(&mut rng).unwrap().to_string();
                 match rng.gen_range(0..100) {
-                    0..=59 => {
+                    0..=54 => {
                         let row = random_row(&mut rng);
                         let resp = tier.handle(&Request::Append {
                             table: table.clone(),
@@ -113,14 +114,14 @@ proptest! {
                         prop_assert_eq!(resp.int("tuple"), Some(id.0 as i64));
                         live.push((table, id.0));
                     }
-                    60..=79 if !live.is_empty() => {
+                    55..=74 if !live.is_empty() => {
                         let at = rng.gen_range(0..live.len());
                         let (table, tuple) = live.swap_remove(at);
                         let resp = tier.handle(&Request::Delete { table: table.clone(), tuple });
                         prop_assert!(resp.is_ok(), "delete #{}: {:?}", i, resp);
                         mirror.delete(&table, TupleId(tuple)).unwrap();
                     }
-                    _ if !live.is_empty() => {
+                    75..=89 if !live.is_empty() => {
                         let (table, tuple) = live.choose(&mut rng).unwrap().clone();
                         let attr = rng.gen_range(0..ATTRS.len());
                         let value = value_for(attr, &mut rng);
@@ -133,6 +134,21 @@ proptest! {
                         prop_assert!(resp.is_ok(), "update #{}: {:?}", i, resp);
                         mirror.update(&table, TupleId(tuple), attr, value.into()).unwrap();
                     }
+                    // A repair edits what the baseline calls pending
+                    // (or, with no base to trust, the relation): the
+                    // replayed verb must find the same baseline.
+                    90..=95 => {
+                        let resp = tier.handle(&Request::Repair { table: table.clone() });
+                        prop_assert!(resp.is_ok(), "repair #{}: {:?}", i, resp);
+                        let stats = mirror.repair(&table).unwrap();
+                        prop_assert_eq!(resp.int("cells_changed"), Some(stats.cells_changed as i64));
+                    }
+                    // A checkpoint moves state from the log into the
+                    // snapshots; nothing the mirror can see changes.
+                    96..=99 => {
+                        prop_assert!(tier.handle(&Request::Checkpoint).is_ok());
+                        checkpointed = true;
+                    }
                     _ => {}
                 }
             }
@@ -143,7 +159,10 @@ proptest! {
             let (tier, summary) = ShardedSession::open(&opts).unwrap();
             prop_assert_eq!(summary.replay_errors, 0, "acked lines must re-execute");
             prop_assert_eq!(summary.torn_bytes, 0);
-            prop_assert!(summary.replayed >= TABLES.len(), "registers live in the WAL");
+            prop_assert!(
+                checkpointed || summary.replayed >= TABLES.len(),
+                "registers live in the WAL"
+            );
 
             let after = tier.handle(&Request::Count { replica: false });
             prop_assert_eq!(
@@ -326,6 +345,162 @@ fn concurrent_appends_share_syncs_through_the_tier() {
     assert_eq!(records, 1 + 4 * 16, "the register and every append were logged");
     assert!(syncs < records, "grouping must engage: {syncs} syncs for {records} records");
     drop(tier);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The rows of every witness below: three base tuples, then one that
+/// conflicts with `t0` on `[cc='uk', zip] -> [street]`.
+const WITNESS_CSV: &str =
+    "cc,zip,street,city\nuk,EH8,Crichton,edi\nuk,G1,High,gla\nus,07974,MtnAve,mh\n";
+const WITNESS_ROW: &str = "uk,EH8,Mayfield,edi";
+
+fn witness_opts(dir: &std::path::Path, shards: usize, checkpoint_ops: u64) -> ServeOptions {
+    ServeOptions {
+        jobs: 1,
+        shards,
+        wal: true,
+        checkpoint_ops,
+        state: Some(dir.to_path_buf()),
+        ..ServeOptions::default()
+    }
+}
+
+type Rows = Vec<(TupleId, Vec<Value>)>;
+
+/// `(count, rows of "customer", a fresh scan's count)`.
+fn witness_state(tier: &ShardedSession) -> (Option<i64>, Rows, usize) {
+    let count = tier.handle(&Request::Count { replica: false }).int("violations");
+    let session = tier.shard(tier.route("customer")).session().read().unwrap();
+    let table = session.table("customer").unwrap();
+    let cfds = parse_cfds(&suite_for("customer"), table.schema()).unwrap();
+    let fresh = NativeEngine.run(&DetectJob::on_table(table, &cfds)).unwrap().len();
+    (count, table.rows().collect(), fresh)
+}
+
+/// An acked `repair` survives a checkpoint taken between the append and
+/// the verb: the snapshot holds the dirty tuple, the log holds `repair`,
+/// and the replayed verb must still know the tuple is pending — the
+/// baseline is checkpointed with the table. (With the pending set kept
+/// in memory only, the recovered tier counted the violation the live one
+/// had repaired.) Each variant: the `checkpoint` verb or the background
+/// checkpointer, one shard or three, with or without tombstones on both
+/// sides of the baseline.
+#[test]
+fn an_acked_repair_survives_a_checkpoint_before_it() {
+    for (shards, background, deletes) in
+        [(1, false, false), (1, false, true), (3, false, false), (1, true, false), (3, true, true)]
+    {
+        let at = format!("shards {shards}, background {background}, deletes {deletes}");
+        let dir = std::env::temp_dir().join(format!(
+            "revival_wal_witness_{shards}_{background}_{deletes}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Background: the log reaches the threshold at the last mutation
+        // before the repair, and only there.
+        let ops_before = if deletes { 5 } else { 2 };
+        let opts = witness_opts(&dir, shards, if background { ops_before } else { 0 });
+        let (tier, _) = ShardedSession::open(&opts).unwrap();
+        let ok = |req: Request| {
+            let resp = tier.handle(&req);
+            assert!(resp.is_ok(), "{at}: {req:?}: {resp:?}");
+            resp
+        };
+        let customer = || "customer".to_string();
+        ok(Request::Register {
+            table: customer(),
+            csv: WITNESS_CSV.into(),
+            cfds: suite_for("customer"),
+        });
+        if deletes {
+            // A base tombstone, and a pending one below the dirty tuple.
+            ok(Request::Delete { table: customer(), tuple: 1 });
+            let gone = ok(Request::Append { table: customer(), row: "uk,G1,Low,gla".into() });
+            ok(Request::Delete { table: customer(), tuple: gone.int("tuple").unwrap() as u64 });
+        }
+        let boot = tier.checkpoints_taken();
+        let dirty = ok(Request::Append { table: customer(), row: WITNESS_ROW.into() });
+        assert_eq!(dirty.int("violations"), Some(1), "{at}");
+        if background {
+            while tier.checkpoints_taken() == boot {
+                std::thread::yield_now();
+            }
+        } else {
+            ok(Request::Checkpoint);
+        }
+        let repaired = ok(Request::Repair { table: customer() });
+        assert_eq!(
+            (repaired.int("tuples_edited"), repaired.int("violations")),
+            (Some(1), Some(0)),
+            "{at}"
+        );
+        let live = witness_state(&tier);
+        assert_eq!((live.0, live.2), (Some(0), 0), "{at}");
+        drop(tier); // no shutdown: the crash
+
+        let (tier, summary) = ShardedSession::open(&opts).unwrap();
+        assert_eq!((summary.relations, summary.replayed, summary.replay_errors), (1, 1, 0), "{at}");
+        assert_eq!(witness_state(&tier), live, "{at}: recovered state must equal the live one");
+        drop(tier);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// What is pending survives a *clean* restart too: append, checkpoint,
+/// reopen, and `repair` still edits the appended tuple instead of
+/// finding it blessed as base. A state directory with no `.base` file —
+/// what every build before this one wrote — opens with every restored
+/// row base, as it always did; a `.base` that is not a slot number of
+/// its table is a typed error.
+#[test]
+fn the_repair_baseline_is_part_of_the_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("revival_wal_baseline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // No log: every reopen below starts from the snapshot files alone.
+    let opts = ServeOptions { wal: false, ..witness_opts(&dir, 1, 0) };
+    let customer = || "customer".to_string();
+    {
+        let (tier, _) = ShardedSession::open(&opts).unwrap();
+        let register = Request::Register {
+            table: customer(),
+            csv: WITNESS_CSV.into(),
+            cfds: suite_for("customer"),
+        };
+        assert!(tier.handle(&register).is_ok());
+        assert!(tier
+            .handle(&Request::Append { table: customer(), row: WITNESS_ROW.into() })
+            .is_ok());
+        assert_eq!(tier.checkpoint().unwrap(), 1);
+    }
+    let base = dir.join("shard-0").join("customer.base");
+    assert_eq!(std::fs::read_to_string(&base).unwrap(), "3\n");
+    let repair_after_reopen = || {
+        let (tier, summary) = ShardedSession::open(&opts)?;
+        assert_eq!((summary.relations, summary.replayed), (1, 0));
+        let resp = tier.handle(&Request::Repair { table: customer() });
+        Ok::<_, revival_relation::Error>((resp.int("tuples_edited"), resp.int("violations")))
+    };
+    // Reopening checkpoints at boot, so each probe below first puts the
+    // file back the way it wants to find it.
+    let saved = std::fs::read(dir.join("shard-0").join("customer.sdq")).unwrap();
+    let reset = |text: Option<&str>| {
+        std::fs::write(dir.join("shard-0").join("customer.sdq"), &saved).unwrap();
+        match text {
+            Some(text) => std::fs::write(&base, text).unwrap(),
+            None => std::fs::remove_file(&base).unwrap(),
+        }
+    };
+    for (text, what) in
+        [("banana\n", "malformed repair baseline \"banana\""), ("5\n", "has 4 slot(s)")]
+    {
+        reset(Some(text));
+        let err = repair_after_reopen().unwrap_err().to_string();
+        assert!(err.contains(what), "{text:?}: {err}");
+    }
+    reset(None);
+    assert_eq!(repair_after_reopen().unwrap(), (Some(0), Some(1)), "no `.base`: all base");
+    reset(Some("3\n"));
+    assert_eq!(repair_after_reopen().unwrap(), (Some(1), Some(0)), "t3 was still pending");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
