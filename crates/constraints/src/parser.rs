@@ -181,17 +181,16 @@ fn content(line: &str) -> Result<&str> {
     }
 }
 
+/// Stamp a parse error with the line it was found on.
 fn annotate(e: Error, line: usize) -> Error {
     match e {
-        Error::SqlParse { message, .. } => {
-            Error::SqlParse { position: line, message: format!("line {line}: {message}") }
-        }
+        Error::Constraint { message, .. } => Error::Constraint { line, message },
         other => other,
     }
 }
 
 fn perr(msg: impl Into<String>) -> Error {
-    Error::SqlParse { position: 0, message: msg.into() }
+    Error::Constraint { line: 0, message: msg.into() }
 }
 
 /// The pattern part of a line-form item or a block cell, borrowing the
@@ -292,11 +291,33 @@ impl Pat<'_> {
     }
 }
 
+/// Whether constraint text can name an attribute `name`: a non-empty run
+/// of letters, digits and `_`. A space, a bracket or a `#` (where a
+/// comment starts) would not read back.
+fn is_attr_name(name: &str) -> bool {
+    !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_')
+}
+
 fn check_attr_name(attr: &str) -> Result<&str> {
-    if attr.is_empty() || !attr.chars().all(|c| c.is_alphanumeric() || c == '_' || c == '#') {
+    if !is_attr_name(attr) {
         return Err(perr(format!("bad attribute `{attr}`")));
     }
     Ok(attr)
+}
+
+/// Refuse a CFD over an attribute constraint text cannot name (letters,
+/// digits and `_` only): [`write_cfd`] would render it to text that
+/// [`parse_cfds`] cannot read back.
+pub fn check_writable(cfd: &Cfd, schema: &Schema) -> Result<()> {
+    let mut names = cfd.lhs.iter().chain([&cfd.rhs]).map(|&a| schema.attr_name(a));
+    match names.find(|name| !is_attr_name(name)) {
+        Some(name) => Err(Error::Io(format!(
+            "attribute `{name}` of `{}` cannot be written as constraint text \
+             (letters, digits and `_` only)",
+            schema.name()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// The inside of `('a', 'b')`; `whole` is the item, for the messages.
@@ -727,7 +748,7 @@ mod tests {
         // The line form's messages, as they stood before the block form.
         let s = customer();
         let message = |text: &str| parse_cfds(text, &s).unwrap_err().to_string();
-        let at = |what: &str| format!("sql parse error at byte 1: line 1: {what}");
+        let at = |what: &str| format!("constraint error at line 1: {what}");
         assert_eq!(message("customer([cc] [street])"), at("expected `->`"));
         assert_eq!(
             message("wrong([cc] -> [street])"),
@@ -740,6 +761,16 @@ mod tests {
         assert_eq!(message("customer([] -> [street])"), at("empty LHS"));
         assert_eq!(message("customer([cc] -> [])"), at("empty RHS"));
         assert_eq!(message("customer[cc] -> [street]"), at("expected `relation([...] -> [...])`"));
+    }
+
+    #[test]
+    fn attribute_names_are_what_constraint_text_can_spell() {
+        for good in ["zip", "c_1", "_", "straße", "街"] {
+            assert!(is_attr_name(good), "{good:?}");
+        }
+        for bad in ["", "zip code", " zip", "zip#code", "#", "a-b", "zip("] {
+            assert!(!is_attr_name(bad), "{bad:?}");
+        }
     }
 
     #[test]

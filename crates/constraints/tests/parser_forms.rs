@@ -111,9 +111,8 @@ proptest! {
 fn assert_typed_answer(doc: &str, s: &Schema) {
     match parse_cfds(doc, s) {
         Ok(suite) => assert_eq!(parse_cfds(&suite_to_text(&suite, s), s), Ok(suite), "{doc:?}"),
-        Err(Error::SqlParse { position, message }) => {
-            assert!(message.starts_with(&format!("line {position}: ")), "{message:?} for {doc:?}");
-            assert!((1..=doc.lines().count()).contains(&position), "{message:?} for {doc:?}");
+        Err(Error::Constraint { line, message }) => {
+            assert!((1..=doc.lines().count()).contains(&line), "{message:?} for {doc:?}");
         }
         Err(Error::UnknownAttribute { .. }) => {}
         Err(other) => panic!("{other:?} for {doc:?}"),
@@ -146,11 +145,10 @@ fn hostile_documents_get_a_typed_error_naming_the_line() {
     ];
     let started = std::time::Instant::now();
     for (doc, line, what) in cases {
-        let Err(Error::SqlParse { position, message }) = parse_cfds(doc, &s) else {
+        let Err(Error::Constraint { line: at, message }) = parse_cfds(doc, &s) else {
             panic!("{:?} must be a parse error", &doc[..doc.len().min(80)]);
         };
-        assert_eq!(position, line, "{message}");
-        assert!(message.starts_with(&format!("line {line}: ")), "{message}");
+        assert_eq!(at, line, "{message}");
         assert!(message.contains(what), "{message:?} should mention {what:?}");
         assert!(message.len() < 200, "{} bytes of message", message.len());
     }

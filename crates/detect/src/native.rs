@@ -48,7 +48,7 @@
 use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
-use revival_constraints::SymPred;
+use revival_constraints::{Cind, SymPred};
 use revival_relation::groupby::hash_syms;
 use revival_relation::{
     map_chunks, AttrId, ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
@@ -548,6 +548,48 @@ pub fn describe_violation(
             format!("tuple {tuple} has no witness for cind#{cind}")
         }
     }
+}
+
+/// Human-readable listing of a report against its suite, capped at `max`
+/// violation lines: each CFD violation described against the schema in
+/// `schemas` its relation names, each CIND violation by its two
+/// relations.
+pub fn describe_report(
+    report: &ViolationReport,
+    cfds: &[Cfd],
+    cinds: &[Cind],
+    schemas: &[&revival_relation::Schema],
+    max: usize,
+) -> String {
+    let mut out = format!(
+        "{} violation(s); {} tuple(s) involved\n",
+        report.len(),
+        report.violating_tuples().len()
+    );
+    for v in report.violations.iter().take(max) {
+        let line = match v {
+            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
+                match schemas.iter().find(|s| s.name() == cfds[*cfd].relation) {
+                    Some(schema) => describe_violation(v, cfds, schema),
+                    None => format!("{v:?}"),
+                }
+            }
+            Violation::CindMissingWitness { cind, tuple } => {
+                let c = &cinds[*cind];
+                format!(
+                    "tuple {tuple} of {} has no witness in {} (cind#{cind})",
+                    c.from_relation, c.to_relation
+                )
+            }
+        };
+        out.push_str("  ");
+        out.push_str(&line);
+        out.push('\n');
+    }
+    if report.len() > max {
+        out.push_str(&format!("  … and {} more\n", report.len() - max));
+    }
+    out
 }
 
 #[cfg(test)]

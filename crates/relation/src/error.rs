@@ -19,6 +19,9 @@ pub enum Error {
     Csv { line: usize, message: String },
     /// SQL lexing/parsing failed.
     SqlParse { position: usize, message: String },
+    /// Constraint text (a CFD suite, a CIND list) failed to parse; `line`
+    /// is 1-based.
+    Constraint { line: usize, message: String },
     /// SQL planning/execution failed (semantic errors).
     SqlExec(String),
     /// Expression evaluation failed.
@@ -52,6 +55,9 @@ impl fmt::Display for Error {
             Error::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             Error::SqlParse { position, message } => {
                 write!(f, "sql parse error at byte {position}: {message}")
+            }
+            Error::Constraint { line, message } => {
+                write!(f, "constraint error at line {line}: {message}")
             }
             Error::SqlExec(m) => write!(f, "sql execution error: {m}"),
             Error::Eval(m) => write!(f, "expression error: {m}"),

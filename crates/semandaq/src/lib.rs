@@ -11,7 +11,7 @@
 use revival_constraints::analysis::{self, Outcome};
 use revival_constraints::parser::parse_cfds;
 use revival_constraints::Cfd;
-use revival_detect::native::describe_violation;
+use revival_detect::native::{describe_report, describe_violation};
 use revival_detect::{engine_by_name, DetectJob, Detector, ViolationReport};
 use revival_relation::{csv, Error, Result, Table, Value};
 use revival_repair::{BatchRepair, CostModel, RepairStats};
@@ -123,20 +123,7 @@ impl Session {
 
     /// Human-readable violation listing (capped).
     pub fn describe(&self, report: &ViolationReport, max: usize) -> String {
-        let mut out = format!(
-            "{} violation(s); {} tuple(s) involved\n",
-            report.len(),
-            report.violating_tuples().len()
-        );
-        for v in report.violations.iter().take(max) {
-            out.push_str("  ");
-            out.push_str(&describe_violation(v, &self.cfds, self.table.schema()));
-            out.push('\n');
-        }
-        if report.len() > max {
-            out.push_str(&format!("  … and {} more\n", report.len() - max));
-        }
-        out
+        describe_report(report, &self.cfds, &[], &[self.table.schema()], max)
     }
 
     /// Compute a candidate repair; returns (repaired table, summary).

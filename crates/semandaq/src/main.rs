@@ -625,6 +625,15 @@ fn discover(flags: &Flags) -> Result<(), String> {
         (true, None) => String::new(),
         _ => semandaq::discovered_cfd_text(&d, &schemas).map_err(|e| e.to_string())?,
     };
+    // `--emit` writes only what `detect --cfds` can read back.
+    if emit.is_some() {
+        for cfd in &d.vetted {
+            let schema = schemas.iter().find(|s| s.name() == cfd.relation);
+            let schema = schema.expect("discovered_cfd_text resolved every relation");
+            let writable = revival_constraints::parser::check_writable(cfd, schema);
+            writable.map_err(|e| format!("--emit: {e}"))?;
+        }
+    }
     if json_only {
         println!("{}", profile.as_ref().expect("json mode implies a profile").render_json());
     } else {

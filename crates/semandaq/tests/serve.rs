@@ -112,10 +112,10 @@ fn serve_round_trip_and_clean_shutdown() {
 
     // A second concurrent client observes the same live state.
     let mut other = Client::connect(addr);
-    let resp = other.call(&Request::Count { replica: false });
+    let resp = other.call(&Request::Count);
     assert_eq!(resp.int("violations"), Some(1));
 
-    let resp = client.call(&Request::Report { max: 10, replica: false });
+    let resp = client.call(&Request::Report { max: 10 });
     assert!(resp.str("text").unwrap().contains("disagree on street"), "{resp:?}");
 
     // Fixing the appended tuple by hand clears the violation…
@@ -190,7 +190,7 @@ fn kill_nine_loses_nothing_acked() {
         let resp = client.call(&Request::Append { table: "customer".into(), row: (*row).into() });
         assert!(resp.is_ok(), "{resp:?}");
     }
-    let resp = client.call(&Request::Count { replica: false });
+    let resp = client.call(&Request::Count);
     let before = resp.int("violations").unwrap();
     assert!(before > 0, "{resp:?}");
 
@@ -200,7 +200,7 @@ fn kill_nine_loses_nothing_acked() {
 
     let (mut child, addr, mut stdout) = spawn_server_args(&args);
     let mut client = Client::connect(addr);
-    let resp = client.call(&Request::Count { replica: false });
+    let resp = client.call(&Request::Count);
     assert_eq!(resp.int("violations"), Some(before), "acked ops lost across kill -9");
     // The restored state keeps serving: a fresh conflicting group
     // lands on the same table with the same suite.
@@ -219,7 +219,7 @@ fn kill_nine_loses_nothing_acked() {
     // Third boot leans on the shutdown checkpoint (WAL truncated).
     let (mut child, addr, _stdout) = spawn_server_args(&args);
     let mut client = Client::connect(addr);
-    let resp = client.call(&Request::Count { replica: false });
+    let resp = client.call(&Request::Count);
     assert_eq!(resp.int("violations"), Some(before + 1));
     client.call(&Request::Shutdown);
     child.wait().unwrap();
@@ -263,8 +263,8 @@ fn duplicate_header_register_answers_a_csv_error() {
 
 /// The observability acceptance test: after a scripted op sequence
 /// against a WAL-backed server, the `metrics` verb surfaces per-verb
-/// request histograms, WAL fsync and checkpoint timings, replica vs
-/// locked read counters, and the CSV ingest counters — and the
+/// request histograms, WAL fsync and checkpoint timings, read
+/// counters, and the CSV ingest counters — and the
 /// `--trace-out` file the shutdown writes is well-formed Chrome-trace
 /// JSON.
 #[test]
@@ -288,8 +288,8 @@ fn metrics_verb_surfaces_the_full_registry() {
     let resp =
         client.call(&Request::Append { table: "customer".into(), row: "44,EH8,Mayfield".into() });
     assert!(resp.is_ok(), "{resp:?}");
-    assert!(client.call(&Request::Count { replica: false }).is_ok());
-    assert!(client.call(&Request::Count { replica: true }).is_ok());
+    assert!(client.call(&Request::Count).is_ok());
+    assert!(client.call(&Request::Count).is_ok());
     assert!(client.call(&Request::Checkpoint).is_ok());
     let mut fresh = Client::connect(addr);
     let resp =
@@ -329,9 +329,8 @@ fn metrics_verb_surfaces_the_full_registry() {
     assert!(counter("wal_fsync_us_count") >= 2, "wal fsync histogram empty");
     assert!(counter("serve_checkpoint_us_count") >= 1);
     assert!(counter("serve_checkpoints_total") >= 1);
-    // Replica vs locked reads.
-    assert!(counter("serve_replica_reads_total") >= 1);
-    assert!(counter("serve_locked_reads_total") >= 1);
+    // Reads are counted per verb.
+    assert!(counter("serve_requests_total{verb=\"count\"}") >= 2);
     // Ingest is counted (the register's one data row, its CSV bytes).
     assert!(counter("csv_ingest_rows_total") >= 1);
     assert!(counter("csv_ingest_bytes_total") >= 30);

@@ -21,9 +21,8 @@
 //!   offline and carries no serde);
 //! * [`shard::ShardedSession`] — the serve tier proper: a
 //!   consistent-hash ring of per-relation session shards (one lock
-//!   each), per-shard write-ahead logs replayed over `.sdq`
-//!   checkpoints on restart, and checkpoint-published read
-//!   [`shard::Replica`]s behind an arc-swap-style cell;
+//!   each) whose reads answer the live session, and per-shard
+//!   write-ahead logs replayed over `.sdq` checkpoints on restart;
 //! * [`wal::Wal`] — the fsync'd, FNV-checksummed, length-prefixed
 //!   operation log each shard appends to before acking, and
 //!   [`wal::GroupWal`] — leader/follower group commit over it, so one
@@ -45,6 +44,6 @@ pub mod wal;
 pub use protocol::{Request, Response};
 pub use server::{RunSummary, Server};
 pub use session::DeltaSession;
-pub use shard::{Replica, RestoreSummary, ServeOptions, Shard, ShardRing, ShardedSession};
+pub use shard::{RestoreSummary, ServeOptions, Shard, ShardRing, ShardedSession};
 pub use tail::CsvTail;
 pub use wal::{GroupWal, Wal, WalReplay};

@@ -20,7 +20,9 @@
 //! suite spells it, and counts and reports per CFD as written; a client
 //! that wants one CFD per embedded FD writes one block. (`register`
 //! still accepts a boolean `"merged"` from older clients and WAL
-//! records, and ignores it.)
+//! records, and ignores it.) `count` and `report` always answer the live
+//! session; they still accept a boolean `"replica"` from older clients
+//! and ignore it.
 //!
 //! `discover` mines a CFD suite from a registered table's *current*
 //! state through the parallel discovery engine and answers it in
@@ -243,14 +245,10 @@ pub enum Request {
     Delete { table: String, tuple: u64 },
     /// Overwrite one cell (`value` is parsed by the attribute's type).
     Update { table: String, tuple: u64, attr: String, value: String },
-    /// Live violation count only (cheap). With `replica`, answered
-    /// from each shard's last checkpoint replica instead of the live
-    /// session — never blocks behind writers, may lag by the ops
-    /// logged since that checkpoint (returned as `stale_ops`).
-    Count { replica: bool },
-    /// Full report, described (capped at `max` lines). `replica` as
-    /// on [`Request::Count`].
-    Report { max: usize, replica: bool },
+    /// Live violation count only (cheap).
+    Count,
+    /// Full live report, described (capped at `max` lines).
+    Report { max: usize },
     /// Repair the tuples appended to `table` since registration or the
     /// last repair — the live ids from the relation's checkpointed
     /// baseline up — and move the baseline past them: in place against
@@ -274,8 +272,8 @@ pub enum Request {
         register: bool,
     },
     /// Checkpoint now: durably snapshot every shard to the state
-    /// directory, truncate the WALs, and refresh the read replicas.
-    /// Without a state directory only the replicas refresh.
+    /// directory and truncate the WALs. Without a state directory there
+    /// is nothing to write.
     Checkpoint,
     /// Fetch the server's observability registry: uptime, plus the
     /// full metric set as a JSON string (`json`) and Prometheus-style
@@ -358,10 +356,11 @@ impl Request {
                 attr: get_str(&fields, "attr")?,
                 value: get_str(&fields, "value")?,
             }),
-            "count" => Ok(Request::Count { replica: get_bool(&fields, "replica")? }),
-            "report" => Ok(Request::Report {
+            // Wire compatibility, one release: a boolean `replica` is
+            // accepted and dropped — every read answers the live session.
+            "count" => get_bool(&fields, "replica").map(|_| Request::Count),
+            "report" => get_bool(&fields, "replica").map(|_| Request::Report {
                 max: get_int(&fields, "max").unwrap_or(25).max(0) as usize,
-                replica: get_bool(&fields, "replica")?,
             }),
             "repair" => Ok(Request::Repair { table: get_str(&fields, "table")? }),
             "discover" => {
@@ -436,17 +435,9 @@ impl Request {
                 fields.push(("value", JsonValue::Str(value.clone())));
                 "update"
             }
-            Request::Count { replica } => {
-                if *replica {
-                    fields.push(("replica", JsonValue::Bool(true)));
-                }
-                "count"
-            }
-            Request::Report { max, replica } => {
+            Request::Count => "count",
+            Request::Report { max } => {
                 fields.push(("max", JsonValue::Int(*max as i64)));
-                if *replica {
-                    fields.push(("replica", JsonValue::Bool(true)));
-                }
                 "report"
             }
             Request::Repair { table } => {
@@ -499,7 +490,7 @@ impl Request {
             Request::Append { .. } => "append",
             Request::Delete { .. } => "delete",
             Request::Update { .. } => "update",
-            Request::Count { .. } => "count",
+            Request::Count => "count",
             Request::Report { .. } => "report",
             Request::Repair { .. } => "repair",
             Request::Discover { .. } => "discover",
@@ -608,10 +599,8 @@ mod tests {
                 attr: "zip".into(),
                 value: "EH8".into(),
             },
-            Request::Count { replica: false },
-            Request::Count { replica: true },
-            Request::Report { max: 10, replica: false },
-            Request::Report { max: 10, replica: true },
+            Request::Count,
+            Request::Report { max: 10 },
             Request::Checkpoint,
             Request::Repair { table: "customer".into() },
             Request::Discover {
@@ -683,6 +672,20 @@ mod tests {
         assert!(
             Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","merged":"yes"}"#).is_err()
         );
+    }
+
+    #[test]
+    fn replica_flag_is_accepted_and_dropped() {
+        for (flagged, plain) in [
+            (r#"{"cmd":"count","replica":true}"#, r#"{"cmd":"count"}"#),
+            (r#"{"cmd":"report","max":5,"replica":true}"#, r#"{"cmd":"report","max":5}"#),
+        ] {
+            let request = Request::parse(flagged);
+            assert_eq!(request, Request::parse(plain), "{flagged}");
+            assert!(!request.unwrap().to_line().contains("replica"), "{flagged}");
+            let typed = flagged.replace("true", r#""yes""#);
+            assert!(Request::parse(&typed).is_err(), "{typed}");
+        }
     }
 
     #[test]

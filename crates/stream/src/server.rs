@@ -6,8 +6,8 @@
 //! every worker speaks the line-delimited JSON
 //! [`protocol`](crate::protocol) against the sharded session tier —
 //! requests route to one shard by table name, reads (`count`,
-//! `report`) take shared locks (or, with `"replica":true`, no session
-//! lock at all), writes serialise only against their own shard.
+//! `report`) take shared locks, writes serialise only against their own
+//! shard.
 //!
 //! Fault containment, per request: [`handle_connection`] wraps every
 //! request in [`std::panic::catch_unwind`], so a panicking request
@@ -557,11 +557,10 @@ mod tests {
 
         // A second concurrent client sees the same live state.
         let (mut stream2, mut reader2) = connect(addr);
-        let resp = roundtrip(&mut stream2, &mut reader2, &Request::Count { replica: false });
+        let resp = roundtrip(&mut stream2, &mut reader2, &Request::Count);
         assert_eq!(resp.int("violations"), Some(1));
 
-        let resp =
-            roundtrip(&mut stream, &mut reader, &Request::Report { max: 10, replica: false });
+        let resp = roundtrip(&mut stream, &mut reader, &Request::Report { max: 10 });
         assert!(resp.str("text").unwrap().contains("disagree on street"), "{resp:?}");
 
         let resp =
@@ -616,7 +615,7 @@ mod tests {
         assert!(resp.str("error").unwrap().contains("panicked"), "{resp:?}");
 
         // Same connection keeps working…
-        let resp = roundtrip(&mut stream, &mut reader, &Request::Count { replica: false });
+        let resp = roundtrip(&mut stream, &mut reader, &Request::Count);
         assert!(resp.is_ok(), "connection after panic: {resp:?}");
 
         // …and so does a *fresh* connection doing real work, despite
@@ -649,7 +648,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_with_replica_reads_and_checkpoint() {
+    fn sharded_server_counts_across_shards_and_checkpoints() {
         let (server, restored) = Server::bind_opts(
             "127.0.0.1:0",
             &ServeOptions { shards: 4, ..ServeOptions::default() },
@@ -671,17 +670,15 @@ mod tests {
             );
             assert!(resp.is_ok(), "{resp:?}");
         }
-        let resp = roundtrip(&mut stream, &mut reader, &Request::Count { replica: false });
+        let resp = roundtrip(&mut stream, &mut reader, &Request::Count);
         assert_eq!(resp.int("violations"), Some(4), "one violated group per table");
-        // Replicas predate the registers until a checkpoint publishes.
-        let resp = roundtrip(&mut stream, &mut reader, &Request::Count { replica: true });
-        assert_eq!(resp.int("violations"), Some(0));
-        assert_eq!(resp.int("stale_ops"), Some(4));
+        // Without a state directory a checkpoint writes nothing; the
+        // reply keeps its shape.
         let resp = roundtrip(&mut stream, &mut reader, &Request::Checkpoint);
         assert!(resp.is_ok(), "{resp:?}");
-        let resp = roundtrip(&mut stream, &mut reader, &Request::Count { replica: true });
+        assert_eq!((resp.int("relations"), resp.int("shards")), (Some(0), Some(4)), "{resp:?}");
+        let resp = roundtrip(&mut stream, &mut reader, &Request::Count);
         assert_eq!(resp.int("violations"), Some(4));
-        assert_eq!(resp.int("stale_ops"), Some(0));
         let resp = roundtrip(&mut stream, &mut reader, &Request::Shutdown);
         assert!(resp.is_ok());
         handle.join().unwrap();
@@ -844,9 +841,8 @@ mod tests {
     }
 
     /// Satellite: the seven phases must sum *exactly* to the recorded
-    /// request total for every verb — including the replica read path,
-    /// which takes no session lock and used to report its whole cost
-    /// as the `ack` residual.
+    /// request total for every verb — reads flagged `"replica":true`
+    /// included.
     #[test]
     fn phases_sum_exactly_to_total_for_every_verb() {
         let (server, _) = Server::bind_opts(
@@ -864,18 +860,20 @@ mod tests {
                 cfds: "p([a] -> [b])".into(),
             },
             Request::Append { table: "p".into(), row: "1,z".into() },
-            Request::Count { replica: false },
-            Request::Count { replica: true },
-            Request::Report { max: 10, replica: false },
-            Request::Report { max: 10, replica: true },
+            Request::Count,
+            Request::Report { max: 10 },
             Request::Checkpoint,
-            Request::Count { replica: true },
             Request::Metrics { window_secs: 0 },
         ];
-        let n_requests = requests.len();
+        let flagged = [r#"{"cmd":"count","replica":true}"#, r#"{"cmd":"count","replica":false}"#];
+        let n_requests = requests.len() + flagged.len();
         for req in &requests {
             let resp = roundtrip(&mut stream, &mut reader, req);
             assert!(resp.is_ok(), "{req:?} -> {resp:?}");
+        }
+        for line in flagged {
+            let resp = send_raw(&mut stream, &mut reader, &format!("{line}\n"));
+            assert!(resp.is_ok(), "{line} -> {resp:?}");
         }
         let resp = roundtrip(&mut stream, &mut reader, &Request::Profile { last: 64 });
         assert!(resp.is_ok(), "{resp:?}");
@@ -902,8 +900,7 @@ mod tests {
         for verb in ["register", "append", "count", "report", "checkpoint", "metrics"] {
             assert!(verbs_seen.iter().any(|v| v == verb), "no profile for `{verb}`: {text}");
         }
-        // The replica reads must attribute work to `apply`, not lump
-        // everything into `ack` — count appears 3×, two of them replica.
+        // Count appears 3×, two of them sent flagged.
         assert_eq!(verbs_seen.iter().filter(|v| *v == "count").count(), 3);
         let resp = roundtrip(&mut stream, &mut reader, &Request::Shutdown);
         assert!(resp.is_ok());

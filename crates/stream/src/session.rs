@@ -17,10 +17,11 @@
 //! whatever replaces a table ([`DeltaSession::register`], the batch side
 //! of [`DeltaSession::repair`]) builds a new detector over it.
 
+use revival_constraints::parser::check_writable;
 use revival_constraints::{Cfd, Cind};
-use revival_detect::native::describe_violation;
+use revival_detect::native::describe_report;
 use revival_detect::{CindDetector, IncrementalDetector, Violation, ViolationReport};
-use revival_relation::{Catalog, Error, Result, Schema, Table, TupleId, Value};
+use revival_relation::{Catalog, Error, Result, Table, TupleId, Value};
 use revival_repair::{BatchRepair, CostModel, IncRepair, IncStats};
 
 /// Per-relation incremental state: the detector over the relation's
@@ -101,8 +102,12 @@ impl DeltaSession {
     /// constraints change. The relation's incremental detector is
     /// rebuilt from the current table (one `O(n)` load). This is what
     /// the serve protocol's `discover {"register":true}` installs a
-    /// mined suite through.
+    /// mined suite through — the one way in for CFDs that were never
+    /// text, so it refuses a suite over an attribute constraint text
+    /// cannot name ([`check_writable`]): a checkpoint would write a
+    /// `.cfds` file the restore could not read.
     pub fn set_cfds(&mut self, relation: &str, cfds: Vec<Cfd>) -> Result<()> {
+        let schema = self.catalog.get(relation)?.schema();
         for cfd in &cfds {
             cfd.validate()?;
             if cfd.relation != relation {
@@ -111,6 +116,7 @@ impl DeltaSession {
                     cfd.relation
                 )));
             }
+            check_writable(cfd, schema)?;
         }
         let ri = self.relation_state(relation)?;
         self.cfds.retain(|c| c.relation != relation);
@@ -174,11 +180,6 @@ impl DeltaSession {
     /// with; 0 = one shard per available core).
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Total live tuples across all registered relations.
-    pub fn live_rows(&self) -> usize {
-        self.relations.iter().filter_map(|r| self.catalog.get(&r.name).ok()).map(Table::len).sum()
     }
 
     fn relation_state(&mut self, name: &str) -> Result<usize> {
@@ -257,9 +258,9 @@ impl DeltaSession {
 
     /// Human-readable listing of a report from this session (capped).
     pub fn describe(&self, report: &ViolationReport, max: usize) -> String {
-        describe_report(report, &self.cfds, &self.cinds, max, |name| {
-            self.catalog.get(name).ok().map(|t| t.schema())
-        })
+        let tables = self.relations.iter().filter_map(|r| self.catalog.get(&r.name).ok());
+        let schemas: Vec<_> = tables.map(Table::schema).collect();
+        describe_report(report, &self.cfds, &self.cinds, &schemas, max)
     }
 
     /// Repair the tuples appended since registration (or since the last
@@ -384,49 +385,6 @@ impl DeltaSession {
         durable::sync_dir(dir)?;
         Ok(names.len())
     }
-}
-
-/// Human-readable listing of a violation report against a CFD/CIND
-/// suite. Factored out of [`DeltaSession::describe`] so read replicas
-/// (which hold a detached report + suite + schemas, no catalog) render
-/// byte-identical text; `schema_of` resolves a relation name to its
-/// schema in whichever store the caller has.
-pub fn describe_report<'a>(
-    report: &ViolationReport,
-    cfds: &[Cfd],
-    cinds: &[Cind],
-    max: usize,
-    schema_of: impl Fn(&str) -> Option<&'a Schema>,
-) -> String {
-    let mut out = format!(
-        "{} violation(s); {} tuple(s) involved\n",
-        report.len(),
-        report.violating_tuples().len()
-    );
-    for v in report.violations.iter().take(max) {
-        let line = match v {
-            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                match schema_of(&cfds[*cfd].relation) {
-                    Some(schema) => describe_violation(v, cfds, schema),
-                    None => format!("{v:?}"),
-                }
-            }
-            Violation::CindMissingWitness { cind, tuple } => {
-                let c = &cinds[*cind];
-                format!(
-                    "tuple {tuple} of {} has no witness in {} (cind#{cind})",
-                    c.from_relation, c.to_relation
-                )
-            }
-        };
-        out.push_str("  ");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    if report.len() > max {
-        out.push_str(&format!("  … and {} more\n", report.len() - max));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -659,9 +617,7 @@ mod tests {
             let rows = |name: &str| sess.table(name).unwrap().rows().collect::<Vec<_>>();
             (rows("customer"), rows("orders"), sess.cfds().to_vec(), sess.cinds().to_vec())
         };
-        let count = |tier: &ShardedSession| {
-            tier.handle(&Request::Count { replica: false }).int("violations")
-        };
+        let count = |tier: &ShardedSession| tier.handle(&Request::Count).int("violations");
 
         let want = {
             let (tier, _) = ShardedSession::open(&opts).unwrap();

@@ -1,4 +1,4 @@
-//! Sharded, WAL-durable, replica-serving session tier.
+//! Sharded, WAL-durable session tier.
 //!
 //! One [`crate::session::DeltaSession`] behind one `RwLock` (PR 6's
 //! serve tier) serialises every hot table behind every other. This
@@ -14,12 +14,9 @@
 //!   [`crate::wal::Wal`] *before* the ack leaves the server. Restart =
 //!   restore `.sdq` checkpoints + replay the per-shard logs, so
 //!   `kill -9` loses nothing acked.
-//! * **Read replicas** — each shard publishes an immutable
-//!   [`Replica`] (report + suite + schemas) at every checkpoint
-//!   behind an arc-swap-style cell; `count`/`report` with
-//!   `"replica":true` read it without ever touching a session lock,
-//!   lagging by at most the ops logged since the last checkpoint
-//!   (returned as `stale_ops`).
+//!
+//! `count` and `report` read each shard's live session under its read
+//! lock, so every answer is as of the last acked mutation.
 //!
 //! Constraint scope: CFDs are single-relation, so sharding by relation
 //! never splits one. CINDs span two relations; they are accepted only
@@ -34,11 +31,9 @@
 //! that slips through validation leaves the recovered state consistent.
 
 use crate::protocol::{Request, Response};
-use crate::session::{describe_report, DeltaSession};
+use crate::session::DeltaSession;
 use crate::wal::{GroupWal, Wal};
 use revival_constraints::parser::{parse_cfds, parse_cinds};
-use revival_constraints::{Cfd, Cind};
-use revival_detect::ViolationReport;
 use revival_relation::{csv, durable, Error, Result, Schema, Table};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,85 +138,6 @@ impl ShardRing {
     }
 }
 
-/// An immutable read snapshot of one shard, published at checkpoints.
-/// Holds everything `count`/`report` need — no catalog, no locks.
-#[derive(Debug)]
-pub struct Replica {
-    /// The shard's full violation report as of the checkpoint.
-    pub report: ViolationReport,
-    cfds: Vec<Cfd>,
-    cinds: Vec<Cind>,
-    schemas: Vec<Schema>,
-    /// The shard's mutation sequence number the snapshot covers.
-    pub seq: u64,
-    /// Live rows across the shard's relations at the checkpoint.
-    pub rows: usize,
-}
-
-impl Replica {
-    fn empty() -> Replica {
-        Replica {
-            report: ViolationReport::default(),
-            cfds: Vec::new(),
-            cinds: Vec::new(),
-            schemas: Vec::new(),
-            seq: 0,
-            rows: 0,
-        }
-    }
-
-    fn of(session: &DeltaSession, seq: u64) -> Result<Replica> {
-        let mut names: Vec<String> =
-            session.catalog().relation_names().map(str::to_string).collect();
-        names.sort();
-        Ok(Replica {
-            report: session.report()?,
-            cfds: session.cfds().to_vec(),
-            cinds: session.cinds().to_vec(),
-            schemas: names
-                .iter()
-                .filter_map(|n| session.catalog().get(n).ok())
-                .map(|t| t.schema().clone())
-                .collect(),
-            seq,
-            rows: session.live_rows(),
-        })
-    }
-
-    /// Same rendering as [`DeltaSession::describe`], off the snapshot.
-    pub fn describe(&self, max: usize) -> String {
-        describe_report(&self.report, &self.cfds, &self.cinds, max, |name| {
-            self.schemas.iter().find(|s| s.name() == name)
-        })
-    }
-}
-
-/// The arc-swap-style publication cell: readers clone an `Arc` under a
-/// briefly-held read lock; the (rare) writer swaps the pointer under a
-/// briefly-held write lock, *after* building the new `Replica` outside
-/// any lock. A true lock-free `AtomicPtr` swap needs hazard-pointer
-/// reclamation the std library does not provide, so this is the
-/// std-only equivalent: the critical sections are O(1) pointer
-/// operations, and replica reads never touch a session lock at all.
-#[derive(Debug)]
-struct ReplicaCell {
-    slot: RwLock<Arc<Replica>>,
-}
-
-impl ReplicaCell {
-    fn new(replica: Replica) -> ReplicaCell {
-        ReplicaCell { slot: RwLock::new(Arc::new(replica)) }
-    }
-
-    fn load(&self) -> Arc<Replica> {
-        read_recovered(&self.slot).clone()
-    }
-
-    fn store(&self, replica: Arc<Replica>) {
-        *write_recovered(&self.slot) = replica;
-    }
-}
-
 /// Doorbell for one shard's background checkpointer thread: the write
 /// path rings it (and acks immediately) when the WAL crosses
 /// `--checkpoint-ops`; the thread sleeps on the condvar between rings.
@@ -251,15 +167,10 @@ impl CheckpointSignal {
     }
 }
 
-/// One shard: an independent session, its WAL, and its published
-/// replica. `seq` counts acknowledged mutations (bumped under the
-/// session write lock, so a checkpoint's read lock observes it
-/// stably).
+/// One shard: an independent session and its WAL.
 pub struct Shard {
     session: RwLock<DeltaSession>,
     wal: OnceLock<GroupWal>,
-    replica: ReplicaCell,
-    seq: AtomicU64,
     ckpt: CheckpointSignal,
     /// One checkpoint of this shard at a time: the background
     /// checkpointer and an explicit `checkpoint` verb must not
@@ -272,8 +183,6 @@ impl Shard {
         Shard {
             session: RwLock::new(DeltaSession::new(jobs)),
             wal: OnceLock::new(),
-            replica: ReplicaCell::new(Replica::empty()),
-            seq: AtomicU64::new(0),
             ckpt: CheckpointSignal::default(),
             ckpt_serial: Mutex::new(()),
         }
@@ -282,11 +191,6 @@ impl Shard {
     /// The shard's session lock (tests and the shutdown path).
     pub fn session(&self) -> &RwLock<DeltaSession> {
         &self.session
-    }
-
-    /// The currently published replica.
-    pub fn replica(&self) -> Arc<Replica> {
-        self.replica.load()
     }
 }
 
@@ -345,7 +249,7 @@ pub struct RestoreSummary {
     pub dropped_cinds: usize,
 }
 
-/// The sharded serve tier: routing, per-shard locking, WAL, replicas,
+/// The sharded serve tier: routing, per-shard locking, WAL,
 /// checkpoints. [`crate::server::Server`] is this plus TCP.
 ///
 /// A thin handle over the shared [`Tier`]: background checkpointer
@@ -409,8 +313,8 @@ impl ShardedSession {
     /// Open a session tier: restore `.sdq` checkpoints from the state
     /// directory (both the sharded `shard-<i>/` layout and the legacy
     /// flat layout of PR 6), replay any WAL tails on top, take a boot
-    /// checkpoint (which truncates the logs and publishes fresh
-    /// replicas), and open the per-shard WALs for appending.
+    /// checkpoint (which truncates the logs), and open the per-shard
+    /// WALs for appending.
     pub fn open(opts: &ServeOptions) -> Result<(ShardedSession, RestoreSummary)> {
         if opts.wal && opts.state.is_none() {
             return Err(Error::Io("the WAL needs a state directory to live in".into()));
@@ -522,8 +426,8 @@ impl ShardedSession {
                 shard.wal.set(wal).expect("each shard's wal is opened exactly once");
             }
         }
-        // Boot checkpoint: the snapshots now cover everything replayed,
-        // the logs truncate, and the replicas publish.
+        // Boot checkpoint: the snapshots now cover everything replayed
+        // and the logs truncate.
         this.checkpoint()?;
         if !opts.wal {
             // Replayed into the checkpoint above; a later restore must
@@ -607,8 +511,8 @@ impl Tier {
     /// See [`ShardedSession::handle`].
     fn handle(&self, request: &Request) -> Response {
         match request {
-            Request::Count { replica } => self.count(*replica),
-            Request::Report { max, replica } => self.report(*max, *replica),
+            Request::Count => self.count(),
+            Request::Report { max } => self.report(*max),
             Request::Checkpoint => revival_obs::time_phase("apply", || match self.checkpoint() {
                 Ok(saved) => Response::ok()
                     .with_int("relations", saved as i64)
@@ -643,7 +547,6 @@ impl Tier {
             let response = revival_obs::time_phase("apply", || self.apply(&mut session, request));
             let mut staged = None;
             if response.is_ok() {
-                shard.seq.fetch_add(1, Ordering::SeqCst);
                 if let Some(wal) = shard.wal.get() {
                     match revival_obs::time_phase("wal_append", || {
                         wal.stage(request.to_line().trim_end())
@@ -826,32 +729,10 @@ impl Tier {
         })
     }
 
-    /// `count`, live or from the replicas. Live aggregates each
-    /// shard's counter under its read lock in turn — cheap, but not a
-    /// consistent cut across shards (a write may land between visits);
-    /// the replica path *is* a consistent-per-shard cut and reports
-    /// its staleness.
-    fn count(&self, replica: bool) -> Response {
-        note_read_path(replica);
-        if replica {
-            // No session lock on this path, so the whole aggregate is
-            // `apply` — otherwise replica reads would report their
-            // entire cost as the `ack` residual.
-            return revival_obs::time_phase("apply", || {
-                let (mut total, mut stale, mut rows) = (0i64, 0i64, 0i64);
-                for shard in &self.shards {
-                    let rep = shard.replica.load();
-                    total += rep.report.len() as i64;
-                    stale += shard.seq.load(Ordering::SeqCst).saturating_sub(rep.seq) as i64;
-                    rows += rep.rows as i64;
-                }
-                revival_obs::global().gauge("serve_stale_ops").set(stale);
-                Response::ok()
-                    .with_int("violations", total)
-                    .with_int("stale_ops", stale)
-                    .with_int("rows", rows)
-            });
-        }
+    /// `count`: each shard's maintained counter under its read lock in
+    /// turn — cheap, but not a consistent cut across shards (a write may
+    /// land between visits).
+    fn count(&self) -> Response {
         let mut total = 0i64;
         for shard in &self.shards {
             let session = revival_obs::time_phase("lock_wait", || read_recovered(&shard.session));
@@ -863,30 +744,21 @@ impl Tier {
         Response::ok().with_int("violations", total)
     }
 
-    /// `report`, live or from the replicas. With several shards the
-    /// text concatenates one described block per non-clean shard,
-    /// `max` lines spread across them in shard order.
-    fn report(&self, max: usize, replica: bool) -> Response {
-        note_read_path(replica);
+    /// `report`. With several shards the text concatenates one described
+    /// block per non-clean shard, `max` lines spread across them in shard
+    /// order.
+    fn report(&self, max: usize) -> Response {
         let mut total = 0usize;
-        let mut stale = 0i64;
         let mut text = String::new();
         let mut remaining = max;
         for shard in &self.shards {
-            let (len, block) = if replica {
-                let rep = shard.replica.load();
-                stale += shard.seq.load(Ordering::SeqCst).saturating_sub(rep.seq) as i64;
-                revival_obs::time_phase("apply", || (rep.report.len(), rep.describe(remaining)))
-            } else {
-                let session =
-                    revival_obs::time_phase("lock_wait", || read_recovered(&shard.session));
-                let described = revival_obs::time_phase("apply", || {
-                    session.report().map(|r| (r.len(), session.describe(&r, remaining)))
-                });
-                match described {
-                    Ok(pair) => pair,
-                    Err(e) => return Response::err(e),
-                }
+            let session = revival_obs::time_phase("lock_wait", || read_recovered(&shard.session));
+            let described = revival_obs::time_phase("apply", || {
+                session.report().map(|r| (r.len(), session.describe(&r, remaining)))
+            });
+            let (len, block) = match described {
+                Ok(pair) => pair,
+                Err(e) => return Response::err(e),
             };
             total += len;
             if self.shards.len() == 1 || len > 0 {
@@ -897,19 +769,12 @@ impl Tier {
         if text.is_empty() {
             text = "0 violation(s); 0 tuple(s) involved\n".into();
         }
-        let response = Response::ok().with_int("violations", total as i64).with_str("text", text);
-        if replica {
-            revival_obs::global().gauge("serve_stale_ops").set(stale);
-            response.with_int("stale_ops", stale)
-        } else {
-            response
-        }
+        Response::ok().with_int("violations", total as i64).with_str("text", text)
     }
 
-    /// Checkpoint every shard: durably snapshot to
-    /// `state/shard-<i>/`, truncate its WAL, publish a fresh replica.
-    /// Returns relations written (0 without a state directory, where
-    /// only the replicas refresh).
+    /// Checkpoint every shard: durably snapshot to `state/shard-<i>/`
+    /// and truncate its WAL. Returns relations written (0 without a
+    /// state directory, where there is nothing to write).
     fn checkpoint(&self) -> Result<usize> {
         let mut saved = 0;
         for i in 0..self.shards.len() {
@@ -927,6 +792,7 @@ impl Tier {
     /// (replay is idempotent for register, and the snapshot+log pair
     /// is re-checkpointed at the next boot before new ops land).
     fn checkpoint_shard(&self, i: usize) -> Result<usize> {
+        let Some(dir) = &self.state else { return Ok(0) };
         let shard = &self.shards[i];
         let _serial = lock_recovered(&shard.ckpt_serial);
         let span = revival_obs::Span::traced(
@@ -935,20 +801,15 @@ impl Tier {
         );
         // Read lock: writers to *this shard* pause, other shards don't.
         let session = read_recovered(&shard.session);
-        let mut saved = 0;
-        if let Some(dir) = &self.state {
-            saved = session.save_state(&dir.join(format!("shard-{i}")))?;
-            if let Some(wal) = shard.wal.get() {
-                // Waits out any in-flight group sync, then drops even
-                // staged-but-unsynced frames: staging happens under the
-                // session write lock, so everything staged was applied
-                // before this read lock was granted and is in the
-                // snapshot just written.
-                wal.truncate_covered()?;
-            }
+        let saved = session.save_state(&dir.join(format!("shard-{i}")))?;
+        if let Some(wal) = shard.wal.get() {
+            // Waits out any in-flight group sync, then drops even
+            // staged-but-unsynced frames: staging happens under the
+            // session write lock, so everything staged was applied
+            // before this read lock was granted and is in the
+            // snapshot just written.
+            wal.truncate_covered()?;
         }
-        let seq = shard.seq.load(Ordering::SeqCst);
-        shard.replica.store(Arc::new(Replica::of(&session, seq)?));
         revival_obs::global().counter("serve_checkpoints_total").inc();
         self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         drop(span);
@@ -963,12 +824,6 @@ impl Tier {
 /// but missing there would silently drop out of `serve_phase_us`
 /// while still being subtracted from the `ack` residual.
 pub const SHARD_PHASES: [&str; 5] = ["route", "lock_wait", "apply", "wal_append", "commit_wait"];
-
-/// Count one read-path request as replica-served or session-locked.
-fn note_read_path(replica: bool) {
-    let name = if replica { "serve_replica_reads_total" } else { "serve_locked_reads_total" };
-    revival_obs::global().counter(name).inc();
-}
 
 /// The table name a mutating request routes by. CINDs route by their
 /// first relation (lexed ahead of the full parse, which needs the
@@ -1077,30 +932,32 @@ mod tests {
             let resp = tier.handle(&append(&format!("t{i}"), "1,y"));
             assert!(resp.is_ok(), "{resp:?}");
         }
-        let resp = tier.handle(&Request::Count { replica: false });
+        let resp = tier.handle(&Request::Count);
         assert_eq!(resp.int("violations"), Some(4), "{resp:?}");
-        let resp = tier.handle(&Request::Report { max: 100, replica: false });
+        let resp = tier.handle(&Request::Report { max: 100 });
         assert_eq!(resp.int("violations"), Some(4), "{resp:?}");
         assert!(resp.str("text").unwrap().contains("disagree on b"), "{resp:?}");
     }
 
+    /// Compat: a read flagged `"replica":true` (accepted for one
+    /// release, ignored) answers the live session — no lag, no
+    /// `stale_ops`.
     #[test]
-    fn replica_reads_lag_until_checkpoint() {
-        let (tier, _) = ShardedSession::open(&ServeOptions::default()).unwrap();
-        tier.handle(&register("t", "a,b\n1,x\n", "t([a] -> [b])"));
-        tier.handle(&append("t", "1,y"));
-        // The replica predates both ops: empty but honest about it.
-        let resp = tier.handle(&Request::Count { replica: true });
-        assert_eq!(resp.int("violations"), Some(0), "{resp:?}");
-        assert_eq!(resp.int("stale_ops"), Some(2), "{resp:?}");
-        // Checkpoint (stateless: replicas only) catches it up.
-        let resp = tier.handle(&Request::Checkpoint);
-        assert!(resp.is_ok(), "{resp:?}");
-        let resp = tier.handle(&Request::Count { replica: true });
-        assert_eq!(resp.int("violations"), Some(1), "{resp:?}");
-        assert_eq!(resp.int("stale_ops"), Some(0), "{resp:?}");
-        let resp = tier.handle(&Request::Report { max: 10, replica: true });
-        assert!(resp.str("text").unwrap().contains("disagree on b"), "{resp:?}");
+    fn replica_flag_reads_the_live_session() {
+        for shards in [1, 4] {
+            let (tier, _) =
+                ShardedSession::open(&ServeOptions { shards, ..Default::default() }).unwrap();
+            assert!(tier.handle(&register("t", "a,b\n1,x\n", "t([a] -> [b])")).is_ok());
+            assert!(tier.handle(&append("t", "1,y")).is_ok());
+            let flagged = |line: &str| tier.handle(&Request::parse(line).unwrap());
+            let count = flagged(r#"{"cmd":"count","replica":true}"#);
+            let report = flagged(r#"{"cmd":"report","replica":true}"#);
+            for resp in [&count, &report] {
+                assert_eq!(resp.int("violations"), Some(1), "shards {shards}: {resp:?}");
+                assert_eq!(resp.int("stale_ops"), None, "shards {shards}: {resp:?}");
+            }
+            assert!(report.str("text").unwrap().contains("disagree on b"), "{report:?}");
+        }
     }
 
     #[test]
@@ -1119,14 +976,14 @@ mod tests {
         let (tier, summary) = ShardedSession::open(&opts).unwrap();
         assert_eq!(summary.replayed, 3, "{summary:?}");
         assert_eq!(summary.replay_errors, 0, "{summary:?}");
-        let resp = tier.handle(&Request::Count { replica: false });
+        let resp = tier.handle(&Request::Count);
         assert_eq!(resp.int("violations"), Some(1), "{resp:?}");
         // The boot checkpoint truncated the logs: a second restore
         // leans on the snapshots alone.
         let (tier, summary) = ShardedSession::open(&opts).unwrap();
         assert_eq!(summary.replayed, 0, "{summary:?}");
         assert!(summary.relations > 0, "{summary:?}");
-        let resp = tier.handle(&Request::Count { replica: false });
+        let resp = tier.handle(&Request::Count);
         assert_eq!(resp.int("violations"), Some(1), "{resp:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1154,7 +1011,7 @@ mod tests {
         }
         let (tier, summary) = ShardedSession::open(&mk(4)).unwrap();
         assert_eq!(summary.replayed, 4, "{summary:?}");
-        assert_eq!(tier.handle(&Request::Count { replica: false }).int("violations"), Some(4));
+        assert_eq!(tier.handle(&Request::Count).int("violations"), Some(4));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1173,14 +1030,14 @@ mod tests {
             ServeOptions { shards: 2, wal: true, state: Some(dir.clone()), ..Default::default() };
         let (tier, summary) = ShardedSession::open(&opts).unwrap();
         assert_eq!(summary.relations, 1, "{summary:?}");
-        assert_eq!(tier.handle(&Request::Count { replica: false }).int("violations"), Some(1));
+        assert_eq!(tier.handle(&Request::Count).int("violations"), Some(1));
         drop(tier);
         // The flat files migrated into shard-<i>/ and must not restore
         // twice.
         assert!(!dir.join("t.sdq").exists());
         let (tier, summary) = ShardedSession::open(&opts).unwrap();
         assert_eq!(summary.relations, 1, "{summary:?}");
-        assert_eq!(tier.handle(&Request::Count { replica: false }).int("violations"), Some(1));
+        assert_eq!(tier.handle(&Request::Count).int("violations"), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1216,7 +1073,7 @@ mod tests {
         })
         .join();
         assert!(tier.shard(0).session().is_poisoned());
-        let resp = tier.handle(&Request::Count { replica: false });
+        let resp = tier.handle(&Request::Count);
         assert!(resp.is_ok(), "poisoned lock must recover: {resp:?}");
         let resp = tier.handle(&append("t", "1,y"));
         assert!(resp.is_ok(), "{resp:?}");

@@ -152,7 +152,7 @@ proptest! {
                     _ => {}
                 }
             }
-            let before = tier.handle(&Request::Count { replica: false });
+            let before = tier.handle(&Request::Count);
             prop_assert!(before.is_ok());
             drop(tier); // no shutdown, no checkpoint: the crash
 
@@ -164,7 +164,7 @@ proptest! {
                 "registers live in the WAL"
             );
 
-            let after = tier.handle(&Request::Count { replica: false });
+            let after = tier.handle(&Request::Count);
             prop_assert_eq!(
                 after.int("violations"), before.int("violations"),
                 "violation count must survive the crash"
@@ -369,7 +369,7 @@ type Rows = Vec<(TupleId, Vec<Value>)>;
 
 /// `(count, rows of "customer", a fresh scan's count)`.
 fn witness_state(tier: &ShardedSession) -> (Option<i64>, Rows, usize) {
-    let count = tier.handle(&Request::Count { replica: false }).int("violations");
+    let count = tier.handle(&Request::Count).int("violations");
     let session = tier.shard(tier.route("customer")).session().read().unwrap();
     let table = session.table("customer").unwrap();
     let cfds = parse_cfds(&suite_for("customer"), table.schema()).unwrap();
@@ -554,7 +554,7 @@ fn a_mined_suite_survives_checkpoint_and_replay_unchanged() {
 
     let state_of = |tier: &ShardedSession| {
         let cfds = tier.shard(tier.route("hospital")).session().read().unwrap().cfds().to_vec();
-        let report = tier.handle(&Request::Report { max: 10_000, replica: false });
+        let report = tier.handle(&Request::Report { max: 10_000 });
         (cfds, report.int("violations"), report.str("text").unwrap().to_string())
     };
     let live = state_of(&tier);
@@ -618,7 +618,7 @@ fn a_wal_record_carrying_merged_replays_as_the_suite_it_spells() {
         ServeOptions { jobs: 1, wal: true, state: Some(dir.clone()), ..ServeOptions::default() };
     let (tier, summary) = ShardedSession::open(&opts).unwrap();
     assert_eq!((summary.replayed, summary.replay_errors), (2, 0), "{summary:?}");
-    let count = tier.handle(&Request::Count { replica: false }).int("violations");
+    let count = tier.handle(&Request::Count).int("violations");
     let session = tier.shard(0).session().read().unwrap();
     let table = session.table("customer").unwrap();
     let suite = parse_cfds(cfds, table.schema()).unwrap();
@@ -628,4 +628,56 @@ fn a_wal_record_carrying_merged_replays_as_the_suite_it_spells() {
     drop(session);
     drop(tier);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint never writes a state directory its own `open` rejects.
+/// `discover {"register":true}` is the one door through which CFDs that
+/// were never text enter a session: over a column constraint text cannot
+/// name (`zip code`, or `zip#code`, where a comment would start) the mined
+/// suite used to install, the checkpoint wrote it into `customer.cfds`,
+/// and reopening failed on that file. The suite is refused instead, with
+/// an error naming the attribute, and the directory reopens; a legal
+/// header installs, checkpoints and reopens to the same suite and count.
+#[test]
+fn a_checkpoint_never_writes_a_suite_its_open_rejects() {
+    for (i, header) in ["zip code,city", "zip#code,city", "zip,city"].into_iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("revival_wal_names_{i}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = witness_opts(&dir, 1, 0);
+        let (tier, _) = ShardedSession::open(&opts).unwrap();
+        let register = Request::Register {
+            table: "customer".into(),
+            csv: format!("{header}\nEH8,edi\nEH8,edi\nG1,gla\nG1,gla\n"),
+            cfds: String::new(),
+        };
+        assert!(tier.handle(&register).is_ok(), "{header}");
+        let mined = tier.handle(&Request::Discover {
+            table: "customer".into(),
+            min_support: 2,
+            max_lhs: 1,
+            confidence_pct: 100,
+            register: true,
+        });
+        assert!(tier.handle(&Request::Checkpoint).is_ok(), "{header}");
+        let state = |tier: &ShardedSession| {
+            let cfds = tier.shard(0).session().read().unwrap().cfds().to_vec();
+            (cfds, tier.handle(&Request::Count).int("violations"))
+        };
+        let live = state(&tier);
+        drop(tier);
+        let (tier, _) = ShardedSession::open(&opts)
+            .unwrap_or_else(|e| panic!("{header}: the checkpoint must reopen: {e}"));
+        assert_eq!(state(&tier), live, "{header}");
+        let attr = header.split(',').next().unwrap();
+        if attr == "zip" {
+            assert!(mined.is_ok() && !live.0.is_empty(), "{header}: {mined:?}");
+        } else {
+            let error = mined.str("error").unwrap_or_default();
+            assert!(error.contains(&format!("`{attr}`")), "{header}: {mined:?}");
+            assert!(live.0.is_empty(), "{header}: nothing installed");
+        }
+        drop(tier);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
