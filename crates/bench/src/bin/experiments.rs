@@ -10,7 +10,7 @@
 
 use revival_bench::{customer_workload, full_mode, ms, print_table, repairable_attrs, timed};
 use revival_constraints::{Cfd, PatternRow};
-use revival_detect::{NativeDetector, Violation};
+use revival_detect::{DetectJob, Detector, NativeEngine, SqlEngine, Violation};
 use revival_dirty::customer::{attrs, generate, scaled_suite, standard_cfds, CustomerConfig};
 use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
 use revival_relation::{Table, TupleId, Value};
@@ -124,9 +124,9 @@ fn detection_scaling() {
     let mut rows = Vec::new();
     for &n in sizes {
         let (_, ds, cfds) = customer_workload(n, 0.05, 1);
-        let (native, native_t) = timed(|| NativeDetector::new(&ds.dirty).detect_all(&cfds));
-        let (sql, sql_t) =
-            timed(|| revival_detect::sqlgen::detect_sql(&ds.dirty, &cfds).expect("sql detect"));
+        let job = DetectJob::on_table(&ds.dirty, &cfds);
+        let (native, native_t) = timed(|| NativeEngine.run(&job).expect("native detect"));
+        let (sql, sql_t) = timed(|| SqlEngine.run(&job).expect("sql detect"));
         assert_eq!(native.violating_tuples(), sql.violating_tuples(), "engines must agree");
         rows.push(vec![
             n.to_string(),
@@ -149,7 +149,6 @@ fn detection_scaling() {
 /// per embedded FD either way; both grow only with the constant rows
 /// each tuple is checked against, never with the number of scans.
 fn tableau_size() {
-    use revival_detect::{DetectJob, Detector, NativeEngine};
     let n = if full_mode() { 80_000 } else { 20_000 };
     println!("E2: detection vs tableau size ({n} tuples, noise 5%)");
     let data = generate(&CustomerConfig { rows: n, ..Default::default() });
@@ -203,7 +202,7 @@ struct Blame {
 }
 
 fn blame(ds: &DirtyDataset, suite: &[Cfd]) -> Blame {
-    let report = NativeDetector::new(&ds.dirty).detect_all(suite);
+    let report = NativeEngine.run(&DetectJob::on_table(&ds.dirty, suite)).expect("detect");
     let corrupted: BTreeSet<TupleId> = ds.modified.iter().map(|(t, _)| *t).collect();
     let implicated = report.violating_tuples();
     let pinpointed: BTreeSet<TupleId> = report
@@ -491,16 +490,15 @@ fn cind_scaling() {
             violation_rate: 0.05,
             ..Default::default()
         });
-        let cind = standard_cind(&data.cd_schema, &data.book_schema);
-        let (report, t) =
-            timed(|| revival_detect::CindDetector::detect(&cind, &data.cd, &data.book, 0));
+        let cinds = [standard_cind(&data.cd_schema, &data.book_schema)];
+        let book_tuples = data.book.len();
+        let mut catalog = revival_relation::Catalog::new();
+        catalog.register(data.cd);
+        catalog.register(data.book);
+        let job = DetectJob::on_catalog(&catalog, &[]).with_cinds(&cinds);
+        let (report, t) = timed(|| NativeEngine.run(&job).expect("cind detect"));
         assert_eq!(report.len(), data.planted_violations, "must find exactly the planted set");
-        rows.push(vec![
-            n.to_string(),
-            data.book.len().to_string(),
-            report.len().to_string(),
-            ms(t),
-        ]);
+        rows.push(vec![n.to_string(), book_tuples.to_string(), report.len().to_string(), ms(t)]);
     }
     print_table(&["cd_tuples", "book_tuples", "violations", "time_ms"], &rows);
 }
@@ -675,7 +673,8 @@ fn incremental_detection() {
         let ((), add_t) = timed(|| ids.iter().for_each(|&id| inc.add(&live, id, None)));
         let inc_count = inc.violation_count();
 
-        let (full_report, full_t) = timed(|| NativeDetector::new(&live).detect_all(&cfds));
+        let job = DetectJob::on_table(&live, &cfds);
+        let (full_report, full_t) = timed(|| NativeEngine.run(&job).expect("full detect"));
         assert_eq!(inc_count, full_report.len(), "state must agree with full scan");
 
         rows.push(vec![

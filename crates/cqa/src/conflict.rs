@@ -1,7 +1,7 @@
 //! Conflict graphs and subset-repair enumeration.
 
 use revival_constraints::Cfd;
-use revival_detect::{NativeDetector, Violation};
+use revival_detect::{DetectJob, Detector, NativeEngine, Violation};
 use revival_relation::{Table, TupleId};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -21,8 +21,13 @@ pub struct ConflictGraph {
 
 impl ConflictGraph {
     /// Build from an instance and suite.
+    ///
+    /// # Panics
+    /// If the suite is malformed or constrains another relation.
     pub fn build(table: &Table, cfds: &[Cfd]) -> ConflictGraph {
-        let report = NativeDetector::new(table).detect_all(cfds);
+        let report = NativeEngine
+            .run(&DetectJob::on_table(table, cfds))
+            .expect("well-formed suite over this table");
         let mut g = ConflictGraph::default();
         for v in &report.violations {
             match v {

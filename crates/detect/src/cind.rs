@@ -8,27 +8,9 @@
 //! parity with the paper's SQL-based techniques (\[4\] §SQL).
 
 use crate::engine::{cind_profile_name, DetectJob};
-use crate::report::{Violation, ViolationReport};
+use crate::report::Violation;
 use revival_constraints::cind::Cind;
-use revival_relation::{map_chunks, Catalog, Error, Result, Table, TupleId};
-
-/// Detects CIND violations given the two tables of each CIND.
-pub struct CindDetector;
-
-impl CindDetector {
-    /// Detect violations of one CIND.
-    pub fn detect(cind: &Cind, from: &Table, to: &Table, cind_idx: usize) -> ViolationReport {
-        ViolationReport { violations: probe(cind, from, to, cind_idx, 1) }
-    }
-
-    /// Detect a suite of CINDs, resolving relations from a catalog.
-    pub fn detect_all(cinds: &[Cind], catalog: &Catalog) -> Result<ViolationReport> {
-        let mut report = ViolationReport::default();
-        let job = DetectJob::on_catalog(catalog, &[]).with_cinds(cinds);
-        detect_cinds(&job, 1, None, &mut report.violations)?;
-        Ok(report)
-    }
-}
+use revival_relation::{map_chunks, Error, Result, Table, TupleId};
 
 /// The witness probe: the target index builds once, source tuples shard
 /// across `jobs` contiguous chunks (each row materialises only while it
@@ -148,6 +130,16 @@ mod tests {
         .remove(0)
     }
 
+    /// The paper's CIND over `cd` and `book`, through the engine layer.
+    fn detect(cind: &Cind, cd: Table, book: Table) -> crate::ViolationReport {
+        use crate::engine::{Detector, NativeEngine};
+        let mut catalog = revival_relation::Catalog::new();
+        catalog.register(cd);
+        catalog.register(book);
+        let job = DetectJob::on_catalog(&catalog, &[]).with_cinds(std::slice::from_ref(cind));
+        NativeEngine.run(&job).unwrap()
+    }
+
     #[test]
     fn detects_missing_witness() {
         let (cd_s, book_s) = schemas();
@@ -159,7 +151,7 @@ mod tests {
         let mut book = Table::new(book_s);
         book.push(vec!["Dune".into(), Value::Int(20), "audio".into()]).unwrap();
         book.push(vec!["Foundation".into(), Value::Int(15), "print".into()]).unwrap();
-        let report = CindDetector::detect(&cind, &cd, &book, 0);
+        let report = detect(&cind, cd, book);
         assert_eq!(report.len(), 1);
         assert_eq!(report.violating_tuples().len(), 1);
     }
@@ -170,11 +162,7 @@ mod tests {
         let cind = paper_cind(&cd_s, &book_s);
         let mut cd = Table::new(cd_s);
         cd.push(vec!["X".into(), Value::Int(1), "a-book".into()]).unwrap();
-        let book = Table::new(book_s);
-        let mut catalog = Catalog::new();
-        catalog.register(cd);
-        catalog.register(book);
-        let report = CindDetector::detect_all(&[cind], &catalog).unwrap();
+        let report = detect(&cind, cd, Table::new(book_s));
         assert_eq!(report.len(), 1);
     }
 

@@ -1,14 +1,11 @@
-//! The unified detection engine layer.
+//! The detection engine layer — the one way in to detection.
 //!
-//! Before this layer existed, every caller (the `semandaq` CLI, the
-//! bench harness, tests) wired itself to one concrete detector's
-//! entry points — `NativeDetector::detect_all`, `detect_sql`,
-//! `CindDetector::detect_all`, hand-rolled `IncrementalDetector`
-//! replay — each with a different shape. The [`Detector`] trait gives
-//! them all one: a [`DetectJob`] names the data (a single table or a
-//! multi-relation catalog) and the constraint suite (CFDs and,
-//! optionally, CINDs); an engine turns the job into a
-//! [`ViolationReport`].
+//! A [`DetectJob`] names the data (a single table or a multi-relation
+//! catalog) and the constraint suite (CFDs and, optionally, CINDs); a
+//! [`Detector`] turns the job into a [`ViolationReport`]. Every one-shot
+//! detection — the `semandaq` CLI, repair's passes, the session tier's
+//! CIND probe, the experiments, the tests — builds a job and picks an
+//! engine, by type or through [`engine_by_name`].
 //!
 //! Engines are interchangeable and agree tuple-for-tuple; the parity is
 //! asserted by tests in this crate and by the workspace-level
@@ -22,7 +19,6 @@ use crate::cind::detect_cinds;
 use crate::incremental::IncrementalDetector;
 use crate::native::scan_suite;
 use crate::report::{Violation, ViolationReport};
-use crate::sqlgen::SqlDetector;
 use revival_constraints::{Cfd, Cind};
 use revival_relation::{Catalog, Error, Result, Table};
 
@@ -302,7 +298,7 @@ impl Detector for NativeEngine {
 }
 
 /// The two-query SQL encoding of Fan et al. (TODS 2008), executed on
-/// the bundled SQL engine via [`SqlDetector`] — one query pair per CFD,
+/// the bundled SQL engine ([`crate::sqlgen`]) — one query pair per CFD,
 /// independent of the native scan's grouping. CINDs fall back to the
 /// native witness probe (their `NOT EXISTS` encoding is outside the
 /// SQL subset — see `cind::generate_sql`).
@@ -336,7 +332,7 @@ impl Detector for SqlEngine {
                 &owned
             }
         };
-        let mut report = SqlDetector::new(catalog).detect_all(job.cfds)?;
+        let mut report = crate::sqlgen::detect_all(catalog, job.cfds)?;
         detect_cinds(job, 1, profile, &mut report.violations)?;
         Ok(report)
     }

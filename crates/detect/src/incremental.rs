@@ -327,7 +327,7 @@ impl IncrementalDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::NativeDetector;
+    use crate::engine::{DetectJob, Detector, NativeEngine};
     use revival_constraints::parser::parse_cfds;
     use revival_relation::{Schema, Type};
 
@@ -420,7 +420,7 @@ mod tests {
             }
         }
         let mut inc = d.report(&t);
-        let mut full = NativeDetector::new(&t).detect_all(&cfds);
+        let mut full = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
         inc.normalize();
         full.normalize();
         assert_eq!(inc, full);
@@ -465,7 +465,7 @@ mod tests {
         assert!(d.write(&mut t, c, 9, "x".into()).is_err(), "unknown attribute");
         assert!(d.write(&mut t, a, 3, "x".into()).is_err(), "dead tuple");
         assert_eq!(d.violation_count(), 0);
-        assert_eq!(d.report(&t), NativeDetector::new(&t).detect_all(&suite(&s)));
+        assert_eq!(d.report(&t), NativeEngine.run(&DetectJob::on_table(&t, &suite(&s))).unwrap());
     }
 
     /// A multi-row block and a single-row CFD over one embedded FD share
@@ -509,6 +509,6 @@ mod tests {
         }
         assert_eq!(both.report(&t), apart);
         assert_eq!((both.violation_count(), count), (3, 3), "{apart:?}");
-        assert_eq!(both.report(&t), NativeDetector::new(&t).detect_all(&cfds));
+        assert_eq!(both.report(&t), NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap());
     }
 }

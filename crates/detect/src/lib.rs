@@ -5,31 +5,24 @@
 //! detections of cfd violations, based on efficient sql-based
 //! techniques"*.
 //!
-//! Four detectors are provided:
+//! Detection is reached one way: build an [`engine::DetectJob`] (data +
+//! suite) and run it on an [`engine::Detector`] —
 //!
-//! * [`native`] — hash-group detection, one pass per embedded FD
-//!   however the suite splits its pattern rows, reported per original
-//!   CFD; the fastest path and the reference implementation
-//!   ([`native::NativeDetector`] is its single-table facade);
-//! * [`sqlgen`] — the two-query SQL encoding of Fan et al. (TODS 2008):
-//!   a per-tuple query `Q_c` for constant tableau rows and a
-//!   `GROUP BY … HAVING COUNT(DISTINCT …) > 1` query `Q_v` for variable
-//!   rows, executed on `revival-relation`'s SQL engine;
-//! * [`incremental::IncrementalDetector`] — the native scan's state
-//!   kept warm: maintains violations under tuple insertions, deletions
-//!   and cell writes on one table in time proportional to the delta;
-//! * [`cind::CindDetector`] — detection for conditional inclusion
-//!   dependencies across two relations.
+//! * [`engine::NativeEngine`] — the hash-group scan of [`native`], one
+//!   pass per embedded FD however the suite splits its pattern rows,
+//!   reported per original CFD; the fastest path and the reference;
+//! * [`parallel::ParallelEngine`] — the same scan sharded across
+//!   threads, byte-identical to the native engine at any shard count;
+//! * [`engine::SqlEngine`] — the two-query SQL encoding of [`sqlgen`]
+//!   (Fan et al., TODS 2008) on `revival-relation`'s SQL engine, the
+//!   oracle every other engine is held to;
+//! * [`engine::IncrementalEngine`] — a batch replay through
+//!   [`incremental::IncrementalDetector`], the native scan's state kept
+//!   warm under insertions, deletions and cell writes.
 //!
-//! All detectors agree on the [`report::ViolationReport`] structure, and
-//! tests in this crate assert they agree with each other.
-//!
-//! The [`engine`] module unifies them behind one [`engine::Detector`]
-//! trait: callers build a [`engine::DetectJob`] (data + suite) and run
-//! it on any engine — including [`parallel::ParallelEngine`], the
-//! native scan sharded across threads with per-shard outputs merged
-//! deterministically (byte-identical to [`engine::NativeEngine`], which
-//! is the same scan at one shard).
+//! CINDs ride the same job ([`engine::DetectJob::with_cinds`]) and are
+//! witness-probed by [`cind`] on every engine. All engines agree on the
+//! [`report::ViolationReport`] they return.
 
 #![forbid(unsafe_code)]
 
@@ -41,12 +34,10 @@ pub mod parallel;
 pub mod report;
 pub mod sqlgen;
 
-pub use cind::CindDetector;
 pub use engine::{
     cfd_profile_name, cind_profile_name, engine_by_name, DetectJob, Detector, IncrementalEngine,
     NativeEngine, SqlEngine,
 };
 pub use incremental::IncrementalDetector;
-pub use native::NativeDetector;
 pub use parallel::ParallelEngine;
 pub use report::{Violation, ViolationReport};

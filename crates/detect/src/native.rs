@@ -55,38 +55,6 @@ use revival_relation::{
 };
 use std::collections::HashMap;
 
-/// Detects CFD violations on one in-memory table — the single-table
-/// facade over the scan kernel.
-pub struct NativeDetector<'a> {
-    table: &'a Table,
-}
-
-impl<'a> NativeDetector<'a> {
-    /// Create a detector over `table`.
-    pub fn new(table: &'a Table) -> Self {
-        NativeDetector { table }
-    }
-
-    /// Detect all violations of one CFD. `cfd_idx` is echoed into the
-    /// report so suite-level callers can attribute violations.
-    pub fn detect(&self, cfd: &Cfd, cfd_idx: usize) -> ViolationReport {
-        debug_assert_eq!(cfd.relation, self.table.schema().name());
-        let slots: Vec<usize> = self.table.live_slots().collect();
-        let scan = scan_unit(self.table, &slots, &[(cfd_idx, cfd)], 1);
-        ViolationReport { violations: scan.found.into_iter().flatten().collect() }
-    }
-
-    /// Detect violations of a whole suite over this table.
-    ///
-    /// # Panics
-    /// If the suite is malformed or constrains another relation; use
-    /// [`crate::Detector::run`] for the typed error.
-    pub fn detect_all(&self, cfds: &[Cfd]) -> ViolationReport {
-        scan_suite(&DetectJob::on_table(self.table, cfds), 1, None)
-            .expect("well-formed suite over this table")
-    }
-}
-
 /// The kernel's entry point: every CFD and CIND of `job`, one pass per
 /// embedded FD over `jobs` shards, violations reported per original
 /// constraint in suite order (CFDs, then CINDs). With a profile, each
@@ -497,12 +465,6 @@ fn emit_variable_violations(
     }
 }
 
-/// Count the violating tuples of a suite — the headline number in
-/// detection-quality experiments (E3).
-pub fn count_violating_tuples(table: &Table, cfds: &[Cfd]) -> usize {
-    NativeDetector::new(table).detect_all(cfds).violating_tuples().len()
-}
-
 /// Quick satisfaction check for a suite (used by repair as its oracle).
 pub fn satisfies(table: &Table, cfds: &[Cfd]) -> bool {
     cfds.iter().all(|c| c.satisfied_by(table))
@@ -595,6 +557,7 @@ pub fn describe_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Detector, NativeEngine};
     use revival_constraints::parser::parse_cfds;
     use revival_relation::{Schema, Type, Value};
 
@@ -617,6 +580,10 @@ mod tests {
         t
     }
 
+    fn detect(t: &Table, cfds: &[Cfd]) -> ViolationReport {
+        NativeEngine.run(&DetectJob::on_table(t, cfds)).unwrap()
+    }
+
     #[test]
     fn detects_variable_violation() {
         let s = schema();
@@ -626,7 +593,7 @@ mod tests {
             ["44", "131", "222", "Mayfield", "edi", "EH8"],
             ["01", "908", "333", "MtnAve", "mh", "07974"],
         ]);
-        let report = NativeDetector::new(&t).detect(&cfds[0], 0);
+        let report = detect(&t, &cfds);
         assert_eq!(report.len(), 1);
         assert!(
             matches!(&report.violations[0], Violation::CfdVariable { key, tuples, .. }
@@ -645,7 +612,7 @@ mod tests {
             ["01", "908", "222", "MtnAve", "mh", "07974"],  // fine
             ["44", "908", "333", "X", "nyc", "EH8"],        // pattern doesn't apply
         ]);
-        let report = NativeDetector::new(&t).detect(&cfds[0], 0);
+        let report = detect(&t, &cfds);
         assert_eq!(report.len(), 1);
         assert_eq!(report.violating_tuples().len(), 1);
     }
@@ -665,8 +632,8 @@ mod tests {
         // Single tuple with the wrong city: consistent as far as the FD
         // can see (no conflicting pair), but the CFD flags it.
         let t = table(&[["01", "908", "111", "MtnAve", "nyc", "07974"]]);
-        assert_eq!(count_violating_tuples(&t, &fd_suite), 0);
-        assert_eq!(count_violating_tuples(&t, &cfd_suite), 1);
+        assert_eq!(detect(&t, &fd_suite).violating_tuples().len(), 0);
+        assert_eq!(detect(&t, &cfd_suite).violating_tuples().len(), 1);
     }
 
     #[test]
@@ -690,7 +657,7 @@ mod tests {
             ["44", "131", "111", "Crichton", "edi", "EH8"],
             ["01", "908", "222", "Crichton", "edi", "EH8"],
         ]);
-        assert!(NativeDetector::new(&t).detect(&cfds[0], 0).is_empty());
+        assert!(detect(&t, &cfds).is_empty());
     }
 
     #[test]
@@ -701,7 +668,7 @@ mod tests {
             ["44", "131", "111", "Crichton", "edi", "EH8"],
             ["44", "131", "222", "Mayfield", "edi", "EH8"],
         ]);
-        let report = NativeDetector::new(&t).detect(&cfds[0], 0);
+        let report = detect(&t, &cfds);
         let text = describe_violation(&report.violations[0], &cfds, &s);
         assert!(text.contains("street"));
         assert!(text.contains("2 tuples"));
@@ -761,7 +728,7 @@ mod tests {
             ["44", "131", "111", "Crichton", "edi", "EH8"],
             ["44", "131", "222", "Mayfield", "edi", "EH8"],
         ]);
-        let report = NativeDetector::new(&t).detect(&merged[0], 0);
+        let report = detect(&t, &merged);
         assert_eq!(report.len(), 1);
     }
 }

@@ -64,7 +64,6 @@ impl Detector for ParallelEngine {
 mod tests {
     use super::*;
     use crate::engine::NativeEngine;
-    use crate::native::NativeDetector;
     use revival_constraints::parser::parse_cfds;
     use revival_constraints::Cfd;
     use revival_relation::{Schema, Table, Type};
@@ -117,7 +116,7 @@ mod tests {
     fn byte_identical_to_sequential_at_any_shard_count() {
         let t = big_table(1_000);
         let cfds = suite();
-        let sequential = NativeDetector::new(&t).detect_all(&cfds);
+        let sequential = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
         assert!(!sequential.is_empty());
         for jobs in [1, 2, 3, 4, 7, 16] {
             let parallel = sharded(&t, &cfds, jobs);

@@ -28,7 +28,7 @@ use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_relation::sql;
-use revival_relation::{Catalog, Index, Result, Schema, Table, Value};
+use revival_relation::{Catalog, Index, Result, Schema, Value};
 
 /// Quote a value for embedding in generated SQL.
 fn sql_literal(v: &Value) -> String {
@@ -133,41 +133,24 @@ pub fn generate(cfd: &Cfd, schema: &Schema) -> DetectionQueries {
     DetectionQueries { constant, variable }
 }
 
-/// Run SQL-based detection of a suite against a catalog containing the
-/// constrained table.
+/// Run SQL-based detection of `cfds` against a catalog holding their
+/// relations (indices echo into the report) — the oracle behind
+/// [`crate::SqlEngine`].
 ///
 /// `Q_c` results are materialised back to tuple ids by probing an index
 /// on the LHS attributes and re-checking the row (the generated query
 /// projects the LHS key, mirroring how Semandaq joins violation keys
 /// back to the source table).
-pub struct SqlDetector<'a> {
-    catalog: &'a Catalog,
-}
-
-impl<'a> SqlDetector<'a> {
-    /// Create a detector over `catalog`.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        SqlDetector { catalog }
-    }
-
-    /// Detect all violations of `cfds` (indices echo into the report).
-    pub fn detect_all(&self, cfds: &[Cfd]) -> Result<ViolationReport> {
-        let mut report = ViolationReport::default();
-        for (idx, cfd) in cfds.iter().enumerate() {
-            self.detect_into(cfd, idx, &mut report)?;
-        }
-        Ok(report)
-    }
-
-    fn detect_into(&self, cfd: &Cfd, cfd_idx: usize, report: &mut ViolationReport) -> Result<()> {
-        let table = self.catalog.get(&cfd.relation)?;
-        let schema = table.schema().clone();
-        let queries = generate(cfd, &schema);
+pub(crate) fn detect_all(catalog: &Catalog, cfds: &[Cfd]) -> Result<ViolationReport> {
+    let mut report = ViolationReport::default();
+    for (cfd_idx, cfd) in cfds.iter().enumerate() {
+        let table = catalog.get(&cfd.relation)?;
+        let queries = generate(cfd, table.schema());
         let need_index = !queries.constant.is_empty() || !queries.variable.is_empty();
         let index = if need_index { Some(Index::build(table, &cfd.lhs)) } else { None };
 
         for (row_idx, q) in &queries.constant {
-            let rs = sql::run(q, self.catalog)?;
+            let rs = sql::run(q, catalog)?;
             let index = index.as_ref().expect("index built");
             // Each result row is an LHS key of ≥1 violating tuple; recheck
             // members to pick exactly the violating ones.
@@ -184,7 +167,7 @@ impl<'a> SqlDetector<'a> {
             }
         }
         for (row_idx, q) in &queries.variable {
-            let rs = sql::run(q, self.catalog)?;
+            let rs = sql::run(q, catalog)?;
             let index = index.as_ref().expect("index built");
             for key in &rs.rows {
                 let tuples: Vec<_> = index.lookup(key).to_vec();
@@ -198,23 +181,16 @@ impl<'a> SqlDetector<'a> {
                 }
             }
         }
-        Ok(())
     }
-}
-
-/// Convenience: SQL-detect on a single table (builds a throwaway catalog).
-pub fn detect_sql(table: &Table, cfds: &[Cfd]) -> Result<ViolationReport> {
-    let mut catalog = Catalog::new();
-    catalog.register(table.clone());
-    SqlDetector::new(&catalog).detect_all(cfds)
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::NativeDetector;
+    use crate::engine::{DetectJob, Detector, NativeEngine, SqlEngine};
     use revival_constraints::parser::parse_cfds;
-    use revival_relation::{Schema, Type};
+    use revival_relation::{Schema, Table, Type};
 
     fn schema() -> Schema {
         Schema::builder("customer")
@@ -274,8 +250,9 @@ mod tests {
             ["01", "10001", "5th", "nyc"],
             ["44", "10001", "5th", "man"],
         ]);
-        let mut native = NativeDetector::new(&t).detect_all(&cfds);
-        let mut via_sql = detect_sql(&t, &cfds).unwrap();
+        let job = DetectJob::on_table(&t, &cfds);
+        let mut native = NativeEngine.run(&job).unwrap();
+        let mut via_sql = SqlEngine.run(&job).unwrap();
         native.normalize();
         via_sql.normalize();
         assert_eq!(native, via_sql);
@@ -299,7 +276,7 @@ mod tests {
         t.push(vec![Value::Int(7), "y".into()]).unwrap(); // violation
         t.push(vec![Value::Int(7), "x".into()]).unwrap();
         t.push(vec![Value::Int(8), "z".into()]).unwrap();
-        let report = detect_sql(&t, &cfds).unwrap();
+        let report = SqlEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
         assert_eq!(report.len(), 1);
         assert_eq!(report.violating_tuples().len(), 1);
     }

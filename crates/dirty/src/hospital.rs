@@ -167,6 +167,7 @@ fn state_prefix(state: &str) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revival_detect::{DetectJob, Detector, NativeEngine};
 
     #[test]
     fn clean_data_satisfies_suite() {
@@ -198,7 +199,7 @@ mod tests {
             &data.table,
             &NoiseConfig::new(0.04, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 9),
         );
-        let n = revival_detect::native::count_violating_tuples(&ds.dirty, &suite);
+        let n = NativeEngine.run(&DetectJob::on_table(&ds.dirty, &suite)).unwrap().len();
         assert!(n > 0, "noise must trip the hospital suite");
     }
 

@@ -212,6 +212,7 @@ pub fn inject(table: &Table, cfg: &NoiseConfig) -> DirtyDataset {
 mod tests {
     use super::*;
     use crate::customer::{attrs, generate, standard_cfds, CustomerConfig};
+    use revival_detect::{DetectJob, Detector, NativeEngine};
 
     fn dataset(rate: f64) -> DirtyDataset {
         let data = generate(&CustomerConfig { rows: 400, ..Default::default() });
@@ -247,7 +248,7 @@ mod tests {
         let data = generate(&CustomerConfig { rows: 600, ..Default::default() });
         let cfds = standard_cfds(&data.schema);
         let ds = inject(&data.table, &NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY], 11));
-        let n = revival_detect::native::count_violating_tuples(&ds.dirty, &cfds);
+        let n = NativeEngine.run(&DetectJob::on_table(&ds.dirty, &cfds)).unwrap().len();
         assert!(n > 0, "5% noise should trip the suite");
     }
 

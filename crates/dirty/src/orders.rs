@@ -129,14 +129,18 @@ pub fn generate(cfg: &OrdersConfig) -> OrdersData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revival_detect::CindDetector;
+    use revival_detect::{DetectJob, Detector, NativeEngine};
+    use revival_relation::Catalog;
 
     #[test]
     fn planted_violations_are_found_exactly() {
         let data = generate(&OrdersConfig { cds: 800, violation_rate: 0.1, ..Default::default() });
-        let cind = standard_cind(&data.cd_schema, &data.book_schema);
-        let report = CindDetector::detect(&cind, &data.cd, &data.book, 0);
-        assert_eq!(report.len(), data.planted_violations);
+        let cinds = [standard_cind(&data.cd_schema, &data.book_schema)];
+        let mut catalog = Catalog::new();
+        catalog.register(data.cd);
+        catalog.register(data.book);
+        let report = NativeEngine.run(&DetectJob::on_catalog(&catalog, &[]).with_cinds(&cinds));
+        assert_eq!(report.unwrap().len(), data.planted_violations);
         assert!(data.planted_violations > 0);
     }
 

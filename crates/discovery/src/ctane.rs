@@ -6,34 +6,10 @@
 //! candidate embedded FD that fails the (confidence) check on the whole
 //! table, single-constant patterns over the most frequent values are
 //! probed on the matching sub-instance. This module owns the probe
-//! kernel ([`pattern_error`], one interned grouping pass over the
-//! condition item's row list — no `Vec<Value>` keys) and the classical surface
-//! [`discover_cfds`], which now also returns [`DiscoveryStats`] so the
-//! search bounds (`max_lhs`, `top_values`) are reported, never applied
-//! silently.
+//! kernel: [`pattern_error`], one interned grouping pass over the
+//! condition item's row list — no `Vec<Value>` keys.
 
-use crate::engine::{DiscoverOptions, DiscoveryStats};
-use revival_constraints::Cfd;
 use revival_relation::{GroupBy, Sym, Table};
-
-/// Options for [`discover_cfds`].
-#[derive(Clone, Debug)]
-pub struct CtaneOptions {
-    /// Maximum LHS size.
-    pub max_lhs: usize,
-    /// Minimum matching tuples for a pattern row.
-    pub min_support: usize,
-    /// Per attribute, only the `top_values` most frequent constants are
-    /// tried (bounds the pattern lattice; the cut is reported in the
-    /// returned stats). `0` disables conditional rules.
-    pub top_values: usize,
-}
-
-impl Default for CtaneOptions {
-    fn default() -> Self {
-        CtaneOptions { max_lhs: 2, min_support: 5, top_values: 8 }
-    }
-}
 
 /// `g3`-style error of the embedded FD `lhs → rhs` restricted to
 /// `rows` — the live slots of the item the pattern conditions on, from
@@ -69,26 +45,27 @@ pub(crate) fn pattern_error(table: &Table, lhs: &[usize], rhs: usize, rows: &[u3
     err
 }
 
-/// Discover variable CFDs per the options, with the search accounting.
-/// Returned CFDs each carry one tableau row; merge with
-/// [`revival_constraints::cfd::merge_by_embedded_fd`] if desired.
-pub fn discover_cfds(table: &Table, options: &CtaneOptions) -> (Vec<Cfd>, DiscoveryStats) {
-    let opts = DiscoverOptions {
-        min_support: options.min_support,
-        min_confidence: 1.0,
-        max_lhs: options.max_lhs,
-        top_values: options.top_values,
-        ..DiscoverOptions::default()
-    };
-    let (mined, stats) = crate::tane::mine_lattice(table, &opts, 1);
-    (mined.into_iter().map(|m| m.cfd).collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DiscoverOptions, DiscoveryStats};
     use revival_constraints::pattern::PatternValue;
+    use revival_constraints::Cfd;
     use revival_relation::{Schema, Type};
+
+    /// Bounded CTANE: the lattice's exact rules, one tableau row each,
+    /// with the search accounting.
+    fn ctane(
+        t: &Table,
+        max_lhs: usize,
+        min_support: usize,
+        top_values: usize,
+    ) -> (Vec<Cfd>, DiscoveryStats) {
+        let opts =
+            DiscoverOptions { min_support, max_lhs, top_values, ..DiscoverOptions::default() };
+        let (mined, stats) = crate::tane::mine_lattice(t, &opts, 1);
+        (mined.into_iter().map(|m| m.cfd).collect(), stats)
+    }
 
     fn table() -> Table {
         // zip → street holds only where cc='44'; globally violated.
@@ -119,8 +96,7 @@ mod tests {
     #[test]
     fn finds_conditional_but_not_global_fd() {
         let t = table();
-        let opts = CtaneOptions { max_lhs: 2, min_support: 3, top_values: 4 };
-        let (cfds, _) = discover_cfds(&t, &opts);
+        let (cfds, _) = ctane(&t, 2, 3, 4);
         // ([cc='44', zip] → street) should be found…
         let zip = 1usize;
         let street = 2usize;
@@ -141,7 +117,7 @@ mod tests {
     #[test]
     fn discovered_cfds_hold() {
         let t = table();
-        let (cfds, _) = discover_cfds(&t, &CtaneOptions::default());
+        let (cfds, _) = ctane(&t, 2, 5, 8);
         for c in &cfds {
             assert!(c.satisfied_by(&t), "discovered CFD violated: {:?}", c);
         }
@@ -150,8 +126,7 @@ mod tests {
     #[test]
     fn support_threshold_prunes_rare_patterns() {
         let t = table();
-        let (strict, _) =
-            discover_cfds(&t, &CtaneOptions { min_support: 100, ..CtaneOptions::default() });
+        let (strict, _) = ctane(&t, 2, 100, 8);
         assert!(strict.is_empty());
     }
 
@@ -165,7 +140,7 @@ mod tests {
             let b = format!("v{}", i % 3);
             t.push(vec![a.into(), b.into()]).unwrap();
         }
-        let (cfds, _) = discover_cfds(&t, &CtaneOptions { min_support: 2, ..Default::default() });
+        let (cfds, _) = ctane(&t, 2, 2, 8);
         let rows: Vec<&Cfd> = cfds.iter().filter(|c| c.lhs == vec![0] && c.rhs == 1).collect();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].tableau[0].is_embedded_fd_row());
@@ -175,8 +150,7 @@ mod tests {
     fn caps_are_reported_not_silent() {
         let t = table();
         // top_values=1 drops condition values on every probed attribute.
-        let opts = CtaneOptions { max_lhs: 1, min_support: 3, top_values: 1 };
-        let (_, stats) = discover_cfds(&t, &opts);
+        let (_, stats) = ctane(&t, 1, 3, 1);
         assert!(stats.candidates_pruned > 0, "{stats:?}");
         assert!(stats.lattice_truncated, "max_lhs=1 over arity 3 cuts the lattice: {stats:?}");
         assert_eq!(stats.levels, 1);
@@ -207,8 +181,7 @@ mod tests {
         // a table scan per probe would read |X| · distinct · n.
         let t = table();
         let run = |max_lhs| {
-            let opts = CtaneOptions { max_lhs, min_support: 1, top_values: 8 };
-            let (cfds, stats) = discover_cfds(&t, &opts);
+            let (cfds, stats) = ctane(&t, max_lhs, 1, 8);
             let plain = cfds.iter().filter(|c| c.is_plain_fd()).count();
             (stats.candidates_checked - plain, stats.support_rows_touched)
         };

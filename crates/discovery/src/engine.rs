@@ -1,10 +1,10 @@
 //! The unified discovery engine layer — profiling's counterpart of the
 //! `Detector` trait in `revival-detect`.
 //!
-//! Before this layer existed, every discovery entry point had its own
-//! shape: `tane::discover_fds`, `ctane::discover_cfds`,
-//! `cfdminer::mine_constant_cfds`, `ind_disc::discover_unary_inds` —
-//! all sequential, none surfaced by the CLI or the serve protocol. A
+//! The CLI's `discover` and the serve protocol's `discover` verb both
+//! run through this layer; its miners are called directly only to time
+//! or count one of them (the benchmark's per-layer metrics, work-count
+//! tests). A
 //! [`DiscoverJob`] names the data (one table or a catalog) plus
 //! [`DiscoverOptions`]; a [`DiscoveryEngine`] turns it into a
 //! [`Discovered`] suite: mined CFDs with per-rule support/confidence,

@@ -33,16 +33,16 @@
 //! makes discovery usable on *dirty* data: `min_confidence < 1.0`
 //! recovers the planted dependencies noise has chipped.
 //!
-//! The individual miners remain available:
+//! The engine layer is the one way in to discovery; the modules behind
+//! it are its parts:
 //!
 //! * [`partition`] — stripped partitions, refinement, and the `g3`
 //!   error measure, the engine room of TANE;
-//! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`])
-//!   and the classical exact-FD surface ([`tane::discover_fds`]);
+//! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`]),
+//!   plain and conditional rules alike;
 //! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner)
 //!   over row lists;
-//! * [`ctane`] — the conditional-pattern probe and the bounded-CTANE
-//!   surface ([`ctane::discover_cfds`]);
+//! * [`ctane`] — the conditional-pattern probe the lattice runs;
 //! * [`ind_disc`] — unary IND discovery across relations and lifting of
 //!   violated INDs to CIND candidates (how the paper's book/CD CIND
 //!   arises from data).
@@ -61,10 +61,8 @@ pub mod partition;
 pub mod tane;
 
 pub use cfdminer::mine_constant_cfds;
-pub use ctane::discover_cfds;
 pub use engine::{
     discovery_by_name, DiscoverJob, DiscoverOptions, Discovered, DiscoveryEngine, DiscoveryStats,
     MinedCfd, MinedCind, ParallelDiscovery, SequentialDiscovery,
 };
 pub use ind_disc::{discover_unary_inds, lift_to_cinds};
-pub use tane::discover_fds;

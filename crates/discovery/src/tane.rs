@@ -18,50 +18,17 @@
 //! shards them across scoped threads ([`revival_relation::map_chunks`])
 //! and merges in candidate order — byte-identical output at any shard
 //! count. Partitions group on the interned `Sym` kernel; no
-//! `Vec<Value>` keys exist anywhere in the lattice.
-//!
-//! [`discover_fds`] keeps the classical surface: exact, minimal FDs
-//! only.
+//! `Vec<Value>` keys exist anywhere in the lattice. Classical TANE —
+//! exact, minimal FDs only — is the walk at `min_confidence` 1 with
+//! `top_values` 0, keeping the plain rules.
 
 use crate::engine::{DiscoverOptions, DiscoveryStats, MinedCfd};
 use crate::items::{ItemId, ItemIndex};
 use crate::partition::Partition;
 use revival_constraints::pattern::{PatternRow, PatternValue};
-use revival_constraints::{Cfd, Fd};
+use revival_constraints::Cfd;
 use revival_relation::{map_chunks, Table};
 use std::collections::HashMap;
-
-/// Options for [`discover_fds`].
-#[derive(Clone, Debug)]
-pub struct TaneOptions {
-    /// Maximum LHS size to explore.
-    pub max_lhs: usize,
-}
-
-impl Default for TaneOptions {
-    fn default() -> Self {
-        TaneOptions { max_lhs: 4 }
-    }
-}
-
-/// Discover all minimal, non-trivial FDs `X → A` with `|X| ≤ max_lhs`
-/// that hold *exactly* — the classical TANE surface, now a thin wrapper
-/// over [`mine_lattice`].
-pub fn discover_fds(table: &Table, options: &TaneOptions) -> Vec<Fd> {
-    let opts = DiscoverOptions {
-        min_support: 0,
-        min_confidence: 1.0,
-        max_lhs: options.max_lhs,
-        top_values: 0,
-        ..DiscoverOptions::default()
-    };
-    let (mined, _) = mine_lattice(table, &opts, 1);
-    mined
-        .into_iter()
-        .filter(|m| m.cfd.is_plain_fd())
-        .map(|m| Fd::from_ids(m.cfd.relation, m.cfd.lhs, vec![m.cfd.rhs]))
-        .collect()
-}
 
 /// `f` over every item on up to `jobs` scoped workers, outputs in item
 /// order: [`map_chunks`], flattened in chunk order. One chunk runs inline,
@@ -364,8 +331,25 @@ pub(crate) fn mine_lattice_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revival_constraints::fd;
+    use revival_constraints::{fd, Fd};
     use revival_relation::{Schema, Type, Value};
+
+    /// The exact, minimal FDs with `|X| ≤ max_lhs`: the plain rules of
+    /// a walk at confidence 1 that probes no conditions.
+    fn exact_fds(t: &Table, max_lhs: usize) -> Vec<Fd> {
+        let opts = DiscoverOptions {
+            min_support: 0,
+            max_lhs,
+            top_values: 0,
+            ..DiscoverOptions::default()
+        };
+        let (mined, _) = mine_lattice(t, &opts, 1);
+        mined
+            .into_iter()
+            .filter(|m| m.cfd.is_plain_fd())
+            .map(|m| Fd::from_ids(m.cfd.relation, m.cfd.lhs, vec![m.cfd.rhs]))
+            .collect()
+    }
 
     fn table() -> Table {
         // a is a key; b → c; d independent.
@@ -397,7 +381,7 @@ mod tests {
     #[test]
     fn finds_planted_fds() {
         let t = table();
-        let fds = discover_fds(&t, &TaneOptions::default());
+        let fds = exact_fds(&t, 4);
         assert!(has_fd(&fds, &[1], 2), "b → c missing: {fds:?}");
         assert!(has_fd(&fds, &[2], 1), "c → b missing (bijective here)");
         // a is a key → a determines everything.
@@ -409,7 +393,7 @@ mod tests {
     #[test]
     fn no_false_fds() {
         let t = table();
-        let fds = discover_fds(&t, &TaneOptions::default());
+        let fds = exact_fds(&t, 4);
         assert!(!has_fd(&fds, &[3], 1), "d → b does not hold");
         assert!(!has_fd(&fds, &[1], 3), "b → d does not hold");
         // Every reported FD actually holds (partition check oracle).
@@ -425,7 +409,7 @@ mod tests {
     #[test]
     fn minimality() {
         let t = table();
-        let fds = discover_fds(&t, &TaneOptions::default());
+        let fds = exact_fds(&t, 4);
         // b → c is minimal, so [b,d] → c must not be reported.
         assert!(!has_fd(&fds, &[1, 3], 2));
         for (i, f) in fds.iter().enumerate() {
@@ -446,10 +430,10 @@ mod tests {
     #[test]
     fn max_lhs_bounds_search_and_reports_truncation() {
         let t = table();
-        let fds = discover_fds(&t, &TaneOptions { max_lhs: 1 });
+        let fds = exact_fds(&t, 1);
         assert!(fds.iter().all(|f| f.lhs.len() <= 1));
-        // The same bound through the stats-carrying entry point reports
-        // the cut (live candidates remained past level 1).
+        // The walk's stats report the cut (live candidates remained
+        // past level 1).
         let opts = DiscoverOptions {
             min_support: 0,
             max_lhs: 1,
@@ -474,7 +458,7 @@ mod tests {
     fn empty_table_finds_everything_trivially() {
         let s = Schema::builder("r").attr("a", Type::Int).attr("b", Type::Int).build();
         let t = Table::new(s);
-        let fds = discover_fds(&t, &TaneOptions::default());
+        let fds = exact_fds(&t, 4);
         for f in &fds {
             assert_eq!(f.rhs.len(), 1);
         }

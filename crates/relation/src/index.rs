@@ -1,18 +1,17 @@
 //! Secondary hash indexes over attribute sets.
 //!
-//! Detection (the `revival-detect` crate) and repair build many transient indexes
-//! on (subsets of) a CFD's left-hand side; matching builds block indexes.
-//! The index maps a projected key (values of a fixed attribute list) to
-//! the set of tuple ids carrying that key.
+//! An index maps a projected key (values of a fixed attribute list) to
+//! the tuple ids carrying that key. It has two callers, both probing
+//! with values from outside the table: the SQL detection oracle
+//! (`revival-detect`'s `sqlgen`) joins query result keys back to tuple
+//! ids with [`Index::lookup`], and CIND witness probes project a source
+//! tuple onto the target's attributes with [`Index::lookup_mapped`].
 //!
 //! Built on the interned [`GroupBy`] kernel: the index owns a
-//! [`ValuePool`], keys are stored as symbol tuples, and every probe —
-//! [`Index::lookup`], [`Index::lookup_row`], [`Index::insert`],
-//! [`Index::remove`] — hashes the projection in place instead of
-//! allocating a `Vec<Value>`. Foreign probe values (SQL result rows,
-//! CIND source tuples) resolve through [`ValuePool::lookup`]: a value
-//! the index never saw cannot match any key, so the probe returns empty
-//! without hashing a single string twice.
+//! [`ValuePool`] and stores keys as symbol tuples. A probe value
+//! resolves through [`ValuePool::lookup`]: a value the index never saw
+//! cannot match any key, so the probe returns empty without hashing a
+//! single string twice.
 
 use crate::groupby::{hash_syms, GroupBy};
 use crate::pool::{Sym, ValuePool};
@@ -22,12 +21,10 @@ use crate::value::Value;
 /// A hash index on a fixed list of attribute positions of one table.
 #[derive(Clone, Debug)]
 pub struct Index {
-    attrs: Vec<usize>,
+    /// Number of indexed attributes: the length of every key.
+    arity: usize,
     pool: ValuePool,
     map: GroupBy<Box<[Sym]>, Vec<TupleId>>,
-    /// Groups with ≥ 1 live id. Removal empties a group's id list in
-    /// place (the kernel is append-only); this tracks the logical count.
-    non_empty: usize,
 }
 
 impl Index {
@@ -36,12 +33,7 @@ impl Index {
     /// index symbol exactly once (one memo slot per pool entry), so no
     /// row is materialised and no string is hashed per occurrence.
     pub fn build(table: &Table, attrs: &[usize]) -> Self {
-        let mut ix = Index {
-            attrs: attrs.to_vec(),
-            pool: ValuePool::new(),
-            map: GroupBy::new(),
-            non_empty: 0,
-        };
+        let mut ix = Index { arity: attrs.len(), pool: ValuePool::new(), map: GroupBy::new() };
         let proj = table.proj(attrs);
         let mut memo: Vec<Option<Sym>> = vec![None; table.pool().len()];
         for slot in table.live_slots() {
@@ -58,49 +50,33 @@ impl Index {
                     }
                 })
                 .collect();
-            ix.insert_syms(TupleId(slot as u64), syms);
+            let hash = hash_syms(syms.iter().copied());
+            let idx = match ix.map.probe(hash, |k| k.as_ref() == syms) {
+                Some(i) => i,
+                None => ix.map.insert_unique(hash, syms.into_boxed_slice(), Vec::new()),
+            };
+            ix.map.value_at_mut(idx).push(TupleId(slot as u64));
         }
         ix
     }
 
-    /// The indexed attribute positions.
-    pub fn attrs(&self) -> &[usize] {
-        &self.attrs
-    }
-
-    /// Resolve a full projection to symbols (probe side: no interning).
-    /// `None` ⇔ some value was never indexed ⇔ no tuple matches.
-    fn probe_syms<'v>(
-        &self,
-        vals: impl Iterator<Item = &'v Value> + Clone,
-    ) -> Option<(u64, Vec<Sym>)> {
-        let syms: Option<Vec<Sym>> = vals.map(|v| self.pool.lookup(v)).collect();
-        syms.map(|s| (hash_syms(s.iter().copied()), s))
-    }
-
-    fn lookup_syms(&self, hash: u64, syms: &[Sym]) -> &[TupleId] {
+    /// Tuples whose projection equals `vals`, one value per indexed
+    /// attribute in index order; empty on a wrong-arity probe.
+    fn probe<'v>(&self, vals: impl ExactSizeIterator<Item = &'v Value>) -> &[TupleId] {
+        if vals.len() != self.arity {
+            return &[];
+        }
+        let Some(syms) = vals.map(|v| self.pool.lookup(v)).collect::<Option<Vec<Sym>>>() else {
+            return &[];
+        };
+        let hash = hash_syms(syms.iter().copied());
         self.map.get(hash, |k| k.as_ref() == syms).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Tuples whose projection equals `key` (one value per indexed
     /// attribute, in index order).
     pub fn lookup(&self, key: &[Value]) -> &[TupleId] {
-        if key.len() != self.attrs.len() {
-            return &[];
-        }
-        match self.probe_syms(key.iter()) {
-            Some((h, syms)) => self.lookup_syms(h, &syms),
-            None => &[],
-        }
-    }
-
-    /// Look up using a full row (projects it internally, no allocation
-    /// of a key vector of values).
-    pub fn lookup_row(&self, row: &[Value]) -> &[TupleId] {
-        match self.probe_syms(self.attrs.iter().map(|&a| &row[a])) {
-            Some((h, syms)) => self.lookup_syms(h, &syms),
-            None => &[],
-        }
+        self.probe(key.iter())
     }
 
     /// Look up projecting `row` through a caller-supplied attribute
@@ -108,65 +84,7 @@ impl Index {
     /// cross-relation probe CIND detection uses (`row[attrs[i]]` must
     /// match indexed attribute `i`).
     pub fn lookup_mapped(&self, row: &[Value], attrs: &[usize]) -> &[TupleId] {
-        if attrs.len() != self.attrs.len() {
-            return &[];
-        }
-        match self.probe_syms(attrs.iter().map(|&a| &row[a])) {
-            Some((h, syms)) => self.lookup_syms(h, &syms),
-            None => &[],
-        }
-    }
-
-    /// Iterate over `(key values, ids)` groups with ≥ 1 live id.
-    pub fn groups(&self) -> impl Iterator<Item = (Vec<Value>, &Vec<TupleId>)> {
-        self.map
-            .iter()
-            .filter(|(_, ids)| !ids.is_empty())
-            .map(|(k, ids)| (k.iter().map(|&s| self.pool.value(s).clone()).collect(), ids))
-    }
-
-    /// Number of distinct keys with ≥ 1 live id.
-    pub fn distinct_keys(&self) -> usize {
-        self.non_empty
-    }
-
-    /// Register an inserted tuple (caller provides its row). The
-    /// projection interns into the index's pool; the owned key is built
-    /// only for a first-seen projection.
-    pub fn insert(&mut self, id: TupleId, row: &[Value]) {
-        let syms: Vec<Sym> = self.attrs.iter().map(|&a| self.pool.intern(&row[a])).collect();
-        self.insert_syms(id, syms);
-    }
-
-    fn insert_syms(&mut self, id: TupleId, syms: Vec<Sym>) {
-        let hash = hash_syms(syms.iter().copied());
-        let idx = match self.map.probe(hash, |k| k.as_ref() == syms) {
-            Some(i) => i,
-            None => self.map.insert_unique(hash, syms.into_boxed_slice(), Vec::new()),
-        };
-        let ids = self.map.value_at_mut(idx);
-        if ids.is_empty() {
-            self.non_empty += 1;
-        }
-        ids.push(id);
-    }
-
-    /// Unregister a deleted tuple (caller provides its former row).
-    pub fn remove(&mut self, id: TupleId, row: &[Value]) {
-        let Some((hash, syms)) = self.probe_syms(self.attrs.iter().map(|&a| &row[a])) else {
-            return;
-        };
-        if let Some(i) = self.map.probe(hash, |k| k.as_ref() == syms) {
-            let ids = self.map.value_at_mut(i);
-            // The kernel is append-only, so an emptied group stays
-            // allocated: decrement only on the non-empty → empty
-            // transition, or a repeated remove would underflow.
-            let was_live = !ids.is_empty();
-            ids.retain(|&x| x != id);
-            if was_live && ids.is_empty() {
-                self.non_empty -= 1;
-            }
-        }
+        self.probe(attrs.iter().map(|&a| &row[a]))
     }
 }
 
@@ -188,40 +106,19 @@ mod tests {
     fn build_and_lookup() {
         let t = table();
         let ix = Index::build(&t, &[0]);
-        assert_eq!(ix.lookup(&["x".into()]).len(), 2);
-        assert_eq!(ix.lookup(&["y".into()]).len(), 1);
+        assert_eq!(ix.lookup(&["x".into()]), [TupleId(0), TupleId(1)]);
+        assert_eq!(ix.lookup(&["y".into()]), [TupleId(2)]);
         assert_eq!(ix.lookup(&["z".into()]).len(), 0);
-        assert_eq!(ix.distinct_keys(), 2);
     }
 
     #[test]
     fn composite_key() {
         let t = table();
         let ix = Index::build(&t, &[0, 1]);
-        assert_eq!(ix.lookup(&["x".into(), Value::Int(1)]).len(), 1);
-        assert_eq!(ix.distinct_keys(), 3);
+        assert_eq!(ix.lookup(&["x".into(), Value::Int(1)]), [TupleId(0)]);
+        assert!(ix.lookup(&["y".into(), Value::Int(1)]).is_empty());
         // Wrong-arity probes are empty, not panics.
         assert!(ix.lookup(&["x".into()]).is_empty());
-    }
-
-    #[test]
-    fn maintain_under_insert_delete() {
-        let mut t = table();
-        let mut ix = Index::build(&t, &[0]);
-        let id = t.push(vec!["y".into(), Value::Int(9)]).unwrap();
-        ix.insert(id, &t.get(id).unwrap());
-        assert_eq!(ix.lookup(&["y".into()]).len(), 2);
-        let row = t.delete(id).unwrap();
-        ix.remove(id, &row);
-        assert_eq!(ix.lookup(&["y".into()]).len(), 1);
-    }
-
-    #[test]
-    fn lookup_row_projects() {
-        let t = table();
-        let ix = Index::build(&t, &[0]);
-        let hits = ix.lookup_row(&["x".into(), Value::Int(42)]);
-        assert_eq!(hits.len(), 2);
     }
 
     #[test]
@@ -234,46 +131,5 @@ mod tests {
         assert_eq!(ix.lookup_mapped(&foreign, &[2]).len(), 2);
         assert!(ix.lookup_mapped(&foreign, &[0]).is_empty());
         assert!(ix.lookup_mapped(&foreign, &[0, 2]).is_empty());
-    }
-
-    #[test]
-    fn remove_last_id_drops_key() {
-        let mut t = Table::new(Schema::builder("r").attr("a", Type::Str).build());
-        let id = t.push(vec!["q".into()]).unwrap();
-        let mut ix = Index::build(&t, &[0]);
-        let row = t.delete(id).unwrap();
-        ix.remove(id, &row);
-        assert_eq!(ix.distinct_keys(), 0);
-        // Re-inserting the same key revives the group.
-        ix.insert(id, &["q".into()]);
-        assert_eq!(ix.distinct_keys(), 1);
-    }
-
-    #[test]
-    fn repeated_remove_is_a_noop() {
-        let mut t = Table::new(Schema::builder("r").attr("a", Type::Str).build());
-        let id = t.push(vec!["q".into()]).unwrap();
-        let mut ix = Index::build(&t, &[0]);
-        let row = t.delete(id).unwrap();
-        ix.remove(id, &row);
-        // Removing from an already-emptied group must not skew (or in
-        // debug builds, underflow) the distinct-key count.
-        ix.remove(id, &row);
-        assert_eq!(ix.distinct_keys(), 0);
-        // Nor may removing an absent id from a live group decrement it.
-        let keep = t.push(vec!["q".into()]).unwrap();
-        ix.insert(keep, &["q".into()]);
-        ix.remove(TupleId(999), &["q".into()]);
-        assert_eq!(ix.distinct_keys(), 1);
-    }
-
-    #[test]
-    fn groups_skip_emptied_keys() {
-        let mut t = table();
-        let mut ix = Index::build(&t, &[0]);
-        let row = t.delete(TupleId(2)).unwrap();
-        ix.remove(TupleId(2), &row);
-        let keys: Vec<Vec<Value>> = ix.groups().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![vec![Value::from("x")]]);
     }
 }

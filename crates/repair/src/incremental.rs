@@ -249,7 +249,8 @@ mod oracle {
 mod tests {
     use super::*;
     use revival_constraints::parser::parse_cfds;
-    use revival_detect::native::{satisfies, NativeDetector};
+    use revival_detect::native::satisfies;
+    use revival_detect::{DetectJob, Detector, NativeEngine};
     use revival_relation::{Schema, Type};
 
     fn schema() -> Schema {
@@ -372,7 +373,10 @@ mod tests {
         assert_eq!((stats.tuples_edited, stats.cells_changed), (1, 1));
         // The state the edits went through is still the table's.
         assert_eq!(detector.violation_count(), 0);
-        assert_eq!(detector.report(&table), NativeDetector::new(&table).detect_all(&cfds));
+        assert_eq!(
+            detector.report(&table),
+            NativeEngine.run(&DetectJob::on_table(&table, &cfds)).unwrap()
+        );
         // Had the baseline sat above it, the dirty tuple would have been
         // base: nothing pending, nothing written, the conflict left.
         let mut table = base();
@@ -534,7 +538,7 @@ mod tests {
                 );
                 assert_eq!(
                     detector.report(&ours),
-                    NativeDetector::new(&ours).detect_all(&cfds),
+                    NativeEngine.run(&DetectJob::on_table(&ours, &cfds)).unwrap(),
                     "{at}: the state the edits went through is the table's"
                 );
                 edits += got.cells_changed;

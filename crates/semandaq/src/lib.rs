@@ -12,7 +12,7 @@ use revival_constraints::analysis::{self, Outcome};
 use revival_constraints::parser::parse_cfds;
 use revival_constraints::Cfd;
 use revival_detect::native::{describe_report, describe_violation};
-use revival_detect::{engine_by_name, DetectJob, Detector, ViolationReport};
+use revival_detect::{DetectJob, Detector, ViolationReport};
 use revival_relation::{csv, Error, Result, Table, Value};
 use revival_repair::{BatchRepair, CostModel, RepairStats};
 
@@ -28,53 +28,6 @@ fn repair_summary(stats: &RepairStats, jobs: usize) -> String {
         stats.residual_violations,
         jobs
     )
-}
-
-/// Which detection engine to use. All variants dispatch through the
-/// shared [`Detector`] trait and agree on the reported violations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Hash-based detection in process (the sequential reference).
-    Native,
-    /// The two-query SQL encoding on the bundled SQL engine.
-    Sql,
-    /// Batch replay through the incremental maintenance engine.
-    Incremental,
-    /// Sharded threads; byte-identical reports to [`Engine::Native`].
-    Parallel,
-}
-
-impl Engine {
-    /// The CLI spelling, as `engine_by_name` accepts it.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Engine::Native => "native",
-            Engine::Sql => "sql",
-            Engine::Incremental => "incremental",
-            Engine::Parallel => "parallel",
-        }
-    }
-
-    /// Instantiate the engine; `jobs` only affects [`Engine::Parallel`]
-    /// (0 = one shard per available core).
-    pub fn detector(&self, jobs: usize) -> Box<dyn Detector> {
-        engine_by_name(self.as_str(), jobs).expect("all Engine variants resolve")
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = Error;
-    fn from_str(s: &str) -> Result<Engine> {
-        match s {
-            "native" => Ok(Engine::Native),
-            "sql" => Ok(Engine::Sql),
-            "incremental" => Ok(Engine::Incremental),
-            "parallel" => Ok(Engine::Parallel),
-            other => Err(Error::Io(format!(
-                "unknown engine `{other}` (native|sql|incremental|parallel)"
-            ))),
-        }
-    }
 }
 
 /// A loaded session: one table plus its CFD suite.
@@ -99,26 +52,21 @@ impl Session {
         Ok(Session { table, cfds })
     }
 
-    /// Detect violations with the chosen engine.
-    pub fn detect(&self, engine: Engine) -> Result<ViolationReport> {
-        self.detect_jobs(engine, 0)
+    /// Detect violations with `engine` (built by
+    /// [`revival_detect::engine_by_name`] from the CLI's `--engine` and
+    /// `--jobs`).
+    pub fn detect(&self, engine: &dyn Detector) -> Result<ViolationReport> {
+        engine.run(&DetectJob::on_table(&self.table, &self.cfds))
     }
 
-    /// Detect violations with the chosen engine and shard count
-    /// (`jobs` only affects [`Engine::Parallel`]; 0 = auto).
-    pub fn detect_jobs(&self, engine: Engine, jobs: usize) -> Result<ViolationReport> {
-        engine.detector(jobs).run(&DetectJob::on_table(&self.table, &self.cfds))
-    }
-
-    /// [`Session::detect_jobs`] through the profiled path: same report,
-    /// byte for byte, plus the per-constraint [`revival_obs::JobProfile`]
+    /// [`Session::detect`] through the profiled path: same report, byte
+    /// for byte, plus the per-constraint [`revival_obs::JobProfile`]
     /// behind `semandaq detect --explain`.
     pub fn detect_explain(
         &self,
-        engine: Engine,
-        jobs: usize,
+        engine: &dyn Detector,
     ) -> Result<(ViolationReport, revival_obs::JobProfile)> {
-        engine.detector(jobs).run_profiled(&DetectJob::on_table(&self.table, &self.cfds))
+        engine.run_profiled(&DetectJob::on_table(&self.table, &self.cfds))
     }
 
     /// Human-readable violation listing (capped).
@@ -126,34 +74,26 @@ impl Session {
         describe_report(report, &self.cfds, &[], &[self.table.schema()], max)
     }
 
-    /// Compute a candidate repair; returns (repaired table, summary).
-    pub fn repair(&self) -> Result<(Table, String)> {
-        self.repair_jobs(1)
-    }
-
     /// Compute a candidate repair with `jobs` shards (0 = one per
-    /// available core). The repaired table and stats are byte-identical
-    /// at any shard count; only wall time changes.
-    pub fn repair_jobs(&self, jobs: usize) -> Result<(Table, String)> {
-        let repairer =
-            BatchRepair::new(&self.cfds, CostModel::uniform(self.table.schema().arity()))
-                .with_jobs(jobs);
-        let (fixed, stats) = repairer.repair(&self.table)?;
+    /// available core); returns (repaired table, summary). The repaired
+    /// table and stats are byte-identical at any shard count; only wall
+    /// time changes.
+    pub fn repair(&self, jobs: usize) -> Result<(Table, String)> {
+        let (fixed, stats) = self.repairer(jobs).repair(&self.table)?;
         Ok((fixed, repair_summary(&stats, jobs)))
     }
 
-    /// [`Session::repair_jobs`] through the profiled path: identical
-    /// repaired table and stats, plus the per-phase/per-constraint
+    /// [`Session::repair`] through the profiled path: identical repaired
+    /// table and stats, plus the per-phase/per-constraint
     /// [`revival_obs::JobProfile`] behind `semandaq repair --explain`.
-    pub fn repair_jobs_explain(
-        &self,
-        jobs: usize,
-    ) -> Result<(Table, String, revival_obs::JobProfile)> {
-        let repairer =
-            BatchRepair::new(&self.cfds, CostModel::uniform(self.table.schema().arity()))
-                .with_jobs(jobs);
-        let (fixed, stats, profile) = repairer.repair_profiled(&self.table)?;
+    pub fn repair_explain(&self, jobs: usize) -> Result<(Table, String, revival_obs::JobProfile)> {
+        let (fixed, stats, profile) = self.repairer(jobs).repair_profiled(&self.table)?;
         Ok((fixed, repair_summary(&stats, jobs), profile))
+    }
+
+    fn repairer(&self, jobs: usize) -> BatchRepair {
+        BatchRepair::new(&self.cfds, CostModel::uniform(self.table.schema().arity()))
+            .with_jobs(jobs)
     }
 
     /// Apply a manual edit `tid:attr=value` (the "user inspects and
@@ -484,6 +424,7 @@ pub fn generate_hospital_scenario(rows: usize, noise: f64, seed: u64) -> (String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revival_detect::{engine_by_name, NativeEngine, SqlEngine};
 
     const CSV: &str = "cc,ac,street,city,zip\n\
                        44,131,Crichton,edi,EH8\n\
@@ -495,17 +436,17 @@ mod tests {
     #[test]
     fn load_detect_repair_roundtrip() {
         let s = Session::load("customer", CSV, CFDS).unwrap();
-        let native = s.detect(Engine::Native).unwrap();
+        let native = s.detect(&NativeEngine).unwrap();
         assert_eq!(native.len(), 2);
-        let via_sql = s.detect(Engine::Sql).unwrap();
+        let via_sql = s.detect(&SqlEngine).unwrap();
         assert_eq!(native.violating_tuples(), via_sql.violating_tuples());
-        let (fixed, summary) = s.repair().unwrap();
+        let (fixed, summary) = s.repair(1).unwrap();
         assert!(summary.contains("residual=0"));
         let clean = Session { table: fixed, cfds: s.cfds.clone() };
-        assert!(clean.detect(Engine::Native).unwrap().is_empty());
+        assert!(clean.detect(&NativeEngine).unwrap().is_empty());
         // Sharded repair produces the identical table.
         for jobs in [2, 4] {
-            let (sharded, _) = s.repair_jobs(jobs).unwrap();
+            let (sharded, _) = s.repair(jobs).unwrap();
             assert_eq!(sharded.diff_cells(&clean.table), 0, "jobs={jobs}");
         }
     }
@@ -513,7 +454,7 @@ mod tests {
     #[test]
     fn describe_lists_violations() {
         let s = Session::load("customer", CSV, CFDS).unwrap();
-        let report = s.detect(Engine::Native).unwrap();
+        let report = s.detect(&NativeEngine).unwrap();
         let text = s.describe(&report, 10);
         assert!(text.contains("2 violation(s)"));
         assert!(text.contains("street") || text.contains("city"));
@@ -524,7 +465,7 @@ mod tests {
         let mut s = Session::load("customer", CSV, CFDS).unwrap();
         // Fix the city by hand → one violation disappears.
         s.apply_edit("t2:city=mh").unwrap();
-        let report = s.detect(Engine::Native).unwrap();
+        let report = s.detect(&NativeEngine).unwrap();
         assert_eq!(report.len(), 1);
         // Bad edit specs rejected.
         assert!(s.apply_edit("nonsense").is_err());
@@ -546,28 +487,28 @@ mod tests {
         let s = Session::load("customer", &dirty, &cfds).unwrap();
         assert_eq!(s.table.len(), 50);
         let clean_session = Session::load("customer", &clean, &cfds).unwrap();
-        assert!(clean_session.detect(Engine::Native).unwrap().is_empty());
+        assert!(clean_session.detect(&NativeEngine).unwrap().is_empty());
     }
 
     #[test]
     fn hospital_scenario_generates_and_explains() {
         let (clean, dirty, cfds) = generate_hospital_scenario(300, 0.08, 11);
         let clean_s = Session::load("hospital", &clean, &cfds).unwrap();
-        assert!(clean_s.detect(Engine::Native).unwrap().is_empty());
+        assert!(clean_s.detect(&NativeEngine).unwrap().is_empty());
         let s = Session::load("hospital", &dirty, &cfds).unwrap();
-        let plain = s.detect(Engine::Native).unwrap();
+        let plain = s.detect(&NativeEngine).unwrap();
         assert!(!plain.is_empty(), "noise must dirty the instance");
         // The profiled detect path is byte-identical and covers every
         // constraint of the suite with nonzero rows scanned.
-        let (report, profile) = s.detect_explain(Engine::Native, 0).unwrap();
+        let (report, profile) = s.detect_explain(&NativeEngine).unwrap();
         assert_eq!(report, plain);
         let cfd_rows: Vec<_> = profile.constraints.iter().filter(|c| c.kind == "cfd").collect();
         assert_eq!(cfd_rows.len(), s.cfds.len());
         assert!(cfd_rows.iter().all(|c| c.rows_scanned > 0), "{profile:?}");
         assert!(profile.render_json().contains("\"constraints\""));
         // The profiled repair path matches the plain one exactly.
-        let (fixed, summary, rprofile) = s.repair_jobs_explain(1).unwrap();
-        let (fixed_plain, summary_plain) = s.repair_jobs(1).unwrap();
+        let (fixed, summary, rprofile) = s.repair_explain(1).unwrap();
+        let (fixed_plain, summary_plain) = s.repair(1).unwrap();
         assert_eq!(summary, summary_plain);
         assert_eq!(fixed.diff_cells(&fixed_plain), 0);
         for phase in ["detect", "resolve", "force"] {
@@ -609,7 +550,7 @@ mod tests {
             revival_constraints::parser::parse_cinds("cd(album) <= book(title)", &[cd_s, book_s])
                 .unwrap();
         let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
-        let report = Engine::Native.detector(1).run(&job).unwrap();
+        let report = NativeEngine.run(&job).unwrap();
         assert!(!report.is_empty());
         let text = describe_catalog_report(&report, &catalog, &cfds, &cinds, 10);
         assert!(text.contains("[cd]"), "got: {text}");
@@ -632,37 +573,24 @@ mod tests {
         let clean =
             Session { table: s.table.clone(), cfds: parse_cfds(&text, s.table.schema()).unwrap() };
         assert!(!clean.cfds.is_empty());
-        assert!(clean.detect(Engine::Native).unwrap().is_empty());
+        assert!(clean.detect(&NativeEngine).unwrap().is_empty());
         let descr = describe_discovered(&d, &text, &schemas, 40).unwrap();
         assert!(descr.contains("rule(s) mined"), "got: {descr}");
         assert!(descr.contains("satisfiable: yes"), "got: {descr}");
     }
 
     #[test]
-    fn engine_parses() {
-        assert_eq!("native".parse::<Engine>().unwrap(), Engine::Native);
-        assert_eq!("sql".parse::<Engine>().unwrap(), Engine::Sql);
-        assert_eq!("incremental".parse::<Engine>().unwrap(), Engine::Incremental);
-        assert_eq!("parallel".parse::<Engine>().unwrap(), Engine::Parallel);
-        assert!("oracle".parse::<Engine>().is_err());
-        for e in [Engine::Native, Engine::Sql, Engine::Incremental, Engine::Parallel] {
-            assert_eq!(e.as_str().parse::<Engine>().unwrap(), e);
-            assert_eq!(e.detector(1).name(), e.as_str());
-        }
-    }
-
-    #[test]
     fn all_engines_agree_and_parallel_is_byte_identical() {
         let s = Session::load("customer", CSV, CFDS).unwrap();
-        let native = s.detect(Engine::Native).unwrap();
-        for e in [Engine::Sql, Engine::Incremental, Engine::Parallel] {
-            let mut got = s.detect_jobs(e, 4).unwrap();
+        let native = s.detect(&NativeEngine).unwrap();
+        for name in ["sql", "incremental", "parallel"] {
+            let mut got = s.detect(engine_by_name(name, 4).unwrap().as_ref()).unwrap();
             let mut want = native.clone();
             got.normalize();
             want.normalize();
-            assert_eq!(got, want, "{} disagrees with native", e.as_str());
+            assert_eq!(got, want, "{name} disagrees with native");
         }
         // Parallel matches the native report without normalisation.
-        assert_eq!(s.detect_jobs(Engine::Parallel, 4).unwrap(), native);
+        assert_eq!(s.detect(engine_by_name("parallel", 4).unwrap().as_ref()).unwrap(), native);
     }
 }

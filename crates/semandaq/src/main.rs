@@ -4,7 +4,8 @@
 
 #![forbid(unsafe_code)]
 
-use semandaq::{generate_customer_scenario, Engine, Session};
+use revival_detect::{engine_by_name, Detector, NativeEngine};
+use semandaq::{generate_customer_scenario, Session};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -137,7 +138,43 @@ const BOOL_FLAGS: &[&str] = &["wal"];
 /// flag (or the end of the line) leaves the default.
 const OPT_VALUE_FLAGS: &[(&str, &str)] = &[("explain", "text")];
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags each command accepts, space-separated — every other flag
+/// is an error. The positional argument of `watch` (its file) and of
+/// `metrics` / `profile` (HOST:PORT) may also be given as `--data` /
+/// `--addr`.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "rows noise seed out scenario"),
+    ("detect", "data cfds table cinds engine jobs explain"),
+    ("repair", "data cfds table out jobs explain"),
+    (
+        "discover",
+        "data table min-support min-confidence max-lhs top-values budget jobs engine emit \
+         emit-cinds explain",
+    ),
+    ("analyze", "data cfds table budget"),
+    ("edit", "data cfds table set out"),
+    ("query", "data sql table"),
+    ("match", "left right"),
+    (
+        "serve",
+        "port jobs workers state shards wal checkpoint-ops wal-group-max-wait slow-log \
+         trace-out",
+    ),
+    ("metrics", "addr watch iterations"),
+    ("profile", "addr last"),
+    ("watch", "data cfds table poll-ms idle-exit"),
+    ("snapshot", "data out table"),
+];
+
+/// Parse `cmd`'s flags against its row of [`COMMAND_FLAGS`]: an unknown
+/// command, or a flag the command does not take, is an error — the
+/// latter naming the nearest flag it does take (at most two edits away).
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
+    let allowed: Vec<&str> = COMMAND_FLAGS
+        .iter()
+        .find(|(c, _)| *c == cmd)
+        .map(|(_, flags)| flags.split_whitespace().collect())
+        .ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
     let mut values: HashMap<String, Vec<String>> = HashMap::new();
     let mut sets = Vec::new();
     let mut i = 0;
@@ -145,6 +182,19 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected flag, got `{}`", args[i]))?;
+        if !allowed.contains(&key) {
+            let nearest = allowed
+                .iter()
+                .map(|f| (revival_matching::similarity::levenshtein(key, f), *f))
+                .filter(|(d, _)| *d <= 2)
+                .min();
+            return Err(match nearest {
+                Some((_, f)) => format!("`{cmd}` has no flag --{key} (did you mean --{f}?)"),
+                None => {
+                    format!("`{cmd}` has no flag --{key} (it takes --{})", allowed.join(", --"))
+                }
+            });
+        }
         if BOOL_FLAGS.contains(&key) {
             values.entry(key.to_string()).or_default().push("true".into());
             i += 1;
@@ -241,7 +291,7 @@ fn run(args: &[String]) -> Result<(), String> {
     {
         positional = Some(rest.remove(0));
     }
-    let flags = parse_flags(&rest)?;
+    let flags = parse_flags(cmd, &rest)?;
     match cmd.as_str() {
         "generate" => {
             let rows: usize =
@@ -267,29 +317,29 @@ fn run(args: &[String]) -> Result<(), String> {
             // `--jobs N` without an explicit engine implies the parallel
             // engine; `--jobs 0` means one shard per available core.
             let default_engine = if flags.contains("jobs") { "parallel" } else { "native" };
-            let engine: Engine =
-                flags.get_or("engine", default_engine).parse().map_err(|e| format!("{e}"))?;
             let jobs: usize =
                 flags.get_or("jobs", "0").parse().map_err(|_| "--jobs must be an integer")?;
+            let engine = engine_by_name(flags.get_or("engine", default_engine), jobs)
+                .map_err(|e| e.to_string())?;
             let explain = explain_mode(&flags)?;
             let datas = flags.get_all("data");
             // Repeated `--data name=path` flags (or a single one in
             // name=path form) build a multi-relation catalog job;
             // a bare `--data path` keeps the single-table behaviour.
             if datas.len() > 1 || datas.first().is_some_and(|d| d.contains('=')) {
-                return detect_catalog(&flags, engine, jobs, explain);
+                return detect_catalog(&flags, engine.as_ref(), explain);
             }
             let session = load_session(&flags)?;
             match explain {
                 None => {
-                    let report = session.detect_jobs(engine, jobs).map_err(|e| e.to_string())?;
+                    let report = session.detect(engine.as_ref()).map_err(|e| e.to_string())?;
                     print!("{}", session.describe(&report, 25));
                 }
                 Some(mode) => {
                     // One profiled run — byte-identical report, plus the
                     // per-constraint profile (hot first).
                     let (report, profile) =
-                        session.detect_explain(engine, jobs).map_err(|e| e.to_string())?;
+                        session.detect_explain(engine.as_ref()).map_err(|e| e.to_string())?;
                     if mode == ExplainMode::Json {
                         println!("{}", profile.render_json());
                     } else {
@@ -307,21 +357,22 @@ fn run(args: &[String]) -> Result<(), String> {
             // byte-identical at any shard count. Like `detect`, the
             // before-repair count runs on the parallel engine when
             // `--jobs` is given.
-            let engine = if flags.contains("jobs") { Engine::Parallel } else { Engine::Native };
             let jobs: usize =
                 flags.get_or("jobs", "1").parse().map_err(|_| "--jobs must be an integer")?;
+            let engine_name = if flags.contains("jobs") { "parallel" } else { "native" };
+            let engine = engine_by_name(engine_name, jobs).map_err(|e| e.to_string())?;
             let explain = explain_mode(&flags)?;
             let fixed = match explain {
                 None => {
-                    let before = session.detect_jobs(engine, jobs).map_err(|e| e.to_string())?;
-                    let (fixed, summary) = session.repair_jobs(jobs).map_err(|e| e.to_string())?;
-                    println!("before: {} violation(s) [{} engine]", before.len(), engine.as_str());
+                    let before = session.detect(engine.as_ref()).map_err(|e| e.to_string())?;
+                    let (fixed, summary) = session.repair(jobs).map_err(|e| e.to_string())?;
+                    println!("before: {} violation(s) [{} engine]", before.len(), engine.name());
                     println!("repair: {summary}");
                     fixed
                 }
                 Some(mode) => {
                     let (fixed, summary, profile) =
-                        session.repair_jobs_explain(jobs).map_err(|e| e.to_string())?;
+                        session.repair_explain(jobs).map_err(|e| e.to_string())?;
                     if mode == ExplainMode::Json {
                         println!("{}", profile.render_json());
                     } else {
@@ -351,11 +402,11 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "edit" => {
             let mut session = load_session(&flags)?;
-            let before = session.detect(Engine::Native).map_err(|e| e.to_string())?;
+            let before = session.detect(&NativeEngine).map_err(|e| e.to_string())?;
             for spec in &flags.sets {
                 session.apply_edit(spec).map_err(|e| e.to_string())?;
             }
-            let after = session.detect(Engine::Native).map_err(|e| e.to_string())?;
+            let after = session.detect(&NativeEngine).map_err(|e| e.to_string())?;
             println!(
                 "violations: {} -> {} after {} edit(s)",
                 before.len(),
@@ -544,7 +595,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
             watch(&path, &table, &cfd_text, poll_ms, idle_exit)
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        _ => unreachable!("parse_flags rejects a command COMMAND_FLAGS does not list"),
     }
 }
 
@@ -828,8 +879,7 @@ fn load_catalog(
 /// dependencies — the engine-supported `DetectJob::with_cinds` path.
 fn detect_catalog(
     flags: &Flags,
-    engine: Engine,
-    jobs: usize,
+    engine: &dyn Detector,
     explain: Option<ExplainMode>,
 ) -> Result<(), String> {
     use revival_detect::DetectJob;
@@ -848,12 +898,11 @@ fn detect_catalog(
     let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
     match explain {
         None => {
-            let report = engine.detector(jobs).run(&job).map_err(|e| e.to_string())?;
+            let report = engine.run(&job).map_err(|e| e.to_string())?;
             print!("{}", semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25));
         }
         Some(mode) => {
-            let (report, profile) =
-                engine.detector(jobs).run_profiled(&job).map_err(|e| e.to_string())?;
+            let (report, profile) = engine.run_profiled(&job).map_err(|e| e.to_string())?;
             if mode == ExplainMode::Json {
                 println!("{}", profile.render_json());
             } else {
@@ -971,4 +1020,46 @@ fn watch(
     }
     println!("watch: {appended} appended row(s) in {batches} batch(es)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag `USAGE` shows under a command — in its synopsis or its
+    /// description — is in that command's row of [`COMMAND_FLAGS`], and
+    /// the two name the same commands.
+    #[test]
+    fn usage_flags_are_in_their_command_tables() {
+        let listing = USAGE.split("commands:\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut commands: Vec<&str> = Vec::new();
+        let mut flags_seen = 0;
+        for line in listing.lines() {
+            // A command's first line starts at column 2; the lines
+            // continuing it are indented further.
+            if let Some(head) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let cmd = head.split_whitespace().next().unwrap();
+                if commands.last() != Some(&cmd) {
+                    commands.push(cmd);
+                }
+            }
+            let cmd = *commands.last().expect("USAGE opens with a command line");
+            let allowed: Vec<&str> = COMMAND_FLAGS
+                .iter()
+                .find(|(c, _)| *c == cmd)
+                .unwrap_or_else(|| panic!("`{cmd}` is in USAGE but has no flag table"))
+                .1
+                .split_whitespace()
+                .collect();
+            for after in line.split("--").skip(1) {
+                let name: String =
+                    after.chars().take_while(|c| c.is_ascii_lowercase() || *c == '-').collect();
+                assert!(allowed.contains(&name.as_str()), "USAGE shows `{cmd} --{name}`");
+                flags_seen += 1;
+            }
+        }
+        let tabled: Vec<&str> = COMMAND_FLAGS.iter().map(|(c, _)| *c).collect();
+        assert_eq!(commands, tabled);
+        assert!(flags_seen > 50, "parsed {flags_seen} flags out of USAGE");
+    }
 }

@@ -383,3 +383,94 @@ fn match_command_links_varied_records() {
     assert!(stdout.contains("t0 ~ t0"), "bob smith must match: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_misspelt_flag_exits_1_naming_the_nearest() {
+    let dir = tmpdir("typo");
+    let data = dir.join("data.csv");
+    std::fs::write(&data, "cc,zip,street\n44,EH8,Crichton\n44,EH8,Crichton\n01,07974,Mtn\n")
+        .unwrap();
+    // Read as `--min-confidence`, this would mine and exit 0; misspelt,
+    // it must not run at the default confidence instead.
+    let out = bin()
+        .args(["discover", "--data", data.to_str().unwrap(), "--min-confidnce", "0.9"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(out.stdout.is_empty(), "nothing mined: {}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--min-confidnce"), "got: {stderr}");
+    assert!(stderr.contains("did you mean --min-confidence?"), "got: {stderr}");
+    // A flag of another command is unknown here too; with nothing
+    // within two edits, the error lists what the command takes.
+    let out = bin().args(["repair", "--engine", "sql"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`repair` has no flag --engine"), "got: {stderr}");
+    assert!(stderr.contains("--data, --cfds"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn detect_listings_agree_across_engine_spellings() {
+    let dir = tmpdir("engines");
+    let data = dir.join("data.csv");
+    let cfds = dir.join("cfds.txt");
+    std::fs::write(
+        &data,
+        "cc,ac,phn,street,city,zip\n\
+         44,131,1,Crichton,edi,EH8\n\
+         44,131,2,Mayfield,edi,EH8\n\
+         44,131,3,Crichton,edi,EH8\n\
+         01,908,4,Mtn,nyc,07974\n\
+         01,908,5,Mtn,mh,07974\n\
+         01,212,6,Broadway,nyc,10001\n\
+         01,212,7,Broadway,man,10001\n\
+         44,141,8,High,gla,G1\n\
+         44,141,9,Low,gla,G1\n",
+    )
+    .unwrap();
+    std::fs::write(
+        &cfds,
+        "customer([cc='44', zip] -> [street])\n\
+         customer([cc='01', ac='908'] -> [city='mh'])\n\
+         customer([cc, ac] -> [city])\n\
+         customer([zip] -> [city])\n",
+    )
+    .unwrap();
+    let detect = |extra: &[&str]| {
+        let out = bin()
+            .args(["detect", "--data", data.to_str().unwrap()])
+            .args(["--cfds", cfds.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let native = detect(&[]);
+    assert!(native.starts_with("7 violation(s)"), "got: {native}");
+    assert_eq!(native, detect(&["--engine", "native"]));
+    assert_eq!(native, detect(&["--engine", "incremental"]));
+    assert_eq!(native, detect(&["--engine", "parallel"]));
+    assert_eq!(native, detect(&["--jobs", "4"]));
+    // The SQL oracle lists per tableau row query: the same lines, in
+    // its own order (all 7 are listed, so the line sets compare).
+    let sorted = |s: &str| {
+        let mut lines: Vec<&str> = s.lines().collect();
+        lines.sort_unstable();
+        lines.join("\n")
+    };
+    assert_eq!(sorted(&native), sorted(&detect(&["--engine", "sql"])));
+    let out = bin()
+        .args(["detect", "--data", data.to_str().unwrap(), "--cfds", cfds.to_str().unwrap()])
+        .args(["--engine", "bogus"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "semandaq: io error: unknown engine `bogus` (native|sql|incremental|parallel)\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -20,7 +20,9 @@
 use revival_constraints::parser::check_writable;
 use revival_constraints::{Cfd, Cind};
 use revival_detect::native::describe_report;
-use revival_detect::{CindDetector, IncrementalDetector, Violation, ViolationReport};
+use revival_detect::{
+    DetectJob, Detector, IncrementalDetector, NativeEngine, Violation, ViolationReport,
+};
 use revival_relation::{Catalog, Error, Result, Table, TupleId, Value};
 use revival_repair::{BatchRepair, CostModel, IncRepair, IncStats};
 
@@ -230,11 +232,14 @@ impl DeltaSession {
         Ok(cfd + self.cind_violations()?.len())
     }
 
+    /// The CIND portion of the report: a witness probe over the catalog,
+    /// through the engine's scan so a read records no detect metrics.
     fn cind_violations(&self) -> Result<Vec<Violation>> {
         if self.cinds.is_empty() {
             return Ok(Vec::new());
         }
-        Ok(CindDetector::detect_all(&self.cinds, &self.catalog)?.violations)
+        let job = DetectJob::on_catalog(&self.catalog, &[]).with_cinds(&self.cinds);
+        Ok(NativeEngine.scan(&job, None)?.violations)
     }
 
     /// Materialise the full live report. Violation indices refer to

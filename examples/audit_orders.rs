@@ -11,8 +11,9 @@
 
 use revival::constraints::parser::parse_cinds;
 use revival::detect::cind::generate_sql;
-use revival::detect::CindDetector;
+use revival::detect::{DetectJob, Detector, NativeEngine};
 use revival::dirty::orders::{generate, OrdersConfig};
+use revival::relation::Catalog;
 
 fn main() {
     let data = generate(&OrdersConfig {
@@ -38,15 +39,21 @@ fn main() {
     // The SQL a DBMS deployment would run.
     println!("SQL encoding:\n  {}", generate_sql(&cind, &data.cd_schema, &data.book_schema));
 
-    // Detection.
-    let report = CindDetector::detect(&cind, &data.cd, &data.book, 0);
+    // Detection, over a catalog holding both relations.
+    let mut catalog = Catalog::new();
+    catalog.register(data.cd);
+    catalog.register(data.book);
+    let cinds = [cind];
+    let job = DetectJob::on_catalog(&catalog, &[]).with_cinds(&cinds);
+    let report = NativeEngine.run(&job).unwrap();
     println!("\ndetected {} audio-book CDs without a witness", report.len());
     assert_eq!(report.len(), data.planted_violations);
 
     // Show a few offenders with their near-miss witnesses.
+    let cd = catalog.get("cd").unwrap();
     for v in report.violations.iter().take(5) {
         if let revival::detect::Violation::CindMissingWitness { tuple, .. } = v {
-            let row = data.cd.get(*tuple).unwrap();
+            let row = cd.get(*tuple).unwrap();
             println!("  {}: album={} price={} genre={}", tuple, row[0], row[1], row[2]);
         }
     }

@@ -13,10 +13,11 @@
 
 use revival::constraints::analysis::{is_satisfiable, minimal_cover, Outcome, DEFAULT_BUDGET};
 use revival::cqa::{certain_answers_rewrite, SpQuery};
-use revival::detect::NativeDetector;
+use revival::detect::{DetectJob, Detector, NativeEngine};
 use revival::dirty::customer::{attrs, generate, standard_cfds, CustomerConfig};
 use revival::dirty::noise::{inject, NoiseConfig};
-use revival::discovery::ctane::{discover_cfds, CtaneOptions};
+use revival::discovery::tane::mine_lattice;
+use revival::discovery::DiscoverOptions;
 use revival::relation::{Expr, Table};
 use revival::repair::{BatchRepair, CostModel};
 
@@ -32,8 +33,9 @@ fn main() {
     for (_, row) in data.table.rows().take(800) {
         sample.push_unchecked(row.to_vec());
     }
-    let (discovered, mining_stats) =
-        discover_cfds(&sample, &CtaneOptions { max_lhs: 2, min_support: 20, top_values: 2 });
+    let opts = DiscoverOptions { max_lhs: 2, min_support: 20, top_values: 2, ..Default::default() };
+    let (mined, mining_stats) = mine_lattice(&sample, &opts, 1);
+    let discovered: Vec<_> = mined.into_iter().map(|m| m.cfd).collect();
     println!(
         "discovered {} candidate CFDs from the clean sample ({} candidates checked)",
         discovered.len(),
@@ -56,7 +58,7 @@ fn main() {
     println!("\nsuite satisfiable; minimal cover {} -> {} rows", report.rows_in, report.rows_out);
 
     // 4. Detection.
-    let violations = NativeDetector::new(&ds.dirty).detect_all(&suite);
+    let violations = NativeEngine.run(&DetectJob::on_table(&ds.dirty, &suite)).unwrap();
     println!(
         "detected {} violations over {} tuples",
         violations.len(),

@@ -50,7 +50,7 @@ fn main() {
         orders.push(row.iter().map(|s| (*s).into()).collect()).unwrap();
     }
 
-    let report = NativeDetector::new(&orders).detect_all(&cfds);
+    let report = NativeEngine.run(&DetectJob::on_table(&orders, &cfds)).unwrap();
     println!("\n{report}");
     assert_eq!(report.violating_tuples().len(), 4);
 

@@ -9,8 +9,8 @@
 
 use revival::constraints::parser::parse_cfds;
 use revival::detect::native::describe_violation;
-use revival::detect::sqlgen::{detect_sql, generate};
-use revival::detect::NativeDetector;
+use revival::detect::sqlgen::generate;
+use revival::detect::{DetectJob, Detector, NativeEngine, SqlEngine};
 use revival::relation::{Schema, Table, Type};
 use revival::repair::{BatchRepair, CostModel};
 
@@ -48,7 +48,8 @@ fn main() {
     }
 
     // -- detection ----------------------------------------------------------
-    let report = NativeDetector::new(&customer).detect_all(&cfds);
+    let job = DetectJob::on_table(&customer, &cfds);
+    let report = NativeEngine.run(&job).unwrap();
     println!("\nnative detection: {} violation(s)", report.len());
     for v in &report.violations {
         println!("  {}", describe_violation(v, &cfds, &schema));
@@ -60,7 +61,7 @@ fn main() {
     for (_, q) in queries.constant.iter().chain(&queries.variable) {
         println!("  {q}");
     }
-    let sql_report = detect_sql(&customer, &cfds).unwrap();
+    let sql_report = SqlEngine.run(&job).unwrap();
     assert_eq!(report.violating_tuples(), sql_report.violating_tuples());
 
     // -- repair ---------------------------------------------------------------

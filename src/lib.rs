@@ -9,8 +9,9 @@
 //! * [`relation`] — relational substrate + SQL subset engine;
 //! * [`constraints`] — FDs, CFDs (incl. eCFD patterns), INDs, CINDs,
 //!   parsing, and static analyses;
-//! * [`detect`] — native / SQL-based / incremental / parallel violation
-//!   detection, unified behind the [`detect::Detector`] engine trait;
+//! * [`detect`] — violation detection, reached one way: a
+//!   [`detect::DetectJob`] run on a [`detect::Detector`] engine (native,
+//!   SQL, incremental or parallel);
 //! * [`repair`] — cost-based BatchRepair and IncRepair;
 //! * [`matching`] — similarity ops, matching rules, RCK derivation,
 //!   record matcher;
@@ -33,12 +34,11 @@
 //! t.push(vec!["44".into(), "EH8".into(), "Mayfield".into()]).unwrap();
 //!
 //! let cfds = parse_cfds("customer([cc='44', zip] -> [street])", &schema).unwrap();
-//! let report = NativeDetector::new(&t).detect_all(&cfds);
+//! let job = DetectJob::on_table(&t, &cfds);
+//! let report = NativeEngine.run(&job).unwrap();
 //! assert_eq!(report.len(), 1);
 //!
-//! // The same detection through the engine layer: any engine, one API.
-//! let job = DetectJob::on_table(&t, &cfds);
-//! assert_eq!(NativeEngine.run(&job).unwrap(), report);
+//! // Any engine, one API: the sharded scan is byte-identical.
 //! assert_eq!(ParallelEngine::new(4).run(&job).unwrap(), report);
 //!
 //! // Repair shards the same way (`with_jobs`): the repaired table and
@@ -67,8 +67,8 @@ pub mod prelude {
     pub use revival_constraints::parser::{parse_cfds, parse_cinds};
     pub use revival_constraints::{Cfd, Cind, Fd, PatternRow, PatternValue};
     pub use revival_detect::{
-        engine_by_name, CindDetector, DetectJob, Detector, IncrementalDetector, IncrementalEngine,
-        NativeDetector, NativeEngine, ParallelEngine, SqlEngine, Violation, ViolationReport,
+        engine_by_name, DetectJob, Detector, IncrementalDetector, IncrementalEngine, NativeEngine,
+        ParallelEngine, SqlEngine, Violation, ViolationReport,
     };
     pub use revival_discovery::{
         DiscoverJob, DiscoverOptions, DiscoveryEngine, ParallelDiscovery, SequentialDiscovery,

@@ -10,8 +10,7 @@ use revival::constraints::pattern::{PatternRow, PatternValue};
 use revival::constraints::Cfd;
 use revival::detect::Detector;
 use revival::detect::{
-    engine_by_name, DetectJob, NativeDetector, NativeEngine, ParallelEngine, Violation,
-    ViolationReport,
+    engine_by_name, DetectJob, NativeEngine, ParallelEngine, Violation, ViolationReport,
 };
 use revival::dirty::customer::{attrs, generate, scaled_suite, standard_cfds, CustomerConfig};
 use revival::dirty::hospital;
@@ -188,12 +187,23 @@ proptest! {
         // Order, pinned independently of any other engine: the suite's
         // report is the per-CFD reports concatenated in suite order (a
         // single-member pass *is* the per-CFD scan), at any shard count.
-        let detector = NativeDetector::new(&ds.dirty);
+        // Each CFD runs as a one-CFD job, its index remapped to the suite's.
         let per_cfd = ViolationReport {
             violations: cfds
                 .iter()
                 .enumerate()
-                .flat_map(|(i, cfd)| detector.detect(cfd, i).violations)
+                .flat_map(|(i, cfd)| {
+                    let one = DetectJob::on_table(&ds.dirty, std::slice::from_ref(cfd));
+                    let mut found = NativeEngine.run(&one).unwrap().violations;
+                    for v in &mut found {
+                        if let Violation::CfdConstant { cfd, .. }
+                        | Violation::CfdVariable { cfd, .. } = v
+                        {
+                            *cfd = i;
+                        }
+                    }
+                    found
+                })
                 .collect(),
         };
         prop_assert_eq!(format!("{}", &native), format!("{}", &per_cfd));

@@ -7,8 +7,7 @@
 use revival::constraints::analysis::{implies, is_satisfiable, Outcome, DEFAULT_BUDGET};
 use revival::constraints::parser::{cfd_to_text, parse_cfds};
 use revival::constraints::PatternValue;
-use revival::detect::sqlgen::detect_sql;
-use revival::detect::NativeDetector;
+use revival::detect::{DetectJob, Detector, NativeEngine, SqlEngine};
 use revival::relation::{Schema, Table, Type};
 use revival::repair::{BatchRepair, CostModel};
 
@@ -67,7 +66,7 @@ fn disequality_guard_scopes_the_fd() {
         ["us", "ca", "7.25", "usps"],
         ["us", "ca", "9.5", "fedex"], // fine: guard excludes us
     ]);
-    let report = NativeDetector::new(&t).detect_all(&cfds);
+    let report = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
     assert_eq!(report.len(), 1);
     let tuples = report.violating_tuples();
     assert!(tuples.contains(&revival::relation::TupleId(0)));
@@ -90,7 +89,7 @@ fn disjunction_guard_and_rhs() {
         ["fr", "idf", "7", "dhl"],  // tax-disjunction violation
         ["us", "ca", "7", "usps"],  // guard does not apply
     ]);
-    let report = NativeDetector::new(&t).detect_all(&cfds);
+    let report = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
     assert_eq!(report.len(), 2);
     assert_eq!(report.violating_tuples().len(), 2);
 }
@@ -105,7 +104,7 @@ fn rhs_disequality_detects_forbidden_value() {
         ["fr", "idf", "20", "dhl"],
         ["us", "ca", "7", "usps"], // guard excludes
     ]);
-    let report = NativeDetector::new(&t).detect_all(&cfds);
+    let report = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
     assert_eq!(report.len(), 1);
 }
 
@@ -126,8 +125,9 @@ fn sql_detection_agrees_on_ecfds() {
         ["us", "ca", "7", "usps"],
         ["jp", "kanto", "10", "yamato"],
     ]);
-    let mut native = NativeDetector::new(&t).detect_all(&cfds);
-    let mut sql = detect_sql(&t, &cfds).unwrap();
+    let job = DetectJob::on_table(&t, &cfds);
+    let mut native = NativeEngine.run(&job).unwrap();
+    let mut sql = SqlEngine.run(&job).unwrap();
     native.normalize();
     sql.normalize();
     assert_eq!(native, sql);

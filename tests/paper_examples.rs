@@ -4,11 +4,16 @@
 //! states is reproduced here as an executable assertion.
 
 use revival::constraints::parser::{parse_cfds, parse_cinds};
-use revival::detect::{CindDetector, NativeDetector};
+use revival::constraints::Cfd;
+use revival::detect::{DetectJob, Detector, NativeEngine, SqlEngine, ViolationReport};
 use revival::matching::rck::derive_rcks;
 use revival::matching::rules::{paper_rules, Cmp};
 use revival::matching::RelativeCandidateKey;
-use revival::relation::{Schema, Table, Type, Value};
+use revival::relation::{Catalog, Schema, Table, Type, Value};
+
+fn detect(t: &Table, cfds: &[Cfd]) -> ViolationReport {
+    NativeEngine.run(&DetectJob::on_table(t, cfds)).unwrap()
+}
 
 fn customer_schema() -> Schema {
     Schema::builder("customer")
@@ -35,7 +40,7 @@ fn section3_first_cfd_uk_zip_determines_street() {
     // Same zip in the US — NOT constrained.
     t.push(vec!["01".into(), "908".into(), "3".into(), "C St".into(), "mh".into(), "EH8".into()])
         .unwrap();
-    let report = NativeDetector::new(&t).detect_all(&cfds);
+    let report = detect(&t, &cfds);
     assert_eq!(report.len(), 1, "only the UK pair violates");
     let tuples = report.violating_tuples();
     assert!(tuples.contains(&revival::relation::TupleId(0)));
@@ -65,7 +70,7 @@ fn section3_second_cfd_with_rhs_constant() {
         "07974".into(),
     ])
     .unwrap();
-    let report = NativeDetector::new(&t).detect_all(&cfds);
+    let report = detect(&t, &cfds);
     assert_eq!(report.len(), 1);
 
     // Two such customers sharing phn but differing on zip violate the
@@ -82,7 +87,7 @@ fn section3_second_cfd_with_rhs_constant() {
         ])
         .unwrap();
     }
-    let report = NativeDetector::new(&t2).detect_all(&cfds);
+    let report = detect(&t2, &cfds);
     assert_eq!(report.len(), 1);
 }
 
@@ -100,21 +105,27 @@ fn section3_cind_audio_books() {
         .attr("price", Type::Int)
         .attr("format", Type::Str)
         .build();
-    let cind = parse_cinds(
+    let cinds = parse_cinds(
         "cd(album, price; genre='a-book') <= book(title, price; format='audio')",
         &[cd.clone(), book.clone()],
     )
-    .unwrap()
-    .remove(0);
+    .unwrap();
 
     let mut cds = Table::new(cd);
     cds.push(vec!["Dune".into(), Value::Int(20), "a-book".into()]).unwrap();
     let mut books = Table::new(book);
     // Witness must carry format 'audio' — 'print' does not count.
     books.push(vec!["Dune".into(), Value::Int(20), "print".into()]).unwrap();
-    assert_eq!(CindDetector::detect(&cind, &cds, &books, 0).len(), 1);
+    let mut catalog = Catalog::new();
+    catalog.register(cds);
+    catalog.register(books);
+    let detect = |catalog: &Catalog| {
+        NativeEngine.run(&DetectJob::on_catalog(catalog, &[]).with_cinds(&cinds)).unwrap()
+    };
+    assert_eq!(detect(&catalog).len(), 1);
+    let books = catalog.get_mut("book").unwrap();
     books.push(vec!["Dune".into(), Value::Int(20), "audio".into()]).unwrap();
-    assert!(CindDetector::detect(&cind, &cds, &books, 0).is_empty());
+    assert!(detect(&catalog).is_empty());
 }
 
 #[test]
@@ -139,21 +150,21 @@ fn section5_semandaq_workflow() {
     //  violations, based on efficient sql-based techniques, and (c)
     //  repairing … We show how the user can inspect and modify this
     //  repair."
-    use semandaq::{Engine, Session};
+    use semandaq::Session;
     let csv = "cc,ac,phn,street,city,zip\n\
                44,131,1,Crichton,edi,EH8\n\
                44,131,2,Mayfield,edi,EH8\n";
     let cfds = "customer([cc='44', zip] -> [street])\n";
     let mut session = Session::load("customer", csv, cfds).unwrap();
     // (b) detection, both engines agree.
-    let native = session.detect(Engine::Native).unwrap();
-    let sql = session.detect(Engine::Sql).unwrap();
+    let native = session.detect(&NativeEngine).unwrap();
+    let sql = session.detect(&SqlEngine).unwrap();
     assert_eq!(native.violating_tuples(), sql.violating_tuples());
     assert_eq!(native.len(), 1);
     // (c) repair produces a consistent candidate.
-    let (repaired, _) = session.repair().unwrap();
+    let (repaired, _) = session.repair(1).unwrap();
     assert!(revival::detect::native::satisfies(&repaired, &session.cfds));
     // The user modifies the data; detection reflects it.
     session.apply_edit("t1:street=Crichton").unwrap();
-    assert!(session.detect(Engine::Native).unwrap().is_empty());
+    assert!(session.detect(&NativeEngine).unwrap().is_empty());
 }

@@ -1,8 +1,7 @@
 //! Cross-crate integration: generators → detectors → repair → scoring,
 //! plus detector agreement on generated workloads.
 
-use revival::detect::sqlgen::detect_sql;
-use revival::detect::{IncrementalDetector, NativeDetector};
+use revival::detect::{DetectJob, Detector, IncrementalDetector, NativeEngine, SqlEngine};
 use revival::dirty::customer::{attrs, generate, standard_cfds, CustomerConfig};
 use revival::dirty::noise::{inject, NoiseConfig};
 use revival::repair::{BatchRepair, CostModel, IncRepair};
@@ -28,8 +27,9 @@ fn workload(
 #[test]
 fn three_detectors_agree_on_generated_workload() {
     let (_, ds, cfds) = workload(1_500, 0.06, 21);
-    let mut native = NativeDetector::new(&ds.dirty).detect_all(&cfds);
-    let mut sql = detect_sql(&ds.dirty, &cfds).unwrap();
+    let job = DetectJob::on_table(&ds.dirty, &cfds);
+    let mut native = NativeEngine.run(&job).unwrap();
+    let mut sql = SqlEngine.run(&job).unwrap();
     let mut inc = {
         let mut d = IncrementalDetector::new(cfds.clone());
         d.load(&ds.dirty);
@@ -49,7 +49,7 @@ fn repair_fixes_everything_detection_confirms() {
     let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
     let (fixed, stats) = repairer.repair(&ds.dirty).unwrap();
     assert_eq!(stats.residual_violations, 0);
-    assert!(NativeDetector::new(&fixed).detect_all(&cfds).is_empty());
+    assert!(NativeEngine.run(&DetectJob::on_table(&fixed, &cfds)).unwrap().is_empty());
     // Quality floor on this standard workload.
     let score = ds.score_repair(&fixed, &[attrs::STREET, attrs::CITY, attrs::ZIP]);
     assert!(score.precision > 0.6, "precision {:.3} too low", score.precision);
@@ -109,20 +109,24 @@ fn csv_roundtrip_preserves_detection() {
     let (_, ds, cfds) = workload(500, 0.08, 27);
     let text = revival::relation::csv::write_table(&ds.dirty);
     let back = revival::relation::csv::read_table(ds.dirty.schema(), &text).unwrap();
-    let a = NativeDetector::new(&ds.dirty).detect_all(&cfds);
-    let b = NativeDetector::new(&back).detect_all(&cfds);
+    let a = NativeEngine.run(&DetectJob::on_table(&ds.dirty, &cfds)).unwrap();
+    let b = NativeEngine.run(&DetectJob::on_table(&back, &cfds)).unwrap();
     assert_eq!(a.violating_tuples().len(), b.violating_tuples().len());
 }
 
 #[test]
 fn discovery_recovers_standard_suite_fds_from_clean_data() {
-    use revival::discovery::tane::{discover_fds, TaneOptions};
+    use revival::discovery::tane::mine_lattice;
+    use revival::discovery::DiscoverOptions;
     let data = generate(&CustomerConfig { rows: 3_000, seed: 30, ..Default::default() });
-    let fds = discover_fds(&data.table, &TaneOptions { max_lhs: 2 });
+    // Exact plain FDs only: confidence 1, no conditional probes.
+    let opts = DiscoverOptions { min_support: 0, max_lhs: 2, top_values: 0, ..Default::default() };
+    let (mined, _) = mine_lattice(&data.table, &opts, 1);
+    let fds: Vec<_> = mined.iter().map(|m| &m.cfd).filter(|c| c.is_plain_fd()).collect();
     // (cc, zip) → street and (cc, ac) → city hold on clean data; TANE
     // must find them or something smaller implying them.
     let implies = |lhs: &[usize], rhs: usize| {
-        fds.iter().any(|f| f.rhs == vec![rhs] && f.lhs.iter().all(|a| lhs.contains(a)))
+        fds.iter().any(|f| f.rhs == rhs && f.lhs.iter().all(|a| lhs.contains(a)))
     };
     assert!(implies(&[attrs::CC, attrs::ZIP], attrs::STREET));
     assert!(implies(&[attrs::CC, attrs::AC], attrs::CITY));

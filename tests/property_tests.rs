@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use revival::constraints::parser::parse_cfds;
 use revival::constraints::Cfd;
-use revival::detect::sqlgen::detect_sql;
-use revival::detect::NativeDetector;
+use revival::detect::{DetectJob, Detector, NativeEngine, SqlEngine};
 use revival::relation::{Schema, Table, Type, Value};
 use revival::repair::{BatchRepair, CostModel};
 
@@ -49,8 +48,9 @@ proptest! {
     /// the same tuples on arbitrary inputs.
     #[test]
     fn sql_and_native_detection_agree(table in arb_table(), suite in arb_suite()) {
-        let mut native = NativeDetector::new(&table).detect_all(&suite);
-        let mut sql = detect_sql(&table, &suite).unwrap();
+        let job = DetectJob::on_table(&table, &suite);
+        let mut native = NativeEngine.run(&job).unwrap();
+        let mut sql = SqlEngine.run(&job).unwrap();
         native.normalize();
         sql.normalize();
         prop_assert_eq!(native, sql);
@@ -59,7 +59,7 @@ proptest! {
     /// A detection report is empty iff the satisfaction oracle agrees.
     #[test]
     fn detection_matches_satisfaction_oracle(table in arb_table(), suite in arb_suite()) {
-        let report = NativeDetector::new(&table).detect_all(&suite);
+        let report = NativeEngine.run(&DetectJob::on_table(&table, &suite)).unwrap();
         let satisfied = suite.iter().all(|c| c.satisfied_by(&table));
         prop_assert_eq!(report.is_empty(), satisfied);
     }
@@ -101,7 +101,7 @@ proptest! {
             inc.add(&live, id, None);
         }
         let mut inc_report = inc.report(&live);
-        let mut full = NativeDetector::new(&table).detect_all(&suite);
+        let mut full = NativeEngine.run(&DetectJob::on_table(&table, &suite)).unwrap();
         inc_report.normalize();
         full.normalize();
         prop_assert_eq!(inc_report, full);
