@@ -3,10 +3,10 @@
 //! one printed table per experiment.
 //!
 //! Every experiment checks its own answer in line (native ≡ SQL, split
-//! ≡ merged, residual = 0, rewrite ⊆ enumerate, incremental ≡ full), so
-//! a run that exits 0 is also a smoke test. The `*_ms` columns are
-//! single-shot wall clock for the shape of a curve only; the numbers
-//! the repo publishes about its own layers come from the `ledger`.
+//! ≡ merged, residual = 0, incremental ≡ full), so a run that exits 0
+//! is also a smoke test. The `*_ms` columns are single-shot wall clock
+//! for the shape of a curve only; the numbers the repo publishes about
+//! its own layers come from the `ledger`.
 
 use revival_bench::{customer_workload, full_mode, ms, print_table, repairable_attrs, timed};
 use revival_constraints::{Cfd, PatternRow};
@@ -18,7 +18,7 @@ use revival_repair::{BatchRepair, CostModel, RepairStats};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-const EXPERIMENTS: [(&str, fn()); 11] = [
+const EXPERIMENTS: [(&str, fn()); 10] = [
     ("detection-scaling", detection_scaling),
     ("tableau-size", tableau_size),
     ("cfd-vs-fd", cfd_vs_fd),
@@ -27,12 +27,11 @@ const EXPERIMENTS: [(&str, fn()); 11] = [
     ("incremental-repair", incremental_repair),
     ("cind-scaling", cind_scaling),
     ("matching-quality", matching_quality),
-    ("cqa", cqa),
     ("incremental-detection", incremental_detection),
     ("static-analysis", static_analysis),
 ];
 
-/// The experiments `name` selects: one, all eleven, or none.
+/// The experiments `name` selects: one, all ten, or none.
 fn select(name: &str) -> Vec<fn()> {
     EXPERIMENTS.iter().filter(|(n, _)| name == "all" || name == *n).map(|(_, run)| *run).collect()
 }
@@ -581,60 +580,6 @@ fn matching_quality() {
         ]);
     }
     print_table(&["variation", "base_p", "base_r", "base_f1", "rck_p", "rck_r", "rck_f1"], &rows);
-}
-
-/// E10 — consistent query answering: rewriting vs. repair enumeration.
-///
-/// Certain answers to a selection-projection query over a dirty
-/// instance. The first-order rewriting never materialises repairs;
-/// enumeration is exponential in the conflict count and hits its
-/// 20 000-repair cap quickly. Conflicts only grow with n, so once a
-/// size caps, larger sizes print `cap` without enumerating. The
-/// rewriting is meant to stay flat-ish in n (one scan + conflict-
-/// neighbour checks); here it does not — `rewrite_ms` grows ~100× over
-/// 8× the rows (README, experiments table).
-fn cqa() {
-    use revival_cqa::{certain_answers_enumerate, certain_answers_rewrite, SpQuery};
-    use revival_relation::Expr;
-    let sizes: &[usize] =
-        if full_mode() { &[2_000, 4_000, 8_000, 16_000] } else { &[500, 1_000, 2_000, 4_000] };
-    let noise = 0.01;
-    println!("E10: CQA — certain answers for pi_zip sigma_(cc='44') (noise {noise})");
-    let query = SpQuery::new(Expr::col(attrs::CC).eq(Expr::lit("44")), vec![attrs::ZIP]);
-    let cap = 20_000;
-    let mut capped = false;
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let (_, ds, cfds) = customer_workload(n, noise, 10);
-        let (rewritten, rw_t) = timed(|| certain_answers_rewrite(&ds.dirty, &cfds, &query));
-        let (enum_answers, enum_cell) = if capped {
-            ("cap".into(), "-".into())
-        } else {
-            match timed(|| certain_answers_enumerate(&ds.dirty, &cfds, &query, cap)) {
-                (Some(answers), t) => {
-                    // The rewriting is sound always; check agreement
-                    // when the oracle is available.
-                    assert!(
-                        rewritten.is_subset(&answers),
-                        "rewriting must under-approximate certain answers"
-                    );
-                    (answers.len().to_string(), ms(t))
-                }
-                (None, t) => {
-                    capped = true;
-                    ("cap".into(), format!(">{}", ms(t)))
-                }
-            }
-        };
-        rows.push(vec![
-            n.to_string(),
-            rewritten.len().to_string(),
-            ms(rw_t),
-            enum_answers,
-            enum_cell,
-        ]);
-    }
-    print_table(&["tuples", "rewrite_answers", "rewrite_ms", "enum_answers", "enum_ms"], &rows);
 }
 
 /// E11 — incremental vs. full re-detection as a delta streams in.

@@ -291,26 +291,39 @@ impl Pat<'_> {
     }
 }
 
-/// Whether constraint text can name an attribute `name`: a non-empty run
-/// of letters, digits and `_`. A space, a bracket or a `#` (where a
-/// comment starts) would not read back.
-fn is_attr_name(name: &str) -> bool {
+/// Whether constraint text can name an attribute or a relation `name`: a
+/// non-empty run of letters, digits and `_`. A space, a bracket or a `#`
+/// (where a comment starts) would not read back.
+fn is_name(name: &str) -> bool {
     !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_')
 }
 
 fn check_attr_name(attr: &str) -> Result<&str> {
-    if !is_attr_name(attr) {
+    if !is_name(attr) {
         return Err(perr(format!("bad attribute `{attr}`")));
     }
     Ok(attr)
 }
 
-/// Refuse a CFD over an attribute constraint text cannot name (letters,
-/// digits and `_` only): [`write_cfd`] would render it to text that
-/// [`parse_cfds`] cannot read back.
+/// Refuse a relation name constraint text cannot spell (letters, digits
+/// and `_` only). The name also names the relation's files in a state
+/// directory, so nothing else (`/`, `..`) gets through.
+pub fn check_relation_name(name: &str) -> Result<()> {
+    if is_name(name) {
+        return Ok(());
+    }
+    Err(Error::Io(format!(
+        "relation `{name}` cannot be written as constraint text (letters, digits and `_` only)"
+    )))
+}
+
+/// Refuse a CFD over a relation or an attribute constraint text cannot
+/// name (letters, digits and `_` only): [`write_cfd`] would render it to
+/// text that [`parse_cfds`] cannot read back.
 pub fn check_writable(cfd: &Cfd, schema: &Schema) -> Result<()> {
+    check_relation_name(schema.name())?;
     let mut names = cfd.lhs.iter().chain([&cfd.rhs]).map(|&a| schema.attr_name(a));
-    match names.find(|name| !is_attr_name(name)) {
+    match names.find(|name| !is_name(name)) {
         Some(name) => Err(Error::Io(format!(
             "attribute `{name}` of `{}` cannot be written as constraint text \
              (letters, digits and `_` only)",
@@ -766,11 +779,21 @@ mod tests {
     #[test]
     fn attribute_names_are_what_constraint_text_can_spell() {
         for good in ["zip", "c_1", "_", "straße", "街"] {
-            assert!(is_attr_name(good), "{good:?}");
+            assert!(is_name(good), "{good:?}");
         }
-        for bad in ["", "zip code", " zip", "zip#code", "#", "a-b", "zip("] {
-            assert!(!is_attr_name(bad), "{bad:?}");
+        for bad in ["", "zip code", " zip", "zip#code", "#", "a-b", "zip(", "a#b", "../x", "a/b"] {
+            assert!(!is_name(bad), "{bad:?}");
         }
+        // One rule for relation names: a suite over `a#b` would be
+        // written as `a#b([a] -> [b])`, which reads back as a comment.
+        let schema =
+            |name: &str| Schema::builder(name).attr("a", Type::Str).attr("b", Type::Str).build();
+        let writable = |name: &str| {
+            let s = schema(name);
+            check_writable(&Cfd::from_fd(&s, &["a"], "b").unwrap(), &s).map_err(|e| e.to_string())
+        };
+        assert_eq!(writable("a_b"), Ok(()));
+        assert!(writable("a#b").unwrap_err().contains("relation `a#b`"));
     }
 
     #[test]

@@ -308,6 +308,32 @@ fn discover_rejects_a_meaningless_min_confidence() {
 }
 
 #[test]
+fn emit_refuses_a_relation_name_constraint_text_cannot_spell() {
+    // `a#b([a] -> [b])` reads back as `a` and a comment: `detect` on the
+    // emitted file would fail, so `--emit` refuses before writing.
+    let dir = tmpdir("emit-relation");
+    let (data, emit) = (dir.join("u.csv"), dir.join("e.cfds"));
+    std::fs::write(&data, "a,b\n1,x\n2,y\n1,x\n").unwrap();
+    for table in ["a#b", "a_b"] {
+        let out = bin()
+            .args(["discover", "--data", data.to_str().unwrap(), "--table", table])
+            .args(["--min-support", "1", "--emit", emit.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if table == "a_b" {
+            assert!(out.status.success(), "got: {stderr}");
+            assert!(std::fs::read_to_string(&emit).unwrap().contains("a_b([a] -> [b])"));
+        } else {
+            assert_eq!(out.status.code(), Some(1), "got: {stderr}");
+            assert!(stderr.contains("--emit: io error: relation `a#b`"), "got: {stderr}");
+            assert!(!emit.exists(), "nothing written");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn duplicate_csv_header_is_a_csv_error_not_a_panic() {
     let dir = tmpdir("dup-header");
     let data = dir.join("d.csv");

@@ -105,9 +105,9 @@ impl DeltaSession {
     /// rebuilt from the current table (one `O(n)` load). This is what
     /// the serve protocol's `discover {"register":true}` installs a
     /// mined suite through — the one way in for CFDs that were never
-    /// text, so it refuses a suite over an attribute constraint text
-    /// cannot name ([`check_writable`]): a checkpoint would write a
-    /// `.cfds` file the restore could not read.
+    /// text, so it refuses a suite over a relation or an attribute
+    /// constraint text cannot name ([`check_writable`]): a checkpoint
+    /// would write a `.cfds` file the restore could not read.
     pub fn set_cfds(&mut self, relation: &str, cfds: Vec<Cfd>) -> Result<()> {
         let schema = self.catalog.get(relation)?.schema();
         for cfd in &cfds {

@@ -33,7 +33,7 @@
 use crate::protocol::{Request, Response};
 use crate::session::DeltaSession;
 use crate::wal::{GroupWal, Wal};
-use revival_constraints::parser::{parse_cfds, parse_cinds};
+use revival_constraints::parser::{check_relation_name, parse_cfds, parse_cinds};
 use revival_relation::{csv, durable, Error, Result, Schema, Table};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -581,6 +581,12 @@ impl Tier {
                 // containment tests plant one here, under the write lock.
                 #[cfg(test)]
                 assert!(table != PANIC_TABLE, "deliberate panic registering `{table}`");
+                // The name becomes the checkpoint's file names: `../x`
+                // would be written outside the shard directory and never
+                // restored.
+                if let Err(e) = check_relation_name(table) {
+                    return Response::err(e);
+                }
                 let parsed = match csv::read_table_infer(table, csv_text) {
                     Ok(t) => t,
                     Err(e) => return Response::err(e),

@@ -5,20 +5,19 @@
 //!    (profiling, §2 of the paper);
 //! 3. statically **analyze** the suite (satisfiability, minimal cover);
 //! 4. **detect** violations; 5. **repair**; 6. score against ground
-//!    truth; 7. answer a query consistently *without* repairing (CQA).
+//!    truth.
 //!
 //! ```sh
 //! cargo run --example cleaning_pipeline
 //! ```
 
 use revival::constraints::analysis::{is_satisfiable, minimal_cover, Outcome, DEFAULT_BUDGET};
-use revival::cqa::{certain_answers_rewrite, SpQuery};
 use revival::detect::{DetectJob, Detector, NativeEngine};
 use revival::dirty::customer::{attrs, generate, standard_cfds, CustomerConfig};
 use revival::dirty::noise::{inject, NoiseConfig};
 use revival::discovery::tane::mine_lattice;
 use revival::discovery::DiscoverOptions;
-use revival::relation::{Expr, Table};
+use revival::relation::Table;
 use revival::repair::{BatchRepair, CostModel};
 
 fn main() {
@@ -80,18 +79,5 @@ fn main() {
         score.f1()
     );
 
-    // 7. CQA: which UK zips certainly exist, without touching the data?
-    let query = SpQuery::new(Expr::col(attrs::CC).eq(Expr::lit("44")), vec![attrs::ZIP]);
-    let certain = certain_answers_rewrite(&ds.dirty, &suite, &query);
-    let on_clean = query.answers(&ds.clean);
-    println!(
-        "\nCQA: {} certain UK zips on the dirty data ({} on the clean original)",
-        certain.len(),
-        on_clean.len()
-    );
-    // Every certain zip is genuinely a UK zip in the dirty instance.
-    assert!(certain.iter().all(|z| {
-        ds.dirty.rows().any(|(_, r)| r[attrs::CC] == "44".into() && r[attrs::ZIP] == z[0])
-    }));
     println!("pipeline complete ✓");
 }

@@ -15,8 +15,6 @@
 //! * [`repair`] — cost-based BatchRepair and IncRepair;
 //! * [`matching`] — similarity ops, matching rules, RCK derivation,
 //!   record matcher;
-//! * [`cqa`] — consistent query answering (certain answers, range
-//!   aggregates);
 //! * [`discovery`] — the `DiscoveryEngine` layer (parallel approximate
 //!   TANE/CTANE lattice, CFDMiner, IND/CIND lifting, suite vetting);
 //! * [`dirty`] — seeded workload generators with ground truth.
@@ -52,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub use revival_constraints as constraints;
-pub use revival_cqa as cqa;
 pub use revival_detect as detect;
 pub use revival_dirty as dirty;
 pub use revival_discovery as discovery;

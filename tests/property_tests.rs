@@ -109,39 +109,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Subset repairs from the CQA conflict graph always satisfy the
-    /// suite and are maximal w.r.t. adding back excluded tuples.
-    #[test]
-    fn enumerated_repairs_are_consistent(table in arb_table(), suite in arb_suite()) {
-        use revival::cqa::{enumerate_repairs, ConflictGraph};
-        use revival::cqa::conflict::repair_table;
-        let graph = ConflictGraph::build(&table, &suite);
-        let repairs = enumerate_repairs(&graph, 64);
-        prop_assert!(!repairs.is_empty());
-        for kept in repairs.iter().take(8) {
-            let rt = repair_table(&table, &graph, kept);
-            prop_assert!(suite.iter().all(|c| c.satisfied_by(&rt)));
-        }
-    }
-
-    /// Certain answers from the rewriting are sound: contained in the
-    /// enumeration-based answer set whenever the oracle completes.
-    #[test]
-    fn rewriting_sound_vs_enumeration(table in arb_table(), suite in arb_suite()) {
-        use revival::cqa::{certain_answers_enumerate, certain_answers_rewrite, SpQuery};
-        use revival::relation::Expr;
-        let query = SpQuery::new(Expr::col(0).eq(Expr::lit("a0")), vec![2]);
-        let rewritten = certain_answers_rewrite(&table, &suite, &query);
-        if let Some(enumerated) = certain_answers_enumerate(&table, &suite, &query, 512) {
-            prop_assert!(rewritten.is_subset(&enumerated),
-                "rewrite {rewritten:?} ⊄ enum {enumerated:?}");
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// String distance is a normalized metric: symmetric, zero iff

@@ -638,6 +638,7 @@ fn a_wal_record_carrying_merged_replays_as_the_suite_it_spells() {
 /// and reopening failed on that file. The suite is refused instead, with
 /// an error naming the attribute, and the directory reopens; a legal
 /// header installs, checkpoints and reopens to the same suite and count.
+/// A relation name that rule refuses is refused at `register`.
 #[test]
 fn a_checkpoint_never_writes_a_suite_its_open_rejects() {
     for (i, header) in ["zip code,city", "zip#code,city", "zip,city"].into_iter().enumerate() {
@@ -680,4 +681,44 @@ fn a_checkpoint_never_writes_a_suite_its_open_rejects() {
         drop(tier);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    // A relation's name is its files' name, so it obeys the same rule.
+    // `../escaped` used to register, checkpoint to `<state>/escaped.sdq`
+    // outside `shard-0/` (truncating the WAL), and be gone on reopen. A
+    // WAL record registering it is a replay error like any refused one.
+    let dir = std::env::temp_dir().join(format!("revival_wal_relnames_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let register = |table: &str| Request::Register {
+        table: table.into(),
+        csv: "a,b\n1,x\n1,y\n".into(),
+        cfds: String::new(),
+    };
+    std::fs::create_dir_all(&dir).unwrap();
+    revival::stream::Wal::open(&dir.join("wal-0.log"))
+        .unwrap()
+        .append(register("../escaped").to_line().trim_end())
+        .unwrap();
+    let opts = witness_opts(&dir, 1, 0);
+    let (tier, summary) = ShardedSession::open(&opts).unwrap();
+    assert_eq!((summary.replayed, summary.replay_errors), (0, 1), "{summary:?}");
+    for bad in ["../escaped", "a/b", "a#b", "a(b", ""] {
+        let refused = tier.handle(&register(bad));
+        let error = refused.str("error").unwrap_or_default();
+        assert!(error.contains(&format!("relation `{bad}`")), "{bad:?}: {refused:?}");
+    }
+    assert!(tier.handle(&register("customer")).is_ok());
+    assert!(tier.handle(&Request::Checkpoint).is_ok());
+    let sdq = |dir: &std::path::Path| -> Vec<std::path::PathBuf> {
+        let files = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        files.filter(|p| p.extension().is_some_and(|x| x == "sdq")).collect()
+    };
+    assert!(sdq(&dir).is_empty(), "{:?}", sdq(&dir));
+    assert_eq!(sdq(&dir.join("shard-0")), [dir.join("shard-0/customer.sdq")]);
+    drop(tier);
+    let (tier, summary) = ShardedSession::open(&opts).unwrap();
+    assert_eq!(summary.relations, 1, "{summary:?}");
+    let appended = tier.handle(&Request::Append { table: "customer".into(), row: "2,z".into() });
+    assert!(appended.is_ok(), "{appended:?}");
+    drop(tier);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
