@@ -441,7 +441,7 @@ mod tests {
                 // independent — shard them; everything downstream reads the
                 // in-order results, so the rule list stays byte-identical.
                 let supports: Vec<Vec<usize>> =
-                    map_items(&level, jobs, |itemset| support_rows(&view, itemset));
+                    map_items(&level, jobs, || (), |_, itemset| support_rows(&view, itemset));
                 let mut next: Vec<Vec<SymItem>> = Vec::new();
                 for (itemset, supp) in level.iter().zip(&supports) {
                     stats.candidates_checked += 1;

@@ -5,53 +5,88 @@
 //! the level-wise miner in [`crate::tane::mine_lattice`]: for each
 //! candidate embedded FD that fails the (confidence) check on the whole
 //! table, single-constant patterns over the most frequent values are
-//! probed on the matching sub-instance. This module owns the probe
-//! kernel: [`pattern_error`], one interned grouping pass over the
-//! condition item's row list — no `Vec<Value>` keys.
+//! probed on the matching sub-instance. This module owns the probe,
+//! `condition_errors`: the condition attribute is in `X`, so every
+//! class of `π_X` matches a pattern wholly or not at all, and a
+//! pattern's error is a sum of the class errors the product already
+//! gave — one read per class, no row of the sub-instance regrouped.
 
-use revival_relation::{GroupBy, Sym, Table};
+use crate::items::{ItemId, ItemIndex};
+use crate::partition::Partition;
 
-/// `g3`-style error of the embedded FD `lhs → rhs` restricted to
-/// `rows` — the live slots of the item the pattern conditions on, from
-/// the table's [`crate::items::ItemIndex`], so the probe groups the
-/// pattern's own support instead of filtering the table for it. The
-/// error is the minimum number of those tuples to remove so the
-/// conditional FD holds exactly; confidence is `1 − err/rows.len()`.
-pub(crate) fn pattern_error(table: &Table, lhs: &[usize], rhs: usize, rows: &[u32]) -> usize {
-    // Per LHS-projection group: the distinct RHS symbols seen with
-    // their multiplicities (few per group, so a Vec beats a map).
-    let mut groups: GroupBy<Box<[Sym]>, Vec<(Sym, usize)>> = GroupBy::new();
-    let proj = table.proj(lhs);
-    let rhs_col = table.col(rhs);
-    for &slot in rows {
-        let slot = slot as usize;
-        let counts = groups.entry_mut(
-            proj.hash_at(slot),
-            |k| proj.matches_at(slot, k),
-            || (proj.key_at(slot), Vec::new()),
-        );
-        let r = rhs_col[slot];
-        match counts.iter_mut().find(|(s, _)| *s == r) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((r, 1)),
-        }
+/// The `g3` error of `X → A` under `attr = v` for each probed item
+/// `(attr, v)`, `attr ∈ X`: the sum of the errors (`class_errors`, from
+/// [`Partition::product`]) of the classes of `px = π_X` whose first
+/// slot carries the item. `buckets` is per-item scratch, all zero
+/// before and after.
+pub(crate) fn condition_errors(
+    index: &ItemIndex<'_>,
+    px: &Partition,
+    class_errors: &[u32],
+    attr: usize,
+    probed: &[ItemId],
+    buckets: &mut [u32],
+) -> Vec<u32> {
+    let failing = || px.classes().zip(class_errors).filter(|&(_, &err)| err > 0);
+    for (class, &err) in failing() {
+        buckets[index.id_at(attr, class[0]) as usize] += err;
     }
-    let mut err = 0usize;
-    for (_, counts) in groups.iter() {
-        let total: usize = counts.iter().map(|(_, c)| *c).sum();
-        let keep = counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        err += total - keep;
+    let errors = probed.iter().map(|&item| buckets[item as usize]).collect();
+    for (class, _) in failing() {
+        buckets[index.id_at(attr, class[0]) as usize] = 0;
     }
-    err
+    errors
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{DiscoverOptions, DiscoveryStats};
+    use crate::partition::tests::{lhs_sets, partition_of, random_table};
+    use crate::partition::ItemScratch;
     use revival_constraints::pattern::PatternValue;
     use revival_constraints::Cfd;
-    use revival_relation::{Schema, Type};
+    use revival_relation::{Schema, Table, Type};
+
+    /// The row probe the class-error sums replaced, kept verbatim as
+    /// their oracle: one interned grouping pass over the condition
+    /// item's row list.
+    mod oracle {
+        use revival_relation::{GroupBy, Sym, Table};
+
+        pub(crate) fn pattern_error(
+            table: &Table,
+            lhs: &[usize],
+            rhs: usize,
+            rows: &[u32],
+        ) -> usize {
+            // Per LHS-projection group: the distinct RHS symbols seen with
+            // their multiplicities (few per group, so a Vec beats a map).
+            let mut groups: GroupBy<Box<[Sym]>, Vec<(Sym, usize)>> = GroupBy::new();
+            let proj = table.proj(lhs);
+            let rhs_col = table.col(rhs);
+            for &slot in rows {
+                let slot = slot as usize;
+                let counts = groups.entry_mut(
+                    proj.hash_at(slot),
+                    |k| proj.matches_at(slot, k),
+                    || (proj.key_at(slot), Vec::new()),
+                );
+                let r = rhs_col[slot];
+                match counts.iter_mut().find(|(s, _)| *s == r) {
+                    Some((_, c)) => *c += 1,
+                    None => counts.push((r, 1)),
+                }
+            }
+            let mut err = 0usize;
+            for (_, counts) in groups.iter() {
+                let total: usize = counts.iter().map(|(_, c)| *c).sum();
+                let keep = counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
+                err += total - keep;
+            }
+            err
+        }
+    }
 
     /// Bounded CTANE: the lattice's exact rules, one tableau row each,
     /// with the search accounting.
@@ -161,35 +196,98 @@ mod tests {
     fn pattern_probe_matches_oracle() {
         let t = table();
         let index = crate::items::ItemIndex::build(&t);
-        let rows_of = |value: &str| {
+        let item_of = |value: &str| {
             let sym = t.pool().lookup(&value.into()).unwrap();
-            index.rows(index.items_of(0).find(|&id| index.item(id).1 == sym).unwrap())
+            index.items_of(0).find(|&id| index.item(id).1 == sym).unwrap()
         };
+        let (cc44, cc01) = (item_of("44"), item_of("01"));
+        let px = partition_of(&index, &[0, 1]);
+        let mut scratch = ItemScratch::new(&index);
+        let product = px.product(&index, 2, &mut scratch, false);
+        let errors = condition_errors(
+            &index,
+            &px,
+            &product.class_errors,
+            0,
+            &[cc44, cc01],
+            &mut scratch.counts,
+        );
         // [cc='44'] restricted zip → street: 5 matching rows, exact.
-        assert_eq!(rows_of("44").len(), 5);
-        assert_eq!(pattern_error(&t, &[0, 1], 2, rows_of("44")), 0);
         // cc='01': EH8 splits {Other1, Other2} (1 removal) and 10001
         // splits {5th, 6th×2} (1 removal).
-        assert_eq!(rows_of("01").len(), 5);
-        assert_eq!(pattern_error(&t, &[0, 1], 2, rows_of("01")), 2);
+        assert_eq!(errors, vec![0, 2]);
+        assert_eq!(index.rows(cc44).len(), 5);
+        for (item, err) in [(cc44, 0), (cc01, 2)] {
+            assert_eq!(oracle::pattern_error(&t, &[0, 1], 2, index.rows(item)), err);
+        }
+        assert!(scratch.counts.iter().all(|&c| c == 0), "the buckets are left zeroed");
     }
+
     #[test]
-    fn probes_touch_exactly_the_supports_they_group() {
+    fn class_error_sums_agree_with_the_replaced_row_probe() {
+        for seed in 0..400u64 {
+            let t = random_table(seed);
+            let index = crate::items::ItemIndex::build(&t);
+            let mut scratch = ItemScratch::new(&index);
+            let arity = t.schema().arity();
+            for x in lhs_sets(arity) {
+                let px = partition_of(&index, &x);
+                for a in (0..arity).filter(|a| !x.contains(a)) {
+                    let product = px.product(&index, a, &mut scratch, false);
+                    for &attr in &x {
+                        let items: Vec<ItemId> = index.items_of(attr).collect();
+                        let errors = condition_errors(
+                            &index,
+                            &px,
+                            &product.class_errors,
+                            attr,
+                            &items,
+                            &mut scratch.counts,
+                        );
+                        let want: Vec<u32> = items
+                            .iter()
+                            .map(|&item| oracle::pattern_error(&t, &x, a, index.rows(item)) as u32)
+                            .collect();
+                        assert_eq!(errors, want, "seed {seed}: {x:?} → {a} under attribute {attr}");
+                    }
+                }
+            }
+            assert!(scratch.counts.iter().all(|&c| c == 0), "seed {seed}: buckets left dirty");
+        }
+    }
+
+    #[test]
+    fn probes_read_one_class_per_probed_attribute() {
         // With `top_values` covering every value and `min_support` 1,
-        // the probes of one failing candidate `X → A` group, per
-        // attribute of `X`, each value's rows once: |X| · n rows, where
-        // a table scan per probe would read |X| · distinct · n.
+        // a failing candidate `X → A` probes every attribute of `X`,
+        // each reading one representative per stripped class of `π_X`:
+        // |X| · |π_X| reads, where regrouping the conditioned rows read
+        // |X| · n.
         let t = table();
-        let run = |max_lhs| {
+        let index = crate::items::ItemIndex::build(&t);
+        let classes = |x: &[usize]| partition_of(&index, x).len();
+        for max_lhs in [1, 2] {
             let (cfds, stats) = ctane(&t, max_lhs, 1, 8);
-            let plain = cfds.iter().filter(|c| c.is_plain_fd()).count();
-            (stats.candidates_checked - plain, stats.support_rows_touched)
-        };
-        let (failing_1, touched_1) = run(1);
-        assert!(failing_1 > 0);
-        assert_eq!(touched_1, failing_1 * t.len());
-        let (failing_2, touched_2) = run(2);
-        assert!(failing_2 > failing_1, "level 2 must probe too");
-        assert_eq!(touched_2, touched_1 + (failing_2 - failing_1) * 2 * t.len());
+            let plain: Vec<(Vec<usize>, usize)> =
+                cfds.iter().filter(|c| c.is_plain_fd()).map(|c| (c.lhs.clone(), c.rhs)).collect();
+            // Arity 3: level 2 checks `X → A` unless a level-1 plain
+            // rule `{b} → A`, `b ∈ X`, pruned it.
+            let mut failing: Vec<(Vec<usize>, usize)> = Vec::new();
+            for x in lhs_sets(3).into_iter().filter(|x| x.len() <= max_lhs) {
+                for a in (0..3).filter(|a| !x.contains(a)) {
+                    let pruned = plain.iter().any(|(l, r)| {
+                        *r == a && l.len() < x.len() && l.iter().all(|b| x.contains(b))
+                    });
+                    let holds = plain.contains(&(x.clone(), a));
+                    if !pruned && !holds {
+                        failing.push((x.clone(), a));
+                    }
+                }
+            }
+            assert!(!failing.is_empty());
+            assert_eq!(stats.candidates_checked - plain.len(), failing.len(), "max_lhs {max_lhs}");
+            let want: usize = failing.iter().map(|(x, _)| x.len() * classes(x)).sum();
+            assert_eq!(stats.support_rows_touched, want, "max_lhs {max_lhs}");
+        }
     }
 }

@@ -21,12 +21,11 @@
 //! contract the detection and repair engines keep. `jobs` shards the
 //! lattice only: a job builds one item index per table
 //! (`(attribute, Sym)` → row list) and every support count reads it —
-//! the constant miner buckets parents' row lists, the conditional probe
-//! groups its item's rows — which leaves the constant miner nothing
-//! worth sharding, so it runs on the caller. All partition and grouping
-//! work runs on the interned `GroupBy`/`Sym` kernel from
-//! `revival-relation`; no `Vec<Value>` key is built anywhere in the
-//! lattice.
+//! the constant miner buckets parents' row lists, the lattice's
+//! partitions are lists of the same slots and its conditional probe
+//! sums the class errors of the candidate's partition — which leaves
+//! the constant miner nothing worth sharding, so it runs on the caller.
+//! No group key is hashed anywhere in the lattice.
 
 use crate::cfdminer::{self, MinerOptions};
 use crate::ind_disc::{discover_unary_inds, lift_to_cinds, IndOptions};
@@ -181,9 +180,11 @@ pub struct DiscoveryStats {
     /// cheap cover (merge + subsumption) and skipped the quadratic
     /// implied-row drop for it.
     pub cover_implication_skipped: bool,
-    /// Rows read to count the support of an itemset (CFDMiner) or of a
-    /// conditional pattern (the lattice's probe) — Σ parent supports,
-    /// not candidates × table rows; identical at any `jobs`.
+    /// Rows read to count the support of an itemset (CFDMiner: Σ parent
+    /// supports, not candidates × table rows) plus the class
+    /// representatives the lattice's conditional probes read (one per
+    /// stripped class of `π_X` per probed LHS attribute, not the rows
+    /// inside them); identical at any `jobs`.
     pub support_rows_touched: usize,
 }
 
@@ -244,7 +245,7 @@ pub trait DiscoveryEngine {
     /// [`DiscoveryEngine::run`] with a [`revival_obs::JobProfile`]
     /// alongside: identical output (profiling is side-effect-only),
     /// plus one row per lattice level (`level`: candidates
-    /// checked/pruned, g3 evaluations, probe rows, partition-build µs),
+    /// checked/pruned, g3 evaluations, probe reads, partition-build µs),
     /// per constant-mining level (`itemsets`: candidates checked/pruned,
     /// support rows touched), per relation for the constant rule list
     /// (`rules`: order, materialise, convert) and for vetting
@@ -330,8 +331,8 @@ fn run_job(
     let (mut lattice_us, mut constant_us) = (0u64, 0u64);
     for table in &tables {
         let stage = Instant::now();
-        // One item index per table: the lattice's conditional probe and
-        // the constant miner both count support over its row lists.
+        // One item index per table: the lattice's partitions and probes
+        // and the constant miner's support counts all read it.
         let index = ItemIndex::build(table);
         let index_us = stage.elapsed().as_micros() as u64;
         let (mut mined, tstats) =

@@ -6,9 +6,11 @@
 //! it — Eclat's tid-lists, as `u32`. The support of an itemset is then
 //! a filter of a *parent's* row list on one more column, never a scan
 //! of the table: CFDMiner buckets a frequent itemset's rows on each
-//! later attribute ([`crate::cfdminer`]), and the lattice's conditional
-//! probe groups only the rows of the item it conditions on
-//! ([`crate::ctane::pattern_error`]).
+//! later attribute ([`crate::cfdminer`]). The lattice shares the ids: a
+//! single attribute's stripped partition is its row lists of ≥ 2 rows,
+//! [`ItemIndex::id_at`] is the probe of the partition product, and the
+//! conditional probe buckets class errors by item
+//! ([`crate::partition`], [`crate::ctane::condition_errors`]).
 
 use revival_relation::{Sym, Table};
 use std::ops::Range;

@@ -22,33 +22,38 @@
 //! support counting read. A job builds one *item index* per table —
 //! for every `(attribute, Sym)` the ascending live rows carrying it —
 //! and support is only ever counted over those row lists: a child
-//! itemset's rows are its parent's, bucketed on one more column; a
-//! conditional pattern's rows are its item's. The parallel engine
+//! itemset's rows are its parent's, bucketed on one more column. The
+//! lattice's stripped partitions are lists of the same rows, and a
+//! conditional pattern's error is a sum over its classes. The parallel
+//! engine
 //! shards each lattice level's candidate checks across
 //! `std::thread::scope` workers with a deterministic candidate-order
 //! merge, so its output is byte-identical to the sequential engine's at
 //! any `jobs` count; the constant miner, down to Σ parent supports per
-//! level, runs on the caller. Confidence (`1 − g3/support`, the
-//! stripped-partition error of [`partition::Partition::g3_error`])
-//! makes discovery usable on *dirty* data: `min_confidence < 1.0`
-//! recovers the planted dependencies noise has chipped.
+//! level, runs on the caller. Confidence (`1 − g3/support`, from the
+//! per-class errors of TANE's linear partition product in
+//! [`partition`]) makes discovery usable on *dirty* data:
+//! `min_confidence < 1.0` recovers the planted dependencies noise has
+//! chipped.
 //!
 //! The engine layer is the one way in to discovery; the modules behind
 //! it are its parts:
 //!
-//! * [`partition`] — stripped partitions, refinement, and the `g3`
-//!   error measure, the engine room of TANE;
+//! * [`partition`] — stripped partitions over live rows and their
+//!   product, which yields each class's `g3` error: the engine room of
+//!   TANE;
 //! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`]),
 //!   plain and conditional rules alike;
 //! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner)
 //!   over row lists;
-//! * [`ctane`] — the conditional-pattern probe the lattice runs;
+//! * [`ctane`] — the conditional-pattern probe the lattice runs, a sum
+//!   of class errors per condition value;
 //! * [`ind_disc`] — unary IND discovery across relations and lifting of
 //!   violated INDs to CIND candidates (how the paper's book/CD CIND
 //!   arises from data).
 //!
-//! Everything runs on the interned `GroupBy`/`Sym` kernel from
-//! `revival-relation` — no `Vec<Value>` keys anywhere in the lattice.
+//! Everything runs on the interned `Sym` columns of `revival-relation` —
+//! no `Vec<Value>` keys anywhere, and no hashed group key in the lattice.
 
 #![forbid(unsafe_code)]
 

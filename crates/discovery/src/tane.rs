@@ -5,40 +5,47 @@
 //! extended beyond the classical algorithm in two ways:
 //!
 //! * **approximate rules** — each candidate `X → A` gets a confidence
-//!   `1 − g3/n` from the stripped-partition error
-//!   ([`Partition::g3_error`]); with `min_confidence < 1` the miner
+//!   `1 − g3/n` from the stripped-partition error, summed over the
+//!   per-class errors of the product `π_X · π_A`
+//!   (`Partition::product`); with `min_confidence < 1` the miner
 //!   recovers dependencies from *dirty* data, not just clean samples;
 //! * **conditional rules** — when the plain FD misses the confidence
 //!   bar, single-constant patterns over the most frequent values are
-//!   probed (CTANE's pattern search, `ctane::pattern_error`, over the
-//!   item's row list from the table's [`ItemIndex`]), yielding CFDs
+//!   probed (CTANE's pattern search, `ctane::condition_errors`: a
+//!   pattern's error is the sum of its classes' errors), yielding CFDs
 //!   like `([cc='44', zip] → [street])`.
 //!
 //! Candidate checks at each level are independent, so the engine layer
 //! shards them across scoped threads ([`revival_relation::map_chunks`])
 //! and merges in candidate order — byte-identical output at any shard
-//! count. Partitions group on the interned `Sym` kernel; no
-//! `Vec<Value>` keys exist anywhere in the lattice. Classical TANE —
+//! count. Partitions are lists of the item index's live slots; no group
+//! key is hashed anywhere in the lattice, and the work per candidate is
+//! linear in the classes of `π_X`. Classical TANE —
 //! exact, minimal FDs only — is the walk at `min_confidence` 1 with
 //! `top_values` 0, keeping the plain rules.
 
 use crate::engine::{DiscoverOptions, DiscoveryStats, MinedCfd};
 use crate::items::{ItemId, ItemIndex};
-use crate::partition::Partition;
+use crate::partition::{ItemScratch, Partition, Product};
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_relation::{map_chunks, Table};
 use std::collections::HashMap;
 
 /// `f` over every item on up to `jobs` scoped workers, outputs in item
-/// order: [`map_chunks`], flattened in chunk order. One chunk runs inline,
-/// so the parallel engine at one shard *is* the sequential engine.
-pub(crate) fn map_items<T: Sync, R: Send>(
+/// order: [`map_chunks`], flattened in chunk order, each chunk with its
+/// own `scratch()`. One chunk runs inline, so the parallel engine at one
+/// shard *is* the sequential engine.
+pub(crate) fn map_items<T: Sync, S, R: Send>(
     items: &[T],
     jobs: usize,
-    f: impl Fn(&T) -> R + Sync,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
-    let chunks = map_chunks(items, jobs, |chunk| chunk.iter().map(&f).collect::<Vec<R>>());
+    let chunks = map_chunks(items, jobs, |chunk| {
+        let mut scratch = scratch();
+        chunk.iter().map(|item| f(&mut scratch, item)).collect::<Vec<R>>()
+    });
     chunks.into_iter().flat_map(|(out, _)| out).collect()
 }
 
@@ -55,14 +62,16 @@ struct CandidateOutcome {
     /// next-level build reuses it instead of refining again — the
     /// partition cache the pre-engine sequential code kept.
     refined: Option<Partition>,
-    /// Rows the conditional probes grouped: the sum of their supports.
+    /// Class representatives the conditional probes read: one per
+    /// stripped class of `π_X` per probed attribute.
     support_rows_touched: usize,
 }
 
 /// Check one candidate `X → A`: plain (possibly approximate) FD first,
 /// then single-constant conditional patterns when the plain form fails.
 /// `keep_refined` asks for `π_{X∪{A}}` back when it can seed the next
-/// level (false on the last level, where it would only burn memory).
+/// level (false on the last level); the product builds it only then,
+/// and otherwise yields the class errors alone.
 #[allow(clippy::too_many_arguments)]
 fn check_candidate(
     index: &ItemIndex<'_>,
@@ -70,16 +79,16 @@ fn check_candidate(
     relation: &str,
     x: &[usize],
     px: &Partition,
-    singles: &[Partition],
     top: &[Vec<ItemId>],
     rhs: usize,
     keep_refined: bool,
+    scratch: &mut ItemScratch,
 ) -> CandidateOutcome {
     let table = index.table();
     let n = table.len();
-    let pxa = px.refine(&singles[rhs]);
-    let g3 = px.g3_error(&pxa);
-    let refined = (keep_refined && rhs > *x.last().expect("non-empty LHS")).then_some(pxa);
+    let keep = keep_refined && rhs > *x.last().expect("non-empty LHS");
+    let Product { refined, class_errors } = px.product(index, rhs, scratch, keep);
+    let g3: usize = class_errors.iter().map(|&err| err as usize).sum();
     let confidence = if n == 0 { 1.0 } else { 1.0 - g3 as f64 / n as f64 };
     if (g3 == 0 || confidence >= opts.min_confidence) && n >= opts.min_support {
         let cfd = Cfd {
@@ -99,16 +108,27 @@ fn check_candidate(
     let mut support_rows_touched = 0;
     // `top` is empty for every attribute when `top_values` is 0.
     for (pos, &attr) in x.iter().enumerate() {
-        for &item in &top[attr] {
-            // The item's row list is the pattern's support: known
-            // before a row is read, and all the probe then reads.
-            let rows = index.rows(item);
-            let support = rows.len();
-            if support < opts.min_support.max(1) {
-                continue;
-            }
-            support_rows_touched += support;
-            let err = crate::ctane::pattern_error(table, x, rhs, rows);
+        // An item's row list is the pattern's support, known before
+        // anything is read.
+        let probed: Vec<ItemId> = top[attr]
+            .iter()
+            .copied()
+            .filter(|&item| index.rows(item).len() >= opts.min_support.max(1))
+            .collect();
+        if probed.is_empty() {
+            continue;
+        }
+        support_rows_touched += px.len();
+        let errors = crate::ctane::condition_errors(
+            index,
+            px,
+            &class_errors,
+            attr,
+            &probed,
+            &mut scratch.counts,
+        );
+        for (&item, err) in probed.iter().zip(errors) {
+            let support = index.rows(item).len();
             let confidence = 1.0 - err as f64 / support as f64;
             if err == 0 || confidence >= opts.min_confidence {
                 let mut lhs_pats = vec![PatternValue::Wildcard; x.len()];
@@ -172,9 +192,9 @@ pub fn mine_lattice(
 /// constant miner reads the same one), with optional per-lattice-level
 /// attribution into `profile`: one constraint row per level
 /// (`<relation> lvl<N>`) carrying the level's wall time, candidates
-/// checked/pruned, g3 evaluations (one per candidate check), the rows
-/// its conditional probes grouped, and the µs spent building its
-/// partitions. The mined output is byte-identical either way.
+/// checked/pruned, g3 evaluations (one per candidate check), the class
+/// representatives its conditional probes read, and the µs spent
+/// building its partitions. The mined output is byte-identical either way.
 pub(crate) fn mine_lattice_inner(
     index: &ItemIndex<'_>,
     opts: &DiscoverOptions,
@@ -191,9 +211,9 @@ pub(crate) fn mine_lattice_inner(
     }
     let level_name = |size: usize| format!("{relation} lvl{size}");
 
-    let attrs: Vec<usize> = (0..arity).collect();
     let singles_start = std::time::Instant::now();
-    let singles: Vec<Partition> = map_items(&attrs, jobs, |&a| Partition::build(table, &[a]));
+    let mut level: Vec<(Vec<usize>, Partition)> =
+        (0..arity).map(|a| (vec![a], Partition::of_attr(index, a))).collect();
     let singles_us = singles_start.elapsed().as_micros() as u64;
     let top: Vec<Vec<ItemId>> = if opts.top_values > 0 {
         (0..arity).map(|a| top_items(index, a, opts.top_values, &mut stats)).collect()
@@ -210,8 +230,7 @@ pub(crate) fn mine_lattice_inner(
 
     // Emitted minimal LHSs per RHS attribute (minimality pruning).
     let mut minimal: HashMap<usize, Vec<Vec<usize>>> = HashMap::new();
-    let mut level: Vec<(Vec<usize>, Partition)> =
-        (0..arity).map(|a| (vec![a], singles[a].clone())).collect();
+    let scratch = || ItemScratch::new(index);
 
     for size in 1..=opts.max_lhs {
         if level.is_empty() {
@@ -237,10 +256,11 @@ pub(crate) fn mine_lattice_inner(
         }
         stats.candidates_checked += candidates.len();
         let keep_refined = size < opts.max_lhs;
-        let outcomes: Vec<CandidateOutcome> = map_items(&candidates, jobs, |&(i, a)| {
-            let (x, px) = &level[i];
-            check_candidate(index, opts, &relation, x, px, &singles, &top, a, keep_refined)
-        });
+        let outcomes: Vec<CandidateOutcome> =
+            map_items(&candidates, jobs, scratch, |scratch, &(i, a)| {
+                let (x, px) = &level[i];
+                check_candidate(index, opts, &relation, x, px, &top, a, keep_refined, scratch)
+            });
         // Partitions the checks already refined, keyed by prefix-form
         // set `x ++ [a]` — the next-level build takes them instead of
         // refining the same set again.
@@ -260,20 +280,21 @@ pub(crate) fn mine_lattice_inner(
 
         // Next level: extend each set by a strictly larger attribute
         // (every sorted set is generated exactly once, from its own
-        // prefix), keeping only sets with a live candidate RHS.
-        let mut next_sets: Vec<Vec<usize>> = Vec::new();
-        for (x, _) in &level {
+        // prefix — whose level index rides along), keeping only sets
+        // with a live candidate RHS. The level is in set order, so its
+        // extensions are too.
+        let mut next_sets: Vec<(Vec<usize>, usize)> = Vec::new();
+        for (i, (x, _)) in level.iter().enumerate() {
             let last = *x.last().expect("level sets are non-empty");
             for a in last + 1..arity {
                 let mut xa = x.clone();
                 xa.push(a);
                 let live = (0..arity).any(|r| !xa.contains(&r) && !pruned(&minimal, &xa, r));
                 if live {
-                    next_sets.push(xa);
+                    next_sets.push((xa, i));
                 }
             }
         }
-        next_sets.sort();
         if size == opts.max_lhs {
             stats.lattice_truncated = !next_sets.is_empty();
             if let Some(p) = profile.as_deref_mut() {
@@ -287,24 +308,19 @@ pub(crate) fn mine_lattice_inner(
             break;
         }
         // Partitions for the next level: reuse what the candidate
-        // checks refined; fall back to refining from the prefix (always
-        // present in the current level) for sets whose candidate was
-        // minimality-pruned. Either path yields the identical partition
-        // (a set's partition does not depend on how it was built).
+        // checks refined; multiply the prefix's by the last attribute
+        // for sets whose candidate was minimality-pruned. Either path
+        // yields the identical partition (a set's partition does not
+        // depend on how it was built).
         let build_start = std::time::Instant::now();
-        let parent: HashMap<&[usize], usize> =
-            level.iter().enumerate().map(|(i, (x, _))| (x.as_slice(), i)).collect();
         let mut prefetched: Vec<Option<Partition>> =
-            next_sets.iter().map(|xa| computed.remove(xa)).collect();
+            next_sets.iter().map(|(xa, _)| computed.remove(xa)).collect();
         let missing: Vec<usize> =
             (0..next_sets.len()).filter(|&i| prefetched[i].is_none()).collect();
-        let filled: Vec<Partition> = map_items(&missing, jobs, |&i| {
-            let xa = &next_sets[i];
+        let filled: Vec<Partition> = map_items(&missing, jobs, scratch, |scratch, &i| {
+            let (xa, prefix) = &next_sets[i];
             let last = *xa.last().expect("next-level sets are non-empty");
-            match parent.get(&xa[..xa.len() - 1]) {
-                Some(&p) => level[p].1.refine(&singles[last]),
-                None => Partition::build(table, xa),
-            }
+            level[*prefix].1.product(index, last, scratch, true).refined.expect("asked for")
         });
         for (i, part) in missing.into_iter().zip(filled) {
             prefetched[i] = Some(part);
@@ -312,7 +328,7 @@ pub(crate) fn mine_lattice_inner(
         let parts: Vec<Partition> =
             prefetched.into_iter().map(|p| p.expect("every next set filled")).collect();
         let build_us = build_start.elapsed().as_micros() as u64;
-        level = next_sets.into_iter().zip(parts).collect();
+        level = next_sets.into_iter().map(|(xa, _)| xa).zip(parts).collect();
         if let Some(p) = profile.as_deref_mut() {
             // The builds run inside this level's wall but materialise
             // the next level's partitions — charged there.
@@ -396,13 +412,15 @@ mod tests {
         let fds = exact_fds(&t, 4);
         assert!(!has_fd(&fds, &[3], 1), "d → b does not hold");
         assert!(!has_fd(&fds, &[1], 3), "b → d does not hold");
-        // Every reported FD actually holds (partition check oracle).
+        // Every reported FD actually holds (the hashed-partition oracle:
+        // no class of π_X splits in π_{X∪{A}}).
+        use crate::partition::oracle::Partition;
         for f in &fds {
-            let px = crate::partition::Partition::build(&t, &f.lhs);
+            let px = Partition::build(&t, &f.lhs);
             let mut xa = f.lhs.clone();
             xa.push(f.rhs[0]);
-            let pxa = crate::partition::Partition::build(&t, &xa);
-            assert!(px.implies(&pxa), "reported FD {f:?} does not hold");
+            let pxa = Partition::build(&t, &xa);
+            assert_eq!(px.g3_error(&pxa), 0, "reported FD {f:?} does not hold");
         }
     }
 

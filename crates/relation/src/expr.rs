@@ -83,34 +83,9 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Column reference.
-    pub fn col(i: usize) -> Expr {
-        Expr::Col(i)
-    }
-
-    /// Literal.
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Lit(v.into())
-    }
-
-    /// `self = other`.
-    pub fn eq(self, other: Expr) -> Expr {
-        Expr::Cmp(CmpOp::Eq, Box::new(self), Box::new(other))
-    }
-
-    /// `self <> other`.
-    pub fn ne(self, other: Expr) -> Expr {
-        Expr::Cmp(CmpOp::Ne, Box::new(self), Box::new(other))
-    }
-
     /// `self AND other`.
     pub fn and(self, other: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(other))
-    }
-
-    /// `self OR other`.
-    pub fn or(self, other: Expr) -> Expr {
-        Expr::Or(Box::new(self), Box::new(other))
     }
 
     /// Fold a conjunction over an iterator; empty iterator → TRUE.
@@ -271,39 +246,47 @@ mod tests {
         vec![Value::Int(10), "uk".into(), Value::Null, Value::Float(2.5)]
     }
 
+    fn lit(v: impl Into<Value>) -> Box<Expr> {
+        Box::new(Expr::Lit(v.into()))
+    }
+
+    fn col(i: usize) -> Box<Expr> {
+        Box::new(Expr::Col(i))
+    }
+
     #[test]
     fn col_and_lit() {
-        assert_eq!(Expr::col(0).eval(&row()).unwrap(), Value::Int(10));
-        assert_eq!(Expr::lit(5i64).eval(&row()).unwrap(), Value::Int(5));
-        assert!(Expr::col(99).eval(&row()).is_err());
+        assert_eq!(Expr::Col(0).eval(&row()).unwrap(), Value::Int(10));
+        assert_eq!(Expr::Lit(Value::Int(5)).eval(&row()).unwrap(), Value::Int(5));
+        assert!(Expr::Col(99).eval(&row()).is_err());
     }
 
     #[test]
     fn comparisons() {
-        let e = Expr::col(0).eq(Expr::lit(10i64));
+        let e = Expr::Cmp(CmpOp::Eq, col(0), lit(10i64));
         assert!(e.matches(&row()).unwrap());
-        let e = Expr::col(1).ne(Expr::lit("us"));
+        let e = Expr::Cmp(CmpOp::Ne, col(1), lit("us"));
         assert!(e.matches(&row()).unwrap());
-        let e = Expr::Cmp(CmpOp::Lt, Box::new(Expr::col(0)), Box::new(Expr::lit(11i64)));
+        let e = Expr::Cmp(CmpOp::Lt, col(0), lit(11i64));
         assert!(e.matches(&row()).unwrap());
     }
 
     #[test]
     fn null_comparisons_are_false() {
-        let e = Expr::col(2).eq(Expr::lit("x"));
+        let e = Expr::Cmp(CmpOp::Eq, col(2), lit("x"));
         assert!(!e.matches(&row()).unwrap());
-        let e = Expr::col(2).ne(Expr::lit("x"));
+        let e = Expr::Cmp(CmpOp::Ne, col(2), lit("x"));
         assert!(!e.matches(&row()).unwrap());
-        let e = Expr::IsNull(Box::new(Expr::col(2)));
+        let e = Expr::IsNull(col(2));
         assert!(e.matches(&row()).unwrap());
     }
 
     #[test]
     fn boolean_shortcircuit() {
         // Col(99) would error, but AND short-circuits on false LHS.
-        let e = Expr::lit(false).and(Expr::col(99));
+        let e = Expr::Lit(Value::Bool(false)).and(Expr::Col(99));
         assert!(!e.matches(&row()).unwrap());
-        let e = Expr::lit(true).or(Expr::col(99));
+        let e = Expr::Or(lit(true), col(99));
         assert!(e.matches(&row()).unwrap());
     }
 
@@ -314,19 +297,19 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        let e = Expr::Arith(ArithOp::Add, Box::new(Expr::col(0)), Box::new(Expr::lit(5i64)));
+        let e = Expr::Arith(ArithOp::Add, col(0), lit(5i64));
         assert_eq!(e.eval(&row()).unwrap(), Value::Int(15));
-        let e = Expr::Arith(ArithOp::Mul, Box::new(Expr::col(3)), Box::new(Expr::lit(2i64)));
+        let e = Expr::Arith(ArithOp::Mul, col(3), lit(2i64));
         assert_eq!(e.eval(&row()).unwrap(), Value::Float(5.0));
-        let e = Expr::Arith(ArithOp::Div, Box::new(Expr::lit(1i64)), Box::new(Expr::lit(0i64)));
+        let e = Expr::Arith(ArithOp::Div, lit(1i64), lit(0i64));
         assert!(e.eval(&row()).is_err());
     }
 
     #[test]
     fn in_list() {
-        let e = Expr::InList(Box::new(Expr::col(1)), vec!["us".into(), "uk".into()]);
+        let e = Expr::InList(col(1), vec!["us".into(), "uk".into()]);
         assert!(e.matches(&row()).unwrap());
-        let e = Expr::InList(Box::new(Expr::col(2)), vec!["x".into()]);
+        let e = Expr::InList(col(2), vec!["x".into()]);
         assert!(!e.matches(&row()).unwrap());
     }
 
@@ -351,8 +334,8 @@ mod tests {
 
     #[test]
     fn remap_cols() {
-        let e = Expr::col(0).eq(Expr::col(1));
+        let e = Expr::Cmp(CmpOp::Eq, col(0), col(1));
         let r = e.remap_cols(&|i| i + 10);
-        assert_eq!(r, Expr::Col(10).eq(Expr::Col(11)));
+        assert_eq!(r, Expr::Cmp(CmpOp::Eq, col(10), col(11)));
     }
 }

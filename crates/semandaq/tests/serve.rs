@@ -261,6 +261,52 @@ fn duplicate_header_register_answers_a_csv_error() {
     assert!(child.wait().unwrap().success());
 }
 
+/// `discover` mines the session's live rows: after deletes leave
+/// tombstones in the table, its reply is the one a fresh server gives
+/// for the surviving rows registered densely.
+#[test]
+fn discover_after_deletes_equals_discover_of_the_survivors() {
+    let row = |i: usize| {
+        let zip = ["EH8", "G1", "07974", "10001", "W1"][i % 5];
+        let cc = if i % 5 < 2 { "44" } else { "01" };
+        // zip → street holds under cc = 44 only; every 11th city is noise.
+        let street = if cc == "44" { zip.to_lowercase() } else { format!("s{}", i % 3) };
+        let city = if i.is_multiple_of(11) { "noise".to_string() } else { format!("c{}", i % 5) };
+        format!("{cc},{zip},{street},{city}\n")
+    };
+    let header = "cc,zip,street,city\n";
+    let all: String = std::iter::once(header.to_string()).chain((0..70).map(row)).collect();
+    let survivors: String = std::iter::once(header.to_string())
+        .chain((0..70).filter(|i: &usize| !i.is_multiple_of(7)).map(row))
+        .collect();
+    let discover = Request::Discover {
+        table: "customer".into(),
+        min_support: 2,
+        max_lhs: 2,
+        confidence_pct: 90,
+        register: false,
+    };
+    let mut replies = Vec::new();
+    for (csv, deleted) in [(all, true), (survivors, false)] {
+        let (mut child, addr, _stdout) = spawn_server();
+        let mut client = Client::connect(addr);
+        let resp =
+            client.call(&Request::Register { table: "customer".into(), csv, cfds: String::new() });
+        assert!(resp.is_ok(), "{resp:?}");
+        if deleted {
+            for tuple in (0..70).step_by(7) {
+                let resp = client.call(&Request::Delete { table: "customer".into(), tuple });
+                assert!(resp.is_ok(), "{resp:?}");
+            }
+        }
+        replies.push(client.call(&discover));
+        assert!(client.call(&Request::Shutdown).is_ok());
+        assert!(child.wait().unwrap().success());
+    }
+    assert!(replies[0].is_ok() && replies[0].int("rules").unwrap() > 0, "{:?}", replies[0]);
+    assert_eq!(replies[0], replies[1]);
+}
+
 /// The observability acceptance test: after a scripted op sequence
 /// against a WAL-backed server, the `metrics` verb surfaces per-verb
 /// request histograms, WAL fsync and checkpoint timings, read

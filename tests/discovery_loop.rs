@@ -110,6 +110,30 @@ fn parallel_discovery_is_byte_identical_to_sequential() {
 }
 
 #[test]
+fn discovery_over_tombstones_equals_discovery_over_the_compacted_table() {
+    // Partitions and probes run over live slots, not positions: with
+    // every 7th row deleted, slot ids and live positions part ways, and
+    // the mine must still be that of the same rows stored densely.
+    let mut dirty = dirty_hospital(700, 0.03);
+    let doomed: Vec<_> = dirty.tuple_ids().step_by(7).collect();
+    for id in doomed {
+        dirty.delete(id).unwrap();
+    }
+    let compact = dirty.compacted();
+    assert!(compact.slots() < dirty.slots(), "the table must hold tombstones");
+    let base = DiscoverOptions { min_confidence: 0.92, ..DiscoverOptions::default() };
+    for jobs in [1, 4] {
+        let opts = DiscoverOptions { jobs, ..base.clone() };
+        let holed = ParallelDiscovery.run(&DiscoverJob::on_table(&dirty, opts.clone())).unwrap();
+        let dense = ParallelDiscovery.run(&DiscoverJob::on_table(&compact, opts)).unwrap();
+        assert!(!dense.rules.is_empty());
+        assert_eq!(format!("{:?}", holed.rules), format!("{:?}", dense.rules), "jobs={jobs}");
+        assert_eq!(format!("{:?}", holed.vetted), format!("{:?}", dense.vetted), "jobs={jobs}");
+        assert_eq!(holed.stats, dense.stats, "jobs={jobs}");
+    }
+}
+
+#[test]
 fn display_parse_roundtrip_holds_for_every_mined_rule() {
     // Property: parse ∘ display = id over mined suites, exactly — a
     // single-row mined rule is one line, a multi-row vetted CFD one
