@@ -11,7 +11,14 @@
 //! rebuilt: the same units (`plan_units`, one per embedded FD), the same
 //! `ConstIndex` per unit, and LHS groups keyed by the **table's own
 //! symbols**, hashed and compared in place off `table.col(a)[slot]` — no
-//! second pool, no `Value` per event. Events are `(table, tuple id)`:
+//! second pool, no `Value` per event. Where the batch scan groups each
+//! *attribute set* once and lets every unit naming it read that
+//! partition, this state keeps its groups per *unit*: sharing spares the
+//! batch scan a hash per tuple for every pass whose set is already
+//! grouped, but an event is one tuple — it hashes once per unit and per
+//! mask (`ConstIndex::probe`) however the groups are keyed — and a
+//! unit's groups hold what is its own (RHS counts, matched variable
+//! rows). Events are `(table, tuple id)`:
 //! [`IncrementalDetector::add`] after a push, `remove` after a delete,
 //! [`IncrementalDetector::write`] for a cell write (the one place the
 //! `remove` → `Table::set_cell` → `add` sequence is spelled). Incremental

@@ -2,56 +2,72 @@
 //!
 //! A suite is planned into *scan units*: the CFDs sharing one embedded
 //! FD `(relation, lhs, rhs)`, in first-seen order. Each unit reads its
-//! relation once (`scan_unit`), whatever the number of members:
+//! relation once (`scan_unit`), whatever the number of members.
+//!
+//! Grouping is done once per **attribute set**, not once per unit: a
+//! `Partition` gives every live tuple of a relation a dense class id
+//! (classes in first-seen order) for one set of attributes, and every
+//! unit that names that set — as its LHS or as a wildcard mask of its
+//! constant rows — reads the class ids instead of hashing the tuple
+//! again. `scan_suite` builds a partition the first time a unit needs
+//! it and drops it after the last unit whose syntax names its set
+//! (`Partitions::plan`), so a mined suite of 129 embedded FDs over 28
+//! attribute sets groups its relation 28 times, not once per LHS and
+//! per mask. A partition stores no key: a class's key is read off the
+//! columns at its first slot.
 //!
 //! * **constant rows** — a hash join of the tuples against the tableau,
 //!   as the paper detects (its SQL encoding stores the tableau as a
 //!   relation and joins the data to it on the LHS, so cost follows the
 //!   data). The members' constant rows compile once per unit into a
 //!   `ConstIndex`: one bucket per *wildcard mask* (the LHS positions
-//!   holding a constant), keyed by the constants at those positions. A
-//!   tuple hashes its cells at each mask's attributes in place (no key
-//!   is built), probes, and tests the RHS predicate of the rows under
-//!   its key only — `O(n · #masks)` probes where a sweep compares
-//!   `O(n · Σ|Tp|)` rows. The index owns no borrow: a bucket keeps the
-//!   attribute ids of its mask and reads the table's columns at probe
-//!   time, so the same compile-and-probe serves one pass here and the
-//!   life of a table in [`crate::incremental`], which keeps this
-//!   scan's state warm. Rows with an eCFD LHS
-//!   pattern (`≠ c`, `∈ {…}`) name no single key and stay on a short
-//!   residual list swept per tuple; rows naming a constant the table
-//!   never interned match no tuple and are dropped when compiling. The
-//!   lowest violated tableau index *per member* is kept, which is the
-//!   first violating row in tableau order — what a sweep reports;
-//! * **variable rows** — a single grouping of the tuples by the LHS
-//!   projection, shared by all members; a group violates a member's row
-//!   iff the group key matches the row's LHS patterns and the group
-//!   holds ≥ 2 distinct RHS values.
+//!   holding a constant), keyed by the constants at those positions.
+//!   The batch scan looks each distinct key up once in its mask's
+//!   partition, which turns the bucket into a list of rows per class;
+//!   a tuple then reads its class id per mask and tests the RHS
+//!   predicate of the rows under its key only — `O(n · #masks)` array
+//!   reads where a sweep compares `O(n · Σ|Tp|)` rows. The index owns
+//!   no borrow: a bucket keeps the attribute ids of its mask and reads
+//!   the table's columns when used, so the same compiled form serves
+//!   one pass here and the life of a table in [`crate::incremental`],
+//!   which probes it one tuple at a time (`ConstIndex::probe`). Rows
+//!   with an eCFD LHS pattern (`≠ c`, `∈ {…}`) name no single key and
+//!   stay on a short residual list swept per tuple; rows naming a
+//!   constant the table never interned, and keys no live tuple holds,
+//!   match no tuple and drop out. The lowest violated tableau index
+//!   *per member* is kept, which is the first violating row in tableau
+//!   order — what a sweep reports;
+//! * **variable rows** — one pass over the LHS partition's class ids
+//!   keeps each class's first RHS symbol and whether a second one
+//!   appeared; a class violates a member's row iff its key matches the
+//!   row's LHS patterns and it holds ≥ 2 distinct RHS values. Only the
+//!   members of those classes are gathered, in row order.
 //!
-//! Both run per contiguous chunk of live slots
-//! (`revival_relation::map_chunks`: inline at one shard, one scoped
-//! thread per chunk otherwise) and merge in chunk order, so the merged
-//! state is what one sequential scan builds at any shard count. Every
-//! member then reports on its own — constants in row order, variables in
-//! key order — and `scan_suite` concatenates the members in suite
-//! order: cost follows the number of embedded FDs, the report does not
-//! depend on how the suite splits its pattern rows.
+//! Partitions and the per-tuple loops run per contiguous chunk of live
+//! slots (`revival_relation::map_chunks`: inline at one shard, one
+//! scoped thread per chunk otherwise); a partition's chunk-local classes
+//! fold into global ids in chunk order and the loops' outputs merge in
+//! chunk order, so the merged state is what one sequential scan builds
+//! at any shard count. Every member then reports on its own — constants
+//! in row order, variables in key order — and `scan_suite` concatenates
+//! the members in suite order: cost follows the number of embedded FDs
+//! and attribute sets, the report does not depend on how the suite
+//! splits its pattern rows.
 //!
-//! The grouping runs on the interned kernel
-//! ([`revival_relation::GroupBy`]): tuples are scanned as symbol rows,
-//! keys hash as `u32` words via [`ColProj`], and nothing is cloned per
-//! probed row — an owned key materialises once per distinct group.
-//! Values reappear only at emission, where group keys map back through
-//! the table's [`revival_relation::ValuePool`] for pattern matching and
-//! reporting.
+//! Tuples are read as interned symbols: keys hash as `u32` words off the
+//! table's columns in place ([`revival_relation::ColProj`]), and nothing is cloned per
+//! tuple. Values reappear only at emission, where the keys of violating
+//! classes map back through the table's [`revival_relation::ValuePool`]
+//! for pattern matching and reporting.
 
 use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
+use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cind, SymPred};
 use revival_relation::groupby::hash_syms;
 use revival_relation::{
-    map_chunks, AttrId, ColProj, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
+    map_chunks, AttrId, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
 };
 use std::collections::HashMap;
 
@@ -69,6 +85,7 @@ pub(crate) fn scan_suite(
     // Malformed patterns must error here, not panic in a worker.
     job.validate()?;
     let units = plan_units(job.cfds);
+    let mut parts = Partitions::plan(job.cfds, &units);
     if let Some(p) = profile.as_deref_mut() {
         p.entry("plan (validate, group by embedded FD)", "plan").wall_us +=
             plan_start.elapsed().as_micros() as u64;
@@ -81,15 +98,17 @@ pub(crate) fn scan_suite(
         let (_, first) = unit[0];
         let table = job.table(&first.relation)?;
         // Timed from here to the end of the body: a relation's first
-        // pass pays for enumerating it, every pass for handing its
-        // findings over and (profiled) for naming its own row.
+        // pass pays for enumerating it, a set's first pass for grouping
+        // it, every pass for handing its findings over and (profiled)
+        // for naming its own row.
         let start = std::time::Instant::now();
         let cached = live.iter().position(|(r, _)| *r == first.relation).unwrap_or_else(|| {
             live.push((&first.relation, table.live_slots().collect()));
             live.len() - 1
         });
         let slots = &live[cached].1;
-        let scan = scan_unit(table, slots, &unit, jobs);
+        let scan = scan_unit(table, slots, &unit, jobs, &mut parts);
+        parts.release(k);
         for (&(i, _), buf) in unit.iter().zip(scan.found) {
             found[i] = buf;
         }
@@ -98,6 +117,8 @@ pub(crate) fn scan_suite(
             let members = index_runs(ids);
             let name = format!("pass#{k} {} cfds=[{members}]", fd.display(table.schema()));
             p.meta_add("pattern_rows_checked", scan.pattern_rows_checked);
+            p.meta_add("partitions", scan.partitions);
+            p.meta_add("rows_grouped", scan.rows_grouped);
             let row = p.entry(&name, "pass");
             row.groups_probed += scan.groups as u64;
             row.shard_us.extend(scan.shard_us);
@@ -106,7 +127,12 @@ pub(crate) fn scan_suite(
             revival_obs::trace::record_at(&name, start, us);
         }
     }
-    let mut report = ViolationReport { violations: found.into_iter().flatten().collect() };
+    // One allocation for the report: grown by doubling instead, it
+    // cannot reuse the holes freed partitions leave between the members'
+    // buffers and extends the heap, which stays resident.
+    let mut violations = Vec::with_capacity(found.iter().map(Vec::len).sum());
+    found.into_iter().for_each(|buf| violations.extend(buf));
+    let mut report = ViolationReport { violations };
     crate::cind::detect_cinds(job, jobs, profile, &mut report.violations)?;
     Ok(report)
 }
@@ -142,40 +168,217 @@ fn index_runs(ids: &[usize]) -> String {
     parts.join(",")
 }
 
+/// `attrs` as a set: sorted, each attribute once — what a partition is
+/// keyed by, so `[a, b]` and `[b, a]` share one.
+fn attr_set(attrs: impl IntoIterator<Item = AttrId>) -> Vec<AttrId> {
+    let mut set: Vec<AttrId> = attrs.into_iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// An empty entry of the variable pass's per-class state: no RHS symbol
+/// seen yet, or (once the split classes are numbered) not a split class.
+const NO_CLASS: u32 = u32::MAX;
+/// A class that met two RHS symbols (see `scan_unit`'s variable pass).
+const SPLIT: u32 = u32::MAX - 1;
+
+/// One relation's live tuples grouped by one attribute set.
+struct Partition {
+    /// Class id per live tuple, aligned with the scan's live slots.
+    class_of: Vec<u32>,
+    /// Key → class: entry `c` is class `c`, keyed by its first slot (its
+    /// key is read off the columns there), in first-seen order.
+    classes: GroupBy<u32, ()>,
+}
+
+impl Partition {
+    /// Group `slots` of `table` by `attrs` (a sorted set) across `jobs`
+    /// chunks. Each chunk numbers its classes locally; the later chunks
+    /// then fold into the first's ids in chunk order, so the classes and
+    /// their order are those of one sequential scan.
+    fn build(table: &Table, attrs: &[AttrId], slots: &[usize], jobs: usize) -> Self {
+        let cols = table.proj(attrs);
+        let same =
+            |a: usize, b: usize| (0..cols.width()).all(|i| cols.sym_at(i, a) == cols.sym_at(i, b));
+        let chunks = map_chunks(slots, jobs, |chunk| {
+            let mut classes: GroupBy<u32, ()> = GroupBy::new();
+            let local: Vec<u32> = chunk
+                .iter()
+                .map(|&slot| {
+                    let hash = cols.hash_at(slot);
+                    let class = match classes.probe(hash, |&at| same(at as usize, slot)) {
+                        Some(c) => c,
+                        None => classes.insert_unique(hash, slot as u32, ()),
+                    };
+                    class as u32
+                })
+                .collect();
+            (classes, local)
+        });
+        let mut chunks = chunks.into_iter().map(|(out, _)| out);
+        let (classes, class_of) = chunks.next().expect("map_chunks yields a chunk");
+        let mut part = Partition { class_of, classes };
+        for (classes, local) in chunks {
+            let global: Vec<u32> = classes
+                .into_entries()
+                .map(|(hash, at, ())| {
+                    let found = part.classes.probe(hash, |&g| same(g as usize, at as usize));
+                    found.unwrap_or_else(|| part.classes.insert_unique(hash, at, ())) as u32
+                })
+                .collect();
+            part.class_of.extend(local.iter().map(|&c| global[c as usize]));
+        }
+        part
+    }
+
+    /// Number of classes.
+    fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// The first slot of class `c`, where its key is read.
+    fn first_slot(&self, c: usize) -> usize {
+        *self.classes.entry_at(c).0 as usize
+    }
+}
+
+/// The partitions of one suite's scan, each planned from the suite's
+/// syntax: built by the first unit that needs it, dropped after the
+/// last unit that names its attribute set.
+pub(crate) struct Partitions<'s> {
+    /// Per `(relation, attribute set)`: the last unit naming it, and the
+    /// partition while one is built.
+    sets: Vec<(&'s str, Vec<AttrId>, usize, Option<Partition>)>,
+}
+
+impl<'s> Partitions<'s> {
+    /// The attribute sets each unit names ([`keyed_positions`]).
+    pub(crate) fn plan(cfds: &'s [Cfd], units: &[Vec<usize>]) -> Self {
+        let mut sets: Vec<(&'s str, Vec<AttrId>, usize, Option<Partition>)> = Vec::new();
+        let (mut scratch, mut named) = (Vec::new(), Vec::<Vec<AttrId>>::new());
+        for (k, ids) in units.iter().enumerate() {
+            let fd = &cfds[ids[0]];
+            named.clear();
+            for tp in ids.iter().flat_map(|&i| &cfds[i].tableau) {
+                let Some(keyed) = keyed_positions(tp) else { continue };
+                scratch.clear();
+                scratch.extend(keyed.zip(&fd.lhs).filter(|&(keyed, _)| keyed).map(|(_, &a)| a));
+                scratch.sort_unstable();
+                scratch.dedup();
+                if !named.contains(&scratch) {
+                    named.push(scratch.clone());
+                }
+            }
+            for set in named.drain(..) {
+                match sets.iter_mut().find(|s| s.0 == fd.relation && s.1 == set) {
+                    Some(planned) => planned.2 = k,
+                    None => sets.push((&fd.relation, set, k, None)),
+                }
+            }
+        }
+        Partitions { sets }
+    }
+
+    /// Build the partition of `relation` (`table`) by `attrs`, a planned
+    /// set, unless it is built; whether it built one.
+    fn ensure(
+        &mut self,
+        (table, relation): (&Table, &str),
+        attrs: &[AttrId],
+        slots: &[usize],
+        jobs: usize,
+    ) -> bool {
+        let planned = self.sets.iter_mut().find(|s| s.0 == relation && s.1 == attrs);
+        let part = &mut planned.expect("a unit's attribute sets are planned").3;
+        let build = part.is_none();
+        if build {
+            *part = Some(Partition::build(table, attrs, slots, jobs));
+        }
+        build
+    }
+
+    /// The built partition of `relation` by `attrs`.
+    fn get(&self, relation: &str, attrs: &[AttrId]) -> &Partition {
+        let set = self.sets.iter().find(|s| s.0 == relation && s.1 == attrs);
+        set.and_then(|s| s.3.as_ref()).expect("an ensured partition")
+    }
+
+    /// Drop the partitions unit `k` was the last to name.
+    pub(crate) fn release(&mut self, k: usize) {
+        for set in self.sets.iter_mut().filter(|s| s.2 == k) {
+            set.3 = None;
+        }
+    }
+}
+
+/// The LHS positions whose attributes a partition for `tp` groups by:
+/// all of them for a variable row, the `= c` ones for a constant row —
+/// the wildcard mask it compiles to (`≠ c` compiles to `_` or sends the
+/// row to the residual list). `None` when an `∈ {…}` pattern sends a
+/// constant row to the residual list.
+fn keyed_positions(tp: &PatternRow) -> Option<impl Iterator<Item = bool> + '_> {
+    let constant = tp.is_constant_row();
+    let residual = constant && tp.lhs.iter().any(|p| matches!(p, PatternValue::OneOf(_)));
+    (!residual)
+        .then(|| tp.lhs.iter().map(move |p| !constant || matches!(p, PatternValue::Const(_))))
+}
+
 /// What one pass over an embedded FD produced.
 pub(crate) struct UnitScan {
     /// Per-member violations, aligned with the unit's member list.
     pub found: Vec<Vec<Violation>>,
-    /// LHS groups the variable pass built (0 without variable rows).
+    /// LHS classes the variable pass read (0 without variable rows).
     pub groups: usize,
-    /// Work the constant join did: bucket probes + RHS predicates
+    /// Work the constant join did: mask lookups + RHS predicates
     /// evaluated + residual rows tested, over all chunks — a count of
     /// the tuples and the index only, so identical at any `jobs`.
     pub pattern_rows_checked: u64,
+    /// Partitions this pass built (the rest it read were built before).
+    pub partitions: u64,
+    /// Live tuples those partitions grouped: one per tuple per partition.
+    pub rows_grouped: u64,
     /// Worker wall-µs per chunk, in chunk order.
     pub shard_us: Vec<u64>,
 }
 
 /// Scan one unit — `members` are `(suite index, CFD)` pairs sharing one
 /// embedded FD over `table` — across `jobs` contiguous chunks of
-/// `slots`. Chunks merge in order: per-member constant findings
-/// concatenate (row order), partial group maps fold associatively.
+/// `slots`, reading (and first building) the partitions it needs from
+/// `parts`. Chunks merge in order: per-member constant findings
+/// concatenate (row order), per-class variable states fold.
 pub(crate) fn scan_unit(
     table: &Table,
     slots: &[usize],
     members: &[(usize, &Cfd)],
     jobs: usize,
+    parts: &mut Partitions<'_>,
 ) -> UnitScan {
     let (_, fd) = members[0];
-    let lhs_cols = table.proj(&fd.lhs);
     let rhs_col = table.col(fd.rhs);
     // The constant rows compile to one join index per unit, shared
-    // read-only across workers; the probe touches only the unit's columns.
+    // read-only across workers; the join touches only the unit's columns.
     let index = ConstIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
     let fd_attrs = (fd.lhs.as_slice(), fd.rhs);
     let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
+    let masks: Vec<Vec<AttrId>> =
+        index.buckets.iter().map(|b| attr_set(b.attrs.iter().copied())).collect();
+    let lhs_set = any_var.then(|| attr_set(fd.lhs.iter().copied()));
+
+    let relation = fd.relation.as_str();
+    let mut partitions = 0;
+    for set in masks.iter().chain(&lhs_set) {
+        partitions += u64::from(parts.ensure((table, relation), set, slots, jobs));
+    }
+    let rows_grouped = partitions * slots.len() as u64;
+    let joins: Vec<Joined> = (index.buckets.iter().zip(&masks))
+        .map(|(bucket, set)| bucket.join(table, parts.get(relation, set)))
+        .collect();
+    let lhs = lhs_set.map(|set| parts.get(relation, &set));
 
     let mut chunks = map_chunks(slots, jobs, |chunk| {
+        // Where the chunk's tuples sit in the partitions' class ids.
+        let at = offset_in(slots, chunk);
         let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
         let mut checked = 0u64;
         if !index.is_empty() {
@@ -183,8 +386,9 @@ pub(crate) fn scan_unit(
             // (`NONE` = none yet) and the members that have one.
             let mut first = vec![NONE; members.len()];
             let mut touched: Vec<usize> = Vec::new();
-            for &slot in chunk {
-                checked += index.probe(table, fd_attrs, slot, &mut first, &mut touched);
+            for (pos, &slot) in (at..).zip(chunk) {
+                let hits = |b: usize| joins[b].hits[joins[b].class_of[pos] as usize];
+                checked += index.check(table, fd_attrs, slot, hits, &mut first, &mut touched);
                 while let Some(m) = touched.pop() {
                     let (cfd, row, tuple) = (members[m].0, first[m], TupleId(slot as u64));
                     found[m].push(Violation::CfdConstant { cfd, row, tuple });
@@ -192,22 +396,27 @@ pub(crate) fn scan_unit(
                 }
             }
         }
-        // Group tuples by LHS key symbols; track the distinct RHS
-        // symbols and the member ids per group.
-        let mut groups: SymGroups = GroupBy::new();
-        if any_var {
-            for &slot in chunk {
-                add_slot_to_group(&mut groups, &lhs_cols, rhs_col, slot);
+        // Per LHS class: its first RHS symbol, or `SPLIT` once a second
+        // one shows.
+        let mut state: Vec<u32> = Vec::new();
+        if let Some(part) = lhs {
+            state = vec![NO_CLASS; part.len()];
+            for (&slot, &c) in chunk.iter().zip(&part.class_of[at..]) {
+                let (s, rhs) = (&mut state[c as usize], rhs_col[slot].raw());
+                if *s == NO_CLASS {
+                    *s = rhs;
+                } else if *s != rhs {
+                    *s = SPLIT;
+                }
             }
         }
-        (found, groups, checked)
+        (found, state, checked)
     })
     .into_iter();
 
-    // Folding in chunk order keeps each group's member list in global
-    // row order and its distinct-RHS list in first-seen order — the
-    // state a sequential scan builds. One chunk has nothing to fold.
-    let ((mut found, mut groups, mut pattern_rows_checked), us) =
+    // Folding in chunk order keeps each member's constant findings in
+    // row order and each class's first RHS symbol the globally first.
+    let ((mut found, mut state, mut pattern_rows_checked), us) =
         chunks.next().expect("map_chunks yields a chunk");
     let mut shard_us = vec![us];
     for ((more, partial, checked), us) in chunks {
@@ -216,36 +425,63 @@ pub(crate) fn scan_unit(
         for (buf, vs) in found.iter_mut().zip(more) {
             buf.extend(vs);
         }
-        merge_groups(&mut groups, partial);
+        for (s, t) in state.iter_mut().zip(partial) {
+            *s = match (*s, t) {
+                (NO_CLASS, t) => t,
+                (s, t) if t == NO_CLASS || t == s => s,
+                _ => SPLIT,
+            };
+        }
     }
+    let groups = lhs.map_or(0, Partition::len);
     if revival_obs::enabled() {
         let reg = revival_obs::global();
         reg.counter("detect_pattern_rows_checked_total").add(pattern_rows_checked);
+        reg.counter("detect_rows_grouped_total").add(rows_grouped);
         if any_var {
-            reg.counter("detect_groups_probed_total").add(groups.len() as u64);
+            reg.counter("detect_groups_probed_total").add(groups as u64);
         }
     }
-    if any_var {
-        // A group violates with ≥ 2 distinct RHS values.
-        let violating =
-            in_key_order(groups.iter().filter(|(_, g)| g.rhs_syms.len() >= 2), table.pool());
+    if let Some(part) = lhs {
+        // A class violates with ≥ 2 distinct RHS values: number the split
+        // classes, then gather their members in row order.
+        let mut split: Vec<(Box<[Sym]>, VarGroup)> = Vec::new();
+        for (c, s) in state.iter_mut().enumerate() {
+            if *s == SPLIT {
+                let at = part.first_slot(c);
+                let key = fd.lhs.iter().map(|&a| table.col(a)[at]).collect();
+                split.push((key, VarGroup { members: Vec::new() }));
+                *s = (split.len() - 1) as u32;
+            } else {
+                *s = NO_CLASS;
+            }
+        }
+        if !split.is_empty() {
+            for (&slot, &c) in slots.iter().zip(&part.class_of) {
+                let g = state[c as usize];
+                if g != NO_CLASS {
+                    split[g as usize].1.members.push(TupleId(slot as u64));
+                }
+            }
+        }
+        let violating = in_key_order(split.iter().map(|(k, g)| (k, g)), table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
             emit_variable_violations(*idx, cfd, &violating, buf);
         }
     }
-    UnitScan { found, groups: groups.len(), pattern_rows_checked, shard_us }
+    UnitScan { found, groups, pattern_rows_checked, partitions, rows_grouped, shard_us }
 }
 
-/// One LHS group of the variable-row grouping pass: its live members
-/// (in row order) and the distinct RHS symbols seen (first-seen order).
+/// Where `chunk`, a run of `slots` as `map_chunks` hands it out, starts
+/// in `slots` (ascending): the position of its first tuple's class id.
+fn offset_in(slots: &[usize], chunk: &[usize]) -> usize {
+    chunk.first().map_or(0, |&first| slots.partition_point(|&s| s < first))
+}
+
+/// One violating LHS class of a unit: its live members, in row order.
 struct VarGroup {
     members: Vec<TupleId>,
-    rhs_syms: Vec<Sym>,
 }
-
-/// The grouping state of one variable-row pass: interned LHS key →
-/// group, in first-seen order.
-type SymGroups = GroupBy<Box<[Sym]>, VarGroup>;
 
 /// "No violated row yet" in the per-tuple scratch of [`ConstIndex::probe`].
 pub(crate) const NONE: usize = usize::MAX;
@@ -261,18 +497,48 @@ struct Hit {
 
 /// The constant rows sharing one wildcard mask.
 struct MaskBucket {
-    /// The attributes at the LHS positions holding a constant — a
-    /// tuple's key, hashed and compared in place off the table's
-    /// columns at probe time; none for the all-`_` mask, whose one key
-    /// is empty.
+    /// The attributes at the LHS positions holding a constant, in LHS
+    /// order — a tuple's key, read off the table's columns in place;
+    /// none for the all-`_` mask, whose one key is empty.
     attrs: Vec<AttrId>,
     /// Per distinct key of constants, the rows carrying it.
     rows: GroupBy<Box<[Sym]>, Vec<Hit>>,
 }
 
+/// A bucket joined to the partition by its mask's attribute set, for
+/// one batch scan: per class, the rows under the class's key.
+struct Joined<'p> {
+    class_of: &'p [u32],
+    hits: Vec<&'p [Hit]>,
+}
+
+impl MaskBucket {
+    /// Look each distinct key up once in `part`. A key no live tuple
+    /// holds matches nothing and drops out, as an uninterned constant
+    /// does when compiling.
+    fn join<'p>(&'p self, table: &Table, part: &'p Partition) -> Joined<'p> {
+        // The mask's positions in the partition's (sorted) attribute
+        // order, each attribute once: a key hashed in that order finds
+        // its class, compared at the class's first slot as the mask
+        // reads it.
+        let mut at: Vec<usize> = (0..self.attrs.len()).collect();
+        at.sort_by_key(|&i| self.attrs[i]);
+        at.dedup_by_key(|i| self.attrs[*i]);
+        let mut hits: Vec<&[Hit]> = vec![&[]; part.len()];
+        for (key, rows) in self.rows.iter() {
+            let hash = hash_syms(at.iter().map(|&i| key[i]));
+            let first = |&s: &u32| matches_at(table, &self.attrs, s as usize, key);
+            if let Some(c) = part.classes.probe(hash, first) {
+                hits[c] = rows;
+            }
+        }
+        Joined { class_of: &part.class_of, hits }
+    }
+}
+
 /// The build side of a unit's constant join: every member's constant
-/// rows, compiled against one table's pool (columns are read at probe
-/// time, so it borrows nothing).
+/// rows, compiled against one table's pool (columns are read when
+/// joined, so it borrows nothing).
 #[derive(Default)]
 pub(crate) struct ConstIndex {
     buckets: Vec<MaskBucket>,
@@ -283,40 +549,48 @@ pub(crate) struct ConstIndex {
 
 impl ConstIndex {
     /// Compile the constant rows of one unit's `members` against `pool`.
+    /// One set of scratch buffers serves every row; a bucket's attribute
+    /// list and a key are owned only when new.
     pub(crate) fn compile<'c>(
         members: impl IntoIterator<Item = &'c Cfd>,
         pool: &ValuePool,
     ) -> ConstIndex {
         let mut index = ConstIndex::default();
+        let (mut lhs, mut attrs, mut key) = (Vec::new(), Vec::new(), Vec::new());
         for (member, cfd) in members.into_iter().enumerate() {
             for (tp_idx, tp) in
                 cfd.tableau.iter().enumerate().filter(|(_, tp)| tp.is_constant_row())
             {
-                let lhs: Vec<SymPred> = tp.lhs.iter().map(|p| p.resolve(pool)).collect();
+                lhs.clear();
+                lhs.extend(tp.lhs.iter().map(|p| p.resolve(pool)));
                 // A constant the pool never interned matches no tuple.
                 if lhs.contains(&SymPred::Never) {
                     continue;
                 }
                 let hit = Hit { member, tp_idx, rhs: tp.rhs.resolve(pool) };
-                let attrs: Vec<AttrId> =
-                    (0..lhs.len()).filter(|&i| !lhs[i].is_always()).map(|i| cfd.lhs[i]).collect();
-                let key: Box<[Sym]> = lhs
-                    .iter()
-                    .filter_map(|p| if let SymPred::Eq(s) = p { Some(*s) } else { None })
-                    .collect();
+                attrs.clear();
+                key.clear();
+                for (p, &a) in lhs.iter().zip(&cfd.lhs) {
+                    if !p.is_always() {
+                        attrs.push(a);
+                    }
+                    if let SymPred::Eq(s) = p {
+                        key.push(*s);
+                    }
+                }
                 if key.len() < attrs.len() {
-                    index.residual.push((lhs, hit));
+                    index.residual.push((std::mem::take(&mut lhs), hit));
                     continue;
                 }
                 let at = index.buckets.iter().position(|b| b.attrs == attrs).unwrap_or_else(|| {
-                    index.buckets.push(MaskBucket { attrs, rows: GroupBy::new() });
+                    index.buckets.push(MaskBucket { attrs: attrs.clone(), rows: GroupBy::new() });
                     index.buckets.len() - 1
                 });
                 let rows = &mut index.buckets[at].rows;
                 let hash = hash_syms(key.iter().copied());
                 let entry = rows
-                    .probe(hash, |k| *k == key)
-                    .unwrap_or_else(|| rows.insert_unique(hash, key, Vec::new()));
+                    .probe(hash, |k| k[..] == key[..])
+                    .unwrap_or_else(|| rows.insert_unique(hash, key.as_slice().into(), Vec::new()));
                 rows.value_at_mut(entry).push(hit);
             }
         }
@@ -341,8 +615,30 @@ impl ConstIndex {
     pub(crate) fn probe(
         &self,
         table: &Table,
+        fd: (&[AttrId], AttrId),
+        slot: usize,
+        first: &mut [usize],
+        touched: &mut Vec<usize>,
+    ) -> u64 {
+        let hits = |b: usize| {
+            let MaskBucket { attrs, rows } = &self.buckets[b];
+            let found =
+                rows.get(hash_at(table, attrs, slot), |k| matches_at(table, attrs, slot, k));
+            found.map_or(&[][..], Vec::as_slice)
+        };
+        self.check(table, fd, slot, hits, first, touched)
+    }
+
+    /// [`ConstIndex::probe`] with the rows under the tuple's key in
+    /// bucket `b` supplied by `hits` — a hash probe for one tuple, a
+    /// class id read in a batch scan.
+    #[inline]
+    fn check<'h>(
+        &'h self,
+        table: &Table,
         (lhs, rhs): (&[AttrId], AttrId),
         slot: usize,
+        hits: impl Fn(usize) -> &'h [Hit],
         first: &mut [usize],
         touched: &mut Vec<usize>,
     ) -> u64 {
@@ -355,13 +651,10 @@ impl ConstIndex {
             }
         };
         let mut checked = (self.buckets.len() + self.residual.len()) as u64;
-        for MaskBucket { attrs, rows } in &self.buckets {
-            let found =
-                rows.get(hash_at(table, attrs, slot), |k| matches_at(table, attrs, slot, k));
-            if let Some(hits) = found {
-                checked += hits.len() as u64;
-                hits.iter().for_each(&mut violated);
-            }
+        for b in 0..self.buckets.len() {
+            let hits = hits(b);
+            checked += hits.len() as u64;
+            hits.iter().for_each(&mut violated);
         }
         for (preds, hit) in &self.residual {
             if preds.iter().zip(lhs).all(|(p, &a)| p.matches(table.col(a)[slot])) {
@@ -373,7 +666,8 @@ impl ConstIndex {
 }
 
 /// The hash of the tuple at `slot` projected onto `attrs`, read off the
-/// table's columns in place — [`ColProj::hash_at`] without the borrow.
+/// table's columns in place — [`revival_relation::ColProj::hash_at`]
+/// without the borrow.
 #[inline]
 pub(crate) fn hash_at(table: &Table, attrs: &[AttrId], slot: usize) -> u64 {
     hash_syms(attrs.iter().map(|&a| table.col(a)[slot]))
@@ -383,44 +677,6 @@ pub(crate) fn hash_at(table: &Table, attrs: &[AttrId], slot: usize) -> u64 {
 #[inline]
 pub(crate) fn matches_at(table: &Table, attrs: &[AttrId], slot: usize, key: &[Sym]) -> bool {
     key.len() == attrs.len() && attrs.iter().zip(key).all(|(&a, k)| table.col(a)[slot] == *k)
-}
-
-/// Fold one slot into the group map keyed by its LHS column projection.
-/// The probe hashes the column cells in place; a key vector is built
-/// only for a first-seen group.
-#[inline]
-fn add_slot_to_group(groups: &mut SymGroups, lhs_cols: &ColProj<'_>, rhs_col: &[Sym], slot: usize) {
-    let g = groups.entry_mut(
-        lhs_cols.hash_at(slot),
-        |k| lhs_cols.matches_at(slot, k),
-        || (lhs_cols.key_at(slot), VarGroup { members: Vec::new(), rhs_syms: Vec::new() }),
-    );
-    g.members.push(TupleId(slot as u64));
-    let rhs = rhs_col[slot];
-    if !g.rhs_syms.contains(&rhs) {
-        g.rhs_syms.push(rhs);
-    }
-}
-
-/// Fold a later chunk's partial group map into `groups`. The cached
-/// entry hashes are reused, so the fold never re-hashes a key.
-fn merge_groups(groups: &mut SymGroups, partial: SymGroups) {
-    for (hash, key, part) in partial.into_entries() {
-        match groups.probe(hash, |k| *k == key) {
-            None => {
-                groups.insert_unique(hash, key, part);
-            }
-            Some(i) => {
-                let g = groups.value_at_mut(i);
-                g.members.extend(part.members);
-                for rhs in part.rhs_syms {
-                    if !g.rhs_syms.contains(&rhs) {
-                        g.rhs_syms.push(rhs);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// `groups` (the violating ones of a unit) in sorted-key order
@@ -554,12 +810,128 @@ pub fn describe_report(
     out
 }
 
+/// The kernel this module replaced — per unit one `GroupBy` over the LHS
+/// and one [`ConstIndex::probe`] per tuple — kept as the oracle the
+/// partitioned scan is held to (`tests::partitioned_scan_agrees_with_the_per_unit_grouping`).
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use revival_relation::ColProj;
+
+    /// One LHS group: its live members (in row order) and the distinct
+    /// RHS symbols seen (first-seen order).
+    struct OracleGroup {
+        members: Vec<TupleId>,
+        rhs_syms: Vec<Sym>,
+    }
+
+    type SymGroups = GroupBy<Box<[Sym]>, OracleGroup>;
+
+    /// What the replaced `scan_unit` returned: per-member violations, the
+    /// LHS groups built and the pattern rows checked.
+    pub(super) fn scan_unit(
+        table: &Table,
+        slots: &[usize],
+        members: &[(usize, &Cfd)],
+        jobs: usize,
+    ) -> (Vec<Vec<Violation>>, usize, u64) {
+        let (_, fd) = members[0];
+        let lhs_cols = table.proj(&fd.lhs);
+        let rhs_col = table.col(fd.rhs);
+        let index = ConstIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
+        let fd_attrs = (fd.lhs.as_slice(), fd.rhs);
+        let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
+        let mut chunks = map_chunks(slots, jobs, |chunk| {
+            let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
+            let mut checked = 0u64;
+            if !index.is_empty() {
+                let mut first = vec![NONE; members.len()];
+                let mut touched: Vec<usize> = Vec::new();
+                for &slot in chunk {
+                    checked += index.probe(table, fd_attrs, slot, &mut first, &mut touched);
+                    while let Some(m) = touched.pop() {
+                        let (cfd, row, tuple) = (members[m].0, first[m], TupleId(slot as u64));
+                        found[m].push(Violation::CfdConstant { cfd, row, tuple });
+                        first[m] = NONE;
+                    }
+                }
+            }
+            let mut groups: SymGroups = GroupBy::new();
+            if any_var {
+                for &slot in chunk {
+                    add_slot_to_group(&mut groups, &lhs_cols, rhs_col, slot);
+                }
+            }
+            (found, groups, checked)
+        })
+        .into_iter()
+        .map(|(out, _)| out);
+        let (mut found, mut groups, mut pattern_rows_checked) =
+            chunks.next().expect("map_chunks yields a chunk");
+        for (more, partial, checked) in chunks {
+            pattern_rows_checked += checked;
+            for (buf, vs) in found.iter_mut().zip(more) {
+                buf.extend(vs);
+            }
+            merge_groups(&mut groups, partial);
+        }
+        if any_var {
+            let violating: Vec<(&Box<[Sym]>, VarGroup)> = (groups.iter())
+                .filter(|(_, g)| g.rhs_syms.len() >= 2)
+                .map(|(k, g)| (k, VarGroup { members: g.members.clone() }))
+                .collect();
+            let violating = in_key_order(violating.iter().map(|(k, g)| (*k, g)), table.pool());
+            for ((idx, cfd), buf) in members.iter().zip(&mut found) {
+                emit_variable_violations(*idx, cfd, &violating, buf);
+            }
+        }
+        (found, groups.len(), pattern_rows_checked)
+    }
+
+    fn add_slot_to_group(
+        groups: &mut SymGroups,
+        lhs_cols: &ColProj<'_>,
+        rhs_col: &[Sym],
+        slot: usize,
+    ) {
+        let g = groups.entry_mut(
+            lhs_cols.hash_at(slot),
+            |k| lhs_cols.matches_at(slot, k),
+            || (lhs_cols.key_at(slot), OracleGroup { members: Vec::new(), rhs_syms: Vec::new() }),
+        );
+        g.members.push(TupleId(slot as u64));
+        let rhs = rhs_col[slot];
+        if !g.rhs_syms.contains(&rhs) {
+            g.rhs_syms.push(rhs);
+        }
+    }
+
+    fn merge_groups(groups: &mut SymGroups, partial: SymGroups) {
+        for (hash, key, part) in partial.into_entries() {
+            match groups.probe(hash, |k| *k == key) {
+                None => {
+                    groups.insert_unique(hash, key, part);
+                }
+                Some(i) => {
+                    let g = groups.value_at_mut(i);
+                    g.members.extend(part.members);
+                    for rhs in part.rhs_syms {
+                        if !g.rhs_syms.contains(&rhs) {
+                            g.rhs_syms.push(rhs);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Detector, NativeEngine};
     use revival_constraints::parser::parse_cfds;
-    use revival_relation::{Schema, Type, Value};
+    use revival_relation::{Schema, Type};
 
     fn schema() -> Schema {
         Schema::builder("customer")
@@ -582,6 +954,136 @@ mod tests {
 
     fn detect(t: &Table, cfds: &[Cfd]) -> ViolationReport {
         NativeEngine.run(&DetectJob::on_table(t, cfds)).unwrap()
+    }
+
+    /// A random table for the oracle property: 3–5 `Str` / `Int`
+    /// columns over 2–4-value alphabets, `Null`s, repeated rows and
+    /// about one slot in six tombstoned. Returns the table and, per
+    /// column, its alphabet followed by one constant no cell holds.
+    fn random_table(rng: &mut rand::rngs::StdRng) -> (Table, Vec<Vec<Value>>) {
+        use rand::prelude::*;
+        let width = rng.gen_range(3..=5usize);
+        let mut builder = Schema::builder("r");
+        let mut constants: Vec<Vec<Value>> = Vec::new();
+        for a in 0..width {
+            let int = rng.gen_bool(0.4);
+            builder = builder.attr(format!("a{a}"), if int { Type::Int } else { Type::Str });
+            let value = |i: i64| if int { Value::Int(i) } else { Value::from(format!("v{i}")) };
+            let mut column: Vec<Value> = (0..rng.gen_range(2..=4i64)).map(value).collect();
+            column.push(value(99));
+            constants.push(column);
+        }
+        let mut t = Table::new(builder.build());
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for _ in 0..rng.gen_range(0..60usize) {
+            let row: Vec<Value> = match rows.choose(rng) {
+                Some(seen) if rng.gen_bool(0.2) => seen.clone(),
+                _ => (constants.iter())
+                    .map(|column| match rng.gen_bool(0.08) {
+                        true => Value::Null,
+                        false => column[rng.gen_range(0..column.len() - 1)].clone(),
+                    })
+                    .collect(),
+            };
+            t.push(row.clone()).unwrap();
+            rows.push(row);
+        }
+        for slot in 0..t.slots() {
+            if rng.gen_bool(1.0 / 6.0) {
+                t.delete(TupleId(slot as u64)).unwrap();
+            }
+        }
+        (t, constants)
+    }
+
+    /// A random suite over `t`: 1–2 LHS attribute lists, each with 1–3
+    /// RHS attributes (so several passes share one LHS set, sometimes
+    /// listed in another order or naming an attribute twice); every CFD 1–4 rows mixing `_`, `= c`,
+    /// `≠ c` and `∈ {…}` on both sides, absent constants included, and
+    /// constant rows mostly on masks that are proper subsets of the LHS.
+    fn random_suite(rng: &mut rand::rngs::StdRng, t: &Table, constants: &[Vec<Value>]) -> Vec<Cfd> {
+        use rand::prelude::*;
+        use revival_constraints::pattern::PatternRow;
+        let s = t.schema();
+        let width = constants.len();
+        let pattern = |rng: &mut StdRng, a: usize, wildcard: f64| {
+            if rng.gen_bool(wildcard) {
+                return PatternValue::Wildcard;
+            }
+            let c = constants[a].choose(rng).unwrap().clone();
+            match rng.gen_range(0..10u32) {
+                0..=6 => PatternValue::Const(c),
+                7 => PatternValue::NotConst(c),
+                _ => PatternValue::one_of([c, constants[a].choose(rng).unwrap().clone()]),
+            }
+        };
+        let mut suite = Vec::new();
+        for _ in 0..rng.gen_range(1..=2usize) {
+            let mut lhs: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.5)).collect();
+            if lhs.is_empty() || lhs.len() == width {
+                lhs = vec![rng.gen_range(0..width)];
+            }
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let rest: Vec<usize> = (0..width).filter(|a| !lhs.contains(a)).collect();
+                let rhs = *rest.choose(rng).unwrap();
+                let mut order = lhs.clone();
+                if rng.gen_bool(0.3) {
+                    order.reverse();
+                }
+                if rng.gen_bool(0.1) {
+                    order.push(order[0]);
+                }
+                let names: Vec<&str> = order.iter().map(|&a| s.attr_name(a)).collect();
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    let rows = (0..rng.gen_range(1..=4usize))
+                        .map(|_| {
+                            let row = order.iter().map(|&a| pattern(rng, a, 0.45)).collect();
+                            let rhs = match rng.gen_bool(0.4) {
+                                true => PatternValue::Wildcard,
+                                false => pattern(rng, rhs, 0.0),
+                            };
+                            PatternRow::new(row, rhs)
+                        })
+                        .collect();
+                    let cfd = Cfd::new(s, &names, s.attr_name(rhs), rows).unwrap();
+                    suite.insert(rng.gen_range(0..=suite.len()), cfd);
+                }
+            }
+        }
+        suite
+    }
+
+    /// The partitioned scan against the replaced per-unit grouping and
+    /// per-tuple probe (`oracle`), pass by pass at jobs 1 to 6: the same
+    /// findings, group counts and join work. Every partition is dropped
+    /// by the end of the suite.
+    #[test]
+    fn partitioned_scan_agrees_with_the_per_unit_grouping() {
+        use rand::prelude::*;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (t, constants) = random_table(&mut rng);
+            let suite = random_suite(&mut rng, &t, &constants);
+            let units = plan_units(&suite);
+            let slots: Vec<usize> = t.live_slots().collect();
+            for jobs in 1..=6 {
+                let mut parts = Partitions::plan(&suite, &units);
+                for (k, ids) in units.iter().enumerate() {
+                    let members: Vec<(usize, &Cfd)> = ids.iter().map(|&i| (i, &suite[i])).collect();
+                    let got = scan_unit(&t, &slots, &members, jobs, &mut parts);
+                    parts.release(k);
+                    let (found, groups, checked) = oracle::scan_unit(&t, &slots, &members, jobs);
+                    let at = format!("seed {seed}, jobs {jobs}, pass {k}");
+                    assert_eq!(format!("{:?}", got.found), format!("{found:?}"), "{at}");
+                    assert_eq!(got.groups, groups, "{at}");
+                    assert_eq!(got.pattern_rows_checked, checked, "{at}");
+                }
+                assert!(
+                    parts.sets.iter().all(|s| s.3.is_none()),
+                    "seed {seed}: a partition outlived its last unit"
+                );
+            }
+        }
     }
 
     #[test]

@@ -346,3 +346,51 @@ fn constant_rows_are_probed_per_mask_not_swept() {
         "{one} pattern rows checked is within 20× of the sweep's {n} × {constant_rows}"
     );
 }
+
+/// `discover_hospital`'s shape at `rows` rows: a suite mined from dirty
+/// hospital rows at confidence 0.9, emitted and re-parsed.
+fn mined_hospital(rows: usize) -> (Table, Vec<Cfd>) {
+    use revival::discovery::{DiscoverJob, DiscoverOptions, DiscoveryEngine};
+    let hosp = hospital::generate(&hospital::HospitalConfig { rows, ..Default::default() });
+    let noisy = [hospital::attrs::STATE, hospital::attrs::MEASURE_NAME, hospital::attrs::HNAME];
+    let dirty = inject(&hosp.table, &NoiseConfig::new(0.02, noisy.to_vec(), 7)).dirty;
+    let options = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };
+    let job = DiscoverJob::on_table(&dirty, options);
+    let vetted = revival::discovery::SequentialDiscovery.run(&job).unwrap().vetted;
+    let text: Vec<String> = vetted.iter().map(|c| c.display(dirty.schema()).to_string()).collect();
+    let mined = revival::constraints::parser::parse_cfds(&text.join("\n"), dirty.schema()).unwrap();
+    (dirty, mined)
+}
+
+/// The regression guard for "someone brought back a grouping per pass":
+/// detection groups a relation once per attribute set its suite names —
+/// the LHS of a CFD with a variable row, the `= c` positions of a
+/// constant row — and every pass reads those partitions. So the profile
+/// counts one partition per set and one grouped row per tuple per
+/// partition, at any shard count, however many passes share a set.
+#[test]
+fn detect_groups_each_attribute_set_once() {
+    let (dirty, mined) = mined_hospital(1_000);
+    let mut sets: BTreeSet<Vec<usize>> = BTreeSet::new();
+    let mut fds: BTreeSet<(&[usize], usize)> = BTreeSet::new();
+    for cfd in &mined {
+        fds.insert((&cfd.lhs, cfd.rhs));
+        for tp in &cfd.tableau {
+            let keyed = |p: &PatternValue| !tp.is_constant_row() || !p.is_wildcard();
+            let mut set: Vec<usize> =
+                cfd.lhs.iter().zip(&tp.lhs).filter(|(_, p)| keyed(p)).map(|(&a, _)| a).collect();
+            set.sort_unstable();
+            sets.insert(set);
+        }
+    }
+    assert!(sets.len() < fds.len(), "{} set(s) over {} pass(es)", sets.len(), fds.len());
+    let n = dirty.len() as u64;
+    for jobs in [1usize, 4] {
+        let job = DetectJob::on_table(&dirty, &mined);
+        let (_, profile) = ParallelEngine::new(jobs).run_profiled(&job).unwrap();
+        let partitions = profile.meta_get("partitions").expect("the scan counts its partitions");
+        let grouped = profile.meta_get("rows_grouped").expect("the scan counts its grouping");
+        assert_eq!(partitions, sets.len() as u64, "jobs={jobs}: one partition per attribute set");
+        assert_eq!(grouped, partitions * n, "jobs={jobs}: each partition groups the {n} rows once");
+    }
+}
