@@ -12,9 +12,20 @@
 //!
 //! if a CD's genre is `a-book`, a book tuple must exist whose
 //! title/price equal the CD's album/price, with format `audio`.
+//!
+//! Every check runs in symbol space ([`Cind::witnesses`]): each distinct
+//! key of the `Yp`-carrying target tuples, from the target's [`Index`],
+//! is translated into the source's symbols once, then a source tuple
+//! costs one hash probe. Detection shards that probe; [`Cind::satisfied_by`]
+//! and [`crate::Ind::satisfied_by`] (no conditions) read it whole.
 
-use revival_relation::{AttrId, Index, Result, Schema, Table, Value};
+use crate::ind::Ind;
+use revival_relation::groupby::hash_syms;
+use revival_relation::{
+    AttrId, ColProj, GroupBy, Index, Result, Schema, Sym, Table, TupleId, Value,
+};
 use std::fmt;
+use std::ops::Range;
 
 /// A source- or target-side pattern constraint `attr = const`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,6 +49,12 @@ pub struct Cind {
     pub to_attrs: Vec<AttrId>,
     /// Target-side pattern conditions (`Yp`) the witness tuple must carry.
     pub to_conds: Vec<PatternCond>,
+}
+
+/// A pattern's conditions as `(attr, symbol)` pairs of `table`'s pool;
+/// `None` if a constant is absent from it (no tuple can carry it).
+fn resolve(conds: &[PatternCond], table: &Table) -> Option<Vec<(usize, Sym)>> {
+    conds.iter().map(|c| Some((c.attr, table.pool().lookup(&c.value)?))).collect()
 }
 
 impl Cind {
@@ -71,47 +88,85 @@ impl Cind {
         })
     }
 
-    /// Does a source row fall under this CIND's source pattern?
-    pub fn applies_to(&self, row: &[Value]) -> bool {
-        self.from_conds.iter().all(|c| row[c.attr] == c.value)
-    }
-
-    /// Does a target row carry the required target pattern?
-    pub fn target_pattern_ok(&self, row: &[Value]) -> bool {
-        self.to_conds.iter().all(|c| row[c.attr] == c.value)
-    }
-
-    /// Build the target-side index this CIND probes: correspondence
-    /// attributes of tuples carrying the target pattern.
-    pub fn build_target_index(&self, to: &Table) -> CindTargetIndex {
-        // Filter to pattern-carrying tuples first, then index.
-        let mut filtered = Table::new(to.schema().clone());
-        for (_, r) in to.rows() {
-            if self.target_pattern_ok(&r) {
-                filtered.push_unchecked(r);
+    /// The witness probe of this CIND from `from` into `to`: the
+    /// distinct witness keys, built once in `from`'s symbols, shared
+    /// read-only by every probe (and every shard).
+    pub fn witnesses<'s>(&self, from: &'s Table, to: &Table) -> Witnesses<'s> {
+        let arity = self.to_attrs.len();
+        let (mut keys, mut set) = (Vec::new(), GroupBy::new());
+        // A `Yp` constant the target never interned: no witness at all.
+        if let Some(yp) = resolve(&self.to_conds, to).filter(|_| arity == self.from_attrs.len()) {
+            let target = Index::build_where(to, &self.to_attrs, &yp);
+            keys.reserve(target.len() * arity);
+            set = GroupBy::with_capacity(target.len());
+            for key in target.keys() {
+                let at = keys.len();
+                keys.extend(key.iter().map_while(|&s| from.pool().lookup(to.pool().value(s))));
+                if keys.len() < at + arity {
+                    keys.truncate(at); // a value the source never interned
+                } else {
+                    // Distinct target keys translate to distinct source keys.
+                    set.insert_unique(hash_syms(keys[at..].iter().copied()), at as u32, ());
+                }
             }
         }
-        CindTargetIndex { index: Index::build(&filtered, &self.to_attrs) }
+        let applies = resolve(&self.from_conds, from);
+        Witnesses { from, applies, proj: from.proj(&self.from_attrs), keys, set }
     }
 
-    /// Full satisfaction check.
+    /// Full satisfaction check: every live source tuple under `Xp` has a
+    /// witness.
     pub fn satisfied_by(&self, from: &Table, to: &Table) -> bool {
-        let target = self.build_target_index(to);
-        from.rows().all(|(_, r)| !self.applies_to(&r) || target.contains_row(self, &r))
+        self.witnesses(from, to).missing(0..from.slots()).next().is_none()
     }
 }
 
-/// Prebuilt index over the target side of a CIND.
-pub struct CindTargetIndex {
-    index: Index,
+/// The witness keys of one CIND, in the source's symbols, with the
+/// source pattern they are probed under (see [`Cind::witnesses`]).
+pub struct Witnesses<'s> {
+    from: &'s Table,
+    /// `Xp` in the source pool; `None` when a constant is absent from it.
+    applies: Option<Vec<(usize, Sym)>>,
+    /// The source's correspondence columns `X`.
+    proj: ColProj<'s>,
+    /// Witness keys, `|X|` symbols each, back to back.
+    keys: Vec<Sym>,
+    /// Each witness key's offset into `keys`.
+    set: GroupBy<u32, ()>,
 }
 
-impl CindTargetIndex {
-    /// Is there a witness for this *source row*? Probes the index with
-    /// the row's correspondence projection in place — no key vector is
-    /// allocated per probed tuple (the detection hot loop).
-    pub fn contains_row(&self, cind: &Cind, row: &[Value]) -> bool {
-        !self.index.lookup_mapped(row, &cind.from_attrs).is_empty()
+impl Witnesses<'_> {
+    /// Does the live source tuple at `slot` fall under `Xp`?
+    fn applies(&self, slot: usize) -> bool {
+        self.applies.as_ref().is_some_and(|xp| xp.iter().all(|&(a, s)| self.from.col(a)[slot] == s))
+    }
+
+    /// Is there a witness for the source tuple at `slot` (pattern aside)?
+    pub fn covers(&self, slot: usize) -> bool {
+        let key = |&o: &u32| &self.keys[o as usize..o as usize + self.proj.width()];
+        self.set.probe(self.proj.hash_at(slot), |o| self.proj.matches_at(slot, key(o))).is_some()
+    }
+
+    /// The live source tuples in `slots` that fall under `Xp` and have
+    /// no witness, in slot order.
+    pub fn missing(&self, slots: Range<usize>) -> impl Iterator<Item = TupleId> + '_ {
+        slots
+            .filter(|&slot| self.from.is_live(slot) && self.applies(slot) && !self.covers(slot))
+            .map(|slot| TupleId(slot as u64))
+    }
+}
+
+impl From<Ind> for Cind {
+    /// An IND is the CIND with no conditions on either side.
+    fn from(ind: Ind) -> Cind {
+        Cind {
+            from_relation: ind.from_relation,
+            from_attrs: ind.from_attrs,
+            from_conds: Vec::new(),
+            to_relation: ind.to_relation,
+            to_attrs: ind.to_attrs,
+            to_conds: Vec::new(),
+        }
     }
 }
 

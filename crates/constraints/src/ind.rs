@@ -1,7 +1,7 @@
 //! Classical inclusion dependencies.
 
-use revival_relation::{AttrId, Result, Schema, Table, Value};
-use std::collections::HashSet;
+use crate::cind::Cind;
+use revival_relation::{AttrId, Result, Schema, Table};
 use std::fmt;
 
 /// An inclusion dependency `R1[X] ⊆ R2[Y]` (positional correspondence).
@@ -25,14 +25,9 @@ impl Ind {
         })
     }
 
-    /// Check `from ⊆ to` by building a hash set over the target side.
+    /// Check `from ⊆ to`: the CIND witness probe with no conditions.
     pub fn satisfied_by(&self, from: &Table, to: &Table) -> bool {
-        let target: HashSet<Vec<Value>> =
-            to.rows().map(|(_, r)| self.to_attrs.iter().map(|&a| r[a].clone()).collect()).collect();
-        from.rows().all(|(_, r)| {
-            let key: Vec<Value> = self.from_attrs.iter().map(|&a| r[a].clone()).collect();
-            target.contains(&key)
-        })
+        Cind::from(self.clone()).satisfied_by(from, to)
     }
 }
 
@@ -49,7 +44,7 @@ impl fmt::Display for Ind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revival_relation::Type;
+    use revival_relation::{Type, Value};
 
     fn schemas() -> (Schema, Schema) {
         let orders =

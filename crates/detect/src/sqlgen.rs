@@ -20,9 +20,10 @@
 //!   ```
 //!
 //! The queries run on `revival-relation`'s SQL engine; violating tuple
-//! ids are then materialised by probing a hash index with the keys the
-//! queries return, giving a [`ViolationReport`] identical to the native
-//! detector's (asserted by tests here and in `tests/`).
+//! ids are then materialised by probing an [`Index`] over the table's
+//! own symbols with the keys the queries return, giving a
+//! [`ViolationReport`] identical to the native detector's (asserted by
+//! tests here and in `tests/`).
 
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
@@ -146,12 +147,11 @@ pub(crate) fn detect_all(catalog: &Catalog, cfds: &[Cfd]) -> Result<ViolationRep
     for (cfd_idx, cfd) in cfds.iter().enumerate() {
         let table = catalog.get(&cfd.relation)?;
         let queries = generate(cfd, table.schema());
-        let need_index = !queries.constant.is_empty() || !queries.variable.is_empty();
-        let index = if need_index { Some(Index::build(table, &cfd.lhs)) } else { None };
+        // The join back: result keys resolve through the table's pool.
+        let index = Index::build(table, &cfd.lhs);
 
         for (row_idx, q) in &queries.constant {
             let rs = sql::run(q, catalog)?;
-            let index = index.as_ref().expect("index built");
             // Each result row is an LHS key of ≥1 violating tuple; recheck
             // members to pick exactly the violating ones.
             for key in &rs.rows {
@@ -168,7 +168,6 @@ pub(crate) fn detect_all(catalog: &Catalog, cfds: &[Cfd]) -> Result<ViolationRep
         }
         for (row_idx, q) in &queries.variable {
             let rs = sql::run(q, catalog)?;
-            let index = index.as_ref().expect("index built");
             for key in &rs.rows {
                 let tuples: Vec<_> = index.lookup(key).to_vec();
                 if tuples.len() >= 2 {

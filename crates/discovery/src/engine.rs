@@ -28,14 +28,24 @@
 //! No group key is hashed anywhere in the lattice.
 
 use crate::cfdminer::{self, MinerOptions};
-use crate::ind_disc::{discover_unary_inds, lift_to_cinds, IndOptions};
+use crate::ind_disc;
+pub use crate::ind_disc::MinedCind;
 use crate::items::ItemIndex;
 use crate::tane;
 use revival_constraints::analysis::{self, CoverReport, Outcome};
-use revival_constraints::{Cfd, Cind};
-use revival_relation::{Catalog, Error, Result, Sym, Table};
+use revival_constraints::Cfd;
+use revival_relation::{Catalog, Error, Result, Table};
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// The implied-row drop of `minimal_cover` is quadratic in tableau
+/// rows with an NP-hard implication check per row — feasible for
+/// curated suites, not for the hundreds of rules a raw mine can
+/// produce. Relations whose merged suite exceeds this many rows get the
+/// cheap cover only (merge by embedded FD + subsumption); the cut is
+/// reported via [`DiscoveryStats::cover_implication_skipped`], never
+/// silent.
+const FULL_COVER_LIMIT: usize = 48;
 
 /// Options for a discovery run.
 #[derive(Clone, Debug)]
@@ -57,20 +67,10 @@ pub struct DiscoverOptions {
     /// [`DiscoveryStats::candidates_pruned`]. `0` disables conditional
     /// probing.
     pub top_values: usize,
-    /// Also mine constant CFDs via CFDMiner (free-itemset closures).
-    pub constant_rules: bool,
     /// Node budget for the vetting analyses (`minimal_cover`,
     /// `is_satisfiable`); exhausting it conservatively keeps rows and
     /// reports [`Outcome::ResourceLimit`].
     pub vet_budget: usize,
-    /// The implied-row drop of `minimal_cover` is quadratic in tableau
-    /// rows with an NP-hard implication check per row — feasible for
-    /// curated suites, not for the hundreds of rules a raw mine can
-    /// produce. Relations whose merged suite exceeds this many rows
-    /// get the cheap cover only (merge by embedded FD + subsumption);
-    /// the cut is reported via
-    /// [`DiscoveryStats::cover_implication_skipped`], never silent.
-    pub full_cover_limit: usize,
     /// Shard count for [`ParallelDiscovery`]'s lattice walk (0 = one
     /// per available core); [`SequentialDiscovery`] ignores it.
     pub jobs: usize,
@@ -83,9 +83,7 @@ impl Default for DiscoverOptions {
             min_confidence: 1.0,
             max_lhs: 2,
             top_values: 8,
-            constant_rules: true,
             vet_budget: 50_000,
-            full_cover_limit: 48,
             jobs: 1,
         }
     }
@@ -149,14 +147,6 @@ pub struct MinedCfd {
     pub confidence: f64,
 }
 
-/// A mined CIND candidate with its evidence.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MinedCind {
-    pub cind: Cind,
-    /// Source tuples the candidate's condition covers.
-    pub support: usize,
-}
-
 /// Search accounting: every bound the miners apply is reported here,
 /// never applied silently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -175,8 +165,8 @@ pub struct DiscoveryStats {
     /// Constant rules dropped because an exact mined FD over the same
     /// embedded dependency already covers their tuples.
     pub constants_subsumed: usize,
-    /// True when some relation's mined suite exceeded
-    /// [`DiscoverOptions::full_cover_limit`], so vetting ran only the
+    /// True when some relation's mined suite exceeded 48 tableau rows
+    /// (`FULL_COVER_LIMIT`), so vetting ran only the
     /// cheap cover (merge + subsumption) and skipped the quadratic
     /// implied-row drop for it.
     pub cover_implication_skipped: bool,
@@ -340,42 +330,41 @@ fn run_job(
         lattice_us += stage.elapsed().as_micros() as u64;
         stats.absorb(&tstats);
         let stage = Instant::now();
-        if opts.constant_rules {
-            // Row-list support counting leaves nothing worth sharding:
-            // the constant miner runs on the caller at any `jobs`.
-            let (constants, cstats) = cfdminer::mine_indexed(
-                &index,
-                &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },
-                profile.as_deref_mut(),
-            );
-            stats.absorb(&cstats);
-            let convert_start = Instant::now();
-            // Exact mined FDs over the same embedded dependency already
-            // constrain the constant rule's tuples; keeping both only
-            // bloats the suite. The drop is counted, not silent.
-            let exact: HashSet<(Vec<usize>, usize)> = mined
-                .iter()
-                .filter(|m| m.confidence == 1.0 && m.cfd.is_plain_fd())
-                .map(|m| (m.cfd.lhs.clone(), m.cfd.rhs))
-                .collect();
-            for rule in constants {
-                let lhs: Vec<usize> = rule.lhs.iter().map(|(a, _)| *a).collect();
-                if exact.contains(&(lhs, rule.rhs.0)) {
-                    stats.constants_subsumed += 1;
-                    continue;
-                }
-                mined.push(MinedCfd {
-                    cfd: rule.to_cfd(table.schema()),
-                    support: rule.support,
-                    confidence: 1.0,
-                });
+        // Constant CFDs are always mined too, via CFDMiner (free-itemset
+        // closures). Row-list support counting leaves nothing worth
+        // sharding: the constant miner runs on the caller at any `jobs`.
+        let (constants, cstats) = cfdminer::mine_indexed(
+            &index,
+            &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },
+            profile.as_deref_mut(),
+        );
+        stats.absorb(&cstats);
+        let convert_start = Instant::now();
+        // Exact mined FDs over the same embedded dependency already
+        // constrain the constant rule's tuples; keeping both only
+        // bloats the suite. The drop is counted, not silent.
+        let exact: HashSet<(Vec<usize>, usize)> = mined
+            .iter()
+            .filter(|m| m.confidence == 1.0 && m.cfd.is_plain_fd())
+            .map(|m| (m.cfd.lhs.clone(), m.cfd.rhs))
+            .collect();
+        for rule in constants {
+            let lhs: Vec<usize> = rule.lhs.iter().map(|(a, _)| *a).collect();
+            if exact.contains(&(lhs, rule.rhs.0)) {
+                stats.constants_subsumed += 1;
+                continue;
             }
-            if let Some(p) = profile.as_deref_mut() {
-                // Level 1's supports *are* the index.
-                p.entry(&cfdminer::level_row(table, 1), "itemsets").wall_us += index_us;
-                p.entry(&cfdminer::rules_row(table), "rules").wall_us +=
-                    convert_start.elapsed().as_micros() as u64;
-            }
+            mined.push(MinedCfd {
+                cfd: rule.to_cfd(table.schema()),
+                support: rule.support,
+                confidence: 1.0,
+            });
+        }
+        if let Some(p) = profile.as_deref_mut() {
+            // Level 1's supports *are* the index.
+            p.entry(&cfdminer::level_row(table, 1), "itemsets").wall_us += index_us;
+            p.entry(&cfdminer::rules_row(table), "rules").wall_us +=
+                convert_start.elapsed().as_micros() as u64;
         }
         constant_us += stage.elapsed().as_micros() as u64;
         rules.extend(mined);
@@ -407,7 +396,7 @@ fn run_job(
         }
         let merged_at = relation_start.elapsed().as_micros() as u64;
         let rows_in: usize = merged.iter().map(|c| c.tableau.len()).sum();
-        let (cov, rep) = if rows_in <= opts.full_cover_limit {
+        let (cov, rep) = if rows_in <= FULL_COVER_LIMIT {
             analysis::minimal_cover(table.schema(), &merged, opts.vet_budget)
         } else {
             stats.cover_implication_skipped = true;
@@ -451,7 +440,7 @@ fn run_job(
 
     let cind_start = Instant::now();
     let cinds = match job.catalog() {
-        Some(catalog) => mine_cinds(catalog, opts)?,
+        Some(catalog) => ind_disc::mine_cinds(catalog, opts.min_support)?,
         None => Vec::new(),
     };
     if let Some(p) = profile {
@@ -475,78 +464,6 @@ fn run_job(
     }
     drop(run_span);
     Ok(Discovered { rules, vetted, satisfiable, cover, cinds, stats })
-}
-
-/// Distinct symbol count of one column (a single column scan).
-fn distinct_count(table: &Table, attr: usize) -> usize {
-    let col = table.col(attr);
-    let mut seen: HashSet<Sym> = HashSet::new();
-    for slot in table.live_slots() {
-        seen.insert(col[slot]);
-    }
-    seen.len()
-}
-
-/// Catalog-level profiling: satisfied unary INDs become unconditional
-/// CINDs; violated type-compatible column pairs are lifted to
-/// conditional candidates via [`lift_to_cinds`] — how the paper's
-/// book/CD CIND arises from data.
-fn mine_cinds(catalog: &Catalog, opts: &DiscoverOptions) -> Result<Vec<MinedCind>> {
-    let iopts = IndOptions { min_support: opts.min_support.max(1), ..IndOptions::default() };
-    let inds = discover_unary_inds(catalog, &iopts)?;
-    let mut out: Vec<MinedCind> = Vec::new();
-    for ind in &inds {
-        let from = catalog.get(&ind.from_relation)?;
-        let to = catalog.get(&ind.to_relation)?;
-        let cind = Cind::new(
-            from.schema(),
-            &[from.schema().attr_name(ind.from_attrs[0])],
-            &[],
-            to.schema(),
-            &[to.schema().attr_name(ind.to_attrs[0])],
-            &[],
-        )?;
-        out.push(MinedCind { cind, support: from.len() });
-    }
-    // Violated cross-relation pairs: try to recover a condition under
-    // which the inclusion holds.
-    let mut names: Vec<&str> = catalog.relation_names().collect();
-    names.sort_unstable();
-    for &from_name in &names {
-        let from = catalog.get(from_name)?;
-        // One distinct scan per source column, shared across targets.
-        let distinct: Vec<usize> =
-            (0..from.schema().arity()).map(|a| distinct_count(from, a)).collect();
-        for &to_name in &names {
-            if from_name == to_name {
-                continue;
-            }
-            let to = catalog.get(to_name)?;
-            for (a, &n_distinct) in distinct.iter().enumerate() {
-                if n_distinct < iopts.min_distinct {
-                    continue;
-                }
-                for b in 0..to.schema().arity() {
-                    if from.schema().attribute(a).ty != to.schema().attribute(b).ty {
-                        continue;
-                    }
-                    let satisfied = inds.iter().any(|i| {
-                        i.from_relation == from_name
-                            && i.to_relation == to_name
-                            && i.from_attrs == [a]
-                            && i.to_attrs == [b]
-                    });
-                    if satisfied {
-                        continue;
-                    }
-                    for c in lift_to_cinds(catalog, from_name, a, to_name, b, &iopts)? {
-                        out.push(MinedCind { cind: c.cind, support: c.support });
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

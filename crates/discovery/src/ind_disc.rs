@@ -9,11 +9,16 @@
 //!   `c = v` on the source relation under which the inclusion *does*
 //!   hold — exactly how the CIND examples of Bravo et al. arise (the
 //!   book/CD inclusion holds only where `genre = 'a-book'`).
+//!
+//! Both run in symbol space: a column's distinct symbols are the keys of
+//! one [`Index`], translated into a target relation's pool once, and
+//! lifting counts source tuples per condition symbol against the CIND
+//! witness probe ([`Cind::witnesses`]), emitting candidates in value order.
 
-use revival_constraints::cind::Cind;
+use revival_constraints::cind::{Cind, PatternCond};
 use revival_constraints::Ind;
-use revival_relation::{Catalog, Result, Table, Value};
-use std::collections::{HashMap, HashSet};
+use revival_relation::{Catalog, Index, Result, Sym, Table};
+use std::collections::HashMap;
 
 /// Options for IND/CIND discovery.
 #[derive(Clone, Debug)]
@@ -23,60 +28,66 @@ pub struct IndOptions {
     pub min_distinct: usize,
     /// Minimum tuples a lifted CIND condition must cover.
     pub min_support: usize,
-    /// Max distinct values per condition attribute to try when lifting.
-    pub max_condition_values: usize,
 }
 
 impl Default for IndOptions {
     fn default() -> Self {
-        IndOptions { min_distinct: 3, min_support: 5, max_condition_values: 16 }
+        IndOptions { min_distinct: 3, min_support: 5 }
     }
 }
 
-/// Distinct values of one column.
-fn column_values(table: &Table, attr: usize) -> HashSet<Value> {
-    table.rows().map(|(_, r)| r[attr].clone()).collect()
+/// Max distinct values per condition attribute to try when lifting:
+/// high-cardinality condition attributes overfit.
+const MAX_CONDITION_VALUES: usize = 16;
+
+/// A mined CIND candidate with its evidence.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MinedCind {
+    pub cind: Cind,
+    /// Source tuples the candidate's condition covers.
+    pub support: usize,
 }
 
-/// Discover all unary INDs `from[a] ⊆ to[b]` among the catalog's
-/// relations (excluding trivial self-inclusions `R[a] ⊆ R[a]`).
-pub fn discover_unary_inds(catalog: &Catalog, options: &IndOptions) -> Result<Vec<Ind>> {
+/// Every unary pair `from[a] ⊆ to[b]` of the catalog's relations (name
+/// order, then attribute order) whose columns share a type, whose
+/// source column holds at least `min_distinct` distinct values, and
+/// which is not a trivial `R[a] ⊆ R[a]` — each with whether it holds.
+fn unary_pairs(catalog: &Catalog, options: &IndOptions) -> Result<Vec<(Ind, bool)>> {
     let mut names: Vec<&str> = catalog.relation_names().collect();
-    names.sort();
-    // Precompute value sets.
-    let mut sets: HashMap<(String, usize), HashSet<Value>> = HashMap::new();
-    for &name in &names {
-        let table = catalog.get(name)?;
-        for a in 0..table.schema().arity() {
-            sets.insert((name.to_string(), a), column_values(table, a));
-        }
-    }
+    names.sort_unstable();
+    let tables: Vec<&Table> = names.iter().map(|n| catalog.get(n)).collect::<Result<_>>()?;
+    // One index per column: its keys are the column's distinct symbols.
+    let columns: Vec<Vec<Index>> = tables
+        .iter()
+        .map(|&t| (0..t.schema().arity()).map(|a| Index::build(t, &[a])).collect())
+        .collect();
     let mut out = Vec::new();
-    for &from_name in &names {
-        let from = catalog.get(from_name)?;
-        for &to_name in &names {
-            let to = catalog.get(to_name)?;
-            for a in 0..from.schema().arity() {
-                let from_set = &sets[&(from_name.to_string(), a)];
-                if from_set.len() < options.min_distinct {
+    for (f, from) in tables.iter().enumerate() {
+        for (t, to) in tables.iter().enumerate() {
+            for (a, from_col) in columns[f].iter().enumerate() {
+                if from_col.len() < options.min_distinct {
                     continue;
                 }
-                for b in 0..to.schema().arity() {
-                    if from_name == to_name && a == b {
+                // Each distinct source value, in the target's symbols;
+                // `None` if the target relation never holds one of them.
+                let translated: Option<Vec<Sym>> =
+                    from_col.keys().map(|k| to.pool().lookup(from.pool().value(k[0]))).collect();
+                for (b, to_col) in columns[t].iter().enumerate() {
+                    if (f == t && a == b)
+                        || from.schema().attribute(a).ty != to.schema().attribute(b).ty
+                    {
                         continue;
                     }
-                    if from.schema().attribute(a).ty != to.schema().attribute(b).ty {
-                        continue;
-                    }
-                    let to_set = &sets[&(to_name.to_string(), b)];
-                    if from_set.is_subset(to_set) {
-                        out.push(Ind {
-                            from_relation: from_name.to_string(),
-                            from_attrs: vec![a],
-                            to_relation: to_name.to_string(),
-                            to_attrs: vec![b],
-                        });
-                    }
+                    let holds = translated
+                        .as_ref()
+                        .is_some_and(|syms| syms.iter().all(|&s| !to_col.get(&[s]).is_empty()));
+                    let ind = Ind {
+                        from_relation: names[f].to_string(),
+                        from_attrs: vec![a],
+                        to_relation: names[t].to_string(),
+                        to_attrs: vec![b],
+                    };
+                    out.push((ind, holds));
                 }
             }
         }
@@ -84,12 +95,11 @@ pub fn discover_unary_inds(catalog: &Catalog, options: &IndOptions) -> Result<Ve
     Ok(out)
 }
 
-/// A lifted CIND candidate with its support.
-#[derive(Clone, Debug)]
-pub struct CindCandidate {
-    pub cind: Cind,
-    /// Source tuples the condition covers.
-    pub support: usize,
+/// Discover all unary INDs `from[a] ⊆ to[b]` among the catalog's
+/// relations (excluding trivial self-inclusions `R[a] ⊆ R[a]`).
+pub fn discover_unary_inds(catalog: &Catalog, options: &IndOptions) -> Result<Vec<Ind>> {
+    let pairs = unary_pairs(catalog, options)?;
+    Ok(pairs.into_iter().filter_map(|(ind, holds)| holds.then_some(ind)).collect())
 }
 
 /// For a *violated* unary inclusion `from[a] ⊆ to[b]`, find conditions
@@ -102,42 +112,59 @@ pub fn lift_to_cinds(
     to_relation: &str,
     to_attr: usize,
     options: &IndOptions,
-) -> Result<Vec<CindCandidate>> {
-    let from = catalog.get(from_relation)?;
-    let to = catalog.get(to_relation)?;
-    let target = column_values(to, to_attr);
+) -> Result<Vec<MinedCind>> {
+    let (from, to) = (catalog.get(from_relation)?, catalog.get(to_relation)?);
+    let ind = Cind::from(Ind {
+        from_relation: from_relation.to_string(),
+        from_attrs: vec![from_attr],
+        to_relation: to_relation.to_string(),
+        to_attrs: vec![to_attr],
+    });
+    let witnesses = ind.witnesses(from, to);
+    let covered: Vec<(usize, bool)> =
+        from.live_slots().map(|slot| (slot, witnesses.covers(slot))).collect();
     let mut out = Vec::new();
-    for cond_attr in 0..from.schema().arity() {
-        if cond_attr == from_attr {
+    for cond_attr in (0..from.schema().arity()).filter(|&c| c != from_attr) {
+        // Source tuples per condition symbol, and whether all are covered.
+        let col = from.col(cond_attr);
+        let mut by_sym: HashMap<Sym, (usize, bool)> = HashMap::new();
+        for &(slot, ok) in &covered {
+            let entry = by_sym.entry(col[slot]).or_insert((0, true));
+            entry.0 += 1;
+            entry.1 &= ok;
+        }
+        if by_sym.len() > MAX_CONDITION_VALUES {
             continue;
         }
-        // Partition source rows by the condition value.
-        let mut by_value: HashMap<Value, (usize, bool)> = HashMap::new();
-        for (_, row) in from.rows() {
-            let entry = by_value.entry(row[cond_attr].clone()).or_insert((0, true));
-            entry.0 += 1;
-            if !target.contains(&row[from_attr]) {
-                entry.1 = false;
-            }
-        }
-        if by_value.len() > options.max_condition_values {
-            continue; // high-cardinality condition attrs overfit
-        }
-        let mut values: Vec<(Value, (usize, bool))> = by_value.into_iter().collect();
-        values.sort_by(|x, y| x.0.cmp(&y.0));
-        for (v, (support, holds)) in values {
+        let mut values: Vec<(Sym, (usize, bool))> = by_sym.into_iter().collect();
+        values.sort_by_key(|&(sym, _)| from.pool().value(sym));
+        for (sym, (support, holds)) in values {
             if holds && support >= options.min_support {
-                let cind = Cind::new(
-                    from.schema(),
-                    &[from.schema().attr_name(from_attr)],
-                    &[(from.schema().attr_name(cond_attr), v)],
-                    to.schema(),
-                    &[to.schema().attr_name(to_attr)],
-                    &[],
-                )?;
-                out.push(CindCandidate { cind, support });
+                let mut cind = ind.clone();
+                let value = from.pool().value(sym).clone();
+                cind.from_conds.push(PatternCond { attr: cond_attr, value });
+                out.push(MinedCind { cind, support });
             }
         }
+    }
+    Ok(out)
+}
+
+/// Catalog-level profiling: satisfied unary INDs become unconditional
+/// CINDs (supported by every source tuple); violated type-compatible
+/// pairs across two relations are lifted to conditional candidates via
+/// [`lift_to_cinds`] — how the paper's book/CD CIND arises from data.
+pub(crate) fn mine_cinds(catalog: &Catalog, min_support: usize) -> Result<Vec<MinedCind>> {
+    let options = &IndOptions { min_support: min_support.max(1), ..IndOptions::default() };
+    let pairs = unary_pairs(catalog, options)?;
+    let mut out = Vec::new();
+    for (ind, _) in pairs.iter().filter(|(_, holds)| *holds) {
+        let support = catalog.get(&ind.from_relation)?.len();
+        out.push(MinedCind { cind: Cind::from(ind.clone()), support });
+    }
+    for (ind, _) in pairs.iter().filter(|(i, holds)| !holds && i.from_relation != i.to_relation) {
+        let (a, b) = (ind.from_attrs[0], ind.to_attrs[0]);
+        out.extend(lift_to_cinds(catalog, &ind.from_relation, a, &ind.to_relation, b, options)?);
     }
     Ok(out)
 }
@@ -145,7 +172,7 @@ pub fn lift_to_cinds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revival_relation::{Schema, Type};
+    use revival_relation::{Schema, Type, Value};
 
     fn catalog() -> Catalog {
         let cd = Schema::builder("cd").attr("album", Type::Str).attr("genre", Type::Str).build();

@@ -16,8 +16,8 @@
 //! what lets the parallel detection engine fold per-shard maps in chunk
 //! order and stay byte-identical to the sequential scan. There is no
 //! tombstone machinery; consumers that need logical removal (the
-//! secondary [`crate::Index`], the incremental detector's group states)
-//! empty the entry's payload and skip it on read.
+//! incremental detector's group states) empty the entry's payload and
+//! skip it on read.
 
 use crate::pool::Sym;
 
@@ -174,6 +174,12 @@ impl<K, V> GroupBy<K, V> {
         GroupBy { entries: Vec::new(), slots: vec![EMPTY; 8], shift: 64 - 3 }
     }
 
+    /// Empty table that holds `n` groups without growing.
+    pub fn with_capacity(n: usize) -> Self {
+        let bits = (n * 8).div_ceil(7).next_power_of_two().trailing_zeros().max(3);
+        GroupBy { entries: Vec::with_capacity(n), slots: vec![EMPTY; 1 << bits], shift: 64 - bits }
+    }
+
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -315,6 +321,19 @@ mod tests {
         // Insertion order is preserved.
         let keys: Vec<u64> = g.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn with_capacity_holds_its_groups_without_growing() {
+        for n in [0usize, 1, 7, 8, 56, 57, 1000] {
+            let mut g: GroupBy<usize, ()> = GroupBy::with_capacity(n);
+            let slots = g.slots.len();
+            for i in 0..n {
+                g.insert_unique(hash_syms([]) ^ i as u64, i, ());
+            }
+            assert_eq!(g.slots.len(), slots, "{n} groups");
+            assert!((0..n).all(|i| g.probe(hash_syms([]) ^ i as u64, |k| *k == i) == Some(i)));
+        }
     }
 
     #[test]

@@ -1,90 +1,96 @@
-//! Secondary hash indexes over attribute sets.
+//! Secondary hash indexes over attribute sets, keyed by the table's own
+//! symbols.
 //!
-//! An index maps a projected key (values of a fixed attribute list) to
-//! the tuple ids carrying that key. It has two callers, both probing
-//! with values from outside the table: the SQL detection oracle
-//! (`revival-detect`'s `sqlgen`) joins query result keys back to tuple
-//! ids with [`Index::lookup`], and CIND witness probes project a source
-//! tuple onto the target's attributes with [`Index::lookup_mapped`].
-//!
-//! Built on the interned [`GroupBy`] kernel: the index owns a
-//! [`ValuePool`] and stores keys as symbol tuples. A probe value
-//! resolves through [`ValuePool::lookup`]: a value the index never saw
-//! cannot match any key, so the probe returns empty without hashing a
-//! single string twice.
+//! An index maps each distinct projection of a fixed attribute list to
+//! the live tuples carrying it, optionally only those that also carry
+//! fixed symbols at some attributes (a resolved CIND target pattern). It
+//! is what every inclusion check reads — CIND witness probes and IND
+//! discovery walk its distinct [`Index::keys`] and translate each into
+//! the other relation's pool once — and how the SQL detection oracle
+//! joins result keys back to tuples ([`Index::lookup`], which resolves
+//! values through the table's own pool: a value the table never
+//! interned matches nothing). Built on the [`GroupBy`] kernel over the
+//! symbol columns, it boxes each distinct key once and allocates
+//! nothing else per key or per row.
 
 use crate::groupby::{hash_syms, GroupBy};
-use crate::pool::{Sym, ValuePool};
+use crate::pool::Sym;
 use crate::table::{Table, TupleId};
 use crate::value::Value;
 
 /// A hash index on a fixed list of attribute positions of one table.
 #[derive(Clone, Debug)]
-pub struct Index {
-    /// Number of indexed attributes: the length of every key.
-    arity: usize,
-    pool: ValuePool,
-    map: GroupBy<Box<[Sym]>, Vec<TupleId>>,
+pub struct Index<'t> {
+    table: &'t Table,
+    /// Distinct keys in first-occurrence order; a key's entry index is
+    /// its group number.
+    map: GroupBy<Box<[Sym]>, ()>,
+    /// `ids[starts[g]..starts[g + 1]]` are group `g`'s tuples, ascending.
+    starts: Vec<usize>,
+    ids: Vec<TupleId>,
 }
 
-impl Index {
-    /// Build an index over `attrs` of `table` by scanning its symbol
-    /// columns directly: each *distinct* table symbol resolves to an
-    /// index symbol exactly once (one memo slot per pool entry), so no
-    /// row is materialised and no string is hashed per occurrence.
-    pub fn build(table: &Table, attrs: &[usize]) -> Self {
-        let mut ix = Index { arity: attrs.len(), pool: ValuePool::new(), map: GroupBy::new() };
-        let proj = table.proj(attrs);
-        let mut memo: Vec<Option<Sym>> = vec![None; table.pool().len()];
-        for slot in table.live_slots() {
-            let syms: Vec<Sym> = (0..attrs.len())
-                .map(|i| {
-                    let ts = proj.sym_at(i, slot);
-                    match memo[ts.index()] {
-                        Some(s) => s,
-                        None => {
-                            let s = ix.pool.intern(table.pool().value(ts));
-                            memo[ts.index()] = Some(s);
-                            s
-                        }
-                    }
-                })
-                .collect();
-            let hash = hash_syms(syms.iter().copied());
-            let idx = match ix.map.probe(hash, |k| k.as_ref() == syms) {
-                Some(i) => i,
-                None => ix.map.insert_unique(hash, syms.into_boxed_slice(), Vec::new()),
-            };
-            ix.map.value_at_mut(idx).push(TupleId(slot as u64));
-        }
-        ix
+impl<'t> Index<'t> {
+    /// Index every live tuple of `table` on `attrs`.
+    pub fn build(table: &'t Table, attrs: &[usize]) -> Self {
+        Self::build_where(table, attrs, &[])
     }
 
-    /// Tuples whose projection equals `vals`, one value per indexed
-    /// attribute in index order; empty on a wrong-arity probe.
-    fn probe<'v>(&self, vals: impl ExactSizeIterator<Item = &'v Value>) -> &[TupleId] {
-        if vals.len() != self.arity {
-            return &[];
+    /// Index on `attrs` the live tuples of `table` carrying symbol `s` at
+    /// attribute `a` for every `(a, s)` in `filter`.
+    pub fn build_where(table: &'t Table, attrs: &[usize], filter: &[(usize, Sym)]) -> Self {
+        let proj = table.proj(attrs);
+        let mut map: GroupBy<Box<[Sym]>, ()> = GroupBy::new();
+        let mut tagged = Vec::with_capacity(table.len());
+        for slot in table.live_slots() {
+            if filter.iter().all(|&(a, s)| table.col(a)[slot] == s) {
+                let hash = proj.hash_at(slot);
+                let group = match map.probe(hash, |k| proj.matches_at(slot, k)) {
+                    Some(g) => g,
+                    None => map.insert_unique(hash, proj.key_at(slot), ()),
+                };
+                tagged.push((group, TupleId(slot as u64)));
+            }
         }
-        let Some(syms) = vals.map(|v| self.pool.lookup(v)).collect::<Option<Vec<Sym>>>() else {
-            return &[];
-        };
-        let hash = hash_syms(syms.iter().copied());
-        self.map.get(hash, |k| k.as_ref() == syms).map(Vec::as_slice).unwrap_or(&[])
+        // Stable: each group's tuples stay in slot order.
+        tagged.sort_by_key(|&(group, _)| group);
+        let starts = (0..=map.len()).map(|g| tagged.partition_point(|t| t.0 < g)).collect();
+        Index { table, map, starts, ids: tagged.into_iter().map(|(_, t)| t).collect() }
+    }
+
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True if no tuple is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The distinct keys, in the table's symbols and first-occurrence
+    /// order.
+    pub fn keys(&self) -> impl Iterator<Item = &[Sym]> + '_ {
+        self.map.iter().map(|(k, ())| &**k)
+    }
+
+    /// Tuples whose projection equals `key`, given in the table's own
+    /// symbols.
+    pub fn get(&self, key: &[Sym]) -> &[TupleId] {
+        match self.map.probe(hash_syms(key.iter().copied()), |k| **k == *key) {
+            Some(g) => &self.ids[self.starts[g]..self.starts[g + 1]],
+            None => &[],
+        }
     }
 
     /// Tuples whose projection equals `key` (one value per indexed
     /// attribute, in index order).
     pub fn lookup(&self, key: &[Value]) -> &[TupleId] {
-        self.probe(key.iter())
-    }
-
-    /// Look up projecting `row` through a caller-supplied attribute
-    /// list positionally aligned with the *indexed* attributes — the
-    /// cross-relation probe CIND detection uses (`row[attrs[i]]` must
-    /// match indexed attribute `i`).
-    pub fn lookup_mapped(&self, row: &[Value], attrs: &[usize]) -> &[TupleId] {
-        self.probe(attrs.iter().map(|&a| &row[a]))
+        let pool = self.table.pool();
+        match key.iter().map(|v| pool.lookup(v)).collect::<Option<Vec<Sym>>>() {
+            Some(syms) => self.get(&syms),
+            None => &[],
+        }
     }
 }
 
@@ -119,17 +125,23 @@ mod tests {
         assert!(ix.lookup(&["y".into(), Value::Int(1)]).is_empty());
         // Wrong-arity probes are empty, not panics.
         assert!(ix.lookup(&["x".into()]).is_empty());
+        // A value the table holds, but not under this key, misses too.
+        assert!(ix.lookup(&[Value::Int(1), Value::Int(1)]).is_empty());
     }
 
     #[test]
-    fn lookup_mapped_probes_foreign_rows() {
-        let t = table();
-        let ix = Index::build(&t, &[0]);
-        // A foreign row whose attribute 2 plays the role of indexed
-        // attribute 0.
-        let foreign = vec![Value::Int(0), Value::Int(0), Value::from("x")];
-        assert_eq!(ix.lookup_mapped(&foreign, &[2]).len(), 2);
-        assert!(ix.lookup_mapped(&foreign, &[0]).is_empty());
-        assert!(ix.lookup_mapped(&foreign, &[0, 2]).is_empty());
+    fn filter_keeps_only_tuples_carrying_the_fixed_symbols() {
+        let mut t = table();
+        t.push(vec!["x".into(), Value::Int(1)]).unwrap();
+        t.delete(TupleId(0)).unwrap();
+        let x = t.pool().lookup(&"x".into()).unwrap();
+        let ix = Index::build_where(&t, &[1], &[(0, x)]);
+        // Tuple 0 is dead and tuple 2 carries `y`: keys 2 and 1 remain,
+        // in slot order, each in the table's own symbols.
+        let sym = |i: i64| t.pool().lookup(&Value::Int(i)).unwrap();
+        assert_eq!(ix.keys().collect::<Vec<_>>(), [[sym(2)], [sym(1)]]);
+        assert_eq!(ix.get(&[sym(1)]), [TupleId(3)]);
+        assert!(ix.get(&[sym(3)]).is_empty());
+        assert_eq!(ix.len(), 2);
     }
 }

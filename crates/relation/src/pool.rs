@@ -17,9 +17,9 @@
 //! per-pool hash seed decides only where a symbol sits in the table.
 //!
 //! Symbols are only comparable within the pool that issued them — each
-//! [`crate::Table`] owns one, as does each [`crate::Index`] (which is
-//! what makes cross-table probes work: foreign values are *looked up*,
-//! not assumed). Symbol numeric order is an interning accident and
+//! [`crate::Table`] owns one. Cross-table probes (CIND witnesses, IND
+//! discovery) translate each distinct foreign symbol once by *looking
+//! up* its value, never by assuming two pools agree. Symbol numeric order is an interning accident and
 //! means nothing; consumers that need value order map back through
 //! [`ValuePool::value`].
 

@@ -635,7 +635,6 @@ fn discover(flags: &Flags) -> Result<(), String> {
             .parse()
             .map_err(|_| "--budget must be an integer")?,
         jobs,
-        ..DiscoverOptions::default()
     };
     let engine = discovery_by_name(engine_name).map_err(|e| e.to_string())?;
 

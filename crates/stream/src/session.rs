@@ -132,9 +132,11 @@ impl DeltaSession {
     }
 
     /// Attach CINDs; both relations of each CIND must be registered.
-    /// CINDs are checked by witness probe at [`DeltaSession::report`]
-    /// time, not maintained per delta (their state is an index over the
-    /// *target* relation, which deltas on the source never touch).
+    /// CINDs are checked at [`DeltaSession::report`] and
+    /// [`DeltaSession::violation_count`] time, not maintained per delta:
+    /// each read builds the witness keys (the distinct `Yp`-carrying
+    /// target keys, in the source's symbols) once and probes every
+    /// source tuple once — see `revival_constraints::cind::Witnesses`.
     pub fn add_cinds(&mut self, cinds: Vec<Cind>) -> Result<()> {
         for cind in &cinds {
             self.catalog.get(&cind.from_relation)?;
