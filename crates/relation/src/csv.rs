@@ -13,6 +13,13 @@
 //! typed pool key and intern it straight into the columns, so a cell
 //! allocates only the first time its value is seen. The writer walks the
 //! columns the other way: symbol → pool value → one reused line buffer.
+//!
+//! The scanner finds delimiters eight bytes at a time (`find_any`): a
+//! SWAR zero-byte test per target byte on one little-endian word, whose
+//! lowest set bit is the first match. An unquoted run stops at `,`, a
+//! line break or a stray `"`; a quoted run at `"` or `\n` (so the line
+//! count stays exact). Only the input's last < 8 bytes are stepped one
+//! at a time.
 
 use crate::error::{Error, Result};
 use crate::pool::{Key, Sym};
@@ -96,6 +103,7 @@ impl<'a> Scanner<'a> {
             self.scratch.clear();
             let mut from = i;
             loop {
+                i = find_any(bytes, i, &QUOTED);
                 match bytes.get(i) {
                     None => return Err(err("unterminated quoted field")),
                     Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
@@ -105,24 +113,23 @@ impl<'a> Scanner<'a> {
                         from = i;
                     }
                     Some(b'"') => break,
-                    Some(b'\n') => {
+                    Some(_) => {
+                        // A line break inside the quotes.
                         self.line += 1;
                         i += 1;
                     }
-                    Some(_) => i += 1,
                 }
             }
             quoted = Some(&input[from..i]);
             i += 1;
         }
         let rest = i;
-        let more = loop {
-            match bytes.get(i) {
-                Some(b',') => break true,
-                None | Some(b'\n' | b'\r') => break false,
-                Some(b'"') => return Err(err("quote inside unquoted field")),
-                Some(_) => i += 1,
-            }
+        i = find_any(bytes, i, &UNQUOTED);
+        let more = match bytes.get(i) {
+            Some(b',') => true,
+            Some(b'"') => return Err(err("quote inside unquoted field")),
+            // A line break, or the end of input.
+            _ => false,
         };
         let rest = &input[rest..i];
         self.pos = match bytes.get(i) {
@@ -144,6 +151,62 @@ impl<'a> Scanner<'a> {
         };
         Ok((field, more))
     }
+}
+
+/// The bytes that end an unquoted run: a separator, a line break, or a
+/// quote that has no business there — so also the bytes that make the
+/// writer quote a field.
+const UNQUOTED: [u8; 4] = [b',', b'\n', b'\r', b'"'];
+
+/// The bytes that stop a quoted run: its closing (or doubled) quote, or
+/// a line break the scanner must count.
+const QUOTED: [u8; 2] = [b'"', b'\n'];
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+
+/// `0x80` in every byte of a word.
+const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// Offset of the first byte at or after `from` that is in `set`, or
+/// `bytes.len()` if there is none.
+///
+/// Eight bytes a step, loaded little-endian so the lowest byte is the
+/// first. For each target `c`, `x = w ^ (ONES × c)` is zero exactly in
+/// the bytes of `w` that hold `c`, and `(x − ONES) & !x & HIGHS` sets
+/// those bytes' high bits. A borrow can set a high bit that is not a
+/// match, but only above a byte that is, so the lowest set bit of the
+/// set's OR is the exact first match. Only the input's last < 8 bytes
+/// are stepped one at a time.
+#[inline]
+fn find_any<const N: usize>(bytes: &[u8], from: usize, set: &[u8; N]) -> usize {
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let hits = set.iter().fold(0, |hits, &c| {
+            let x = w ^ (ONES * u64::from(c));
+            hits | (x.wrapping_sub(ONES) & !x & HIGHS)
+        });
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    for (at, b) in bytes.iter().enumerate().skip(i) {
+        #[cfg(test)]
+        BYTEWISE.with(|n| n.set(n.get() + 1));
+        if set.contains(b) {
+            return at;
+        }
+    }
+    bytes.len()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread's scans stepped over one at a time — the word
+    /// scan's work count.
+    static BYTEWISE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Parse a full CSV document into records (blank records skipped).
@@ -293,7 +356,7 @@ pub fn read_table_infer(name: &str, input: &str) -> Result<Table> {
 
 /// Append `field` to `out`, quoted if it needs it.
 fn write_field(out: &mut String, field: &str) {
-    if field.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+    if find_any(field.as_bytes(), 0, &UNQUOTED) < field.len() {
         out.push('"');
         for ch in field.chars() {
             if ch == '"' {
@@ -884,5 +947,67 @@ mod tests {
                 (0..len).map(|_| *ALPHABET.choose(&mut rng).expect("non-empty")).collect();
             assert_agrees_with_oracle(&doc);
         }
+        // Every delimiter at every offset of an 8-byte word, and across
+        // the input's last 8 bytes (the word scan's bytewise tail): in a
+        // bare field, a quoted one, a document's last, and a single line.
+        let s = Schema::builder("r").attr("a", Type::Str).attr("b", Type::Str).build();
+        for before in 0..=40 {
+            for token in [",", "\"", "\"\"", "\r", "\n", "\r\n", "é"] {
+                for after in [0, 1, 7, 8, 9] {
+                    let body = format!("{}{token}{}", "a".repeat(before), "b".repeat(after));
+                    for doc in [
+                        format!("h\n{body}"),
+                        format!("h\n{body}\n"),
+                        format!("h,i\n\"{body}\",1\n"),
+                        format!("h\n\"{body}\""),
+                    ] {
+                        assert_agrees_with_oracle(&doc);
+                    }
+                    for line in
+                        [format!("{body},x"), format!("x,{body}"), format!("\"{body}\",x\r\n")]
+                    {
+                        let want: Result<Vec<Value>> = oracle_line(&line).and_then(|rec| {
+                            check_arity(&Record { line: 5, fields: rec.len() }, 2)?;
+                            rec.iter().map(|raw| Type::Str.parse(raw)).collect()
+                        });
+                        match (parse_line(&s, &line, 5), want) {
+                            (Ok(new), Ok(old)) => assert_eq!(new, old, "row differs on {line:?}"),
+                            (Err(_), Err(_)) => {}
+                            (new, old) => {
+                                panic!("parse_line {new:?} but oracle {old:?} on {line:?}")
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The old reading of one appended line: its first non-blank record,
+    /// which must end the line.
+    fn oracle_line(line: &str) -> Result<Vec<String>> {
+        let fail = |message: &str| Error::Csv { line: 5, message: message.into() };
+        let (mut pos, mut at) = (0, 5);
+        loop {
+            match parse_record(line, &mut pos, &mut at)? {
+                None => return Err(fail("empty record")),
+                Some(rec) if rec.len() == 1 && rec[0].is_empty() => {}
+                Some(_) if pos < line.len() => return Err(fail("line break outside quotes")),
+                Some(rec) => return Ok(rec),
+            }
+        }
+    }
+
+    #[test]
+    fn long_fields_are_scanned_a_word_at_a_time() {
+        // Fields of 24–40 bytes, one of them quoted over a line break.
+        let doc: String = (0..1_000)
+            .map(|r| format!("{0},\"{0}\n{0}\",{0}\n", "x".repeat(24 + r % 17)))
+            .collect();
+        let fields = 3 * 1_000;
+        BYTEWISE.with(|n| n.set(0));
+        assert_eq!(parse(&doc).unwrap().len(), 1_000);
+        let steps = BYTEWISE.with(|n| n.get());
+        assert!(steps <= 8 * fields, "{steps} bytewise steps over {fields} fields");
     }
 }

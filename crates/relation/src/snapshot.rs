@@ -5,8 +5,8 @@
 //! length-prefixed, no external dependencies):
 //!
 //! ```text
-//! magic     8 bytes   "SDQSNAP1"
-//! checksum  u64       FNV-1a over every payload byte below
+//! magic     8 bytes   "SDQSNAP2"
+//! checksum  u64       over every payload byte below (see below)
 //! payload:
 //!   schema            name, arity, per attribute: name, type tag,
 //!                     optional finite domain (count + values)
@@ -15,17 +15,32 @@
 //!   tombstones        word count + u64 bitmap words (1 = live)
 //! ```
 //!
+//! The checksum is FNV-1a run as four lanes over little-endian `u64`
+//! words: lane `l` takes words `l, l + 4, …` from the offset basis XOR
+//! `l`. The four lanes and the payload length fold into one FNV-1a
+//! state, which then takes the < 32-byte tail a byte at a time. Each
+//! step is a bijection of its state while the other inputs stay fixed,
+//! so a change confined to one lane's words — any single flipped byte —
+//! always changes the sum. `SDQSNAP1` files, whose checksum was
+//! bytewise FNV-1a over the same payload layout, are refused with a
+//! typed error at offset 0 naming that format; re-save them from CSV.
+//!
 //! The writer **compacts the pool**: symbols no live row references are
 //! dropped and the columns remapped, so a long-lived table's append-only
 //! [`ValuePool`] sheds dead values at snapshot time. Dead slots are
 //! written as symbol 0 — they are never dereferenced (every read is
 //! bitmap-guarded), so the placeholder is safe even when the pool is
 //! empty. Slot structure round-trips exactly: tuple ids, tombstones and
-//! iteration order are identical after `save ∘ open`.
+//! iteration order are identical after `save ∘ open`. The image is
+//! encoded into one exactly-sized buffer, header first with the
+//! checksum patched in last; the columns are read a bitmap word at a
+//! time, so a full word's 64 slots copy without a liveness test.
 //!
 //! [`Table::open_snapshot`] is one read of the file and one decode
 //! pass over it. Corrupt or truncated input returns [`Error::Snapshot`]
-//! with the failing byte offset — never a panic.
+//! with the failing byte offset — never a panic. Encoding and decoding
+//! are timed into the `snapshot_encode_us` / `snapshot_decode_us`
+//! histograms.
 
 use crate::error::{Error, Result};
 use crate::pool::{Sym, ValuePool};
@@ -34,15 +49,31 @@ use crate::table::Table;
 use crate::value::Value;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"SDQSNAP1";
+const MAGIC: &[u8; 8] = b"SDQSNAP2";
 
-/// FNV-1a over a byte stream — the payload checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+/// The magic of the format before the word-lane checksum.
+const MAGIC_V1: &[u8; 8] = b"SDQSNAP1";
+
+/// FNV-1a's 64-bit offset basis.
+const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step, taking `v` whole.
+fn fnv_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The payload checksum: four word lanes, folded with the length, then
+/// the tail (see the module docs).
+fn checksum(payload: &[u8]) -> u64 {
+    let mut lanes = [BASIS, BASIS ^ 1, BASIS ^ 2, BASIS ^ 3];
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fnv_step(*lane, u64::from_le_bytes(word.try_into().expect("an 8-byte word")));
+        }
     }
-    h
+    let folded = lanes.into_iter().chain([payload.len() as u64]).fold(BASIS, fnv_step);
+    blocks.remainder().iter().fold(folded, |h, &b| fnv_step(h, u64::from(b)))
 }
 
 // ---------------------------------------------------------------- writer
@@ -79,6 +110,33 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
             out.push(4);
             put_str(out, s);
         }
+    }
+}
+
+/// The bytes [`put_value`] writes for `v`.
+fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Bool(_) => 2,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+    }
+}
+
+/// Hand `f(bit, sym)` every live cell of one 64-slot chunk of a column
+/// whose bitmap word is `word`: a full word walks the chunk without
+/// testing a bit, any other word its set bits.
+#[inline]
+fn each_live(word: u64, syms: &[Sym], mut f: impl FnMut(usize, Sym)) {
+    if word == u64::MAX {
+        syms.iter().enumerate().for_each(|(bit, &sym)| f(bit, sym));
+        return;
+    }
+    let mut w = word;
+    while w != 0 {
+        let bit = w.trailing_zeros() as usize;
+        w &= w - 1;
+        f(bit, syms[bit]);
     }
 }
 
@@ -178,77 +236,83 @@ impl Table {
 
     /// The serialised `.sdq` image (see [`Table::save_snapshot`]).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let _span = revival_obs::Span::start(revival_obs::global().histogram("snapshot_encode_us"));
         let arity = self.schema().arity();
         let slots = self.slots();
+        let words = self.live_words();
+        let cols: Vec<&[Sym]> = (0..arity).map(|a| self.col(a)).collect();
 
         // Pool compaction: mark the symbols live rows reference, then
         // renumber them densely in ascending old-symbol order.
         let mut used = vec![false; self.pool().len()];
-        for slot in self.live_slots() {
-            for a in 0..arity {
-                used[self.col(a)[slot].index()] = true;
+        for col in &cols {
+            for (&word, syms) in words.iter().zip(col.chunks(64)) {
+                each_live(word, syms, |_, sym| used[sym.index()] = true);
             }
         }
         let mut remap = vec![0u32; self.pool().len()];
         let mut compacted: Vec<&Value> = Vec::new();
+        let mut pool_bytes = 0;
         for (old, keep) in used.iter().enumerate() {
             if *keep {
                 remap[old] = compacted.len() as u32;
-                compacted.push(&self.pool().values()[old]);
+                let v = &self.pool().values()[old];
+                pool_bytes += value_len(v);
+                compacted.push(v);
             }
         }
 
-        let mut payload = Vec::new();
+        // Header, its checksum patched in once the payload is written.
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&[0; 8]);
         // Schema block.
-        put_str(&mut payload, self.schema().name());
-        put_u32(&mut payload, arity as u32);
+        put_str(&mut out, self.schema().name());
+        put_u32(&mut out, arity as u32);
         for attr in self.schema().attributes() {
-            put_str(&mut payload, &attr.name);
-            payload.push(type_tag(attr.ty));
+            put_str(&mut out, &attr.name);
+            out.push(type_tag(attr.ty));
             match &attr.finite_domain {
-                None => payload.push(0),
+                None => out.push(0),
                 Some(domain) => {
-                    payload.push(1);
-                    put_u32(&mut payload, domain.len() as u32);
+                    out.push(1);
+                    put_u32(&mut out, domain.len() as u32);
                     for v in domain {
-                        put_value(&mut payload, v);
+                        put_value(&mut out, v);
                     }
                 }
             }
         }
+        // Everything after the schema has a known size.
+        let end = out.len() + 4 + pool_bytes + 8 + arity * slots * 4 + 8 + words.len() * 8;
+        out.reserve_exact(end - out.len());
         // Pool dictionary.
-        put_u32(&mut payload, compacted.len() as u32);
+        put_u32(&mut out, compacted.len() as u32);
         for v in &compacted {
-            put_value(&mut payload, v);
+            put_value(&mut out, v);
         }
-        // Column blocks; dead slots write symbol 0 (bitmap-masked, never
-        // dereferenced).
-        put_u64(&mut payload, slots as u64);
-        for a in 0..arity {
-            let col = self.col(a);
-            for (slot, sym) in col.iter().enumerate() {
-                let raw = if self.is_live(slot) { remap[sym.index()] } else { 0 };
-                payload.extend_from_slice(&raw.to_le_bytes());
+        // Column blocks, zeroed first: dead slots write symbol 0
+        // (bitmap-masked, never dereferenced).
+        put_u64(&mut out, slots as u64);
+        for col in &cols {
+            let start = out.len();
+            out.resize(start + slots * 4, 0);
+            let block = out[start..].chunks_mut(64 * 4);
+            for ((&word, syms), dst) in words.iter().zip(col.chunks(64)).zip(block) {
+                each_live(word, syms, |bit, sym| {
+                    dst[4 * bit..4 * bit + 4].copy_from_slice(&remap[sym.index()].to_le_bytes());
+                });
             }
         }
-        // Tombstone bitmap.
-        let nwords = slots.div_ceil(64);
-        put_u64(&mut payload, nwords as u64);
-        for wi in 0..nwords {
-            let mut word = 0u64;
-            for bit in 0..64 {
-                let slot = (wi << 6) | bit;
-                if slot < slots && self.is_live(slot) {
-                    word |= 1 << bit;
-                }
-            }
-            put_u64(&mut payload, word);
+        // Tombstone bitmap: the live words themselves.
+        put_u64(&mut out, words.len() as u64);
+        for &word in words {
+            put_u64(&mut out, word);
         }
+        debug_assert_eq!(out.len(), end);
 
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let sum = checksum(&out[16..]);
+        out[8..16].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
@@ -263,6 +327,15 @@ impl Table {
 
     /// Decode a full `.sdq` image.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<Table> {
+        let _span = revival_obs::Span::start(revival_obs::global().histogram("snapshot_decode_us"));
+        if bytes.starts_with(MAGIC_V1) {
+            return Err(Error::Snapshot {
+                offset: 0,
+                message: "an SDQSNAP1 snapshot, a format this build no longer reads \
+                          (re-save it from CSV)"
+                    .into(),
+            });
+        }
         if bytes.len() < 16 || &bytes[..8] != MAGIC {
             return Err(Error::Snapshot {
                 offset: 0,
@@ -271,7 +344,7 @@ impl Table {
         }
         let stored = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         let payload = &bytes[16..];
-        if fnv1a(payload) != stored {
+        if checksum(payload) != stored {
             return Err(Error::Snapshot {
                 offset: 8,
                 message: "checksum mismatch (corrupt or truncated file)".into(),
@@ -402,6 +475,12 @@ mod tests {
         t
     }
 
+    /// Re-checksum an image whose payload a test has edited.
+    fn reseal(bytes: &mut [u8]) {
+        let sum = checksum(&bytes[16..]);
+        bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+    }
+
     fn assert_same(a: &Table, b: &Table) {
         assert_eq!(a.schema().name(), b.schema().name());
         assert_eq!(a.schema().attributes(), b.schema().attributes());
@@ -484,8 +563,7 @@ mod tests {
         // Trailing garbage (checksummed in, so it decodes past the end).
         let mut long = sample().snapshot_bytes();
         long.push(0xAB);
-        let fixed = fnv1a(&long[16..]);
-        long[8..16].copy_from_slice(&fixed.to_le_bytes());
+        reseal(&mut long);
         match Table::decode_snapshot(&long) {
             Err(Error::Snapshot { message, .. }) => {
                 assert!(message.contains("trailing"), "{message}")
@@ -506,7 +584,7 @@ mod tests {
         put_u32(&mut payload, u32::MAX); // pool count lie
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         assert!(matches!(Table::decode_snapshot(&bytes), Err(Error::Snapshot { .. })));
     }
@@ -527,5 +605,133 @@ mod tests {
         assert!(matches!(vals[1], Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
         assert!(matches!(vals[2], Value::Float(f) if f.is_nan()));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn encode_and_decode_are_timed() {
+        let calls = |name| revival_obs::global().histogram(name).snapshot().count;
+        let (encodes, decodes) = (calls("snapshot_encode_us"), calls("snapshot_decode_us"));
+        Table::decode_snapshot(&sample().snapshot_bytes()).unwrap();
+        // Other tests snapshot concurrently, so these are lower bounds.
+        assert!(calls("snapshot_encode_us") > encodes);
+        assert!(calls("snapshot_decode_us") > decodes);
+    }
+
+    /// A well-checksummed image whose schema names one attribute twice is
+    /// a typed error at the second name — `Schema::new` asserts on
+    /// duplicates, and no file may reach an assert.
+    #[test]
+    fn duplicate_attribute_names_are_a_typed_error() {
+        let schema = Schema::builder("r").attr("ab", Type::Str).attr("cd", Type::Str).build();
+        let mut table = Table::new(schema);
+        table.push(vec!["x".into(), "y".into()]).unwrap();
+        let mut bytes = table.snapshot_bytes();
+        let second = bytes.windows(2).position(|w| w == b"cd").unwrap();
+        bytes[second..second + 2].copy_from_slice(b"ab");
+        reseal(&mut bytes);
+        match Table::decode_snapshot(&bytes) {
+            Err(Error::Snapshot { offset, message }) => {
+                assert_eq!(offset, second - 4, "the second name's length prefix");
+                assert!(message.contains("duplicate attribute `ab`"), "{message}");
+            }
+            other => panic!("expected Error::Snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v1_images_are_refused_at_offset_0() {
+        let mut bytes = sample().snapshot_bytes();
+        assert_eq!(&bytes[..8], b"SDQSNAP2");
+        bytes[..8].copy_from_slice(MAGIC_V1);
+        // Sealed or not, an old image is named, not read.
+        for sealed in [false, true] {
+            if sealed {
+                let sum = v1_checksum(&bytes[16..]);
+                bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+            }
+            match Table::decode_snapshot(&bytes) {
+                Err(Error::Snapshot { offset: 0, message }) => {
+                    assert!(message.contains("SDQSNAP1"), "{message}")
+                }
+                other => panic!("expected a typed v1 refusal, got {other:?}"),
+            }
+        }
+    }
+
+    /// The version-1 checksum: FNV-1a a byte at a time.
+    fn v1_checksum(payload: &[u8]) -> u64 {
+        payload.iter().fold(BASIS, |h, &b| fnv_step(h, u64::from(b)))
+    }
+
+    /// The table behind the churned golden: 300 slots, slots 128 and up
+    /// thinned by every 7th, so the bitmap holds full words and partial
+    /// ones.
+    fn churned() -> Table {
+        let s = Schema::builder("churned")
+            .attr("a", Type::Str)
+            .attr("n", Type::Int)
+            .attr("x", Type::Float)
+            .build();
+        let mut t = Table::new(s);
+        for i in 0..300i64 {
+            let n = if i % 11 == 0 { Value::Null } else { Value::Int(i % 37) };
+            let a = format!("s{}", (i * 7919) % 101);
+            t.push(vec![a.into(), n, Value::Float((i % 13) as f64 / 4.0)]).unwrap();
+        }
+        for i in (128..300u64).filter(|i| i % 7 == 0) {
+            t.delete(TupleId(i)).unwrap();
+        }
+        t
+    }
+
+    /// The payload layout did not change with the checksum: these are the
+    /// bytes (and, for the larger table, the length and bytewise FNV-1a)
+    /// the version-1 writer produced.
+    #[test]
+    fn payload_bytes_match_the_v1_writer() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let plain = [
+            "08000000637573746f6d6572030000000200000063630300010000006e010004",
+            "000000666c616700010200000001010100070000000402000000343402010000",
+            "0000000000010104020000003031020200000000000000010000030000000000",
+            "0000000000000300000000000000010000000400000006000000020000000500",
+            "00000200000001000000000000000700000000000000",
+        ];
+        assert_eq!(hex(&sample().snapshot_bytes()[16..]), plain.concat());
+        let mut t = sample();
+        t.delete(TupleId(1)).unwrap();
+        let deleted = [
+            "08000000637573746f6d6572030000000200000063630300010000006e010004",
+            "000000666c616700010200000001010100040000000402000000343402010000",
+            "0000000000010100030000000000000000000000000000000000000001000000",
+            "0000000003000000020000000000000002000000010000000000000005000000",
+            "00000000",
+        ];
+        assert_eq!(hex(&t.snapshot_bytes()[16..]), deleted.concat());
+        let bytes = churned().snapshot_bytes();
+        assert_eq!((bytes.len() - 16, v1_checksum(&bytes[16..])), (4946, 0x108a62d9d6bc9dfd));
+    }
+
+    /// Every single-bit flip anywhere in the payload — in each of the
+    /// four lanes and in the bytewise tail — fails the checksum.
+    #[test]
+    fn every_payload_bit_flip_fails_the_checksum() {
+        for table in [sample(), churned()] {
+            let bytes = table.snapshot_bytes();
+            let stored = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+            assert_eq!(checksum(&bytes[16..]), stored);
+            let mut bad = bytes.clone();
+            for at in 16..bytes.len() {
+                for bit in 0..8 {
+                    bad[at] ^= 1 << bit;
+                    let err = Table::decode_snapshot(&bad);
+                    assert!(
+                        matches!(err, Err(Error::Snapshot { offset: 8, .. })),
+                        "flip of bit {bit} at byte {at}: {err:?}"
+                    );
+                    bad[at] ^= 1 << bit;
+                }
+            }
+        }
     }
 }

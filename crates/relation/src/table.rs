@@ -119,6 +119,13 @@ impl Table {
         &self.cols[attr]
     }
 
+    /// The live bitmap: word `w` holds slots `64w..64w + 64`, bit set =
+    /// live, no bit set at or past [`Table::slots`] — the snapshot
+    /// writer's word-at-a-time view.
+    pub(crate) fn live_words(&self) -> &[u64] {
+        &self.live
+    }
+
     /// Live slot indices in ascending order — the scan driver for every
     /// columnar kernel. Word-at-a-time over the bitmap.
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {

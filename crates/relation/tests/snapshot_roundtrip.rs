@@ -109,28 +109,3 @@ proptest! {
         }
     }
 }
-
-/// A well-checksummed image whose schema names one attribute twice is a
-/// typed error at the second name — `Schema::new` asserts on duplicates,
-/// and no file may reach an assert.
-#[test]
-fn duplicate_attribute_names_are_a_typed_error() {
-    let schema = Schema::builder("r").attr("ab", Type::Str).attr("cd", Type::Str).build();
-    let mut table = Table::new(schema);
-    table.push(vec!["x".into(), "y".into()]).unwrap();
-    let mut bytes = table.snapshot_bytes();
-    let second = bytes.windows(2).position(|w| w == b"cd").unwrap();
-    bytes[second..second + 2].copy_from_slice(b"ab");
-    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[16..] {
-        fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    bytes[8..16].copy_from_slice(&fnv.to_le_bytes());
-    match Table::decode_snapshot(&bytes) {
-        Err(Error::Snapshot { offset, message }) => {
-            assert_eq!(offset, second - 4, "the second name's length prefix");
-            assert!(message.contains("duplicate attribute `ab`"), "{message}");
-        }
-        other => panic!("expected Error::Snapshot, got {other:?}"),
-    }
-}

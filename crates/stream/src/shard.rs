@@ -994,6 +994,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A state directory checkpointed in the `SDQSNAP1` format does not
+    /// open: its snapshot is a typed error at offset 0, and the file is
+    /// left as it was — never a relation restored empty and checkpointed
+    /// over it.
+    #[test]
+    fn v1_checkpoint_is_a_typed_error_not_an_empty_relation() {
+        let dir = tmp_dir("v1");
+        let opts = ServeOptions { shards: 1, state: Some(dir.clone()), ..Default::default() };
+        {
+            let (tier, _) = ShardedSession::open(&opts).unwrap();
+            assert!(tier.handle(&register("t", "a,b\n1,x\n", "t([a] -> [b])")).is_ok());
+            assert!(tier.handle(&Request::Checkpoint).is_ok());
+        }
+        let sdq = dir.join("shard-0").join("t.sdq");
+        let mut bytes = std::fs::read(&sdq).unwrap();
+        bytes[..8].copy_from_slice(b"SDQSNAP1");
+        std::fs::write(&sdq, &bytes).unwrap();
+        match ShardedSession::open(&opts) {
+            Err(Error::Snapshot { offset: 0, message }) => {
+                assert!(message.contains("SDQSNAP1"), "{message}")
+            }
+            Err(other) => panic!("expected a typed v1 refusal, got {other:?}"),
+            Ok((_, summary)) => panic!("a v1 checkpoint opened: {summary:?}"),
+        }
+        assert_eq!(std::fs::read(&sdq).unwrap(), bytes, "the v1 file must be left as it was");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn shard_count_can_change_across_restarts() {
         let dir = tmp_dir("reshard");

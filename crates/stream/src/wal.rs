@@ -55,7 +55,10 @@ use revival_relation::{durable, Error, Result};
 /// `[len: u32][checksum: u64]` prefix ahead of every payload.
 const HEADER: usize = 4 + 8;
 
-/// FNV-1a, the same hash the `.sdq` snapshot trailer uses.
+/// FNV-1a a byte at a time. It stays bytewise (the `.sdq` snapshot's
+/// checksum went to word lanes): a frame whose sum no longer matches
+/// reads as a torn tail, so a new hash would silently truncate every
+/// log an older build wrote.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
