@@ -24,11 +24,28 @@
 //! procedures (not heuristics) for the bounded fragment. Searches carry
 //! a configurable node budget; exceeding it returns
 //! [`Outcome::ResourceLimit`] rather than a wrong answer.
+//!
+//! ## What a search node reads
+//!
+//! A constant row can only be falsified once every attribute it reads —
+//! its non-`_` LHS positions and its RHS — is assigned. The
+//! satisfiability search assigns attributes in ascending order, so it
+//! indexes the constant rows once per call by the *last* attribute each
+//! reads, and a node that assigns `a` checks only the rows filed under
+//! `a`: those the assignment completes. A row is then checked once per
+//! value tried for that one attribute — under 2 checks per row on a
+//! mined hospital suite, where checking the whole suite at every node
+//! and again at the leaf read every row 12–15 times. The implication
+//! searches still check every constant row: they only run on suites
+//! small enough for the full cover. The witness domains are
+//! deduplicated by hash, and only the distinct constants are sorted and
+//! cloned.
 
 use crate::cfd::{merge_by_embedded_fd, Cfd};
-use crate::pattern::PatternValue;
+use crate::pattern::{PatternRow, PatternValue};
+use revival_relation::groupby::FoldState;
 use revival_relation::{Schema, Value};
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// Result of a static-analysis query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,32 +90,25 @@ impl Sym {
     }
 }
 
-/// Per-attribute symbolic domains for the witness search.
+/// Per-attribute symbolic domains for the witness search: a finite
+/// attribute's declared values, any other's suite constants in value
+/// order plus two fresh values.
 fn domains(schema: &Schema, cfds: &[Cfd], extra: Option<&Cfd>) -> Vec<Vec<Sym>> {
     let arity = schema.arity();
-    let mut consts: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); arity];
-    let mut collect = |cfd: &Cfd| {
-        let mut add = |a: usize, p: &PatternValue| match p {
-            PatternValue::Const(c) | PatternValue::NotConst(c) => {
-                consts[a].insert(c.clone());
-            }
-            PatternValue::OneOf(cs) => {
-                consts[a].extend(cs.iter().cloned());
-            }
-            PatternValue::Wildcard => {}
-        };
+    // Each attribute's distinct constants, in first-seen order.
+    let mut consts: Vec<Vec<&Value>> = vec![Vec::new(); arity];
+    let mut seen: HashSet<(usize, &Value), FoldState> = HashSet::default();
+    for cfd in cfds.iter().chain(extra) {
         for row in &cfd.tableau {
-            for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
-                add(a, p);
+            for (p, &a) in row.lhs.iter().zip(&cfd.lhs).chain([(&row.rhs, &cfd.rhs)]) {
+                let vals = match p {
+                    PatternValue::Const(c) | PatternValue::NotConst(c) => std::slice::from_ref(c),
+                    PatternValue::OneOf(cs) => cs.as_slice(),
+                    PatternValue::Wildcard => &[],
+                };
+                consts[a].extend(vals.iter().filter(|&v| seen.insert((a, v))));
             }
-            add(cfd.rhs, &row.rhs);
         }
-    };
-    for cfd in cfds {
-        collect(cfd);
-    }
-    if let Some(cfd) = extra {
-        collect(cfd);
     }
     (0..arity)
         .map(|a| {
@@ -106,52 +116,59 @@ fn domains(schema: &Schema, cfds: &[Cfd], extra: Option<&Cfd>) -> Vec<Vec<Sym>> 
                 // Finite domain: the witness must take a declared value.
                 dom.iter().map(|v| Sym::Const(v.clone())).collect()
             } else {
-                let mut d: Vec<Sym> = consts[a].iter().map(|v| Sym::Const(v.clone())).collect();
-                d.push(Sym::Fresh(0));
-                d.push(Sym::Fresh(1));
-                d
+                consts[a].sort_unstable();
+                let vals = consts[a].iter().map(|&v| Sym::Const(v.clone()));
+                vals.chain([Sym::Fresh(0), Sym::Fresh(1)]).collect()
             }
         })
         .collect()
 }
 
-/// Check all *constant* rows of `cfds` against a fully/partially assigned
+/// A constant tableau row and the CFD that names its attributes.
+type ConstRow<'a> = (&'a Cfd, &'a PatternRow);
+
+/// Every constant row of `cfds` (any row whose RHS restricts values),
+/// in suite order.
+fn constant_rows(cfds: &[Cfd]) -> impl Iterator<Item = ConstRow<'_>> {
+    cfds.iter().flat_map(|cfd| {
+        cfd.tableau.iter().filter(|row| !row.rhs.is_wildcard()).map(move |row| (cfd, row))
+    })
+}
+
+/// Check the constant rows `rows` against a fully/partially assigned
 /// tuple. `None` entries are unassigned; a row only fails when every
 /// relevant position is assigned and the implication is falsified.
-fn constant_rows_ok(cfds: &[Cfd], t: &[Option<Sym>]) -> bool {
-    for cfd in cfds {
-        for row in &cfd.tableau {
-            if row.rhs.is_wildcard() {
-                continue;
+fn constant_rows_ok<'a>(rows: impl IntoIterator<Item = ConstRow<'a>>, t: &[Option<Sym>]) -> bool {
+    for (cfd, row) in rows {
+        #[cfg(test)]
+        ROWS_CHECKED.with(|n| n.set(n.get() + 1));
+        // Does the (partial) tuple definitely match the LHS pattern?
+        let mut definite_match = true;
+        for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
+            if p.is_wildcard() {
+                continue; // matches any value, assigned or not
             }
-            // Does the (partial) tuple definitely match the LHS pattern?
-            let mut definite_match = true;
-            for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
-                if p.is_wildcard() {
-                    continue; // matches any value, assigned or not
-                }
-                match &t[a] {
-                    Some(v) => {
-                        if !v.matches(p) {
-                            definite_match = false;
-                            break;
-                        }
-                    }
-                    None => {
+            match &t[a] {
+                Some(v) => {
+                    if !v.matches(p) {
                         definite_match = false;
                         break;
                     }
                 }
-            }
-            if definite_match {
-                if let Some(v) = &t[cfd.rhs] {
-                    if !v.matches(&row.rhs) {
-                        return false;
-                    }
+                None => {
+                    definite_match = false;
+                    break;
                 }
-                // RHS unassigned: propagation happens implicitly when it
-                // gets assigned (this function is re-run).
             }
+        }
+        if definite_match {
+            if let Some(v) = &t[cfd.rhs] {
+                if !v.matches(&row.rhs) {
+                    return false;
+                }
+            }
+            // RHS unassigned: propagation happens implicitly when it
+            // gets assigned (the row is checked again then).
         }
     }
     true
@@ -198,43 +215,53 @@ fn variable_rows_ok(cfds: &[Cfd], t1: &[Option<Sym>], t2: &[Option<Sym>]) -> boo
 /// some single tuple satisfies every constant row (variable rows are
 /// vacuous on one tuple).
 pub fn is_satisfiable(schema: &Schema, cfds: &[Cfd], node_budget: usize) -> Outcome {
+    let mut budget = node_budget;
+    search_satisfiable(schema, cfds, &mut budget)
+}
+
+/// [`is_satisfiable`], spending nodes from `budget`.
+fn search_satisfiable(schema: &Schema, cfds: &[Cfd], budget: &mut usize) -> Outcome {
     let doms = domains(schema, cfds, None);
     let arity = schema.arity();
     let mut t: Vec<Option<Sym>> = vec![None; arity];
     // Only attributes that appear in some constant row matter; leave the
-    // rest unassigned (any fresh value works).
+    // rest unassigned (any fresh value works). The search assigns them
+    // in ascending order, so a constant row can only be falsified once
+    // the last attribute it reads is assigned: it is filed there alone.
     let mut relevant = vec![false; arity];
-    for cfd in cfds {
-        for row in &cfd.tableau {
-            if row.rhs.is_wildcard() {
-                continue;
-            }
-            relevant[cfd.rhs] = true;
-            for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
-                // Wildcard LHS positions match anything; only constant
-                // positions and finite-domain attributes can prune.
-                if !p.is_wildcard() || schema.attribute(a).is_finite() {
-                    relevant[a] = true;
-                }
+    let mut by_attr: Vec<Vec<ConstRow<'_>>> = vec![Vec::new(); arity];
+    for (cfd, row) in constant_rows(cfds) {
+        relevant[cfd.rhs] = true;
+        for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
+            // Wildcard LHS positions match anything; only constant
+            // positions and finite-domain attributes can prune.
+            if !p.is_wildcard() || schema.attribute(a).is_finite() {
+                relevant[a] = true;
             }
         }
+        let reads = row.lhs.iter().zip(&cfd.lhs).filter(|(p, _)| !p.is_wildcard());
+        let last = reads.map(|(_, &a)| a).fold(cfd.rhs, usize::max);
+        by_attr[last].push((cfd, row));
     }
     let order: Vec<usize> = (0..arity).filter(|&a| relevant[a]).collect();
-    let mut budget = node_budget;
-    if search_tuple(&order, 0, &doms, cfds, &mut t, &mut budget) {
+    if search_tuple(&order, 0, &doms, &by_attr, &mut t, budget) {
         Outcome::Yes
-    } else if budget == 0 {
+    } else if *budget == 0 {
         Outcome::ResourceLimit
     } else {
         Outcome::No
     }
 }
 
+/// Assign `order[depth..]` in turn. Every constant row held at the
+/// parent node, and a row can only fail once the last attribute it
+/// reads is assigned, so assigning `a` checks `by_attr[a]` alone — and a
+/// complete tuple has already had every row checked.
 fn search_tuple(
     order: &[usize],
     depth: usize,
     doms: &[Vec<Sym>],
-    cfds: &[Cfd],
+    by_attr: &[Vec<ConstRow<'_>>],
     t: &mut Vec<Option<Sym>>,
     budget: &mut usize,
 ) -> bool {
@@ -243,12 +270,14 @@ fn search_tuple(
     }
     *budget -= 1;
     if depth == order.len() {
-        return constant_rows_ok(cfds, t);
+        return true;
     }
     let a = order[depth];
     for v in &doms[a] {
         t[a] = Some(v.clone());
-        if constant_rows_ok(cfds, t) && search_tuple(order, depth + 1, doms, cfds, t, budget) {
+        if constant_rows_ok(by_attr[a].iter().copied(), t)
+            && search_tuple(order, depth + 1, doms, by_attr, t, budget)
+        {
             return true;
         }
     }
@@ -338,7 +367,7 @@ fn search_ce_const(
             .zip(&phi.lhs)
             .all(|(p, &a)| t[a].as_ref().map(|v| v.matches(p)).unwrap_or(false));
         let rhs_bad = t[phi.rhs].as_ref().map(|v| !v.matches(&row.rhs)).unwrap_or(false);
-        return lhs_ok && rhs_bad && constant_rows_ok(sigma, t);
+        return lhs_ok && rhs_bad && constant_rows_ok(constant_rows(sigma), t);
     }
     let a = order[depth];
     for v in &doms[a] {
@@ -353,7 +382,7 @@ fn search_ce_const(
             continue; // the RHS value must falsify the RHS pattern
         }
         t[a] = Some(v.clone());
-        if constant_rows_ok(sigma, t)
+        if constant_rows_ok(constant_rows(sigma), t)
             && search_ce_const(order, depth + 1, doms, sigma, phi, t, budget)
         {
             return true;
@@ -389,7 +418,7 @@ fn search_ce_var(
                 .iter()
                 .zip(&phi.lhs)
                 .all(|(p, &a)| t1[a].as_ref().map(|v| v.matches(p)).unwrap_or(false));
-            if !lhs_ok || !constant_rows_ok(sigma, t1) {
+            if !lhs_ok || !constant_rows_ok(constant_rows(sigma), t1) {
                 return false;
             }
             return search_ce_var(order, 0, false, doms, sigma, phi, t1, t2, budget);
@@ -399,7 +428,7 @@ fn search_ce_var(
         let differ_a = t1[phi.rhs] != t2[phi.rhs];
         return agree_x
             && differ_a
-            && constant_rows_ok(sigma, t2)
+            && constant_rows_ok(constant_rows(sigma), t2)
             && variable_rows_ok(sigma, t1, t2);
     }
     let a = order[depth];
@@ -423,9 +452,9 @@ fn search_ce_var(
             t2[a] = Some(v);
         }
         let ok = if first {
-            constant_rows_ok(sigma, t1)
+            constant_rows_ok(constant_rows(sigma), t1)
         } else {
-            constant_rows_ok(sigma, t2) && variable_rows_ok(sigma, t1, t2)
+            constant_rows_ok(constant_rows(sigma), t2) && variable_rows_ok(sigma, t1, t2)
         };
         if ok && search_ce_var(order, depth + 1, first, doms, sigma, phi, t1, t2, budget) {
             return true;
@@ -514,10 +543,240 @@ pub fn minimal_cover(schema: &Schema, cfds: &[Cfd], node_budget: usize) -> (Vec<
 pub const DEFAULT_BUDGET: usize = 2_000_000;
 
 #[cfg(test)]
+thread_local! {
+    /// Constant rows this thread's searches have checked — the
+    /// satisfiability search's work count.
+    static ROWS_CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_cfds;
+    use proptest::prelude::*;
     use revival_relation::Type;
+    use std::collections::BTreeSet;
+
+    /// `domains` as it stood before the hashed dedup: an ordered set of
+    /// cloned constants per attribute. Kept verbatim for the oracle.
+    fn domains_ordered_sets(schema: &Schema, cfds: &[Cfd]) -> Vec<Vec<Sym>> {
+        let arity = schema.arity();
+        let mut consts: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); arity];
+        let mut collect = |cfd: &Cfd| {
+            let mut add = |a: usize, p: &PatternValue| match p {
+                PatternValue::Const(c) | PatternValue::NotConst(c) => {
+                    consts[a].insert(c.clone());
+                }
+                PatternValue::OneOf(cs) => {
+                    consts[a].extend(cs.iter().cloned());
+                }
+                PatternValue::Wildcard => {}
+            };
+            for row in &cfd.tableau {
+                for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
+                    add(a, p);
+                }
+                add(cfd.rhs, &row.rhs);
+            }
+        };
+        for cfd in cfds {
+            collect(cfd);
+        }
+        (0..arity)
+            .map(|a| {
+                if let Some(dom) = &schema.attribute(a).finite_domain {
+                    dom.iter().map(|v| Sym::Const(v.clone())).collect()
+                } else {
+                    let mut d: Vec<Sym> = consts[a].iter().map(|v| Sym::Const(v.clone())).collect();
+                    d.push(Sym::Fresh(0));
+                    d.push(Sym::Fresh(1));
+                    d
+                }
+            })
+            .collect()
+    }
+
+    /// The search as it stood before the attribute index: every node,
+    /// and the leaf again, checks every constant row of the suite. Kept
+    /// as the oracle for the outcome *and* the nodes spent.
+    fn is_satisfiable_full_scan(schema: &Schema, cfds: &[Cfd], budget: &mut usize) -> Outcome {
+        fn search(
+            order: &[usize],
+            depth: usize,
+            doms: &[Vec<Sym>],
+            cfds: &[Cfd],
+            t: &mut Vec<Option<Sym>>,
+            budget: &mut usize,
+        ) -> bool {
+            if *budget == 0 {
+                return false;
+            }
+            *budget -= 1;
+            if depth == order.len() {
+                return constant_rows_ok(constant_rows(cfds), t);
+            }
+            let a = order[depth];
+            for v in &doms[a] {
+                t[a] = Some(v.clone());
+                if constant_rows_ok(constant_rows(cfds), t)
+                    && search(order, depth + 1, doms, cfds, t, budget)
+                {
+                    return true;
+                }
+            }
+            t[a] = None;
+            false
+        }
+        let doms = domains_ordered_sets(schema, cfds);
+        let arity = schema.arity();
+        let mut t: Vec<Option<Sym>> = vec![None; arity];
+        let mut relevant = vec![false; arity];
+        for cfd in cfds {
+            for row in &cfd.tableau {
+                if row.rhs.is_wildcard() {
+                    continue;
+                }
+                relevant[cfd.rhs] = true;
+                for (p, &a) in row.lhs.iter().zip(&cfd.lhs) {
+                    if !p.is_wildcard() || schema.attribute(a).is_finite() {
+                        relevant[a] = true;
+                    }
+                }
+            }
+        }
+        let order: Vec<usize> = (0..arity).filter(|&a| relevant[a]).collect();
+        if search(&order, 0, &doms, cfds, &mut t, budget) {
+            Outcome::Yes
+        } else if *budget == 0 {
+            Outcome::ResourceLimit
+        } else {
+            Outcome::No
+        }
+    }
+
+    /// `(outcome, nodes spent)` of the indexed search and of the oracle.
+    fn both_searches(schema: &Schema, cfds: &[Cfd], budget: usize) -> [(Outcome, usize); 2] {
+        let (mut fast, mut slow) = (budget, budget);
+        let fast = (search_satisfiable(schema, cfds, &mut fast), budget - fast);
+        let slow = (is_satisfiable_full_scan(schema, cfds, &mut slow), budget - slow);
+        [fast, slow]
+    }
+
+    /// Four attributes over `v0..v2` where finite; bit `i` of `finite`
+    /// makes attribute `i` finite.
+    fn search_schema(finite: u8) -> Schema {
+        let dom: Vec<Value> = (0..3).map(|i| Value::str(format!("v{i}"))).collect();
+        let mut b = Schema::builder("r");
+        for (i, name) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            b = if finite >> i & 1 == 1 {
+                b.attr_in(name, Type::Str, dom.clone())
+            } else {
+                b.attr(name, Type::Str)
+            };
+        }
+        b.build()
+    }
+
+    /// LHS cells: `_` most often, constants (`v3` lies outside every
+    /// finite domain), `≠` and `∈`.
+    fn lhs_cell(code: u8) -> PatternValue {
+        let v = |i: u8| Value::str(format!("v{i}"));
+        match code {
+            0..=3 => PatternValue::Wildcard,
+            4..=7 => PatternValue::Const(v(code - 4)),
+            8 | 9 => PatternValue::NotConst(v(code - 8)),
+            10 => PatternValue::OneOf(vec![v(0), v(1)]),
+            _ => PatternValue::OneOf(vec![v(2), v(3)]),
+        }
+    }
+
+    /// RHS cells: `_` (a variable row, invisible to the search) or a
+    /// restriction.
+    fn rhs_cell(code: u8) -> PatternValue {
+        let v = |i: u8| Value::str(format!("v{i}"));
+        match code {
+            0..=2 => PatternValue::Wildcard,
+            3..=6 => PatternValue::Const(v(code - 3)),
+            7 => PatternValue::NotConst(v(1)),
+            8 => PatternValue::OneOf(vec![v(0), v(2)]),
+            _ => PatternValue::OneOf(vec![v(1), v(3)]),
+        }
+    }
+
+    type CfdCodes = (u8, u8, Vec<(u8, u8, u8, u8)>);
+
+    /// A CFD over one of six LHS lists (one repeats its RHS attribute
+    /// on the LHS), rows from codes.
+    fn search_cfd((lhs, rhs, rows): &CfdCodes) -> Cfd {
+        let lhs = [&[0][..], &[1], &[0, 1], &[1, 2], &[0, 2, 3], &[2, 3]][*lhs as usize].to_vec();
+        let tableau = rows
+            .iter()
+            .map(|&(x, y, z, r)| {
+                let cells = [x, y, z][..lhs.len()].iter().map(|&c| lhs_cell(c)).collect();
+                PatternRow::new(cells, rhs_cell(r))
+            })
+            .collect();
+        Cfd { relation: "r".into(), lhs, rhs: *rhs as usize, tableau }
+    }
+
+    fn cfd_codes() -> impl Strategy<Value = CfdCodes> {
+        (0u8..6, 0u8..4, prop::collection::vec((0u8..12, 0u8..12, 0u8..12, 0u8..10), 1..=3))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn indexed_search_spends_what_the_full_scan_spends(
+            finite in 0u8..16,
+            codes in prop::collection::vec(cfd_codes(), 1..=6),
+        ) {
+            let schema = search_schema(finite);
+            let suite: Vec<Cfd> = codes.iter().map(search_cfd).collect();
+            let [fast, slow] = both_searches(&schema, &suite, DEFAULT_BUDGET);
+            prop_assert_eq!(&fast, &slow);
+            // Every budget that runs out before the end, and the ones
+            // that just do not.
+            let spent = slow.1;
+            let budgets = (1..=spent.min(24)).chain(spent.saturating_sub(1)..=spent + 1);
+            for budget in budgets.filter(|&b| b > 0) {
+                let [fast, slow] = both_searches(&schema, &suite, budget);
+                prop_assert_eq!(fast, slow, "budget {}", budget);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mined_suite_is_checked_at_most_three_times_per_row() {
+        use revival_dirty::hospital::{attrs, generate, HospitalConfig};
+        use revival_dirty::noise::{inject, NoiseConfig};
+        use revival_discovery::{
+            DiscoverJob, DiscoverOptions, DiscoveryEngine, SequentialDiscovery,
+        };
+        let data = generate(&HospitalConfig { rows: 1_500, ..Default::default() });
+        let noise =
+            NoiseConfig::new(0.02, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 7);
+        let table = inject(&data.table, &noise).dirty;
+        let opts = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };
+        let mined = SequentialDiscovery.run(&DiscoverJob::on_table(&table, opts)).unwrap().vetted;
+        // Discovery links its own build of this crate: cross over as text.
+        let schema = table.schema();
+        let text: String = mined.iter().map(|cfd| format!("{}\n", cfd.display(schema))).collect();
+        let suite = parse_cfds(&text, schema).unwrap();
+        let rows = constant_rows(&suite).count() as u64;
+        assert!(rows >= 5_000, "{rows} constant row(s): too small to tell");
+
+        ROWS_CHECKED.with(|n| n.set(0));
+        assert_eq!(is_satisfiable(schema, &suite, DEFAULT_BUDGET), Outcome::Yes);
+        let checked = ROWS_CHECKED.with(|n| n.get());
+        // A row is checked once per value tried for the last attribute
+        // it reads, and a mined row reads at most three (two LHS
+        // constants and the RHS). Checking every row at each of the
+        // search's nodes read each 12 times here.
+        assert!(checked <= 3 * rows, "{checked} row checks for {rows} constant row(s)");
+        let [fast, slow] = both_searches(schema, &suite, DEFAULT_BUDGET);
+        assert_eq!(fast, slow);
+    }
 
     fn schema() -> Schema {
         Schema::builder("r").attr("a", Type::Str).attr("b", Type::Str).attr("c", Type::Str).build()

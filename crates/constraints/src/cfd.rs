@@ -21,9 +21,20 @@
 //! and both match `tp[X]`, then `t1[A] = t2[A]` and both match `tp[A]`.
 //! With `t1 = t2` this yields the single-tuple semantics of constant
 //! rows.
+//!
+//! ## Vetting a mined suite
+//!
+//! [`merge_by_embedded_fd`] and [`Cfd::prune_subsumed_rows`] are the
+//! cheap cover discovery runs over every mined tableau row, so both pay
+//! per row, not per comparison: each row is hashed once, through a
+//! seeded [`FoldState`] rather than SipHash, and pruning threads rows
+//! that share an LHS onto one chain of links instead of a vector per
+//! distinct LHS — a tableau costs a fixed handful of allocations to
+//! prune, however many LHSs it holds.
 
 use crate::fd::Fd;
 use crate::pattern::{PatternRow, PatternValue};
+use revival_relation::groupby::FoldState;
 use revival_relation::{AttrId, Error, Result, Schema, Table, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -192,45 +203,43 @@ impl Cfd {
         true
     }
 
-    /// Do both CFDs condition the same embedded FD `(relation, X → A)`?
-    pub fn same_embedded_fd(&self, other: &Cfd) -> bool {
-        self.relation == other.relation && self.lhs == other.lhs && self.rhs == other.rhs
-    }
-
-    /// Merge another CFD's tableau into this one if both share the same
-    /// embedded FD. Returns `false` (and leaves `self` unchanged) when
-    /// the embedded FDs differ.
-    pub fn merge(&mut self, other: &Cfd) -> bool {
-        if !self.same_embedded_fd(other) {
-            return false;
-        }
-        for row in &other.tableau {
-            if !self.tableau.contains(row) {
-                self.tableau.push(row.clone());
-            }
-        }
-        true
-    }
-
     /// Drop tableau rows subsumed by other rows in the same CFD (of
     /// mutually subsuming rows the first stays). A row is compared only
     /// with the rows that *can* subsume it — those sharing its LHS and
     /// those with a non-`Const` LHS pattern, since an all-`Const` LHS
     /// subsumes only an identical LHS — so a mined tableau of distinct
     /// constant rows prunes in linear time.
+    ///
+    /// Rows sharing an LHS form a chain: one hash per row finds the
+    /// chain's first row, and `links[i]` holds row `i`'s chain head and
+    /// the next row after `i` on it, in ascending order. The whole index
+    /// is three allocations, however many distinct LHSs the tableau has.
     pub fn prune_subsumed_rows(&mut self) {
+        const END: usize = usize::MAX;
         let rows = std::mem::take(&mut self.tableau);
-        let mut same_lhs: HashMap<&[PatternValue], Vec<usize>> = HashMap::new();
+        // LHS → (first, last) row of its chain.
+        let mut chains: HashMap<&[PatternValue], (usize, usize), FoldState> =
+            HashMap::with_capacity_and_hasher(rows.len(), FoldState::new());
+        let mut links: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
         let mut general: Vec<usize> = Vec::new();
         for (i, r) in rows.iter().enumerate() {
-            same_lhs.entry(&r.lhs).or_default().push(i);
+            let (first, last) = chains.entry(&r.lhs).or_insert((i, i));
+            if *last != i {
+                links[*last].1 = i;
+                *last = i;
+            }
+            links.push((*first, END));
             if r.lhs.iter().any(|p| p.as_const().is_none()) {
                 general.push(i);
             }
         }
+        drop(chains);
+        let chain = |i: usize| {
+            std::iter::successors(Some(links[i].0), |&j| Some(links[j].1).filter(|&n| n != END))
+        };
         let subsumed: Vec<bool> = (rows.iter().enumerate())
             .map(|(i, r)| {
-                same_lhs[r.lhs.as_slice()].iter().chain(&general).any(|&j| {
+                chain(i).chain(general.iter().copied()).any(|j| {
                     let other = &rows[j];
                     j != i && other.subsumes(r) && !(r.subsumes(other) && j > i)
                 })
@@ -276,17 +285,18 @@ impl Cfd {
 /// (duplicate rows kept once) — one CFD per embedded FD, in first-seen
 /// order. Repair and the static analyses reason per embedded FD over
 /// this form; detection does the same grouping inside its scan. Groups
-/// and their rows are found by hash, so the merge is linear in rows.
+/// and their rows are found by hash ([`FoldState`], seeded per map), so
+/// the merge is linear in rows and clones each kept row once.
 pub fn merge_by_embedded_fd<'a>(cfds: impl IntoIterator<Item = &'a Cfd>) -> Vec<Cfd> {
     let mut out: Vec<Cfd> = Vec::new();
     // Embedded FD → its CFD in `out` and the rows that tableau holds.
-    type Group<'a> = (usize, HashSet<&'a PatternRow>);
-    let mut groups: HashMap<(&str, &[AttrId], AttrId), Group<'a>> = HashMap::new();
+    type Group<'a> = (usize, HashSet<&'a PatternRow, FoldState>);
+    let mut groups: HashMap<(&str, &[AttrId], AttrId), Group<'a>, FoldState> = HashMap::default();
     for cfd in cfds {
         let (at, seen) = groups.entry((&cfd.relation, &cfd.lhs, cfd.rhs)).or_insert_with(|| {
             let (relation, lhs) = (cfd.relation.clone(), cfd.lhs.clone());
             out.push(Cfd { relation, lhs, rhs: cfd.rhs, tableau: Vec::new() });
-            (out.len() - 1, HashSet::new())
+            (out.len() - 1, HashSet::default())
         });
         for row in &cfd.tableau {
             if seen.insert(row) {
@@ -426,7 +436,7 @@ mod tests {
         let s = schema();
         let mut a = uk_cfd(&s);
         let b = Cfd::new(&s, &["cc", "zip"], "street", vec![PatternRow::all_wildcards(2)]).unwrap();
-        assert!(a.merge(&b));
+        assert!(merge(&mut a, &b));
         assert_eq!(a.tableau.len(), 2);
         // The all-wildcard row subsumes the cc='44' row.
         a.prune_subsumed_rows();
@@ -434,7 +444,7 @@ mod tests {
         assert!(a.tableau[0].is_embedded_fd_row());
         // Different embedded FD → merge refuses.
         let c = city_cfd(&s);
-        assert!(!a.merge(&c));
+        assert!(!merge(&mut a, &c));
     }
 
     #[test]
@@ -484,7 +494,8 @@ mod tests {
         // A multi-row tableau renders as a block — the head once, one
         // line per row — and parses back to the one CFD it was.
         let mut multi = uk_cfd(&s);
-        assert!(multi.merge(
+        assert!(merge(
+            &mut multi,
             &Cfd::new(&s, &["cc", "zip"], "street", vec![PatternRow::all_wildcards(2)]).unwrap()
         ));
         let text = multi.display(&s).to_string();
@@ -537,16 +548,37 @@ mod tests {
         cfd.tableau = kept;
     }
 
+    /// Do both CFDs condition the same embedded FD `(relation, X → A)`?
+    fn same_embedded_fd(a: &Cfd, b: &Cfd) -> bool {
+        a.relation == b.relation && a.lhs == b.lhs && a.rhs == b.rhs
+    }
+
+    /// Merge `other`'s tableau into `cfd` if both share the same embedded
+    /// FD, each row kept once. Returns `false` (and leaves `cfd`
+    /// unchanged) when the embedded FDs differ. The linear oracle's
+    /// step, once a `Cfd` method.
+    fn merge(cfd: &mut Cfd, other: &Cfd) -> bool {
+        if !same_embedded_fd(cfd, other) {
+            return false;
+        }
+        for row in &other.tableau {
+            if !cfd.tableau.contains(row) {
+                cfd.tableau.push(row.clone());
+            }
+        }
+        true
+    }
+
     /// `merge_by_embedded_fd` as it stood before the hashes: a linear
     /// `any` over the merged list, a linear `contains` per row (inside
-    /// [`Cfd::merge`]). Kept verbatim as the oracle.
+    /// [`merge`]). Kept verbatim as the oracle.
     fn merge_by_embedded_fd_linear(cfds: &[Cfd]) -> Vec<Cfd> {
         let mut out: Vec<Cfd> = Vec::new();
         for cfd in cfds {
-            if !out.iter_mut().any(|merged| merged.merge(cfd)) {
+            if !out.iter_mut().any(|merged| merge(merged, cfd)) {
                 // Through `merge`, so a tableau repeating a row dedups too.
                 let mut first = Cfd { tableau: Vec::new(), ..cfd.clone() };
-                first.merge(cfd);
+                merge(&mut first, cfd);
                 out.push(first);
             }
         }

@@ -62,14 +62,24 @@
 //! Both parsers run on one scanner (`items`, `split_unquoted`,
 //! `unquote`) that hands out borrowed pieces of the line: nothing is
 //! allocated per item, and a block's attribute names are resolved once,
-//! at its head.
+//! at its head. String constants are interned per parse call: a mined
+//! suite repeats a few hundred distinct values across tens of thousands
+//! of cells, and every cell spelling the same text shares one
+//! `Arc<str>`. (Integer, float and boolean constants own no heap.)
 
 use crate::cfd::Cfd;
 use crate::cind::{Cind, PatternCond};
 use crate::pattern::{PatternRow, PatternValue};
-use revival_relation::{AttrId, Error, Result, Schema, Value};
+use revival_relation::groupby::FoldState;
+use revival_relation::{AttrId, Error, Result, Schema, Type, Value};
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
+
+/// One parse call's string constants, by their unescaped text: the
+/// `Arc` every cell spelling that text shares.
+type Strings = HashSet<Arc<str>, FoldState>;
 
 /// Parse a suite of CFDs over one schema.
 pub fn parse_cfds(text: &str, schema: &Schema) -> Result<Vec<Cfd>> {
@@ -90,11 +100,12 @@ pub fn parse_cfds_multi(text: &str, schemas: &[Schema]) -> Result<Vec<Cfd>> {
 
 /// Parse a suite of CINDs over a set of schemas (resolved by name).
 pub fn parse_cinds(text: &str, schemas: &[Schema]) -> Result<Vec<Cind>> {
-    let mut out = Vec::new();
+    let (mut out, mut strings) = (Vec::new(), Strings::default());
     for (at, raw) in text.lines().enumerate() {
         let line = content(raw).map_err(|e| annotate(e, at + 1))?;
         if !line.is_empty() {
-            out.push(parse_cind_line(line, schemas).map_err(|e| annotate(e, at + 1))?);
+            let cind = parse_cind_line(line, schemas, &mut strings);
+            out.push(cind.map_err(|e| annotate(e, at + 1))?);
         }
     }
     Ok(out)
@@ -119,9 +130,12 @@ struct Block<'s> {
 fn parse_suite<'s>(text: &str, schema_of: impl Fn(&str) -> Result<&'s Schema>) -> Result<Vec<Cfd>> {
     let mut out = Vec::new();
     let mut block: Option<Block<'s>> = None;
+    let mut strings = Strings::default();
     for (at, raw) in text.lines().enumerate() {
         content(raw)
-            .and_then(|line| parse_suite_line(line, at + 1, &mut block, &mut out, &schema_of))
+            .and_then(|line| {
+                parse_suite_line(line, at + 1, &mut block, &mut out, &mut strings, &schema_of)
+            })
             .map_err(|e| annotate(e, at + 1))?;
     }
     match block {
@@ -135,6 +149,7 @@ fn parse_suite_line<'s>(
     lineno: usize,
     block: &mut Option<Block<'s>>,
     out: &mut Vec<Cfd>,
+    strings: &mut Strings,
     schema_of: &impl Fn(&str) -> Result<&'s Schema>,
 ) -> Result<()> {
     if line.is_empty() {
@@ -149,7 +164,7 @@ fn parse_suite_line<'s>(
                 open.opened
             )));
         } else {
-            let row = parse_row(line, &open.cfd.lhs, open.cfd.rhs, open.schema)?;
+            let row = parse_row(line, &open.cfd.lhs, open.cfd.rhs, open.schema, strings)?;
             open.cfd.tableau.push(row);
         }
     } else if line == "}" {
@@ -157,7 +172,7 @@ fn parse_suite_line<'s>(
     } else if let Some(head) = line.strip_suffix('{') {
         *block = Some(parse_block_head(head.trim_end(), lineno, schema_of)?);
     } else {
-        parse_cfd_line(line, out, schema_of)?;
+        parse_cfd_line(line, out, strings, schema_of)?;
     }
     Ok(())
 }
@@ -267,24 +282,35 @@ fn unquote(val: &str) -> Cow<'_, str> {
     }
 }
 
-/// Parse a raw constant according to the attribute's type.
-fn parse_const(schema: &Schema, attr: AttrId, raw: &str) -> Result<Value> {
+/// Parse a raw constant according to the attribute's type; a string
+/// seen before in this parse shares its first `Arc`.
+fn parse_const(schema: &Schema, attr: AttrId, raw: &str, strings: &mut Strings) -> Result<Value> {
     let (raw, attr) = (unquote(raw), schema.attribute(attr));
     let (ty, name) = (attr.ty, &attr.name);
-    ty.parse(&raw)
-        .map_err(|_| perr(format!("constant `{raw}` does not parse as {ty} for `{name}`")))
+    if ty == Type::Str {
+        if let Some(s) = strings.get(&*raw) {
+            return Ok(Value::Str(s.clone()));
+        }
+    }
+    let v = ty
+        .parse(&raw)
+        .map_err(|_| perr(format!("constant `{raw}` does not parse as {ty} for `{name}`")))?;
+    if let Value::Str(s) = &v {
+        strings.insert(s.clone());
+    }
+    Ok(v)
 }
 
 impl Pat<'_> {
     /// The pattern over `attr`'s type.
-    fn typed(&self, schema: &Schema, attr: AttrId) -> Result<PatternValue> {
+    fn typed(&self, schema: &Schema, attr: AttrId, strings: &mut Strings) -> Result<PatternValue> {
         Ok(match self {
             Pat::Wild => PatternValue::Wildcard,
-            Pat::Eq(raw) => PatternValue::Const(parse_const(schema, attr, raw)?),
-            Pat::Ne(raw) => PatternValue::NotConst(parse_const(schema, attr, raw)?),
+            Pat::Eq(raw) => PatternValue::Const(parse_const(schema, attr, raw, strings)?),
+            Pat::Ne(raw) => PatternValue::NotConst(parse_const(schema, attr, raw, strings)?),
             Pat::In(list) => PatternValue::one_of(
                 items(list, b',')
-                    .map(|raw| parse_const(schema, attr, raw))
+                    .map(|raw| parse_const(schema, attr, raw, strings))
                     .collect::<Result<Vec<_>>>()?,
             ),
         })
@@ -421,6 +447,7 @@ fn extract_brackets(s: &str) -> Result<&str> {
 fn parse_cfd_line<'s>(
     line: &str,
     out: &mut Vec<Cfd>,
+    strings: &mut Strings,
     schema_of: &impl Fn(&str) -> Result<&'s Schema>,
 ) -> Result<()> {
     let Head { schema, lhs: lhs_items, rhs: rhs_items } = parse_head(line, schema_of)?;
@@ -429,11 +456,11 @@ fn parse_cfd_line<'s>(
     for item in &lhs_items {
         let attr = schema.attr_id(item.attr)?;
         lhs.push(attr);
-        lhs_patterns.push(item.pattern.typed(schema, attr)?);
+        lhs_patterns.push(item.pattern.typed(schema, attr, strings)?);
     }
     for item in &rhs_items {
         let rhs = schema.attr_id(item.attr)?;
-        let row = PatternRow::new(lhs_patterns.clone(), item.pattern.typed(schema, rhs)?);
+        let row = PatternRow::new(lhs_patterns.clone(), item.pattern.typed(schema, rhs, strings)?);
         let (relation, lhs) = (schema.name().to_string(), lhs.clone());
         out.push(Cfd { relation, lhs, rhs, tableau: vec![row] });
     }
@@ -463,13 +490,19 @@ fn parse_block_head<'s>(
 }
 
 /// One block row, `cell, cell || cell`, against the head's attributes.
-fn parse_row(line: &str, lhs: &[AttrId], rhs: AttrId, schema: &Schema) -> Result<PatternRow> {
+fn parse_row(
+    line: &str,
+    lhs: &[AttrId],
+    rhs: AttrId,
+    schema: &Schema,
+    strings: &mut Strings,
+) -> Result<PatternRow> {
     let (left, right) =
         split_unquoted(line, "||").ok_or_else(|| perr("expected `lhs cells || rhs cell`"))?;
     let mut patterns = Vec::with_capacity(lhs.len());
     let mut cells = items(left, b',');
     for (&attr, cell) in lhs.iter().zip(cells.by_ref()) {
-        patterns.push(parse_cell(cell)?.typed(schema, attr)?);
+        patterns.push(parse_cell(cell)?.typed(schema, attr, strings)?);
     }
     let cells = patterns.len() + cells.count();
     if cells != lhs.len() {
@@ -482,11 +515,11 @@ fn parse_row(line: &str, lhs: &[AttrId], rhs: AttrId, schema: &Schema) -> Result
     let (Some(rhs_cell), None) = (right.next(), right.next()) else {
         return Err(perr("expected one RHS cell after `||`"));
     };
-    Ok(PatternRow::new(patterns, parse_cell(rhs_cell)?.typed(schema, rhs)?))
+    Ok(PatternRow::new(patterns, parse_cell(rhs_cell)?.typed(schema, rhs, strings)?))
 }
 
 /// Parse one CIND line.
-fn parse_cind_line(line: &str, schemas: &[Schema]) -> Result<Cind> {
+fn parse_cind_line(line: &str, schemas: &[Schema], strings: &mut Strings) -> Result<Cind> {
     let (from_part, to_part) = split_unquoted(line, "<=")
         .ok_or_else(|| perr("expected `<=` between source and target"))?;
     let (from_rel, from_attrs, from_conds) = parse_cind_side(from_part)?;
@@ -500,16 +533,23 @@ fn parse_cind_line(line: &str, schemas: &[Schema]) -> Result<Cind> {
             to_attrs.len()
         )));
     }
-    fn conds<'a>(schema: &Schema, items: &[Item<'a>]) -> Result<Vec<(&'a str, Value)>> {
+    fn conds<'a>(
+        schema: &Schema,
+        items: &[Item<'a>],
+        strings: &mut Strings,
+    ) -> Result<Vec<(&'a str, Value)>> {
         items
             .iter()
             .map(|i| match i.pattern {
-                Pat::Eq(raw) => Ok((i.attr, parse_const(schema, schema.attr_id(i.attr)?, raw)?)),
+                Pat::Eq(raw) => {
+                    Ok((i.attr, parse_const(schema, schema.attr_id(i.attr)?, raw, strings)?))
+                }
                 _ => Err(perr(format!("pattern condition `{}` needs `=value`", i.attr))),
             })
             .collect()
     }
-    let (fc, tc) = (conds(from_schema, &from_conds)?, conds(to_schema, &to_conds)?);
+    let fc = conds(from_schema, &from_conds, strings)?;
+    let tc = conds(to_schema, &to_conds, strings)?;
     Cind::new(from_schema, &from_attrs, &fc, to_schema, &to_attrs, &tc)
 }
 

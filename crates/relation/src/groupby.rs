@@ -18,8 +18,22 @@
 //! tombstone machinery; consumers that need logical removal (the
 //! incremental detector's group states) empty the entry's payload and
 //! skip it on read.
+//!
+//! Maps keyed by *owned values* rather than symbols — the constraint
+//! layer's merge, subsumption, satisfiability and parse tables — are
+//! std `HashMap`s over [`FoldState`]: the pool's folded multiply
+//! ([`crate::pool`]) behind the `Hasher` trait, one multiply per word
+//! and per eight string bytes where std's SipHash runs rounds. Each map
+//! draws its own random seed, as each `ValuePool` does, so a suite
+//! cannot be crafted to collide, and no map's iteration order may
+//! reach an output. The pool itself keeps its direct `Key::hash`: it
+//! interns every cell of a load, and a trait-dispatched `Value` hash
+//! (tag byte, then payload, then a terminator per string) would spend
+//! more multiplies per cell than the one pass it makes now.
 
-use crate::pool::Sym;
+use crate::pool::{fold, fold_bytes, Sym, K_FINISH, K_WORD};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// Sentinel for an empty slot.
 const EMPTY: u32 = u32::MAX;
@@ -40,6 +54,69 @@ pub fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
         h = (h ^ w).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// A seeded [`BuildHasher`] for value-keyed std maps and sets: each map
+/// built with `HashMap::default()` draws a fresh seed.
+#[derive(Clone, Debug)]
+pub struct FoldState {
+    seed: u64,
+}
+
+impl FoldState {
+    /// A state with a random seed, drawn as `ValuePool::new` draws the
+    /// pool's.
+    pub fn new() -> Self {
+        FoldState { seed: RandomState::new().build_hasher().finish() }
+    }
+}
+
+impl Default for FoldState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.seed)
+    }
+}
+
+/// The [`Hasher`] of a [`FoldState`]: a word (a `Value`'s tag, an
+/// integer, a length or a discriminant) is one folded multiply into the
+/// state, a byte string one per eight bytes (length first), and
+/// `finish` one more.
+#[derive(Clone, Debug)]
+pub struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fold_bytes(self.0, bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = fold(self.0 ^ n, K_WORD);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(self.0, K_FINISH)
+    }
 }
 
 /// [`hash_words`] over interned symbols — the hash for projection keys.
@@ -385,6 +462,32 @@ mod tests {
         assert!(!cp.matches_at(0, &cp.key_at(1)));
         assert_eq!(cp.width(), 2);
         assert_eq!(cp.sym_at(0, 0), rows[0][1]);
+    }
+
+    #[test]
+    fn fold_state_hashes_equal_values_equal_and_seeds_per_map() {
+        use std::collections::HashSet;
+        let state = FoldState::new();
+        let hash = |v: &Value| state.hash_one(v);
+        let long = "a-long-common-prefix-shared-by-both/x";
+        assert_eq!(hash(&Value::from(long)), hash(&Value::str(String::from(long))));
+        assert_eq!(hash(&Value::Float(f64::NAN)), hash(&Value::Float(f64::NAN)));
+        // The tag is hashed: equal payload bits across variants differ.
+        assert_ne!(hash(&Value::Int(1)), hash(&Value::Bool(true)));
+        assert_ne!(hash(&Value::Null), hash(&Value::from("")));
+        // Length goes in before the bytes, so zero padding cannot alias.
+        assert_ne!(state.hash_one("ab"), state.hash_one("ab\0"));
+        assert_ne!(state.hash_one(("a", "bc")), state.hash_one(("ab", "c")));
+        // Each state draws its own seed.
+        let seeds: HashSet<u64> = (0..8).map(|_| FoldState::new().hash_one(7u64)).collect();
+        assert_eq!(seeds.len(), 8);
+        // A std map over it behaves like any other.
+        let mut m: std::collections::HashMap<Value, usize, FoldState> = Default::default();
+        for i in 0..10_000 {
+            *m.entry(Value::str(format!("v{}", i % 1_000))).or_default() += 1;
+        }
+        assert_eq!(m.len(), 1_000);
+        assert!(m.values().all(|&n| n == 10));
     }
 
     #[test]

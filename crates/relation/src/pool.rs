@@ -62,15 +62,35 @@ pub(crate) enum Key<'a> {
 
 /// Multipliers for [`fold`] (odd, high-entropy; the first is the golden
 /// ratio, the others are from the wyhash family).
-const K_WORD: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const K_WORD: u64 = 0x9E37_79B9_7F4A_7C15;
 const K_LEN: u64 = 0xA076_1D64_78BD_642F;
-const K_FINISH: u64 = 0xE703_7ED1_A0B4_28DB;
+pub(crate) const K_FINISH: u64 = 0xE703_7ED1_A0B4_28DB;
 
 /// Folded 64×64→128 multiply: every input bit reaches every output bit.
 #[inline]
-fn fold(a: u64, b: u64) -> u64 {
+pub(crate) fn fold(a: u64, b: u64) -> u64 {
     let p = u128::from(a) * u128::from(b);
     (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Fold a byte string into `h` eight bytes at a time, its length mixed
+/// in first so zero padding cannot alias — the string step of
+/// [`Key::hash`] and of [`crate::groupby::FoldHasher`].
+#[inline]
+pub(crate) fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    let mut h = h ^ (bytes.len() as u64).wrapping_mul(K_LEN);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let w = u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
+        h = fold(h ^ w, K_WORD);
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = fold(h ^ u64::from_le_bytes(last), K_WORD);
+    }
+    h
 }
 
 impl<'a> Key<'a> {
@@ -122,22 +142,7 @@ impl<'a> Key<'a> {
             Key::Bool(b) => word(1, u64::from(b)),
             Key::Int(i) => word(2, i as u64),
             Key::Float(f) => word(3, Value::float_key(f)),
-            Key::Str(s) => {
-                let bytes = s.as_bytes();
-                let mut h = seed ^ (bytes.len() as u64).wrapping_mul(K_LEN);
-                let mut chunks = bytes.chunks_exact(8);
-                for c in &mut chunks {
-                    let w = u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"));
-                    h = fold(h ^ w, K_WORD);
-                }
-                let rest = chunks.remainder();
-                if !rest.is_empty() {
-                    let mut last = [0u8; 8];
-                    last[..rest.len()].copy_from_slice(rest);
-                    h = fold(h ^ u64::from_le_bytes(last), K_WORD);
-                }
-                h ^ 4
-            }
+            Key::Str(s) => fold_bytes(seed, s.as_bytes()) ^ 4,
         };
         fold(h, K_FINISH)
     }

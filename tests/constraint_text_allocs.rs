@@ -1,12 +1,13 @@
 //! Work-count guard for the constraint syntax: heap allocations, not
 //! milliseconds.
 //!
-//! The parser scans borrowed pieces of each line and resolves a block's
-//! attribute names at its head, so what parsing a suite allocates is
-//! what the suite itself holds — one `Arc<str>` per string constant, a
-//! cell vector per row, a few vectors per CFD — and the renderer appends
-//! to its caller's buffer, so what rendering allocates is that buffer's
-//! growth. A counting global allocator (the one `ingest_allocs.rs` in
+//! The parser scans borrowed pieces of each line, resolves a block's
+//! attribute names at its head and interns string constants per call,
+//! so what parsing a suite allocates is what the suite itself holds —
+//! one `Arc<str>` per *distinct* string constant (plus the interner's
+//! growth), a cell vector per row, a few vectors per CFD — and the
+//! renderer appends to its caller's buffer, so what rendering allocates
+//! is that buffer's growth. A counting global allocator (the one `ingest_allocs.rs` in
 //! `revival_relation` uses) pins both on a mined suite, machine-
 //! independently. (One `#[test]` only: the counter is process-wide, and
 //! the harness runs tests on threads.)
@@ -15,8 +16,11 @@ use revival::constraints::parser::{parse_cfds, suite_to_text};
 use revival::constraints::pattern::PatternValue;
 use revival::constraints::Cfd;
 use revival::discovery::{DiscoverJob, DiscoverOptions, DiscoveryEngine, SequentialDiscovery};
+use revival::relation::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 struct Counting;
 
@@ -51,15 +55,21 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// String constants in a suite — the cells that own heap memory.
-fn string_constants(suite: &[Cfd]) -> usize {
-    let strings = |p: &PatternValue| match p {
-        PatternValue::Wildcard => 0,
-        PatternValue::Const(v) | PatternValue::NotConst(v) => usize::from(v.as_str().is_some()),
-        PatternValue::OneOf(vs) => vs.iter().filter(|v| v.as_str().is_some()).count(),
-    };
-    let rows = suite.iter().flat_map(|c| &c.tableau);
-    rows.map(|r| r.lhs.iter().chain([&r.rhs]).map(strings).sum::<usize>()).sum()
+/// Every string constant cell of a suite, in order — the cells that
+/// own heap memory.
+fn string_cells(suite: &[Cfd]) -> impl Iterator<Item = &Arc<str>> {
+    fn values(p: &PatternValue) -> &[Value] {
+        match p {
+            PatternValue::Wildcard => &[],
+            PatternValue::Const(v) | PatternValue::NotConst(v) => std::slice::from_ref(v),
+            PatternValue::OneOf(vs) => vs,
+        }
+    }
+    let cells = suite.iter().flat_map(|c| &c.tableau).flat_map(|r| r.lhs.iter().chain([&r.rhs]));
+    cells.flat_map(values).filter_map(|v| match v {
+        Value::Str(s) => Some(s),
+        _ => None,
+    })
 }
 
 #[test]
@@ -84,10 +94,23 @@ fn the_mined_suite_parses_and_renders_in_bounded_allocations() {
     assert!(text.len() > 200_000, "{} bytes", text.len());
     assert!(allocations <= 64, "{allocations} allocations to render {} bytes", text.len());
 
-    // One block per string constant, the cell vector and the tableau's
-    // amortised growth per row, the head's vectors per CFD.
+    // One block per distinct string constant and the interner's
+    // doublings, the cell vector and the tableau's amortised growth per
+    // row, the head's vectors per CFD.
     let (parsed, allocations) = counting(|| parse_cfds(&text, schema));
-    assert_eq!(parsed.as_ref(), Ok(&suite));
-    let bound = string_constants(&suite) + 1 + 2 * rows + 8 * cfds + 16;
+    let parsed = parsed.unwrap();
+    assert_eq!(parsed, suite);
+    // Equal constants share the first `Arc` their text was parsed into.
+    let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+    let mut cells = 0;
+    for s in string_cells(&parsed) {
+        let shared = first.entry(s).or_insert(s);
+        assert!(Arc::ptr_eq(shared, s), "`{s}` parsed into two allocations");
+        cells += 1;
+    }
+    let distinct = first.len();
+    assert!(cells >= 10 * distinct, "{cells} string cell(s), {distinct} distinct: too few repeats");
+    let growth = distinct.next_power_of_two().trailing_zeros() as usize + 1;
+    let bound = distinct + growth + 1 + 2 * rows + 8 * cfds + 16;
     assert!(allocations <= bound, "{allocations} allocations, bound {bound}");
 }
