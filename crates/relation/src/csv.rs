@@ -12,7 +12,12 @@
 //! unescaping changes its bytes). The table loaders turn a field into a
 //! typed pool key and intern it straight into the columns, so a cell
 //! allocates only the first time its value is seen. The writer walks the
-//! columns the other way: symbol → pool value → one reused line buffer.
+//! columns the other way, and pays per distinct value too: a symbol's
+//! field text (quoted if it needs it) is rendered once, into an arena,
+//! the first time a cell holds it; every cell after that is a slice
+//! copy, and a file receives 64 KiB chunks of whole lines. (The
+//! per-cell renderer it replaced survives under `#[cfg(test)]` as its
+//! oracle.)
 //!
 //! The scanner finds delimiters eight bytes at a time (`find_any`): a
 //! SWAR zero-byte test per target byte on one little-endian word, whose
@@ -370,37 +375,66 @@ fn write_field(out: &mut String, field: &str) {
     }
 }
 
-/// Render the table one line at a time (header, then live rows in id
-/// order) into a reused buffer, handing each finished line to `sink`.
-/// Cells are read off the columns and rendered from the pool in place;
-/// no row is materialised.
-fn write_lines(table: &Table, mut sink: impl FnMut(&str) -> Result<()>) -> Result<()> {
+/// Append one cell's field text: nothing for `Null`, a string quoted
+/// if it needs it, anything else as it displays.
+fn write_cell(out: &mut String, value: &Value) {
+    match value {
+        Value::Null => {}
+        Value::Str(s) => write_field(out, s),
+        // Numbers and booleans never render a character that needs quoting.
+        other => write!(out, "{other}").expect("writing to a String"),
+    }
+}
+
+/// How many bytes [`write_table_path`] renders before it hands them to
+/// the file.
+const WRITE_CHUNK: usize = 1 << 16;
+
+/// Render the table (header, then live rows in id order) onto the end
+/// of `out`, handing `out` to `drain` whenever a finished line leaves
+/// at least `chunk` bytes in it. Cells are read off the columns as
+/// symbols; a symbol's field text is rendered into an arena the first
+/// time a cell holds it, and every cell after that is a copy of its
+/// slice. No row is materialised, and no value is scanned or
+/// formatted twice.
+fn write_lines(
+    table: &Table,
+    out: &mut String,
+    chunk: usize,
+    mut drain: impl FnMut(&mut String) -> Result<()>,
+) -> Result<()> {
     let attrs = table.schema().attributes();
-    let mut line = String::new();
     for (a, attr) in attrs.iter().enumerate() {
         if a > 0 {
-            line.push(',');
+            out.push(',');
         }
-        write_field(&mut line, &attr.name);
+        write_field(out, &attr.name);
     }
-    line.push('\n');
-    sink(&line)?;
+    out.push('\n');
+    let pool = table.pool();
+    // Per symbol: its text's `start..end` in `arena`, or `UNRENDERED`.
+    const UNRENDERED: (usize, usize) = (usize::MAX, 0);
+    let mut spans = vec![UNRENDERED; pool.len()];
+    let mut arena = String::new();
     let cols: Vec<&[Sym]> = (0..attrs.len()).map(|a| table.col(a)).collect();
     for slot in table.live_slots() {
-        line.clear();
         for (a, col) in cols.iter().enumerate() {
             if a > 0 {
-                line.push(',');
+                out.push(',');
             }
-            match table.pool().value(col[slot]) {
-                Value::Null => {}
-                Value::Str(s) => write_field(&mut line, s),
-                // Numbers and booleans never render a character that needs quoting.
-                other => write!(line, "{other}").expect("writing to a String"),
+            let sym = col[slot];
+            let span = &mut spans[sym.index()];
+            if *span == UNRENDERED {
+                let start = arena.len();
+                write_cell(&mut arena, pool.value(sym));
+                *span = (start, arena.len());
             }
+            out.push_str(&arena[span.0..span.1]);
         }
-        line.push('\n');
-        sink(&line)?;
+        out.push('\n');
+        if out.len() >= chunk {
+            drain(out)?;
+        }
     }
     Ok(())
 }
@@ -408,20 +442,21 @@ fn write_lines(table: &Table, mut sink: impl FnMut(&str) -> Result<()>) -> Resul
 /// Serialize a table to CSV text (header + live rows in id order).
 pub fn write_table(table: &Table) -> String {
     let mut out = String::new();
-    write_lines(table, |line| {
-        out.push_str(line);
-        Ok(())
-    })
-    .expect("appending to a String");
+    write_lines(table, &mut out, usize::MAX, |_| Ok(())).expect("appending to a String");
     out
 }
 
-/// Write a table to a file path, streaming line by line.
+/// Write a table to a file path, streaming it in chunks of whole lines.
 pub fn write_table_path(table: &Table, path: &std::path::Path) -> Result<()> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_lines(table, |line| Ok(w.write_all(line.as_bytes())?))?;
-    w.flush()?;
-    Ok(())
+    let mut file = std::fs::File::create(path)?;
+    let mut drain = |out: &mut String| -> Result<()> {
+        file.write_all(out.as_bytes())?;
+        out.clear();
+        Ok(())
+    };
+    let mut out = String::with_capacity(2 * WRITE_CHUNK);
+    write_lines(table, &mut out, WRITE_CHUNK, &mut drain)?;
+    drain(&mut out)
 }
 
 /// Parse one data line (no header) against `schema` into a typed row —
@@ -1009,5 +1044,160 @@ mod tests {
         assert_eq!(parse(&doc).unwrap().len(), 1_000);
         let steps = BYTEWISE.with(|n| n.get());
         assert!(steps <= 8 * fields, "{steps} bytewise steps over {fields} fields");
+    }
+
+    /// The per-cell renderer [`write_lines`] replaced: every cell
+    /// looked up in the pool and quoted or formatted in place — the
+    /// arena writer's oracle.
+    fn write_table_per_cell(table: &Table) -> String {
+        let attrs = table.schema().attributes();
+        let names: Vec<String> = attrs
+            .iter()
+            .map(|attr| {
+                let mut field = String::new();
+                write_field(&mut field, &attr.name);
+                field
+            })
+            .collect();
+        let mut out = names.join(",") + "\n";
+        for slot in table.live_slots() {
+            for a in 0..attrs.len() {
+                if a > 0 {
+                    out.push(',');
+                }
+                match table.pool().value(table.col(a)[slot]) {
+                    Value::Null => {}
+                    Value::Str(s) => write_field(&mut out, s),
+                    other => write!(out, "{other}").unwrap(),
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Hostile tables — quotes, separators, CR/LF, `""` beside `Null`,
+    /// `i64` extremes, `-0.0`, `1e21`, non-finite floats, bools,
+    /// non-ASCII; rows deleted, cells overwritten, so the pool holds
+    /// symbols no live cell does — written the arena way equal the
+    /// per-cell oracle, and the streamed file is the same bytes.
+    #[test]
+    fn arena_writer_equals_the_per_cell_renderer() {
+        let strs: Vec<Value> = [
+            "plain",
+            "",
+            "\"",
+            "\"\"",
+            "a,b",
+            ",",
+            "line\nbreak",
+            "cr\ronly",
+            "crlf\r\n",
+            "\n",
+            " padded ",
+            "müller, \"é\"",
+            "日本語",
+            "NULL",
+            "-0",
+            "1e21",
+            "true",
+        ]
+        .into_iter()
+        .map(Value::from)
+        .chain([Value::Null])
+        .collect();
+        let ints: Vec<Value> = [i64::MIN, i64::MIN + 1, -1, 0, 1, 42, i64::MAX]
+            .into_iter()
+            .map(Value::Int)
+            .chain([Value::Null])
+            .collect();
+        let floats: Vec<Value> = [
+            0.0,
+            -0.0,
+            1e21,
+            1e-7,
+            -1.5,
+            0.1,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ]
+        .into_iter()
+        .map(Value::Float)
+        .chain([Value::Null])
+        .collect();
+        let bools = vec![Value::Bool(true), Value::Bool(false), Value::Null];
+        let s = Schema::builder("hostile")
+            .attr("s", Type::Str)
+            .attr("n", Type::Int)
+            .attr("x", Type::Float)
+            .attr("b", Type::Bool)
+            .attr("t", Type::Str)
+            .attr("m", Type::Int)
+            .build();
+        let domains = [&strs, &ints, &floats, &bools, &strs, &ints];
+        let path =
+            std::env::temp_dir().join(format!("revival-csv-arena-{}.csv", std::process::id()));
+        let mut rng = StdRng::seed_from_u64(0xA4E7A);
+        let mut unheld = 0;
+        for round in 0..300 {
+            let mut t = Table::new(s.clone());
+            let rows = rng.gen_range(0..40usize);
+            for _ in 0..rows {
+                let row = domains.iter().map(|d| d.choose(&mut rng).unwrap().clone()).collect();
+                t.push(row).unwrap();
+            }
+            for id in 0..rows as u64 {
+                match rng.gen_range(0..6u32) {
+                    0 => drop(t.delete(crate::TupleId(id)).unwrap()),
+                    1 => {
+                        let a = rng.gen_range(0..domains.len());
+                        let v = if rng.gen_bool(0.5) {
+                            domains[a].choose(&mut rng).unwrap().clone()
+                        } else if a == 0 || a == 4 {
+                            Value::str(format!("fresh \"{round}\",{id}"))
+                        } else {
+                            domains[a].choose(&mut rng).unwrap().clone()
+                        };
+                        t.set_cell(crate::TupleId(id), a, v).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            let held: std::collections::HashSet<Sym> = t
+                .live_slots()
+                .flat_map(|slot| (0..6).map(move |a| (slot, a)))
+                .map(|(slot, a)| t.col(a)[slot])
+                .collect();
+            unheld += t.pool().len() - held.len();
+            let want = write_table_per_cell(&t);
+            assert_eq!(write_table(&t), want, "round {round}");
+            write_table_path(&t, &path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), want.as_bytes(), "round {round}");
+            // Drained in chunks of whole lines, however small.
+            let chunk = rng.gen_range(1..200usize);
+            let (mut out, mut drained) = (String::new(), String::new());
+            write_lines(&t, &mut out, chunk, |out| {
+                assert!(out.len() >= chunk && out.ends_with('\n'), "round {round}");
+                drained.push_str(out);
+                out.clear();
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(drained + &out, want, "round {round}");
+        }
+        // A table many write chunks long, streamed.
+        let mut t = Table::new(s.clone());
+        for _ in 0..20_000 {
+            t.push(domains.iter().map(|d| d.choose(&mut rng).unwrap().clone()).collect()).unwrap();
+        }
+        let want = write_table_per_cell(&t);
+        assert!(want.len() > 8 * WRITE_CHUNK, "{} bytes", want.len());
+        assert_eq!(write_table(&t), want);
+        write_table_path(&t, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), want.as_bytes());
+        std::fs::remove_file(&path).unwrap();
+        assert!(unheld > 300, "{unheld}: the pools should hold symbols no live cell does");
     }
 }

@@ -653,24 +653,28 @@ fn column_plurality_excluding(table: &Table, attr: usize, not: &Value) -> Option
             *counts.entry(col[slot]).or_insert(0) += 1;
         }
     }
+    plurality(table, counts)
+}
+
+/// The most common RHS value among a group (ties break to the smallest),
+/// counted per symbol like [`column_plurality_excluding`].
+fn plurality_rhs(table: &Table, tuples: &[TupleId], rhs: usize) -> Value {
+    let mut counts: HashMap<Sym, usize> = HashMap::new();
+    for &t in tuples {
+        if let Ok(s) = table.sym_at(t, rhs) {
+            *counts.entry(s).or_insert(0) += 1;
+        }
+    }
+    plurality(table, counts).unwrap_or(Value::Null)
+}
+
+/// The symbol of most occurrences, the smallest value on a tie.
+fn plurality(table: &Table, counts: HashMap<Sym, usize>) -> Option<Value> {
     let pool = table.pool();
     counts
         .into_iter()
         .max_by(|a, b| a.1.cmp(&b.1).then_with(|| pool.value(b.0).cmp(pool.value(a.0))))
         .map(|(s, _)| pool.value(s).clone())
-}
-
-/// The most common RHS value among a group (ties break to the smallest).
-fn plurality_rhs(table: &Table, tuples: &[TupleId], rhs: usize) -> Value {
-    let mut counts: HashMap<Value, usize> = HashMap::new();
-    for &t in tuples {
-        if let Ok(v) = table.value_at(t, rhs) {
-            *counts.entry(v.clone()).or_insert(0) += 1;
-        }
-    }
-    let mut entries: Vec<(Value, usize)> = counts.into_iter().collect();
-    entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    entries.into_iter().next().map(|(v, _)| v).unwrap_or(Value::Null)
 }
 
 /// A fresh value of the cell's type, unlikely to collide.
@@ -968,16 +972,78 @@ mod tests {
         assert_eq!(fixed.diff_cells(&t), 0);
     }
 
+    /// The value-keyed `plurality_rhs` the symbol count replaced: a
+    /// `Value` hashed and cloned per tuple, then sorted by count
+    /// descending, value ascending — its oracle.
+    fn plurality_rhs_by_value(table: &Table, tuples: &[TupleId], rhs: usize) -> Value {
+        let mut counts: HashMap<Value, usize> = HashMap::new();
+        for &t in tuples {
+            if let Ok(v) = table.value_at(t, rhs) {
+                *counts.entry(v.clone()).or_insert(0) += 1;
+            }
+        }
+        let mut entries: Vec<(Value, usize)> = counts.into_iter().collect();
+        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        entries.into_iter().next().map(|(v, _)| v).unwrap_or(Value::Null)
+    }
+
+    /// Random groups over a few values (`Null` and `""` among them),
+    /// sized so that count ties are common, some members deleted:
+    /// the symbol count picks what the value count picked.
+    #[test]
+    fn plurality_rhs_equals_the_value_keyed_oracle() {
+        let mut x = 0x5bd1e995u64;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let values = ["edi", "", "ldn", "Edi", "édi", "nyc"];
+        let (mut ties, mut groups) = (0, 0);
+        for round in 0..2_000 {
+            let mut t = table(&[]);
+            let vocabulary = 1 + next(values.len());
+            let ids: Vec<TupleId> = (0..1 + next(12))
+                .map(|_| {
+                    let street = match next(vocabulary + 1) {
+                        0 => Value::Null,
+                        i => Value::from(values[i - 1]),
+                    };
+                    t.push(vec!["44".into(), "131".into(), street, "edi".into(), "EH8".into()])
+                        .unwrap()
+                })
+                .collect();
+            for &id in &ids {
+                if next(10) == 0 {
+                    t.delete(id).unwrap();
+                }
+            }
+            let want = plurality_rhs_by_value(&t, &ids, 2);
+            assert_eq!(plurality_rhs(&t, &ids, 2), want, "round {round}");
+            let mut counts: HashMap<&Value, usize> = HashMap::new();
+            for &id in &ids {
+                if let Ok(v) = t.value_at(id, 2) {
+                    *counts.entry(v).or_insert(0) += 1;
+                }
+            }
+            let top = counts.values().max().copied().unwrap_or(0);
+            ties += usize::from(counts.values().filter(|&&n| n == top).count() > 1);
+            groups += 1;
+        }
+        assert!(ties * 5 > groups, "{ties} tie(s) in {groups} group(s)");
+    }
+
     /// The work-count guard on the large-class workload: driving the
     /// passes by hand, every class resolved by cost must account for
-    /// exactly c(c−1)/2 distance evaluations (c = its distinct member
-    /// values) — and the public path must report the same counts at
-    /// any shard count.
+    /// exactly c(c−1)/2 − |D|(|D|−1)/2 distance evaluations (c = its
+    /// distinct member values, D = those its heaviest value prices
+    /// out, as the all-pairs oracle finds them) — and the public path
+    /// must report the same counts at any shard count.
     #[test]
     fn hospital_distances_are_pairs_of_distinct_values() {
         use revival_dirty::hospital::{attrs as h, generate, standard_cfds, HospitalConfig};
         use revival_dirty::noise::{inject, NoiseConfig};
-        use std::collections::HashSet;
 
         let data = generate(&HospitalConfig { rows: 12_000, seed: 11, ..Default::default() });
         let noise = NoiseConfig::new(0.05, vec![h::STATE, h::MEASURE_NAME, h::HNAME], 11 ^ 0x405b);
@@ -988,7 +1054,7 @@ mod tests {
         let mut work =
             Working { table: dirty.clone(), written: Vec::new(), scratch: Default::default() };
         let mut by_hand = ResolveStats::default();
-        let mut pairs = 0u64;
+        let (mut pairs, mut all_pairs, mut floor) = (0u64, 0u64, 0u64);
         loop {
             let report = repairer.detect_step(&work.table, None).unwrap();
             if report.is_empty() {
@@ -999,10 +1065,12 @@ mod tests {
             for (_, AttrClasses { mut eq, .. }) in plan.by_attr {
                 for (cells, pinned) in eq.groups() {
                     if pinned.is_none() {
-                        let distinct: HashSet<Sym> =
-                            cells.iter().map(|&(t, a)| work.table.sym_at(t, a).unwrap()).collect();
-                        let c = distinct.len() as u64;
-                        pairs += c * (c - 1) / 2;
+                        let oracle =
+                            crate::eqclass::tests::all_pairs(&cells, &work.table, &repairer.cost);
+                        let (c, d) = (oracle.values, oracle.dead);
+                        pairs += c * (c - 1) / 2 - d * d.saturating_sub(1) / 2;
+                        all_pairs += c * (c - 1) / 2;
+                        floor += c - 1;
                     }
                 }
             }
@@ -1011,11 +1079,14 @@ mod tests {
         assert!(by_hand.classes > 100 && pairs > 1_000, "{by_hand:?}: not the large-class case");
         assert!(by_hand.class_cells > 10 * by_hand.distinct_values, "{by_hand:?}");
         assert_eq!(by_hand.distances_computed, pairs);
-        // Pinned on the kernel the bit-vector one replaced: what a
-        // distance is counted as has not moved.
+        // Pinned: the classes and their values have not moved since the
+        // bit-vector kernel (all pairs of them were 10 177 distances);
+        // the bound leaves little more than the c − 1 per class that
+        // price the heaviest value.
+        assert_eq!((all_pairs, floor), (10_177, 1_360));
         assert_eq!(
             (by_hand.distances_computed, by_hand.class_cells, by_hand.distinct_values),
-            (10_177, 35_655, 1_561)
+            (1_366, 35_655, 1_561)
         );
         for jobs in [1, 4] {
             let sharded = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));

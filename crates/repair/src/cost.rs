@@ -7,6 +7,12 @@
 //! reliable get high weight and are expensive to change, steering the
 //! repair toward editing suspect cells.
 //!
+//! A weight is a finite, non-negative number; [`CostModel`]'s setters
+//! panic on anything else. Class resolution relies on it: a sum of
+//! non-negative terms is at least each of its terms, which is what
+//! lets it price a value out from one term of its total
+//! ([`crate::eqclass`]).
+//!
 //! ## The edit-distance kernel
 //!
 //! The edit distance is the inner loop of class resolution
@@ -231,6 +237,11 @@ pub fn value_distance(a: &Value, b: &Value) -> f64 {
     SCRATCH.with_borrow_mut(|scratch| scratch.value_distance(a, b))
 }
 
+/// The weight domain: finite and non-negative (`-0.0` included).
+fn valid_weight(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
+}
+
 /// Per-cell weights with a uniform default.
 #[derive(Clone, Debug)]
 pub struct CostModel {
@@ -250,12 +261,24 @@ impl CostModel {
     }
 
     /// Set the weight of a whole attribute.
+    ///
+    /// # Panics
+    /// If `w` is negative, NaN or infinite.
     pub fn set_attr_weight(&mut self, attr: usize, w: f64) {
+        assert!(valid_weight(w), "weight of attribute {attr} must be finite and >= 0, got {w}");
         self.attr_weights[attr] = w;
     }
 
     /// Set the weight of one cell (overrides the attribute weight).
+    ///
+    /// # Panics
+    /// If `w` is negative, NaN or infinite.
     pub fn set_cell_weight(&mut self, tuple: TupleId, attr: usize, w: f64) {
+        assert!(
+            valid_weight(w),
+            "weight of cell (t{}, attribute {attr}) must be finite and >= 0, got {w}",
+            tuple.0
+        );
         self.cell_weights.insert((tuple, attr), w);
     }
 
@@ -423,6 +446,49 @@ mod tests {
         assert_eq!(m.weight(TupleId(0), 0), 1.0);
         assert_eq!(m.weight(TupleId(0), 1), 2.0);
         assert_eq!(m.weight(TupleId(5), 1), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight of attribute 1 must be finite and >= 0, got -0.5")]
+    fn negative_attribute_weight_panics() {
+        CostModel::uniform(3).set_attr_weight(1, -0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight of attribute 0 must be finite and >= 0, got NaN")]
+    fn nan_attribute_weight_panics() {
+        CostModel::uniform(3).set_attr_weight(0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight of cell (t5, attribute 2) must be finite and >= 0, got inf")]
+    fn infinite_cell_weight_panics() {
+        CostModel::uniform(3).set_cell_weight(TupleId(5), 2, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight of cell (t7, attribute 0) must be finite and >= 0, got -1")]
+    fn negative_cell_weight_panics() {
+        CostModel::uniform(3).set_cell_weight(TupleId(7), 0, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight of cell (t0, attribute 1) must be finite and >= 0, got NaN")]
+    fn nan_cell_weight_panics() {
+        CostModel::uniform(3).set_cell_weight(TupleId(0), 1, f64::NAN);
+    }
+
+    /// The domain's edges are weights: zero of either sign, the largest
+    /// finite value, the smallest subnormal.
+    #[test]
+    fn weights_at_the_domain_edges_are_taken() {
+        let mut m = CostModel::uniform(2);
+        for w in [0.0, -0.0, f64::MAX, f64::from_bits(1)] {
+            m.set_attr_weight(0, w);
+            m.set_cell_weight(TupleId(3), 1, w);
+            assert_eq!(m.weight(TupleId(0), 0).to_bits(), w.to_bits());
+            assert_eq!(m.weight(TupleId(3), 1).to_bits(), w.to_bits());
+        }
     }
 
     #[test]

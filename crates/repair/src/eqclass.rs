@@ -11,13 +11,27 @@
 //! `Σ_cells w·d(v, x)`; cells holding the same value share `d(v, x)`,
 //! so the sum factorises as `Σ_values (Σ w)·d(v, x)` — and the table's
 //! interned columns hand over the distinct values as [`Sym`]s for
-//! free. A class of c distinct values therefore costs c(c−1)/2
+//! free.
+//!
+//! Nor does it price every pair of those values. The class's heaviest
+//! value p is priced first, against the c − 1 others; its total `T_p`
+//! bounds the answer, and any value i with `w_p · d(i, p) > T_p` — one
+//! term of i's own total already above p's whole total — can neither
+//! win nor tie. The all-pairs loop then skips every pair of two such
+//! dead values. Every live value's total is the same float, summed in
+//! the same order, as an all-pairs pass gives it (which survives under
+//! `#[cfg(test)]` as the oracle), so the target is too. A class of c
+//! distinct values with a dead set D costs c(c−1)/2 − |D|(|D|−1)/2
 //! distance evaluations however many cells it has (each unordered pair
-//! once, `d(v, v)` never), where a per-cell sum would cost k·c.
-//! [`ResolveStats`] counts that work.
+//! at most once, `d(v, v)` never), where a per-cell sum would cost
+//! k·c; in a typical class a dominant true value kills every typo of
+//! it, and the count falls towards its floor of c − 1.
+//! [`ResolveStats`] counts that work. The bound needs non-negative
+//! weights, which [`CostModel`] enforces.
 
 use crate::cost::{CostModel, DistanceScratch};
 use revival_relation::{map_chunks, Sym, Table, TupleId, Value};
+use std::cmp::Ordering;
 
 /// A cell identified by `(tuple, attribute)`.
 pub type Cell = (TupleId, usize);
@@ -48,6 +62,11 @@ impl EquivClasses {
     }
 
     fn intern(&mut self, c: Cell) -> usize {
+        self.node(c).0
+    }
+
+    /// The cell's node, and whether this call created it.
+    fn node(&mut self, c: Cell) -> (usize, bool) {
         let (slot, attr) = (c.0 .0 as usize, c.1);
         if self.index.len() <= attr {
             self.index.resize_with(attr + 1, Vec::new);
@@ -56,14 +75,15 @@ impl EquivClasses {
         if column.len() <= slot {
             column.resize(slot + 1, 0);
         }
-        if column[slot] == 0 {
+        let fresh = column[slot] == 0;
+        if fresh {
             self.cells.push(c);
             column[slot] = u32::try_from(self.cells.len()).expect("under 2^32 cells in classes");
             self.parent.push(self.cells.len() - 1);
             self.size.push(1);
             self.pinned.push(None);
         }
-        column[slot] as usize - 1
+        (column[slot] as usize - 1, fresh)
     }
 
     fn find(&mut self, mut i: usize) -> usize {
@@ -106,6 +126,11 @@ impl EquivClasses {
     /// turn — one violation group — following `first`'s root through
     /// the merges instead of finding it again per member. `conflict`
     /// gets each cell a union refused.
+    ///
+    /// A member cell never seen before is an unpinned singleton, never
+    /// larger than the running class, so `link` would hang it straight
+    /// under the running root: it goes there without a `find` or a
+    /// `link`.
     pub fn union_all(
         &mut self,
         first: Cell,
@@ -115,7 +140,12 @@ impl EquivClasses {
         let first = self.intern(first);
         let mut root = self.find(first);
         for c in rest {
-            let i = self.intern(c);
+            let (i, fresh) = self.node(c);
+            if fresh {
+                self.parent[i] = root;
+                self.size[root] += 1;
+                continue;
+            }
             let r = self.find(i);
             match self.link(root, r) {
                 Some(merged) => root = merged,
@@ -219,7 +249,9 @@ pub struct ResolveStats {
     /// Distinct member values over the classes resolved by cost (Σ c);
     /// a pinned class takes its pin without reading its members.
     pub distinct_values: u64,
-    /// Distance evaluations made: Σ c(c−1)/2 over the same classes.
+    /// Distance evaluations made over the same classes: per class, its
+    /// c(c−1)/2 value pairs less the pairs of two values its heaviest
+    /// value priced out (between c − 1 and c(c−1)/2).
     pub distances_computed: u64,
 }
 
@@ -256,7 +288,12 @@ struct Resolver<'a> {
     seen: Vec<(u64, usize)>,
     /// The current class's distinct values with their summed weights.
     hist: Vec<(Sym, f64)>,
-    /// Total change cost of moving the class to each value of `hist`.
+    /// Each value of `hist`'s distance to the class's heaviest value.
+    to_heaviest: Vec<f64>,
+    /// Which values of `hist` the heaviest value's total prices out.
+    dead: Vec<bool>,
+    /// Total change cost of moving the class to each value of `hist`
+    /// (exact for the live values only).
     totals: Vec<f64>,
     scratch: DistanceScratch,
     stats: ResolveStats,
@@ -269,6 +306,8 @@ impl<'a> Resolver<'a> {
             cost,
             seen: vec![(0, 0); table.pool().len()],
             hist: Vec::new(),
+            to_heaviest: Vec::new(),
+            dead: Vec::new(),
             totals: Vec::new(),
             scratch: DistanceScratch::default(),
             stats: ResolveStats::default(),
@@ -284,6 +323,18 @@ impl<'a> Resolver<'a> {
     /// do not commute: a value's weight is the sum of its cells'
     /// weights in cell order, and a candidate's total adds
     /// `weight · distance` over the other values in `Value` order.
+    ///
+    /// The heaviest value p (the first on a tie) is priced first, in
+    /// that order. A value i with `w_p · d(i, p) > T_p` is dead: that
+    /// product is one non-negative term of its own total, and rounding
+    /// is monotone, so a left-to-right sum of non-negative terms is at
+    /// least each of them — i's total exceeds p's, and i can neither
+    /// win nor tie. The all-pairs loop then skips the pairs of two dead
+    /// values and the pick reads only live ones; every live total is
+    /// summed exactly as before. A heaviest weight that is not finite —
+    /// only a class weight sum that overflows gets one — kills nothing:
+    /// `∞ · 0` makes NaN totals, and the pick over NaNs depends on every
+    /// value it reads.
     fn resolve(&mut self, cells: &[Cell], pinned: &Option<Value>) -> Value {
         self.stats.classes += 1;
         self.stats.class_cells += cells.len() as u64;
@@ -307,14 +358,45 @@ impl<'a> Resolver<'a> {
         self.hist.sort_by(|x, y| pool.value(x.0).cmp(pool.value(y.0)));
         let c = self.hist.len();
         self.stats.distinct_values += c as u64;
+        if c == 0 {
+            return Value::Null;
+        }
+        let p = (1..c).fold(0, |p, i| if self.hist[i].1 > self.hist[p].1 { i } else { p });
+        let (vp, wp) = (pool.value(self.hist[p].0), self.hist[p].1);
+        self.to_heaviest.clear();
+        let mut total_p = 0.0;
+        for (i, &(sym, w)) in self.hist.iter().enumerate() {
+            // Operands in `hist` order, as the pair loop below takes them.
+            let d = match i.cmp(&p) {
+                Ordering::Less => self.scratch.value_distance(pool.value(sym), vp),
+                Ordering::Equal => 0.0,
+                Ordering::Greater => self.scratch.value_distance(vp, pool.value(sym)),
+            };
+            if i != p {
+                total_p += w * d;
+            }
+            self.to_heaviest.push(d);
+        }
+        self.stats.distances_computed += c as u64 - 1;
+        self.dead.clear();
+        self.dead.extend(self.to_heaviest.iter().map(|&d| wp.is_finite() && wp * d > total_p));
         self.totals.clear();
         self.totals.resize(c, 0.0);
         for i in 0..c {
             let (vi, wi) = (pool.value(self.hist[i].0), self.hist[i].1);
             for j in i + 1..c {
-                let (vj, wj) = (pool.value(self.hist[j].0), self.hist[j].1);
-                let d = self.scratch.value_distance(vi, vj);
-                self.stats.distances_computed += 1;
+                if self.dead[i] && self.dead[j] {
+                    continue;
+                }
+                let wj = self.hist[j].1;
+                let d = if i == p {
+                    self.to_heaviest[j]
+                } else if j == p {
+                    self.to_heaviest[i]
+                } else {
+                    self.stats.distances_computed += 1;
+                    self.scratch.value_distance(vi, pool.value(self.hist[j].0))
+                };
                 self.totals[i] += wj * d;
                 self.totals[j] += wi * d;
             }
@@ -322,6 +404,7 @@ impl<'a> Resolver<'a> {
         let mut best: Option<usize> = None;
         for (i, total) in self.totals.iter().enumerate() {
             match best {
+                _ if self.dead[i] => {}
                 Some(b) if self.totals[b] <= *total => {}
                 _ => best = Some(i),
             }
@@ -331,7 +414,7 @@ impl<'a> Resolver<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cost::value_distance;
     use revival_relation::{Schema, Type};
@@ -428,6 +511,274 @@ mod tests {
             }
         }
         best.map_or(Value::Null, |b| b.0.clone())
+    }
+
+    /// What the all-pairs resolver made of one unpinned class.
+    pub(crate) struct AllPairs {
+        /// The first value of least total, in `Value` order.
+        pub(crate) target: Option<Value>,
+        /// That value's total.
+        pub(crate) total: f64,
+        /// The heaviest value (the first on a tie).
+        pub(crate) heaviest: Option<Value>,
+        /// Distinct member values: c.
+        pub(crate) values: u64,
+        /// Values the heaviest one prices out: |D|.
+        pub(crate) dead: u64,
+        /// Values the heaviest one prices out *or* meets exactly — what
+        /// a `>=` bound would kill — that are the target.
+        pub(crate) boundary_target: bool,
+    }
+
+    /// The resolver before the bound, over a histogram of its own: a
+    /// value's weight summed in cell order, every one of the c(c−1)/2
+    /// pairs priced, `totals[j]` accumulated over the others in `Value`
+    /// order, the first minimum picked — the bounded resolver's oracle.
+    /// It also names the dead set D the bound should find: the values
+    /// i ≠ p with `w_p · d(i, p) > T_p`.
+    pub(crate) fn all_pairs(cells: &[Cell], table: &Table, cost: &CostModel) -> AllPairs {
+        use std::collections::btree_map::{BTreeMap, Entry};
+        let mut hist: BTreeMap<Value, f64> = BTreeMap::new();
+        for &(t, a) in cells {
+            if let Ok(v) = table.value_at(t, a) {
+                let w = cost.weight(t, a);
+                match hist.entry(v.clone()) {
+                    Entry::Vacant(e) => drop(e.insert(w)),
+                    Entry::Occupied(mut e) => *e.get_mut() += w,
+                }
+            }
+        }
+        let hist: Vec<(Value, f64)> = hist.into_iter().collect();
+        let c = hist.len();
+        let mut totals = vec![0.0; c];
+        for i in 0..c {
+            for j in i + 1..c {
+                let d = value_distance(&hist[i].0, &hist[j].0);
+                totals[i] += hist[j].1 * d;
+                totals[j] += hist[i].1 * d;
+            }
+        }
+        let mut best: Option<usize> = None;
+        for (i, total) in totals.iter().enumerate() {
+            match best {
+                Some(b) if totals[b] <= *total => {}
+                _ => best = Some(i),
+            }
+        }
+        let mut heaviest: Option<usize> = None;
+        for (i, (_, w)) in hist.iter().enumerate() {
+            if heaviest.is_none_or(|p| *w > hist[p].1) {
+                heaviest = Some(i);
+            }
+        }
+        let (mut dead, mut boundary_target) = (0, false);
+        if let Some(p) = heaviest {
+            let wp = hist[p].1;
+            for i in (0..c).filter(|&i| i != p) {
+                let term = wp * value_distance(&hist[i].0, &hist[p].0);
+                if wp.is_finite() && term > totals[p] {
+                    dead += 1;
+                }
+                boundary_target |= Some(i) == best && term >= totals[p];
+            }
+        }
+        AllPairs {
+            target: best.map(|b| hist[b].0.clone()),
+            total: best.map_or(0.0, |b| totals[b]),
+            heaviest: heaviest.map(|p| hist[p].0.clone()),
+            values: c as u64,
+            dead,
+            boundary_target,
+        }
+    }
+
+    /// 2 000+ random classes — a dominant value and its typos, a heavy
+    /// outlier against a tight cluster, ints that collapse to one
+    /// float (distance 0 between distinct values), zero and per-cell
+    /// weights, pins, non-ASCII — through one reused resolver per
+    /// table: the bounded resolver picks the all-pairs oracle's target
+    /// at the same total, to the bit, and makes exactly the distance
+    /// evaluations the dead set leaves, c(c−1)/2 − |D|(|D|−1)/2.
+    #[test]
+    fn bounded_resolver_equals_all_pairs() {
+        let mut x = 0x9d2c5680u64 ^ 0xefc6_0000_0000;
+        let mut next = move |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        let words = [
+            "main street",
+            "maim street",
+            "main stret",
+            "mian street",
+            "main streets",
+            "oak avenue",
+            "oak avnue",
+            "elm",
+            "",
+            "élan vital",
+            "elan vital",
+            "éaln vital",
+            "zürich",
+            "zurich",
+        ];
+        const TWO_53: i64 = 1 << 53;
+        let ints = [100, 107, 93, TWO_53, TWO_53 + 1, TWO_53 + 2, -5, 1_000_000];
+        let weights = [0.0, 0.1, 0.25, 0.5, 1.0, 1.0, 1.3, 2.0, 3.7, 5.0];
+        let s = Schema::builder("r").attr("s", Type::Str).attr("n", Type::Int).build();
+        #[derive(Debug, Default)]
+        struct Seen {
+            classes: u64,
+            pinned: u64,
+            heaviest_lost: u64,
+            ties: u64,
+            boundary: u64,
+            pruned: u64,
+            cell_weights: u64,
+            non_ascii: u64,
+        }
+        let mut seen = Seen::default();
+        for round in 0..700 {
+            let mut t = Table::new(s.clone());
+            let mut cost = CostModel::uniform(2);
+            cost.set_attr_weight(0, weights[next(weights.len())]);
+            cost.set_attr_weight(1, weights[next(weights.len())]);
+            let mut classes = Vec::new();
+            for _ in 0..1 + next(5) {
+                let attr = next(2);
+                let vocabulary = 1 + next(if attr == 0 { words.len() } else { ints.len() });
+                let offset = next(words.len());
+                let dominant = next(3) != 0;
+                // Distinct ints one float apart: every pair at distance 0.
+                let collapsed = attr == 1 && next(4) == 0;
+                let mut per_cell = false;
+                let cells: Vec<Cell> = (0..1 + next(30))
+                    .map(|_| {
+                        // Skewed towards the first pick when a value dominates.
+                        let pick = if dominant {
+                            next(vocabulary).min(next(vocabulary))
+                        } else {
+                            next(vocabulary)
+                        };
+                        let word = words[(offset + pick) % words.len()];
+                        let id = t
+                            .push(vec![
+                                Value::from(word),
+                                Value::Int(if collapsed {
+                                    TWO_53 + (pick % 2) as i64
+                                } else {
+                                    ints[pick % ints.len()]
+                                }),
+                            ])
+                            .unwrap();
+                        if next(6) == 0 {
+                            cost.set_cell_weight(id, attr, weights[next(weights.len())] * 4.0);
+                            per_cell = true;
+                        }
+                        (id, attr)
+                    })
+                    .collect();
+                let pinned = (next(12) == 0).then(|| Value::from("pinned"));
+                classes.push((cells, pinned, per_cell));
+            }
+            let mut resolver = Resolver::new(&t, &cost);
+            for (cells, pinned, per_cell) in &classes {
+                let before = resolver.stats;
+                let got = resolver.resolve(cells, pinned);
+                let spent = resolver.stats.distances_computed - before.distances_computed;
+                seen.classes += 1;
+                if let Some(pin) = pinned {
+                    assert_eq!(&got, pin, "round {round}");
+                    assert_eq!(spent, 0, "round {round}");
+                    seen.pinned += 1;
+                    continue;
+                }
+                let oracle = all_pairs(cells, &t, &cost);
+                assert_eq!(Some(&got), oracle.target.as_ref(), "round {round}: {cells:?}");
+                let pool = t.pool();
+                let at =
+                    resolver.hist.iter().position(|(sym, _)| *pool.value(*sym) == got).unwrap();
+                assert_eq!(
+                    resolver.totals[at].to_bits(),
+                    oracle.total.to_bits(),
+                    "round {round}: {got:?} priced {} against {}",
+                    resolver.totals[at],
+                    oracle.total
+                );
+                let (c, d) = (oracle.values, oracle.dead);
+                assert_eq!(
+                    resolver.stats.distinct_values - before.distinct_values,
+                    c,
+                    "round {round}"
+                );
+                assert_eq!(spent, c * (c - 1) / 2 - d * d.saturating_sub(1) / 2, "round {round}");
+                let minima = resolver
+                    .hist
+                    .iter()
+                    .zip(&resolver.totals)
+                    .zip(&resolver.dead)
+                    .filter(|((_, total), dead)| {
+                        !**dead && total.to_bits() == oracle.total.to_bits()
+                    })
+                    .count();
+                seen.heaviest_lost += u64::from(oracle.heaviest != oracle.target);
+                seen.ties += u64::from(minima > 1);
+                seen.boundary += u64::from(oracle.boundary_target);
+                seen.pruned += u64::from(d > 1);
+                seen.cell_weights += u64::from(*per_cell);
+                seen.non_ascii += u64::from(
+                    cells.iter().any(|&(id, a)| !t.value_at(id, a).unwrap().to_string().is_ascii()),
+                );
+            }
+        }
+        let Seen {
+            classes,
+            pinned,
+            heaviest_lost,
+            ties,
+            boundary,
+            pruned,
+            cell_weights,
+            non_ascii,
+        } = seen;
+        assert!(classes >= 2_000, "{seen:?}");
+        for (what, n) in [
+            ("pinned", pinned),
+            ("heaviest lost", heaviest_lost),
+            ("tie", ties),
+            ("target on the bound", boundary),
+            ("two or more dead", pruned),
+            ("per-cell weight", cell_weights),
+            ("non-ASCII", non_ascii),
+        ] {
+            assert!(n >= 20, "{n} class(es) with a {what}: {seen:?}");
+        }
+    }
+
+    /// Two cells of the largest finite weight sum to an infinite class
+    /// weight, and `∞ · 0` to a NaN total: the bound must then kill
+    /// nothing, or the pick would skip a value the all-pairs scan picks.
+    #[test]
+    fn an_overflowing_class_weight_kills_nothing() {
+        const TWO_53: i64 = 1 << 53;
+        let s = Schema::builder("r").attr("n", Type::Int).build();
+        let mut t = Table::new(s);
+        let mut cost = CostModel::uniform(1);
+        let mut cells = Vec::new();
+        for n in [TWO_53, TWO_53, TWO_53 + 1, 2 * TWO_53] {
+            let id = t.push(vec![Value::Int(n)]).unwrap();
+            if n == TWO_53 {
+                cost.set_cell_weight(id, 0, f64::MAX);
+            }
+            cells.push((id, 0));
+        }
+        let oracle = all_pairs(&cells, &t, &cost);
+        assert_eq!(oracle.dead, 0);
+        let (got, stats) = resolve_one(&cells, None, &t, &cost);
+        assert_eq!(Some(got), oracle.target);
+        assert_eq!(stats.distances_computed, 3);
     }
 
     #[test]
@@ -551,9 +902,19 @@ mod tests {
                     "round {round}: got {got:?} ({got_total:?}), oracle {want:?} ({want_total:?})"
                 );
             }
-            let c = if pinned.is_some() { 0 } else { totals.len() as u64 };
+            let (c, d) = match pinned {
+                Some(_) => (0, 0),
+                None => {
+                    let oracle = all_pairs(&cells, &t, &cost);
+                    (oracle.values, oracle.dead)
+                }
+            };
             assert_eq!(stats.distinct_values, c, "round {round}");
-            assert_eq!(stats.distances_computed, c * c.saturating_sub(1) / 2, "round {round}");
+            assert_eq!(
+                stats.distances_computed,
+                c * c.saturating_sub(1) / 2 - d * d.saturating_sub(1) / 2,
+                "round {round}"
+            );
         }
     }
 
@@ -659,7 +1020,8 @@ mod tests {
             assert!(eq.pin(cell(9, 0), "x".into()));
             eq
         };
-        let members = [1, 5, 3, 2, 9, 1];
+        // Fresh cells (10–13) between pinned and seen ones, one twice.
+        let members = [10, 1, 5, 11, 3, 12, 2, 9, 13, 1, 11];
         let mut one_by_one = build();
         let refused: Vec<Cell> = members
             .iter()
@@ -672,6 +1034,12 @@ mod tests {
         assert_eq!(conflicts, refused);
         assert_eq!(conflicts, [cell(3, 0)]);
         assert_eq!(at_once.groups(), one_by_one.groups());
+        // Node for node the same forest: a fresh cell hangs where `link`
+        // would have hung it.
+        assert_eq!(at_once.cells, one_by_one.cells);
+        assert_eq!(at_once.parent, one_by_one.parent);
+        assert_eq!(at_once.size, one_by_one.size);
+        assert_eq!(at_once.pinned, one_by_one.pinned);
     }
 
     /// The hospital report's classes — unions and pins over three RHS
