@@ -59,10 +59,17 @@
 //! Attributes before `;` are the correspondence lists (positionally
 //! paired); `attr='c'` items after `;` are pattern conditions.
 //!
-//! Both parsers run on one scanner (`items`, `split_unquoted`,
-//! `unquote`) that hands out borrowed pieces of the line: nothing is
-//! allocated per item, and a block's attribute names are resolved once,
-//! at its head. String constants are interned per parse call: a mined
+//! A quoted constant ends at its closing quote: text after it is an
+//! error, as is a second `||` in a block row — never one garbled
+//! constant. A block row, the form a mined suite is nearly all of, is
+//! scanned once, left to right (`scan_row`): one pass over its bytes
+//! finds the comment, the `||`, the cells and the quotes in each, and a
+//! cell whose only quotes are the pair around it is its constant
+//! without a second look. Line-form items and CIND lines run on the
+//! piecewise scanner (`items`, `split_unquoted`, `unquote`). Both hand
+//! out borrowed pieces of the line: nothing is allocated per cell or
+//! item, and a block's attribute names are resolved once, at its head.
+//! String constants are interned per parse call: a mined
 //! suite repeats a few hundred distinct values across tens of thousands
 //! of cells, and every cell spelling the same text shares one
 //! `Arc<str>`. (Integer, float and boolean constants own no heap.)
@@ -130,12 +137,9 @@ struct Block<'s> {
 fn parse_suite<'s>(text: &str, schema_of: impl Fn(&str) -> Result<&'s Schema>) -> Result<Vec<Cfd>> {
     let mut out = Vec::new();
     let mut block: Option<Block<'s>> = None;
-    let mut strings = Strings::default();
+    let (mut strings, mut cells) = (Strings::default(), Vec::new());
     for (at, raw) in text.lines().enumerate() {
-        content(raw)
-            .and_then(|line| {
-                parse_suite_line(line, at + 1, &mut block, &mut out, &mut strings, &schema_of)
-            })
+        parse_suite_line(raw, at + 1, &mut block, &mut out, &mut strings, &mut cells, &schema_of)
             .map_err(|e| annotate(e, at + 1))?;
     }
     match block {
@@ -144,30 +148,42 @@ fn parse_suite<'s>(text: &str, schema_of: impl Fn(&str) -> Result<&'s Schema>) -
     }
 }
 
-fn parse_suite_line<'s>(
-    line: &str,
+/// One raw line of a suite. Inside a block the line is scanned once as
+/// a row ([`scan_row`]), whatever it turns out to be; outside, it is a
+/// line-form CFD or a block head.
+fn parse_suite_line<'s, 't>(
+    raw: &'t str,
     lineno: usize,
     block: &mut Option<Block<'s>>,
     out: &mut Vec<Cfd>,
     strings: &mut Strings,
+    cells: &mut Vec<Cell<'t>>,
     schema_of: &impl Fn(&str) -> Result<&'s Schema>,
 ) -> Result<()> {
+    if let Some(open) = block {
+        let row = scan_row(raw, cells)?;
+        match row.content {
+            "" => {}
+            "}" => out.extend(block.take().map(|b| b.cfd)),
+            line if line.ends_with('{') => {
+                return Err(perr(format!(
+                    "nested `{{`: the block opened at line {} is still open",
+                    open.opened
+                )));
+            }
+            _ => {
+                let fd = (open.cfd.lhs.as_slice(), open.cfd.rhs);
+                let tp = parse_row(&row, cells, fd, open.schema, strings)?;
+                open.cfd.tableau.push(tp);
+            }
+        }
+        return Ok(());
+    }
+    let line = content(raw)?;
     if line.is_empty() {
         return Ok(());
     }
-    if let Some(open) = block {
-        if line == "}" {
-            out.extend(block.take().map(|b| b.cfd));
-        } else if line.ends_with('{') {
-            return Err(perr(format!(
-                "nested `{{`: the block opened at line {} is still open",
-                open.opened
-            )));
-        } else {
-            let row = parse_row(line, &open.cfd.lhs, open.cfd.rhs, open.schema, strings)?;
-            open.cfd.tableau.push(row);
-        }
-    } else if line == "}" {
+    if line == "}" {
         return Err(perr("`}` without an open block"));
     } else if let Some(head) = line.strip_suffix('{') {
         *block = Some(parse_block_head(head.trim_end(), lineno, schema_of)?);
@@ -209,14 +225,15 @@ fn perr(msg: impl Into<String>) -> Error {
 }
 
 /// The pattern part of a line-form item or a block cell, borrowing the
-/// line: constants stay raw (quotes and all) until [`Pat::typed`].
+/// line: a constant is its text without quotes (owned only when it
+/// held an escaped quote), typed by [`Pat::typed`].
 enum Pat<'a> {
     /// Plain attribute, or the cell `_` → wildcard.
     Wild,
     /// `attr='c'`, or the cell `'c'`.
-    Eq(&'a str),
+    Eq(Cow<'a, str>),
     /// `attr!='c'`, or the cell `!='c'` (eCFD disequality).
-    Ne(&'a str),
+    Ne(Cow<'a, str>),
     /// `attr in ('a','b')`, or the cell `in ('a','b')` (eCFD
     /// disjunction): the non-empty text between the parentheses.
     In(&'a str),
@@ -244,7 +261,8 @@ fn split_unquoted<'a>(s: &'a str, sep: &str) -> Option<(&'a str, &'a str)> {
 
 /// The non-empty trimmed pieces of `a, b='x', c`: `s` cut at every
 /// `sep` that sits outside quotes and outside parentheses. One splitter
-/// serves CFD lists, block rows, `in (...)` lists and CIND `;`-sections.
+/// serves CFD lists, `in (...)` lists and CIND `;`-sections; a block
+/// row cuts its cells the same way inside [`scan_row`].
 /// A doubled quote reads as leave-and-re-enter, which never exposes a
 /// separator, so escaped constants split correctly too.
 fn items(s: &str, sep: u8) -> impl Iterator<Item = &str> {
@@ -270,30 +288,50 @@ fn items(s: &str, sep: u8) -> impl Iterator<Item = &str> {
     })
 }
 
-/// A constant without its quotes; `''` is un-escaped only when present
-/// (the escape [`push_const`] renders, so mined constants containing
-/// `'` survive a display → parse round trip).
-fn unquote(val: &str) -> Cow<'_, str> {
+/// A constant without its quotes: a quoted constant ends at its closing
+/// quote — text after it is an error, not part of the constant — and
+/// `''` inside it is un-escaped (the escape [`push_const`] renders, so
+/// mined constants containing `'` survive a display → parse round
+/// trip); an unquoted one is its trimmed text. A cell's quotes pair up
+/// ([`content`] refuses an odd count), so a constant that opens with a
+/// quote closes.
+fn unquote(val: &str) -> Result<Cow<'_, str>> {
     let val = val.trim();
-    match val.strip_prefix('\'').and_then(|v| v.strip_suffix('\'')) {
-        Some(inner) if inner.contains('\'') => Cow::Owned(inner.replace("''", "'")),
-        Some(inner) => Cow::Borrowed(inner),
-        None => Cow::Borrowed(val),
+    let Some(inner) = val.strip_prefix('\'') else { return Ok(Cow::Borrowed(val)) };
+    let mut escaped: Option<String> = None;
+    let mut from = 0;
+    while let Some(q) = inner[from..].find('\'').map(|q| from + q) {
+        if inner[q + 1..].starts_with('\'') {
+            escaped.get_or_insert_with(String::new).push_str(&inner[from..=q]);
+            from = q + 2;
+            continue;
+        }
+        if q + 1 < inner.len() {
+            return Err(perr(format!("text after the closing quote of constant `{val}`")));
+        }
+        return Ok(match escaped {
+            None => Cow::Borrowed(&inner[..q]),
+            Some(mut text) => {
+                text.push_str(&inner[from..q]);
+                Cow::Owned(text)
+            }
+        });
     }
+    Ok(Cow::Borrowed(val))
 }
 
-/// Parse a raw constant according to the attribute's type; a string
+/// Parse a constant's text according to the attribute's type; a string
 /// seen before in this parse shares its first `Arc`.
 fn parse_const(schema: &Schema, attr: AttrId, raw: &str, strings: &mut Strings) -> Result<Value> {
-    let (raw, attr) = (unquote(raw), schema.attribute(attr));
+    let attr = schema.attribute(attr);
     let (ty, name) = (attr.ty, &attr.name);
     if ty == Type::Str {
-        if let Some(s) = strings.get(&*raw) {
+        if let Some(s) = strings.get(raw) {
             return Ok(Value::Str(s.clone()));
         }
     }
     let v = ty
-        .parse(&raw)
+        .parse(raw)
         .map_err(|_| perr(format!("constant `{raw}` does not parse as {ty} for `{name}`")))?;
     if let Value::Str(s) = &v {
         strings.insert(s.clone());
@@ -306,11 +344,11 @@ impl Pat<'_> {
     fn typed(&self, schema: &Schema, attr: AttrId, strings: &mut Strings) -> Result<PatternValue> {
         Ok(match self {
             Pat::Wild => PatternValue::Wildcard,
-            Pat::Eq(raw) => PatternValue::Const(parse_const(schema, attr, raw, strings)?),
-            Pat::Ne(raw) => PatternValue::NotConst(parse_const(schema, attr, raw, strings)?),
+            Pat::Eq(text) => PatternValue::Const(parse_const(schema, attr, text, strings)?),
+            Pat::Ne(text) => PatternValue::NotConst(parse_const(schema, attr, text, strings)?),
             Pat::In(list) => PatternValue::one_of(
                 items(list, b',')
-                    .map(|raw| parse_const(schema, attr, raw, strings))
+                    .map(|raw| parse_const(schema, attr, &unquote(raw)?, strings))
                     .collect::<Result<Vec<_>>>()?,
             ),
         })
@@ -380,9 +418,9 @@ fn parse_item(s: &str) -> Result<Item<'_>> {
             .trim_start()
             .strip_prefix('=')
             .ok_or_else(|| perr(format!("expected `!=` in `{s}`")))?;
-        (attr, Pat::Ne(val))
+        (attr, Pat::Ne(unquote(val)?))
     } else if let Some((attr, val)) = split_unquoted(s, "=") {
-        (attr, Pat::Eq(val))
+        (attr, Pat::Eq(unquote(val)?))
     } else if let Some(at) = s.as_bytes().windows(4).position(|w| w.eq_ignore_ascii_case(b" in ")) {
         (&s[..at], Pat::In(in_list(&s[at + 4..], s)?))
     } else {
@@ -392,17 +430,29 @@ fn parse_item(s: &str) -> Result<Item<'_>> {
 }
 
 /// One block-row cell: `_`, `'c'`, `!='c'`, `in (..)`.
-fn parse_cell(s: &str) -> Result<Pat<'_>> {
+fn parse_cell<'a>(&Cell { text: s, quotes }: &Cell<'a>) -> Result<Pat<'a>> {
+    // The scan counted the cell's quotes: none, or just the pair around
+    // the whole constant, leaves nothing to unquote.
+    let constant = |val: &'a str| {
+        let val = val.trim_start();
+        match quotes {
+            0 => Ok(Cow::Borrowed(val)),
+            2 if val.len() >= 2 && val.starts_with('\'') && val.ends_with('\'') => {
+                Ok(Cow::Borrowed(&val[1..val.len() - 1]))
+            }
+            _ => unquote(val),
+        }
+    };
     if s == "_" {
         return Ok(Pat::Wild);
     }
     if let Some(val) = s.strip_prefix("!=") {
-        return Ok(Pat::Ne(val));
+        return Ok(Pat::Ne(constant(val)?));
     }
     let list = s.get(..2).filter(|kw| kw.eq_ignore_ascii_case("in")).map(|_| s[2..].trim_start());
     match list {
         Some(list) if list.starts_with('(') => Ok(Pat::In(in_list(list, s)?)),
-        _ => Ok(Pat::Eq(s)),
+        _ => Ok(Pat::Eq(constant(s)?)),
     }
 }
 
@@ -489,30 +539,106 @@ fn parse_block_head<'s>(
     Ok(Block { cfd, schema, opened })
 }
 
-/// One block row, `cell, cell || cell`, against the head's attributes.
+/// A block-row cell, trimmed, with the quotes the scan counted in it.
+struct Cell<'t> {
+    text: &'t str,
+    quotes: u32,
+}
+
+/// One block row as one left-to-right scan of its raw line found it;
+/// its cells are in the caller's list.
+struct RowScan<'t> {
+    /// The line without its comment and surrounding blanks.
+    content: &'t str,
+    /// Where the RHS cells start in the cell list; `None` without `||`.
+    bar: Option<usize>,
+    /// Whether a second `||` follows the first.
+    second_bar: bool,
+}
+
+/// Scan a raw block line once, left to right: a quote toggles quoting,
+/// `#` outside quotes ends the line (a comment), and outside quotes the
+/// first `||` ends the LHS cells while `,` outside parentheses ends a
+/// cell. `cells` receives the non-empty trimmed cells, LHS then RHS —
+/// what cutting the comment, splitting at `||` and then at the commas,
+/// one pass each, found before. A quote still open at the end is the
+/// unterminated-quote error [`content`] reports.
+fn scan_row<'t>(raw: &'t str, cells: &mut Vec<Cell<'t>>) -> Result<RowScan<'t>> {
+    cells.clear();
+    let bytes = raw.as_bytes();
+    let mut cut = |from: usize, to: usize, quotes: &mut u32| {
+        let text = raw[from..to].trim();
+        if !text.is_empty() {
+            cells.push(Cell { text, quotes: *quotes });
+        }
+        *quotes = 0;
+        cells.len()
+    };
+    let (mut in_quote, mut depth, mut start, mut end) = (false, 0usize, 0, bytes.len());
+    let (mut bar, mut second_bar, mut quotes, mut i) = (None, false, 0, 0);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\'' => {
+                in_quote = !in_quote;
+                quotes += 1;
+            }
+            _ if in_quote => {}
+            b'#' => {
+                end = i;
+                break;
+            }
+            b'(' => depth += 1,
+            b')' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                cut(start, i, &mut quotes);
+                start = i + 1;
+            }
+            b'|' if bytes.get(i + 1) == Some(&b'|') => {
+                if bar.is_some() {
+                    second_bar = true;
+                } else {
+                    bar = Some(cut(start, i, &mut quotes));
+                    (start, depth) = (i + 2, 0);
+                }
+                i += 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if in_quote {
+        return Err(perr("unterminated quote: a constant ends on the line it starts on"));
+    }
+    cut(start, end, &mut quotes);
+    Ok(RowScan { content: raw[..end].trim(), bar, second_bar })
+}
+
+/// One block row, `cell, cell || cell`, from its scan, against the
+/// head's embedded FD.
 fn parse_row(
-    line: &str,
-    lhs: &[AttrId],
-    rhs: AttrId,
+    row: &RowScan<'_>,
+    cells: &[Cell<'_>],
+    (lhs, rhs): (&[AttrId], AttrId),
     schema: &Schema,
     strings: &mut Strings,
 ) -> Result<PatternRow> {
-    let (left, right) =
-        split_unquoted(line, "||").ok_or_else(|| perr("expected `lhs cells || rhs cell`"))?;
+    let bar = row.bar.ok_or_else(|| perr("expected `lhs cells || rhs cell`"))?;
+    if row.second_bar {
+        return Err(perr("a second `||` in a row: expected `lhs cells || rhs cell`"));
+    }
+    let (left, right) = cells.split_at(bar);
     let mut patterns = Vec::with_capacity(lhs.len());
-    let mut cells = items(left, b',');
-    for (&attr, cell) in lhs.iter().zip(cells.by_ref()) {
+    for (&attr, cell) in lhs.iter().zip(left) {
         patterns.push(parse_cell(cell)?.typed(schema, attr, strings)?);
     }
-    let cells = patterns.len() + cells.count();
-    if cells != lhs.len() {
+    if left.len() != lhs.len() {
         return Err(perr(format!(
-            "row has {cells} LHS cell(s) but the head has {} attribute(s)",
+            "row has {} LHS cell(s) but the head has {} attribute(s)",
+            left.len(),
             lhs.len()
         )));
     }
-    let mut right = items(right, b',');
-    let (Some(rhs_cell), None) = (right.next(), right.next()) else {
+    let [rhs_cell] = right else {
         return Err(perr("expected one RHS cell after `||`"));
     };
     Ok(PatternRow::new(patterns, parse_cell(rhs_cell)?.typed(schema, rhs, strings)?))
@@ -540,9 +666,9 @@ fn parse_cind_line(line: &str, schemas: &[Schema], strings: &mut Strings) -> Res
     ) -> Result<Vec<(&'a str, Value)>> {
         items
             .iter()
-            .map(|i| match i.pattern {
-                Pat::Eq(raw) => {
-                    Ok((i.attr, parse_const(schema, schema.attr_id(i.attr)?, raw, strings)?))
+            .map(|i| match &i.pattern {
+                Pat::Eq(text) => {
+                    Ok((i.attr, parse_const(schema, schema.attr_id(i.attr)?, text, strings)?))
                 }
                 _ => Err(perr(format!("pattern condition `{}` needs `=value`", i.attr))),
             })
@@ -814,6 +940,26 @@ mod tests {
         assert_eq!(message("customer([] -> [street])"), at("empty LHS"));
         assert_eq!(message("customer([cc] -> [])"), at("empty RHS"));
         assert_eq!(message("customer[cc] -> [street]"), at("expected `relation([...] -> [...])`"));
+        // Text after a closing quote, and a second `||` in a row, are
+        // errors — not one garbled constant (`a'||'b`, `_ || _`).
+        assert_eq!(
+            message("customer([zip='a'||'b'] -> [street])"),
+            at("text after the closing quote of constant `'a'||'b'`")
+        );
+        assert_eq!(
+            message("customer([cc='44' x] -> [street])"),
+            at("text after the closing quote of constant `'44' x`")
+        );
+        let second = "constraint error at line 2: a second `||` in a row: \
+                      expected `lhs cells || rhs cell`";
+        for row in ["'44' || 'a' || 'b'", "'44' || _ || _", "'44' || in ('a') || 'b'"] {
+            assert_eq!(message(&format!("customer([cc] -> [zip]) {{\n  {row}\n}}")), second);
+        }
+        // Doubled quotes are an escape, not a closing quote; quotes
+        // inside a constant that opens without one stay its text.
+        let cfds = parse_cfds("customer([cc] -> [zip]) {\n  'o''b' || x'y'\n}", &s).unwrap();
+        assert_eq!(cfds[0].tableau[0].lhs[0], PatternValue::constant("o'b"));
+        assert_eq!(cfds[0].tableau[0].rhs, PatternValue::constant("x'y'"));
     }
 
     #[test]

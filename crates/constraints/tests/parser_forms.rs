@@ -124,7 +124,7 @@ fn hostile_documents_get_a_typed_error_naming_the_line() {
     let s = schema();
     let big = format!("r([a] -> [b]) {{\n  {} || _\n}}\n", "'x', ".repeat(200_000));
     assert!(big.len() > 1_000_000);
-    let cases: [(&str, usize, &str); 17] = [
+    let cases: [(&str, usize, &str); 20] = [
         ("r([a] -> [b]) {\n  'x' || 'y'\n", 1, "never closed"),
         ("# nothing open\n}\n", 2, "`}` without an open block"),
         ("r([a='x'] -> [b]) {\n}\n", 1, "`a` carries a pattern"),
@@ -142,6 +142,9 @@ fn hostile_documents_get_a_typed_error_naming_the_line() {
         ("r([a] -> [b]) {\n  in () || _\n}\n", 2, "empty `in (...)` list"),
         ("r([a\0] -> [b])\n", 1, "bad attribute `a\0`"),
         (&big, 2, "200000 LHS cell(s) but the head has 1"),
+        ("r([a] -> [b]) {\n  '44' || 'a' || 'b'\n}\n", 2, "a second `||` in a row"),
+        ("r([a] -> [b]) {\n  '44' || _ || _\n}\n", 2, "a second `||` in a row"),
+        ("# line form\nr([a='a'||'b'] -> [b])\n", 2, "text after the closing quote"),
     ];
     let started = std::time::Instant::now();
     for (doc, line, what) in cases {

@@ -22,6 +22,10 @@
 //!   data). The members' constant rows compile once per unit into a
 //!   `ConstIndex`: one bucket per *wildcard mask* (the LHS positions
 //!   holding a constant), keyed by the constants at those positions.
+//!   A bucket is flat — its distinct keys back to back in one arena,
+//!   its rows in one array ordered by key id (a counting sort), a key's
+//!   rows one run of it — so compiling allocates a handful per mask,
+//!   not a boxed key and a row list per distinct key.
 //!   The batch scan looks each distinct key up once in its mask's
 //!   partition, which turns the bucket into a list of rows per class;
 //!   a tuple then reads its class id per mask and tests the RHS
@@ -495,14 +499,22 @@ struct Hit {
     rhs: SymPred,
 }
 
-/// The constant rows sharing one wildcard mask.
+/// The constant rows sharing one wildcard mask, flat: key `k` is the
+/// `attrs.len()` symbols at `keys[k * attrs.len()..]`, and the rows
+/// carrying it are `hits[starts[k]..starts[k + 1]]`, in member then
+/// tableau order.
 struct MaskBucket {
     /// The attributes at the LHS positions holding a constant, in LHS
     /// order — a tuple's key, read off the table's columns in place;
     /// none for the all-`_` mask, whose one key is empty.
     attrs: Vec<AttrId>,
-    /// Per distinct key of constants, the rows carrying it.
-    rows: GroupBy<Box<[Sym]>, Vec<Hit>>,
+    /// Every distinct key, back to back, in first-seen order.
+    keys: Vec<Sym>,
+    /// Key → its id, for the one-tuple probe: hashed as
+    /// [`hash_syms`] over the key, compared against `keys`.
+    ids: GroupBy<u32, ()>,
+    starts: Vec<u32>,
+    hits: Vec<Hit>,
 }
 
 /// A bucket joined to the partition by its mask's attribute set, for
@@ -513,6 +525,25 @@ struct Joined<'p> {
 }
 
 impl MaskBucket {
+    fn key(&self, k: usize) -> &[Sym] {
+        let width = self.attrs.len();
+        &self.keys[k * width..(k + 1) * width]
+    }
+
+    fn hits(&self, k: usize) -> &[Hit] {
+        &self.hits[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// The rows under the key of the tuple at `slot` of `table`.
+    #[inline]
+    fn lookup(&self, table: &Table, slot: usize) -> &[Hit] {
+        let same = |&k: &u32| matches_at(table, &self.attrs, slot, self.key(k as usize));
+        match self.ids.probe(hash_at(table, &self.attrs, slot), same) {
+            Some(k) => self.hits(k),
+            None => &[],
+        }
+    }
+
     /// Look each distinct key up once in `part`. A key no live tuple
     /// holds matches nothing and drops out, as an uninterned constant
     /// does when compiling.
@@ -525,11 +556,12 @@ impl MaskBucket {
         at.sort_by_key(|&i| self.attrs[i]);
         at.dedup_by_key(|i| self.attrs[*i]);
         let mut hits: Vec<&[Hit]> = vec![&[]; part.len()];
-        for (key, rows) in self.rows.iter() {
+        for k in 0..self.ids.len() {
+            let key = self.key(k);
             let hash = hash_syms(at.iter().map(|&i| key[i]));
             let first = |&s: &u32| matches_at(table, &self.attrs, s as usize, key);
             if let Some(c) = part.classes.probe(hash, first) {
-                hits[c] = rows;
+                hits[c] = self.hits(k);
             }
         }
         Joined { class_of: &part.class_of, hits }
@@ -539,8 +571,15 @@ impl MaskBucket {
 /// The build side of a unit's constant join: every member's constant
 /// rows, compiled against one table's pool (columns are read when
 /// joined, so it borrows nothing).
+///
+/// Layout: one `MaskBucket` per wildcard mask, each a key arena and
+/// a hit array — a bucket's allocations are a fixed handful however
+/// many keys and rows it holds. Compiling resolves every row once into
+/// a staging list (its bucket, key symbols and hit), numbers each
+/// bucket's distinct keys in first-seen order, and places the hits by a
+/// counting sort on key id; every buffer is sized before it is filled.
 #[derive(Default)]
-pub(crate) struct ConstIndex {
+pub struct ConstIndex {
     buckets: Vec<MaskBucket>,
     /// Rows with an eCFD LHS predicate (`Ne`, `In`), which no single
     /// key stands for: their compiled LHS, tested per tuple.
@@ -548,53 +587,130 @@ pub(crate) struct ConstIndex {
 }
 
 impl ConstIndex {
-    /// Compile the constant rows of one unit's `members` against `pool`.
-    /// One set of scratch buffers serves every row; a bucket's attribute
-    /// list and a key are owned only when new.
-    pub(crate) fn compile<'c>(
-        members: impl IntoIterator<Item = &'c Cfd>,
-        pool: &ValuePool,
-    ) -> ConstIndex {
+    /// Compile the constant rows of one unit's `members` (the CFDs
+    /// sharing one embedded FD) against `pool`.
+    pub fn compile<'c, I>(members: I, pool: &ValuePool) -> ConstIndex
+    where
+        I: IntoIterator<Item = &'c Cfd>,
+        I::IntoIter: Clone,
+    {
+        let members = members.into_iter();
+        let (mut rows, mut cells) = (0, 0);
+        for cfd in members.clone() {
+            let constant = cfd.constant_rows().count();
+            rows += constant;
+            cells += constant * cfd.lhs.len();
+        }
         let mut index = ConstIndex::default();
-        let (mut lhs, mut attrs, mut key) = (Vec::new(), Vec::new(), Vec::new());
-        for (member, cfd) in members.into_iter().enumerate() {
-            for (tp_idx, tp) in
+        // Per keyed row: its bucket, its key id (numbered below) and its
+        // hit, its key's symbols — its bucket's width of them — in
+        // `keys`; per mask, its attributes and rows.
+        let mut staged: Vec<(usize, u32, Hit)> = Vec::with_capacity(rows);
+        let mut keys: Vec<Sym> = Vec::with_capacity(cells);
+        let mut masks: Vec<(Vec<AttrId>, usize)> = Vec::new();
+        let mut attrs = Vec::new();
+        for (member, cfd) in members.enumerate() {
+            'rows: for (tp_idx, tp) in
                 cfd.tableau.iter().enumerate().filter(|(_, tp)| tp.is_constant_row())
             {
-                lhs.clear();
-                lhs.extend(tp.lhs.iter().map(|p| p.resolve(pool)));
-                // A constant the pool never interned matches no tuple.
-                if lhs.contains(&SymPred::Never) {
-                    continue;
+                let (key_at, mut keyed) = (keys.len(), true);
+                attrs.clear();
+                for (p, &a) in tp.lhs.iter().zip(&cfd.lhs) {
+                    match p.resolve(pool) {
+                        SymPred::Always => continue,
+                        // A constant the pool never interned matches no tuple.
+                        SymPred::Never => {
+                            keys.truncate(key_at);
+                            continue 'rows;
+                        }
+                        SymPred::Eq(s) => keys.push(s),
+                        _ => keyed = false,
+                    }
+                    attrs.push(a);
                 }
                 let hit = Hit { member, tp_idx, rhs: tp.rhs.resolve(pool) };
-                attrs.clear();
-                key.clear();
-                for (p, &a) in lhs.iter().zip(&cfd.lhs) {
-                    if !p.is_always() {
-                        attrs.push(a);
-                    }
-                    if let SymPred::Eq(s) = p {
-                        key.push(*s);
-                    }
-                }
-                if key.len() < attrs.len() {
-                    index.residual.push((std::mem::take(&mut lhs), hit));
+                if !keyed {
+                    keys.truncate(key_at);
+                    let lhs = tp.lhs.iter().map(|p| p.resolve(pool)).collect();
+                    index.residual.push((lhs, hit));
                     continue;
                 }
-                let at = index.buckets.iter().position(|b| b.attrs == attrs).unwrap_or_else(|| {
-                    index.buckets.push(MaskBucket { attrs: attrs.clone(), rows: GroupBy::new() });
-                    index.buckets.len() - 1
+                let b = masks.iter().position(|(mask, _)| *mask == attrs).unwrap_or_else(|| {
+                    masks.push((attrs.clone(), 0));
+                    masks.len() - 1
                 });
-                let rows = &mut index.buckets[at].rows;
-                let hash = hash_syms(key.iter().copied());
-                let entry = rows
-                    .probe(hash, |k| k[..] == key[..])
-                    .unwrap_or_else(|| rows.insert_unique(hash, key.as_slice().into(), Vec::new()));
-                rows.value_at_mut(entry).push(hit);
+                masks[b].1 += 1;
+                staged.push((b, 0, hit));
             }
         }
+        if staged.is_empty() {
+            return index;
+        }
+        index.buckets = (masks.into_iter())
+            .map(|(attrs, rows)| MaskBucket {
+                keys: Vec::with_capacity(rows * attrs.len()),
+                ids: GroupBy::with_capacity(rows),
+                starts: Vec::new(),
+                // Placeholders, each overwritten by the sort below.
+                hits: (0..rows)
+                    .map(|_| Hit { member: 0, tp_idx: 0, rhs: SymPred::Always })
+                    .collect(),
+                attrs,
+            })
+            .collect();
+        // Number each bucket's distinct keys in first-seen order.
+        let mut key_at = 0;
+        for (b, id, _) in &mut staged {
+            let bucket = &mut index.buckets[*b];
+            let key = &keys[key_at..key_at + bucket.attrs.len()];
+            key_at += key.len();
+            let hash = hash_syms(key.iter().copied());
+            let (known, width) = (&bucket.keys, key.len());
+            let same = |&k: &u32| known[k as usize * width..(k as usize + 1) * width] == *key;
+            *id = match bucket.ids.probe(hash, same) {
+                Some(k) => k as u32,
+                None => {
+                    bucket.keys.extend_from_slice(key);
+                    let next = bucket.ids.len() as u32;
+                    bucket.ids.insert_unique(hash, next, ()) as u32
+                }
+            };
+        }
+        // Counting sort by key id: count, take prefix sums as write
+        // cursors, place, and the advanced cursors shifted by one are
+        // the starts.
+        for bucket in &mut index.buckets {
+            bucket.starts = vec![0; bucket.ids.len() + 1];
+        }
+        for &(b, k, _) in &staged {
+            index.buckets[b].starts[k as usize + 1] += 1;
+        }
+        for bucket in &mut index.buckets {
+            for k in 1..bucket.starts.len() {
+                bucket.starts[k] += bucket.starts[k - 1];
+            }
+        }
+        for (b, k, hit) in staged {
+            let bucket = &mut index.buckets[b];
+            let cursor = &mut bucket.starts[k as usize];
+            bucket.hits[*cursor as usize] = hit;
+            *cursor += 1;
+        }
+        for bucket in &mut index.buckets {
+            bucket.starts.rotate_right(1);
+            bucket.starts[0] = 0;
+        }
         index
+    }
+
+    /// Wildcard masks the constant rows were bucketed by.
+    pub fn masks(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Constant rows left to the per-tuple sweep (an eCFD LHS pattern).
+    pub fn residual_rows(&self) -> usize {
+        self.residual.len()
     }
 
     /// No constant row survived compilation: nothing to probe.
@@ -620,12 +736,7 @@ impl ConstIndex {
         first: &mut [usize],
         touched: &mut Vec<usize>,
     ) -> u64 {
-        let hits = |b: usize| {
-            let MaskBucket { attrs, rows } = &self.buckets[b];
-            let found =
-                rows.get(hash_at(table, attrs, slot), |k| matches_at(table, attrs, slot, k));
-            found.map_or(&[][..], Vec::as_slice)
-        };
+        let hits = |b: usize| self.buckets[b].lookup(table, slot);
         self.check(table, fd, slot, hits, first, touched)
     }
 
@@ -811,12 +922,107 @@ pub fn describe_report(
 }
 
 /// The kernel this module replaced — per unit one `GroupBy` over the LHS
-/// and one [`ConstIndex::probe`] per tuple — kept as the oracle the
-/// partitioned scan is held to (`tests::partitioned_scan_agrees_with_the_per_unit_grouping`).
+/// and one probe of a keyed constant index per tuple — kept as the
+/// oracle the partitioned scan and the flat [`ConstIndex`] are held to
+/// (`tests::partitioned_scan_agrees_with_the_per_unit_grouping`).
 #[cfg(test)]
 mod oracle {
     use super::*;
     use revival_relation::ColProj;
+
+    /// Per distinct key of constants (a boxed symbol list), its rows.
+    type KeyedRows = GroupBy<Box<[Sym]>, Vec<Hit>>;
+
+    /// The constant index as it stood before the flat layout: per mask,
+    /// its attributes and its keyed rows.
+    #[derive(Default)]
+    pub(super) struct KeyedIndex {
+        buckets: Vec<(Vec<AttrId>, KeyedRows)>,
+        residual: Vec<(Vec<SymPred>, Hit)>,
+    }
+
+    impl KeyedIndex {
+        pub(super) fn compile<'c>(
+            members: impl IntoIterator<Item = &'c Cfd>,
+            pool: &ValuePool,
+        ) -> Self {
+            let mut index = KeyedIndex::default();
+            let (mut lhs, mut attrs, mut key) = (Vec::new(), Vec::new(), Vec::new());
+            for (member, cfd) in members.into_iter().enumerate() {
+                for (tp_idx, tp) in
+                    cfd.tableau.iter().enumerate().filter(|(_, tp)| tp.is_constant_row())
+                {
+                    lhs.clear();
+                    lhs.extend(tp.lhs.iter().map(|p| p.resolve(pool)));
+                    if lhs.contains(&SymPred::Never) {
+                        continue;
+                    }
+                    let hit = Hit { member, tp_idx, rhs: tp.rhs.resolve(pool) };
+                    attrs.clear();
+                    key.clear();
+                    for (p, &a) in lhs.iter().zip(&cfd.lhs) {
+                        if !p.is_always() {
+                            attrs.push(a);
+                        }
+                        if let SymPred::Eq(s) = p {
+                            key.push(*s);
+                        }
+                    }
+                    if key.len() < attrs.len() {
+                        index.residual.push((std::mem::take(&mut lhs), hit));
+                        continue;
+                    }
+                    let at = index.buckets.iter().position(|b| b.0 == attrs).unwrap_or_else(|| {
+                        index.buckets.push((attrs.clone(), GroupBy::new()));
+                        index.buckets.len() - 1
+                    });
+                    let rows = &mut index.buckets[at].1;
+                    let hash = hash_syms(key.iter().copied());
+                    let entry = rows.probe(hash, |k| k[..] == key[..]).unwrap_or_else(|| {
+                        rows.insert_unique(hash, key.as_slice().into(), Vec::new())
+                    });
+                    rows.value_at_mut(entry).push(hit);
+                }
+            }
+            index
+        }
+
+        fn is_empty(&self) -> bool {
+            self.buckets.is_empty() && self.residual.is_empty()
+        }
+
+        pub(super) fn probe(
+            &self,
+            table: &Table,
+            (lhs, rhs): (&[AttrId], AttrId),
+            slot: usize,
+            first: &mut [usize],
+            touched: &mut Vec<usize>,
+        ) -> u64 {
+            let mut violated = |hit: &Hit| {
+                if !hit.rhs.matches(table.col(rhs)[slot]) {
+                    if first[hit.member] == NONE {
+                        touched.push(hit.member);
+                    }
+                    first[hit.member] = first[hit.member].min(hit.tp_idx);
+                }
+            };
+            let mut checked = (self.buckets.len() + self.residual.len()) as u64;
+            for (attrs, rows) in &self.buckets {
+                let found =
+                    rows.get(hash_at(table, attrs, slot), |k| matches_at(table, attrs, slot, k));
+                let hits = found.map_or(&[][..], Vec::as_slice);
+                checked += hits.len() as u64;
+                hits.iter().for_each(&mut violated);
+            }
+            for (preds, hit) in &self.residual {
+                if preds.iter().zip(lhs).all(|(p, &a)| p.matches(table.col(a)[slot])) {
+                    violated(hit);
+                }
+            }
+            checked
+        }
+    }
 
     /// One LHS group: its live members (in row order) and the distinct
     /// RHS symbols seen (first-seen order).
@@ -838,7 +1044,7 @@ mod oracle {
         let (_, fd) = members[0];
         let lhs_cols = table.proj(&fd.lhs);
         let rhs_col = table.col(fd.rhs);
-        let index = ConstIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
+        let index = KeyedIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
         let fd_attrs = (fd.lhs.as_slice(), fd.rhs);
         let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
         let mut chunks = map_chunks(slots, jobs, |chunk| {
@@ -1082,6 +1288,38 @@ mod tests {
                     parts.sets.iter().all(|s| s.3.is_none()),
                     "seed {seed}: a partition outlived its last unit"
                 );
+            }
+        }
+    }
+
+    /// The flat index's one-tuple probe (what the maintained detector
+    /// runs per event) against the keyed index it replaced: per live
+    /// tuple of every unit, the same lowest violated row per member,
+    /// found in the same order, for the same work.
+    #[test]
+    fn flat_index_probes_as_the_keyed_one() {
+        use rand::prelude::*;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (t, constants) = random_table(&mut rng);
+            let suite = random_suite(&mut rng, &t, &constants);
+            for ids in plan_units(&suite) {
+                let members = || ids.iter().map(|&i| &suite[i]);
+                let (flat, keyed) = (
+                    ConstIndex::compile(members(), t.pool()),
+                    oracle::KeyedIndex::compile(members(), t.pool()),
+                );
+                let fd = (suite[ids[0]].lhs.as_slice(), suite[ids[0]].rhs);
+                let mut got = (vec![NONE; ids.len()], Vec::new());
+                let mut want = (vec![NONE; ids.len()], Vec::new());
+                for slot in t.live_slots() {
+                    let checked = flat.probe(&t, fd, slot, &mut got.0, &mut got.1);
+                    let expected = keyed.probe(&t, fd, slot, &mut want.0, &mut want.1);
+                    assert_eq!((&got, checked), (&want, expected), "seed {seed}, slot {slot}");
+                    for (first, touched) in [&mut got, &mut want] {
+                        touched.drain(..).for_each(|m| first[m] = NONE);
+                    }
+                }
             }
         }
     }

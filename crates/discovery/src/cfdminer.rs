@@ -8,19 +8,30 @@
 //! every frequent itemset derives all its frequent children at once by
 //! bucketing its own rows on each later attribute's column — a level's
 //! support counting reads Σ parent supports, never the table. Support,
-//! freeness and closure all read the child's row list; rules stay item
-//! numbers until one final ordering and materialisation; and the
-//! returned [`DiscoveryStats`] report every support/size cut the search
-//! applied plus the rows the counting touched.
+//! freeness and closure all read the child's row list, and the returned
+//! [`DiscoveryStats`] report every support/size cut the search applied
+//! plus the rows the counting touched.
+//!
+//! A level lives in flat arrays — every itemset's items back to back,
+//! its rows in one arena — and a rule is item numbers pointing into one
+//! LHS arena (`MinedRules`), so mining allocates per level, never per
+//! itemset or per rule. `MinedRules::order` puts the rules in their
+//! final order: each item used is ranked once, every rule's ranks sit
+//! in one contiguous key matrix, and a stable radix pass per key
+//! position sorts a level — no key is built per rule and no `Value` is
+//! cloned or hashed. `Value`s appear only when a caller converts a rule:
+//! [`mine_constant_cfds`] into [`ConstantRule`]s, the discovery engine
+//! straight into mined CFDs.
 
 use crate::engine::DiscoveryStats;
 use crate::items::{ItemId, ItemIndex};
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_obs::JobProfile;
-use revival_relation::{Table, Value, ValuePool};
+use revival_relation::groupby::hash_words;
+use revival_relation::{GroupBy, Table, Value};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -65,18 +76,127 @@ impl ConstantRule {
     }
 }
 
-/// A frequent itemset: its items (ascending attribute) and where its
-/// supporting rows sit in its level's row arena.
-struct Itemset {
-    items: Box<[ItemId]>,
-    rows: Range<usize>,
+/// One level's frequent itemsets: set `i` holds the `size` items at
+/// `items[i * size..]` (ascending attribute) and its supporting rows at
+/// `rows[i]` of the level's row arena.
+struct Level {
+    size: usize,
+    items: Vec<ItemId>,
+    rows: Vec<Range<usize>>,
 }
 
-/// A mined rule, still in item numbers.
-struct ItemRule {
-    lhs: Box<[ItemId]>,
-    rhs: ItemId,
-    support: usize,
+impl Level {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn items(&self, set: usize) -> &[ItemId] {
+        &self.items[set * self.size..(set + 1) * self.size]
+    }
+
+    /// The attribute of set `set`'s last item.
+    fn last_attr(&self, index: &ItemIndex<'_>, set: usize) -> usize {
+        index.item(self.items[(set + 1) * self.size - 1]).0
+    }
+}
+
+/// A mined rule, still in item numbers: its LHS is the `lhs_len` items
+/// at `lhs_at` of its [`MinedRules`]' arena.
+#[derive(Clone, Copy)]
+pub(crate) struct ItemRule {
+    lhs_at: u32,
+    lhs_len: u32,
+    pub(crate) rhs: ItemId,
+    pub(crate) support: usize,
+}
+
+/// The constant miner's rules, in item numbers: the rules of one
+/// itemset share its run of the LHS arena.
+pub(crate) struct MinedRules {
+    lhs: Vec<ItemId>,
+    pub(crate) rules: Vec<ItemRule>,
+}
+
+impl MinedRules {
+    /// The items of `rule`'s LHS, ascending by attribute.
+    pub(crate) fn lhs(&self, rule: &ItemRule) -> &[ItemId] {
+        &self.lhs[rule.lhs_at as usize..(rule.lhs_at + rule.lhs_len) as usize]
+    }
+
+    /// Put the rules in their final order.
+    ///
+    /// The order is inherited, not designed: rules used to be sorted by
+    /// LHS size and then by their `Debug` rendering, `--emit` files list
+    /// tableau rows in that order, and so it survives exactly — attribute
+    /// `10` before `2`, `Int(10)` before `Int(9)`. An item's `Debug`
+    /// fragment is prefix-free, so comparing two renderings is comparing
+    /// their items' fragments in sequence: rank each used item once by
+    /// its fragment (equal fragments — NaN payloads — share a rank, as
+    /// they tied before), write each rule's ranks (LHS, then RHS) as one
+    /// row of a key matrix per level, and sort the level with one stable
+    /// counting pass per key position, last position first. Ties keep
+    /// mining order, as the `(key, index)` sort this replaced did;
+    /// `(lhs, rhs)` is unique per rule, so `support` never decides.
+    pub(crate) fn order(&mut self, index: &ItemIndex<'_>) {
+        let (rank, ranks) = rank_items(self, index);
+        let mut counts = vec![0u32; ranks + 1];
+        let MinedRules { lhs, rules } = self;
+        // Mining appends the rules level by level.
+        for level in rules.chunk_by_mut(|a, b| a.lhs_len == b.lhs_len) {
+            let width = level[0].lhs_len as usize + 1;
+            let mut keys: Vec<u32> = Vec::with_capacity(level.len() * width);
+            for rule in level.iter() {
+                let items = &lhs[rule.lhs_at as usize..][..rule.lhs_len as usize];
+                keys.extend(items.iter().chain([&rule.rhs]).map(|&id| rank[id as usize]));
+            }
+            let mut order: Vec<u32> = (0..level.len() as u32).collect();
+            let mut placed = vec![0u32; level.len()];
+            for pos in (0..width).rev() {
+                let key = |r: u32| keys[r as usize * width + pos] as usize;
+                counts.fill(0);
+                order.iter().for_each(|&r| counts[key(r) + 1] += 1);
+                for k in 1..counts.len() {
+                    counts[k] += counts[k - 1];
+                }
+                for &r in &order {
+                    placed[counts[key(r)] as usize] = r;
+                    counts[key(r)] += 1;
+                }
+                std::mem::swap(&mut order, &mut placed);
+            }
+            let sorted: Vec<ItemRule> = order.iter().map(|&r| level[r as usize]).collect();
+            level.copy_from_slice(&sorted);
+        }
+    }
+}
+
+/// Every item the rules use, ranked by its `Debug` fragment: the rank
+/// per item id (0 for unused ones) and the number of distinct ranks.
+/// The fragments are written once into one string.
+fn rank_items(mined: &MinedRules, index: &ItemIndex<'_>) -> (Vec<u32>, usize) {
+    let pool = index.table().pool();
+    let mut used: Vec<ItemId> = mined.lhs.to_vec();
+    used.extend(mined.rules.iter().map(|r| r.rhs));
+    used.sort_unstable();
+    used.dedup();
+    let (mut text, mut ends) = (String::new(), Vec::with_capacity(used.len()));
+    for &id in &used {
+        let (attr, sym) = index.item(id);
+        write!(text, "{:?}", (attr, pool.value(sym))).expect("writing to a String cannot fail");
+        ends.push(text.len());
+    }
+    let fragment = |i: usize| &text[if i == 0 { 0 } else { ends[i - 1] }..ends[i]];
+    let mut by_text: Vec<usize> = (0..used.len()).collect();
+    by_text.sort_unstable_by(|&a, &b| fragment(a).cmp(fragment(b)));
+    let mut rank = vec![0u32; index.len()];
+    let mut ranks = 0;
+    for (n, &i) in by_text.iter().enumerate() {
+        if n > 0 && fragment(by_text[n - 1]) != fragment(i) {
+            ranks += 1;
+        }
+        rank[used[i] as usize] = ranks as u32;
+    }
+    (rank, ranks + usize::from(!used.is_empty()))
 }
 
 /// Mine constant CFDs with the given support threshold, reporting the
@@ -88,7 +208,21 @@ pub fn mine_constant_cfds(
     table: &Table,
     options: &MinerOptions,
 ) -> (Vec<ConstantRule>, DiscoveryStats) {
-    mine_indexed(&ItemIndex::build(table), options, None)
+    let index = ItemIndex::build(table);
+    let (mut mined, stats) = mine_indexed(&index, options, None);
+    mined.order(&index);
+    let item = |id: ItemId| {
+        let (attr, sym) = index.item(id);
+        (attr, table.pool().value(sym).clone())
+    };
+    let rules = (mined.rules.iter())
+        .map(|r| ConstantRule {
+            lhs: mined.lhs(r).iter().map(|&id| item(id)).collect(),
+            rhs: item(r.rhs),
+            support: r.support,
+        })
+        .collect();
+    (rules, stats)
 }
 
 /// The profile row (kind `itemsets`) of one itemset level.
@@ -97,7 +231,7 @@ pub(crate) fn level_row(table: &Table, size: usize) -> String {
 }
 
 /// The profile row (kind `rules`) carrying one relation's constant-rule
-/// ordering, materialisation and conversion to CFDs.
+/// ordering and conversion to CFDs.
 pub(crate) fn rules_row(table: &Table) -> String {
     format!("{} constant rules", table.schema().name())
 }
@@ -106,23 +240,27 @@ pub(crate) fn rules_row(table: &Table) -> String {
 /// lattice's conditional probe reads the same one), with optional
 /// attribution into `profile`: one `itemsets` row per level
 /// (`<relation> itemsets k=<K>`: candidates checked/pruned, support rows
-/// touched, wall) and the closing order + materialisation on the
-/// relation's `rules` row. The mined output is identical either way.
+/// touched, wall). The rules come out in mining order — by level, then
+/// by itemset — for [`MinedRules::order`] to sort. The mined output is
+/// identical either way.
 pub(crate) fn mine_indexed(
     index: &ItemIndex<'_>,
     options: &MinerOptions,
     mut profile: Option<&mut JobProfile>,
-) -> (Vec<ConstantRule>, DiscoveryStats) {
+) -> (MinedRules, DiscoveryStats) {
     let table = index.table();
     let arity = table.schema().arity();
     let min_support = options.min_support.max(1);
 
     // Level 1 is the index itself: every frequent item with its rows
     // (an infrequent item is pruned, never a candidate).
-    let mut level: Vec<Itemset> = (0..index.len() as ItemId)
-        .map(|id| Itemset { items: Box::new([id]), rows: index.row_range(id) })
-        .filter(|set| set.rows.len() >= min_support)
-        .collect();
+    let frequent: Vec<ItemId> =
+        (0..index.len() as ItemId).filter(|&id| index.row_range(id).len() >= min_support).collect();
+    let mut level = Level {
+        size: 1,
+        rows: frequent.iter().map(|&id| index.row_range(id)).collect(),
+        items: frequent,
+    };
     let mut arena: Cow<'_, [u32]> = Cow::Borrowed(index.all_rows());
     let mut stats = DiscoveryStats {
         candidates_pruned: index.len() - level.len(),
@@ -131,24 +269,25 @@ pub(crate) fn mine_indexed(
     };
     let mut candidates = level.len();
     let (mut pruned, mut touched) = (stats.candidates_pruned, stats.support_rows_touched);
-    let last_attr = |set: &Itemset| index.item(set.items[set.items.len() - 1]).0;
     // Frequent items over attributes ≥ a: an itemset ending on
     // attribute a−1 has exactly that many candidate extensions, so the
     // candidate counts need no candidate to be materialised.
     let mut items_from = vec![0usize; arity + 1];
-    for set in &level {
-        items_from[last_attr(set)] += 1;
+    for set in 0..level.len() {
+        items_from[level.last_attr(index, set)] += 1;
     }
     for a in (0..arity).rev() {
         items_from[a] += items_from[a + 1];
     }
 
-    // The previous level's supports, for the freeness check.
-    let mut supports: HashMap<Box<[ItemId]>, usize> =
-        HashMap::from([(Box::default(), table.len())]);
-    let mut rules: Vec<ItemRule> = Vec::new();
+    // The previous level, for the freeness check: its sets by their
+    // items (every proper subset of a frequent set is frequent, so each
+    // lookup finds one). Level 1's only subset is ∅, of support |table|.
+    let mut parents: Option<(Level, GroupBy<u32, ()>)> = None;
+    let mut mined = MinedRules { lhs: Vec::new(), rules: Vec::new() };
     let mut cursors = vec![0usize; index.len()];
     let mut subset: Vec<ItemId> = Vec::new();
+    let hash = |items: &[ItemId]| hash_words(items.iter().map(|&id| u64::from(id)));
     for size in 1..=options.max_size {
         if candidates == 0 {
             break;
@@ -156,36 +295,48 @@ pub(crate) fn mine_indexed(
         let level_start = Instant::now();
         if size > 1 {
             // This level's supports: bucket the previous level's rows.
-            supports = level.iter().map(|set| (set.items.clone(), set.rows.len())).collect();
             let (next, next_arena, read) = extend(index, &level, &arena, min_support, &mut cursors);
-            (level, arena, touched) = (next, Cow::Owned(next_arena), read);
+            let mut sets = GroupBy::with_capacity(level.len());
+            for set in 0..level.len() {
+                sets.insert_unique(hash(level.items(set)), set as u32, ());
+            }
+            parents = Some((std::mem::replace(&mut level, next), sets));
+            (arena, touched) = (Cow::Owned(next_arena), read);
             pruned = candidates - level.len();
             stats.candidates_pruned += pruned;
             stats.support_rows_touched += touched;
         }
         stats.levels = size;
         stats.candidates_checked += candidates;
-        for set in &level {
-            let rows = &arena[set.rows.clone()];
-            // Freeness: every proper subset has strictly larger support
-            // (each is frequent, so the previous level counted it).
-            let free = (0..set.items.len()).all(|skip| {
+        for set in 0..level.len() {
+            let (items, rows) = (level.items(set), &arena[level.rows[set].clone()]);
+            // Freeness: every proper subset has strictly larger support.
+            let free = (0..size).all(|skip| {
+                let Some((parent, sets)) = &parents else { return table.len() > rows.len() };
                 subset.clear();
-                subset.extend_from_slice(&set.items[..skip]);
-                subset.extend_from_slice(&set.items[skip + 1..]);
-                supports[subset.as_slice()] > rows.len()
+                subset.extend_from_slice(&items[..skip]);
+                subset.extend_from_slice(&items[skip + 1..]);
+                let found = sets.probe(hash(&subset), |&p| parent.items(p as usize) == subset);
+                parent.rows[found.expect("a frequent set's subsets are frequent")].len()
+                    > rows.len()
             });
             if !free {
                 continue;
             }
-            // Closure: one rule per outside attribute the rows agree on.
+            // Closure: one rule per outside attribute the rows agree on;
+            // the set's rules share one run of the LHS arena.
+            let lhs_at = mined.lhs.len() as u32;
             for attr in 0..arity {
                 let first = index.sym_at(attr, rows[0]);
-                if set.items.iter().all(|&i| index.item(i).0 != attr)
+                if items.iter().all(|&i| index.item(i).0 != attr)
                     && rows.iter().all(|&r| index.sym_at(attr, r) == first)
                 {
-                    rules.push(ItemRule {
-                        lhs: set.items.clone(),
+                    if mined.lhs.len() as u32 == lhs_at {
+                        mined.lhs.extend_from_slice(items);
+                    }
+                    mined.rules.push(ItemRule {
+                        lhs_at,
+                        lhs_len: size as u32,
                         rhs: index.id_at(attr, rows[0]),
                         support: rows.len(),
                     });
@@ -201,17 +352,11 @@ pub(crate) fn mine_indexed(
         }
         // The next level's candidates are counted, not built: past
         // `max_size` only their number (truncation) is ever needed.
-        candidates = level.iter().map(|set| items_from[last_attr(set) + 1]).sum();
+        candidates = (0..level.len()).map(|set| items_from[level.last_attr(index, set) + 1]).sum();
     }
     // Candidates past `max_size` were never examined — say so.
     stats.lattice_truncated = candidates > 0;
-    drop((level, arena));
-    let order_start = Instant::now();
-    let rules = materialise(rules, index, table.pool());
-    if let Some(p) = profile {
-        p.entry(&rules_row(table), "rules").wall_us += order_start.elapsed().as_micros() as u64;
-    }
-    (rules, stats)
+    (mined, stats)
 }
 
 /// Every frequent one-item extension of `level`'s itemsets: each
@@ -222,19 +367,19 @@ pub(crate) fn mine_indexed(
 /// entry per item, and is returned all-zero.
 fn extend(
     index: &ItemIndex<'_>,
-    level: &[Itemset],
+    level: &Level,
     arena: &[u32],
     min_support: usize,
     cursors: &mut [usize],
-) -> (Vec<Itemset>, Vec<u32>, usize) {
+) -> (Level, Vec<u32>, usize) {
     const INFREQUENT: usize = usize::MAX;
     let arity = index.table().schema().arity();
-    let (mut next, mut next_arena, mut touched) = (Vec::new(), Vec::new(), 0);
+    let mut next = Level { size: level.size + 1, items: Vec::new(), rows: Vec::new() };
+    let (mut next_arena, mut touched) = (Vec::new(), 0);
     let mut seen: Vec<ItemId> = Vec::new();
-    for set in level {
-        let rows = &arena[set.rows.clone()];
-        let last = index.item(set.items[set.items.len() - 1]).0;
-        for attr in last + 1..arity {
+    for set in 0..level.len() {
+        let rows = &arena[level.rows[set].clone()];
+        for attr in level.last_attr(index, set) + 1..arity {
             touched += rows.len();
             for &slot in rows {
                 let id = index.id_at(attr, slot);
@@ -250,8 +395,9 @@ fn extend(
                     let start = next_arena.len();
                     cursors[id as usize] = start;
                     next_arena.resize(start + count, 0);
-                    let items = set.items.iter().copied().chain([id]).collect();
-                    next.push(Itemset { items, rows: start..start + count });
+                    next.items.extend_from_slice(level.items(set));
+                    next.items.push(id);
+                    next.rows.push(start..start + count);
                 }
             }
             for &slot in rows {
@@ -267,52 +413,6 @@ fn extend(
         }
     }
     (next, next_arena, touched)
-}
-
-/// Order the mined rules and turn their items back into `Value`s.
-///
-/// The order is inherited, not designed: rules used to be sorted by
-/// LHS size and then by their `Debug` rendering, `--emit` files list
-/// tableau rows in that order, and so it survives exactly — attribute
-/// `10` before `2`, `Int(10)` before `Int(9)`. An item's `Debug`
-/// fragment is prefix-free, so comparing two renderings is comparing
-/// their items' fragments in sequence: rank each used item once by its
-/// fragment and sort by (LHS size, LHS ranks, RHS rank). `(lhs, rhs)`
-/// is unique per rule, so `support` never decides.
-fn materialise(
-    mut rules: Vec<ItemRule>,
-    index: &ItemIndex<'_>,
-    pool: &ValuePool,
-) -> Vec<ConstantRule> {
-    let item = |id: ItemId| {
-        let (attr, sym) = index.item(id);
-        (attr, pool.value(sym).clone())
-    };
-    let mut used: Vec<ItemId> =
-        rules.iter().flat_map(|r| r.lhs.iter().copied().chain([r.rhs])).collect();
-    used.sort_unstable();
-    used.dedup();
-    // Equal fragments (NaN payloads) share a rank, as they tied before.
-    let mut fragments: BTreeMap<String, Vec<ItemId>> = BTreeMap::new();
-    for id in used {
-        fragments.entry(format!("{:?}", item(id))).or_default().push(id);
-    }
-    let mut rank = vec![0usize; index.len()];
-    for (at, ids) in fragments.values().enumerate() {
-        ids.iter().for_each(|&id| rank[id as usize] = at);
-    }
-    rules.sort_by_cached_key(|r| {
-        let ranks = r.lhs.iter().chain([&r.rhs]).map(|&id| rank[id as usize]);
-        (r.lhs.len(), ranks.collect::<Vec<_>>())
-    });
-    rules
-        .into_iter()
-        .map(|r| ConstantRule {
-            lhs: r.lhs.iter().map(|&id| item(id)).collect(),
-            rhs: item(r.rhs),
-            support: r.support,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -26,16 +26,29 @@
 //! sums the class errors of the candidate's partition — which leaves
 //! the constant miner nothing worth sharding, so it runs on the caller.
 //! No group key is hashed anywhere in the lattice.
+//!
+//! Vetting reads the rules as the miners hand them over. A table's
+//! constant rules arrive ordered and turn straight into mined CFDs,
+//! each already assigned its *block* — the embedded FD it merges into,
+//! looked up by attribute list, never by value. A CFDMiner row is
+//! unique within its embedded FD by construction (one rule per free
+//! itemset and closure attribute, with a constant RHS no lattice row
+//! has), so only the lattice's few rows go through
+//! `merge_by_embedded_fd`'s deduplicating hash; every constant row is
+//! cloned once into its block, sized before it is filled. The merged
+//! suite is byte-for-byte what that merge builds over all the rules.
 
-use crate::cfdminer::{self, MinerOptions};
+use crate::cfdminer::{self, MinedRules, MinerOptions};
 use crate::ind_disc;
 pub use crate::ind_disc::MinedCind;
 use crate::items::ItemIndex;
 use crate::tane;
 use revival_constraints::analysis::{self, CoverReport, Outcome};
+use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
-use revival_relation::{Catalog, Error, Result, Table};
-use std::collections::HashSet;
+use revival_relation::groupby::hash_words;
+use revival_relation::{AttrId, Catalog, Error, GroupBy, Result, Table};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The implied-row drop of `minimal_cover` is quadratic in tableau
@@ -238,9 +251,10 @@ pub trait DiscoveryEngine {
     /// checked/pruned, g3 evaluations, probe reads, partition-build µs),
     /// per constant-mining level (`itemsets`: candidates checked/pruned,
     /// support rows touched), per relation for the constant rule list
-    /// (`rules`: order, materialise, convert) and for vetting
-    /// (`vetting`: tableau rows in), and lattice / constant-rules /
-    /// vetting (merge, cover, satisfiability) / cind-mining phases.
+    /// (`rules`: order, convert) and for vetting (`vetting`: tableau
+    /// rows in), and lattice / constant-rules (of which `rules_order`
+    /// and `rules_convert`) / vetting (merge, cover, satisfiability) /
+    /// cind-mining phases.
     fn run_profiled(&self, job: &DiscoverJob<'_>) -> Result<(Discovered, revival_obs::JobProfile)> {
         let jobs = self.shards(job);
         let mut profile = revival_obs::JobProfile::new("discovery", self.name(), jobs as u64);
@@ -317,57 +331,45 @@ fn run_job(
     let opts = &job.options;
     let tables = job.tables();
     let mut rules: Vec<MinedCfd> = Vec::new();
+    let mut blocks: Vec<Blocks> = Vec::with_capacity(tables.len());
     let mut stats = DiscoveryStats::default();
-    let (mut lattice_us, mut constant_us) = (0u64, 0u64);
+    let (mut lattice_us, mut constant_us, mut order_us, mut convert_us) = (0u64, 0u64, 0u64, 0u64);
     for table in &tables {
         let stage = Instant::now();
         // One item index per table: the lattice's partitions and probes
         // and the constant miner's support counts all read it.
         let index = ItemIndex::build(table);
         let index_us = stage.elapsed().as_micros() as u64;
-        let (mut mined, tstats) =
-            tane::mine_lattice_inner(&index, opts, jobs, profile.as_deref_mut());
+        let (mined, tstats) = tane::mine_lattice_inner(&index, opts, jobs, profile.as_deref_mut());
         lattice_us += stage.elapsed().as_micros() as u64;
         stats.absorb(&tstats);
+        let lattice = rules.len()..rules.len() + mined.len();
+        rules.extend(mined);
         let stage = Instant::now();
         // Constant CFDs are always mined too, via CFDMiner (free-itemset
         // closures). Row-list support counting leaves nothing worth
         // sharding: the constant miner runs on the caller at any `jobs`.
-        let (constants, cstats) = cfdminer::mine_indexed(
+        let (mut constants, cstats) = cfdminer::mine_indexed(
             &index,
             &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },
             profile.as_deref_mut(),
         );
         stats.absorb(&cstats);
+        let order_start = Instant::now();
+        constants.order(&index);
         let convert_start = Instant::now();
-        // Exact mined FDs over the same embedded dependency already
-        // constrain the constant rule's tuples; keeping both only
-        // bloats the suite. The drop is counted, not silent.
-        let exact: HashSet<(Vec<usize>, usize)> = mined
-            .iter()
-            .filter(|m| m.confidence == 1.0 && m.cfd.is_plain_fd())
-            .map(|m| (m.cfd.lhs.clone(), m.cfd.rhs))
-            .collect();
-        for rule in constants {
-            let lhs: Vec<usize> = rule.lhs.iter().map(|(a, _)| *a).collect();
-            if exact.contains(&(lhs, rule.rhs.0)) {
-                stats.constants_subsumed += 1;
-                continue;
-            }
-            mined.push(MinedCfd {
-                cfd: rule.to_cfd(table.schema()),
-                support: rule.support,
-                confidence: 1.0,
-            });
-        }
+        let table_blocks = add_constant_rules(&index, &constants, lattice, &mut rules, &mut stats);
+        blocks.push(table_blocks);
+        let (ordered, converted) = (convert_start - order_start, convert_start.elapsed());
+        order_us += ordered.as_micros() as u64;
+        convert_us += converted.as_micros() as u64;
         if let Some(p) = profile.as_deref_mut() {
             // Level 1's supports *are* the index.
             p.entry(&cfdminer::level_row(table, 1), "itemsets").wall_us += index_us;
             p.entry(&cfdminer::rules_row(table), "rules").wall_us +=
-                convert_start.elapsed().as_micros() as u64;
+                (ordered + converted).as_micros() as u64;
         }
         constant_us += stage.elapsed().as_micros() as u64;
-        rules.extend(mined);
     }
 
     // Vet per relation: minimal cover + satisfiability. Budget
@@ -378,7 +380,7 @@ fn run_job(
     let mut cover = CoverReport::default();
     let mut satisfiable = Outcome::Yes;
     let (mut merge_us, mut cover_us, mut satisfiable_us) = (0u64, 0u64, 0u64);
-    for table in &tables {
+    for (table, table_blocks) in tables.iter().zip(&blocks) {
         let relation_start = Instant::now();
         let name = table.schema().name();
         // The full minimal cover runs an NP-hard implication check per
@@ -388,9 +390,7 @@ fn run_job(
         // FD + subsumption pruning, the same first phase minimal_cover
         // runs — re-merging a merged suite is the identity) and say so
         // in the stats.
-        let merged = revival_constraints::cfd::merge_by_embedded_fd(
-            rules.iter().map(|m| &m.cfd).filter(|cfd| cfd.relation == name),
-        );
+        let merged = table_blocks.merge(&rules);
         if merged.is_empty() {
             continue;
         }
@@ -446,6 +446,8 @@ fn run_job(
     if let Some(p) = profile {
         p.phase_add("lattice", lattice_us);
         p.phase_add("constant_rules", constant_us);
+        p.phase_add("rules_order", order_us);
+        p.phase_add("rules_convert", convert_us);
         p.phase_add("vetting", vetting_us);
         p.phase_add("vet_merge", merge_us);
         p.phase_add("vet_cover", cover_us);
@@ -464,6 +466,144 @@ fn run_job(
     }
     drop(run_span);
     Ok(Discovered { rules, vetted, satisfiable, cover, cinds, stats })
+}
+
+/// One table's mined rules as vetting merges them: the lattice's rules
+/// (`rules[lattice]`) and then the constant rules (`rules[constants]`),
+/// each constant rule already assigned its block — the embedded FD it
+/// merges into, numbered in first-seen order over the table's rules, so
+/// the lattice's blocks come first.
+struct Blocks {
+    lattice: Range<usize>,
+    constants: Range<usize>,
+    /// Per constant rule, its block.
+    block_of: Vec<u32>,
+    /// Per block, the constant rows it receives.
+    rows: Vec<usize>,
+}
+
+impl Blocks {
+    /// The merged suite `merge_by_embedded_fd` builds from the table's
+    /// rules — blocks in first-seen order, rows in rule order, each row
+    /// once — with only the lattice's few rows hashed to deduplicate. A
+    /// constant row needs no check: CFDMiner mines one rule per (free
+    /// itemset, closure attribute), so its LHS constants are unique
+    /// within its embedded FD, and its constant RHS differs from every
+    /// lattice row's `_`.
+    fn merge(&self, rules: &[MinedCfd]) -> Vec<Cfd> {
+        let lattice = rules[self.lattice.clone()].iter().map(|m| &m.cfd);
+        let mut merged = revival_constraints::cfd::merge_by_embedded_fd(lattice);
+        merged.reserve_exact(self.rows.len() - merged.len());
+        for (cfd, &rows) in merged.iter_mut().zip(&self.rows) {
+            cfd.tableau.reserve_exact(rows);
+        }
+        for (rule, &block) in rules[self.constants.clone()].iter().zip(&self.block_of) {
+            let block = block as usize;
+            if block == merged.len() {
+                let Cfd { relation, lhs, rhs, .. } = &rule.cfd;
+                let tableau = Vec::with_capacity(self.rows[block]);
+                merged.push(Cfd {
+                    relation: relation.clone(),
+                    lhs: lhs.clone(),
+                    rhs: *rhs,
+                    tableau,
+                });
+            }
+            merged[block].tableau.push(rule.cfd.tableau[0].clone());
+        }
+        merged
+    }
+}
+
+/// A table's embedded FDs — its vetting blocks — by their attribute
+/// lists, numbered in first-seen order (hashed as attribute ids,
+/// compared as slices).
+#[derive(Default)]
+struct EmbeddedFds {
+    /// Every FD's LHS attributes, back to back.
+    attrs: Vec<AttrId>,
+    /// Per FD: its LHS run of `attrs` and its RHS.
+    fds: Vec<(Range<usize>, AttrId)>,
+    /// Per FD: does an exact plain FD of the lattice cover it?
+    exact: Vec<bool>,
+    by_fd: GroupBy<u32, ()>,
+}
+
+impl EmbeddedFds {
+    /// The block of `lhs → rhs`, numbering it if new.
+    fn block(&mut self, lhs: &[AttrId], rhs: AttrId) -> usize {
+        let hash = hash_words(lhs.iter().chain([&rhs]).map(|&a| a as u64));
+        let (attrs, fds) = (&self.attrs, &self.fds);
+        let same = |&b: &u32| {
+            let (at, b_rhs) = &fds[b as usize];
+            *b_rhs == rhs && attrs[at.clone()] == *lhs
+        };
+        if let Some(b) = self.by_fd.probe(hash, same) {
+            return b;
+        }
+        let at = self.attrs.len();
+        self.attrs.extend_from_slice(lhs);
+        self.fds.push((at..self.attrs.len(), rhs));
+        self.exact.push(false);
+        self.by_fd.insert_unique(hash, self.fds.len() as u32 - 1, ())
+    }
+}
+
+/// Append one table's ordered constant rules to `rules` (whose
+/// `lattice` range holds the table's lattice rules) as mined CFDs, and
+/// assign each its vetting block. Embedded FDs are looked up by their
+/// attribute lists, never by a value. A rule whose embedded FD the
+/// lattice mined as an exact plain FD is dropped and counted: that FD
+/// already constrains its tuples, and keeping both only bloats the
+/// suite.
+fn add_constant_rules(
+    index: &ItemIndex<'_>,
+    mined: &MinedRules,
+    lattice: Range<usize>,
+    rules: &mut Vec<MinedCfd>,
+    stats: &mut DiscoveryStats,
+) -> Blocks {
+    let (schema, pool) = (index.table().schema(), index.table().pool());
+    let mut fds = EmbeddedFds::default();
+    for m in &rules[lattice.clone()] {
+        let b = fds.block(&m.cfd.lhs, m.cfd.rhs);
+        fds.exact[b] |= m.confidence == 1.0 && m.cfd.is_plain_fd();
+    }
+    let mut out = Blocks {
+        lattice,
+        constants: rules.len()..rules.len(),
+        block_of: Vec::with_capacity(mined.rules.len()),
+        rows: Vec::new(),
+    };
+    rules.reserve(mined.rules.len());
+    let mut lhs: Vec<AttrId> = Vec::new();
+    for rule in &mined.rules {
+        let items = mined.lhs(rule);
+        lhs.clear();
+        lhs.extend(items.iter().map(|&id| index.item(id).0));
+        let (rhs, rhs_sym) = index.item(rule.rhs);
+        let b = fds.block(&lhs, rhs);
+        if fds.exact[b] {
+            stats.constants_subsumed += 1;
+            continue;
+        }
+        out.block_of.push(b as u32);
+        if out.rows.len() <= b {
+            out.rows.resize(b + 1, 0);
+        }
+        out.rows[b] += 1;
+        let constant = |id| PatternValue::Const(pool.value(index.item(id).1).clone());
+        let row = PatternRow::new(
+            items.iter().map(|&id| constant(id)).collect(),
+            PatternValue::Const(pool.value(rhs_sym).clone()),
+        );
+        let cfd =
+            Cfd { relation: schema.name().to_string(), lhs: lhs.clone(), rhs, tableau: vec![row] };
+        rules.push(MinedCfd { cfd, support: rule.support, confidence: 1.0 });
+    }
+    out.rows.resize(fds.exact.len(), 0);
+    out.constants.end = rules.len();
+    out
 }
 
 #[cfg(test)]
@@ -541,6 +681,8 @@ mod tests {
             for phase in [
                 "lattice",
                 "constant_rules",
+                "rules_order",
+                "rules_convert",
                 "vetting",
                 "vet_merge",
                 "vet_cover",
