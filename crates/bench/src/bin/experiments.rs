@@ -18,7 +18,7 @@ use revival_repair::{BatchRepair, CostModel, RepairStats};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-const EXPERIMENTS: [(&str, fn()); 10] = [
+const EXPERIMENTS: [(&str, fn()); 9] = [
     ("detection-scaling", detection_scaling),
     ("tableau-size", tableau_size),
     ("cfd-vs-fd", cfd_vs_fd),
@@ -26,12 +26,11 @@ const EXPERIMENTS: [(&str, fn()); 10] = [
     ("repair-scaling", repair_scaling),
     ("incremental-repair", incremental_repair),
     ("cind-scaling", cind_scaling),
-    ("matching-quality", matching_quality),
     ("incremental-detection", incremental_detection),
     ("static-analysis", static_analysis),
 ];
 
-/// The experiments `name` selects: one, all ten, or none.
+/// The experiments `name` selects: one, all nine, or none.
 fn select(name: &str) -> Vec<fn()> {
     EXPERIMENTS.iter().filter(|(n, _)| name == "all" || name == *n).map(|(_, run)| *run).collect()
 }
@@ -500,86 +499,6 @@ fn cind_scaling() {
         rows.push(vec![n.to_string(), book_tuples.to_string(), report.len().to_string(), ms(t)]);
     }
     print_table(&["cd_tuples", "book_tuples", "violations", "time_ms"], &rows);
-}
-
-/// E8 — match quality: RCK matcher vs. exact-key baseline (§4 / \[10\]).
-///
-/// Card/billing pairs with representation variations (diminutives,
-/// address abbreviations) and typos. The baseline requires exact
-/// equality on `[fname, lname, addr]`; the RCK matcher uses the keys
-/// derived from the paper's rules. Expected shape: RCK recall ≫
-/// baseline recall at comparable precision, gap widening with the
-/// variation rate.
-fn matching_quality() {
-    use revival_dirty::cardbilling::{attrs, generate, CardBillingConfig};
-    use revival_matching::matcher::{
-        AttributePair, BlockKey, Comparator, MatchQuality, RecordMatcher,
-    };
-    use revival_matching::rules::{paper_rules, Cmp};
-
-    let persons = if full_mode() { 10_000 } else { 2_000 };
-    println!("E8: match quality vs variation rate ({persons} persons, typo 5%)");
-
-    // Derive the RCKs from the paper's rules (not hand-coded!).
-    let y = ["fname", "lname", "addr", "phn", "email"];
-    let rcks = revival_matching::rck::derive_rcks(&y, &y, &paper_rules(), 3);
-    println!("derived {} RCK(s):", rcks.len());
-    for r in &rcks {
-        println!("  {r}");
-    }
-    let baseline_key = revival_matching::RelativeCandidateKey::new(&[
-        ("fname", Cmp::Equal),
-        ("lname", Cmp::Equal),
-        ("addr", Cmp::Equal),
-    ]);
-    let pairs = |name: Comparator, lname: Comparator, addr: Comparator| {
-        vec![
-            AttributePair::new("fname", attrs::CARD_FN, attrs::BILL_FN, name),
-            AttributePair::new("lname", attrs::CARD_LN, attrs::BILL_LN, lname),
-            AttributePair::new("addr", attrs::CARD_ADDR, attrs::BILL_ADDR, addr),
-            AttributePair::new("phn", attrs::CARD_PHN, attrs::BILL_PHN, Comparator::Phone),
-        ]
-    };
-    let mut rck_pairs =
-        pairs(Comparator::PersonName, Comparator::JaroWinkler(0.88), Comparator::Address);
-    rck_pairs.push(AttributePair::new(
-        "email",
-        attrs::CARD_EMAIL,
-        attrs::BILL_EMAIL,
-        Comparator::Exact,
-    ));
-    let blocking = vec![("phn", BlockKey::Digits), ("lname", BlockKey::Soundex)];
-    let rck_matcher = RecordMatcher::new(rck_pairs, rcks, blocking.clone());
-    let baseline = RecordMatcher::new(
-        pairs(Comparator::Exact, Comparator::Exact, Comparator::Exact),
-        vec![baseline_key],
-        blocking,
-    );
-
-    let mut rows = Vec::new();
-    for rate in [0.1, 0.2, 0.3, 0.4, 0.5] {
-        let data = generate(&CardBillingConfig {
-            persons,
-            variation_rate: rate,
-            typo_rate: 0.05,
-            seed: 8,
-            ..Default::default()
-        });
-        let score = |m: &RecordMatcher| {
-            MatchQuality::score(&m.run(&data.card, &data.billing), &data.true_pairs)
-        };
-        let (base_q, rck_q) = (score(&baseline), score(&rck_matcher));
-        rows.push(vec![
-            pct(rate),
-            f3(base_q.precision),
-            f3(base_q.recall),
-            f3(base_q.f1()),
-            f3(rck_q.precision),
-            f3(rck_q.recall),
-            f3(rck_q.f1()),
-        ]);
-    }
-    print_table(&["variation", "base_p", "base_r", "base_f1", "rck_p", "rck_r", "rck_f1"], &rows);
 }
 
 /// E11 — incremental vs. full re-detection as a delta streams in.

@@ -2,9 +2,9 @@
 //!
 //! Synthetic workload generation with ground truth.
 //!
-//! The experiments behind the tutorial (\[6\], \[8\], \[4\], \[10\]) run on
-//! customer databases, book/CD order tables and card/billing feeds that
-//! were never published. This crate substitutes seeded generators that
+//! The experiments behind the tutorial (\[6\], \[8\], \[4\]) run on
+//! customer databases and book/CD order tables that were never
+//! published. This crate substitutes seeded generators that
 //! preserve the properties those experiments control for:
 //!
 //! * **pattern conformance** — clean data *satisfies* the standard CFD
@@ -19,12 +19,11 @@
 //! * **determinism** — everything is driven by a caller-provided seed.
 //!
 //! Scenarios: [`customer`] (CFD detection/repair), [`hospital`]
-//! (HOSP-style CFDs, the literature's second benchmark), [`orders`]
-//! (book/CD CINDs), [`cardbilling`] (record matching with RCKs).
+//! (HOSP-style CFDs, the literature's second benchmark) and [`orders`]
+//! (book/CD CINDs).
 
 #![forbid(unsafe_code)]
 
-pub mod cardbilling;
 pub mod customer;
 pub mod hospital;
 pub mod noise;

@@ -121,7 +121,7 @@ impl RepairScore {
 }
 
 /// Apply a typo to a string value (deterministic given the rng state).
-pub fn typo(v: &Value, rng: &mut StdRng) -> Value {
+fn typo(v: &Value, rng: &mut StdRng) -> Value {
     match v.as_str() {
         Some(s) if !s.is_empty() => {
             let chars: Vec<char> = s.chars().collect();

@@ -332,57 +332,6 @@ pub fn describe_catalog_report(
     out
 }
 
-/// Run RCK-based record matching between two CSV files whose holder
-/// attributes follow the paper's card/billing shape (`fname`, `lname`,
-/// `addr`, `phn`, `email` present in both). Returns the matched pairs
-/// rendered one per line plus a summary.
-pub fn match_records(left_csv: &str, right_csv: &str) -> Result<String> {
-    use revival_matching::matcher::{AttributePair, BlockKey, Comparator, RecordMatcher};
-    use revival_matching::rck::derive_rcks;
-    use revival_matching::rules::paper_rules;
-    let left = csv::read_table_infer("left", left_csv)?;
-    let right = csv::read_table_infer("right", right_csv)?;
-    let holder = ["fname", "lname", "addr", "phn", "email"];
-    let mut pairs = Vec::new();
-    for name in holder {
-        let comparator = match name {
-            "fname" => Comparator::PersonName,
-            "lname" => Comparator::JaroWinkler(0.88),
-            "addr" => Comparator::Address,
-            "phn" => Comparator::Phone,
-            _ => Comparator::Exact,
-        };
-        pairs.push(AttributePair::new(
-            name,
-            left.schema().attr_id(name)?,
-            right.schema().attr_id(name)?,
-            comparator,
-        ));
-    }
-    let rcks = derive_rcks(&holder, &holder, &paper_rules(), 3);
-    let matcher = RecordMatcher::new(
-        pairs,
-        rcks.clone(),
-        vec![("phn", BlockKey::Digits), ("lname", BlockKey::Soundex)],
-    );
-    let found = matcher.run(&left, &right);
-    let mut out = String::new();
-    out.push_str(&format!("using {} derived RCK(s):\n", rcks.len()));
-    for r in &rcks {
-        out.push_str(&format!("  {r}\n"));
-    }
-    for &(l, r) in &found {
-        out.push_str(&format!("{l} ~ {r}\n"));
-    }
-    out.push_str(&format!(
-        "{} match(es) between {} left and {} right tuple(s)\n",
-        found.len(),
-        left.len(),
-        right.len()
-    ));
-    Ok(out)
-}
-
 /// Generate a scenario dataset (CSV + CFD suite + ground truth) into
 /// strings; the CLI writes them to disk.
 pub fn generate_customer_scenario(rows: usize, noise: f64, seed: u64) -> (String, String, String) {

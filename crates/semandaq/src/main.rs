@@ -7,6 +7,7 @@
 use revival_detect::{engine_by_name, Detector, NativeEngine};
 use semandaq::{generate_customer_scenario, Session};
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -62,8 +63,6 @@ commands:
                                  apply manual edits, re-detect
   query    --data FILE --sql TEXT [--table NAME]
                                  run SQL over the CSV
-  match    --left FILE --right FILE
-                                 RCK-based record matching
   serve    [--port N] [--jobs N] [--workers N] [--state DIR]
            [--shards N] [--wal] [--checkpoint-ops N]
            [--wal-group-max-wait MICROS]
@@ -115,11 +114,45 @@ Every --data flag accepts a `.sdq` snapshot wherever it accepts CSV.
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let mut stdout = std::io::stdout();
+    match run(&args, &mut stdout).and_then(|()| Ok(stdout.flush()?)) {
+        Ok(()) | Err(Stop::StdoutClosed) => ExitCode::SUCCESS,
+        Err(Stop::Failed(e)) => {
             eprintln!("semandaq: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command stopped short: a message for stderr, or stdout closed
+/// under it (`semandaq … | head` exiting first), which ends the run
+/// quietly with status 0 — what SIGPIPE's default action would do,
+/// without a signal handler.
+enum Stop {
+    Failed(String),
+    StdoutClosed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Self {
+        Stop::Failed(e.to_string())
+    }
+}
+
+/// The `io::Error` a command passes up with a bare `?` is a failed
+/// write to stdout; every other I/O error becomes a message where it
+/// happens.
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            ErrorKind::BrokenPipe => Stop::StdoutClosed,
+            _ => Stop::Failed(format!("stdout: {e}")),
         }
     }
 }
@@ -154,7 +187,6 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("analyze", "data cfds table budget"),
     ("edit", "data cfds table set out"),
     ("query", "data sql table"),
-    ("match", "left right"),
     (
         "serve",
         "port jobs workers state shards wal checkpoint-ops wal-group-max-wait slow-log \
@@ -183,11 +215,8 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
             .strip_prefix("--")
             .ok_or_else(|| format!("expected flag, got `{}`", args[i]))?;
         if !allowed.contains(&key) {
-            let nearest = allowed
-                .iter()
-                .map(|f| (revival_matching::similarity::levenshtein(key, f), *f))
-                .filter(|(d, _)| *d <= 2)
-                .min();
+            let nearest =
+                allowed.iter().map(|f| (edits(key, f), *f)).filter(|(d, _)| *d <= 2).min();
             return Err(match nearest {
                 Some((_, f)) => format!("`{cmd}` has no flag --{key} (did you mean --{f}?)"),
                 None => {
@@ -222,6 +251,13 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
         i += 2;
     }
     Ok(Flags { values, sets })
+}
+
+/// Edits between two flag names: the repairer's normalised
+/// optimal-string-alignment distance, scaled back by the longer length.
+fn edits(a: &str, b: &str) -> usize {
+    let longer = a.chars().count().max(b.chars().count());
+    (revival_repair::cost::string_distance(a, b) * longer as f64).round() as usize
 }
 
 impl Flags {
@@ -274,12 +310,12 @@ fn load_session(flags: &Flags) -> Result<Session, String> {
     Session::from_table(loaded, &cfd_text).map_err(|e| e.to_string())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
     let Some(cmd) = args.first() else {
         return Err(USAGE.into());
     };
     if matches!(cmd.as_str(), "--help" | "-h" | "help") {
-        println!("{USAGE}");
+        writeln!(stdout, "{USAGE}")?;
         return Ok(());
     }
     // `watch` takes its file, `snapshot` its save/load verb, and
@@ -305,12 +341,14 @@ fn run(args: &[String]) -> Result<(), String> {
             let (clean, dirty, cfds) = match flags.get_or("scenario", "customer") {
                 "customer" => generate_customer_scenario(rows, noise, seed),
                 "hospital" => semandaq::generate_hospital_scenario(rows, noise, seed),
-                other => return Err(format!("unknown --scenario `{other}` (customer|hospital)")),
+                other => {
+                    return Err(format!("unknown --scenario `{other}` (customer|hospital)").into())
+                }
             };
             std::fs::write(out.join("clean.csv"), clean).map_err(|e| e.to_string())?;
             std::fs::write(out.join("dirty.csv"), dirty).map_err(|e| e.to_string())?;
             std::fs::write(out.join("cfds.txt"), cfds).map_err(|e| e.to_string())?;
-            println!("wrote clean.csv, dirty.csv, cfds.txt to {}", out.display());
+            writeln!(stdout, "wrote clean.csv, dirty.csv, cfds.txt to {}", out.display())?;
             Ok(())
         }
         "detect" => {
@@ -327,13 +365,13 @@ fn run(args: &[String]) -> Result<(), String> {
             // name=path form) build a multi-relation catalog job;
             // a bare `--data path` keeps the single-table behaviour.
             if datas.len() > 1 || datas.first().is_some_and(|d| d.contains('=')) {
-                return detect_catalog(&flags, engine.as_ref(), explain);
+                return detect_catalog(&flags, engine.as_ref(), explain, stdout);
             }
             let session = load_session(&flags)?;
             match explain {
                 None => {
                     let report = session.detect(engine.as_ref()).map_err(|e| e.to_string())?;
-                    print!("{}", session.describe(&report, 25));
+                    write!(stdout, "{}", session.describe(&report, 25))?;
                 }
                 Some(mode) => {
                     // One profiled run — byte-identical report, plus the
@@ -341,10 +379,10 @@ fn run(args: &[String]) -> Result<(), String> {
                     let (report, profile) =
                         session.detect_explain(engine.as_ref()).map_err(|e| e.to_string())?;
                     if mode == ExplainMode::Json {
-                        println!("{}", profile.render_json());
+                        writeln!(stdout, "{}", profile.render_json())?;
                     } else {
-                        print!("{}", session.describe(&report, 25));
-                        print!("{}", profile.render_text());
+                        write!(stdout, "{}", session.describe(&report, 25))?;
+                        write!(stdout, "{}", profile.render_text())?;
                     }
                 }
             }
@@ -366,18 +404,23 @@ fn run(args: &[String]) -> Result<(), String> {
                 None => {
                     let before = session.detect(engine.as_ref()).map_err(|e| e.to_string())?;
                     let (fixed, summary) = session.repair(jobs).map_err(|e| e.to_string())?;
-                    println!("before: {} violation(s) [{} engine]", before.len(), engine.name());
-                    println!("repair: {summary}");
+                    writeln!(
+                        stdout,
+                        "before: {} violation(s) [{} engine]",
+                        before.len(),
+                        engine.name()
+                    )?;
+                    writeln!(stdout, "repair: {summary}")?;
                     fixed
                 }
                 Some(mode) => {
                     let (fixed, summary, profile) =
                         session.repair_explain(jobs).map_err(|e| e.to_string())?;
                     if mode == ExplainMode::Json {
-                        println!("{}", profile.render_json());
+                        writeln!(stdout, "{}", profile.render_json())?;
                     } else {
-                        println!("repair: {summary}");
-                        print!("{}", profile.render_text());
+                        writeln!(stdout, "repair: {summary}")?;
+                        write!(stdout, "{}", profile.render_text())?;
                     }
                     fixed
                 }
@@ -390,14 +433,14 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "discover" => discover(&flags),
+        "discover" => discover(&flags, stdout),
         "analyze" => {
             let session = load_session(&flags)?;
             let budget: usize = flags
                 .get_or("budget", "2000000")
                 .parse()
                 .map_err(|_| "--budget must be an integer")?;
-            print!("{}", session.analyze(budget));
+            write!(stdout, "{}", session.analyze(budget))?;
             Ok(())
         }
         "edit" => {
@@ -407,17 +450,18 @@ fn run(args: &[String]) -> Result<(), String> {
                 session.apply_edit(spec).map_err(|e| e.to_string())?;
             }
             let after = session.detect(&NativeEngine).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                stdout,
                 "violations: {} -> {} after {} edit(s)",
                 before.len(),
                 after.len(),
                 flags.sets.len()
-            );
-            print!("{}", session.describe(&after, 25));
+            )?;
+            write!(stdout, "{}", session.describe(&after, 25))?;
             if let Ok(out) = flags.get("out") {
                 std::fs::write(out, revival_relation::csv::write_table(&session.table))
                     .map_err(|e| e.to_string())?;
-                println!("wrote {out}");
+                writeln!(stdout, "wrote {out}")?;
             }
             Ok(())
         }
@@ -429,20 +473,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut catalog = revival_relation::Catalog::new();
             catalog.register(table);
             let rs = revival_relation::sql::run(sql_text, &catalog).map_err(|e| e.to_string())?;
-            print!("{}", rs.render_text());
-            println!("({} row(s))", rs.len());
+            write!(stdout, "{}", rs.render_text())?;
+            writeln!(stdout, "({} row(s))", rs.len())?;
             Ok(())
         }
-        "match" => {
-            let left = flags.get("left")?;
-            let right = flags.get("right")?;
-            let l = std::fs::read_to_string(left).map_err(|e| format!("{left}: {e}"))?;
-            let r = std::fs::read_to_string(right).map_err(|e| format!("{right}: {e}"))?;
-            let out = semandaq::match_records(&l, &r).map_err(|e| e.to_string())?;
-            print!("{out}");
-            Ok(())
-        }
-        "snapshot" => snapshot(positional.as_deref(), &flags),
+        "snapshot" => snapshot(positional.as_deref(), &flags, stdout),
         "serve" => {
             let port: usize =
                 flags.get_or("port", "7744").parse().map_err(|_| "--port must be an integer")?;
@@ -490,38 +525,51 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| e.to_string())?;
             let addr = server.local_addr().map_err(|e| e.to_string())?;
             if restored.relations > 0 {
-                println!(
+                writeln!(
+                    stdout,
                     "restored {} relation(s) from {}",
                     restored.relations,
                     state.as_deref().map(|p| p.display().to_string()).unwrap_or_default()
-                );
+                )?;
             }
             if restored.replayed > 0 || restored.torn_bytes > 0 {
-                println!(
+                writeln!(
+                    stdout,
                     "replayed {} WAL record(s) ({} torn byte(s) dropped)",
                     restored.replayed, restored.torn_bytes
-                );
+                )?;
             }
             if restored.dropped_cinds > 0 {
-                println!(
+                writeln!(
+                    stdout,
                     "warning: dropped {} cind(s) split across shards by a shard-count change",
                     restored.dropped_cinds
-                );
+                )?;
             }
             // Announce the bound address first (tests bind --port 0 and
             // read the ephemeral port back from this line).
-            println!(
+            writeln!(
+                stdout,
                 "semandaq serve listening on {addr} ({workers} worker(s), {} shard(s))",
                 shards.max(1)
-            );
-            use std::io::Write;
-            std::io::stdout().flush().ok();
+            )?;
+            stdout.flush()?;
             let summary = server.run(workers).map_err(|e| e.to_string())?;
             if let Some(dir) = &state {
-                println!("saved {} relation(s) to {}", summary.saved_relations, dir.display());
+                writeln!(
+                    stdout,
+                    "saved {} relation(s) to {}",
+                    summary.saved_relations,
+                    dir.display()
+                )?;
             }
             if let Some(path) = &trace_out {
-                println!("wrote {} trace event(s) to {}", summary.trace_events, path.display());
+                writeln!(
+                    stdout,
+                    "wrote {} trace event(s) to {}",
+                    summary.trace_events,
+                    path.display()
+                )?;
             }
             let by_verb: Vec<String> =
                 summary.requests_by_verb.iter().map(|(verb, n)| format!("{verb}={n}")).collect();
@@ -534,13 +582,14 @@ fn run(args: &[String]) -> Result<(), String> {
             } else {
                 String::new()
             };
-            println!(
+            writeln!(
+                stdout,
                 "semandaq serve stopped (uptime {}s, {} request(s) [{}], {} checkpoint(s){groups})",
                 summary.uptime_secs,
                 summary.total_requests,
                 by_verb.join(" "),
                 summary.checkpoints
-            );
+            )?;
             Ok(())
         }
         "metrics" => {
@@ -558,9 +607,9 @@ fn run(args: &[String]) -> Result<(), String> {
                         .get_or("iterations", "0")
                         .parse()
                         .map_err(|_| "--iterations must be an integer")?;
-                    watch_metrics(&addr, secs.max(1), iterations)
+                    watch_metrics(&addr, secs.max(1), iterations, stdout)
                 }
-                Err(_) => fetch_metrics(&addr),
+                Err(_) => fetch_metrics(&addr, stdout),
             }
         }
         "profile" => {
@@ -572,7 +621,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .to_string();
             let last: u64 =
                 flags.get_or("last", "8").parse().map_err(|_| "--last must be an integer")?;
-            fetch_profiles(&addr, last)
+            fetch_profiles(&addr, last, stdout)
         }
         "watch" => {
             let path = positional
@@ -593,7 +642,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map_err(|_| "--idle-exit must be an integer")?;
             let cfd_text =
                 std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
-            watch(&path, &table, &cfd_text, poll_ms, idle_exit)
+            watch(&path, &table, &cfd_text, poll_ms, idle_exit, stdout)
         }
         _ => unreachable!("parse_flags rejects a command COMMAND_FLAGS does not list"),
     }
@@ -605,7 +654,7 @@ fn run(args: &[String]) -> Result<(), String> {
 /// vet the suite (minimal cover + satisfiability), lift violated INDs
 /// to CIND candidates on catalogs, and print/emit everything in the
 /// syntax `semandaq detect` reads back.
-fn discover(flags: &Flags) -> Result<(), String> {
+fn discover(flags: &Flags, stdout: &mut dyn Write) -> Result<(), Stop> {
     use revival_discovery::{discovery_by_name, DiscoverJob, DiscoverOptions};
     let jobs: usize = flags.get_or("jobs", "0").parse().map_err(|_| "--jobs must be an integer")?;
     // `--jobs N` without an explicit engine implies the parallel engine.
@@ -685,12 +734,16 @@ fn discover(flags: &Flags) -> Result<(), String> {
         }
     }
     if json_only {
-        println!("{}", profile.as_ref().expect("json mode implies a profile").render_json());
+        writeln!(
+            stdout,
+            "{}",
+            profile.as_ref().expect("json mode implies a profile").render_json()
+        )?;
     } else {
         let summary = semandaq::describe_discovered(&d, &suite, &schemas, 40);
-        print!("{}", summary.map_err(|e| e.to_string())?);
+        write!(stdout, "{}", summary.map_err(|e| e.to_string())?)?;
         if let Some(p) = &profile {
-            print!("{}", p.render_text());
+            write!(stdout, "{}", p.render_text())?;
         }
     }
     if let Some(out) = emit {
@@ -699,7 +752,7 @@ fn discover(flags: &Flags) -> Result<(), String> {
         if json_only {
             eprintln!("wrote {out}");
         } else {
-            println!("wrote {out}");
+            writeln!(stdout, "wrote {out}")?;
         }
     }
     if let Ok(out) = flags.get("emit-cinds") {
@@ -708,7 +761,7 @@ fn discover(flags: &Flags) -> Result<(), String> {
         if json_only {
             eprintln!("wrote {out}");
         } else {
-            println!("wrote {out}");
+            writeln!(stdout, "wrote {out}")?;
         }
     }
     Ok(())
@@ -722,7 +775,7 @@ fn serve_roundtrip(
     addr: &str,
     request: &revival_stream::Request,
 ) -> Result<revival_stream::Response, String> {
-    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    use std::io::{BufRead, BufReader};
     use std::net::ToSocketAddrs;
     let unresolved = || format!("cannot resolve `{addr}` (want HOST:PORT, e.g. 127.0.0.1:7744)");
     let sock = addr.to_socket_addrs().map_err(|_| unresolved())?.next().ok_or_else(unresolved)?;
@@ -757,15 +810,15 @@ fn serve_roundtrip(
 /// and the Prometheus-style text exposition it returns. The full
 /// integer-valued JSON registry rides the same response under `json`
 /// for scripts that want structure instead.
-fn fetch_metrics(addr: &str) -> Result<(), String> {
+fn fetch_metrics(addr: &str, stdout: &mut dyn Write) -> Result<(), Stop> {
     let response = serve_roundtrip(addr, &revival_stream::Request::Metrics { window_secs: 0 })?;
     if let Some(uptime) = response.int("uptime_secs") {
-        println!("# uptime_secs {uptime}");
+        writeln!(stdout, "# uptime_secs {uptime}")?;
     }
     if let Some(shards) = response.int("shards") {
-        println!("# shards {shards}");
+        writeln!(stdout, "# shards {shards}")?;
     }
-    print!("{}", response.str("text").unwrap_or_default());
+    write!(stdout, "{}", response.str("text").unwrap_or_default())?;
     Ok(())
 }
 
@@ -775,8 +828,12 @@ fn fetch_metrics(addr: &str) -> Result<(), String> {
 /// poll pushes one registry snapshot server-side; the window renders
 /// between the newest snapshot and the oldest one inside the trailing
 /// SECS-second window, so the first poll only collects.
-fn watch_metrics(addr: &str, secs: u64, iterations: u64) -> Result<(), String> {
-    use std::io::Write;
+fn watch_metrics(
+    addr: &str,
+    secs: u64,
+    iterations: u64,
+    stdout: &mut dyn Write,
+) -> Result<(), Stop> {
     let mut round = 0u64;
     loop {
         let response =
@@ -788,13 +845,14 @@ fn watch_metrics(addr: &str, secs: u64, iterations: u64) -> Result<(), String> {
             Some(w) => w.to_string(),
             None => format!("collecting the first {secs}s window…\n"),
         };
-        print!("\x1b[2J\x1b[H");
-        println!(
+        write!(stdout, "\x1b[2J\x1b[H")?;
+        writeln!(
+            stdout,
             "semandaq metrics --watch {secs}s — {addr} \
              (uptime {uptime}s, {shards} shard(s), poll #{round})"
-        );
-        print!("{body}");
-        std::io::stdout().flush().ok();
+        )?;
+        write!(stdout, "{body}")?;
+        stdout.flush()?;
         if iterations > 0 && round >= iterations {
             return Ok(());
         }
@@ -805,11 +863,11 @@ fn watch_metrics(addr: &str, secs: u64, iterations: u64) -> Result<(), String> {
 /// `semandaq profile HOST:PORT [--last N]`: print the per-request phase
 /// profiles of the serve tier's last N requests, newest first — one
 /// line per request, phases summing exactly to its total.
-fn fetch_profiles(addr: &str, last: u64) -> Result<(), String> {
+fn fetch_profiles(addr: &str, last: u64, stdout: &mut dyn Write) -> Result<(), Stop> {
     let response = serve_roundtrip(addr, &revival_stream::Request::Profile { last })?;
     let count = response.int("count").unwrap_or(0);
-    println!("# last {count} request(s), newest first");
-    print!("{}", response.str("text").unwrap_or_default());
+    writeln!(stdout, "# last {count} request(s), newest first")?;
+    write!(stdout, "{}", response.str("text").unwrap_or_default())?;
     Ok(())
 }
 
@@ -817,7 +875,7 @@ fn fetch_profiles(addr: &str, last: u64) -> Result<(), String> {
 /// `.sdq`) into a columnar snapshot, or open a snapshot and report what
 /// it holds — the save path compacts the value pool, so it doubles as
 /// an offline vacuum for long-lived state directories.
-fn snapshot(verb: Option<&str>, flags: &Flags) -> Result<(), String> {
+fn snapshot(verb: Option<&str>, flags: &Flags, stdout: &mut dyn Write) -> Result<(), Stop> {
     match verb {
         Some("save") => {
             let data = flags.get("data")?;
@@ -826,11 +884,12 @@ fn snapshot(verb: Option<&str>, flags: &Flags) -> Result<(), String> {
             let table = semandaq::load_table(name, data).map_err(|e| e.to_string())?;
             table.save_snapshot(std::path::Path::new(out)).map_err(|e| e.to_string())?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-            println!(
+            writeln!(
+                stdout,
                 "wrote {out}: {} row(s) × {} attr(s), {bytes} byte(s)",
                 table.len(),
                 table.schema().arity()
-            );
+            )?;
             Ok(())
         }
         Some("load") => {
@@ -839,14 +898,15 @@ fn snapshot(verb: Option<&str>, flags: &Flags) -> Result<(), String> {
             let table = revival_relation::Table::open_snapshot(std::path::Path::new(data))
                 .map_err(|e| e.to_string())?;
             let ms = start.elapsed().as_secs_f64() * 1e3;
-            println!(
+            writeln!(
+                stdout,
                 "{data}: relation `{}`, {} row(s) × {} attr(s), {} pooled value(s), \
                  opened in {ms:.2} ms",
                 table.schema().name(),
                 table.len(),
                 table.schema().arity(),
                 table.pool().len()
-            );
+            )?;
             Ok(())
         }
         _ => Err("usage: semandaq snapshot save --data FILE --out FILE.sdq | \
@@ -880,7 +940,8 @@ fn detect_catalog(
     flags: &Flags,
     engine: &dyn Detector,
     explain: Option<ExplainMode>,
-) -> Result<(), String> {
+    stdout: &mut dyn Write,
+) -> Result<(), Stop> {
     use revival_detect::DetectJob;
     let (catalog, schemas) = load_catalog(flags.get_all("data"))?;
     let cfd_path = flags.get("cfds")?;
@@ -898,18 +959,23 @@ fn detect_catalog(
     match explain {
         None => {
             let report = engine.run(&job).map_err(|e| e.to_string())?;
-            print!("{}", semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25));
+            write!(
+                stdout,
+                "{}",
+                semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25)
+            )?;
         }
         Some(mode) => {
             let (report, profile) = engine.run_profiled(&job).map_err(|e| e.to_string())?;
             if mode == ExplainMode::Json {
-                println!("{}", profile.render_json());
+                writeln!(stdout, "{}", profile.render_json())?;
             } else {
-                print!(
+                write!(
+                    stdout,
                     "{}",
                     semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25)
-                );
-                print!("{}", profile.render_text());
+                )?;
+                write!(stdout, "{}", profile.render_text())?;
             }
         }
     }
@@ -926,7 +992,8 @@ fn watch(
     cfd_text: &str,
     poll_ms: u64,
     idle_exit: usize,
-) -> Result<(), String> {
+    stdout: &mut dyn Write,
+) -> Result<(), Stop> {
     use revival_stream::{CsvTail, DeltaSession};
     use std::io::{Read, Seek, SeekFrom};
 
@@ -948,7 +1015,7 @@ fn watch(
     let mut session = DeltaSession::new(1);
     session.register(table, cfds).map_err(|e| e.to_string())?;
     let mut count = session.violation_count().map_err(|e| e.to_string())?;
-    println!("watching {path}: {base_rows} row(s), {count} violation(s)");
+    writeln!(stdout, "watching {path}: {base_rows} row(s), {count} violation(s)")?;
     let mut tail = CsvTail::new(schema, base_lines + 1);
     tail.feed(&base_text[complete..]).map_err(|e| e.to_string())?;
     let mut offset = base_text.len() as u64;
@@ -961,7 +1028,8 @@ fn watch(
         if len < offset {
             return Err(format!(
                 "{path}: file shrank ({len} < {offset}); watch only tails appends"
-            ));
+            )
+            .into());
         }
         if len == offset {
             idle += 1;
@@ -985,7 +1053,8 @@ fn watch(
                 return Err(format!(
                     "{path}: invalid UTF-8 at byte {}",
                     offset + e.valid_up_to() as u64
-                ))
+                )
+                .into())
             }
         };
         if chunk.is_empty() {
@@ -1009,15 +1078,14 @@ fn watch(
             appended += 1;
             let now = session.violation_count().map_err(|e| e.to_string())?;
             if now > count {
-                println!("  {id}: +{} violation(s) (total {now})", now - count);
+                writeln!(stdout, "  {id}: +{} violation(s) (total {now})", now - count)?;
             }
             count = now;
         }
-        println!("+{appended} row(s) total: {count} violation(s)");
-        use std::io::Write;
-        std::io::stdout().flush().ok();
+        writeln!(stdout, "+{appended} row(s) total: {count} violation(s)")?;
+        stdout.flush()?;
     }
-    println!("watch: {appended} appended row(s) in {batches} batch(es)");
+    writeln!(stdout, "watch: {appended} appended row(s) in {batches} batch(es)")?;
     Ok(())
 }
 

@@ -215,9 +215,7 @@ fn help_lists_every_subcommand() {
         assert!(out.status.success(), "{invocation:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("usage"), "got: {stdout}");
-        for cmd in
-            ["generate", "detect", "repair", "analyze", "edit", "query", "match", "serve", "watch"]
-        {
+        for cmd in ["generate", "detect", "repair", "analyze", "edit", "query", "serve", "watch"] {
             assert!(stdout.contains(cmd), "--help misses `{cmd}`: {stdout}");
         }
     }
@@ -382,31 +380,56 @@ fn query_command_runs_sql() {
 }
 
 #[test]
-fn match_command_links_varied_records() {
-    let dir = tmpdir("match");
-    std::fs::write(
-        dir.join("card.csv"),
-        "fname,lname,addr,phn,email\n\
-         robert,smith,10 Mountain Avenue,555-1234,rob@x.com\n\
-         alice,jones,5 Church Street,555-9999,alice@x.com\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("billing.csv"),
-        "fname,lname,addr,phn,email\n\
-         bob,smith,10 Mountain Ave,5551234,other@y.com\n\
-         carol,wong,9 High St,555-0000,carol@z.com\n",
-    )
-    .unwrap();
+fn match_is_an_unknown_command() {
+    let out = bin().args(["match", "--left", "a", "--right", "b"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "got: {}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("semandaq: unknown command `match`"), "got: {stderr}");
+}
+
+/// A reader that stops early (`semandaq … | head`) ends the run with
+/// status 0 and nothing on stderr, whether the pipe closes before the
+/// first write or while the child is blocked on a full pipe buffer.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let dir = tmpdir("pipe");
     let out = bin()
-        .args(["match", "--left", dir.join("card.csv").to_str().unwrap()])
-        .args(["--right", dir.join("billing.csv").to_str().unwrap()])
+        .args(["generate", "--scenario", "hospital", "--rows", "20000", "--seed", "7"])
+        .args(["--out", dir.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("1 match(es)"), "got: {stdout}");
-    assert!(stdout.contains("t0 ~ t0"), "bob smith must match: {stdout}");
+    let data = dir.join("dirty.csv");
+    let quiet = |mut child: std::process::Child, lines: usize| {
+        let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        for _ in 0..lines {
+            reader.read_line(&mut line).unwrap();
+        }
+        drop(reader);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.is_empty(), "read {lines} line(s), got: {stderr}");
+        assert!(out.status.success(), "read {lines} line(s): {:?}", out.status);
+    };
+    let spawn = |args: &[&str]| {
+        bin()
+            .args(args)
+            .args(["--data", data.to_str().unwrap(), "--table", "hospital"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    // Discovery mines for a while before its first write: the pipe is
+    // gone by then.
+    quiet(spawn(&["discover", "--explain"]), 0);
+    // Listing 20 000 rows overflows the pipe buffer: the child is still
+    // writing when the reader leaves after one line.
+    quiet(spawn(&["query", "--sql", "SELECT * FROM hospital"]), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -435,6 +458,22 @@ fn a_misspelt_flag_exits_1_naming_the_nearest() {
     assert!(stderr.contains("`repair` has no flag --engine"), "got: {stderr}");
     assert!(stderr.contains("--data, --cfds"), "got: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_transposed_flag_names_the_nearest() {
+    // A transposition is one edit, as in the repairer's string distance:
+    // `--mni-suppotr` is two edits from `--min-support` (four without
+    // transpositions).
+    for (cmd, typo, flag) in
+        [("repair", "jbos", "jobs"), ("discover", "mni-suppotr", "min-support")]
+    {
+        let out = bin().args([cmd, &format!("--{typo}"), "2"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let hint = format!("`{cmd}` has no flag --{typo} (did you mean --{flag}?)");
+        assert!(stderr.contains(&hint), "got: {stderr}");
+    }
 }
 
 #[test]

@@ -13,8 +13,6 @@
 //!   [`detect::DetectJob`] run on a [`detect::Detector`] engine (native,
 //!   SQL, incremental or parallel);
 //! * [`repair`] — cost-based BatchRepair and IncRepair;
-//! * [`matching`] — similarity ops, matching rules, RCK derivation,
-//!   record matcher;
 //! * [`discovery`] — the `DiscoveryEngine` layer (parallel approximate
 //!   TANE/CTANE lattice, CFDMiner, IND/CIND lifting, suite vetting);
 //! * [`dirty`] — seeded workload generators with ground truth.
@@ -53,7 +51,6 @@ pub use revival_constraints as constraints;
 pub use revival_detect as detect;
 pub use revival_dirty as dirty;
 pub use revival_discovery as discovery;
-pub use revival_matching as matching;
 pub use revival_relation as relation;
 pub use revival_repair as repair;
 pub use revival_stream as stream;

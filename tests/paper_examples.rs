@@ -6,9 +6,6 @@
 use revival::constraints::parser::{parse_cfds, parse_cinds};
 use revival::constraints::Cfd;
 use revival::detect::{DetectJob, Detector, NativeEngine, SqlEngine, ViolationReport};
-use revival::matching::rck::derive_rcks;
-use revival::matching::rules::{paper_rules, Cmp};
-use revival::matching::RelativeCandidateKey;
 use revival::relation::{Catalog, Schema, Table, Type, Value};
 
 fn detect(t: &Table, cfds: &[Cfd]) -> ViolationReport {
@@ -126,22 +123,6 @@ fn section3_cind_audio_books() {
     let books = catalog.get_mut("book").unwrap();
     books.push(vec!["Dune".into(), Value::Int(20), "audio".into()]).unwrap();
     assert!(detect(&catalog).is_empty());
-}
-
-#[test]
-fn section4_rck_derivation_matches_paper() {
-    // "from these one can deduce … rck1: ([email, addr], [email, addr]
-    //  ‖ [=, =])  rck2: ([ln, phn, fn], [ln, phn, fn] ‖ [=, =, ≈])"
-    let y = ["fname", "lname", "addr", "phn", "email"];
-    let rcks = derive_rcks(&y, &y, &paper_rules(), 3);
-    let rck1 = RelativeCandidateKey::new(&[("email", Cmp::Equal), ("addr", Cmp::Equal)]);
-    let rck2 = RelativeCandidateKey::new(&[
-        ("lname", Cmp::Equal),
-        ("phn", Cmp::Equal),
-        ("fname", Cmp::Similar),
-    ]);
-    assert!(rcks.contains(&rck1), "paper's rck1 must be derived: {rcks:#?}");
-    assert!(rcks.contains(&rck2), "paper's rck2 must be derived");
 }
 
 #[test]
