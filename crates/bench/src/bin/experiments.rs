@@ -16,9 +16,14 @@ use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
 use revival_relation::{Table, TupleId, Value};
 use revival_repair::{BatchRepair, CostModel, RepairStats};
 use std::collections::BTreeSet;
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::time::Duration;
 
-const EXPERIMENTS: [(&str, fn()); 9] = [
+/// One experiment: compute, check in line, write its table to `out`.
+type Experiment = fn(&mut dyn Write) -> io::Result<()>;
+
+const EXPERIMENTS: [(&str, Experiment); 9] = [
     ("detection-scaling", detection_scaling),
     ("tableau-size", tableau_size),
     ("cfd-vs-fd", cfd_vs_fd),
@@ -31,11 +36,15 @@ const EXPERIMENTS: [(&str, fn()); 9] = [
 ];
 
 /// The experiments `name` selects: one, all nine, or none.
-fn select(name: &str) -> Vec<fn()> {
+fn select(name: &str) -> Vec<Experiment> {
     EXPERIMENTS.iter().filter(|(n, _)| name == "all" || name == *n).map(|(_, run)| *run).collect()
 }
 
-fn main() {
+/// Every table goes to stdout through one writer. A reader that stops
+/// early (`experiments … | head`) ends the run quietly with status 0 —
+/// what SIGPIPE's default action would do, without a signal handler;
+/// any other stdout error exits 1 with a message.
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).filter(|a| a != "--full").collect();
     let selected = match args.as_slice() {
         [name] => select(name),
@@ -44,13 +53,23 @@ fn main() {
     if selected.is_empty() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         eprintln!("usage: experiments <name>|all [--full]\nexperiments: {}", names.join(" "));
-        std::process::exit(2);
+        return ExitCode::from(2);
     }
-    for (i, run) in selected.iter().enumerate() {
+    let mut stdout = io::stdout();
+    let out: &mut dyn Write = &mut stdout;
+    let written = selected.iter().enumerate().try_for_each(|(i, run)| {
         if i > 0 {
-            println!();
+            writeln!(out)?;
         }
-        run();
+        run(out)
+    });
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("experiments: stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -112,13 +131,13 @@ fn timed_repair(cfds: &[Cfd], model: CostModel, dirty: &Table) -> (Table, Repair
 /// scales with the data. Series: native hash detector vs. the SQL
 /// two-query encoding on the bundled engine. Expected shape: both
 /// near-linear in n; SQL slower by a constant factor.
-fn detection_scaling() {
+fn detection_scaling(out: &mut dyn Write) -> io::Result<()> {
     let sizes: &[usize] = if full_mode() {
         &[20_000, 40_000, 80_000, 160_000, 320_000]
     } else {
         &[5_000, 10_000, 20_000, 40_000]
     };
-    println!("E1: CFD detection scaling (noise 5%, standard suite)");
+    writeln!(out, "E1: CFD detection scaling (noise 5%, standard suite)")?;
     let mut rows = Vec::new();
     for &n in sizes {
         let (_, ds, cfds) = customer_workload(n, 0.05, 1);
@@ -134,7 +153,7 @@ fn detection_scaling() {
             format!("{:.2}", times(sql_t, native_t)),
         ]);
     }
-    print_table(&["tuples", "violations", "native_ms", "sql_ms", "sql/native"], &rows);
+    print_table(out, &["tuples", "violations", "native_ms", "sql_ms", "sql/native"], &rows)
 }
 
 /// E2 — detection time vs. pattern-tableau size (TODS 2008).
@@ -146,9 +165,9 @@ fn detection_scaling() {
 /// pre-merged by embedded FD. Expected: equal — the engine scans once
 /// per embedded FD either way; both grow only with the constant rows
 /// each tuple is checked against, never with the number of scans.
-fn tableau_size() {
+fn tableau_size(out: &mut dyn Write) -> io::Result<()> {
     let n = if full_mode() { 80_000 } else { 20_000 };
-    println!("E2: detection vs tableau size ({n} tuples, noise 5%)");
+    writeln!(out, "E2: detection vs tableau size ({n} tuples, noise 5%)")?;
     let data = generate(&CustomerConfig { rows: n, ..Default::default() });
     let ds = inject(&data.table, &NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY], 2));
     let mut rows = Vec::new();
@@ -171,7 +190,7 @@ fn tableau_size() {
             ms(merged_t),
         ]);
     }
-    print_table(&["cfds", "merged_cfds", "split_ms", "merged_ms"], &rows);
+    print_table(out, &["cfds", "merged_cfds", "split_ms", "merged_ms"], &rows)
 }
 
 /// The traditional counterpart of a CFD suite: same embedded FDs, all
@@ -248,9 +267,9 @@ fn blame(ds: &DirtyDataset, suite: &[Cfd]) -> Blame {
 /// `(cc, ac)` groups of ~500 tuples every group is in violation at any
 /// rate, so `fd_recall` is 1.000 for the wrong reason — the FD suite
 /// blames everyone — and `fd_blame_p` is just the noise rate.
-fn cfd_vs_fd() {
+fn cfd_vs_fd(out: &mut dyn Write) -> io::Result<()> {
     let n = if full_mode() { 80_000 } else { 20_000 };
-    println!("E3: error detection — FD counterpart vs CFD suite ({n} tuples, city noise)");
+    writeln!(out, "E3: error detection — FD counterpart vs CFD suite ({n} tuples, city noise)")?;
     let data = generate(&CustomerConfig { rows: n, ..Default::default() });
     // Full constant coverage of the (cc, ac) → city master map.
     let cfd_suite = scaled_suite(&data, data.city_of.len());
@@ -285,7 +304,7 @@ fn cfd_vs_fd() {
         "fd_blame_p",
         "cfd_pin_p",
     ];
-    print_table(&headers, &rows);
+    print_table(out, &headers, &rows)
 }
 
 /// E4 — repair quality vs. noise rate (Cong et al., VLDB 2007).
@@ -294,9 +313,9 @@ fn cfd_vs_fd() {
 /// precision over changed cells, recall over corrupted cells. Expected
 /// shape: both high (> 0.7) at low noise, degrading gracefully as the
 /// noise rate grows (plurality evidence thins out).
-fn repair_quality() {
+fn repair_quality(out: &mut dyn Write) -> io::Result<()> {
     let n = if full_mode() { 20_000 } else { 5_000 };
-    println!("E4: repair precision/recall vs noise ({n} tuples, standard suite)");
+    writeln!(out, "E4: repair precision/recall vs noise ({n} tuples, standard suite)")?;
     let mut rows = Vec::new();
     for rate in [0.01, 0.02, 0.05, 0.08, 0.10] {
         let (data, ds, cfds) = customer_workload(n, rate, 4);
@@ -314,7 +333,11 @@ fn repair_quality() {
             ms(t),
         ]);
     }
-    print_table(&["noise", "injected", "changed", "precision", "recall", "f1", "time_ms"], &rows);
+    print_table(
+        out,
+        &["noise", "injected", "changed", "precision", "recall", "f1", "time_ms"],
+        &rows,
+    )
 }
 
 /// E5 — repair time vs. instance size (Cong et al., VLDB 2007).
@@ -322,13 +345,13 @@ fn repair_quality() {
 /// Expected shape: polynomial, dominated by repeated detection +
 /// equivalence-class resolution passes; quality stays flat across
 /// sizes (reported alongside for context).
-fn repair_scaling() {
+fn repair_scaling(out: &mut dyn Write) -> io::Result<()> {
     let sizes: &[usize] = if full_mode() {
         &[10_000, 20_000, 40_000, 80_000, 160_000]
     } else {
         &[2_500, 5_000, 10_000, 20_000]
     };
-    println!("E5: repair scaling (noise 5%, standard suite)");
+    writeln!(out, "E5: repair scaling (noise 5%, standard suite)")?;
     let mut rows = Vec::new();
     for &n in sizes {
         let (data, ds, cfds) = customer_workload(n, 0.05, 5);
@@ -343,7 +366,7 @@ fn repair_scaling() {
             ms(t),
         ]);
     }
-    print_table(&["tuples", "passes", "changed", "f1", "time_ms"], &rows);
+    print_table(out, &["tuples", "passes", "changed", "f1", "time_ms"], &rows)
 }
 
 /// E6 — IncRepair vs. BatchRepair as the delta grows (Cong et al. §5).
@@ -365,12 +388,12 @@ fn repair_scaling() {
 /// faster everywhere, but with no base to trust its eldest-wins rule
 /// leaves more `wrong` cells (against the clean rows) than the batch
 /// side's plurality. The split is a quality rule, not a speed one.
-fn incremental_repair() {
+fn incremental_repair(out: &mut dyn Write) -> io::Result<()> {
     use revival_detect::IncrementalDetector;
     use revival_repair::IncRepair;
     let base_n = if full_mode() { 40_000 } else { 10_000 };
     let delta_fracs = [0.01, 0.02, 0.04, 0.08, 0.16, 0.32];
-    println!("E6: incremental vs batch repair (base {base_n} clean tuples)");
+    writeln!(out, "E6: incremental vs batch repair (base {base_n} clean tuples)")?;
     // One generation big enough for base + the largest delta.
     let max_delta = (base_n as f64 * delta_fracs[delta_fracs.len() - 1]).ceil() as usize;
     let data = generate(&CustomerConfig { rows: base_n + max_delta, ..Default::default() });
@@ -416,6 +439,7 @@ fn incremental_repair() {
         ]);
     }
     print_table(
+        out,
         &[
             "delta",
             "tuples",
@@ -427,9 +451,9 @@ fn incremental_repair() {
             "speedup",
         ],
         &rows,
-    );
+    )?;
 
-    println!("\nE6: both repairs where the session takes the batch side (delta >= base)");
+    writeln!(out, "\nE6: both repairs where the session takes the batch side (delta >= base)")?;
     let mut rows = Vec::new();
     for (b, k) in [(1_000, 1_000), (1_000, 3_200), (100, 3_200), (0, 3_200)] {
         let (small, _) = split_rows(&base, b);
@@ -463,7 +487,7 @@ fn incremental_repair() {
         "batch_edits",
         "wrong_cells",
     ];
-    print_table(&headers, &rows);
+    print_table(out, &headers, &rows)
 }
 
 /// E7 — CIND detection scaling (Bravo/Fan/Ma, VLDB 2007).
@@ -472,14 +496,14 @@ fn incremental_repair() {
 /// near-linear in |CD| + |book| (one target-index build + one probe per
 /// applicable source tuple); violations found exactly match the planted
 /// count.
-fn cind_scaling() {
+fn cind_scaling(out: &mut dyn Write) -> io::Result<()> {
     use revival_dirty::orders::{generate, standard_cind, OrdersConfig};
     let sizes: &[usize] = if full_mode() {
         &[20_000, 40_000, 80_000, 160_000, 320_000]
     } else {
         &[5_000, 10_000, 20_000, 40_000]
     };
-    println!("E7: CIND detection scaling (5% planted violations)");
+    writeln!(out, "E7: CIND detection scaling (5% planted violations)")?;
     let mut rows = Vec::new();
     for &n in sizes {
         let data = generate(&OrdersConfig {
@@ -498,7 +522,7 @@ fn cind_scaling() {
         assert_eq!(report.len(), data.planted_violations, "must find exactly the planted set");
         rows.push(vec![n.to_string(), book_tuples.to_string(), report.len().to_string(), ms(t)]);
     }
-    print_table(&["cd_tuples", "book_tuples", "violations", "time_ms"], &rows);
+    print_table(out, &["cd_tuples", "book_tuples", "violations", "time_ms"], &rows)
 }
 
 /// E11 — incremental vs. full re-detection as a delta streams in.
@@ -507,10 +531,10 @@ fn cind_scaling() {
 /// `O(|Δ|)` per batch; full detection re-scans everything. Expected
 /// shape: incremental linear in the delta and far cheaper until the
 /// delta approaches the base size.
-fn incremental_detection() {
+fn incremental_detection(out: &mut dyn Write) -> io::Result<()> {
     let base_n = if full_mode() { 80_000 } else { 20_000 };
     let delta_fracs = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16];
-    println!("E11: incremental vs full detection (base {base_n} tuples, noise 5%)");
+    writeln!(out, "E11: incremental vs full detection (base {base_n} tuples, noise 5%)")?;
     let max_delta = (base_n as f64 * delta_fracs[delta_fracs.len() - 1]).ceil() as usize;
     let data = generate(&CustomerConfig { rows: base_n + max_delta, ..Default::default() });
     let cfds = standard_cfds(&data.schema);
@@ -552,9 +576,10 @@ fn incremental_detection() {
         ]);
     }
     print_table(
+        out,
         &["delta", "tuples", "violations", "push_ms", "add_ms", "full_ms", "speedup"],
         &rows,
-    );
+    )
 }
 
 /// T1 — static analyses of CFD suites (TODS 2008 tables).
@@ -563,7 +588,7 @@ fn incremental_detection() {
 /// and without finite-domain attributes (the NP-hardness lever);
 /// implication time (chase over the bounded witness space); and
 /// minimal-cover shrinkage on suites with planted redundancy.
-fn static_analysis() {
+fn static_analysis(out: &mut dyn Write) -> io::Result<()> {
     use revival_constraints::analysis::{implies, is_satisfiable, minimal_cover, Outcome};
     use revival_constraints::parser::parse_cfds;
     use revival_relation::{Schema, Type};
@@ -583,7 +608,7 @@ fn static_analysis() {
         .build();
     let sizes: &[usize] = if full_mode() { &[10, 25, 50, 100, 200] } else { &[5, 10, 20, 40] };
     let budget = 4_000_000;
-    println!("T1: static analyses of generated CFD suites");
+    writeln!(out, "T1: static analyses of generated CFD suites")?;
     let mut rows = Vec::new();
     for &n in sizes {
         // A satisfiable suite: `n` guarded constant rules, pairwise
@@ -620,7 +645,7 @@ fn static_analysis() {
         ]);
     }
     let headers = ["cfds", "sat_inf_ms", "sat_finite", "implication_ms", "cover_rows", "cover_ms"];
-    print_table(&headers, &rows);
+    print_table(out, &headers, &rows)
 }
 
 #[cfg(test)]

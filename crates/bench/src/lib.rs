@@ -11,6 +11,7 @@
 use revival_constraints::Cfd;
 use revival_dirty::customer::{attrs, generate, standard_cfds, CustomerConfig, CustomerData};
 use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
+use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
 /// Run `f`, returning its result and wall time.
@@ -25,8 +26,8 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Print an aligned results table: header row + data rows.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Write an aligned results table to `out`: header row + data rows.
+pub fn print_table(out: &mut dyn Write, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -35,20 +36,18 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: &[String]| {
-        let mut out = String::new();
+    let line = |out: &mut dyn Write, cells: &[String]| {
+        let mut text = String::new();
         for (i, c) in cells.iter().enumerate() {
             if i > 0 {
-                out.push_str("  ");
+                text.push_str("  ");
             }
-            out.push_str(&format!("{c:>w$}", w = widths[i]));
+            text.push_str(&format!("{c:>w$}", w = widths[i]));
         }
-        println!("{out}");
+        writeln!(out, "{text}")
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
+    line(out, &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())?;
+    rows.iter().try_for_each(|row| line(out, row))
 }
 
 /// Did the user pass `--full`? (Paper-scale sweep vs. quick check.)

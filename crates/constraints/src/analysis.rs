@@ -753,7 +753,7 @@ mod tests {
         use revival_discovery::{
             DiscoverJob, DiscoverOptions, DiscoveryEngine, SequentialDiscovery,
         };
-        let data = generate(&HospitalConfig { rows: 1_500, ..Default::default() });
+        let data = generate(&HospitalConfig { rows: 2_500, ..Default::default() });
         let noise =
             NoiseConfig::new(0.02, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 7);
         let table = inject(&data.table, &noise).dirty;

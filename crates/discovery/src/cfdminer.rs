@@ -3,14 +3,28 @@
 //! A constant CFD `([X = tp] → [A = a])` with support `k` corresponds to
 //! a **free itemset** `X=tp` (no proper subset has the same support)
 //! whose *closure* (items present in every supporting tuple) contains
-//! `(A, a)`. This module mines frequent itemsets level-wise over row
+//! `(A, a)`. Only **left-reduced** rules are kept, as in Fan, Geerts, Li
+//! and Xiong, *Discovering Conditional Functional Dependencies* (ICDE
+//! 2009): `(A, a)` is in the closure of no proper non-empty subset of
+//! `X=tp` — else that subset already fixes `A`, and the rule says
+//! nothing the shorter one does not. (A single item's only proper subset
+//! is ∅, and an empty LHS is no CFD the suite syntax writes: level 1
+//! keeps its whole closure.) A superset's rows are a subset of its
+//! subsets' rows, so closure is monotone and checking the `k − 1`
+//! parents of a `k`-itemset covers every proper subset: each level
+//! keeps one closure bitset per itemset, free or not, and a child
+//! inherits its parents' before reading any column.
+//!
+//! This module mines frequent itemsets level-wise over row
 //! lists (Eclat's tid-lists): level 1 is the table's [`ItemIndex`], and
 //! every frequent itemset derives all its frequent children at once by
 //! bucketing its own rows on each later attribute's column — a level's
 //! support counting reads Σ parent supports, never the table. Support,
 //! freeness and closure all read the child's row list, and the returned
-//! [`DiscoveryStats`] report every support/size cut the search applied
-//! plus the rows the counting touched.
+//! [`DiscoveryStats`] report every support/size cut the search applied,
+//! the closure attributes left-reduction dropped
+//! ([`DiscoveryStats::constants_not_minimal`]) and the rows the
+//! counting touched.
 //!
 //! A level lives in flat arrays — every itemset's items back to back,
 //! its rows in one arena — and a rule is item numbers pointing into one
@@ -199,11 +213,11 @@ fn rank_items(mined: &MinedRules, index: &ItemIndex<'_>) -> (Vec<u32>, usize) {
     (rank, ranks + usize::from(!used.is_empty()))
 }
 
-/// Mine constant CFDs with the given support threshold, reporting the
-/// items and itemsets the thresholds dropped, whether `max_size`
-/// stopped the lattice early, and the rows support counting read. An
-/// itemset no row supports yields no rule, so a `min_support` of 0
-/// mines as 1.
+/// Mine left-reduced constant CFDs with the given support threshold,
+/// reporting the items and itemsets the thresholds dropped, whether
+/// `max_size` stopped the lattice early, and the rows support counting
+/// read. An itemset no row supports yields no rule, so a `min_support`
+/// of 0 mines as 1.
 pub fn mine_constant_cfds(
     table: &Table,
     options: &MinerOptions,
@@ -284,6 +298,13 @@ pub(crate) fn mine_indexed(
     // items (every proper subset of a frequent set is frequent, so each
     // lookup finds one). Level 1's only subset is ∅, of support |table|.
     let mut parents: Option<(Level, GroupBy<u32, ()>)> = None;
+    // Per set of a level, its closure: the attributes its rows agree
+    // on, `words` bits each, built for every set, free or not — a
+    // child's rule on `A` is left-reduced only if no parent's closure
+    // holds `A`.
+    let words = arity.div_ceil(64);
+    let (mut closures, mut parent_closures): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    let bit = |attr: usize| (attr / 64, 1u64 << (attr % 64));
     let mut mined = MinedRules { lhs: Vec::new(), rules: Vec::new() };
     let mut cursors = vec![0usize; index.len()];
     let mut subset: Vec<ItemId> = Vec::new();
@@ -301,6 +322,7 @@ pub(crate) fn mine_indexed(
                 sets.insert_unique(hash(level.items(set)), set as u32, ());
             }
             parents = Some((std::mem::replace(&mut level, next), sets));
+            std::mem::swap(&mut closures, &mut parent_closures);
             (arena, touched) = (Cow::Owned(next_arena), read);
             pruned = candidates - level.len();
             stats.candidates_pruned += pruned;
@@ -308,39 +330,71 @@ pub(crate) fn mine_indexed(
         }
         stats.levels = size;
         stats.candidates_checked += candidates;
+        closures.clear();
+        closures.resize(level.len() * words, 0);
         for set in 0..level.len() {
             let (items, rows) = (level.items(set), &arena[level.rows[set].clone()]);
+            let closure = &mut closures[set * words..(set + 1) * words];
             // Freeness: every proper subset has strictly larger support.
-            let free = (0..size).all(|skip| {
-                let Some((parent, sets)) = &parents else { return table.len() > rows.len() };
-                subset.clear();
-                subset.extend_from_slice(&items[..skip]);
-                subset.extend_from_slice(&items[skip + 1..]);
-                let found = sets.probe(hash(&subset), |&p| parent.items(p as usize) == subset);
-                parent.rows[found.expect("a frequent set's subsets are frequent")].len()
-                    > rows.len()
-            });
-            if !free {
-                continue;
+            // A parent of equal support has the same rows, so the same
+            // closure; the others' closures are attributes the set's
+            // rows agree on without reading a column.
+            let mut free = table.len() > rows.len();
+            if let Some((parent, sets)) = &parents {
+                free = true;
+                for skip in 0..size {
+                    subset.clear();
+                    subset.extend_from_slice(&items[..skip]);
+                    subset.extend_from_slice(&items[skip + 1..]);
+                    let found = sets.probe(hash(&subset), |&p| parent.items(p as usize) == subset);
+                    let p = found.expect("a frequent set's subsets are frequent");
+                    let held = &parent_closures[p * words..(p + 1) * words];
+                    if parent.rows[p].len() == rows.len() {
+                        closure.copy_from_slice(held);
+                        free = false;
+                        break;
+                    }
+                    closure.iter_mut().zip(held).for_each(|(c, h)| *c |= h);
+                }
+                if !free {
+                    continue;
+                }
             }
-            // Closure: one rule per outside attribute the rows agree on;
-            // the set's rules share one run of the LHS arena.
+            for &id in items {
+                let (word, mask) = bit(index.item(id).0);
+                closure[word] |= mask;
+            }
+            if free {
+                // What the parents held outside the set: rules whose
+                // LHS a proper subset already fixes.
+                let known: u32 = closure.iter().map(|w| w.count_ones()).sum();
+                stats.constants_not_minimal += known as usize - size;
+            }
+            // The rest of the closure: one left-reduced rule per other
+            // attribute the rows agree on; the set's rules share one run
+            // of the LHS arena.
             let lhs_at = mined.lhs.len() as u32;
             for attr in 0..arity {
+                let (word, mask) = bit(attr);
                 let first = index.sym_at(attr, rows[0]);
-                if items.iter().all(|&i| index.item(i).0 != attr)
-                    && rows.iter().all(|&r| index.sym_at(attr, r) == first)
+                if closure[word] & mask != 0
+                    || !rows.iter().all(|&r| index.sym_at(attr, r) == first)
                 {
-                    if mined.lhs.len() as u32 == lhs_at {
-                        mined.lhs.extend_from_slice(items);
-                    }
-                    mined.rules.push(ItemRule {
-                        lhs_at,
-                        lhs_len: size as u32,
-                        rhs: index.id_at(attr, rows[0]),
-                        support: rows.len(),
-                    });
+                    continue;
                 }
+                closure[word] |= mask;
+                if !free {
+                    continue;
+                }
+                if mined.lhs.len() as u32 == lhs_at {
+                    mined.lhs.extend_from_slice(items);
+                }
+                mined.rules.push(ItemRule {
+                    lhs_at,
+                    lhs_len: size as u32,
+                    rhs: index.id_at(attr, rows[0]),
+                    support: rows.len(),
+                });
             }
         }
         if let Some(p) = profile.as_deref_mut() {
@@ -426,9 +480,11 @@ mod tests {
     /// falls back to a scan, candidates past `max_size` are built to set
     /// `lattice_truncated`, and the closing sort formats two `Debug`
     /// strings per comparison. Kept verbatim as the oracle the row-list
-    /// miner must agree with, rule for rule and stat for stat.
+    /// miner must agree with, rule for rule and stat for stat — with a
+    /// brute-force left-reduction filter after its mining, which the
+    /// miner's parent closures must reproduce.
     mod oracle {
-        use super::super::{ConstantRule, MinerOptions};
+        use super::super::{ConstantRule, Item, MinerOptions};
         use crate::engine::DiscoveryStats;
         use crate::tane::map_items;
         use revival_relation::{Sym, Table};
@@ -600,6 +656,21 @@ mod tests {
             rules.sort_by(|a, b| {
                 a.lhs.len().cmp(&b.lhs.len()).then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
             });
+            // Left-reduction, by brute force over `support_rows`: a rule
+            // stays only if every proper non-empty subset of its LHS is
+            // matched by some row carrying another RHS value.
+            let sym = |(a, v): &Item| (*a, pool.lookup(v).expect("a mined value is interned"));
+            let mined = rules.len();
+            rules.retain(|r| {
+                let lhs: Vec<SymItem> = r.lhs.iter().map(sym).collect();
+                let (attr, value) = sym(&r.rhs);
+                (1..(1usize << lhs.len()) - 1).all(|mask| {
+                    let sub: Vec<SymItem> =
+                        (0..lhs.len()).filter(|i| mask >> i & 1 == 1).map(|i| lhs[i]).collect();
+                    support_rows(&view, &sub).iter().any(|&pos| view.sym(pos, attr) != value)
+                })
+            });
+            stats.constants_not_minimal = mined - rules.len();
             (rules, stats)
         }
     }
@@ -729,6 +800,65 @@ mod tests {
             // The oracle predates the work count; every other field must agree.
             let stats = DiscoveryStats { support_rows_touched: 0, ..stats };
             prop_assert_eq!(stats, want_stats, "arity {} rows {} {:?}", arity, rows, options);
+        }
+    }
+
+    /// A seeded table of 2–6 columns over 2–4 values each and 5–40 rows,
+    /// with mining options (`min_support` 1–3, `max_size` 1–3) —
+    /// SplitMix64, so a failing case reproduces from its seed alone.
+    fn seeded_case(seed: u64) -> (Table, MinerOptions) {
+        let mut state = seed;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let arity = 2 + next(5) as usize;
+        let values: Vec<u64> = (0..arity).map(|_| 2 + next(3)).collect();
+        let mut schema = Schema::builder("r");
+        for a in 0..arity {
+            schema = schema.attr(format!("a{a}"), Type::Str);
+        }
+        let mut t = Table::new(schema.build());
+        for _ in 0..5 + next(36) {
+            t.push(values.iter().map(|&k| Value::str(format!("v{}", next(k)))).collect()).unwrap();
+        }
+        let options =
+            MinerOptions { min_support: 1 + next(3) as usize, max_size: 1 + next(3) as usize };
+        (t, options)
+    }
+
+    #[test]
+    fn every_mined_rule_holds_has_a_free_lhs_and_is_left_reduced() {
+        for seed in 0..600u64 {
+            let (t, options) = seeded_case(seed);
+            let rows: Vec<Vec<Value>> = t.rows().map(|(_, row)| row).collect();
+            let matching = |items: &[&Item]| -> Vec<&Vec<Value>> {
+                rows.iter().filter(|row| items.iter().all(|(a, v)| row[*a] == *v)).collect()
+            };
+            let (rules, _) = mine_constant_cfds(&t, &options);
+            for r in &rules {
+                let case = format!("seed {seed} {options:?}: {r:?}");
+                let lhs: Vec<&Item> = r.lhs.iter().collect();
+                let (attr, value) = &r.rhs;
+                let support = matching(&lhs).len();
+                assert!(support >= options.min_support && support == r.support, "{case}");
+                assert!(matching(&lhs).iter().all(|row| row[*attr] == *value), "violated: {case}");
+                // Every proper subset, ∅ included, by its bitmask.
+                let subset = |mask: usize| -> Vec<&Item> {
+                    (0..lhs.len()).filter(|i| mask >> i & 1 == 1).map(|i| lhs[i]).collect()
+                };
+                for mask in 0..(1usize << lhs.len()) - 1 {
+                    let sub = subset(mask);
+                    assert!(matching(&sub).len() > support, "not free ({sub:?}): {case}");
+                    if mask > 0 {
+                        let other = matching(&sub).iter().any(|row| row[*attr] != *value);
+                        assert!(other, "not left-reduced ({sub:?} fixes the RHS): {case}");
+                    }
+                }
+            }
         }
     }
 }

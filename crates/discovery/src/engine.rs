@@ -31,9 +31,9 @@
 //! constant rules arrive ordered and turn straight into mined CFDs,
 //! each already assigned its *block* — the embedded FD it merges into,
 //! looked up by attribute list, never by value. A CFDMiner row is
-//! unique within its embedded FD by construction (one rule per free
-//! itemset and closure attribute, with a constant RHS no lattice row
-//! has), so only the lattice's few rows go through
+//! unique within its embedded FD by construction (at most one rule per
+//! free itemset and closure attribute, with a constant RHS no lattice
+//! row has), so only the lattice's few rows go through
 //! `merge_by_embedded_fd`'s deduplicating hash; every constant row is
 //! cloned once into its block, sized before it is filled. The merged
 //! suite is byte-for-byte what that merge builds over all the rules.
@@ -178,6 +178,10 @@ pub struct DiscoveryStats {
     /// Constant rules dropped because an exact mined FD over the same
     /// embedded dependency already covers their tuples.
     pub constants_subsumed: usize,
+    /// Closure attributes CFDMiner left out because a parent itemset's
+    /// closure already held them: `X → A` is not left-reduced when a
+    /// proper subset of `X` already fixes `A`.
+    pub constants_not_minimal: usize,
     /// True when some relation's mined suite exceeded 48 tableau rows
     /// (`FULL_COVER_LIMIT`), so vetting ran only the
     /// cheap cover (merge + subsumption) and skipped the quadratic
@@ -199,6 +203,7 @@ impl DiscoveryStats {
         self.lattice_truncated |= other.lattice_truncated;
         self.levels = self.levels.max(other.levels);
         self.constants_subsumed += other.constants_subsumed;
+        self.constants_not_minimal += other.constants_not_minimal;
         self.cover_implication_skipped |= other.cover_implication_skipped;
         self.support_rows_touched += other.support_rows_touched;
     }
@@ -210,6 +215,10 @@ impl DiscoveryStats {
 pub struct Discovered {
     /// Every mined CFD in deterministic order (lattice rules per
     /// relation, then constant rules), each with support/confidence.
+    /// Constant rules are *left-reduced* (Fan, Geerts, Li, Xiong,
+    /// *Discovering Conditional Functional Dependencies*, ICDE 2009): a
+    /// rule `X → A = a` is kept only if no proper non-empty subset of
+    /// its LHS constants already fixes `A` to `a` on the data.
     pub rules: Vec<MinedCfd>,
     /// The vetted suite: per relation, the minimal cover of the mined
     /// rules (`analysis::minimal_cover` — merged by embedded FD,
@@ -266,6 +275,7 @@ pub trait DiscoveryEngine {
         profile.meta_add("candidates_checked", discovered.stats.candidates_checked as u64);
         profile.meta_add("candidates_pruned", discovered.stats.candidates_pruned as u64);
         profile.meta_add("levels", discovered.stats.levels as u64);
+        profile.meta_add("constants_not_minimal", discovered.stats.constants_not_minimal as u64);
         profile.meta_add("support_rows_touched", discovered.stats.support_rows_touched as u64);
         profile.finish(us);
         Ok((discovered, profile))
@@ -486,8 +496,8 @@ impl Blocks {
     /// The merged suite `merge_by_embedded_fd` builds from the table's
     /// rules — blocks in first-seen order, rows in rule order, each row
     /// once — with only the lattice's few rows hashed to deduplicate. A
-    /// constant row needs no check: CFDMiner mines one rule per (free
-    /// itemset, closure attribute), so its LHS constants are unique
+    /// constant row needs no check: CFDMiner mines at most one rule per
+    /// (free itemset, closure attribute), so its LHS constants are unique
     /// within its embedded FD, and its constant RHS differs from every
     /// lattice row's `_`.
     fn merge(&self, rules: &[MinedCfd]) -> Vec<Cfd> {

@@ -223,11 +223,13 @@ pub fn describe_discovered(
     );
     let s = &d.stats;
     out.push_str(&format!(
-        "search: levels={} candidates={} pruned={} constants_subsumed={} lattice_truncated={}\n",
+        "search: levels={} candidates={} pruned={} constants_subsumed={} constants_not_minimal={} \
+         lattice_truncated={}\n",
         s.levels,
         s.candidates_checked,
         s.candidates_pruned,
         s.constants_subsumed,
+        s.constants_not_minimal,
         if s.lattice_truncated { "yes (raise --max-lhs to go deeper)" } else { "no" }
     ));
     out.push_str(&format!(

@@ -46,7 +46,7 @@ static GLOBAL: Counting = Counting;
 fn compiling_a_mined_suite_allocates_per_mask_not_per_key() {
     use revival::dirty::hospital::{attrs, generate, HospitalConfig};
     use revival::dirty::noise::{inject, NoiseConfig};
-    let data = generate(&HospitalConfig { rows: 1_500, ..Default::default() });
+    let data = generate(&HospitalConfig { rows: 2_500, ..Default::default() });
     let noise = NoiseConfig::new(0.02, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 7);
     let table = inject(&data.table, &noise).dirty;
     let opts = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };

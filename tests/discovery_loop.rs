@@ -188,55 +188,67 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
     // line-form pins were, in case order, (153 868, 0xd07996b0f80edafd),
     // (191 887, 0x0f9e513134597f62), (8 795, 0xbc04a4ac5dd4f5b5),
     // (19 742, 0x03e0fb82e2779546), (84 314, 0x63b7f4e46680f910).
+    // When CFDMiner began emitting only left-reduced constant rules,
+    // the rule, vetted and `constants_subsumed` pins were derived on
+    // the tree before it: its rule list filtered by the brute-force
+    // definition (every proper non-empty LHS subset matches a row with
+    // another RHS value), vetted as `run_job` vets, rendered, hashed.
+    // The pins they replace were, in case order, rules (392 989,
+    // 0xd9d1b21d10030109), (522 860, 0xe2c241cb7c195452), (38 357,
+    // 0xa1a389b5364acbbc), (82 709, 0xbda2978e1ed2e9ac), (221 051,
+    // 0xbb5799cde485bf05); vetted (93 010, 0xa64d07adb5e5fb5b),
+    // (111 536, 0xc351dadc9a4306b0), (5 752, 0x89054232c87dfb58),
+    // (11 586, 0x0fb814c2d1ba71b4), (52 716, 0xbd0fd6b4dbc9e41c);
+    // constants_subsumed 272, 272, 89, 89, 212.
     type Pin = (usize, u64);
     // (candidates_checked, candidates_pruned, lattice_truncated, levels,
-    //  constants_subsumed, cover_implication_skipped)
-    type Stats = (usize, usize, bool, usize, usize, bool);
+    //  constants_subsumed, constants_not_minimal, cover_implication_skipped)
+    type Stats = (usize, usize, bool, usize, usize, usize, bool);
     let cases: [(&str, Table, f64, usize, Pin, Pin, Stats); 5] = [
         (
             "hospital400@0.9",
             dirty_hospital(400, 0.03),
             0.9,
             2,
-            (392_989, 0xd9d1_b21d_1003_0109),
-            (93_010, 0xa64d_07ad_b5e5_fb5b),
-            (19_236, 18_433, true, 2, 272, true),
+            (170_201, 0x33cd_af48_3837_3fa4),
+            (39_154, 0x8a6c_6611_508f_cb16),
+            (19_236, 18_433, true, 2, 272, 1_009, true),
         ),
         (
             "hospital400@1.0",
             dirty_hospital(400, 0.03),
             1.0,
             2,
-            (522_860, 0xe2c2_41cb_7c19_5452),
-            (111_536, 0xc351_dadc_9a43_06b0),
-            (19_295, 18_410, true, 2, 272, true),
+            (300_072, 0x774a_1365_ee00_e223),
+            (58_139, 0x5269_840c_06be_1c5d),
+            (19_295, 18_410, true, 2, 272, 1_009, true),
         ),
         (
             "customer250@0.9",
             customer(250),
             0.9,
             2,
-            (38_357, 0xa1a3_89b5_364a_cbbc),
-            (5_752, 0x8905_4232_c87d_fb58),
-            (4_893, 5_592, true, 2, 89, true),
+            (30_449, 0x27c5_8292_e81d_ee97),
+            (4_465, 0x496d_4c5c_6066_e85c),
+            (4_893, 5_592, true, 2, 82, 47, true),
         ),
         (
             "customer250@1.0",
             customer(250),
             1.0,
             2,
-            (82_709, 0xbda2_978e_1ed2_e9ac),
-            (11_586, 0x0fb8_14c2_d1ba_71b4),
-            (4_893, 5_592, true, 2, 89, true),
+            (74_801, 0xaaba_0b6d_696e_77a7),
+            (10_299, 0x361e_e4e5_4e66_3898),
+            (4_893, 5_592, true, 2, 82, 47, true),
         ),
         (
             "hospital300@0.9/lhs3",
             dirty_hospital(300, 0.03),
             0.9,
             3,
-            (221_051, 0xbb57_99cd_e485_bf05),
-            (52_716, 0xbd0f_d6b4_dbc9_e41c),
-            (51_483, 49_985, true, 3, 212, true),
+            (104_594, 0x1289_d997_719c_14f3),
+            (24_229, 0x9b5e_b382_49d5_bf51),
+            (51_483, 49_985, true, 3, 212, 532, true),
         ),
     ];
     for (name, table, min_confidence, max_lhs, rules_pin, vetted_pin, stats_pin) in cases {
@@ -253,6 +265,7 @@ fn mined_output_is_pinned_to_the_recorded_golden() {
                 s.lattice_truncated,
                 s.levels,
                 s.constants_subsumed,
+                s.constants_not_minimal,
                 s.cover_implication_skipped,
             );
             assert_eq!((rules.len(), fnv1a(&rules)), rules_pin, "{name} jobs={jobs}: rules");

@@ -55,7 +55,7 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
 fn the_cheap_cover_allocates_per_kept_row_and_per_block() {
     use revival::dirty::hospital::{attrs, generate, HospitalConfig};
     use revival::dirty::noise::{inject, NoiseConfig};
-    let data = generate(&HospitalConfig { rows: 1_500, ..Default::default() });
+    let data = generate(&HospitalConfig { rows: 2_500, ..Default::default() });
     let noise = NoiseConfig::new(0.02, vec![attrs::STATE, attrs::MEASURE_NAME, attrs::HNAME], 7);
     let table = inject(&data.table, &noise).dirty;
     let opts = DiscoverOptions { min_confidence: 0.9, ..DiscoverOptions::default() };
