@@ -1,68 +1,73 @@
-//! Native hash-based CFD detection — the one scan kernel.
+//! Native CFD detection — the one scan kernel.
 //!
 //! A suite is planned into *scan units*: the CFDs sharing one embedded
 //! FD `(relation, lhs, rhs)`, in first-seen order. Each unit reads its
 //! relation once (`scan_unit`), whatever the number of members.
 //!
-//! Grouping is done once per **attribute set**, not once per unit: a
-//! `Partition` gives every live tuple of a relation a dense class id
-//! (classes in first-seen order) for one set of attributes, and every
-//! unit that names that set — as its LHS or as a wildcard mask of its
-//! constant rows — reads the class ids instead of hashing the tuple
-//! again. `scan_suite` builds a partition the first time a unit needs
-//! it and drops it after the last unit whose syntax names its set
-//! (`Partitions::plan`), so a mined suite of 129 embedded FDs over 28
-//! attribute sets groups its relation 28 times, not once per LHS and
-//! per mask. A partition stores no key: a class's key is read off the
-//! columns at its first slot.
+//! **Grouping** is done once per **attribute set**, not once per unit,
+//! and hashes no row. Every set a unit names — its LHS, or the `= c`
+//! positions (the *wildcard mask*) of a constant row — is a
+//! [`revival_relation::partition::Partition`] of the relation's live
+//! tuples: its classes, each a slice of ascending slots, in first-seen
+//! order. A relation's [`ItemIndex`] numbers each named attribute's
+//! values (its items) and lists the slots carrying each, so a
+//! single-attribute set's partition *is* its item lists, and a larger
+//! set's is one TANE product from its longest planned prefix already
+//! built (else from its first attribute's item lists): each class of the
+//! prefix is split by the item its members carry under the next
+//! attribute. `scan_suite` builds a set's partition the first time a
+//! unit needs it and drops it after the last unit naming it
+//! (`Partitions::plan`); an attribute's items go with the last set
+//! holding it. So a mined suite of 95 embedded FDs over 24 attribute
+//! sets groups its relation 24 times, and never hashes a tuple.
 //!
-//! * **constant rows** — a hash join of the tuples against the tableau,
-//!   as the paper detects (its SQL encoding stores the tableau as a
+//! A pass then walks **classes**, not rows:
+//!
+//! * **constant rows** — a join of the tuples against the tableau, as
+//!   the paper detects (its SQL encoding stores the tableau as a
 //!   relation and joins the data to it on the LHS, so cost follows the
-//!   data). The members' constant rows compile once per unit into a
-//!   `ConstIndex`: one bucket per *wildcard mask* (the LHS positions
-//!   holding a constant), keyed by the constants at those positions.
-//!   A bucket is flat — its distinct keys back to back in one arena,
-//!   its rows in one array ordered by key id (a counting sort), a key's
-//!   rows one run of it — so compiling allocates a handful per mask,
-//!   not a boxed key and a row list per distinct key.
-//!   The batch scan looks each distinct key up once in its mask's
-//!   partition, which turns the bucket into a list of rows per class;
-//!   a tuple then reads its class id per mask and tests the RHS
-//!   predicate of the rows under its key only — `O(n · #masks)` array
-//!   reads where a sweep compares `O(n · Σ|Tp|)` rows. The index owns
-//!   no borrow: a bucket keeps the attribute ids of its mask and reads
-//!   the table's columns when used, so the same compiled form serves
-//!   one pass here and the life of a table in [`crate::incremental`],
-//!   which probes it one tuple at a time (`ConstIndex::probe`). Rows
-//!   with an eCFD LHS pattern (`≠ c`, `∈ {…}`) name no single key and
-//!   stay on a short residual list swept per tuple; rows naming a
-//!   constant the table never interned, and keys no live tuple holds,
-//!   match no tuple and drop out. The lowest violated tableau index
-//!   *per member* is kept, which is the first violating row in tableau
-//!   order — what a sweep reports;
-//! * **variable rows** — one pass over the LHS partition's class ids
-//!   keeps each class's first RHS symbol and whether a second one
-//!   appeared; a class violates a member's row iff its key matches the
-//!   row's LHS patterns and it holds ≥ 2 distinct RHS values. Only the
-//!   members of those classes are gathered, in row order.
+//!   data's LHS groups). The members' constant rows compile once per
+//!   unit into a `ConstIndex`: one bucket per wildcard mask, keyed by the
+//!   constants at those positions, flat — its distinct keys back to back
+//!   in one arena, its rows in one array ordered by key id (a counting
+//!   sort) — so compiling allocates a handful per mask. Each distinct key
+//!   maps to its class of the mask's partition by item id: its constants
+//!   name one item per attribute, a single item *is* a class, and a
+//!   larger key descends the product steps that built the partition —
+//!   per attribute, a search among one class's sub-classes by item
+//!   ([`Partition::class_of_items`]). A key no live tuple holds, or
+//!   naming a constant the table never interned, matches no class and
+//!   drops out. The walk then reads each matched class once: if its RHS
+//!   is one symbol (its `g3` error under the RHS, [`class_error`] keyed
+//!   by symbol, is 0), each row under its key is tested once, and a
+//!   class every row accepts is skipped whole; a class holding several
+//!   RHS symbols tests its members one by one. Rows with an eCFD LHS
+//!   pattern (`≠ c`, `∈ {…}`) name no single key and stay on a short
+//!   residual list swept per tuple. Each member keeps, per tuple, its
+//!   lowest violated tableau row — the first violating row in tableau
+//!   order, what a sweep reports — and reports in row order. The same
+//!   compiled index serves the life of a table in [`crate::incremental`],
+//!   which probes it one tuple at a time (`ConstIndex::probe`);
+//! * **variable rows** — a class of the LHS partition violates a
+//!   member's row iff its key matches the row's LHS patterns and it
+//!   holds two or more RHS values (error > 0); its members are the
+//!   class's own slice, already in row order.
 //!
-//! Partitions and the per-tuple loops run per contiguous chunk of live
-//! slots (`revival_relation::map_chunks`: inline at one shard, one
-//! scoped thread per chunk otherwise); a partition's chunk-local classes
-//! fold into global ids in chunk order and the loops' outputs merge in
-//! chunk order, so the merged state is what one sequential scan builds
-//! at any shard count. Every member then reports on its own — constants
-//! in row order, variables in key order — and `scan_suite` concatenates
-//! the members in suite order: cost follows the number of embedded FDs
-//! and attribute sets, the report does not depend on how the suite
-//! splits its pattern rows.
+//! With `jobs` shards, a pass's class walks (and its residual sweep)
+//! split into `jobs` contiguous shares on scoped threads
+//! (`revival_relation::map_chunks`) and merge in share order; the
+//! findings are sorted per member by tuple, so the report is the same at
+//! any shard count. Every member then reports on its own — constants in
+//! row order, variables in key order — and `scan_suite` concatenates the
+//! members in suite order: cost follows the number of embedded FDs and
+//! attribute sets, and the report does not depend on how the suite splits
+//! its pattern rows.
 //!
-//! Tuples are read as interned symbols: keys hash as `u32` words off the
-//! table's columns in place ([`revival_relation::ColProj`]), and nothing is cloned per
-//! tuple. Values reappear only at emission, where the keys of violating
-//! classes map back through the table's [`revival_relation::ValuePool`]
-//! for pattern matching and reporting.
+//! Tuples are read as interned symbols, and nothing is cloned per tuple.
+//! Values reappear only at emission, where the keys of violating classes
+//! map back through the table's [`revival_relation::ValuePool`] for
+//! pattern matching and reporting. A profiled scan times its phases —
+//! `plan`, `group`, `compile`, `join`, `scan`, `emit` — for `--explain`.
 
 use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
@@ -70,32 +75,65 @@ use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cind, SymPred};
 use revival_relation::groupby::hash_syms;
+use revival_relation::partition::{class_error, ItemIndex, ItemScratch, Partition};
 use revival_relation::{
     map_chunks, AttrId, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
 };
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// A scan's phases, in the order a profile lists them: validating and
+/// planning the suite, grouping (item indexes and partitions), compiling
+/// constant rows, mapping their keys to classes, walking classes, and
+/// building the report.
+const PHASES: [&str; 6] = ["plan", "group", "compile", "join", "scan", "emit"];
+const PLAN: usize = 0;
+const GROUP: usize = 1;
+const COMPILE: usize = 2;
+const JOIN: usize = 3;
+const SCAN: usize = 4;
+const EMIT: usize = 5;
+
+/// A lap timer over [`PHASES`], in nanoseconds.
+struct Laps {
+    at: Instant,
+    ns: [u64; PHASES.len()],
+}
+
+impl Laps {
+    fn start() -> Self {
+        Laps { at: Instant::now(), ns: [0; PHASES.len()] }
+    }
+
+    /// Charge the time since the last lap to `phase`.
+    fn lap(&mut self, phase: usize) {
+        let now = Instant::now();
+        self.ns[phase] += (now - self.at).as_nanos() as u64;
+        self.at = now;
+    }
+}
 
 /// The kernel's entry point: every CFD and CIND of `job`, one pass per
 /// embedded FD over `jobs` shards, violations reported per original
 /// constraint in suite order (CFDs, then CINDs). With a profile, each
 /// pass's wall time, group count and shard times land on one `pass`
-/// row (and a trace span when tracing is on).
+/// row (and a trace span when tracing is on), and the scan's phase
+/// times on the profile's `phases`.
 pub(crate) fn scan_suite(
     job: &DetectJob<'_>,
     jobs: usize,
     mut profile: Option<&mut revival_obs::JobProfile>,
 ) -> Result<ViolationReport> {
-    let plan_start = std::time::Instant::now();
+    let mut laps = Laps::start();
     // Malformed patterns must error here, not panic in a worker.
     job.validate()?;
     let units = plan_units(job.cfds);
     let mut parts = Partitions::plan(job.cfds, &units);
+    laps.lap(PLAN);
+    let mut phase_ns = laps.ns;
     if let Some(p) = profile.as_deref_mut() {
-        p.entry("plan (validate, group by embedded FD)", "plan").wall_us +=
-            plan_start.elapsed().as_micros() as u64;
+        p.entry("plan (validate, group by embedded FD)", "plan").wall_us += phase_ns[PLAN] / 1000;
     }
-    // Each relation's live slots enumerate once for the whole suite.
-    let mut live: Vec<(&str, Vec<usize>)> = Vec::new();
     let mut found: Vec<Vec<Violation>> = vec![Vec::new(); job.cfds.len()];
     for (k, ids) in units.iter().enumerate() {
         let unit: Vec<(usize, &Cfd)> = ids.iter().map(|&i| (i, &job.cfds[i])).collect();
@@ -105,16 +143,14 @@ pub(crate) fn scan_suite(
         // pass pays for enumerating it, a set's first pass for grouping
         // it, every pass for handing its findings over and (profiled)
         // for naming its own row.
-        let start = std::time::Instant::now();
-        let cached = live.iter().position(|(r, _)| *r == first.relation).unwrap_or_else(|| {
-            live.push((&first.relation, table.live_slots().collect()));
-            live.len() - 1
-        });
-        let slots = &live[cached].1;
-        let scan = scan_unit(table, slots, &unit, jobs, &mut parts);
+        let start = Instant::now();
+        let scan = scan_unit(table, &unit, jobs, &mut parts);
         parts.release(k);
         for (&(i, _), buf) in unit.iter().zip(scan.found) {
             found[i] = buf;
+        }
+        for (sum, ns) in phase_ns.iter_mut().zip(scan.phase_ns) {
+            *sum += ns;
         }
         if let Some(p) = profile.as_deref_mut() {
             let fd = first.embedded_fd();
@@ -123,6 +159,7 @@ pub(crate) fn scan_suite(
             p.meta_add("pattern_rows_checked", scan.pattern_rows_checked);
             p.meta_add("partitions", scan.partitions);
             p.meta_add("rows_grouped", scan.rows_grouped);
+            p.meta_add("rows_hashed", scan.rows_hashed);
             let row = p.entry(&name, "pass");
             row.groups_probed += scan.groups as u64;
             row.shard_us.extend(scan.shard_us);
@@ -131,12 +168,19 @@ pub(crate) fn scan_suite(
             revival_obs::trace::record_at(&name, start, us);
         }
     }
+    let emit = Instant::now();
     // One allocation for the report: grown by doubling instead, it
     // cannot reuse the holes freed partitions leave between the members'
     // buffers and extends the heap, which stays resident.
     let mut violations = Vec::with_capacity(found.iter().map(Vec::len).sum());
     found.into_iter().for_each(|buf| violations.extend(buf));
     let mut report = ViolationReport { violations };
+    phase_ns[EMIT] += emit.elapsed().as_nanos() as u64;
+    if let Some(p) = profile.as_deref_mut() {
+        for (phase, ns) in PHASES.into_iter().zip(phase_ns) {
+            p.phase_add(phase, ns / 1000);
+        }
+    }
     crate::cind::detect_cinds(job, jobs, profile, &mut report.violations)?;
     Ok(report)
 }
@@ -181,85 +225,58 @@ fn attr_set(attrs: impl IntoIterator<Item = AttrId>) -> Vec<AttrId> {
     set
 }
 
-/// An empty entry of the variable pass's per-class state: no RHS symbol
-/// seen yet, or (once the split classes are numbered) not a split class.
-const NO_CLASS: u32 = u32::MAX;
-/// A class that met two RHS symbols (see `scan_unit`'s variable pass).
-const SPLIT: u32 = u32::MAX - 1;
-
-/// One relation's live tuples grouped by one attribute set.
-struct Partition {
-    /// Class id per live tuple, aligned with the scan's live slots.
-    class_of: Vec<u32>,
-    /// Key → class: entry `c` is class `c`, keyed by its first slot (its
-    /// key is read off the columns there), in first-seen order.
-    classes: GroupBy<u32, ()>,
+/// A planned set's partition while it is built.
+enum Built {
+    /// A single attribute's: its item index's own `π_A`.
+    Attr,
+    /// The empty set's, or a product's.
+    Owned(Partition),
 }
 
-impl Partition {
-    /// Group `slots` of `table` by `attrs` (a sorted set) across `jobs`
-    /// chunks. Each chunk numbers its classes locally; the later chunks
-    /// then fold into the first's ids in chunk order, so the classes and
-    /// their order are those of one sequential scan.
-    fn build(table: &Table, attrs: &[AttrId], slots: &[usize], jobs: usize) -> Self {
-        let cols = table.proj(attrs);
-        let same =
-            |a: usize, b: usize| (0..cols.width()).all(|i| cols.sym_at(i, a) == cols.sym_at(i, b));
-        let chunks = map_chunks(slots, jobs, |chunk| {
-            let mut classes: GroupBy<u32, ()> = GroupBy::new();
-            let local: Vec<u32> = chunk
-                .iter()
-                .map(|&slot| {
-                    let hash = cols.hash_at(slot);
-                    let class = match classes.probe(hash, |&at| same(at as usize, slot)) {
-                        Some(c) => c,
-                        None => classes.insert_unique(hash, slot as u32, ()),
-                    };
-                    class as u32
-                })
-                .collect();
-            (classes, local)
-        });
-        let mut chunks = chunks.into_iter().map(|(out, _)| out);
-        let (classes, class_of) = chunks.next().expect("map_chunks yields a chunk");
-        let mut part = Partition { class_of, classes };
-        for (classes, local) in chunks {
-            let global: Vec<u32> = classes
-                .into_entries()
-                .map(|(hash, at, ())| {
-                    let found = part.classes.probe(hash, |&g| same(g as usize, at as usize));
-                    found.unwrap_or_else(|| part.classes.insert_unique(hash, at, ())) as u32
-                })
-                .collect();
-            part.class_of.extend(local.iter().map(|&c| global[c as usize]));
-        }
-        part
+/// `start` (the partition of some prefix of a sorted attribute set)
+/// times each of `attrs`, the rest of the set: one TANE product per
+/// attribute, singletons kept.
+fn extend_partition(
+    index: &ItemIndex<'_>,
+    start: &Partition,
+    attrs: &[AttrId],
+    scratch: &mut ItemScratch,
+) -> Partition {
+    let mut part: Option<Partition> = None;
+    for &a in attrs {
+        let from = part.as_ref().unwrap_or(start);
+        part = from.product(index, a, scratch, true).refined;
     }
-
-    /// Number of classes.
-    fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The first slot of class `c`, where its key is read.
-    fn first_slot(&self, c: usize) -> usize {
-        *self.classes.entry_at(c).0 as usize
-    }
+    part.expect("a product extends the prefix by one attribute or more")
 }
 
 /// The partitions of one suite's scan, each planned from the suite's
 /// syntax: built by the first unit that needs it, dropped after the
-/// last unit that names its attribute set.
-pub(crate) struct Partitions<'s> {
+/// last unit that names its attribute set; and the item indexes they
+/// read, an attribute's items dropped after the last unit reading them.
+pub(crate) struct Partitions<'s, 't> {
     /// Per `(relation, attribute set)`: the last unit naming it, and the
     /// partition while one is built.
-    sets: Vec<(&'s str, Vec<AttrId>, usize, Option<Partition>)>,
+    sets: Vec<(&'s str, Vec<AttrId>, usize, Option<Built>)>,
+    /// Per `(relation, attribute)` a planned set holds: the last unit
+    /// reading its items.
+    attrs: Vec<(&'s str, AttrId, usize)>,
+    /// Per relation with items still to read: its item index.
+    indexes: Vec<(&'s str, ItemIndex<'t>)>,
+    /// The products' per-item counters.
+    scratch: ItemScratch,
 }
 
-impl<'s> Partitions<'s> {
-    /// The attribute sets each unit names ([`keyed_positions`]).
+impl<'s, 't> Partitions<'s, 't> {
+    /// The attribute sets each unit names ([`keyed_positions`]), and the
+    /// attributes they read.
     pub(crate) fn plan(cfds: &'s [Cfd], units: &[Vec<usize>]) -> Self {
-        let mut sets: Vec<(&'s str, Vec<AttrId>, usize, Option<Partition>)> = Vec::new();
+        let mut parts = Partitions {
+            sets: Vec::new(),
+            attrs: Vec::new(),
+            indexes: Vec::new(),
+            scratch: ItemScratch::default(),
+        };
         let (mut scratch, mut named) = (Vec::new(), Vec::<Vec<AttrId>>::new());
         for (k, ids) in units.iter().enumerate() {
             let fd = &cfds[ids[0]];
@@ -274,45 +291,95 @@ impl<'s> Partitions<'s> {
                     named.push(scratch.clone());
                 }
             }
-            for set in named.drain(..) {
-                match sets.iter_mut().find(|s| s.0 == fd.relation && s.1 == set) {
+            for &attr in named.iter().flatten() {
+                match parts.attrs.iter_mut().find(|a| a.0 == fd.relation && a.1 == attr) {
                     Some(planned) => planned.2 = k,
-                    None => sets.push((&fd.relation, set, k, None)),
+                    None => parts.attrs.push((&fd.relation, attr, k)),
+                }
+            }
+            for set in named.drain(..) {
+                match parts.sets.iter_mut().find(|s| s.0 == fd.relation && s.1 == set) {
+                    Some(planned) => planned.2 = k,
+                    None => parts.sets.push((&fd.relation, set, k, None)),
                 }
             }
         }
-        Partitions { sets }
+        parts
     }
 
-    /// Build the partition of `relation` (`table`) by `attrs`, a planned
+    /// Where `relation`'s item index sits, made (its live slots
+    /// enumerated, no attribute indexed) on first use.
+    fn index_at(&mut self, relation: &'s str, table: &'t Table) -> usize {
+        self.indexes.iter().position(|(r, _)| *r == relation).unwrap_or_else(|| {
+            self.indexes.push((relation, ItemIndex::new(table)));
+            self.indexes.len() - 1
+        })
+    }
+
+    /// `relation`'s item index.
+    fn index(&self, relation: &str) -> &ItemIndex<'t> {
+        let found = self.indexes.iter().find(|(r, _)| *r == relation);
+        &found.expect("the relation is indexed").1
+    }
+
+    /// Build the partition of `relation` (`table`) by `set`, a planned
     /// set, unless it is built; whether it built one.
-    fn ensure(
-        &mut self,
-        (table, relation): (&Table, &str),
-        attrs: &[AttrId],
-        slots: &[usize],
-        jobs: usize,
-    ) -> bool {
-        let planned = self.sets.iter_mut().find(|s| s.0 == relation && s.1 == attrs);
-        let part = &mut planned.expect("a unit's attribute sets are planned").3;
-        let build = part.is_none();
-        if build {
-            *part = Some(Partition::build(table, attrs, slots, jobs));
+    fn ensure(&mut self, (table, relation): (&'t Table, &'s str), set: &[AttrId]) -> bool {
+        let planned = self.sets.iter().position(|s| s.0 == relation && s.1 == set);
+        let planned = planned.expect("a unit's attribute sets are planned");
+        if self.sets[planned].3.is_some() {
+            return false;
         }
-        build
+        let indexed = self.index_at(relation, table);
+        let Partitions { sets, indexes, scratch, .. } = self;
+        for &a in set {
+            indexes[indexed].1.index_attr(a);
+        }
+        let index = &indexes[indexed].1;
+        let built = match set {
+            [] => Built::Owned(Partition::whole(index.live())),
+            [_] => Built::Attr,
+            _ => {
+                // The longest planned prefix already built, else the
+                // first attribute's item lists.
+                let prefix = (2..set.len()).rev().find_map(|len| {
+                    sets.iter().find_map(|s| match &s.3 {
+                        Some(Built::Owned(p)) if s.0 == relation && s.1 == set[..len] => {
+                            Some((p, len))
+                        }
+                        _ => None,
+                    })
+                });
+                let (start, len) = prefix.unwrap_or((index.partition(set[0]), 1));
+                Built::Owned(extend_partition(index, start, &set[len..], scratch))
+            }
+        };
+        sets[planned].3 = Some(built);
+        true
     }
 
-    /// The built partition of `relation` by `attrs`.
-    fn get(&self, relation: &str, attrs: &[AttrId]) -> &Partition {
-        let set = self.sets.iter().find(|s| s.0 == relation && s.1 == attrs);
-        set.and_then(|s| s.3.as_ref()).expect("an ensured partition")
+    /// The built partition of `relation` by `set`.
+    fn get(&self, relation: &str, set: &[AttrId]) -> &Partition {
+        let planned = self.sets.iter().find(|s| s.0 == relation && s.1 == set);
+        match planned.and_then(|s| s.3.as_ref()).expect("an ensured partition") {
+            Built::Attr => self.index(relation).partition(set[0]),
+            Built::Owned(part) => part,
+        }
     }
 
-    /// Drop the partitions unit `k` was the last to name.
+    /// Drop the partitions unit `k` was the last to name, and the items
+    /// it was the last to read.
     pub(crate) fn release(&mut self, k: usize) {
         for set in self.sets.iter_mut().filter(|s| s.2 == k) {
             set.3 = None;
         }
+        for &(relation, attr, _) in self.attrs.iter().filter(|a| a.2 == k) {
+            if let Some((_, index)) = self.indexes.iter_mut().find(|(r, _)| *r == relation) {
+                index.release_attr(attr);
+            }
+        }
+        let attrs = &self.attrs;
+        self.indexes.retain(|(relation, _)| attrs.iter().any(|a| a.0 == *relation && a.2 > k));
     }
 }
 
@@ -334,108 +401,156 @@ pub(crate) struct UnitScan {
     pub found: Vec<Vec<Violation>>,
     /// LHS classes the variable pass read (0 without variable rows).
     pub groups: usize,
-    /// Work the constant join did: mask lookups + RHS predicates
-    /// evaluated + residual rows tested, over all chunks — a count of
-    /// the tuples and the index only, so identical at any `jobs`.
+    /// The size of the constant join: per live tuple, one lookup per
+    /// mask and per residual row, plus the rows under its key — a count
+    /// of the tuples and the index only, so identical at any `jobs`. The
+    /// class walk reaches the same rows per class (`|class| × |rows
+    /// under its key|`) and tests a class whose RHS is one value once
+    /// per row, not once per member.
     pub pattern_rows_checked: u64,
     /// Partitions this pass built (the rest it read were built before).
     pub partitions: u64,
     /// Live tuples those partitions grouped: one per tuple per partition.
     pub rows_grouped: u64,
-    /// Worker wall-µs per chunk, in chunk order.
+    /// Live tuples whose projection the pass hashed to group them: none,
+    /// partitions are read off item ids.
+    pub rows_hashed: u64,
+    /// Worker wall-µs per share of the class walks, in share order.
     pub shard_us: Vec<u64>,
+    /// Nanoseconds per [`PHASES`] entry (`plan` is the suite's).
+    phase_ns: [u64; PHASES.len()],
 }
 
+/// One constant finding of a class walk: `(member, slot, tableau row)`.
+type Finding = (u32, u32, u32);
+
 /// Scan one unit — `members` are `(suite index, CFD)` pairs sharing one
-/// embedded FD over `table` — across `jobs` contiguous chunks of
-/// `slots`, reading (and first building) the partitions it needs from
-/// `parts`. Chunks merge in order: per-member constant findings
-/// concatenate (row order), per-class variable states fold.
-pub(crate) fn scan_unit(
-    table: &Table,
-    slots: &[usize],
-    members: &[(usize, &Cfd)],
+/// embedded FD over `table` — reading (and first building) the
+/// partitions it needs from `parts`, its class walks split across
+/// `jobs` shares. Shares merge in order, and per-member constant
+/// findings are sorted by tuple.
+pub(crate) fn scan_unit<'s, 't>(
+    table: &'t Table,
+    members: &[(usize, &'s Cfd)],
     jobs: usize,
-    parts: &mut Partitions<'_>,
+    parts: &mut Partitions<'s, 't>,
 ) -> UnitScan {
+    let mut laps = Laps::start();
     let (_, fd) = members[0];
     let rhs_col = table.col(fd.rhs);
     // The constant rows compile to one join index per unit, shared
-    // read-only across workers; the join touches only the unit's columns.
+    // read-only across workers.
     let index = ConstIndex::compile(members.iter().map(|(_, cfd)| *cfd), table.pool());
-    let fd_attrs = (fd.lhs.as_slice(), fd.rhs);
     let any_var = members.iter().any(|(_, cfd)| cfd.variable_rows().next().is_some());
     let masks: Vec<Vec<AttrId>> =
         index.buckets.iter().map(|b| attr_set(b.attrs.iter().copied())).collect();
     let lhs_set = any_var.then(|| attr_set(fd.lhs.iter().copied()));
+    laps.lap(COMPILE);
 
-    let relation = fd.relation.as_str();
+    let at = (table, fd.relation.as_str());
+    // Shorter sets first: a longer one may start from a prefix this
+    // pass builds.
+    let mut sets: Vec<&[AttrId]> = masks.iter().chain(&lhs_set).map(Vec::as_slice).collect();
+    sets.sort_by_key(|set| set.len());
     let mut partitions = 0;
-    for set in masks.iter().chain(&lhs_set) {
-        partitions += u64::from(parts.ensure((table, relation), set, slots, jobs));
+    for set in sets {
+        partitions += u64::from(parts.ensure(at, set));
     }
-    let rows_grouped = partitions * slots.len() as u64;
-    let joins: Vec<Joined> = (index.buckets.iter().zip(&masks))
-        .map(|(bucket, set)| bucket.join(table, parts.get(relation, set)))
-        .collect();
-    let lhs = lhs_set.map(|set| parts.get(relation, &set));
+    let indexed = parts.index_at(at.1, table);
+    let live_n = parts.indexes[indexed].1.live().len() as u64;
+    let rows_grouped = partitions * live_n;
+    laps.lap(GROUP);
 
-    let mut chunks = map_chunks(slots, jobs, |chunk| {
-        // Where the chunk's tuples sit in the partitions' class ids.
-        let at = offset_in(slots, chunk);
-        let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
-        let mut checked = 0u64;
-        if !index.is_empty() {
-            // Per tuple: the lowest violated tableau row of each member
-            // (`NONE` = none yet) and the members that have one.
-            let mut first = vec![NONE; members.len()];
-            let mut touched: Vec<usize> = Vec::new();
-            for (pos, &slot) in (at..).zip(chunk) {
-                let hits = |b: usize| joins[b].hits[joins[b].class_of[pos] as usize];
-                checked += index.check(table, fd_attrs, slot, hits, &mut first, &mut touched);
-                while let Some(m) = touched.pop() {
-                    let (cfd, row, tuple) = (members[m].0, first[m], TupleId(slot as u64));
-                    found[m].push(Violation::CfdConstant { cfd, row, tuple });
-                    first[m] = NONE;
+    let parts = &*parts;
+    let items = parts.index(at.1);
+    let mask_parts: Vec<&Partition> = masks.iter().map(|set| parts.get(at.1, set)).collect();
+    let mut pattern_rows_checked = live_n * (index.buckets.len() + index.residual.len()) as u64;
+    // Per key under a live tuple: its bucket, key and class.
+    let mut joined: Vec<(u32, u32, u32)> = Vec::new();
+    let mut key_items: Vec<u32> = Vec::new();
+    for (b, ((bucket, set), part)) in index.buckets.iter().zip(&masks).zip(&mask_parts).enumerate()
+    {
+        for k in 0..bucket.ids.len() {
+            if let Some(c) = bucket.class_of_key(k, items, set, part, &mut key_items) {
+                pattern_rows_checked += (part.class(c).len() * bucket.hits(k).len()) as u64;
+                joined.push((b as u32, k as u32, c as u32));
+            }
+        }
+    }
+    let lhs = lhs_set.map(|set| parts.get(at.1, &set));
+    laps.lap(JOIN);
+
+    let shares: Vec<usize> = (0..jobs.max(1)).collect();
+    let share = |len: usize, s: usize| len * s / shares.len()..len * (s + 1) / shares.len();
+    let walked = map_chunks(&shares, jobs, |mine| {
+        // A class's error under the RHS, keyed by symbol.
+        let mut scratch = ItemScratch::for_keys(table.pool().len());
+        let rhs_key = |slot: u32| rhs_col[slot as usize].raw();
+        let (mut found, mut split): (Vec<Finding>, Vec<u32>) = (Vec::new(), Vec::new());
+        let mut violated = |hit: &Hit, slot: u32| {
+            found.push((hit.member as u32, slot, hit.tp_idx as u32));
+        };
+        for &s in mine {
+            for &(b, k, c) in &joined[share(joined.len(), s)] {
+                let class = mask_parts[b as usize].class(c as usize);
+                let hits = index.buckets[b as usize].hits(k as usize);
+                if class_error(class, rhs_key, &mut scratch) == 0 {
+                    // One RHS value: each row is tested once for the class.
+                    let rhs = rhs_col[class[0] as usize];
+                    for hit in hits.iter().filter(|hit| !hit.rhs.matches(rhs)) {
+                        class.iter().for_each(|&slot| violated(hit, slot));
+                    }
+                } else {
+                    for &slot in class {
+                        let rhs = rhs_col[slot as usize];
+                        hits.iter().filter(|hit| !hit.rhs.matches(rhs)).for_each(|hit| {
+                            violated(hit, slot);
+                        });
+                    }
+                }
+            }
+            for &slot in &items.live()[share(items.live().len(), s)] {
+                for (preds, hit) in &index.residual {
+                    let cell = |a: AttrId| table.col(a)[slot as usize];
+                    if preds.iter().zip(&fd.lhs).all(|(p, &a)| p.matches(cell(a)))
+                        && !hit.rhs.matches(rhs_col[slot as usize])
+                    {
+                        violated(hit, slot);
+                    }
+                }
+            }
+            if let Some(part) = lhs {
+                for c in share(part.len(), s) {
+                    if class_error(part.class(c), rhs_key, &mut scratch) > 0 {
+                        split.push(c as u32);
+                    }
                 }
             }
         }
-        // Per LHS class: its first RHS symbol, or `SPLIT` once a second
-        // one shows.
-        let mut state: Vec<u32> = Vec::new();
-        if let Some(part) = lhs {
-            state = vec![NO_CLASS; part.len()];
-            for (&slot, &c) in chunk.iter().zip(&part.class_of[at..]) {
-                let (s, rhs) = (&mut state[c as usize], rhs_col[slot].raw());
-                if *s == NO_CLASS {
-                    *s = rhs;
-                } else if *s != rhs {
-                    *s = SPLIT;
-                }
-            }
-        }
-        (found, state, checked)
-    })
-    .into_iter();
-
-    // Folding in chunk order keeps each member's constant findings in
-    // row order and each class's first RHS symbol the globally first.
-    let ((mut found, mut state, mut pattern_rows_checked), us) =
-        chunks.next().expect("map_chunks yields a chunk");
-    let mut shard_us = vec![us];
-    for ((more, partial, checked), us) in chunks {
+        (found, split)
+    });
+    let mut shard_us = Vec::with_capacity(walked.len());
+    let (mut constant, mut split): (Vec<Finding>, Vec<u32>) = (Vec::new(), Vec::new());
+    for ((found, classes), us) in walked {
+        constant.extend(found);
+        split.extend(classes);
         shard_us.push(us);
-        pattern_rows_checked += checked;
-        for (buf, vs) in found.iter_mut().zip(more) {
-            buf.extend(vs);
-        }
-        for (s, t) in state.iter_mut().zip(partial) {
-            *s = match (*s, t) {
-                (NO_CLASS, t) => t,
-                (s, t) if t == NO_CLASS || t == s => s,
-                _ => SPLIT,
-            };
-        }
+    }
+    laps.lap(SCAN);
+
+    // Per member, by tuple, the lowest violated row first.
+    constant.sort_unstable();
+    constant.dedup_by_key(|&mut (member, slot, _)| (member, slot));
+    let mut found: Vec<Vec<Violation>> = vec![Vec::new(); members.len()];
+    for run in constant.chunk_by(|a, b| a.0 == b.0) {
+        let m = run[0].0 as usize;
+        found[m] = (run.iter())
+            .map(|&(_, slot, row)| Violation::CfdConstant {
+                cfd: members[m].0,
+                row: row as usize,
+                tuple: TupleId(u64::from(slot)),
+            })
+            .collect();
     }
     let groups = lhs.map_or(0, Partition::len);
     if revival_obs::enabled() {
@@ -447,44 +562,36 @@ pub(crate) fn scan_unit(
         }
     }
     if let Some(part) = lhs {
-        // A class violates with ≥ 2 distinct RHS values: number the split
-        // classes, then gather their members in row order.
-        let mut split: Vec<(Box<[Sym]>, VarGroup)> = Vec::new();
-        for (c, s) in state.iter_mut().enumerate() {
-            if *s == SPLIT {
-                let at = part.first_slot(c);
-                let key = fd.lhs.iter().map(|&a| table.col(a)[at]).collect();
-                split.push((key, VarGroup { members: Vec::new() }));
-                *s = (split.len() - 1) as u32;
-            } else {
-                *s = NO_CLASS;
-            }
-        }
-        if !split.is_empty() {
-            for (&slot, &c) in slots.iter().zip(&part.class_of) {
-                let g = state[c as usize];
-                if g != NO_CLASS {
-                    split[g as usize].1.members.push(TupleId(slot as u64));
-                }
-            }
-        }
-        let violating = in_key_order(split.iter().map(|(k, g)| (k, g)), table.pool());
+        // A class violates with ≥ 2 distinct RHS values; its members
+        // are its own slice, in row order.
+        let violating: Vec<(Box<[Sym]>, VarGroup)> = (split.iter())
+            .map(|&c| {
+                let members = part.class(c as usize);
+                let key = fd.lhs.iter().map(|&a| table.col(a)[members[0] as usize]).collect();
+                (key, VarGroup { members })
+            })
+            .collect();
+        let violating = in_key_order(violating.iter().map(|(k, g)| (k, g)), table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
             emit_variable_violations(*idx, cfd, &violating, buf);
         }
     }
-    UnitScan { found, groups, pattern_rows_checked, partitions, rows_grouped, shard_us }
-}
-
-/// Where `chunk`, a run of `slots` as `map_chunks` hands it out, starts
-/// in `slots` (ascending): the position of its first tuple's class id.
-fn offset_in(slots: &[usize], chunk: &[usize]) -> usize {
-    chunk.first().map_or(0, |&first| slots.partition_point(|&s| s < first))
+    laps.lap(EMIT);
+    UnitScan {
+        found,
+        groups,
+        pattern_rows_checked,
+        partitions,
+        rows_grouped,
+        rows_hashed: 0,
+        shard_us,
+        phase_ns: laps.ns,
+    }
 }
 
 /// One violating LHS class of a unit: its live members, in row order.
-struct VarGroup {
-    members: Vec<TupleId>,
+struct VarGroup<'p> {
+    members: &'p [u32],
 }
 
 /// "No violated row yet" in the per-tuple scratch of [`ConstIndex::probe`].
@@ -517,13 +624,6 @@ struct MaskBucket {
     hits: Vec<Hit>,
 }
 
-/// A bucket joined to the partition by its mask's attribute set, for
-/// one batch scan: per class, the rows under the class's key.
-struct Joined<'p> {
-    class_of: &'p [u32],
-    hits: Vec<&'p [Hit]>,
-}
-
 impl MaskBucket {
     fn key(&self, k: usize) -> &[Sym] {
         let width = self.attrs.len();
@@ -544,27 +644,32 @@ impl MaskBucket {
         }
     }
 
-    /// Look each distinct key up once in `part`. A key no live tuple
-    /// holds matches nothing and drops out, as an uninterned constant
-    /// does when compiling.
-    fn join<'p>(&'p self, table: &Table, part: &'p Partition) -> Joined<'p> {
-        // The mask's positions in the partition's (sorted) attribute
-        // order, each attribute once: a key hashed in that order finds
-        // its class, compared at the class's first slot as the mask
-        // reads it.
-        let mut at: Vec<usize> = (0..self.attrs.len()).collect();
-        at.sort_by_key(|&i| self.attrs[i]);
-        at.dedup_by_key(|i| self.attrs[*i]);
-        let mut hits: Vec<&[Hit]> = vec![&[]; part.len()];
-        for k in 0..self.ids.len() {
-            let key = self.key(k);
-            let hash = hash_syms(at.iter().map(|&i| key[i]));
-            let first = |&s: &u32| matches_at(table, &self.attrs, s as usize, key);
-            if let Some(c) = part.classes.probe(hash, first) {
-                hits[c] = self.hits(k);
+    /// The class of `part` — the partition by `set`, this bucket's
+    /// attributes as a set — whose tuples carry key `k`, found by item
+    /// id: the key names one item per attribute of `set` (every position
+    /// of an attribute the mask names twice must hold one symbol), and
+    /// the partition finds its class from them
+    /// ([`Partition::class_of_items`]). `None` when no live tuple carries
+    /// the key.
+    fn class_of_key(
+        &self,
+        k: usize,
+        index: &ItemIndex<'_>,
+        set: &[AttrId],
+        part: &Partition,
+        items: &mut Vec<u32>,
+    ) -> Option<usize> {
+        let key = self.key(k);
+        items.clear();
+        for &a in set {
+            let mut syms = self.attrs.iter().zip(key).filter(|&(&b, _)| b == a).map(|(_, &s)| s);
+            let sym = syms.next().expect("a set attribute is a mask attribute");
+            if syms.any(|other| other != sym) {
+                return None;
             }
+            items.push(index.local_item(a, sym)?);
         }
-        Joined { class_of: &part.class_of, hits }
+        part.class_of_items(items)
     }
 }
 
@@ -731,25 +836,8 @@ impl ConstIndex {
     pub(crate) fn probe(
         &self,
         table: &Table,
-        fd: (&[AttrId], AttrId),
-        slot: usize,
-        first: &mut [usize],
-        touched: &mut Vec<usize>,
-    ) -> u64 {
-        let hits = |b: usize| self.buckets[b].lookup(table, slot);
-        self.check(table, fd, slot, hits, first, touched)
-    }
-
-    /// [`ConstIndex::probe`] with the rows under the tuple's key in
-    /// bucket `b` supplied by `hits` — a hash probe for one tuple, a
-    /// class id read in a batch scan.
-    #[inline]
-    fn check<'h>(
-        &'h self,
-        table: &Table,
         (lhs, rhs): (&[AttrId], AttrId),
         slot: usize,
-        hits: impl Fn(usize) -> &'h [Hit],
         first: &mut [usize],
         touched: &mut Vec<usize>,
     ) -> u64 {
@@ -762,8 +850,8 @@ impl ConstIndex {
             }
         };
         let mut checked = (self.buckets.len() + self.residual.len()) as u64;
-        for b in 0..self.buckets.len() {
-            let hits = hits(b);
+        for bucket in &self.buckets {
+            let hits = bucket.lookup(table, slot);
             checked += hits.len() as u64;
             hits.iter().for_each(&mut violated);
         }
@@ -810,7 +898,7 @@ pub(crate) fn in_key_order<'g, G>(
 fn emit_variable_violations(
     cfd_idx: usize,
     cfd: &Cfd,
-    violating: &[(Vec<Value>, &VarGroup)],
+    violating: &[(Vec<Value>, &VarGroup<'_>)],
     out: &mut Vec<Violation>,
 ) {
     let var_rows: Vec<_> =
@@ -825,7 +913,7 @@ fn emit_variable_violations(
                     cfd: cfd_idx,
                     row: *row,
                     key: key.clone(),
-                    tuples: group.members.clone(),
+                    tuples: group.members.iter().map(|&s| TupleId(u64::from(s))).collect(),
                 });
             }
         }
@@ -929,6 +1017,64 @@ pub fn describe_report(
 mod oracle {
     use super::*;
     use revival_relation::ColProj;
+
+    /// The partition the scan built before item ids — a class id per
+    /// live tuple, by hashing each tuple's projection — kept as the
+    /// oracle of `tests::partitions_agree_with_the_hashed_build`.
+    pub(super) struct Partition {
+        /// Class id per live tuple, aligned with the scan's live slots.
+        pub(super) class_of: Vec<u32>,
+        /// Key → class: entry `c` is class `c`, keyed by its first slot
+        /// (its key is read off the columns there), in first-seen order.
+        classes: GroupBy<u32, ()>,
+    }
+
+    impl Partition {
+        /// Group `slots` of `table` by `attrs` (a sorted set) across
+        /// `jobs` chunks. Each chunk numbers its classes locally; the
+        /// later chunks then fold into the first's ids in chunk order, so
+        /// the classes and their order are those of one sequential scan.
+        pub(super) fn build(table: &Table, attrs: &[AttrId], slots: &[usize], jobs: usize) -> Self {
+            let cols = table.proj(attrs);
+            let same = |a: usize, b: usize| {
+                (0..cols.width()).all(|i| cols.sym_at(i, a) == cols.sym_at(i, b))
+            };
+            let chunks = map_chunks(slots, jobs, |chunk| {
+                let mut classes: GroupBy<u32, ()> = GroupBy::new();
+                let local: Vec<u32> = chunk
+                    .iter()
+                    .map(|&slot| {
+                        let hash = cols.hash_at(slot);
+                        let class = match classes.probe(hash, |&at| same(at as usize, slot)) {
+                            Some(c) => c,
+                            None => classes.insert_unique(hash, slot as u32, ()),
+                        };
+                        class as u32
+                    })
+                    .collect();
+                (classes, local)
+            });
+            let mut chunks = chunks.into_iter().map(|(out, _)| out);
+            let (classes, class_of) = chunks.next().expect("map_chunks yields a chunk");
+            let mut part = Partition { class_of, classes };
+            for (classes, local) in chunks {
+                let global: Vec<u32> = classes
+                    .into_entries()
+                    .map(|(hash, at, ())| {
+                        let found = part.classes.probe(hash, |&g| same(g as usize, at as usize));
+                        found.unwrap_or_else(|| part.classes.insert_unique(hash, at, ())) as u32
+                    })
+                    .collect();
+                part.class_of.extend(local.iter().map(|&c| global[c as usize]));
+            }
+            part
+        }
+
+        /// Number of classes.
+        pub(super) fn len(&self) -> usize {
+            self.classes.len()
+        }
+    }
 
     /// Per distinct key of constants (a boxed symbol list), its rows.
     type KeyedRows = GroupBy<Box<[Sym]>, Vec<Hit>>;
@@ -1082,10 +1228,12 @@ mod oracle {
             merge_groups(&mut groups, partial);
         }
         if any_var {
-            let violating: Vec<(&Box<[Sym]>, VarGroup)> = (groups.iter())
+            let violating: Vec<(&Box<[Sym]>, Vec<u32>)> = (groups.iter())
                 .filter(|(_, g)| g.rhs_syms.len() >= 2)
-                .map(|(k, g)| (k, VarGroup { members: g.members.clone() }))
+                .map(|(k, g)| (k, g.members.iter().map(|t| t.0 as u32).collect()))
                 .collect();
+            let violating: Vec<(&Box<[Sym]>, VarGroup)> =
+                violating.iter().map(|(k, members)| (*k, VarGroup { members })).collect();
             let violating = in_key_order(violating.iter().map(|(k, g)| (*k, g)), table.pool());
             for ((idx, cfd), buf) in members.iter().zip(&mut found) {
                 emit_variable_violations(*idx, cfd, &violating, buf);
@@ -1259,35 +1407,152 @@ mod tests {
         suite
     }
 
+    /// What the keyed constant rows of one unit meet on `t`, by value:
+    /// per distinct `(mask, key)` some live tuple carries, whether the
+    /// tuples under it hold one RHS value every row under the key accepts
+    /// (`[0]`), one value some row rejects (`[1]`) or several values
+    /// (`[2]`); and keys carrying rows of two or more members (`[3]`).
+    fn join_cases(t: &Table, members: &[(usize, &Cfd)], cases: &mut [usize; 4]) {
+        type Key = (Vec<usize>, Vec<Value>);
+        let mut keys: Vec<(Key, Vec<(usize, &PatternValue)>)> = Vec::new();
+        for (m, (_, cfd)) in members.iter().enumerate() {
+            for tp in cfd.constant_rows() {
+                let keyed = |p: &PatternValue| matches!(p, PatternValue::Const(_));
+                if !tp.lhs.iter().all(|p| p.is_wildcard() || keyed(p)) {
+                    continue;
+                }
+                let key: Key = (tp.lhs.iter())
+                    .enumerate()
+                    .filter_map(|(i, p)| match p {
+                        PatternValue::Const(v) => Some((i, v.clone())),
+                        _ => None,
+                    })
+                    .unzip();
+                match keys.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, rows)) => rows.push((m, &tp.rhs)),
+                    None => keys.push((key, vec![(m, &tp.rhs)])),
+                }
+            }
+        }
+        let lhs = &members[0].1.lhs;
+        let rhs = members[0].1.rhs;
+        for ((positions, values), rows) in keys {
+            let mut seen: Vec<Value> = Vec::new();
+            for (_, row) in t.rows() {
+                if positions.iter().zip(&values).all(|(&i, v)| row[lhs[i]] == *v)
+                    && !seen.contains(&row[rhs])
+                {
+                    seen.push(row[rhs].clone());
+                }
+            }
+            match seen.as_slice() {
+                [] => continue,
+                [one] if rows.iter().all(|(_, p)| p.matches(one)) => cases[0] += 1,
+                [_] => cases[1] += 1,
+                _ => cases[2] += 1,
+            }
+            if rows.iter().any(|&(m, _)| m != rows[0].0) {
+                cases[3] += 1;
+            }
+        }
+    }
+
     /// The partitioned scan against the replaced per-unit grouping and
     /// per-tuple probe (`oracle`), pass by pass at jobs 1 to 6: the same
-    /// findings, group counts and join work. Every partition is dropped
-    /// by the end of the suite.
+    /// findings, group counts and join work. Every partition and every
+    /// attribute's items are dropped by the end of the suite. The seeds
+    /// reach every shape of class the walk tells apart: keys over
+    /// classes with one RHS value all rows accept, one some row rejects,
+    /// several values, and keys carrying several members' rows.
     #[test]
     fn partitioned_scan_agrees_with_the_per_unit_grouping() {
         use rand::prelude::*;
+        let mut cases = [0usize; 4];
         for seed in 0..400u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (t, constants) = random_table(&mut rng);
             let suite = random_suite(&mut rng, &t, &constants);
             let units = plan_units(&suite);
             let slots: Vec<usize> = t.live_slots().collect();
+            for ids in &units {
+                let members: Vec<(usize, &Cfd)> = ids.iter().map(|&i| (i, &suite[i])).collect();
+                join_cases(&t, &members, &mut cases);
+            }
             for jobs in 1..=6 {
                 let mut parts = Partitions::plan(&suite, &units);
                 for (k, ids) in units.iter().enumerate() {
                     let members: Vec<(usize, &Cfd)> = ids.iter().map(|&i| (i, &suite[i])).collect();
-                    let got = scan_unit(&t, &slots, &members, jobs, &mut parts);
+                    let got = scan_unit(&t, &members, jobs, &mut parts);
                     parts.release(k);
                     let (found, groups, checked) = oracle::scan_unit(&t, &slots, &members, jobs);
                     let at = format!("seed {seed}, jobs {jobs}, pass {k}");
                     assert_eq!(format!("{:?}", got.found), format!("{found:?}"), "{at}");
                     assert_eq!(got.groups, groups, "{at}");
                     assert_eq!(got.pattern_rows_checked, checked, "{at}");
+                    assert_eq!(got.rows_hashed, 0, "{at}");
                 }
                 assert!(
                     parts.sets.iter().all(|s| s.3.is_none()),
                     "seed {seed}: a partition outlived its last unit"
                 );
+                assert!(parts.indexes.is_empty(), "seed {seed}: items outlived their last unit");
+            }
+        }
+        let [quiet, uniform_violating, split, shared] = cases;
+        assert!(
+            quiet > 0 && uniform_violating > 0 && split > 0 && shared > 0,
+            "keys over uniform satisfying classes {quiet}, uniform violating {uniform_violating}, \
+             split {split}; keys shared by members {shared}"
+        );
+    }
+
+    /// Detection's partitions against the hashed build they replaced
+    /// (`oracle::Partition`): the same class per live tuple and the same
+    /// class count, for sets of 1–4 attributes (one list naming an
+    /// attribute twice), built from the first attribute's item lists and
+    /// from every prefix, on tables with tombstones, `Null`s and repeated
+    /// rows.
+    #[test]
+    fn partitions_agree_with_the_hashed_build() {
+        use rand::prelude::*;
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (t, _) = random_table(&mut rng);
+            let width = t.schema().arity();
+            let slots: Vec<usize> = t.live_slots().collect();
+            let mut index = ItemIndex::new(&t);
+            let mut scratch = ItemScratch::default();
+            for size in 1..=4usize {
+                let mut attrs: Vec<AttrId> = Vec::new();
+                while attrs.len() < size.min(width) {
+                    let a = rng.gen_range(0..width);
+                    if !attrs.contains(&a) {
+                        attrs.push(a);
+                    }
+                }
+                if size == 4 {
+                    attrs.push(attrs[0]);
+                }
+                let set = attr_set(attrs.iter().copied());
+                for &a in &set {
+                    index.index_attr(a);
+                }
+                let want = oracle::Partition::build(&t, &attrs, &slots, rng.gen_range(1..=4));
+                let first = index.partition(set[0]);
+                let mut built = vec![match set.len() {
+                    1 => first.clone(),
+                    _ => extend_partition(&index, first, &set[1..], &mut scratch),
+                }];
+                for len in 2..set.len() {
+                    let prefix = extend_partition(&index, first, &set[1..len], &mut scratch);
+                    built.push(extend_partition(&index, &prefix, &set[len..], &mut scratch));
+                }
+                for part in built {
+                    let class_of = part.class_of(t.slots());
+                    let got: Vec<u32> = slots.iter().map(|&slot| class_of[slot]).collect();
+                    assert_eq!(got, want.class_of, "seed {seed}: {attrs:?}");
+                    assert_eq!(part.len(), want.len(), "seed {seed}: {attrs:?}");
+                }
             }
         }
     }

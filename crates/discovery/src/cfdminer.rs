@@ -38,13 +38,12 @@
 //! straight into mined CFDs.
 
 use crate::engine::DiscoveryStats;
-use crate::items::{ItemId, ItemIndex};
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_obs::JobProfile;
 use revival_relation::groupby::hash_words;
+use revival_relation::partition::{ItemId, ItemIndex};
 use revival_relation::{GroupBy, Table, Value};
-use std::borrow::Cow;
 use std::fmt::Write;
 use std::ops::Range;
 use std::time::Instant;
@@ -267,15 +266,19 @@ pub(crate) fn mine_indexed(
     let min_support = options.min_support.max(1);
 
     // Level 1 is the index itself: every frequent item with its rows
-    // (an infrequent item is pruned, never a candidate).
+    // (an infrequent item is pruned, never a candidate), copied into
+    // the level's arena.
     let frequent: Vec<ItemId> =
-        (0..index.len() as ItemId).filter(|&id| index.row_range(id).len() >= min_support).collect();
-    let mut level = Level {
-        size: 1,
-        rows: frequent.iter().map(|&id| index.row_range(id)).collect(),
-        items: frequent,
-    };
-    let mut arena: Cow<'_, [u32]> = Cow::Borrowed(index.all_rows());
+        (0..index.len() as ItemId).filter(|&id| index.rows(id).len() >= min_support).collect();
+    let mut arena: Vec<u32> =
+        Vec::with_capacity(frequent.iter().map(|&id| index.rows(id).len()).sum());
+    let mut rows = Vec::with_capacity(frequent.len());
+    for &id in &frequent {
+        let start = arena.len();
+        arena.extend_from_slice(index.rows(id));
+        rows.push(start..arena.len());
+    }
+    let mut level = Level { size: 1, rows, items: frequent };
     let mut stats = DiscoveryStats {
         candidates_pruned: index.len() - level.len(),
         support_rows_touched: arity * table.len(),
@@ -323,7 +326,7 @@ pub(crate) fn mine_indexed(
             }
             parents = Some((std::mem::replace(&mut level, next), sets));
             std::mem::swap(&mut closures, &mut parent_closures);
-            (arena, touched) = (Cow::Owned(next_arena), read);
+            (arena, touched) = (next_arena, read);
             pruned = candidates - level.len();
             stats.candidates_pruned += pruned;
             stats.support_rows_touched += touched;

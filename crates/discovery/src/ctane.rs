@@ -11,8 +11,7 @@
 //! pattern's error is a sum of the class errors the product already
 //! gave — one read per class, no row of the sub-instance regrouped.
 
-use crate::items::{ItemId, ItemIndex};
-use crate::partition::Partition;
+use revival_relation::partition::{ItemId, ItemIndex, Partition};
 
 /// The `g3` error of `X → A` under `attr = v` for each probed item
 /// `(attr, v)`, `attr ∈ X`: the sum of the errors (`class_errors`, from
@@ -42,10 +41,10 @@ pub(crate) fn condition_errors(
 mod tests {
     use super::*;
     use crate::engine::{DiscoverOptions, DiscoveryStats};
-    use crate::partition::tests::{lhs_sets, partition_of, random_table};
-    use crate::partition::ItemScratch;
+    use crate::testkit::{lhs_sets, partition_of, random_table};
     use revival_constraints::pattern::PatternValue;
     use revival_constraints::Cfd;
+    use revival_relation::partition::ItemScratch;
     use revival_relation::{Schema, Table, Type};
 
     /// The row probe the class-error sums replaced, kept verbatim as
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn pattern_probe_matches_oracle() {
         let t = table();
-        let index = crate::items::ItemIndex::build(&t);
+        let index = ItemIndex::build(&t);
         let item_of = |value: &str| {
             let sym = t.pool().lookup(&value.into()).unwrap();
             index.items_of(0).find(|&id| index.item(id).1 == sym).unwrap()
@@ -227,7 +226,7 @@ mod tests {
     fn class_error_sums_agree_with_the_replaced_row_probe() {
         for seed in 0..400u64 {
             let t = random_table(seed);
-            let index = crate::items::ItemIndex::build(&t);
+            let index = ItemIndex::build(&t);
             let mut scratch = ItemScratch::new(&index);
             let arity = t.schema().arity();
             for x in lhs_sets(arity) {
@@ -264,7 +263,7 @@ mod tests {
         // |X| · |π_X| reads, where regrouping the conditioned rows read
         // |X| · n.
         let t = table();
-        let index = crate::items::ItemIndex::build(&t);
+        let index = ItemIndex::build(&t);
         let classes = |x: &[usize]| partition_of(&index, x).len();
         for max_lhs in [1, 2] {
             let (cfds, stats) = ctane(&t, max_lhs, 1, 8);

@@ -41,12 +41,12 @@
 use crate::cfdminer::{self, MinedRules, MinerOptions};
 use crate::ind_disc;
 pub use crate::ind_disc::MinedCind;
-use crate::items::ItemIndex;
 use crate::tane;
 use revival_constraints::analysis::{self, CoverReport, Outcome};
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_relation::groupby::hash_words;
+use revival_relation::partition::ItemIndex;
 use revival_relation::{AttrId, Catalog, Error, GroupBy, Result, Table};
 use std::ops::Range;
 use std::time::Instant;

@@ -19,8 +19,10 @@
 //! support/confidence, the vetted minimal cover
 //! (`constraints::analysis`), CIND candidates on catalog jobs, and
 //! [`engine::DiscoveryStats`] reporting every search bound and the rows
-//! support counting read. A job builds one *item index* per table —
-//! for every `(attribute, Sym)` the ascending live rows carrying it —
+//! support counting read. A job builds one *item index* per table
+//! ([`revival_relation::partition::ItemIndex`], the index detection
+//! groups by too) — for every `(attribute, Sym)` the ascending live
+//! rows carrying it —
 //! and support is only ever counted over those row lists: a child
 //! itemset's rows are its parent's, bucketed on one more column. The
 //! lattice's stripped partitions are lists of the same rows, and a
@@ -32,16 +34,13 @@
 //! any `jobs` count; the constant miner, down to Σ parent supports per
 //! level, runs on the caller. Confidence (`1 − g3/support`, from the
 //! per-class errors of TANE's linear partition product in
-//! [`partition`]) makes discovery usable on *dirty* data:
+//! [`revival_relation::partition`]) makes discovery usable on *dirty* data:
 //! `min_confidence < 1.0` recovers the planted dependencies noise has
 //! chipped.
 //!
 //! The engine layer is the one way in to discovery; the modules behind
 //! it are its parts:
 //!
-//! * [`partition`] — stripped partitions over live rows and their
-//!   product, which yields each class's `g3` error: the engine room of
-//!   TANE;
 //! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`]),
 //!   plain and conditional rules alike;
 //! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner)
@@ -61,9 +60,9 @@ pub mod cfdminer;
 pub mod ctane;
 pub mod engine;
 pub mod ind_disc;
-mod items;
-pub mod partition;
 pub mod tane;
+#[cfg(test)]
+mod testkit;
 
 pub use cfdminer::mine_constant_cfds;
 pub use engine::{

@@ -7,7 +7,7 @@
 //! are required and must match the schema's attribute names when a schema
 //! is provided.
 //!
-//! Every reader sits on one [`Scanner`], which hands out each field as a
+//! Every reader sits on one `Scanner`, which hands out each field as a
 //! `&str` borrowed from the input (copied to a scratch buffer only when
 //! unescaping changes its bytes). The table loaders turn a field into a
 //! typed pool key and intern it straight into the columns, so a cell

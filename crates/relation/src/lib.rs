@@ -23,7 +23,10 @@
 //!   paper generates (`SELECT … FROM … WHERE … GROUP BY … HAVING …`,
 //!   inner joins, `COUNT(DISTINCT …)`);
 //! * the scoped-thread sharding primitive (module [`parallel`]) that
-//!   detect, repair and discovery split their scans with.
+//!   detect, repair and discovery split their scans with;
+//! * item-indexed partitions (module [`partition`]): per-attribute row
+//!   lists and the TANE partitions built from them, the one grouping
+//!   detect and discovery share.
 //!
 //! ## Quick tour
 //!
@@ -50,6 +53,7 @@ pub mod expr;
 pub mod groupby;
 pub mod index;
 pub mod parallel;
+pub mod partition;
 pub mod pool;
 pub mod schema;
 pub mod snapshot;

@@ -10,7 +10,7 @@
 //! NaN-normalising float order are preserved exactly).
 //!
 //! The pool is its own hash table: an open-addressing array of symbol
-//! indices over the value list, probed by a *borrowed* [`Key`] (`&str` /
+//! indices over the value list, probed by a *borrowed* `Key` (`&str` /
 //! `i64` / `f64` / null), so interning a cell allocates only the first
 //! time its value is seen and no value is stored twice. Symbols are
 //! issued in first-seen order, which is all any consumer observes — the

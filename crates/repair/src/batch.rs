@@ -343,7 +343,8 @@ impl BatchRepair {
     /// One detection round of a repair over the merged suite. When
     /// profiling, the detect engine's per-constraint profile (wall,
     /// groups, rows) merges into the repair profile — meta is dropped
-    /// so per-pass merges don't multiply suite-size counts.
+    /// so per-pass merges don't multiply suite-size counts, and the
+    /// scan's phases too: the repair's own `detect` phase times them.
     fn detect_step(
         &self,
         table: &Table,
@@ -356,6 +357,7 @@ impl BatchRepair {
         };
         let (report, mut dp) = engine.run_profiled(&job)?;
         dp.meta.clear();
+        dp.phases.clear();
         p.merge(&dp);
         Ok(report)
     }

@@ -9,7 +9,7 @@
 //! `report`) take shared locks, writes serialise only against their own
 //! shard.
 //!
-//! Fault containment, per request: [`handle_connection`] wraps every
+//! Fault containment, per request: the connection handler wraps every
 //! request in [`std::panic::catch_unwind`], so a panicking request
 //! answers a typed JSON error instead of killing its worker; every
 //! lock acquisition in the stack recovers from poisoning

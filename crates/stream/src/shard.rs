@@ -252,7 +252,7 @@ pub struct RestoreSummary {
 /// The sharded serve tier: routing, per-shard locking, WAL,
 /// checkpoints. [`crate::server::Server`] is this plus TCP.
 ///
-/// A thin handle over the shared [`Tier`]: background checkpointer
+/// A thin handle over the shared tier state: background checkpointer
 /// threads hold their own `Arc` to the same tier, and dropping the
 /// handle stops and joins them *without* checkpointing — a plain drop
 /// stays a faithful crash simulation for the recovery tests.

@@ -394,3 +394,21 @@ fn detect_groups_each_attribute_set_once() {
         assert_eq!(grouped, partitions * n, "jobs={jobs}: each partition groups the {n} rows once");
     }
 }
+
+/// The regression guard for "someone brought back hashing tuples to
+/// group them": detection reads every partition off item ids, so the
+/// profile's `rows_hashed` is 0 on a mined suite at any shard count —
+/// while `rows_grouped` still counts one grouped row per tuple per
+/// partition.
+#[test]
+fn detect_hashes_no_row() {
+    let (dirty, mined) = mined_hospital(1_000);
+    for jobs in [1usize, 4] {
+        let job = DetectJob::on_table(&dirty, &mined);
+        let (_, profile) = ParallelEngine::new(jobs).run_profiled(&job).unwrap();
+        let hashed = profile.meta_get("rows_hashed").expect("the scan counts the rows it hashes");
+        let grouped = profile.meta_get("rows_grouped").expect("the scan counts its grouping");
+        assert_eq!(hashed, 0, "jobs={jobs}: {hashed} row(s) hashed to group {grouped}");
+        assert!(grouped > 0, "jobs={jobs}: the mined suite groups its rows");
+    }
+}
