@@ -10,7 +10,7 @@
 
 use revival_bench::{customer_workload, full_mode, ms, print_table, repairable_attrs, timed};
 use revival_constraints::{Cfd, PatternRow};
-use revival_detect::{DetectJob, Detector, NativeEngine, SqlEngine, Violation};
+use revival_detect::{sqlgen, DetectJob, Detector, NativeEngine, SqlEngine, Violation};
 use revival_dirty::customer::{attrs, generate, scaled_suite, standard_cfds, CustomerConfig};
 use revival_dirty::noise::{inject, DirtyDataset, NoiseConfig};
 use revival_relation::{Table, TupleId, Value};
@@ -165,15 +165,25 @@ fn detection_scaling(out: &mut dyn Write) -> io::Result<()> {
 /// pre-merged by embedded FD. Expected: equal — the engine scans once
 /// per embedded FD either way; both grow only with the constant rows
 /// each tuple is checked against, never with the number of scans.
+/// `sql_queries` is the SQL oracle's work as a count (split/merged):
+/// it stores a tableau as relations, one query per wildcard mask and
+/// RHS kind, so the merged suite's count is flat in `|T_p|` (asserted).
 fn tableau_size(out: &mut dyn Write) -> io::Result<()> {
     let n = if full_mode() { 80_000 } else { 20_000 };
     writeln!(out, "E2: detection vs tableau size ({n} tuples, noise 5%)")?;
     let data = generate(&CustomerConfig { rows: n, ..Default::default() });
     let ds = inject(&data.table, &NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY], 2));
+    let queries = |suite: &[Cfd]| -> usize {
+        let generated = suite.iter().map(|c| sqlgen::generate(c, ds.dirty.schema()));
+        generated.map(|q| q.constant.len() + q.variable.len()).sum()
+    };
     let mut rows = Vec::new();
+    let mut merged_queries = None;
     for k in [1, 2, 4, 8, 16, 32] {
         let suite = scaled_suite(&data, k);
         let merged_suite = revival_constraints::cfd::merge_by_embedded_fd(&suite);
+        let merged_q = *merged_queries.get_or_insert(queries(&merged_suite));
+        assert_eq!(queries(&merged_suite), merged_q, "the merged suite's queries grew at k={k}");
         let (split, split_t) =
             timed(|| NativeEngine.run(&DetectJob::on_table(&ds.dirty, &suite)).unwrap());
         let (merged, merged_t) =
@@ -186,11 +196,12 @@ fn tableau_size(out: &mut dyn Write) -> io::Result<()> {
         rows.push(vec![
             suite.len().to_string(),
             merged_suite.len().to_string(),
+            format!("{}/{merged_q}", queries(&suite)),
             ms(split_t),
             ms(merged_t),
         ]);
     }
-    print_table(out, &["cfds", "merged_cfds", "split_ms", "merged_ms"], &rows)
+    print_table(out, &["cfds", "merged_cfds", "sql_queries", "split_ms", "merged_ms"], &rows)
 }
 
 /// The traditional counterpart of a CFD suite: same embedded FDs, all

@@ -297,11 +297,15 @@ impl Detector for NativeEngine {
     }
 }
 
-/// The two-query SQL encoding of Fan et al. (TODS 2008), executed on
-/// the bundled SQL engine ([`crate::sqlgen`]) — one query pair per CFD,
-/// independent of the native scan's grouping. CINDs fall back to the
-/// native witness probe (their `NOT EXISTS` encoding is outside the
-/// SQL subset — see `cind::generate_sql`).
+/// The SQL encoding of Fan et al. (TODS 2008), executed on the bundled
+/// SQL engine ([`crate::sqlgen`]): each CFD's tableau is stored as
+/// relations, one per wildcard mask and RHS kind, and each costs one
+/// query joining the data to it — a count that follows the masks, not
+/// `|T_p|`, and shares nothing with the native scan's grouping. eCFD
+/// rows keep one inline query each. The tableau relations sit beside
+/// the job's tables; no table is copied. CINDs fall back to the native
+/// witness probe (their `NOT EXISTS` encoding is outside the dialect —
+/// see `cind::generate_sql`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SqlEngine;
 
@@ -316,23 +320,7 @@ impl Detector for SqlEngine {
         profile: Option<&mut revival_obs::JobProfile>,
     ) -> Result<ViolationReport> {
         job.validate()?;
-        // The SQL executor resolves relation names against a catalog;
-        // single-table jobs get a throwaway one.
-        let owned;
-        let catalog = match job.catalog() {
-            Some(c) => c,
-            None => {
-                let mut c = Catalog::new();
-                for cfd in job.cfds {
-                    if c.get(&cfd.relation).is_err() {
-                        c.register(job.table(&cfd.relation)?.clone());
-                    }
-                }
-                owned = c;
-                &owned
-            }
-        };
-        let mut report = crate::sqlgen::detect_all(catalog, job.cfds)?;
+        let mut report = crate::sqlgen::detect_all(job)?;
         detect_cinds(job, 1, profile, &mut report.violations)?;
         Ok(report)
     }

@@ -1,35 +1,56 @@
 //! SQL-based detection — the encoding of Fan et al. (TODS 2008) that
-//! Semandaq runs against a DBMS.
+//! Semandaq runs against a DBMS: the tableau is a relation.
 //!
-//! For a normal-form CFD `φ = (R: X → A, Tp)` the paper generates two
-//! queries per pattern row `tp`:
+//! For a normal-form CFD `φ = (R: X → A, T_p)`, the `=` / `_` rows of
+//! `T_p` are stored as relations, one per *wildcard mask* (which LHS
+//! positions hold a constant) and RHS kind. Each holds a `row#` column
+//! (the row's index in `T_p`), the mask's constant LHS columns and, for
+//! constant rows, `A`. Each such relation `T` costs one query, whose
+//! text depends on `X`, `A` and the mask and never on `|T_p|`:
 //!
-//! * **`Q_c`** — constant rows (`tp[A] = c`): select the tuples that
-//!   match the LHS pattern but carry a different RHS value:
-//!
-//!   ```sql
-//!   SELECT * FROM R WHERE x1 = 'c1' AND … AND A <> 'c'
-//!   ```
-//!
-//! * **`Q_v`** — variable rows (`tp[A] = _`): select LHS groups holding
-//!   more than one RHS value among pattern-matching tuples:
+//! * **`Q_c`** — constant rows: tuples that match a row's LHS constants
+//!   but carry another RHS value:
 //!
 //!   ```sql
-//!   SELECT X FROM R WHERE x1 = 'c1' AND …
-//!   GROUP BY X HAVING COUNT(DISTINCT A) > 1
+//!   SELECT p.row#, t.x1, t.x2 FROM R t JOIN tableau# p ON t.x1 = p.x1
+//!   WHERE t.A <> p.A GROUP BY p.row#, t.x1, t.x2
 //!   ```
 //!
-//! The queries run on `revival-relation`'s SQL engine; violating tuple
-//! ids are then materialised by probing an [`Index`] over the table's
-//! own symbols with the keys the queries return, giving a
-//! [`ViolationReport`] identical to the native detector's (asserted by
-//! tests here and in `tests/`).
+//! * **`Q_v`** — variable rows: LHS groups holding more than one RHS
+//!   value among the tuples that match a row:
+//!
+//!   ```sql
+//!   SELECT p.row#, t.x1, t.x2 FROM R t JOIN tableau# p ON t.x1 = p.x1
+//!   GROUP BY p.row#, t.x1, t.x2 HAVING COUNT(DISTINCT t.A) > 1
+//!   ```
+//!
+//! A mask with no constant joins `ON TRUE`. The relation is per mask
+//! because one `T_p` relation would need `ON (p.x = '_' OR t.x = p.x)`,
+//! which has no equi key: a nested loop over `|D| × |T_p|` pairs. Per
+//! mask every join is a hash join, and its size is Σ over masks of `|D|`
+//! × that mask's degree (the most rows sharing one key).
+//!
+//! eCFD rows (`≠ c`, `∈ {…}`) have no equi key to store, so each keeps
+//! one query with its patterns inlined, selecting its row index as a
+//! literal: `SELECT 3, x1, x2 FROM R WHERE x1 IN ('a', 'b') AND A <> 'c'
+//! GROUP BY x1, x2`.
+//!
+//! Every query returns `[row, X…]`. The queries run on
+//! `revival-relation`'s SQL engine; violating tuple ids are then
+//! materialised by probing an [`Index`] over the table's own symbols
+//! with the keys returned, giving a [`ViolationReport`] identical to the
+//! native detector's up to order (asserted here and in `tests/`).
 
+use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
-use revival_constraints::pattern::{PatternRow, PatternValue};
-use revival_relation::sql;
-use revival_relation::{Catalog, Index, Result, Schema, Value};
+use revival_constraints::pattern::PatternValue;
+use revival_relation::sql::{self, Relations};
+use revival_relation::{Index, Result, Schema, Table, Type, Value};
+
+/// The name every tableau relation goes by: `#` keeps it apart from
+/// any relation constraint text can name.
+const TABLEAU: &str = "tableau#";
 
 /// Quote a value for embedding in generated SQL.
 fn sql_literal(v: &Value) -> String {
@@ -42,141 +63,148 @@ fn sql_literal(v: &Value) -> String {
     }
 }
 
-/// The SQL condition asserting a value matches a pattern, or `None` for
-/// wildcards (no restriction).
-fn pattern_condition(attr: &str, p: &PatternValue) -> Option<String> {
+/// The SQL condition asserting a value matches a pattern (`holds`) or
+/// falsifies it, or `None` for wildcards (no restriction).
+fn pattern_condition(attr: &str, p: &PatternValue, holds: bool) -> Option<String> {
+    let (eq, ne, is_in) = if holds { ("=", "<>", "IN") } else { ("<>", "=", "NOT IN") };
     match p {
         PatternValue::Wildcard => None,
-        PatternValue::Const(c) => Some(format!("{attr} = {}", sql_literal(c))),
-        PatternValue::NotConst(c) => Some(format!("{attr} <> {}", sql_literal(c))),
+        PatternValue::Const(c) => Some(format!("{attr} {eq} {}", sql_literal(c))),
+        PatternValue::NotConst(c) => Some(format!("{attr} {ne} {}", sql_literal(c))),
         PatternValue::OneOf(cs) => Some(format!(
-            "{attr} IN ({})",
+            "{attr} {is_in} ({})",
             cs.iter().map(sql_literal).collect::<Vec<_>>().join(", ")
         )),
     }
 }
 
-/// The SQL condition asserting a value *falsifies* a pattern.
-fn pattern_violation_condition(attr: &str, p: &PatternValue) -> Option<String> {
-    match p {
-        PatternValue::Wildcard => None,
-        PatternValue::Const(c) => Some(format!("{attr} <> {}", sql_literal(c))),
-        PatternValue::NotConst(c) => Some(format!("{attr} = {}", sql_literal(c))),
-        PatternValue::OneOf(cs) => Some(format!(
-            "{attr} NOT IN ({})",
-            cs.iter().map(sql_literal).collect::<Vec<_>>().join(", ")
-        )),
-    }
-}
-
-/// The WHERE conjuncts binding a tableau row's non-wildcard LHS patterns.
-fn lhs_conditions(cfd: &Cfd, row: &PatternRow, schema: &Schema) -> Vec<String> {
-    row.lhs
-        .iter()
-        .zip(&cfd.lhs)
-        .filter_map(|(p, &a)| pattern_condition(schema.attr_name(a), p))
-        .collect()
-}
-
-/// Generated detection queries for one CFD.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Generated detection queries for one CFD. Each query comes with the
+/// tableau relation it joins (named `tableau#`), or `None` for an eCFD
+/// row's inline query.
+#[derive(Clone, Debug, Default)]
 pub struct DetectionQueries {
-    /// One `Q_c` per constant tableau row: `(tableau_row_idx, sql)`.
-    pub constant: Vec<(usize, String)>,
-    /// One `Q_v` per variable tableau row: `(tableau_row_idx, sql)`.
-    pub variable: Vec<(usize, String)>,
+    /// One `Q_c` per (mask, constant RHS) relation and per constant eCFD row.
+    pub constant: Vec<(Option<Table>, String)>,
+    /// One `Q_v` per (mask, `_` RHS) relation and per variable eCFD row.
+    pub variable: Vec<(Option<Table>, String)>,
 }
 
 /// Generate the two-query encoding for `cfd`.
 pub fn generate(cfd: &Cfd, schema: &Schema) -> DetectionQueries {
-    let lhs_names: Vec<&str> = cfd.lhs.iter().map(|&a| schema.attr_name(a)).collect();
-    let rhs_name = schema.attr_name(cfd.rhs);
-    let mut constant = Vec::new();
-    let mut variable = Vec::new();
+    let name = |a: usize| schema.attr_name(a);
+    let rel = &cfd.relation;
+    let rhs = name(cfd.rhs);
+    let x = cfd.lhs.iter().map(|&a| format!("t.{}", name(a))).collect::<Vec<_>>().join(", ");
+    let bare_x = cfd.lhs.iter().map(|&a| name(a)).collect::<Vec<_>>().join(", ");
+    let plain = |p: &PatternValue| matches!(p, PatternValue::Wildcard | PatternValue::Const(_));
+    let mut queries = DetectionQueries::default();
+    // (mask, constant RHS?, tableau rows), in first-seen order.
+    let mut groups: Vec<(Vec<bool>, bool, Vec<usize>)> = Vec::new();
     for (i, row) in cfd.tableau.iter().enumerate() {
-        let mut conds = lhs_conditions(cfd, row, schema);
-        match &row.rhs {
-            rhs_pat @ (PatternValue::Const(_)
-            | PatternValue::NotConst(_)
-            | PatternValue::OneOf(_)) => {
-                conds.extend(pattern_violation_condition(rhs_name, rhs_pat));
-                let where_clause = conds.join(" AND ");
-                constant.push((
-                    i,
-                    format!(
-                        "SELECT {} FROM {} WHERE {}",
-                        lhs_names.join(", "),
-                        cfd.relation,
-                        where_clause
-                    ),
-                ));
+        if row.lhs.iter().all(plain) && plain(&row.rhs) {
+            let mask: Vec<bool> = row.lhs.iter().map(|p| !p.is_wildcard()).collect();
+            let constant = row.is_constant_row();
+            match groups.iter_mut().find(|(m, c, _)| *m == mask && *c == constant) {
+                Some((_, _, rows)) => rows.push(i),
+                None => groups.push((mask, constant, vec![i])),
             }
-            PatternValue::Wildcard => {
-                let where_clause = if conds.is_empty() {
-                    String::new()
-                } else {
-                    format!(" WHERE {}", conds.join(" AND "))
-                };
-                variable.push((
-                    i,
-                    format!(
-                        "SELECT {cols} FROM {rel}{where} GROUP BY {cols} \
-                         HAVING COUNT(DISTINCT {rhs}) > 1",
-                        cols = lhs_names.join(", "),
-                        rel = cfd.relation,
-                        where = where_clause,
-                        rhs = rhs_name,
-                    ),
-                ));
-            }
+            continue;
+        }
+        // An eCFD row: its `≠` / `∈` pattern leaves the WHERE non-empty.
+        let lhs = row.lhs.iter().zip(&cfd.lhs).map(|(p, &a)| pattern_condition(name(a), p, true));
+        let conds: Vec<String> =
+            lhs.chain([pattern_condition(rhs, &row.rhs, false)]).flatten().collect();
+        let q = format!(
+            "SELECT {i}, {bare_x} FROM {rel} WHERE {} GROUP BY {bare_x}",
+            conds.join(" AND ")
+        );
+        if row.is_constant_row() {
+            queries.constant.push((None, q));
+        } else {
+            queries.variable.push((None, format!("{q} HAVING COUNT(DISTINCT {rhs}) > 1")));
         }
     }
-    DetectionQueries { constant, variable }
+    for (mask, constant, rows) in groups {
+        let keyed: Vec<usize> =
+            cfd.lhs.iter().zip(&mask).filter(|(_, &k)| k).map(|(&a, _)| a).collect();
+        let columns = keyed.iter().chain(constant.then_some(&cfd.rhs));
+        let attr = |&a: &usize| (name(a), schema.attribute(a).ty);
+        let tableau_schema = columns
+            .map(attr)
+            .fold(Schema::builder(TABLEAU).attr("row#", Type::Int), |b, (n, ty)| b.attr(n, ty));
+        let mut tableau = Table::new(tableau_schema.build());
+        for i in rows {
+            let tp = &cfd.tableau[i];
+            let consts = tp.lhs.iter().chain(constant.then_some(&tp.rhs));
+            let row = std::iter::once(Value::Int(i as i64))
+                .chain(consts.filter_map(PatternValue::as_const).cloned())
+                .collect();
+            tableau.push_unchecked(row);
+        }
+        let on: Vec<String> = keyed.iter().map(|&a| format!("t.{0} = p.{0}", name(a))).collect();
+        let on = if on.is_empty() { "TRUE".to_string() } else { on.join(" AND ") };
+        let head = format!("SELECT p.row#, {x} FROM {rel} t JOIN {TABLEAU} p ON {on}");
+        if constant {
+            let q = format!("{head} WHERE t.{rhs} <> p.{rhs} GROUP BY p.row#, {x}");
+            queries.constant.push((Some(tableau), q));
+        } else {
+            let q = format!("{head} GROUP BY p.row#, {x} HAVING COUNT(DISTINCT t.{rhs}) > 1");
+            queries.variable.push((Some(tableau), q));
+        }
+    }
+    queries
 }
 
-/// Run SQL-based detection of `cfds` against a catalog holding their
-/// relations (indices echo into the report) — the oracle behind
-/// [`crate::SqlEngine`].
-///
-/// `Q_c` results are materialised back to tuple ids by probing an index
-/// on the LHS attributes and re-checking the row (the generated query
-/// projects the LHS key, mirroring how Semandaq joins violation keys
-/// back to the source table).
-pub(crate) fn detect_all(catalog: &Catalog, cfds: &[Cfd]) -> Result<ViolationReport> {
-    let mut report = ViolationReport::default();
-    for (cfd_idx, cfd) in cfds.iter().enumerate() {
-        let table = catalog.get(&cfd.relation)?;
-        let queries = generate(cfd, table.schema());
-        // The join back: result keys resolve through the table's pool.
-        let index = Index::build(table, &cfd.lhs);
+/// The job's relations, with the tableau relation a query joins beside
+/// them (no table is copied).
+struct Beside<'a> {
+    job: &'a DetectJob<'a>,
+    tableau: Option<&'a Table>,
+}
 
-        for (row_idx, q) in &queries.constant {
-            let rs = sql::run(q, catalog)?;
-            // Each result row is an LHS key of ≥1 violating tuple; recheck
-            // members to pick exactly the violating ones.
-            for key in &rs.rows {
-                for &tid in index.lookup(key) {
-                    let data = table.get(tid)?;
-                    if cfd.constant_violation(&data) == Some(*row_idx) {
-                        let v = Violation::CfdConstant { cfd: cfd_idx, row: *row_idx, tuple: tid };
-                        if !report.violations.contains(&v) {
-                            report.violations.push(v);
-                        }
+impl Relations for Beside<'_> {
+    fn relation(&self, name: &str) -> Result<&Table> {
+        match self.tableau {
+            Some(tableau) if name == TABLEAU => Ok(tableau),
+            _ => self.job.table(name),
+        }
+    }
+}
+
+/// Run SQL-based detection of the job's CFDs (indices echo into the
+/// report) — the oracle behind [`crate::SqlEngine`].
+///
+/// Each result row `[row, X…]` is an LHS key: `Q_c` keys resolve to
+/// tuple ids through an index on `X`, and each member is rechecked with
+/// [`Cfd::constant_violation`] (a tuple reports the first row it
+/// violates); `Q_v` keys resolve to the conflicting group. `GROUP BY`
+/// returns each (row, key) once, so nothing needs deduplicating.
+pub(crate) fn detect_all(job: &DetectJob<'_>) -> Result<ViolationReport> {
+    let mut report = ViolationReport::default();
+    for (at, cfd) in job.cfds.iter().enumerate() {
+        let table = job.table(&cfd.relation)?;
+        let queries = generate(cfd, table.schema());
+        let index = Index::build(table, &cfd.lhs);
+        // Result rows as (tableau row, LHS key).
+        let run = |(tableau, q): &(Option<Table>, String)| -> Result<Vec<(usize, Vec<Value>)>> {
+            let rows = sql::run(q, &Beside { job, tableau: tableau.as_ref() })?.rows;
+            let row = |r: &mut Vec<Value>| r.remove(0).as_int().expect("a query selects its row");
+            Ok(rows.into_iter().map(|mut r| (row(&mut r) as usize, r)).collect())
+        };
+        for query in &queries.constant {
+            for (row, key) in run(query)? {
+                for &tuple in index.lookup(&key) {
+                    if cfd.constant_violation(&table.get(tuple)?) == Some(row) {
+                        report.violations.push(Violation::CfdConstant { cfd: at, row, tuple });
                     }
                 }
             }
         }
-        for (row_idx, q) in &queries.variable {
-            let rs = sql::run(q, catalog)?;
-            for key in &rs.rows {
-                let tuples: Vec<_> = index.lookup(key).to_vec();
+        for query in &queries.variable {
+            for (row, key) in run(query)? {
+                let tuples = index.lookup(&key).to_vec();
                 if tuples.len() >= 2 {
-                    report.violations.push(Violation::CfdVariable {
-                        cfd: cfd_idx,
-                        row: *row_idx,
-                        key: key.clone(),
-                        tuples,
-                    });
+                    report.violations.push(Violation::CfdVariable { cfd: at, row, key, tuples });
                 }
             }
         }
@@ -189,7 +217,8 @@ mod tests {
     use super::*;
     use crate::engine::{DetectJob, Detector, NativeEngine, SqlEngine};
     use revival_constraints::parser::parse_cfds;
-    use revival_relation::{Schema, Table, Type};
+    use revival_constraints::pattern::PatternRow;
+    use revival_relation::{Schema, Table, TupleId, Type};
 
     fn schema() -> Schema {
         Schema::builder("customer")
@@ -221,15 +250,21 @@ mod tests {
         assert!(q1.constant.is_empty());
         assert_eq!(
             q1.variable[0].1,
-            "SELECT cc, zip FROM customer WHERE cc = '44' \
-             GROUP BY cc, zip HAVING COUNT(DISTINCT street) > 1"
+            "SELECT p.row#, t.cc, t.zip FROM customer t JOIN tableau# p ON t.cc = p.cc \
+             GROUP BY p.row#, t.cc, t.zip HAVING COUNT(DISTINCT t.street) > 1"
         );
         let q2 = generate(&cfds[1], &s);
         assert!(q2.variable.is_empty());
         assert_eq!(
             q2.constant[0].1,
-            "SELECT cc, zip FROM customer WHERE cc = '01' AND zip = '07974' AND city <> 'mh'"
+            "SELECT p.row#, t.cc, t.zip FROM customer t JOIN tableau# p \
+             ON t.cc = p.cc AND t.zip = p.zip WHERE t.city <> p.city GROUP BY p.row#, t.cc, t.zip"
         );
+        // The constants travel in the tableau relation: `row#`, the
+        // mask's LHS constants, the RHS.
+        let tableau = q2.constant[0].0.as_ref().unwrap();
+        let rows: Vec<Vec<Value>> = tableau.rows().map(|(_, r)| r).collect();
+        assert_eq!(rows, vec![vec![Value::Int(0), "01".into(), "07974".into(), "mh".into()]]);
     }
 
     #[test]
@@ -267,17 +302,24 @@ mod tests {
     #[test]
     fn integer_constants_in_queries() {
         let s = Schema::builder("r").attr("a", Type::Int).attr("b", Type::Str).build();
-        let cfds = parse_cfds("r([a=7] -> [b='x'])", &s).unwrap();
+        let cfds = parse_cfds("r([a=7] -> [b='x'])\nr([a!=7] -> [b='z'])", &s).unwrap();
         let q = generate(&cfds[0], &s);
-        assert_eq!(q.constant[0].1, "SELECT a FROM r WHERE a = 7 AND b <> 'x'");
+        let tableau = q.constant[0].0.as_ref().unwrap();
+        assert_eq!(
+            tableau.get(TupleId(0)).unwrap(),
+            vec![Value::Int(0), Value::Int(7), "x".into()]
+        );
+        // An eCFD row inlines its constants, and selects its row index.
+        let q = generate(&cfds[1], &s);
+        assert_eq!(q.constant[0].1, "SELECT 0, a FROM r WHERE a <> 7 AND b <> 'z' GROUP BY a");
         // Execute it end-to-end.
         let mut t = Table::new(s);
         t.push(vec![Value::Int(7), "y".into()]).unwrap(); // violation
         t.push(vec![Value::Int(7), "x".into()]).unwrap();
-        t.push(vec![Value::Int(8), "z".into()]).unwrap();
+        t.push(vec![Value::Int(8), "w".into()]).unwrap(); // violates the eCFD
         let report = SqlEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report.violating_tuples().len(), 1);
+        assert_eq!(report.len(), 2); // t0 breaks the first CFD, t2 the second
+        assert_eq!(report.violating_tuples().len(), 2);
     }
 
     #[test]
@@ -287,7 +329,34 @@ mod tests {
         let q = generate(&cfds[0], &s);
         assert_eq!(
             q.variable[0].1,
-            "SELECT zip FROM customer GROUP BY zip HAVING COUNT(DISTINCT street) > 1"
+            "SELECT p.row#, t.zip FROM customer t JOIN tableau# p ON TRUE \
+             GROUP BY p.row#, t.zip HAVING COUNT(DISTINCT t.street) > 1"
         );
+    }
+
+    /// The paper's encoding: one query per (wildcard mask, RHS kind),
+    /// whose text does not grow with the tableau.
+    #[test]
+    fn one_query_per_mask_and_rhs_kind() {
+        let s = schema();
+        let c = |v: String| PatternValue::Const(Value::from(v));
+        let row = |i: usize, mask: [bool; 2], constant: bool| {
+            let lhs =
+                mask.iter().map(|&k| if k { c(format!("v{i}")) } else { PatternValue::Wildcard });
+            let rhs = if constant { c(format!("r{i}")) } else { PatternValue::Wildcard };
+            PatternRow::new(lhs.collect(), rhs)
+        };
+        let kinds = [([true, false], true), ([true, true], true), ([true, true], false)];
+        let cfd = |n: usize, kinds: &[([bool; 2], bool)]| {
+            let rows = (0..n).flat_map(|i| kinds.iter().map(move |&(m, k)| row(i, m, k)));
+            Cfd::new(&s, &["cc", "zip"], "city", rows.collect()).unwrap()
+        };
+        let q = generate(&cfd(50, &kinds), &s);
+        assert_eq!((q.constant.len(), q.variable.len()), (2, 1));
+        assert!(q.constant.iter().all(|(t, _)| t.as_ref().unwrap().len() == 50));
+        let one = generate(&cfd(1, &kinds[..1]), &s);
+        let thousand = generate(&cfd(1_000, &kinds[..1]), &s);
+        assert_eq!(one.constant[0].1, thousand.constant[0].1);
+        assert_eq!(thousand.constant[0].0.as_ref().unwrap().len(), 1_000);
     }
 }

@@ -37,6 +37,8 @@ thread_local! {
 /// Begin collecting trace events (idempotent). The first call pins the trace
 /// epoch; event timestamps are microseconds since that instant.
 pub fn enable() {
+    // Registered here so an exposition reads 0 until an event drops.
+    crate::global().counter("trace_events_dropped_total");
     EPOCH.get_or_init(Instant::now);
     ACTIVE.store(true, Ordering::Release);
 }

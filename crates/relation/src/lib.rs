@@ -17,11 +17,10 @@
 //! * an on-disk snapshot format (module [`snapshot`], `.sdq` files):
 //!   one read and one decode pass to open;
 //! * CSV reading/writing (module [`csv`]);
-//! * scalar [`expr::Expr`]essions with an evaluator;
-//! * a SQL subset (module [`sql`]) — lexer, parser, logical planner and
-//!   executor — rich enough to run the detection queries that the CFD
-//!   paper generates (`SELECT … FROM … WHERE … GROUP BY … HAVING …`,
-//!   inner joins, `COUNT(DISTINCT …)`);
+//! * the SQL dialect of the detection oracle (module [`sql`]) — lexer,
+//!   parser, planner and executor for exactly the queries the CFD
+//!   paper's encoding generates (`SELECT … FROM … JOIN … ON … WHERE …
+//!   GROUP BY … HAVING COUNT(DISTINCT …) > 1`);
 //! * the scoped-thread sharding primitive (module [`parallel`]) that
 //!   detect, repair and discovery split their scans with;
 //! * item-indexed partitions (module [`partition`]): per-attribute row
@@ -49,7 +48,6 @@
 pub mod csv;
 pub mod durable;
 pub mod error;
-pub mod expr;
 pub mod groupby;
 pub mod index;
 pub mod parallel;
@@ -62,7 +60,6 @@ pub mod table;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use expr::Expr;
 pub use groupby::{ColProj, GroupBy, KeyProj};
 pub use index::Index;
 pub use parallel::{map_chunks, resolve_jobs};

@@ -1,5 +1,6 @@
 //! SQL abstract syntax.
 
+use super::expr::CmpOp;
 use crate::value::Value;
 
 /// A (possibly qualified) column reference `[table.]name`.
@@ -9,42 +10,18 @@ pub struct ColumnRef {
     pub column: String,
 }
 
-/// Aggregate functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Aggregate {
-    CountStar,
-    Count { distinct: bool },
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-/// Scalar-level SQL expression (pre-name-resolution).
+/// A scalar or boolean SQL expression (before name resolution).
 #[derive(Clone, Debug, PartialEq)]
 pub enum SqlExpr {
     Column(ColumnRef),
     Literal(Value),
-    Cmp(crate::expr::CmpOp, Box<SqlExpr>, Box<SqlExpr>),
+    Cmp(CmpOp, Box<SqlExpr>, Box<SqlExpr>),
     And(Box<SqlExpr>, Box<SqlExpr>),
     Or(Box<SqlExpr>, Box<SqlExpr>),
     Not(Box<SqlExpr>),
-    IsNull(Box<SqlExpr>),
-    IsNotNull(Box<SqlExpr>),
     InList(Box<SqlExpr>, Vec<Value>),
-    Like(Box<SqlExpr>, String),
-    Arith(crate::expr::ArithOp, Box<SqlExpr>, Box<SqlExpr>),
-    /// Aggregate call; the inner expression is `None` for `COUNT(*)`.
-    Agg(Aggregate, Option<Box<SqlExpr>>),
-}
-
-/// One item in the SELECT list.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SelectItem {
-    /// `*`
-    Wildcard,
-    /// `expr [AS alias]`
-    Expr { expr: SqlExpr, alias: Option<String> },
+    /// `COUNT(DISTINCT e)`, the one aggregate.
+    CountDistinct(Box<SqlExpr>),
 }
 
 /// A FROM-clause table with optional alias.
@@ -61,24 +38,14 @@ impl TableRef {
     }
 }
 
-/// An `ORDER BY` key.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OrderKey {
-    pub expr: SqlExpr,
-    pub desc: bool,
-}
-
 /// A parsed `SELECT` query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Query {
-    pub distinct: bool,
-    pub items: Vec<SelectItem>,
+    pub items: Vec<SqlExpr>,
     pub from: TableRef,
-    /// `(table, on-condition)` pairs, left-deep.
-    pub joins: Vec<(TableRef, SqlExpr)>,
+    /// The one `JOIN … ON …`, if any.
+    pub join: Option<(TableRef, SqlExpr)>,
     pub where_clause: Option<SqlExpr>,
     pub group_by: Vec<ColumnRef>,
     pub having: Option<SqlExpr>,
-    pub order_by: Vec<OrderKey>,
-    pub limit: Option<usize>,
 }

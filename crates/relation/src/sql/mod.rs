@@ -1,16 +1,27 @@
-//! A SQL subset: lexer, parser, planner and executor.
+//! The SQL dialect of the detection oracle: lexer, parser, planner and
+//! executor.
 //!
-//! The Semandaq prototype (reference \[9\] in the paper) detects CFD violations by
-//! emitting SQL against a commercial DBMS. This module provides the
-//! slice of SQL those generated queries need, so the detection path can
-//! be exercised end-to-end with no external database:
+//! The Semandaq prototype (reference \[9\] in the paper) detects CFD
+//! violations by emitting SQL against a commercial DBMS. The oracle
+//! (`revival_detect::sqlgen`) emits the same encoding, and this module
+//! runs exactly the dialect it emits, so the SQL path is exercised
+//! end-to-end with no external database:
 //!
-//! * `SELECT [DISTINCT] items FROM t [alias] [JOIN u ON …]* [WHERE …]
-//!   [GROUP BY …] [HAVING …] [ORDER BY …] [LIMIT n]`
-//! * aggregates `COUNT(*)`, `COUNT(x)`, `COUNT(DISTINCT x)`, `SUM`,
-//!   `MIN`, `MAX`, `AVG`
-//! * predicates `=`, `<>`, `!=`, `<`, `<=`, `>`, `>=`, `AND`, `OR`,
-//!   `NOT`, `IS [NOT] NULL`, `IN (…)`, `LIKE`
+//! * `SELECT e, … FROM t [alias] [JOIN u [alias] ON c] [WHERE c]
+//!   [GROUP BY col, … [HAVING c]] [;]` — one join at most, hashed on
+//!   the `ON` clause's column equalities (`ON TRUE`: every pair);
+//! * items: columns `[t.]x`, literals and `COUNT(DISTINCT e)`, the one
+//!   aggregate (only in a grouped query, whose bare columns must be
+//!   group columns);
+//! * conditions: `=`, `<>` (`!=`), `<`, `<=`, `>`, `>=`, `[NOT] IN (…)`,
+//!   `AND`, `OR`, `NOT` and parentheses;
+//! * literals: `'str'` (`''` escapes a quote), integers and floats (a
+//!   leading `-` negates), `TRUE`, `FALSE`, `NULL`.
+//!
+//! A comparison with `NULL` is false, `NULL` join keys never match, and
+//! `COUNT(DISTINCT e)` skips `NULL`s. Relation names resolve through
+//! [`Relations`], so a caller can put relations of its own beside a
+//! [`Catalog`]'s without copying either.
 //!
 //! ## Example
 //!
@@ -25,31 +36,37 @@
 //! let mut cat = Catalog::new();
 //! cat.register(t);
 //!
-//! let rs = sql::run("SELECT a, COUNT(DISTINCT b) AS n FROM r GROUP BY a", &cat).unwrap();
+//! let rs = sql::run("SELECT a, COUNT(DISTINCT b) FROM r GROUP BY a", &cat).unwrap();
 //! assert_eq!(rs.rows[0][1], Value::Int(2));
 //! ```
 
 mod ast;
 mod exec;
+mod expr;
 mod parser;
 mod plan;
 mod token;
 
-pub use ast::{Aggregate, Query, SelectItem, SqlExpr};
 pub use exec::ResultSet;
-pub use parser::parse_query;
 
 use crate::error::Result;
 use crate::schema::Catalog;
+use crate::table::Table;
 
-/// Parse and execute a query against a catalog.
-pub fn run(sql_text: &str, catalog: &Catalog) -> Result<ResultSet> {
-    let query = parse_query(sql_text)?;
-    execute(&query, catalog)
+/// Where the relation names a query reads resolve.
+pub trait Relations {
+    /// The table named `name`.
+    fn relation(&self, name: &str) -> Result<&Table>;
 }
 
-/// Execute an already-parsed query.
-pub fn execute(query: &Query, catalog: &Catalog) -> Result<ResultSet> {
-    let planned = plan::plan(query, catalog)?;
-    exec::execute(&planned, catalog)
+impl Relations for Catalog {
+    fn relation(&self, name: &str) -> Result<&Table> {
+        self.get(name)
+    }
+}
+
+/// Parse, plan and execute a query.
+pub fn run(sql_text: &str, relations: &dyn Relations) -> Result<ResultSet> {
+    let query = parser::parse_query(sql_text)?;
+    exec::execute(&plan::plan(&query, relations)?, relations)
 }

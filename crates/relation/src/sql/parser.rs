@@ -1,9 +1,9 @@
-//! Recursive-descent parser for the SQL subset.
+//! Recursive-descent parser for the oracle's SQL dialect.
 
-use super::ast::*;
+use super::ast::{ColumnRef, Query, SqlExpr, TableRef};
+use super::expr::CmpOp;
 use super::token::{lex, Spanned, Tok};
 use crate::error::{Error, Result};
-use crate::expr::{ArithOp, CmpOp};
 use crate::value::Value;
 
 /// Parse one `SELECT` statement (optionally `;`-terminated).
@@ -73,10 +73,6 @@ impl Parser {
         }
     }
 
-    fn peek_symbol(&self, s: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Symbol(sym)) if *sym == s)
-    }
-
     fn ident(&mut self) -> Result<String> {
         match self.next() {
             Some(Tok::Word(w)) => Ok(w),
@@ -84,97 +80,48 @@ impl Parser {
         }
     }
 
-    fn query(&mut self) -> Result<Query> {
-        self.expect_kw("SELECT")?;
-        let distinct = self.eat_kw("DISTINCT");
-        let items = self.select_items()?;
-        self.expect_kw("FROM")?;
-        let from = self.table_ref()?;
-        let mut joins = Vec::new();
-        loop {
-            let is_join = if self.peek_kw("JOIN") {
-                true
-            } else if self.peek_kw("INNER") {
-                self.i += 1;
-                if !self.peek_kw("JOIN") {
-                    return Err(self.err("expected JOIN after INNER"));
-                }
-                true
-            } else {
-                false
-            };
-            if !is_join {
-                break;
-            }
-            self.expect_kw("JOIN")?;
-            let t = self.table_ref()?;
-            self.expect_kw("ON")?;
-            let on = self.expr()?;
-            joins.push((t, on));
-        }
-        let where_clause = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
-        let mut group_by = Vec::new();
-        if self.eat_kw("GROUP") {
-            self.expect_kw("BY")?;
-            loop {
-                group_by.push(self.column_ref()?);
-                if self.eat_symbol(",").is_err() {
-                    break;
-                }
-            }
-        }
-        let having = if self.eat_kw("HAVING") { Some(self.expr()?) } else { None };
-        let mut order_by = Vec::new();
-        if self.eat_kw("ORDER") {
-            self.expect_kw("BY")?;
-            loop {
-                let expr = self.expr()?;
-                let desc = if self.eat_kw("DESC") {
-                    true
-                } else {
-                    self.eat_kw("ASC");
-                    false
-                };
-                order_by.push(OrderKey { expr, desc });
-                if self.eat_symbol(",").is_err() {
-                    break;
-                }
-            }
-        }
-        let limit = if self.eat_kw("LIMIT") {
-            match self.next() {
-                Some(Tok::Int(n)) if n >= 0 => Some(n as usize),
-                _ => return Err(self.err("expected non-negative integer after LIMIT")),
-            }
-        } else {
-            None
-        };
-        Ok(Query { distinct, items, from, joins, where_clause, group_by, having, order_by, limit })
-    }
-
-    fn select_items(&mut self) -> Result<Vec<SelectItem>> {
-        let mut items = Vec::new();
-        loop {
-            if self.peek_symbol("*") {
-                self.i += 1;
-                items.push(SelectItem::Wildcard);
-            } else {
-                let expr = self.expr()?;
-                let alias = if self.eat_kw("AS") { Some(self.ident()?) } else { None };
-                items.push(SelectItem::Expr { expr, alias });
-            }
-            if self.eat_symbol(",").is_err() {
-                break;
-            }
+    /// One or more `item`s separated by commas.
+    fn list<T>(&mut self, item: fn(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat_symbol(",").is_ok() {
+            items.push(item(self)?);
         }
         Ok(items)
     }
 
+    fn query(&mut self) -> Result<Query> {
+        self.expect_kw("SELECT")?;
+        let items = self.list(Self::expr)?;
+        self.expect_kw("FROM")?;
+        let from = self.table_ref()?;
+        let join = match self.eat_kw("JOIN") {
+            true => {
+                let table = self.table_ref()?;
+                self.expect_kw("ON")?;
+                Some((table, self.expr()?))
+            }
+            false => None,
+        };
+        let where_clause = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
+        let group_by = match self.eat_kw("GROUP") {
+            true => {
+                self.expect_kw("BY")?;
+                self.list(Self::column_ref)?
+            }
+            false => Vec::new(),
+        };
+        let having = if self.eat_kw("HAVING") { Some(self.expr()?) } else { None };
+        Ok(Query { items, from, join, where_clause, group_by, having })
+    }
+
     fn table_ref(&mut self) -> Result<TableRef> {
         let name = self.ident()?;
-        // An alias is any following word that is not a clause keyword.
+        // An alias is any following word that does not open a clause.
+        let opens_clause = |w: &str| {
+            ["JOIN", "ON", "WHERE", "GROUP", "HAVING"].iter().any(|k| w.eq_ignore_ascii_case(k))
+        };
         let alias = match self.peek() {
-            Some(Tok::Word(w)) if !is_clause_keyword(w) => Some(self.ident()?),
+            Some(Tok::Word(w)) if !opens_clause(w) => Some(self.ident()?),
             _ => None,
         };
         Ok(TableRef { name, alias })
@@ -182,10 +129,8 @@ impl Parser {
 
     fn column_ref(&mut self) -> Result<ColumnRef> {
         let first = self.ident()?;
-        if self.peek_symbol(".") {
-            self.i += 1;
-            let col = self.ident()?;
-            Ok(ColumnRef { table: Some(first), column: col })
+        if self.eat_symbol(".").is_ok() {
+            Ok(ColumnRef { table: Some(first), column: self.ident()? })
         } else {
             Ok(ColumnRef { table: None, column: first })
         }
@@ -194,14 +139,9 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<SqlExpr> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<SqlExpr> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("OR") {
-            let rhs = self.and_expr()?;
-            lhs = SqlExpr::Or(Box::new(lhs), Box::new(rhs));
+            lhs = SqlExpr::Or(Box::new(lhs), Box::new(self.and_expr()?));
         }
         Ok(lhs)
     }
@@ -209,123 +149,42 @@ impl Parser {
     fn and_expr(&mut self) -> Result<SqlExpr> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw("AND") {
-            let rhs = self.not_expr()?;
-            lhs = SqlExpr::And(Box::new(lhs), Box::new(rhs));
+            lhs = SqlExpr::And(Box::new(lhs), Box::new(self.not_expr()?));
         }
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> Result<SqlExpr> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
-            return Ok(SqlExpr::Not(Box::new(inner)));
+            return Ok(SqlExpr::Not(Box::new(self.not_expr()?)));
         }
         self.predicate()
     }
 
     fn predicate(&mut self) -> Result<SqlExpr> {
-        let lhs = self.additive()?;
-        // postfix predicates
-        if self.eat_kw("IS") {
-            let negated = self.eat_kw("NOT");
-            self.expect_kw("NULL")?;
-            return Ok(if negated {
-                SqlExpr::IsNotNull(Box::new(lhs))
-            } else {
-                SqlExpr::IsNull(Box::new(lhs))
-            });
-        }
+        let lhs = self.primary()?;
+        let negated = self.eat_kw("NOT");
         if self.eat_kw("IN") {
             self.eat_symbol("(")?;
-            let mut vals = Vec::new();
-            loop {
-                vals.push(self.literal()?);
-                if self.eat_symbol(",").is_err() {
-                    break;
-                }
-            }
+            let vals = self.list(Self::literal)?;
             self.eat_symbol(")")?;
-            return Ok(SqlExpr::InList(Box::new(lhs), vals));
+            let in_list = SqlExpr::InList(Box::new(lhs), vals);
+            return Ok(if negated { SqlExpr::Not(Box::new(in_list)) } else { in_list });
         }
-        if self.eat_kw("LIKE") {
-            match self.next() {
-                Some(Tok::Str(p)) => return Ok(SqlExpr::Like(Box::new(lhs), p)),
-                _ => return Err(self.err("expected string literal after LIKE")),
-            }
-        }
-        if self.eat_kw("NOT") {
-            // NOT IN / NOT LIKE
-            if self.eat_kw("IN") {
-                self.eat_symbol("(")?;
-                let mut vals = Vec::new();
-                loop {
-                    vals.push(self.literal()?);
-                    if self.eat_symbol(",").is_err() {
-                        break;
-                    }
-                }
-                self.eat_symbol(")")?;
-                return Ok(SqlExpr::Not(Box::new(SqlExpr::InList(Box::new(lhs), vals))));
-            }
-            if self.eat_kw("LIKE") {
-                match self.next() {
-                    Some(Tok::Str(p)) => {
-                        return Ok(SqlExpr::Not(Box::new(SqlExpr::Like(Box::new(lhs), p))))
-                    }
-                    _ => return Err(self.err("expected string literal after NOT LIKE")),
-                }
-            }
-            return Err(self.err("expected IN or LIKE after NOT"));
+        if negated {
+            return Err(self.err("expected IN after NOT"));
         }
         let op = match self.peek() {
-            Some(Tok::Symbol("=")) => Some(CmpOp::Eq),
-            Some(Tok::Symbol("<>")) => Some(CmpOp::Ne),
-            Some(Tok::Symbol("<")) => Some(CmpOp::Lt),
-            Some(Tok::Symbol("<=")) => Some(CmpOp::Le),
-            Some(Tok::Symbol(">")) => Some(CmpOp::Gt),
-            Some(Tok::Symbol(">=")) => Some(CmpOp::Ge),
-            _ => None,
+            Some(Tok::Symbol("=")) => CmpOp::Eq,
+            Some(Tok::Symbol("<>")) => CmpOp::Ne,
+            Some(Tok::Symbol("<")) => CmpOp::Lt,
+            Some(Tok::Symbol("<=")) => CmpOp::Le,
+            Some(Tok::Symbol(">")) => CmpOp::Gt,
+            Some(Tok::Symbol(">=")) => CmpOp::Ge,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.i += 1;
-            let rhs = self.additive()?;
-            return Ok(SqlExpr::Cmp(op, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<SqlExpr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = if self.peek_symbol("+") {
-                ArithOp::Add
-            } else if self.peek_symbol("-") {
-                ArithOp::Sub
-            } else {
-                break;
-            };
-            self.i += 1;
-            let rhs = self.multiplicative()?;
-            lhs = SqlExpr::Arith(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<SqlExpr> {
-        let mut lhs = self.primary()?;
-        loop {
-            let op = if self.peek_symbol("*") {
-                ArithOp::Mul
-            } else if self.peek_symbol("/") {
-                ArithOp::Div
-            } else {
-                break;
-            };
-            self.i += 1;
-            let rhs = self.primary()?;
-            lhs = SqlExpr::Arith(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.i += 1;
+        Ok(SqlExpr::Cmp(op, Box::new(lhs), Box::new(self.primary()?)))
     }
 
     fn literal(&mut self) -> Result<Value> {
@@ -346,112 +205,57 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<SqlExpr> {
-        match self.peek().cloned() {
+        let call = matches!(self.toks.get(self.i + 1), Some(s) if s.tok == Tok::Symbol("("));
+        match self.peek() {
             Some(Tok::Symbol("(")) => {
                 self.i += 1;
                 let e = self.expr()?;
                 self.eat_symbol(")")?;
                 Ok(e)
             }
-            Some(Tok::Symbol("-"))
-            | Some(Tok::Str(_))
-            | Some(Tok::Int(_))
-            | Some(Tok::Float(_)) => Ok(SqlExpr::Literal(self.literal()?)),
-            Some(Tok::Word(w)) => {
-                if let Some(agg) = aggregate_name(&w) {
-                    if matches!(self.toks.get(self.i + 1), Some(s) if s.tok == Tok::Symbol("(")) {
-                        self.i += 2; // word + (
-                                     // COUNT(*) special case
-                        if matches!(agg, Aggregate::CountStar | Aggregate::Count { .. })
-                            && self.peek_symbol("*")
-                        {
-                            self.i += 1;
-                            self.eat_symbol(")")?;
-                            return Ok(SqlExpr::Agg(Aggregate::CountStar, None));
-                        }
-                        let distinct = self.eat_kw("DISTINCT");
-                        let inner = self.expr()?;
-                        self.eat_symbol(")")?;
-                        let agg = match agg {
-                            Aggregate::CountStar | Aggregate::Count { .. } => {
-                                Aggregate::Count { distinct }
-                            }
-                            other => {
-                                if distinct {
-                                    return Err(self.err("DISTINCT only supported in COUNT"));
-                                }
-                                other
-                            }
-                        };
-                        return Ok(SqlExpr::Agg(agg, Some(Box::new(inner))));
-                    }
-                }
-                if w.eq_ignore_ascii_case("NULL")
-                    || w.eq_ignore_ascii_case("TRUE")
-                    || w.eq_ignore_ascii_case("FALSE")
-                {
-                    return Ok(SqlExpr::Literal(self.literal()?));
-                }
-                let col = self.column_ref()?;
-                Ok(SqlExpr::Column(col))
+            Some(Tok::Word(w)) if call && w.eq_ignore_ascii_case("COUNT") => {
+                self.i += 2;
+                self.expect_kw("DISTINCT")?;
+                let inner = self.expr()?;
+                self.eat_symbol(")")?;
+                Ok(SqlExpr::CountDistinct(Box::new(inner)))
             }
-            _ => Err(self.err("expected expression")),
+            Some(Tok::Word(w))
+                if !["NULL", "TRUE", "FALSE"].iter().any(|k| w.eq_ignore_ascii_case(k)) =>
+            {
+                Ok(SqlExpr::Column(self.column_ref()?))
+            }
+            _ => Ok(SqlExpr::Literal(self.literal()?)),
         }
     }
-}
-
-fn aggregate_name(w: &str) -> Option<Aggregate> {
-    if w.eq_ignore_ascii_case("COUNT") {
-        Some(Aggregate::Count { distinct: false })
-    } else if w.eq_ignore_ascii_case("SUM") {
-        Some(Aggregate::Sum)
-    } else if w.eq_ignore_ascii_case("MIN") {
-        Some(Aggregate::Min)
-    } else if w.eq_ignore_ascii_case("MAX") {
-        Some(Aggregate::Max)
-    } else if w.eq_ignore_ascii_case("AVG") {
-        Some(Aggregate::Avg)
-    } else {
-        None
-    }
-}
-
-fn is_clause_keyword(w: &str) -> bool {
-    const KWS: &[&str] = &[
-        "JOIN", "INNER", "ON", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "AS", "AND", "OR",
-        "NOT", "IN", "LIKE", "IS", "BY", "ASC", "DESC", "SELECT", "FROM", "DISTINCT",
-    ];
-    KWS.iter().any(|k| w.eq_ignore_ascii_case(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn column(name: &str) -> SqlExpr {
+        SqlExpr::Column(ColumnRef { table: None, column: name.into() })
+    }
+
     #[test]
     fn minimal_select() {
-        let q = parse_query("SELECT * FROM r").unwrap();
-        assert_eq!(q.items, vec![SelectItem::Wildcard]);
+        let q = parse_query("SELECT a FROM r").unwrap();
+        assert_eq!(q.items, vec![column("a")]);
         assert_eq!(q.from.name, "r");
-        assert!(q.where_clause.is_none());
+        assert!(q.join.is_none() && q.where_clause.is_none() && q.group_by.is_empty());
     }
 
     #[test]
     fn where_and_group_having() {
         let q = parse_query(
-            "SELECT zip, COUNT(DISTINCT street) AS n FROM customer \
+            "SELECT zip, COUNT(DISTINCT street) FROM customer \
              WHERE cc = '44' GROUP BY zip HAVING COUNT(DISTINCT street) > 1",
         )
         .unwrap();
         assert_eq!(q.group_by.len(), 1);
         assert!(q.having.is_some());
-        match &q.items[1] {
-            SelectItem::Expr { expr: SqlExpr::Agg(Aggregate::Count { distinct }, _), alias } => {
-                assert!(*distinct);
-                assert_eq!(alias.as_deref(), Some("n"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(q.items[1], SqlExpr::CountDistinct(Box::new(column("street"))));
     }
 
     #[test]
@@ -459,58 +263,21 @@ mod tests {
         let q =
             parse_query("SELECT t.a, u.b FROM r t JOIN s u ON t.a = u.a WHERE u.b <> 'x'").unwrap();
         assert_eq!(q.from.binding(), "t");
-        assert_eq!(q.joins.len(), 1);
-        assert_eq!(q.joins[0].0.binding(), "u");
-    }
-
-    #[test]
-    fn order_limit_distinct() {
-        let q = parse_query("SELECT DISTINCT a FROM r ORDER BY a DESC, b LIMIT 10").unwrap();
-        assert!(q.distinct);
-        assert_eq!(q.order_by.len(), 2);
-        assert!(q.order_by[0].desc);
-        assert!(!q.order_by[1].desc);
-        assert_eq!(q.limit, Some(10));
+        assert_eq!(q.join.unwrap().0.binding(), "u");
     }
 
     #[test]
     fn predicates() {
         let q = parse_query(
-            "SELECT * FROM r WHERE a IS NOT NULL AND b IN ('x','y') AND c LIKE 'a%' AND NOT d = 1",
+            "SELECT a FROM r WHERE b IN ('x','y') AND c NOT IN (1, 2) AND NOT d = 1 OR e >= 2",
         )
         .unwrap();
-        assert!(q.where_clause.is_some());
-    }
-
-    #[test]
-    fn not_in_and_not_like() {
-        let q = parse_query("SELECT * FROM r WHERE a NOT IN (1,2) AND b NOT LIKE '%z'").unwrap();
-        assert!(matches!(q.where_clause, Some(SqlExpr::And(_, _))));
-    }
-
-    #[test]
-    fn arithmetic_precedence() {
-        let q = parse_query("SELECT a + b * 2 FROM r").unwrap();
-        match &q.items[0] {
-            SelectItem::Expr { expr: SqlExpr::Arith(ArithOp::Add, _, rhs), .. } => {
-                assert!(matches!(**rhs, SqlExpr::Arith(ArithOp::Mul, _, _)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn count_star() {
-        let q = parse_query("SELECT COUNT(*) FROM r").unwrap();
-        match &q.items[0] {
-            SelectItem::Expr { expr: SqlExpr::Agg(Aggregate::CountStar, None), .. } => {}
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(q.where_clause, Some(SqlExpr::Or(_, _))));
     }
 
     #[test]
     fn negative_literal() {
-        let q = parse_query("SELECT * FROM r WHERE a = -5").unwrap();
+        let q = parse_query("SELECT a FROM r WHERE a = -5").unwrap();
         match q.where_clause.unwrap() {
             SqlExpr::Cmp(_, _, rhs) => {
                 assert_eq!(*rhs, SqlExpr::Literal(Value::Int(-5)));
@@ -521,12 +288,7 @@ mod tests {
 
     #[test]
     fn trailing_tokens_rejected() {
-        assert!(parse_query("SELECT * FROM r garbage garbage").is_err());
-    }
-
-    #[test]
-    fn distinct_in_sum_rejected() {
-        assert!(parse_query("SELECT SUM(DISTINCT a) FROM r").is_err());
+        assert!(parse_query("SELECT a FROM r garbage garbage").is_err());
     }
 
     #[test]
@@ -536,6 +298,6 @@ mod tests {
 
     #[test]
     fn semicolon_ok() {
-        assert!(parse_query("SELECT * FROM r;").is_ok());
+        assert!(parse_query("SELECT a FROM r;").is_ok());
     }
 }

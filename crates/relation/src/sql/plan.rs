@@ -1,80 +1,65 @@
-//! Name resolution + logical planning.
-//!
-//! Turns a parsed [`Query`] into a [`Planned`] physical description:
-//! column references become positional [`Expr`]s over the joined row,
-//! equi-join keys are extracted from `ON` clauses so the executor can
-//! hash-join, and aggregate queries are split into (group keys,
-//! aggregate specs, post-aggregation expressions).
+//! Name resolution and planning: column references become positions in
+//! the joined row `[base columns…, joined columns…]`, the `ON` clause's
+//! column equalities become hash-join keys, and a grouped query splits
+//! into group columns, `COUNT(DISTINCT …)` inputs and expressions over
+//! the post-aggregation row `[group values…, counts…]`.
 
-use super::ast::*;
+use super::ast::{ColumnRef, Query, SqlExpr, TableRef};
+use super::expr::{CmpOp, Expr};
+use super::Relations;
 use crate::error::{Error, Result};
-use crate::expr::{CmpOp, Expr};
-use crate::schema::Catalog;
 
-/// One aggregate to compute per group.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggSpec {
-    pub agg: Aggregate,
-    /// Input expression over the joined row; `None` for `COUNT(*)`.
-    pub input: Option<Expr>,
-}
-
-/// A join step against table `table_idx` in [`Planned::tables`].
+/// The join: the right table and the equi-key columns on each side.
 #[derive(Clone, Debug)]
-pub struct JoinStep {
+pub struct Join {
     pub table: String,
-    /// Equi-key columns: positions in the accumulated (left) row.
+    /// Key columns of the base table.
     pub left_keys: Vec<usize>,
-    /// Equi-key columns: attribute positions in the right table.
+    /// Key columns of the right table (positions in that table).
     pub right_keys: Vec<usize>,
-    /// Residual predicate over the combined row (after equi matching).
-    pub residual: Option<Expr>,
 }
 
-/// What the executor should produce for one output column.
-#[derive(Clone, Debug)]
-pub enum OutputExpr {
-    /// Expression over the joined input row (non-aggregate queries).
-    Row(Expr),
-    /// Expression over the post-aggregation row
-    /// `[group values…, aggregate values…]` (aggregate queries).
-    PostAgg(Expr),
-}
-
-/// Fully resolved query ready for execution.
+/// A resolved query, ready for execution.
 #[derive(Clone, Debug)]
 pub struct Planned {
-    /// Base table name.
     pub base: String,
-    pub joins: Vec<JoinStep>,
-    /// Filter over the joined row.
+    pub join: Option<Join>,
+    /// `WHERE` and the `ON` clause's non-key conjuncts, over the joined row.
     pub filter: Option<Expr>,
-    /// True if this query aggregates (has GROUP BY or any aggregate fn).
-    pub aggregated: bool,
-    /// Group-key expressions over the joined row.
-    pub group_by: Vec<Expr>,
-    /// Aggregates to maintain per group.
-    pub aggs: Vec<AggSpec>,
-    /// HAVING over the post-agg row.
+    /// The joined row's columns the query reads; a scan materialises
+    /// only these.
+    pub reads: Vec<bool>,
+    /// Group columns of the joined row; empty for a plain projection.
+    pub group_by: Vec<usize>,
+    /// `COUNT(DISTINCT …)` inputs over the joined row.
+    pub counts: Vec<Expr>,
+    /// `HAVING` over the post-aggregation row.
     pub having: Option<Expr>,
-    /// One per output column.
-    pub outputs: Vec<OutputExpr>,
-    /// Output column names.
-    pub column_names: Vec<String>,
-    /// Sort keys: (expr over the same row kind as outputs, desc).
-    pub order_by: Vec<(OutputExpr, bool)>,
-    pub distinct: bool,
-    pub limit: Option<usize>,
+    /// One per output column: over the joined row, or over the
+    /// post-aggregation row when grouped.
+    pub outputs: Vec<Expr>,
 }
 
-/// Symbol table: binding name → (list of column names, global offset).
+/// Symbol table: per binding, its column names and offset in the joined row.
 struct Scope {
-    /// (binding, column names, offset into joined row)
     entries: Vec<(String, Vec<String>, usize)>,
     total: usize,
 }
 
 impl Scope {
+    fn add(&mut self, tref: &TableRef, relations: &dyn Relations) -> Result<()> {
+        let table = relations.relation(&tref.name)?;
+        if self.entries.iter().any(|(b, _, _)| b.eq_ignore_ascii_case(tref.binding())) {
+            return Err(Error::SqlExec(format!("duplicate table binding `{}`", tref.binding())));
+        }
+        let cols: Vec<String> =
+            table.schema().attributes().iter().map(|a| a.name.clone()).collect();
+        let arity = cols.len();
+        self.entries.push((tref.binding().to_string(), cols, self.total));
+        self.total += arity;
+        Ok(())
+    }
+
     fn resolve(&self, col: &ColumnRef) -> Result<usize> {
         let mut found = None;
         for (binding, cols, offset) in &self.entries {
@@ -94,303 +79,163 @@ impl Scope {
         }
         found.ok_or_else(|| Error::SqlExec(format!("unknown column `{}`", col.column)))
     }
+
+    /// Resolve an expression without aggregates over the joined row;
+    /// `place` names the clause for the error an aggregate gets.
+    fn scalar(&self, e: &SqlExpr, place: &str) -> Result<Expr> {
+        resolve(e, &mut |leaf| match leaf {
+            SqlExpr::Column(c) => Ok(Expr::Col(self.resolve(c)?)),
+            _ => Err(Error::SqlExec(format!("COUNT(DISTINCT …) is not allowed in {place}"))),
+        })
+    }
 }
 
-/// Resolve a scalar (non-aggregate) SqlExpr over the joined row.
-fn resolve_scalar(e: &SqlExpr, scope: &Scope) -> Result<Expr> {
+/// Resolve `e`, mapping its column references and aggregates through
+/// `leaf`.
+fn resolve(e: &SqlExpr, leaf: &mut dyn FnMut(&SqlExpr) -> Result<Expr>) -> Result<Expr> {
+    let mut pair = |a: &SqlExpr, b: &SqlExpr| -> Result<_> {
+        Ok((Box::new(resolve(a, leaf)?), Box::new(resolve(b, leaf)?)))
+    };
     Ok(match e {
-        SqlExpr::Column(c) => Expr::Col(scope.resolve(c)?),
         SqlExpr::Literal(v) => Expr::Lit(v.clone()),
         SqlExpr::Cmp(op, a, b) => {
-            Expr::Cmp(*op, Box::new(resolve_scalar(a, scope)?), Box::new(resolve_scalar(b, scope)?))
+            let (a, b) = pair(a, b)?;
+            Expr::Cmp(*op, a, b)
         }
         SqlExpr::And(a, b) => {
-            Expr::And(Box::new(resolve_scalar(a, scope)?), Box::new(resolve_scalar(b, scope)?))
+            let (a, b) = pair(a, b)?;
+            Expr::And(a, b)
         }
         SqlExpr::Or(a, b) => {
-            Expr::Or(Box::new(resolve_scalar(a, scope)?), Box::new(resolve_scalar(b, scope)?))
+            let (a, b) = pair(a, b)?;
+            Expr::Or(a, b)
         }
-        SqlExpr::Not(a) => Expr::Not(Box::new(resolve_scalar(a, scope)?)),
-        SqlExpr::IsNull(a) => Expr::IsNull(Box::new(resolve_scalar(a, scope)?)),
-        SqlExpr::IsNotNull(a) => {
-            Expr::Not(Box::new(Expr::IsNull(Box::new(resolve_scalar(a, scope)?))))
-        }
-        SqlExpr::InList(a, vs) => Expr::InList(Box::new(resolve_scalar(a, scope)?), vs.clone()),
-        SqlExpr::Like(a, p) => Expr::Like(Box::new(resolve_scalar(a, scope)?), p.clone()),
-        SqlExpr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            Box::new(resolve_scalar(a, scope)?),
-            Box::new(resolve_scalar(b, scope)?),
-        ),
-        SqlExpr::Agg(..) => {
-            return Err(Error::SqlExec("aggregate not allowed in this context".into()))
-        }
+        SqlExpr::Not(a) => Expr::Not(Box::new(resolve(a, leaf)?)),
+        SqlExpr::InList(a, vs) => Expr::InList(Box::new(resolve(a, leaf)?), vs.clone()),
+        SqlExpr::Column(_) | SqlExpr::CountDistinct(_) => leaf(e)?,
     })
 }
 
-/// Does an expression contain an aggregate call?
-fn contains_agg(e: &SqlExpr) -> bool {
-    match e {
-        SqlExpr::Agg(..) => true,
-        SqlExpr::Column(_) | SqlExpr::Literal(_) => false,
-        SqlExpr::Cmp(_, a, b)
-        | SqlExpr::And(a, b)
-        | SqlExpr::Or(a, b)
-        | SqlExpr::Arith(_, a, b) => contains_agg(a) || contains_agg(b),
-        SqlExpr::Not(a) | SqlExpr::IsNull(a) | SqlExpr::IsNotNull(a) => contains_agg(a),
-        SqlExpr::InList(a, _) | SqlExpr::Like(a, _) => contains_agg(a),
-    }
-}
-
-/// Context for resolving post-aggregation expressions.
-struct AggCtx<'a> {
-    scope: &'a Scope,
-    /// Resolved group-key expressions (over the joined row) and the
-    /// post-agg positions they occupy (0..group_by.len()).
-    group_exprs: Vec<Expr>,
-    aggs: Vec<AggSpec>,
-}
-
-impl<'a> AggCtx<'a> {
-    /// Resolve an expression into the post-agg row
-    /// `[group values…, agg values…]`.
-    fn resolve(&mut self, e: &SqlExpr) -> Result<Expr> {
-        match e {
-            SqlExpr::Agg(agg, input) => {
-                let input_expr = match input {
-                    Some(inner) => Some(resolve_scalar(inner, self.scope)?),
-                    None => None,
-                };
-                let spec = AggSpec { agg: *agg, input: input_expr };
-                let idx = match self.aggs.iter().position(|a| *a == spec) {
-                    Some(i) => i,
-                    None => {
-                        self.aggs.push(spec);
-                        self.aggs.len() - 1
-                    }
-                };
-                Ok(Expr::Col(self.group_exprs.len() + idx))
-            }
-            SqlExpr::Column(c) => {
-                let scalar = Expr::Col(self.scope.resolve(c)?);
-                let pos = self.group_exprs.iter().position(|g| *g == scalar).ok_or_else(|| {
-                    Error::SqlExec(format!(
-                        "column `{}` must appear in GROUP BY or inside an aggregate",
-                        c.column
-                    ))
-                })?;
-                Ok(Expr::Col(pos))
-            }
-            SqlExpr::Literal(v) => Ok(Expr::Lit(v.clone())),
-            SqlExpr::Cmp(op, a, b) => {
-                Ok(Expr::Cmp(*op, Box::new(self.resolve(a)?), Box::new(self.resolve(b)?)))
-            }
-            SqlExpr::And(a, b) => {
-                Ok(Expr::And(Box::new(self.resolve(a)?), Box::new(self.resolve(b)?)))
-            }
-            SqlExpr::Or(a, b) => {
-                Ok(Expr::Or(Box::new(self.resolve(a)?), Box::new(self.resolve(b)?)))
-            }
-            SqlExpr::Not(a) => Ok(Expr::Not(Box::new(self.resolve(a)?))),
-            SqlExpr::IsNull(a) => Ok(Expr::IsNull(Box::new(self.resolve(a)?))),
-            SqlExpr::IsNotNull(a) => {
-                Ok(Expr::Not(Box::new(Expr::IsNull(Box::new(self.resolve(a)?)))))
-            }
-            SqlExpr::InList(a, vs) => Ok(Expr::InList(Box::new(self.resolve(a)?), vs.clone())),
-            SqlExpr::Like(a, p) => Ok(Expr::Like(Box::new(self.resolve(a)?), p.clone())),
-            SqlExpr::Arith(op, a, b) => {
-                Ok(Expr::Arith(*op, Box::new(self.resolve(a)?), Box::new(self.resolve(b)?)))
-            }
-        }
-    }
-}
-
-/// Split a resolved boolean expression into its top-level conjuncts.
-fn conjuncts(e: Expr) -> Vec<Expr> {
+/// Split a boolean expression into its top-level conjuncts.
+fn conjuncts(e: Expr, out: &mut Vec<Expr>) {
     match e {
         Expr::And(a, b) => {
-            let mut v = conjuncts(*a);
-            v.extend(conjuncts(*b));
-            v
+            conjuncts(*a, out);
+            conjuncts(*b, out);
         }
-        other => vec![other],
+        other => out.push(other),
     }
 }
 
-/// Default display name for a select item.
-fn default_name(e: &SqlExpr, idx: usize) -> String {
+/// Mark the columns an expression reads.
+fn mark_reads(e: &Expr, reads: &mut [bool]) {
     match e {
-        SqlExpr::Column(c) => c.column.clone(),
-        SqlExpr::Agg(Aggregate::CountStar, _) => "count".into(),
-        SqlExpr::Agg(Aggregate::Count { .. }, _) => "count".into(),
-        SqlExpr::Agg(Aggregate::Sum, _) => "sum".into(),
-        SqlExpr::Agg(Aggregate::Min, _) => "min".into(),
-        SqlExpr::Agg(Aggregate::Max, _) => "max".into(),
-        SqlExpr::Agg(Aggregate::Avg, _) => "avg".into(),
-        _ => format!("col{idx}"),
+        Expr::Col(i) => reads[*i] = true,
+        Expr::Lit(_) => {}
+        Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+            mark_reads(a, reads);
+            mark_reads(b, reads);
+        }
+        Expr::Not(a) | Expr::InList(a, _) => mark_reads(a, reads),
     }
 }
 
-/// Plan a query against a catalog.
-pub fn plan(q: &Query, catalog: &Catalog) -> Result<Planned> {
-    // --- build scope, table by table ---
+/// Plan a query against the relations it names.
+pub fn plan(q: &Query, relations: &dyn Relations) -> Result<Planned> {
     let mut scope = Scope { entries: Vec::new(), total: 0 };
-    let add_table = |scope: &mut Scope, tref: &TableRef| -> Result<usize> {
-        let table = catalog.get(&tref.name)?;
-        let cols: Vec<String> =
-            table.schema().attributes().iter().map(|a| a.name.clone()).collect();
-        let arity = cols.len();
-        let offset = scope.total;
-        for (b, _, _) in &scope.entries {
-            if b.eq_ignore_ascii_case(tref.binding()) {
-                return Err(Error::SqlExec(format!(
-                    "duplicate table binding `{}`",
-                    tref.binding()
-                )));
-            }
-        }
-        scope.entries.push((tref.binding().to_string(), cols, offset));
-        scope.total += arity;
-        Ok(arity)
-    };
-
-    add_table(&mut scope, &q.from)?;
-    let mut joins = Vec::new();
-    for (tref, on) in &q.joins {
-        let right_offset = scope.total;
-        add_table(&mut scope, tref)?;
-        let on_resolved = resolve_scalar(on, &scope)?;
-        // Extract equi-join conjuncts: Col(l) = Col(r) with l left of the
-        // new table and r inside it (or vice versa).
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
-        let mut residual = Vec::new();
-        for c in conjuncts(on_resolved) {
-            match &c {
-                Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (Expr::Col(x), Expr::Col(y)) if *x < right_offset && *y >= right_offset => {
-                        left_keys.push(*x);
-                        right_keys.push(*y - right_offset);
-                    }
-                    (Expr::Col(x), Expr::Col(y)) if *y < right_offset && *x >= right_offset => {
-                        left_keys.push(*y);
-                        right_keys.push(*x - right_offset);
-                    }
-                    _ => residual.push(c),
-                },
-                _ => residual.push(c),
-            }
-        }
-        let residual =
-            if residual.is_empty() { None } else { Some(Expr::conj(residual.into_iter())) };
-        joins.push(JoinStep { table: tref.name.clone(), left_keys, right_keys, residual });
+    scope.add(&q.from, relations)?;
+    // Where the joined table's columns start.
+    let right = scope.total;
+    if let Some((tref, _)) = &q.join {
+        scope.add(tref, relations)?;
     }
-
-    let filter = match &q.where_clause {
-        Some(w) => {
-            if contains_agg(w) {
-                return Err(Error::SqlExec("aggregates not allowed in WHERE".into()));
-            }
-            Some(resolve_scalar(w, &scope)?)
-        }
+    let mut reads = vec![false; scope.total];
+    let mut filter = Vec::new();
+    let join = match &q.join {
         None => None,
-    };
-
-    // --- aggregate or plain? ---
-    let any_agg = q.items.iter().any(|it| match it {
-        SelectItem::Expr { expr, .. } => contains_agg(expr),
-        SelectItem::Wildcard => false,
-    }) || q.having.as_ref().map(contains_agg).unwrap_or(false);
-    let aggregated = any_agg || !q.group_by.is_empty();
-
-    let mut outputs = Vec::new();
-    let mut column_names = Vec::new();
-    let mut group_exprs = Vec::new();
-    let mut aggs = Vec::new();
-    let mut having = None;
-
-    if aggregated {
-        if q.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
-            return Err(Error::SqlExec("`*` not allowed in aggregate queries".into()));
-        }
-        for g in &q.group_by {
-            group_exprs.push(Expr::Col(scope.resolve(g)?));
-        }
-        let mut ctx = AggCtx { scope: &scope, group_exprs, aggs };
-        for (idx, item) in q.items.iter().enumerate() {
-            let SelectItem::Expr { expr, alias } = item else { unreachable!() };
-            let resolved = ctx.resolve(expr)?;
-            outputs.push(OutputExpr::PostAgg(resolved));
-            column_names.push(alias.clone().unwrap_or_else(|| default_name(expr, idx)));
-        }
-        if let Some(h) = &q.having {
-            having = Some(ctx.resolve(h)?);
-        }
-        group_exprs = ctx.group_exprs;
-        aggs = ctx.aggs;
-    } else {
-        if q.having.is_some() {
-            return Err(Error::SqlExec("HAVING requires GROUP BY or aggregates".into()));
-        }
-        for (idx, item) in q.items.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for (_, cols, offset) in &scope.entries {
-                        for (i, c) in cols.iter().enumerate() {
-                            outputs.push(OutputExpr::Row(Expr::Col(offset + i)));
-                            column_names.push(c.clone());
+        Some((tref, on)) => {
+            let mut join = Join { table: tref.name.clone(), left_keys: vec![], right_keys: vec![] };
+            let mut terms = Vec::new();
+            conjuncts(scope.scalar(on, "ON")?, &mut terms);
+            // `l = r` across the two tables is a key; the rest filters.
+            for term in terms {
+                match &term {
+                    Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
+                        (&Expr::Col(x), &Expr::Col(y)) if (x < right) != (y < right) => {
+                            (reads[x], reads[y]) = (true, true);
+                            join.left_keys.push(x.min(y));
+                            join.right_keys.push(x.max(y) - right);
                         }
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    outputs.push(OutputExpr::Row(resolve_scalar(expr, &scope)?));
-                    column_names.push(alias.clone().unwrap_or_else(|| default_name(expr, idx)));
+                        _ => filter.push(term),
+                    },
+                    _ => filter.push(term),
                 }
             }
+            Some(join)
         }
+    };
+    if let Some(w) = &q.where_clause {
+        filter.push(scope.scalar(w, "WHERE")?);
     }
+    let filter = if filter.is_empty() { None } else { Some(Expr::conj(filter.into_iter())) };
 
-    // --- ORDER BY ---
-    // A sort key may reference an output alias, or any expression over the
-    // same row kind as the outputs.
-    let mut order_by = Vec::new();
-    for k in &q.order_by {
-        // Alias reference?
-        if let SqlExpr::Column(c) = &k.expr {
-            if c.table.is_none() {
-                if let Some(pos) = column_names.iter().position(|n| *n == c.column) {
-                    // Reuse the already-planned output expression.
-                    order_by.push((outputs[pos].clone(), k.desc));
-                    continue;
-                }
-            }
+    let mut group_by = Vec::new();
+    let mut counts = Vec::new();
+    let mut having = None;
+    let mut outputs = Vec::new();
+    if q.group_by.is_empty() {
+        if q.having.is_some() {
+            return Err(Error::SqlExec("HAVING requires GROUP BY".into()));
         }
-        let resolved = if aggregated {
-            let mut ctx =
-                AggCtx { scope: &scope, group_exprs: group_exprs.clone(), aggs: aggs.clone() };
-            let e = ctx.resolve(&k.expr)?;
-            if ctx.aggs.len() != aggs.len() {
-                aggs = ctx.aggs;
-            }
-            OutputExpr::PostAgg(e)
-        } else {
-            OutputExpr::Row(resolve_scalar(&k.expr, &scope)?)
+        for item in &q.items {
+            outputs.push(scope.scalar(item, "a query without GROUP BY")?);
+        }
+        outputs.iter().for_each(|o| mark_reads(o, &mut reads));
+    } else {
+        for g in &q.group_by {
+            group_by.push(scope.resolve(g)?);
+        }
+        // Into the post-aggregation row: a group column is its position
+        // among the group columns, a count its position after them.
+        let mut post = |e: &SqlExpr| {
+            resolve(e, &mut |leaf| match leaf {
+                SqlExpr::CountDistinct(inner) => {
+                    let input = scope.scalar(inner, "COUNT(DISTINCT …)")?;
+                    let at = counts.iter().position(|c| *c == input).unwrap_or_else(|| {
+                        counts.push(input);
+                        counts.len() - 1
+                    });
+                    Ok(Expr::Col(group_by.len() + at))
+                }
+                SqlExpr::Column(c) => {
+                    let col = scope.resolve(c)?;
+                    let at = group_by.iter().position(|&g| g == col).ok_or_else(|| {
+                        Error::SqlExec(format!(
+                            "column `{}` must appear in GROUP BY or inside an aggregate",
+                            c.column
+                        ))
+                    })?;
+                    Ok(Expr::Col(at))
+                }
+                _ => unreachable!("resolve hands over only columns and aggregates"),
+            })
         };
-        order_by.push((resolved, k.desc));
+        for item in &q.items {
+            outputs.push(post(item)?);
+        }
+        having = q.having.as_ref().map(&mut post).transpose()?;
+        group_by.iter().for_each(|&g| reads[g] = true);
+        counts.iter().for_each(|c| mark_reads(c, &mut reads));
     }
-
+    filter.iter().for_each(|f| mark_reads(f, &mut reads));
     Ok(Planned {
         base: q.from.name.clone(),
-        joins,
+        join,
         filter,
-        aggregated,
-        group_by: group_exprs,
-        aggs,
+        reads,
+        group_by,
+        counts,
         having,
         outputs,
-        column_names,
-        order_by,
-        distinct: q.distinct,
-        limit: q.limit,
     })
 }

@@ -25,6 +25,9 @@ pub struct Spanned {
     pub pos: usize,
 }
 
+/// Punctuation and operators, two-character ones first.
+const SYMBOLS: &[&str] = &["<=", ">=", "<>", "!=", "<", ">", "=", "(", ")", ",", ".", "-", ";"];
+
 /// Tokenise a SQL string.
 pub fn lex(input: &str) -> Result<Vec<Spanned>> {
     let bytes = input.as_bytes();
@@ -101,65 +104,25 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>> {
                 }
                 toks.push(Spanned { tok: Tok::Word(input[start..i].to_string()), pos: start });
             }
-            b'<' => {
-                let start = i;
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    toks.push(Spanned { tok: Tok::Symbol("<="), pos: start });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    toks.push(Spanned { tok: Tok::Symbol("<>"), pos: start });
-                    i += 2;
-                } else {
-                    toks.push(Spanned { tok: Tok::Symbol("<"), pos: start });
-                    i += 1;
+            _ => match SYMBOLS.iter().find(|s| input[i..].starts_with(**s)) {
+                // `!=` is `<>`.
+                Some(&sym) => {
+                    toks.push(Spanned {
+                        tok: Tok::Symbol(if sym == "!=" { "<>" } else { sym }),
+                        pos: i,
+                    });
+                    i += sym.len();
                 }
-            }
-            b'>' => {
-                let start = i;
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    toks.push(Spanned { tok: Tok::Symbol(">="), pos: start });
-                    i += 2;
-                } else {
-                    toks.push(Spanned { tok: Tok::Symbol(">"), pos: start });
-                    i += 1;
+                None => {
+                    return Err(Error::SqlParse {
+                        position: i,
+                        message: format!(
+                            "unexpected character `{}`",
+                            input[i..].chars().next().unwrap()
+                        ),
+                    })
                 }
-            }
-            b'!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    toks.push(Spanned { tok: Tok::Symbol("<>"), pos: i });
-                    i += 2;
-                } else {
-                    return Err(Error::SqlParse { position: i, message: "lone `!`".into() });
-                }
-            }
-            b'=' => {
-                toks.push(Spanned { tok: Tok::Symbol("="), pos: i });
-                i += 1;
-            }
-            b'(' | b')' | b',' | b'*' | b'.' | b'+' | b'-' | b'/' | b';' => {
-                let sym = match c {
-                    b'(' => "(",
-                    b')' => ")",
-                    b',' => ",",
-                    b'*' => "*",
-                    b'.' => ".",
-                    b'+' => "+",
-                    b'-' => "-",
-                    b'/' => "/",
-                    _ => ";",
-                };
-                toks.push(Spanned { tok: Tok::Symbol(sym), pos: i });
-                i += 1;
-            }
-            _ => {
-                return Err(Error::SqlParse {
-                    position: i,
-                    message: format!(
-                        "unexpected character `{}`",
-                        input[i..].chars().next().unwrap()
-                    ),
-                })
-            }
+            },
         }
     }
     Ok(toks)

@@ -106,62 +106,39 @@ proptest! {
         }
     }
 
-    /// GROUP BY aggregates agree with hand-rolled accumulation.
+    /// GROUP BY counts agree with hand-rolled accumulation, and HAVING
+    /// keeps exactly the groups the oracle's `Q_v` shape asks for.
     #[test]
     fn group_by_matches_oracle(rows in arb_rows()) {
         let cat = catalog(&rows);
+        let rs = sql::run("SELECT a, COUNT(DISTINCT c) FROM r GROUP BY a", &cat).unwrap();
+        // Oracle.
+        let mut groups: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for r in &rows {
+            groups.entry(&r.a).or_default().insert(&r.c);
+        }
+        let got: BTreeMap<&str, i64> =
+            rs.rows.iter().map(|r| (r[0].as_str().unwrap(), r[1].as_int().unwrap())).collect();
+        prop_assert_eq!(rs.len(), groups.len());
+        for (key, dc) in &groups {
+            prop_assert_eq!(got.get(key).copied(), Some(dc.len() as i64));
+        }
         let rs = sql::run(
-            "SELECT a, COUNT(*) AS n, SUM(b) AS s, MIN(b) AS lo, MAX(b) AS hi, \
-             COUNT(DISTINCT c) AS dc FROM r GROUP BY a ORDER BY a",
+            "SELECT a FROM r GROUP BY a HAVING COUNT(DISTINCT c) > 1",
             &cat,
         )
         .unwrap();
-        // Oracle.
-        let mut groups: BTreeMap<&str, (i64, i64, i64, i64, BTreeSet<&str>)> = BTreeMap::new();
-        for r in &rows {
-            let e = groups
-                .entry(&r.a)
-                .or_insert((0, 0, i64::MAX, i64::MIN, BTreeSet::new()));
-            e.0 += 1;
-            e.1 += r.b;
-            e.2 = e.2.min(r.b);
-            e.3 = e.3.max(r.b);
-            e.4.insert(&r.c);
-        }
-        prop_assert_eq!(rs.len(), groups.len());
-        for (row, (key, (n, s, lo, hi, dc))) in rs.rows.iter().zip(groups) {
-            prop_assert_eq!(row[0].as_str().unwrap(), key);
-            prop_assert_eq!(row[1].as_int().unwrap(), n);
-            prop_assert_eq!(row[2].as_int().unwrap(), s);
-            prop_assert_eq!(row[3].as_int().unwrap(), lo);
-            prop_assert_eq!(row[4].as_int().unwrap(), hi);
-            prop_assert_eq!(row[5].as_int().unwrap(), dc.len() as i64);
-        }
-    }
-
-    /// DISTINCT + ORDER BY + LIMIT sanity: sorted, unique, truncated.
-    #[test]
-    fn distinct_order_limit(rows in arb_rows(), limit in 0usize..6) {
-        let cat = catalog(&rows);
-        let q = format!("SELECT DISTINCT b FROM r ORDER BY b LIMIT {limit}");
-        let rs = sql::run(&q, &cat).unwrap();
-        let mut expected: Vec<i64> = rows.iter().map(|r| r.b).collect();
-        expected.sort();
-        expected.dedup();
-        expected.truncate(limit);
-        let got: Vec<i64> = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
-        prop_assert_eq!(got, expected);
+        let got: BTreeSet<&str> = rs.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+        let want: BTreeSet<&str> =
+            groups.iter().filter(|(_, dc)| dc.len() > 1).map(|(k, _)| *k).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Self-join on `a` counts pairs exactly like the oracle.
     #[test]
     fn self_join_matches_oracle(rows in arb_rows()) {
         let cat = catalog(&rows);
-        let rs = sql::run(
-            "SELECT COUNT(*) FROM r x JOIN r y ON x.a = y.a",
-            &cat,
-        )
-        .unwrap();
+        let rs = sql::run("SELECT x.a, y.c FROM r x JOIN r y ON x.a = y.a", &cat).unwrap();
         let mut count = 0i64;
         for r1 in &rows {
             for r2 in &rows {
@@ -170,6 +147,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(rs.scalar().unwrap().as_int().unwrap(), count);
+        prop_assert_eq!(rs.len() as i64, count);
     }
 }

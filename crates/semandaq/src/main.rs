@@ -61,8 +61,6 @@ commands:
                                  satisfiability + minimal cover
   edit     --data FILE --cfds FILE --set tID:attr=value... [--out FILE]
                                  apply manual edits, re-detect
-  query    --data FILE --sql TEXT [--table NAME]
-                                 run SQL over the CSV
   serve    [--port N] [--jobs N] [--workers N] [--state DIR]
            [--shards N] [--wal] [--checkpoint-ops N]
            [--wal-group-max-wait MICROS]
@@ -186,7 +184,6 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ),
     ("analyze", "data cfds table budget"),
     ("edit", "data cfds table set out"),
-    ("query", "data sql table"),
     (
         "serve",
         "port jobs workers state shards wal checkpoint-ops wal-group-max-wait slow-log \
@@ -199,14 +196,17 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
 ];
 
 /// Parse `cmd`'s flags against its row of [`COMMAND_FLAGS`]: an unknown
-/// command, or a flag the command does not take, is an error — the
-/// latter naming the nearest flag it does take (at most two edits away).
+/// command, or a flag the command does not take, is an error naming the
+/// nearest command or flag there is (at most two edits away).
 fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let allowed: Vec<&str> = COMMAND_FLAGS
         .iter()
         .find(|(c, _)| *c == cmd)
         .map(|(_, flags)| flags.split_whitespace().collect())
-        .ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
+        .ok_or_else(|| match nearest(cmd, COMMAND_FLAGS.iter().map(|(c, _)| *c)) {
+            Some(c) => format!("unknown command `{cmd}` (did you mean `{c}`?)\n{USAGE}"),
+            None => format!("unknown command `{cmd}`\n{USAGE}"),
+        })?;
     let mut values: HashMap<String, Vec<String>> = HashMap::new();
     let mut sets = Vec::new();
     let mut i = 0;
@@ -215,10 +215,8 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
             .strip_prefix("--")
             .ok_or_else(|| format!("expected flag, got `{}`", args[i]))?;
         if !allowed.contains(&key) {
-            let nearest =
-                allowed.iter().map(|f| (edits(key, f), *f)).filter(|(d, _)| *d <= 2).min();
-            return Err(match nearest {
-                Some((_, f)) => format!("`{cmd}` has no flag --{key} (did you mean --{f}?)"),
+            return Err(match nearest(key, allowed.iter().copied()) {
+                Some(f) => format!("`{cmd}` has no flag --{key} (did you mean --{f}?)"),
                 None => {
                     format!("`{cmd}` has no flag --{key} (it takes --{})", allowed.join(", --"))
                 }
@@ -253,7 +251,12 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     Ok(Flags { values, sets })
 }
 
-/// Edits between two flag names: the repairer's normalised
+/// The name among `names` nearest `typed`, if at most two edits away.
+fn nearest<'a>(typed: &str, names: impl Iterator<Item = &'a str>) -> Option<&'a str> {
+    names.map(|n| (edits(typed, n), n)).filter(|(d, _)| *d <= 2).min().map(|(_, n)| n)
+}
+
+/// Edits between two names: the repairer's normalised
 /// optimal-string-alignment distance, scaled back by the longer length.
 fn edits(a: &str, b: &str) -> usize {
     let longer = a.chars().count().max(b.chars().count());
@@ -463,18 +466,6 @@ fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
                     .map_err(|e| e.to_string())?;
                 writeln!(stdout, "wrote {out}")?;
             }
-            Ok(())
-        }
-        "query" => {
-            let data = flags.get("data")?;
-            let table_name = flags.get_or("table", "customer");
-            let sql_text = flags.get("sql")?;
-            let table = semandaq::load_table(table_name, data).map_err(|e| e.to_string())?;
-            let mut catalog = revival_relation::Catalog::new();
-            catalog.register(table);
-            let rs = revival_relation::sql::run(sql_text, &catalog).map_err(|e| e.to_string())?;
-            write!(stdout, "{}", rs.render_text())?;
-            writeln!(stdout, "({} row(s))", rs.len())?;
             Ok(())
         }
         "snapshot" => snapshot(positional.as_deref(), &flags, stdout),

@@ -215,7 +215,7 @@ fn help_lists_every_subcommand() {
         assert!(out.status.success(), "{invocation:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("usage"), "got: {stdout}");
-        for cmd in ["generate", "detect", "repair", "analyze", "edit", "query", "serve", "watch"] {
+        for cmd in ["generate", "detect", "repair", "analyze", "edit", "serve", "watch"] {
             assert!(stdout.contains(cmd), "--help misses `{cmd}`: {stdout}");
         }
     }
@@ -352,40 +352,28 @@ fn duplicate_csv_header_is_a_csv_error_not_a_panic() {
 }
 
 #[test]
-fn query_command_runs_sql() {
-    let dir = tmpdir("query");
-    std::fs::write(
-        dir.join("data.csv"),
-        "cc,zip,street\n44,EH8,Crichton\n44,EH8,Mayfield\n01,07974,Mtn\n",
-    )
-    .unwrap();
-    let out = bin()
-        .args(["query", "--data", dir.join("data.csv").to_str().unwrap()])
-        .args(["--table", "customer"])
-        .args(["--sql", "SELECT zip, COUNT(*) AS n FROM customer GROUP BY zip ORDER BY n DESC"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("EH8"), "got: {stdout}");
-    assert!(stdout.contains("(2 row(s))"), "got: {stdout}");
-    // Bad SQL → clean failure.
-    let out = bin()
-        .args(["query", "--data", dir.join("data.csv").to_str().unwrap()])
-        .args(["--table", "customer", "--sql", "SELEC nope"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn match_is_an_unknown_command() {
     let out = bin().args(["match", "--left", "a", "--right", "b"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(out.stdout.is_empty(), "got: {}", String::from_utf8_lossy(&out.stdout));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("semandaq: unknown command `match`"), "got: {stderr}");
+}
+
+/// A misspelt command names the nearest one (at most two edits away,
+/// like a misspelt flag); `query`, which ran SQL over a CSV, is gone.
+#[test]
+fn an_unknown_command_names_the_nearest() {
+    let out = bin().args(["detetc", "--data", "x.csv"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = "semandaq: unknown command `detetc` (did you mean `detect`?)\n";
+    assert!(stderr.starts_with(want), "got: {stderr}");
+    let out =
+        bin().args(["query", "--data", "x.csv", "--sql", "SELECT a FROM r"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("semandaq: unknown command `query`\n"), "got: {stderr}");
 }
 
 /// A reader that stops early (`semandaq … | head`) ends the run with
@@ -427,9 +415,25 @@ fn a_closed_stdout_ends_the_run_quietly() {
     // Discovery mines for a while before its first write: the pipe is
     // gone by then.
     quiet(spawn(&["discover", "--explain"]), 0);
-    // Listing 20 000 rows overflows the pipe buffer: the child is still
-    // writing when the reader leaves after one line.
-    quiet(spawn(&["query", "--sql", "SELECT * FROM hospital"]), 1);
+    // A profile with one row per CFD of a 1 000-CFD suite (one per data
+    // row) overflows the pipe buffer: the child is still writing when
+    // the reader leaves after one line.
+    let csv = std::fs::read_to_string(&data).unwrap();
+    let suite: String = csv
+        .lines()
+        .skip(1)
+        .take(1_000)
+        .map(|line| {
+            let cells: Vec<&str> = line.split(',').collect();
+            format!("hospital([provider='{}'] -> [hname='{}'])\n", cells[0], cells[1])
+        })
+        .collect();
+    let cfds = dir.join("rows.cfd");
+    std::fs::write(&cfds, suite).unwrap();
+    let explain = ["detect", "--cfds", cfds.to_str().unwrap(), "--explain"];
+    let whole = spawn(&explain).wait_with_output().unwrap();
+    assert!(whole.stdout.len() >= 65_536, "{} byte(s) fit a pipe buffer", whole.stdout.len());
+    quiet(spawn(&explain), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -99,6 +99,11 @@ struct ServeObs {
 impl ServeObs {
     fn new(slow_log_us: Option<u64>) -> ServeObs {
         let reg = revival_obs::global();
+        // Bumped on rare paths elsewhere (a poisoned lock, a failed
+        // background checkpoint): registered here so an exposition reads
+        // 0 from the start rather than nothing.
+        reg.counter("lock_poison_recovered_total");
+        reg.counter("serve_checkpoint_errors_total");
         ServeObs {
             verbs: VERBS
                 .iter()

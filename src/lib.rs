@@ -67,7 +67,7 @@ pub mod prelude {
     pub use revival_discovery::{
         DiscoverJob, DiscoverOptions, DiscoveryEngine, ParallelDiscovery, SequentialDiscovery,
     };
-    pub use revival_relation::{Catalog, Expr, Schema, Table, TupleId, Type, Value};
+    pub use revival_relation::{Catalog, Schema, Table, TupleId, Type, Value};
     pub use revival_repair::{BatchRepair, CostModel, IncRepair};
     pub use revival_stream::DeltaSession;
 }

@@ -412,3 +412,34 @@ fn detect_hashes_no_row() {
         assert!(grouped > 0, "jobs={jobs}: the mined suite groups its rows");
     }
 }
+
+/// The SQL oracle on a mined tableau: its report is native's, and it
+/// stores the tableau as relations — one query per (CFD, wildcard mask,
+/// RHS kind), however many rows share the mask, where a per-row
+/// encoding would run one per tableau row.
+#[test]
+fn sql_oracle_joins_a_mined_tableau() {
+    let (dirty, mined) = mined_hospital(1_000);
+    let job = DetectJob::on_table(&dirty, &mined);
+    let mut sql = engine_by_name("sql", 1).unwrap().run(&job).unwrap();
+    let mut native = NativeEngine.run(&job).unwrap();
+    sql.normalize();
+    native.normalize();
+    assert_eq!(sql, native);
+    let mut groups: BTreeSet<(usize, Vec<bool>)> = BTreeSet::new();
+    let (mut queries, mut rows) = (0, 0);
+    for (i, cfd) in mined.iter().enumerate() {
+        for tp in &cfd.tableau {
+            groups.insert((i, tp.lhs.iter().map(PatternValue::is_wildcard).collect()));
+        }
+        let q = revival::detect::sqlgen::generate(cfd, dirty.schema());
+        queries += q.constant.len() + q.variable.len();
+        rows += cfd.tableau.len();
+    }
+    assert!(rows > 1_000, "the mined tableau must be large: {rows} row(s)");
+    assert!(
+        queries <= 2 * groups.len(),
+        "{queries} queries for {} (CFD, mask) group(s) over {rows} tableau row(s)",
+        groups.len()
+    );
+}

@@ -1,16 +1,19 @@
 //! The metrics catalog in README's *Observability* section names every
-//! metric the product registers: drive one detect, one repair, one
-//! discover and every verb [`ShardedSession::handle`] answers (WAL on,
-//! so the durability instruments register too), then require each name
-//! in the global registry — label set stripped — to have a catalog row
-//! of its kind. (One `#[test]` only: the registry is process-wide.)
+//! metric the product registers, and nothing else: drive one detect,
+//! one repair, one discover and every verb [`ShardedSession::handle`]
+//! answers (WAL on, so the durability instruments register too) and bind
+//! the TCP tier, then
+//! require each name in the global registry — label set stripped — to
+//! have a catalog row of its kind, and each catalog row to name a
+//! metric the drive registered. (One `#[test]` only: the registry is
+//! process-wide.)
 
 use revival::constraints::parser::parse_cfds;
 use revival::detect::{DetectJob, Detector, NativeEngine};
 use revival::discovery::{DiscoverJob, DiscoverOptions, DiscoveryEngine, SequentialDiscovery};
 use revival::relation::csv;
 use revival::repair::{BatchRepair, CostModel};
-use revival::stream::{Request, ServeOptions, ShardedSession};
+use revival::stream::{Request, ServeOptions, Server, ShardedSession};
 
 const CSV: &str = "cc,zip,street,city\n\
                    uk,EH8,Crichton,edi\n\
@@ -92,6 +95,10 @@ fn every_registered_metric_is_in_the_readme_catalog() {
     let (tier, restored) = ShardedSession::open(&opts).unwrap();
     assert_eq!(restored.relations, 2);
     drop(tier);
+    // Binding the TCP tier (tracing on) registers its own instruments.
+    let trace_out = Some(dir.join("trace.json"));
+    let opts = ServeOptions { trace_out, ..ServeOptions::default() };
+    drop(Server::bind_opts("127.0.0.1:0", &opts).unwrap());
     std::fs::remove_dir_all(&dir).ok();
 
     let catalog = catalog();
@@ -99,13 +106,22 @@ fn every_registered_metric_is_in_the_readme_catalog() {
     let registered = (snapshot.counters.iter().map(|(n, _)| (n, "counter")))
         .chain(snapshot.gauges.iter().map(|(n, _)| (n, "gauge")))
         .chain(snapshot.histograms.iter().map(|(n, _)| (n, "histogram")));
-    let mut checked = 0;
+    let mut seen: Vec<&str> = Vec::new();
     for (name, kind) in registered {
         let base = name.split('{').next().unwrap_or_default();
         let row = catalog.iter().find(|(n, _)| n == base);
         let row = row.unwrap_or_else(|| panic!("`{base}` is registered but not in the catalog"));
         assert_eq!(row.1, kind, "`{base}` is a {kind}, the catalog says {}", row.1);
-        checked += 1;
+        seen.push(base);
     }
-    assert!(checked >= 30, "only {checked} metric(s) registered: the workload missed a layer");
+    assert!(
+        seen.len() >= 30,
+        "only {} metric(s) registered: the workload missed a layer",
+        seen.len()
+    );
+    // The other direction: a documented row the drive never registers is
+    // stale, or the drive misses the call that emits it.
+    let stale: Vec<&str> =
+        catalog.iter().map(|(n, _)| n.as_str()).filter(|n| !seen.contains(n)).collect();
+    assert!(stale.is_empty(), "documented but never registered by the drive: {stale:?}");
 }
