@@ -140,27 +140,6 @@ impl Cfd {
         self.tableau.iter().position(|tp| self.violates_constant_row(row, tp))
     }
 
-    /// Do two tuples that agree on the LHS violate some variable row?
-    ///
-    /// Precondition: callers normally ensure `t1[lhs] == t2[lhs]`; the
-    /// check is re-verified here for safety.
-    pub fn pair_violation(&self, t1: &[Value], t2: &[Value]) -> Option<usize> {
-        let l1: Vec<&Value> = self.lhs.iter().map(|&a| &t1[a]).collect();
-        let agree = self.lhs.iter().all(|&a| t1[a] == t2[a]);
-        if !agree {
-            return None;
-        }
-        if t1[self.rhs] == t2[self.rhs] {
-            return None;
-        }
-        for (i, tp) in self.tableau.iter().enumerate() {
-            if tp.rhs.is_wildcard() && tp.lhs.iter().zip(&l1).all(|(p, v)| p.matches(v)) {
-                return Some(i);
-            }
-        }
-        None
-    }
-
     /// Full satisfaction check of a table (O(n) with hashing on LHS).
     ///
     /// Returns `true` iff no tuple or tuple pair violates this CFD.
@@ -404,31 +383,6 @@ mod tests {
         let t = table(&[("01", "EH8", "Crichton", "x"), ("01", "EH8", "Mayfield", "x")]);
         assert!(uk_cfd(&s).satisfied_by(&t));
         assert!(!Cfd::from_fd(&s, &["cc", "zip"], "street").unwrap().satisfied_by(&t));
-    }
-
-    #[test]
-    fn pair_violation_detects() {
-        let s = schema();
-        let cfd = uk_cfd(&s);
-        let t1 = vec![
-            Value::from("44"),
-            Value::from("EH8"),
-            Value::from("Crichton"),
-            Value::from("edi"),
-        ];
-        let t2 = vec![
-            Value::from("44"),
-            Value::from("EH8"),
-            Value::from("Mayfield"),
-            Value::from("edi"),
-        ];
-        assert_eq!(cfd.pair_violation(&t1, &t2), Some(0));
-        // Agreeing RHS → no violation.
-        assert_eq!(cfd.pair_violation(&t1, &t1), None);
-        // Different LHS → no violation.
-        let t3 =
-            vec![Value::from("44"), Value::from("G1"), Value::from("Other"), Value::from("gla")];
-        assert_eq!(cfd.pair_violation(&t1, &t3), None);
     }
 
     #[test]

@@ -14,16 +14,15 @@
 //! title/price equal the CD's album/price, with format `audio`.
 //!
 //! Every check runs in symbol space ([`Cind::witnesses`]): each distinct
-//! key of the `Yp`-carrying target tuples, from the target's [`Index`],
-//! is translated into the source's symbols once, then a source tuple
-//! costs one hash probe. Detection shards that probe; [`Cind::satisfied_by`]
-//! and [`crate::Ind::satisfied_by`] (no conditions) read it whole.
+//! key of the `Yp`-carrying target tuples is translated into the
+//! source's symbols once, when the target scan first meets it, then a
+//! source tuple costs one hash probe. Detection shards that probe;
+//! [`Cind::satisfied_by`] and [`crate::Ind::satisfied_by`] (no
+//! conditions) read it whole.
 
 use crate::ind::Ind;
 use revival_relation::groupby::hash_syms;
-use revival_relation::{
-    AttrId, ColProj, GroupBy, Index, Result, Schema, Sym, Table, TupleId, Value,
-};
+use revival_relation::{AttrId, ColProj, GroupBy, Result, Schema, Sym, Table, TupleId, Value};
 use std::fmt;
 use std::ops::Range;
 
@@ -96,12 +95,22 @@ impl Cind {
         let (mut keys, mut set) = (Vec::new(), GroupBy::new());
         // A `Yp` constant the target never interned: no witness at all.
         if let Some(yp) = resolve(&self.to_conds, to).filter(|_| arity == self.from_attrs.len()) {
-            let target = Index::build_where(to, &self.to_attrs, &yp);
-            keys.reserve(target.len() * arity);
-            set = GroupBy::with_capacity(target.len());
-            for key in target.keys() {
+            let target = to.proj(&self.to_attrs);
+            let same =
+                |a: usize, b: usize| (0..arity).all(|i| target.sym_at(i, a) == target.sym_at(i, b));
+            // Each distinct target key met so far, by the first slot carrying it.
+            let mut seen: GroupBy<u32, ()> = GroupBy::new();
+            for slot in
+                to.live_slots().filter(|&slot| yp.iter().all(|&(a, s)| to.col(a)[slot] == s))
+            {
+                let hash = target.hash_at(slot);
+                if seen.probe(hash, |&first| same(first as usize, slot)).is_some() {
+                    continue;
+                }
+                seen.insert_unique(hash, slot as u32, ());
                 let at = keys.len();
-                keys.extend(key.iter().map_while(|&s| from.pool().lookup(to.pool().value(s))));
+                let translated = |i| from.pool().lookup(to.pool().value(target.sym_at(i, slot)));
+                keys.extend((0..arity).map_while(translated));
                 if keys.len() < at + arity {
                     keys.truncate(at); // a value the source never interned
                 } else {

@@ -1,11 +1,10 @@
-//! Classical functional dependencies, with closure/key reasoning.
+//! Classical functional dependencies.
 //!
-//! FDs appear in this crate both as the degenerate case of CFDs (an
-//! all-wildcard tableau) and as standalone objects for the discovery
-//! baseline (TANE) and Armstrong-style reasoning.
+//! An FD is the degenerate case of a CFD (an all-wildcard tableau):
+//! [`crate::Cfd::embedded_fd`] is a CFD's `X → A`, which detection's
+//! profile rows render by attribute name ([`Fd::display`]).
 
 use revival_relation::{AttrId, Schema};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A functional dependency `X → Y` over one relation, by attribute id.
@@ -17,23 +16,9 @@ pub struct Fd {
 }
 
 impl Fd {
-    /// Build an FD from attribute names.
-    pub fn new(schema: &Schema, lhs: &[&str], rhs: &[&str]) -> revival_relation::Result<Fd> {
-        Ok(Fd {
-            relation: schema.name().to_string(),
-            lhs: schema.attr_ids(lhs)?,
-            rhs: schema.attr_ids(rhs)?,
-        })
-    }
-
     /// Build directly from ids (used by discovery).
     pub fn from_ids(relation: impl Into<String>, lhs: Vec<AttrId>, rhs: Vec<AttrId>) -> Fd {
         Fd { relation: relation.into(), lhs, rhs }
-    }
-
-    /// Is this FD trivial (`rhs ⊆ lhs`)?
-    pub fn is_trivial(&self) -> bool {
-        self.rhs.iter().all(|a| self.lhs.contains(a))
     }
 
     /// Human-readable form using a schema for names.
@@ -57,86 +42,6 @@ impl Fd {
     }
 }
 
-/// Compute the attribute closure `X⁺` under a set of FDs.
-pub fn closure(attrs: &[AttrId], fds: &[Fd]) -> BTreeSet<AttrId> {
-    let mut closed: BTreeSet<AttrId> = attrs.iter().copied().collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for fd in fds {
-            if fd.lhs.iter().all(|a| closed.contains(a)) {
-                for &b in &fd.rhs {
-                    if closed.insert(b) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    closed
-}
-
-/// Does `fds ⊨ candidate` (classical Armstrong implication)?
-pub fn implies(fds: &[Fd], candidate: &Fd) -> bool {
-    let closed = closure(&candidate.lhs, fds);
-    candidate.rhs.iter().all(|a| closed.contains(a))
-}
-
-/// Is `attrs` a superkey of a relation with `arity` attributes under `fds`?
-pub fn is_superkey(attrs: &[AttrId], arity: usize, fds: &[Fd]) -> bool {
-    closure(attrs, fds).len() == arity
-}
-
-/// All minimal candidate keys (exponential in the worst case; intended
-/// for the small schemas in this workspace).
-pub fn candidate_keys(arity: usize, fds: &[Fd]) -> Vec<Vec<AttrId>> {
-    let all: Vec<AttrId> = (0..arity).collect();
-    let mut keys: Vec<Vec<AttrId>> = Vec::new();
-    // Breadth-first over subset sizes so the first hit per branch is minimal.
-    for size in 1..=arity {
-        for combo in combinations(&all, size) {
-            if keys.iter().any(|k| k.iter().all(|a| combo.contains(a))) {
-                continue; // superset of a known key
-            }
-            if is_superkey(&combo, arity, fds) {
-                keys.push(combo);
-            }
-        }
-    }
-    keys
-}
-
-/// All `k`-subsets of `items` (in lexicographic order).
-pub fn combinations<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
-    let mut out = Vec::new();
-    let n = items.len();
-    if k > n {
-        return out;
-    }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.iter().map(|&i| items[i].clone()).collect());
-        // advance
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,62 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn closure_basic() {
-        let s = schema();
-        let fds = vec![Fd::new(&s, &["a"], &["b"]).unwrap(), Fd::new(&s, &["b"], &["c"]).unwrap()];
-        let cl = closure(&[0], &fds);
-        assert_eq!(cl, [0, 1, 2].into_iter().collect());
-    }
-
-    #[test]
-    fn implication() {
-        let s = schema();
-        let fds = vec![Fd::new(&s, &["a"], &["b"]).unwrap(), Fd::new(&s, &["b"], &["c"]).unwrap()];
-        assert!(implies(&fds, &Fd::new(&s, &["a"], &["c"]).unwrap()));
-        assert!(!implies(&fds, &Fd::new(&s, &["c"], &["a"]).unwrap()));
-        // Trivial FDs are always implied.
-        assert!(implies(&[], &Fd::new(&s, &["a", "b"], &["a"]).unwrap()));
-    }
-
-    #[test]
-    fn keys() {
-        let s = schema();
-        let fds = vec![
-            Fd::new(&s, &["a"], &["b", "c", "d"]).unwrap(),
-            Fd::new(&s, &["b", "c"], &["a"]).unwrap(),
-        ];
-        let keys = candidate_keys(4, &fds);
-        assert!(keys.contains(&vec![0]));
-        assert!(keys.contains(&vec![1, 2]));
-        // No key should be a superset of another.
-        for k1 in &keys {
-            for k2 in &keys {
-                if k1 != k2 {
-                    assert!(!k1.iter().all(|a| k2.contains(a)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trivial() {
-        let s = schema();
-        assert!(Fd::new(&s, &["a", "b"], &["a"]).unwrap().is_trivial());
-        assert!(!Fd::new(&s, &["a"], &["b"]).unwrap().is_trivial());
-    }
-
-    #[test]
-    fn combinations_counts() {
-        assert_eq!(combinations(&[1, 2, 3, 4], 2).len(), 6);
-        assert_eq!(combinations(&[1, 2, 3], 3).len(), 1);
-        assert_eq!(combinations(&[1, 2], 3).len(), 0);
-        assert_eq!(combinations(&[1, 2, 3], 1).len(), 3);
-    }
-
-    #[test]
     fn display_fd() {
         let s = schema();
-        let fd = Fd::new(&s, &["a", "b"], &["c"]).unwrap();
+        let fd = Fd::from_ids("r", vec![0, 1], vec![2]);
         assert_eq!(fd.display(&s).to_string(), "r([a, b] -> [c])");
     }
 }

@@ -235,7 +235,7 @@ enum Built {
 
 /// `start` (the partition of some prefix of a sorted attribute set)
 /// times each of `attrs`, the rest of the set: one TANE product per
-/// attribute, singletons kept.
+/// attribute, at `start`'s floor (1 here: every class kept).
 fn extend_partition(
     index: &ItemIndex<'_>,
     start: &Partition,
@@ -1511,7 +1511,8 @@ mod tests {
     /// class count, for sets of 1–4 attributes (one list naming an
     /// attribute twice), built from the first attribute's item lists and
     /// from every prefix, on tables with tombstones, `Null`s and repeated
-    /// rows.
+    /// rows. Built at floors 2–4, a partition is the floor-1 one's
+    /// classes of that many tuples or more, in order.
     #[test]
     fn partitions_agree_with_the_hashed_build() {
         use rand::prelude::*;
@@ -1547,11 +1548,23 @@ mod tests {
                     let prefix = extend_partition(&index, first, &set[1..len], &mut scratch);
                     built.push(extend_partition(&index, &prefix, &set[len..], &mut scratch));
                 }
-                for part in built {
+                for part in &built {
                     let class_of = part.class_of(t.slots());
                     let got: Vec<u32> = slots.iter().map(|&slot| class_of[slot]).collect();
                     assert_eq!(got, want.class_of, "seed {seed}: {attrs:?}");
                     assert_eq!(part.len(), want.len(), "seed {seed}: {attrs:?}");
+                }
+                let mut sizes = vec![0usize; want.len()];
+                want.class_of.iter().for_each(|&c| sizes[c as usize] += 1);
+                for floor in 2..=4 {
+                    let start = first.stripped(floor);
+                    let part = match set.len() {
+                        1 => start,
+                        _ => extend_partition(&index, &start, &set[1..], &mut scratch),
+                    };
+                    assert_eq!(part, built[0].stripped(floor), "seed {seed}: {attrs:?} at {floor}");
+                    let kept = sizes.iter().filter(|&&n| n >= floor).count();
+                    assert_eq!(part.len(), kept, "seed {seed}: {attrs:?} at {floor}");
                 }
             }
         }

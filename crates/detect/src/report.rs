@@ -71,14 +71,6 @@ impl ViolationReport {
         self.violations.iter().flat_map(|v| v.tuples()).collect()
     }
 
-    /// Violations concerning one constraint index.
-    pub fn for_constraint(&self, idx: usize) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(move |v| match v {
-            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => *cfd == idx,
-            Violation::CindMissingWitness { cind, .. } => *cind == idx,
-        })
-    }
-
     /// Canonical ordering so reports from different detectors compare
     /// equal. Sorts violations and the tuple lists inside them.
     pub fn normalize(&mut self) {
@@ -153,7 +145,6 @@ mod tests {
         });
         assert_eq!(r.len(), 2);
         assert_eq!(r.violating_tuples().len(), 2);
-        assert_eq!(r.for_constraint(1).count(), 1);
         assert!(!r.is_empty());
     }
 

@@ -37,16 +37,20 @@
 //!
 //! Every query returns `[row, X…]`. The queries run on
 //! `revival-relation`'s SQL engine; violating tuple ids are then
-//! materialised by probing an [`Index`] over the table's own symbols
-//! with the keys returned, giving a [`ViolationReport`] identical to the
-//! native detector's up to order (asserted here and in `tests/`).
+//! materialised by looking the keys returned up in a map of the table's
+//! live tuples by their `X` symbols (the oracle's own: it shares no
+//! grouping code with native detection), giving a [`ViolationReport`]
+//! identical to the native detector's up to order (asserted here and in
+//! `tests/`).
 
 use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::PatternValue;
+use revival_relation::groupby::FoldState;
 use revival_relation::sql::{self, Relations};
-use revival_relation::{Index, Result, Schema, Table, Type, Value};
+use revival_relation::{Result, Schema, Sym, Table, TupleId, Type, Value};
+use std::collections::HashMap;
 
 /// The name every tableau relation goes by: `#` keeps it apart from
 /// any relation constraint text can name.
@@ -171,20 +175,54 @@ impl Relations for Beside<'_> {
     }
 }
 
+/// A table's live tuples by their projection on one attribute list, in
+/// the table's own symbols: how a result key finds its tuples.
+struct TuplesByKey<'t> {
+    table: &'t Table,
+    map: HashMap<Vec<Sym>, Vec<TupleId>, FoldState>,
+}
+
+impl<'t> TuplesByKey<'t> {
+    fn build(table: &'t Table, attrs: &[usize]) -> Self {
+        let mut map: HashMap<Vec<Sym>, Vec<TupleId>, FoldState> = HashMap::default();
+        let mut key = Vec::with_capacity(attrs.len());
+        for slot in table.live_slots() {
+            key.clear();
+            key.extend(attrs.iter().map(|&a| table.col(a)[slot]));
+            let tuple = TupleId(slot as u64);
+            match map.get_mut(key.as_slice()) {
+                Some(tuples) => tuples.push(tuple),
+                None => {
+                    map.insert(key.clone(), vec![tuple]);
+                }
+            }
+        }
+        TuplesByKey { table, map }
+    }
+
+    /// The tuples whose projection is `key`, ascending; none if the
+    /// table never interned one of its values.
+    fn get(&self, key: &[Value]) -> &[TupleId] {
+        let syms: Option<Vec<Sym>> = key.iter().map(|v| self.table.pool().lookup(v)).collect();
+        syms.and_then(|syms| self.map.get(&syms)).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Run SQL-based detection of the job's CFDs (indices echo into the
 /// report) — the oracle behind [`crate::SqlEngine`].
 ///
 /// Each result row `[row, X…]` is an LHS key: `Q_c` keys resolve to
-/// tuple ids through an index on `X`, and each member is rechecked with
-/// [`Cfd::constant_violation`] (a tuple reports the first row it
-/// violates); `Q_v` keys resolve to the conflicting group. `GROUP BY`
-/// returns each (row, key) once, so nothing needs deduplicating.
+/// tuple ids through the live tuples by `X`, and each member is
+/// rechecked with [`Cfd::constant_violation`] (a tuple reports the
+/// first row it violates); `Q_v` keys resolve to the conflicting group.
+/// `GROUP BY` returns each (row, key) once, so nothing needs
+/// deduplicating.
 pub(crate) fn detect_all(job: &DetectJob<'_>) -> Result<ViolationReport> {
     let mut report = ViolationReport::default();
     for (at, cfd) in job.cfds.iter().enumerate() {
         let table = job.table(&cfd.relation)?;
         let queries = generate(cfd, table.schema());
-        let index = Index::build(table, &cfd.lhs);
+        let by_key = TuplesByKey::build(table, &cfd.lhs);
         // Result rows as (tableau row, LHS key).
         let run = |(tableau, q): &(Option<Table>, String)| -> Result<Vec<(usize, Vec<Value>)>> {
             let rows = sql::run(q, &Beside { job, tableau: tableau.as_ref() })?.rows;
@@ -193,7 +231,7 @@ pub(crate) fn detect_all(job: &DetectJob<'_>) -> Result<ViolationReport> {
         };
         for query in &queries.constant {
             for (row, key) in run(query)? {
-                for &tuple in index.lookup(&key) {
+                for &tuple in by_key.get(&key) {
                     if cfd.constant_violation(&table.get(tuple)?) == Some(row) {
                         report.violations.push(Violation::CfdConstant { cfd: at, row, tuple });
                     }
@@ -202,7 +240,7 @@ pub(crate) fn detect_all(job: &DetectJob<'_>) -> Result<ViolationReport> {
         }
         for query in &queries.variable {
             for (row, key) in run(query)? {
-                let tuples = index.lookup(&key).to_vec();
+                let tuples = by_key.get(&key).to_vec();
                 if tuples.len() >= 2 {
                     report.violations.push(Violation::CfdVariable { cfd: at, row, key, tuples });
                 }

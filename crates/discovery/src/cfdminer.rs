@@ -15,20 +15,20 @@
 //! keeps one closure bitset per itemset, free or not, and a child
 //! inherits its parents' before reading any column.
 //!
-//! This module mines frequent itemsets level-wise over row
-//! lists (Eclat's tid-lists): level 1 is the table's [`ItemIndex`], and
-//! every frequent itemset derives all its frequent children at once by
-//! bucketing its own rows on each later attribute's column — a level's
-//! support counting reads Σ parent supports, never the table. Support,
-//! freeness and closure all read the child's row list, and the returned
-//! [`DiscoveryStats`] report every support/size cut the search applied,
-//! the closure attributes left-reduction dropped
+//! Itemsets are mined level-wise over the partitions all of discovery
+//! shares ([`Partition`], at floor `min_support`): the classes of `π_X`
+//! are the frequent itemsets over attribute set `X`, each class's slots
+//! its support. Level 1 is each attribute's item lists ([`ItemIndex`]);
+//! level k + 1 is TANE's product `π_X · π_b` for each attribute `b`
+//! after `X`'s last — Σ parent supports per later attribute, never the
+//! table. The returned [`DiscoveryStats`] report every support/size cut
+//! the search applied, the closure attributes left-reduction dropped
 //! ([`DiscoveryStats::constants_not_minimal`]) and the rows the
 //! counting touched.
 //!
-//! A level lives in flat arrays — every itemset's items back to back,
-//! its rows in one arena — and a rule is item numbers pointing into one
-//! LHS arena (`MinedRules`), so mining allocates per level, never per
+//! A level's itemsets keep their items, supports and closures in flat
+//! arrays, and a rule is item numbers pointing into one LHS arena
+//! (`MinedRules`), so mining allocates per attribute set, never per
 //! itemset or per rule. `MinedRules::order` puts the rules in their
 //! final order: each item used is ranked once, every rule's ranks sit
 //! in one contiguous key matrix, and a stable radix pass per key
@@ -42,10 +42,9 @@ use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_obs::JobProfile;
 use revival_relation::groupby::hash_words;
-use revival_relation::partition::{ItemId, ItemIndex};
+use revival_relation::partition::{ItemId, ItemIndex, ItemScratch, Partition};
 use revival_relation::{GroupBy, Table, Value};
 use std::fmt::Write;
-use std::ops::Range;
 use std::time::Instant;
 
 /// An item is `(attribute, value)`.
@@ -89,30 +88,6 @@ impl ConstantRule {
     }
 }
 
-/// One level's frequent itemsets: set `i` holds the `size` items at
-/// `items[i * size..]` (ascending attribute) and its supporting rows at
-/// `rows[i]` of the level's row arena.
-struct Level {
-    size: usize,
-    items: Vec<ItemId>,
-    rows: Vec<Range<usize>>,
-}
-
-impl Level {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn items(&self, set: usize) -> &[ItemId] {
-        &self.items[set * self.size..(set + 1) * self.size]
-    }
-
-    /// The attribute of set `set`'s last item.
-    fn last_attr(&self, index: &ItemIndex<'_>, set: usize) -> usize {
-        index.item(self.items[(set + 1) * self.size - 1]).0
-    }
-}
-
 /// A mined rule, still in item numbers: its LHS is the `lhs_len` items
 /// at `lhs_at` of its [`MinedRules`]' arena.
 #[derive(Clone, Copy)]
@@ -148,8 +123,10 @@ impl MinedRules {
     /// they tied before), write each rule's ranks (LHS, then RHS) as one
     /// row of a key matrix per level, and sort the level with one stable
     /// counting pass per key position, last position first. Ties keep
-    /// mining order, as the `(key, index)` sort this replaced did;
-    /// `(lhs, rhs)` is unique per rule, so `support` never decides.
+    /// mining order, as the `(key, index)` sort this replaced did: by
+    /// the itemset's attribute set (lexicographic), then by its first
+    /// supporting slot, then by RHS attribute. `(lhs, rhs)` is unique
+    /// per rule, so `support` never decides.
     pub(crate) fn order(&mut self, index: &ItemIndex<'_>) {
         let (rank, ranks) = rank_items(self, index);
         let mut counts = vec![0u32; ranks + 1];
@@ -254,8 +231,9 @@ pub(crate) fn rules_row(table: &Table) -> String {
 /// attribution into `profile`: one `itemsets` row per level
 /// (`<relation> itemsets k=<K>`: candidates checked/pruned, support rows
 /// touched, wall). The rules come out in mining order — by level, then
-/// by itemset — for [`MinedRules::order`] to sort. The mined output is
-/// identical either way.
+/// by itemset (attribute set, then first supporting slot) — for
+/// [`MinedRules::order`] to sort. The mined output is identical either
+/// way.
 pub(crate) fn mine_indexed(
     index: &ItemIndex<'_>,
     options: &MinerOptions,
@@ -265,51 +243,42 @@ pub(crate) fn mine_indexed(
     let arity = table.schema().arity();
     let min_support = options.min_support.max(1);
 
-    // Level 1 is the index itself: every frequent item with its rows
-    // (an infrequent item is pruned, never a candidate), copied into
-    // the level's arena.
-    let frequent: Vec<ItemId> =
-        (0..index.len() as ItemId).filter(|&id| index.rows(id).len() >= min_support).collect();
-    let mut arena: Vec<u32> =
-        Vec::with_capacity(frequent.iter().map(|&id| index.rows(id).len()).sum());
-    let mut rows = Vec::with_capacity(frequent.len());
-    for &id in &frequent {
-        let start = arena.len();
-        arena.extend_from_slice(index.rows(id));
-        rows.push(start..arena.len());
-    }
-    let mut level = Level { size: 1, rows, items: frequent };
+    // A level is `π_X` at floor `min_support` per attribute set `X` of
+    // its size (ascending, lexicographic): each class is one frequent
+    // itemset over `X`. Level 1 is each attribute's item lists — an
+    // infrequent item is pruned, never a candidate.
+    let mut level: Vec<(Vec<usize>, Partition)> = (0..arity)
+        .map(|a| (vec![a], index.partition(a).stripped(min_support)))
+        .filter(|(_, part)| !part.is_empty())
+        .collect();
+    let mut candidates: usize = level.iter().map(|(_, part)| part.len()).sum();
     let mut stats = DiscoveryStats {
-        candidates_pruned: index.len() - level.len(),
+        candidates_pruned: index.len() - candidates,
         support_rows_touched: arity * table.len(),
         ..DiscoveryStats::default()
     };
-    let mut candidates = level.len();
     let (mut pruned, mut touched) = (stats.candidates_pruned, stats.support_rows_touched);
-    // Frequent items over attributes ≥ a: an itemset ending on
-    // attribute a−1 has exactly that many candidate extensions, so the
+    // Frequent items over attributes after a: an itemset ending on
+    // attribute a has exactly that many candidate extensions, so the
     // candidate counts need no candidate to be materialised.
-    let mut items_from = vec![0usize; arity + 1];
-    for set in 0..level.len() {
-        items_from[level.last_attr(index, set)] += 1;
-    }
-    for a in (0..arity).rev() {
-        items_from[a] += items_from[a + 1];
-    }
+    let items_after: Vec<usize> = (0..arity)
+        .map(|a| level.iter().filter(|(b, _)| b[0] > a).map(|(_, part)| part.len()).sum())
+        .collect();
 
-    // The previous level, for the freeness check: its sets by their
-    // items (every proper subset of a frequent set is frequent, so each
-    // lookup finds one). Level 1's only subset is ∅, of support |table|.
-    let mut parents: Option<(Level, GroupBy<u32, ()>)> = None;
-    // Per set of a level, its closure: the attributes its rows agree
-    // on, `words` bits each, built for every set, free or not — a
-    // child's rule on `A` is left-reduced only if no parent's closure
-    // holds `A`.
+    // Per set of a level, in class order: its items (`size` each), its
+    // support and its closure — the attributes its rows agree on, built
+    // for every set, free or not: a child's rule on `A` is left-reduced
+    // only if no parent's closure holds `A`. The previous level's stay
+    // for the freeness check, with its sets by their items (a frequent
+    // set's subsets are all frequent). Level 1's only subset is ∅.
     let words = arity.div_ceil(64);
+    let (mut items, mut parent_items): (Vec<ItemId>, Vec<ItemId>) = (Vec::new(), Vec::new());
+    let (mut supports, mut parent_supports): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
     let (mut closures, mut parent_closures): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    let mut parents: GroupBy<u32, ()> = GroupBy::new();
     let bit = |attr: usize| (attr / 64, 1u64 << (attr % 64));
     let mut mined = MinedRules { lhs: Vec::new(), rules: Vec::new() };
-    let mut cursors = vec![0usize; index.len()];
+    let mut scratch = ItemScratch::default();
     let mut subset: Vec<ItemId> = Vec::new();
     let hash = |items: &[ItemId]| hash_words(items.iter().map(|&id| u64::from(id)));
     for size in 1..=options.max_size {
@@ -318,86 +287,108 @@ pub(crate) fn mine_indexed(
         }
         let level_start = Instant::now();
         if size > 1 {
-            // This level's supports: bucket the previous level's rows.
-            let (next, next_arena, read) = extend(index, &level, &arena, min_support, &mut cursors);
-            let mut sets = GroupBy::with_capacity(level.len());
-            for set in 0..level.len() {
-                sets.insert_unique(hash(level.items(set)), set as u32, ());
+            // This level's supports: `π_X · b` for every later attribute
+            // `b`, reading each class of `π_X` once per `b`.
+            touched = 0;
+            let mut next = Vec::new();
+            for (attrs, part) in &level {
+                let last = attrs[attrs.len() - 1];
+                touched += part.classes().map(<[u32]>::len).sum::<usize>() * (arity - last - 1);
+                for b in last + 1..arity {
+                    let refined = part.product(index, b, &mut scratch, true).refined;
+                    let refined = refined.filter(|part| !part.is_empty());
+                    next.extend(refined.map(|part| ([&attrs[..], &[b]].concat(), part)));
+                }
             }
-            parents = Some((std::mem::replace(&mut level, next), sets));
+            level = next;
+            std::mem::swap(&mut items, &mut parent_items);
+            std::mem::swap(&mut supports, &mut parent_supports);
             std::mem::swap(&mut closures, &mut parent_closures);
-            (arena, touched) = (next_arena, read);
-            pruned = candidates - level.len();
+            parents = GroupBy::with_capacity(parent_supports.len());
+            for (set, items) in parent_items.chunks(size - 1).enumerate() {
+                parents.insert_unique(hash(items), set as u32, ());
+            }
+            pruned = candidates - level.iter().map(|(_, part)| part.len()).sum::<usize>();
             stats.candidates_pruned += pruned;
             stats.support_rows_touched += touched;
         }
         stats.levels = size;
         stats.candidates_checked += candidates;
+        items.clear();
+        supports.clear();
         closures.clear();
-        closures.resize(level.len() * words, 0);
-        for set in 0..level.len() {
-            let (items, rows) = (level.items(set), &arena[level.rows[set].clone()]);
-            let closure = &mut closures[set * words..(set + 1) * words];
-            // Freeness: every proper subset has strictly larger support.
-            // A parent of equal support has the same rows, so the same
-            // closure; the others' closures are attributes the set's
-            // rows agree on without reading a column.
-            let mut free = table.len() > rows.len();
-            if let Some((parent, sets)) = &parents {
-                free = true;
-                for skip in 0..size {
-                    subset.clear();
-                    subset.extend_from_slice(&items[..skip]);
-                    subset.extend_from_slice(&items[skip + 1..]);
-                    let found = sets.probe(hash(&subset), |&p| parent.items(p as usize) == subset);
-                    let p = found.expect("a frequent set's subsets are frequent");
-                    let held = &parent_closures[p * words..(p + 1) * words];
-                    if parent.rows[p].len() == rows.len() {
-                        closure.copy_from_slice(held);
-                        free = false;
-                        break;
+        for (attrs, part) in &level {
+            for rows in part.classes() {
+                let set = supports.len();
+                let at = items.len();
+                items.extend(attrs.iter().map(|&a| index.id_at(a, rows[0])));
+                supports.push(rows.len());
+                closures.resize((set + 1) * words, 0);
+                let (items, closure) = (&items[at..], &mut closures[set * words..]);
+                // Freeness: every proper subset has strictly larger
+                // support. A parent of equal support has the same rows,
+                // so the same closure; the others' closures are
+                // attributes the set's rows agree on without reading a
+                // column.
+                let mut free = table.len() > rows.len();
+                if size > 1 {
+                    free = true;
+                    for skip in 0..size {
+                        subset.clear();
+                        subset.extend_from_slice(&items[..skip]);
+                        subset.extend_from_slice(&items[skip + 1..]);
+                        let parent =
+                            |p: &u32| &parent_items[*p as usize * (size - 1)..][..size - 1];
+                        let found = parents.probe(hash(&subset), |p| parent(p) == subset);
+                        let p = found.expect("a frequent set's subsets are frequent");
+                        let held = &parent_closures[p * words..(p + 1) * words];
+                        if parent_supports[p] == rows.len() {
+                            closure.copy_from_slice(held);
+                            free = false;
+                            break;
+                        }
+                        closure.iter_mut().zip(held).for_each(|(c, h)| *c |= h);
                     }
-                    closure.iter_mut().zip(held).for_each(|(c, h)| *c |= h);
+                    if !free {
+                        continue;
+                    }
                 }
-                if !free {
-                    continue;
+                for &id in items {
+                    let (word, mask) = bit(index.item(id).0);
+                    closure[word] |= mask;
                 }
-            }
-            for &id in items {
-                let (word, mask) = bit(index.item(id).0);
-                closure[word] |= mask;
-            }
-            if free {
-                // What the parents held outside the set: rules whose
-                // LHS a proper subset already fixes.
-                let known: u32 = closure.iter().map(|w| w.count_ones()).sum();
-                stats.constants_not_minimal += known as usize - size;
-            }
-            // The rest of the closure: one left-reduced rule per other
-            // attribute the rows agree on; the set's rules share one run
-            // of the LHS arena.
-            let lhs_at = mined.lhs.len() as u32;
-            for attr in 0..arity {
-                let (word, mask) = bit(attr);
-                let first = index.sym_at(attr, rows[0]);
-                if closure[word] & mask != 0
-                    || !rows.iter().all(|&r| index.sym_at(attr, r) == first)
-                {
-                    continue;
+                if free {
+                    // What the parents held outside the set: rules whose
+                    // LHS a proper subset already fixes.
+                    let known: u32 = closure.iter().map(|w| w.count_ones()).sum();
+                    stats.constants_not_minimal += known as usize - size;
                 }
-                closure[word] |= mask;
-                if !free {
-                    continue;
+                // The rest of the closure: one left-reduced rule per
+                // other attribute the rows agree on; the set's rules
+                // share one run of the LHS arena.
+                let lhs_at = mined.lhs.len() as u32;
+                for attr in 0..arity {
+                    let (word, mask) = bit(attr);
+                    let first = index.sym_at(attr, rows[0]);
+                    if closure[word] & mask != 0
+                        || !rows.iter().all(|&r| index.sym_at(attr, r) == first)
+                    {
+                        continue;
+                    }
+                    closure[word] |= mask;
+                    if !free {
+                        continue;
+                    }
+                    if mined.lhs.len() as u32 == lhs_at {
+                        mined.lhs.extend_from_slice(items);
+                    }
+                    mined.rules.push(ItemRule {
+                        lhs_at,
+                        lhs_len: size as u32,
+                        rhs: index.id_at(attr, rows[0]),
+                        support: rows.len(),
+                    });
                 }
-                if mined.lhs.len() as u32 == lhs_at {
-                    mined.lhs.extend_from_slice(items);
-                }
-                mined.rules.push(ItemRule {
-                    lhs_at,
-                    lhs_len: size as u32,
-                    rhs: index.id_at(attr, rows[0]),
-                    support: rows.len(),
-                });
             }
         }
         if let Some(p) = profile.as_deref_mut() {
@@ -409,67 +400,14 @@ pub(crate) fn mine_indexed(
         }
         // The next level's candidates are counted, not built: past
         // `max_size` only their number (truncation) is ever needed.
-        candidates = (0..level.len()).map(|set| items_from[level.last_attr(index, set) + 1]).sum();
+        candidates = level
+            .iter()
+            .map(|(attrs, part)| part.len() * items_after[attrs[attrs.len() - 1]])
+            .sum();
     }
     // Candidates past `max_size` were never examined — say so.
     stats.lattice_truncated = candidates > 0;
     (mined, stats)
-}
-
-/// Every frequent one-item extension of `level`'s itemsets: each
-/// parent's rows are bucketed on each later attribute's column (count,
-/// then place — rows stay ascending), and a bucket of at least
-/// `min_support` rows is a frequent child. Returns the children, their
-/// row arena, and the rows read. `cursors` is all-zero scratch, one
-/// entry per item, and is returned all-zero.
-fn extend(
-    index: &ItemIndex<'_>,
-    level: &Level,
-    arena: &[u32],
-    min_support: usize,
-    cursors: &mut [usize],
-) -> (Level, Vec<u32>, usize) {
-    const INFREQUENT: usize = usize::MAX;
-    let arity = index.table().schema().arity();
-    let mut next = Level { size: level.size + 1, items: Vec::new(), rows: Vec::new() };
-    let (mut next_arena, mut touched) = (Vec::new(), 0);
-    let mut seen: Vec<ItemId> = Vec::new();
-    for set in 0..level.len() {
-        let rows = &arena[level.rows[set].clone()];
-        for attr in level.last_attr(index, set) + 1..arity {
-            touched += rows.len();
-            for &slot in rows {
-                let id = index.id_at(attr, slot);
-                if cursors[id as usize] == 0 {
-                    seen.push(id);
-                }
-                cursors[id as usize] += 1;
-            }
-            // A frequent bucket's count becomes its write cursor.
-            for &id in &seen {
-                let count = std::mem::replace(&mut cursors[id as usize], INFREQUENT);
-                if count >= min_support {
-                    let start = next_arena.len();
-                    cursors[id as usize] = start;
-                    next_arena.resize(start + count, 0);
-                    next.items.extend_from_slice(level.items(set));
-                    next.items.push(id);
-                    next.rows.push(start..start + count);
-                }
-            }
-            for &slot in rows {
-                let cursor = &mut cursors[index.id_at(attr, slot) as usize];
-                if *cursor != INFREQUENT {
-                    next_arena[*cursor] = slot;
-                    *cursor += 1;
-                }
-            }
-            for id in seen.drain(..) {
-                cursors[id as usize] = 0;
-            }
-        }
-    }
-    (next, next_arena, touched)
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //! contract the detection and repair engines keep. `jobs` shards the
 //! lattice only: a job builds one item index per table
 //! (`(attribute, Sym)` → row list) and every support count reads it —
-//! the constant miner buckets parents' row lists, the lattice's
-//! partitions are lists of the same slots and its conditional probe
+//! the constant miner's itemsets are classes of partitions built from
+//! it, as the lattice's are, and the lattice's conditional probe
 //! sums the class errors of the candidate's partition — which leaves
 //! the constant miner nothing worth sharding, so it runs on the caller.
 //! No group key is hashed anywhere in the lattice.
@@ -357,8 +357,9 @@ fn run_job(
         rules.extend(mined);
         let stage = Instant::now();
         // Constant CFDs are always mined too, via CFDMiner (free-itemset
-        // closures). Row-list support counting leaves nothing worth
-        // sharding: the constant miner runs on the caller at any `jobs`.
+        // closures). Support counted by partition products leaves
+        // nothing worth sharding: the constant miner runs on the caller
+        // at any `jobs`.
         let (mut constants, cstats) = cfdminer::mine_indexed(
             &index,
             &MinerOptions { min_support: opts.min_support.max(1), max_size: opts.max_lhs },

@@ -10,14 +10,16 @@
 //!   hold — exactly how the CIND examples of Bravo et al. arise (the
 //!   book/CD inclusion holds only where `genre = 'a-book'`).
 //!
-//! Both run in symbol space: a column's distinct symbols are the keys of
-//! one [`Index`], translated into a target relation's pool once, and
-//! lifting counts source tuples per condition symbol against the CIND
-//! witness probe ([`Cind::witnesses`]), emitting candidates in value order.
+//! Both run in symbol space: a column's distinct symbols are its items
+//! in the table's [`ItemIndex`], translated into a target relation's
+//! pool once, and lifting counts source tuples per condition symbol
+//! against the CIND witness probe ([`Cind::witnesses`]), emitting
+//! candidates in value order.
 
 use revival_constraints::cind::{Cind, PatternCond};
 use revival_constraints::Ind;
-use revival_relation::{Catalog, Index, Result, Sym, Table};
+use revival_relation::partition::ItemIndex;
+use revival_relation::{Catalog, Result, Sym, Table};
 use std::collections::HashMap;
 
 /// Options for IND/CIND discovery.
@@ -56,31 +58,31 @@ fn unary_pairs(catalog: &Catalog, options: &IndOptions) -> Result<Vec<(Ind, bool
     let mut names: Vec<&str> = catalog.relation_names().collect();
     names.sort_unstable();
     let tables: Vec<&Table> = names.iter().map(|n| catalog.get(n)).collect::<Result<_>>()?;
-    // One index per column: its keys are the column's distinct symbols.
-    let columns: Vec<Vec<Index>> = tables
-        .iter()
-        .map(|&t| (0..t.schema().arity()).map(|a| Index::build(t, &[a])).collect())
-        .collect();
+    // One item index per table: a column's items are its distinct
+    // symbols in live rows.
+    let indexes: Vec<ItemIndex> = tables.iter().map(|&t| ItemIndex::build(t)).collect();
     let mut out = Vec::new();
     for (f, from) in tables.iter().enumerate() {
         for (t, to) in tables.iter().enumerate() {
-            for (a, from_col) in columns[f].iter().enumerate() {
-                if from_col.len() < options.min_distinct {
+            for a in 0..from.schema().arity() {
+                let items = indexes[f].items_of(a);
+                if items.len() < options.min_distinct {
                     continue;
                 }
                 // Each distinct source value, in the target's symbols;
                 // `None` if the target relation never holds one of them.
-                let translated: Option<Vec<Sym>> =
-                    from_col.keys().map(|k| to.pool().lookup(from.pool().value(k[0]))).collect();
-                for (b, to_col) in columns[t].iter().enumerate() {
+                let translated: Option<Vec<Sym>> = items
+                    .map(|id| to.pool().lookup(from.pool().value(indexes[f].item(id).1)))
+                    .collect();
+                for b in 0..to.schema().arity() {
                     if (f == t && a == b)
                         || from.schema().attribute(a).ty != to.schema().attribute(b).ty
                     {
                         continue;
                     }
-                    let holds = translated
-                        .as_ref()
-                        .is_some_and(|syms| syms.iter().all(|&s| !to_col.get(&[s]).is_empty()));
+                    let holds = translated.as_ref().is_some_and(|syms| {
+                        syms.iter().all(|&s| indexes[t].local_item(b, s).is_some())
+                    });
                     let ind = Ind {
                         from_relation: names[f].to_string(),
                         from_attrs: vec![a],

@@ -23,10 +23,12 @@
 //! ([`revival_relation::partition::ItemIndex`], the index detection
 //! groups by too) — for every `(attribute, Sym)` the ascending live
 //! rows carrying it —
-//! and support is only ever counted over those row lists: a child
-//! itemset's rows are its parent's, bucketed on one more column. The
-//! lattice's stripped partitions are lists of the same rows, and a
-//! conditional pattern's error is a sum over its classes. The parallel
+//! and support is only ever counted over partitions built from those
+//! row lists: the frequent itemsets over `X` are the classes of `π_X`
+//! at floor `min_support`, and a child's rows are its parent's class
+//! refined by one more attribute (TANE's product). The lattice's
+//! stripped partitions are the same type at floor 2, and a conditional
+//! pattern's error is a sum over its classes. The parallel
 //! engine
 //! shards each lattice level's candidate checks across
 //! `std::thread::scope` workers with a deterministic candidate-order
@@ -44,7 +46,7 @@
 //! * [`tane`] — the level-wise lattice walk ([`tane::mine_lattice`]),
 //!   plain and conditional rules alike;
 //! * [`cfdminer`] — constant CFDs via free-itemset mining (CFDMiner)
-//!   over row lists;
+//!   over partitions at floor `min_support`;
 //! * [`ctane`] — the conditional-pattern probe the lattice runs, a sum
 //!   of class errors per condition value;
 //! * [`ind_disc`] — unary IND discovery across relations and lifting of

@@ -65,7 +65,7 @@ pub(crate) fn lhs_sets(arity: usize) -> Vec<Vec<usize>> {
 /// single attributes.
 pub(crate) fn partition_of(index: &ItemIndex<'_>, x: &[usize]) -> Partition {
     let mut scratch = ItemScratch::new(index);
-    let mut part = index.partition(x[0]).stripped();
+    let mut part = index.partition(x[0]).stripped(2);
     for &a in &x[1..] {
         part = part.product(index, a, &mut scratch, true).refined.unwrap();
     }

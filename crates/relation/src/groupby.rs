@@ -8,9 +8,9 @@
 //! splits the entry API the way hashbrown's raw-entry does: the caller
 //! supplies the hash and an equality closure against *stored* keys, so
 //! the probe allocates nothing; only a miss pays for an owned key.
-//! [`KeyProj`] is the standard probe: a row's projection onto an
-//! attribute list as interned [`Sym`]s — hashed by FNV over `u32`s,
-//! compared word-wise.
+//! [`ColProj`] is the standard probe: a slot's projection onto an
+//! attribute list as interned [`Sym`]s, read off the columns — hashed
+//! by FNV over `u32`s, compared word-wise.
 //!
 //! Entries keep **insertion order** (the table is append-only), which is
 //! what lets the parallel detection engine fold per-shard maps in chunk
@@ -139,46 +139,12 @@ pub fn hash_values<'a>(vals: impl IntoIterator<Item = &'a crate::value::Value>) 
     h.finish()
 }
 
-/// A borrowed key projection: one row's interned symbols restricted to
-/// an attribute list. Hashes and compares straight off the row — no
-/// `Vec` is built until [`KeyProj::to_key`] runs on first insert.
-#[derive(Clone, Copy)]
-pub struct KeyProj<'a> {
-    row: &'a [Sym],
-    attrs: &'a [usize],
-}
-
-impl<'a> KeyProj<'a> {
-    /// Project `row` (a table's symbol mirror) onto `attrs`.
-    pub fn new(row: &'a [Sym], attrs: &'a [usize]) -> Self {
-        KeyProj { row, attrs }
-    }
-
-    /// The projection's hash (FNV over symbols, in attribute order).
-    #[inline]
-    pub fn hash(&self) -> u64 {
-        hash_syms(self.attrs.iter().map(|&a| self.row[a]))
-    }
-
-    /// Does a stored owned key equal this projection?
-    #[inline]
-    pub fn matches(&self, key: &[Sym]) -> bool {
-        key.len() == self.attrs.len() && self.attrs.iter().zip(key).all(|(&a, k)| self.row[a] == *k)
-    }
-
-    /// Materialise the owned key — called once per distinct group.
-    pub fn to_key(&self) -> Box<[Sym]> {
-        self.attrs.iter().map(|&a| self.row[a]).collect()
-    }
-}
-
 /// A borrowed **column** projection: the table's symbol columns
-/// restricted to an attribute list, probed by slot. The columnar dual
-/// of [`KeyProj`] — where `KeyProj` walks one row's symbols, `ColProj`
-/// holds one slice per projected attribute and reads the same slot from
-/// each, so a grouping scan touches only the projected columns and
-/// never fetches a row. Hashes agree with [`KeyProj`] (FNV over symbols
-/// in attribute order), so keys built through either probe interoperate.
+/// restricted to an attribute list, probed by slot. It holds one slice
+/// per projected attribute and reads the same slot from each, so a
+/// grouping scan touches only the projected columns and never fetches
+/// a row. Its hash is [`hash_syms`] over the projected symbols in
+/// attribute order, so a key hashed from stored symbols probes alike.
 #[derive(Clone)]
 pub struct ColProj<'a> {
     cols: Vec<&'a [Sym]>,
@@ -198,7 +164,7 @@ impl<'a> ColProj<'a> {
     }
 
     /// The projection's hash at `slot` (FNV over symbols, in attribute
-    /// order — identical to [`KeyProj::hash`] on the same cells).
+    /// order — [`hash_syms`] of the same cells).
     #[inline]
     pub fn hash_at(&self, slot: usize) -> u64 {
         hash_syms(self.cols.iter().map(|c| c[slot]))
@@ -342,12 +308,6 @@ impl<K, V> GroupBy<K, V> {
         &mut self.entries[idx].val
     }
 
-    /// Key and payload by entry index.
-    pub fn entry_at(&self, idx: usize) -> (&K, &V) {
-        let e = &self.entries[idx];
-        (&e.key, &e.val)
-    }
-
     /// Groups in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|e| (&e.key, &e.val))
@@ -392,8 +352,7 @@ mod tests {
         assert_eq!(g.len(), 1000);
         for i in 0..1000u64 {
             let h = hash_syms([]) ^ i;
-            let idx = g.probe(h, |k| *k == i).unwrap();
-            assert_eq!(*g.entry_at(idx).1, i as usize * 2);
+            assert_eq!(g.get(h, |k| *k == i), Some(&(i as usize * 2)));
         }
         // Insertion order is preserved.
         let keys: Vec<u64> = g.iter().map(|(k, _)| *k).collect();
@@ -417,29 +376,29 @@ mod tests {
     fn entry_mut_creates_once() {
         let mut g: GroupBy<Box<[Sym]>, Vec<u32>> = GroupBy::new();
         let mut pool = ValuePool::new();
-        let row: Vec<Sym> = ["a", "b", "a"].iter().map(|s| pool.intern(&Value::from(*s))).collect();
-        let attrs = [0usize, 2];
-        let kp = KeyProj::new(&row, &attrs);
-        g.entry_mut(kp.hash(), |k| kp.matches(k), || (kp.to_key(), Vec::new())).push(1);
-        g.entry_mut(kp.hash(), |k| kp.matches(k), || (kp.to_key(), Vec::new())).push(2);
+        let cols: Vec<Vec<Sym>> =
+            ["a", "b", "a"].iter().map(|s| vec![pool.intern(&Value::from(*s))]).collect();
+        let cp = ColProj::new(vec![&cols[0], &cols[2]]);
+        g.entry_mut(cp.hash_at(0), |k| cp.matches_at(0, k), || (cp.key_at(0), Vec::new())).push(1);
+        g.entry_mut(cp.hash_at(0), |k| cp.matches_at(0, k), || (cp.key_at(0), Vec::new())).push(2);
         assert_eq!(g.len(), 1);
         assert_eq!(g.iter().next().unwrap().1, &vec![1, 2]);
     }
 
     #[test]
-    fn keyproj_matches_projection_only() {
+    fn colproj_matches_projection_only() {
         let mut pool = ValuePool::new();
-        let row: Vec<Sym> = ["x", "y", "z"].iter().map(|s| pool.intern(&Value::from(*s))).collect();
-        let attrs = [1usize];
-        let kp = KeyProj::new(&row, &attrs);
-        assert!(kp.matches(&[row[1]]));
-        assert!(!kp.matches(&[row[0]]));
-        assert!(!kp.matches(&[row[1], row[1]]));
-        assert_eq!(kp.to_key().as_ref(), &[row[1]]);
-        // Equal projections hash equal.
-        let row2: Vec<Sym> =
-            ["q", "y", "r"].iter().map(|s| pool.intern(&Value::from(*s))).collect();
-        assert_eq!(KeyProj::new(&row2, &attrs).hash(), kp.hash());
+        let cols: Vec<Vec<Sym>> = [["x", "q"], ["y", "y"], ["z", "r"]]
+            .iter()
+            .map(|c| c.iter().map(|s| pool.intern(&Value::from(*s))).collect())
+            .collect();
+        let cp = ColProj::new(vec![&cols[1]]);
+        assert!(cp.matches_at(0, &[cols[1][0]]));
+        assert!(!cp.matches_at(0, &[cols[0][0]]));
+        assert!(!cp.matches_at(0, &[cols[1][0], cols[1][0]]));
+        assert_eq!(cp.key_at(0).as_ref(), &[cols[1][0]]);
+        // Equal projections hash equal, whatever the other columns hold.
+        assert_eq!(cp.hash_at(1), cp.hash_at(0));
     }
 
     #[test]
@@ -454,10 +413,11 @@ mod tests {
         let attrs = [1usize, 2];
         let cp = ColProj::new(vec![&cols[1], &cols[2]]);
         for (slot, row) in rows.iter().enumerate() {
-            let kp = KeyProj::new(row, &attrs);
-            assert_eq!(cp.hash_at(slot), kp.hash());
-            assert_eq!(cp.key_at(slot), kp.to_key());
-            assert!(cp.matches_at(slot, &kp.to_key()));
+            // The row's own symbols on `attrs`, hashed as a stored key is.
+            let key: Box<[Sym]> = attrs.iter().map(|&a| row[a]).collect();
+            assert_eq!(cp.hash_at(slot), hash_syms(key.iter().copied()));
+            assert_eq!(cp.key_at(slot), key);
+            assert!(cp.matches_at(slot, &key));
         }
         assert!(!cp.matches_at(0, &cp.key_at(1)));
         assert_eq!(cp.width(), 2);

@@ -13,7 +13,7 @@
 //!   domains (needed by CFD satisfiability analysis);
 //! * an in-memory, **columnar** [`Table`] — dense per-attribute [`Sym`]
 //!   columns over an interning [`ValuePool`], stable tuple identities,
-//!   a tombstone bitmap, and secondary hash [`Index`]es;
+//!   and a tombstone bitmap;
 //! * an on-disk snapshot format (module [`snapshot`], `.sdq` files):
 //!   one read and one decode pass to open;
 //! * CSV reading/writing (module [`csv`]);
@@ -49,7 +49,6 @@ pub mod csv;
 pub mod durable;
 pub mod error;
 pub mod groupby;
-pub mod index;
 pub mod parallel;
 pub mod partition;
 pub mod pool;
@@ -60,8 +59,7 @@ pub mod table;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use groupby::{ColProj, GroupBy, KeyProj};
-pub use index::Index;
+pub use groupby::{ColProj, GroupBy};
 pub use parallel::{map_chunks, resolve_jobs};
 pub use pool::{Sym, ValuePool};
 pub use schema::{AttrId, Attribute, Catalog, Schema, SchemaBuilder, Type};

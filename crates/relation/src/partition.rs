@@ -16,11 +16,14 @@
 //! projection on `X`. It is a CSR layout: every class's slots back to
 //! back, ascending within a class, with class bounds; classes are
 //! numbered in first-seen order, so they ascend by first slot. A
-//! partition either keeps singleton classes — detection: every tuple is
-//! in some class, so a constant pattern row finds its tuples however few
-//! there are — or strips them: TANE, where `X → A` holds iff no class of
-//! `π_X` of two or more rows splits in `π_{X∪{A}}`. A per-slot class id
-//! is built only for a caller that asks ([`Partition::class_of`]).
+//! partition has a *floor*, the fewest slots a class it keeps holds:
+//! detection keeps every class (floor 1: every tuple is in some class,
+//! so a constant pattern row finds its tuples however few there are);
+//! TANE strips singletons (floor 2: `X → A` holds iff no class of `π_X`
+//! of two or more rows splits in `π_{X∪{A}}`); CFDMiner keeps only
+//! frequent itemsets (floor `min_support`: a class of `π_X` is one
+//! itemset over `X`, its slots the itemset's support). A per-slot class
+//! id is built only for a caller that asks ([`Partition::class_of`]).
 //!
 //! `π_A` of one attribute *is* that attribute's item rows
 //! ([`ItemIndex::partition`]); `π_{X∪{A}}` is TANE's linear product
@@ -34,8 +37,8 @@
 //! 1203.2672) over the variable order of sorted attribute ids: a common
 //! prefix is grouped once and shared by every set extending it, and an
 //! extension's cost is paid per class of the prefix, not per row of the
-//! relation. A partition that keeps singletons also keeps its product
-//! steps — per class of the prefix, its sub-classes by item — which
+//! relation. A partition of floor 1 also keeps its product steps —
+//! per class of the prefix, its sub-classes by item — which
 //! makes it that representation's trie: the class of a key is found
 //! from the key's items alone, one small search per attribute
 //! ([`Partition::class_of_items`]), no slot read.
@@ -64,7 +67,7 @@ struct AttrItems {
     local: Vec<u32>,
     /// The [`ItemId`] of the attribute's local item 0.
     first: ItemId,
-    /// `π_attr` with singletons kept: class `i` is local item `i`'s slots.
+    /// `π_attr` at floor 1: class `i` is local item `i`'s slots.
     part: Partition,
 }
 
@@ -158,7 +161,7 @@ impl<'a> ItemIndex<'a> {
             slots[*cursor as usize] = slot;
             *cursor += 1;
         }
-        let part = Partition { slots, bounds, singletons: true, steps: Vec::new() };
+        let part = Partition { slots, bounds, floor: 1, steps: Vec::new() };
         self.attrs[attr] = Some(AttrItems { local, first, part });
         true
     }
@@ -244,8 +247,8 @@ impl<'a> ItemIndex<'a> {
         items.first + items.local[self.sym_at(attr, slot).index()]
     }
 
-    /// `π_attr` of an indexed attribute, singletons kept: class `i` is
-    /// the attribute's `i`-th item, in first-seen order.
+    /// `π_attr` of an indexed attribute at floor 1: class `i` is the
+    /// attribute's `i`-th item, in first-seen order.
     pub fn partition(&self, attr: usize) -> &Partition {
         &self.attr(attr).part
     }
@@ -259,15 +262,16 @@ pub struct Partition {
     slots: Vec<u32>,
     /// Class `c` is `slots[bounds[c]..bounds[c + 1]]`.
     bounds: Vec<u32>,
-    /// Singleton classes are kept (else stripped).
-    singletons: bool,
-    /// With singletons kept, the product steps from the first
-    /// attribute's item lists to this partition, shared with the
-    /// partitions they passed through (see [`Partition::class_of_items`]).
+    /// The fewest slots a kept class holds (at least 1): smaller classes
+    /// are dropped.
+    floor: u32,
+    /// At floor 1, the product steps from the first attribute's item
+    /// lists to this partition, shared with the partitions they passed
+    /// through (see [`Partition::class_of_items`]).
     steps: Vec<Arc<Step>>,
 }
 
-/// One product step `π_X · π_A` of a partition that keeps singletons:
+/// One product step `π_X · π_A` of a partition of floor 1:
 /// per class of `π_X`, its sub-classes in `π_{X∪{A}}` by item of `A` —
 /// one level of the trie the factorised representation of `X ∪ {A}`
 /// is, over the set's attribute order.
@@ -281,7 +285,7 @@ struct Step {
 
 /// [`Partition::product`]'s answer for `π_X · π_A`.
 pub struct Product {
-    /// `π_{X∪{A}}`, when asked for; its singletons kept iff `π_X`'s are.
+    /// `π_{X∪{A}}`, when asked for, at `π_X`'s floor.
     pub refined: Option<Partition>,
     /// Per class `c` of `π_X`, in class order, its [`class_error`]
     /// under `A`.
@@ -357,8 +361,8 @@ pub fn class_error(class: &[u32], key: impl Fn(u32) -> u32, scratch: &mut ItemSc
     class.len() as u32 - largest
 }
 
-/// A sub-class of one row of a stripped product: it counts toward the
-/// largest, but is dropped.
+/// A sub-class below a product's floor: it counts toward the largest,
+/// but is dropped.
 const STRIPPED: u32 = u32::MAX;
 
 impl Partition {
@@ -366,14 +370,19 @@ impl Partition {
     /// slot of `live` (none when `live` is empty).
     pub fn whole(live: &[u32]) -> Partition {
         let bounds = if live.is_empty() { vec![0] } else { vec![0, live.len() as u32] };
-        Partition { slots: live.to_vec(), bounds, singletons: true, steps: Vec::new() }
+        Partition { slots: live.to_vec(), bounds, floor: 1, steps: Vec::new() }
     }
 
-    /// This partition without its singleton classes.
-    pub fn stripped(&self) -> Partition {
-        let mut part =
-            Partition { slots: Vec::new(), bounds: vec![0], singletons: false, steps: Vec::new() };
-        for class in self.classes().filter(|class| class.len() >= 2) {
+    /// This partition at floor `floor` (or its own, if higher): its
+    /// classes of at least that many slots, in order. Products of the
+    /// result drop every sub-class below the floor too. Only at floor 1
+    /// does the result keep this partition's product steps, and its own
+    /// products record theirs.
+    pub fn stripped(&self, floor: usize) -> Partition {
+        let floor = u32::try_from(floor).unwrap_or(u32::MAX).max(self.floor);
+        let steps = if floor == 1 { self.steps.clone() } else { Vec::new() };
+        let mut part = Partition { slots: Vec::new(), bounds: vec![0], floor, steps };
+        for class in self.classes().filter(|class| class.len() as u32 >= floor) {
             part.slots.extend_from_slice(class);
             part.bounds.push(part.slots.len() as u32);
         }
@@ -404,15 +413,14 @@ impl Partition {
     /// partition's set, in set order, its local item
     /// ([`ItemIndex::local_item`]) — if a live tuple does: a descent of
     /// the product steps, one search among a class's sub-classes per
-    /// attribute, no slot read. Only for a partition that keeps
-    /// singletons, built from its first attribute's item lists by
-    /// [`Partition::product`] (or that `π_A` itself, or [`Partition::whole`]
-    /// for no items).
+    /// attribute, no slot read. Only for a partition of floor 1, built
+    /// from its first attribute's item lists by [`Partition::product`]
+    /// (or that `π_A` itself, or [`Partition::whole`] for no items).
     pub fn class_of_items(&self, items: &[u32]) -> Option<usize> {
         let Some((&first, rest)) = items.split_first() else {
             return (!self.is_empty()).then_some(0);
         };
-        debug_assert!(self.singletons && rest.len() == self.steps.len(), "items per product step");
+        debug_assert!(self.floor == 1 && rest.len() == self.steps.len(), "items per product step");
         let mut class = first;
         for (step, &item) in self.steps.iter().zip(rest) {
             let (start, end) = (step.starts[class as usize], step.starts[class as usize + 1]);
@@ -423,7 +431,8 @@ impl Partition {
     }
 
     /// The class id of every slot below `slots` (`u32::MAX` for a slot in
-    /// no class: dead, or a stripped singleton) — built on request only.
+    /// no class: dead, or in a class below the floor) — built on request
+    /// only.
     pub fn class_of(&self, slots: usize) -> Vec<u32> {
         let mut class_of = vec![ABSENT; slots];
         for (c, class) in self.classes().enumerate() {
@@ -439,9 +448,10 @@ impl Partition {
     /// itself if `refine`. The item index is the probe — a slot's item
     /// under `attr` names its class of `π_A` — so each class of `π_X` is
     /// walked once to count its sub-classes, and once more to place
-    /// their slots only when it splits and `refine` asks for them. With
-    /// singletons kept, the refined partition also records the step: each
-    /// class's sub-classes by item, for [`Partition::class_of_items`].
+    /// their slots only when it splits and `refine` asks for them; a
+    /// sub-class below the floor counts toward its class's error but is
+    /// dropped. At floor 1 the refined partition also records the step:
+    /// each class's sub-classes by item, for [`Partition::class_of_items`].
     pub fn product(
         &self,
         index: &ItemIndex<'_>,
@@ -451,7 +461,7 @@ impl Partition {
     ) -> Product {
         let view = index.view(attr);
         scratch.fit(view.items);
-        let record = refine && self.singletons;
+        let record = refine && self.floor == 1;
         let mut slots: Vec<u32> =
             if record { Vec::with_capacity(self.slots.len()) } else { Vec::new() };
         // (first slot, start, end) per emitted class, in emission order.
@@ -469,7 +479,7 @@ impl Partition {
                 step.starts.push(step.subs.len() as u32);
             }
             if let [slot] = class {
-                // A kept singleton is its own sub-class.
+                // A singleton (floor 1) is its own sub-class.
                 class_errors.push(0);
                 if record {
                     step.subs.push((view.local(*slot), emitted.len() as u32));
@@ -497,7 +507,7 @@ impl Partition {
                     let (mut end, subs) = (start, step.subs.len());
                     for &(item, first) in touched.iter() {
                         let count = &mut counts[item as usize];
-                        if *count >= 2 || self.singletons {
+                        if *count >= self.floor {
                             if record {
                                 step.subs.push((item, emitted.len() as u32));
                             }
@@ -538,24 +548,24 @@ impl Partition {
     /// The refined partition of `emitted` classes (`(first slot, start,
     /// end)` into `slots`), put in first-slot order — already so unless
     /// some class of `self` split — and, when they moved, each emitted
-    /// class's number. Singletons kept, the classes cover every live
-    /// slot, so a walk of the live slots orders them in linear time;
-    /// stripped, they are sorted.
+    /// class's number. At floor 1 the classes cover every live slot, so
+    /// a walk of the live slots orders them in linear time; above it,
+    /// they are sorted.
     fn ordered(
         &self,
         index: &ItemIndex<'_>,
         slots: Vec<u32>,
         emitted: Vec<(u32, u32, u32)>,
     ) -> (Partition, Option<Vec<u32>>) {
-        let singletons = self.singletons;
+        let floor = self.floor;
         let mut bounds = Vec::with_capacity(emitted.len() + 1);
         bounds.push(0);
         if emitted.windows(2).all(|w| w[0].0 < w[1].0) {
             bounds.extend(emitted.iter().map(|&(.., end)| end));
-            return (Partition { slots, bounds, singletons, steps: Vec::new() }, None);
+            return (Partition { slots, bounds, floor, steps: Vec::new() }, None);
         }
         let mut order: Vec<u32> = Vec::with_capacity(emitted.len());
-        if singletons {
+        if floor == 1 {
             let mut heads = vec![ABSENT; index.table().slots()];
             for (e, &(first, ..)) in emitted.iter().enumerate() {
                 heads[first as usize] = e as u32;
@@ -567,8 +577,7 @@ impl Partition {
             order.extend(0..emitted.len() as u32);
             order.sort_unstable_by_key(|&e| emitted[e as usize].0);
         }
-        let mut part =
-            Partition { slots: vec![0; slots.len()], bounds, singletons, steps: Vec::new() };
+        let mut part = Partition { slots: vec![0; slots.len()], bounds, floor, steps: Vec::new() };
         let mut class_of = vec![0; emitted.len()];
         let mut end = 0;
         for (c, &e) in order.iter().enumerate() {
@@ -736,12 +745,10 @@ mod tests {
         sets
     }
 
-    /// `π_X` through products from the first attribute's, stripped or
-    /// with singletons kept.
-    fn partition_of(index: &ItemIndex<'_>, x: &[usize], singletons: bool) -> Partition {
+    /// `π_X` at `floor` through products from the first attribute's.
+    fn partition_of(index: &ItemIndex<'_>, x: &[usize], floor: usize) -> Partition {
         let mut scratch = ItemScratch::default();
-        let first = index.partition(x[0]);
-        let mut part = if singletons { first.clone() } else { first.stripped() };
+        let mut part = index.partition(x[0]).stripped(floor);
         for &a in &x[1..] {
             part = part.product(index, a, &mut scratch, true).refined.unwrap();
         }
@@ -842,11 +849,11 @@ mod tests {
         let t = table();
         let index = ItemIndex::build(&t);
         // a-classes: {0,1}, {2,3}, {4}(stripped).
-        let pa = index.partition(0).stripped();
+        let pa = index.partition(0).stripped(2);
         assert_eq!(classes(&pa), vec![vec![0, 1], vec![2, 3]]);
         assert_eq!(pa.len(), 2);
         // b: only {0,1} repeats.
-        assert_eq!(classes(&index.partition(1).stripped()), vec![vec![0, 1]]);
+        assert_eq!(classes(&index.partition(1).stripped(2)), vec![vec![0, 1]]);
     }
 
     #[test]
@@ -854,10 +861,10 @@ mod tests {
         let t = table();
         let index = ItemIndex::build(&t);
         let mut scratch = ItemScratch::new(&index);
-        let pa = index.partition(0).stripped();
+        let pa = index.partition(0).stripped(2);
         let pab = pa.product(&index, 1, &mut scratch, true).refined.unwrap();
         assert_eq!(as_groups(&pab, t.slots()), oracle::Partition::build(&t, &[0, 1]));
-        let pb = index.partition(1).stripped();
+        let pb = index.partition(1).stripped(2);
         let pba = pb.product(&index, 0, &mut scratch, true).refined;
         assert_eq!(Some(pab), pba);
     }
@@ -867,7 +874,7 @@ mod tests {
         let t = table();
         let index = ItemIndex::build(&t);
         let mut scratch = ItemScratch::new(&index);
-        let pa = index.partition(0).stripped();
+        let pa = index.partition(0).stripped(2);
         // a → c holds: no class splits.
         let ac = pa.product(&index, 2, &mut scratch, true);
         assert_eq!(ac.refined, Some(pa.clone()));
@@ -883,7 +890,7 @@ mod tests {
         let t = table();
         let index = ItemIndex::build(&t);
         let mut scratch = ItemScratch::new(&index);
-        let pa = index.partition(0).stripped();
+        let pa = index.partition(0).stripped(2);
         // a → b fails on the y-class ({2,3} splits into singletons):
         // removing one of its two rows fixes it; the x-class agrees.
         let ab = pa.product(&index, 1, &mut scratch, true);
@@ -894,7 +901,7 @@ mod tests {
         }
         // b → a: {0,1} agrees on a; the singleton classes of b are
         // stripped, so they carry no error.
-        let ba = index.partition(1).stripped().product(&index, 0, &mut scratch, false);
+        let ba = index.partition(1).stripped(2).product(&index, 0, &mut scratch, false);
         assert_eq!(ba.class_errors, vec![0]);
         assert!(scratch.counts.iter().all(|&c| c == 0), "the scratch is left zeroed");
     }
@@ -910,10 +917,10 @@ mod tests {
         }
         let index = ItemIndex::build(&t);
         let mut scratch = ItemScratch::new(&index);
-        let ab = index.partition(0).stripped().product(&index, 1, &mut scratch, true);
+        let ab = index.partition(0).stripped(2).product(&index, 1, &mut scratch, true);
         assert_eq!(classes(&ab.refined.unwrap()), vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
         assert_eq!(ab.class_errors, vec![2, 0]);
-        // Singletons kept: the same order, by the linear walk.
+        // At floor 1: the same order, by the linear walk.
         let ab = index.partition(0).product(&index, 1, &mut scratch, true);
         assert_eq!(classes(&ab.refined.unwrap()), vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
     }
@@ -950,11 +957,11 @@ mod tests {
             let mut scratch = ItemScratch::new(&index);
             let arity = t.schema().arity();
             for x in lhs_sets(arity) {
-                let px = partition_of(&index, &x, false);
+                let px = partition_of(&index, &x, 2);
                 let old_px = oracle::Partition::build(&t, &x);
                 assert_eq!(as_groups(&px, t.slots()), old_px, "seed {seed}: π_{x:?}");
-                let full = partition_of(&index, &x, true);
-                assert_eq!(full.stripped(), px, "seed {seed}: π_{x:?} with singletons");
+                let full = partition_of(&index, &x, 1);
+                assert_eq!(full.stripped(2), px, "seed {seed}: π_{x:?} at floor 1");
                 for (c, class) in full.classes().enumerate() {
                     let items: Vec<u32> = (x.iter())
                         .map(|&a| index.local_item(a, index.sym_at(a, class[0])).unwrap())
@@ -982,12 +989,26 @@ mod tests {
                     let g3: u32 = product.class_errors.iter().sum();
                     assert_eq!(g3 as usize, old_px.g3_error(&old_pxa), "{ctx}");
                     let kept = full.product(&index, a, &mut scratch, true);
-                    let stripped = kept.refined.expect("asked for").stripped();
-                    assert_eq!(&stripped, refined, "{ctx}: with singletons");
+                    let whole = kept.refined.as_ref().expect("asked for");
+                    assert_eq!(&whole.stripped(2), refined, "{ctx}: at floor 1");
                     let by_item = |slot| index.local_at(a, slot);
                     let errors: Vec<u32> =
                         full.classes().map(|c| class_error(c, by_item, &mut scratch)).collect();
-                    assert_eq!(kept.class_errors, errors, "{ctx}: with singletons");
+                    assert_eq!(kept.class_errors, errors, "{ctx}: at floor 1");
+                    // At floor k: the floor-1 classes of at least k slots,
+                    // in order, and their errors.
+                    for floor in 1..=4 {
+                        let ctx = format!("{ctx}: at floor {floor}");
+                        let pxk = partition_of(&index, &x, floor);
+                        assert_eq!(pxk, full.stripped(floor), "{ctx}");
+                        let at = pxk.product(&index, a, &mut scratch, true);
+                        assert_eq!(at.refined, Some(whole.stripped(floor)), "{ctx}");
+                        let errors: Vec<u32> = (full.classes().zip(&kept.class_errors))
+                            .filter(|(class, _)| class.len() >= floor)
+                            .map(|(_, &e)| e)
+                            .collect();
+                        assert_eq!(at.class_errors, errors, "{ctx}");
+                    }
                     let mut by_sym = ItemScratch::for_keys(t.pool().len());
                     let sym = |slot| index.sym_at(a, slot).raw();
                     let errors: Vec<u32> =

@@ -116,10 +116,17 @@ fn main() -> ExitCode {
     match run(&args, &mut stdout).and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) | Err(Stop::StdoutClosed) => ExitCode::SUCCESS,
         Err(Stop::Failed(e)) => {
-            eprintln!("semandaq: {e}");
+            note(format_args!("semandaq: {e}"));
             ExitCode::FAILURE
         }
     }
+}
+
+/// Write one line to stderr, ignoring a failed write: a closed stderr
+/// (`semandaq … 2>&1 | head -n 1` exiting first) must not turn a run's
+/// status into a panic's.
+fn note(line: std::fmt::Arguments<'_>) {
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// Why a command stopped short: a message for stderr, or stdout closed
@@ -432,7 +439,7 @@ fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
                 std::fs::write(out, revival_relation::csv::write_table(&fixed))
                     .map_err(|e| e.to_string())?;
                 // Stderr, so `--explain json` stdout stays pure JSON.
-                eprintln!("wrote {out}");
+                note(format_args!("wrote {out}"));
             }
             Ok(())
         }
@@ -741,7 +748,7 @@ fn discover(flags: &Flags, stdout: &mut dyn Write) -> Result<(), Stop> {
         std::fs::write(out, suite).map_err(|e| e.to_string())?;
         // Stderr when `--explain json`, so stdout stays pure JSON.
         if json_only {
-            eprintln!("wrote {out}");
+            note(format_args!("wrote {out}"));
         } else {
             writeln!(stdout, "wrote {out}")?;
         }
@@ -750,7 +757,7 @@ fn discover(flags: &Flags, stdout: &mut dyn Write) -> Result<(), Stop> {
         let text = semandaq::discovered_cind_text(&d, &schemas).map_err(|e| e.to_string())?;
         std::fs::write(out, text).map_err(|e| e.to_string())?;
         if json_only {
-            eprintln!("wrote {out}");
+            note(format_args!("wrote {out}"));
         } else {
             writeln!(stdout, "wrote {out}")?;
         }

@@ -376,6 +376,19 @@ fn an_unknown_command_names_the_nearest() {
     assert!(stderr.starts_with("semandaq: unknown command `query`\n"), "got: {stderr}");
 }
 
+/// A failed run whose stderr is closed (`semandaq detetc 2>&1 | head -n
+/// 1` exiting first) still exits 1: its message is lost, not turned
+/// into a panic. The reader is gone before the child starts, so every
+/// write to stderr fails.
+#[test]
+fn a_closed_stderr_keeps_the_failure_status() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let status =
+        bin().arg("detetc").stdout(std::process::Stdio::null()).stderr(writer).status().unwrap();
+    assert_eq!(status.code(), Some(1));
+}
+
 /// A reader that stops early (`semandaq … | head`) ends the run with
 /// status 0 and nothing on stderr, whether the pipe closes before the
 /// first write or while the child is blocked on a full pipe buffer.
