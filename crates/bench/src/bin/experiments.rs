@@ -4,9 +4,9 @@
 //!
 //! Every experiment checks its own answer in line (native ≡ SQL, split
 //! ≡ merged, residual = 0, incremental ≡ full), so a run that exits 0
-//! is also a smoke test. The `*_ms` columns are single-shot wall clock
-//! for the shape of a curve only; the numbers the repo publishes about
-//! its own layers come from the `ledger`.
+//! is also a smoke test. The `*_ms` and `*_us` columns are single-shot
+//! wall clock for the shape of a curve only; the numbers the repo
+//! publishes about its own layers come from the `ledger`.
 
 use revival_bench::{customer_workload, full_mode, ms, print_table, repairable_attrs, timed};
 use revival_constraints::{Cfd, PatternRow};
@@ -390,8 +390,8 @@ fn repair_scaling(out: &mut dyn Write) -> io::Result<()> {
 ///
 /// The incremental side is what a session pays: the base is registered
 /// in a `DeltaSession` outside the timer (the warm state is the point),
-/// then the appends (`append_ms`) and the `repair` verb (`repair_ms`)
-/// are timed apart; `inc_ms` is their sum.
+/// then the appends (`append_us`) and the `repair` verb (`repair_us`)
+/// are timed apart, in µs; `inc_us` is their sum.
 ///
 /// A second table prices the other side of the session's split — a
 /// delta at least as large as its base goes through BatchRepair — with
@@ -442,10 +442,10 @@ fn incremental_repair(out: &mut dyn Write) -> io::Result<()> {
             pct(frac),
             k.to_string(),
             inc_stats.cells_changed.to_string(),
-            ms(append_t),
-            ms(repair_t),
-            ms(inc_t),
-            ms(batch_t),
+            append_t.as_micros().to_string(),
+            repair_t.as_micros().to_string(),
+            inc_t.as_micros().to_string(),
+            batch_t.as_micros().to_string(),
             format!("{:.1}x", times(batch_t, inc_t)),
         ]);
     }
@@ -455,10 +455,10 @@ fn incremental_repair(out: &mut dyn Write) -> io::Result<()> {
             "delta",
             "tuples",
             "inc_edits",
-            "append_ms",
-            "repair_ms",
-            "inc_ms",
-            "batch_ms",
+            "append_us",
+            "repair_us",
+            "inc_us",
+            "batch_us",
             "speedup",
         ],
         &rows,
@@ -538,7 +538,7 @@ fn cind_scaling(out: &mut dyn Write) -> io::Result<()> {
 
 /// E11 — incremental vs. full re-detection as a delta streams in.
 ///
-/// The incremental detector maintains per-CFD group state and costs
+/// The incremental detector maintains per-FD LHS classes and costs
 /// `O(|Δ|)` per batch; full detection re-scans everything. Expected
 /// shape: incremental linear in the delta and far cheaper until the
 /// delta approaches the base size.

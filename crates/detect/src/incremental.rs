@@ -9,16 +9,14 @@
 //!
 //! The state is [`crate::native`]'s scan state, maintained instead of
 //! rebuilt: the same units (`plan_units`, one per embedded FD), the same
-//! `ConstIndex` per unit, and LHS groups keyed by the **table's own
-//! symbols**, hashed and compared in place off `table.col(a)[slot]` — no
-//! second pool, no `Value` per event. Where the batch scan groups each
-//! *attribute set* once and lets every unit naming it read that
-//! partition, this state keeps its groups per *unit*: sharing spares the
-//! batch scan a hash per tuple for every pass whose set is already
-//! grouped, but an event is one tuple — it hashes once per unit and per
-//! mask (`ConstIndex::probe`) however the groups are keyed — and a
-//! unit's groups hold what is its own (RHS counts, matched variable
-//! rows). Events are `(table, tuple id)`:
+//! `ConstIndex` per unit, and the unit's LHS classes as a
+//! [`MaintainedPartition`] — `relation::partition`'s classes kept warm,
+//! keyed by the **table's own symbols**. Where the batch scan groups each
+//! *attribute set* once for every unit naming it, this state keeps one
+//! partition per *unit*: an event is one tuple, and the RHS counts are
+//! the unit's own. Per class the unit keeps only how many (member,
+//! variable row) pairs its key matches; a report hands the violating
+//! classes to batch detect's emitter. Events are `(table, tuple id)`:
 //! [`IncrementalDetector::add`] after a push, `remove` after a delete,
 //! [`IncrementalDetector::write`] for a cell write (the one place the
 //! `remove` → `Table::set_cell` → `add` sequence is spelled). Incremental
@@ -40,36 +38,17 @@
 //! their cells predate the new symbols, so every row answers for them
 //! as it did.
 
-use crate::native::{hash_at, in_key_order, matches_at, plan_units, ConstIndex, NONE};
+use crate::native::{emit_variable_violations, in_key_order, plan_units, ConstIndex, NONE};
 use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::PatternValue;
-use revival_relation::{AttrId, Error, GroupBy, Result, Sym, Table, TupleId, Value};
+use revival_relation::partition::MaintainedPartition;
+use revival_relation::{AttrId, Error, Result, Table, TupleId, Value};
 use std::collections::BTreeMap;
 
-/// One LHS group of a unit.
-struct GroupState {
-    /// Live members.
-    members: Vec<TupleId>,
-    /// Distinct RHS symbol → live count, first-seen order.
-    rhs_counts: Vec<(Sym, usize)>,
-    /// The `(member, tableau row)` pairs of the variable rows whose LHS
-    /// pattern this group's key matches, in member then tableau order
-    /// (computed once per group).
-    matched: Vec<(usize, usize)>,
-}
-
-impl GroupState {
-    fn is_violating(&self) -> bool {
-        !self.matched.is_empty() && self.rhs_counts.len() >= 2
-    }
-}
-
-/// State for one unit: the CFDs sharing one embedded FD. Group slots
-/// live in the append-only interned kernel: a group whose members all
-/// left stays allocated but empty and is skipped on every read — state
-/// is `O(distinct keys ever seen)` rather than `O(live keys)`, the price
-/// of probing without cloning a key per delta.
+/// State for one unit: the CFDs sharing one embedded FD. Emptied classes
+/// keep their numbers, so state is `O(distinct keys ever seen)` rather
+/// than `O(live keys)` (the price of probing without a key per delta).
 struct UnitState {
     /// Suite indices of the members, first-seen order.
     members: Vec<usize>,
@@ -82,8 +61,11 @@ struct UnitState {
     /// Per member: tuple → tableau-row index of its constant violation.
     consts: Vec<BTreeMap<TupleId, usize>>,
     any_var: bool,
-    groups: GroupBy<Box<[Sym]>, GroupState>,
-    /// Count of (group, matched variable row) pairs currently violating.
+    classes: MaintainedPartition,
+    /// Per class: the (member, variable row) pairs whose LHS pattern its
+    /// key matches (counted once, when the class is made).
+    matched: Vec<usize>,
+    /// Those pairs summed over the classes holding two or more RHS values.
     violating_pairs: usize,
 }
 
@@ -91,6 +73,12 @@ impl UnitState {
     /// Does this unit read `attr` (every unit reads "any attribute")?
     fn reads(&self, attr: Option<AttrId>) -> bool {
         attr.is_none_or(|a| self.rhs == a || self.lhs.contains(&a))
+    }
+
+    /// Does class `c` violate: its key matches a variable row and it
+    /// holds two or more RHS values?
+    fn violates(&self, c: usize) -> bool {
+        self.matched[c] > 0 && self.classes.error(c) > 0
     }
 
     /// Apply the recompile rule (module doc) against `table`'s pool.
@@ -133,7 +121,8 @@ impl IncrementalDetector {
                     unresolved_at: Some(0),
                     consts: vec![BTreeMap::new(); members.len()],
                     any_var: members.iter().any(|&i| cfds[i].variable_rows().next().is_some()),
-                    groups: GroupBy::new(),
+                    classes: MaintainedPartition::new(&fd.lhs, fd.rhs),
+                    matched: Vec::new(),
                     violating_pairs: 0,
                     members,
                 }
@@ -168,36 +157,18 @@ impl IncrementalDetector {
             if !unit.any_var {
                 continue;
             }
-            let UnitState { members, lhs, rhs, groups, violating_pairs, .. } = unit;
-            let group = groups.entry_mut(
-                hash_at(table, lhs, slot),
-                |k| matches_at(table, lhs, slot, k),
-                || {
-                    // New group: match its key against the members'
-                    // variable rows once (patterns match values, so this
-                    // is the one spot the projection materialises).
-                    let key: Box<[Sym]> = lhs.iter().map(|&a| table.col(a)[slot]).collect();
-                    let values: Vec<Value> =
-                        key.iter().map(|&s| table.pool().value(s).clone()).collect();
-                    let matched = (members.iter().enumerate())
-                        .flat_map(|(m, &i)| {
-                            let rows = cfds[i].tableau.iter().enumerate();
-                            rows.filter(|(_, tp)| !tp.is_constant_row() && tp.lhs_matches(&values))
-                                .map(move |(row, _)| (m, row))
-                        })
-                        .collect();
-                    (key, GroupState { members: Vec::new(), rhs_counts: Vec::new(), matched })
-                },
-            );
-            let was = group.is_violating();
-            group.members.push(id);
-            let rhs = table.col(*rhs)[slot];
-            match group.rhs_counts.iter_mut().find(|(s, _)| *s == rhs) {
-                Some((_, n)) => *n += 1,
-                None => group.rhs_counts.push((rhs, 1)),
+            let (c, split) = unit.classes.add(table, slot);
+            if c == unit.matched.len() {
+                // A new class: its key meets the members' variable rows
+                // once (patterns match values, not symbols).
+                let pool = table.pool();
+                let key: Vec<Value> =
+                    unit.classes.key(c).iter().map(|&s| pool.value(s).clone()).collect();
+                let rows = unit.members.iter().flat_map(|&i| cfds[i].variable_rows());
+                unit.matched.push(rows.filter(|tp| tp.lhs_matches(&key)).count());
             }
-            if !was && group.is_violating() {
-                *violating_pairs += group.matched.len();
+            if split {
+                unit.violating_pairs += unit.matched[c];
             }
         }
     }
@@ -207,29 +178,12 @@ impl IncrementalDetector {
     /// [`IncrementalDetector::write`]) *before* a write to its cell
     /// `written`, then only the units reading that attribute.
     pub fn remove(&mut self, table: &Table, id: TupleId, written: Option<AttrId>) {
-        let slot = id.0 as usize;
         for unit in self.units.iter_mut().filter(|u| u.reads(written)) {
             for consts in &mut unit.consts {
                 consts.remove(&id);
             }
-            let found = unit
-                .groups
-                .probe(hash_at(table, &unit.lhs, slot), |k| matches_at(table, &unit.lhs, slot, k));
-            let Some(at) = found else { continue };
-            let group = unit.groups.value_at_mut(at);
-            let Some(pos) = group.members.iter().position(|t| *t == id) else { continue };
-            let was = group.is_violating();
-            group.members.swap_remove(pos);
-            let rhs = table.col(unit.rhs)[slot];
-            if let Some(c) = group.rhs_counts.iter().position(|(s, _)| *s == rhs) {
-                group.rhs_counts[c].1 -= 1;
-                if group.rhs_counts[c].1 == 0 {
-                    group.rhs_counts.swap_remove(c);
-                }
-            }
-            // The emptied group keeps its slot (append-only kernel).
-            if was && !group.is_violating() {
-                unit.violating_pairs -= group.matched.len();
+            if let Some((c, true)) = unit.classes.remove(table, id.0 as usize) {
+                unit.violating_pairs -= unit.matched[c];
             }
         }
     }
@@ -271,11 +225,11 @@ impl IncrementalDetector {
     }
 
     /// The RHS attribute of `unit` and the value the **eldest** member
-    /// (lowest id) of live tuple `id`'s group holds there, when the
-    /// group's key matches a variable row and the tuple disagrees with
+    /// (lowest id) of live tuple `id`'s class holds there, when the
+    /// class's key matches a variable row and the tuple disagrees with
     /// it. Ids are append-only slots, so against a trusted base the
-    /// eldest is a base tuple if the group has one, else the first
-    /// arrival. `O(group)` when the group holds two RHS values, else O(1).
+    /// eldest is a base tuple if the class has one, else the first
+    /// arrival. A constant read: the class's first slot.
     pub fn group_demand<'t>(
         &self,
         table: &'t Table,
@@ -284,19 +238,14 @@ impl IncrementalDetector {
     ) -> Option<(AttrId, &'t Value)> {
         let unit = &self.units[unit];
         let slot = id.0 as usize;
-        let group = unit
-            .groups
-            .get(hash_at(table, &unit.lhs, slot), |k| matches_at(table, &unit.lhs, slot, k))?;
-        if group.matched.is_empty() || group.rhs_counts.len() < 2 {
-            return None;
-        }
+        let c = unit.classes.find(table, slot).filter(|&c| unit.violates(c))?;
         let rhs = table.col(unit.rhs);
-        let eldest = rhs[group.members.iter().min()?.0 as usize];
+        let eldest = rhs[unit.classes.class(c)[0] as usize];
         (eldest != rhs[slot]).then(|| (unit.rhs, table.pool().value(eldest)))
     }
 
     /// Total number of violations (constant tuple violations plus
-    /// violating (group, variable-row) pairs) — O(#CFDs).
+    /// violating (class, variable-row) pairs) — O(#CFDs).
     pub fn violation_count(&self) -> usize {
         let consts = |u: &UnitState| u.consts.iter().map(BTreeMap::len).sum::<usize>();
         self.units.iter().map(|u| consts(u) + u.violating_pairs).sum()
@@ -304,27 +253,22 @@ impl IncrementalDetector {
 
     /// Materialise a full report from the maintained state, per original
     /// CFD in suite order: its constant violations in tuple order, then
-    /// its variable ones in key order. `table` is the table the events
-    /// came from — keys re-enter value space through its pool, per
-    /// *violating* group only.
+    /// its variable ones in key order, emitted as batch detect emits
+    /// them. `table` is the table the events came from — keys re-enter
+    /// value space through its pool, per *violating* class only.
     pub fn report(&self, table: &Table) -> ViolationReport {
         let mut found: Vec<Vec<Violation>> = vec![Vec::new(); self.cfds.len()];
         for unit in &self.units {
             for (&cfd, consts) in unit.members.iter().zip(&unit.consts) {
-                found[cfd].extend(consts.iter().map(|(&tuple, &row)| Violation::CfdConstant {
-                    cfd,
-                    row,
-                    tuple,
-                }));
+                let constant = |(&tuple, &row)| Violation::CfdConstant { cfd, row, tuple };
+                found[cfd].extend(consts.iter().map(constant));
             }
-            let violating = unit.groups.iter().filter(|(_, g)| g.is_violating());
-            for (key, group) in in_key_order(violating, table.pool()) {
-                let mut tuples = group.members.clone();
-                tuples.sort();
-                for &(m, row) in &group.matched {
-                    let (cfd, key, tuples) = (unit.members[m], key.clone(), tuples.clone());
-                    found[cfd].push(Violation::CfdVariable { cfd, row, key, tuples });
-                }
+            let violating = (0..unit.matched.len()).filter(|&c| unit.violates(c));
+            let classes =
+                violating.map(|c| (unit.classes.key(c).iter().copied(), unit.classes.class(c)));
+            let violating = in_key_order(classes, table.pool());
+            for &cfd in &unit.members {
+                emit_variable_violations(cfd, &self.cfds[cfd], &violating, &mut found[cfd]);
             }
         }
         ViolationReport { violations: found.into_iter().flatten().collect() }
@@ -397,41 +341,83 @@ mod tests {
         assert_eq!(d.violation_count(), 0);
     }
 
+    /// What `group_demand` must answer, read off the live rows: the
+    /// minimum live member of `id`'s key group, when the group's key
+    /// matches a member's variable row, the group holds two or more RHS
+    /// values and `id` disagrees with that member.
+    fn brute_group_demand<'t>(
+        d: &IncrementalDetector,
+        t: &'t Table,
+        unit: usize,
+        id: TupleId,
+    ) -> Option<(AttrId, &'t Value)> {
+        let (u, slot) = (&d.units[unit], id.0 as usize);
+        let same_key = |s: usize| u.lhs.iter().all(|&a| t.col(a)[s] == t.col(a)[slot]);
+        let group: Vec<usize> = t.live_slots().filter(|&s| same_key(s)).collect();
+        let values: Vec<Value> = u.lhs.iter().map(|&a| t.get(id).unwrap()[a].clone()).collect();
+        let mut matched = u.members.iter().flat_map(|&i| d.cfds[i].variable_rows());
+        let rhs = t.col(u.rhs);
+        let eldest = rhs[group[0]];
+        let split = group.iter().any(|&s| rhs[s] != eldest);
+        let demand = split && matched.any(|tp| tp.lhs_matches(&values));
+        (demand && eldest != rhs[slot]).then(|| (u.rhs, t.pool().value(eldest)))
+    }
+
+    /// Random pushes, deletes and cell writes (through
+    /// [`IncrementalDetector::write`]); after every op the report and the
+    /// count are the batch scan's, and every live tuple's `group_demand`
+    /// names its group's eldest member, read off the live rows.
     #[test]
     fn report_matches_native_after_random_edits() {
         use rand::prelude::*;
         let s = schema();
-        let cfds = suite(&s);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut t = Table::new(s.clone());
-        let mut d = IncrementalDetector::new(cfds.clone());
-        let ccs = ["44", "01"];
-        let zips = ["EH8", "07974", "G1"];
-        let streets = ["Crichton", "Mayfield", "MtnAve"];
-        let cities = ["edi", "mh", "nyc"];
-        let mut live: Vec<TupleId> = Vec::new();
-        for _ in 0..300 {
-            if live.is_empty() || rng.gen_bool(0.7) {
-                let r = [
-                    *ccs.choose(&mut rng).unwrap(),
-                    *zips.choose(&mut rng).unwrap(),
-                    *streets.choose(&mut rng).unwrap(),
-                    *cities.choose(&mut rng).unwrap(),
-                ];
-                live.push(push(&mut t, &mut d, r));
-            } else {
-                let i = rng.gen_range(0..live.len());
-                let id = live.swap_remove(i);
-                t.delete(id).unwrap();
-                d.remove(&t, id, None);
+        let cfds = parse_cfds(
+            "customer([cc='44', zip] -> [street])\n\
+             customer([cc='01', zip='07974'] -> [city='mh'])\n\
+             customer([zip] -> [city])",
+            &s,
+        )
+        .unwrap();
+        let alphabets: [&[&str]; 4] = [
+            &["44", "01"],
+            &["EH8", "07974", "G1"],
+            &["Crichton", "Mayfield", "MtnAve"],
+            &["edi", "mh", "nyc"],
+        ];
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = Table::new(s.clone());
+            let mut d = IncrementalDetector::new(cfds.clone());
+            let mut live: Vec<TupleId> = Vec::new();
+            for op in 0..120 {
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let r = alphabets.map(|values| *values.choose(&mut rng).unwrap());
+                        live.push(push(&mut t, &mut d, r));
+                    }
+                    5 | 6 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        t.delete(id).unwrap();
+                        d.remove(&t, id, None);
+                    }
+                    _ if !live.is_empty() => {
+                        let (id, attr) =
+                            (*live.choose(&mut rng).unwrap(), rng.gen_range(0..4usize));
+                        let value = *alphabets[attr].choose(&mut rng).unwrap();
+                        d.write(&mut t, id, attr, value.into()).unwrap();
+                    }
+                    _ => continue,
+                }
+                let ctx = format!("seed {seed}, op {op}");
+                let full = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
+                assert_eq!(d.report(&t), full, "{ctx}");
+                assert_eq!(d.violation_count(), full.len(), "{ctx}");
+                for (&id, unit) in live.iter().flat_map(|id| (0..d.units()).map(move |u| (id, u))) {
+                    let want = brute_group_demand(&d, &t, unit, id);
+                    assert_eq!(d.group_demand(&t, unit, id), want, "{ctx}: unit {unit}, {id:?}");
+                }
             }
         }
-        let mut inc = d.report(&t);
-        let mut full = NativeEngine.run(&DetectJob::on_table(&t, &cfds)).unwrap();
-        inc.normalize();
-        full.normalize();
-        assert_eq!(inc, full);
-        assert_eq!(d.violation_count(), full.len());
     }
 
     #[test]

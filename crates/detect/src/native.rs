@@ -74,7 +74,7 @@ use crate::report::{Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cind, SymPred};
-use revival_relation::groupby::hash_syms;
+use revival_relation::groupby::{hash_at, hash_syms, matches_at};
 use revival_relation::partition::{class_error, ItemIndex, ItemScratch, Partition};
 use revival_relation::{
     map_chunks, AttrId, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
@@ -564,14 +564,12 @@ pub(crate) fn scan_unit<'s, 't>(
     if let Some(part) = lhs {
         // A class violates with ≥ 2 distinct RHS values; its members
         // are its own slice, in row order.
-        let violating: Vec<(Box<[Sym]>, VarGroup)> = (split.iter())
-            .map(|&c| {
-                let members = part.class(c as usize);
-                let key = fd.lhs.iter().map(|&a| table.col(a)[members[0] as usize]).collect();
-                (key, VarGroup { members })
-            })
-            .collect();
-        let violating = in_key_order(violating.iter().map(|(k, g)| (k, g)), table.pool());
+        let violating = split.iter().map(|&c| {
+            let slots = part.class(c as usize);
+            let first = slots[0] as usize;
+            (fd.lhs.iter().map(move |&a| table.col(a)[first]), slots)
+        });
+        let violating = in_key_order(violating, table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
             emit_variable_violations(*idx, cfd, &violating, buf);
         }
@@ -587,11 +585,6 @@ pub(crate) fn scan_unit<'s, 't>(
         shard_us,
         phase_ns: laps.ns,
     }
-}
-
-/// One violating LHS class of a unit: its live members, in row order.
-struct VarGroup<'p> {
-    members: &'p [u32],
 }
 
 /// "No violated row yet" in the per-tuple scratch of [`ConstIndex::probe`].
@@ -864,41 +857,27 @@ impl ConstIndex {
     }
 }
 
-/// The hash of the tuple at `slot` projected onto `attrs`, read off the
-/// table's columns in place — [`revival_relation::ColProj::hash_at`]
-/// without the borrow.
-#[inline]
-pub(crate) fn hash_at(table: &Table, attrs: &[AttrId], slot: usize) -> u64 {
-    hash_syms(attrs.iter().map(|&a| table.col(a)[slot]))
-}
-
-/// Does a stored key equal the tuple at `slot` projected onto `attrs`?
-#[inline]
-pub(crate) fn matches_at(table: &Table, attrs: &[AttrId], slot: usize, key: &[Sym]) -> bool {
-    key.len() == attrs.len() && attrs.iter().zip(key).all(|(&a, k)| table.col(a)[slot] == *k)
-}
-
-/// `groups` (the violating ones of a unit) in sorted-key order
-/// (deterministic reports). Keys leave symbol space here: per violating
-/// group — not per tuple, and filtered first so only violating groups
-/// pay the key clone + sort — the key maps back to values for pattern
-/// matching and the report.
-pub(crate) fn in_key_order<'g, G>(
-    groups: impl Iterator<Item = (&'g Box<[Sym]>, &'g G)>,
+/// A unit's violating LHS classes — each its key's symbols, in LHS
+/// order, and its slots, ascending — in sorted-key order. Keys map back
+/// to values here, per violating class only. Batch and maintained
+/// detection both report through this and [`emit_variable_violations`].
+pub(crate) fn in_key_order<'g, K: IntoIterator<Item = Sym>>(
+    classes: impl Iterator<Item = (K, &'g [u32])>,
     pool: &ValuePool,
-) -> Vec<(Vec<Value>, &'g G)> {
-    let mut keyed: Vec<(Vec<Value>, &G)> =
-        groups.map(|(k, g)| (k.iter().map(|&s| pool.value(s).clone()).collect(), g)).collect();
+) -> Vec<(Vec<Value>, &'g [u32])> {
+    let mut keyed: Vec<(Vec<Value>, &[u32])> = classes
+        .map(|(key, slots)| (key.into_iter().map(|s| pool.value(s).clone()).collect(), slots))
+        .collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     keyed
 }
 
-/// Emit one member's variable violations: every violating group whose
+/// Emit one member's variable violations: every violating class whose
 /// key matches one of its variable rows, in key order.
-fn emit_variable_violations(
+pub(crate) fn emit_variable_violations(
     cfd_idx: usize,
     cfd: &Cfd,
-    violating: &[(Vec<Value>, &VarGroup<'_>)],
+    violating: &[(Vec<Value>, &[u32])],
     out: &mut Vec<Violation>,
 ) {
     let var_rows: Vec<_> =
@@ -906,14 +885,14 @@ fn emit_variable_violations(
     if var_rows.is_empty() {
         return;
     }
-    for (key, group) in violating {
+    for (key, slots) in violating {
         for (row, tp) in &var_rows {
             if tp.lhs_matches(key) {
                 out.push(Violation::CfdVariable {
                     cfd: cfd_idx,
                     row: *row,
                     key: key.clone(),
-                    tuples: group.members.iter().map(|&s| TupleId(u64::from(s))).collect(),
+                    tuples: slots.iter().map(|&s| TupleId(u64::from(s))).collect(),
                 });
             }
         }
@@ -1124,10 +1103,8 @@ mod oracle {
                     });
                     let rows = &mut index.buckets[at].1;
                     let hash = hash_syms(key.iter().copied());
-                    let entry = rows.probe(hash, |k| k[..] == key[..]).unwrap_or_else(|| {
-                        rows.insert_unique(hash, key.as_slice().into(), Vec::new())
-                    });
-                    rows.value_at_mut(entry).push(hit);
+                    let make = || (key.as_slice().into(), Vec::new());
+                    rows.entry_mut(hash, |k| k[..] == key[..], make).push(hit);
                 }
             }
             index
@@ -1227,19 +1204,19 @@ mod oracle {
             }
             merge_groups(&mut groups, partial);
         }
+        let groups_built = groups.len();
         if any_var {
-            let violating: Vec<(&Box<[Sym]>, Vec<u32>)> = (groups.iter())
-                .filter(|(_, g)| g.rhs_syms.len() >= 2)
-                .map(|(k, g)| (k, g.members.iter().map(|t| t.0 as u32).collect()))
+            let violating: Vec<(Box<[Sym]>, Vec<u32>)> = (groups.into_entries())
+                .filter(|(.., g)| g.rhs_syms.len() >= 2)
+                .map(|(_, k, g)| (k, g.members.iter().map(|t| t.0 as u32).collect()))
                 .collect();
-            let violating: Vec<(&Box<[Sym]>, VarGroup)> =
-                violating.iter().map(|(k, members)| (*k, VarGroup { members })).collect();
-            let violating = in_key_order(violating.iter().map(|(k, g)| (*k, g)), table.pool());
+            let violating = violating.iter().map(|(k, slots)| (k.iter().copied(), &slots[..]));
+            let violating = in_key_order(violating, table.pool());
             for ((idx, cfd), buf) in members.iter().zip(&mut found) {
                 emit_variable_violations(*idx, cfd, &violating, buf);
             }
         }
-        (found, groups.len(), pattern_rows_checked)
+        (found, groups_built, pattern_rows_checked)
     }
 
     fn add_slot_to_group(
@@ -1262,18 +1239,12 @@ mod oracle {
 
     fn merge_groups(groups: &mut SymGroups, partial: SymGroups) {
         for (hash, key, part) in partial.into_entries() {
-            match groups.probe(hash, |k| *k == key) {
-                None => {
-                    groups.insert_unique(hash, key, part);
-                }
-                Some(i) => {
-                    let g = groups.value_at_mut(i);
-                    g.members.extend(part.members);
-                    for rhs in part.rhs_syms {
-                        if !g.rhs_syms.contains(&rhs) {
-                            g.rhs_syms.push(rhs);
-                        }
-                    }
+            let empty = OracleGroup { members: Vec::new(), rhs_syms: Vec::new() };
+            let g = groups.entry_mut(hash, |k| *k == key, || (key.clone(), empty));
+            g.members.extend(part.members);
+            for rhs in part.rhs_syms {
+                if !g.rhs_syms.contains(&rhs) {
+                    g.rhs_syms.push(rhs);
                 }
             }
         }
@@ -1549,7 +1520,10 @@ mod tests {
                     built.push(extend_partition(&index, &prefix, &set[len..], &mut scratch));
                 }
                 for part in &built {
-                    let class_of = part.class_of(t.slots());
+                    let mut class_of = vec![u32::MAX; t.slots()];
+                    for (c, class) in part.classes().enumerate() {
+                        class.iter().for_each(|&slot| class_of[slot as usize] = c as u32);
+                    }
                     let got: Vec<u32> = slots.iter().map(|&slot| class_of[slot]).collect();
                     assert_eq!(got, want.class_of, "seed {seed}: {attrs:?}");
                     assert_eq!(part.len(), want.len(), "seed {seed}: {attrs:?}");

@@ -78,7 +78,7 @@ mod tests {
                 }
             }
             let mut err = 0usize;
-            for (_, counts) in groups.iter() {
+            for (.., counts) in groups.into_entries() {
                 let total: usize = counts.iter().map(|(_, c)| *c).sum();
                 let keep = counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
                 err += total - keep;

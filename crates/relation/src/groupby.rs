@@ -16,8 +16,8 @@
 //! what lets the parallel detection engine fold per-shard maps in chunk
 //! order and stay byte-identical to the sequential scan. There is no
 //! tombstone machinery; consumers that need logical removal (the
-//! incremental detector's group states) empty the entry's payload and
-//! skip it on read.
+//! maintained partition's classes) empty the entry's payload and skip it
+//! on read.
 //!
 //! Maps keyed by *owned values* rather than symbols — the constraint
 //! layer's merge, subsumption, satisfiability and parse tables — are
@@ -32,6 +32,7 @@
 //! more multiplies per cell than the one pass it makes now.
 
 use crate::pool::{fold, fold_bytes, Sym, K_FINISH, K_WORD};
+use crate::Table;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 
@@ -188,6 +189,19 @@ impl<'a> ColProj<'a> {
     }
 }
 
+/// The hash of the tuple at `slot` of `table` projected onto `attrs`,
+/// read in place: [`ColProj::hash_at`] without the projection.
+#[inline]
+pub fn hash_at(table: &Table, attrs: &[usize], slot: usize) -> u64 {
+    hash_syms(attrs.iter().map(|&a| table.col(a)[slot]))
+}
+
+/// Does a stored key equal the tuple at `slot` of `table` on `attrs`?
+#[inline]
+pub fn matches_at(table: &Table, attrs: &[usize], slot: usize, key: &[Sym]) -> bool {
+    key.len() == attrs.len() && attrs.iter().zip(key).all(|(&a, k)| table.col(a)[slot] == *k)
+}
+
 #[derive(Clone, Debug)]
 struct Entry<K, V> {
     hash: u64,
@@ -303,16 +317,6 @@ impl<K, V> GroupBy<K, V> {
         self.probe(hash, eq).map(|i| &self.entries[i].val)
     }
 
-    /// Mutable payload by entry index.
-    pub fn value_at_mut(&mut self, idx: usize) -> &mut V {
-        &mut self.entries[idx].val
-    }
-
-    /// Groups in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|e| (&e.key, &e.val))
-    }
-
     /// Consume into `(hash, key, payload)` triples in insertion order —
     /// what the parallel engine folds when merging per-shard maps (the
     /// hash is reused, not recomputed).
@@ -355,7 +359,7 @@ mod tests {
             assert_eq!(g.get(h, |k| *k == i), Some(&(i as usize * 2)));
         }
         // Insertion order is preserved.
-        let keys: Vec<u64> = g.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u64> = g.into_entries().map(|(_, k, _)| k).collect();
         assert_eq!(keys, (0..1000).collect::<Vec<_>>());
     }
 
@@ -382,7 +386,7 @@ mod tests {
         g.entry_mut(cp.hash_at(0), |k| cp.matches_at(0, k), || (cp.key_at(0), Vec::new())).push(1);
         g.entry_mut(cp.hash_at(0), |k| cp.matches_at(0, k), || (cp.key_at(0), Vec::new())).push(2);
         assert_eq!(g.len(), 1);
-        assert_eq!(g.iter().next().unwrap().1, &vec![1, 2]);
+        assert_eq!(g.into_entries().next().unwrap().2, vec![1, 2]);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! TANE strips singletons (floor 2: `X → A` holds iff no class of `π_X`
 //! of two or more rows splits in `π_{X∪{A}}`); CFDMiner keeps only
 //! frequent itemsets (floor `min_support`: a class of `π_X` is one
-//! itemset over `X`, its slots the itemset's support). A per-slot class
-//! id is built only for a caller that asks ([`Partition::class_of`]).
+//! itemset over `X`, its slots the itemset's support).
 //!
 //! `π_A` of one attribute *is* that attribute's item rows
 //! ([`ItemIndex::partition`]); `π_{X∪{A}}` is TANE's linear product
@@ -49,8 +48,15 @@
 //! detection reads a class of error 0 as one whose right-hand side is a
 //! single value (keyed by symbol: a right-hand side it groups no set by
 //! is never indexed).
+//!
+//! [`MaintainedPartition`] keeps such classes under single-slot moves,
+//! for a table that changes a tuple at a time: a class is found by its
+//! key, holds its slots ascending (the first is its eldest) and counts
+//! them per right-hand-side symbol, off which its [`class_error`] is
+//! read. A class that empties keeps its number.
 
-use crate::{Sym, Table};
+use crate::groupby::{hash_at, matches_at};
+use crate::{GroupBy, Sym, Table};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -430,19 +436,6 @@ impl Partition {
         Some(class as usize)
     }
 
-    /// The class id of every slot below `slots` (`u32::MAX` for a slot in
-    /// no class: dead, or in a class below the floor) — built on request
-    /// only.
-    pub fn class_of(&self, slots: usize) -> Vec<u32> {
-        let mut class_of = vec![ABSENT; slots];
-        for (c, class) in self.classes().enumerate() {
-            for &slot in class {
-                class_of[slot as usize] = c as u32;
-            }
-        }
-        class_of
-    }
-
     /// TANE's linear product `π_X · π_A` (`self` is `π_X`, `attr` an
     /// indexed `A`): every class's [`class_error`], and `π_{X∪{A}}`
     /// itself if `refine`. The item index is the probe — a slot's item
@@ -592,6 +585,97 @@ impl Partition {
     }
 }
 
+/// The partition of a table's live slots by an attribute list, kept under
+/// single-slot moves (see the module doc). Classes are numbered in
+/// first-seen order, their keys back to back in one arena.
+pub struct MaintainedPartition {
+    attrs: Vec<usize>,
+    rhs: usize,
+    /// Key → class number, hashed as [`hash_at`] over the key.
+    ids: GroupBy<u32, ()>,
+    /// Class `c`'s key is `keys[c * attrs.len()..][..attrs.len()]`.
+    keys: Vec<Sym>,
+    classes: Vec<LiveClass>,
+}
+
+/// One class: its live slots, ascending, and per distinct
+/// right-hand-side symbol among them, its count.
+type LiveClass = (Vec<u32>, Vec<(Sym, u32)>);
+
+impl MaintainedPartition {
+    /// No class yet: the partition by `attrs` (a list, in key order),
+    /// counting right-hand sides under `rhs`.
+    pub fn new(attrs: &[usize], rhs: usize) -> Self {
+        let (ids, keys, classes) = (GroupBy::new(), Vec::new(), Vec::new());
+        MaintainedPartition { attrs: attrs.to_vec(), rhs, ids, keys, classes }
+    }
+
+    /// The class of the key the tuple at `slot` of `table` carries, if any.
+    pub fn find(&self, table: &Table, slot: usize) -> Option<usize> {
+        let same = |&c: &u32| matches_at(table, &self.attrs, slot, self.key(c as usize));
+        self.ids.probe(hash_at(table, &self.attrs, slot), same)
+    }
+
+    /// Put live slot `slot` of `table` in its key's class (made, and
+    /// numbered next, if new) after its lower slots — an append without
+    /// a search. Its class, and whether the class just stopped agreeing
+    /// on the right-hand side (the slot brought its second value).
+    pub fn add(&mut self, table: &Table, slot: usize) -> (usize, bool) {
+        let hash = hash_at(table, &self.attrs, slot);
+        let same = |&c: &u32| matches_at(table, &self.attrs, slot, self.key(c as usize));
+        let c = self.ids.probe(hash, same).unwrap_or_else(|| {
+            self.keys.extend(self.attrs.iter().map(|&a| table.col(a)[slot]));
+            self.classes.push(Default::default());
+            self.ids.insert_unique(hash, self.classes.len() as u32 - 1, ())
+        });
+        let (slots, counts) = &mut self.classes[c];
+        let rhs = table.col(self.rhs)[slot];
+        let slot = u32::try_from(slot).expect("Sym columns of 2^32 slots do not fit in memory");
+        let newest = slots.last() < Some(&slot);
+        let at = if newest { slots.len() } else { slots.partition_point(|&s| s < slot) };
+        slots.insert(at, slot);
+        match counts.iter_mut().find(|(s, _)| *s == rhs) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((rhs, 1)),
+        }
+        (c, counts.len() == 2 && counts[1] == (rhs, 1))
+    }
+
+    /// Take slot `slot` of `table` out of its class, reading its cells as
+    /// they stand (a tombstoned slot keeps its symbols). Its class, and
+    /// whether the class agrees on the right-hand side again (the slot
+    /// took its second-last value); `None` if the slot was in no class.
+    pub fn remove(&mut self, table: &Table, slot: usize) -> Option<(usize, bool)> {
+        let c = self.find(table, slot)?;
+        let (slots, counts) = &mut self.classes[c];
+        slots.remove(slots.binary_search(&u32::try_from(slot).ok()?).ok()?);
+        let rhs = table.col(self.rhs)[slot];
+        let i = counts.iter().position(|&(s, _)| s == rhs)?;
+        counts[i].1 -= 1;
+        let gone = counts[i].1 == 0;
+        if gone {
+            counts.swap_remove(i);
+        }
+        Some((c, gone && counts.len() == 1))
+    }
+
+    /// Class `c`'s live slots, ascending: the first is its eldest.
+    pub fn class(&self, c: usize) -> &[u32] {
+        &self.classes[c].0
+    }
+
+    /// Class `c`'s key: the attribute list's symbols, in list order.
+    pub fn key(&self, c: usize) -> &[Sym] {
+        &self.keys[c * self.attrs.len()..][..self.attrs.len()]
+    }
+
+    /// Class `c`'s [`class_error`] under the right-hand side, off its counts.
+    pub fn error(&self, c: usize) -> u32 {
+        let (slots, counts) = &self.classes[c];
+        slots.len() as u32 - counts.iter().map(|&(_, n)| n).max().unwrap_or(0)
+    }
+}
+
 /// The partition code this module replaced, kept as the oracle its
 /// property tests compare against: classes as `Vec<Vec<usize>>` built
 /// by hashing each row's projection, the product through a row → class
@@ -685,7 +769,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Schema, Type, Value};
+    use crate::{Schema, TupleId, Type, Value};
 
     /// A seeded table of 2–6 columns over 3–5-value alphabets with
     /// `Null`s, duplicate rows and tombstoned rows (SplitMix64, so a
@@ -933,7 +1017,11 @@ mod tests {
         let pa = index.partition(0);
         let pab = pa.product(&index, 1, &mut scratch, true).refined.unwrap();
         assert_eq!(classes(&pab), vec![vec![0, 1], vec![2], vec![3], vec![4]]);
-        assert_eq!(pab.class_of(t.slots()), vec![0, 0, 1, 2, 3]);
+        let mut class_of = vec![u32::MAX; t.slots()];
+        for (c, class) in pab.classes().enumerate() {
+            class.iter().for_each(|&slot| class_of[slot as usize] = c as u32);
+        }
+        assert_eq!(class_of, vec![0, 0, 1, 2, 3]);
         let local = |attr, v: &str| index.local_item(attr, t.pool().lookup(&v.into()).unwrap());
         let (y, three) = (local(0, "y").unwrap(), local(1, "3").unwrap());
         assert_eq!(pab.class_of_items(&[y, three]), Some(2));
@@ -1017,6 +1105,89 @@ mod tests {
                 }
             }
             assert!(scratch.counts.iter().all(|&c| c == 0), "seed {seed}: scratch left dirty");
+        }
+    }
+
+    /// The maintained partition of each `X` (as a list, last attribute
+    /// first) counting the attribute after `X`'s last, driven through a
+    /// random stream of pushes, deletes and cell writes: its non-empty
+    /// classes are the floor-1 partition products build of the live rows,
+    /// each ascending, each keyed by its members' projection, and each
+    /// with the error [`class_error`] computes over its slots.
+    #[test]
+    fn maintained_partition_equals_the_built_one_after_any_stream() {
+        use rand::prelude::*;
+        for seed in 0..400u64 {
+            let mut t = random_table(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let arity = t.schema().arity();
+            let mut kept: Vec<(Vec<usize>, usize, MaintainedPartition)> = (lhs_sets(arity))
+                .into_iter()
+                .map(|x| {
+                    let (attrs, rhs) =
+                        (x.iter().rev().copied().collect::<Vec<_>>(), (x[0] + 1) % arity);
+                    let mut part = MaintainedPartition::new(&attrs, rhs);
+                    t.live_slots().for_each(|slot| _ = part.add(&t, slot));
+                    (x, rhs, part)
+                })
+                .collect();
+            let value = |rng: &mut StdRng| match rng.gen_range(0..5) {
+                0 => Value::Null,
+                v => Value::str(format!("v{v}")),
+            };
+            for _ in 0..rng.gen_range(0..40) {
+                let live: Vec<usize> = t.live_slots().collect();
+                match rng.gen_range(0..3) {
+                    0 if !live.is_empty() => {
+                        let id = TupleId(*live.choose(&mut rng).unwrap() as u64);
+                        t.delete(id).unwrap();
+                        kept.iter_mut().for_each(|(.., part)| _ = part.remove(&t, id.0 as usize));
+                    }
+                    1 if !live.is_empty() => {
+                        let (slot, attr) =
+                            (*live.choose(&mut rng).unwrap(), rng.gen_range(0..arity));
+                        let reading = |x: &[usize], rhs: usize| rhs == attr || x.contains(&attr);
+                        for (x, rhs, part) in kept.iter_mut().filter(|(x, rhs, _)| reading(x, *rhs))
+                        {
+                            assert!(part.remove(&t, slot).is_some(), "seed {seed}: {x:?} → {rhs}");
+                        }
+                        t.set_cell(TupleId(slot as u64), attr, value(&mut rng)).unwrap();
+                        for (_, _, part) in kept.iter_mut().filter(|(x, rhs, _)| reading(x, *rhs)) {
+                            part.add(&t, slot);
+                        }
+                    }
+                    _ => {
+                        let slot = t.push((0..arity).map(|_| value(&mut rng)).collect()).unwrap();
+                        kept.iter_mut().for_each(|(.., part)| _ = part.add(&t, slot.0 as usize));
+                    }
+                }
+            }
+            let index = ItemIndex::build(&t);
+            let mut by_sym = ItemScratch::for_keys(t.pool().len());
+            for (x, rhs, part) in &kept {
+                let ctx = format!("seed {seed}: {x:?} → {rhs}");
+                let mut want = classes(&partition_of(&index, x, 1));
+                want.sort();
+                let mut got: Vec<Vec<u32>> = Vec::new();
+                for c in (0..part.classes.len()).filter(|&c| !part.class(c).is_empty()) {
+                    let class = part.class(c);
+                    assert!(class.windows(2).all(|w| w[0] < w[1]), "{ctx}: {class:?}");
+                    for &slot in class {
+                        let key: Vec<Sym> =
+                            part.attrs.iter().map(|&a| t.col(a)[slot as usize]).collect();
+                        assert_eq!(part.key(c), key, "{ctx}: slot {slot}");
+                    }
+                    let sym = |slot: u32| t.col(*rhs)[slot as usize].raw();
+                    assert_eq!(
+                        part.error(c),
+                        class_error(class, sym, &mut by_sym),
+                        "{ctx}: {class:?}"
+                    );
+                    got.push(class.to_vec());
+                }
+                got.sort();
+                assert_eq!(got, want, "{ctx}");
+            }
         }
     }
 }

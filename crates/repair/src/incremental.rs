@@ -6,17 +6,17 @@
 //! arrivals before it — versus re-running [`crate::BatchRepair`] over
 //! base + delta, the trade-off measured in experiment E6.
 //!
-//! **`O(|Δ|)`.** The repair owns no index: LHS groups and constant
+//! **`O(|Δ|)`.** The repair owns no index: LHS classes and constant
 //! violations are already maintained by the [`IncrementalDetector`] over
 //! the table, so a pending tuple costs two reads of that state per
 //! embedded FD and pass and one [`IncrementalDetector::write`] per edit.
 //!
 //! **The eldest-member rule.** Ids are append-only slots; the pending
 //! tuples are the live slots from one baseline slot up, visited eldest
-//! first. A group's canonical RHS value is its eldest member's: a base
-//! tuple if the group has one, else the first arrival, repaired by then
-//! and never edited again. So a pending tuple conforms to its elders,
-//! and one with no elder anchors its group as it stands.
+//! first. A group's canonical RHS value is its eldest member's, its LHS
+//! class's first slot: a base tuple if the group has one, else the first
+//! arrival, repaired by then and never edited again. So a pending tuple
+//! conforms to its elders; one with no elder anchors its group as is.
 //!
 //! **The fixpoint order.** Per tuple, passes over the units in suite
 //! order until one changes nothing (`units + 2` at most); per unit the

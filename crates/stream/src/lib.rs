@@ -13,7 +13,7 @@
 //!
 //! * [`session::DeltaSession`] — registers tables + CFD/CIND suites,
 //!   applies insert/delete/update deltas at `O(|Δ|)`, keeps live
-//!   violation counters — one group state per embedded FD, keyed by
+//!   violation counters — one maintained partition per embedded FD, keyed by
 //!   the table's own symbols, counted and reported per CFD as written —
 //!   and triggers incremental repair on demand;
 //! * [`protocol`] — the line-delimited JSON wire format of

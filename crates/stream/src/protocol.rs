@@ -18,11 +18,8 @@
 //!
 //! The session keeps one grouping state per embedded FD however the
 //! suite spells it, and counts and reports per CFD as written; a client
-//! that wants one CFD per embedded FD writes one block. (`register`
-//! still accepts a boolean `"merged"` from older clients and WAL
-//! records, and ignores it.) `count` and `report` always answer the live
-//! session; they still accept a boolean `"replica"` from older clients
-//! and ignore it.
+//! that wants one CFD per embedded FD writes one block. `count` and
+//! `report` always answer the live session. Unknown fields are ignored.
 //!
 //! `discover` mines a CFD suite from a registered table's *current*
 //! state through the parallel discovery engine and answers it in
@@ -325,22 +322,16 @@ impl Request {
         let fields = parse_object(line.trim_end())?;
         let cmd = get_str(&fields, "cmd")?;
         match cmd.as_str() {
-            "register" => {
-                // Wire and WAL compatibility, one release: a boolean
-                // `merged` is accepted and dropped — the record registers
-                // the suite it spells.
-                get_bool(&fields, "merged")?;
-                Ok(Request::Register {
-                    table: get_str(&fields, "table")?,
-                    csv: get_str(&fields, "csv")?,
-                    // Only a *missing* suite defaults to empty; a wrong-typed
-                    // one must error, not silently register unconstrained.
-                    cfds: match get(&fields, "cfds") {
-                        None => String::new(),
-                        Some(_) => get_str(&fields, "cfds")?,
-                    },
-                })
-            }
+            "register" => Ok(Request::Register {
+                table: get_str(&fields, "table")?,
+                csv: get_str(&fields, "csv")?,
+                // Only a *missing* suite defaults to empty; a wrong-typed
+                // one must error, not silently register unconstrained.
+                cfds: match get(&fields, "cfds") {
+                    None => String::new(),
+                    Some(_) => get_str(&fields, "cfds")?,
+                },
+            }),
             "cinds" => Ok(Request::Cinds { text: get_str(&fields, "text")? }),
             "append" => Ok(Request::Append {
                 table: get_str(&fields, "table")?,
@@ -356,12 +347,10 @@ impl Request {
                 attr: get_str(&fields, "attr")?,
                 value: get_str(&fields, "value")?,
             }),
-            // Wire compatibility, one release: a boolean `replica` is
-            // accepted and dropped — every read answers the live session.
-            "count" => get_bool(&fields, "replica").map(|_| Request::Count),
-            "report" => get_bool(&fields, "replica").map(|_| Request::Report {
-                max: get_int(&fields, "max").unwrap_or(25).max(0) as usize,
-            }),
+            "count" => Ok(Request::Count),
+            "report" => {
+                Ok(Request::Report { max: get_int(&fields, "max").unwrap_or(25).max(0) as usize })
+            }
             "repair" => Ok(Request::Repair { table: get_str(&fields, "table")? }),
             "discover" => {
                 let int_or = |key: &str, default: i64| match get(&fields, key) {
@@ -664,28 +653,6 @@ mod tests {
             Request::Register { table: "t".into(), csv: "a\n1\n".into(), cfds: String::new() }
         );
         assert!(Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","cfds":123}"#).is_err());
-        // `merged` (compat): a boolean parses to the request without
-        // it, anything else is still a typed error.
-        let m = Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n1\n","merged":true}"#);
-        assert_eq!(m.as_ref(), Ok(&ok));
-        assert!(!ok.to_line().contains("merged"));
-        assert!(
-            Request::parse(r#"{"cmd":"register","table":"t","csv":"a\n","merged":"yes"}"#).is_err()
-        );
-    }
-
-    #[test]
-    fn replica_flag_is_accepted_and_dropped() {
-        for (flagged, plain) in [
-            (r#"{"cmd":"count","replica":true}"#, r#"{"cmd":"count"}"#),
-            (r#"{"cmd":"report","max":5,"replica":true}"#, r#"{"cmd":"report","max":5}"#),
-        ] {
-            let request = Request::parse(flagged);
-            assert_eq!(request, Request::parse(plain), "{flagged}");
-            assert!(!request.unwrap().to_line().contains("replica"), "{flagged}");
-            let typed = flagged.replace("true", r#""yes""#);
-            assert!(Request::parse(&typed).is_err(), "{typed}");
-        }
     }
 
     #[test]

@@ -760,25 +760,21 @@ mod tests {
     }
 
     #[test]
-    fn register_merged_folds_the_suite_by_embedded_fd() {
+    fn register_counts_per_cfd_over_one_embedded_fd() {
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());
         let (mut stream, mut reader) = connect(addr);
-        // What an older client sent to fold two CFDs over one embedded
-        // FD into one. The flag is accepted and ignored: the session
-        // keeps one grouping state per embedded FD anyway, and `cfds`
-        // and the count are per CFD as written.
-        let line = Request::Register {
+        // Two CFDs over one embedded FD: the session keeps one grouping
+        // state for both, and `cfds` and the count are per CFD as written.
+        let register = Request::Register {
             table: "customer".into(),
             csv: "cc,zip,street\n44,EH8,Crichton\n44,EH8,Mayfield\n".into(),
             cfds: "customer([cc='44', zip] -> [street])\n\
                    customer([cc, zip] -> [street])"
                 .into(),
-        }
-        .to_line()
-        .replacen('}', r#","merged":true}"#, 1);
-        let resp = send_raw(&mut stream, &mut reader, &line);
+        };
+        let resp = roundtrip(&mut stream, &mut reader, &register);
         assert!(resp.is_ok(), "{resp:?}");
         assert_eq!(resp.int("cfds"), Some(2), "the suite as spelled, not folded");
         assert_eq!(resp.int("violations"), Some(2), "one per CFD");
@@ -846,8 +842,8 @@ mod tests {
     }
 
     /// Satellite: the seven phases must sum *exactly* to the recorded
-    /// request total for every verb — reads flagged `"replica":true`
-    /// included.
+    /// request total for every verb — reads carrying a field the
+    /// protocol ignores (the retired `"replica"`) included.
     #[test]
     fn phases_sum_exactly_to_total_for_every_verb() {
         let (server, _) = Server::bind_opts(

@@ -284,9 +284,9 @@ impl DeltaSession {
     /// stable. Otherwise the whole relation goes through one sharded
     /// [`BatchRepair`] pass, which may also edit base cells, and the
     /// detector reloads. That split is a measured *quality* rule
-    /// (`experiments incremental-repair`), not a speed one: the
-    /// incremental side is the faster on both sides of it (base 1 000 /
-    /// Δ 1 000: 0.19 ms against 0.78 for the same 200 edits), but with
+    /// (`experiments incremental-repair`), not a speed one: in three
+    /// runs the incremental side was the faster on both sides of it
+    /// (base 0 / Δ 3 200: 0.97–1.15 ms against 1.47–1.69), but with
     /// no base to trust eldest-wins is a worse vote than plurality —
     /// wrong cells, incremental against batch: base 0 / Δ 3 200 1 073
     /// against 484, base 100 722 against 481, base 1 000 491 against 482.

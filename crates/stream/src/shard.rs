@@ -945,27 +945,6 @@ mod tests {
         assert!(resp.str("text").unwrap().contains("disagree on b"), "{resp:?}");
     }
 
-    /// Compat: a read flagged `"replica":true` (accepted for one
-    /// release, ignored) answers the live session — no lag, no
-    /// `stale_ops`.
-    #[test]
-    fn replica_flag_reads_the_live_session() {
-        for shards in [1, 4] {
-            let (tier, _) =
-                ShardedSession::open(&ServeOptions { shards, ..Default::default() }).unwrap();
-            assert!(tier.handle(&register("t", "a,b\n1,x\n", "t([a] -> [b])")).is_ok());
-            assert!(tier.handle(&append("t", "1,y")).is_ok());
-            let flagged = |line: &str| tier.handle(&Request::parse(line).unwrap());
-            let count = flagged(r#"{"cmd":"count","replica":true}"#);
-            let report = flagged(r#"{"cmd":"report","replica":true}"#);
-            for resp in [&count, &report] {
-                assert_eq!(resp.int("violations"), Some(1), "shards {shards}: {resp:?}");
-                assert_eq!(resp.int("stale_ops"), None, "shards {shards}: {resp:?}");
-            }
-            assert!(report.str("text").unwrap().contains("disagree on b"), "{report:?}");
-        }
-    }
-
     #[test]
     fn wal_replays_acked_ops_after_simulated_crash() {
         let dir = tmp_dir("crash");
