@@ -39,11 +39,11 @@
 //! as it did.
 
 use crate::native::{emit_variable_violations, in_key_order, plan_units, ConstIndex, NONE};
-use crate::report::{Violation, ViolationReport};
+use crate::report::{TupleBits, Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::PatternValue;
 use revival_relation::partition::MaintainedPartition;
-use revival_relation::{AttrId, Error, Result, Table, TupleId, Value};
+use revival_relation::{AttrId, Error, Result, Sym, Table, TupleId, Value};
 use std::collections::BTreeMap;
 
 /// State for one unit: the CFDs sharing one embedded FD. Emptied classes
@@ -79,6 +79,12 @@ impl UnitState {
     /// holds two or more RHS values?
     fn violates(&self, c: usize) -> bool {
         self.matched[c] > 0 && self.classes.error(c) > 0
+    }
+
+    /// The violating classes: each its key's symbols and its slots.
+    fn violating(&self) -> impl Iterator<Item = (impl Iterator<Item = Sym> + Clone + '_, &[u32])> {
+        let violating = (0..self.matched.len()).filter(|&c| self.violates(c));
+        violating.map(|c| (self.classes.key(c).iter().copied(), self.classes.class(c)))
     }
 
     /// Apply the recompile rule (module doc) against `table`'s pool.
@@ -251,27 +257,41 @@ impl IncrementalDetector {
         self.units.iter().map(|u| consts(u) + u.violating_pairs).sum()
     }
 
-    /// Materialise a full report from the maintained state, per original
-    /// CFD in suite order: its constant violations in tuple order, then
-    /// its variable ones in key order, emitted as batch detect emits
-    /// them. `table` is the table the events came from — keys re-enter
-    /// value space through its pool, per *violating* class only.
-    pub fn report(&self, table: &Table) -> ViolationReport {
-        let mut found: Vec<Vec<Violation>> = vec![Vec::new(); self.cfds.len()];
+    /// The first `max` violations of [`IncrementalDetector::report`], and
+    /// only those built: per CFD in suite order, its constant violations in
+    /// tuple order, then its variable ones in key order, reaching only the
+    /// units of the CFDs listed (keys through `table`'s pool, the table the
+    /// events came from). `implicated` gets every tuple of the whole report:
+    /// each constant violator and each violating class's slots.
+    pub fn listing(&self, table: &Table, max: usize, implicated: &mut TupleBits) -> Vec<Violation> {
         for unit in &self.units {
-            for (&cfd, consts) in unit.members.iter().zip(&unit.consts) {
-                let constant = |(&tuple, &row)| Violation::CfdConstant { cfd, row, tuple };
-                found[cfd].extend(consts.iter().map(constant));
-            }
-            let violating = (0..unit.matched.len()).filter(|&c| unit.violates(c));
-            let classes =
-                violating.map(|c| (unit.classes.key(c).iter().copied(), unit.classes.class(c)));
-            let violating = in_key_order(classes, table.pool());
-            for &cfd in &unit.members {
-                emit_variable_violations(cfd, &self.cfds[cfd], &violating, &mut found[cfd]);
+            unit.consts.iter().flat_map(BTreeMap::keys).for_each(|&t| implicated.insert(t));
+            let slots = unit.violating().flat_map(|(_, slots)| slots);
+            slots.for_each(|&s| implicated.insert(TupleId(s.into())));
+        }
+        let mut ordered: Vec<Option<Vec<_>>> = self.units.iter().map(|_| None).collect();
+        let mut out = Vec::new();
+        for (cfd, spec) in self.cfds.iter().enumerate() {
+            let (u, unit, m) = (self.units.iter().enumerate())
+                .find_map(|(u, unit)| Some((u, unit, unit.members.iter().position(|&i| i == cfd)?)))
+                .expect("every CFD is a member of one unit");
+            let constant = |(&tuple, &row)| Violation::CfdConstant { cfd, row, tuple };
+            out.extend(unit.consts[m].iter().take(max - out.len()).map(constant));
+            if out.len() < max && spec.variable_rows().next().is_some() {
+                let pool = table.pool();
+                let ordered =
+                    ordered[u].get_or_insert_with(|| in_key_order(unit.violating(), pool));
+                emit_variable_violations(cfd, spec, ordered, pool, &mut out, max);
             }
         }
-        ViolationReport { violations: found.into_iter().flatten().collect() }
+        out
+    }
+
+    /// The whole report, as batch detect emits it:
+    /// [`IncrementalDetector::listing`] uncapped.
+    pub fn report(&self, table: &Table) -> ViolationReport {
+        let violations = self.listing(table, usize::MAX, &mut TupleBits::default());
+        ViolationReport { violations }
     }
 }
 

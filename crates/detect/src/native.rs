@@ -70,16 +70,15 @@
 //! `plan`, `group`, `compile`, `join`, `scan`, `emit` — for `--explain`.
 
 use crate::engine::DetectJob;
-use crate::report::{Violation, ViolationReport};
+use crate::report::{Listing, Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cind, SymPred};
 use revival_relation::groupby::{hash_at, hash_syms, matches_at};
 use revival_relation::partition::{class_error, ItemIndex, ItemScratch, Partition};
-use revival_relation::{
-    map_chunks, AttrId, GroupBy, Result, Sym, Table, TupleId, Value, ValuePool,
-};
+use revival_relation::{map_chunks, AttrId, GroupBy, Result, Sym, Table, TupleId, ValuePool};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::time::Instant;
 
 /// A scan's phases, in the order a profile lists them: validating and
@@ -571,7 +570,7 @@ pub(crate) fn scan_unit<'s, 't>(
         });
         let violating = in_key_order(violating, table.pool());
         for ((idx, cfd), buf) in members.iter().zip(&mut found) {
-            emit_variable_violations(*idx, cfd, &violating, buf);
+            emit_variable_violations(*idx, cfd, &violating, table.pool(), buf, usize::MAX);
         }
     }
     laps.lap(EMIT);
@@ -858,27 +857,30 @@ impl ConstIndex {
 }
 
 /// A unit's violating LHS classes — each its key's symbols, in LHS
-/// order, and its slots, ascending — in sorted-key order. Keys map back
-/// to values here, per violating class only. Batch and maintained
-/// detection both report through this and [`emit_variable_violations`].
-pub(crate) fn in_key_order<'g, K: IntoIterator<Item = Sym>>(
+/// order, and its slots, ascending — in sorted-key order, keys compared
+/// through the pool. Batch and maintained detection both report through
+/// this and [`emit_variable_violations`].
+pub(crate) fn in_key_order<'g, K: Clone + IntoIterator<Item = Sym>>(
     classes: impl Iterator<Item = (K, &'g [u32])>,
     pool: &ValuePool,
-) -> Vec<(Vec<Value>, &'g [u32])> {
-    let mut keyed: Vec<(Vec<Value>, &[u32])> = classes
-        .map(|(key, slots)| (key.into_iter().map(|s| pool.value(s).clone()).collect(), slots))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+) -> Vec<(K, &'g [u32])> {
+    let mut keyed: Vec<(K, &[u32])> = classes.collect();
+    let values = |key: &K| key.clone().into_iter().map(|s| pool.value(s));
+    keyed.sort_by(|a, b| values(&a.0).cmp(values(&b.0)));
     keyed
 }
 
-/// Emit one member's variable violations: every violating class whose
-/// key matches one of its variable rows, in key order.
-pub(crate) fn emit_variable_violations(
+/// Push one member's variable violations onto `out` while it holds
+/// fewer than `max`: every violating class whose key matches one of its
+/// variable rows, in key order. A key maps back to values only in the
+/// violations pushed.
+pub(crate) fn emit_variable_violations<K: Clone + IntoIterator<Item = Sym>>(
     cfd_idx: usize,
     cfd: &Cfd,
-    violating: &[(Vec<Value>, &[u32])],
+    violating: &[(K, &[u32])],
+    pool: &ValuePool,
     out: &mut Vec<Violation>,
+    max: usize,
 ) {
     let var_rows: Vec<_> =
         cfd.tableau.iter().enumerate().filter(|(_, tp)| !tp.is_constant_row()).collect();
@@ -887,11 +889,14 @@ pub(crate) fn emit_variable_violations(
     }
     for (key, slots) in violating {
         for (row, tp) in &var_rows {
-            if tp.lhs_matches(key) {
+            if out.len() == max {
+                return;
+            }
+            if tp.lhs.iter().zip(key.clone()).all(|(p, s)| p.matches(pool.value(s))) {
                 out.push(Violation::CfdVariable {
                     cfd: cfd_idx,
                     row: *row,
-                    key: key.clone(),
+                    key: key.clone().into_iter().map(|s| pool.value(s).clone()).collect(),
                     tuples: slots.iter().map(|&s| TupleId(u64::from(s))).collect(),
                 });
             }
@@ -946,44 +951,40 @@ pub fn describe_violation(
     }
 }
 
-/// Human-readable listing of a report against its suite, capped at `max`
-/// violation lines: each CFD violation described against the schema in
-/// `schemas` its relation names, each CIND violation by its two
-/// relations.
-pub fn describe_report(
-    report: &ViolationReport,
+/// The one listing renderer: a header line counting the violations and
+/// the (relation, tuple) pairs they implicate, a line per shown
+/// violation — a CFD's described against the schema in `schemas` its
+/// relation names, a CIND's by its two relations, each after its
+/// `[relation]` when `tagged` (a catalog job's listing) — and how many
+/// more there are.
+pub fn describe_listing(
+    listing: &Listing,
     cfds: &[Cfd],
     cinds: &[Cind],
     schemas: &[&revival_relation::Schema],
-    max: usize,
+    tagged: bool,
 ) -> String {
-    let mut out = format!(
-        "{} violation(s); {} tuple(s) involved\n",
-        report.len(),
-        report.violating_tuples().len()
-    );
-    for v in report.violations.iter().take(max) {
+    let mut out = format!("{} violation(s); {} tuple(s) involved\n", listing.total, listing.tuples);
+    for v in &listing.shown {
+        let relation = v.relation(cfds, cinds);
         let line = match v {
-            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                match schemas.iter().find(|s| s.name() == cfds[*cfd].relation) {
+            Violation::CfdConstant { .. } | Violation::CfdVariable { .. } => {
+                match schemas.iter().find(|s| s.name() == relation) {
                     Some(schema) => describe_violation(v, cfds, schema),
                     None => format!("{v:?}"),
                 }
             }
             Violation::CindMissingWitness { cind, tuple } => {
-                let c = &cinds[*cind];
-                format!(
-                    "tuple {tuple} of {} has no witness in {} (cind#{cind})",
-                    c.from_relation, c.to_relation
-                )
+                let of = if tagged { String::new() } else { format!(" of {relation}") };
+                let to = &cinds[*cind].to_relation;
+                format!("tuple {tuple}{of} has no witness in {to} (cind#{cind})")
             }
         };
-        out.push_str("  ");
-        out.push_str(&line);
-        out.push('\n');
+        let tag = if tagged { format!("[{relation}] ") } else { String::new() };
+        let _ = writeln!(out, "  {tag}{line}");
     }
-    if report.len() > max {
-        out.push_str(&format!("  … and {} more\n", report.len() - max));
+    if listing.total > listing.shown.len() {
+        let _ = writeln!(out, "  … and {} more", listing.total - listing.shown.len());
     }
     out
 }
@@ -1213,7 +1214,7 @@ mod oracle {
             let violating = violating.iter().map(|(k, slots)| (k.iter().copied(), &slots[..]));
             let violating = in_key_order(violating, table.pool());
             for ((idx, cfd), buf) in members.iter().zip(&mut found) {
-                emit_variable_violations(*idx, cfd, &violating, buf);
+                emit_variable_violations(*idx, cfd, &violating, table.pool(), buf, usize::MAX);
             }
         }
         (found, groups_built, pattern_rows_checked)
@@ -1256,7 +1257,7 @@ mod tests {
     use super::*;
     use crate::engine::{Detector, NativeEngine};
     use revival_constraints::parser::parse_cfds;
-    use revival_relation::{Schema, Type};
+    use revival_relation::{Schema, Type, Value};
 
     fn schema() -> Schema {
         Schema::builder("customer")

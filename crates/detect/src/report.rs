@@ -1,7 +1,8 @@
 //! Violation reports shared by all detectors.
 
+use revival_constraints::{Cfd, Cind};
 use revival_relation::{TupleId, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One detected violation.
@@ -37,14 +38,62 @@ pub enum Violation {
 
 impl Violation {
     /// Tuples implicated by this violation.
-    pub fn tuples(&self) -> Vec<TupleId> {
+    pub fn tuples(&self) -> &[TupleId] {
         match self {
             Violation::CfdConstant { tuple, .. } | Violation::CindMissingWitness { tuple, .. } => {
-                vec![*tuple]
+                std::slice::from_ref(tuple)
             }
-            Violation::CfdVariable { tuples, .. } => tuples.clone(),
+            Violation::CfdVariable { tuples, .. } => tuples,
         }
     }
+
+    /// The relation those tuples belong to: the CFD's, or the CIND's
+    /// source, in the suites the report indexes.
+    pub fn relation<'s>(&self, cfds: &'s [Cfd], cinds: &'s [Cind]) -> &'s str {
+        match self {
+            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
+                &cfds[*cfd].relation
+            }
+            Violation::CindMissingWitness { cind, .. } => &cinds[*cind].from_relation,
+        }
+    }
+}
+
+/// Tuples of one relation, one bit per slot: what a listing's header
+/// counts, with no node per tuple.
+#[derive(Clone, Debug, Default)]
+pub struct TupleBits {
+    words: Vec<u64>,
+}
+
+impl TupleBits {
+    /// Room for a relation of `slots` slots (a later slot grows it).
+    pub fn with_slots(slots: usize) -> Self {
+        TupleBits { words: vec![0; slots.div_ceil(64)] }
+    }
+
+    pub fn insert(&mut self, tuple: TupleId) {
+        let word = (tuple.0 / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (tuple.0 % 64);
+    }
+
+    /// Distinct tuples inserted.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// A report as a listing prints it: its violations, the (relation,
+/// tuple) pairs they implicate — a tuple id names a slot of its own
+/// relation — and its first violations, in report order.
+#[derive(Debug, Default)]
+pub struct Listing {
+    pub total: usize,
+    pub tuples: usize,
+    pub shown: Vec<Violation>,
 }
 
 /// The outcome of a detection pass.
@@ -68,7 +117,23 @@ impl ViolationReport {
 
     /// The set of all violating tuples (deduplicated).
     pub fn violating_tuples(&self) -> BTreeSet<TupleId> {
-        self.violations.iter().flat_map(|v| v.tuples()).collect()
+        self.violations.iter().flat_map(|v| v.tuples()).copied().collect()
+    }
+
+    /// The report listed to its first `max` violations, for
+    /// [`crate::native::describe_listing`]; `cfds` and `cinds` are the
+    /// suites it indexes.
+    pub fn listing(&self, cfds: &[Cfd], cinds: &[Cind], max: usize) -> Listing {
+        let mut relations: BTreeMap<&str, TupleBits> = BTreeMap::new();
+        for v in &self.violations {
+            let bits = relations.entry(v.relation(cfds, cinds)).or_default();
+            v.tuples().iter().for_each(|&t| bits.insert(t));
+        }
+        Listing {
+            total: self.len(),
+            tuples: relations.values().map(TupleBits::count).sum(),
+            shown: self.violations.iter().take(max).cloned().collect(),
+        }
     }
 
     /// Canonical ordering so reports from different detectors compare
@@ -123,7 +188,7 @@ mod tests {
     #[test]
     fn tuples_of_violations() {
         let v = Violation::CfdConstant { cfd: 0, row: 0, tuple: TupleId(3) };
-        assert_eq!(v.tuples(), vec![TupleId(3)]);
+        assert_eq!(v.tuples(), [TupleId(3)]);
         let v = Violation::CfdVariable {
             cfd: 0,
             row: 0,

@@ -11,7 +11,7 @@
 use revival_constraints::analysis::{self, Outcome};
 use revival_constraints::parser::parse_cfds;
 use revival_constraints::Cfd;
-use revival_detect::native::{describe_report, describe_violation};
+use revival_detect::native::describe_listing;
 use revival_detect::{DetectJob, Detector, ViolationReport};
 use revival_relation::{csv, Error, Result, Table, Value};
 use revival_repair::{BatchRepair, CostModel, RepairStats};
@@ -71,7 +71,8 @@ impl Session {
 
     /// Human-readable violation listing (capped).
     pub fn describe(&self, report: &ViolationReport, max: usize) -> String {
-        describe_report(report, &self.cfds, &[], &[self.table.schema()], max)
+        let listing = report.listing(&self.cfds, &[], max);
+        describe_listing(&listing, &self.cfds, &[], &[self.table.schema()], false)
     }
 
     /// Compute a candidate repair with `jobs` shards (0 = one per
@@ -291,49 +292,6 @@ pub fn describe_discovered(
     Ok(out)
 }
 
-/// Human-readable listing for a catalog job's report: CFD violations
-/// are described against their own relation's schema, CIND violations
-/// against the two relations of the CIND.
-pub fn describe_catalog_report(
-    report: &ViolationReport,
-    catalog: &revival_relation::Catalog,
-    cfds: &[Cfd],
-    cinds: &[revival_constraints::Cind],
-    max: usize,
-) -> String {
-    use revival_detect::Violation;
-    let mut out = format!(
-        "{} violation(s); {} tuple(s) involved\n",
-        report.len(),
-        report.violating_tuples().len()
-    );
-    for v in report.violations.iter().take(max) {
-        let line = match v {
-            Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                let relation = &cfds[*cfd].relation;
-                match catalog.get(relation) {
-                    Ok(t) => format!("[{relation}] {}", describe_violation(v, cfds, t.schema())),
-                    Err(_) => format!("{v:?}"),
-                }
-            }
-            Violation::CindMissingWitness { cind, tuple } => {
-                let c = &cinds[*cind];
-                format!(
-                    "[{}] tuple {tuple} has no witness in {} (cind#{cind})",
-                    c.from_relation, c.to_relation
-                )
-            }
-        };
-        out.push_str("  ");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    if report.len() > max {
-        out.push_str(&format!("  … and {} more\n", report.len() - max));
-    }
-    out
-}
-
 /// Generate a scenario dataset (CSV + CFD suite + ground truth) into
 /// strings; the CLI writes them to disk.
 pub fn generate_customer_scenario(rows: usize, noise: f64, seed: u64) -> (String, String, String) {
@@ -503,9 +461,34 @@ mod tests {
         let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
         let report = NativeEngine.run(&job).unwrap();
         assert!(!report.is_empty());
-        let text = describe_catalog_report(&report, &catalog, &cfds, &cinds, 10);
+        let schemas = ["cd", "book"].map(|name| catalog.get(name).unwrap().schema());
+        let text =
+            describe_listing(&report.listing(&cfds, &cinds, 10), &cfds, &cinds, &schemas, true);
         assert!(text.contains("[cd]"), "got: {text}");
         assert!(text.contains("no witness in book"), "got: {text}");
+    }
+
+    /// Tuple ids are per relation: `t0` of `cd` and `t0` of `book` are
+    /// two tuples involved, and a catalog listing says so.
+    #[test]
+    fn catalog_listing_counts_tuples_per_relation() {
+        use revival_relation::Catalog;
+        let mut catalog = Catalog::new();
+        catalog
+            .register(csv::read_table_infer("cd", "album,genre\nDune,scifi\nDune,pop\n").unwrap());
+        catalog.register(csv::read_table_infer("book", "title,format\nDune,audio\n").unwrap());
+        let schemas = ["cd", "book"].map(|name| catalog.get(name).unwrap().schema().clone());
+        let cfds = revival_constraints::parser::parse_cfds_multi(
+            "cd([album] -> [genre])\nbook([title] -> [format='print'])",
+            &schemas,
+        )
+        .unwrap();
+        let report = NativeEngine.run(&DetectJob::on_catalog(&catalog, &cfds)).unwrap();
+        let schemas = schemas.each_ref();
+        let text = describe_listing(&report.listing(&cfds, &[], 10), &cfds, &[], &schemas, true);
+        let head = text.lines().next().unwrap();
+        assert_eq!(head, "2 violation(s); 3 tuple(s) involved", "{text}");
+        assert!(text.contains("[book] tuple t0 matches pattern"), "{text}");
     }
 
     #[test]

@@ -940,7 +940,7 @@ fn detect_catalog(
     explain: Option<ExplainMode>,
     stdout: &mut dyn Write,
 ) -> Result<(), Stop> {
-    use revival_detect::DetectJob;
+    use revival_detect::{native::describe_listing, DetectJob, ViolationReport};
     let (catalog, schemas) = load_catalog(flags.get_all("data"))?;
     let cfd_path = flags.get("cfds")?;
     let cfd_text = std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
@@ -954,25 +954,21 @@ fn detect_catalog(
         Err(_) => Vec::new(),
     };
     let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
+    let schemas: Vec<_> = schemas.iter().collect();
+    let describe = |report: &ViolationReport| {
+        describe_listing(&report.listing(&cfds, &cinds, 25), &cfds, &cinds, &schemas, true)
+    };
     match explain {
         None => {
             let report = engine.run(&job).map_err(|e| e.to_string())?;
-            write!(
-                stdout,
-                "{}",
-                semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25)
-            )?;
+            write!(stdout, "{}", describe(&report))?;
         }
         Some(mode) => {
             let (report, profile) = engine.run_profiled(&job).map_err(|e| e.to_string())?;
             if mode == ExplainMode::Json {
                 writeln!(stdout, "{}", profile.render_json())?;
             } else {
-                write!(
-                    stdout,
-                    "{}",
-                    semandaq::describe_catalog_report(&report, &catalog, &cfds, &cinds, 25)
-                )?;
+                write!(stdout, "{}", describe(&report))?;
                 write!(stdout, "{}", profile.render_text())?;
             }
         }

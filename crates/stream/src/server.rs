@@ -499,6 +499,13 @@ mod tests {
         }
     }
 
+    /// The serve instruments are process-global: the tests that drive a
+    /// server take turns, so none's traffic lands between another's polls.
+    fn serving() -> std::sync::MutexGuard<'static, ()> {
+        static SERVING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERVING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn roundtrip(
         stream: &mut TcpStream,
         reader: &mut BufReader<TcpStream>,
@@ -534,6 +541,7 @@ mod tests {
 
     #[test]
     fn register_append_report_repair_shutdown() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(2).unwrap());
@@ -596,6 +604,7 @@ mod tests {
 
     #[test]
     fn panicking_request_answers_error_and_server_survives() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(2).unwrap());
@@ -654,6 +663,7 @@ mod tests {
 
     #[test]
     fn sharded_server_counts_across_shards_and_checkpoints() {
+        let _serving = serving();
         let (server, restored) = Server::bind_opts(
             "127.0.0.1:0",
             &ServeOptions { shards: 4, ..ServeOptions::default() },
@@ -691,6 +701,7 @@ mod tests {
 
     #[test]
     fn discover_mines_and_optionally_registers() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());
@@ -761,6 +772,7 @@ mod tests {
 
     #[test]
     fn register_counts_per_cfd_over_one_embedded_fd() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());
@@ -785,6 +797,7 @@ mod tests {
 
     #[test]
     fn metrics_verb_round_trips_over_the_protocol() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());
@@ -846,6 +859,7 @@ mod tests {
     /// protocol ignores (the retired `"replica"`) included.
     #[test]
     fn phases_sum_exactly_to_total_for_every_verb() {
+        let _serving = serving();
         let (server, _) = Server::bind_opts(
             "127.0.0.1:0",
             &ServeOptions { shards: 2, ..ServeOptions::default() },
@@ -910,6 +924,7 @@ mod tests {
 
     #[test]
     fn windowed_metrics_appear_from_the_second_poll() {
+        let _serving = serving();
         let server = Server::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run(1).unwrap());

@@ -19,7 +19,8 @@
 
 use revival_constraints::parser::check_writable;
 use revival_constraints::{Cfd, Cind};
-use revival_detect::native::describe_report;
+use revival_detect::native::describe_listing;
+use revival_detect::report::{Listing, TupleBits};
 use revival_detect::{
     DetectJob, Detector, IncrementalDetector, NativeEngine, Violation, ViolationReport,
 };
@@ -244,30 +245,46 @@ impl DeltaSession {
         Ok(NativeEngine.scan(&job, None)?.violations)
     }
 
-    /// Materialise the full live report. Violation indices refer to
-    /// [`DeltaSession::cfds`] / [`DeltaSession::cinds`].
-    pub fn report(&self) -> Result<ViolationReport> {
-        let mut report = ViolationReport::default();
+    /// The live report to its first `max` violations: each relation's
+    /// CFD violations, then the CIND ones, indices into
+    /// [`DeltaSession::cfds`] / [`DeltaSession::cinds`]. Only those are
+    /// built; the total is the maintained counters plus the CIND probe's,
+    /// and the tuples are counted per relation, one bit per slot.
+    fn listing(&self, max: usize) -> Result<Listing> {
+        let cinds = self.cind_violations()?;
+        let mut listing = Listing { total: cinds.len(), ..Listing::default() };
         for rel in &self.relations {
-            for mut v in rel.detector.report(self.catalog.get(&rel.name)?).violations {
-                match &mut v {
-                    Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => {
-                        *cfd = rel.idxs[*cfd]
-                    }
-                    Violation::CindMissingWitness { .. } => {}
+            let table = self.catalog.get(&rel.name)?;
+            let mut implicated = TupleBits::with_slots(table.slots());
+            for mut v in rel.detector.listing(table, max - listing.shown.len(), &mut implicated) {
+                if let Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } =
+                    &mut v
+                {
+                    *cfd = rel.idxs[*cfd];
                 }
-                report.violations.push(v);
+                listing.shown.push(v);
             }
+            let own = cinds.iter().filter(|v| v.relation(&self.cfds, &self.cinds) == rel.name);
+            own.flat_map(Violation::tuples).for_each(|&t| implicated.insert(t));
+            listing.total += rel.detector.violation_count();
+            listing.tuples += implicated.count();
         }
-        report.violations.extend(self.cind_violations()?);
-        Ok(report)
+        listing.shown.extend(cinds.into_iter().take(max - listing.shown.len()));
+        Ok(listing)
     }
 
-    /// Human-readable listing of a report from this session (capped).
-    pub fn describe(&self, report: &ViolationReport, max: usize) -> String {
+    /// The full live report: the listing `describe` reads, uncapped.
+    pub fn report(&self) -> Result<ViolationReport> {
+        Ok(ViolationReport { violations: self.listing(usize::MAX)?.shown })
+    }
+
+    /// The live report's total and its listing, described to `max` lines.
+    pub fn describe(&self, max: usize) -> Result<(usize, String)> {
+        let listing = self.listing(max)?;
         let tables = self.relations.iter().filter_map(|r| self.catalog.get(&r.name).ok());
         let schemas: Vec<_> = tables.map(Table::schema).collect();
-        describe_report(report, &self.cfds, &self.cinds, &schemas, max)
+        let text = describe_listing(&listing, &self.cfds, &self.cinds, &schemas, false);
+        Ok((listing.total, text))
     }
 
     /// Repair the tuples appended since registration (or since the last
@@ -511,8 +528,29 @@ mod tests {
         assert_eq!(sess.violation_count().unwrap(), 0);
         sess.insert("cd", vec!["Foundation".into(), Value::Int(15), "a-book".into()]).unwrap();
         assert_eq!(sess.violation_count().unwrap(), 1);
-        let text = sess.describe(&sess.report().unwrap(), 10);
+        let (_, text) = sess.describe(10).unwrap();
         assert!(text.contains("no witness in book"), "got: {text}");
+    }
+
+    /// A CIND violator of `cd` and a CFD violation in `book`, both at
+    /// `t0`: two relations' tuples, counted apart.
+    #[test]
+    fn listing_counts_tuples_per_relation() {
+        let cd_s = Schema::builder("cd").attr("album", Type::Str).build();
+        let book_s =
+            Schema::builder("book").attr("title", Type::Str).attr("format", Type::Str).build();
+        let mut cd = Table::new(cd_s.clone());
+        cd.push(vec!["Dune".into()]).unwrap();
+        let mut book = Table::new(book_s.clone());
+        book.push(vec!["Emma".into(), "audio".into()]).unwrap();
+        book.push(vec!["Emma".into(), "print".into()]).unwrap();
+        let mut sess = DeltaSession::new(1);
+        sess.register(cd, Vec::new()).unwrap();
+        sess.register(book, parse_cfds("book([title] -> [format])", &book_s).unwrap()).unwrap();
+        sess.add_cinds(parse_cinds("cd(album) <= book(title)", &[cd_s, book_s]).unwrap()).unwrap();
+        let (total, text) = sess.describe(10).unwrap();
+        assert_eq!(total, 2, "{text}");
+        assert_eq!(text.lines().next(), Some("2 violation(s); 3 tuple(s) involved"), "{text}");
     }
 
     #[test]

@@ -759,9 +759,7 @@ impl Tier {
         let mut remaining = max;
         for shard in &self.shards {
             let session = revival_obs::time_phase("lock_wait", || read_recovered(&shard.session));
-            let described = revival_obs::time_phase("apply", || {
-                session.report().map(|r| (r.len(), session.describe(&r, remaining)))
-            });
+            let described = revival_obs::time_phase("apply", || session.describe(remaining));
             let (len, block) = match described {
                 Ok(pair) => pair,
                 Err(e) => return Response::err(e),
@@ -884,6 +882,37 @@ fn discover_response(d: &revival_discovery::Discovered, schema: &Schema) -> Resp
                 revival_constraints::analysis::Outcome::ResourceLimit => "unknown",
             },
         )
+}
+
+/// The `report` this tier answered before its sessions listed only what
+/// they print — each shard's full report through the one renderer —
+/// kept as the oracle of `tests::served_report_is_the_materialized_one`.
+#[cfg(test)]
+impl Tier {
+    fn report_oracle(&self, max: usize) -> Response {
+        let mut total = 0usize;
+        let mut text = String::new();
+        let mut remaining = max;
+        for shard in &self.shards {
+            let session = read_recovered(&shard.session);
+            let report = session.report().unwrap();
+            let catalog = session.catalog();
+            let tables = catalog.relation_names().map(|name| catalog.get(name).unwrap());
+            let schemas: Vec<&Schema> = tables.map(Table::schema).collect();
+            let (cfds, cinds) = (session.cfds(), session.cinds());
+            total += report.len();
+            if self.shards.len() == 1 || !report.is_empty() {
+                let listing = report.listing(cfds, cinds, remaining);
+                let describe = revival_detect::native::describe_listing;
+                text.push_str(&describe(&listing, cfds, cinds, &schemas, false));
+                remaining = remaining.saturating_sub(report.len());
+            }
+        }
+        if text.is_empty() {
+            text = "0 violation(s); 0 tuple(s) involved\n".into();
+        }
+        Response::ok().with_int("violations", total as i64).with_str("text", text)
+    }
 }
 
 /// Registering this table panics (test builds only).
@@ -1091,5 +1120,120 @@ mod tests {
         let resp = tier.handle(&append("t", "1,y"));
         assert!(resp.is_ok(), "{resp:?}");
         assert_eq!(resp.int("violations"), Some(1));
+    }
+
+    /// The served `report` is the materialized one. `stream_batch_parity`'s
+    /// edit streams run over three relations — two on one shard, joined by
+    /// a CIND, and one routed apart when there are several shards — at 1
+    /// and 3 shards; along the stream and at its end every cap's reply is
+    /// the oracle's, and each shard's full report is batch detection's on
+    /// its catalog.
+    #[test]
+    fn served_report_is_the_materialized_one() {
+        use rand::prelude::*;
+        use revival_constraints::parser::parse_cfds;
+        use revival_detect::{DetectJob, Detector, NativeEngine};
+        use revival_relation::{Type, Value};
+        const ATTRS: [&str; 4] = ["cc", "zip", "street", "city"];
+        const VALUES: [&[&str]; 4] = [
+            &["44", "01"],
+            &["EH8", "07974", "G1"],
+            &["Crichton", "Mayfield", "MtnAve"],
+            &["edi", "mh", "nyc"],
+        ];
+        // Outside the closed alphabet: constants the suite names and not.
+        const FRESH: [[&str; 2]; 4] =
+            [["33", "49"], ["ZZ9", "N1"], ["High", "Low"], ["gla", "lon"]];
+        const SUITE: &str = "customer([cc='44', zip] -> [street])\n\
+             customer([cc='01', zip] -> [street])\n\
+             customer([cc='01', zip='07974'] -> [city='mh'])\n\
+             customer([zip] -> [city])\n\
+             customer([cc='44', zip='G1'] -> [street='High'])\n\
+             customer([cc, zip] -> [street]) {\n  '33', _ || _\n  '01', 'ZZ9' || 'High'\n  !='44', in ('N1', 'XX0') || !='Low'\n}\n\
+             customer([cc!='01', zip in ('EH8', 'ZZ9')] -> [city in ('edi', 'gla', 'ayr')])\n\
+             customer([zip='ZZ9'] -> [city!='lon'])";
+        let row = |rng: &mut StdRng| VALUES.map(|v| *v.choose(rng).unwrap()).join(",");
+        for seed in 0..200u64 {
+            for shards in [1, 3] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (tier, _) =
+                    ShardedSession::open(&ServeOptions { shards, ..Default::default() }).unwrap();
+                let home = tier.route("customer");
+                let named = |prefix: &str, same: bool| {
+                    let mut names = (0..).map(|i| format!("{prefix}{i}"));
+                    names.find(|n| shards == 1 || (tier.route(n) == home) == same).unwrap()
+                };
+                let names = ["customer".to_string(), named("p", true), named("o", false)];
+                let mut live: Vec<Vec<u64>> = Vec::new();
+                for name in &names {
+                    let schema = ATTRS
+                        .iter()
+                        .fold(Schema::builder(name.as_str()), |b, a| b.attr(*a, Type::Str))
+                        .build();
+                    let mut table = Table::new(schema.clone());
+                    for _ in 0..rng.gen_range(0..30) {
+                        let r = row(&mut rng);
+                        table.push(r.split(',').map(Value::from).collect()).unwrap();
+                    }
+                    live.push(table.tuple_ids().map(|t| t.0).collect());
+                    let cfds = parse_cfds(&SUITE.replace("customer", name), &schema).unwrap();
+                    let shard = tier.shard(tier.route(name));
+                    shard.session().write().unwrap().register(table, cfds).unwrap();
+                }
+                let text = format!("{}(zip) <= customer(zip)", names[1]);
+                assert!(tier.handle(&Request::Cinds { text }).is_ok());
+                let check = |at: &str| {
+                    for max in [0, 1, 7, 25, usize::MAX] {
+                        let (served, want) =
+                            (tier.handle(&Request::Report { max }), tier.tier.report_oracle(max));
+                        assert_eq!(served, want, "seed {seed}, {shards} shard(s), {at}, max {max}");
+                    }
+                };
+                let nops = rng.gen_range(1..120);
+                for op in 0..nops {
+                    let r = rng.gen_range(0..names.len());
+                    let (table, ids) = (names[r].clone(), &mut live[r]);
+                    let appends = match rng.gen_range(0..100) {
+                        // A delta outweighing the base, on small tables.
+                        0..=7 if ids.len() < 120 => ids.len().max(1) + rng.gen_range(0..3usize),
+                        8..=55 => 1,
+                        56..=75 if !ids.is_empty() => {
+                            let tuple = ids.swap_remove(rng.gen_range(0..ids.len()));
+                            assert!(tier.handle(&Request::Delete { table, tuple }).is_ok());
+                            0
+                        }
+                        _ if !ids.is_empty() => {
+                            let tuple = *ids.choose(&mut rng).unwrap();
+                            let a: usize = rng.gen_range(0..4);
+                            let value = if rng.gen_range(0..3) == 0 {
+                                *FRESH[a].choose(&mut rng).unwrap()
+                            } else {
+                                *VALUES[a].choose(&mut rng).unwrap()
+                            };
+                            let (attr, value) = (ATTRS[a].into(), value.into());
+                            let update = Request::Update { table, tuple, attr, value };
+                            assert!(tier.handle(&update).is_ok());
+                            0
+                        }
+                        _ => 0,
+                    };
+                    for _ in 0..appends {
+                        let resp = tier.handle(&append(&names[r], &row(&mut rng)));
+                        live[r].push(resp.int("tuple").unwrap() as u64);
+                    }
+                    if op % 20 == 19 {
+                        check(&format!("op {op}"));
+                    }
+                }
+                check("end");
+                for shard in &tier.tier.shards {
+                    let session = read_recovered(&shard.session);
+                    let job = DetectJob::on_catalog(session.catalog(), session.cfds())
+                        .with_cinds(session.cinds());
+                    let batch = NativeEngine.run(&job).unwrap();
+                    assert_eq!(session.report().unwrap(), batch, "seed {seed}, {shards} shard(s)");
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! `#[test]` only: the counter is process-wide, and the harness runs
 //! tests on threads.)
 
-use revival::dirty::customer::{attrs, generate, scaled_suite, CustomerConfig};
+use revival::dirty::customer::{attrs, generate, scaled_suite, standard_cfds, CustomerConfig};
 use revival::dirty::noise::{inject, NoiseConfig};
 use revival::stream::DeltaSession;
 use revival_relation::{Table, Value};
@@ -127,4 +127,21 @@ fn appends_allocate_nothing_per_row_and_register_per_group() {
     });
     assert_eq!(repairing[0], repairing[1], "allocations at a 5 000- and a 20 000-row base");
     assert!(repairing[1] < 64, "{repairing:?} allocations repairing {PENDING} pending tuples");
+
+    // A capped `report` pays for the lines it prints: over the standard
+    // suite on 5 %-noisy customer rows it builds its 20 violations and a
+    // bit per slot, whatever the rows. (Building every violation and a
+    // set node per implicated tuple made 912 allocations at 2 000 rows
+    // and 3 546 at 20 000.)
+    let reporting = [2_000, ROWS].map(|rows| {
+        let data = generate(&CustomerConfig { rows, seed: 7, ..Default::default() });
+        let noise = NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY, attrs::ZIP], 7);
+        let mut session = DeltaSession::new(1);
+        session.register(inject(&data.table, &noise).dirty, standard_cfds(&data.schema)).unwrap();
+        let ((total, text), allocations) = counting(|| session.describe(20).unwrap());
+        assert!(total > 20 && text.lines().count() == 22, "{text}");
+        allocations
+    });
+    assert!(reporting[1] * 8 <= 3_546, "{reporting:?} allocations listing 20 violations");
+    assert!(reporting[1] * 4 <= reporting[0] * 5, "{reporting:?}: a listing grows with the rows");
 }
