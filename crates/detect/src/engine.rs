@@ -7,13 +7,12 @@
 //! CIND probe, the experiments, the tests — builds a job and picks an
 //! engine, by type or through [`engine_by_name`].
 //!
-//! Engines are interchangeable and agree tuple-for-tuple; the parity is
-//! asserted by tests in this crate and by the workspace-level
-//! `cross_engine_parity` property test. [`NativeEngine`] and
-//! [`crate::parallel::ParallelEngine`] additionally agree on report
-//! *order* byte-for-byte: they are the same scan
-//! ([`crate::native`]: one pass per embedded FD, reported per original
-//! CFD) at one shard and at `jobs` shards.
+//! Engines are interchangeable: every one returns the same violations in
+//! the one [report order](crate::report), asserted with `==` by tests in
+//! this crate and by the workspace-level `cross_engine_parity` property
+//! test. [`NativeEngine`] and [`crate::parallel::ParallelEngine`] are the
+//! same scan ([`crate::native`]: one pass per embedded FD, reported per
+//! original CFD) at one shard and at `jobs` shards.
 
 use crate::cind::detect_cinds;
 use crate::incremental::IncrementalDetector;
@@ -190,10 +189,10 @@ fn fill_profile_gaps(
 
 /// A violation-detection engine.
 ///
-/// Implementations must agree on *what* violates (the same set of
-/// [`Violation`]s up to order, asserted by parity tests); they differ
-/// in *how* the scan runs (hash-grouping in process, generated SQL,
-/// maintained incremental state, sharded threads).
+/// Implementations must return the same report — the same
+/// [`Violation`]s in the [report order](crate::report), asserted with
+/// `==` by parity tests — and differ in *how* the scan runs (grouping in
+/// process, generated SQL, maintained incremental state, sharded threads).
 pub trait Detector {
     /// Engine name, as the CLI `--engine` flag spells it.
     fn name(&self) -> &'static str;
@@ -332,7 +331,7 @@ impl Detector for SqlEngine {
 /// state the `stream` tier depends on. Stateless: every run partitions
 /// the suite by relation (an `IncrementalDetector` watches one table),
 /// adds each table's tuples through `IncrementalDetector::new` + `load`,
-/// and remaps the sub-suite indices back to job-suite positions. CINDs
+/// and remaps the sub-suite indices back into job-suite order. CINDs
 /// are witness-probed per run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrementalEngine;
@@ -355,7 +354,8 @@ impl Detector for IncrementalEngine {
                 None => relations.push((&cfd.relation, vec![i])),
             }
         }
-        let mut report = ViolationReport::default();
+        // Per job-suite CFD, its violations: concatenated in suite order.
+        let mut found: Vec<Vec<Violation>> = vec![Vec::new(); job.cfds.len()];
         for (relation, idxs) in relations {
             let sub: Vec<Cfd> = idxs.iter().map(|&i| job.cfds[i].clone()).collect();
             let table = job.table(relation)?;
@@ -366,10 +366,12 @@ impl Detector for IncrementalEngine {
                     &mut v
                 {
                     *cfd = idxs[*cfd];
+                    let at = *cfd;
+                    found[at].push(v);
                 }
-                report.violations.push(v);
             }
         }
+        let mut report = ViolationReport { violations: found.concat() };
         detect_cinds(job, 1, profile, &mut report.violations)?;
         Ok(report)
     }
@@ -472,7 +474,7 @@ mod tests {
         let t = customer_table();
         for cfds in std::iter::once(suite()).chain(shared_fd_suites()) {
             let job = DetectJob::on_table(&t, &cfds);
-            let mut reference = NativeEngine.run(&job).unwrap();
+            let reference = NativeEngine.run(&job).unwrap();
             // Every reported index stays within the suite.
             for v in &reference.violations {
                 if let Violation::CfdConstant { cfd, row, .. }
@@ -481,12 +483,9 @@ mod tests {
                     assert!(*row < cfds[*cfd].tableau.len());
                 }
             }
-            reference.normalize();
             assert!(!reference.is_empty());
             for name in ["sql", "incremental", "parallel"] {
-                let engine = engine_by_name(name, 2).unwrap();
-                let mut got = engine.run(&job).unwrap();
-                got.normalize();
+                let got = engine_by_name(name, 2).unwrap().run(&job).unwrap();
                 assert_eq!(got, reference, "engine {name} disagrees with native");
             }
         }
@@ -524,8 +523,7 @@ mod tests {
         )
         .unwrap();
         let job = DetectJob::on_catalog(&catalog, &cfds).with_cinds(&cinds);
-        let mut reference = NativeEngine.run(&job).unwrap();
-        reference.normalize();
+        let reference = NativeEngine.run(&job).unwrap();
         // One CIND violation (Foundation has no audio witness) on top of
         // the CFD violations.
         assert_eq!(
@@ -537,8 +535,7 @@ mod tests {
             1
         );
         for name in ["sql", "incremental", "parallel"] {
-            let mut got = engine_by_name(name, 3).unwrap().run(&job).unwrap();
-            got.normalize();
+            let got = engine_by_name(name, 3).unwrap().run(&job).unwrap();
             assert_eq!(got, reference, "engine {name} disagrees on catalog job");
         }
         // A job with an empty CFD suite sees exactly the CIND portion.

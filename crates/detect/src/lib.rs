@@ -21,8 +21,9 @@
 //!   warm under insertions, deletions and cell writes.
 //!
 //! CINDs ride the same job ([`engine::DetectJob::with_cinds`]) and are
-//! witness-probed by [`cind`] on every engine. All engines agree on the
-//! [`report::ViolationReport`] they return.
+//! witness-probed by [`cind`] on every engine. All engines return the
+//! same [`report::ViolationReport`], byte for byte, in the one order
+//! [`report`] states.
 
 #![forbid(unsafe_code)]
 

@@ -120,11 +120,6 @@ mod tests {
         assert!(!sequential.is_empty());
         for jobs in [1, 2, 3, 4, 7, 16] {
             let parallel = sharded(&t, &cfds, jobs);
-            assert_eq!(
-                format!("{sequential}"),
-                format!("{parallel}"),
-                "jobs={jobs} must render identically"
-            );
             assert_eq!(sequential, parallel, "jobs={jobs}");
         }
     }
@@ -138,7 +133,6 @@ mod tests {
         for jobs in [2, 4] {
             let parallel = ParallelEngine::new(jobs).run(&job).unwrap();
             assert_eq!(native, parallel);
-            assert_eq!(format!("{native}"), format!("{parallel}"));
         }
     }
 

@@ -1,9 +1,25 @@
 //! Violation reports shared by all detectors.
+//!
+//! **The report order.** Every engine, and the served listing, emits a
+//! job's violations in one order, so two reports compare with `==` and
+//! a listing's first `max` lines are the same wherever they come from:
+//!
+//! 1. per CFD, in suite order:
+//!    * its constant violations in tuple order, each at its lowest
+//!      violated tableau row (one violation per tuple);
+//!    * then its variable violations: the violating LHS classes in key
+//!      order, keys compared by [`Value`], each with the variable rows
+//!      it violates in row order, its tuples ascending;
+//! 2. then per CIND in suite order, its violating tuples ascending.
+//!
+//! The order follows the suite, not the data's layout: how a suite
+//! splits into scan passes, how many shards scan it, which relation a
+//! session registered first or how a SQL engine returns its rows changes
+//! nothing in it.
 
 use revival_constraints::{Cfd, Cind};
 use revival_relation::{TupleId, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// One detected violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,8 +152,10 @@ impl ViolationReport {
         }
     }
 
-    /// Canonical ordering so reports from different detectors compare
-    /// equal. Sorts violations and the tuple lists inside them.
+    /// Sort violations by their `Debug` text and drop repeats. Every
+    /// engine emits the [report order](crate::report), so reports
+    /// compare with `==`; this is kept only for the benchmark ledger's
+    /// untimed `sql == native` checks, which call it before comparing.
     pub fn normalize(&mut self) {
         for v in &mut self.violations {
             if let Violation::CfdVariable { tuples, .. } = v {
@@ -146,38 +164,6 @@ impl ViolationReport {
         }
         self.violations.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         self.violations.dedup();
-    }
-}
-
-impl fmt::Display for ViolationReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} violation(s), {} tuple(s) involved",
-            self.len(),
-            self.violating_tuples().len()
-        )?;
-        for v in &self.violations {
-            match v {
-                Violation::CfdConstant { cfd, row, tuple } => {
-                    writeln!(f, "  const  cfd#{cfd} row#{row} {tuple}")?
-                }
-                Violation::CfdVariable { cfd, row, key, tuples } => {
-                    let key_s: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-                    let ts: Vec<String> = tuples.iter().map(|t| t.to_string()).collect();
-                    writeln!(
-                        f,
-                        "  var    cfd#{cfd} row#{row} key=({}) tuples=[{}]",
-                        key_s.join(", "),
-                        ts.join(", ")
-                    )?
-                }
-                Violation::CindMissingWitness { cind, tuple } => {
-                    writeln!(f, "  cind   cind#{cind} {tuple}")?
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -221,14 +207,5 @@ mod tests {
         r.violations.push(v);
         r.normalize();
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn display_renders() {
-        let mut r = ViolationReport::default();
-        r.violations.push(Violation::CfdConstant { cfd: 0, row: 0, tuple: TupleId(1) });
-        let s = r.to_string();
-        assert!(s.contains("1 violation(s)"));
-        assert!(s.contains("const"));
     }
 }

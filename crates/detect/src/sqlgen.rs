@@ -9,11 +9,11 @@
 //! text depends on `X`, `A` and the mask and never on `|T_p|`:
 //!
 //! * **`Q_c`** — constant rows: tuples that match a row's LHS constants
-//!   but carry another RHS value:
+//!   but carry another RHS value, one result row per (row, `X`, `A`):
 //!
 //!   ```sql
-//!   SELECT p.row#, t.x1, t.x2 FROM R t JOIN tableau# p ON t.x1 = p.x1
-//!   WHERE t.A <> p.A GROUP BY p.row#, t.x1, t.x2
+//!   SELECT p.row#, t.x1, t.x2, t.A FROM R t JOIN tableau# p ON t.x1 = p.x1
+//!   WHERE t.A <> p.A GROUP BY p.row#, t.x1, t.x2, t.A
 //!   ```
 //!
 //! * **`Q_v`** — variable rows: LHS groups holding more than one RHS
@@ -32,16 +32,20 @@
 //!
 //! eCFD rows (`≠ c`, `∈ {…}`) have no equi key to store, so each keeps
 //! one query with its patterns inlined, selecting its row index as a
-//! literal: `SELECT 3, x1, x2 FROM R WHERE x1 IN ('a', 'b') AND A <> 'c'
-//! GROUP BY x1, x2`.
+//! literal: `SELECT 3, x1, x2, A FROM R WHERE x1 IN ('a', 'b') AND A <>
+//! 'c' GROUP BY x1, x2, A`.
 //!
-//! Every query returns `[row, X…]`. The queries run on
-//! `revival-relation`'s SQL engine; violating tuple ids are then
-//! materialised by looking the keys returned up in a map of the table's
-//! live tuples by their `X` symbols (the oracle's own: it shares no
-//! grouping code with native detection), giving a [`ViolationReport`]
-//! identical to the native detector's up to order (asserted here and in
-//! `tests/`).
+//! A constant query returns `[row, X…, A]`, a variable one `[row, X…]`.
+//! The queries run on `revival-relation`'s SQL engine; violating tuple
+//! ids are then materialised by looking the keys returned up in a map of
+//! the table's live tuples by their `X ∪ {A}` or `X` symbols (the
+//! oracle's own: it shares no grouping code with native detection). A
+//! constant key decides its tuples: every condition a constant query
+//! tests reads only `X` and `A`, so each tuple carrying the key violates
+//! the row, and a tuple keeps the lowest row it is returned under.
+//! `detect_all` then sorts its findings into the [report
+//! order](crate::report), so its [`ViolationReport`] is the native
+//! detector's, byte for byte (asserted here and in `tests/`).
 
 use crate::engine::DetectJob;
 use crate::report::{Violation, ViolationReport};
@@ -118,13 +122,14 @@ pub fn generate(cfd: &Cfd, schema: &Schema) -> DetectionQueries {
         let lhs = row.lhs.iter().zip(&cfd.lhs).map(|(p, &a)| pattern_condition(name(a), p, true));
         let conds: Vec<String> =
             lhs.chain([pattern_condition(rhs, &row.rhs, false)]).flatten().collect();
-        let q = format!(
-            "SELECT {i}, {bare_x} FROM {rel} WHERE {} GROUP BY {bare_x}",
-            conds.join(" AND ")
-        );
+        let conds = conds.join(" AND ");
         if row.is_constant_row() {
+            let q = format!(
+                "SELECT {i}, {bare_x}, {rhs} FROM {rel} WHERE {conds} GROUP BY {bare_x}, {rhs}"
+            );
             queries.constant.push((None, q));
         } else {
+            let q = format!("SELECT {i}, {bare_x} FROM {rel} WHERE {conds} GROUP BY {bare_x}");
             queries.variable.push((None, format!("{q} HAVING COUNT(DISTINCT {rhs}) > 1")));
         }
     }
@@ -147,12 +152,15 @@ pub fn generate(cfd: &Cfd, schema: &Schema) -> DetectionQueries {
         }
         let on: Vec<String> = keyed.iter().map(|&a| format!("t.{0} = p.{0}", name(a))).collect();
         let on = if on.is_empty() { "TRUE".to_string() } else { on.join(" AND ") };
-        let head = format!("SELECT p.row#, {x} FROM {rel} t JOIN {TABLEAU} p ON {on}");
+        let join = format!("FROM {rel} t JOIN {TABLEAU} p ON {on}");
         if constant {
-            let q = format!("{head} WHERE t.{rhs} <> p.{rhs} GROUP BY p.row#, {x}");
+            let key = format!("p.row#, {x}, t.{rhs}");
+            let q = format!("SELECT {key} {join} WHERE t.{rhs} <> p.{rhs} GROUP BY {key}");
             queries.constant.push((Some(tableau), q));
         } else {
-            let q = format!("{head} GROUP BY p.row#, {x} HAVING COUNT(DISTINCT t.{rhs}) > 1");
+            let q = format!(
+                "SELECT p.row#, {x} {join} GROUP BY p.row#, {x} HAVING COUNT(DISTINCT t.{rhs}) > 1"
+            );
             queries.variable.push((Some(tableau), q));
         }
     }
@@ -175,79 +183,80 @@ impl Relations for Beside<'_> {
     }
 }
 
-/// A table's live tuples by their projection on one attribute list, in
-/// the table's own symbols: how a result key finds its tuples.
-struct TuplesByKey<'t> {
-    table: &'t Table,
-    map: HashMap<Vec<Sym>, Vec<TupleId>, FoldState>,
-}
+/// A result row resolved: its key, its tableau row, the tuples.
+type Resolved = (Vec<Value>, usize, Vec<TupleId>);
 
-impl<'t> TuplesByKey<'t> {
-    fn build(table: &'t Table, attrs: &[usize]) -> Self {
-        let mut map: HashMap<Vec<Sym>, Vec<TupleId>, FoldState> = HashMap::default();
-        let mut key = Vec::with_capacity(attrs.len());
-        for slot in table.live_slots() {
-            key.clear();
-            key.extend(attrs.iter().map(|&a| table.col(a)[slot]));
-            let tuple = TupleId(slot as u64);
-            match map.get_mut(key.as_slice()) {
-                Some(tuples) => tuples.push(tuple),
-                None => {
-                    map.insert(key.clone(), vec![tuple]);
-                }
+/// Run `queries` and resolve each result row `[row, key…]` to the live
+/// tuples whose projection on `attrs` is the key, ascending — looked up
+/// in a map of the table's own symbols, none if the table never interned
+/// a value of it.
+fn resolve(
+    job: &DetectJob<'_>,
+    table: &Table,
+    attrs: &[usize],
+    queries: &[(Option<Table>, String)],
+) -> Result<Vec<Resolved>> {
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut by_key: HashMap<Vec<Sym>, Vec<TupleId>, FoldState> = HashMap::default();
+    let mut key = Vec::with_capacity(attrs.len());
+    for slot in table.live_slots() {
+        key.clear();
+        key.extend(attrs.iter().map(|&a| table.col(a)[slot]));
+        let tuple = TupleId(slot as u64);
+        match by_key.get_mut(key.as_slice()) {
+            Some(tuples) => tuples.push(tuple),
+            None => {
+                by_key.insert(key.clone(), vec![tuple]);
             }
         }
-        TuplesByKey { table, map }
     }
-
-    /// The tuples whose projection is `key`, ascending; none if the
-    /// table never interned one of its values.
-    fn get(&self, key: &[Value]) -> &[TupleId] {
-        let syms: Option<Vec<Sym>> = key.iter().map(|v| self.table.pool().lookup(v)).collect();
-        syms.and_then(|syms| self.map.get(&syms)).map_or(&[], Vec::as_slice)
+    let mut found = Vec::new();
+    for (tableau, q) in queries {
+        for mut key in sql::run(q, &Beside { job, tableau: tableau.as_ref() })?.rows {
+            let row = key.remove(0).as_int().expect("a query selects its row") as usize;
+            let syms: Option<Vec<Sym>> = key.iter().map(|v| table.pool().lookup(v)).collect();
+            let tuples = syms.and_then(|syms| by_key.get(&syms)).cloned().unwrap_or_default();
+            found.push((key, row, tuples));
+        }
     }
+    Ok(found)
 }
 
 /// Run SQL-based detection of the job's CFDs (indices echo into the
-/// report) — the oracle behind [`crate::SqlEngine`].
-///
-/// Each result row `[row, X…]` is an LHS key: `Q_c` keys resolve to
-/// tuple ids through the live tuples by `X`, and each member is
-/// rechecked with [`Cfd::constant_violation`] (a tuple reports the
-/// first row it violates); `Q_v` keys resolve to the conflicting group.
-/// `GROUP BY` returns each (row, key) once, so nothing needs
-/// deduplicating.
+/// report) — the oracle behind [`crate::SqlEngine`] — in the report
+/// order: per CFD, its constant violations by tuple, each at the lowest
+/// row it is returned under, then its groups by key and row.
 pub(crate) fn detect_all(job: &DetectJob<'_>) -> Result<ViolationReport> {
-    let mut report = ViolationReport::default();
+    let mut violations = Vec::new();
     for (at, cfd) in job.cfds.iter().enumerate() {
         let table = job.table(&cfd.relation)?;
         let queries = generate(cfd, table.schema());
-        let by_key = TuplesByKey::build(table, &cfd.lhs);
-        // Result rows as (tableau row, LHS key).
-        let run = |(tableau, q): &(Option<Table>, String)| -> Result<Vec<(usize, Vec<Value>)>> {
-            let rows = sql::run(q, &Beside { job, tableau: tableau.as_ref() })?.rows;
-            let row = |r: &mut Vec<Value>| r.remove(0).as_int().expect("a query selects its row");
-            Ok(rows.into_iter().map(|mut r| (row(&mut r) as usize, r)).collect())
-        };
-        for query in &queries.constant {
-            for (row, key) in run(query)? {
-                for &tuple in by_key.get(&key) {
-                    if cfd.constant_violation(&table.get(tuple)?) == Some(row) {
-                        report.violations.push(Violation::CfdConstant { cfd: at, row, tuple });
-                    }
-                }
-            }
-        }
-        for query in &queries.variable {
-            for (row, key) in run(query)? {
-                let tuples = by_key.get(&key).to_vec();
-                if tuples.len() >= 2 {
-                    report.violations.push(Violation::CfdVariable { cfd: at, row, key, tuples });
-                }
-            }
-        }
+        let x_a = [&cfd.lhs[..], &[cfd.rhs]].concat();
+        let found = resolve(job, table, &x_a, &queries.constant)?;
+        let mut constant: Vec<(TupleId, usize)> =
+            found.iter().flat_map(|(_, row, ts)| ts.iter().map(|&t| (t, *row))).collect();
+        constant.sort_unstable();
+        constant.dedup_by_key(|&mut (tuple, _)| tuple);
+        let constant = constant.into_iter();
+        violations.extend(constant.map(|(tuple, row)| Violation::CfdConstant {
+            cfd: at,
+            row,
+            tuple,
+        }));
+        let mut variable = resolve(job, table, &cfd.lhs, &queries.variable)?;
+        variable.retain(|(_, _, tuples)| tuples.len() >= 2);
+        variable.sort_unstable();
+        let variable = variable.into_iter();
+        violations.extend(variable.map(|(key, row, tuples)| Violation::CfdVariable {
+            cfd: at,
+            row,
+            key,
+            tuples,
+        }));
     }
-    Ok(report)
+    Ok(ViolationReport { violations })
 }
 
 #[cfg(test)]
@@ -295,8 +304,9 @@ mod tests {
         assert!(q2.variable.is_empty());
         assert_eq!(
             q2.constant[0].1,
-            "SELECT p.row#, t.cc, t.zip FROM customer t JOIN tableau# p \
-             ON t.cc = p.cc AND t.zip = p.zip WHERE t.city <> p.city GROUP BY p.row#, t.cc, t.zip"
+            "SELECT p.row#, t.cc, t.zip, t.city FROM customer t JOIN tableau# p \
+             ON t.cc = p.cc AND t.zip = p.zip WHERE t.city <> p.city \
+             GROUP BY p.row#, t.cc, t.zip, t.city"
         );
         // The constants travel in the tableau relation: `row#`, the
         // mask's LHS constants, the RHS.
@@ -323,11 +333,8 @@ mod tests {
             ["44", "10001", "5th", "man"],
         ]);
         let job = DetectJob::on_table(&t, &cfds);
-        let mut native = NativeEngine.run(&job).unwrap();
-        let mut via_sql = SqlEngine.run(&job).unwrap();
-        native.normalize();
-        via_sql.normalize();
-        assert_eq!(native, via_sql);
+        let native = NativeEngine.run(&job).unwrap();
+        assert_eq!(SqlEngine.run(&job).unwrap(), native);
         assert!(!native.is_empty());
     }
 
@@ -349,7 +356,10 @@ mod tests {
         );
         // An eCFD row inlines its constants, and selects its row index.
         let q = generate(&cfds[1], &s);
-        assert_eq!(q.constant[0].1, "SELECT 0, a FROM r WHERE a <> 7 AND b <> 'z' GROUP BY a");
+        assert_eq!(
+            q.constant[0].1,
+            "SELECT 0, a, b FROM r WHERE a <> 7 AND b <> 'z' GROUP BY a, b"
+        );
         // Execute it end-to-end.
         let mut t = Table::new(s);
         t.push(vec![Value::Int(7), "y".into()]).unwrap(); // violation

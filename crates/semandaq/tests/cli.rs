@@ -36,7 +36,7 @@ fn generate_detect_repair_workflow() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("violation(s)"), "got: {stdout}");
 
-    // detect (sql engine) agrees on the headline count.
+    // detect (sql engine) is byte-identical to native: one report order.
     let out_sql = bin()
         .args(["detect", "--data", dir.join("dirty.csv").to_str().unwrap()])
         .args(["--table", "customer", "--cfds", dir.join("cfds.txt").to_str().unwrap()])
@@ -44,8 +44,7 @@ fn generate_detect_repair_workflow() {
         .output()
         .unwrap();
     assert!(out_sql.status.success());
-    let first_line = |s: &str| s.lines().next().unwrap_or_default().to_string();
-    assert_eq!(first_line(&stdout), first_line(&String::from_utf8_lossy(&out_sql.stdout)));
+    assert_eq!(stdout, String::from_utf8_lossy(&out_sql.stdout));
 
     // detect (parallel engine, 4 shards) is byte-identical to native.
     let out_par = bin()
@@ -67,7 +66,7 @@ fn generate_detect_repair_workflow() {
     assert!(out_jobs.status.success());
     assert_eq!(stdout, String::from_utf8_lossy(&out_jobs.stdout));
 
-    // incremental engine agrees on the headline count.
+    // incremental engine: byte-identical too.
     let out_inc = bin()
         .args(["detect", "--data", dir.join("dirty.csv").to_str().unwrap()])
         .args(["--table", "customer", "--cfds", dir.join("cfds.txt").to_str().unwrap()])
@@ -75,7 +74,7 @@ fn generate_detect_repair_workflow() {
         .output()
         .unwrap();
     assert!(out_inc.status.success());
-    assert_eq!(first_line(&stdout), first_line(&String::from_utf8_lossy(&out_inc.stdout)));
+    assert_eq!(stdout, String::from_utf8_lossy(&out_inc.stdout));
 
     // repair
     let fixed = dir.join("fixed.csv");

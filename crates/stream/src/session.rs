@@ -26,20 +26,29 @@ use revival_detect::{
 };
 use revival_relation::{Catalog, Error, Result, Table, TupleId, Value};
 use revival_repair::{BatchRepair, CostModel, IncRepair, IncStats};
+use std::ops::Range;
 
 /// Per-relation incremental state: the detector over the relation's
-/// sub-suite, each sub-suite position's index in the session's global
-/// CFD suite (reports are remapped through it), and the repair baseline.
+/// sub-suite, where that sub-suite sits in the session's global CFD
+/// suite (reports are remapped through it), and the repair baseline.
 struct RelationState {
     name: String,
     detector: IncrementalDetector,
-    idxs: Vec<usize>,
+    /// The relation's CFDs: one run of [`DeltaSession::cfds`].
+    cfds: Range<usize>,
     /// Slots below this are base; live slots from it up are the tuples
     /// appended since registration or the last repair.
     first_pending: usize,
 }
 
 /// A long-running data-quality session over a catalog of relations.
+///
+/// **Invariant:** `cfds` is the relations' sub-suites joined in
+/// `relations` order. A relation whose suite is installed
+/// ([`DeltaSession::register`], [`DeltaSession::set_cfds`]) moves to the
+/// end of both, so listing the relations in turn lists the CFDs in
+/// global suite order — the [report order](revival_detect::report) batch
+/// detect emits on [`DeltaSession::catalog`] and [`DeltaSession::cfds`].
 pub struct DeltaSession {
     catalog: Catalog,
     cfds: Vec<Cfd>,
@@ -78,24 +87,11 @@ impl DeltaSession {
                 )));
             }
         }
-        // Drop any previous registration of this relation.
-        self.cfds.retain(|c| c.relation != name);
+        // Drop any CINDs of a previous registration of this relation.
         self.cinds.retain(|c| c.from_relation != name && c.to_relation != name);
-        self.relations.retain(|r| r.name != name);
-        self.cfds.extend(cfds);
-        let mut state = RelationState {
-            name: name.clone(),
-            detector: IncrementalDetector::new(
-                self.cfds.iter().filter(|c| c.relation == name).cloned().collect(),
-            ),
-            idxs: Vec::new(),
-            first_pending: table.slots(),
-        };
-        state.detector.load(&table);
+        let first_pending = table.slots();
         self.catalog.register(table);
-        self.relations.push(state);
-        self.reindex();
-        Ok(())
+        self.install(name, cfds, first_pending)
     }
 
     /// Replace one registered relation's CFD suite *in place*: unlike
@@ -122,13 +118,28 @@ impl DeltaSession {
             check_writable(cfd, schema)?;
         }
         let ri = self.relation_state(relation)?;
-        self.cfds.retain(|c| c.relation != relation);
+        let first_pending = self.relations[ri].first_pending;
+        self.install(relation.to_string(), cfds, first_pending)
+    }
+
+    /// Make `cfds` the suite of the registered relation `name`: drop its
+    /// old CFDs and state, append the new suite to [`DeltaSession::cfds`]
+    /// and its state, with a detector loaded from the current table, to
+    /// `relations` (the invariant on [`DeltaSession`]).
+    fn install(&mut self, name: String, cfds: Vec<Cfd>, first_pending: usize) -> Result<()> {
+        let mut detector = IncrementalDetector::new(cfds.clone());
+        detector.load(self.catalog.get(&name)?);
+        self.cfds.retain(|c| c.relation != name);
+        self.relations.retain(|r| r.name != name);
+        // The runs of the relations left may have shifted down.
+        let mut start = 0;
+        for rel in &mut self.relations {
+            rel.cfds = start..start + rel.cfds.len();
+            start = rel.cfds.end;
+        }
         self.cfds.extend(cfds);
-        let sub: Vec<Cfd> = self.cfds.iter().filter(|c| c.relation == relation).cloned().collect();
-        let mut detector = IncrementalDetector::new(sub);
-        detector.load(self.catalog.get(relation)?);
-        self.relations[ri].detector = detector;
-        self.reindex();
+        let cfds = start..self.cfds.len();
+        self.relations.push(RelationState { name, detector, cfds, first_pending });
         Ok(())
     }
 
@@ -145,19 +156,6 @@ impl DeltaSession {
         }
         self.cinds.extend(cinds);
         Ok(())
-    }
-
-    /// Recompute each relation's sub-suite → global-suite index map.
-    fn reindex(&mut self) {
-        for rel in &mut self.relations {
-            rel.idxs = self
-                .cfds
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.relation == rel.name)
-                .map(|(i, _)| i)
-                .collect();
-        }
     }
 
     /// The registered catalog.
@@ -246,7 +244,8 @@ impl DeltaSession {
     }
 
     /// The live report to its first `max` violations: each relation's
-    /// CFD violations, then the CIND ones, indices into
+    /// CFD violations in turn — global CFD order, by the invariant on
+    /// [`DeltaSession`] — then the CIND ones, indices into
     /// [`DeltaSession::cfds`] / [`DeltaSession::cinds`]. Only those are
     /// built; the total is the maintained counters plus the CIND probe's,
     /// and the tuples are counted per relation, one bit per slot.
@@ -260,7 +259,7 @@ impl DeltaSession {
                 if let Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } =
                     &mut v
                 {
-                    *cfd = rel.idxs[*cfd];
+                    *cfd += rel.cfds.start;
                 }
                 listing.shown.push(v);
             }
@@ -310,14 +309,14 @@ impl DeltaSession {
     pub fn repair(&mut self, relation: &str) -> Result<IncStats> {
         let ri = self.relation_state(relation)?;
         let table = self.catalog.get_mut(relation)?;
-        let RelationState { detector, idxs, first_pending, .. } = &mut self.relations[ri];
+        let RelationState { detector, cfds, first_pending, .. } = &mut self.relations[ri];
         let first = std::mem::replace(first_pending, table.slots());
         let pending = (first..table.slots()).filter(|&slot| table.is_live(slot)).count();
         let cost = CostModel::uniform(table.schema().arity());
         if pending < (table.len() - pending).max(1) {
             return Ok(IncRepair::repair_pending(table, detector, first, &cost));
         }
-        let sub: Vec<Cfd> = idxs.iter().map(|&i| self.cfds[i].clone()).collect();
+        let sub = self.cfds[cfds.clone()].to_vec();
         let (fixed, batch) =
             BatchRepair::new(&sub, cost).with_jobs(self.jobs.max(1)).repair(table)?;
         let tuples_edited =
@@ -469,6 +468,31 @@ mod tests {
         // Installing a suite over the wrong relation is refused.
         let foreign = parse_cfds("customer([zip] -> [city])", &s).unwrap();
         assert!(sess.set_cfds("orders", foreign).is_err());
+    }
+
+    /// Installing a suite on the first of two relations moves it to the
+    /// end of the global suite, and the live report follows: it is batch
+    /// detect's on the session's catalog and suite, in the same order.
+    #[test]
+    fn set_cfds_keeps_the_report_in_global_suite_order() {
+        let mut sess = DeltaSession::new(1);
+        for name in ["a", "b"] {
+            let s = Schema::builder(name).attr("k", Type::Str).attr("v", Type::Str).build();
+            let mut t = Table::new(s.clone());
+            t.push(vec!["x".into(), "1".into()]).unwrap();
+            t.push(vec!["x".into(), "2".into()]).unwrap();
+            sess.register(t, parse_cfds(&format!("{name}([k] -> [v])"), &s).unwrap()).unwrap();
+        }
+        let suite = sess.cfds()[..1].to_vec();
+        sess.set_cfds("a", suite).unwrap();
+        let batch = NativeEngine.run(&DetectJob::on_catalog(sess.catalog(), sess.cfds())).unwrap();
+        let cfd_of = |v: &Violation| match v {
+            Violation::CfdVariable { cfd, .. } => *cfd,
+            _ => unreachable!("{v:?}"),
+        };
+        assert_eq!(batch.violations.iter().map(cfd_of).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(sess.report().unwrap(), batch);
+        assert_eq!(sess.cfds()[1].relation, "a");
     }
 
     #[test]

@@ -59,3 +59,8 @@ fn main() {
     }
     println!("\naudit complete ✓ (all planted violations found, nothing else)");
 }
+
+#[test]
+fn runs() {
+    main();
+}

@@ -81,3 +81,8 @@ fn main() {
 
     println!("pipeline complete ✓");
 }
+
+#[test]
+fn runs() {
+    main();
+}

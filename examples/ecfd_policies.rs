@@ -14,6 +14,7 @@
 //! ```
 
 use revival::constraints::analysis::{is_satisfiable, Outcome, DEFAULT_BUDGET};
+use revival::detect::native::describe_listing;
 use revival::prelude::*;
 
 fn main() {
@@ -51,7 +52,8 @@ fn main() {
     }
 
     let report = NativeEngine.run(&DetectJob::on_table(&orders, &cfds)).unwrap();
-    println!("\n{report}");
+    let listing = report.listing(&cfds, &[], report.len());
+    println!("\n{}", describe_listing(&listing, &cfds, &[], &[&schema], false));
     assert_eq!(report.violating_tuples().len(), 4);
 
     let model = CostModel::uniform(schema.arity());
@@ -70,4 +72,9 @@ fn main() {
         }
     }
     println!("\nall policies hold after repair ✓");
+}
+
+#[test]
+fn runs() {
+    main();
 }

@@ -62,7 +62,7 @@ fn main() {
         println!("  {q}");
     }
     let sql_report = SqlEngine.run(&job).unwrap();
-    assert_eq!(report.violating_tuples(), sql_report.violating_tuples());
+    assert_eq!(report, sql_report);
 
     // -- repair ---------------------------------------------------------------
     let repairer = BatchRepair::new(&cfds, CostModel::uniform(schema.arity()));
@@ -81,4 +81,9 @@ fn main() {
     }
     assert!(revival::detect::native::satisfies(&repaired, &cfds));
     println!("\nrepaired instance satisfies the suite ✓");
+}
+
+#[test]
+fn runs() {
+    main();
 }

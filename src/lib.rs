@@ -34,8 +34,10 @@
 //! let report = NativeEngine.run(&job).unwrap();
 //! assert_eq!(report.len(), 1);
 //!
-//! // Any engine, one API: the sharded scan is byte-identical.
+//! // Any engine, one API, one report order: the sharded scan and the
+//! // SQL encoding return the same report, byte for byte.
 //! assert_eq!(ParallelEngine::new(4).run(&job).unwrap(), report);
+//! assert_eq!(SqlEngine.run(&job).unwrap(), report);
 //!
 //! // Repair shards the same way (`with_jobs`): the repaired table and
 //! // stats are byte-identical at any shard count.

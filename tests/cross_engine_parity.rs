@@ -1,7 +1,8 @@
 //! Cross-engine parity: on generated dirty-customer data, every
 //! detection engine behind the [`Detector`] trait must report the same
-//! violations for the same CFD suite — and the parallel engine must
-//! match the sequential reference *byte for byte*, at any shard count.
+//! violations for the same CFD suite, in the one report order
+//! (`revival::detect::report`) — compared with `==`, byte for byte, at
+//! any shard count.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -105,8 +106,8 @@ fn random_suite(rng: &mut StdRng, table: &Table, constants: &[Vec<Value>]) -> Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Native, SQL-gen, incremental and parallel detectors report
-    /// identical violation sets on arbitrary dirty-customer workloads.
+    /// Native, SQL-gen, incremental and parallel detectors return
+    /// identical reports on arbitrary dirty-customer workloads.
     fn engines_report_identical_violation_sets(
         rows in 40usize..320,
         noise_pct in 0usize..12,
@@ -127,23 +128,14 @@ proptest! {
 
         let reference = NativeEngine.run(&job).unwrap();
         for name in ["sql", "incremental", "parallel"] {
-            let mut got = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
-            got.normalize();
-            let mut want = reference.clone();
-            want.normalize();
+            let got = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
             prop_assert_eq!(
                 got.violating_tuples(),
-                want.violating_tuples(),
+                reference.violating_tuples(),
                 "engine {} implicates different tuples", name
             );
-            prop_assert_eq!(got, want, "engine {} reports different violations", name);
+            prop_assert_eq!(&got, &reference, "engine {} reports different violations", name);
         }
-
-        // Stronger property for the sharded engine: the merged report is
-        // byte-identical to the sequential one without normalisation.
-        let parallel = ParallelEngine::new(jobs).run(&job).unwrap();
-        prop_assert_eq!(format!("{}", &parallel), format!("{}", &reference));
-        prop_assert_eq!(parallel, reference);
     }
 
     /// Suites whose CFDs share embedded FDs — the random tail repeats a
@@ -174,13 +166,10 @@ proptest! {
         let job = DetectJob::on_table(&ds.dirty, &cfds);
 
         let native = NativeEngine.run(&job).unwrap();
-        let mut want = native.clone();
-        want.normalize();
         for name in ["sql", "incremental", "parallel"] {
             for jobs in [1usize, 4] {
-                let mut got = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
-                got.normalize();
-                prop_assert_eq!(&got, &want, "engine {} at jobs={} diverges", name, jobs);
+                let got = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
+                prop_assert_eq!(&got, &native, "engine {} at jobs={} diverges", name, jobs);
             }
         }
 
@@ -206,10 +195,10 @@ proptest! {
                 })
                 .collect(),
         };
-        prop_assert_eq!(format!("{}", &native), format!("{}", &per_cfd));
+        prop_assert_eq!(&native, &per_cfd);
         for jobs in [3usize, 7] {
             let sharded = ParallelEngine::new(jobs).run(&job).unwrap();
-            prop_assert_eq!(format!("{}", &sharded), format!("{}", &per_cfd), "jobs={}", jobs);
+            prop_assert_eq!(&sharded, &per_cfd, "jobs={}", jobs);
         }
     }
 }
@@ -221,7 +210,7 @@ proptest! {
     /// kernel's constant join. Constants: `Cfd::constant_violation` per
     /// live tuple per CFD, in suite order then row order, is the
     /// kernel's constant report byte for byte at jobs {1, 3}.
-    /// Everything: the SQL encoding agrees up to order — on `Null`-free
+    /// Everything: the SQL encoding's report is native's — on `Null`-free
     /// tables, since SQL comparisons on `NULL` are false where the
     /// kernel compares symbols. Both for the single-row suite and for
     /// the same suite merged into multi-row members.
@@ -253,11 +242,8 @@ proptest! {
                 prop_assert_eq!(&sharded, &native, "seed {} jobs {}", seed, jobs);
             }
             if !nulls {
-                let mut sql = engine_by_name("sql", 1).unwrap().run(&job).unwrap();
-                let mut want = native.clone();
-                sql.normalize();
-                want.normalize();
-                prop_assert_eq!(sql, want, "seed {}", seed);
+                let sql = engine_by_name("sql", 1).unwrap().run(&job).unwrap();
+                prop_assert_eq!(&sql, &native, "seed {}", seed);
             }
         }
     }
@@ -421,11 +407,8 @@ fn detect_hashes_no_row() {
 fn sql_oracle_joins_a_mined_tableau() {
     let (dirty, mined) = mined_hospital(1_000);
     let job = DetectJob::on_table(&dirty, &mined);
-    let mut sql = engine_by_name("sql", 1).unwrap().run(&job).unwrap();
-    let mut native = NativeEngine.run(&job).unwrap();
-    sql.normalize();
-    native.normalize();
-    assert_eq!(sql, native);
+    let sql = engine_by_name("sql", 1).unwrap().run(&job).unwrap();
+    assert_eq!(sql, NativeEngine.run(&job).unwrap());
     let mut groups: BTreeSet<(usize, Vec<bool>)> = BTreeSet::new();
     let (mut queries, mut rows) = (0, 0);
     for (i, cfd) in mined.iter().enumerate() {
@@ -442,4 +425,38 @@ fn sql_oracle_joins_a_mined_tableau() {
         "{queries} queries for {} (CFD, mask) group(s) over {rows} tableau row(s)",
         groups.len()
     );
+}
+
+/// A catalog suite that interleaves two relations (`a`, `b`, `a`) is
+/// reported in suite order by every engine — not relation by relation.
+#[test]
+fn engines_report_interleaved_relations_in_suite_order() {
+    use revival::constraints::parser::parse_cfds_multi;
+    use revival::relation::Catalog;
+    let mut catalog = Catalog::new();
+    let mut schemas = Vec::new();
+    for name in ["a", "b"] {
+        let schema = Schema::builder(name).attr("k", Type::Str).attr("v", Type::Str).build();
+        let mut t = Table::new(schema.clone());
+        for v in ["1", "2"] {
+            t.push(vec!["x".into(), v.into()]).unwrap();
+        }
+        catalog.register(t);
+        schemas.push(schema);
+    }
+    let suite = "a([k] -> [v])\nb([k] -> [v])\na([k='x'] -> [v='1'])";
+    let cfds = parse_cfds_multi(suite, &schemas).unwrap();
+    let job = DetectJob::on_catalog(&catalog, &cfds);
+    let native = NativeEngine.run(&job).unwrap();
+    let cfd_of = |v: &Violation| match v {
+        Violation::CfdConstant { cfd, .. } | Violation::CfdVariable { cfd, .. } => *cfd,
+        Violation::CindMissingWitness { .. } => unreachable!("the job has no CIND"),
+    };
+    assert_eq!(native.violations.iter().map(cfd_of).collect::<Vec<_>>(), [0, 1, 2]);
+    for name in ["sql", "incremental", "parallel"] {
+        for jobs in [1usize, 3] {
+            let got = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
+            assert_eq!(got, native, "engine {name} at jobs={jobs}");
+        }
+    }
 }

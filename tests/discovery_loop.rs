@@ -52,7 +52,7 @@ fn clean_samples_yield_violation_free_suites_on_every_engine() {
             let report = engine_by_name(engine, 2).unwrap().run(&job).unwrap();
             assert!(
                 report.is_empty(),
-                "engine {engine} found violations of a mined suite on {}: {report}",
+                "engine {engine} found violations of a mined suite on {}: {report:?}",
                 table.schema().name()
             );
         }

@@ -28,16 +28,13 @@ fn workload(
 fn three_detectors_agree_on_generated_workload() {
     let (_, ds, cfds) = workload(1_500, 0.06, 21);
     let job = DetectJob::on_table(&ds.dirty, &cfds);
-    let mut native = NativeEngine.run(&job).unwrap();
-    let mut sql = SqlEngine.run(&job).unwrap();
-    let mut inc = {
+    let native = NativeEngine.run(&job).unwrap();
+    let sql = SqlEngine.run(&job).unwrap();
+    let inc = {
         let mut d = IncrementalDetector::new(cfds.clone());
         d.load(&ds.dirty);
         d.report(&ds.dirty)
     };
-    native.normalize();
-    sql.normalize();
-    inc.normalize();
     assert_eq!(native, sql, "native vs sql");
     assert_eq!(native, inc, "native vs incremental");
     assert!(!native.is_empty(), "6% noise must produce violations");

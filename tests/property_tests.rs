@@ -44,16 +44,12 @@ fn arb_suite() -> impl Strategy<Value = Vec<Cfd>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The SQL-based detector and the native detector implicate exactly
-    /// the same tuples on arbitrary inputs.
+    /// The SQL-based detector and the native detector return the same
+    /// report, in the same order, on arbitrary inputs.
     #[test]
     fn sql_and_native_detection_agree(table in arb_table(), suite in arb_suite()) {
         let job = DetectJob::on_table(&table, &suite);
-        let mut native = NativeEngine.run(&job).unwrap();
-        let mut sql = SqlEngine.run(&job).unwrap();
-        native.normalize();
-        sql.normalize();
-        prop_assert_eq!(native, sql);
+        prop_assert_eq!(NativeEngine.run(&job).unwrap(), SqlEngine.run(&job).unwrap());
     }
 
     /// A detection report is empty iff the satisfaction oracle agrees.
@@ -100,11 +96,8 @@ proptest! {
             let id = live.push(row).unwrap();
             inc.add(&live, id, None);
         }
-        let mut inc_report = inc.report(&live);
-        let mut full = NativeEngine.run(&DetectJob::on_table(&table, &suite)).unwrap();
-        inc_report.normalize();
-        full.normalize();
-        prop_assert_eq!(inc_report, full);
+        let full = NativeEngine.run(&DetectJob::on_table(&table, &suite)).unwrap();
+        prop_assert_eq!(inc.report(&live), full);
     }
 }
 

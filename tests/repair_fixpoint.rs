@@ -74,7 +74,7 @@ fn heavy_noise_fixpoint_certified_by_all_engines() {
         let job = DetectJob::on_table(&fixed, suite);
         for name in ENGINES {
             let report = engine_by_name(name, 4).unwrap().run(&job).unwrap();
-            assert!(report.is_empty(), "engine {name}: {report}");
+            assert!(report.is_empty(), "engine {name}: {report:?}");
         }
     }
 }

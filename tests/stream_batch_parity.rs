@@ -1,8 +1,9 @@
-//! Stream/batch parity: a [`DeltaSession`] driven through a random
-//! interleaving of inserts, deletes, updates and deltas that outweigh
-//! the base must end with exactly the violations every batch engine
-//! reports on the final table — at jobs 1 and 4. Reports are compared
-//! after normalisation (the canonical order shared by all engines).
+//! Stream/batch parity: a [`DeltaSession`] over two relations, driven
+//! through a random interleaving of inserts, deletes, updates, deltas
+//! that outweigh the base, a suite swapped in place (`set_cfds`) and a
+//! re-registration, must end with exactly the report every batch engine
+//! returns on the session's catalog and suite — compared with `==`, in
+//! the one report order (`revival::detect::report`), at jobs 1 and 4.
 //!
 //! The suite is shaped to sit where the maintained state differs from a
 //! scan: members sharing an embedded FD (one group state, reported
@@ -13,6 +14,7 @@
 
 use proptest::prelude::*;
 use rand::prelude::*;
+use revival::constraints::Cfd;
 use revival::detect::{engine_by_name, DetectJob};
 use revival::stream::DeltaSession;
 use revival_relation::{Schema, Table, TupleId, Type, Value};
@@ -22,8 +24,11 @@ const ZIPS: [&str; 3] = ["EH8", "07974", "G1"];
 const STREETS: [&str; 3] = ["Crichton", "Mayfield", "MtnAve"];
 const CITIES: [&str; 3] = ["edi", "mh", "nyc"];
 
-fn schema() -> Schema {
-    Schema::builder("customer")
+/// The two relations a history edits: the same columns under two names.
+const RELATIONS: [&str; 2] = ["customer", "branch"];
+
+fn schema_of(name: &str) -> Schema {
+    Schema::builder(name)
         .attr("cc", Type::Str)
         .attr("zip", Type::Str)
         .attr("street", Type::Str)
@@ -44,6 +49,12 @@ const SUITE: &str = "customer([cc='44', zip] -> [street])\n\
      customer([cc!='01', zip in ('EH8', 'ZZ9')] -> [city in ('edi', 'gla', 'ayr')])\n\
      customer([zip='ZZ9'] -> [city!='lon'])";
 
+/// [`SUITE`] over relation `name`.
+fn suite_of(name: &str) -> Vec<Cfd> {
+    let text = SUITE.replace("customer(", &format!("{name}("));
+    revival_constraints::parser::parse_cfds(&text, &schema_of(name)).unwrap()
+}
+
 fn random_row(rng: &mut StdRng) -> Vec<Value> {
     vec![
         Value::from(*CCS.choose(rng).unwrap()),
@@ -53,87 +64,98 @@ fn random_row(rng: &mut StdRng) -> Vec<Value> {
     ]
 }
 
+/// One random edit of `relation`, whose live tuples are `live`.
+fn random_edit(
+    session: &mut DeltaSession,
+    relation: &str,
+    live: &mut Vec<TupleId>,
+    rng: &mut StdRng,
+) {
+    match rng.gen_range(0..100) {
+        // The delta outweighs the base: at least as many inserts as
+        // there are live rows. Each such run doubles the table, so only
+        // small tables get one — otherwise the case grows exponentially.
+        0..=7 if live.len() < 120 => {
+            let k = live.len().max(1) + rng.gen_range(0..3usize);
+            for _ in 0..k {
+                live.push(session.insert(relation, random_row(rng)).unwrap());
+            }
+        }
+        8..=55 => live.push(session.insert(relation, random_row(rng)).unwrap()),
+        56..=75 if !live.is_empty() => {
+            let id = live.swap_remove(rng.gen_range(0..live.len()));
+            session.delete(relation, id).unwrap();
+        }
+        _ if !live.is_empty() => {
+            let id = *live.choose(rng).unwrap();
+            let attr = rng.gen_range(0..4);
+            // One write in three is a value the table (and so its pool)
+            // may never have held.
+            let value = match attr {
+                _ if rng.gen_range(0..3) == 0 => *FRESH[attr].choose(rng).unwrap(),
+                0 => *CCS.choose(rng).unwrap(),
+                1 => *ZIPS.choose(rng).unwrap(),
+                2 => *STREETS.choose(rng).unwrap(),
+                _ => *CITIES.choose(rng).unwrap(),
+            };
+            session.update(relation, id, attr, value.into()).unwrap();
+        }
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random edit interleavings leave the session byte-identical (after
-    /// normalisation) to batch detection on the final table, across all
-    /// four engines and at jobs ∈ {1, 4}.
+    /// Random edit histories over two relations — each op edits both,
+    /// one op swaps `customer`'s suite in place for a reordered one and
+    /// another re-registers `branch` — leave the session's report equal
+    /// to batch detection's on its catalog and suite, across all four
+    /// engines and at jobs ∈ {1, 4}.
     fn random_interleavings_match_batch_detection(
         base_rows in 0usize..30,
         nops in 1usize..120,
         seed in 0u64..1_000,
     ) {
-        let s = schema();
-        let cfds = revival_constraints::parser::parse_cfds(SUITE, &s).unwrap();
-
         for jobs in [1usize, 4] {
             let mut rng = StdRng::seed_from_u64(seed ^ (jobs as u64) << 32);
-            let mut base = Table::new(s.clone());
-            for _ in 0..base_rows {
-                base.push(random_row(&mut rng)).unwrap();
-            }
             let mut session = DeltaSession::new(jobs);
-            session.register(base, cfds.clone()).unwrap();
-            let mut live: Vec<TupleId> = session
-                .table("customer")
-                .unwrap()
-                .tuple_ids()
-                .collect();
+            let mut live: [Vec<TupleId>; 2] = Default::default();
+            for (name, live) in RELATIONS.iter().zip(&mut live) {
+                let mut base = Table::new(schema_of(name));
+                for _ in 0..base_rows {
+                    base.push(random_row(&mut rng)).unwrap();
+                }
+                *live = base.tuple_ids().collect();
+                session.register(base, suite_of(name)).unwrap();
+            }
+            let (swap_at, reregister_at) = (rng.gen_range(0..nops), rng.gen_range(0..nops));
 
-            for _ in 0..nops {
-                match rng.gen_range(0..100) {
-                    // The delta outweighs the base: at least as many
-                    // inserts as there are live rows. Each such run
-                    // doubles the table, so only small tables get one —
-                    // otherwise the case grows exponentially.
-                    0..=7 if live.len() < 120 => {
-                        let k = live.len().max(1) + rng.gen_range(0..3usize);
-                        for _ in 0..k {
-                            live.push(session.insert("customer", random_row(&mut rng)).unwrap());
-                        }
-                    }
-                    8..=55 => {
-                        let id = session
-                            .insert("customer", random_row(&mut rng))
-                            .unwrap();
-                        live.push(id);
-                    }
-                    56..=75 if !live.is_empty() => {
-                        let i = rng.gen_range(0..live.len());
-                        let id = live.swap_remove(i);
-                        session.delete("customer", id).unwrap();
-                    }
-                    _ if !live.is_empty() => {
-                        let id = *live.choose(&mut rng).unwrap();
-                        let attr = rng.gen_range(0..4);
-                        // One write in three is a value the table (and
-                        // so its pool) may never have held.
-                        let value = match attr {
-                            _ if rng.gen_range(0..3) == 0 => *FRESH[attr].choose(&mut rng).unwrap(),
-                            0 => *CCS.choose(&mut rng).unwrap(),
-                            1 => *ZIPS.choose(&mut rng).unwrap(),
-                            2 => *STREETS.choose(&mut rng).unwrap(),
-                            _ => *CITIES.choose(&mut rng).unwrap(),
-                        };
-                        session.update("customer", id, attr, value.into()).unwrap();
-                    }
-                    _ => {}
+            for op in 0..nops {
+                for (name, live) in RELATIONS.iter().zip(&mut live) {
+                    random_edit(&mut session, name, live, &mut rng);
+                }
+                if op == swap_at {
+                    let mut swapped = suite_of("customer");
+                    let n = swapped.len();
+                    swapped.rotate_left(op % n);
+                    session.set_cfds("customer", swapped).unwrap();
+                }
+                if op == reregister_at {
+                    let table = session.table("branch").unwrap().clone();
+                    session.register(table, suite_of("branch")).unwrap();
                 }
             }
 
-            let mut streamed = session.report().unwrap();
-            streamed.normalize();
+            let streamed = session.report().unwrap();
             prop_assert_eq!(
                 streamed.len(),
                 session.violation_count().unwrap(),
                 "live counter diverges from the materialised report"
             );
-            let final_table = session.table("customer").unwrap();
-            let job = DetectJob::on_table(final_table, &cfds);
+            let job = DetectJob::on_catalog(session.catalog(), session.cfds());
             for name in ["native", "sql", "incremental", "parallel"] {
-                let mut batch = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
-                batch.normalize();
+                let batch = engine_by_name(name, jobs).unwrap().run(&job).unwrap();
                 prop_assert_eq!(
                     &streamed,
                     &batch,
