@@ -99,6 +99,27 @@ pub fn parse_cfds(text: &str, schema: &Schema) -> Result<Vec<Cfd>> {
     })
 }
 
+/// The relations a suite's line-form CFDs and block heads name, each
+/// once, in the order they first appear — what a caller that holds no
+/// schema yet can name its table by. A line that does not scan is
+/// skipped: [`parse_cfds`] reports it.
+pub fn suite_relations(text: &str) -> Vec<&str> {
+    let mut names: Vec<&str> = Vec::new();
+    let mut in_block = false;
+    for line in text.lines().filter_map(|raw| content(raw).ok()) {
+        if in_block {
+            in_block = line != "}";
+        } else if let Some((relation, _)) = line.split_once('(') {
+            in_block = line.ends_with('{');
+            let relation = relation.trim();
+            if !names.contains(&relation) {
+                names.push(relation);
+            }
+        }
+    }
+    names
+}
+
 /// Parse a CFD suite that may span several relations: each line or
 /// block resolves against the schema its `relation(...)` prefix names.
 pub fn parse_cfds_multi(text: &str, schemas: &[Schema]) -> Result<Vec<Cfd>> {

@@ -244,7 +244,7 @@ fn extend_partition(
     let mut part: Option<Partition> = None;
     for &a in attrs {
         let from = part.as_ref().unwrap_or(start);
-        part = from.product(index, a, scratch, true).refined;
+        part = Some(from.refine(index, a, scratch));
     }
     part.expect("a product extends the prefix by one attribute or more")
 }

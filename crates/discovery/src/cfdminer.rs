@@ -295,9 +295,10 @@ pub(crate) fn mine_indexed(
                 let last = attrs[attrs.len() - 1];
                 touched += part.classes().map(<[u32]>::len).sum::<usize>() * (arity - last - 1);
                 for b in last + 1..arity {
-                    let refined = part.product(index, b, &mut scratch, true).refined;
-                    let refined = refined.filter(|part| !part.is_empty());
-                    next.extend(refined.map(|part| ([&attrs[..], &[b]].concat(), part)));
+                    let refined = part.refine(index, b, &mut scratch);
+                    if !refined.is_empty() {
+                        next.push(([&attrs[..], &[b]].concat(), refined));
+                    }
                 }
             }
             level = next;

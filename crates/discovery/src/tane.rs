@@ -319,7 +319,7 @@ pub(crate) fn mine_lattice_inner(
         let filled: Vec<Partition> = map_items(&missing, jobs, scratch, |scratch, &i| {
             let (xa, prefix) = &next_sets[i];
             let last = *xa.last().expect("next-level sets are non-empty");
-            level[*prefix].1.product(index, last, scratch, true).refined.expect("asked for")
+            level[*prefix].1.refine(index, last, scratch)
         });
         for (i, part) in missing.into_iter().zip(filled) {
             prefetched[i] = Some(part);

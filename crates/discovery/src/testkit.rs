@@ -67,7 +67,7 @@ pub(crate) fn partition_of(index: &ItemIndex<'_>, x: &[usize]) -> Partition {
     let mut scratch = ItemScratch::new(index);
     let mut part = index.partition(x[0]).stripped(2);
     for &a in &x[1..] {
-        part = part.product(index, a, &mut scratch, true).refined.unwrap();
+        part = part.refine(index, a, &mut scratch);
     }
     part
 }

@@ -19,6 +19,16 @@
 //! per-cell renderer it replaced survives under `#[cfg(test)]` as its
 //! oracle.)
 //!
+//! Inferring a schema reads the input once, plus a prefix: the column
+//! types settle over the records in the first 64 KiB (and past them
+//! until every column has shown a value), and one load with those
+//! types confirms them — a cell that does not parse as its prefix type
+//! is the only way they can be wrong. Then inference resumes at the
+//! record that failed and a second load reads the input, which is the
+//! table and the errors that inferring over everything first gives.
+//! (The two-scan body it replaced survives under `#[cfg(test)]` as its
+//! oracle.)
+//!
 //! The scanner finds delimiters eight bytes at a time (`find_any`): a
 //! SWAR zero-byte test per target byte on one little-endian word, whose
 //! lowest set bit is the first match. An unquoted run stops at `,`, a
@@ -44,6 +54,7 @@ struct Record {
 }
 
 /// Record scanner over CSV text.
+#[derive(Clone)]
 struct Scanner<'a> {
     input: &'a str,
     /// Byte offset of the next unread field.
@@ -76,6 +87,8 @@ impl<'a> Scanner<'a> {
             if first.is_empty() && !more {
                 continue;
             }
+            #[cfg(test)]
+            RECORDS.with(|n| n.set(n.get() + 1));
             visit(0, first);
             let mut fields = 1;
             while more {
@@ -212,6 +225,8 @@ thread_local! {
     /// Bytes this thread's scans stepped over one at a time — the word
     /// scan's work count.
     static BYTEWISE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Records this thread's scans read — the ingest's work count.
+    static RECORDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Parse a full CSV document into records (blank records skipped).
@@ -266,14 +281,30 @@ fn load(schema: &Schema, input: &str, rows: usize) -> Result<Table> {
         });
     }
     let mut table = Table::with_capacity(schema.clone(), rows);
+    fill(&mut table, attrs, &mut scanner)?;
+    Ok(table)
+}
+
+/// Load `scanner`'s records, typed by `attrs`, into `table` up to the
+/// end of input. On an error the scanner is put back at the start of
+/// the record that failed, so `table` holds exactly the records before
+/// it (and its pool maybe some of that record's cells).
+fn fill(table: &mut Table, attrs: &[Attribute], scanner: &mut Scanner<'_>) -> Result<()> {
     let mut row: Vec<Sym> = Vec::with_capacity(attrs.len());
     loop {
+        let at = (scanner.pos, scanner.line);
         row.clear();
         let pool = table.pool_mut();
-        if !typed_record(&mut scanner, attrs, |key| row.push(pool.intern_key(key)))? {
-            return Ok(table);
+        match typed_record(scanner, attrs, |key| row.push(pool.intern_key(key))) {
+            Ok(true) => {
+                table.push_syms(&row);
+            }
+            Ok(false) => return Ok(()),
+            Err(e) => {
+                (scanner.pos, scanner.line) = at;
+                return Err(e);
+            }
         }
-        table.push_syms(&row);
     }
 }
 
@@ -321,10 +352,25 @@ fn check_arity(record: &Record, arity: usize) -> Result<()> {
     })
 }
 
+/// How much of the input settles the column types before one load
+/// confirms them: the records that start in its first 64 KiB.
+const PREFIX: usize = 64 << 10;
+
 /// Load a table from CSV inferring a schema: every column is `Str` unless
 /// all non-empty values parse as Int (then Int) or Float (then Float).
-/// Two scans over borrowed fields: one to settle the types and count
-/// the rows, one to load.
+///
+/// The types settle over a prefix — the records that start in the
+/// first 64 KiB, and past them until every column has shown a
+/// non-empty value — and one load of the whole input confirms them. If
+/// every cell parses as its prefix type, those types are what inference
+/// over the whole input gives: an Int column stays Int, a Float one
+/// holds a non-integer, a Str one a non-number. So the table, its pool
+/// order included, is the one inferring first would load. Otherwise
+/// (the load fails on any record) inference resumes at that record —
+/// every one before it parsed under the prefix's types — and a second
+/// load reads the input with the settled types, so the table and every
+/// error are those of inferring over the whole input first. An input
+/// that ends inside the prefix is inferred whole and loaded once too.
 pub fn read_table_infer(name: &str, input: &str) -> Result<Table> {
     observed(input, || {
         let mut scanner = Scanner::new(input);
@@ -333,30 +379,76 @@ pub fn read_table_infer(name: &str, input: &str) -> Result<Table> {
         if let Some(twice) = header.iter().find(|column| !seen.insert(column.as_str())) {
             return Err(Error::Csv { line, message: format!("duplicate column `{twice}`") });
         }
+        let body = scanner.clone();
         // `None` until the column shows a non-empty value.
         let mut types: Vec<Option<Type>> = vec![None; header.len()];
         let mut rows = 0;
-        while let Some(record) = scanner.record(|c, raw| {
-            if let (Some(ty), false) = (types.get_mut(c), raw.is_empty()) {
-                *ty = Some(match ty.unwrap_or(Type::Int) {
-                    Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
-                    Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
-                    _ => Type::Str,
-                });
+        let settled = |scanner: &Scanner<'_>, types: &[Option<Type>]| {
+            scanner.pos >= PREFIX && types.iter().all(Option::is_some)
+        };
+        if !infer(&mut scanner, &mut types, &mut rows, settled)? {
+            let schema = inferred_schema(name, &header, &types);
+            // Sized from the prefix's bytes per record, an eighth over;
+            // the spare capacity goes back once the rows are in.
+            let per_row = (scanner.pos - body.pos) as f64 / rows as f64;
+            let estimate = ((input.len() - body.pos) as f64 / per_row * 1.125) as usize;
+            let mut table = Table::with_capacity(schema.clone(), estimate);
+            let mut confirm = body.clone();
+            if fill(&mut table, schema.attributes(), &mut confirm).is_ok() {
+                table.shrink_to_fit();
+                return Ok(table);
             }
-        })? {
-            // Also what bounds `rows` × arity, the columns' capacity, by
-            // the input's length.
-            check_arity(&record, header.len())?;
-            rows += 1;
+            // Every record before the one that failed parsed under the
+            // prefix's types: inference resumes at it.
+            rows = table.len();
+            drop(table);
+            scanner = confirm;
+            infer(&mut scanner, &mut types, &mut rows, |_, _| false)?;
         }
-        let attrs = header
-            .into_iter()
-            .zip(types)
-            .map(|(column, ty)| Attribute::new(column, ty.unwrap_or(Type::Str)))
-            .collect();
-        load(&Schema::new(name, attrs), input, rows)
+        let schema = inferred_schema(name, &header, &types);
+        let mut table = Table::with_capacity(schema.clone(), rows);
+        fill(&mut table, schema.attributes(), &mut body.clone())?;
+        Ok(table)
     })
+}
+
+/// Widen `types` over `scanner`'s records, counting them into `rows`,
+/// until `enough` after a record (→ `false`) or the end of input
+/// (→ `true`). A record of the wrong arity is an error — which is also
+/// what bounds `rows` × arity, the columns' capacity, by the input's
+/// length.
+fn infer(
+    scanner: &mut Scanner<'_>,
+    types: &mut [Option<Type>],
+    rows: &mut usize,
+    enough: impl Fn(&Scanner<'_>, &[Option<Type>]) -> bool,
+) -> Result<bool> {
+    while let Some(record) = scanner.record(|c, raw| {
+        if let (Some(ty), false) = (types.get_mut(c), raw.is_empty()) {
+            *ty = Some(match ty.unwrap_or(Type::Int) {
+                Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
+                Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
+                _ => Type::Str,
+            });
+        }
+    })? {
+        check_arity(&record, types.len())?;
+        *rows += 1;
+        if enough(scanner, types) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The schema `types` settle: a column with no non-empty value is `Str`.
+fn inferred_schema(name: &str, header: &[String], types: &[Option<Type>]) -> Schema {
+    let attrs = header
+        .iter()
+        .zip(types)
+        .map(|(column, ty)| Attribute::new(column.clone(), ty.unwrap_or(Type::Str)))
+        .collect();
+    Schema::new(name, attrs)
 }
 
 /// Append `field` to `out`, quoted if it needs it.
@@ -667,6 +759,205 @@ mod tests {
         assert!(rows.get() >= r0 + 2);
         assert!(bytes.get() >= b0 + text.len() as u64);
         assert!(calls() > c0);
+    }
+
+    // ---- the oracle: the two-scan ingest the prefix load replaced ----
+
+    /// The old `read_table_infer`: settle the types and count the rows
+    /// over the whole input, then load it with them.
+    fn two_scan_infer(name: &str, input: &str) -> Result<Table> {
+        let mut scanner = Scanner::new(input);
+        let (line, header) = read_header(&mut scanner)?;
+        let mut seen = HashSet::with_capacity(header.len());
+        if let Some(twice) = header.iter().find(|column| !seen.insert(column.as_str())) {
+            return Err(Error::Csv { line, message: format!("duplicate column `{twice}`") });
+        }
+        // `None` until the column shows a non-empty value.
+        let mut types: Vec<Option<Type>> = vec![None; header.len()];
+        let mut rows = 0;
+        while let Some(record) = scanner.record(|c, raw| {
+            if let (Some(ty), false) = (types.get_mut(c), raw.is_empty()) {
+                *ty = Some(match ty.unwrap_or(Type::Int) {
+                    Type::Int if raw.parse::<i64>().is_ok() => Type::Int,
+                    Type::Int | Type::Float if raw.parse::<f64>().is_ok() => Type::Float,
+                    _ => Type::Str,
+                });
+            }
+        })? {
+            check_arity(&record, header.len())?;
+            rows += 1;
+        }
+        let attrs = header
+            .into_iter()
+            .zip(types)
+            .map(|(column, ty)| Attribute::new(column, ty.unwrap_or(Type::Str)))
+            .collect();
+        load(&Schema::new(name, attrs), input, rows)
+    }
+
+    /// `read_table_infer` on `doc` is the two-scan body's answer: the
+    /// same schema, pool in symbol order and columns, or an error of the
+    /// same text. Returns the schema, if any.
+    fn assert_same_as_two_scans(doc: &str, ctx: &str) -> Option<Schema> {
+        match (read_table_infer("t", doc), two_scan_infer("t", doc)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.schema(), old.schema(), "schema differs: {ctx}");
+                assert_eq!(new.pool().values(), old.pool().values(), "pool differs: {ctx}");
+                assert_eq!(new.len(), old.len(), "row count differs: {ctx}");
+                for a in 0..new.schema().arity() {
+                    assert_eq!(new.col(a), old.col(a), "column {a} differs: {ctx}");
+                }
+                Some(new.schema().clone())
+            }
+            (Err(new), Err(old)) => {
+                assert_eq!(new.to_string(), old.to_string(), "error differs: {ctx}");
+                None
+            }
+            (new, old) => panic!(
+                "read_table_infer {:?} but the two scans {:?}: {ctx}",
+                new.map(|t| t.len()),
+                old.map(|t| t.len())
+            ),
+        }
+    }
+
+    /// Seeded documents longer than the prefix, with surprises for the
+    /// prefix's types past it: a Float after an Int prefix holding `-0`
+    /// (which must load as `-0.0`, not as the Int `0` widened), a Str
+    /// after a numeric prefix, a column empty through the prefix, an
+    /// arity error and an unterminated quote — alone and together.
+    #[test]
+    fn prefix_settled_ingest_equals_the_two_scan_body() {
+        // Seeds where: a Float, a Str, the late column's first value,
+        // an arity error, an unterminated quote lands past the prefix;
+        // then where the load succeeds, and where it fails.
+        let mut reached = [0usize; 7];
+        for seed in 0..240u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let len = PREFIX + rng.gen_range(1..48usize << 10);
+            let mut at = |p: f64| rng.gen_bool(p).then(|| rng.gen_range(PREFIX / 2..len));
+            let (float_at, str_at, late_at, arity_at) = (at(0.5), at(0.5), at(0.6), at(0.15));
+            let unterminated = rng.gen_bool(0.1);
+            let past = |at: Option<usize>, here: usize| at.is_some_and(|at| here >= at);
+            let mut landed = [false; 5];
+            let mut doc = String::from("id,n,m,late,s,f\n");
+            let mut row = 0u64;
+            while doc.len() < len {
+                let here = doc.len();
+                let n = match rng.gen_range(0..40u32) {
+                    0 => "-0".to_string(),
+                    1 => String::new(),
+                    2..=11 if past(float_at, here) => {
+                        landed[0] |= here >= PREFIX;
+                        format!("{}.5", row % 9)
+                    }
+                    _ => (row % 1_000).to_string(),
+                };
+                let m = match rng.gen_range(0..8u32) {
+                    0 if past(str_at, here) => {
+                        landed[1] |= here >= PREFIX;
+                        format!("m{}", row % 50)
+                    }
+                    0 | 1 => format!("{}.25", row % 30),
+                    _ => (row % 70).to_string(),
+                };
+                let late = if past(late_at, here) && rng.gen_bool(0.5) {
+                    landed[2] |= here >= PREFIX;
+                    (row % 5).to_string()
+                } else {
+                    String::new()
+                };
+                let s = match rng.gen_range(0..10u32) {
+                    0 => format!("\"a,{}\"", row % 11),
+                    1 => "\"line\nbreak\"".to_string(),
+                    2 => String::new(),
+                    _ => format!("s{}", row % 300),
+                };
+                let f = format!("{}.{}", row % 40, row % 3);
+                if past(arity_at, here) && !landed[3] {
+                    landed[3] = here >= PREFIX;
+                    doc.push_str(&format!("{row},{n},{m},{late},{s}\n"));
+                } else {
+                    doc.push_str(&format!("{row},{n},{m},{late},{s},{f}\n"));
+                }
+                row += 1;
+            }
+            if unterminated {
+                doc.push_str(&format!("{row},1,2,3,\"open,4.5\n"));
+                landed[4] = true;
+            }
+            let ctx = format!("seed {seed}, {} bytes, {row} rows, landed {landed:?}", doc.len());
+            let ok = assert_same_as_two_scans(&doc, &ctx).is_some();
+            for (count, hit) in reached.iter_mut().zip(landed.into_iter().chain([ok, !ok])) {
+                *count += usize::from(hit);
+            }
+        }
+        assert!(reached.iter().all(|&n| n >= 10), "{reached:?} seeds reached each case");
+    }
+
+    /// Small documents and the corners of the prefix: a column that shows
+    /// its first value only past it, or never; a contradiction in the
+    /// very first record past it, and in the last.
+    #[test]
+    fn prefix_corners_equal_the_two_scan_body() {
+        let body = |rows: usize, cell: &dyn Fn(usize) -> String| -> String {
+            std::iter::once("a,b\n".to_string())
+                .chain((0..rows).map(|r| format!("{r},{}\n", cell(r))))
+                .collect()
+        };
+        let rows = PREFIX / 6 + 2_000;
+        let cases: [(&str, String); 8] = [
+            ("tiny", body(3, &|r| r.to_string())),
+            ("all empty", body(rows, &|_| String::new())),
+            (
+                "empty until the end",
+                body(rows, &|r| if r + 1 == rows { "7".into() } else { String::new() }),
+            ),
+            (
+                "float at the end",
+                body(rows, &|r| if r + 1 == rows { "0.5".into() } else { "-0".into() }),
+            ),
+            (
+                "str at the end",
+                body(rows, &|r| if r + 1 == rows { "x".into() } else { "1.5".into() }),
+            ),
+            (
+                "float just past",
+                body(rows, &|r| if r == PREFIX / 6 { "1e3".into() } else { r.to_string() }),
+            ),
+            ("ints", body(rows, &|r| (r % 10).to_string())),
+            ("floats", body(rows, &|r| format!("{r}.0"))),
+        ];
+        for (name, doc) in &cases {
+            assert_same_as_two_scans(doc, name);
+        }
+        let int_then_float = cases[3].1.as_str();
+        let t = read_table_infer("t", int_then_float).unwrap();
+        assert_eq!(t.schema().attribute(1).ty, Type::Float);
+        assert!(t.pool().values().iter().any(|v| v.to_string() == "-0"), "-0 read as -0.0");
+    }
+
+    /// A document the prefix settles is scanned once past its prefix:
+    /// the two-scan body read every record twice.
+    #[test]
+    fn a_settled_document_is_read_once() {
+        let doc: String = std::iter::once("id,name,score\n".to_string())
+            .chain((0..12_000).map(|i| format!("{i},name {},{}.25\n", i % 97, i % 13)))
+            .collect();
+        assert!(doc.len() >= 200 << 10, "{} bytes", doc.len());
+        // Records starting in the prefix, its header included.
+        let prefix = doc[..PREFIX].matches('\n').count() + 1;
+        RECORDS.with(|n| n.set(0));
+        let rows = read_table_infer("t", &doc).unwrap().len();
+        let scanned = RECORDS.with(|n| n.get()) as usize;
+        assert!(scanned <= rows + prefix + 1, "{scanned} records scanned for {rows} rows");
+        // A contradiction in the last record: the load that found it,
+        // the rest of the inference, the load again — never a third.
+        let late = format!("{doc}x,y,z\n");
+        RECORDS.with(|n| n.set(0));
+        let rows = read_table_infer("t", &late).unwrap().len();
+        let scanned = RECORDS.with(|n| n.get()) as usize;
+        assert!(scanned <= 2 * rows + prefix + 3, "{scanned} records scanned for {rows} rows");
     }
 
     // ---- the oracle: the parser this module used before the scanner ----

@@ -452,6 +452,32 @@ impl Partition {
         scratch: &mut ItemScratch,
         refine: bool,
     ) -> Product {
+        let mut class_errors = Vec::with_capacity(self.len());
+        let refined = self.multiply(index, attr, scratch, refine, |error| class_errors.push(error));
+        Product { refined, class_errors }
+    }
+
+    /// `π_{X∪{A}}` alone: [`Partition::product`] for a caller that reads
+    /// only the refined partition, so no class error is kept.
+    pub fn refine(
+        &self,
+        index: &ItemIndex<'_>,
+        attr: usize,
+        scratch: &mut ItemScratch,
+    ) -> Partition {
+        self.multiply(index, attr, scratch, true, |_| {}).expect("a refined partition")
+    }
+
+    /// [`Partition::product`]'s walk, handing each class's error to
+    /// `class_error` in class order.
+    fn multiply(
+        &self,
+        index: &ItemIndex<'_>,
+        attr: usize,
+        scratch: &mut ItemScratch,
+        refine: bool,
+        mut class_error: impl FnMut(u32),
+    ) -> Option<Partition> {
         let view = index.view(attr);
         scratch.fit(view.items);
         let record = refine && self.floor == 1;
@@ -466,14 +492,13 @@ impl Partition {
             step.starts.reserve(self.len() + 1);
             step.subs.reserve(self.len());
         }
-        let mut class_errors = Vec::with_capacity(self.len());
         for class in self.classes() {
             if record {
                 step.starts.push(step.subs.len() as u32);
             }
             if let [slot] = class {
                 // A singleton (floor 1) is its own sub-class.
-                class_errors.push(0);
+                class_error(0);
                 if record {
                     step.subs.push((view.local(*slot), emitted.len() as u32));
                     slots.push(*slot);
@@ -482,7 +507,7 @@ impl Partition {
                 continue;
             }
             let largest = scratch.tally(class, |slot| view.local(slot));
-            class_errors.push(class.len() as u32 - largest);
+            class_error(class.len() as u32 - largest);
             if refine {
                 let start = slots.len() as u32;
                 let ItemScratch { counts, touched } = &mut *scratch;
@@ -524,7 +549,7 @@ impl Partition {
             }
             scratch.clear();
         }
-        let refined = refine.then(|| {
+        refine.then(|| {
             let (mut part, class_of_emitted) = self.ordered(index, slots, emitted);
             if record {
                 step.starts.push(step.subs.len() as u32);
@@ -534,8 +559,7 @@ impl Partition {
                 part.steps = self.steps.iter().cloned().chain([Arc::new(step)]).collect();
             }
             part
-        });
-        Product { refined, class_errors }
+        })
     }
 
     /// The refined partition of `emitted` classes (`(first slot, start,

@@ -180,6 +180,12 @@ impl Table {
         self.mark_pushed()
     }
 
+    /// Give the columns' spare capacity back.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.cols.iter_mut().for_each(Vec::shrink_to_fit);
+        self.live.shrink_to_fit();
+    }
+
     /// The pool, to intern the cells of a row bound for [`Table::push_syms`].
     pub(crate) fn pool_mut(&mut self) -> &mut ValuePool {
         &mut self.pool

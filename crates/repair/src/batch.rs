@@ -45,7 +45,7 @@
 use crate::cost::{CostModel, DistanceScratch};
 use crate::eqclass::{Cell, EquivClasses, ResolveStats};
 use revival_constraints::cfd::merge_by_embedded_fd;
-use revival_constraints::pattern::PatternValue;
+use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_detect::{DetectJob, Detector, ParallelEngine, Violation, ViolationReport};
 use revival_relation::groupby::hash_words;
@@ -111,9 +111,6 @@ struct PassPlan {
     by_attr: BTreeMap<usize, AttrClasses>,
     /// LHS cells to overwrite with a fresh value where pins conflict.
     breaks: Vec<Cell>,
-    /// First constraint (report order) claiming each cell an edit may
-    /// touch — only tracked when profiling.
-    owner: GroupBy<Cell, usize>,
 }
 
 /// One RHS attribute's share of a [`PassPlan`].
@@ -131,11 +128,11 @@ fn cell_hash(c: Cell) -> u64 {
     hash_words([c.0 .0, c.1 as u64])
 }
 
-impl PassPlan {
-    /// Record `ci` as `cell`'s owner unless an earlier constraint is.
-    fn claim(&mut self, cell: Cell, ci: usize) {
-        self.owner.entry_mut(cell_hash(cell), |k| *k == cell, || (cell, ci));
-    }
+#[cfg(test)]
+thread_local! {
+    /// Owner-map entries this thread's attributed passes built — the
+    /// profiler's work count.
+    static OWNER_ENTRIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Cost-based batch repair over one table.
@@ -364,15 +361,12 @@ impl BatchRepair {
 
     /// Translate one detection report into equivalence-class merges
     /// (variable rows), pins (constant rows) and LHS-break requests
-    /// (pin conflicts). With `track_owners`, also the first constraint
-    /// (in report order) claiming each cell an edit may touch — report
-    /// order is engine-independent, so the attribution is deterministic.
+    /// (pin conflicts).
     fn collect_classes(
         &self,
         table: &Table,
         scratch: &mut DistanceScratch,
         violations: &[Violation],
-        track_owners: bool,
     ) -> PassPlan {
         let mut plan = PassPlan::default();
         // Violations arrive grouped by constraint, so a lap per change
@@ -391,7 +385,6 @@ impl BatchRepair {
         for v in violations {
             match v {
                 Violation::CfdConstant { cfd, row, tuple } => {
-                    let ci = *cfd;
                     let cfd = &self.cfds[*cfd];
                     switch_to(&mut plan, Some(cfd.rhs));
                     let tp = &cfd.tableau[*row];
@@ -402,23 +395,7 @@ impl BatchRepair {
                     let Ok(held) = table.value_at(*tuple, cfd.rhs) else { continue };
                     // Cost of fixing the RHS vs. cheapest LHS break.
                     let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, held, c, scratch);
-                    let lhs_break: Option<(f64, Cell)> = tp
-                        .lhs
-                        .iter()
-                        .zip(&cfd.lhs)
-                        .filter(|(p, _)| !p.is_wildcard())
-                        .map(|(_, &a)| {
-                            // Breaking costs ≈ weight (distance to a fresh
-                            // value is ~1).
-                            (self.cost.weight(*tuple, a), (*tuple, a))
-                        })
-                        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                    if track_owners {
-                        plan.claim(rhs_cell, ci);
-                        if let Some((_, cell)) = lhs_break {
-                            plan.claim(cell, ci);
-                        }
-                    }
+                    let lhs_break = self.lhs_break(cfd, tp, *tuple);
                     match lhs_break {
                         Some((w, cell)) if w < rhs_cost => plan.breaks.push(cell),
                         _ => {
@@ -434,20 +411,11 @@ impl BatchRepair {
                     }
                 }
                 Violation::CfdVariable { cfd, tuples, .. } => {
-                    let ci = *cfd;
                     let cfd = &self.cfds[*cfd];
                     switch_to(&mut plan, Some(cfd.rhs));
                     let mut it = tuples.iter();
                     let Some(&first) = it.next() else { continue };
-                    if track_owners {
-                        for &t in tuples {
-                            plan.claim((t, cfd.rhs), ci);
-                            if let Some(&a) = cfd.lhs.first() {
-                                plan.claim((t, a), ci);
-                            }
-                        }
-                    }
-                    let PassPlan { by_attr, breaks, .. } = &mut plan;
+                    let PassPlan { by_attr, breaks } = &mut plan;
                     let members = it.map(|&t| (t, cfd.rhs));
                     by_attr.entry(cfd.rhs).or_default().eq.union_all(
                         (first, cfd.rhs),
@@ -471,10 +439,78 @@ impl BatchRepair {
         plan
     }
 
+    /// The cheapest LHS cell of `tuple` to break a constant row `tp` of
+    /// `cfd` on, with its cost: a constant position's weight (the
+    /// distance to a fresh value is ~1); the first of equal ones.
+    fn lhs_break(&self, cfd: &Cfd, tp: &PatternRow, tuple: TupleId) -> Option<(f64, Cell)> {
+        tp.lhs
+            .iter()
+            .zip(&cfd.lhs)
+            .filter(|(p, _)| !p.is_wildcard())
+            .map(|(_, &a)| (self.cost.weight(tuple, a), (tuple, a)))
+            .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
+    }
+
+    /// The first constraint, in report order, to claim each cell of
+    /// `written` — the cells one pass's edits wrote, which are all the
+    /// attribution charges. A constant violation claims its RHS cell
+    /// and its cheapest LHS break, a variable one each member's RHS
+    /// cell and first LHS cell; report order is engine-independent, so
+    /// the attribution is deterministic. A bit per (slot, attribute)
+    /// keeps every cell no edit wrote out of the map.
+    fn owners(
+        &self,
+        table: &Table,
+        violations: &[Violation],
+        written: &[Cell],
+    ) -> GroupBy<Cell, usize> {
+        let arity = table.schema().arity();
+        let bit = |(t, a): Cell| t.0 as usize * arity + a;
+        let mut wrote = vec![0u64; (table.slots() * arity).div_ceil(64)];
+        for &cell in written {
+            wrote[bit(cell) / 64] |= 1 << (bit(cell) % 64);
+        }
+        let mut owner = GroupBy::default();
+        let mut claim = |cell: Cell, ci: usize| {
+            if wrote[bit(cell) / 64] & 1 << (bit(cell) % 64) != 0 {
+                owner.entry_mut(cell_hash(cell), |k| *k == cell, || (cell, ci));
+            }
+        };
+        for v in violations {
+            match v {
+                Violation::CfdConstant { cfd: ci, row, tuple } => {
+                    let cfd = &self.cfds[*ci];
+                    let tp = &cfd.tableau[*row];
+                    let PatternValue::Const(_) = &tp.rhs else { continue };
+                    if table.value_at(*tuple, cfd.rhs).is_err() {
+                        continue;
+                    }
+                    claim((*tuple, cfd.rhs), *ci);
+                    if let Some((_, cell)) = self.lhs_break(cfd, tp, *tuple) {
+                        claim(cell, *ci);
+                    }
+                }
+                Violation::CfdVariable { cfd: ci, tuples, .. } => {
+                    let cfd = &self.cfds[*ci];
+                    for &t in tuples {
+                        claim((t, cfd.rhs), *ci);
+                        if let Some(&a) = cfd.lhs.first() {
+                            claim((t, a), *ci);
+                        }
+                    }
+                }
+                Violation::CindMissingWitness { .. } => {}
+            }
+        }
+        #[cfg(test)]
+        OWNER_ENTRIES.with(|n| n.set(n.get() + owner.len()));
+        owner
+    }
+
     /// One cost-guided pass. Returns whether any cell changed. With
-    /// `attribution`, each successful cell edit is charged to the
-    /// constraint owning the cell, and each RHS attribute's share of
-    /// the pass lands on its `resolve` row.
+    /// `attribution`, each RHS attribute's share of the pass lands on
+    /// its `resolve` row, and then each successful cell edit is charged
+    /// to the constraint owning the cell.
     fn resolve_pass(
         &self,
         work: &mut Working,
@@ -482,18 +518,10 @@ impl BatchRepair {
         resolve: &mut ResolveStats,
         mut attribution: Option<(&mut revival_obs::JobProfile, &[String])>,
     ) -> bool {
-        let PassPlan { by_attr, breaks, owner } =
-            self.collect_classes(&work.table, &mut work.scratch, violations, attribution.is_some());
+        let PassPlan { by_attr, breaks } =
+            self.collect_classes(&work.table, &mut work.scratch, violations);
+        let first_write = work.written.len();
         let mut changed = false;
-        let charge =
-            |cell: Cell, attribution: &mut Option<(&mut revival_obs::JobProfile, &[String])>| {
-                if let Some((profile, names)) = attribution.as_mut() {
-                    let ci = owner.get(cell_hash(cell), |k| *k == cell);
-                    if let Some(name) = ci.and_then(|&ci| names.get(ci)) {
-                        profile.entry(name, "cfd").cells_changed += 1;
-                    }
-                }
-            };
         // One RHS attribute at a time: resolve its classes' targets in
         // parallel (read-only over the table), then apply sequentially
         // in deterministic group order — identical output at any shard
@@ -512,7 +540,6 @@ impl BatchRepair {
                     let differs = work.table.sym_at(t, a).is_ok_and(|s| Some(s) != target_sym);
                     if differs && work.set((t, a), target.clone()) {
                         changed = true;
-                        charge((t, a), &mut attribution);
                     }
                 }
             }
@@ -530,10 +557,20 @@ impl BatchRepair {
         }
         for (t, a) in breaks {
             let fresh = fresh_value(&work.table, t, a);
-            if work.set((t, a), fresh) {
-                changed = true;
-                charge((t, a), &mut attribution);
+            changed |= work.set((t, a), fresh);
+        }
+        if let Some((profile, names)) = attribution {
+            let start = Instant::now();
+            let written = &work.written[first_write..];
+            let owner = self.owners(&work.table, violations, written);
+            for &cell in written {
+                let ci = owner.get(cell_hash(cell), |k| *k == cell);
+                if let Some(name) = ci.and_then(|&ci| names.get(ci)) {
+                    profile.entry(name, "cfd").cells_changed += 1;
+                }
             }
+            let row = profile.entry("attribute (cell owners)", "attribute");
+            row.wall_us += start.elapsed().as_micros() as u64;
         }
         changed
     }
@@ -1036,6 +1073,30 @@ mod tests {
         assert!(ties * 5 > groups, "{ties} tie(s) in {groups} group(s)");
     }
 
+    /// The profiler claims owners only for the cells a pass's edits
+    /// wrote: on the ledger-shaped hospital input its owner maps hold
+    /// no more entries than the repair changes cells (claiming for
+    /// every class member built two entries per member tuple), and the
+    /// attribution still charges every changed cell.
+    #[test]
+    fn attribution_claims_only_written_cells() {
+        use revival_dirty::hospital::{attrs as h, generate, standard_cfds, HospitalConfig};
+        use revival_dirty::noise::{inject, NoiseConfig};
+
+        let data = generate(&HospitalConfig { rows: 12_000, seed: 11, ..Default::default() });
+        let noise = NoiseConfig::new(0.05, vec![h::STATE, h::MEASURE_NAME, h::HNAME], 11 ^ 0x405b);
+        let dirty = inject(&data.table, &noise).dirty;
+        let cfds = standard_cfds(&data.schema);
+        let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
+        OWNER_ENTRIES.with(|n| n.set(0));
+        let (_, stats, profile) = repairer.repair_profiled(&dirty).unwrap();
+        let entries = OWNER_ENTRIES.with(|n| n.get());
+        let attributed: u64 = profile.constraints.iter().map(|c| c.cells_changed).sum();
+        assert!(stats.cells_changed > 1_000, "{stats:?}: not the large-class case");
+        assert!(entries <= stats.cells_changed, "{entries} owner entries, {stats:?}");
+        assert_eq!(attributed, stats.cells_changed as u64);
+    }
+
     /// The work-count guard on the large-class workload: driving the
     /// passes by hand, every class resolved by cost must account for
     /// exactly c(c−1)/2 − |D|(|D|−1)/2 distance evaluations (c = its
@@ -1062,8 +1123,7 @@ mod tests {
             if report.is_empty() {
                 break;
             }
-            let plan =
-                repairer.collect_classes(&work.table, &mut work.scratch, &report.violations, false);
+            let plan = repairer.collect_classes(&work.table, &mut work.scratch, &report.violations);
             for (_, AttrClasses { mut eq, .. }) in plan.by_attr {
                 for (cells, pinned) in eq.groups() {
                     if pinned.is_none() {

@@ -108,6 +108,8 @@ commands:
                                  write/open the columnar `.sdq` format
 
 Every --data flag accepts a `.sdq` snapshot wherever it accepts CSV.
+Without --table, a command given --cfds names the table after the one
+relation its suite names (else `customer`, as discover always does).
 `semandaq <command>` with missing flags explains what it needs.";
 
 fn main() -> ExitCode {
@@ -311,13 +313,25 @@ fn explain_mode(flags: &Flags) -> Result<Option<ExplainMode>, String> {
     }
 }
 
+/// The table's name: `--table`, else the one relation the suite names,
+/// else `customer`.
+fn table_name<'a>(flags: &'a Flags, cfd_text: &'a str) -> &'a str {
+    if let Ok(table) = flags.get("table") {
+        return table;
+    }
+    match revival_constraints::parser::suite_relations(cfd_text)[..] {
+        [only] => only,
+        _ => "customer",
+    }
+}
+
 fn load_session(flags: &Flags) -> Result<Session, String> {
     let data = flags.get("data")?;
-    let table = flags.get_or("table", "customer");
     let cfds = flags.get("cfds")?;
+    let cfd_text = std::fs::read_to_string(cfds).map_err(|e| format!("{cfds}: {e}"));
+    let table = table_name(flags, cfd_text.as_deref().unwrap_or_default());
     let loaded = semandaq::load_table(table, data).map_err(|e| e.to_string())?;
-    let cfd_text = std::fs::read_to_string(cfds).map_err(|e| format!("{cfds}: {e}"))?;
-    Session::from_table(loaded, &cfd_text).map_err(|e| e.to_string())
+    Session::from_table(loaded, &cfd_text?).map_err(|e| e.to_string())
 }
 
 fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
@@ -628,7 +642,6 @@ fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
                 .unwrap_or_else(|| flags.get("data"))
                 .map_err(|_| "usage: semandaq watch FILE --cfds FILE [flags]".to_string())?
                 .to_string();
-            let table = flags.get_or("table", "customer").to_string();
             let cfd_path = flags.get("cfds")?;
             let poll_ms: u64 = flags
                 .get_or("poll-ms", "200")
@@ -640,7 +653,7 @@ fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), Stop> {
                 .map_err(|_| "--idle-exit must be an integer")?;
             let cfd_text =
                 std::fs::read_to_string(cfd_path).map_err(|e| format!("{cfd_path}: {e}"))?;
-            watch(&path, &table, &cfd_text, poll_ms, idle_exit, stdout)
+            watch(&path, table_name(&flags, &cfd_text), &cfd_text, poll_ms, idle_exit, stdout)
         }
         _ => unreachable!("parse_flags rejects a command COMMAND_FLAGS does not list"),
     }

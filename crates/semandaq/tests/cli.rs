@@ -555,3 +555,102 @@ fn detect_listings_agree_across_engine_spellings() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a, 64-bit: a digest of a file's bytes.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// FNV-64 of the `.sdq` that `snapshot save` writes for `generate
+/// --scenario customer --rows 20000 --seed 7`'s `dirty.csv`. The
+/// snapshot stores the pool in symbol order, so this pins CSV ingest's
+/// first-seen interning order through the CLI as well as the format.
+const CUSTOMER_20000_SDQ_FNV64: u64 = 0x7737_37ac_b0e2_8b09;
+
+/// A customer CSV saved as `.sdq` and loaded back: the file starts with
+/// the current magic, `SDQSNAP2`, and is byte-for-byte the recorded
+/// one; `detect` over it prints what `detect` over the CSV prints, at
+/// `--jobs 1` and `4`; and a copy whose first 8 bytes are rewritten to
+/// the retired `SDQSNAP1` exits 1 with the typed snapshot error at byte
+/// 0 that names that format — never opening as a table.
+#[test]
+fn a_snapshot_saves_loads_detects_like_its_csv_and_refuses_v1() {
+    let dir = tmpdir("snapshot");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    run(&[
+        "generate",
+        "--scenario",
+        "customer",
+        "--rows",
+        "20000",
+        "--seed",
+        "7",
+        "--out",
+        &path(""),
+    ]);
+    run(&["snapshot", "save", "--data", &path("dirty.csv"), "--out", &path("dirty.sdq")]);
+    run(&["snapshot", "load", "--data", &path("dirty.sdq")]);
+    let sdq = std::fs::read(path("dirty.sdq")).unwrap();
+    assert_eq!(&sdq[..8], b"SDQSNAP2");
+    assert_eq!(fnv64(&sdq), CUSTOMER_20000_SDQ_FNV64, "{:#x}", fnv64(&sdq));
+    for jobs in ["1", "4"] {
+        let detect = |data: &str| {
+            run(&["detect", "--data", data, "--cfds", &path("cfds.txt"), "--jobs", jobs])
+        };
+        assert_eq!(detect(&path("dirty.csv")), detect(&path("dirty.sdq")), "--jobs {jobs}");
+    }
+    let mut v1 = sdq;
+    v1[..8].copy_from_slice(b"SDQSNAP1");
+    std::fs::write(path("v1.sdq"), v1).unwrap();
+    let out = bin().args(["snapshot", "load", "--data", &path("v1.sdq")]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("snapshot error at byte 0: "), "got: {stderr}");
+    assert!(stderr.contains("SDQSNAP1"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without `--table`, a suite that names exactly one relation names the
+/// table: `repair` over the hospital scenario's own files needs no flag
+/// (it exited 1 with "constraint relation `hospital` does not match
+/// schema `customer`"), and `detect` prints what `--table hospital`
+/// prints. A suite over two relations keeps the `customer` default.
+#[test]
+fn a_suite_over_one_relation_names_the_table() {
+    let dir = tmpdir("suite-names-table");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let out = bin()
+        .args(["generate", "--scenario", "hospital", "--rows", "400", "--seed", "3"])
+        .args(["--out", &path("")])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let (data, cfds) = (path("dirty.csv"), path("cfds.txt"));
+    let out = bin()
+        .args(["repair", "--data", &data, "--cfds", &cfds, "--out", &path("fixed.csv")])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let detect = |extra: &[&str]| {
+        let out = bin().args(["detect", "--data", &data, "--cfds", &cfds]).args(extra).output();
+        let out = out.unwrap();
+        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    assert_eq!(detect(&[]), detect(&["--table", "hospital"]));
+    let two = path("two.cfds");
+    let suite = std::fs::read_to_string(&cfds).unwrap();
+    std::fs::write(&two, format!("{suite}other([a] -> [b])\n")).unwrap();
+    let out = bin().args(["detect", "--data", &data, "--cfds", &two]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("does not match schema `customer`"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
