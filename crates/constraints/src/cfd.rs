@@ -244,20 +244,6 @@ impl Cfd {
         }
         D(self, schema)
     }
-
-    /// One tableau row in surface syntax — always a single line, so
-    /// diagnostics that embed a CFD in a sentence (violation
-    /// descriptions) stay one-line even for multi-row merged tableaux,
-    /// and point at exactly the row that was violated.
-    pub fn display_row<'a>(&'a self, schema: &'a Schema, row: usize) -> impl fmt::Display + 'a {
-        struct D<'a>(&'a Cfd, &'a Schema, usize);
-        impl fmt::Display for D<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}", crate::parser::cfd_row_to_text(self.0, self.1, self.2))
-            }
-        }
-        D(self, schema, row)
-    }
 }
 
 /// Group a list of normal-form CFDs by embedded FD, merging tableaux

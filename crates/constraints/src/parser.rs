@@ -838,13 +838,12 @@ pub fn suite_to_text<'a>(cfds: impl IntoIterator<Item = &'a Cfd>, schema: &Schem
     out
 }
 
-/// One tableau row of a CFD as a single line-form constraint (no
-/// trailing newline) — what diagnostics embed when they point at a
-/// specific violated row of a multi-row tableau.
-pub fn cfd_row_to_text(cfd: &Cfd, schema: &Schema, row: usize) -> String {
-    let mut out = String::new();
-    push_cfd_row(&mut out, cfd, schema, &cfd.tableau[row]);
-    out
+/// Append one tableau row of a CFD as a single line-form constraint
+/// (no trailing newline) — what diagnostics embed when they point at a
+/// specific violated row of a multi-row tableau: one line even for a
+/// multi-row merged tableau.
+pub fn write_cfd_row(out: &mut String, cfd: &Cfd, schema: &Schema, row: usize) {
+    push_cfd_row(out, cfd, schema, &cfd.tableau[row]);
 }
 
 /// Serialize a CIND back into the surface syntax [`parse_cinds`]
@@ -1040,10 +1039,9 @@ mod tests {
             "customer([cc, zip] -> [street]) {\n  '44', _ || _\n  '44', _ || _\n  \
              _, in ('a', 'b') || !='x'\n}\n"
         );
-        assert_eq!(
-            cfd_row_to_text(&cfds[0], &s, 2),
-            "customer([cc, zip in ('a', 'b')] -> [street!='x'])"
-        );
+        let mut row = String::new();
+        write_cfd_row(&mut row, &cfds[0], &s, 2);
+        assert_eq!(row, "customer([cc, zip in ('a', 'b')] -> [street!='x'])");
     }
 
     #[test]

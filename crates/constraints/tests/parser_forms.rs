@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use revival_constraints::parser::{parse_cfds, suite_to_text};
+use revival_constraints::parser::{parse_cfds, suite_to_text, write_cfd_row};
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
 use revival_relation::{Error, Schema, Type, Value};
@@ -95,8 +95,11 @@ proptest! {
         let lines: String = suite
             .iter()
             .flat_map(|c| (0..c.tableau.len()).map(move |i| (c, i)))
-            .map(|(c, i)| format!("{}\n", c.display_row(&s, i)))
-            .collect();
+            .fold(String::new(), |mut lines, (c, i)| {
+                write_cfd_row(&mut lines, c, &s, i);
+                lines.push('\n');
+                lines
+            });
         let split: Vec<Cfd> = suite
             .iter()
             .flat_map(|c| c.tableau.iter().map(|r| Cfd { tableau: vec![r.clone()], ..c.clone() }))

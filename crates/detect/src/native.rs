@@ -72,6 +72,7 @@
 use crate::engine::DetectJob;
 use crate::report::{Listing, Violation, ViolationReport};
 use revival_constraints::cfd::Cfd;
+use revival_constraints::parser::write_cfd_row;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::{Cind, SymPred};
 use revival_relation::groupby::{hash_at, hash_syms, matches_at};
@@ -915,40 +916,43 @@ pub fn describe_violation(
     cfds: &[Cfd],
     schema: &revival_relation::Schema,
 ) -> String {
-    match v {
+    let mut out = String::new();
+    write_violation(&mut out, v, cfds, schema);
+    out
+}
+
+/// [`describe_violation`]'s text, appended to `out`.
+fn write_violation(
+    out: &mut String,
+    v: &Violation,
+    cfds: &[Cfd],
+    schema: &revival_relation::Schema,
+) {
+    let _ = match v {
         Violation::CfdConstant { cfd, row, tuple } => {
             let c = &cfds[*cfd];
             let tp = &c.tableau[*row];
-            // display_row keeps the message one line even when the CFD
-            // carries a multi-row (merged) tableau, and names exactly
-            // the violated row.
-            format!(
-                "tuple {tuple} matches pattern {tp} of {} but {} fails the RHS pattern {}",
-                c.display_row(schema, *row),
-                schema.attr_name(c.rhs),
-                tp.rhs
-            )
+            // One tableau row keeps the message one line even when the
+            // CFD carries a multi-row (merged) tableau, and names
+            // exactly the violated row.
+            let _ = write!(out, "tuple {tuple} matches pattern {tp} of ");
+            write_cfd_row(out, c, schema, *row);
+            write!(out, " but {} fails the RHS pattern {}", schema.attr_name(c.rhs), tp.rhs)
         }
         Violation::CfdVariable { cfd, row, key, tuples } => {
             let c = &cfds[*cfd];
-            let keys: Vec<String> = c
-                .lhs
-                .iter()
-                .zip(key)
-                .map(|(&a, v)| format!("{}={}", schema.attr_name(a), v))
-                .collect();
-            format!(
-                "{} tuples agree on ({}) but disagree on {} ({})",
-                tuples.len(),
-                keys.join(", "),
-                schema.attr_name(c.rhs),
-                c.display_row(schema, *row),
-            )
+            let _ = write!(out, "{} tuples agree on (", tuples.len());
+            for (i, (&a, v)) in c.lhs.iter().zip(key).enumerate() {
+                let _ = write!(out, "{}{}={v}", if i > 0 { ", " } else { "" }, schema.attr_name(a));
+            }
+            let _ = write!(out, ") but disagree on {} (", schema.attr_name(c.rhs));
+            write_cfd_row(out, c, schema, *row);
+            out.write_char(')')
         }
         Violation::CindMissingWitness { cind, tuple } => {
-            format!("tuple {tuple} has no witness for cind#{cind}")
+            write!(out, "tuple {tuple} has no witness for cind#{cind}")
         }
-    }
+    };
 }
 
 /// The one listing renderer: a header line counting the violations and
@@ -956,7 +960,7 @@ pub fn describe_violation(
 /// violation — a CFD's described against the schema in `schemas` its
 /// relation names, a CIND's by its two relations, each after its
 /// `[relation]` when `tagged` (a catalog job's listing) — and how many
-/// more there are.
+/// more there are. Every line is written straight into the one string.
 pub fn describe_listing(
     listing: &Listing,
     cfds: &[Cfd],
@@ -967,21 +971,29 @@ pub fn describe_listing(
     let mut out = format!("{} violation(s); {} tuple(s) involved\n", listing.total, listing.tuples);
     for v in &listing.shown {
         let relation = v.relation(cfds, cinds);
-        let line = match v {
+        out.push_str("  ");
+        if tagged {
+            let _ = write!(out, "[{relation}] ");
+        }
+        match v {
             Violation::CfdConstant { .. } | Violation::CfdVariable { .. } => {
                 match schemas.iter().find(|s| s.name() == relation) {
-                    Some(schema) => describe_violation(v, cfds, schema),
-                    None => format!("{v:?}"),
+                    Some(schema) => write_violation(&mut out, v, cfds, schema),
+                    None => {
+                        let _ = write!(out, "{v:?}");
+                    }
                 }
             }
             Violation::CindMissingWitness { cind, tuple } => {
-                let of = if tagged { String::new() } else { format!(" of {relation}") };
+                let _ = write!(out, "tuple {tuple}");
+                if !tagged {
+                    let _ = write!(out, " of {relation}");
+                }
                 let to = &cinds[*cind].to_relation;
-                format!("tuple {tuple}{of} has no witness in {to} (cind#{cind})")
+                let _ = write!(out, " has no witness in {to} (cind#{cind})");
             }
-        };
-        let tag = if tagged { format!("[{relation}] ") } else { String::new() };
-        let _ = writeln!(out, "  {tag}{line}");
+        }
+        out.push('\n');
     }
     if listing.total > listing.shown.len() {
         let _ = writeln!(out, "  … and {} more", listing.total - listing.shown.len());

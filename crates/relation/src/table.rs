@@ -259,25 +259,42 @@ impl Table {
 
     /// Overwrite a single cell of a live tuple.
     pub fn set_cell(&mut self, id: TupleId, attr: usize, v: Value) -> Result<()> {
+        self.check_write(id, attr, &v)?;
+        let sym = self.pool.intern(&v);
+        self.cols[attr][id.0 as usize] = sym;
+        Ok(())
+    }
+
+    /// Overwrite a single cell of a live tuple with a symbol of this
+    /// table's pool: [`Table::set_cell`] without interning the value
+    /// again, and refused where `set_cell` would refuse the value the
+    /// symbol stands for. `sym` must come from [`Table::pool`] (one
+    /// past its end panics, as [`ValuePool::value`] does).
+    pub fn set_sym(&mut self, id: TupleId, attr: usize, sym: Sym) -> Result<()> {
+        self.check_write(id, attr, self.pool.value(sym))?;
+        self.cols[attr][id.0 as usize] = sym;
+        Ok(())
+    }
+
+    /// May `v` go into cell `(id, attr)`: a known attribute whose type
+    /// admits it, on a live tuple?
+    fn check_write(&self, id: TupleId, attr: usize, v: &Value) -> Result<()> {
         if attr >= self.schema.arity() {
             return Err(Error::UnknownAttribute {
                 relation: self.schema.name().into(),
                 attribute: format!("#{attr}"),
             });
         }
-        if !self.schema.attribute(attr).ty.admits(&v) {
+        if !self.schema.attribute(attr).ty.admits(v) {
             return Err(Error::TypeMismatch {
                 attribute: self.schema.attr_name(attr).into(),
                 expected: self.schema.attribute(attr).ty.to_string(),
                 got: v.to_string(),
             });
         }
-        let slot = id.0 as usize;
-        if !self.is_live(slot) {
+        if !self.is_live(id.0 as usize) {
             return Err(Error::NoSuchTuple(id.0));
         }
-        let sym = self.pool.intern(&v);
-        self.cols[attr][slot] = sym;
         Ok(())
     }
 
@@ -418,6 +435,25 @@ mod tests {
         assert_eq!(t.get(id).unwrap()[1], Value::from("z"));
         assert!(t.set_cell(id, 0, "not an int".into()).is_err());
         assert!(t.set_cell(id, 9, Value::Int(0)).is_err());
+    }
+
+    /// A symbol write refuses what the value write refuses, and neither
+    /// grows the pool.
+    #[test]
+    fn set_sym_checks_what_set_cell_checks() {
+        let mut t = tbl();
+        let id = t.push(vec![Value::Int(1), "x".into()]).unwrap();
+        let other = t.push(vec![Value::Int(2), "y".into()]).unwrap();
+        let (y, two) = (t.sym_at(other, 1).unwrap(), t.sym_at(other, 0).unwrap());
+        let pool = t.pool().len();
+        t.set_sym(id, 1, y).unwrap();
+        assert_eq!(t.get(id).unwrap(), [Value::Int(1), Value::from("y")]);
+        assert!(matches!(t.set_sym(id, 0, y), Err(Error::TypeMismatch { .. })));
+        assert!(matches!(t.set_sym(id, 9, two), Err(Error::UnknownAttribute { .. })));
+        t.delete(other).unwrap();
+        assert_eq!(t.set_sym(other, 0, two), Err(Error::NoSuchTuple(other.0)));
+        assert_eq!(t.get(id).unwrap(), [Value::Int(1), Value::from("y")]);
+        assert_eq!(t.pool().len(), pool);
     }
 
     #[test]

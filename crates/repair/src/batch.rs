@@ -11,6 +11,20 @@
 //! [`RepairStats::forced_resolutions`] — they trade accuracy for
 //! consistency exactly like the "null-marker" fallback of Cong et al.
 //!
+//! ## One pass, attribute by attribute
+//!
+//! A pass translates its report into one [`EquivClasses`] per RHS
+//! attribute — a union-find over the table's slots, since a class never
+//! spans two attributes — and then, one attribute at a time, takes its
+//! classes as one slot arena ([`EquivClasses::groups`]), resolves each
+//! to a pool symbol ([`Resolvers::resolve`], buffers allocated once per
+//! repair) and writes that symbol into every member cell holding
+//! another ([`Table::set_sym`]). A pin the pool has never met is
+//! interned once, at the first cell that takes it, so the pool grows
+//! in the order per-cell value writes gave it. The constant-violation
+//! pricing, the LHS breaks, the forcing phase and the per-constraint
+//! `cells_changed` attribution work on cells and values as before.
+//!
 //! ## How often the table is scanned
 //!
 //! A detection runs only if a cell was written since the last one. The
@@ -33,7 +47,7 @@
 //!   layer — [`ParallelEngine`], whose reports are byte-for-byte equal
 //!   at any shard count (one shard scans inline);
 //! * **equivalence-class resolution** shards the per-class cost scans
-//!   ([`EquivClasses::resolve_targets`]), one RHS attribute at a time:
+//!   ([`Resolvers::resolve`]), one RHS attribute at a time:
 //!   that attribute's classes split into contiguous chunks, workers
 //!   resolve each class independently over its distinct values, and
 //!   the targets concatenate in chunk order before the (sequential,
@@ -43,7 +57,7 @@
 //! count — asserted by `tests/repair_parity.rs`.
 
 use crate::cost::{CostModel, DistanceScratch};
-use crate::eqclass::{Cell, EquivClasses, ResolveStats};
+use crate::eqclass::{Cell, EquivClasses, ResolveStats, Resolvers};
 use revival_constraints::cfd::merge_by_embedded_fd;
 use revival_constraints::pattern::{PatternRow, PatternValue};
 use revival_constraints::Cfd;
@@ -83,12 +97,34 @@ struct Working {
     written: Vec<Cell>,
     /// The run's distance buffers, for pricing constant violations.
     scratch: DistanceScratch,
+    /// The run's class-resolution buffers, one set per shard.
+    resolvers: Resolvers,
 }
 
 impl Working {
+    fn new(table: Table, jobs: usize) -> Self {
+        Working {
+            table,
+            written: Vec::new(),
+            scratch: DistanceScratch::default(),
+            resolvers: Resolvers::new(jobs),
+        }
+    }
+
     /// Overwrite one cell; `false` if the table refused the value.
     fn set(&mut self, cell: Cell, v: Value) -> bool {
         let ok = self.table.set_cell(cell.0, cell.1, v).is_ok();
+        self.log(cell, ok)
+    }
+
+    /// Overwrite one cell with a symbol of the table's pool; `false` if
+    /// the table refused it.
+    fn set_sym(&mut self, cell: Cell, sym: Sym) -> bool {
+        let ok = self.table.set_sym(cell.0, cell.1, sym).is_ok();
+        self.log(cell, ok)
+    }
+
+    fn log(&mut self, cell: Cell, ok: bool) -> bool {
         if ok {
             self.written.push(cell);
         }
@@ -104,17 +140,29 @@ struct Scans {
 }
 
 /// What one detection report asks a cost-guided pass to do.
-#[derive(Default)]
 struct PassPlan {
     /// The classes to resolve, per RHS attribute — a class never
     /// spans two: unions and pins stay within one CFD's RHS column.
     by_attr: BTreeMap<usize, AttrClasses>,
     /// LHS cells to overwrite with a fresh value where pins conflict.
     breaks: Vec<Cell>,
+    /// The table's slots, which every [`EquivClasses`] spans.
+    slots: usize,
+}
+
+/// `attr`'s entry of a [`PassPlan::by_attr`] over `slots` slots, made on
+/// first use.
+fn attr_classes(
+    by_attr: &mut BTreeMap<usize, AttrClasses>,
+    attr: usize,
+    slots: usize,
+) -> &mut AttrClasses {
+    by_attr
+        .entry(attr)
+        .or_insert_with(|| AttrClasses { eq: EquivClasses::new(slots), collect: Duration::ZERO })
 }
 
 /// One RHS attribute's share of a [`PassPlan`].
-#[derive(Default)]
 struct AttrClasses {
     /// Cells that must agree, merged; constant rows pin their class.
     eq: EquivClasses,
@@ -216,8 +264,7 @@ impl BatchRepair {
             "repair.run",
             revival_obs::global().histogram("repair_run_us"),
         );
-        let mut current =
-            Working { table: table.clone(), written: Vec::new(), scratch: Default::default() };
+        let mut current = Working::new(table.clone(), self.jobs());
         let mut stats = RepairStats::default();
         let mut fresh_counter: u64 = 0;
         // Profile row names (merged-suite order), shared with the detect
@@ -368,7 +415,8 @@ impl BatchRepair {
         scratch: &mut DistanceScratch,
         violations: &[Violation],
     ) -> PassPlan {
-        let mut plan = PassPlan::default();
+        let mut plan =
+            PassPlan { by_attr: BTreeMap::new(), breaks: Vec::new(), slots: table.slots() };
         // Violations arrive grouped by constraint, so a lap per change
         // of RHS attribute times each attribute's share exactly.
         let mut lap = (Instant::now(), None);
@@ -378,7 +426,7 @@ impl BatchRepair {
             }
             let now = Instant::now();
             if let (start, Some(attr)) = lap {
-                plan.by_attr.entry(attr).or_default().collect += now - start;
+                attr_classes(&mut plan.by_attr, attr, plan.slots).collect += now - start;
             }
             lap = (now, next);
         };
@@ -391,7 +439,6 @@ impl BatchRepair {
                     // eCFD RHS patterns (≠/∈) have no single forced value;
                     // they resolve in the forcing phase.
                     let PatternValue::Const(c) = &tp.rhs else { continue };
-                    let rhs_cell: Cell = (*tuple, cfd.rhs);
                     let Ok(held) = table.value_at(*tuple, cfd.rhs) else { continue };
                     // Cost of fixing the RHS vs. cheapest LHS break.
                     let rhs_cost = self.cost.change_cost(*tuple, cfd.rhs, held, c, scratch);
@@ -399,8 +446,8 @@ impl BatchRepair {
                     match lhs_break {
                         Some((w, cell)) if w < rhs_cost => plan.breaks.push(cell),
                         _ => {
-                            let classes = plan.by_attr.entry(cfd.rhs).or_default();
-                            if !classes.eq.pin(rhs_cell, c.clone()) {
+                            let classes = attr_classes(&mut plan.by_attr, cfd.rhs, plan.slots);
+                            if !classes.eq.pin(*tuple, c.clone()) {
                                 // Conflicting constant requirements:
                                 // break the pattern instead.
                                 if let Some((_, cell)) = lhs_break {
@@ -415,19 +462,14 @@ impl BatchRepair {
                     switch_to(&mut plan, Some(cfd.rhs));
                     let mut it = tuples.iter();
                     let Some(&first) = it.next() else { continue };
-                    let PassPlan { by_attr, breaks } = &mut plan;
-                    let members = it.map(|&t| (t, cfd.rhs));
-                    by_attr.entry(cfd.rhs).or_default().eq.union_all(
-                        (first, cfd.rhs),
-                        members,
-                        |(t, _)| {
-                            // Pin conflict between classes — break the
-                            // group membership of `t` via an LHS cell.
-                            if let Some(&a) = cfd.lhs.first() {
-                                breaks.push((t, a));
-                            }
-                        },
-                    );
+                    let PassPlan { by_attr, breaks, slots } = &mut plan;
+                    attr_classes(by_attr, cfd.rhs, *slots).eq.union_all(first, it.copied(), |t| {
+                        // Pin conflict between classes — break the
+                        // group membership of `t` via an LHS cell.
+                        if let Some(&a) = cfd.lhs.first() {
+                            breaks.push((t, a));
+                        }
+                    });
                 }
                 Violation::CindMissingWitness { .. } => {
                     // CIND repair (tuple insertion on the target side) is
@@ -518,7 +560,7 @@ impl BatchRepair {
         resolve: &mut ResolveStats,
         mut attribution: Option<(&mut revival_obs::JobProfile, &[String])>,
     ) -> bool {
-        let PassPlan { by_attr, breaks } =
+        let PassPlan { by_attr, breaks, .. } =
             self.collect_classes(&work.table, &mut work.scratch, violations);
         let first_write = work.written.len();
         let mut changed = false;
@@ -529,18 +571,28 @@ impl BatchRepair {
         for (attr, AttrClasses { mut eq, collect }) in by_attr {
             let start = Instant::now();
             let classes = eq.groups();
-            let resolved =
-                EquivClasses::resolve_targets(&classes, &work.table, &self.cost, self.jobs());
+            let resolved = work.resolvers.resolve(&classes, attr, &work.table, &self.cost);
             resolve.add(&resolved.stats);
-            for ((cells, _), target) in classes.iter().zip(resolved.targets) {
-                // Equal symbols ⇔ equal values; a target the pool has
-                // never seen differs from every member.
-                let target_sym = work.table.pool().lookup(&target);
-                for &(t, a) in cells {
-                    let differs = work.table.sym_at(t, a).is_ok_and(|s| Some(s) != target_sym);
-                    if differs && work.set((t, a), target.clone()) {
-                        changed = true;
+            for ((slots, pin), mut target) in classes.iter().zip(resolved.targets) {
+                for &slot in slots {
+                    let cell = (TupleId(u64::from(slot)), attr);
+                    // Equal symbols ⇔ equal values; a target the pool has
+                    // never seen differs from every member.
+                    if !work.table.sym_at(cell.0, attr).is_ok_and(|s| Some(s) != target) {
+                        continue;
                     }
+                    changed |= match target {
+                        Some(sym) => work.set_sym(cell, sym),
+                        // A pin the pool lacks is interned at the first
+                        // cell that takes it; the others take its symbol.
+                        None => {
+                            let ok = work.set(cell, pin.cloned().unwrap_or(Value::Null));
+                            if ok {
+                                target = work.table.sym_at(cell.0, attr).ok();
+                            }
+                            ok
+                        }
+                    };
                 }
             }
             if let Some((profile, _)) = attribution.as_mut() {
@@ -1114,8 +1166,7 @@ mod tests {
         let cfds = standard_cfds(&data.schema);
         let repairer = BatchRepair::new(&cfds, CostModel::uniform(data.schema.arity()));
 
-        let mut work =
-            Working { table: dirty.clone(), written: Vec::new(), scratch: Default::default() };
+        let mut work = Working::new(dirty.clone(), 1);
         let mut by_hand = ResolveStats::default();
         let (mut pairs, mut all_pairs, mut floor) = (0u64, 0u64, 0u64);
         loop {
@@ -1124,9 +1175,11 @@ mod tests {
                 break;
             }
             let plan = repairer.collect_classes(&work.table, &mut work.scratch, &report.violations);
-            for (_, AttrClasses { mut eq, .. }) in plan.by_attr {
-                for (cells, pinned) in eq.groups() {
-                    if pinned.is_none() {
+            for (attr, AttrClasses { mut eq, .. }) in plan.by_attr {
+                for (slots, pin) in eq.groups().iter() {
+                    let cells: Vec<Cell> =
+                        slots.iter().map(|&s| (TupleId(u64::from(s)), attr)).collect();
+                    if pin.is_none() {
                         let oracle =
                             crate::eqclass::tests::all_pairs(&cells, &work.table, &repairer.cost);
                         let (c, d) = (oracle.values, oracle.dead);

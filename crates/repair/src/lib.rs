@@ -13,9 +13,10 @@
 //! 1. **cell-level edits** — repairs change attribute values, never
 //!    insert/delete whole tuples;
 //! 2. **equivalence classes** — cells forced equal by variable CFDs are
-//!    merged (union-find) and resolved *together* to the value that
-//!    minimises total weighted change cost — priced over the class's
-//!    distinct values, not its cells ([`eqclass`]);
+//!    merged (union-find over one RHS attribute's slots) and resolved
+//!    *together* to the value that minimises total weighted change cost
+//!    — priced over the class's distinct values, not its cells
+//!    ([`eqclass`]);
 //! 3. **cost model** — changing value `v` to `w` costs
 //!    `weight(cell) · dist(v, w)` with a normalised edit distance, so
 //!    plausible small fixes are preferred.

@@ -654,3 +654,200 @@ fn a_suite_over_one_relation_names_the_table() {
     assert!(stderr.contains("does not match schema `customer`"), "got: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A JSON document, read just far enough to check an `--explain json`
+/// profile.
+#[derive(Debug)]
+enum Json {
+    /// `null`, `true` or `false`.
+    Word,
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parse one document; panics on anything malformed.
+    fn parse(text: &str) -> Json {
+        let (value, rest) = Json::value(text.trim_start());
+        assert!(rest.trim().is_empty(), "trailing bytes: {rest:.40}");
+        value
+    }
+
+    fn value(s: &str) -> (Json, &str) {
+        let s = s.trim_start();
+        let rest = |n: usize| s[n..].trim_start();
+        match s.as_bytes()[0] {
+            b'{' | b'[' => {
+                let object = s.starts_with('{');
+                let (mut fields, mut items, mut s) = (Vec::new(), Vec::new(), rest(1));
+                while !s.starts_with(['}', ']']) {
+                    if object {
+                        let (key, after) = Json::value(s);
+                        let Json::Str(key) = key else { panic!("key {key:?}") };
+                        let after = after.trim_start().strip_prefix(':').expect("`:` after a key");
+                        let (v, after) = Json::value(after);
+                        fields.push((key, v));
+                        s = after.trim_start();
+                    } else {
+                        let (v, after) = Json::value(s);
+                        items.push(v);
+                        s = after.trim_start();
+                    }
+                    s = s.strip_prefix(',').unwrap_or(s).trim_start();
+                }
+                (if object { Json::Obj(fields) } else { Json::Arr(items) }, &s[1..])
+            }
+            b'"' => {
+                let (mut out, mut chars) = (String::new(), s[1..].char_indices());
+                while let Some((i, c)) = chars.next() {
+                    match c {
+                        '"' => return (Json::Str(out), &s[i + 2..]),
+                        '\\' => match chars.next().expect("an escape").1 {
+                            'n' => out.push('\n'),
+                            't' => out.push('\t'),
+                            'u' => {
+                                let hex: String = (0..4).map(|_| chars.next().unwrap().1).collect();
+                                out.push(
+                                    char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap(),
+                                );
+                            }
+                            other => out.push(other),
+                        },
+                        c => out.push(c),
+                    }
+                }
+                panic!("unterminated string")
+            }
+            _ => {
+                let end = s.find([',', '}', ']']).unwrap_or(s.len());
+                let word = s[..end].trim();
+                let value = match word {
+                    "null" | "true" | "false" => Json::Word,
+                    n => Json::Num(n.parse().unwrap_or_else(|_| panic!("number {n:?}"))),
+                };
+                (value, &s[end..])
+            }
+        }
+    }
+
+    fn get(&self, key: &str) -> &Json {
+        let Json::Obj(fields) = self else { panic!("{self:?} is not an object") };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v).unwrap_or_else(|| panic!("no {key}"))
+    }
+
+    fn num(&self, key: &str) -> u64 {
+        match self.get(key) {
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
+            other => panic!("{key}: {other:?} is not a count"),
+        }
+    }
+
+    fn str(&self, key: &str) -> &str {
+        match self.get(key) {
+            Json::Str(s) => s,
+            other => panic!("{key}: {other:?} is not a string"),
+        }
+    }
+
+    fn arr(&self, key: &str) -> &[Json] {
+        match self.get(key) {
+            Json::Arr(items) => items,
+            other => panic!("{key}: {other:?} is not an array"),
+        }
+    }
+}
+
+/// FNV-64s of `generate --scenario hospital --rows 20000 --noise 0.05
+/// --seed 7`'s `dirty.csv` (the CSV writer's bytes alone; md5
+/// `ae6aa9b3…`) and of its repair (the resolver's targets through the
+/// writer; md5 `e082829f…`), recorded with the binary before repair
+/// built its classes over slots.
+const HOSPITAL_20000_DIRTY_FNV64: u64 = 0x60f9_358f_e1f4_c8ef;
+const HOSPITAL_20000_REPAIRED_FNV64: u64 = 0x98f9_f168_dc52_dd1d;
+
+/// The 20 000-row hospital workload repaired at one and at four shards:
+/// the same bytes, and the recorded ones; each run's `--explain json`
+/// profile read as a consumer would — no residual and nothing forced,
+/// a detection only after a pass wrote (k passes make k + 1 of them,
+/// and every constraint reads (k + 1) × 20 000 rows; a scan per loop
+/// head makes k + 3), one `cfd` row per merged constraint, one
+/// `resolve` row per repaired RHS attribute with counts summing to the
+/// header's, and rows that account for the wall exactly. Counts, not
+/// timings, so it cannot flake on a slow machine.
+#[test]
+fn repair_is_the_same_bytes_at_any_jobs_and_its_profile_reconciles() {
+    let dir = tmpdir("repair-smoke");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let out = path("");
+    run(&["generate", "--scenario", "hospital", "--rows", "20000", "--noise", "0.05"]
+        .into_iter()
+        .chain(["--seed", "7", "--out", &out])
+        .collect::<Vec<_>>());
+    let dirty = std::fs::read(path("dirty.csv")).unwrap();
+    assert_eq!(fnv64(&dirty), HOSPITAL_20000_DIRTY_FNV64, "{:#x}", fnv64(&dirty));
+    let mut repaired = Vec::new();
+    for jobs in ["1", "4"] {
+        let out = path(&format!("repaired_j{jobs}.csv"));
+        let explain = run(&[
+            "repair",
+            "--data",
+            &path("dirty.csv"),
+            "--table",
+            "hospital",
+            "--cfds",
+            &path("cfds.txt"),
+            "--jobs",
+            jobs,
+            "--out",
+            &out,
+            "--explain",
+            "json",
+        ]);
+        repaired.push(std::fs::read(&out).unwrap());
+        let p = Json::parse(std::str::from_utf8(&explain).unwrap());
+        let rows = p.arr("constraints");
+        let of_kind = |kind: &'static str| rows.iter().filter(move |c| c.str("kind") == kind);
+        assert_eq!(p.num("residual_violations"), 0, "--jobs {jobs}");
+        let passes = p.num("passes");
+        assert!(passes >= 1 && p.num("forced_resolutions") == 0, "--jobs {jobs}: {p:?}");
+        let scans = p.num("detect_scans");
+        assert_eq!(scans, passes + 1, "--jobs {jobs}: {scans} detection(s) for {passes} pass(es)");
+        assert_eq!(of_kind("cfd").count() as u64, p.num("merged_cfds"), "--jobs {jobs}");
+        for c in of_kind("cfd") {
+            assert_eq!(c.num("rows_scanned"), scans * 20_000, "--jobs {jobs}: {}", c.str("name"));
+        }
+        // The RHS attributes some constraint changed a cell of, by name.
+        let mut repaired_attrs: Vec<String> = of_kind("cfd")
+            .filter(|c| c.num("cells_changed") > 0)
+            .map(|c| {
+                let name = c.str("name");
+                let rhs = &name[name.rfind("-> [").expect("an RHS") + 4..];
+                format!("resolve hospital.{}", &rhs[..rhs.find(']').unwrap()])
+            })
+            .collect();
+        repaired_attrs.sort();
+        repaired_attrs.dedup();
+        let mut resolve: Vec<&str> = of_kind("resolve").map(|c| c.str("name")).collect();
+        resolve.sort();
+        assert_eq!(resolve, repaired_attrs, "--jobs {jobs}");
+        for key in ["classes", "class_cells", "distinct_values", "distances_computed"] {
+            let rows: u64 = of_kind("resolve").map(|c| c.num(key)).sum();
+            assert_eq!(rows, p.num(key), "--jobs {jobs}: {key}");
+        }
+        assert_eq!(
+            p.num("attributed_us") + p.num("overhead_us"),
+            p.num("wall_us"),
+            "--jobs {jobs}: attributed + overhead must equal wall exactly"
+        );
+    }
+    assert!(repaired[0] == repaired[1], "--jobs 1 and 4 repaired differently");
+    assert_eq!(fnv64(&repaired[0]), HOSPITAL_20000_REPAIRED_FNV64, "{:#x}", fnv64(&repaired[0]));
+    std::fs::remove_dir_all(&dir).ok();
+}

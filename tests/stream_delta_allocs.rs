@@ -130,9 +130,11 @@ fn appends_allocate_nothing_per_row_and_register_per_group() {
 
     // A capped `report` pays for the lines it prints: over the standard
     // suite on 5 %-noisy customer rows it builds its 20 violations and a
-    // bit per slot, whatever the rows. (Building every violation and a
-    // set node per implicated tuple made 912 allocations at 2 000 rows
-    // and 3 546 at 20 000.)
+    // bit per slot, whatever the rows, and writes each line straight
+    // into the reply: 64 allocations at 2 000 rows, 67 at 20 000.
+    // (Building every violation and a set node per implicated tuple
+    // made 912 and 3 546; a `String` per line and per key attribute
+    // joined after, 284 and 287.)
     let reporting = [2_000, ROWS].map(|rows| {
         let data = generate(&CustomerConfig { rows, seed: 7, ..Default::default() });
         let noise = NoiseConfig::new(0.05, vec![attrs::STREET, attrs::CITY, attrs::ZIP], 7);
@@ -142,6 +144,6 @@ fn appends_allocate_nothing_per_row_and_register_per_group() {
         assert!(total > 20 && text.lines().count() == 22, "{text}");
         allocations
     });
-    assert!(reporting[1] * 8 <= 3_546, "{reporting:?} allocations listing 20 violations");
+    assert!(reporting[1] * 48 <= 3_546, "{reporting:?} allocations listing 20 violations");
     assert!(reporting[1] * 4 <= reporting[0] * 5, "{reporting:?}: a listing grows with the rows");
 }
